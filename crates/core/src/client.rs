@@ -9,9 +9,9 @@
 //!   retry on a torn image,
 //! * **insert / delete** — acquire the node's exclusive lock, read the leaf,
 //!   modify it locally, then write back either the single affected entry
-//!   (two-level versions) or the whole node (baselines), combining the
-//!   write-back with the lock release into one doorbell batch when command
-//!   combination is enabled,
+//!   (two-level versions) or the whole node (baselines); with command
+//!   combination the read rides the lock acquisition and the lock release
+//!   rides the write-back, one doorbell batch each,
 //! * **split** — sort the leaf, move the upper half to a freshly allocated
 //!   sibling, link it B-link style, and insert the separator into the parent
 //!   (growing a new root when the split reaches the top).
@@ -28,6 +28,7 @@ use crate::ops::{
 };
 use crate::stats::OpStats;
 use crate::TreeResult;
+use sherman_locks::AcquireOutcome;
 use sherman_memserver::{ClientAllocator, ReaderHandle, ServerLayout};
 use sherman_sim::{
     ClientCtx, ClientStats, Completion, Fabric, FabricBackend, GlobalAddress, PendingVerb,
@@ -197,10 +198,36 @@ impl<B: FabricBackend> TreeClient<B> {
     fn acquire_lock(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<()> {
         let mgr = Arc::clone(self.cluster.lock_manager());
         let acq = mgr.acquire(&mut self.ctx, addr)?;
+        self.note_acquired(acq, meta);
+        Ok(())
+    }
+
+    /// Fold one lock acquisition into `meta` and open its critical section.
+    /// Sections nest (a merge holds several node locks): the outermost one
+    /// opens with the first lock and closes with the last release.
+    fn note_acquired(&mut self, acq: AcquireOutcome, meta: &mut OpMeta) {
         meta.lock_retries += acq.remote_retries;
         meta.handed_over |= acq.handed_over;
         self.ctx.begin_critical();
-        Ok(())
+    }
+
+    /// Acquire the exclusive lock on `addr` and read the node under it — the
+    /// head of every single-node commit.  With command combination the READ
+    /// rides the acquiring CAS's doorbell batch (the lock word is co-located
+    /// with its node, hence on the same queue pair), so the head costs one
+    /// round trip; without it, the lock and the read are two dependent ones.
+    fn lock_and_read(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
+        if !self.combine() {
+            self.acquire_lock(addr, meta)?;
+            return self.read_node_locked(addr);
+        }
+        let node_size = self.layout().node_size();
+        let mut buf = vec![0u8; node_size];
+        let mgr = Arc::clone(self.cluster.lock_manager());
+        let acq = mgr.acquire_and_read(&mut self.ctx, addr, &mut buf)?;
+        self.note_acquired(acq, meta);
+        self.ctx.charge_scan(node_size);
+        Ok(buf)
     }
 
     /// Release the exclusive lock on `addr`, flushing `writes` according to
@@ -272,6 +299,30 @@ impl<B: FabricBackend> TreeClient<B> {
         self.ctx.read(addr, &mut buf)?;
         self.ctx.charge_scan(node_size);
         Ok(buf)
+    }
+
+    /// Read three node images whose locks are all held.  The reads are
+    /// independent, so with command combination they are posted together and
+    /// share a round trip; without it each waits for the one before, like
+    /// every other command of an uncombined preset.
+    fn read_nodes_locked(&mut self, addrs: [GlobalAddress; 3]) -> TreeResult<[Vec<u8>; 3]> {
+        if !self.combine() {
+            let [a, b, c] = addrs;
+            return Ok([
+                self.read_node_locked(a)?,
+                self.read_node_locked(b)?,
+                self.read_node_locked(c)?,
+            ]);
+        }
+        let node_size = self.layout().node_size();
+        let mut bufs = addrs.map(|_| vec![0u8; node_size]);
+        let mut reqs: Vec<(GlobalAddress, &mut [u8])> = addrs
+            .into_iter()
+            .zip(bufs.iter_mut().map(Vec::as_mut_slice))
+            .collect();
+        self.ctx.read_batch(&mut reqs)?;
+        self.ctx.charge_scan(addrs.len() * node_size);
+        Ok(bufs)
     }
 
     // ------------------------------------------------------------------
@@ -377,9 +428,7 @@ impl<B: FabricBackend> TreeClient<B> {
         value: u64,
         meta: &mut OpMeta,
     ) -> TreeResult<WriteCommit> {
-        self.acquire_lock(addr, meta)?;
-
-        let buf = self.read_node_locked(addr)?;
+        let buf = self.lock_and_read(addr, meta)?;
         let mut leaf = self.layout().decode_leaf(&buf);
         if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
             if leaf.header.free
@@ -552,9 +601,7 @@ impl<B: FabricBackend> TreeClient<B> {
                 Some(a) => a,
                 None => self.traverse_to_level(sep_key, parent_level, meta)?,
             };
-            self.acquire_lock(addr, meta)?;
-
-            let buf = self.read_node_locked(addr)?;
+            let buf = self.lock_and_read(addr, meta)?;
             let mut node = self.layout().decode_internal(&buf);
             let usable = !node.header.free
                 && !node.header.is_leaf
@@ -727,9 +774,7 @@ impl<B: FabricBackend> TreeClient<B> {
         key: u64,
         meta: &mut OpMeta,
     ) -> TreeResult<WriteCommit> {
-        self.acquire_lock(addr, meta)?;
-
-        let buf = self.read_node_locked(addr)?;
+        let buf = self.lock_and_read(addr, meta)?;
         let mut leaf = self.layout().decode_leaf(&buf);
         if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
             if leaf.header.free
@@ -824,11 +869,7 @@ impl<B: FabricBackend> TreeClient<B> {
         let plan = mgr.lock_plan(nodes);
         for &rep in &plan {
             let acq = mgr.acquire(&mut self.ctx, rep)?;
-            meta.lock_retries += acq.remote_retries;
-            meta.handed_over |= acq.handed_over;
-            // Critical-section depth nests: the section opens with the first
-            // lock of the plan and closes with the last release.
-            self.ctx.begin_critical();
+            self.note_acquired(acq, meta);
         }
         Ok(plan)
     }
@@ -1019,9 +1060,8 @@ impl<B: FabricBackend> TreeClient<B> {
         // predicate covers both directions: the pair must be fence-adjacent
         // B-link siblings whose separator lives in this parent.
         let plan = self.acquire_plan(&[left_addr, right_addr, parent_addr], meta)?;
-        let left_buf = self.read_node_locked(left_addr)?;
-        let right_buf = self.read_node_locked(right_addr)?;
-        let parent_buf = self.read_node_locked(parent_addr)?;
+        let [left_buf, right_buf, parent_buf] =
+            self.read_nodes_locked([left_addr, right_addr, parent_addr])?;
         let lh = self.layout().decode_header(&left_buf);
         let rh = self.layout().decode_header(&right_buf);
         let mut parent = self.layout().decode_internal(&parent_buf);
@@ -1541,26 +1581,30 @@ mod tests {
     }
 
     #[test]
-    fn command_combination_saves_a_round_trip() {
-        let combined = small_cluster(TreeOptions::sherman());
-        combined.bulkload((0..200u64).map(|k| (k, k))).unwrap();
-        let mut c = combined.client(0);
-        let with = c.insert(50, 1).unwrap();
-
-        let separate = small_cluster(TreeOptions {
+    fn command_combination_halves_a_cached_leaf_write() {
+        // Round trips, reads, writes and atomics of an insert and a delete
+        // routed by the warm cache straight to their leaf.
+        let verbs = |options: TreeOptions| {
+            let cluster = small_cluster(options);
+            cluster.bulkload((0..200u64).map(|k| (k, k))).unwrap();
+            let mut client = cluster.client(0);
+            let insert = client.insert(50, 1).unwrap();
+            let (found, delete) = client.delete(51).unwrap();
+            assert!(found);
+            [insert, delete].map(|s| (s.round_trips, s.reads, s.writes, s.atomics))
+        };
+        // Combined: the READ rides the lock CAS, the release rides the
+        // write-back — head and tail are one round trip each.
+        assert_eq!(verbs(TreeOptions::sherman()), [(2, 1, 2, 1); 2]);
+        assert_eq!(verbs(TreeOptions::plus_combine()), [(2, 1, 2, 1); 2]);
+        // Uncombined: lock, read, write-back, release — the same verbs, each
+        // waiting for the one before.
+        let uncombined = TreeOptions {
             combine_commands: false,
             ..TreeOptions::sherman()
-        });
-        separate.bulkload((0..200u64).map(|k| (k, k))).unwrap();
-        let mut s = separate.client(0);
-        let without = s.insert(50, 1).unwrap();
-
-        assert!(
-            with.round_trips < without.round_trips,
-            "combined {} vs separate {}",
-            with.round_trips,
-            without.round_trips
-        );
+        };
+        assert_eq!(verbs(uncombined), [(4, 1, 2, 1); 2]);
+        assert_eq!(verbs(TreeOptions::fg_plus()), [(4, 1, 2, 1); 2]);
     }
 
     #[test]

@@ -219,8 +219,10 @@ impl OffloadPolicy {
 /// ablation study (Figures 10 and 11).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TreeOptions {
-    /// Combine dependent `RDMA_WRITE`s (write-back + lock release, plus the
-    /// sibling write-back on co-located splits) into one doorbell batch.
+    /// Combine dependent commands on one queue pair into doorbell batches:
+    /// at the tail of a write the `RDMA_WRITE`s (write-back + lock release,
+    /// plus the sibling write-back on co-located splits), at its head the
+    /// lock-acquiring CAS and the `RDMA_READ` of the node it guards.
     pub combine_commands: bool,
     /// Exclusive-lock design.
     pub lock_strategy: LockStrategy,

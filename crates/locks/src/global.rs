@@ -184,6 +184,24 @@ impl GlobalLockTable {
         Ok(result.succeeded)
     }
 
+    /// Attempt to acquire the lock at `loc` once and, in the same doorbell
+    /// batch, read the node it guards into `buf` (one round trip; the lock
+    /// word and `node` share a memory server, hence a queue pair).  The read
+    /// is speculative: `buf` only holds the locked image when the attempt
+    /// succeeded.
+    pub fn try_acquire_and_read_at<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        loc: LockLocation,
+        owner: u16,
+        node: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<bool> {
+        let value = Self::owner_value(&loc, owner);
+        let result = client.cas_read(loc.word, 0, value, loc.mask(), node, buf)?;
+        Ok(result.succeeded)
+    }
+
     /// Spin until the lock at `loc` is acquired; every failed attempt is a
     /// remote retry that burns NIC IOPS, exactly the behaviour Figure 2
     /// demonstrates.  Returns the number of failed attempts.
@@ -193,12 +211,24 @@ impl GlobalLockTable {
         loc: LockLocation,
         owner: u16,
     ) -> SimResult<u64> {
-        let mut retries = 0u64;
-        while !self.try_acquire_at(client, loc, owner)? {
-            retries += 1;
-            client.note_retries(1);
-        }
-        Ok(retries)
+        spin(client, |c| self.try_acquire_at(c, loc, owner))
+    }
+
+    /// [`GlobalLockTable::acquire_at`] with every attempt the combined
+    /// CAS+READ batch of [`GlobalLockTable::try_acquire_and_read_at`]: on
+    /// return `buf` holds `node` as read under the lock.  A failed attempt's
+    /// payload is overwritten by the next one.
+    pub fn acquire_and_read_at<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        loc: LockLocation,
+        owner: u16,
+        node: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<u64> {
+        spin(client, |c| {
+            self.try_acquire_and_read_at(c, loc, owner, node, buf)
+        })
     }
 
     /// The `RDMA_WRITE` command that releases the lock at `loc`.
@@ -258,6 +288,23 @@ impl GlobalLockTable {
             }
         }
     }
+}
+
+/// Repeat `attempt` until it wins the lock, counting each loss as a retry and
+/// pacing the re-post (a no-op on the simulator, where every retry already
+/// pays a modeled round trip; a yield on real threads, where the holder may
+/// be descheduled on this very core).  Returns the number of failed attempts.
+fn spin<C: FabricChannel>(
+    client: &mut ClientCtx<C>,
+    mut attempt: impl FnMut(&mut ClientCtx<C>) -> SimResult<bool>,
+) -> SimResult<u64> {
+    let mut retries = 0u64;
+    while !attempt(client)? {
+        retries += 1;
+        client.note_retries(1);
+        client.contention_backoff(u32::try_from(retries).unwrap_or(u32::MAX));
+    }
+    Ok(retries)
 }
 
 #[cfg(test)]
@@ -344,6 +391,34 @@ mod tests {
         glt.release_at(&mut client, loc, 1).unwrap();
         assert_eq!(retries, 3);
         assert_eq!(glt.acquire_at(&mut client, loc, 2).unwrap(), 0);
+    }
+
+    #[test]
+    fn combined_attempt_reads_the_node_in_the_acquiring_round_trip() {
+        for host in [false, true] {
+            let (pool, mut client) = setup();
+            let glt = if host {
+                GlobalLockTable::new_host(&pool, GlobalLockKind::HostCasWrite)
+            } else {
+                GlobalLockTable::new_on_chip(&pool)
+            };
+            let node = GlobalAddress::host(1, 128 << 10);
+            pool.fabric().god_write(node, &[3u8; 32]).unwrap();
+            let loc = glt.location_of(node);
+            let mut buf = [0u8; 32];
+            assert_eq!(
+                glt.acquire_and_read_at(&mut client, loc, 0, node, &mut buf).unwrap(),
+                0
+            );
+            assert_eq!(buf, [3u8; 32]);
+            assert_eq!(client.stats().round_trips, 1);
+            // Held: a second combined attempt loses (its payload is speculative).
+            assert!(!glt
+                .try_acquire_and_read_at(&mut client, loc, 1, node, &mut buf)
+                .unwrap());
+            glt.release_at(&mut client, loc, 0).unwrap();
+            assert!(glt.try_acquire_at(&mut client, loc, 1).unwrap());
+        }
     }
 
     #[test]

@@ -181,11 +181,16 @@ impl HoclManager {
         self.local_table(cs).queued_waiters(node.ms, slot)
     }
 
+    /// Acquire lock `slot` on server `ms`; with `read`, also fetch the node
+    /// the lock guards into the given buffer — folded into every global
+    /// attempt's doorbell batch, or a plain READ when the lock was handed
+    /// over locally (no global attempt happens then).
     fn acquire_slot<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         ms: u16,
         slot: u64,
+        read: Option<(GlobalAddress, &mut [u8])>,
     ) -> SimResult<AcquireOutcome> {
         let llt = self.local_table(client.cs_id());
         let local = llt.lock_for(ms, slot);
@@ -222,13 +227,22 @@ impl HoclManager {
         }
 
         if handed_over {
+            if let Some((node, buf)) = read {
+                client.read(node, buf)?;
+            }
             return Ok(AcquireOutcome {
                 remote_retries: 0,
                 handed_over: true,
             });
         }
         let loc = self.glt.location_of_slot(ms, slot);
-        let remote_retries = self.glt.acquire_at(client, loc, client.cs_id())?;
+        let owner = client.cs_id();
+        let remote_retries = match read {
+            Some((node, buf)) => self
+                .glt
+                .acquire_and_read_at(client, loc, owner, node, buf)?,
+            None => self.glt.acquire_at(client, loc, owner)?,
+        };
         Ok(AcquireOutcome {
             remote_retries,
             handed_over: false,
@@ -318,7 +332,7 @@ impl HoclManager {
         ms: u16,
         slot: u64,
     ) -> SimResult<AcquireOutcome> {
-        self.acquire_slot(client, ms, slot)
+        self.acquire_slot(client, ms, slot, None)
     }
 
     /// Whether `a` and `b` are guarded by the same lock word (inherent
@@ -372,7 +386,17 @@ impl<C: FabricChannel> NodeLockManager<C> for HoclManager {
         node: GlobalAddress,
     ) -> SimResult<AcquireOutcome> {
         let slot = self.glt.slot_of(node);
-        self.acquire_slot(client, node.ms, slot)
+        self.acquire_slot(client, node.ms, slot, None)
+    }
+
+    fn acquire_and_read(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<AcquireOutcome> {
+        let slot = self.glt.slot_of(node);
+        self.acquire_slot(client, node.ms, slot, Some((node, buf)))
     }
 
     fn release_deferred(
@@ -647,6 +671,96 @@ mod tests {
         let mut other_cs = pool.fabric().client(1);
         let a = mgr.acquire(&mut other_cs, node).unwrap();
         assert!(!a.handed_over);
+    }
+
+    #[test]
+    fn handed_over_acquire_and_read_is_one_plain_read() {
+        let (pool, mgr) = setup(HoclOptions::default());
+        let node = GlobalAddress::host(0, 90 << 10);
+        let mut main_client = pool.fabric().client(0);
+
+        // Not handed over: the READ rides the global CAS's round trip.
+        let mut buf = [0u8; 64];
+        let before = main_client.stats();
+        let a = mgr.acquire_and_read(&mut main_client, node, &mut buf).unwrap();
+        assert!(!a.handed_over);
+        let d = main_client.stats().delta_since(&before);
+        assert_eq!((d.round_trips, d.atomics, d.reads), (1, 1, 1));
+
+        let waiter = {
+            let pool = Arc::clone(&pool);
+            let mgr = Arc::clone(&mgr);
+            thread::spawn(move || {
+                let mut client = pool.fabric().client(0);
+                let mut buf = [0u8; 64];
+                let a = mgr.acquire_and_read(&mut client, node, &mut buf).unwrap();
+                let stats = client.stats();
+                mgr.release(&mut client, node, Vec::new(), true).unwrap();
+                (a, buf, stats)
+            })
+        };
+        pump_until_queued(&mgr, &mut main_client, node, 1);
+        // The write-back lands with the handover; the waiter must read it.
+        let r = mgr
+            .release(&mut main_client, node, vec![WriteCmd::new(node, vec![7u8; 64])], true)
+            .unwrap();
+        assert!(!r.released_global);
+        drop(main_client);
+
+        let (a, buf, stats) = waiter.join().unwrap();
+        assert!(a.handed_over);
+        assert_eq!(buf, [7u8; 64]);
+        // The global lock came with the handover: no CAS, just the READ.
+        assert_eq!((stats.round_trips, stats.atomics, stats.reads), (1, 0, 1));
+    }
+
+    /// Real threads on the real clock, every critical section entered through
+    /// the combined CAS+READ: the image read under the lock is always the
+    /// previous holder's write-back, so no increment is ever lost.
+    fn acquire_and_read_excludes_on_real_threads(
+        mgr: Arc<dyn NodeLockManager<sherman_sim::ThreadedChannel>>,
+        fabric: Arc<sherman_sim::ThreadedFabric>,
+    ) {
+        use sherman_sim::FabricBackend;
+        let node = GlobalAddress::host(1, 20 << 10);
+        let start = fabric.god_read_u64(node).unwrap();
+        let (threads, iterations) = (4u16, 200u64);
+        let barrier = Arc::new(std::sync::Barrier::new(threads as usize));
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (mgr, fabric, barrier) =
+                    (Arc::clone(&mgr), Arc::clone(&fabric), Arc::clone(&barrier));
+                thread::spawn(move || {
+                    let mut client = fabric.client(t % 2);
+                    barrier.wait();
+                    for _ in 0..iterations {
+                        let mut buf = [0u8; 8];
+                        mgr.acquire_and_read(&mut client, node, &mut buf).unwrap();
+                        let next = u64::from_le_bytes(buf) + 1;
+                        let write = WriteCmd::new(node, next.to_le_bytes().to_vec());
+                        mgr.release(&mut client, node, vec![write], true).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(
+            fabric.god_read_u64(node).unwrap(),
+            start + threads as u64 * iterations
+        );
+    }
+
+    #[test]
+    fn acquire_and_read_is_mutually_exclusive_on_threaded_fabric() {
+        use crate::manager::RemoteLockManager;
+        let fabric = sherman_sim::ThreadedFabric::new(FabricConfig::small_test());
+        let pool = MemoryPool::new(Arc::clone(&fabric), 64 << 10);
+        let hocl = HoclManager::new(GlobalLockTable::new_on_chip(&pool), 2, HoclOptions::default());
+        acquire_and_read_excludes_on_real_threads(Arc::new(hocl), Arc::clone(&fabric));
+        let remote = RemoteLockManager::new(GlobalLockTable::new_on_chip(&pool));
+        acquire_and_read_excludes_on_real_threads(Arc::new(remote), fabric);
     }
 
     #[test]

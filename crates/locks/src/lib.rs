@@ -20,7 +20,9 @@
 //! The index layer drives all of these through the [`NodeLockManager`] trait,
 //! which also cooperates with command combination: a lock release that is
 //! expressible as an `RDMA_WRITE` can be appended to the node write-back
-//! doorbell batch so that write-back and unlock cost a single round trip.
+//! doorbell batch so that write-back and unlock cost a single round trip, and
+//! the acquiring CAS can carry the read of the node it guards
+//! ([`NodeLockManager::acquire_and_read`]) so that lock and read do too.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

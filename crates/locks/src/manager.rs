@@ -39,6 +39,24 @@ pub trait NodeLockManager<C: FabricChannel = SimChannel>: Send + Sync {
     fn acquire(&self, client: &mut ClientCtx<C>, node: GlobalAddress)
         -> SimResult<AcquireOutcome>;
 
+    /// Acquire the lock protecting `node` and read the node it guards into
+    /// `buf` (`buf.len()` bytes from `node`): on return `buf` holds the image
+    /// as read under the lock.  The default is [`NodeLockManager::acquire`]
+    /// followed by a READ — two dependent round trips; managers whose lock
+    /// words are co-located with the nodes they guard fold the READ into the
+    /// acquiring CAS's doorbell batch (command combination at the head of a
+    /// write, §4.5).
+    fn acquire_and_read(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<AcquireOutcome> {
+        let outcome = self.acquire(client, node)?;
+        client.read(node, buf)?;
+        Ok(outcome)
+    }
+
     /// Release the lock protecting `node`, flushing `writes` (node
     /// write-backs on the same memory server) before or together with the
     /// release according to `combine`.
@@ -265,6 +283,23 @@ impl<C: FabricChannel> NodeLockManager<C> for RemoteLockManager {
         let loc = self.table.location_of(node);
         let owner = client.cs_id();
         let remote_retries = self.table.acquire_at(client, loc, owner)?;
+        Ok(AcquireOutcome {
+            remote_retries,
+            handed_over: false,
+        })
+    }
+
+    fn acquire_and_read(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<AcquireOutcome> {
+        let loc = self.table.location_of(node);
+        let owner = client.cs_id();
+        let remote_retries = self
+            .table
+            .acquire_and_read_at(client, loc, owner, node, buf)?;
         Ok(AcquireOutcome {
             remote_retries,
             handed_over: false,

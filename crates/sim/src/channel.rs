@@ -131,6 +131,25 @@ pub trait FabricChannel: Send + 'static {
         mask: u64,
     ) -> SimResult<(VerbWindow, (bool, u64))>;
 
+    /// One doorbell batch of a masked `RDMA_CAS` on the word at `lock`
+    /// followed by an `RDMA_READ` of `buf.len()` bytes from `addr`, both on
+    /// one queue pair (a `mask` of `u64::MAX` is the plain 64-bit CAS).  Both
+    /// must target the same memory server ([`SimError::MixedBatch`]
+    /// otherwise): in-order delivery then guarantees the READ executes after
+    /// the CAS, so a caller that wins a lock word reads the node it guards in
+    /// the same round trip.  The READ executes whether or not the CAS won —
+    /// a NIC has no conditional — and the window closes on the READ response.
+    /// Returns `(succeeded, previous_word)` like [`FabricChannel::masked_cas`].
+    fn cas_read(
+        &mut self,
+        lock: GlobalAddress,
+        expected: u64,
+        new: u64,
+        mask: u64,
+        addr: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<(VerbWindow, (bool, u64))>;
+
     /// The fabric cost of one two-sided RPC to memory server `ms` (the
     /// request handling itself happens synchronously in the caller — see
     /// [`crate::RpcHandler`]).  `work` is the server-side compute the

@@ -1,8 +1,9 @@
 //! Per-thread client context: the compute-server side of the fabric.
 //!
 //! A [`ClientCtx`] exposes the one-sided verb set Sherman relies on, plus the
-//! doorbell-batched command list used by the command-combination technique
-//! (§4.5) and a two-sided RPC used only for chunk allocation (§4.2.4).
+//! two doorbell batches used by the command-combination technique (§4.5) —
+//! the write list at the tail of a write, CAS+READ at its head — and a
+//! two-sided RPC used only for chunk allocation (§4.2.4).
 //!
 //! The context is generic over a [`FabricChannel`] — the per-backend verb
 //! executor (see [`crate::channel`]).  The channel applies memory effects and
@@ -416,30 +417,43 @@ impl SimChannel {
         addr.offset | space_bit
     }
 
-    fn exec_atomic<T>(
-        &mut self,
+    /// MS-side half of an atomic verb whose request reaches the MS NIC at
+    /// `arrival`: inbound port, then the address's atomic bucket.  Returns
+    /// the instant the atomic finished executing and its result.
+    fn atomic_at_server<T>(
+        &self,
+        server: &crate::server::MemServerSim,
         addr: GlobalAddress,
+        arrival: u64,
         apply: impl FnOnce(&crate::region::Region) -> Result<T, crate::region::RegionAccessError>,
-    ) -> SimResult<(VerbWindow, T)> {
-        let server = Arc::clone(self.fabric.server(addr.ms)?);
-        let cfg = self.fabric.config().clone();
-        let posted_at = self.participant.now();
-        let arrival = self.request_path(8);
-        let ms_done = server.inbound.serve(arrival, cfg.nic_service_ns(8));
+    ) -> SimResult<(u64, T)> {
+        let ms_done = server
+            .inbound
+            .serve(arrival, self.fabric.config().nic_service_ns(8));
         let exec_ns = self.atomic_exec_ns(addr.space);
-        let region_len = server.region_len(addr);
         let (exec_end, result) =
             server
                 .atomic_buckets
                 .execute(Self::bucket_key(addr), ms_done, exec_ns, || {
                     apply(server.region(addr.space))
                 });
-        let value = result.map_err(|e| e.into_sim_error(addr, region_len))?;
-        let completed_at = exec_end + self.half_rtt();
+        let value = result.map_err(|e| e.into_sim_error(addr, server.region_len(addr)))?;
+        Ok((exec_end, value))
+    }
+
+    fn exec_atomic<T>(
+        &mut self,
+        addr: GlobalAddress,
+        apply: impl FnOnce(&crate::region::Region) -> Result<T, crate::region::RegionAccessError>,
+    ) -> SimResult<(VerbWindow, T)> {
+        let server = Arc::clone(self.fabric.server(addr.ms)?);
+        let posted_at = self.participant.now();
+        let arrival = self.request_path(8);
+        let (exec_end, value) = self.atomic_at_server(&server, addr, arrival, apply)?;
         Ok((
             VerbWindow {
                 posted_at,
-                completed_at,
+                completed_at: exec_end + self.half_rtt(),
             },
             value,
         ))
@@ -602,6 +616,60 @@ impl FabricChannel for SimChannel {
         mask: u64,
     ) -> SimResult<(VerbWindow, (bool, u64))> {
         self.exec_atomic(addr, |r| r.masked_cas_u64(addr.offset, expected, new, mask))
+    }
+
+    fn cas_read(
+        &mut self,
+        lock: GlobalAddress,
+        expected: u64,
+        new: u64,
+        mask: u64,
+        addr: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<(VerbWindow, (bool, u64))> {
+        if buf.is_empty() {
+            return Err(SimError::EmptyBatch);
+        }
+        if lock.ms != addr.ms {
+            return Err(SimError::MixedBatch);
+        }
+        let server = Arc::clone(self.fabric.server(lock.ms)?);
+        let cfg = self.fabric.config();
+        let posted_at = self.participant.now();
+
+        // Both requests serialize through the CS port, the CAS first.
+        let cs_port = self.fabric.cs_port(self.cs_id);
+        let cas_sent = cs_port.serve(
+            posted_at + cfg.cs_post_overhead_ns,
+            cfg.nic_service_ns(8),
+        );
+        let read_sent = cs_port.serve(cas_sent, cfg.nic_service_ns(0));
+
+        let (cas_done, outcome) =
+            self.atomic_at_server(&server, lock, cas_sent + self.half_rtt(), |r| {
+                r.masked_cas_u64(lock.offset, expected, new, mask)
+            })?;
+        // In-order delivery on the queue pair: the READ executes after the
+        // CAS, so its response leaves no earlier than the CAS finished.
+        let read_done = server.inbound.serve(
+            (read_sent + self.half_rtt()).max(cas_done),
+            cfg.nic_service_ns(buf.len()),
+        );
+        server
+            .region(addr.space)
+            .read_bytes(addr.offset, buf)
+            .map_err(|oob| SimError::OutOfBounds {
+                addr,
+                len: oob.len,
+                region_len: oob.region_len,
+            })?;
+        Ok((
+            VerbWindow {
+                posted_at,
+                completed_at: read_done + self.half_rtt(),
+            },
+            outcome,
+        ))
     }
 
     fn rpc(
@@ -1105,10 +1173,16 @@ impl<C: FabricChannel> ClientCtx<C> {
     pub fn read(&mut self, addr: GlobalAddress, buf: &mut [u8]) -> SimResult<()> {
         let window = self.chan.read(addr, buf)?;
         self.account_read(1, buf.len() as u64);
+        self.complete_inline(window);
+        Ok(())
+    }
+
+    /// Account, trace and wait out a blocking verb that filled the caller's
+    /// buffer directly and therefore never parks on the CQ.
+    fn complete_inline(&mut self, window: VerbWindow) {
         self.account_post(window.posted_at, window.completed_at);
         self.trace_post(0);
         self.chan.wait_until(window.completed_at);
-        Ok(())
     }
 
     /// `RDMA_WRITE` of `data` to `addr`.
@@ -1246,6 +1320,32 @@ impl<C: FabricChannel> ClientCtx<C> {
             VerbResult::Cas(r) => Ok(r),
             other => panic!("expected a CAS completion, got {other:?}"),
         }
+    }
+
+    /// Blocking doorbell batch of one masked `RDMA_CAS` on the word at `lock`
+    /// followed by one `RDMA_READ` from `addr` into `buf`, on one queue pair
+    /// (command combination at the *head* of a write, §4.5): **one** round
+    /// trip, one atomic and one read.  `mask == u64::MAX` is the plain 64-bit
+    /// CAS.  The read executes — and its bytes are accounted — whether or not
+    /// the swap took effect; see [`FabricChannel::cas_read`].
+    pub fn cas_read(
+        &mut self,
+        lock: GlobalAddress,
+        expected: u64,
+        new: u64,
+        mask: u64,
+        addr: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<CasResult> {
+        let (window, (succeeded, previous)) =
+            self.chan.cas_read(lock, expected, new, mask, addr, buf)?;
+        self.account_atomic(lock.space);
+        self.account_read(1, buf.len() as u64);
+        self.complete_inline(window);
+        Ok(CasResult {
+            succeeded,
+            previous,
+        })
     }
 
     /// `RDMA_READ` of a single aligned 8-byte word.
@@ -1463,6 +1563,104 @@ mod tests {
         let r = client.masked_cas(addr, 0, 9 << 16, mask).unwrap();
         assert!(!r.succeeded, "lock already held");
         assert_eq!(fabric.god_read_u64(addr).unwrap(), 7 << 16);
+    }
+
+    #[test]
+    fn cas_read_batch_costs_one_round_trip() {
+        let fabric = test_fabric();
+        let mut client = fabric.client(0);
+        let mask = 0xFFFFu64 << 16;
+        let node = GlobalAddress::host(0, 8192);
+        fabric.god_write(node, &[5u8; 1024]).unwrap();
+        let mut buf = vec![0u8; 1024];
+
+        // Reference: the two verbs as dependent round trips.
+        let t0 = client.now();
+        client
+            .masked_cas(GlobalAddress::on_chip(0, 128), 0, 1 << 16, mask)
+            .unwrap();
+        let cas_ns = client.now() - t0;
+        client.read(node, &mut buf).unwrap();
+        let read_ns = client.now() - t0 - cas_ns;
+
+        buf.fill(0);
+        client.enable_trace();
+        client.set_current_op(Some(3));
+        let before = client.stats();
+        let t1 = client.now();
+        let lock = GlobalAddress::on_chip(0, 64);
+        let r = client
+            .cas_read(lock, 0, 7 << 16, mask, node, &mut buf)
+            .unwrap();
+        let batch_ns = client.now() - t1;
+        assert_eq!((r.succeeded, r.previous), (true, 0));
+        assert_eq!(fabric.god_read_u64(lock).unwrap(), 7 << 16);
+        assert_eq!(buf, vec![5u8; 1024]);
+
+        // The READ rides the CAS's round trip: the window closes on the READ
+        // response, which cannot leave before the CAS executed.
+        assert!(
+            batch_ns >= cas_ns.max(read_ns) && batch_ns < cas_ns + read_ns,
+            "batch {batch_ns} ns vs cas {cas_ns} + read {read_ns}"
+        );
+        let d = client.stats().delta_since(&before);
+        assert_eq!((d.round_trips, d.atomics, d.reads), (1, 1, 1));
+        assert_eq!(d.bytes_read, 1024);
+        let op = client.take_op_stats(3);
+        assert_eq!((op.round_trips, op.bytes_read), (1, 1024));
+        assert_eq!(op.verb_ns, batch_ns);
+        assert_eq!(
+            client.take_trace(),
+            [TraceEvent::Post {
+                op: Some(3),
+                token: 0,
+                critical: false,
+            }]
+        );
+    }
+
+    #[test]
+    fn lost_cas_read_still_reads_and_leaves_the_word_untouched() {
+        let fabric = test_fabric();
+        let mut client = fabric.client(0);
+        // A 64-bit host lock word held by someone else (full mask = plain CAS).
+        let lock = GlobalAddress::host(1, 2048);
+        let node = GlobalAddress::host(1, 16 << 10);
+        fabric.god_write_u64(lock, 42).unwrap();
+        fabric.god_write(node, &[9u8; 256]).unwrap();
+        let mut buf = vec![0u8; 256];
+        let r = client
+            .cas_read(lock, 0, 7, u64::MAX, node, &mut buf)
+            .unwrap();
+        assert_eq!((r.succeeded, r.previous), (false, 42));
+        assert_eq!(fabric.god_read_u64(lock).unwrap(), 42);
+        // A NIC has no conditional: the speculative read executed and is paid for.
+        assert_eq!(buf, vec![9u8; 256]);
+        let s = client.stats();
+        assert_eq!((s.round_trips, s.atomics, s.reads, s.bytes_read), (1, 1, 1, 256));
+    }
+
+    #[test]
+    fn cas_read_across_servers_is_rejected() {
+        let fabric = test_fabric();
+        let mut client = fabric.client(0);
+        let lock = GlobalAddress::on_chip(0, 64);
+        let mut buf = [0u8; 64];
+        assert_eq!(
+            client
+                .cas_read(lock, 0, 1, u64::MAX, GlobalAddress::host(1, 0), &mut buf)
+                .unwrap_err(),
+            SimError::MixedBatch
+        );
+        assert_eq!(
+            client
+                .cas_read(lock, 0, 1, u64::MAX, GlobalAddress::host(0, 0), &mut [])
+                .unwrap_err(),
+            SimError::EmptyBatch
+        );
+        // A rejected batch has no effect and costs nothing.
+        assert_eq!(fabric.god_read_u64(lock).unwrap(), 0);
+        assert_eq!(client.stats(), ClientStats::default());
     }
 
     #[test]

@@ -335,6 +335,40 @@ impl FabricChannel for ThreadedChannel {
         self.exec_atomic(addr, |r| r.masked_cas_u64(addr.offset, expected, new, mask))
     }
 
+    fn cas_read(
+        &mut self,
+        lock: GlobalAddress,
+        expected: u64,
+        new: u64,
+        mask: u64,
+        addr: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<(VerbWindow, (bool, u64))> {
+        if buf.is_empty() {
+            return Err(SimError::EmptyBatch);
+        }
+        if lock.ms != addr.ms {
+            return Err(SimError::MixedBatch);
+        }
+        // Program order on this thread is the queue pair's in-order delivery:
+        // the (SeqCst) CAS lands before the node bytes are read.
+        let (window, outcome) = self.exec_atomic(lock, |r| {
+            r.masked_cas_u64(lock.offset, expected, new, mask)
+        })?;
+        self.fabric
+            .server(addr.ms)?
+            .region(addr.space)
+            .read_bytes(addr.offset, buf)
+            .map_err(|e| Self::oob(addr, e))?;
+        Ok((
+            VerbWindow {
+                posted_at: window.posted_at,
+                completed_at: self.fabric.real_now(),
+            },
+            outcome,
+        ))
+    }
+
     fn rpc(
         &mut self,
         ms: u16,
@@ -456,6 +490,38 @@ mod tests {
         let ctr = GlobalAddress::host(0, 2048);
         assert_eq!(client.faa(ctr, 5).unwrap(), 0);
         assert_eq!(client.faa(ctr, 5).unwrap(), 5);
+    }
+
+    #[test]
+    fn cas_read_shares_simulator_semantics() {
+        let fabric = test_fabric();
+        let mut client = fabric.client(0);
+        let lock = GlobalAddress::on_chip(0, 64);
+        let node = GlobalAddress::host(0, 8192);
+        let mask = 0xFFFFu64 << 16;
+        fabric.god_write(node, &[5u8; 128]).unwrap();
+        let mut buf = [0u8; 128];
+        let won = client
+            .cas_read(lock, 0, 7 << 16, mask, node, &mut buf)
+            .unwrap();
+        assert!(won.succeeded);
+        assert_eq!(buf, [5u8; 128]);
+        // Losing the word still reads (and accounts) the node.
+        fabric.god_write(node, &[6u8; 128]).unwrap();
+        let lost = client
+            .cas_read(lock, 0, 9 << 16, mask, node, &mut buf)
+            .unwrap();
+        assert_eq!((lost.succeeded, lost.previous), (false, 7 << 16));
+        assert_eq!(buf, [6u8; 128]);
+        assert_eq!(fabric.god_read_u64(lock).unwrap(), 7 << 16);
+        let s = client.stats();
+        assert_eq!((s.round_trips, s.atomics, s.reads, s.bytes_read), (2, 2, 2, 256));
+        assert_eq!(
+            client
+                .cas_read(lock, 0, 1, mask, GlobalAddress::host(1, 0), &mut buf)
+                .unwrap_err(),
+            SimError::MixedBatch
+        );
     }
 
     #[test]

@@ -123,3 +123,68 @@ fn sherman_without_combination_is_correct() {
         "Sherman w/o combine",
     );
 }
+
+/// One seeded single-client write sequence (updates, fresh inserts that
+/// split, deletes that merge) and the verbs it cost: `(round_trips, reads,
+/// writes, atomics, bytes_read, bytes_written, elapsed virtual ns)`.
+fn write_path_verbs(options: TreeOptions) -> (u64, u64, u64, u64, u64, u64, u64) {
+    let cluster = Cluster::new(ClusterConfig::small(), options);
+    cluster.bulkload((0..2_000u64).map(|k| (k * 2, k))).unwrap();
+    let mut client = cluster.client(0);
+    let t0 = client.now();
+    for i in 0..400u64 {
+        let k = (i * 37) % 4_000;
+        match i % 4 {
+            0 => drop(client.insert(k & !1, i).unwrap()),
+            1 | 2 => drop(client.insert(k | 1, i).unwrap()),
+            _ => drop(client.delete((k + 74) | 1).unwrap()),
+        }
+    }
+    // Drain a contiguous stretch so leaves merge: the three-lock commit's
+    // reads are part of the pinned verb sequence too.
+    for k in 0..400u64 {
+        client.delete(k * 2).unwrap();
+    }
+    assert!(cluster.space_stats().leaf_merges > 0);
+    let s = client.fabric_stats();
+    (
+        s.round_trips,
+        s.reads,
+        s.writes,
+        s.atomics,
+        s.bytes_read,
+        s.bytes_written,
+        client.now() - t0,
+    )
+}
+
+/// Folding the node read into the lock acquisition is governed by
+/// `combine_commands`: every preset that leaves it off issues exactly the
+/// verbs — and takes exactly the virtual time — it did before the head
+/// combination existed.  The figures were recorded at that commit.
+#[test]
+fn uncombined_presets_keep_their_verbs() {
+    let sherman_uncombined = TreeOptions {
+        combine_commands: false,
+        ..TreeOptions::sherman()
+    };
+    for (label, options, expect) in [
+        (
+            "FG",
+            TreeOptions::fg(),
+            (3946, 1047, 924, 1974, 268_032, 236_544, 7_713_866),
+        ),
+        (
+            "FG+",
+            TreeOptions::fg_plus(),
+            (3946, 1047, 1911, 987, 268_032, 244_440, 7_269_716),
+        ),
+        (
+            "Sherman w/o combine",
+            sherman_uncombined,
+            (3946, 1047, 1911, 987, 268_032, 81_387, 6_803_031),
+        ),
+    ] {
+        assert_eq!(write_path_verbs(options), expect, "{label}");
+    }
+}

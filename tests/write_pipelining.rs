@@ -263,3 +263,56 @@ fn mixed_writes_match_model_at_every_depth() {
         }
     }
 }
+
+/// With command combination the lock CAS carries the node READ, so a
+/// cached-leaf update is exactly two posts: the combined CAS+READ, whose
+/// completion opens the critical section, and the write-back + release batch
+/// that closes it — with no other operation's verb in between, however many
+/// lookups are in flight around it.
+#[test]
+fn combined_lock_and_read_opens_the_critical_section() {
+    for depth in [1usize, 8] {
+        let (cluster, _) = loaded_cluster(1_200);
+        let mut client = cluster.client(0);
+        client.enable_verb_trace();
+        let ops: Vec<PipelineOp> = (0..192u64)
+            .map(|i| match i % 3 {
+                0 => PipelineOp::Insert {
+                    key: ((i * 17) % 1_200) * 3,
+                    value: i,
+                },
+                _ => PipelineOp::Lookup {
+                    key: ((i * 29) % 1_200) * 3,
+                },
+            })
+            .collect();
+        client.run_pipelined(ops, depth).unwrap();
+
+        let trace = client.take_verb_trace();
+        let mut sections = 0;
+        for (i, event) in trace.iter().enumerate() {
+            let TraceEvent::CriticalBegin { op } = *event else {
+                continue;
+            };
+            sections += 1;
+            // Blocking inline verbs carry token 0; the lock is not held while
+            // the combined verb is in flight, so it is not flagged critical.
+            assert_eq!(
+                trace[i - 1],
+                TraceEvent::Post {
+                    op,
+                    token: 0,
+                    critical: false
+                },
+                "depth {depth}: section not opened by its own CAS+READ"
+            );
+            assert!(
+                matches!(trace[i + 1], TraceEvent::Post { op: o, critical: true, .. } if o == op),
+                "depth {depth}: foreign verb inside the section: {:?}",
+                trace[i + 1]
+            );
+            assert_eq!(trace[i + 2], TraceEvent::CriticalEnd { op }, "depth {depth}");
+        }
+        assert_eq!(sections, 64, "depth {depth}: one section per update");
+    }
+}

@@ -583,6 +583,45 @@ pub struct ShapeAudit {
     pub underfull_internals: u64,
 }
 
+/// Cut `pairs` into the key-ordered, duplicate-free runs of `per_leaf` that a
+/// bulkload turns into leaves.
+///
+/// Ascending input — what a bulkload is normally fed — is grouped as it
+/// arrives, so nothing is ever held in a buffer larger than one leaf's
+/// entries; only input that turns out not to be ascending is staged whole and
+/// sorted.  Staging a million pairs in one block and freeing it is not free of
+/// after-effects: glibc raises its mmap threshold to the size of the block,
+/// and from then on the process's other multi-megabyte vectors live in arena
+/// heaps, grow by copying and leave their old copies resident.
+fn leaf_groups(
+    pairs: impl IntoIterator<Item = (u64, u64)>,
+    per_leaf: usize,
+) -> Vec<Vec<(u64, u64)>> {
+    let mut groups: Vec<Vec<(u64, u64)>> = Vec::new();
+    let mut pairs = pairs.into_iter();
+    let mut last_key = None;
+    while let Some((key, value)) = pairs.next() {
+        if last_key.is_some_and(|last| key <= last) {
+            let mut staged: Vec<(u64, u64)> = groups.into_iter().flatten().collect();
+            staged.push((key, value));
+            staged.extend(pairs);
+            staged.sort_unstable_by_key(|&(k, _)| k);
+            staged.dedup_by_key(|&mut (k, _)| k);
+            return staged.chunks(per_leaf).map(<[_]>::to_vec).collect();
+        }
+        last_key = Some(key);
+        match groups.last_mut() {
+            Some(group) if group.len() < per_leaf => group.push((key, value)),
+            _ => {
+                let mut group = Vec::with_capacity(per_leaf);
+                group.push((key, value));
+                groups.push(group);
+            }
+        }
+    }
+    groups
+}
+
 impl<B: FabricBackend> Cluster<B> {
     // ------------------------------------------------------------------
     // Bulkload
@@ -595,21 +634,13 @@ impl<B: FabricBackend> Cluster<B> {
     /// This mirrors the paper's setup phase: "we bulkload the tree with
     /// 1 billion entries 80 % full, then perform specified workloads".
     pub fn bulkload(&self, pairs: impl IntoIterator<Item = (u64, u64)>) -> TreeResult<()> {
-        let mut pairs: Vec<(u64, u64)> = pairs.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(k, _)| k);
-        pairs.dedup_by_key(|&mut (k, _)| k);
-
         let mut alloc = BulkAllocator::new(&self.pool, self.config.node_size as u64);
 
         // ---- Level 0: leaves ----
         let leaf_cap = self.layout.leaf_capacity();
         let per_leaf = ((leaf_cap as f64 * self.config.leaf_fill).floor() as usize)
             .clamp(1, leaf_cap);
-        let groups: Vec<&[(u64, u64)]> = if pairs.is_empty() {
-            Vec::new()
-        } else {
-            pairs.chunks(per_leaf).collect()
-        };
+        let groups = leaf_groups(pairs, per_leaf);
         let leaf_count = groups.len().max(1);
         let leaf_addrs: Vec<GlobalAddress> = (0..leaf_count)
             .map(|_| alloc.alloc())
@@ -825,6 +856,32 @@ mod tests {
             .god_read_u64(cluster.root_ptr_addr())
             .unwrap();
         assert_eq!(GlobalAddress::unpack(packed), hint.addr);
+    }
+
+    #[test]
+    fn leaf_groups_are_the_sorted_deduplicated_input_cut_per_leaf() {
+        let staged = |mut pairs: Vec<(u64, u64)>, per_leaf: usize| -> Vec<Vec<(u64, u64)>> {
+            pairs.sort_by_key(|&(k, _)| k);
+            pairs.dedup_by_key(|&mut (k, _)| k);
+            pairs.chunks(per_leaf).map(<[_]>::to_vec).collect()
+        };
+        let ascending: Vec<(u64, u64)> = (0..103u64).map(|k| (k * 3, k)).collect();
+        // Out of order from the first pair, from the middle of a group, and
+        // from the last pair on; a repeated key counts as out of order.
+        let mut reversed = ascending.clone();
+        reversed.reverse();
+        let mut late = ascending.clone();
+        late.swap(57, 58);
+        let mut tail = ascending.clone();
+        tail.push((5 * 3, 5));
+        for input in [Vec::new(), ascending, reversed, late, tail] {
+            for per_leaf in [1, 8, 103, 200] {
+                assert_eq!(
+                    leaf_groups(input.iter().copied(), per_leaf),
+                    staged(input.clone(), per_leaf)
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,29 +17,117 @@
 //! primitive waiting for another participant that can only make progress via
 //! the clock.  Long waits always go through `wait_until` (typically as a short
 //! polling loop).
+//!
+//! ## Hand-off
+//!
+//! `now` is an atomic: reading the time, and waiting for a time that has
+//! passed, take no lock.  The participant whose `wait_until` completes the
+//! blocked set does the advancing itself: it moves `now` to the earliest
+//! target, takes the waiters due at that time out of the set and releases
+//! them — and only them — one by one; if the earliest target is its own it
+//! just returns.  A released waiter is handed the CPU by a flag and
+//! `unpark`.  The one waiter that holds the earliest target, and will
+//! therefore run next, polls its flag with a bounded number of `yield_now`s
+//! before it parks, so the usual hand-off costs a `sched_yield` (one CPU) or a
+//! cache-line transfer (two) and not a `futex` sleep and wake; every other
+//! waiter parks at once.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::thread::{self, Thread};
+
+/// How many times the waiter holding the earliest target yields the CPU while
+/// polling its go-flag before it parks.
+///
+/// That waiter is the next to run, and the release usually comes within the
+/// few microseconds the other participants need to reach their own waits: a
+/// `yield_now` hands a shared CPU straight to them (pinned runs), and a waker
+/// on another CPU finds a spinning thread and pays no `futex` wake (unpinned
+/// runs).  A short spin (32) does not cover an unpinned hand-off; a few
+/// hundred yields do, and still bound the wait for a participant that is busy
+/// with long CPU work to well under a millisecond of an otherwise idle CPU.
+const SPIN_YIELDS: u32 = 400;
 
 /// Shared virtual clock.  Cheap to clone via `Arc`.
 #[derive(Debug)]
 pub struct VirtualClock {
+    /// Current virtual time in nanoseconds.  Written only with `state` locked
+    /// (Release) and read without it (Acquire): whoever reads a time also sees
+    /// everything done before the clock was moved there.
+    now: AtomicU64,
     state: Mutex<ClockState>,
-    cv: Condvar,
+    /// Waiters released by somebody else (tests count hand-offs with it).
+    #[cfg(test)]
+    releases: AtomicU64,
 }
 
 #[derive(Debug)]
 struct ClockState {
-    /// Current virtual time in nanoseconds.
-    now: u64,
     /// Number of registered participants.
     participants: usize,
     /// Next participant id to hand out.
     next_id: u64,
-    /// Wake-up targets of currently blocked participants.
-    waiting: HashMap<u64, u64>,
+    /// The blocked participants.  A waiter leaves the set when it is
+    /// *released*, not when it next runs, so `waiting.len()` never counts a
+    /// participant that is already on its way back to work.
+    waiting: Vec<Waiter>,
+}
+
+#[derive(Debug)]
+struct Waiter {
+    id: u64,
+    target: u64,
+    parker: Arc<Parker>,
+}
+
+/// One OS thread's wake-up channel: a flag the waker sets and the thread
+/// handle it unparks.  `park` may return spuriously and an `unpark` token may
+/// be left over from an earlier wait, so the flag alone says "go".
+#[derive(Debug)]
+struct Parker {
+    go: AtomicBool,
+    thread: Thread,
+}
+
+impl Parker {
+    /// The calling thread's parker.
+    fn current() -> Arc<Parker> {
+        thread_local! {
+            static PARKER: Arc<Parker> = Arc::new(Parker {
+                go: AtomicBool::new(false),
+                thread: thread::current(),
+            });
+        }
+        PARKER.with(Arc::clone)
+    }
+
+    /// Called by the waker, after it took the waiter out of the waiting set.
+    fn release(&self) {
+        // Pairs with the Acquire loads in `wait`.
+        self.go.store(true, Ordering::Release);
+        // No syscall unless the thread is actually parked.
+        self.thread.unpark();
+    }
+
+    /// Block the calling thread (which owns this parker) until `release`.
+    fn wait(&self, spin: bool) {
+        if spin {
+            for _ in 0..SPIN_YIELDS {
+                if self.go.load(Ordering::Acquire) {
+                    break;
+                }
+                thread::yield_now();
+            }
+        }
+        while !self.go.load(Ordering::Acquire) {
+            thread::park();
+        }
+        // Only this thread waits on the flag, and the next `release` can only
+        // follow this thread's next entry into the waiting set.
+        self.go.store(false, Ordering::Relaxed);
+    }
 }
 
 impl Default for VirtualClock {
@@ -52,19 +140,20 @@ impl VirtualClock {
     /// Create a clock starting at virtual time zero.
     pub fn new() -> Self {
         VirtualClock {
+            now: AtomicU64::new(0),
             state: Mutex::new(ClockState {
-                now: 0,
                 participants: 0,
                 next_id: 0,
-                waiting: HashMap::new(),
+                waiting: Vec::new(),
             }),
-            cv: Condvar::new(),
+            #[cfg(test)]
+            releases: AtomicU64::new(0),
         }
     }
 
     /// Current virtual time in nanoseconds.
     pub fn now(&self) -> u64 {
-        self.state.lock().now
+        self.now.load(Ordering::Acquire)
     }
 
     /// Number of currently registered participants.
@@ -120,20 +209,34 @@ impl VirtualClock {
         }
     }
 
-    /// Advance the clock if every participant is blocked.
+    /// If every participant is blocked — counting the caller, which is about
+    /// to block on `own_target` — move the clock to the earliest target and
+    /// release exactly the waiters that are due, taking them out of the
+    /// waiting set.  Returns whether the caller itself is due.
     ///
-    /// Must be called with the state lock held; wakes all waiters when the
-    /// clock moved (or when the caller has just changed the participant set).
-    fn try_advance(&self, s: &mut ClockState) {
-        if s.participants == 0 || s.waiting.len() < s.participants {
-            return;
+    /// Must be called with the state lock held.
+    fn release_due(&self, s: &mut ClockState, own_target: Option<u64>) -> bool {
+        let blocked = s.waiting.len() + usize::from(own_target.is_some());
+        if blocked < s.participants {
+            return false;
         }
-        if let Some(&min_t) = s.waiting.values().min() {
-            if min_t > s.now {
-                s.now = min_t;
+        let Some(earliest) = s.waiting.iter().map(|w| w.target).chain(own_target).min() else {
+            return false;
+        };
+        // Every waiter blocked on a target in the future and everything due is
+        // released the moment the clock reaches it, so this moves forward.
+        debug_assert!(earliest > self.now());
+        self.now.store(earliest, Ordering::Release);
+        s.waiting.retain(|w| {
+            if w.target > earliest {
+                return true;
             }
-            self.cv.notify_all();
-        }
+            #[cfg(test)]
+            self.releases.fetch_add(1, Ordering::Relaxed);
+            w.parker.release();
+            false
+        });
+        own_target == Some(earliest)
     }
 }
 
@@ -159,23 +262,33 @@ impl Participant {
     ///
     /// Returns immediately if `t` is not in the future.
     pub fn wait_until(&self, t: u64) {
-        let mut s = self.clock.state.lock();
-        if t <= s.now {
+        let clock = &*self.clock;
+        // The clock cannot move while this participant is running.
+        if t <= clock.now() {
             return;
         }
-        s.waiting.insert(self.id, t);
-        loop {
-            self.clock.try_advance(&mut s);
-            if s.now >= t {
-                s.waiting.remove(&self.id);
-                // Our removal may unblock another advance decision (e.g. if we
-                // were holding a stale minimum); other waiters re-evaluate when
-                // all participants block again, so no extra notification is
-                // required here.
-                return;
-            }
-            self.clock.cv.wait(&mut s);
+        let mut s = clock.state.lock();
+        if clock.release_due(&mut s, Some(t)) {
+            // Ours was the earliest target: nobody to wait for.
+            return;
         }
+        debug_assert!(
+            s.waiting.iter().all(|w| w.id != self.id),
+            "participant {} is already blocked on another thread",
+            self.id
+        );
+        // Only the waiter that will be released next polls for it; with many
+        // participants the rest would only take the CPU from those that run.
+        let spin = s.waiting.iter().all(|w| w.target >= t);
+        let parker = Parker::current();
+        s.waiting.push(Waiter {
+            id: self.id,
+            target: t,
+            parker: Arc::clone(&parker),
+        });
+        drop(s);
+        parker.wait(spin);
+        debug_assert_eq!(clock.now(), t);
     }
 
     /// Advance this participant's view of time by `dt` nanoseconds.
@@ -207,18 +320,14 @@ impl Drop for Participant {
     fn drop(&mut self) {
         let mut s = self.clock.state.lock();
         s.participants = s.participants.saturating_sub(1);
-        s.waiting.remove(&self.id);
-        // Remaining blocked participants may now be able to advance.
-        self.clock.try_advance(&mut s);
-        self.clock.cv.notify_all();
+        // The remaining participants may all be blocked already.
+        self.clock.release_due(&mut s, None);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::thread;
 
     #[test]
     fn single_participant_advances_immediately() {
@@ -269,28 +378,28 @@ mod tests {
 
     #[test]
     fn time_is_monotonic_across_many_waits() {
+        // Far more participants than CPUs, and enough waits that a spin policy
+        // which starves the running participants would not finish.
         let clock = Arc::new(VirtualClock::new());
-        let max_seen = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for i in 0..4u64 {
-            let clock = Arc::clone(&clock);
-            let max_seen = Arc::clone(&max_seen);
-            handles.push(thread::spawn(move || {
-                let p = clock.register();
-                let mut last = 0;
-                for step in 0..200u64 {
-                    p.advance(1 + (i * 7 + step) % 13);
-                    let now = p.now();
-                    assert!(now >= last, "virtual time went backwards");
-                    last = now;
-                }
-                max_seen.fetch_max(last, Ordering::Relaxed);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(max_seen.load(Ordering::Relaxed) > 0);
+        let participants: Vec<_> = (0..16u64).map(|_| clock.register()).collect();
+        let handles: Vec<_> = participants
+            .into_iter()
+            .zip(0u64..)
+            .map(|(p, i)| {
+                thread::spawn(move || {
+                    let mut last = 0;
+                    for step in 0..10_000u64 {
+                        p.advance(1 + (i * 7 + step) % 13);
+                        let now = p.now();
+                        assert!(now >= last, "virtual time went backwards");
+                        last = now;
+                    }
+                    last
+                })
+            })
+            .collect();
+        let ends: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(clock.now(), *ends.iter().max().unwrap());
     }
 
     #[test]
@@ -305,6 +414,141 @@ mod tests {
         // An empty target set is a no-op.
         assert_eq!(p.wait_until_earliest(std::iter::empty()), None);
         assert_eq!(p.now(), 100);
+    }
+
+    /// Spin until `n` participants are blocked in the clock.
+    fn until_blocked(clock: &VirtualClock, n: usize) {
+        while clock.state.lock().waiting.len() < n {
+            thread::yield_now();
+        }
+    }
+
+    /// `n` participants take `steps` seeded random steps each and log
+    /// `(now, id)` at every wake.  A waiter released before it was due reads
+    /// `now != target`; a blocked count that drifts lets the clock move while
+    /// somebody runs, which puts the shared log out of order.
+    fn run_model(n: u64, steps: u64, seed: u64) -> Vec<(u64, u64)> {
+        let clock = Arc::new(VirtualClock::new());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let participants: Vec<_> = (0..n).map(|_| clock.register()).collect();
+        let handles: Vec<_> = participants
+            .into_iter()
+            .enumerate()
+            .map(|(id, p)| {
+                let log = Arc::clone(&log);
+                let id = id as u64;
+                thread::spawn(move || {
+                    let mut rng = seed ^ (id + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    for _ in 0..steps {
+                        // xorshift64
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        let target = p.now() + 1 + rng % 50;
+                        p.wait_until(target);
+                        assert_eq!(p.now(), target, "participant {id} woke off its target");
+                        log.lock().push((target, id));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(clock.participants(), 0);
+        let log = log.lock().clone();
+        assert_eq!(log.len() as u64, n * steps);
+        log
+    }
+
+    #[test]
+    fn wakes_follow_the_model_in_time_order() {
+        for (n, seed) in [(2, 1), (3, 2), (8, 3)] {
+            let log = run_model(n, 2_000, seed);
+            assert!(
+                log.windows(2).all(|w| w[0].0 <= w[1].0),
+                "{n} participants: a wake was logged after the clock had moved past it"
+            );
+        }
+    }
+
+    #[test]
+    fn the_earliest_waiter_completing_the_set_wakes_nobody() {
+        let clock = Arc::new(VirtualClock::new());
+        let p1 = clock.register();
+        let p2 = clock.register();
+        let h = thread::spawn(move || {
+            p2.wait_until(1_000);
+            p2.now()
+        });
+        until_blocked(&clock, 1);
+        // Every one of these completes the blocked set and is itself due.
+        for t in (100..=900).step_by(100) {
+            p1.wait_until(t);
+            assert_eq!(p1.now(), t);
+        }
+        assert_eq!(clock.releases.load(Ordering::Relaxed), 0);
+        assert_eq!(clock.state.lock().waiting.len(), 1);
+        // This one is not: the other participant is released, once, and this
+        // thread is released by it in turn when it deregisters.
+        p1.wait_until(1_500);
+        assert_eq!(p1.now(), 1_500);
+        assert_eq!(h.join().unwrap(), 1_000);
+        assert_eq!(clock.releases.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn only_due_waiters_are_released() {
+        let clock = Arc::new(VirtualClock::new());
+        let p = clock.register();
+        let handles: Vec<_> = [300u64, 100, 100, 200]
+            .into_iter()
+            .map(|target| {
+                let p = clock.register();
+                thread::spawn(move || p.wait_until(target))
+            })
+            .collect();
+        until_blocked(&clock, 4);
+        p.wait_until(250);
+        // 100 released two waiters, which left the clock; then 200 one more,
+        // then 250 this thread.  300 is still blocked.
+        assert_eq!(p.now(), 250);
+        assert_eq!(clock.releases.load(Ordering::Relaxed), 4);
+        let state = clock.state.lock();
+        let left: Vec<u64> = state.waiting.iter().map(|w| w.target).collect();
+        assert_eq!(left, [300]);
+        drop(state);
+        drop(p);
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(clock.now(), 300);
+    }
+
+    #[test]
+    fn a_participant_registered_while_others_are_parked_counts_at_once() {
+        let clock = Arc::new(VirtualClock::new());
+        let p = clock.register();
+        let p1 = clock.register();
+        let h1 = thread::spawn(move || p1.wait_until(500));
+        until_blocked(&clock, 1);
+        let late = clock.register();
+        // The late participant is running: nothing may be released yet.
+        assert_eq!(clock.participants(), 3);
+        let h2 = thread::spawn(move || late.wait_until(400));
+        until_blocked(&clock, 2);
+        assert_eq!(clock.now(), 0);
+        // Earlier than both: completes the set of three, wakes nobody.
+        p.wait_until(300);
+        assert_eq!(clock.releases.load(Ordering::Relaxed), 0);
+        // Later than the late one: it is released, leaves, and that releases us.
+        p.wait_until(450);
+        assert_eq!(p.now(), 450);
+        h2.join().unwrap();
+        assert_eq!(clock.releases.load(Ordering::Relaxed), 2);
+        drop(p);
+        h1.join().unwrap();
+        assert_eq!(clock.now(), 500);
     }
 
     #[test]

@@ -18,16 +18,33 @@ pub struct Region {
     len_bytes: usize,
 }
 
+/// Bytes of an access of `len` bytes at `pos` that come before the first word
+/// boundary (all of them when the access ends before it): fewer than 8.
+fn head_len(pos: usize, len: usize) -> usize {
+    (pos.wrapping_neg() % 8).min(len)
+}
+
+// `Region::new` reinterprets zeroed `u64`s as `AtomicU64`s.
+const _: () = assert!(
+    std::mem::size_of::<AtomicU64>() == std::mem::size_of::<u64>()
+        && std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>()
+);
+
 impl Region {
     /// Allocate a zeroed region of `len_bytes` (rounded up to 8 bytes).
+    ///
+    /// The pages are not touched: the zeroed allocation comes straight from
+    /// the operating system for any region worth the name, so a region costs
+    /// resident memory only where it has been written.
     pub fn new(len_bytes: usize) -> Self {
-        let words = len_bytes.div_ceil(8);
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicU64::new(0));
-        Region {
-            words: v.into_boxed_slice(),
-            len_bytes,
-        }
+        let zeroed: Box<[u64]> = vec![0u64; len_bytes.div_ceil(8)].into_boxed_slice();
+        // SAFETY: `AtomicU64` has the size and bit validity of `u64` (std
+        // documents both) and the same alignment (asserted above), so the
+        // allocation keeps its layout; the box is the only owner, and it is
+        // handed over whole.
+        #[allow(unsafe_code)]
+        let words = unsafe { Box::from_raw(Box::into_raw(zeroed) as *mut [AtomicU64]) };
+        Region { words, len_bytes }
     }
 
     /// Usable size in bytes.
@@ -59,19 +76,31 @@ impl Region {
     /// version or checksum validation.
     pub fn read_bytes(&self, offset: u64, buf: &mut [u8]) -> Result<(), RegionOob> {
         self.check(offset, buf.len())?;
-        let mut pos = offset as usize;
-        let mut out = 0usize;
-        while out < buf.len() {
-            let word_idx = pos / 8;
-            let in_word = pos % 8;
-            let avail = (8 - in_word).min(buf.len() - out);
-            let word = self.words[word_idx].load(Ordering::Relaxed);
-            let bytes = word.to_le_bytes();
-            buf[out..out + avail].copy_from_slice(&bytes[in_word..in_word + avail]);
-            pos += avail;
-            out += avail;
+        let pos = offset as usize;
+        let end = pos + buf.len();
+        let (head, body) = buf.split_at_mut(head_len(pos, buf.len()));
+        self.read_partial(pos, head);
+        // From here on the region side is word-aligned: one whole word per
+        // 8-byte chunk, nothing to compute per word.
+        let first = (pos + head.len()) / 8;
+        let mut chunks = body.chunks_exact_mut(8);
+        for (chunk, word) in chunks.by_ref().zip(&self.words[first..]) {
+            chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
         }
+        let tail = chunks.into_remainder();
+        self.read_partial(end - tail.len(), tail);
         Ok(())
+    }
+
+    /// Copy out `buf`, which lies inside the one word that holds byte `pos`:
+    /// the unaligned head or tail of a read.
+    fn read_partial(&self, pos: usize, buf: &mut [u8]) {
+        if buf.is_empty() {
+            return;
+        }
+        let in_word = pos % 8;
+        let bytes = self.words[pos / 8].load(Ordering::Relaxed).to_le_bytes();
+        buf.copy_from_slice(&bytes[in_word..in_word + buf.len()]);
     }
 
     /// Write `data` starting at `offset`.
@@ -82,40 +111,38 @@ impl Region {
     /// readers may observe torn data.
     pub fn write_bytes(&self, offset: u64, data: &[u8]) -> Result<(), RegionOob> {
         self.check(offset, data.len())?;
-        let mut pos = offset as usize;
-        let mut consumed = 0usize;
-        while consumed < data.len() {
-            let word_idx = pos / 8;
-            let in_word = pos % 8;
-            let avail = (8 - in_word).min(data.len() - consumed);
-            if in_word == 0 && avail == 8 {
-                let mut bytes = [0u8; 8];
-                bytes.copy_from_slice(&data[consumed..consumed + 8]);
-                self.words[word_idx].store(u64::from_le_bytes(bytes), Ordering::Relaxed);
-            } else {
-                // Partial word: merge with the existing contents.
-                let slot = &self.words[word_idx];
-                let mut cur = slot.load(Ordering::Relaxed);
-                loop {
-                    let mut bytes = cur.to_le_bytes();
-                    bytes[in_word..in_word + avail]
-                        .copy_from_slice(&data[consumed..consumed + avail]);
-                    let new = u64::from_le_bytes(bytes);
-                    match slot.compare_exchange_weak(
-                        cur,
-                        new,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => cur = actual,
-                    }
-                }
-            }
-            pos += avail;
-            consumed += avail;
+        let pos = offset as usize;
+        let (head, body) = data.split_at(head_len(pos, data.len()));
+        self.write_partial(pos, head);
+        let first = (pos + head.len()) / 8;
+        let chunks = body.chunks_exact(8);
+        let tail = chunks.remainder();
+        for (chunk, word) in chunks.zip(&self.words[first..]) {
+            let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
         }
+        self.write_partial(pos + data.len() - tail.len(), tail);
         Ok(())
+    }
+
+    /// Merge `data`, which lies inside the one word that holds byte `pos`,
+    /// into that word: the unaligned head or tail of a write.
+    fn write_partial(&self, pos: usize, data: &[u8]) {
+        if data.is_empty() {
+            return;
+        }
+        let in_word = pos % 8;
+        let slot = &self.words[pos / 8];
+        let mut cur = slot.load(Ordering::Relaxed);
+        loop {
+            let mut bytes = cur.to_le_bytes();
+            bytes[in_word..in_word + data.len()].copy_from_slice(data);
+            let new = u64::from_le_bytes(bytes);
+            match slot.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => break,
+                Err(actual) => cur = actual,
+            }
+        }
     }
 
     fn aligned_slot(&self, offset: u64) -> Result<&AtomicU64, RegionAccessError> {

@@ -16,15 +16,20 @@ pub struct CacheStats {
     refreshes: AtomicU64,
     pressure_evictions: AtomicU64,
     stale_rejections: AtomicU64,
+    levels_skipped: AtomicU64,
+    deferred_admissions: AtomicU64,
+    scan_fallbacks: AtomicU64,
 }
 
 impl CacheStats {
-    /// Record a lookup that was served from the cache.
+    /// Record a lookup that a cached level-1 image answered (the leaf address
+    /// came straight from the cache).
     pub fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a lookup that missed the cache.
+    /// Record a lookup no cached level-1 image answered (a traversal follows,
+    /// possibly from a deeper cached start).
     pub fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -52,7 +57,7 @@ impl CacheStats {
         self.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record an insert or top-level refresh rejected by the tombstone
+    /// Record an offer rejected by the tombstone
     /// admission gate: the offered copy was not strictly newer than a
     /// coherence invalidation's tombstone version (the retire/re-cache race,
     /// caught).
@@ -63,6 +68,41 @@ impl CacheStats {
     /// Inserts/refreshes rejected by the tombstone admission gate.
     pub fn stale_rejections(&self) -> u64 {
         self.stale_rejections.load(Ordering::Relaxed)
+    }
+
+    /// Record the levels a traversal did not have to read because the cache
+    /// answered below the root (root level − start level).
+    pub fn record_levels_skipped(&self, levels: u64) {
+        self.levels_skipped.fetch_add(levels, Ordering::Relaxed);
+    }
+
+    /// Σ over cache-started traversals of (root level − start level); its
+    /// mean per operation is the depth of the cached path prefix.
+    pub fn levels_skipped(&self) -> u64 {
+        self.levels_skipped.load(Ordering::Relaxed)
+    }
+
+    /// Record an offer that was only remembered: the budget was full and the
+    /// image had not shown reuse yet.
+    pub fn record_deferred_admission(&self) {
+        self.deferred_admissions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Offers remembered, not admitted (admission by reuse at a full budget).
+    pub fn deferred_admissions(&self) -> u64 {
+        self.deferred_admissions.load(Ordering::Relaxed)
+    }
+
+    /// Record a range scan whose cached leaf batch failed the continuity
+    /// check and fell back to the sibling chain.
+    pub fn record_scan_fallback(&self) {
+        self.scan_fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Range scans that abandoned their cached leaf batch on a gap, an
+    /// overlap or a retired leaf and continued along the sibling chain.
+    pub fn scan_fallbacks(&self) -> u64 {
+        self.scan_fallbacks.load(Ordering::Relaxed)
     }
 
     /// Lookups served from the cache.
@@ -90,34 +130,35 @@ impl CacheStats {
         self.inserts.load(Ordering::Relaxed)
     }
 
-    /// Record a type-❷ (top-level) search that found a covering node.
+    /// Record a traversal that started below the root (a cached image routed
+    /// it).
     pub fn record_top_hit(&self) {
         self.top_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a type-❷ search that found no covering node (the traversal
-    /// falls back to the remote root).
+    /// Record a traversal that found no usable cached image and started at
+    /// the remote root.
     pub fn record_top_miss(&self) {
         self.top_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a type-❷ entry refreshed in place (structural-change refresh or
-    /// lazy traversal repair) instead of merely scrubbed.
+    /// Record a structural commit's surviving image installed in the cache
+    /// instead of the entry being merely scrubbed.
     pub fn record_refresh(&self) {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Type-❷ searches served from the always-cached top levels.
+    /// Traversals that started below the root.
     pub fn top_hits(&self) -> u64 {
         self.top_hits.load(Ordering::Relaxed)
     }
 
-    /// Type-❷ searches that found no covering node.
+    /// Traversals that started at the root.
     pub fn top_misses(&self) -> u64 {
         self.top_misses.load(Ordering::Relaxed)
     }
 
-    /// Type-❷ entries refreshed in place.
+    /// Surviving images installed by structural commits.
     pub fn refreshes(&self) -> u64 {
         self.refreshes.load(Ordering::Relaxed)
     }
@@ -139,7 +180,8 @@ impl CacheStats {
         }
     }
 
-    /// Type-❷ hit ratio in `[0, 1]` (0 when no top searches were recorded).
+    /// Share of traversals that started below the root, in `[0, 1]` (0 when
+    /// none were recorded).
     pub fn top_hit_ratio(&self) -> f64 {
         let h = self.top_hits() as f64;
         let m = self.top_misses() as f64;
@@ -187,7 +229,7 @@ mod tests {
         assert_eq!(s.pressure_evictions(), 1);
         assert_eq!(s.evictions(), 0, "pressure counter is its own tally");
         assert!((s.top_hit_ratio() - 2.0 / 3.0).abs() < 1e-9);
-        // Type-❶ counters are untouched.
+        // Level-1 hit/miss counters are untouched.
         assert_eq!(s.hits() + s.misses(), 0);
     }
 }

@@ -432,7 +432,7 @@ impl<B: FabricBackend> TreeClient<B> {
         let mut leaf = self.layout().decode_leaf(&buf);
         if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
             if leaf.header.free
-                && matches!(source, LeafSource::Cache { .. } | LeafSource::TopCache)
+                && matches!(source, LeafSource::Cache { .. })
             {
                 // The cache routed this write to a retired leaf: its
                 // invalidation is still in flight.
@@ -623,11 +623,7 @@ impl<B: FabricBackend> TreeClient<B> {
                 node.header.bump_versions();
                 let bytes = self.encode_internal_for_write(&node);
                 self.release_lock(addr, vec![WriteCmd::new(addr, bytes)])?;
-                if parent_level == 1 {
-                    self.cluster
-                        .cache(self.cs_id)
-                        .insert_level1(ops::cached_from_internal(addr, &node));
-                }
+                self.offer_written(&[(addr, &node)], root_level);
                 return Ok(());
             }
 
@@ -662,17 +658,25 @@ impl<B: FabricBackend> TreeClient<B> {
             writes.push(WriteCmd::new(addr, left_bytes));
             self.release_lock(addr, writes)?;
 
-            if parent_level == 1 {
-                let cache = self.cluster.cache(self.cs_id);
-                cache.insert_level1(ops::cached_from_internal(addr, &node));
-                cache.insert_level1(ops::cached_from_internal(right_addr, &right));
-            }
+            // The right half first: it adopts the cached children it took
+            // along before the narrowed left image stops covering them.
+            self.offer_written(&[(right_addr, &right), (addr, &node)], root_level);
             return self.insert_separator_at(promoted, right_addr, parent_level + 1, meta);
         }
         Err(TreeError::RetriesExhausted {
             context: "separator insertion",
             attempts: restarts,
         })
+    }
+
+    /// Offer the index cache the fresh image of every internal node a commit
+    /// just wrote back, whatever its level: the committer holds the only
+    /// up-to-date copy, and an image already cached is healed in place.
+    fn offer_written(&self, written: &[(GlobalAddress, &InternalNode)], root_level: u8) {
+        let cache = self.cluster.cache(self.cs_id);
+        for &(addr, node) in written {
+            cache.offer(Arc::new(ops::cached_from_internal(addr, node)), root_level);
+        }
     }
 
     /// Attempt to install a new root above the current one.  Returns `false`
@@ -718,6 +722,7 @@ impl<B: FabricBackend> TreeClient<B> {
             self.ctx
                 .write_u64(ServerLayout::level_hint_addr(), new_level as u64)?;
             self.cluster.set_root_hint(new_root_addr, new_level);
+            self.offer_written(&[(new_root_addr, &new_root)], new_level);
             return Ok(true);
         }
         // Lost the race: mark our orphan node free so later readers that
@@ -778,7 +783,7 @@ impl<B: FabricBackend> TreeClient<B> {
         let mut leaf = self.layout().decode_leaf(&buf);
         if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
             if leaf.header.free
-                && matches!(source, LeafSource::Cache { .. } | LeafSource::TopCache)
+                && matches!(source, LeafSource::Cache { .. })
             {
                 // The cache routed this write to a retired leaf: its
                 // invalidation is still in flight.
@@ -992,8 +997,8 @@ impl<B: FabricBackend> TreeClient<B> {
     /// for lack of a partner direction.  Merged-away nodes are unlinked,
     /// their separator is removed from the parent (collapsing the root when
     /// it runs out of separators), and their address is retired to the memory
-    /// server's quarantined free list; every type-❷ cache entry the change
-    /// scrubs is refreshed from the surviving images.
+    /// server's quarantined free list; every cached image the change scrubs
+    /// is refreshed from the surviving images.
     ///
     /// Best-effort and all-or-nothing: no remote write happens until the left
     /// node, the right node and the parent are all locked (in the lock
@@ -1112,7 +1117,7 @@ impl<B: FabricBackend> TreeClient<B> {
         // cached copy at or below it).
         let mut commit = StructuralCommit::new();
         // The surviving left node's decoded image (internal levels only,
-        // produced by the planner), kept for the type-2 cache refresh; the
+        // produced by the planner), kept for the cache refresh; the
         // occupancy drives the still-underfull chase after a merge.
         let left_image: Option<InternalNode>;
         let mut survivor_live = usize::MAX;
@@ -1194,24 +1199,10 @@ impl<B: FabricBackend> TreeClient<B> {
 
         // Phase 5: post-commit bookkeeping (no locks held).  Retirement
         // consumes the published commit, so the freed addresses are exactly
-        // the invalidations that were posted; remote type-❷ sets heal when
-        // the `RefreshTop` messages are drained, the committer's own cache
-        // was healed synchronously at publish.
+        // the invalidations that were posted; remote caches heal when the
+        // `RefreshTop` messages are drained, the committer's own cache was
+        // healed synchronously at publish (both at the images' own levels).
         published.retire_all(&self.cluster, self.ctx.now());
-        if level == 0 {
-            if let Some(image) = &parent_image {
-                self.cluster
-                    .cache(self.cs_id)
-                    .insert_level1((**image).clone());
-            }
-        }
-        if let Some(image) = &left_arc {
-            if image.level == 1 {
-                self.cluster
-                    .cache(self.cs_id)
-                    .insert_level1((**image).clone());
-            }
-        }
         // A merge of two tiny nodes can leave the survivor itself below the
         // floor with no delete ever landing on it again; chase it now so no
         // node stays persistently underfull while a partner exists (bounded:

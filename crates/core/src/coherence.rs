@@ -11,7 +11,7 @@
 //!   the retire/re-cache race: a slow traversal holding a pre-retirement
 //!   image cannot re-insert it after the scrub),
 //! * [`CoherencePayload::RefreshTop`] — "here is the surviving image; heal
-//!   your always-cached type-❷ set in place instead of letting it decay".
+//!   your cache at the image's own level instead of letting it decay".
 //!
 //! Messages travel through the simulated fabric's one-way coherence channel
 //! (`sherman_sim::CoherenceHub`): posting serializes through the committer's
@@ -66,15 +66,15 @@ pub(crate) enum CoherencePayload {
         /// Node-level version of the tombstone image written there.
         tombstone_version: u8,
     },
-    /// A surviving image from a structural commit; refresh the type-❷
-    /// always-cached top set in place (subject to the level window bounded
-    /// by `root_level` and the tombstone admission gate).
+    /// A surviving image from a structural commit; offer it to the index
+    /// cache at its own level (an image already cached is replaced in place;
+    /// subject to the tombstone admission gate).
     RefreshTop {
         /// The surviving node's cacheable image, shared — one allocation
         /// fans out to every subscriber (and both payload variants of the
         /// same commit).
         node: Arc<CachedInternal>,
-        /// Root level at publish time (bounds the type-❷ window).
+        /// Root level at publish time (places the cache's pinned window).
         root_level: u8,
     },
 }
@@ -90,7 +90,7 @@ pub(crate) struct StructuralCommit {
     /// `(addr, tombstone_version)` per freed node — each becomes an
     /// `Invalidate` message *and* a retirement.
     invalidations: Vec<(GlobalAddress, u8)>,
-    /// Surviving images to heal the type-❷ sets with.
+    /// Surviving images to heal the caches with.
     refreshes: Vec<Arc<CachedInternal>>,
 }
 
@@ -108,7 +108,7 @@ impl StructuralCommit {
         self.invalidations.push((addr, tombstone_version));
     }
 
-    /// Record a surviving image for the type-❷ heal.
+    /// Record a surviving image for the cache heal.
     pub(crate) fn refresh(&mut self, node: Arc<CachedInternal>) {
         self.refreshes.push(node);
     }
@@ -147,8 +147,14 @@ impl PublishedCommit {
 /// serializes through the committer's NIC port, like any other verb it
 /// issues from the critical section).
 ///
+/// The surviving images go out **before** the invalidations: a refreshed
+/// parent no longer references the freed node and the survivor's widened
+/// fence covers the freed node's range, so the scrub that follows removes
+/// only the freed node's own image and no cached descendant is left without
+/// a cached parent.
+///
 /// Root-collapse handling (the lost-heal fix): a `RefreshTop` needs the
-/// current root level to bound the type-❷ window.  When the root hint is
+/// current root level to place the cache's pinned window.  When the root hint is
 /// unavailable (mid collapse), the refreshes are **queued** on the cluster
 /// instead of dropped, and the next publish that observes a root hint
 /// prepends them — the heal is deferred, never lost.
@@ -187,24 +193,6 @@ pub(crate) fn publish<B: FabricBackend>(
     let own = cs_id as usize % servers;
     let node_size = cluster.config().node_size;
 
-    for &(addr, tombstone_version) in &invalidations {
-        // One payload allocation, shared by every remote inbox.
-        let payload: Arc<dyn std::any::Any + Send + Sync> =
-            Arc::new(CoherencePayload::Invalidate {
-                addr,
-                tombstone_version,
-            });
-        for cs in 0..servers {
-            if cs == own {
-                cluster.cache(cs as u16).apply_invalidate(addr, tombstone_version);
-                counters.record_local_apply();
-            } else {
-                ctx.post_coherence(cs as u16, INVALIDATE_WIRE_BYTES, Arc::clone(&payload));
-                counters.record_invalidation_posted();
-            }
-        }
-    }
-
     if let Some(root_level) = root_level {
         for node in refreshes {
             let payload: Arc<dyn std::any::Any + Send + Sync> =
@@ -220,6 +208,24 @@ pub(crate) fn publish<B: FabricBackend>(
                     ctx.post_coherence(cs as u16, node_size, Arc::clone(&payload));
                     counters.record_refresh_posted();
                 }
+            }
+        }
+    }
+
+    for &(addr, tombstone_version) in &invalidations {
+        // One payload allocation, shared by every remote inbox.
+        let payload: Arc<dyn std::any::Any + Send + Sync> =
+            Arc::new(CoherencePayload::Invalidate {
+                addr,
+                tombstone_version,
+            });
+        for cs in 0..servers {
+            if cs == own {
+                cluster.cache(cs as u16).apply_invalidate(addr, tombstone_version);
+                counters.record_local_apply();
+            } else {
+                ctx.post_coherence(cs as u16, INVALIDATE_WIRE_BYTES, Arc::clone(&payload));
+                counters.record_invalidation_posted();
             }
         }
     }

@@ -200,9 +200,9 @@ pub enum OffloadPolicy {
     Never,
     /// Offload every cache-missing traversal step unconditionally.
     Always,
-    /// Offload only when it is likely to win: the index cache missed below
-    /// the always-cached top levels (a type-❷ miss would leave multiple
-    /// dependent round trips to pay) or the client's read-latency EWMA says
+    /// Offload only when it is likely to win: the uncached suffix of the
+    /// path below the deepest cached image would leave multiple dependent
+    /// round trips to pay, or the client's read-latency EWMA says
     /// the fabric is congested enough that one serialized RPC beats several
     /// round trips.
     Adaptive,
@@ -360,6 +360,14 @@ impl TreeOptions {
     }
 
     /// Full Sherman: "+2-Level Ver" on top of everything else.
+    ///
+    /// This preset is the paper's techniques — it selects nothing else, and
+    /// offload stays `Never`.  What it runs over is this repository's index
+    /// cache, which is budget-aware rather than the paper's two fixed shapes
+    /// (see `sherman_cache::IndexCache`): it coincides with the paper's
+    /// type-❶/❷ cache whenever level 1 fits `TreeConfig::cache_bytes`, and
+    /// spends a smaller budget top-down along the path instead of on a sliver
+    /// of level 1.  No option selects between the two; there is one cache.
     pub fn sherman() -> Self {
         TreeOptions {
             leaf_format: LeafFormat::UnsortedTwoLevel,

@@ -420,8 +420,9 @@ impl RpcHandler for OffloadInterpreter {
 /// server-side RPC instead of `remaining_reads` dependent one-sided reads?
 ///
 /// `remaining_reads` is the client's estimate of the dependent read chain
-/// left below its best cached routing hint (a type-❷ hit at child level `L`
-/// leaves `L + 1` reads; a full miss leaves `root_level + 1`).
+/// left below its deepest cached image covering the key (an image routing
+/// to child level `L` leaves `L + 1` reads; a full miss leaves
+/// `root_level + 1`).
 /// `ewma_read_ns` is the observed per-read service time
 /// ([`sherman_metrics::OffloadCounters::ewma_read_ns`]); `fabric` supplies
 /// the cost model's constants.

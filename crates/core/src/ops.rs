@@ -57,22 +57,17 @@ use sherman_sim::{
     ClientCtx, Completion, Fabric, FabricBackend, GlobalAddress, PendingVerb, RpcLeafReply,
     RpcLevel1Image, RpcNodeInfo, RpcRangeReply, RpcRequest, RpcResponse,
 };
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Where a leaf address came from (used for cache invalidation decisions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LeafSource {
-    /// Served by the type-❶ index cache; holds the cached node's lower fence
-    /// key so the entry can be invalidated on a mismatch.
+    /// Named by a cached level-1 image without reading a node; holds the
+    /// image's lower fence key so it can be invalidated on a mismatch.
     Cache {
         /// Lower fence of the cached parent (the cache's invalidation key).
         fence_low: u64,
     },
-    /// Served directly by a type-❷ always-cached level-1 image (the
-    /// traversal shortcut bottomed out in the cache without reading a single
-    /// node); invalidated by address on a mismatch.
-    TopCache,
     /// Found by traversing internal nodes.
     Traversal,
     /// Reached by following a sibling pointer.
@@ -211,10 +206,8 @@ pub(crate) fn next_after_mismatch<B: FabricBackend>(
     source: LeafSource,
 ) -> Option<GlobalAddress> {
     let cache = cx.cluster.cache(cx.cs_id);
-    match source {
-        LeafSource::Cache { fence_low } => cache.invalidate(fence_low),
-        LeafSource::TopCache => cache.invalidate_addr(addr),
-        LeafSource::Traversal | LeafSource::Sibling => {}
+    if let LeafSource::Cache { fence_low } = source {
+        cache.invalidate(fence_low);
     }
     if leaf.header.free {
         cache.invalidate_addr(addr);
@@ -235,19 +228,24 @@ pub(crate) enum LocateStart {
     Traverse(TraverseSM),
 }
 
-/// Begin locating the leaf that should hold `key`, preferring the index
-/// cache (no verb is posted here; a returned [`TraverseSM`] posts them).
+/// Begin locating the leaf that should hold `key` from the deepest cached
+/// image covering it: a level-1 image names the leaf at once, a higher one
+/// shortens the traversal to the uncached suffix of the path (no verb is
+/// posted here; a returned [`TraverseSM`] posts them).
 pub(crate) fn locate_start<B: FabricBackend>(cx: &mut OpCx<'_, B>, meta: &mut OpMeta, key: u64) -> LocateStart {
-    if let Some(cached) = cx.cluster.cache(cx.cs_id).lookup_covering(key) {
-        meta.cache_hit = true;
-        return LocateStart::Cached(
-            cached.child_for(key),
-            LeafSource::Cache {
-                fence_low: cached.fence_low,
-            },
-        );
+    let start = cx.cluster.cache(cx.cs_id).deepest(key, 1);
+    match start {
+        Some(cached) if cached.level == 1 => {
+            meta.cache_hit = true;
+            LocateStart::Cached(
+                cached.child_for(key),
+                LeafSource::Cache {
+                    fence_low: cached.fence_low,
+                },
+            )
+        }
+        start => LocateStart::Traverse(TraverseSM::from_lookup(cx, key, start)),
     }
-    LocateStart::Traverse(TraverseSM::new(cx, key, 0))
 }
 
 /// Drive a state-machine step function to completion with one verb in flight
@@ -273,8 +271,9 @@ pub(crate) fn drive_blocking<B: FabricBackend, T>(
 // ----------------------------------------------------------------------
 
 /// The placement decision for a cache-missed descent toward `key`: where an
-/// offloaded walk would start (the deepest covering type-❷ entry, or the
-/// root) and how many dependent reads the local path would need from there.
+/// offloaded walk would start (below the deepest cached image covering the
+/// key, or at the root) and how many dependent reads the local path would
+/// need from there — the uncached suffix of the path, not the tree height.
 /// Records the decision; returns `None` when the op should stay local.
 fn offload_decision<B: FabricBackend>(
     cx: &mut OpCx<'_, B>,
@@ -350,8 +349,8 @@ pub(crate) enum OffloadOutcome {
 /// trusts it.  The server's answer is a *hint* — a reply carrying a node
 /// image at or below a recorded tombstone version is a freed/recycled node
 /// and is rejected here, exactly the admission rule the index cache applies
-/// to its own fills.  Validated level-1 images warm the type-❶ cache (the
-/// insert re-checks the floor internally).
+/// to its own fills.  Validated level-1 images are offered to the cache (the
+/// offer re-checks the floor internally).
 pub(crate) struct OffloadSM {
     req: RpcRequest,
     posted: bool,
@@ -376,8 +375,8 @@ impl OffloadSM {
         true
     }
 
-    /// Warm the type-❶ cache from a level-1 image the server's walk passed
-    /// through, as a local traversal reading that node would have.
+    /// Offer the cache a level-1 image the server's walk passed through, as
+    /// a local traversal reading that node would have.
     fn warm_level1<B: FabricBackend>(cx: &mut OpCx<'_, B>, img: &RpcLevel1Image) {
         if img.info.level != 1 {
             return;
@@ -514,28 +513,30 @@ impl ReadNodeSM {
 /// One traversal attempt's cursor (reset on every restart).
 struct TraverseAttempt {
     root_level: u8,
-    /// Whether this attempt lazily repairs the type-❷ top set from the
-    /// internal nodes it reads anyway (set when the cache had no usable
-    /// answer).
-    repair_top: bool,
     addr: GlobalAddress,
-    /// Whether `addr` was routed by the type-❷ cache (vs the root pointer
-    /// or a freshly read parent).  Landing on a freed node through a cached
-    /// route is a *stale hit*: an in-flight coherence invalidation had
-    /// already retired it.
-    addr_from_cache: bool,
+    /// `(level, fence_low)` of the cached image that routed the attempt to
+    /// `addr`, until a freshly read parent supersedes it.  A cached route is
+    /// believed only once the node it names validates: landing on a freed
+    /// node is a *stale hit* (an in-flight coherence invalidation had
+    /// already retired it), landing beside the key drops the image.
+    route: Option<(u8, u64)>,
     expect_level: u8,
     read: Option<ReadNodeSM>,
 }
 
-/// Walk down from the root (or the cached top levels) to the node at
-/// `target_level` whose key interval contains `key` — the resumable form of
-/// the traversal loop, yielding one posted node read at a time.
+/// Walk down from the deepest cached image covering `key` (or the root) to
+/// the node at `target_level` whose key interval contains `key` — the
+/// resumable form of the traversal loop, yielding one posted node read at a
+/// time.  Every internal node it reads is offered to the index cache at the
+/// node's own level.
 pub(crate) struct TraverseSM {
     key: u64,
     target_level: u8,
     attempts_left: u32,
     first_attempt: bool,
+    /// The cache's answer when the caller already asked it (the first
+    /// attempt then does not ask again).
+    looked_up: Option<Option<Arc<CachedInternal>>>,
     attempt: Option<TraverseAttempt>,
 }
 
@@ -546,16 +547,30 @@ impl TraverseSM {
             target_level,
             attempts_left: cx.cluster.config().max_restarts,
             first_attempt: true,
+            looked_up: None,
             attempt: None,
         }
     }
 
-    /// Start a fresh attempt: pick the root or a cached top-level shortcut.
-    /// With structural deletes enabled, a restart may mean a local shortcut
-    /// went stale (a freed node or a collapsed root): after the first failed
-    /// attempt, re-read the root from the superblock and skip the type-❷
-    /// cache.  In grow-only mode (the paper's behaviour) neither can happen,
-    /// so restarts keep their shortcuts and cost profile.
+    /// A leaf-bound traversal whose caller already holds the cache's answer
+    /// for `key` (`None`: nothing cached covers it).
+    fn from_lookup<B: FabricBackend>(
+        cx: &OpCx<'_, B>,
+        key: u64,
+        start: Option<Arc<CachedInternal>>,
+    ) -> Self {
+        TraverseSM {
+            looked_up: Some(start),
+            ..TraverseSM::new(cx, key, 0)
+        }
+    }
+
+    /// Start a fresh attempt below the deepest usable cached image, or at
+    /// the root.  With structural deletes enabled, a restart may mean a
+    /// cached route went stale (a freed node or a collapsed root): after the
+    /// first failed attempt, re-read the root from the superblock and skip
+    /// the cache.  In grow-only mode (the paper's behaviour) neither can
+    /// happen, so restarts keep their shortcuts and cost profile.
     fn begin_attempt<B: FabricBackend>(&mut self, cx: &mut OpCx<'_, B>) -> TreeResult<Option<GlobalAddress>> {
         let distrust_shortcuts = cx.cluster.options().structural_deletes_enabled();
         let use_shortcuts = self.first_attempt || !distrust_shortcuts;
@@ -565,26 +580,34 @@ impl TraverseSM {
         } else {
             cx.root_remote()?
         };
-        let cached_top = if use_shortcuts {
-            cx.cluster.cache(cx.cs_id).search_top(self.key)
+        let looked_up = self.looked_up.take();
+        let start = if use_shortcuts {
+            let cache = cx.cluster.cache(cx.cs_id);
+            // Only an image above `target_level` can route this traversal.
+            // Inside the pinned window the cache answers with its deepest
+            // image, as the paper's always-cached set does: a target right
+            // under the root finds that image too deep and walks from the
+            // root pointer (the verbs `tests/ablation_matrix.rs` pins).
+            let min_level = (self.target_level + 1).min(root_level.saturating_sub(1));
+            let start = looked_up
+                .unwrap_or_else(|| cache.deepest(self.key, min_level))
+                .filter(|image| image.level > self.target_level);
+            if start.is_some() {
+                cache.stats().record_top_hit();
+            } else {
+                cache.stats().record_top_miss();
+            }
+            start
         } else {
             None
         };
-        // Only an answer deep enough for this traversal counts as a hit:
-        // an entry above `target_level` still forces the root-first walk.
-        let usable_top =
-            matches!(cached_top, Some((_, child_level)) if child_level >= self.target_level);
-        if use_shortcuts {
-            let stats = cx.cluster.cache(cx.cs_id).stats();
-            if usable_top {
-                stats.record_top_hit();
-            } else {
-                stats.record_top_miss();
-            }
-        }
-        let (addr, expect_level) = match cached_top {
-            Some((child, child_level)) if usable_top => (child, child_level),
-            _ => (root_addr, root_level),
+        let (addr, expect_level, route) = match start {
+            Some(image) => (
+                image.child_for(self.key),
+                image.level - 1,
+                Some((image.level, image.fence_low)),
+            ),
+            None => (root_addr, root_level, None),
         };
         if expect_level < self.target_level {
             // The tree is shallower than the requested level; the caller
@@ -593,24 +616,23 @@ impl TraverseSM {
         }
         self.attempt = Some(TraverseAttempt {
             root_level,
-            // An unusable type-❷ answer means churn scrubbed the always-cached
-            // top set (or the root moved): repair it lazily from the internal
-            // nodes this root-first traversal is about to read anyway.
-            repair_top: !usable_top,
             addr,
-            addr_from_cache: usable_top,
+            route,
             expect_level,
             read: None,
         });
         Ok(None)
     }
 
-    /// Whether the address the traversal finished on came straight out of
-    /// the type-❷ cache — the shortcut bottomed out at `target_level`
-    /// without reading a node, so the caller must treat the address as
-    /// cache-routed (invalidate by address on a mismatch).
-    pub(crate) fn route_from_cache(&self) -> bool {
-        self.attempt.as_ref().is_some_and(|a| a.addr_from_cache)
+    /// Where the leaf address the traversal finished on came from: straight
+    /// out of a cached level-1 image when the attempt bottomed out without
+    /// reading a node (the caller must invalidate that image on a mismatch),
+    /// a freshly read parent otherwise.
+    pub(crate) fn leaf_source(&self) -> LeafSource {
+        match self.attempt.as_ref().and_then(|a| a.route) {
+            Some((_, fence_low)) => LeafSource::Cache { fence_low },
+            None => LeafSource::Traversal,
+        }
     }
 
     pub(crate) fn step<B: FabricBackend>(
@@ -648,50 +670,46 @@ impl TraverseSM {
                 Step::Pending(token) => return Ok(Step::Pending(token)),
                 Step::Done(buf) => {
                     attempt.read = None;
+                    let cache = cx.cluster.cache(cx.cs_id);
                     let node = cx.cluster.layout().decode_internal(&buf);
-                    if node.header.free || node.header.is_leaf {
+                    let route = attempt.route.take();
+                    if node.header.free || node.header.is_leaf || !node.header.covers(self.key) {
                         if node.header.free {
                             // Local self-heal: drop every cached route to
                             // the observed tombstone (the fabric-delivered
                             // `Invalidate` may still be in flight).
-                            cx.cluster.cache(cx.cs_id).invalidate_addr(addr);
-                            if attempt.addr_from_cache {
-                                // A cached type-❷ route led to a retired
-                                // node before its invalidation was drained.
+                            cache.invalidate_addr(addr);
+                            if route.is_some() {
+                                // A cached route led to a retired node
+                                // before its invalidation was drained.
                                 cx.cluster.coherence_counters().record_stale_hit();
                             }
+                        } else if let Some((level, fence_low)) = route {
+                            // The routing image no longer describes the
+                            // tree (its child split, or the address was
+                            // recycled): drop it so the next pass re-reads
+                            // the parent instead of hopping again.
+                            cache.invalidate_at(level, fence_low);
                         }
-                        self.attempt = None;
-                        continue;
-                    }
-                    if !node.header.covers(self.key) {
-                        if self.key >= node.header.fence_high {
-                            if let Some(sib) = node.header.sibling {
-                                attempt.addr = sib;
-                                attempt.addr_from_cache = false;
-                                continue;
-                            }
+                        let hop = (!node.header.free && !node.header.is_leaf)
+                            .then_some(node.header.sibling)
+                            .flatten()
+                            .filter(|_| self.key >= node.header.fence_high);
+                        match hop {
+                            Some(sibling) => attempt.addr = sibling,
+                            None => self.attempt = None,
                         }
-                        self.attempt = None;
                         continue;
                     }
                     attempt.expect_level = node.header.level;
-                    if attempt.repair_top && node.header.level + 1 >= attempt.root_level.max(1) {
-                        cx.cluster.cache(cx.cs_id).refresh_top(
-                            Arc::new(cached_from_internal(attempt.addr, &node)),
-                            attempt.root_level,
-                        );
-                    }
+                    cache.offer(
+                        Arc::new(cached_from_internal(addr, &node)),
+                        attempt.root_level,
+                    );
                     if attempt.expect_level == self.target_level {
-                        return Ok(Step::Done(attempt.addr));
-                    }
-                    if node.header.level == 1 {
-                        cx.cluster
-                            .cache(cx.cs_id)
-                            .insert_level1(cached_from_internal(attempt.addr, &node));
+                        return Ok(Step::Done(addr));
                     }
                     attempt.addr = node.child_for(self.key);
-                    attempt.addr_from_cache = false;
                     attempt.expect_level = node.header.level - 1;
                 }
             }
@@ -859,11 +877,7 @@ impl LookupSM {
                 LookupPhase::Locate(sm) => match sm.step(cx, meta, completion.take())? {
                     Step::Pending(token) => return Ok(Step::Pending(token)),
                     Step::Done(addr) => {
-                        let source = if sm.route_from_cache() {
-                            LeafSource::TopCache
-                        } else {
-                            LeafSource::Traversal
-                        };
+                        let source = sm.leaf_source();
                         self.phase = self.leaf_phase(cx, addr, source);
                     }
                 },
@@ -879,12 +893,7 @@ impl LookupSM {
                         if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(self.key)
                         {
                             let (addr, source) = (*addr, *source);
-                            if leaf.header.free
-                                && matches!(
-                                    source,
-                                    LeafSource::Cache { .. } | LeafSource::TopCache
-                                )
-                            {
+                            if leaf.header.free && matches!(source, LeafSource::Cache { .. }) {
                                 // The index cache routed to a retired leaf:
                                 // its invalidation is still in flight.
                                 cx.cluster.coherence_counters().record_stale_hit();
@@ -931,28 +940,35 @@ enum RangePhase {
     Start,
     /// A server-side range RPC is in flight (cache-missed start only).
     Offload(OffloadSM),
-    /// The parallel leaf batch is in flight.
-    Batch { addrs: Vec<GlobalAddress> },
+    /// The parallel leaf batch named by the cached level-1 image with lower
+    /// fence `route` is in flight.
+    Batch {
+        addrs: Vec<GlobalAddress>,
+        route: u64,
+    },
     /// Scanning the fetched batch; `repair` re-reads a torn leaf in place.
     BatchScan {
         addrs: Vec<GlobalAddress>,
         bufs: Vec<Vec<u8>>,
         idx: usize,
         repair: Option<ReadNodeSM>,
+        route: u64,
     },
-    /// Decide where phase 2 (the sibling-chain walk) starts.
-    SeekStart,
-    /// Traversal toward the next leaf to scan; on completion the address is
-    /// removed from `visited` when `forget_visit` is set (tombstone resume).
-    Locate {
-        sm: TraverseSM,
-        forget_visit: bool,
-    },
+    /// Decide how to reach the leaf covering the frontier.
+    Seek,
+    /// Traversal toward the leaf covering the frontier.
+    Locate(TraverseSM),
     /// Loop-condition check before reading the leaf at `addr`.
-    ChainNext { addr: GlobalAddress },
+    ChainNext {
+        addr: GlobalAddress,
+        source: LeafSource,
+    },
     /// A chain leaf read is in flight.
-    Chain { read: ReadNodeSM },
-    /// Sort, de-duplicate, truncate.
+    Chain {
+        read: ReadNodeSM,
+        source: LeafSource,
+    },
+    /// Sort, truncate.
     Finish,
 }
 
@@ -961,21 +977,28 @@ enum RangePhase {
 /// Like the paper (and FG), the scan is not atomic with respect to concurrent
 /// writers; each leaf is individually validated.  Phase 1 uses the cached
 /// level-1 node to read several target leaves with one parallel batch (§4.4);
-/// phase 2 continues along sibling pointers, re-locating the resume point
-/// when a concurrent merge tombstones a leaf mid-scan.
+/// phase 2 continues along sibling pointers.
+///
+/// **Continuity is the scan's invariant, not the cache's.**  The scan keeps a
+/// *frontier*: every key in `[start_key, frontier)` has been collected from a
+/// leaf that covered it when it was read.  A leaf is consumed only if its
+/// fence interval contains the frontier, and consuming it moves the frontier
+/// to the leaf's upper fence — so a stale child list (a split's new leaf
+/// missing, a retired child recycled elsewhere), a merge or a rebalance
+/// racing the walk shows up as a leaf that does not cover the frontier,
+/// never as a silently skipped key range.  Such a leaf is not consumed: the
+/// scan drops the cached image that named it and re-locates the frontier.
 pub(crate) struct RangeSM {
     start_key: u64,
     count: usize,
     results: Vec<(u64, u64)>,
-    visited: HashSet<u64>,
-    /// Sibling pointer of the last successfully scanned batch leaf, and
-    /// whether any batch leaf was scanned at all.
-    last_sibling: Option<GlobalAddress>,
-    last_seen: bool,
-    /// Set when a tombstoned (merged-away) leaf was encountered: its live
-    /// entries moved to its left neighbour, so the scan must re-locate its
-    /// resume point instead of trusting the batch / sibling chain.
-    tombstoned: bool,
+    /// Everything in `[start_key, frontier)` is collected.
+    frontier: u64,
+    /// Right sibling of the leaf that moved the frontier last; `None` before
+    /// the first leaf and whenever the frontier must be re-located.
+    next: Option<GlobalAddress>,
+    /// The rightmost leaf was consumed.
+    exhausted: bool,
     hops: u32,
     /// One-shot: a scan offloads at most once (see [`LookupSM`]).
     offload_done: bool,
@@ -988,70 +1011,39 @@ impl RangeSM {
             start_key,
             count,
             results: Vec::with_capacity(count),
-            visited: HashSet::new(),
-            last_sibling: None,
-            last_seen: false,
-            tombstoned: false,
+            frontier: start_key,
+            next: None,
+            exhausted: false,
             hops: 0,
             offload_done: false,
             phase: RangePhase::Start,
         }
     }
 
-    /// The smallest key the scan still needs (everything below is already
-    /// collected — possibly from a pre-merge image, which de-duplication
-    /// reconciles).
-    fn resume_key(&self) -> u64 {
-        self.results
-            .iter()
-            .map(|&(k, _)| k)
-            .max()
-            .map_or(self.start_key, |k| k.saturating_add(1))
-    }
-
-    fn collect_leaf(&mut self, leaf: &LeafNode) {
+    /// Consume `leaf` if it is live and covers the frontier: collect its
+    /// entries from the frontier up and advance to its upper fence.
+    fn take_leaf(&mut self, leaf: &LeafNode) -> bool {
+        let header = &leaf.header;
+        if header.free || !header.is_leaf || !header.covers(self.frontier) {
+            return false;
+        }
         for e in &leaf.entries {
-            if e.present && e.key >= self.start_key && e.versions_match() {
+            if e.present && e.key >= self.frontier && e.versions_match() {
                 self.results.push((e.key, e.value));
             }
         }
-    }
-
-    /// Consume one scanned batch leaf (already consistency-checked).
-    /// Returns `false` when the leaf was tombstoned and phase 2 must
-    /// re-locate.
-    fn take_batch_leaf<B: FabricBackend>(&mut self, cx: &mut OpCx<'_, B>, addr: GlobalAddress, leaf: &LeafNode) -> bool {
-        if leaf.header.free || !leaf.header.is_leaf {
-            // A concurrent merge freed this cached child; its entries now
-            // live in an earlier leaf whose pre-merge image we may already
-            // have consumed.  Drop every cached route to the tombstone (the
-            // fabric-delivered `Invalidate` may still be in flight — without
-            // the scrub the re-locate below could loop back here), then stop
-            // the batch and re-locate.
-            if leaf.header.free {
-                cx.cluster.cache(cx.cs_id).invalidate_addr(addr);
-            }
-            self.tombstoned = true;
-            return false;
-        }
-        self.collect_leaf(leaf);
-        self.visited.insert(addr.pack());
-        self.last_sibling = leaf.header.sibling;
-        self.last_seen = true;
+        self.frontier = header.fence_high;
+        self.next = header.sibling;
+        self.exhausted = header.sibling.is_none();
         true
     }
 
-    /// Begin locating the leaf covering `key`; transitions the phase.
-    fn start_locate<B: FabricBackend>(&mut self, cx: &mut OpCx<'_, B>, meta: &mut OpMeta, key: u64, forget_visit: bool) {
-        match locate_start(cx, meta, key) {
-            LocateStart::Cached(addr, _) => {
-                if forget_visit {
-                    self.visited.remove(&addr.pack());
-                }
-                self.phase = RangePhase::ChainNext { addr };
-            }
-            LocateStart::Traverse(sm) => self.phase = RangePhase::Locate { sm, forget_visit },
-        }
+    /// Begin locating the leaf covering the frontier; transitions the phase.
+    fn locate_frontier<B: FabricBackend>(&mut self, cx: &mut OpCx<'_, B>, meta: &mut OpMeta) {
+        self.phase = match locate_start(cx, meta, self.frontier) {
+            LocateStart::Cached(addr, source) => RangePhase::ChainNext { addr, source },
+            LocateStart::Traverse(sm) => RangePhase::Locate(sm),
+        };
     }
 
     pub(crate) fn step<B: FabricBackend>(
@@ -1087,7 +1079,10 @@ impl RangeSM {
                                 .map(|&a| (a, layout.node_size()))
                                 .collect();
                             let token = cx.ctx.post_read_batch(&reqs)?;
-                            self.phase = RangePhase::Batch { addrs };
+                            self.phase = RangePhase::Batch {
+                                addrs,
+                                route: cached.fence_low,
+                            };
                             return Ok(Step::Pending(token));
                         }
                     }
@@ -1105,37 +1100,51 @@ impl RangeSM {
                             continue;
                         }
                     }
-                    self.phase = RangePhase::SeekStart;
+                    self.phase = RangePhase::Seek;
                 }
                 RangePhase::Offload(sm) => match sm.step(cx, completion.take())? {
                     Step::Pending(token) => return Ok(Step::Pending(token)),
                     Step::Done(OffloadOutcome::Range(reply)) => {
-                        cx.cluster.offload_counters(cx.cs_id).record_win();
                         // Every returned leaf passed the tombstone floor;
-                        // adopt the scan frontier exactly as if the chain
-                        // walk had covered those leaves itself.
+                        // adopt the server's walk as far as its leaves are
+                        // continuous from the frontier, exactly as if the
+                        // chain walk had consumed those leaves itself.
+                        let mut frontier = Some(self.frontier);
                         for info in &reply.leaves {
-                            self.visited.insert(info.addr.pack());
+                            frontier = frontier
+                                .filter(|&f| {
+                                    info.fence_low <= f
+                                        && (info.fence_high == u64::MAX || f < info.fence_high)
+                                })
+                                .map(|_| info.fence_high);
                         }
-                        self.results.extend(reply.entries.iter().copied());
-                        self.last_sibling = reply.next;
-                        self.last_seen = true;
-                        self.phase = RangePhase::SeekStart;
+                        let counters = cx.cluster.offload_counters(cx.cs_id);
+                        match frontier {
+                            Some(frontier) if !reply.leaves.is_empty() => {
+                                counters.record_win();
+                                self.results.extend(reply.entries.iter().copied());
+                                self.frontier = frontier;
+                                self.next = reply.next;
+                                self.exhausted = reply.next.is_none();
+                            }
+                            _ => counters.record_loss(),
+                        }
+                        self.phase = RangePhase::Seek;
                     }
                     Step::Done(_) => {
                         cx.cluster.offload_counters(cx.cs_id).record_loss();
-                        self.phase = RangePhase::SeekStart;
+                        self.phase = RangePhase::Seek;
                     }
                 },
-                RangePhase::Batch { addrs } => {
+                RangePhase::Batch { addrs, route } => {
                     let c = completion.take().expect("batch completion expected");
                     let bufs = c.result.into_read_batch();
-                    let addrs = std::mem::take(addrs);
                     self.phase = RangePhase::BatchScan {
-                        addrs,
+                        addrs: std::mem::take(addrs),
                         bufs,
                         idx: 0,
                         repair: None,
+                        route: *route,
                     };
                 }
                 RangePhase::BatchScan { .. } => {
@@ -1146,9 +1155,31 @@ impl RangeSM {
                         bufs,
                         mut idx,
                         mut repair,
-                    } = std::mem::replace(&mut self.phase, RangePhase::SeekStart)
+                        route,
+                    } = std::mem::replace(&mut self.phase, RangePhase::Seek)
                     else {
                         unreachable!("phase checked above");
+                    };
+                    // The batch is adjacent only as far as the cached child
+                    // list is current: the first leaf must cover the
+                    // frontier and every next one must begin exactly where
+                    // its predecessor ended.  Anything else stops the batch
+                    // (phase is already `Seek`: the sibling chain takes over
+                    // from the last verified leaf) and drops the image.
+                    let take = |this: &mut Self, cx: &mut OpCx<'_, B>, idx: usize, leaf: &LeafNode| {
+                        let adjacent = idx == 0 || leaf.header.fence_low == this.frontier;
+                        if adjacent && this.take_leaf(leaf) {
+                            return true;
+                        }
+                        let cache = cx.cluster.cache(cx.cs_id);
+                        if leaf.header.free {
+                            // The fabric-delivered `Invalidate` may still be
+                            // in flight: scrub every route to the tombstone.
+                            cache.invalidate_addr(addrs[idx]);
+                        }
+                        cache.invalidate(route);
+                        cache.stats().record_scan_fallback();
+                        false
                     };
                     if let Some(mut sm) = repair.take() {
                         // Torn image: this leaf is being re-read individually.
@@ -1159,130 +1190,104 @@ impl RangeSM {
                                     bufs,
                                     idx,
                                     repair: Some(sm),
+                                    route,
                                 };
                                 return Ok(Step::Pending(token));
                             }
                             Step::Done(fresh) => {
-                                let addr = addrs[idx];
                                 let leaf = layout.decode_leaf(&fresh);
-                                idx += 1;
-                                if !self.take_batch_leaf(cx, addr, &leaf) {
-                                    // Tombstoned: fall to SeekStart (already set).
+                                if !take(self, cx, idx, &leaf) {
                                     continue;
                                 }
+                                idx += 1;
                             }
                         }
                     }
-                    loop {
-                        if idx >= addrs.len() {
-                            // Batch exhausted: phase is already SeekStart.
-                            break;
-                        }
-                        let addr = addrs[idx];
+                    while idx < addrs.len() {
                         let buf = &bufs[idx];
                         if !cx.node_image_consistent(buf) {
                             // Re-read this leaf individually: re-enter the arm
                             // with no completion so the repair machine posts.
                             self.phase = RangePhase::BatchScan {
+                                repair: Some(ReadNodeSM::new(cx, addrs[idx])),
                                 addrs,
                                 bufs,
                                 idx,
-                                repair: Some(ReadNodeSM::new(cx, addr)),
+                                route,
                             };
                             break;
                         }
                         let leaf = layout.decode_leaf(buf);
-                        idx += 1;
-                        if !self.take_batch_leaf(cx, addr, &leaf) {
-                            // Tombstoned: no scan CPU charged for a freed
-                            // image (matching the blocking path), and phase
-                            // is already SeekStart.
+                        if !take(self, cx, idx, &leaf) {
+                            // No scan CPU charged for an image not consumed.
                             break;
                         }
+                        idx += 1;
                         cx.ctx.charge_scan(layout.node_size());
                     }
                 }
-                RangePhase::SeekStart => {
-                    if self.tombstoned && self.results.len() < self.count {
-                        self.tombstoned = false;
-                        let key = self.resume_key();
-                        self.start_locate(cx, meta, key, true);
-                    } else if self.tombstoned {
+                RangePhase::Seek => {
+                    if self.results.len() >= self.count || self.exhausted {
                         self.phase = RangePhase::Finish;
-                    } else if self.last_seen {
-                        if self.results.len() < self.count {
-                            match self.last_sibling {
-                                Some(sib) => self.phase = RangePhase::ChainNext { addr: sib },
-                                None => self.phase = RangePhase::Finish,
-                            }
-                        } else {
-                            self.phase = RangePhase::Finish;
-                        }
+                    } else if let Some(addr) = self.next.take() {
+                        self.phase = RangePhase::ChainNext {
+                            addr,
+                            source: LeafSource::Sibling,
+                        };
                     } else {
-                        let key = self.start_key;
-                        self.start_locate(cx, meta, key, false);
+                        self.locate_frontier(cx, meta);
                     }
                 }
-                RangePhase::Locate { sm, forget_visit } => {
-                    let forget = *forget_visit;
-                    match sm.step(cx, meta, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
-                        Step::Done(addr) => {
-                            if forget {
-                                self.visited.remove(&addr.pack());
-                            }
-                            self.phase = RangePhase::ChainNext { addr };
-                        }
+                RangePhase::Locate(sm) => match sm.step(cx, meta, completion.take())? {
+                    Step::Pending(token) => return Ok(Step::Pending(token)),
+                    Step::Done(addr) => {
+                        self.phase = RangePhase::ChainNext {
+                            addr,
+                            source: sm.leaf_source(),
+                        };
                     }
-                }
-                RangePhase::ChainNext { addr } => {
-                    let addr = *addr;
-                    if self.results.len() >= self.count
-                        || self.hops > cx.cluster.config().max_restarts
-                    {
+                },
+                RangePhase::ChainNext { addr, source } => {
+                    if self.hops > cx.cluster.config().max_restarts {
                         self.phase = RangePhase::Finish;
                         continue;
                     }
                     self.hops += 1;
-                    if !self.visited.insert(addr.pack()) {
-                        self.phase = RangePhase::Finish;
-                        continue;
-                    }
                     self.phase = RangePhase::Chain {
-                        read: ReadNodeSM::new(cx, addr),
+                        read: ReadNodeSM::new(cx, *addr),
+                        source: *source,
                     };
                 }
-                RangePhase::Chain { read } => match read.step(cx, meta, completion.take())? {
-                    Step::Pending(token) => return Ok(Step::Pending(token)),
-                    Step::Done(buf) => {
-                        let addr = read.addr;
-                        let leaf = layout.decode_leaf(&buf);
-                        if leaf.header.free || !leaf.header.is_leaf {
-                            // Tombstoned by a concurrent merge: its entries
-                            // moved into a left neighbour.  Scrub any cached
-                            // route to the tombstone (its fabric `Invalidate`
-                            // may still be in flight), then re-locate the
-                            // resume point and re-read that leaf even if a
-                            // pre-merge image of it was already consumed
-                            // (bounded by the `hops` budget).
-                            if leaf.header.free {
-                                cx.cluster.cache(cx.cs_id).invalidate_addr(addr);
+                RangePhase::Chain { read, source } => {
+                    match read.step(cx, meta, completion.take())? {
+                        Step::Pending(token) => return Ok(Step::Pending(token)),
+                        Step::Done(buf) => {
+                            let (addr, source) = (read.addr, *source);
+                            let leaf = layout.decode_leaf(&buf);
+                            if self.take_leaf(&leaf) {
+                                self.phase = RangePhase::Seek;
+                                continue;
                             }
-                            let key = self.resume_key();
-                            self.start_locate(cx, meta, key, true);
-                            continue;
-                        }
-                        self.collect_leaf(&leaf);
-                        match leaf.header.sibling {
-                            Some(sib) => self.phase = RangePhase::ChainNext { addr: sib },
-                            None => self.phase = RangePhase::Finish,
+                            // Not the leaf covering the frontier — tombstoned
+                            // by a concurrent merge (its entries moved into a
+                            // left neighbour), rebalanced, or named by a
+                            // stale route: drop the route, then hop right or
+                            // re-locate the frontier (bounded by `hops`).
+                            match next_after_mismatch(cx, self.frontier, addr, &leaf, source) {
+                                Some(sibling) => {
+                                    self.phase = RangePhase::ChainNext {
+                                        addr: sibling,
+                                        source: LeafSource::Sibling,
+                                    };
+                                }
+                                None => self.locate_frontier(cx, meta),
+                            }
                         }
                     }
-                },
+                }
                 RangePhase::Finish => {
                     let mut results = std::mem::take(&mut self.results);
                     results.sort_unstable_by_key(|&(k, _)| k);
-                    results.dedup_by_key(|&mut (k, _)| k);
                     results.truncate(self.count);
                     return Ok(Step::Done(results));
                 }
@@ -1394,12 +1399,10 @@ impl InsertSM {
                     match sm.step(&mut cx, meta, completion.take())? {
                         Step::Pending(token) => return Ok(Step::Pending(token)),
                         Step::Done(addr) => {
-                            let source = if sm.route_from_cache() {
-                                LeafSource::TopCache
-                            } else {
-                                LeafSource::Traversal
+                            self.phase = WritePhase::Commit {
+                                addr,
+                                source: sm.leaf_source(),
                             };
-                            self.phase = WritePhase::Commit { addr, source };
                         }
                     }
                 }
@@ -1536,12 +1539,10 @@ impl DeleteSM {
                     match sm.step(&mut cx, meta, completion.take())? {
                         Step::Pending(token) => return Ok(Step::Pending(token)),
                         Step::Done(addr) => {
-                            let source = if sm.route_from_cache() {
-                                LeafSource::TopCache
-                            } else {
-                                LeafSource::Traversal
+                            self.phase = WritePhase::Commit {
+                                addr,
+                                source: sm.leaf_source(),
                             };
-                            self.phase = WritePhase::Commit { addr, source };
                         }
                     }
                 }

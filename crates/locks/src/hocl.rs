@@ -89,10 +89,12 @@ type LockShard = Mutex<HashMap<(u16, u64), Arc<LocalLock>>>;
 
 /// The per-compute-server local lock table.
 ///
-/// One instance is shared by all client threads of a compute server.  Lock
-/// records are created lazily: the paper sizes the LLT at 8 bytes per GLT slot
-/// (a few MB); here the table grows with the working set instead, which keeps
-/// tests light while preserving behaviour.
+/// One instance is shared by all client threads of a compute server.  The
+/// paper sizes the LLT at 8 bytes per GLT slot (a few MB); here a record
+/// exists only while its lock is in use — created by the first thread that
+/// wants the lock, dropped by the last one that releases it — so the table
+/// is as large as the set of locks held or waited for, not as the set of
+/// nodes ever written.
 #[derive(Debug)]
 pub struct LocalLockTable {
     shards: Vec<LockShard>,
@@ -125,6 +127,23 @@ impl LocalLockTable {
         let shard = &self.shards[(slot as usize ^ ms as usize) % self.shards.len()];
         let mut map = shard.lock();
         Arc::clone(map.entry((ms, slot)).or_default())
+    }
+
+    /// Drop the record of `(ms, slot)` if `local`, the caller's handle to it,
+    /// is the last one and the lock is idle (an idle record is the default
+    /// record, which the next `lock_for` recreates).
+    fn retire_if_idle(&self, ms: u16, slot: u64, local: Arc<LocalLock>) {
+        let shard = &self.shards[(slot as usize ^ ms as usize) % self.shards.len()];
+        let mut map = shard.lock();
+        // Handles are only ever cloned under the shard lock: two means the
+        // table's and the caller's, so nobody holds or awaits this lock.
+        if Arc::strong_count(&local) == 2 {
+            let st = local.state.lock();
+            if !st.held && st.queue.is_empty() && st.grant.is_none() {
+                drop(st);
+                map.remove(&(ms, slot));
+            }
+        }
     }
 
     /// Number of lock records currently materialized (observability/tests).
@@ -316,6 +335,7 @@ impl HoclManager {
         // the post instant, so the next owner — local or remote — already
         // observes the lock free.
         local.state.lock().held = false;
+        llt.retire_if_idle(ms, slot, local);
         Ok((
             ReleaseOutcome {
                 released_global: !handover,
@@ -441,6 +461,20 @@ mod tests {
         // Reacquirable afterwards.
         assert!(!mgr.acquire(&mut client, node).unwrap().handed_over);
         mgr.release(&mut client, node, Vec::new(), true).unwrap();
+    }
+
+    #[test]
+    fn a_lock_record_lives_only_while_its_lock_is_in_use() {
+        let (pool, mgr) = setup(HoclOptions::default());
+        let mut client = pool.fabric().client(0);
+        let llt = mgr.local_table(0);
+        for i in 0..100u64 {
+            let node = GlobalAddress::host(0, (10 + i) << 10);
+            mgr.acquire(&mut client, node).unwrap();
+            assert_eq!(llt.materialized_locks(), 1);
+            mgr.release(&mut client, node, Vec::new(), true).unwrap();
+            assert_eq!(llt.materialized_locks(), 0, "an idle lock keeps no record");
+        }
     }
 
     #[test]

@@ -188,3 +188,34 @@ fn uncombined_presets_keep_their_verbs() {
         assert_eq!(write_path_verbs(options), expect, "{label}");
     }
 }
+
+/// The combined rungs of the ladder, pinned the same way: the same sequence
+/// costs each of them exactly the verbs and the virtual time recorded at the
+/// commit before the write machines were unified.
+#[test]
+fn combined_rungs_keep_their_verbs() {
+    for (label, options, expect) in [
+        (
+            "+Combine",
+            TreeOptions::plus_combine(),
+            (2085, 1047, 1911, 987, 268_032, 244_440, 4_134_703),
+        ),
+        (
+            "+On-Chip",
+            TreeOptions::plus_onchip(),
+            (2085, 1047, 1911, 987, 268_032, 238_518, 3_699_436),
+        ),
+        (
+            "+Hierarchical",
+            TreeOptions::plus_hierarchical(),
+            (2085, 1047, 1911, 987, 268_032, 238_518, 3_699_436),
+        ),
+        (
+            "+2-Level Ver",
+            TreeOptions::sherman(),
+            (2085, 1047, 1911, 987, 268_032, 81_387, 3_668_018),
+        ),
+    ] {
+        assert_eq!(write_path_verbs(options), expect, "{label}");
+    }
+}

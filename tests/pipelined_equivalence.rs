@@ -157,6 +157,46 @@ fn same_depth_runs_are_deterministic() {
     }
 }
 
+/// One seeded depth-4 run over all four operation kinds — fresh inserts that
+/// split, updates, deletes that merge, lookups, scans — costs exactly what it
+/// did: a running hash over every result's round trips, bytes written and
+/// service time (in completion order), then the run's elapsed virtual time.
+/// One client, so the run repeats exactly; recorded at the commit before the
+/// write machines were unified.
+#[test]
+fn a_mixed_depth_four_run_costs_exactly_what_it_did() {
+    let (cluster, _) = loaded_cluster(2_000);
+    let carved = cluster.pool().nodes_carved();
+    let mut ops = Vec::new();
+    for i in 0..1_200u64 {
+        let k = (i * 37) % 6_000;
+        ops.push(match i % 6 {
+            0 => PipelineOp::Lookup { key: k },
+            1 | 2 => PipelineOp::Insert { key: k | 1, value: i },
+            3 => PipelineOp::Insert { key: k - k % 3, value: i },
+            4 => PipelineOp::Delete { key: k },
+            _ => PipelineOp::Range { start_key: k, count: 25 },
+        });
+    }
+    // Drain a contiguous stretch so leaves merge inside the pipeline.
+    ops.extend((0..600u64).map(|k| PipelineOp::Delete { key: k * 3 }));
+    let mut client = cluster.client(0);
+    let report = client.run_pipelined(ops, 4).unwrap();
+    assert!(cluster.pool().nodes_carved() > carved, "no split happened");
+    assert!(cluster.space_stats().leaf_merges > 0, "no merge happened");
+
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |f: u64| hash = (hash ^ f).wrapping_mul(0x0000_0100_0000_01b3);
+    for r in &report.results {
+        fold(r.round_trips);
+        fold(r.bytes_written);
+        fold(r.latency_ns);
+    }
+    fold(report.elapsed_ns);
+    assert_eq!(report.results.len(), 1_800);
+    assert_eq!((hash, report.elapsed_ns), (11_787_716_148_455_545_361, 4_033_389));
+}
+
 /// Depth 4 on the uniform-lookup workload beats depth 1 by at least 1.5x and
 /// the overlap gauges prove concurrent in-flight verbs (the tentpole's
 /// acceptance criterion, repeated here as a tier-1 regression).

@@ -814,6 +814,7 @@ impl<B: FabricBackend> TreeClient<B> {
                 let pairs = leaf.sorted_pairs();
                 leaf.repack_sorted(&pairs);
                 leaf.header.bump_versions();
+                self.ctx.charge_scan(self.layout().node_size());
                 vec![WriteCmd::new(addr, self.encode_leaf_for_write(&leaf))]
             }
         };

@@ -2,15 +2,14 @@
 //!
 //! Drives a windowed insert/delete workload until the live key set has turned
 //! over `--turnover` times (default 10×), comparing Sherman with structural
-//! deletes under **epoch-based reclamation** (the default), the same tree
-//! under the deprecated grace-period fallback, and the paper's grow-only
-//! behaviour.  Reports throughput, merge/reclaim counters — including the
-//! merge **direction** split (left merges fold a rightmost child into its
-//! left sibling) — space amplification (node addresses carved per live
-//! node), the two **reclaim latency** figures (retire→eligible isolates the
-//! scheme; retire→reuse additionally includes the wait for allocation
-//! demand), and the type-❷ cache hit ratio with the self-healing refresh
-//! count.
+//! deletes (freed nodes recycled under epoch-based reclamation) and the
+//! paper's grow-only behaviour.  Reports throughput, merge/reclaim counters —
+//! including the merge **direction** split (left merges fold a rightmost
+//! child into its left sibling) — space amplification (node addresses carved
+//! per live node), the two **reclaim latency** figures (retire→eligible
+//! isolates the reader pins; retire→reuse additionally includes the wait for
+//! allocation demand), and the type-❷ cache hit ratio with the self-healing
+//! refresh count.
 //!
 //! ```text
 //! cargo run --release -p sherman_bench --bin churn [-- --quick] [--smoke]
@@ -18,15 +17,15 @@
 //!     [--backend sim|threaded]
 //! ```
 //!
-//! `--smoke` runs only the merges-on/epochs system at `--quick` scale and
-//! exits non-zero when a structural regression is detected: space
-//! amplification above 2×, zero left merges (the rightmost-child shape leak),
+//! `--smoke` runs only the merges-on system at `--quick` scale and exits
+//! non-zero when a structural regression is detected: space amplification
+//! above 2×, zero left merges (the rightmost-child shape leak),
 //! a persistently underfull child that a same-parent partner could fix, or a
 //! cache-coherence regression — merges that posted zero invalidations (the
 //! typestate publish path bypassed), messages still pending after every
 //! server quiesced, or stale cache hits served after the drain.
 
-use sherman::{ReclaimScheme, TreeOptions};
+use sherman::TreeOptions;
 use sherman_bench::{
     fmt_mops, print_table, run_churn_experiment, run_churn_experiment_on, Args, ChurnExperiment,
     ChurnResult,
@@ -52,20 +51,18 @@ fn main() {
         return;
     }
     let systems = [
-        ("merges-on/epochs", TreeOptions::sherman(), ReclaimScheme::Epoch),
-        ("merges-on/grace", TreeOptions::sherman(), ReclaimScheme::GracePeriod),
+        ("merges-on", TreeOptions::sherman()),
         (
             "merges-off",
             TreeOptions::sherman().without_structural_deletes(),
-            ReclaimScheme::Epoch,
         ),
     ];
 
-    println!("Churn: sliding-window insert/delete; reclamation schemes vs grow-only");
+    println!("Churn: sliding-window insert/delete; structural deletes vs grow-only");
     let mut rows = Vec::new();
     let mut timelines = Vec::new();
-    for (name, options, scheme) in systems {
-        let exp = configure(&args, name, options, scheme);
+    for (name, options) in systems {
+        let exp = configure(&args, name, options);
         let r = run(&args, &exp);
         timelines.push((r.name.clone(), r.shape_timeline.clone()));
         rows.push(vec![
@@ -137,7 +134,7 @@ fn main() {
     println!("stale-after-drain = stale cache hits served by a full re-read AFTER every");
     println!("            server quiesced its coherence inbox (must be zero)");
     println!("left-mrg  = merges that folded a rightmost child into its left sibling");
-    println!("elig-lat  = retirement -> policy clears the address (isolates the scheme)");
+    println!("elig-lat  = retirement -> last pre-retirement pin gone (isolates the readers)");
     println!("reuse-lat = retirement -> an allocator takes it (includes demand waits)");
     println!("top-hit   = type-2 top-level cache hit ratio; refreshes = entries healed");
     println!("            in place after structural changes / on cache-miss traversals");
@@ -145,17 +142,8 @@ fn main() {
     println!(" carved node counts, which scale with turnover instead of the window size)");
 }
 
-fn configure(
-    args: &Args,
-    name: &str,
-    options: TreeOptions,
-    scheme: ReclaimScheme,
-) -> ChurnExperiment {
+fn configure(args: &Args, name: &str, options: TreeOptions) -> ChurnExperiment {
     let mut exp = ChurnExperiment::default_scaled(name, options);
-    if scheme == ReclaimScheme::GracePeriod {
-        let grace = exp.tree.reclaim_grace_ns;
-        exp.tree = exp.tree.with_grace_reclamation(grace);
-    }
     exp.window = args.get_u64("window", exp.window);
     exp.turnover = args.get_f64("turnover", exp.turnover);
     exp.threads = args.get_usize("threads", exp.threads);
@@ -169,7 +157,7 @@ fn configure(
 
 /// CI gate: one quick merges-on run; non-zero exit on structural regression.
 fn smoke(args: &Args) {
-    let exp = configure(args, "smoke/epochs", TreeOptions::sherman(), ReclaimScheme::Epoch);
+    let exp = configure(args, "smoke", TreeOptions::sherman());
     let r = run(args, &exp);
     println!(
         "churn smoke: turnovers={:.1} space_amp={:.2} merges={} left_merges={} \

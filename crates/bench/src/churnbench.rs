@@ -15,9 +15,7 @@
 //!   retire / reuse counters,
 //! * **reclaim latency** — the virtual-time distance from a node address's
 //!   retirement to its reuse.  Under epoch-based reclamation this tracks the
-//!   workload's own allocation cadence (near-zero when idle); under the
-//!   deprecated grace-period fallback it is bounded below by the configured
-//!   `reclaim_grace_ns`, whatever the readers are actually doing.
+//!   workload's own allocation cadence (near-zero when idle).
 
 use sherman::{Cluster, ClusterConfig, NodeCensus, ShapeAudit, TreeConfig, TreeOptions};
 use sherman_memserver::FreeListStats;
@@ -321,7 +319,6 @@ mod tests {
                 node_size: 256,
                 cache_bytes: 1 << 20,
                 chunk_bytes: 64 << 10,
-                reclaim_grace_ns: 10_000,
                 ..TreeConfig::default()
             },
             ..ChurnExperiment::default_scaled("tiny-churn", options)
@@ -393,47 +390,6 @@ mod tests {
             "grow-only churn retains garbage nodes: {} vs {} reachable",
             off.census.total(),
             on.census.total()
-        );
-    }
-
-    #[test]
-    fn ebr_decouples_reclaim_latency_from_the_grace_constant() {
-        // Same churn, two reclamation schemes.  The fallback's quarantine is
-        // set high enough to dominate the run's natural allocation cadence.
-        let grace_ns = 500_000u64;
-        let ebr = run_churn_experiment(&tiny(TreeOptions::sherman()));
-        let mut grace_exp = tiny(TreeOptions::sherman());
-        grace_exp.tree = grace_exp.tree.clone().with_grace_reclamation(grace_ns);
-        let grace = run_churn_experiment(&grace_exp);
-
-        assert!(ebr.reclaim.reused > 0);
-        // Structural lower bound of the fallback: no address can come back
-        // before its window elapses, so even the *fastest* reuse waited the
-        // full `grace_ns`.
-        if grace.reclaim.reused > 0 {
-            assert!(
-                grace.reclaim.reclaim_latency_min_ns >= grace_ns,
-                "grace scheme reused below its own window: {} < {grace_ns}",
-                grace.reclaim.reclaim_latency_min_ns
-            );
-        }
-        // EBR has no such floor: with short operations pinning and unpinning
-        // continuously, at least some addresses recycle well inside the
-        // window the fallback would have imposed.
-        assert!(
-            ebr.reclaim.reclaim_latency_min_ns < grace_ns,
-            "EBR min reclaim latency {}ns should undercut the {grace_ns}ns grace window",
-            ebr.reclaim.reclaim_latency_min_ns
-        );
-        // And promptness buys footprint: the carved-node count under EBR is
-        // no worse than under the slow-recycling fallback.  Allow 10% slack —
-        // reuse timing shifts which servers nodes land on, and that placement
-        // noise can nudge near-equal footprints either way.
-        assert!(
-            ebr.nodes_carved <= grace.nodes_carved + grace.nodes_carved / 10,
-            "EBR carved {} vs grace {}",
-            ebr.nodes_carved,
-            grace.nodes_carved
         );
     }
 

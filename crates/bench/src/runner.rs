@@ -41,6 +41,9 @@ pub struct TreeExperiment {
     pub range_size: u64,
     /// Technique selection (the ablation axis).
     pub options: TreeOptions,
+    /// Operations each thread keeps in flight: `1` drives the blocking entry
+    /// points, anything deeper `TreeClient::run_pipelined` at that depth.
+    pub depth: usize,
     /// Tree geometry.
     pub tree: TreeConfig,
     /// RNG seed.
@@ -62,6 +65,7 @@ impl TreeExperiment {
             distribution: KeyDistribution::ScrambledZipfian { theta: 0.99 },
             range_size: 100,
             options,
+            depth: 1,
             tree: TreeConfig::default(),
             seed: 0x5EED,
         }
@@ -118,7 +122,7 @@ pub struct ExperimentResult {
     pub name: String,
     /// How the measured phase drove the workload (blocking loop or the
     /// pipelined scheduler) — writes pipeline like reads, so
-    /// `TreeOptions::pipeline_depth > 1` always selects the scheduler.
+    /// `TreeExperiment::depth > 1` always selects the scheduler.
     pub drive: DrivePath,
     /// Throughput / latency summary.
     pub summary: RunSummary,
@@ -239,22 +243,20 @@ pub fn run_tree_experiment(exp: &TreeExperiment) -> ExperimentResult {
         let barrier = Arc::clone(&barrier);
         let cs = (t % exp.compute_servers) as u16;
         let ops_per_thread = exp.ops_per_thread;
-        let pipeline_depth = exp.options.pipeline_depth;
+        let depth = exp.depth;
         handles.push(thread::spawn(move || {
             let mut client = cluster.client(cs);
             barrier.wait();
             let mut gen = spec.generator(t as u64);
             let mut outcome = ThreadOutcome::default();
-            if pipeline_depth > 1 {
+            if depth > 1 {
                 // Mixed read/write workloads go through the split-phase
                 // scheduler like everything else — no silent fallback to the
                 // blocking loop just because the mix contains writes.
                 let ops: Vec<PipelineOp> = (0..ops_per_thread)
                     .map(|_| to_pipeline_op(gen.next_op()))
                     .collect();
-                let report = client
-                    .run_pipelined(ops, pipeline_depth)
-                    .expect("pipelined run");
+                let report = client.run_pipelined(ops, depth).expect("pipelined run");
                 for r in &report.results {
                     outcome.record_pipelined(r);
                 }
@@ -314,8 +316,8 @@ pub fn run_tree_experiment(exp: &TreeExperiment) -> ExperimentResult {
 
     ExperimentResult {
         name: exp.name.clone(),
-        drive: if exp.options.pipeline_depth > 1 {
-            DrivePath::Pipelined(exp.options.pipeline_depth)
+        drive: if exp.depth > 1 {
+            DrivePath::Pipelined(exp.depth)
         } else {
             DrivePath::Blocking
         },
@@ -348,7 +350,7 @@ pub fn run_tree_experiment(exp: &TreeExperiment) -> ExperimentResult {
 /// `depth == 0` selects the **blocking reference** implementation (the plain
 /// `TreeClient::lookup`/`range`/`insert` loop) so the depth-1 scheduler can
 /// be validated against it; `depth >= 1` runs `TreeClient::run_pipelined` at
-/// that depth (carried into the cluster via `TreeOptions::pipeline_depth`).
+/// that depth.
 #[derive(Debug, Clone)]
 pub struct PipelineExperiment {
     /// Label printed in result rows.
@@ -460,10 +462,7 @@ pub fn run_pipeline_experiment(exp: &PipelineExperiment) -> PipelineResult {
         },
         tree: exp.tree.clone(),
     };
-    // The depth knob rides TreeOptions so any consumer of the cluster knows
-    // the configured pipeline depth.
-    let options = exp.options.with_pipeline_depth(exp.depth.max(1));
-    let cluster = Cluster::new(cluster_config, options);
+    let cluster = Cluster::new(cluster_config, exp.options);
     cluster
         .bulkload(spec.bulkload_iter().map(|k| (k, k.wrapping_mul(3) + 1)))
         .expect("bulkload");
@@ -477,10 +476,9 @@ pub fn run_pipeline_experiment(exp: &PipelineExperiment) -> PipelineResult {
         let barrier = Arc::clone(&barrier);
         let cs = (t % exp.compute_servers) as u16;
         let ops_per_thread = exp.ops_per_thread;
-        let blocking_reference = exp.depth == 0;
+        let depth = exp.depth;
         handles.push(thread::spawn(move || {
             let mut client = cluster.client(cs);
-            let depth = cluster.options().pipeline_depth;
             let mut gen = spec.generator(t as u64);
             let ops: Vec<PipelineOp> = (0..ops_per_thread)
                 .map(|_| to_pipeline_op(gen.next_op()))
@@ -491,7 +489,7 @@ pub fn run_pipeline_experiment(exp: &PipelineExperiment) -> PipelineResult {
             let mut cache_hits = 0u64;
             let before = client.fabric_stats();
             let t0 = client.now();
-            let overlap = if blocking_reference {
+            let overlap = if depth == 0 {
                 for op in &ops {
                     let stats = match *op {
                         PipelineOp::Lookup { key } => client.lookup(key).expect("lookup").1,
@@ -656,7 +654,10 @@ mod tests {
         let blocking = run_tree_experiment(&tiny(TreeOptions::sherman()));
         assert_eq!(blocking.drive, DrivePath::Blocking);
 
-        let piped = run_tree_experiment(&tiny(TreeOptions::sherman().with_pipeline_depth(4)));
+        let piped = run_tree_experiment(&TreeExperiment {
+            depth: 4,
+            ..tiny(TreeOptions::sherman())
+        });
         assert_eq!(piped.drive, DrivePath::Pipelined(4));
         // The mixed write-intensive workload really ran (and through the
         // scheduler): same op count, write histograms populated.
@@ -666,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_pipeline_depth_one_matches_blocking_and_depth_four_overlaps() {
+    fn mixed_depth_one_matches_blocking_and_depth_four_overlaps() {
         let mixed = |depth: usize| {
             let mut exp = tiny_pipeline(depth);
             exp.insert_pct = 50;

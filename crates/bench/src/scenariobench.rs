@@ -368,17 +368,12 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
     if let Some(host) = exp.host_bytes_per_ms {
         fabric.host_bytes_per_ms = host;
     }
-    let options = if exp.depth > 1 {
-        exp.options.with_pipeline_depth(exp.depth)
-    } else {
-        exp.options
-    };
     let cluster = Cluster::<B>::new_on(
         ClusterConfig {
             fabric,
             tree: exp.tree.clone(),
         },
-        options,
+        exp.options,
     );
     cluster
         .bulkload(spec.bulkload_iter().map(|k| (k, k.wrapping_mul(3) + 1)))

@@ -1,7 +1,7 @@
 //! Cluster bootstrap: fabric, memory pool, lock service, caches, bulkload.
 
 use crate::client::TreeClient;
-use crate::config::{LockStrategy, ReclaimScheme, TreeConfig, TreeOptions};
+use crate::config::{LockStrategy, TreeConfig, TreeOptions};
 use crate::error::TreeError;
 use crate::layout::NodeLayout;
 use crate::node::{InternalNode, LeafNode, NodeHeader};
@@ -114,10 +114,6 @@ impl<B: FabricBackend> Cluster<B> {
         config.tree.validate().expect("invalid tree configuration");
         let fabric = B::build(config.fabric.clone());
         let pool = MemoryPool::new(Arc::clone(&fabric), config.tree.chunk_bytes);
-        match config.tree.reclaim {
-            ReclaimScheme::Epoch => pool.use_epoch_reclamation(),
-            ReclaimScheme::GracePeriod => pool.set_reclaim_grace(config.tree.reclaim_grace_ns),
-        }
         let lock_mgr = Self::build_lock_manager(&pool, &config.fabric, &options);
         let layout = NodeLayout::new(&config.tree);
         let cache_cfg = IndexCacheConfig::new(config.tree.cache_bytes, config.tree.node_size);

@@ -130,7 +130,7 @@ pub(crate) struct PublishedCommit {
 
 impl PublishedCommit {
     /// Quarantine every address this commit freed on its memory server's
-    /// free list (epoch / grace-period reclamation applies from here).
+    /// free list (epoch-based reclamation applies from here).
     /// Call *after* the lock plan is released: the tombstone images ride
     /// the release writes, and the address must not be reusable before its
     /// tombstone is visible.

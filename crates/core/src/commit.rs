@@ -1,0 +1,1081 @@
+//! The write path's commit code: everything a write does between taking a
+//! node lock and releasing it, as functions on the stepping context
+//! ([`OpCx`]) the state machines share.
+//!
+//! * **leaf commit** ([`OpCx::leaf_commit`]) — acquire the leaf's exclusive
+//!   lock, read and revalidate it, modify it locally, then write back either
+//!   the single affected entry (two-level versions) or the whole node
+//!   (sorted baselines); with command combination the read rides the lock
+//!   acquisition and the lock release rides the write-back, one doorbell
+//!   batch each,
+//! * **split** — sort the leaf, move the upper half to a freshly allocated
+//!   sibling, link it B-link style, and insert the separator into the parent
+//!   (growing a new root when the split reaches the top),
+//! * **merge** — pair an underfull node with a same-parent sibling, lock the
+//!   pair and the parent in the lock manager's rank order, and merge or
+//!   rebalance (collapsing the root when it runs out of separators).
+//!
+//! The write machine (`crate::ops::WriteSM`) calls [`OpCx::leaf_commit`] from
+//! a single `step`, so nothing here yields: every lock taken is released
+//! before the step returns, and at most the final release verb of the fast
+//! path is left outstanding for the machine to park on.
+
+use crate::coherence::{self, PublishedCommit, StructuralCommit};
+use crate::config::LeafFormat;
+use crate::error::TreeError;
+use crate::layout::{NodeLayout, FLAG_FREE};
+use crate::node::{InternalEntry, InternalNode, LeafNode, NodeHeader};
+use crate::ops::{
+    cached_from_internal, drive_blocking, next_after_mismatch, LeafSource, OpCx, OpMeta,
+    ReadNodeSM, TraverseSM, WriteCommit, WriteKind,
+};
+use crate::TreeResult;
+use sherman_cache::CachedInternal;
+use sherman_locks::AcquireOutcome;
+use sherman_memserver::ServerLayout;
+use sherman_sim::{FabricBackend, GlobalAddress, PendingVerb, WriteCmd};
+use std::sync::Arc;
+
+/// What the split tail and the merge planner need from a node, so that each
+/// is written once for the tree's two node layouts.
+trait TreeNode: Sized {
+    /// Entries a merge adds beyond the two nodes' own: an internal merge
+    /// pulls the pair's separator down from the parent, a leaf merge nothing.
+    const JOIN: usize;
+    fn decode(layout: &NodeLayout, buf: &[u8]) -> Self;
+    fn encode(&self, layout: &NodeLayout) -> Vec<u8>;
+    fn header_mut(&mut self) -> &mut NodeHeader;
+    fn capacity(layout: &NodeLayout) -> usize;
+    /// Live entries of a leaf, separators of an internal node.
+    fn occupancy(&self) -> usize;
+    fn absorb_right(&mut self, right: &Self);
+    fn take_from_right(&mut self, right: &mut Self, count: usize) -> u64;
+    fn take_from_left(&mut self, left: &mut Self, count: usize) -> u64;
+    /// The image the index cache keeps of this node at `addr` (leaves are
+    /// not cached).
+    fn cached(&self, addr: GlobalAddress) -> Option<CachedInternal>;
+}
+
+impl TreeNode for LeafNode {
+    const JOIN: usize = 0;
+    fn decode(layout: &NodeLayout, buf: &[u8]) -> Self {
+        layout.decode_leaf(buf)
+    }
+    fn encode(&self, layout: &NodeLayout) -> Vec<u8> {
+        layout.encode_leaf(self)
+    }
+    fn header_mut(&mut self) -> &mut NodeHeader {
+        &mut self.header
+    }
+    fn capacity(layout: &NodeLayout) -> usize {
+        layout.leaf_capacity()
+    }
+    fn occupancy(&self) -> usize {
+        self.live_count()
+    }
+    fn absorb_right(&mut self, right: &Self) {
+        LeafNode::absorb_right(self, right)
+    }
+    fn take_from_right(&mut self, right: &mut Self, count: usize) -> u64 {
+        LeafNode::take_from_right(self, right, count)
+    }
+    fn take_from_left(&mut self, left: &mut Self, count: usize) -> u64 {
+        LeafNode::take_from_left(self, left, count)
+    }
+    fn cached(&self, _addr: GlobalAddress) -> Option<CachedInternal> {
+        None
+    }
+}
+
+impl TreeNode for InternalNode {
+    const JOIN: usize = 1;
+    fn decode(layout: &NodeLayout, buf: &[u8]) -> Self {
+        layout.decode_internal(buf)
+    }
+    fn encode(&self, layout: &NodeLayout) -> Vec<u8> {
+        layout.encode_internal(self)
+    }
+    fn header_mut(&mut self) -> &mut NodeHeader {
+        &mut self.header
+    }
+    fn capacity(layout: &NodeLayout) -> usize {
+        layout.internal_capacity()
+    }
+    fn occupancy(&self) -> usize {
+        self.entries.len()
+    }
+    fn absorb_right(&mut self, right: &Self) {
+        InternalNode::absorb_right(self, right)
+    }
+    fn take_from_right(&mut self, right: &mut Self, count: usize) -> u64 {
+        InternalNode::take_from_right(self, right, count)
+    }
+    fn take_from_left(&mut self, left: &mut Self, count: usize) -> u64 {
+        InternalNode::take_from_left(self, left, count)
+    }
+    fn cached(&self, addr: GlobalAddress) -> Option<CachedInternal> {
+        Some(cached_from_internal(addr, self))
+    }
+}
+
+/// Which sibling a structural delete pairs the underfull node with.
+///
+/// The commit always operates on an adjacent `(left, right)` pair under one
+/// parent and always retires the *right* node of the pair on a full merge
+/// (B-link safety: the survivor's sibling pointer skips the tombstone).  The
+/// direction records which side the *underfull* node is on:
+///
+/// * [`MergeDirection::Right`] — the underfull node is the left of the pair
+///   and absorbs its right B-link sibling (the PR 2 behaviour),
+/// * [`MergeDirection::Left`] — the underfull node has no right sibling under
+///   its parent (it is the rightmost child), so it becomes the right of the
+///   pair and folds into its **left** sibling, which the parent identifies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MergeDirection {
+    Right,
+    Left,
+}
+
+/// The same-parent neighbourhood of an underfull node, discovered lock-free
+/// by one parent resolution in `find_merge_pair`: the parent plus whichever
+/// adjacent siblings live under it (both `None` for an only child).
+struct MergePartners {
+    parent: GlobalAddress,
+    right_sibling: Option<GlobalAddress>,
+    left_sibling: Option<GlobalAddress>,
+}
+
+/// What a structural-delete attempt decided to commit: the encoded images of
+/// the pair, which ride the lock releases, plus the decoded survivor state
+/// the post-commit bookkeeping needs — carried here so the commit path does
+/// not re-decode bytes the planner just encoded.
+struct MergePlan {
+    left_bytes: Vec<u8>,
+    right_bytes: Vec<u8>,
+    /// The left node's cacheable image (internal levels only).
+    left_image: Option<CachedInternal>,
+    change: PairChange,
+}
+
+enum PairChange {
+    /// The left node absorbed its right sibling, whose image is now the freed
+    /// (free-bit set, version-bumped) tombstone with node-level version
+    /// `right_version` (recorded with the retirement so the next writer of
+    /// the address stamps its image above it).  `survivor_live` is the left
+    /// node's occupancy afterwards, for the still-underfull chase.
+    Merge {
+        right_version: u8,
+        survivor_live: usize,
+    },
+    /// Entries moved between the siblings (neither node is freed); the
+    /// parent's separator for the right node must move to `new_sep`.
+    Rebalance { new_sep: u64 },
+}
+
+impl<B: FabricBackend> OpCx<'_, B> {
+    fn layout(&self) -> &NodeLayout {
+        self.cluster.layout()
+    }
+
+    fn combine(&self) -> bool {
+        self.cluster.options().combine_commands
+    }
+
+    /// Encode a node for write-back (checksummed under the FG format).
+    fn encode<N: TreeNode>(&self, node: &N) -> Vec<u8> {
+        let mut bytes = node.encode(self.layout());
+        if self.leaf_format() == LeafFormat::SortedChecksum {
+            self.layout().stamp_checksum(&mut bytes);
+        }
+        bytes
+    }
+
+    /// Occupancy below which a node becomes a merge candidate.
+    fn merge_floor<N: TreeNode>(&self) -> usize {
+        let cap = N::capacity(self.layout()) as f64;
+        (cap * self.cluster.options().merge_threshold).floor() as usize
+    }
+
+    // ------------------------------------------------------------------
+    // Locks
+    // ------------------------------------------------------------------
+
+    /// Acquire the exclusive lock on `addr`, folding the outcome into `meta`.
+    fn acquire_lock(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<()> {
+        let acq = self.cluster.lock_manager().acquire(self.ctx, addr)?;
+        self.note_acquired(acq, meta);
+        Ok(())
+    }
+
+    /// Fold one lock acquisition into `meta` and open its critical section
+    /// (the fabric trace pins down that no other operation's verbs
+    /// interleave until the matching release).  Sections nest (a merge holds
+    /// several node locks): the outermost one opens with the first lock and
+    /// closes with the last release.
+    fn note_acquired(&mut self, acq: AcquireOutcome, meta: &mut OpMeta) {
+        meta.lock_retries += acq.remote_retries;
+        meta.handed_over |= acq.handed_over;
+        self.ctx.begin_critical();
+    }
+
+    /// Acquire the exclusive lock on `addr` and read the node under it — the
+    /// head of every single-node commit.  With command combination the READ
+    /// rides the acquiring CAS's doorbell batch (the lock word is co-located
+    /// with its node, hence on the same queue pair), so the head costs one
+    /// round trip; without it, the lock and the read are two dependent ones.
+    fn lock_and_read(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
+        if !self.combine() {
+            self.acquire_lock(addr, meta)?;
+            return self.read_node_locked(addr);
+        }
+        let node_size = self.layout().node_size();
+        let mut buf = vec![0u8; node_size];
+        let mgr = self.cluster.lock_manager();
+        let acq = mgr.acquire_and_read(self.ctx, addr, &mut buf)?;
+        self.note_acquired(acq, meta);
+        self.ctx.charge_scan(node_size);
+        Ok(buf)
+    }
+
+    /// Release the exclusive lock on `addr`, flushing `writes` according to
+    /// the command-combination setting.  Blocking: the release completion is
+    /// observed before returning.
+    fn release_lock(&mut self, addr: GlobalAddress, writes: Vec<WriteCmd>) -> TreeResult<()> {
+        let mgr = self.cluster.lock_manager();
+        mgr.release(self.ctx, addr, writes, self.combine())?;
+        self.ctx.end_critical();
+        Ok(())
+    }
+
+    /// Release the exclusive lock on `addr` with the *final* release verb
+    /// posted split-phase: its memory effect (lock word cleared, write-backs
+    /// applied) lands at post time, so the critical section ends here even
+    /// though the completion is still outstanding.  Returns the deferred verb
+    /// to park on (`None` when a local handover made the release purely
+    /// local).
+    fn release_lock_deferred(
+        &mut self,
+        addr: GlobalAddress,
+        writes: Vec<WriteCmd>,
+    ) -> TreeResult<Option<PendingVerb>> {
+        let mgr = self.cluster.lock_manager();
+        let (_, deferred) = mgr.release_deferred(self.ctx, addr, writes, self.combine(), true)?;
+        self.ctx.end_critical();
+        Ok(deferred)
+    }
+
+    /// Acquire the locks guarding `nodes` in the manager's deadlock-safe
+    /// order, returning the acquired lock-word representatives.
+    fn acquire_plan(
+        &mut self,
+        nodes: &[GlobalAddress],
+        meta: &mut OpMeta,
+    ) -> TreeResult<Vec<GlobalAddress>> {
+        let plan = self.cluster.lock_manager().lock_plan(nodes);
+        for &rep in &plan {
+            self.acquire_lock(rep, meta)?;
+        }
+        Ok(plan)
+    }
+
+    /// Release every lock of `plan` (in reverse acquisition order), flushing
+    /// each node's write-back with the release of the lock word guarding it.
+    ///
+    /// Demands proof that the commit's coherence messages were posted: a
+    /// [`PublishedCommit`] only exists after [`coherence::publish`] ran, so a
+    /// commit path that skips publishing does not compile (see the
+    /// `crate::coherence` module docs for the protocol).
+    fn release_plan(
+        &mut self,
+        plan: &[GlobalAddress],
+        mut writes: Vec<WriteCmd>,
+        _published: &PublishedCommit,
+    ) -> TreeResult<()> {
+        let mgr = self.cluster.lock_manager();
+        for &rep in plan.iter().rev() {
+            let (batch, rest) = writes.into_iter().partition(|w| mgr.same_lock(rep, w.addr));
+            writes = rest;
+            self.release_lock(rep, batch)?;
+        }
+        debug_assert!(writes.is_empty(), "write-back without a guarding lock");
+        Ok(())
+    }
+
+    /// Release an untouched lock plan: nothing was written, so the commit
+    /// published is the empty one.
+    fn abandon_plan(&mut self, plan: &[GlobalAddress]) -> TreeResult<()> {
+        let published = self.publish_commit(StructuralCommit::new());
+        self.release_plan(plan, Vec::new(), &published)?;
+        published.retire_all(self.cluster, self.ctx.now());
+        Ok(())
+    }
+
+    /// Publish a structural commit's coherence messages, trading the
+    /// builder for the [`PublishedCommit`] proof that `release_plan` and
+    /// retirement demand.  Runs under the commit's locks.
+    fn publish_commit(&mut self, commit: StructuralCommit) -> PublishedCommit {
+        coherence::publish(self.cluster, self.ctx, self.cs_id, commit)
+    }
+
+    // ------------------------------------------------------------------
+    // Node reads and traversal (blocking, for use inside a commit step)
+    // ------------------------------------------------------------------
+
+    /// Read a node image with the lock-free consistency loop (node-level
+    /// check only).
+    fn read_node_consistent(
+        &mut self,
+        addr: GlobalAddress,
+        meta: &mut OpMeta,
+    ) -> TreeResult<Vec<u8>> {
+        let mut sm = ReadNodeSM::new(self, addr);
+        drive_blocking(self, meta, |cx, meta, c| sm.step(cx, meta, c))
+    }
+
+    /// Read a node image while holding its exclusive lock (no retry loop
+    /// needed: writers are excluded, readers never modify).
+    fn read_node_locked(&mut self, addr: GlobalAddress) -> TreeResult<Vec<u8>> {
+        let node_size = self.layout().node_size();
+        let mut buf = vec![0u8; node_size];
+        self.ctx.read(addr, &mut buf)?;
+        self.ctx.charge_scan(node_size);
+        Ok(buf)
+    }
+
+    /// Read three node images whose locks are all held.  The reads are
+    /// independent, so with command combination they are posted together and
+    /// share a round trip; without it each waits for the one before, like
+    /// every other command of an uncombined preset.
+    fn read_nodes_locked(&mut self, addrs: [GlobalAddress; 3]) -> TreeResult<[Vec<u8>; 3]> {
+        if !self.combine() {
+            let [a, b, c] = addrs;
+            return Ok([
+                self.read_node_locked(a)?,
+                self.read_node_locked(b)?,
+                self.read_node_locked(c)?,
+            ]);
+        }
+        let node_size = self.layout().node_size();
+        let mut bufs = addrs.map(|_| vec![0u8; node_size]);
+        let mut reqs: Vec<(GlobalAddress, &mut [u8])> = addrs
+            .into_iter()
+            .zip(bufs.iter_mut().map(Vec::as_mut_slice))
+            .collect();
+        self.ctx.read_batch(&mut reqs)?;
+        self.ctx.charge_scan(addrs.len() * node_size);
+        Ok(bufs)
+    }
+
+    /// Walk down from the root (or the cached top levels) to the node at
+    /// `target_level` whose key interval contains `key`.
+    fn traverse_to_level(
+        &mut self,
+        key: u64,
+        target_level: u8,
+        meta: &mut OpMeta,
+    ) -> TreeResult<GlobalAddress> {
+        let mut sm = TraverseSM::new(self, key, target_level);
+        drive_blocking(self, meta, |cx, meta, c| sm.step(cx, meta, c))
+    }
+
+    // ------------------------------------------------------------------
+    // Leaf commit
+    // ------------------------------------------------------------------
+
+    /// The write critical section, run synchronously against the leaf at
+    /// `addr`: acquire its lock, read and revalidate it, apply `kind` to the
+    /// key's slot, write back and release.  On the fast path the combined
+    /// write-back + release verb is posted split-phase and returned for the
+    /// caller to park on.  A full leaf splits and a leaf left underfull
+    /// merges inside this same call — both take further locks, so the leaf
+    /// release is observed inline first and nothing stays deferred across
+    /// them, which also keeps depth-1 pipelining verb-for-verb identical to
+    /// blocking.
+    pub(crate) fn leaf_commit(
+        &mut self,
+        addr: GlobalAddress,
+        source: LeafSource,
+        key: u64,
+        kind: WriteKind,
+        meta: &mut OpMeta,
+    ) -> TreeResult<WriteCommit> {
+        let buf = self.lock_and_read(addr, meta)?;
+        let mut leaf = self.layout().decode_leaf(&buf);
+        if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
+            if leaf.header.free && matches!(source, LeafSource::Cache { .. }) {
+                // The cache routed this write to a retired leaf: its
+                // invalidation is still in flight.
+                self.cluster.coherence_counters().record_stale_hit();
+            }
+            self.release_lock(addr, Vec::new())?;
+            let next = next_after_mismatch(self, key, addr, &leaf, source)
+                .map(|a| (a, LeafSource::Sibling));
+            return Ok(WriteCommit::Retry { next });
+        }
+
+        // Insert, update and delete differ in the slot they pick, in what
+        // they do to it, and in what happens when there is none.
+        let slot = match kind {
+            WriteKind::Insert { .. } => leaf.slot_of(key).or_else(|| leaf.vacant_slot()),
+            WriteKind::Delete => leaf.slot_of(key),
+        };
+        let Some(slot) = slot else {
+            let release = match kind {
+                WriteKind::Insert { value } => {
+                    self.split_leaf(addr, leaf, key, value, meta)?;
+                    None
+                }
+                WriteKind::Delete => self.release_lock_deferred(addr, Vec::new())?,
+            };
+            return Ok(WriteCommit::Committed {
+                found: kind != WriteKind::Delete,
+                release,
+            });
+        };
+        match kind {
+            WriteKind::Insert { value } => leaf.entries[slot].install(key, value),
+            WriteKind::Delete => leaf.entries[slot].clear(),
+        }
+        let writes = self.leaf_writeback(addr, &mut leaf, slot);
+
+        // Structural deletes (§ beyond the paper): once a delete drops the
+        // leaf below the merge threshold, pair it with a sibling and merge or
+        // rebalance.  Best-effort — the delete itself has already committed,
+        // so a merge that loses its races (retry budgets included) must not
+        // fail the operation; a later delete will retry it.
+        let release = if kind == WriteKind::Delete
+            && self.cluster.options().structural_deletes_enabled()
+            && leaf.live_count() < self.merge_floor::<LeafNode>()
+        {
+            self.release_lock(addr, writes)?;
+            match self.try_merge(addr, 0, Some(&leaf.header), meta) {
+                Ok(()) | Err(TreeError::RetriesExhausted { .. }) => None,
+                Err(e) => return Err(e),
+            }
+        } else {
+            self.release_lock_deferred(addr, writes)?
+        };
+        Ok(WriteCommit::Committed {
+            found: true,
+            release,
+        })
+    }
+
+    /// Build the write-back command for a point modification of `slot`.
+    fn leaf_writeback(
+        &mut self,
+        addr: GlobalAddress,
+        leaf: &mut LeafNode,
+        slot: usize,
+    ) -> Vec<WriteCmd> {
+        if !self.leaf_format().is_sorted() {
+            // Entry-granular write-back: only the touched entry travels.
+            let entry_bytes = self.layout().encode_leaf_entry(&leaf.entries[slot]);
+            let entry_addr = addr.add(self.layout().leaf_entry_offset(slot) as u64);
+            return vec![WriteCmd::new(entry_addr, entry_bytes)];
+        }
+        // Sorted layouts shift entries and write the whole node back.
+        let pairs = leaf.sorted_pairs();
+        leaf.repack_sorted(&pairs);
+        leaf.header.bump_versions();
+        self.ctx.charge_scan(self.layout().node_size());
+        vec![WriteCmd::new(addr, self.encode(leaf))]
+    }
+
+    // ------------------------------------------------------------------
+    // Splits, separator insertion, root growth
+    // ------------------------------------------------------------------
+
+    fn split_leaf(
+        &mut self,
+        addr: GlobalAddress,
+        mut leaf: LeafNode,
+        key: u64,
+        value: u64,
+        meta: &mut OpMeta,
+    ) -> TreeResult<()> {
+        let layout = *self.layout();
+        // Sorting the (possibly unsorted) leaf before the split costs local
+        // CPU time (Figure 7, line 21).
+        self.ctx.charge_scan(layout.node_size());
+        let (split_key, mut right) = leaf.split(&layout);
+
+        // Place the new key into the correct half.
+        let target = if key >= split_key {
+            &mut right
+        } else {
+            &mut leaf
+        };
+        let slot = target
+            .vacant_slot()
+            .expect("post-split halves have vacant slots");
+        target.entries[slot].install(key, value);
+        if self.leaf_format().is_sorted() {
+            let pairs = target.sorted_pairs();
+            target.repack_sorted(&pairs);
+        }
+        let sibling = self.install_right_half(addr, &mut leaf, &mut right)?;
+        // Propagate the separator into the parent level.
+        self.insert_separator_at(split_key, sibling, 1, meta)
+    }
+
+    /// The tail of every split, run under the lock on `addr`: allocate the
+    /// right half's node, link it behind `left` B-link style, and write both
+    /// halves back with the release of the lock.  Returns the new node's
+    /// address.
+    fn install_right_half<N: TreeNode>(
+        &mut self,
+        addr: GlobalAddress,
+        left: &mut N,
+        right: &mut N,
+    ) -> TreeResult<GlobalAddress> {
+        let alloc = match self.allocator.alloc_node(self.ctx) {
+            Ok(a) => a,
+            Err(e) => {
+                // Do not leak the node lock when the cluster is out of memory.
+                self.release_lock(addr, Vec::new())?;
+                return Err(e.into());
+            }
+        };
+        left.header_mut().sibling = Some(alloc.addr);
+        // A recycled address still holds its tombstone; the first image
+        // written there must be stamped above the tombstone's version so
+        // versions bump across reuse (fresh carves seed at version 1, the
+        // same value the pre-reuse code produced).
+        right.header_mut().set_versions(alloc.first_version());
+        let right_bytes = self.encode(right);
+        let mut writes = Vec::new();
+        if alloc.addr.ms == addr.ms {
+            // Same memory server: the sibling write-back joins the combined
+            // batch (write sibling, write node, release lock — one round trip).
+            writes.push(WriteCmd::new(alloc.addr, right_bytes));
+        } else {
+            self.ctx.write(alloc.addr, &right_bytes)?;
+        }
+        writes.push(WriteCmd::new(addr, self.encode(left)));
+        self.release_lock(addr, writes)?;
+        Ok(alloc.addr)
+    }
+
+    fn insert_separator_at(
+        &mut self,
+        sep_key: u64,
+        child: GlobalAddress,
+        parent_level: u8,
+        meta: &mut OpMeta,
+    ) -> TreeResult<()> {
+        let restarts = self.cluster.config().max_restarts;
+        let mut pending: Option<GlobalAddress> = None;
+        for attempt in 0..restarts {
+            if attempt > 0 {
+                // Lost a race (root growth, a concurrent split moving the
+                // key range): pace the retry so the winner can finish.
+                self.ctx.contention_backoff(attempt);
+            }
+            let (_, root_level) = self.root()?;
+            if root_level < parent_level {
+                if self.try_grow_root(sep_key, child, parent_level)? {
+                    return Ok(());
+                }
+                continue;
+            }
+            let addr = match pending.take() {
+                Some(a) => a,
+                None => self.traverse_to_level(sep_key, parent_level, meta)?,
+            };
+            let buf = self.lock_and_read(addr, meta)?;
+            let mut node = self.layout().decode_internal(&buf);
+            let usable = !node.header.free
+                && !node.header.is_leaf
+                && node.header.level == parent_level
+                && node.header.covers(sep_key);
+            if !usable {
+                self.release_lock(addr, Vec::new())?;
+                if !node.header.free
+                    && node.header.level == parent_level
+                    && sep_key >= node.header.fence_high
+                {
+                    pending = node.header.sibling;
+                }
+                continue;
+            }
+
+            if !node.is_full(self.layout()) {
+                node.insert_separator(sep_key, child);
+                node.header.bump_versions();
+                let bytes = self.encode(&node);
+                self.release_lock(addr, vec![WriteCmd::new(addr, bytes)])?;
+                self.offer_written(&[(addr, &node)], root_level);
+                return Ok(());
+            }
+
+            // Split the internal node and propagate upward.
+            let (promoted, mut right) = node.split();
+            if sep_key >= promoted {
+                right.insert_separator(sep_key, child);
+            } else {
+                node.insert_separator(sep_key, child);
+            }
+            let right_addr = self.install_right_half(addr, &mut node, &mut right)?;
+            // The right half first: it adopts the cached children it took
+            // along before the narrowed left image stops covering them.
+            self.offer_written(&[(right_addr, &right), (addr, &node)], root_level);
+            return self.insert_separator_at(promoted, right_addr, parent_level + 1, meta);
+        }
+        Err(TreeError::RetriesExhausted {
+            context: "separator insertion",
+            attempts: restarts,
+        })
+    }
+
+    /// Offer the index cache the fresh image of every internal node a commit
+    /// just wrote back, whatever its level: the committer holds the only
+    /// up-to-date copy, and an image already cached is healed in place.
+    fn offer_written(&self, written: &[(GlobalAddress, &InternalNode)], root_level: u8) {
+        let cache = self.cluster.cache(self.cs_id);
+        for &(addr, node) in written {
+            cache.offer(Arc::new(cached_from_internal(addr, node)), root_level);
+        }
+    }
+
+    /// Swing the root pointer from `packed` to `new_root` (the linearization
+    /// point of root growth and root collapse) and, on success, update the
+    /// level hint remotely and locally.  Returns whether the CAS won.
+    fn swing_root(
+        &mut self,
+        packed: u64,
+        new_root: GlobalAddress,
+        new_level: u8,
+    ) -> TreeResult<bool> {
+        let root_ptr = self.cluster.root_ptr_addr();
+        if !self.ctx.cas(root_ptr, packed, new_root.pack())?.succeeded {
+            return Ok(false);
+        }
+        self.ctx
+            .write_u64(ServerLayout::level_hint_addr(), new_level as u64)?;
+        self.cluster.set_root_hint(new_root, new_level);
+        Ok(true)
+    }
+
+    /// Attempt to install a new root above the current one.  Returns `false`
+    /// if another client won the race (the caller then retries the normal
+    /// separator insertion).
+    fn try_grow_root(
+        &mut self,
+        sep_key: u64,
+        right_child: GlobalAddress,
+        new_level: u8,
+    ) -> TreeResult<bool> {
+        let packed = self.ctx.read_u64(self.cluster.root_ptr_addr())?;
+        if packed == 0 {
+            return Err(TreeError::NotInitialized);
+        }
+        let old_root = GlobalAddress::unpack(packed);
+        // Verify the old root really is one level below the root we intend to
+        // create; otherwise someone else already grew the tree.
+        let buf = self.read_node_consistent(old_root, &mut OpMeta::default())?;
+        let header = self.layout().decode_header(&buf);
+        if header.free || header.level + 1 != new_level {
+            return Ok(false);
+        }
+
+        let alloc = self.allocator.alloc_node(self.ctx)?;
+        let mut new_root = InternalNode::new(new_level, 0, u64::MAX, old_root);
+        new_root.insert_separator(sep_key, right_child);
+        // Stamp above any tombstone left at a recycled address (versions bump
+        // across reuse).
+        new_root.header.set_versions(alloc.first_version());
+        // The new root is not reachable yet, so no lock is needed for this
+        // write; the root-pointer CAS is the linearization point.
+        self.ctx.write(alloc.addr, &self.encode(&new_root))?;
+        if self.swing_root(packed, alloc.addr, new_level)? {
+            self.offer_written(&[(alloc.addr, &new_root)], new_level);
+            return Ok(true);
+        }
+        // Lost the race: mark our orphan node free so later readers that
+        // stumble on it via stale pointers reject it.
+        self.ctx.write(alloc.addr.add(1), &[FLAG_FREE])?;
+        // The orphan was never reachable, so its address is retired right
+        // away instead of leaking — through the same publish → retire
+        // protocol as every other retirement: a racing reader may have cached
+        // the stale root pointer's target, and the invariant "every
+        // retirement posted its invalidations" stays uniform.
+        let mut commit = StructuralCommit::new();
+        commit.invalidate(alloc.addr, new_root.header.front_version);
+        let published = self.publish_commit(commit);
+        published.retire_all(self.cluster, self.ctx.now());
+        Ok(false)
+    }
+
+    // ------------------------------------------------------------------
+    // Structural deletes: merge, rebalance, root collapse, reclamation
+    // ------------------------------------------------------------------
+
+    /// Resolve the node's parent **once** (lock-free) and derive both
+    /// candidate merge partners from its image: the same-parent right sibling
+    /// (the child routed right after the node, sanity-checked against the
+    /// node's own B-link pointer and fence) and the same-parent left sibling
+    /// (the preceding child, or the parent's leftmost).  Returns
+    /// [`MergePartners`]; the answer is `None` when the node cannot be
+    /// located under the covering parent (a stale header or a lost discovery
+    /// race — the merge is opportunistic either way).
+    fn find_merge_pair(
+        &mut self,
+        node_addr: GlobalAddress,
+        hdr: &NodeHeader,
+        level: u8,
+        meta: &mut OpMeta,
+    ) -> TreeResult<Option<MergePartners>> {
+        let (_, root_level) = self.root()?;
+        if root_level < level + 1 {
+            return Ok(None);
+        }
+        let restarts = self.cluster.config().max_restarts;
+        let mut pending: Option<GlobalAddress> = None;
+        for _ in 0..restarts {
+            let addr = match pending.take() {
+                Some(a) => a,
+                None => match self.traverse_to_level(hdr.fence_low, level + 1, meta) {
+                    Ok(a) => a,
+                    Err(TreeError::RetriesExhausted { .. }) => return Ok(None),
+                    Err(e) => return Err(e),
+                },
+            };
+            let buf = self.read_node_consistent(addr, meta)?;
+            let parent = self.layout().decode_internal(&buf);
+            if parent.header.free || parent.header.is_leaf || parent.header.level != level + 1 {
+                continue;
+            }
+            if !parent.header.covers(hdr.fence_low) {
+                if hdr.fence_low >= parent.header.fence_high {
+                    pending = parent.header.sibling;
+                }
+                continue;
+            }
+            // The child routed right after the node is its same-parent right
+            // sibling — but only trust it when it agrees with the node's own
+            // B-link pointer and upper fence (any disagreement is a racing
+            // split/merge that the under-lock revalidation would reject).
+            let right_of = |next: Option<&InternalEntry>| {
+                next.filter(|e| e.key == hdr.fence_high && Some(e.child) == hdr.sibling)
+                    .map(|e| e.child)
+            };
+            if parent.header.leftmost == Some(node_addr) {
+                return Ok(Some(MergePartners {
+                    parent: addr,
+                    right_sibling: right_of(parent.entries.first()),
+                    left_sibling: None,
+                }));
+            }
+            let Some(pos) = parent
+                .entries
+                .iter()
+                .position(|e| e.key == hdr.fence_low && e.child == node_addr)
+            else {
+                return Ok(None);
+            };
+            let left = if pos == 0 {
+                parent.header.leftmost
+            } else {
+                Some(parent.entries[pos - 1].child)
+            };
+            return Ok(Some(MergePartners {
+                parent: addr,
+                right_sibling: right_of(parent.entries.get(pos + 1)),
+                left_sibling: left,
+            }));
+        }
+        Ok(None)
+    }
+
+    /// Try to merge the underfull node at `node_addr` (level `level`) with an
+    /// adjacent sibling under the same parent, or rebalance entries across
+    /// the pair when a full merge does not fit.  The pairing is
+    /// direction-complete (see [`MergeDirection`]): a node with a right
+    /// B-link sibling under its parent absorbs it, the rightmost child folds
+    /// into its left sibling instead — so no underfull node is ever skipped
+    /// for lack of a partner direction.  Merged-away nodes are unlinked,
+    /// their separator is removed from the parent (collapsing the root when
+    /// it runs out of separators), and their address is retired to the memory
+    /// server's quarantined free list; every cached image the change scrubs
+    /// is refreshed from the surviving images.
+    ///
+    /// Best-effort and all-or-nothing: no remote write happens until the left
+    /// node, the right node and the parent are all locked (in the lock
+    /// manager's global rank order) and re-validated; any mismatch releases
+    /// the locks untouched.
+    ///
+    /// `known_hdr` lets the delete path pass the leaf header it already holds
+    /// (saving a remote read); the cascade path passes `None`.  Either way the
+    /// header only seeds discovery — phase 2 re-validates under the locks.
+    fn try_merge(
+        &mut self,
+        node_addr: GlobalAddress,
+        level: u8,
+        known_hdr: Option<&NodeHeader>,
+        meta: &mut OpMeta,
+    ) -> TreeResult<()> {
+        // Phase 1 (lock-free): resolve the parent once and pair the node
+        // with a same-parent sibling.  Prefer the right B-link sibling; fall
+        // through to the parent-guided left pairing when there is none under
+        // this parent *or* when the right attempt declined (e.g. at
+        // aggressive merge thresholds the right pair may neither fit nor
+        // have spare while the left sibling could still absorb or donate).
+        let hdr = match known_hdr {
+            Some(h) => h.clone(),
+            None => {
+                let buf = self.read_node_consistent(node_addr, meta)?;
+                self.layout().decode_header(&buf)
+            }
+        };
+        if hdr.free || hdr.level != level {
+            return Ok(());
+        }
+        let Some(partners) = self.find_merge_pair(node_addr, &hdr, level, meta)? else {
+            return Ok(());
+        };
+        let parent = partners.parent;
+        if let Some(right) = partners.right_sibling {
+            if self.try_merge_pair(node_addr, right, parent, MergeDirection::Right, level, meta)? {
+                return Ok(());
+            }
+        }
+        if let Some(left) = partners.left_sibling {
+            self.try_merge_pair(left, node_addr, parent, MergeDirection::Left, level, meta)?;
+        }
+        Ok(())
+    }
+
+    /// Lock, re-validate, plan and commit one `(left, right, parent)` merge
+    /// pair (phases 2–5 of the structural delete).  Returns whether a merge
+    /// or rebalance actually committed; `false` means the locks were released
+    /// untouched (revalidation failed, or the planner declined).
+    fn try_merge_pair(
+        &mut self,
+        left_addr: GlobalAddress,
+        right_addr: GlobalAddress,
+        parent_addr: GlobalAddress,
+        direction: MergeDirection,
+        level: u8,
+        meta: &mut OpMeta,
+    ) -> TreeResult<bool> {
+        // Phase 2: lock all three nodes, re-read, re-validate.  The same
+        // predicate covers both directions: the pair must be fence-adjacent
+        // B-link siblings whose separator lives in this parent.
+        let plan = self.acquire_plan(&[left_addr, right_addr, parent_addr], meta)?;
+        let [left_buf, right_buf, parent_buf] =
+            self.read_nodes_locked([left_addr, right_addr, parent_addr])?;
+        let lh = self.layout().decode_header(&left_buf);
+        let rh = self.layout().decode_header(&right_buf);
+        let mut parent = self.layout().decode_internal(&parent_buf);
+        let sep = rh.fence_low;
+        let is_leaf = level == 0;
+        let structure_ok = left_addr != right_addr
+            && !lh.free
+            && !rh.free
+            && !parent.header.free
+            && lh.level == level
+            && rh.level == level
+            && lh.is_leaf == is_leaf
+            && rh.is_leaf == is_leaf
+            && !parent.header.is_leaf
+            && parent.header.level == level + 1
+            && lh.sibling == Some(right_addr)
+            && lh.fence_high == sep
+            && parent.header.covers(sep)
+            && parent
+                .entries
+                .iter()
+                .any(|e| e.key == sep && e.child == right_addr);
+
+        // Phase 3: decide merge vs rebalance and build the new images.
+        let merge = if !structure_ok {
+            None
+        } else if is_leaf {
+            self.plan_merge::<LeafNode>(left_addr, &left_buf, &right_buf, direction)
+        } else {
+            self.plan_merge::<InternalNode>(left_addr, &left_buf, &right_buf, direction)
+        };
+        let Some(merge) = merge else {
+            self.abandon_plan(&plan)?;
+            return Ok(false);
+        };
+
+        // Phase 4: commit.  The parent update decides between separator
+        // removal (merge), separator retargeting (rebalance) and root
+        // collapse; every write rides its lock's release.  The coherence
+        // side of the commit: every freed address becomes an `Invalidate`
+        // message and, once published, a retirement; the tombstone's
+        // node-level version rides along (the eventual reuser stamps its
+        // first image above it, and subscribers reject any cached copy at or
+        // below it).
+        let mut commit = StructuralCommit::new();
+        let floor = if is_leaf {
+            self.merge_floor::<LeafNode>()
+        } else {
+            self.merge_floor::<InternalNode>()
+        };
+        let (mut chase, mut cascade) = (false, false);
+        let counters = self.cluster.space_counters();
+        match merge.change {
+            PairChange::Merge {
+                right_version,
+                survivor_live,
+            } => {
+                assert!(parent.remove_separator(sep, right_addr));
+                commit.invalidate(right_addr, right_version);
+                parent.header.free = parent.entries.is_empty()
+                    && self.try_collapse_root(parent_addr, &parent, level)?;
+                chase = survivor_live < floor;
+                cascade = !parent.header.free
+                    && parent.entries.len() < self.merge_floor::<InternalNode>();
+                if is_leaf {
+                    counters.record_leaf_merge();
+                } else {
+                    counters.record_internal_merge();
+                }
+                if direction == MergeDirection::Left {
+                    counters.record_left_merge();
+                }
+            }
+            PairChange::Rebalance { new_sep } => {
+                assert!(parent.retarget_separator(sep, new_sep, right_addr));
+                if is_leaf {
+                    counters.record_rebalance();
+                } else {
+                    counters.record_internal_rebalance();
+                }
+            }
+        }
+        parent.header.bump_versions();
+        if parent.header.free {
+            commit.invalidate(parent_addr, parent.header.front_version);
+        }
+        let writes = vec![
+            WriteCmd::new(left_addr, merge.left_bytes),
+            WriteCmd::new(right_addr, merge.right_bytes),
+            WriteCmd::new(parent_addr, self.encode(&parent)),
+        ];
+        // Phase 4½ (still under the locks): build each surviving image
+        // **once** — the same `Arc` fans out to every subscriber's message
+        // and the own-cache heal, no per-server deep clones — and publish
+        // the commit.  The typestate makes the release below uncompilable
+        // without this step, and retirement is only reachable through the
+        // proof it returns.
+        if !parent.header.free {
+            commit.refresh(Arc::new(cached_from_internal(parent_addr, &parent)));
+        }
+        if let Some(image) = merge.left_image {
+            commit.refresh(Arc::new(image));
+        }
+        let published = self.publish_commit(commit);
+        self.release_plan(&plan, writes, &published)?;
+
+        // Phase 5: post-commit bookkeeping (no locks held).  Retirement
+        // consumes the published commit, so the freed addresses are exactly
+        // the invalidations that were posted; remote caches heal when the
+        // `RefreshTop` messages are drained, the committer's own cache was
+        // healed synchronously at publish (both at the images' own levels).
+        published.retire_all(self.cluster, self.ctx.now());
+        // A merge of two tiny nodes can leave the survivor itself below the
+        // floor with no delete ever landing on it again; chase it now so no
+        // node stays persistently underfull while a partner exists (bounded:
+        // every merge removes one node from the level).
+        if chase {
+            self.try_merge(left_addr, level, None, meta)?;
+        }
+        if cascade {
+            // The parent itself dropped below the merge threshold: recurse
+            // one level up (bounded by the tree height).
+            self.try_merge(parent_addr, level + 1, None, meta)?;
+        }
+        Ok(true)
+    }
+
+    /// Build the post-merge (or post-rebalance) images for two adjacent
+    /// nodes, or `None` when the initiating node — the left of the pair for
+    /// [`MergeDirection::Right`], the right for [`MergeDirection::Left`] — is
+    /// no longer a merge candidate.  When the pair does not fit in one node,
+    /// entries move toward the underfull side until it reaches the merge
+    /// floor, without draining the donor below it (internal nodes rotate
+    /// children through the pair's boundary); the parent's separator is then
+    /// retargeted in the same critical section.
+    fn plan_merge<N: TreeNode>(
+        &mut self,
+        left_addr: GlobalAddress,
+        left_buf: &[u8],
+        right_buf: &[u8],
+        direction: MergeDirection,
+    ) -> Option<MergePlan> {
+        let layout = *self.layout();
+        let mut left = N::decode(&layout, left_buf);
+        let mut right = N::decode(&layout, right_buf);
+        let floor = self.merge_floor::<N>();
+        let (underfull, donor) = match direction {
+            MergeDirection::Right => (left.occupancy(), right.occupancy()),
+            MergeDirection::Left => (right.occupancy(), left.occupancy()),
+        };
+        if underfull >= floor {
+            return None;
+        }
+        // Local CPU cost of re-packing the nodes (same accounting as splits).
+        self.ctx.charge_scan(layout.node_size());
+        let capacity = N::capacity(&layout);
+        let change = if underfull + N::JOIN + donor <= capacity {
+            left.absorb_right(&right);
+            let tombstone = right.header_mut();
+            tombstone.free = true;
+            tombstone.bump_versions();
+            PairChange::Merge {
+                right_version: tombstone.front_version,
+                survivor_live: left.occupancy(),
+            }
+        } else {
+            let spare = donor.saturating_sub(floor);
+            let move_n = (floor - underfull).min(spare).min(capacity - underfull);
+            if move_n == 0 {
+                return None;
+            }
+            let new_sep = match direction {
+                MergeDirection::Right => left.take_from_right(&mut right, move_n),
+                MergeDirection::Left => right.take_from_left(&mut left, move_n),
+            };
+            PairChange::Rebalance { new_sep }
+        };
+        Some(MergePlan {
+            left_bytes: self.encode(&left),
+            right_bytes: self.encode(&right),
+            left_image: left.cached(left_addr),
+            change,
+        })
+    }
+
+    /// If `parent` (now empty of separators) is the current root, replace the
+    /// root pointer with its single remaining child.  Returns whether the
+    /// collapse happened; the caller then frees the old root.  Called with the
+    /// parent's lock held, so no separator can be inserted concurrently; a
+    /// racing root *growth* is detected by the CAS.
+    fn try_collapse_root(
+        &mut self,
+        parent_addr: GlobalAddress,
+        parent: &InternalNode,
+        child_level: u8,
+    ) -> TreeResult<bool> {
+        debug_assert!(parent.entries.is_empty());
+        let packed = self.ctx.read_u64(self.cluster.root_ptr_addr())?;
+        if packed != parent_addr.pack() {
+            // Not the root (or no longer): an empty internal node with one
+            // leftmost child is still a valid router, so just leave it.
+            return Ok(false);
+        }
+        let child = parent
+            .header
+            .leftmost
+            .expect("internal node has leftmost child");
+        let collapsed = self.swing_root(packed, child, child_level)?;
+        if collapsed {
+            self.cluster.space_counters().record_root_collapse();
+        }
+        Ok(collapsed)
+    }
+}

@@ -28,36 +28,6 @@ pub struct TreeConfig {
     pub max_read_retries: u32,
     /// Upper bound on traversal restarts per operation.
     pub max_restarts: u32,
-    /// Which scheme decides when a node address freed by a structural delete
-    /// may be recycled (see [`ReclaimScheme`]).
-    pub reclaim: ReclaimScheme,
-    /// Grace period (virtual ns) used by the **deprecated**
-    /// [`ReclaimScheme::GracePeriod`] fallback: a freed node's address is
-    /// quarantined for this much virtual time before it may be recycled.
-    /// Ignored under [`ReclaimScheme::Epoch`], which tracks actual reader
-    /// pins instead of guessing a window.
-    pub reclaim_grace_ns: u64,
-}
-
-/// When may a node address retired by a structural delete be recycled?
-///
-/// Retired nodes are always written as tombstones first (free bit set,
-/// versions bumped) so racing lock-free readers fail validation and retry;
-/// the scheme only decides how long the *address* stays out of circulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReclaimScheme {
-    /// Epoch-based reclamation (the default): every tree operation pins the
-    /// global epoch on entry; a retired address is recycled only once every
-    /// reader pinned at or before its retirement epoch has finished.  Reuse
-    /// is immediate under no contention and provably deferred while a stalled
-    /// reader could still hold a pointer into the freed node.
-    Epoch,
-    /// Deprecated compatibility fallback: a fixed window of
-    /// [`TreeConfig::reclaim_grace_ns`] virtual nanoseconds.  Unsafe in
-    /// principle (a reader stalled longer than the constant can observe a
-    /// recycled node) and wasteful in practice (idle addresses wait out the
-    /// full window); kept so the PR 2 behaviour remains reproducible.
-    GracePeriod,
 }
 
 impl Default for TreeConfig {
@@ -71,8 +41,6 @@ impl Default for TreeConfig {
             chunk_bytes: 1 << 20,
             max_read_retries: 1_000,
             max_restarts: 10_000,
-            reclaim: ReclaimScheme::Epoch,
-            reclaim_grace_ns: sherman_memserver::DEFAULT_RECLAIM_GRACE_NS,
         }
     }
 }
@@ -84,17 +52,8 @@ impl TreeConfig {
             node_size: 256,
             cache_bytes: 1 << 20,
             chunk_bytes: 64 << 10,
-            reclaim_grace_ns: 10_000,
             ..TreeConfig::default()
         }
-    }
-
-    /// Switch to the deprecated grace-period reclamation fallback with the
-    /// given quarantine window (virtual ns).
-    pub fn with_grace_reclamation(mut self, grace_ns: u64) -> Self {
-        self.reclaim = ReclaimScheme::GracePeriod;
-        self.reclaim_grace_ns = grace_ns;
-        self
     }
 
     /// Validate the configuration.
@@ -235,21 +194,6 @@ pub struct TreeOptions {
     /// a rightmost child folds into its left sibling instead.  `0.0` disables
     /// merging and reproduces the paper's grow-only behaviour.
     pub merge_threshold: f64,
-    /// Whether a root-growth race that was *lost* retires its never-reachable
-    /// orphan node through the free list (the reclamation scheme still
-    /// decides when the address recycles).  Enabled by default — the orphan
-    /// was never linked into the tree, so retiring it is safe regardless of
-    /// whether structural deletes are on.  Disable for strict paper-faithful
-    /// mode, where the loser merely tombstones the node and leaks its address
-    /// (the paper's free-bit-only deallocation).
-    pub reclaim_root_orphans: bool,
-    /// Default in-flight depth of the pipelined read scheduler
-    /// (`TreeClient::run_pipelined`): how many logical lookups/scans one
-    /// client thread multiplexes over its single fabric context.  `1` (the
-    /// default, and the paper's single-coroutine behaviour) serializes every
-    /// round trip; deeper pipelines overlap up to this many round trips per
-    /// thread.  Blocking entry points ignore the knob.
-    pub pipeline_depth: usize,
     /// When to offload cache-missing traversals to the memory server
     /// (server-side typed RPCs).  [`OffloadPolicy::Never`] — the default and
     /// the paper's behaviour — keeps every traversal client-side.
@@ -261,10 +205,6 @@ impl TreeOptions {
     /// below a quarter of its capacity.
     pub const DEFAULT_MERGE_THRESHOLD: f64 = 0.25;
 
-    /// Default [`TreeOptions::pipeline_depth`]: one operation in flight per
-    /// thread (the blocking behaviour).
-    pub const DEFAULT_PIPELINE_DEPTH: usize = 1;
-
     /// Original FG: checksummed sorted leaves, host-memory CAS/FAA locks, no
     /// command combination, (the index cache is always present in this
     /// implementation, as in FG+).
@@ -274,8 +214,6 @@ impl TreeOptions {
             lock_strategy: LockStrategy::HostCasFaa,
             leaf_format: LeafFormat::SortedChecksum,
             merge_threshold: Self::DEFAULT_MERGE_THRESHOLD,
-            reclaim_root_orphans: true,
-            pipeline_depth: Self::DEFAULT_PIPELINE_DEPTH,
             offload: OffloadPolicy::Never,
         }
     }
@@ -288,8 +226,6 @@ impl TreeOptions {
             lock_strategy: LockStrategy::HostCasWrite,
             leaf_format: LeafFormat::SortedNodeVersion,
             merge_threshold: Self::DEFAULT_MERGE_THRESHOLD,
-            reclaim_root_orphans: true,
-            pipeline_depth: Self::DEFAULT_PIPELINE_DEPTH,
             offload: OffloadPolicy::Never,
         }
     }
@@ -305,26 +241,6 @@ impl TreeOptions {
     /// Whether deletes may merge underfull nodes and reclaim their memory.
     pub fn structural_deletes_enabled(&self) -> bool {
         self.merge_threshold > 0.0
-    }
-
-    /// Strict paper-faithful mode for lost root-growth races: the orphan node
-    /// is tombstoned but its address leaks (the paper only ever clears a free
-    /// bit).  By default the orphan is retired through the free list under
-    /// the configured [`crate::ReclaimScheme`], independent of whether
-    /// structural deletes are enabled.
-    pub fn with_paper_faithful_orphan_leak(self) -> Self {
-        TreeOptions {
-            reclaim_root_orphans: false,
-            ..self
-        }
-    }
-
-    /// Set the pipelined read scheduler's default in-flight depth.
-    pub fn with_pipeline_depth(self, depth: usize) -> Self {
-        TreeOptions {
-            pipeline_depth: depth.max(1),
-            ..self
-        }
     }
 
     /// Set the server-side traversal offload policy.
@@ -398,16 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_reclamation_is_the_default_with_a_grace_fallback() {
-        let config = TreeConfig::default();
-        assert_eq!(config.reclaim, ReclaimScheme::Epoch);
-        let fallback = config.with_grace_reclamation(5_000);
-        assert_eq!(fallback.reclaim, ReclaimScheme::GracePeriod);
-        assert_eq!(fallback.reclaim_grace_ns, 5_000);
-        fallback.validate().unwrap();
-    }
-
-    #[test]
     fn invalid_configs_are_rejected() {
         let bad = [
             TreeConfig { node_size: 64, ..TreeConfig::default() },
@@ -448,8 +354,6 @@ mod tests {
                 lock_strategy: LockStrategy::HostCasFaa,
                 leaf_format: LeafFormat::SortedChecksum,
                 merge_threshold: TreeOptions::DEFAULT_MERGE_THRESHOLD,
-                reclaim_root_orphans: true,
-                pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
                 offload: OffloadPolicy::Never,
             }
         );
@@ -461,8 +365,6 @@ mod tests {
                 lock_strategy: LockStrategy::HostCasWrite,
                 leaf_format: LeafFormat::SortedNodeVersion,
                 merge_threshold: TreeOptions::DEFAULT_MERGE_THRESHOLD,
-                reclaim_root_orphans: true,
-                pipeline_depth: TreeOptions::DEFAULT_PIPELINE_DEPTH,
                 offload: OffloadPolicy::Never,
             }
         );
@@ -521,39 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn orphan_reclamation_defaults_on_with_a_paper_faithful_escape_hatch() {
-        for (_, options) in TreeOptions::ablation_ladder() {
-            assert!(options.reclaim_root_orphans);
-        }
-        // Grow-only mode still reclaims lost-race orphans by default …
-        assert!(
-            TreeOptions::sherman()
-                .without_structural_deletes()
-                .reclaim_root_orphans
-        );
-        // … unless strict paper-faithful mode is requested.
-        let faithful = TreeOptions::sherman().with_paper_faithful_orphan_leak();
-        assert!(!faithful.reclaim_root_orphans);
-        // Nothing else is touched.
-        assert_eq!(faithful.merge_threshold, TreeOptions::sherman().merge_threshold);
-        assert_eq!(faithful.leaf_format, TreeOptions::sherman().leaf_format);
-    }
-
-    #[test]
-    fn pipeline_depth_defaults_to_one_and_clamps() {
-        for (_, options) in TreeOptions::ablation_ladder() {
-            assert_eq!(options.pipeline_depth, 1, "presets stay blocking by default");
-        }
-        let deep = TreeOptions::sherman().with_pipeline_depth(8);
-        assert_eq!(deep.pipeline_depth, 8);
-        // Nothing else is touched.
-        assert_eq!(deep.leaf_format, TreeOptions::sherman().leaf_format);
-        assert_eq!(deep.merge_threshold, TreeOptions::sherman().merge_threshold);
-        // Zero is not a meaningful depth: the builder clamps to 1.
-        assert_eq!(TreeOptions::sherman().with_pipeline_depth(0).pipeline_depth, 1);
-    }
-
-    #[test]
     fn offload_defaults_to_never_across_presets() {
         for (_, options) in TreeOptions::ablation_ladder() {
             assert_eq!(options.offload, OffloadPolicy::Never);
@@ -564,7 +433,7 @@ mod tests {
         assert!(on.offload.may_offload());
         // Nothing else is touched.
         assert_eq!(on.leaf_format, TreeOptions::sherman().leaf_format);
-        assert_eq!(on.pipeline_depth, TreeOptions::sherman().pipeline_depth);
+        assert_eq!(on.merge_threshold, TreeOptions::sherman().merge_threshold);
     }
 
     #[test]

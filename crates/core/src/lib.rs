@@ -35,9 +35,9 @@
 //! not fit rebalance instead), separators are removed up the tree with root
 //! collapse at the
 //! top, and freed nodes are recycled by the allocator under **epoch-based
-//! reclamation** ([`ReclaimScheme`]): every operation pins the global epoch
-//! on entry, and a retired address is recycled only once every reader pinned
-//! at or before its retirement has finished.  Set the threshold to `0.0` to
+//! reclamation**: every operation pins the global epoch on entry, and a
+//! retired address is recycled only once every reader pinned at or before its
+//! retirement has finished.  Set the threshold to `0.0` to
 //! reproduce the paper's grow-only behaviour; see `docs/ARCHITECTURE.md` for
 //! the merge-path walkthrough.
 //!
@@ -67,6 +67,7 @@
 pub mod client;
 pub mod cluster;
 mod coherence;
+mod commit;
 pub mod config;
 pub mod error;
 pub mod layout;
@@ -78,7 +79,7 @@ pub mod stats;
 
 pub use client::TreeClient;
 pub use cluster::{Cluster, ClusterConfig, NodeCensus, ShapeAudit};
-pub use config::{LeafFormat, LockStrategy, OffloadPolicy, ReclaimScheme, TreeConfig, TreeOptions};
+pub use config::{LeafFormat, LockStrategy, OffloadPolicy, TreeConfig, TreeOptions};
 pub use error::TreeError;
 pub use layout::NodeLayout;
 pub use node::{InternalEntry, InternalNode, LeafEntry, LeafNode, NodeHeader};

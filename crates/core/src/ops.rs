@@ -11,27 +11,33 @@
 //! * [`LookupSM`] — point lookup: locate the leaf, validate, chase siblings,
 //! * [`RangeSM`] — range scan: the cached parallel leaf batch plus the
 //!   sibling-chain walk with tombstone re-location,
-//! * [`InsertSM`] / [`DeleteSM`] — the write paths: locate the leaf (yielding
-//!   freely, like a lookup), then run the whole lock critical section
+//! * [`WriteSM`] — insert, update and delete, which differ only in what they
+//!   do to the locked leaf ([`WriteKind`]): locate the leaf (yielding freely,
+//!   like a lookup), then run the whole lock critical section
 //!   *synchronously* inside one step and yield only on the deferred final
 //!   release verb,
 //! * [`OpSM`] — the tagged union the pipelined scheduler multiplexes.
+//!
+//! Every machine steps against the same context, [`OpCx`]: the cluster plus
+//! one logical thread's fabric context and node allocator.  The commit code
+//! the write machine runs under the lock — leaf write-back, split, merge —
+//! is a set of functions on that context too (`crate::commit`).
 //!
 //! Every `step` call consumes at most one [`Completion`] (the result of the
 //! verb the machine posted last) and runs until it either posts the next verb
 //! ([`Step::Pending`]) or finishes ([`Step::Done`]).  The machines are the
 //! *only* implementation of the operations: the blocking `TreeClient` entry
-//! points drive them one verb at a time ([`drive_blocking`] and its write-path
-//! twin), so a pipelined run at depth 1 and the classic blocking path execute
-//! byte-for-byte the same verbs in the same order.
+//! points drive them one verb at a time ([`drive_blocking`]), so a pipelined
+//! run at depth 1 and the classic blocking path execute byte-for-byte the
+//! same verbs in the same order.
 //!
 //! ## Lock critical sections never park
 //!
 //! A write operation must not be suspended while it holds a node lock: the
 //! scheduler multiplexes operations on **one** context, so an op parked on a
 //! lock-holder's context could spin on that very lock (livelock), and its
-//! verbs would interleave into the critical section.  The write machines
-//! therefore treat acquire → locked read → modify → write-back + release as
+//! verbs would interleave into the critical section.  The write machine
+//! therefore treats acquire → locked read → modify → write-back + release as
 //! one atomic segment executed inside a single `step` call; only the *final*
 //! release verb — whose memory effect applies at post time — may remain
 //! outstanding when the step returns ([`WriteCommit::Committed`]).  Between
@@ -45,14 +51,14 @@
 //! outstanding completions later — it never stalls the clock (completion
 //! times are fixed at post time).
 
-use crate::client::TreeClient;
 use crate::cluster::Cluster;
 use crate::config::{LeafFormat, OffloadPolicy};
 use crate::error::TreeError;
 use crate::node::{InternalNode, LeafNode};
+use crate::scheduler::PipelineOp;
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
-use sherman_memserver::ServerLayout;
+use sherman_memserver::{ClientAllocator, ServerLayout};
 use sherman_sim::{
     ClientCtx, Completion, Fabric, FabricBackend, GlobalAddress, PendingVerb, RpcLeafReply,
     RpcLevel1Image, RpcNodeInfo, RpcRangeReply, RpcRequest, RpcResponse,
@@ -92,6 +98,15 @@ pub(crate) enum Step<T> {
     Done(T),
 }
 
+impl<T> Step<T> {
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> Step<U> {
+        match self {
+            Step::Pending(token) => Step::Pending(token),
+            Step::Done(value) => Step::Done(f(value)),
+        }
+    }
+}
+
 /// What one synchronous leaf-commit attempt (the whole lock critical section,
 /// executed inside a single `step` call) produced.
 pub(crate) enum WriteCommit {
@@ -112,17 +127,19 @@ pub(crate) enum WriteCommit {
     },
 }
 
-/// The shared-state window a state machine steps against: the cluster plus
-/// this logical thread's fabric context.  Multiple machines multiplexed on
-/// one thread all step against the *same* `OpCx` (that is the point).
+/// The shared-state window every state machine — reads and writes — steps
+/// against: the cluster plus this logical thread's fabric context and node
+/// allocator.  Multiple machines multiplexed on one thread all step against
+/// the *same* `OpCx` (that is the point).
 pub(crate) struct OpCx<'a, B: FabricBackend = Fabric> {
     pub cluster: &'a Arc<Cluster<B>>,
     pub ctx: &'a mut ClientCtx<B::Channel>,
+    pub allocator: &'a mut ClientAllocator<B>,
     pub cs_id: u16,
 }
 
 impl<B: FabricBackend> OpCx<'_, B> {
-    fn leaf_format(&self) -> LeafFormat {
+    pub(crate) fn leaf_format(&self) -> LeafFormat {
         self.cluster.options().leaf_format
     }
 
@@ -154,17 +171,30 @@ impl<B: FabricBackend> OpCx<'_, B> {
         Ok((addr, level))
     }
 
-    /// Drain this compute server's coherence inbox and apply every
-    /// deliverable message (the same `TreeClient::drain_coherence` logic,
-    /// available to state machines mid-operation).  The offload arm calls
-    /// this right before its placement decision so the decision — and the
-    /// tombstone floor it validates replies against — sees the freshest
-    /// cache state.  Costs no virtual time.
+    /// Drain this compute server's coherence inbox and apply every message
+    /// whose delivery time has been reached.  Called at operation
+    /// boundaries — the blocking entry points and the pipelined scheduler's
+    /// slot admission, the same points, which keeps depth-1 pipelining
+    /// byte-for-byte identical to blocking.  Costs no virtual time.
     pub(crate) fn drain_coherence(&mut self) {
         let msgs = self.ctx.drain_coherence();
+        self.apply_coherence(&msgs);
+    }
+
+    pub(crate) fn apply_coherence(&mut self, msgs: &[sherman_sim::CoherenceMsg]) {
         if !msgs.is_empty() {
             let now = self.ctx.now();
-            crate::coherence::apply(self.cluster, self.cs_id, now, &msgs);
+            crate::coherence::apply(self.cluster, self.cs_id, now, msgs);
+        }
+    }
+
+    /// Mid-operation drain, right before a cache consult that feeds an
+    /// offload placement decision, so the decision — and the tombstone floor
+    /// its reply is validated against — sees the freshest cache state.
+    /// Nothing to do once the operation has offloaded, or under `Never`.
+    fn drain_for_placement(&mut self, offload_done: bool) {
+        if !offload_done && self.cluster.options().offload.may_offload() {
+            self.drain_coherence();
         }
     }
 }
@@ -248,6 +278,35 @@ pub(crate) fn locate_start<B: FabricBackend>(cx: &mut OpCx<'_, B>, meta: &mut Op
     }
 }
 
+/// How many more times an operation may start over before it is reported as
+/// failed — the ladder every restarting machine climbs the same way.
+struct RestartBudget(u32);
+
+impl RestartBudget {
+    fn new<B: FabricBackend>(cx: &OpCx<'_, B>) -> Self {
+        RestartBudget(cx.cluster.config().max_restarts)
+    }
+
+    /// Spend one attempt.  Every attempt after the first lost a race (root
+    /// growth, a concurrent split or merge moving the key range) and is paced
+    /// so the winner can finish.
+    fn begin<B: FabricBackend>(
+        &mut self,
+        cx: &mut OpCx<'_, B>,
+        context: &'static str,
+    ) -> TreeResult<()> {
+        let attempts = cx.cluster.config().max_restarts;
+        if self.0 == 0 {
+            return Err(TreeError::RetriesExhausted { context, attempts });
+        }
+        if self.0 < attempts {
+            cx.ctx.contention_backoff(attempts - self.0);
+        }
+        self.0 -= 1;
+        Ok(())
+    }
+}
+
 /// Drive a state-machine step function to completion with one verb in flight
 /// at a time: post, poll, resume.  This *is* the blocking path — and also
 /// exactly what a pipelined run at depth 1 executes, which is why the two are
@@ -314,6 +373,22 @@ fn offload_traverse_request<B: FabricBackend>(
         // and the tree may have grown since the root hint was cached.
         max_levels: remaining.saturating_add(3).min(16),
     })
+}
+
+/// The offloaded descent of a cache-missed point op, if the placement
+/// decision picks it.  One-shot per operation (`done`), so a declined or
+/// stale RPC can never loop back into another RPC.
+fn offload_descent<B: FabricBackend>(
+    cx: &mut OpCx<'_, B>,
+    key: u64,
+    done: &mut bool,
+) -> Option<OffloadSM> {
+    if *done {
+        return None;
+    }
+    let req = offload_traverse_request(cx, key)?;
+    *done = true;
+    Some(OffloadSM::new(req))
 }
 
 /// The range RPC a cache-missed scan posts when the placement decision says
@@ -532,7 +607,7 @@ struct TraverseAttempt {
 pub(crate) struct TraverseSM {
     key: u64,
     target_level: u8,
-    attempts_left: u32,
+    restarts: RestartBudget,
     first_attempt: bool,
     /// The cache's answer when the caller already asked it (the first
     /// attempt then does not ask again).
@@ -545,7 +620,7 @@ impl TraverseSM {
         TraverseSM {
             key,
             target_level,
-            attempts_left: cx.cluster.config().max_restarts,
+            restarts: RestartBudget::new(cx),
             first_attempt: true,
             looked_up: None,
             attempt: None,
@@ -643,17 +718,7 @@ impl TraverseSM {
     ) -> TreeResult<Step<GlobalAddress>> {
         loop {
             if self.attempt.is_none() {
-                if self.attempts_left == 0 {
-                    return Err(TreeError::RetriesExhausted {
-                        context: "tree traversal",
-                        attempts: cx.cluster.config().max_restarts,
-                    });
-                }
-                let spent = cx.cluster.config().max_restarts - self.attempts_left;
-                if spent > 0 {
-                    cx.ctx.contention_backoff(spent);
-                }
-                self.attempts_left -= 1;
+                self.restarts.begin(cx, "tree traversal")?;
                 if let Some(shallow) = self.begin_attempt(cx)? {
                     return Ok(Step::Done(shallow));
                 }
@@ -745,10 +810,9 @@ enum LookupPhase {
 /// validate (node- and entry-level) / chase a sibling / retry → done.
 pub(crate) struct LookupSM {
     key: u64,
-    restarts_left: u32,
+    restarts: RestartBudget,
     pending: Option<(GlobalAddress, LeafSource)>,
-    /// One-shot: a lookup offloads at most once, so a declined or stale RPC
-    /// can never loop back into another RPC.
+    /// One-shot: a lookup offloads at most once (see [`offload_descent`]).
     offload_done: bool,
     phase: LookupPhase,
 }
@@ -757,7 +821,7 @@ impl LookupSM {
     pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64) -> Self {
         LookupSM {
             key,
-            restarts_left: cx.cluster.config().max_restarts,
+            restarts: RestartBudget::new(cx),
             pending: None,
             offload_done: false,
             phase: LookupPhase::Restart,
@@ -782,61 +846,38 @@ impl LookupSM {
         loop {
             match &mut self.phase {
                 LookupPhase::Restart => {
-                    if self.restarts_left == 0 {
-                        return Err(TreeError::RetriesExhausted {
-                            context: "lookup",
-                            attempts: cx.cluster.config().max_restarts,
-                        });
-                    }
-                    let spent = cx.cluster.config().max_restarts - self.restarts_left;
-                    if spent > 0 {
-                        cx.ctx.contention_backoff(spent);
-                    }
-                    self.restarts_left -= 1;
+                    self.restarts.begin(cx, "lookup")?;
                     if let Some((addr, source)) = self.pending.take() {
                         self.phase = self.leaf_phase(cx, addr, source);
                         continue;
                     }
-                    if !self.offload_done && cx.cluster.options().offload.may_offload() {
-                        // Apply in-flight invalidations before the cache
-                        // consult and the placement decision below.
-                        cx.drain_coherence();
-                    }
-                    match locate_start(cx, meta, self.key) {
-                        LocateStart::Cached(addr, source) => {
+                    cx.drain_for_placement(self.offload_done);
+                    self.phase = match locate_start(cx, meta, self.key) {
+                        LocateStart::Cached(addr, source)
                             if !self.offload_done
-                                && cx.cluster.options().offload == OffloadPolicy::Always
-                            {
-                                // `Always` trades even the warm single read
-                                // for an RPC (its loss region — the regime
-                                // the adaptive policy exists to avoid).
-                                self.offload_done = true;
-                                cx.cluster.offload_counters(cx.cs_id).record_decision(true);
-                                self.phase = LookupPhase::Offload {
-                                    sm: OffloadSM::new(RpcRequest::LeafSearch {
-                                        leaf_addr: addr,
-                                        key: self.key,
-                                    }),
-                                    fallback: Some((addr, source)),
-                                };
-                                continue;
+                                && cx.cluster.options().offload == OffloadPolicy::Always =>
+                        {
+                            // `Always` trades even the warm single read for
+                            // an RPC (its loss region — the regime the
+                            // adaptive policy exists to avoid).
+                            self.offload_done = true;
+                            cx.cluster.offload_counters(cx.cs_id).record_decision(true);
+                            LookupPhase::Offload {
+                                sm: OffloadSM::new(RpcRequest::LeafSearch {
+                                    leaf_addr: addr,
+                                    key: self.key,
+                                }),
+                                fallback: Some((addr, source)),
                             }
-                            self.phase = self.leaf_phase(cx, addr, source);
                         }
+                        LocateStart::Cached(addr, source) => self.leaf_phase(cx, addr, source),
                         LocateStart::Traverse(sm) => {
-                            if !self.offload_done {
-                                if let Some(req) = offload_traverse_request(cx, self.key) {
-                                    self.offload_done = true;
-                                    self.phase = LookupPhase::Offload {
-                                        sm: OffloadSM::new(req),
-                                        fallback: None,
-                                    };
-                                    continue;
-                                }
+                            match offload_descent(cx, self.key, &mut self.offload_done) {
+                                Some(sm) => LookupPhase::Offload { sm, fallback: None },
+                                None => LookupPhase::Locate(sm),
                             }
-                            self.phase = LookupPhase::Locate(sm);
                         }
-                    }
+                    };
                 }
                 LookupPhase::Offload { sm, fallback } => {
                     let fallback = *fallback;
@@ -1056,11 +1097,7 @@ impl RangeSM {
         loop {
             match &mut self.phase {
                 RangePhase::Start => {
-                    if !self.offload_done && cx.cluster.options().offload.may_offload() {
-                        // Apply in-flight invalidations before the cache
-                        // consult and the placement decision below.
-                        cx.drain_coherence();
-                    }
+                    cx.drain_for_placement(self.offload_done);
                     let per_leaf = (layout.leaf_capacity() as f64
                         * cx.cluster.config().leaf_fill) as usize;
                     let wanted_leaves = self.count / per_leaf.max(1) + 1;
@@ -1297,13 +1334,24 @@ impl RangeSM {
 }
 
 // ----------------------------------------------------------------------
-// Write paths: insert and delete
+// The write path: insert, update and delete
 // ----------------------------------------------------------------------
 
-/// The common phase ladder of the write machines.  Location yields freely
-/// (it is the same lock-free descent a lookup uses); the commit runs the
-/// whole critical section synchronously and at most leaves the deferred
-/// release verb outstanding.
+/// What a write does to its locked leaf — the one line in which insert,
+/// update and delete differ (§4.2–4.5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteKind {
+    /// Install `key → value`, overwriting in place or taking a vacant slot;
+    /// a full leaf splits.
+    Insert { value: u64 },
+    /// Clear the key's slot; a leaf left underfull merges or rebalances.
+    Delete,
+}
+
+/// The phase ladder of the write machine.  Location yields freely (it is the
+/// same lock-free descent a lookup uses); the commit runs the whole critical
+/// section synchronously and at most leaves the deferred release verb
+/// outstanding.
 enum WritePhase {
     /// Decide where to commit next (consume `pending`, consult the cache, or
     /// start a traversal).
@@ -1322,166 +1370,32 @@ enum WritePhase {
     AwaitRelease,
 }
 
-/// Insert (or update) as a resumable machine: locate the leaf → one
-/// synchronous locked commit ([`TreeClient::insert_commit`]) → park on the
-/// deferred release.  Splits run to completion inside the commit step.
-pub(crate) struct InsertSM {
+/// A write as a resumable machine: locate the leaf → one synchronous locked
+/// commit ([`OpCx::leaf_commit`]) → park on the deferred release.  Splits and
+/// structural merges run to completion inside the commit step, after the
+/// leaf release was observed inline.  Finishes with whether the key was
+/// present (always `true` for an insert).
+pub(crate) struct WriteSM {
     key: u64,
-    value: u64,
-    restarts_left: u32,
-    pending: Option<(GlobalAddress, LeafSource)>,
-    /// One-shot: a write offloads its location at most once (see
-    /// [`LookupSM`]).
-    offload_done: bool,
-    phase: WritePhase,
-}
-
-impl InsertSM {
-    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64, value: u64) -> Self {
-        InsertSM {
-            key,
-            value,
-            restarts_left: cx.cluster.config().max_restarts,
-            pending: None,
-            offload_done: false,
-            phase: WritePhase::Restart,
-        }
-    }
-
-    pub(crate) fn step<B: FabricBackend>(
-        &mut self,
-        client: &mut TreeClient<B>,
-        meta: &mut OpMeta,
-        mut completion: Option<Completion>,
-    ) -> TreeResult<Step<()>> {
-        loop {
-            match &mut self.phase {
-                WritePhase::Restart => {
-                    if self.restarts_left == 0 {
-                        return Err(TreeError::RetriesExhausted {
-                            context: "insert",
-                            attempts: client.cluster.config().max_restarts,
-                        });
-                    }
-                    let spent = client.cluster.config().max_restarts - self.restarts_left;
-                    if spent > 0 {
-                        client.ctx.contention_backoff(spent);
-                    }
-                    self.restarts_left -= 1;
-                    if let Some((addr, source)) = self.pending.take() {
-                        self.phase = WritePhase::Commit { addr, source };
-                        continue;
-                    }
-                    let mut cx = client.op_cx();
-                    if !self.offload_done && cx.cluster.options().offload.may_offload() {
-                        // Apply in-flight invalidations before the cache
-                        // consult and the placement decision below.
-                        cx.drain_coherence();
-                    }
-                    match locate_start(&mut cx, meta, self.key) {
-                        LocateStart::Cached(addr, source) => {
-                            self.phase = WritePhase::Commit { addr, source };
-                        }
-                        LocateStart::Traverse(sm) => {
-                            if !self.offload_done {
-                                if let Some(req) = offload_traverse_request(&mut cx, self.key) {
-                                    self.offload_done = true;
-                                    self.phase = WritePhase::Offload(OffloadSM::new(req));
-                                    continue;
-                                }
-                            }
-                            self.phase = WritePhase::Locate(sm);
-                        }
-                    }
-                }
-                WritePhase::Locate(sm) => {
-                    let mut cx = client.op_cx();
-                    match sm.step(&mut cx, meta, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
-                        Step::Done(addr) => {
-                            self.phase = WritePhase::Commit {
-                                addr,
-                                source: sm.leaf_source(),
-                            };
-                        }
-                    }
-                }
-                WritePhase::Offload(sm) => {
-                    let mut cx = client.op_cx();
-                    match sm.step(&mut cx, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
-                        Step::Done(OffloadOutcome::Leaf(reply)) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_win();
-                            if reply.chase_sibling {
-                                self.pending =
-                                    reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
-                                self.phase = WritePhase::Restart;
-                            } else {
-                                self.phase = WritePhase::Commit {
-                                    addr: reply.leaf.addr,
-                                    source: LeafSource::Traversal,
-                                };
-                            }
-                        }
-                        Step::Done(_) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_loss();
-                            self.phase = WritePhase::Restart;
-                        }
-                    }
-                }
-                WritePhase::Commit { addr, source } => {
-                    let (addr, source) = (*addr, *source);
-                    match client.insert_commit(addr, source, self.key, self.value, meta)? {
-                        WriteCommit::Committed {
-                            release: Some(token),
-                            ..
-                        } => {
-                            self.phase = WritePhase::AwaitRelease;
-                            return Ok(Step::Pending(token));
-                        }
-                        WriteCommit::Committed { release: None, .. } => {
-                            return Ok(Step::Done(()));
-                        }
-                        WriteCommit::Retry { next } => {
-                            self.pending = next;
-                            self.phase = WritePhase::Restart;
-                        }
-                    }
-                }
-                WritePhase::AwaitRelease => {
-                    debug_assert!(
-                        completion.take().is_some(),
-                        "AwaitRelease resumes on the release completion"
-                    );
-                    return Ok(Step::Done(()));
-                }
-            }
-        }
-    }
-}
-
-/// Delete as a resumable machine, same shape as [`InsertSM`]; structural
-/// merges (when enabled and triggered) run to completion inside the commit
-/// step, after the leaf release was polled inline.
-pub(crate) struct DeleteSM {
-    key: u64,
-    /// Whether the key was present, recorded at commit time (the machine may
-    /// still park on the deferred release afterwards).
+    kind: WriteKind,
+    /// Recorded at commit time: the machine may still park on the deferred
+    /// release afterwards.
     found: bool,
-    restarts_left: u32,
+    restarts: RestartBudget,
     pending: Option<(GlobalAddress, LeafSource)>,
     /// One-shot: a write offloads its location at most once (see
-    /// [`LookupSM`]).
+    /// [`offload_descent`]).
     offload_done: bool,
     phase: WritePhase,
 }
 
-impl DeleteSM {
-    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64) -> Self {
-        DeleteSM {
+impl WriteSM {
+    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64, kind: WriteKind) -> Self {
+        WriteSM {
             key,
+            kind,
             found: false,
-            restarts_left: cx.cluster.config().max_restarts,
+            restarts: RestartBudget::new(cx),
             pending: None,
             offload_done: false,
             phase: WritePhase::Restart,
@@ -1490,101 +1404,71 @@ impl DeleteSM {
 
     pub(crate) fn step<B: FabricBackend>(
         &mut self,
-        client: &mut TreeClient<B>,
+        cx: &mut OpCx<'_, B>,
         meta: &mut OpMeta,
         mut completion: Option<Completion>,
     ) -> TreeResult<Step<bool>> {
         loop {
             match &mut self.phase {
                 WritePhase::Restart => {
-                    if self.restarts_left == 0 {
-                        return Err(TreeError::RetriesExhausted {
-                            context: "delete",
-                            attempts: client.cluster.config().max_restarts,
-                        });
-                    }
-                    let spent = client.cluster.config().max_restarts - self.restarts_left;
-                    if spent > 0 {
-                        client.ctx.contention_backoff(spent);
-                    }
-                    self.restarts_left -= 1;
+                    let context = match self.kind {
+                        WriteKind::Insert { .. } => "insert",
+                        WriteKind::Delete => "delete",
+                    };
+                    self.restarts.begin(cx, context)?;
                     if let Some((addr, source)) = self.pending.take() {
                         self.phase = WritePhase::Commit { addr, source };
                         continue;
                     }
-                    let mut cx = client.op_cx();
-                    if !self.offload_done && cx.cluster.options().offload.may_offload() {
-                        // Apply in-flight invalidations before the cache
-                        // consult and the placement decision below.
-                        cx.drain_coherence();
-                    }
-                    match locate_start(&mut cx, meta, self.key) {
-                        LocateStart::Cached(addr, source) => {
-                            self.phase = WritePhase::Commit { addr, source };
-                        }
+                    cx.drain_for_placement(self.offload_done);
+                    self.phase = match locate_start(cx, meta, self.key) {
+                        LocateStart::Cached(addr, source) => WritePhase::Commit { addr, source },
                         LocateStart::Traverse(sm) => {
-                            if !self.offload_done {
-                                if let Some(req) = offload_traverse_request(&mut cx, self.key) {
-                                    self.offload_done = true;
-                                    self.phase = WritePhase::Offload(OffloadSM::new(req));
-                                    continue;
-                                }
+                            match offload_descent(cx, self.key, &mut self.offload_done) {
+                                Some(rpc) => WritePhase::Offload(rpc),
+                                None => WritePhase::Locate(sm),
                             }
-                            self.phase = WritePhase::Locate(sm);
                         }
-                    }
+                    };
                 }
-                WritePhase::Locate(sm) => {
-                    let mut cx = client.op_cx();
-                    match sm.step(&mut cx, meta, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
-                        Step::Done(addr) => {
+                WritePhase::Locate(sm) => match sm.step(cx, meta, completion.take())? {
+                    Step::Pending(token) => return Ok(Step::Pending(token)),
+                    Step::Done(addr) => {
+                        self.phase = WritePhase::Commit {
+                            addr,
+                            source: sm.leaf_source(),
+                        };
+                    }
+                },
+                WritePhase::Offload(sm) => match sm.step(cx, completion.take())? {
+                    Step::Pending(token) => return Ok(Step::Pending(token)),
+                    Step::Done(OffloadOutcome::Leaf(reply)) => {
+                        cx.cluster.offload_counters(cx.cs_id).record_win();
+                        if reply.chase_sibling {
+                            self.pending = reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
+                            self.phase = WritePhase::Restart;
+                        } else {
                             self.phase = WritePhase::Commit {
-                                addr,
-                                source: sm.leaf_source(),
+                                addr: reply.leaf.addr,
+                                source: LeafSource::Traversal,
                             };
                         }
                     }
-                }
-                WritePhase::Offload(sm) => {
-                    let mut cx = client.op_cx();
-                    match sm.step(&mut cx, completion.take())? {
-                        Step::Pending(token) => return Ok(Step::Pending(token)),
-                        Step::Done(OffloadOutcome::Leaf(reply)) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_win();
-                            if reply.chase_sibling {
-                                self.pending =
-                                    reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
-                                self.phase = WritePhase::Restart;
-                            } else {
-                                self.phase = WritePhase::Commit {
-                                    addr: reply.leaf.addr,
-                                    source: LeafSource::Traversal,
-                                };
-                            }
-                        }
-                        Step::Done(_) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_loss();
-                            self.phase = WritePhase::Restart;
-                        }
+                    Step::Done(_) => {
+                        cx.cluster.offload_counters(cx.cs_id).record_loss();
+                        self.phase = WritePhase::Restart;
                     }
-                }
+                },
                 WritePhase::Commit { addr, source } => {
                     let (addr, source) = (*addr, *source);
-                    match client.delete_commit(addr, source, self.key, meta)? {
-                        WriteCommit::Committed {
-                            found,
-                            release: Some(token),
-                        } => {
+                    match cx.leaf_commit(addr, source, self.key, self.kind, meta)? {
+                        WriteCommit::Committed { found, release } => {
+                            let Some(token) = release else {
+                                return Ok(Step::Done(found));
+                            };
                             self.found = found;
                             self.phase = WritePhase::AwaitRelease;
                             return Ok(Step::Pending(token));
-                        }
-                        WriteCommit::Committed {
-                            found,
-                            release: None,
-                        } => {
-                            return Ok(Step::Done(found));
                         }
                         WriteCommit::Retry { next } => {
                             self.pending = next;
@@ -1612,8 +1496,7 @@ impl DeleteSM {
 pub(crate) enum OpSM {
     Lookup(LookupSM),
     Range(RangeSM),
-    Insert(InsertSM),
-    Delete(DeleteSM),
+    Write(WriteSM),
 }
 
 /// One operation's result.
@@ -1630,35 +1513,33 @@ pub enum OpOutput {
 }
 
 impl OpSM {
+    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>, op: PipelineOp) -> Self {
+        match op {
+            PipelineOp::Lookup { key } => OpSM::Lookup(LookupSM::new(cx, key)),
+            PipelineOp::Range { start_key, count } => OpSM::Range(RangeSM::new(start_key, count)),
+            PipelineOp::Insert { key, value } => {
+                OpSM::Write(WriteSM::new(cx, key, WriteKind::Insert { value }))
+            }
+            PipelineOp::Delete { key } => OpSM::Write(WriteSM::new(cx, key, WriteKind::Delete)),
+        }
+    }
+
     pub(crate) fn step<B: FabricBackend>(
         &mut self,
-        client: &mut TreeClient<B>,
+        cx: &mut OpCx<'_, B>,
         meta: &mut OpMeta,
         completion: Option<Completion>,
     ) -> TreeResult<Step<OpOutput>> {
-        match self {
-            OpSM::Lookup(sm) => {
-                let mut cx = client.op_cx();
-                Ok(match sm.step(&mut cx, meta, completion)? {
-                    Step::Pending(t) => Step::Pending(t),
-                    Step::Done(v) => Step::Done(OpOutput::Lookup(v)),
+        Ok(match self {
+            OpSM::Lookup(sm) => sm.step(cx, meta, completion)?.map(OpOutput::Lookup),
+            OpSM::Range(sm) => sm.step(cx, meta, completion)?.map(OpOutput::Range),
+            OpSM::Write(sm) => {
+                let kind = sm.kind;
+                sm.step(cx, meta, completion)?.map(|found| match kind {
+                    WriteKind::Insert { .. } => OpOutput::Insert,
+                    WriteKind::Delete => OpOutput::Delete(found),
                 })
             }
-            OpSM::Range(sm) => {
-                let mut cx = client.op_cx();
-                Ok(match sm.step(&mut cx, meta, completion)? {
-                    Step::Pending(t) => Step::Pending(t),
-                    Step::Done(v) => Step::Done(OpOutput::Range(v)),
-                })
-            }
-            OpSM::Insert(sm) => Ok(match sm.step(client, meta, completion)? {
-                Step::Pending(t) => Step::Pending(t),
-                Step::Done(()) => Step::Done(OpOutput::Insert),
-            }),
-            OpSM::Delete(sm) => Ok(match sm.step(client, meta, completion)? {
-                Step::Pending(t) => Step::Pending(t),
-                Step::Done(found) => Step::Done(OpOutput::Delete(found)),
-            }),
-        }
+        })
     }
 }

@@ -50,7 +50,7 @@
 //! same order and report identical virtual-time totals.
 
 use crate::client::TreeClient;
-use crate::ops::{DeleteSM, InsertSM, LookupSM, OpMeta, OpOutput, OpSM, RangeSM, Step};
+use crate::ops::{OpMeta, OpOutput, OpSM, Step};
 use crate::TreeResult;
 use sherman_memserver::EpochPin;
 use sherman_metrics::OverlapGauges;
@@ -218,21 +218,10 @@ impl<B: FabricBackend> TreeClient<B> {
                     // depth 1 stays byte-for-byte identical to blocking.
                     client.drain_coherence();
                     let pin = client.reader.pin();
-                    let cx = client.op_cx();
-                    let sm = match op {
-                        PipelineOp::Lookup { key } => OpSM::Lookup(LookupSM::new(&cx, key)),
-                        PipelineOp::Range { start_key, count } => {
-                            OpSM::Range(RangeSM::new(start_key, count))
-                        }
-                        PipelineOp::Insert { key, value } => {
-                            OpSM::Insert(InsertSM::new(&cx, key, value))
-                        }
-                        PipelineOp::Delete { key } => OpSM::Delete(DeleteSM::new(&cx, key)),
-                    };
                     *slot = Some(Slot {
                         id,
                         op,
-                        sm,
+                        sm: OpSM::new(&client.op_cx(), op),
                         meta: OpMeta::default(),
                         waiting_on: None,
                         _pin: pin,
@@ -243,7 +232,9 @@ impl<B: FabricBackend> TreeClient<B> {
                 // Tag every verb (and CPU charge) of this step with the op's
                 // id so the shared completion queue can attribute it.
                 client.ctx.set_current_op(Some(active.id));
-                let step = active.sm.step(client, &mut active.meta, completion.take());
+                let step = active
+                    .sm
+                    .step(&mut client.op_cx(), &mut active.meta, completion.take());
                 client.ctx.set_current_op(None);
                 match step? {
                     Step::Pending(token) => {

@@ -55,6 +55,13 @@ impl LockLocation {
             ((1u64 << self.bits) - 1) << self.shift
         }
     }
+
+    /// This lock's place in the multi-node acquisition order (see
+    /// [`crate::LockOrder`]): the word address is globally unique and the
+    /// shift separates the locks sharing a word.
+    pub fn rank(&self) -> u128 {
+        ((self.word.pack() as u128) << 32) | self.shift as u128
+    }
 }
 
 /// A cluster-wide global lock table (one slice per memory server).

@@ -13,7 +13,9 @@
 //! so that other compute servers are not starved.
 
 use crate::global::GlobalLockTable;
-use crate::manager::{flush_writes_and_release, AcquireOutcome, NodeLockManager, ReleaseOutcome};
+use crate::manager::{
+    flush_writes_and_release, AcquireOutcome, LockOrder, NodeLockManager, ReleaseOutcome,
+};
 use parking_lot::Mutex;
 use sherman_sim::{ClientCtx, FabricChannel, GlobalAddress, PendingVerb, SimResult, WriteCmd};
 use std::collections::{HashMap, VecDeque};
@@ -355,25 +357,6 @@ impl HoclManager {
         self.acquire_slot(client, ms, slot, None)
     }
 
-    /// Whether `a` and `b` are guarded by the same lock word (inherent
-    /// mirror of [`NodeLockManager::same_lock`], callable without fixing the
-    /// channel type).
-    pub fn same_lock(&self, a: GlobalAddress, b: GlobalAddress) -> bool {
-        self.glt.location_of(a) == self.glt.location_of(b)
-    }
-
-    /// Total order on lock words (inherent mirror of
-    /// [`NodeLockManager::lock_rank`]).
-    pub fn lock_rank(&self, node: GlobalAddress) -> u128 {
-        crate::manager::location_rank(&self.glt.location_of(node))
-    }
-
-    /// Deadlock-safe multi-node acquisition plan (inherent mirror of
-    /// [`NodeLockManager::lock_plan`]).
-    pub fn lock_plan(&self, nodes: &[GlobalAddress]) -> Vec<GlobalAddress> {
-        crate::manager::plan_locks(nodes, |a, b| self.same_lock(a, b), |n| self.lock_rank(n))
-    }
-
     /// Release lock `slot` on memory server `ms` directly.
     pub fn release_raw<C: FabricChannel>(
         &self,
@@ -387,19 +370,13 @@ impl HoclManager {
     }
 }
 
-impl<C: FabricChannel> NodeLockManager<C> for HoclManager {
-    fn same_lock(&self, a: GlobalAddress, b: GlobalAddress) -> bool {
-        HoclManager::same_lock(self, a, b)
-    }
-
+impl LockOrder for HoclManager {
     fn lock_rank(&self, node: GlobalAddress) -> u128 {
-        HoclManager::lock_rank(self, node)
+        self.glt.location_of(node).rank()
     }
+}
 
-    fn lock_plan(&self, nodes: &[GlobalAddress]) -> Vec<GlobalAddress> {
-        HoclManager::lock_plan(self, nodes)
-    }
-
+impl<C: FabricChannel> NodeLockManager<C> for HoclManager {
     fn acquire(
         &self,
         client: &mut ClientCtx<C>,

@@ -33,7 +33,9 @@ pub mod manager;
 
 pub use global::{GlobalLockKind, GlobalLockTable, LockLocation};
 pub use hocl::{HoclManager, HoclOptions, LocalLockTable, MAX_HANDOVER_DEPTH};
-pub use manager::{AcquireOutcome, NodeLockManager, ReleaseOutcome, RemoteLockManager};
+pub use manager::{
+    AcquireOutcome, LockOrder, NodeLockManager, ReleaseOutcome, RemoteLockManager,
+};
 
 /// Hash a packed global address into a lock-table slot.
 ///

@@ -24,6 +24,52 @@ pub struct ReleaseOutcome {
     pub released_global: bool,
 }
 
+/// The order in which a client may hold several node locks at once.
+///
+/// It depends only on where a node's lock word lives, not on the fabric
+/// channel the clients run on, so it is a trait of its own: callable on a
+/// concrete manager without naming a channel type, and a supertrait of
+/// [`NodeLockManager`] for callers that hold a `dyn` manager.
+pub trait LockOrder {
+    /// A total order on the *lock words* (not the node addresses).  Threads
+    /// that hold several node locks at once — the structural-delete merge path
+    /// — must acquire them in increasing rank, which makes the discipline
+    /// deadlock-free cluster-wide.  Two nodes compare equal iff they share a
+    /// lock word.
+    fn lock_rank(&self, node: GlobalAddress) -> u128;
+
+    /// Whether `a` and `b` are guarded by the same lock word.  Hash-sharded
+    /// lock tables map many nodes onto few lock slots, so two distinct node
+    /// addresses may alias; a caller that acquired `a` must not also acquire
+    /// an aliasing `b` (self-deadlock).
+    fn same_lock(&self, a: GlobalAddress, b: GlobalAddress) -> bool {
+        self.lock_rank(a) == self.lock_rank(b)
+    }
+
+    /// Plan a deadlock-safe multi-node acquisition: deduplicate `nodes` by
+    /// lock word and sort the representatives by [`LockOrder::lock_rank`].
+    /// Acquiring (and later releasing) exactly the returned representatives,
+    /// in order, is safe against every other client using the same plan.
+    ///
+    /// The plan is insensitive to how the caller *discovered* the nodes: the
+    /// structural-delete path hands in `(left, right, parent)` triples that
+    /// may have been found right-to-left (an underfull node absorbing its
+    /// B-link sibling) or left-to-right (a rightmost child folding into the
+    /// left sibling its parent identified), and overlapping triples from
+    /// clients merging in opposite directions still acquire in one global
+    /// rank order.
+    fn lock_plan(&self, nodes: &[GlobalAddress]) -> Vec<GlobalAddress> {
+        let mut plan: Vec<GlobalAddress> = Vec::with_capacity(nodes.len());
+        for &n in nodes {
+            if !plan.iter().any(|&p| self.same_lock(p, n)) {
+                plan.push(n);
+            }
+        }
+        plan.sort_by_key(|&n| self.lock_rank(n));
+        plan
+    }
+}
+
 /// Exclusive per-node locking as seen by the B+Tree.
 ///
 /// `release` also carries the node write-back commands so that implementations
@@ -34,7 +80,7 @@ pub struct ReleaseOutcome {
 /// The trait is generic over the fabric channel the clients run on, so one
 /// manager instance serves every client of a deployment regardless of
 /// backend; it defaults to the virtual-time simulator's channel.
-pub trait NodeLockManager<C: FabricChannel = SimChannel>: Send + Sync {
+pub trait NodeLockManager<C: FabricChannel = SimChannel>: LockOrder + Send + Sync {
     /// Acquire the exclusive lock protecting `node`.
     fn acquire(&self, client: &mut ClientCtx<C>, node: GlobalAddress)
         -> SimResult<AcquireOutcome>;
@@ -95,43 +141,6 @@ pub trait NodeLockManager<C: FabricChannel = SimChannel>: Send + Sync {
         combine: bool,
         defer: bool,
     ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)>;
-
-    /// Whether `a` and `b` are guarded by the same lock word.  Hash-sharded
-    /// lock tables map many nodes onto few lock slots, so two distinct node
-    /// addresses may alias; a caller that acquired `a` must not also acquire
-    /// an aliasing `b` (self-deadlock).
-    fn same_lock(&self, a: GlobalAddress, b: GlobalAddress) -> bool {
-        a == b
-    }
-
-    /// A total order on the *lock words* (not the node addresses).  Threads
-    /// that hold several node locks at once — the structural-delete merge path
-    /// — must acquire them in increasing rank, which makes the discipline
-    /// deadlock-free cluster-wide.  Two nodes compare equal iff they share a
-    /// lock word.
-    fn lock_rank(&self, node: GlobalAddress) -> u128 {
-        node.pack() as u128
-    }
-
-    /// Plan a deadlock-safe multi-node acquisition: deduplicate `nodes` by
-    /// lock word and sort the representatives by [`NodeLockManager::lock_rank`].
-    /// Acquiring (and later releasing) exactly the returned representatives,
-    /// in order, is safe against every other client using the same plan.
-    ///
-    /// The plan is insensitive to how the caller *discovered* the nodes: the
-    /// structural-delete path hands in `(left, right, parent)` triples that
-    /// may have been found right-to-left (an underfull node absorbing its
-    /// B-link sibling) or left-to-right (a rightmost child folding into the
-    /// left sibling its parent identified), and overlapping triples from
-    /// clients merging in opposite directions still acquire in one global
-    /// rank order.
-    fn lock_plan(&self, nodes: &[GlobalAddress]) -> Vec<GlobalAddress> {
-        plan_locks(
-            nodes,
-            |a, b| NodeLockManager::same_lock(self, a, b),
-            |n| NodeLockManager::lock_rank(self, n),
-        )
-    }
 }
 
 /// A lock manager that goes straight to the global lock table: every
@@ -218,63 +227,13 @@ pub(crate) fn flush_writes_and_release<C: FabricChannel>(
     }
 }
 
-/// Rank a lock location for the multi-node acquisition order: the word
-/// address is globally unique and the shift separates sub-word locks.
-pub(crate) fn location_rank(loc: &crate::global::LockLocation) -> u128 {
-    ((loc.word.pack() as u128) << 32) | loc.shift as u128
-}
-
-/// The shared lock-plan algorithm: deduplicate by lock word, sort by rank
-/// (see [`NodeLockManager::lock_plan`] for the discipline it enables).
-pub(crate) fn plan_locks(
-    nodes: &[GlobalAddress],
-    same: impl Fn(GlobalAddress, GlobalAddress) -> bool,
-    rank: impl Fn(GlobalAddress) -> u128,
-) -> Vec<GlobalAddress> {
-    let mut plan: Vec<GlobalAddress> = Vec::with_capacity(nodes.len());
-    for &n in nodes {
-        if !plan.iter().any(|&p| same(p, n)) {
-            plan.push(n);
-        }
-    }
-    plan.sort_by_key(|&n| rank(n));
-    plan
-}
-
-impl RemoteLockManager {
-    /// Whether `a` and `b` are guarded by the same lock word (inherent
-    /// mirror of [`NodeLockManager::same_lock`], callable without fixing the
-    /// channel type).
-    pub fn same_lock(&self, a: GlobalAddress, b: GlobalAddress) -> bool {
-        self.table.location_of(a) == self.table.location_of(b)
-    }
-
-    /// Total order on lock words (inherent mirror of
-    /// [`NodeLockManager::lock_rank`]).
-    pub fn lock_rank(&self, node: GlobalAddress) -> u128 {
-        location_rank(&self.table.location_of(node))
-    }
-
-    /// Deadlock-safe multi-node acquisition plan (inherent mirror of
-    /// [`NodeLockManager::lock_plan`]).
-    pub fn lock_plan(&self, nodes: &[GlobalAddress]) -> Vec<GlobalAddress> {
-        plan_locks(nodes, |a, b| self.same_lock(a, b), |n| self.lock_rank(n))
+impl LockOrder for RemoteLockManager {
+    fn lock_rank(&self, node: GlobalAddress) -> u128 {
+        self.table.location_of(node).rank()
     }
 }
 
 impl<C: FabricChannel> NodeLockManager<C> for RemoteLockManager {
-    fn same_lock(&self, a: GlobalAddress, b: GlobalAddress) -> bool {
-        RemoteLockManager::same_lock(self, a, b)
-    }
-
-    fn lock_rank(&self, node: GlobalAddress) -> u128 {
-        RemoteLockManager::lock_rank(self, node)
-    }
-
-    fn lock_plan(&self, nodes: &[GlobalAddress]) -> Vec<GlobalAddress> {
-        RemoteLockManager::lock_plan(self, nodes)
-    }
-
     fn acquire(
         &self,
         client: &mut ClientCtx<C>,

@@ -9,21 +9,15 @@
 //! space is never reused.  [`NodeFreeList`] goes further: node addresses
 //! retired by structural deletes (leaf/internal merges, root collapses) are
 //! quarantined until no lock-free reader can still hold a pointer into them,
-//! then become allocatable again.  Two [`ReclaimPolicy`] variants decide when
-//! that is:
+//! then become allocatable again.  Epoch-based reclamation decides when that
+//! is: addresses are bucketed by retirement epoch (see [`crate::epoch`]) and
+//! a bucket is recycled only once every pinned reader has advanced past it.
+//! Reuse is immediate under no contention and provably deferred while a
+//! pre-retirement reader is still pinned.
 //!
-//! * [`ReclaimPolicy::Epoch`] (the default scheme) — addresses are bucketed
-//!   by retirement epoch (see [`crate::epoch`]) and a bucket is recycled only
-//!   once every pinned reader has advanced past it.  Reuse is immediate under
-//!   no contention and provably deferred while a pre-retirement reader is
-//!   still pinned,
-//! * [`ReclaimPolicy::GracePeriod`] (deprecated compatibility fallback) — the
-//!   PR 2 heuristic: a fixed window of virtual time, unsafe in principle
-//!   against a stalled reader and wasteful against an idle one.
-//!
-//! Either way the retired node is written as a tombstone first — free bit
-//! set, versions bumped — so any reader that raced the unlinking fails
-//! validation and restarts.  The free list additionally remembers each
+//! The retired node is written as a tombstone first — free bit set, versions
+//! bumped — so any reader that raced the unlinking fails validation and
+//! restarts.  The free list additionally remembers each
 //! tombstone's node-level version so that the next writer of the address can
 //! seed its image *above* it: versions always bump across reuse, which keeps
 //! torn old/new images distinguishable (the ABA hazard).
@@ -108,9 +102,8 @@ impl ChunkAllocator {
 /// Reclaim latency is reported as **two** figures because a retired address
 /// passes two gates on its way back into circulation:
 ///
-/// * **retire→eligible** — from retirement to the moment the reclamation
-///   policy clears the address (the grace window elapses, or the last
-///   pre-retirement epoch pin is gone).  This isolates the scheme's own
+/// * **retire→eligible** — from retirement to the moment the last
+///   pre-retirement epoch pin is gone.  This isolates the scheme's own
 ///   contribution,
 /// * **retire→reuse** — from retirement to the address actually being handed
 ///   to an allocator.  This is *demand-inclusive*: an address can sit ready
@@ -131,8 +124,7 @@ pub struct FreeListStats {
     /// Largest retire→reuse distance (virtual ns) seen so far.
     pub reclaim_latency_max_ns: u64,
     /// Smallest retire→reuse distance (virtual ns) seen so far
-    /// (`u64::MAX` until something was reused).  The grace-period fallback
-    /// floors this at `grace_ns`; epoch-based reclamation does not.
+    /// (`u64::MAX` until something was reused).
     pub reclaim_latency_min_ns: u64,
     /// Sum of retire→eligible distances (virtual ns) over every address that
     /// cleared quarantine (`reused + ready` of them).
@@ -206,27 +198,13 @@ impl FreeListStats {
     }
 }
 
-/// When may a retired node address be recycled?
-#[derive(Debug, Clone)]
-pub enum ReclaimPolicy {
-    /// Deprecated fallback: a fixed window of virtual time after retirement.
-    GracePeriod {
-        /// Quarantine length in virtual nanoseconds.
-        grace_ns: u64,
-    },
-    /// Epoch-based reclamation: recycle once every reader pinned at or before
-    /// the retirement epoch has unpinned.
-    Epoch(Arc<EpochRegistry>),
-}
-
 /// One retired node address awaiting reclamation (or, in the ready pool,
 /// awaiting demand).
 #[derive(Debug, Clone, Copy)]
 struct Retired {
     addr: GlobalAddress,
-    /// Retirement epoch ([`ReclaimPolicy::Epoch`]) or clamped virtual
-    /// retirement time ([`ReclaimPolicy::GracePeriod`]).  Monotone within the
-    /// queue either way, so the front is always first to clear quarantine.
+    /// Retirement epoch.  Monotone within the queue, so the front is always
+    /// first to clear quarantine.
     stamp: u64,
     /// Virtual time of retirement (for the retire→reuse latency figure).
     retired_at_ns: u64,
@@ -247,14 +225,12 @@ pub struct ReusedNode {
 
 /// A per-memory-server free list of retired node addresses.
 ///
-/// `retire` stamps the address according to the configured
-/// [`ReclaimPolicy`]; `reuse` only hands an address back once the policy says
-/// every lock-free reader that could still hold a pointer to the node is
-/// gone (epoch scheme) or has had time to observe the tombstone and retry
-/// (grace-period fallback).
+/// `retire` stamps the address with its retirement epoch; `reuse` only hands
+/// an address back once every lock-free reader that could still hold a
+/// pointer to the node is gone.
 #[derive(Debug)]
 pub struct NodeFreeList {
-    policy: ReclaimPolicy,
+    registry: Arc<EpochRegistry>,
     quarantine: VecDeque<Retired>,
     ready: Vec<Retired>,
     retired: u64,
@@ -268,20 +244,11 @@ pub struct NodeFreeList {
 }
 
 impl NodeFreeList {
-    /// Create an empty free list with the grace-period fallback policy.
-    pub fn new(grace_ns: u64) -> Self {
-        Self::with_policy(ReclaimPolicy::GracePeriod { grace_ns })
-    }
-
-    /// Create an empty free list under epoch-based reclamation.
-    pub fn new_epoch(registry: Arc<EpochRegistry>) -> Self {
-        Self::with_policy(ReclaimPolicy::Epoch(registry))
-    }
-
-    /// Create an empty free list with the given policy.
-    pub fn with_policy(policy: ReclaimPolicy) -> Self {
+    /// Create an empty free list whose quarantine follows `registry`'s
+    /// reader epochs.
+    pub fn new(registry: Arc<EpochRegistry>) -> Self {
         NodeFreeList {
-            policy,
+            registry,
             quarantine: VecDeque::new(),
             ready: Vec::new(),
             retired: 0,
@@ -295,45 +262,12 @@ impl NodeFreeList {
         }
     }
 
-    /// Replace the reclamation policy.
-    ///
-    /// # Panics
-    /// Panics if anything is quarantined: stamps are epochs under one policy
-    /// and virtual timestamps under the other, so reinterpreting them would
-    /// silently break the safety argument (an epoch stamp like `3` read as a
-    /// nanosecond timestamp clears any grace window instantly).
-    pub fn set_policy(&mut self, policy: ReclaimPolicy) {
-        assert!(
-            self.quarantine.is_empty(),
-            "reclaim policy must be configured before the first retirement"
-        );
-        self.policy = policy;
-    }
-
-    /// Change the grace period.  Switches to the grace-period fallback if the
-    /// list was under epoch reclamation.
-    pub fn set_grace_ns(&mut self, grace_ns: u64) {
-        match &mut self.policy {
-            ReclaimPolicy::GracePeriod { grace_ns: g } => *g = grace_ns,
-            ReclaimPolicy::Epoch(_) => self.set_policy(ReclaimPolicy::GracePeriod { grace_ns }),
-        }
-    }
-
     /// Retire a node address at virtual time `now`.  `tombstone_version` is
     /// the node-level version of the tombstone image written at the address.
-    /// Returns the stamp the address was quarantined under (its retirement
-    /// epoch under [`ReclaimPolicy::Epoch`]).
+    /// Returns the retirement epoch the address was quarantined under.
     pub fn retire(&mut self, addr: GlobalAddress, tombstone_version: u8, now: u64) -> u64 {
         self.retired += 1;
-        let stamp = match &self.policy {
-            // Clients on different threads may observe slightly different
-            // virtual times; clamp so the queue stays monotone and pop stays
-            // O(1).
-            ReclaimPolicy::GracePeriod { .. } => {
-                self.quarantine.back().map_or(now, |r| r.stamp.max(now))
-            }
-            ReclaimPolicy::Epoch(reg) => reg.retire_epoch(),
-        };
+        let stamp = self.registry.retire_epoch();
         self.quarantine.push_back(Retired {
             addr,
             stamp,
@@ -341,43 +275,29 @@ impl NodeFreeList {
             tombstone_version,
         });
         // Sweep the quarantine on retire as well as on reuse, so the
-        // retire→eligible figure is stamped close to the moment the policy
-        // actually clears an address rather than when demand next asks
-        // (under epoch reclamation with no pinned reader the just-retired
-        // address becomes eligible right here, at latency zero).
+        // retire→eligible figure is stamped close to the moment the last pin
+        // actually goes rather than when demand next asks (with no pinned
+        // reader the just-retired address becomes eligible right here, at
+        // latency zero).
         self.reclaim(now);
         stamp
     }
 
-    /// Move every quarantined address the policy has cleared into the ready
-    /// pool.
+    /// Move every quarantined address no pinned reader can still reach into
+    /// the ready pool.
     fn reclaim(&mut self, now: u64) {
         // This sits on the per-allocation hot path: bail before touching the
         // epoch registry when there is nothing to reclaim.
         if self.quarantine.is_empty() {
             return;
         }
-        // Epoch scheme: everything stamped strictly below the oldest pin is
-        // safe.  The boundary is read once per reclaim pass; that is sound
-        // because it can only have *grown* since any earlier pass (a reader
-        // pinning later lands at or above the current global epoch, which is
-        // above every existing stamp).
-        enum Rule {
-            Grace { grace_ns: u64 },
-            Epoch { boundary: u64 },
-        }
-        let rule = match &self.policy {
-            ReclaimPolicy::GracePeriod { grace_ns } => Rule::Grace { grace_ns: *grace_ns },
-            ReclaimPolicy::Epoch(reg) => Rule::Epoch { boundary: reg.safe_boundary() },
-        };
-        while let Some(front) = self.quarantine.front() {
-            let cleared = match rule {
-                Rule::Grace { grace_ns } => now.saturating_sub(front.stamp) >= grace_ns,
-                Rule::Epoch { boundary } => front.stamp < boundary,
-            };
-            if !cleared {
-                break;
-            }
+        // Everything stamped strictly below the oldest pin is safe.  The
+        // boundary is read once per reclaim pass; that is sound because it
+        // can only have *grown* since any earlier pass (a reader pinning
+        // later lands at or above the current global epoch, which is above
+        // every existing stamp).
+        let boundary = self.registry.safe_boundary();
+        while self.quarantine.front().is_some_and(|r| r.stamp < boundary) {
             let r = self.quarantine.pop_front().expect("front exists");
             let eligible_latency = now.saturating_sub(r.retired_at_ns);
             self.eligible_sum_ns += eligible_latency;
@@ -387,8 +307,8 @@ impl NodeFreeList {
         }
     }
 
-    /// Take one reusable node address, if the policy has cleared any by
-    /// virtual time `now`.
+    /// Take one reusable node address, if any has cleared quarantine (`now`,
+    /// the caller's virtual time, only feeds the latency figures).
     pub fn reuse(&mut self, now: u64) -> Option<ReusedNode> {
         self.reclaim(now);
         let r = self.ready.pop()?;
@@ -404,16 +324,10 @@ impl NodeFreeList {
     }
 
     /// Quarantined addresses whose recycling is currently blocked by a pinned
-    /// reader (zero under the grace-period fallback, which has no notion of a
-    /// pinned reader).
+    /// reader.
     pub fn pinned_buckets(&self) -> u64 {
-        match &self.policy {
-            ReclaimPolicy::GracePeriod { .. } => 0,
-            ReclaimPolicy::Epoch(reg) => {
-                let boundary = reg.safe_boundary();
-                self.quarantine.iter().filter(|r| r.stamp >= boundary).count() as u64
-            }
-        }
+        let boundary = self.registry.safe_boundary();
+        self.quarantine.iter().filter(|r| r.stamp >= boundary).count() as u64
     }
 
     /// Current counters.
@@ -482,7 +396,12 @@ mod tests {
 
     #[test]
     fn node_free_list_enforces_grace_period() {
-        let mut fl = NodeFreeList::new(1_000);
+        // The grace period of epoch-based reclamation: it lasts exactly as
+        // long as a reader pinned before the retirement stays pinned.
+        let registry = EpochRegistry::new();
+        let reader = registry.register();
+        let pin = reader.pin();
+        let mut fl = NodeFreeList::new(Arc::clone(&registry));
         let a = GlobalAddress::host(0, 8 << 10);
         let b = GlobalAddress::host(0, 16 << 10);
         fl.retire(a, 1, 100);
@@ -490,25 +409,25 @@ mod tests {
         // Inside the grace period nothing is reusable.
         assert_eq!(fl.reuse(500), None);
         assert_eq!(fl.stats().quarantined, 2);
-        // After the grace period both become available (LIFO from the ready
-        // pool keeps recently-hot addresses warm).
-        assert_eq!(fl.reuse(1_100).map(|r| r.addr), Some(a));
-        assert_eq!(fl.reuse(1_300).map(|r| r.addr), Some(b));
+        // After it both become available (LIFO from the ready pool keeps
+        // recently-hot addresses warm).
+        drop(pin);
+        assert_eq!(fl.reuse(1_100).map(|r| r.addr), Some(b));
+        assert_eq!(fl.reuse(1_300).map(|r| r.addr), Some(a));
         assert_eq!(fl.reuse(10_000), None);
         let s = fl.stats();
         assert_eq!((s.retired, s.reused, s.quarantined, s.ready), (2, 2, 0, 0));
-        // Retire→reuse latencies: 1_100-100 and 1_300-200, both 1_000 ... 1_100.
-        assert_eq!(s.reclaim_latency_sum_ns, 1_000 + 1_100);
-        assert_eq!(s.reclaim_latency_max_ns, 1_100);
-        assert_eq!(s.reclaim_latency_min_ns, 1_000, "grace floors the minimum latency");
+        // Retire→reuse latencies: 1_100-200 and 1_300-100.
+        assert_eq!(s.reclaim_latency_sum_ns, 900 + 1_200);
+        assert_eq!(s.reclaim_latency_max_ns, 1_200);
+        assert_eq!(s.reclaim_latency_min_ns, 900);
         assert!((s.mean_reclaim_latency_ns() - 1_050.0).abs() < 1e-9);
-        // Under a grace policy each sweep clears exactly the addresses whose
-        // window has elapsed, so here eligibility coincides with the sweeps
-        // at 1_100 (a) and 1_300 (b) and never undercuts the window.
+        // Both cleared quarantine in the sweep at 1_100, the first one after
+        // the pin went.
         assert_eq!(s.eligible(), 2);
-        assert_eq!(s.eligible_latency_sum_ns, 1_000 + 1_100);
-        assert_eq!(s.eligible_latency_max_ns, 1_100);
-        assert_eq!(s.eligible_latency_min_ns, 1_000);
+        assert_eq!(s.eligible_latency_sum_ns, 900 + 1_000);
+        assert_eq!(s.eligible_latency_max_ns, 1_000);
+        assert_eq!(s.eligible_latency_min_ns, 900);
         // The demand-inclusive figure always dominates the eligibility one.
         assert!(s.reclaim_latency_sum_ns >= s.eligible_latency_sum_ns);
     }
@@ -517,8 +436,7 @@ mod tests {
     fn eligible_latency_isolates_the_scheme_from_demand() {
         // Epoch policy, nobody pinned: an address is eligible the moment it
         // retires, however long demand takes to arrive.
-        let registry = crate::EpochRegistry::new();
-        let mut fl = NodeFreeList::new_epoch(Arc::clone(&registry));
+        let mut fl = NodeFreeList::new(EpochRegistry::new());
         fl.retire(GlobalAddress::host(0, 8 << 10), 1, 1_000);
         let s = fl.stats();
         assert_eq!((s.quarantined, s.ready), (0, 1), "eligible at retire time");
@@ -533,20 +451,22 @@ mod tests {
 
     #[test]
     fn node_free_list_tolerates_out_of_order_timestamps() {
-        // Two clients can observe slightly different virtual times; the queue
-        // must stay monotone so quarantine never releases early.
-        let mut fl = NodeFreeList::new(1_000);
+        // Two clients can observe slightly different virtual times, so an
+        // address may be reused "before" it was retired: order comes from
+        // the epochs, and the latency figures saturate at zero.
+        let mut fl = NodeFreeList::new(EpochRegistry::new());
         fl.retire(GlobalAddress::host(0, 8 << 10), 1, 5_000);
         fl.retire(GlobalAddress::host(0, 16 << 10), 1, 4_000);
-        assert_eq!(fl.reuse(5_500), None, "second retiree inherits the later stamp");
-        assert!(fl.reuse(6_100).is_some());
-        assert!(fl.reuse(6_100).is_some());
+        assert!(fl.reuse(4_500).is_some());
+        assert!(fl.reuse(4_500).is_some());
+        let s = fl.stats();
+        assert_eq!((s.reclaim_latency_min_ns, s.reclaim_latency_max_ns), (0, 500));
+        assert_eq!(s.eligible_latency_max_ns, 0);
     }
 
     #[test]
     fn epoch_policy_reuses_immediately_when_no_reader_is_pinned() {
-        let registry = crate::EpochRegistry::new();
-        let mut fl = NodeFreeList::new_epoch(Arc::clone(&registry));
+        let mut fl = NodeFreeList::new(EpochRegistry::new());
         let a = GlobalAddress::host(0, 8 << 10);
         let stamp = fl.retire(a, 7, 1_000);
         assert_eq!(stamp, 1, "first retirement is stamped with epoch 1");
@@ -560,9 +480,9 @@ mod tests {
 
     #[test]
     fn epoch_policy_defers_reuse_behind_a_pinned_reader() {
-        let registry = crate::EpochRegistry::new();
+        let registry = EpochRegistry::new();
         let reader = registry.register();
-        let mut fl = NodeFreeList::new_epoch(Arc::clone(&registry));
+        let mut fl = NodeFreeList::new(Arc::clone(&registry));
         let a = GlobalAddress::host(0, 8 << 10);
         let b = GlobalAddress::host(0, 16 << 10);
 

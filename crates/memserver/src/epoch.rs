@@ -1,11 +1,9 @@
 //! Epoch-based reclamation (EBR): the per-compute-server reader registry.
 //!
-//! PR 2's structural deletes retired freed node addresses behind a fixed
-//! virtual-time quarantine (`reclaim_grace_ns`).  That heuristic is unsafe in
-//! principle — a reader stalled longer than any constant can still hold a
-//! pointer into the freed node — and wasteful in practice, because addresses
-//! idle long after the last reader retires.  This module replaces it with
-//! tracked reader epochs:
+//! A fixed quarantine window for freed node addresses is unsafe in principle
+//! — a reader stalled longer than any constant can still hold a pointer into
+//! the freed node — and wasteful in practice, because addresses idle long
+//! after the last reader retires.  This module tracks reader epochs instead:
 //!
 //! * a global **epoch counter** advances on every retirement, so each retired
 //!   address is stamped with the epoch of its retirement,

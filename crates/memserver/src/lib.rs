@@ -17,13 +17,12 @@
 //!   two-stage allocation scheme: round-robin chunk acquisition, local node
 //!   carving, and a free bit on deallocation instead of heavyweight GC,
 //! * [`NodeFreeList`] — the reclamation path the paper omits: node addresses
-//!   retired by structural deletes are quarantined per server until the
-//!   configured [`ReclaimPolicy`] clears them, then become allocatable again,
-//! * [`epoch`] — the epoch-based reclamation (EBR) registry: every tree
-//!   operation pins the global epoch on entry; a retired address is recycled
-//!   only once every reader pinned at or before its retirement has unpinned.
-//!   The fixed grace-period quarantine of earlier revisions remains available
-//!   as a deprecated fallback ([`ReclaimPolicy::GracePeriod`]).
+//!   retired by structural deletes are quarantined per server until no
+//!   reader can still reach them, then become allocatable again,
+//! * [`epoch`] — the epoch-based reclamation (EBR) registry that decides
+//!   when that is: every tree operation pins the global epoch on entry; a
+//!   retired address is recycled only once every reader pinned at or before
+//!   its retirement has unpinned.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -34,8 +33,8 @@ pub mod epoch;
 pub mod layout;
 pub mod pool;
 
-pub use alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReclaimPolicy, ReusedNode};
+pub use alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReusedNode};
 pub use client_alloc::{AllocatedNode, ClientAllocator};
 pub use epoch::{EpochPin, EpochRegistry, ReaderHandle, DEFAULT_EPOCH_SHARDS, UNPINNED_EPOCH};
 pub use layout::{ServerLayout, ALLOC_START_OFFSET, ROOT_PTR_OFFSET, SUPERBLOCK_MAGIC};
-pub use pool::{AllocError, MemoryPool, PoolError, DEFAULT_RECLAIM_GRACE_NS};
+pub use pool::{AllocError, MemoryPool, PoolError};

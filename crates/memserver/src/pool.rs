@@ -8,7 +8,7 @@
 //! rare (one per 8 MB of new tree nodes), so the wimpy MS cores stay off the
 //! data path.
 
-use crate::alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReclaimPolicy, ReusedNode};
+use crate::alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReusedNode};
 use crate::epoch::EpochRegistry;
 use crate::layout::{ServerLayout, ROOT_PTR_OFFSET, SUPERBLOCK_MAGIC, TREE_LEVEL_HINT_OFFSET};
 use parking_lot::Mutex;
@@ -91,10 +91,6 @@ impl From<sherman_sim::SimError> for PoolError {
 const ALLOC_RPC_REQ_BYTES: usize = 16;
 const ALLOC_RPC_RESP_BYTES: usize = 16;
 
-/// Default grace period (virtual ns) a retired node spends in quarantine
-/// before its address may be recycled.
-pub const DEFAULT_RECLAIM_GRACE_NS: u64 = 100_000;
-
 /// The cluster-wide allocation service.
 ///
 /// Generic over the fabric backend: the pool only needs configuration, god
@@ -109,8 +105,8 @@ pub struct MemoryPool<B: FabricBackend = Fabric> {
     layouts: Vec<ServerLayout>,
     /// Node addresses retired by structural deletes, one list per server.
     free_nodes: Vec<Mutex<NodeFreeList>>,
-    /// The reader-epoch registry every free list consults under epoch-based
-    /// reclamation; tree clients register their reader slots here.
+    /// The reader-epoch registry every free list consults; tree clients
+    /// register their reader slots here.
     epochs: Arc<EpochRegistry>,
     /// Tree nodes carved out of chunks by all client allocators.
     nodes_carved: AtomicU64,
@@ -155,7 +151,7 @@ impl<B: FabricBackend> MemoryPool<B> {
         let epochs = EpochRegistry::new();
         let mut free_nodes = Vec::with_capacity(servers);
         free_nodes.resize_with(servers, || {
-            Mutex::new(NodeFreeList::new_epoch(Arc::clone(&epochs)))
+            Mutex::new(NodeFreeList::new(Arc::clone(&epochs)))
         });
         Arc::new(MemoryPool {
             fabric,
@@ -255,29 +251,12 @@ impl<B: FabricBackend> MemoryPool<B> {
         &self.epochs
     }
 
-    /// Switch every server's free list to epoch-based reclamation (the
-    /// default).  Must be called before the first retirement.
-    pub fn use_epoch_reclamation(&self) {
-        for fl in &self.free_nodes {
-            fl.lock()
-                .set_policy(ReclaimPolicy::Epoch(Arc::clone(&self.epochs)));
-        }
-    }
-
-    /// Switch every server's free list to the deprecated grace-period
-    /// fallback (or adjust its window).  Must be called before the first
-    /// retirement when switching schemes.
-    pub fn set_reclaim_grace(&self, grace_ns: u64) {
-        for fl in &self.free_nodes {
-            fl.lock().set_grace_ns(grace_ns);
-        }
-    }
-
     /// Retire a node address freed by a structural delete at virtual time
     /// `now`.  `tombstone_version` is the node-level version of the tombstone
     /// image written at the address; the eventual reuser seeds its image
-    /// above it.  The address stays quarantined until the reclamation policy
-    /// clears it, then [`MemoryPool::reuse_node`] hands it out again.
+    /// above it.  The address stays quarantined until every reader pinned at
+    /// or before its retirement has unpinned, then
+    /// [`MemoryPool::reuse_node`] hands it out again.
     ///
     /// No fabric time is charged: like the paper's free-bit deallocation, the
     /// free-list bookkeeping is compute-side metadata.
@@ -294,8 +273,8 @@ impl<B: FabricBackend> MemoryPool<B> {
         self.retired_available.load(Ordering::Relaxed)
     }
 
-    /// Take one reusable node address from server `ms`'s free list, if the
-    /// reclamation policy has cleared any by virtual time `now`.
+    /// Take one reusable node address from server `ms`'s free list, if any
+    /// has cleared quarantine.
     pub fn reuse_node(&self, ms: u16, now: u64) -> Option<ReusedNode> {
         let reused = self.free_nodes.get(ms as usize)?.lock().reuse(now)?;
         self.retired_available.fetch_sub(1, Ordering::Relaxed);
@@ -432,10 +411,12 @@ mod tests {
     #[test]
     fn retired_nodes_reappear_only_after_grace() {
         let p = pool();
-        p.set_reclaim_grace(10_000);
+        let reader = p.epoch_registry().register();
+        let pin = reader.pin();
         let addr = GlobalAddress::host(1, 32 << 10);
         p.retire_node(addr, 1, 1_000);
         assert_eq!(p.reuse_node(1, 5_000), None, "still quarantined");
+        drop(pin);
         assert_eq!(p.reuse_node(0, 50_000), None, "wrong server");
         assert_eq!(p.reuse_node(1, 11_000).map(|r| r.addr), Some(addr));
         let s = p.reclaim_stats();
@@ -444,7 +425,7 @@ mod tests {
 
     #[test]
     fn epoch_reclamation_tracks_pins_across_the_pool() {
-        let p = pool(); // epoch policy is the default
+        let p = pool();
         let reader = p.epoch_registry().register();
         let a = GlobalAddress::host(0, 8 << 10);
         let b = GlobalAddress::host(1, 8 << 10);
@@ -473,7 +454,6 @@ mod tests {
     #[test]
     fn outstanding_counts_carves_and_retirements() {
         let p = pool();
-        p.set_reclaim_grace(0);
         p.note_node_carved();
         p.note_node_carved();
         assert_eq!(p.nodes_outstanding(), 2);

@@ -22,8 +22,8 @@ pub use sherman_workload;
 pub mod prelude {
     pub use sherman::{
         Cluster, ClusterConfig, LeafFormat, LockStrategy, NodeCensus, OffloadPolicy, OpOutput,
-        OpStats, PipelineOp, PipelineReport, PipelinedResult, ReclaimScheme, ShapeAudit,
-        TreeClient, TreeConfig, TreeError, TreeOptions,
+        OpStats, PipelineOp, PipelineReport, PipelinedResult, ShapeAudit, TreeClient, TreeConfig,
+        TreeError, TreeOptions,
     };
     pub use sherman_memserver::{AllocError, EpochRegistry, ReaderHandle};
     pub use sherman_metrics::{

@@ -215,37 +215,19 @@ fn delete_insert_interleaving_threaded() {
 /// Sliding-window churn across several writer threads while a reader thread
 /// continuously range-scans across the merge boundary: scans must stay
 /// sorted and free of torn values even as leaves merge, separators disappear
-/// and node addresses are retired underneath the scan.  Runs under both
-/// reclamation schemes on the simulator; on the threaded backend only under
-/// epoch-based reclamation (the grace-period fallback's safety argument
-/// needs the conservative virtual clock).
+/// and node addresses are retired underneath the scan.
 #[test]
 fn churn_merges_under_concurrent_range_scans_sim() {
-    churn_under_scans::<Fabric>(ReclaimScheme::Epoch);
+    churn_under_scans::<Fabric>();
 }
 
 #[test]
 fn churn_merges_under_concurrent_range_scans_threaded() {
-    churn_under_scans::<ThreadedFabric>(ReclaimScheme::Epoch);
+    churn_under_scans::<ThreadedFabric>();
 }
 
-#[test]
-fn churn_merges_under_concurrent_range_scans_grace_fallback() {
-    churn_under_scans::<Fabric>(ReclaimScheme::GracePeriod);
-}
-
-fn churn_under_scans<B: FabricBackend>(scheme: ReclaimScheme) {
-    let mut config = ClusterConfig::paper_scaled(2, 2);
-    config.tree = match scheme {
-        ReclaimScheme::Epoch => config.tree,
-        // Keep the PR 2 default window: the fallback is only in-sim safe
-        // because the conservative virtual clock bounds how far a scanner
-        // can trail, and that argument needs the full-size margin.
-        ReclaimScheme::GracePeriod => {
-            let grace = config.tree.reclaim_grace_ns;
-            config.tree.with_grace_reclamation(grace)
-        }
-    };
+fn churn_under_scans<B: FabricBackend>() {
+    let config = ClusterConfig::paper_scaled(2, 2);
     let cluster = Cluster::<B>::new_on(config, TreeOptions::sherman());
     cluster.bulkload(std::iter::empty()).expect("bulkload");
 

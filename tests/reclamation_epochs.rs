@@ -5,17 +5,17 @@
 //! * a **property test** interleaving readers, deleters and allocators under
 //!   the sim clock: no address is ever recycled while a reader pinned at or
 //!   before its retirement is still pinned,
-//! * a deterministic **ABA regression**: the PR 2 grace-period heuristic with
-//!   a tiny window hands an address out under a live reader; the epoch scheme
-//!   never does, no matter how much virtual time passes,
+//! * a deterministic **ABA regression**: a fixed quarantine window, however
+//!   chosen, can elapse under a live reader; an epoch pin blocks reuse no
+//!   matter how much virtual time passes,
 //! * a **tree-level version audit**: after a drain-and-regrow churn that
 //!   recycles every retired address, each reused node's image is stamped
 //!   strictly above its tombstone's version — versions always bump across
 //!   reuse, so a torn old/new image mix can never validate.
 //!
-//! Plus the scheme-equivalence check: the same deterministic churn under EBR
-//! and under the grace-period fallback builds the *same logical tree* (equal
-//! reachable-node census) with a strictly tighter remote-memory footprint.
+//! Plus the equivalence check: the same deterministic churn with and without
+//! recycling builds the *same logical tree* (equal reachable-node census),
+//! with a strictly tighter remote-memory footprint when addresses recycle.
 
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
@@ -65,7 +65,7 @@ proptest! {
         let registry = EpochRegistry::new();
         let readers: Vec<ReaderHandle> = (0..3).map(|_| registry.register()).collect();
         let mut pins: Vec<Option<(EpochPin, u64)>> = (0..3).map(|_| None).collect();
-        let mut fl = NodeFreeList::new_epoch(std::sync::Arc::clone(&registry));
+        let mut fl = NodeFreeList::new(std::sync::Arc::clone(&registry));
         let mut stamps: HashMap<u64, u64> = HashMap::new();
         let mut next_node = 0u64;
         let mut now = 0u64;
@@ -113,31 +113,21 @@ proptest! {
     }
 }
 
-/// The ABA regression the epoch scheme exists to close: under the deprecated
-/// grace-period heuristic a constant window — however chosen — can elapse
-/// while a reader is still live, so the address comes back under its feet.
-/// The same interleaving under epochs defers recycling for exactly as long
-/// as the pin exists, and no longer.
+/// The ABA regression the epoch scheme exists to close: a quarantine of a
+/// constant length — however chosen — can elapse while a reader is still
+/// live, so the address comes back under its feet (the PR 2 grace-period
+/// heuristic, deleted with its scheme).  Epochs defer recycling for exactly
+/// as long as the pin exists, and no longer.
 #[test]
 fn tiny_grace_recycles_under_a_live_reader_but_epochs_never() {
     let addr = GlobalAddress::host(0, ALLOC_START_OFFSET);
-
-    // Grace-period fallback, tiny window: the reader "pinned" (conceptually)
-    // at t=0 is still live at t=500, yet the address is handed out.
-    let mut grace = NodeFreeList::new(100);
-    grace.retire(addr, 1, 50);
-    assert!(
-        grace.reuse(500).is_some(),
-        "the grace heuristic recycles under a live reader — the ABA hazard"
-    );
-
-    // Epoch scheme, same interleaving: the pin blocks recycling for any
-    // amount of virtual time, and releasing it unblocks immediately.
     let registry = EpochRegistry::new();
     let reader = registry.register();
     let pin = reader.pin();
-    let mut ebr = NodeFreeList::new_epoch(std::sync::Arc::clone(&registry));
+    let mut ebr = NodeFreeList::new(std::sync::Arc::clone(&registry));
     ebr.retire(addr, 1, 50);
+    // The pin blocks recycling for any amount of virtual time, and releasing
+    // it unblocks immediately.
     assert_eq!(ebr.reuse(500), None);
     assert_eq!(ebr.reuse(1 << 60), None, "no stall outlasts an epoch pin");
     drop(pin);
@@ -220,11 +210,12 @@ fn versions_bump_across_address_reuse() {
 }
 
 // ---------------------------------------------------------------------
-// Scheme equivalence: same logical tree, tighter footprint
+// Recycling: same logical tree, tighter footprint
 // ---------------------------------------------------------------------
 
-fn sliding_window_churn(config: ClusterConfig) -> (NodeCensus, u64, sherman_repro::sherman_memserver::FreeListStats) {
-    let cluster = Cluster::new(config, TreeOptions::sherman());
+fn sliding_window_churn(
+    cluster: &std::sync::Arc<Cluster>,
+) -> (NodeCensus, u64, sherman_repro::sherman_memserver::FreeListStats) {
     cluster.bulkload(std::iter::empty()).unwrap();
     let mut client = cluster.client(0);
     let window = 400u64;
@@ -242,32 +233,32 @@ fn sliding_window_churn(config: ClusterConfig) -> (NodeCensus, u64, sherman_repr
     (census, cluster.pool().nodes_carved(), cluster.reclaim_stats())
 }
 
-/// The reclamation scheme must not change what the tree *is*, only how
-/// promptly addresses recycle: an identical deterministic churn under EBR
-/// and under a never-elapsing grace period reaches the same reachable-node
-/// census, while EBR carves strictly fewer fresh nodes (it recycles; the
-/// blocked grace list cannot).
+/// Reclamation must not change what the tree *is*, only how promptly
+/// addresses recycle: an identical deterministic churn reaches the same
+/// reachable-node census whether retired addresses come back or — behind a
+/// reader pinned for the whole run, the longest grace period there is — never
+/// do, while the recycling run carves strictly fewer fresh nodes.
 #[test]
 fn epoch_and_grace_builds_the_same_tree_with_tighter_footprint() {
-    let epoch_config = ClusterConfig::small(); // EBR is the default scheme
-    let mut grace_config = ClusterConfig::small();
-    // A quarantine longer than any run: the fallback never recycles, which
-    // bounds how much tighter EBR can possibly be.
-    grace_config.tree = grace_config.tree.with_grace_reclamation(1 << 50);
+    let recycling = Cluster::new(ClusterConfig::small(), TreeOptions::sherman());
+    let (epoch_census, epoch_carved, epoch_stats) = sliding_window_churn(&recycling);
 
-    let (epoch_census, epoch_carved, epoch_stats) = sliding_window_churn(epoch_config);
-    let (grace_census, grace_carved, grace_stats) = sliding_window_churn(grace_config);
+    let blocked = Cluster::new(ClusterConfig::small(), TreeOptions::sherman());
+    let reader = blocked.epoch_registry().register();
+    let pin = reader.pin();
+    let (grace_census, grace_carved, grace_stats) = sliding_window_churn(&blocked);
+    drop(pin);
 
     assert_eq!(
         epoch_census, grace_census,
-        "the reclamation scheme must not change the logical tree"
+        "recycling must not change the logical tree"
     );
     assert!(epoch_stats.reused > 0, "EBR must actually recycle under churn");
-    assert_eq!(grace_stats.reused, 0, "the blocked grace list must not recycle");
+    assert_eq!(grace_stats.reused, 0, "a pinned quarantine must not recycle");
     assert!(
         epoch_carved < grace_carved,
         "EBR footprint ({epoch_carved} carved) must beat the non-recycling \
-         fallback ({grace_carved} carved)"
+         reference ({grace_carved} carved)"
     );
     // Idle at the end of the run, nothing pins the quarantine: EBR's
     // retire→reuse latency is bounded by the churn's own allocation cadence,

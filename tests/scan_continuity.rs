@@ -92,10 +92,7 @@ fn a_scan_under_an_image_that_predates_splits_returns_every_key() {
 /// that follow.
 #[test]
 fn a_scan_under_an_image_that_outlived_merges_and_recycling_returns_every_key() {
-    // No grace period: a retired address is reusable at once.
-    let mut config = ClusterConfig::small();
-    config.tree.reclaim_grace_ns = 0;
-    let (cluster, mut model) = sparse_cluster(config);
+    let (cluster, mut model) = sparse_cluster(ClusterConfig::small());
     let layout = *cluster.layout();
     let cache = cluster.cache(1);
     let stale = cache

@@ -161,11 +161,11 @@ enum PairChange {
     /// The left node absorbed its right sibling, whose image is now the freed
     /// (free-bit set, version-bumped) tombstone with node-level version
     /// `right_version` (recorded with the retirement so the next writer of
-    /// the address stamps its image above it).  `survivor_live` is the left
-    /// node's occupancy afterwards, for the still-underfull chase.
+    /// the address stamps its image above it).  `still_underfull`: the
+    /// survivor itself ended up below the merge floor.
     Merge {
         right_version: u8,
-        survivor_live: usize,
+        still_underfull: bool,
     },
     /// Entries moved between the siblings (neither node is freed); the
     /// parent's separator for the right node must move to `new_sep`.
@@ -420,16 +420,18 @@ impl<B: FabricBackend> OpCx<'_, B> {
             WriteKind::Delete => leaf.slot_of(key),
         };
         let Some(slot) = slot else {
-            let release = match kind {
+            return Ok(match kind {
                 WriteKind::Insert { value } => {
                     self.split_leaf(addr, leaf, key, value, meta)?;
-                    None
+                    WriteCommit::Committed {
+                        found: true,
+                        release: None,
+                    }
                 }
-                WriteKind::Delete => self.release_lock_deferred(addr, Vec::new())?,
-            };
-            return Ok(WriteCommit::Committed {
-                found: kind != WriteKind::Delete,
-                release,
+                WriteKind::Delete => WriteCommit::Committed {
+                    found: false,
+                    release: self.release_lock_deferred(addr, Vec::new())?,
+                },
             });
         };
         match kind {
@@ -910,23 +912,18 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // first image above it, and subscribers reject any cached copy at or
         // below it).
         let mut commit = StructuralCommit::new();
-        let floor = if is_leaf {
-            self.merge_floor::<LeafNode>()
-        } else {
-            self.merge_floor::<InternalNode>()
-        };
         let (mut chase, mut cascade) = (false, false);
         let counters = self.cluster.space_counters();
         match merge.change {
             PairChange::Merge {
                 right_version,
-                survivor_live,
+                still_underfull,
             } => {
                 assert!(parent.remove_separator(sep, right_addr));
                 commit.invalidate(right_addr, right_version);
                 parent.header.free = parent.entries.is_empty()
                     && self.try_collapse_root(parent_addr, &parent, level)?;
-                chase = survivor_live < floor;
+                chase = still_underfull;
                 cascade = !parent.header.free
                     && parent.entries.len() < self.merge_floor::<InternalNode>();
                 if is_leaf {
@@ -1028,7 +1025,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             tombstone.bump_versions();
             PairChange::Merge {
                 right_version: tombstone.front_version,
-                survivor_live: left.occupancy(),
+                still_underfull: left.occupancy() < floor,
             }
         } else {
             let spare = donor.saturating_sub(floor);

@@ -181,6 +181,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         self.apply_coherence(&msgs);
     }
 
+    /// Apply drained coherence messages to this compute server's cache.
     pub(crate) fn apply_coherence(&mut self, msgs: &[sherman_sim::CoherenceMsg]) {
         if !msgs.is_empty() {
             let now = self.ctx.now();
@@ -873,7 +874,10 @@ impl LookupSM {
                         LocateStart::Cached(addr, source) => self.leaf_phase(cx, addr, source),
                         LocateStart::Traverse(sm) => {
                             match offload_descent(cx, self.key, &mut self.offload_done) {
-                                Some(sm) => LookupPhase::Offload { sm, fallback: None },
+                                Some(rpc) => LookupPhase::Offload {
+                                    sm: rpc,
+                                    fallback: None,
+                                },
                                 None => LookupPhase::Locate(sm),
                             }
                         }

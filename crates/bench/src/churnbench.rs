@@ -23,6 +23,7 @@ use sherman_metrics::{
     CoherenceGauges, LatencyHistogram, RunSummary, SpaceSnapshot, ThreadReport,
     ThroughputAggregator,
 };
+use sherman_sim::metrics::MetricsSnapshot;
 use sherman_sim::{Fabric, FabricBackend, FabricConfig};
 use sherman_workload::{ChurnSpec, Op};
 use std::sync::Arc;
@@ -153,6 +154,9 @@ pub struct ChurnResult {
     /// (a full-window read sweep after every inbox drained).  Any nonzero
     /// value means a coherence message failed to scrub its route.
     pub stale_hits_after_drain: u64,
+    /// Fabric-wide verb counters accumulated during the measured phase
+    /// (before the post-run quiesce and verification sweep).
+    pub fabric: MetricsSnapshot,
 }
 
 /// Run one churn experiment to completion and aggregate the results on the
@@ -188,6 +192,7 @@ pub fn run_churn_experiment_on<B: FabricBackend>(exp: &ChurnExperiment) -> Churn
     // fills the window through the ordinary insert path.
     cluster.bulkload(std::iter::empty()).expect("bulkload");
 
+    let baseline_metrics = cluster.fabric().metrics().snapshot();
     let start_time = cluster.fabric().now();
     let barrier = Arc::new(std::sync::Barrier::new(exp.threads));
     let mut handles = Vec::new();
@@ -254,6 +259,11 @@ pub fn run_churn_experiment_on<B: FabricBackend>(exp: &ChurnExperiment) -> Churn
         }
     }
     let elapsed = cluster.fabric().now().saturating_sub(start_time).max(1);
+    let fabric = cluster
+        .fabric()
+        .metrics()
+        .snapshot()
+        .delta_since(&baseline_metrics);
 
     // Close the stale window: every compute server waits out and applies its
     // in-flight coherence backlog, then re-reads the whole key space.  Stale
@@ -304,6 +314,7 @@ pub fn run_churn_experiment_on<B: FabricBackend>(exp: &ChurnExperiment) -> Churn
         },
         coherence: cluster.coherence_stats(),
         stale_hits_after_drain,
+        fabric,
     }
 }
 

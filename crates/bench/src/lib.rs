@@ -37,6 +37,8 @@ pub mod churnbench;
 pub mod fabricbench;
 pub mod lockbench;
 pub mod offloadbench;
+#[cfg(test)]
+mod pins;
 pub mod report;
 pub mod runner;
 pub mod scenariobench;

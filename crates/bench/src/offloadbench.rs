@@ -12,6 +12,7 @@
 
 use sherman::{Cluster, ClusterConfig, OffloadPolicy, TreeConfig, TreeOptions};
 use sherman_metrics::{LatencyHistogram, OffloadGauges, RunSummary, ThreadReport, ThroughputAggregator};
+use sherman_sim::metrics::MetricsSnapshot;
 use sherman_sim::FabricConfig;
 use sherman_workload::{KeyDistribution, Mix, Op, WorkloadSpec};
 use std::sync::Arc;
@@ -123,6 +124,8 @@ pub struct OffloadResult {
     pub cache_hit_ratio: f64,
     /// Mean fabric round trips per lookup (1.0 is the offload ideal).
     pub mean_round_trips: f64,
+    /// Fabric-wide verb counters accumulated during the measured phase.
+    pub fabric: MetricsSnapshot,
 }
 
 /// Run one offload experiment to completion.
@@ -153,6 +156,7 @@ pub fn run_offload_experiment(exp: &OffloadExperiment) -> OffloadResult {
         }
     }
 
+    let baseline_metrics = cluster.fabric().metrics().snapshot();
     let start_time = cluster.fabric().now();
     let barrier = Arc::new(std::sync::Barrier::new(exp.threads));
     let mut handles = Vec::new();
@@ -213,6 +217,11 @@ pub fn run_offload_experiment(exp: &OffloadExperiment) -> OffloadResult {
         offload: cluster.offload_stats(),
         cache_hit_ratio: cache_hits as f64 / total_ops.max(1) as f64,
         mean_round_trips: round_trips as f64 / total_ops.max(1) as f64,
+        fabric: cluster
+            .fabric()
+            .metrics()
+            .snapshot()
+            .delta_since(&baseline_metrics),
     }
 }
 

@@ -447,6 +447,8 @@ pub struct PipelineResult {
     pub overlap: OverlapGauges,
     /// Fraction of operations whose leaf address came from the index cache.
     pub cache_hit_ratio: f64,
+    /// Fabric-wide verb counters accumulated during the measured phase.
+    pub fabric: MetricsSnapshot,
 }
 
 /// Run one pipelined (or blocking-reference) read experiment.
@@ -467,6 +469,7 @@ pub fn run_pipeline_experiment(exp: &PipelineExperiment) -> PipelineResult {
         .bulkload(spec.bulkload_iter().map(|k| (k, k.wrapping_mul(3) + 1)))
         .expect("bulkload");
 
+    let baseline_metrics = cluster.fabric().metrics().snapshot();
     let start_time = cluster.fabric().now();
     let barrier = Arc::new(std::sync::Barrier::new(exp.threads));
     let mut handles = Vec::new();
@@ -552,6 +555,11 @@ pub fn run_pipeline_experiment(exp: &PipelineExperiment) -> PipelineResult {
         } else {
             cache_hits as f64 / total_ops as f64
         },
+        fabric: cluster
+            .fabric()
+            .metrics()
+            .snapshot()
+            .delta_since(&baseline_metrics),
     }
 }
 

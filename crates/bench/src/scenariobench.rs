@@ -28,6 +28,7 @@ use sherman_metrics::{
     BackpressureSnapshot, EpochGauges, LatencyHistogram, OverlapGauges, RunSummary,
     ThreadReport, ThroughputAggregator,
 };
+use sherman_sim::metrics::MetricsSnapshot;
 use sherman_sim::{Fabric, FabricBackend, FabricConfig};
 use sherman_workload::{Mix, Op, ScenarioShape, ScenarioSpec};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -299,6 +300,8 @@ pub struct ScenarioResult {
     /// Errors other than allocation backpressure (the smoke gate requires
     /// zero).
     pub op_errors: Vec<String>,
+    /// Fabric-wide verb counters accumulated during the measured phase.
+    pub fabric: MetricsSnapshot,
 }
 
 /// Sum of (hits, misses) across every compute server's type-❶ cache.
@@ -386,6 +389,7 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
         _ => None,
     };
 
+    let baseline_metrics = cluster.fabric().metrics().snapshot();
     let start_time = cluster.fabric().now();
     // The start line is an OS barrier (no virtual time has passed yet); the
     // *midpoint* rendezvous cannot be — a thread parked on an OS primitive
@@ -475,6 +479,11 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
         op_errors.extend(outcome.errors);
     }
     let elapsed = cluster.fabric().now().saturating_sub(start_time).max(1);
+    let fabric = cluster
+        .fabric()
+        .metrics()
+        .snapshot()
+        .delta_since(&baseline_metrics);
 
     let (end_hits, end_misses) = cache_counts(&cluster, exp.compute_servers);
     let (mid_hits, mid_misses) = *mid_counts.lock().unwrap();
@@ -511,6 +520,7 @@ pub fn run_scenario_experiment_on<B: FabricBackend>(exp: &ScenarioExperiment) ->
             end_misses.saturating_sub(mid_misses),
         ),
         op_errors,
+        fabric,
     }
 }
 

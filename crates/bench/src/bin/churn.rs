@@ -18,34 +18,26 @@
 //! ```
 //!
 //! `--smoke` runs only the merges-on system at `--quick` scale and exits
-//! non-zero when a structural regression is detected: space amplification
-//! above 2×, zero left merges (the rightmost-child shape leak),
-//! a persistently underfull child that a same-parent partner could fix, or a
-//! cache-coherence regression — merges that posted zero invalidations (the
-//! typestate publish path bypassed), messages still pending after every
-//! server quiesced, or stale cache hits served after the drain.
+//! non-zero when a structural regression is detected: an operation that
+//! failed or missed a live key (a panic, as in the table run), space
+//! amplification above 2× (simulator only: it is timing-coupled), zero left
+//! merges (the rightmost-child shape leak), a persistently underfull child
+//! that a same-parent partner could fix, or a cache-coherence regression —
+//! merges that posted zero invalidations (the typestate publish path
+//! bypassed), messages still pending after every server quiesced, or stale
+//! cache hits served after the drain.
 
 use sherman::TreeOptions;
+use sherman_bench::presets::CHURN_QUICK;
 use sherman_bench::{
-    fmt_mops, print_table, run_churn_experiment, run_churn_experiment_on, Args, ChurnExperiment,
-    ChurnResult,
+    fmt_mops, print_table, run_with_backend, smoke_verdict, Args, Experiment, Source,
 };
-use sherman_sim::ThreadedFabric;
-
-/// Dispatch on `--backend sim|threaded` (default: the virtual-time simulator).
-fn run(args: &Args, exp: &ChurnExperiment) -> ChurnResult {
-    match args.get("backend").unwrap_or("sim") {
-        "sim" => run_churn_experiment(exp),
-        "threaded" => run_churn_experiment_on::<ThreadedFabric>(exp),
-        other => {
-            eprintln!("unknown --backend {other} (expected sim|threaded)");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn main() {
     let args = Args::from_env();
+    args.finish(&[
+        "quick", "smoke", "window", "turnover", "threads", "lookup-pct", "range-pct", "backend",
+    ]);
     if args.flag("smoke") {
         smoke(&args);
         return;
@@ -59,12 +51,10 @@ fn main() {
     ];
 
     println!("Churn: sliding-window insert/delete; structural deletes vs grow-only");
-    let mut rows = Vec::new();
-    let mut timelines = Vec::new();
+    let (mut rows, mut timelines) = (Vec::new(), Vec::new());
     for (name, options) in systems {
         let exp = configure(&args, name, options);
-        let r = run(&args, &exp);
-        timelines.push((r.name.clone(), r.shape_timeline.clone()));
+        let r = run_with_backend(&args, &exp).expect_clean();
         rows.push(vec![
             r.name.clone(),
             fmt_mops(r.summary.throughput_ops),
@@ -78,13 +68,14 @@ fn main() {
             format!("{:.0}", r.reclaim.mean_reclaim_latency_ns()),
             r.census.total().to_string(),
             r.nodes_carved.to_string(),
-            format!("{:.2}", r.space_amplification),
+            format!("{:.2}", r.space_amplification()),
             format!("{:.0}%", r.top_hit_ratio * 100.0),
             r.cache_refreshes.to_string(),
             r.coherence.invalidations_posted.to_string(),
             format!("{:.0}", r.coherence.mean_apply_lag_ns()),
             r.stale_hits_after_drain.to_string(),
         ]);
+        timelines.push((r.name, r.shape_timeline));
     }
     print_table(
         &[
@@ -142,30 +133,30 @@ fn main() {
     println!(" carved node counts, which scale with turnover instead of the window size)");
 }
 
-fn configure(args: &Args, name: &str, options: TreeOptions) -> ChurnExperiment {
-    let mut exp = ChurnExperiment::default_scaled(name, options);
-    exp.window = args.get_u64("window", exp.window);
-    exp.turnover = args.get_f64("turnover", exp.turnover);
-    exp.threads = args.get_usize("threads", exp.threads);
-    exp.lookup_pct = args.get_u64("lookup-pct", exp.lookup_pct as u64) as u8;
-    exp.range_pct = args.get_u64("range-pct", exp.range_pct as u64) as u8;
-    if args.quick() || args.flag("smoke") {
-        exp = exp.quick();
+fn configure(args: &Args, name: &str, options: TreeOptions) -> Experiment {
+    let mut exp = Experiment::churn(name, options);
+    if let Source::Churn { spec, turnover } = &mut exp.source {
+        spec.lookup_pct = args.get_or("lookup-pct", spec.lookup_pct);
+        spec.range_pct = args.get_or("range-pct", spec.range_pct);
+        *turnover = args.get_or("turnover", *turnover);
     }
-    exp
+    exp.scaled_by(args, "window", &CHURN_QUICK)
 }
 
 /// CI gate: one quick merges-on run; non-zero exit on structural regression.
 fn smoke(args: &Args) {
     let exp = configure(args, "smoke", TreeOptions::sherman());
-    let r = run(args, &exp);
+    let r = run_with_backend(args, &exp).expect_clean();
+    let Source::Churn { turnover, .. } = exp.source else {
+        unreachable!("a churn experiment has a churn source");
+    };
     println!(
         "churn smoke: turnovers={:.1} space_amp={:.2} merges={} left_merges={} \
          rebalances={}+{} underfull_rightmost_fixable={} underfull_internals_fixable={} \
          top_hit={:.0}% refreshes={} inval_posted={} coh_applied={} \
          coh_lag_mean_ns={:.0} stale_after_drain={}",
         r.turnovers,
-        r.space_amplification,
+        r.space_amplification(),
         r.space.merges(),
         r.space.left_merges,
         r.space.rebalances,
@@ -180,10 +171,10 @@ fn smoke(args: &Args) {
         r.stale_hits_after_drain,
     );
     let mut failures = Vec::new();
-    if r.turnovers < exp.turnover {
+    if r.turnovers < turnover {
         failures.push(format!(
-            "turnover {:.1} below the {:.1} target",
-            r.turnovers, exp.turnover
+            "turnover {:.1} below the {turnover:.1} target",
+            r.turnovers
         ));
     }
     // Space amplification is timing-coupled: it gates how promptly merges and
@@ -191,8 +182,8 @@ fn smoke(args: &Args) {
     // the threaded backend.  Enforce it only where timing is modeled; on the
     // threaded backend it is advisory and only the structural/coherence
     // invariants below stay strict.
-    if args.get("backend").unwrap_or("sim") == "sim" && r.space_amplification > 2.0 {
-        failures.push(format!("space amplification {:.2} exceeds 2x", r.space_amplification));
+    if args.get_or("backend", "sim".to_string()) == "sim" && r.space_amplification() > 2.0 {
+        failures.push(format!("space amplification {:.2} exceeds 2x", r.space_amplification()));
     }
     if r.space.left_merges == 0 {
         failures.push("zero left merges: the rightmost-child shape leak is back".into());
@@ -228,12 +219,5 @@ fn smoke(args: &Args) {
             r.stale_hits_after_drain
         ));
     }
-    if failures.is_empty() {
-        println!("churn smoke: OK");
-    } else {
-        for f in &failures {
-            eprintln!("churn smoke FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    smoke_verdict("churn", &failures);
 }

@@ -3,55 +3,17 @@
 //! for the write-only, write-intensive and read-intensive mixes.
 //!
 //! ```text
-//! cargo run --release -p sherman-bench --bin fig10_ablation_skew [-- --quick]
+//! cargo run --release -p sherman_bench --bin fig10_ablation_skew [-- --quick --theta T
+//!     --threads N --keys N --ops N] [--backend sim|threaded]
 //! ```
 
-use sherman::TreeOptions;
-use sherman_bench::{fmt_mops, fmt_us, print_table, run_tree_experiment, Args, TreeExperiment};
-use sherman_workload::{KeyDistribution, Mix};
+use sherman_bench::{figures, Args};
+use sherman_workload::KeyDistribution;
 
 fn main() {
     let args = Args::from_env();
-    run_ablation(
-        &args,
-        KeyDistribution::ScrambledZipfian { theta: args.get_f64("theta", 0.99) },
-        "Figure 10: ablation under skewed workloads (theta=0.99)",
-    );
-}
-
-/// Shared by fig10 (skew) and fig11 (uniform).
-pub fn run_ablation(args: &Args, distribution: KeyDistribution, title: &str) {
-    let mixes = [
-        ("write-only", Mix::WRITE_ONLY),
-        ("write-intensive", Mix::WRITE_INTENSIVE),
-        ("read-intensive", Mix::READ_INTENSIVE),
-    ];
-    println!("{title}");
-    for (mix_name, mix) in mixes {
-        println!("\n[{mix_name}]");
-        let mut rows = Vec::new();
-        for (label, options) in TreeOptions::ablation_ladder() {
-            let mut exp = TreeExperiment::default_scaled(label, options);
-            exp.mix = mix;
-            exp.distribution = distribution;
-            exp.threads = args.get_usize("threads", exp.threads);
-            exp.key_space = args.get_u64("keys", exp.key_space);
-            exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
-            if args.quick() {
-                exp = exp.quick();
-            }
-            let r = run_tree_experiment(&exp);
-            rows.push(vec![
-                label.to_string(),
-                fmt_mops(r.summary.throughput_ops),
-                fmt_us(r.summary.p50_ns),
-                fmt_us(r.summary.p99_ns),
-                format!("{:.0}%", r.handover_fraction * 100.0),
-            ]);
-        }
-        print_table(
-            &["configuration", "throughput (Mops)", "p50 (us)", "p99 (us)", "handover"],
-            &rows,
-        );
-    }
+    args.finish(&["quick", "theta", "threads", "keys", "ops", "backend"]);
+    println!("Figure 10: ablation under skewed workloads (theta=0.99)");
+    let theta = args.get_or("theta", 0.99);
+    figures::ablation(&args, KeyDistribution::ScrambledZipfian { theta }, true);
 }

@@ -1,45 +1,16 @@
 //! Figure 11 — contribution of each technique under *uniform* workloads.
 //!
 //! ```text
-//! cargo run --release -p sherman-bench --bin fig11_ablation_uniform [-- --quick]
+//! cargo run --release -p sherman_bench --bin fig11_ablation_uniform [-- --quick
+//!     --threads N --keys N --ops N] [--backend sim|threaded]
 //! ```
 
-use sherman::TreeOptions;
-use sherman_bench::{fmt_mops, fmt_us, print_table, run_tree_experiment, Args, TreeExperiment};
-use sherman_workload::{KeyDistribution, Mix};
+use sherman_bench::{figures, Args};
+use sherman_workload::KeyDistribution;
 
 fn main() {
     let args = Args::from_env();
-    let mixes = [
-        ("write-only", Mix::WRITE_ONLY),
-        ("write-intensive", Mix::WRITE_INTENSIVE),
-        ("read-intensive", Mix::READ_INTENSIVE),
-    ];
+    args.finish(&["quick", "threads", "keys", "ops", "backend"]);
     println!("Figure 11: ablation under uniform workloads");
-    for (mix_name, mix) in mixes {
-        println!("\n[{mix_name}]");
-        let mut rows = Vec::new();
-        for (label, options) in TreeOptions::ablation_ladder() {
-            let mut exp = TreeExperiment::default_scaled(label, options);
-            exp.mix = mix;
-            exp.distribution = KeyDistribution::Uniform;
-            exp.threads = args.get_usize("threads", exp.threads);
-            exp.key_space = args.get_u64("keys", exp.key_space);
-            exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
-            if args.quick() {
-                exp = exp.quick();
-            }
-            let r = run_tree_experiment(&exp);
-            rows.push(vec![
-                label.to_string(),
-                fmt_mops(r.summary.throughput_ops),
-                fmt_us(r.summary.p50_ns),
-                fmt_us(r.summary.p99_ns),
-            ]);
-        }
-        print_table(
-            &["configuration", "throughput (Mops)", "p50 (us)", "p99 (us)"],
-            &rows,
-        );
-    }
+    figures::ablation(&args, KeyDistribution::Uniform, false);
 }

@@ -2,43 +2,33 @@
 //! range sizes 100 and 1000, FG+ versus Sherman.
 //!
 //! ```text
-//! cargo run --release -p sherman-bench --bin fig12_range [-- --quick]
+//! cargo run --release -p sherman_bench --bin fig12_range [-- --quick --threads N --keys N
+//!     --ops N] [--backend sim|threaded]
 //! ```
 
-use sherman::TreeOptions;
-use sherman_bench::{fmt_mops, print_table, run_tree_experiment, Args, TreeExperiment};
-use sherman_workload::{KeyDistribution, Mix};
+use sherman_bench::presets::PAPER_QUICK;
+use sherman_bench::{figures, Args, Experiment};
+use sherman_workload::Mix;
 
 fn main() {
     let args = Args::from_env();
-    let systems = [("FG+", TreeOptions::fg_plus()), ("Sherman", TreeOptions::sherman())];
+    args.finish(&["quick", "threads", "keys", "ops", "backend"]);
     let workloads = [("range-only", Mix::RANGE_ONLY), ("range-write", Mix::RANGE_WRITE)];
-    let range_sizes = [100u64, 1000];
 
     println!("Figure 12: range query performance (skewed ranges)");
     for (wl_name, mix) in workloads {
         println!("\n[{wl_name}]");
-        let mut rows = Vec::new();
-        for range_size in range_sizes {
-            let mut row = vec![range_size.to_string()];
-            for (sys_name, options) in systems {
-                let mut exp =
-                    TreeExperiment::default_scaled(format!("{sys_name}/{range_size}"), options);
-                exp.mix = mix;
-                exp.range_size = range_size;
-                exp.distribution = KeyDistribution::ScrambledZipfian { theta: 0.99 };
-                exp.threads = args.get_usize("threads", exp.threads);
-                exp.key_space = args.get_u64("keys", exp.key_space);
-                exp.ops_per_thread = args.get_usize("ops", if range_size >= 1000 { 100 } else { 200 });
-                if args.quick() {
-                    exp = exp.quick();
-                    exp.ops_per_thread = exp.ops_per_thread.min(40);
-                }
-                let r = run_tree_experiment(&exp);
-                row.push(fmt_mops(r.summary.throughput_ops));
+        figures::fg_vs_sherman(&args, "range size", &[100u64, 1000], |&range_size, sys_name, options| {
+            let mut exp = Experiment::paper(format!("{sys_name}/{range_size}"), options);
+            let spec = exp.source.workload_mut();
+            spec.mix = mix;
+            spec.range_size = range_size;
+            exp.ops_per_thread = if range_size >= 1000 { 100 } else { 200 };
+            let mut exp = exp.scaled_by(&args, "keys", &PAPER_QUICK);
+            if args.quick() {
+                exp.ops_per_thread = exp.ops_per_thread.min(40);
             }
-            rows.push(row);
-        }
-        print_table(&["range size", "FG+ (Mops)", "Sherman (Mops)"], &rows);
+            exp
+        });
     }
 }

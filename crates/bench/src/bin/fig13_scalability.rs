@@ -3,16 +3,17 @@
 //! FG+ versus Sherman.
 //!
 //! ```text
-//! cargo run --release -p sherman-bench --bin fig13_scalability [-- --quick --max-threads N]
+//! cargo run --release -p sherman_bench --bin fig13_scalability [-- --quick --max-threads N
+//!     --keys N --ops N] [--backend sim|threaded]
 //! ```
 
-use sherman::TreeOptions;
-use sherman_bench::{fmt_mops, print_table, run_tree_experiment, Args, TreeExperiment};
+use sherman_bench::{figures, Args, Experiment};
 use sherman_workload::KeyDistribution;
 
 fn main() {
     let args = Args::from_env();
-    let max_threads = args.get_usize("max-threads", if args.quick() { 8 } else { 24 });
+    args.finish(&["quick", "max-threads", "keys", "ops", "backend"]);
+    let max_threads = args.get_or("max-threads", if args.quick() { 8 } else { 24 });
     let mut thread_counts = vec![2usize, 4, 8, 16, 24, 32, 48, 64];
     thread_counts.retain(|&t| t <= max_threads);
     let scenarios = [
@@ -20,29 +21,19 @@ fn main() {
         ("skew 0.9", KeyDistribution::ScrambledZipfian { theta: 0.9 }),
         ("skew 0.99", KeyDistribution::ScrambledZipfian { theta: 0.99 }),
     ];
-    let systems = [("FG+", TreeOptions::fg_plus()), ("Sherman", TreeOptions::sherman())];
 
     println!("Figure 13: scalability with client threads (write-intensive)");
     for (scenario, distribution) in scenarios {
         println!("\n[{scenario}]");
-        let mut rows = Vec::new();
-        for &threads in &thread_counts {
-            let mut row = vec![threads.to_string()];
-            for (sys_name, options) in systems {
-                let mut exp = TreeExperiment::default_scaled(
-                    format!("{sys_name}/{threads}"),
-                    options,
-                );
-                exp.distribution = distribution;
-                exp.threads = threads;
-                exp.key_space = args.get_u64("keys", exp.key_space);
-                exp.ops_per_thread =
-                    args.get_usize("ops", if args.quick() { 60 } else { 200 });
-                let r = run_tree_experiment(&exp);
-                row.push(fmt_mops(r.summary.throughput_ops));
+        figures::fg_vs_sherman(&args, "threads", &thread_counts, |&threads, sys_name, options| {
+            let mut exp = Experiment::paper(format!("{sys_name}/{threads}"), options);
+            exp.source.workload_mut().distribution = distribution;
+            exp.threads = threads;
+            if let Some(keys) = args.value("keys") {
+                exp.source.set_key_space(keys);
             }
-            rows.push(row);
-        }
-        print_table(&["threads", "FG+ (Mops)", "Sherman (Mops)"], &rows);
+            exp.ops_per_thread = args.get_or("ops", if args.quick() { 60 } else { 200 });
+            exp
+        });
     }
 }

@@ -6,31 +6,22 @@
 //! * (c) bytes written per write operation.
 //!
 //! ```text
-//! cargo run --release -p sherman-bench --bin fig14_internal [-- --quick]
+//! cargo run --release -p sherman_bench --bin fig14_internal [-- --quick --threads N --keys N
+//!     --ops N] [--backend sim|threaded]
 //! ```
 
 use sherman::TreeOptions;
-use sherman_bench::{print_table, run_tree_experiment, Args, ExperimentResult, TreeExperiment};
-use sherman_workload::{KeyDistribution, Mix};
-
-fn run(args: &Args, name: &str, options: TreeOptions) -> ExperimentResult {
-    let mut exp = TreeExperiment::default_scaled(name, options);
-    exp.mix = Mix::WRITE_INTENSIVE;
-    exp.distribution = KeyDistribution::ScrambledZipfian { theta: 0.99 };
-    exp.threads = args.get_usize("threads", exp.threads);
-    exp.key_space = args.get_u64("keys", exp.key_space);
-    exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
-    if args.quick() {
-        exp = exp.quick();
-    }
-    run_tree_experiment(&exp)
-}
+use sherman_bench::presets::PAPER_QUICK;
+use sherman_bench::{print_table, run_with_backend, Args, Experiment};
 
 fn main() {
     let args = Args::from_env();
-    let fg = run(&args, "FG+", TreeOptions::fg_plus());
-    let sherman = run(&args, "Sherman", TreeOptions::sherman());
-
+    args.finish(&["quick", "threads", "keys", "ops", "backend"]);
+    let run = |name, options| {
+        run_with_backend(&args, &Experiment::paper(name, options).scaled_by(&args, "keys", &PAPER_QUICK)).expect_clean()
+    };
+    let fg = run("FG+", TreeOptions::fg_plus());
+    let sherman = run("Sherman", TreeOptions::sherman());
     println!("Figure 14(a): retry counts of read operations (fraction of reads)");
     let mut rows = Vec::new();
     for retries in 0..=4u64 {

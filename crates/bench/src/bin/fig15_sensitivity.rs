@@ -9,7 +9,8 @@
 //!   nodes a lookup still has to read.
 //!
 //! ```text
-//! cargo run --release -p sherman-bench --bin fig15_sensitivity [-- --quick | --smoke]
+//! cargo run --release -p sherman_bench --bin fig15_sensitivity [-- --quick | --smoke]
+//!     [--threads N] [--keys N] [--ops N] [--deep-keys N] [--deep-ops N] [--backend sim|threaded]
 //! ```
 //!
 //! `--smoke` runs block (d) alone on a small key space and exits non-zero
@@ -17,7 +18,7 @@
 //! rise with the budget.
 
 use sherman::{Cluster, ClusterConfig, TreeConfig, TreeOptions};
-use sherman_bench::{fmt_mops, print_table, run_tree_experiment, Args, TreeExperiment};
+use sherman_bench::{figures, fmt_mops, print_table, run_with_backend, Args, Experiment};
 use sherman_workload::{KeyDistribution, Mix, Op, WorkloadSpec};
 
 /// Node size that keeps 32 entries per leaf for a given key size (the paper
@@ -31,31 +32,23 @@ fn node_size_for(key_size: usize, value_size: usize) -> usize {
 fn key_size_sweep(args: &Args, distribution: KeyDistribution, title: &str) {
     println!("{title}");
     let key_sizes = [16usize, 32, 64, 128, 256, 512, 1024];
-    let mut rows = Vec::new();
-    for key_size in key_sizes {
-        let mut row = vec![key_size.to_string()];
-        for (name, options) in [("FG+", TreeOptions::fg_plus()), ("Sherman", TreeOptions::sherman())] {
-            let mut exp = TreeExperiment::default_scaled(format!("{name}/{key_size}"), options);
-            exp.mix = Mix::WRITE_INTENSIVE;
-            exp.distribution = distribution;
-            exp.key_space = args.get_u64("keys", 1 << 16);
-            exp.threads = args.get_usize("threads", 8);
-            exp.ops_per_thread = args.get_usize("ops", if args.quick() { 60 } else { 200 });
-            exp.tree = TreeConfig {
-                node_size: node_size_for(key_size, 8),
-                key_size,
-                chunk_bytes: 4 << 20,
-                ..TreeConfig::default()
-            };
-            if args.quick() {
-                exp.threads = exp.threads.min(4);
-            }
-            let r = run_tree_experiment(&exp);
-            row.push(fmt_mops(r.summary.throughput_ops));
+    figures::fg_vs_sherman(args, "key size (B)", &key_sizes, |&key_size, name, options| {
+        let mut exp = Experiment::paper(format!("{name}/{key_size}"), options);
+        exp.source.workload_mut().distribution = distribution;
+        exp.source.set_key_space(args.get_or("keys", 1 << 16));
+        exp.threads = args.get_or("threads", 8);
+        exp.ops_per_thread = args.get_or("ops", if args.quick() { 60 } else { 200 });
+        exp.tree = TreeConfig {
+            node_size: node_size_for(key_size, 8),
+            key_size,
+            chunk_bytes: 4 << 20,
+            ..TreeConfig::default()
+        };
+        if args.quick() {
+            exp.threads = exp.threads.min(4);
         }
-        rows.push(row);
-    }
-    print_table(&["key size (B)", "FG+ (Mops)", "Sherman (Mops)"], &rows);
+        exp
+    });
 }
 
 fn cache_sweep(args: &Args) {
@@ -63,14 +56,14 @@ fn cache_sweep(args: &Args) {
     let sizes_kb = [64usize, 128, 256, 512, 1024, 4096];
     let mut rows = Vec::new();
     for kb in sizes_kb {
-        let mut exp = TreeExperiment::default_scaled(format!("cache-{kb}KB"), TreeOptions::sherman());
-        exp.mix = Mix::WRITE_INTENSIVE;
-        exp.distribution = KeyDistribution::Uniform;
-        exp.key_space = args.get_u64("keys", if args.quick() { 1 << 17 } else { 1 << 19 });
-        exp.threads = args.get_usize("threads", if args.quick() { 4 } else { 8 });
-        exp.ops_per_thread = args.get_usize("ops", if args.quick() { 60 } else { 200 });
+        let mut exp = Experiment::paper(format!("cache-{kb}KB"), TreeOptions::sherman());
+        exp.source.workload_mut().distribution = KeyDistribution::Uniform;
+        let keys = args.get_or("keys", if args.quick() { 1 << 17 } else { 1 << 19 });
+        exp.source.set_key_space(keys);
+        exp.threads = args.get_or("threads", if args.quick() { 4 } else { 8 });
+        exp.ops_per_thread = args.get_or("ops", if args.quick() { 60 } else { 200 });
         exp.tree.cache_bytes = kb << 10;
-        let r = run_tree_experiment(&exp);
+        let r = run_with_backend(args, &exp).expect_clean();
         rows.push(vec![
             kb.to_string(),
             fmt_mops(r.summary.throughput_ops),
@@ -88,7 +81,7 @@ fn deep_sweep(args: &Args, smoke: bool) -> Vec<(usize, f64)> {
         "\nFigure 15(d): index cache size on a deep tree (256 B nodes, uniform, read-intensive)"
     );
     let small = smoke || args.quick();
-    let key_space = args.get_u64("deep-keys", if small { 1 << 19 } else { 1 << 20 });
+    let key_space = args.get_or("deep-keys", if small { 1 << 19 } else { 1 << 20 });
     let spec = WorkloadSpec {
         key_space,
         bulkload_keys: key_space / 5 * 4,
@@ -96,7 +89,7 @@ fn deep_sweep(args: &Args, smoke: bool) -> Vec<(usize, f64)> {
         distribution: KeyDistribution::Uniform,
         ..WorkloadSpec::default_scaled()
     };
-    let ops = args.get_usize("deep-ops", if small { 40_000 } else { 200_000 });
+    let ops = args.get_or("deep-ops", if small { 40_000 } else { 200_000 });
     let mut rows = Vec::new();
     let mut sweep = Vec::new();
     for kb in [64usize, 128, 256, 512, 1024, 4096] {
@@ -171,6 +164,9 @@ fn deep_sweep(args: &Args, smoke: bool) -> Vec<(usize, f64)> {
 
 fn main() {
     let args = Args::from_env();
+    args.finish(&[
+        "quick", "smoke", "threads", "keys", "ops", "deep-keys", "deep-ops", "backend",
+    ]);
     if args.flag("smoke") {
         let sweep = deep_sweep(&args, true);
         let at_256kb = sweep.iter().find(|&&(kb, _)| kb == 256).map(|&(_, r)| r);

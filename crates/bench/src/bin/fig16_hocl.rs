@@ -2,26 +2,20 @@
 //! (0.99) access pattern over a fixed set of locks on one memory server.
 //!
 //! ```text
-//! cargo run --release -p sherman-bench --bin fig16_hocl [-- --quick --threads N --locks N]
+//! cargo run --release -p sherman_bench --bin fig16_hocl [-- --quick --threads N --locks N]
 //! ```
 
 use sherman_bench::{fmt_mops, fmt_us, print_table, run_lock_experiment, Args, LockExperiment, LockVariant};
 
 fn main() {
     let args = Args::from_env();
+    args.finish(&["quick", "theta", "threads", "locks", "ops"]);
     println!("Figure 16: performance of HOCL design steps (skewed pattern, theta=0.99)");
     let mut rows = Vec::new();
     for (label, variant) in LockVariant::ladder() {
         let mut exp = LockExperiment::default_scaled(variant);
-        exp.theta = args.get_f64("theta", 0.99);
-        exp.threads = args.get_usize("threads", exp.threads);
-        exp.locks = args.get_u64("locks", exp.locks);
-        exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
-        if args.quick() {
-            exp.threads = exp.threads.min(6);
-            exp.ops_per_thread = exp.ops_per_thread.min(100);
-        }
-        let s = run_lock_experiment(&exp);
+        exp.theta = args.get_or("theta", 0.99);
+        let s = run_lock_experiment(&exp.scaled_by(&args));
         rows.push(vec![
             label.to_string(),
             fmt_mops(s.throughput_ops),

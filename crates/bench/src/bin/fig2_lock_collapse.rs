@@ -2,13 +2,14 @@
 //! contention as the Zipfian parameter grows.
 //!
 //! ```text
-//! cargo run --release -p sherman-bench --bin fig2_lock_collapse [-- --quick --threads N --locks N]
+//! cargo run --release -p sherman_bench --bin fig2_lock_collapse [-- --quick --threads N --locks N]
 //! ```
 
 use sherman_bench::{fmt_mops, fmt_us, print_table, run_lock_experiment, Args, LockExperiment, LockVariant};
 
 fn main() {
     let args = Args::from_env();
+    args.finish(&["quick", "threads", "locks", "ops"]);
     let thetas = [0.0, 0.8, 0.9, 0.95, 0.99];
 
     println!("Figure 2: RDMA-based exclusive locks vs contention degree (baseline design)");
@@ -16,14 +17,7 @@ fn main() {
     for theta in thetas {
         let mut exp = LockExperiment::default_scaled(LockVariant::Baseline);
         exp.theta = theta;
-        exp.threads = args.get_usize("threads", exp.threads);
-        exp.locks = args.get_u64("locks", exp.locks);
-        exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
-        if args.quick() {
-            exp.threads = exp.threads.min(6);
-            exp.ops_per_thread = exp.ops_per_thread.min(100);
-        }
-        let s = run_lock_experiment(&exp);
+        let s = run_lock_experiment(&exp.scaled_by(&args));
         rows.push(vec![
             format!("{theta:.2}"),
             fmt_mops(s.throughput_ops),

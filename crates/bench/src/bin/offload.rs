@@ -16,23 +16,22 @@
 //!
 //! ```text
 //! cargo run --release -p sherman_bench --bin offload [-- --quick] [--smoke]
-//!     [--threads N] [--ops N]
+//!     [--threads N] [--ops N] [--backend sim|threaded]
 //! ```
 //!
 //! `--smoke` runs the CI gate at quick scale and exits non-zero when
 //! (1) the adaptive policy falls more than 5% behind the best fixed policy
-//! on the cold-cache deep-tree far-fabric point, (2) a cold-cache lookup under `Always`
-//! costs anything other than exactly one fabric round trip — one RPC and
-//! zero one-sided READs — or (3) any lookup disagrees with a model of the
-//! tree after an insert/delete churn phase followed by a coherence quiesce
-//! (server-side replies must never smuggle stale state past the tombstone
-//! admission floor).
+//! on the cold-cache deep-tree far-fabric point, or (2) a cold-cache lookup
+//! under `Always` costs anything other than exactly one fabric round trip —
+//! one RPC and zero one-sided READs.  (That no lookup disagrees with a model
+//! of the tree through insert/delete churn and a coherence quiesce under
+//! offload is a tier-1 test: `tests/offload_equivalence.rs`.)
 
+use sherman::{Cluster, ClusterConfig, OffloadPolicy};
+use sherman_bench::presets::OFFLOAD_QUICK;
 use sherman_bench::{
-    fmt_mops, fmt_us, print_table, run_offload_experiment, Args, OffloadExperiment,
+    fmt_mops, fmt_us, print_table, run_with_backend, smoke_verdict, Args, Experiment, RunReport,
 };
-use sherman::{Cluster, ClusterConfig, OffloadPolicy, TreeConfig, TreeOptions};
-use sherman_sim::FabricConfig;
 use sherman_workload::KeyDistribution;
 
 const POLICIES: [OffloadPolicy; 3] = [
@@ -41,8 +40,14 @@ const POLICIES: [OffloadPolicy; 3] = [
     OffloadPolicy::Adaptive,
 ];
 
+/// Unloaded round-trip time of the far-fabric regime (cross-rack, far memory
+/// tier): offload trades dependent client RTTs for one RPC plus server work,
+/// so this is its home.
+const FAR_RTT_NS: u64 = 5_000;
+
 fn main() {
     let args = Args::from_env();
+    args.finish(&["quick", "smoke", "threads", "ops", "backend"]);
     if args.flag("smoke") {
         smoke(&args);
         return;
@@ -50,30 +55,31 @@ fn main() {
 
     println!("Offload: server-side traversal placement regime map (100% lookups)");
     let mut rows = Vec::new();
-    for &(depth_name, node_size, key_space, rtt) in &[
-        ("shallow", 1024usize, 1u64 << 13, None),
-        ("deep", 256, 1 << 16, None),
-        ("deep-far", 256, 1 << 16, Some(5_000u64)),
+    for &(depth_name, node_size, key_space, far) in &[
+        ("shallow", 1024usize, 1u64 << 13, false),
+        ("deep", 256, 1 << 16, false),
+        ("deep-far", 256, 1 << 16, true),
     ] {
         for &(skew_name, dist) in &[
             ("uniform", KeyDistribution::Uniform),
             ("zipf-0.99", KeyDistribution::ScrambledZipfian { theta: 0.99 }),
         ] {
             for &(cache_name, cold) in &[("warm", false), ("cold", true)] {
-                let mut results = Vec::new();
-                for &policy in &POLICIES {
-                    let mut exp = configure(
-                        &args, policy, node_size, key_space, dist, cold,
-                    );
-                    exp.base_rtt_ns = rtt;
-                    results.push(run_offload_experiment(&exp));
-                }
-                let best = results
+                let results: Vec<RunReport> = POLICIES
                     .iter()
-                    .max_by(|a, b| {
-                        a.summary
-                            .throughput_ops
-                            .total_cmp(&b.summary.throughput_ops)
+                    .map(|&policy| {
+                        let mut exp = regime(policy, cold, far);
+                        exp.tree.node_size = node_size;
+                        exp.source.set_key_space(key_space);
+                        exp.source.workload_mut().distribution = dist;
+                        let exp = exp.scaled_by(&args, "keys", &OFFLOAD_QUICK);
+                        run_with_backend(&args, &exp).expect_clean()
+                    })
+                    .collect();
+                let best = (0..POLICIES.len())
+                    .max_by(|&a, &b| {
+                        let throughput = |i: usize| results[i].summary.throughput_ops;
+                        throughput(a).total_cmp(&throughput(b))
                     })
                     .expect("three results");
                 let adaptive = &results[2];
@@ -82,9 +88,9 @@ fn main() {
                     fmt_mops(results[0].summary.throughput_ops),
                     fmt_mops(results[1].summary.throughput_ops),
                     fmt_mops(results[2].summary.throughput_ops),
-                    format!("{:?}", best.policy),
+                    format!("{:?}", POLICIES[best]),
                     format!("{:.0}%", adaptive.offload.offload_ratio() * 100.0),
-                    format!("{:.2}", adaptive.mean_round_trips),
+                    format!("{:.2}", adaptive.round_trips_per_op()),
                     fmt_us(adaptive.summary.p50_ns),
                 ]);
             }
@@ -108,64 +114,39 @@ fn main() {
     println!("ad-rt/op   = adaptive mean fabric round trips per lookup (1.0 = offload ideal)");
 }
 
-fn configure(
-    args: &Args,
-    policy: OffloadPolicy,
-    node_size: usize,
-    key_space: u64,
-    dist: KeyDistribution,
-    cold: bool,
-) -> OffloadExperiment {
-    let mut exp = OffloadExperiment::default_scaled(format!("{policy:?}"), policy);
-    exp.tree.node_size = node_size;
-    exp.key_space = key_space;
-    exp.distribution = dist;
+/// One (policy, cache, distance) point at the default deep-tree scale.
+fn regime(policy: OffloadPolicy, cold: bool, far: bool) -> Experiment {
+    let mut exp = Experiment::offload(format!("{policy:?}"), policy);
     exp.cold_start = cold;
     if cold {
         // The cold regime also starves the type-1 cache so it cannot rewarm
         // past a handful of routes during the measured phase.
         exp.tree.cache_bytes = 4 << 10;
     }
-    exp.threads = args.get_usize("threads", exp.threads);
-    exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
-    if args.quick() || args.flag("smoke") {
-        exp = exp.quick();
+    if far {
+        exp.fabric.base_rtt_ns = FAR_RTT_NS;
     }
     exp
 }
 
-/// CI gate: the adaptive crossover, the O(1) cold lookup, and churn
-/// coherence — at quick scale.
+/// CI gate: the adaptive crossover and the O(1) cold lookup, at quick scale.
 fn smoke(args: &Args) {
     let mut failures = Vec::new();
     smoke_adaptive_crossover(args, &mut failures);
     smoke_cold_lookup_is_one_round_trip(&mut failures);
-    smoke_churn_serves_no_stale_results(&mut failures);
-    if failures.is_empty() {
-        println!("offload smoke: OK");
-    } else {
-        for f in &failures {
-            eprintln!("offload smoke FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    smoke_verdict("offload", &failures);
 }
 
 /// Gate 1: on the cold-cache deep-tree point the adaptive policy must hold
 /// at least 95% of whichever fixed placement wins.
 fn smoke_adaptive_crossover(args: &Args, failures: &mut Vec<String>) {
     let run = |policy| {
-        // Built by hand rather than through `configure`: the gate needs the
-        // full-depth tree (quick() caps the key space), just fewer ops.  The
-        // point sits on a far fabric — RPC offload's home regime, where one
-        // round trip plus server work clearly beats a chain of client RTTs.
-        let mut exp = OffloadExperiment::default_scaled("smoke", policy);
-        exp.cold_start = true;
-        exp.tree.cache_bytes = 4 << 10;
-        exp.base_rtt_ns = Some(5_000);
-        exp.threads = args.get_usize("threads", 2);
-        exp.ops_per_thread = args.get_usize("ops", 400);
-        run_offload_experiment(&exp)
+        // Not capped like a `--quick` run: the gate needs the full-depth
+        // tree, just fewer operations, on the far fabric.
+        let mut exp = regime(policy, true, true);
+        exp.threads = args.get_or("threads", 2);
+        exp.ops_per_thread = args.get_or("ops", 400);
+        run_with_backend(args, &exp).expect_clean()
     };
     let never = run(OffloadPolicy::Never);
     let always = run(OffloadPolicy::Always);
@@ -192,33 +173,20 @@ fn smoke_adaptive_crossover(args: &Args, failures: &mut Vec<String>) {
     }
 }
 
-/// A small cluster whose tree is several levels deep: 256-byte nodes over a
-/// 12k-key bulkload.
-fn smoke_cluster(policy: OffloadPolicy) -> std::sync::Arc<Cluster> {
+/// Gate 2: with every cached route dropped, an `Always` lookup must collapse
+/// the whole multi-level descent (256-byte nodes over a 12k-key bulkload)
+/// into exactly one fabric round trip — one typed RPC, zero one-sided READs.
+fn smoke_cold_lookup_is_one_round_trip(failures: &mut Vec<String>) {
+    let mut exp = Experiment::offload("cold-lookup", OffloadPolicy::Always);
+    exp.fabric.memory_servers = 2;
     let config = ClusterConfig {
-        fabric: FabricConfig {
-            memory_servers: 2,
-            compute_servers: 2,
-            ..FabricConfig::default()
-        },
-        tree: TreeConfig {
-            node_size: 256,
-            chunk_bytes: 256 << 10,
-            ..TreeConfig::default()
-        },
+        fabric: exp.fabric,
+        tree: exp.tree,
     };
-    let cluster = Cluster::new(config, TreeOptions::sherman().with_offload(policy));
+    let cluster = Cluster::new(config, exp.options);
     cluster
         .bulkload((0..12_000u64).map(|k| (k, k.wrapping_mul(7) + 1)))
         .expect("bulkload");
-    cluster
-}
-
-/// Gate 2: with every cached route dropped, an `Always` lookup must collapse
-/// the whole multi-level descent into exactly one fabric round trip — one
-/// typed RPC, zero one-sided READs.
-fn smoke_cold_lookup_is_one_round_trip(failures: &mut Vec<String>) {
-    let cluster = smoke_cluster(OffloadPolicy::Always);
     for cs in 0..2 {
         cluster.cache(cs).clear();
     }
@@ -240,60 +208,3 @@ fn smoke_cold_lookup_is_one_round_trip(failures: &mut Vec<String>) {
     }
 }
 
-/// Gate 3: drive insert/delete churn under `Always` offload while checking
-/// every lookup against an in-process model, then quiesce coherence and
-/// re-verify — a server-side reply must never surface a stale (freed or
-/// recycled) node past the client's tombstone admission floor.
-fn smoke_churn_serves_no_stale_results(failures: &mut Vec<String>) {
-    use rand::{Rng, SeedableRng};
-
-    let cluster = smoke_cluster(OffloadPolicy::Always);
-    let mut model: std::collections::HashMap<u64, u64> =
-        (0..12_000u64).map(|k| (k, k.wrapping_mul(7) + 1)).collect();
-    let mut client = cluster.client(0);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x57A1E);
-    let mut wrong = 0u64;
-    for i in 0..2_000u64 {
-        let key = rng.gen_range(0..16_000u64);
-        match rng.gen_range(0..100u8) {
-            0..=39 => {
-                let value = i.wrapping_mul(13) + key;
-                client.insert(key, value).expect("insert");
-                model.insert(key, value);
-            }
-            40..=59 => {
-                let (deleted, _) = client.delete(key).expect("delete");
-                let expected = model.remove(&key).is_some();
-                if deleted != expected {
-                    wrong += 1;
-                }
-            }
-            _ => {
-                let (value, _) = client.lookup(key).expect("lookup");
-                if value != model.get(&key).copied() {
-                    wrong += 1;
-                }
-            }
-        }
-    }
-    client.quiesce_coherence();
-    for key in (0..16_000u64).step_by(7) {
-        let (value, _) = client.lookup(key).expect("lookup");
-        if value != model.get(&key).copied() {
-            wrong += 1;
-        }
-    }
-    let gauges = cluster.offload_stats();
-    println!(
-        "offload smoke [churn]: wrong={} offloaded={} wins={} losses={} stale_rejects={}",
-        wrong, gauges.offloaded, gauges.wins, gauges.losses, gauges.stale_rejects
-    );
-    if wrong > 0 {
-        failures.push(format!(
-            "[churn] {wrong} operations disagreed with the model after churn + quiesce"
-        ));
-    }
-    if gauges.offloaded == 0 {
-        failures.push("[churn] the churn phase never offloaded; gate proved nothing".into());
-    }
-}

@@ -13,7 +13,7 @@
 //! ```text
 //! cargo run --release -p sherman_bench --bin pipeline [-- --quick] [--smoke]
 //!     [--threads N] [--keys N] [--ops N] [--range-pct P] [--insert-pct P]
-//!     [--depths 1,2,4,8]
+//!     [--range-size N] [--depths 1,2,4,8] [--backend sim|threaded]
 //! ```
 //!
 //! `--smoke` runs the CI gate at `--quick` scale and exits non-zero when
@@ -25,25 +25,37 @@
 //! requiring depth-1 equivalence within 5% and a depth-4 speedup of at
 //! least 1.3×.
 
-use sherman_bench::{fmt_mops, fmt_us, print_table, run_pipeline_experiment, Args, PipelineExperiment};
+use sherman_bench::presets::PIPELINE_QUICK;
+use sherman_bench::{
+    fmt_mops, fmt_us, print_table, run_with_backend, smoke_verdict, Args, DrivePath, Experiment,
+    RunReport,
+};
 
 fn main() {
     let args = Args::from_env();
+    args.finish(&[
+        "quick", "smoke", "threads", "keys", "ops", "range-pct", "range-size", "insert-pct",
+        "depths", "backend",
+    ]);
     if args.flag("smoke") {
         smoke(&args);
         return;
     }
     let depths: Vec<usize> = args
-        .get("depths")
-        .map(|s| s.split(',').filter_map(|d| d.parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
+        .get_or("depths", "1,2,4,8".to_string())
+        .split(',')
+        .map(|d| d.parse())
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|_| Args::fail("--depths takes a comma-separated list of depths"));
+    let insert_pct = args.get_or("insert-pct", 0);
 
     println!("Pipeline: split-phase read scheduler, in-flight depth sweep (uniform lookups)");
-    let blocking = run_pipeline_experiment(&configure(&args, "blocking", 0));
+    let blocking = measure(&args, "blocking", DrivePath::Blocking, insert_pct);
     let base = blocking.summary.throughput_ops;
     let mut rows = vec![row(&blocking, base)];
     for &depth in &depths {
-        let result = run_pipeline_experiment(&configure(&args, &format!("depth-{depth}"), depth));
+        let name = format!("depth-{depth}");
+        let result = measure(&args, &name, DrivePath::Pipelined(depth), insert_pct);
         rows.push(row(&result, base));
     }
     print_table(
@@ -66,21 +78,14 @@ fn main() {
     println!("overlap-x    = serial verb time / elapsed time (how many RTTs were hidden)");
 }
 
-fn configure(args: &Args, name: &str, depth: usize) -> PipelineExperiment {
-    let mut exp = PipelineExperiment::default_scaled(name, depth);
-    exp.threads = args.get_usize("threads", exp.threads);
-    exp.key_space = args.get_u64("keys", exp.key_space);
-    exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
-    exp.range_pct = args.get_u64("range-pct", exp.range_pct as u64) as u8;
-    exp.range_size = args.get_u64("range-size", exp.range_size);
-    exp.insert_pct = args.get_u64("insert-pct", exp.insert_pct as u64) as u8;
-    if args.quick() || args.flag("smoke") {
-        exp = exp.quick();
-    }
-    exp
+fn measure(args: &Args, name: &str, drive: DrivePath, insert_pct: u8) -> RunReport {
+    let mut exp = Experiment::pipeline(name, drive, args.get_or("range-pct", 0), insert_pct);
+    let spec = exp.source.workload_mut();
+    spec.range_size = args.get_or("range-size", spec.range_size);
+    run_with_backend(args, &exp.scaled_by(args, "keys", &PIPELINE_QUICK)).expect_clean()
 }
 
-fn row(result: &sherman_bench::PipelineResult, base: f64) -> Vec<String> {
+fn row(result: &RunReport, base: f64) -> Vec<String> {
     vec![
         result.name.clone(),
         fmt_mops(result.summary.throughput_ops),
@@ -101,14 +106,7 @@ fn smoke(args: &Args) {
     let mut failures = Vec::new();
     smoke_case(args, "reads", 0, 1.5, &mut failures);
     smoke_case(args, "mixed-50i", 50, 1.3, &mut failures);
-    if failures.is_empty() {
-        println!("pipeline smoke: OK");
-    } else {
-        for f in &failures {
-            eprintln!("pipeline smoke FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    smoke_verdict("pipeline", &failures);
 }
 
 fn smoke_case(
@@ -118,13 +116,9 @@ fn smoke_case(
     min_speedup: f64,
     failures: &mut Vec<String>,
 ) {
-    let with_writes = |mut exp: PipelineExperiment| {
-        exp.insert_pct = insert_pct;
-        exp
-    };
-    let blocking = run_pipeline_experiment(&with_writes(configure(args, "blocking", 0)));
-    let depth1 = run_pipeline_experiment(&with_writes(configure(args, "depth-1", 1)));
-    let depth4 = run_pipeline_experiment(&with_writes(configure(args, "depth-4", 4)));
+    let blocking = measure(args, "blocking", DrivePath::Blocking, insert_pct);
+    let depth1 = measure(args, "depth-1", DrivePath::Pipelined(1), insert_pct);
+    let depth4 = measure(args, "depth-4", DrivePath::Pipelined(4), insert_pct);
 
     let equivalence = depth1.summary.throughput_ops / blocking.summary.throughput_ops;
     let speedup = depth4.summary.throughput_ops / depth1.summary.throughput_ops;

@@ -19,26 +19,15 @@
 //! exhaustion, a pool-exhaustion run that never saw backpressure, or a cache
 //! shrink whose hit ratio fell off a cliff (more than 50 points absolute).
 
+use sherman_bench::presets::SCENARIO_QUICK;
 use sherman_bench::{
-    fmt_mops, fmt_us, hostile_suite, print_table, run_scenario_experiment,
-    run_scenario_experiment_on, Args, MemoryPressure, ScenarioExperiment, ScenarioResult,
+    fmt_mops, fmt_us, hostile_suite, print_table, run_with_backend, smoke_verdict, Args,
+    DrivePath, MemoryPressure, RunReport,
 };
-use sherman_sim::ThreadedFabric;
-
-/// Dispatch on `--backend sim|threaded` (default: the virtual-time simulator).
-fn run(args: &Args, exp: &ScenarioExperiment) -> ScenarioResult {
-    match args.get("backend").unwrap_or("sim") {
-        "sim" => run_scenario_experiment(exp),
-        "threaded" => run_scenario_experiment_on::<ThreadedFabric>(exp),
-        other => {
-            eprintln!("unknown --backend {other} (expected sim|threaded)");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn main() {
     let args = Args::from_env();
+    args.finish(&["quick", "smoke", "threads", "ops", "depth", "key-space", "backend"]);
     if args.flag("smoke") {
         smoke(&args);
         return;
@@ -46,11 +35,10 @@ fn main() {
 
     println!("Scenario: hostile workloads under adaptive memory pressure");
     let mut rows = Vec::new();
-    for depth in [0usize, args.get_usize("depth", 4)] {
-        for exp in hostile_suite(depth) {
-            let exp = configure(&args, exp);
-            let r = run(&args, &exp);
-            rows.push(row(&r));
+    for drive in [DrivePath::Blocking, DrivePath::Pipelined(args.get_or("depth", 4))] {
+        for (pressure, exp) in hostile_suite(drive) {
+            let r = run_with_backend(&args, &exp.scaled_by(&args, "key-space", &SCENARIO_QUICK));
+            rows.push(row(pressure, &r));
         }
     }
     print_table(
@@ -80,10 +68,10 @@ fn main() {
     println!(" cut every compute server's index-cache budget 4x at the midpoint)");
 }
 
-fn row(r: &ScenarioResult) -> Vec<String> {
+fn row(pressure: MemoryPressure, r: &RunReport) -> Vec<String> {
     vec![
         r.name.clone(),
-        r.pressure.to_string(),
+        pressure.to_string(),
         r.drive.to_string(),
         fmt_mops(r.summary.throughput_ops),
         fmt_us(r.summary.p50_ns),
@@ -94,26 +82,16 @@ fn row(r: &ScenarioResult) -> Vec<String> {
         r.pressure_evictions.to_string(),
         format!("{:.0}%", r.hit_before * 100.0),
         format!("{:.0}%", r.hit_after * 100.0),
-        format!("{:.2}", r.space_amplification),
-        r.op_errors.len().to_string(),
+        format!("{:.2}", r.space_amplification()),
+        r.errors.len().to_string(),
     ]
 }
 
-fn configure(args: &Args, mut exp: ScenarioExperiment) -> ScenarioExperiment {
-    exp.threads = args.get_usize("threads", exp.threads);
-    exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
-    exp.key_space = args.get_u64("key-space", exp.key_space);
-    if args.quick() || args.flag("smoke") {
-        exp = exp.quick();
-    }
-    exp
-}
-
 /// One scenario's smoke verdict: push a line per violated invariant.
-fn gate(r: &ScenarioResult, failures: &mut Vec<String>) {
+fn gate(pressure: MemoryPressure, r: &RunReport, failures: &mut Vec<String>) {
     let tag = format!("{} [{}]", r.name, r.drive);
-    if !r.op_errors.is_empty() {
-        failures.push(format!("{tag}: {} op errors: {:?}", r.op_errors.len(), r.op_errors));
+    if !r.errors.is_empty() {
+        failures.push(format!("{tag}: {} op errors: {:?}", r.errors.len(), r.errors));
     }
     // Tiny-node bulkloads legitimately leave a few underfull rightmost
     // tails; the gate is that hostile traffic adds none on top.
@@ -128,7 +106,7 @@ fn gate(r: &ScenarioResult, failures: &mut Vec<String>) {
             r.audit.underfull_internals_fixable
         ));
     }
-    match r.pressure {
+    match pressure {
         MemoryPressure::PoolExhaustion => {
             if r.backpressure_ops == 0 || !r.backpressure.saw_pressure() {
                 failures.push(format!(
@@ -150,7 +128,7 @@ fn gate(r: &ScenarioResult, failures: &mut Vec<String>) {
             }
         }
     }
-    if let MemoryPressure::CacheShrink { .. } = r.pressure {
+    if let MemoryPressure::CacheShrink { .. } = pressure {
         if r.pressure_evictions == 0 {
             failures.push(format!("{tag}: the budget shrink evicted nothing"));
         }
@@ -167,10 +145,9 @@ fn gate(r: &ScenarioResult, failures: &mut Vec<String>) {
 /// exit on any invariant violation.
 fn smoke(args: &Args) {
     let mut failures = Vec::new();
-    for depth in [0usize, 4] {
-        for exp in hostile_suite(depth) {
-            let exp = configure(args, exp);
-            let r = run(args, &exp);
+    for drive in [DrivePath::Blocking, DrivePath::Pipelined(4)] {
+        for (pressure, exp) in hostile_suite(drive) {
+            let r = run_with_backend(args, &exp.scaled_by(args, "key-space", &SCENARIO_QUICK));
             println!(
                 "scenario smoke: {:<18} [{:>9}] ops={} backpr={} exhaust={} \
                  press_evict={} hit={:.0}%->{:.0}% errs={}",
@@ -182,17 +159,10 @@ fn smoke(args: &Args) {
                 r.pressure_evictions,
                 r.hit_before * 100.0,
                 r.hit_after * 100.0,
-                r.op_errors.len(),
+                r.errors.len(),
             );
-            gate(&r, &mut failures);
+            gate(pressure, &r, &mut failures);
         }
     }
-    if failures.is_empty() {
-        println!("scenario smoke: OK");
-    } else {
-        for f in &failures {
-            eprintln!("scenario smoke FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
+    smoke_verdict("scenario", &failures);
 }

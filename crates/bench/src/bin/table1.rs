@@ -5,48 +5,34 @@
 //! the write-intensive + skewed combination (0.34 Mops, ~20 ms p99).
 //!
 //! ```text
-//! cargo run --release -p sherman-bench --bin table1 [-- --quick --threads N --keys N]
+//! cargo run --release -p sherman_bench --bin table1 [-- --quick --threads N --keys N --ops N]
+//!     [--backend sim|threaded]
 //! ```
 
 use sherman::TreeOptions;
-use sherman_bench::{fmt_mops, fmt_us, print_table, run_tree_experiment, Args, TreeExperiment};
+use sherman_bench::presets::PAPER_QUICK;
+use sherman_bench::{fmt_mops, fmt_us, print_table, run_with_backend, Args, Experiment};
 use sherman_workload::{KeyDistribution, Mix};
 
 fn main() {
     let args = Args::from_env();
+    args.finish(&["quick", "threads", "keys", "ops", "backend"]);
+    let skew = KeyDistribution::ScrambledZipfian { theta: 0.99 };
     let cells = [
         ("read-intensive", "uniform", Mix::READ_INTENSIVE, KeyDistribution::Uniform),
-        (
-            "read-intensive",
-            "skew",
-            Mix::READ_INTENSIVE,
-            KeyDistribution::ScrambledZipfian { theta: 0.99 },
-        ),
+        ("read-intensive", "skew", Mix::READ_INTENSIVE, skew),
         ("write-intensive", "uniform", Mix::WRITE_INTENSIVE, KeyDistribution::Uniform),
-        (
-            "write-intensive",
-            "skew",
-            Mix::WRITE_INTENSIVE,
-            KeyDistribution::ScrambledZipfian { theta: 0.99 },
-        ),
+        ("write-intensive", "skew", Mix::WRITE_INTENSIVE, skew),
     ];
 
     println!("Table 1: index performance in the one-sided approach (FG+)");
     let mut rows = Vec::new();
     for (mix_name, dist_name, mix, distribution) in cells {
-        let mut exp = TreeExperiment::default_scaled(
-            format!("{mix_name}/{dist_name}"),
-            TreeOptions::fg_plus(),
-        );
-        exp.mix = mix;
-        exp.distribution = distribution;
-        exp.threads = args.get_usize("threads", exp.threads);
-        exp.key_space = args.get_u64("keys", exp.key_space);
-        exp.ops_per_thread = args.get_usize("ops", exp.ops_per_thread);
-        if args.quick() {
-            exp = exp.quick();
-        }
-        let r = run_tree_experiment(&exp);
+        let mut exp = Experiment::paper(format!("{mix_name}/{dist_name}"), TreeOptions::fg_plus());
+        let spec = exp.source.workload_mut();
+        spec.mix = mix;
+        spec.distribution = distribution;
+        let r = run_with_backend(&args, &exp.scaled_by(&args, "keys", &PAPER_QUICK)).expect_clean();
         rows.push(vec![
             r.name.clone(),
             fmt_mops(r.summary.throughput_ops),

@@ -1,11 +1,11 @@
 //! Raw fabric microbenchmark: `RDMA_WRITE` throughput versus IO size
 //! (Figure 3 of the paper).
 
+use crate::experiment::spawn_clients;
 use sherman_metrics::RunSummary;
 use sherman_metrics::{LatencyHistogram, ThreadReport, ThroughputAggregator};
 use sherman_sim::{Fabric, FabricConfig, GlobalAddress, WriteCmd};
 use std::sync::Arc;
-use std::thread;
 
 /// Number of `RDMA_WRITE` work requests posted per doorbell, modeling the
 /// multiple outstanding WQEs a real throughput benchmark keeps in flight
@@ -40,14 +40,11 @@ pub fn run_write_size_sweep(
                 ..FabricConfig::default()
             });
             let start = fabric.now();
-            let barrier = Arc::new(std::sync::Barrier::new(threads));
-            let mut handles = Vec::new();
-            for t in 0..threads {
+            let reports = {
                 let fabric = Arc::clone(&fabric);
-                let barrier = Arc::clone(&barrier);
-                handles.push(thread::spawn(move || {
+                spawn_clients(threads, move |t, start_line| {
                     let mut client = fabric.client((t % compute_servers) as u16);
-                    barrier.wait();
+                    start_line.wait();
                     let payload = vec![0xA5u8; io_bytes];
                     // Each thread writes to its own disjoint region so that no
                     // higher-level synchronization is involved.
@@ -70,11 +67,11 @@ pub fn run_write_size_sweep(
                         ops: (batches * WRITES_PER_DOORBELL) as u64,
                         latency,
                     }
-                }));
-            }
+                })
+            };
             let mut agg = ThroughputAggregator::new();
-            for h in handles {
-                agg.add(&h.join().expect("fabric bench thread panicked"));
+            for report in &reports {
+                agg.add(report);
             }
             let elapsed = fabric.now().saturating_sub(start).max(1);
             WriteSizePoint {

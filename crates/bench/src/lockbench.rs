@@ -5,6 +5,8 @@
 //! paper's experiments (§3.2.2: "154 threads across 7 CSs acquire/release
 //! 10240 locks residing in an MS"; §5.7: "176 threads across 8 CSs ...").
 
+use crate::experiment::spawn_clients;
+use crate::Args;
 use sherman_locks::{
     GlobalLockKind, GlobalLockTable, HoclManager, HoclOptions, NodeLockManager,
     RemoteLockManager,
@@ -14,7 +16,6 @@ use sherman_metrics::{LatencyHistogram, RunSummary, ThreadReport, ThroughputAggr
 use sherman_sim::{Fabric, FabricConfig, GlobalAddress};
 use sherman_workload::ZipfianGenerator;
 use std::sync::Arc;
-use std::thread;
 
 /// Which rung of the lock-design ladder to measure (Figure 16's x-axis; the
 /// first rung alone, swept over skew, is Figure 2).
@@ -82,38 +83,42 @@ impl LockExperiment {
             hold_ns: 400,
         }
     }
-}
 
-enum Service {
-    Direct(RemoteLockManager),
-    Hocl(HoclManager),
-}
-
-impl Service {
-    fn build(variant: LockVariant, pool: &Arc<MemoryPool>, compute_servers: usize) -> Self {
-        match variant {
-            LockVariant::Baseline => Service::Direct(RemoteLockManager::new(
-                GlobalLockTable::new_host(pool, GlobalLockKind::HostCasFaa),
-            )),
-            LockVariant::OnChip => {
-                Service::Direct(RemoteLockManager::new(GlobalLockTable::new_on_chip(pool)))
-            }
-            LockVariant::Hierarchical => Service::Hocl(HoclManager::new(
-                GlobalLockTable::new_on_chip(pool),
-                compute_servers,
-                HoclOptions::structure_only(),
-            )),
-            LockVariant::WaitQueue => Service::Hocl(HoclManager::new(
-                GlobalLockTable::new_on_chip(pool),
-                compute_servers,
-                HoclOptions::with_wait_queue(),
-            )),
-            LockVariant::Handover => Service::Hocl(HoclManager::new(
-                GlobalLockTable::new_on_chip(pool),
-                compute_servers,
-                HoclOptions::default(),
-            )),
+    /// This experiment at the scale `--threads`, `--locks`, `--ops` and
+    /// `--quick` ask for.
+    pub fn scaled_by(mut self, args: &Args) -> Self {
+        self.threads = args.get_or("threads", self.threads);
+        self.locks = args.get_or("locks", self.locks);
+        self.ops_per_thread = args.get_or("ops", self.ops_per_thread);
+        if args.quick() {
+            self.threads = self.threads.min(6);
+            self.ops_per_thread = self.ops_per_thread.min(100);
         }
+        self
+    }
+}
+
+/// The lock service `variant` names, over `pool`'s lock tables.
+fn build_service(
+    variant: LockVariant,
+    pool: &Arc<MemoryPool>,
+    compute_servers: usize,
+) -> Box<dyn NodeLockManager> {
+    let hocl = |options| {
+        let table = GlobalLockTable::new_on_chip(pool);
+        Box::new(HoclManager::new(table, compute_servers, options)) as Box<dyn NodeLockManager>
+    };
+    match variant {
+        LockVariant::Baseline => Box::new(RemoteLockManager::new(GlobalLockTable::new_host(
+            pool,
+            GlobalLockKind::HostCasFaa,
+        ))),
+        LockVariant::OnChip => {
+            Box::new(RemoteLockManager::new(GlobalLockTable::new_on_chip(pool)))
+        }
+        LockVariant::Hierarchical => hocl(HoclOptions::structure_only()),
+        LockVariant::WaitQueue => hocl(HoclOptions::with_wait_queue()),
+        LockVariant::Handover => hocl(HoclOptions::default()),
     }
 }
 
@@ -132,23 +137,16 @@ pub fn run_lock_experiment(exp: &LockExperiment) -> RunSummary {
         ..FabricConfig::default()
     });
     let pool = MemoryPool::new(Arc::clone(&fabric), 1 << 20);
-    let service = Arc::new(Service::build(exp.variant, &pool, exp.compute_servers));
+    let service = build_service(exp.variant, &pool, exp.compute_servers);
 
     let start = fabric.now();
-    // All workers must have registered with the virtual clock before any of
-    // them starts issuing operations; otherwise early threads run their whole
-    // workload uncontended and the experiment measures nothing.
-    let barrier = Arc::new(std::sync::Barrier::new(exp.threads));
-    let mut handles = Vec::new();
-    for t in 0..exp.threads {
+    let reports = {
         let fabric = Arc::clone(&fabric);
-        let service = Arc::clone(&service);
-        let barrier = Arc::clone(&barrier);
         let exp = exp.clone();
-        handles.push(thread::spawn(move || {
+        spawn_clients(exp.threads, move |t, start| {
             let cs = (t % exp.compute_servers) as u16;
             let mut client = fabric.client(cs);
-            barrier.wait();
+            start.wait();
             let zipf = ZipfianGenerator::new(exp.locks, exp.theta);
             let mut rng = {
                 use rand::SeedableRng;
@@ -159,31 +157,22 @@ pub fn run_lock_experiment(exp: &LockExperiment) -> RunSummary {
                 let slot = zipf.next_rank(&mut rng);
                 let node = slot_address(slot);
                 let t0 = client.now();
-                match service.as_ref() {
-                    Service::Direct(mgr) => {
-                        mgr.acquire(&mut client, node).expect("acquire");
-                        client.charge_cpu(exp.hold_ns);
-                        mgr.release(&mut client, node, Vec::new(), true)
-                            .expect("release");
-                    }
-                    Service::Hocl(mgr) => {
-                        mgr.acquire(&mut client, node).expect("acquire");
-                        client.charge_cpu(exp.hold_ns);
-                        mgr.release(&mut client, node, Vec::new(), true)
-                            .expect("release");
-                    }
-                }
+                service.acquire(&mut client, node).expect("acquire");
+                client.charge_cpu(exp.hold_ns);
+                service
+                    .release(&mut client, node, Vec::new(), true)
+                    .expect("release");
                 latency.record(client.now() - t0);
             }
             ThreadReport {
                 ops: exp.ops_per_thread as u64,
                 latency,
             }
-        }));
-    }
+        })
+    };
     let mut agg = ThroughputAggregator::new();
-    for h in handles {
-        agg.add(&h.join().expect("lock bench thread panicked"));
+    for report in &reports {
+        agg.add(report);
     }
     let elapsed = fabric.now().saturating_sub(start).max(1);
     agg.finish(elapsed)

@@ -9,159 +9,144 @@
 //! threads the process has started, so under the parallel test harness only
 //! the figures no victim choice can move are pinned for it (operation count,
 //! bytes written, evictions the shrink forced).  The constants were captured on the commit *before* the five bench
-//! engines were folded into one; a refactor of the driver must reproduce them
-//! without editing one.
+//! engines were folded into [`run`]; a refactor of the driver must reproduce
+//! them without editing one.
 
-use crate::{
-    hostile_suite, run_churn_experiment, run_offload_experiment, run_pipeline_experiment,
-    run_scenario_experiment, run_tree_experiment, ChurnExperiment, MemoryPressure,
-    OffloadExperiment, PipelineExperiment, ScenarioExperiment, TreeExperiment,
-};
+#![cfg(test)]
+
+use crate::presets::SCENARIO_QUICK;
+use crate::{hostile_suite, run, DrivePath, Experiment, MemoryPressure, RunReport, Source};
 use sherman::{OffloadPolicy, TreeConfig, TreeOptions};
-use sherman_metrics::RunSummary;
-use sherman_sim::metrics::MetricsSnapshot;
+use sherman_sim::{Fabric, FabricConfig};
 
-fn line(summary: &RunSummary, fabric: &MetricsSnapshot, extra: &str) -> String {
+fn line(r: &RunReport, extra: &str) -> String {
     format!(
         "ops={} elapsed_ns={} mean_ns={:?} p99_ns={} round_trips={} bytes_written={}{extra}",
-        summary.ops,
-        summary.elapsed_ns,
-        summary.mean_ns,
-        summary.p99_ns,
-        fabric.round_trips,
-        fabric.bytes_written,
+        r.summary.ops,
+        r.summary.elapsed_ns,
+        r.summary.mean_ns,
+        r.summary.p99_ns,
+        r.fabric.round_trips,
+        r.fabric.bytes_written,
     )
 }
 
-fn small_tree() -> TreeConfig {
-    TreeConfig {
+/// One client against two memory servers, 300 operations over 4 k keys.
+fn small(mut exp: Experiment, drive: DrivePath) -> String {
+    exp.fabric = FabricConfig {
+        memory_servers: 2,
+        ..exp.fabric
+    };
+    exp.tree = TreeConfig {
         cache_bytes: 1 << 20,
         chunk_bytes: 256 << 10,
         ..TreeConfig::default()
-    }
+    };
+    exp.threads = 1;
+    exp.source.set_key_space(1 << 12);
+    exp.ops_per_thread = 300;
+    exp.drive = drive;
+    line(&run::<Fabric>(&exp).expect_clean(), "")
 }
 
-/// Write-intensive zipfian, the figure bins' engine.
-fn tree(depth: usize) -> String {
-    let r = run_tree_experiment(&TreeExperiment {
-        memory_servers: 2,
-        compute_servers: 2,
-        threads: 1,
-        key_space: 1 << 12,
-        ops_per_thread: 300,
-        depth,
-        tree: small_tree(),
-        ..TreeExperiment::default_scaled("pin", TreeOptions::sherman())
-    });
-    line(&r.summary, &r.fabric, "")
+/// Write-intensive zipfian, what the figure bins run.
+fn tree(drive: DrivePath) -> String {
+    small(Experiment::paper("pin", TreeOptions::sherman()), drive)
 }
 
-/// Uniform lookups (and `insert_pct` inserts), the `pipeline` bin's engine.
-fn pipeline(depth: usize, insert_pct: u8) -> String {
-    let r = run_pipeline_experiment(&PipelineExperiment {
-        memory_servers: 2,
-        compute_servers: 2,
-        threads: 1,
-        key_space: 1 << 12,
-        ops_per_thread: 300,
-        insert_pct,
-        tree: small_tree(),
-        ..PipelineExperiment::default_scaled("pin", depth)
-    });
-    line(&r.summary, &r.fabric, "")
+/// Uniform lookups (and `insert_pct` inserts), what the `pipeline` bin runs.
+fn pipeline(drive: DrivePath, insert_pct: u8) -> String {
+    small(Experiment::pipeline("pin", drive, 0, insert_pct), drive)
 }
 
 fn churn() -> String {
-    let r = run_churn_experiment(&ChurnExperiment {
-        window: 600,
-        threads: 1,
-        turnover: 3.0,
-        tree: TreeConfig {
-            node_size: 256,
-            cache_bytes: 1 << 20,
-            chunk_bytes: 64 << 10,
-            ..TreeConfig::default()
-        },
-        ..ChurnExperiment::default_scaled("pin", TreeOptions::sherman())
-    });
-    line(
-        &r.summary,
-        &r.fabric,
-        &format!(" turnovers={:?}", r.turnovers),
-    )
+    let mut exp = Experiment::churn("pin", TreeOptions::sherman());
+    exp.threads = 1;
+    if let Source::Churn { spec, turnover } = &mut exp.source {
+        spec.window = 600;
+        *turnover = 3.0;
+    }
+    exp.tree = TreeConfig {
+        node_size: 256,
+        cache_bytes: 1 << 20,
+        chunk_bytes: 64 << 10,
+        ..TreeConfig::default()
+    };
+    let r = run::<Fabric>(&exp).expect_clean();
+    line(&r, &format!(" turnovers={:?}", r.turnovers))
 }
 
-fn scenario(exp: ScenarioExperiment, ops_per_thread: usize) -> String {
-    let evicts = matches!(exp.pressure, MemoryPressure::CacheShrink { .. });
-    let r = run_scenario_experiment(&ScenarioExperiment {
-        threads: 1,
-        ops_per_thread,
-        ..exp.quick()
-    });
-    assert!(r.op_errors.is_empty(), "{:?}", r.op_errors);
+fn suite_member(
+    drive: DrivePath,
+    ops_per_thread: usize,
+    pick: impl Fn(&(MemoryPressure, Experiment)) -> bool,
+) -> String {
+    let (pressure, exp) = hostile_suite(drive)
+        .into_iter()
+        .find(pick)
+        .expect("suite member");
+    let mut exp = exp.capped(&SCENARIO_QUICK);
+    exp.threads = 1;
+    exp.ops_per_thread = ops_per_thread;
+    let r = run::<Fabric>(&exp);
+    assert!(r.errors.is_empty(), "{:?}", r.errors);
     let counts = format!(
         " backpressure_ops={} pressure_evictions={}",
         r.backpressure_ops, r.pressure_evictions
     );
-    if evicts {
+    if matches!(pressure, MemoryPressure::CacheShrink { .. }) {
         let (ops, bytes) = (r.summary.ops, r.fabric.bytes_written);
         format!("ops={ops} bytes_written={bytes}{counts}")
     } else {
-        line(&r.summary, &r.fabric, &counts)
+        line(&r, &counts)
     }
 }
 
-fn suite_member(
-    depth: usize,
-    ops_per_thread: usize,
-    pick: impl Fn(&ScenarioExperiment) -> bool,
-) -> String {
-    scenario(
-        hostile_suite(depth)
-            .into_iter()
-            .find(pick)
-            .expect("suite member"),
-        ops_per_thread,
-    )
-}
-
 fn offload(policy: OffloadPolicy) -> String {
-    let mut exp = OffloadExperiment::default_scaled("pin", policy).quick();
-    exp.memory_servers = 2;
+    let mut exp = Experiment::offload("pin", policy).capped(&crate::presets::OFFLOAD_QUICK);
+    exp.fabric.memory_servers = 2;
     exp.threads = 1;
     exp.ops_per_thread = 200;
     // Cold start, but the default cache budget: a starved cache evicts, and
     // eviction is seeded per process (see the module docs).
     exp.cold_start = true;
-    let r = run_offload_experiment(&exp);
-    line(&r.summary, &r.fabric, "")
+    line(&run::<Fabric>(&exp).expect_clean(), "")
 }
 
 #[test]
 fn one_client_runs_cost_exactly_what_they_did() {
-    let hotspot = |e: &ScenarioExperiment| e.name == "shifting-hotspot";
+    use DrivePath::{Blocking, Pipelined};
+    let hotspot = |m: &(MemoryPressure, Experiment)| m.1.name == "shifting-hotspot";
     let cases: Vec<(&str, String, &str)> = vec![
-        ("tree/blocking", tree(1), PINS[0]),
-        ("tree/depth-4", tree(4), PINS[1]),
-        ("pipeline/blocking/reads", pipeline(0, 0), PINS[2]),
-        ("pipeline/depth-1/reads", pipeline(1, 0), PINS[3]),
-        ("pipeline/depth-4/reads", pipeline(4, 0), PINS[4]),
-        ("pipeline/blocking/50i", pipeline(0, 50), PINS[5]),
-        ("pipeline/depth-1/50i", pipeline(1, 50), PINS[6]),
-        ("pipeline/depth-4/50i", pipeline(4, 50), PINS[7]),
+        ("tree/blocking", tree(Blocking), PINS[0]),
+        ("tree/depth-4", tree(Pipelined(4)), PINS[1]),
+        ("pipeline/blocking/reads", pipeline(Blocking, 0), PINS[2]),
+        ("pipeline/depth-1/reads", pipeline(Pipelined(1), 0), PINS[3]),
+        ("pipeline/depth-4/reads", pipeline(Pipelined(4), 0), PINS[4]),
+        ("pipeline/blocking/50i", pipeline(Blocking, 50), PINS[5]),
+        ("pipeline/depth-1/50i", pipeline(Pipelined(1), 50), PINS[6]),
+        ("pipeline/depth-4/50i", pipeline(Pipelined(4), 50), PINS[7]),
         ("churn", churn(), PINS[8]),
-        ("scenario/hotspot/blocking", suite_member(0, 1_200, hotspot), PINS[9]),
-        ("scenario/hotspot/depth-4", suite_member(4, 1_200, hotspot), PINS[10]),
+        (
+            "scenario/hotspot/blocking",
+            suite_member(Blocking, 1_200, hotspot),
+            PINS[9],
+        ),
+        (
+            "scenario/hotspot/depth-4",
+            suite_member(Pipelined(4), 1_200, hotspot),
+            PINS[10],
+        ),
         (
             "scenario/pool-exhaustion",
             // One client needs the longer stream to run the tiny pool dry.
-            suite_member(0, 3_000, |e| e.pressure == MemoryPressure::PoolExhaustion),
+            suite_member(Blocking, 3_000, |m| m.0 == MemoryPressure::PoolExhaustion),
             PINS[11],
         ),
         (
             "scenario/cache-shrink",
-            suite_member(0, 1_200, |e| {
-                matches!(e.pressure, MemoryPressure::CacheShrink { .. })
+            suite_member(Blocking, 1_200, |m| {
+                matches!(m.0, MemoryPressure::CacheShrink { .. })
             }),
             PINS[12],
         ),

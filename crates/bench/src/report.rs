@@ -35,6 +35,19 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Close a `--smoke` gate: print the `OK` line, or every failure and exit
+/// with code 1.
+pub fn smoke_verdict(gate: &str, failures: &[String]) {
+    if failures.is_empty() {
+        println!("{gate} smoke: OK");
+        return;
+    }
+    for f in failures {
+        eprintln!("{gate} smoke FAILED: {f}");
+    }
+    std::process::exit(1);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

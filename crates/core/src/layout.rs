@@ -13,7 +13,7 @@
 //! * alternatively (original FG) a **checksum** over the node.
 //!
 //! The paper packs versions into 4 bits; this implementation uses full bytes
-//! so that the layout stays byte-addressable (documented in DESIGN.md), and
+//! so that the layout stays byte-addressable (see `docs/ARCHITECTURE.md`), and
 //! additionally stores a per-entry `present` flag byte so that deleted entries
 //! are distinguishable from live entries holding key 0.
 //!

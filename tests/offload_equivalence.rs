@@ -165,16 +165,56 @@ fn churn_keeps_every_policy_model_exact() {
                 &format!("{policy:?} wave {wave} depth {depth}"),
             );
         }
+        // Once the coherence backlog is applied nothing may be left that a
+        // reply or a cached route can get wrong: re-verify the whole key span.
+        client.quiesce_coherence();
+        for key in (0..span).step_by(7) {
+            let (value, _) = client.lookup(key).expect("lookup");
+            assert_eq!(
+                value,
+                model.get(&key).copied(),
+                "{policy:?}: lookup({key}) after churn + quiesce"
+            );
+        }
         let gauges = cluster.offload_stats();
         assert!(
             gauges.wins + gauges.losses <= gauges.offloaded,
             "{policy:?}: outcome gauges exceed offloaded ops"
         );
+        if policy == OffloadPolicy::Always {
+            assert!(
+                gauges.offloaded > 0,
+                "the churn never offloaded, so it proved nothing about replies"
+            );
+        }
     }
     for &policy in &POLICIES {
         check::<Fabric>(policy);
         check::<ThreadedFabric>(policy);
     }
+}
+
+/// With every cached route dropped, an `Always` lookup collapses the whole
+/// descent of a tree at least three levels deep into exactly one fabric round
+/// trip: one typed RPC, zero one-sided READs — and the right value.
+#[test]
+fn a_cold_always_lookup_is_one_rpc_round_trip() {
+    let n = 12_000u64;
+    let (cluster, model) = loaded_cluster::<Fabric>(OffloadPolicy::Always, n);
+    let census = cluster.node_census().expect("census");
+    assert!(
+        census.internals > 1,
+        "more than a root above the leaves, i.e. at least three levels: {census:?}"
+    );
+    chill(&cluster);
+    let key = n / 2 * 3;
+    let (value, stats) = cluster.client(0).lookup(key).expect("lookup");
+    assert_eq!(value, model.get(&key).copied());
+    assert_eq!(
+        (stats.round_trips, stats.rpcs, stats.reads),
+        (1, 1, 0),
+        "a cold lookup under Always must cost exactly one RPC round trip"
+    );
 }
 
 /// The adaptive policy on the simulator is deterministic end to end: same

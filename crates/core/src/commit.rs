@@ -15,10 +15,16 @@
 //!   pair and the parent in the lock manager's rank order, and merge or
 //!   rebalance (collapsing the root when it runs out of separators).
 //!
-//! The write machine (`crate::ops::WriteSM`) calls [`OpCx::leaf_commit`] from
-//! a single `step`, so nothing here yields: every lock taken is released
-//! before the step returns, and at most the final release verb of the fast
-//! path is left outstanding for the machine to park on.
+//! The write machine (`crate::ops::WriteSM`) acquires the leaf lock itself —
+//! that is the one thing a write yields on while a lock is involved — and
+//! calls [`OpCx::leaf_commit`] with the image read under it.  Nothing here
+//! yields: the leaf lock is released before `leaf_commit` returns, and at
+//! most the final release verb of the fast path is left outstanding for the
+//! machine to park on.  What needs *further* locks — the separator of a
+//! split, a merge — is handed back as a [`Followup`] and run
+//! ([`OpCx::run_followup`]) once the scheduler has driven every other
+//! in-flight operation of this client out of its own lock acquisition, so
+//! the blocking acquisitions below can only ever wait for other clients.
 
 use crate::coherence::{self, PublishedCommit, StructuralCommit};
 use crate::config::LeafFormat;
@@ -31,7 +37,7 @@ use crate::ops::{
 };
 use crate::TreeResult;
 use sherman_cache::CachedInternal;
-use sherman_locks::AcquireOutcome;
+use sherman_locks::{AcquireOutcome, Acquisition};
 use sherman_memserver::ServerLayout;
 use sherman_sim::{FabricBackend, GlobalAddress, PendingVerb, WriteCmd};
 use std::sync::Arc;
@@ -116,6 +122,24 @@ impl TreeNode for InternalNode {
     fn cached(&self, addr: GlobalAddress) -> Option<CachedInternal> {
         Some(cached_from_internal(addr, self))
     }
+}
+
+/// What a committed leaf write still owes the tree: work that takes further
+/// locks, started only with the leaf lock released and no sibling operation
+/// of this client inside a lock acquisition (see the module docs).
+pub(crate) enum Followup {
+    /// The leaf split: `sibling`, its new right half, needs the separator
+    /// `split_key` in the parent level.
+    Separator {
+        split_key: u64,
+        sibling: GlobalAddress,
+    },
+    /// A delete left the leaf at `addr` (header as written back) below the
+    /// merge floor.
+    Merge {
+        addr: GlobalAddress,
+        header: NodeHeader,
+    },
 }
 
 /// Which sibling a structural delete pairs the underfull node with.
@@ -203,38 +227,51 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Acquire the exclusive lock on `addr`, folding the outcome into `meta`.
     fn acquire_lock(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<()> {
         let acq = self.cluster.lock_manager().acquire(self.ctx, addr)?;
-        self.note_acquired(acq, meta);
+        Self::note_acquired(acq, meta);
         Ok(())
     }
 
-    /// Fold one lock acquisition into `meta` and open its critical section
-    /// (the fabric trace pins down that no other operation's verbs
-    /// interleave until the matching release).  Sections nest (a merge holds
-    /// several node locks): the outermost one opens with the first lock and
-    /// closes with the last release.
-    fn note_acquired(&mut self, acq: AcquireOutcome, meta: &mut OpMeta) {
+    /// Fold one lock acquisition into `meta`.
+    fn note_acquired(acq: AcquireOutcome, meta: &mut OpMeta) {
         meta.lock_retries += acq.remote_retries;
         meta.handed_over |= acq.handed_over;
-        self.ctx.begin_critical();
     }
 
-    /// Acquire the exclusive lock on `addr` and read the node under it — the
-    /// head of every single-node commit.  With command combination the READ
+    /// The acquisition at the head of every single-node commit: the lock on
+    /// `addr` and the node under it.  With command combination the READ
     /// rides the acquiring CAS's doorbell batch (the lock word is co-located
     /// with its node, hence on the same queue pair), so the head costs one
     /// round trip; without it, the lock and the read are two dependent ones.
-    fn lock_and_read(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
+    pub(crate) fn lock_and_read_start(&self, addr: GlobalAddress) -> Acquisition {
+        Acquisition::new(addr, self.combine().then(|| self.layout().node_size()))
+    }
+
+    /// The lock on `addr` is held; `image` is what the acquisition read under
+    /// it.  Returns the node image — without command combination that is a
+    /// READ of its own, which waits like every other command of an
+    /// uncombined preset.
+    pub(crate) fn lock_and_read_finish(
+        &mut self,
+        addr: GlobalAddress,
+        acq: AcquireOutcome,
+        image: Vec<u8>,
+        meta: &mut OpMeta,
+    ) -> TreeResult<Vec<u8>> {
+        Self::note_acquired(acq, meta);
         if !self.combine() {
-            self.acquire_lock(addr, meta)?;
             return self.read_node_locked(addr);
         }
-        let node_size = self.layout().node_size();
-        let mut buf = vec![0u8; node_size];
+        self.ctx.charge_scan(image.len());
+        Ok(image)
+    }
+
+    /// [`OpCx::lock_and_read_start`] to [`OpCx::lock_and_read_finish`],
+    /// blocking (separator insertion, which runs as a [`Followup`]).
+    fn lock_and_read(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
+        let start = self.lock_and_read_start(addr);
         let mgr = self.cluster.lock_manager();
-        let acq = mgr.acquire_and_read(self.ctx, addr, &mut buf)?;
-        self.note_acquired(acq, meta);
-        self.ctx.charge_scan(node_size);
-        Ok(buf)
+        let (acq, image) = mgr.drive_acquire(self.ctx, start)?;
+        self.lock_and_read_finish(addr, acq, image, meta)
     }
 
     /// Release the exclusive lock on `addr`, flushing `writes` according to
@@ -243,7 +280,6 @@ impl<B: FabricBackend> OpCx<'_, B> {
     fn release_lock(&mut self, addr: GlobalAddress, writes: Vec<WriteCmd>) -> TreeResult<()> {
         let mgr = self.cluster.lock_manager();
         mgr.release(self.ctx, addr, writes, self.combine())?;
-        self.ctx.end_critical();
         Ok(())
     }
 
@@ -260,7 +296,6 @@ impl<B: FabricBackend> OpCx<'_, B> {
     ) -> TreeResult<Option<PendingVerb>> {
         let mgr = self.cluster.lock_manager();
         let (_, deferred) = mgr.release_deferred(self.ctx, addr, writes, self.combine(), true)?;
-        self.ctx.end_critical();
         Ok(deferred)
     }
 
@@ -382,35 +417,36 @@ impl<B: FabricBackend> OpCx<'_, B> {
     // Leaf commit
     // ------------------------------------------------------------------
 
-    /// The write critical section, run synchronously against the leaf at
-    /// `addr`: acquire its lock, read and revalidate it, apply `kind` to the
-    /// key's slot, write back and release.  On the fast path the combined
-    /// write-back + release verb is posted split-phase and returned for the
-    /// caller to park on.  A full leaf splits and a leaf left underfull
-    /// merges inside this same call — both take further locks, so the leaf
-    /// release is observed inline first and nothing stays deferred across
-    /// them, which also keeps depth-1 pipelining verb-for-verb identical to
-    /// blocking.
+    /// The body of the write critical section, run synchronously on the leaf
+    /// at `addr` with its lock held and `buf` its image as read under the
+    /// lock: revalidate it, apply `kind` to the key's slot, write back and
+    /// release.  On the fast path the combined write-back + release verb is
+    /// posted split-phase and returned for the caller to park on.  A full
+    /// leaf is split here — new right half and both images written with the
+    /// release — and a leaf left underfull is written back as is; what either
+    /// still owes the tree takes further locks and is returned as a
+    /// [`Followup`], the leaf release observed inline first so that nothing
+    /// stays deferred across it (which also keeps depth-1 pipelining
+    /// verb-for-verb identical to blocking).
     pub(crate) fn leaf_commit(
         &mut self,
         addr: GlobalAddress,
         source: LeafSource,
         key: u64,
         kind: WriteKind,
-        meta: &mut OpMeta,
+        buf: &[u8],
     ) -> TreeResult<WriteCommit> {
-        let buf = self.lock_and_read(addr, meta)?;
-        let mut leaf = self.layout().decode_leaf(&buf);
+        let mut leaf = self.layout().decode_leaf(buf);
         if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
             if leaf.header.free && matches!(source, LeafSource::Cache { .. }) {
                 // The cache routed this write to a retired leaf: its
                 // invalidation is still in flight.
                 self.cluster.coherence_counters().record_stale_hit();
             }
-            self.release_lock(addr, Vec::new())?;
+            let release = self.release_lock_deferred(addr, Vec::new())?;
             let next = next_after_mismatch(self, key, addr, &leaf, source)
                 .map(|a| (a, LeafSource::Sibling));
-            return Ok(WriteCommit::Retry { next });
+            return Ok(WriteCommit::Retry { next, release });
         }
 
         // Insert, update and delete differ in the slot they pick, in what
@@ -422,11 +458,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let Some(slot) = slot else {
             return Ok(match kind {
                 WriteKind::Insert { value } => {
-                    self.split_leaf(addr, leaf, key, value, meta)?;
-                    WriteCommit::Committed {
-                        found: true,
-                        release: None,
-                    }
+                    WriteCommit::Structural(self.split_leaf(addr, leaf, key, value)?)
                 }
                 WriteKind::Delete => WriteCommit::Committed {
                     found: false,
@@ -442,25 +474,41 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
         // Structural deletes (§ beyond the paper): once a delete drops the
         // leaf below the merge threshold, pair it with a sibling and merge or
-        // rebalance.  Best-effort — the delete itself has already committed,
-        // so a merge that loses its races (retry budgets included) must not
-        // fail the operation; a later delete will retry it.
-        let release = if kind == WriteKind::Delete
+        // rebalance.
+        if kind == WriteKind::Delete
             && self.cluster.options().structural_deletes_enabled()
             && leaf.live_count() < self.merge_floor::<LeafNode>()
         {
             self.release_lock(addr, writes)?;
-            match self.try_merge(addr, 0, Some(&leaf.header), meta) {
-                Ok(()) | Err(TreeError::RetriesExhausted { .. }) => None,
-                Err(e) => return Err(e),
-            }
-        } else {
-            self.release_lock_deferred(addr, writes)?
-        };
+            return Ok(WriteCommit::Structural(Followup::Merge {
+                addr,
+                header: leaf.header,
+            }));
+        }
         Ok(WriteCommit::Committed {
             found: true,
-            release,
+            release: self.release_lock_deferred(addr, writes)?,
         })
+    }
+
+    /// Pay what a committed leaf write still owes the tree.  Takes further
+    /// locks, blocking: the caller has made sure no other operation of this
+    /// client is inside a lock acquisition.
+    pub(crate) fn run_followup(&mut self, followup: Followup, meta: &mut OpMeta) -> TreeResult<()> {
+        match followup {
+            Followup::Separator { split_key, sibling } => {
+                self.insert_separator_at(split_key, sibling, 1, meta)
+            }
+            // Best-effort — the delete itself has already committed, so a
+            // merge that loses its races (retry budgets included) must not
+            // fail the operation; a later delete will retry it.
+            Followup::Merge { addr, header } => {
+                match self.try_merge(addr, 0, Some(&header), meta) {
+                    Ok(()) | Err(TreeError::RetriesExhausted { .. }) => Ok(()),
+                    Err(e) => Err(e),
+                }
+            }
+        }
     }
 
     /// Build the write-back command for a point modification of `slot`.
@@ -488,14 +536,16 @@ impl<B: FabricBackend> OpCx<'_, B> {
     // Splits, separator insertion, root growth
     // ------------------------------------------------------------------
 
+    /// Split the full, locked leaf at `addr` around the new `key`: both
+    /// halves are written back with the release of its lock; the new right
+    /// half still needs its separator in the parent level.
     fn split_leaf(
         &mut self,
         addr: GlobalAddress,
         mut leaf: LeafNode,
         key: u64,
         value: u64,
-        meta: &mut OpMeta,
-    ) -> TreeResult<()> {
+    ) -> TreeResult<Followup> {
         let layout = *self.layout();
         // Sorting the (possibly unsorted) leaf before the split costs local
         // CPU time (Figure 7, line 21).
@@ -517,8 +567,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             target.repack_sorted(&pairs);
         }
         let sibling = self.install_right_half(addr, &mut leaf, &mut right)?;
-        // Propagate the separator into the parent level.
-        self.insert_separator_at(split_key, sibling, 1, meta)
+        Ok(Followup::Separator { split_key, sibling })
     }
 
     /// The tail of every split, run under the lock on `addr`: allocate the

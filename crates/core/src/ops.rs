@@ -13,9 +13,9 @@
 //!   sibling-chain walk with tombstone re-location,
 //! * [`WriteSM`] — insert, update and delete, which differ only in what they
 //!   do to the locked leaf ([`WriteKind`]): locate the leaf (yielding freely,
-//!   like a lookup), then run the whole lock critical section
-//!   *synchronously* inside one step and yield only on the deferred final
-//!   release verb,
+//!   like a lookup), yield on the lock + read round trip at the head of the
+//!   commit, run the body of the critical section in one step, and yield
+//!   once more on the deferred final release verb,
 //! * [`OpSM`] — the tagged union the pipelined scheduler multiplexes.
 //!
 //! Every machine steps against the same context, [`OpCx`]: the cluster plus
@@ -31,19 +31,24 @@
 //! run at depth 1 and the classic blocking path execute byte-for-byte the
 //! same verbs in the same order.
 //!
-//! ## Lock critical sections never park
+//! ## What a write may and may not wait for
 //!
-//! A write operation must not be suspended while it holds a node lock: the
-//! scheduler multiplexes operations on **one** context, so an op parked on a
-//! lock-holder's context could spin on that very lock (livelock), and its
-//! verbs would interleave into the critical section.  The write machine
-//! therefore treats acquire → locked read → modify → write-back + release as
-//! one atomic segment executed inside a single `step` call; only the *final*
-//! release verb — whose memory effect applies at post time — may remain
-//! outstanding when the step returns ([`WriteCommit::Committed`]).  Between
-//! the acquire and the release post, every verb on the context belongs to the
-//! lock holder by construction (`sherman_sim`'s critical-section trace can
-//! assert this).
+//! A write is parked twice around its critical section: on the acquisition
+//! of the leaf lock (the lock manager's resumable machine — a CAS+READ round
+//! trip, a re-post after a lost race, a place in the local queue behind a
+//! sibling operation) and on the final release verb, whose memory effect
+//! applied at post time.  In between, the body — validate, pick the slot,
+//! post write-back + release — is one step.  So an operation waits *for* a
+//! lock while parked, but the only lock it ever *holds* while parked is the
+//! one leaf lock whose acquisition is completing, and it needs no other lock
+//! to let go of it: a lock word that several in-flight operations of one
+//! client want (the same leaf, or an aliased slot of the lock table) is
+//! passed along the local queue, never waited for in a cycle.
+//!
+//! A commit that needs further locks — the separator of a split, a merge —
+//! gives the step back with [`OpStep::Exclusive`] first, holding nothing, and
+//! takes those locks (blocking) only once the driver has stepped every other
+//! operation of the client out of its lock acquisition.
 //!
 //! Rare control-path reads (the remote root pointer refresh on a distrusted
 //! restart) stay blocking inside a step: they occur only after a lost race
@@ -52,12 +57,14 @@
 //! times are fixed at post time).
 
 use crate::cluster::Cluster;
+use crate::commit::Followup;
 use crate::config::{LeafFormat, OffloadPolicy};
 use crate::error::TreeError;
 use crate::node::{InternalNode, LeafNode};
 use crate::scheduler::PipelineOp;
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
+use sherman_locks::{AcquireStep, Acquisition};
 use sherman_memserver::{ClientAllocator, ServerLayout};
 use sherman_sim::{
     ClientCtx, Completion, Fabric, FabricBackend, GlobalAddress, PendingVerb, RpcLeafReply,
@@ -98,32 +105,61 @@ pub(crate) enum Step<T> {
     Done(T),
 }
 
-impl<T> Step<T> {
-    fn map<U>(self, f: impl FnOnce(T) -> U) -> Step<U> {
-        match self {
-            Step::Pending(token) => Step::Pending(token),
-            Step::Done(value) => Step::Done(f(value)),
+/// What one `step` call of a whole operation produced: a [`Step`], or the
+/// one request only an operation that commits can make.
+pub(crate) enum OpStep<T> {
+    /// A verb (or a wait) was posted; feed its [`Completion`] to the next
+    /// `step` call.
+    Pending(PendingVerb),
+    /// The operation is about to take further locks, blocking.  Step it
+    /// again (without a completion) once no other operation multiplexed on
+    /// this context is inside a lock acquisition — see [`OpSM::acquiring`].
+    Exclusive,
+    /// The operation finished.
+    Done(T),
+}
+
+impl<T> From<Step<T>> for OpStep<T> {
+    fn from(step: Step<T>) -> Self {
+        match step {
+            Step::Pending(token) => OpStep::Pending(token),
+            Step::Done(value) => OpStep::Done(value),
         }
     }
 }
 
-/// What one synchronous leaf-commit attempt (the whole lock critical section,
-/// executed inside a single `step` call) produced.
+impl<T> OpStep<T> {
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> OpStep<U> {
+        match self {
+            OpStep::Pending(token) => OpStep::Pending(token),
+            OpStep::Exclusive => OpStep::Exclusive,
+            OpStep::Done(value) => OpStep::Done(f(value)),
+        }
+    }
+}
+
+/// What the body of one leaf commit (run inside a single `step` call, from
+/// the locked image to the release of the leaf lock) produced.
 pub(crate) enum WriteCommit {
     /// The modification committed.  `found` reports whether the key was
     /// present (meaningful for deletes).  `release` carries the deferred
     /// final lock-release verb when the fast path posted it split-phase —
     /// the machine parks on it as its last yield; `None` means the release
-    /// was already observed inline (lock handover, or a split/merge followed
-    /// and had to run after a polled release).
+    /// was purely local (lock handover).
     Committed {
         found: bool,
         release: Option<PendingVerb>,
     },
+    /// The modification committed (the key was, or now is, present) and the
+    /// leaf lock's release was observed inline, but the tree is still owed a
+    /// separator or a merge.
+    Structural(Followup),
     /// The locked leaf did not cover the key; the lock was released untouched
-    /// and the operation must retry at `next` (re-locate when `None`).
+    /// (`release` as above) and the operation must retry at `next` (re-locate
+    /// when `None`).
     Retry {
         next: Option<(GlobalAddress, LeafSource)>,
+        release: Option<PendingVerb>,
     },
 }
 
@@ -312,16 +348,18 @@ impl RestartBudget {
 /// at a time: post, poll, resume.  This *is* the blocking path — and also
 /// exactly what a pipelined run at depth 1 executes, which is why the two are
 /// equivalent by construction.
-pub(crate) fn drive_blocking<B: FabricBackend, T>(
+pub(crate) fn drive_blocking<B: FabricBackend, T, S: Into<OpStep<T>>>(
     cx: &mut OpCx<'_, B>,
     meta: &mut OpMeta,
-    mut step: impl FnMut(&mut OpCx<'_, B>, &mut OpMeta, Option<Completion>) -> TreeResult<Step<T>>,
+    mut step: impl FnMut(&mut OpCx<'_, B>, &mut OpMeta, Option<Completion>) -> TreeResult<S>,
 ) -> TreeResult<T> {
     let mut completion = None;
     loop {
-        match step(cx, meta, completion.take())? {
-            Step::Pending(token) => completion = Some(cx.ctx.poll_token(token)),
-            Step::Done(value) => return Ok(value),
+        match step(cx, meta, completion.take())?.into() {
+            OpStep::Pending(token) => completion = Some(cx.ctx.poll_token(token)),
+            // One operation at a time: nobody else is acquiring anything.
+            OpStep::Exclusive => {}
+            OpStep::Done(value) => return Ok(value),
         }
     }
 }
@@ -1353,9 +1391,8 @@ pub(crate) enum WriteKind {
 }
 
 /// The phase ladder of the write machine.  Location yields freely (it is the
-/// same lock-free descent a lookup uses); the commit runs the whole critical
-/// section synchronously and at most leaves the deferred release verb
-/// outstanding.
+/// same lock-free descent a lookup uses); the commit yields on its lock
+/// acquisition, runs its body in one step, and yields on the deferred release.
 enum WritePhase {
     /// Decide where to commit next (consume `pending`, consult the cache, or
     /// start a traversal).
@@ -1365,20 +1402,29 @@ enum WritePhase {
     /// lock-free location phase offloads — the lock critical section always
     /// runs client-side under the usual HOCL rules.
     Offload(OffloadSM),
-    Commit {
-        addr: GlobalAddress,
+    /// Head of the commit: the acquisition of the leaf lock (with the leaf
+    /// READ riding it) is in progress — posted, re-posted after a lost race,
+    /// or queued behind a sibling operation.  Its completion runs the body.
+    Lock {
         source: LeafSource,
+        acq: Acquisition,
     },
+    /// The leaf did not cover the key and its release is in flight; the
+    /// completion restarts the write at `pending`.
+    Released,
+    /// The leaf is committed and released; the tree is owed `Followup`,
+    /// which runs on the step after [`OpStep::Exclusive`] was returned.
+    Structural(Followup),
     /// The deferred final release verb is in flight; its completion finishes
     /// the operation (the memory effect already applied at post time).
     AwaitRelease,
 }
 
-/// A write as a resumable machine: locate the leaf → one synchronous locked
-/// commit ([`OpCx::leaf_commit`]) → park on the deferred release.  Splits and
-/// structural merges run to completion inside the commit step, after the
-/// leaf release was observed inline.  Finishes with whether the key was
-/// present (always `true` for an insert).
+/// A write as a resumable machine: locate the leaf → acquire its lock and
+/// read it, parked → the locked commit ([`OpCx::leaf_commit`]) → park on the
+/// deferred release.  A split's separator and a structural merge run to
+/// completion in a step of their own, after [`OpStep::Exclusive`].  Finishes
+/// with whether the key was present (always `true` for an insert).
 pub(crate) struct WriteSM {
     key: u64,
     kind: WriteKind,
@@ -1406,12 +1452,24 @@ impl WriteSM {
         }
     }
 
+    /// The head of a commit on the leaf at `addr`.
+    fn lock_phase<B: FabricBackend>(
+        cx: &OpCx<'_, B>,
+        addr: GlobalAddress,
+        source: LeafSource,
+    ) -> WritePhase {
+        WritePhase::Lock {
+            source,
+            acq: cx.lock_and_read_start(addr),
+        }
+    }
+
     pub(crate) fn step<B: FabricBackend>(
         &mut self,
         cx: &mut OpCx<'_, B>,
         meta: &mut OpMeta,
         mut completion: Option<Completion>,
-    ) -> TreeResult<Step<bool>> {
+    ) -> TreeResult<OpStep<bool>> {
         loop {
             match &mut self.phase {
                 WritePhase::Restart => {
@@ -1421,12 +1479,12 @@ impl WriteSM {
                     };
                     self.restarts.begin(cx, context)?;
                     if let Some((addr, source)) = self.pending.take() {
-                        self.phase = WritePhase::Commit { addr, source };
+                        self.phase = Self::lock_phase(cx, addr, source);
                         continue;
                     }
                     cx.drain_for_placement(self.offload_done);
                     self.phase = match locate_start(cx, meta, self.key) {
-                        LocateStart::Cached(addr, source) => WritePhase::Commit { addr, source },
+                        LocateStart::Cached(addr, source) => Self::lock_phase(cx, addr, source),
                         LocateStart::Traverse(sm) => {
                             match offload_descent(cx, self.key, &mut self.offload_done) {
                                 Some(rpc) => WritePhase::Offload(rpc),
@@ -1436,26 +1494,21 @@ impl WriteSM {
                     };
                 }
                 WritePhase::Locate(sm) => match sm.step(cx, meta, completion.take())? {
-                    Step::Pending(token) => return Ok(Step::Pending(token)),
+                    Step::Pending(token) => return Ok(OpStep::Pending(token)),
                     Step::Done(addr) => {
-                        self.phase = WritePhase::Commit {
-                            addr,
-                            source: sm.leaf_source(),
-                        };
+                        self.phase = Self::lock_phase(cx, addr, sm.leaf_source());
                     }
                 },
                 WritePhase::Offload(sm) => match sm.step(cx, completion.take())? {
-                    Step::Pending(token) => return Ok(Step::Pending(token)),
+                    Step::Pending(token) => return Ok(OpStep::Pending(token)),
                     Step::Done(OffloadOutcome::Leaf(reply)) => {
                         cx.cluster.offload_counters(cx.cs_id).record_win();
                         if reply.chase_sibling {
                             self.pending = reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
                             self.phase = WritePhase::Restart;
                         } else {
-                            self.phase = WritePhase::Commit {
-                                addr: reply.leaf.addr,
-                                source: LeafSource::Traversal,
-                            };
+                            self.phase =
+                                Self::lock_phase(cx, reply.leaf.addr, LeafSource::Traversal);
                         }
                     }
                     Step::Done(_) => {
@@ -1463,29 +1516,56 @@ impl WriteSM {
                         self.phase = WritePhase::Restart;
                     }
                 },
-                WritePhase::Commit { addr, source } => {
-                    let (addr, source) = (*addr, *source);
-                    match cx.leaf_commit(addr, source, self.key, self.kind, meta)? {
+                WritePhase::Lock { source, acq } => {
+                    let mgr = cx.cluster.lock_manager();
+                    let (outcome, image) = match mgr.step_acquire(cx.ctx, acq, completion.take())? {
+                        AcquireStep::Pending(token) => return Ok(OpStep::Pending(token)),
+                        AcquireStep::Done { outcome, image } => (outcome, image),
+                    };
+                    let (addr, source) = (acq.node(), *source);
+                    let buf = cx.lock_and_read_finish(addr, outcome, image, meta)?;
+                    match cx.leaf_commit(addr, source, self.key, self.kind, &buf)? {
                         WriteCommit::Committed { found, release } => {
                             let Some(token) = release else {
-                                return Ok(Step::Done(found));
+                                return Ok(OpStep::Done(found));
                             };
                             self.found = found;
                             self.phase = WritePhase::AwaitRelease;
-                            return Ok(Step::Pending(token));
+                            return Ok(OpStep::Pending(token));
                         }
-                        WriteCommit::Retry { next } => {
+                        WriteCommit::Structural(followup) => {
+                            self.phase = WritePhase::Structural(followup);
+                            return Ok(OpStep::Exclusive);
+                        }
+                        WriteCommit::Retry { next, release } => {
                             self.pending = next;
                             self.phase = WritePhase::Restart;
+                            if let Some(token) = release {
+                                self.phase = WritePhase::Released;
+                                return Ok(OpStep::Pending(token));
+                            }
                         }
                     }
+                }
+                WritePhase::Released => {
+                    completion = None;
+                    self.phase = WritePhase::Restart;
+                }
+                WritePhase::Structural(_) => {
+                    let WritePhase::Structural(followup) =
+                        std::mem::replace(&mut self.phase, WritePhase::AwaitRelease)
+                    else {
+                        unreachable!("phase checked above");
+                    };
+                    cx.run_followup(followup, meta)?;
+                    return Ok(OpStep::Done(true));
                 }
                 WritePhase::AwaitRelease => {
                     debug_assert!(
                         completion.take().is_some(),
                         "AwaitRelease resumes on the release completion"
                     );
-                    return Ok(Step::Done(self.found));
+                    return Ok(OpStep::Done(self.found));
                 }
             }
         }
@@ -1528,15 +1608,21 @@ impl OpSM {
         }
     }
 
+    /// Whether the operation is inside a lock acquisition: it holds a lock,
+    /// has an attempt on one in flight, or waits in a lock's local queue.
+    pub(crate) fn acquiring(&self) -> bool {
+        matches!(self, OpSM::Write(sm) if matches!(sm.phase, WritePhase::Lock { .. }))
+    }
+
     pub(crate) fn step<B: FabricBackend>(
         &mut self,
         cx: &mut OpCx<'_, B>,
         meta: &mut OpMeta,
         completion: Option<Completion>,
-    ) -> TreeResult<Step<OpOutput>> {
+    ) -> TreeResult<OpStep<OpOutput>> {
         Ok(match self {
-            OpSM::Lookup(sm) => sm.step(cx, meta, completion)?.map(OpOutput::Lookup),
-            OpSM::Range(sm) => sm.step(cx, meta, completion)?.map(OpOutput::Range),
+            OpSM::Lookup(sm) => OpStep::from(sm.step(cx, meta, completion)?).map(OpOutput::Lookup),
+            OpSM::Range(sm) => OpStep::from(sm.step(cx, meta, completion)?).map(OpOutput::Range),
             OpSM::Write(sm) => {
                 let kind = sm.kind;
                 sm.step(cx, meta, completion)?.map(|found| match kind {

@@ -14,7 +14,10 @@
 
 use crate::slot_hash;
 use sherman_memserver::{MemoryPool, ServerLayout};
-use sherman_sim::{ClientCtx, FabricBackend, FabricChannel, GlobalAddress, PendingVerb, SimResult, WriteCmd};
+use sherman_sim::{
+    ClientCtx, Completion, FabricBackend, FabricChannel, GlobalAddress, PendingVerb, SimResult,
+    VerbResult, WriteCmd,
+};
 
 /// Which physical realization of the global lock table is in use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,68 +177,50 @@ impl GlobalLockTable {
         ((owner as u64) + 1) << loc.shift
     }
 
-    /// Attempt to acquire the lock at `loc` once for compute server `owner`.
-    /// Returns whether the acquisition succeeded.
+    /// Post one attempt to acquire the lock at `loc` for compute server
+    /// `owner` without waiting for it: a (masked) `RDMA_CAS`, and with `read`
+    /// the `RDMA_READ` of the node the lock guards in the same doorbell batch
+    /// (one round trip; the lock word and its node share a memory server,
+    /// hence a queue pair).  The swap applies at the post instant; redeem the
+    /// completion with [`GlobalLockTable::attempt_outcome`].
+    pub fn post_acquire_at<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        loc: LockLocation,
+        owner: u16,
+        read: Option<(GlobalAddress, usize)>,
+    ) -> SimResult<PendingVerb> {
+        let value = Self::owner_value(&loc, owner);
+        match read {
+            Some((node, len)) => client.post_cas_read(loc.word, 0, value, loc.mask(), node, len),
+            None if loc.bits == 64 => client.post_cas(loc.word, 0, value),
+            None => client.post_masked_cas(loc.word, 0, value, loc.mask()),
+        }
+    }
+
+    /// What an attempt posted by [`GlobalLockTable::post_acquire_at`]
+    /// completed with: whether it won the lock, and the image its READ
+    /// fetched (empty without one; speculative when the attempt lost — a NIC
+    /// has no conditional).
+    pub fn attempt_outcome(completion: Completion) -> (bool, Vec<u8>) {
+        match completion.result {
+            VerbResult::Cas(cas) => (cas.succeeded, Vec::new()),
+            VerbResult::CasRead(cas, image) => (cas.succeeded, image),
+            other => panic!("expected a lock attempt's completion, got {other:?}"),
+        }
+    }
+
+    /// One blocking attempt (post + poll) to acquire the lock at `loc`;
+    /// returns whether it won.  Every failed attempt is a wasted round trip
+    /// and a consumed NIC atomic, exactly the behaviour Figure 2 demonstrates.
     pub fn try_acquire_at<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         loc: LockLocation,
         owner: u16,
     ) -> SimResult<bool> {
-        let value = Self::owner_value(&loc, owner);
-        let result = if loc.bits == 64 {
-            client.cas(loc.word, 0, value)?
-        } else {
-            client.masked_cas(loc.word, 0, value, loc.mask())?
-        };
-        Ok(result.succeeded)
-    }
-
-    /// Attempt to acquire the lock at `loc` once and, in the same doorbell
-    /// batch, read the node it guards into `buf` (one round trip; the lock
-    /// word and `node` share a memory server, hence a queue pair).  The read
-    /// is speculative: `buf` only holds the locked image when the attempt
-    /// succeeded.
-    pub fn try_acquire_and_read_at<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        loc: LockLocation,
-        owner: u16,
-        node: GlobalAddress,
-        buf: &mut [u8],
-    ) -> SimResult<bool> {
-        let value = Self::owner_value(&loc, owner);
-        let result = client.cas_read(loc.word, 0, value, loc.mask(), node, buf)?;
-        Ok(result.succeeded)
-    }
-
-    /// Spin until the lock at `loc` is acquired; every failed attempt is a
-    /// remote retry that burns NIC IOPS, exactly the behaviour Figure 2
-    /// demonstrates.  Returns the number of failed attempts.
-    pub fn acquire_at<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        loc: LockLocation,
-        owner: u16,
-    ) -> SimResult<u64> {
-        spin(client, |c| self.try_acquire_at(c, loc, owner))
-    }
-
-    /// [`GlobalLockTable::acquire_at`] with every attempt the combined
-    /// CAS+READ batch of [`GlobalLockTable::try_acquire_and_read_at`]: on
-    /// return `buf` holds `node` as read under the lock.  A failed attempt's
-    /// payload is overwritten by the next one.
-    pub fn acquire_and_read_at<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        loc: LockLocation,
-        owner: u16,
-        node: GlobalAddress,
-        buf: &mut [u8],
-    ) -> SimResult<u64> {
-        spin(client, |c| {
-            self.try_acquire_and_read_at(c, loc, owner, node, buf)
-        })
+        let token = self.post_acquire_at(client, loc, owner, None)?;
+        Ok(Self::attempt_outcome(client.poll_token(token)).0)
     }
 
     /// The `RDMA_WRITE` command that releases the lock at `loc`.
@@ -295,23 +280,6 @@ impl GlobalLockTable {
             }
         }
     }
-}
-
-/// Repeat `attempt` until it wins the lock, counting each loss as a retry and
-/// pacing the re-post (a no-op on the simulator, where every retry already
-/// pays a modeled round trip; a yield on real threads, where the holder may
-/// be descheduled on this very core).  Returns the number of failed attempts.
-fn spin<C: FabricChannel>(
-    client: &mut ClientCtx<C>,
-    mut attempt: impl FnMut(&mut ClientCtx<C>) -> SimResult<bool>,
-) -> SimResult<u64> {
-    let mut retries = 0u64;
-    while !attempt(client)? {
-        retries += 1;
-        client.note_retries(1);
-        client.contention_backoff(u32::try_from(retries).unwrap_or(u32::MAX));
-    }
-    Ok(retries)
 }
 
 #[cfg(test)]
@@ -397,7 +365,7 @@ mod tests {
         }
         glt.release_at(&mut client, loc, 1).unwrap();
         assert_eq!(retries, 3);
-        assert_eq!(glt.acquire_at(&mut client, loc, 2).unwrap(), 0);
+        assert!(glt.try_acquire_at(&mut client, loc, 2).unwrap());
     }
 
     #[test]
@@ -412,17 +380,16 @@ mod tests {
             let node = GlobalAddress::host(1, 128 << 10);
             pool.fabric().god_write(node, &[3u8; 32]).unwrap();
             let loc = glt.location_of(node);
-            let mut buf = [0u8; 32];
-            assert_eq!(
-                glt.acquire_and_read_at(&mut client, loc, 0, node, &mut buf).unwrap(),
-                0
-            );
-            assert_eq!(buf, [3u8; 32]);
-            assert_eq!(client.stats().round_trips, 1);
+            let mut attempt = |owner| {
+                let token = glt
+                    .post_acquire_at(&mut client, loc, owner, Some((node, 32)))
+                    .unwrap();
+                GlobalLockTable::attempt_outcome(client.poll_token(token))
+            };
+            assert_eq!(attempt(0), (true, vec![3u8; 32]));
             // Held: a second combined attempt loses (its payload is speculative).
-            assert!(!glt
-                .try_acquire_and_read_at(&mut client, loc, 1, node, &mut buf)
-                .unwrap());
+            assert!(!attempt(1).0);
+            assert_eq!(client.stats().round_trips, 2);
             glt.release_at(&mut client, loc, 0).unwrap();
             assert!(glt.try_acquire_at(&mut client, loc, 1).unwrap());
         }

@@ -11,13 +11,26 @@
 //! waiting, the global lock is passed to the head of the queue without a
 //! remote round trip, bounded by [`MAX_HANDOVER_DEPTH`] consecutive handovers
 //! so that other compute servers are not starved.
+//!
+//! The paper queues conflicting threads *and coroutines*; here the coroutines
+//! are the operations a pipelined client multiplexes on one fabric context.
+//! Nobody ever blocks on a local lock: a waiter posts a *wait* on its
+//! context's completion queue (`ClientCtx::post_wait`) and yields.  A waiter
+//! whose turn can only come through releases of its own context — the holder
+//! and everyone queued ahead are sibling operations — parks without a
+//! deadline and is woken by the release that makes it the head; any other
+//! waiter re-checks every `poll_interval_ns`, because a thread cannot wake
+//! another thread's context.
 
 use crate::global::GlobalLockTable;
 use crate::manager::{
-    flush_writes_and_release, AcquireOutcome, LockOrder, NodeLockManager, ReleaseOutcome,
+    flush_writes_and_release, AcquireState, AcquireStep, Acquisition, LockOrder, NodeLockManager,
+    ReleaseOutcome,
 };
 use parking_lot::Mutex;
-use sherman_sim::{ClientCtx, FabricChannel, GlobalAddress, PendingVerb, SimResult, WriteCmd};
+use sherman_sim::{
+    ClientCtx, Completion, FabricChannel, GlobalAddress, PendingVerb, SimResult, WriteCmd,
+};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,13 +85,34 @@ impl HoclOptions {
     }
 }
 
+/// One queued acquisition.
+#[derive(Debug)]
+struct Waiter {
+    ticket: u64,
+    /// The context ([`ClientCtx::id`]) the acquisition runs on.
+    client: u64,
+    /// The wait it is parked on, for a release on the same context to wake.
+    wait: PendingVerb,
+}
+
 #[derive(Debug, Default)]
 struct LocalLockState {
     held: bool,
-    queue: VecDeque<u64>,
+    /// The context of the current holder (meaningful while `held`).
+    holder: u64,
+    queue: VecDeque<Waiter>,
     /// Ticket that has been handed the still-held global lock.
     grant: Option<u64>,
     handover_depth: u32,
+}
+
+impl LocalLockState {
+    /// Wake the head of the queue if it runs on `client`'s context.
+    fn wake_head<C: FabricChannel>(&self, client: &mut ClientCtx<C>) {
+        if let Some(head) = self.queue.front().filter(|w| w.client == client.id()) {
+            client.wake(head.wait);
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -202,72 +236,120 @@ impl HoclManager {
         self.local_table(cs).queued_waiters(node.ms, slot)
     }
 
-    /// Acquire lock `slot` on server `ms`; with `read`, also fetch the node
-    /// the lock guards into the given buffer — folded into every global
-    /// attempt's doorbell batch, or a plain READ when the lock was handed
-    /// over locally (no global attempt happens then).
-    fn acquire_slot<C: FabricChannel>(
+    /// Take the compute server's local lock for `acq`, or wait for it.
+    fn take_local<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        acq: &mut Acquisition,
+    ) -> SimResult<AcquireStep> {
+        let (ms, slot) = (acq.node.ms, self.glt.slot_of(acq.node));
+        let llt = self.local_table(client.cs_id());
+        let local = llt.lock_for(ms, slot);
+        let ticket = match acq.state {
+            AcquireState::Queued { ticket } => ticket,
+            _ => llt.new_ticket(),
+        };
+        let me = client.id();
+        let mut st = local.state.lock();
+        // Where this acquisition stands in the queue, if it is in it; how
+        // many are ahead of it either way (none without a wait queue, where
+        // waiters race).
+        let queued_at = st.queue.iter().position(|w| w.ticket == ticket);
+        let ahead = queued_at.unwrap_or(st.queue.len());
+        if !st.held && ahead == 0 {
+            st.held = true;
+            st.holder = me;
+            if queued_at.is_some() {
+                st.queue.pop_front();
+            }
+            let handed_over = self.options.use_handover && st.grant.take() == Some(ticket);
+            drop(st);
+            // A record is retired by the last handle to it: hold none on.
+            drop(local);
+            if !handed_over {
+                return self.post_global(client, acq);
+            }
+            // The global lock came with the grant: no CAS, just the READ.
+            client.begin_critical(self.glt.location_of_slot(ms, slot).rank());
+            let Some(len) = acq.read_len else {
+                return Ok(acq.done(true, Vec::new()));
+            };
+            return match client.post_read(acq.node, len) {
+                Ok(token) => {
+                    acq.state = AcquireState::Reading;
+                    Ok(AcquireStep::Pending(token))
+                }
+                Err(e) => {
+                    // Pass the lock on (or free it): this acquisition is over.
+                    let _ = self.release_slot(client, ms, slot, Vec::new(), true, false);
+                    Err(e)
+                }
+            };
+        }
+        // Wait for the lock.  Local waiting posts no fabric verb, which is
+        // precisely how the LLT saves RDMA IOPS.  When the holder and every
+        // acquisition queued ahead run on this very context, each of their
+        // releases wakes its successor, so the turn comes without polling;
+        // otherwise some other thread has to act first: look again later.
+        let mine = |id: u64| id == me;
+        let woken_in_turn = self.options.use_wait_queue
+            && (!st.held || mine(st.holder))
+            && st.queue.iter().take(ahead).all(|w| mine(w.client));
+        let deadline = (!woken_in_turn).then(|| client.now() + self.options.poll_interval_ns);
+        let wait = client.post_wait(deadline);
+        match queued_at {
+            Some(pos) => st.queue[pos].wait = wait,
+            None if self.options.use_wait_queue => st.queue.push_back(Waiter {
+                ticket,
+                client: me,
+                wait,
+            }),
+            None => {}
+        }
+        acq.state = AcquireState::Queued { ticket };
+        Ok(AcquireStep::Pending(wait))
+    }
+
+    /// Post one global attempt for `acq`, whose local lock this context
+    /// holds; if the post fails the local lock is given up again.
+    fn post_global<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        acq: &mut Acquisition,
+    ) -> SimResult<AcquireStep> {
+        let (ms, slot) = (acq.node.ms, self.glt.slot_of(acq.node));
+        let loc = self.glt.location_of_slot(ms, slot);
+        let read = acq.read_len.map(|len| (acq.node, len));
+        match self.glt.post_acquire_at(client, loc, client.cs_id(), read) {
+            Ok(token) => {
+                acq.state = AcquireState::Posted;
+                Ok(AcquireStep::Pending(token))
+            }
+            Err(e) => {
+                let local = self.local_table(client.cs_id()).lock_for(ms, slot);
+                self.unlock_local(client, ms, slot, local);
+                Err(e)
+            }
+        }
+    }
+
+    /// Release the local lock of `(ms, slot)`: the next waiter — handed the
+    /// global lock or not — takes it when it looks next, which is now if it
+    /// runs on this context.
+    fn unlock_local<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         ms: u16,
         slot: u64,
-        read: Option<(GlobalAddress, &mut [u8])>,
-    ) -> SimResult<AcquireOutcome> {
-        let llt = self.local_table(client.cs_id());
-        let local = llt.lock_for(ms, slot);
-        let ticket = llt.new_ticket();
-        let mut enqueued = false;
-        let handed_over;
-        loop {
+        local: Arc<LocalLock>,
+    ) {
+        {
             let mut st = local.state.lock();
-            let at_head = if self.options.use_wait_queue {
-                if enqueued {
-                    st.queue.front() == Some(&ticket)
-                } else {
-                    st.queue.is_empty()
-                }
-            } else {
-                true
-            };
-            if !st.held && at_head {
-                st.held = true;
-                if enqueued {
-                    st.queue.pop_front();
-                }
-                handed_over = self.options.use_handover && st.grant.take() == Some(ticket);
-                break;
-            }
-            if self.options.use_wait_queue && !enqueued {
-                st.queue.push_back(ticket);
-                enqueued = true;
-            }
-            drop(st);
-            // Local polling costs CPU time only — no fabric verbs are issued,
-            // which is precisely how the LLT saves RDMA IOPS.
-            client.charge_cpu(self.options.poll_interval_ns);
+            st.held = false;
+            st.wake_head(client);
         }
-
-        if handed_over {
-            if let Some((node, buf)) = read {
-                client.read(node, buf)?;
-            }
-            return Ok(AcquireOutcome {
-                remote_retries: 0,
-                handed_over: true,
-            });
-        }
-        let loc = self.glt.location_of_slot(ms, slot);
-        let owner = client.cs_id();
-        let remote_retries = match read {
-            Some((node, buf)) => self
-                .glt
-                .acquire_and_read_at(client, loc, owner, node, buf)?,
-            None => self.glt.acquire_at(client, loc, owner)?,
-        };
-        Ok(AcquireOutcome {
-            remote_retries,
-            handed_over: false,
-        })
+        self.local_table(client.cs_id())
+            .retire_if_idle(ms, slot, local);
     }
 
     fn release_slot<C: FabricChannel>(
@@ -285,50 +367,51 @@ impl HoclManager {
         // Decide whether to hand the (still-held) global lock to a local
         // waiter.  The decision is made before flushing writes so that the
         // release command can be dropped from the combined batch.
-        let handover = {
+        let me = client.id();
+        let (handover, to_sibling) = {
             let mut st = local.state.lock();
-            if self.options.use_handover
-                && !st.queue.is_empty()
-                && st.handover_depth < self.options.max_handover_depth
-            {
-                st.handover_depth += 1;
-                st.grant = Some(*st.queue.front().expect("queue checked non-empty"));
-                true
-            } else {
-                st.handover_depth = 0;
-                false
+            match st.queue.front() {
+                Some(head)
+                    if self.options.use_handover
+                        && st.handover_depth < self.options.max_handover_depth =>
+                {
+                    let (ticket, to_sibling) = (head.ticket, head.client == me);
+                    st.handover_depth += 1;
+                    st.grant = Some(ticket);
+                    (true, to_sibling)
+                }
+                _ => {
+                    st.handover_depth = 0;
+                    (false, false)
+                }
             }
         };
 
         let loc = self.glt.location_of_slot(ms, slot);
-        let release_cmd = if handover {
-            None
-        } else if self.glt.kind().release_is_write() {
-            Some(self.glt.release_write_cmd(loc))
-        } else {
-            None
-        };
-        let owner = client.cs_id();
-        let must_release_remote = !handover && !self.glt.kind().release_is_write();
         let glt = &self.glt;
+        let release_cmd = (!handover && glt.kind().release_is_write())
+            .then(|| glt.release_write_cmd(loc));
+        let owner = client.cs_id();
+        let standalone = |c: &mut ClientCtx<C>, post_only: bool| {
+            if post_only {
+                Ok(Some(glt.post_release_at(c, loc, owner)?))
+            } else {
+                glt.release_at(c, loc, owner)?;
+                Ok(None)
+            }
+        };
+        // A handed-over lock is taken the moment the local lock is free: the
+        // write-back may still be in flight then only if the successor's
+        // READ follows it on the same queue pair — an operation of this very
+        // context.  Another thread is handed the lock once it is acknowledged.
         let deferred = flush_writes_and_release(
             client,
             writes,
             combine,
             release_cmd,
-            |c, post_only| {
-                if !must_release_remote {
-                    return Ok(None);
-                }
-                if post_only {
-                    Ok(Some(glt.post_release_at(c, loc, owner)?))
-                } else {
-                    glt.release_at(c, loc, owner)?;
-                    Ok(None)
-                }
-            },
+            (!handover && !glt.kind().release_is_write()).then_some(standalone),
             ms,
-            defer,
+            defer && (!handover || to_sibling),
         )?;
 
         // Finally release the local lock; the handed-over waiter (if any) will
@@ -336,37 +419,14 @@ impl HoclManager {
         // safe here: its memory effect (freeing the global word) applied at
         // the post instant, so the next owner — local or remote — already
         // observes the lock free.
-        local.state.lock().held = false;
-        llt.retire_if_idle(ms, slot, local);
+        self.unlock_local(client, ms, slot, local);
+        client.end_critical(loc.rank());
         Ok((
             ReleaseOutcome {
                 released_global: !handover,
             },
             deferred,
         ))
-    }
-
-    /// Acquire lock `slot` on memory server `ms` directly (used by the lock
-    /// microbenchmarks, which exercise the lock service without a tree).
-    pub fn acquire_raw<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        ms: u16,
-        slot: u64,
-    ) -> SimResult<AcquireOutcome> {
-        self.acquire_slot(client, ms, slot, None)
-    }
-
-    /// Release lock `slot` on memory server `ms` directly.
-    pub fn release_raw<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        ms: u16,
-        slot: u64,
-    ) -> SimResult<ReleaseOutcome> {
-        let (outcome, deferred) = self.release_slot(client, ms, slot, Vec::new(), true, false)?;
-        debug_assert!(deferred.is_none());
-        Ok(outcome)
     }
 }
 
@@ -377,23 +437,29 @@ impl LockOrder for HoclManager {
 }
 
 impl<C: FabricChannel> NodeLockManager<C> for HoclManager {
-    fn acquire(
+    fn step_acquire(
         &self,
         client: &mut ClientCtx<C>,
-        node: GlobalAddress,
-    ) -> SimResult<AcquireOutcome> {
-        let slot = self.glt.slot_of(node);
-        self.acquire_slot(client, node.ms, slot, None)
-    }
-
-    fn acquire_and_read(
-        &self,
-        client: &mut ClientCtx<C>,
-        node: GlobalAddress,
-        buf: &mut [u8],
-    ) -> SimResult<AcquireOutcome> {
-        let slot = self.glt.slot_of(node);
-        self.acquire_slot(client, node.ms, slot, Some((node, buf)))
+        acq: &mut Acquisition,
+        completion: Option<Completion>,
+    ) -> SimResult<AcquireStep> {
+        match acq.state {
+            AcquireState::Start | AcquireState::Queued { .. } => self.take_local(client, acq),
+            AcquireState::Posted => {
+                let completion = completion.expect("an attempt resumes on its completion");
+                let lock = self.glt.location_of(acq.node).rank();
+                match acq.attempt_won(client, lock, completion) {
+                    Some(image) => Ok(acq.done(false, image)),
+                    // Lost to another compute server: spin remotely, still
+                    // holding the local lock so no local thread joins in.
+                    None => self.post_global(client, acq),
+                }
+            }
+            AcquireState::Reading => {
+                let completion = completion.expect("a read resumes on its completion");
+                Ok(acq.done(true, completion.result.into_read()))
+            }
+        }
     }
 
     fn release_deferred(
@@ -772,6 +838,148 @@ mod tests {
         acquire_and_read_excludes_on_real_threads(Arc::new(hocl), Arc::clone(&fabric));
         let remote = RemoteLockManager::new(GlobalLockTable::new_on_chip(&pool));
         acquire_and_read_excludes_on_real_threads(Arc::new(remote), fabric);
+    }
+
+    #[test]
+    fn a_failed_attempt_leaves_the_local_lock_free() {
+        let (pool, mgr) = setup(HoclOptions::default());
+        let mut client = pool.fabric().client(0);
+        // The READ of the combined attempt leaves the region: the attempt is
+        // rejected after the local lock was taken.
+        let end = pool.fabric().config().host_bytes_per_ms as u64;
+        let node = GlobalAddress::host(0, end - 8);
+        let mut buf = [0u8; 64];
+        assert!(mgr.acquire_and_read(&mut client, node, &mut buf).is_err());
+        assert_eq!(mgr.local_table(0).materialized_locks(), 0);
+        // The same slot is acquirable again, locally and globally, by this
+        // client and by another compute server.
+        assert_eq!(mgr.acquire(&mut client, node).unwrap().remote_retries, 0);
+        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        let mut other = pool.fabric().client(1);
+        assert_eq!(mgr.acquire(&mut other, node).unwrap().remote_retries, 0);
+        mgr.release(&mut other, node, Vec::new(), true).unwrap();
+        drop(other); // only blocked or running participants may stay registered
+
+        // A handed-over waiter whose READ is rejected passes the lock on.
+        mgr.acquire(&mut client, node).unwrap();
+        let waiter = {
+            let (pool, mgr) = (Arc::clone(&pool), Arc::clone(&mgr));
+            thread::spawn(move || {
+                let mut client = pool.fabric().client(0);
+                let mut buf = [0u8; 64];
+                mgr.acquire_and_read(&mut client, node, &mut buf).is_err()
+            })
+        };
+        pump_until_queued(&mgr, &mut client, node, 1);
+        let r = mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        assert!(!r.released_global, "the waiter is handed the lock");
+        drop(client);
+        assert!(waiter.join().unwrap(), "its read is out of bounds");
+        let mut other = pool.fabric().client(1);
+        assert!(!mgr.acquire(&mut other, node).unwrap().handed_over);
+    }
+
+    /// Step `acq` once on `client`, feeding it the completion of `pending`.
+    fn step(
+        mgr: &HoclManager,
+        client: &mut ClientCtx,
+        acq: &mut Acquisition,
+        pending: Option<PendingVerb>,
+    ) -> AcquireStep {
+        let completion = pending.map(|token| client.poll_token(token));
+        mgr.step_acquire(client, acq, completion).unwrap()
+    }
+
+    #[test]
+    fn operations_of_one_context_queue_park_and_hand_over() {
+        let (pool, mgr) = setup(HoclOptions::default());
+        let mut client = pool.fabric().client(0);
+        let node = GlobalAddress::host(0, 100 << 10);
+        let new = || Acquisition::new(node, Some(64));
+        let (mut a, mut b, mut c) = (new(), new(), new());
+
+        // A takes the local lock and posts the global attempt; B and C find
+        // it held by their own context and park until woken — no timer.
+        let AcquireStep::Pending(ta) = step(&mgr, &mut client, &mut a, None) else {
+            panic!("the first acquisition posts its attempt");
+        };
+        let AcquireStep::Pending(tb) = step(&mgr, &mut client, &mut b, None) else {
+            panic!("a sibling holds the lock");
+        };
+        let AcquireStep::Pending(tc) = step(&mgr, &mut client, &mut c, None) else {
+            panic!("a sibling holds the lock");
+        };
+        assert_eq!(mgr.queued_waiters(0, node), 2);
+        assert_eq!(client.completes_at(tb), u64::MAX);
+        assert_eq!(client.completes_at(tc), u64::MAX);
+        assert_eq!(client.stats().round_trips, 1, "parking posts no verb");
+
+        let AcquireStep::Done { outcome, .. } = step(&mgr, &mut client, &mut a, Some(ta)) else {
+            panic!("the lock is free");
+        };
+        assert!(!outcome.handed_over);
+
+        // A's release hands the global lock to B and wakes it — and only it.
+        let write = WriteCmd::new(node, vec![7u8; 64]);
+        let r = mgr.release(&mut client, node, vec![write], true).unwrap();
+        assert!(!r.released_global);
+        assert_eq!(client.completes_at(tb), client.now());
+        assert_eq!(client.completes_at(tc), u64::MAX);
+
+        // B skips the CAS: one plain READ of what A wrote back.
+        let before = client.stats();
+        let AcquireStep::Pending(read) = step(&mgr, &mut client, &mut b, Some(tb)) else {
+            panic!("a handed-over acquisition posts its read");
+        };
+        let AcquireStep::Done { outcome, image } = step(&mgr, &mut client, &mut b, Some(read))
+        else {
+            panic!("the read completes the acquisition");
+        };
+        assert!(outcome.handed_over);
+        assert_eq!((outcome.remote_retries, image), (0, vec![7u8; 64]));
+        let d = client.stats().delta_since(&before);
+        assert_eq!((d.round_trips, d.atomics, d.reads), (1, 0, 1));
+
+        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        assert_eq!(client.completes_at(tc), client.now());
+        assert!(matches!(
+            step(&mgr, &mut client, &mut c, Some(tc)),
+            AcquireStep::Pending(_)
+        ));
+    }
+
+    #[test]
+    fn a_waiter_behind_another_thread_polls_instead_of_parking() {
+        let (pool, mgr) = setup(HoclOptions::default());
+        let mut holder = pool.fabric().client(0);
+        let node = GlobalAddress::host(0, 110 << 10);
+        mgr.acquire(&mut holder, node).unwrap();
+
+        // Another context of the same compute server: nobody on it will ever
+        // wake the waiter, so it looks again after the poll interval.
+        let waiter = {
+            let (pool, mgr) = (Arc::clone(&pool), Arc::clone(&mgr));
+            thread::spawn(move || {
+                let mut client = pool.fabric().client(0);
+                let mut acq = Acquisition::new(node, None);
+                let AcquireStep::Pending(wait) = step(&mgr, &mut client, &mut acq, None) else {
+                    panic!("the lock is held");
+                };
+                let deadline = client.completes_at(wait);
+                assert_eq!(deadline, client.now() + mgr.options().poll_interval_ns);
+                let mut pending = Some(wait);
+                loop {
+                    match step(&mgr, &mut client, &mut acq, pending.take()) {
+                        AcquireStep::Pending(token) => pending = Some(token),
+                        AcquireStep::Done { outcome, .. } => break outcome,
+                    }
+                }
+            })
+        };
+        pump_until_queued(&mgr, &mut holder, node, 1);
+        mgr.release(&mut holder, node, Vec::new(), true).unwrap();
+        drop(holder);
+        assert!(waiter.join().unwrap().handed_over);
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub mod manager;
 pub use global::{GlobalLockKind, GlobalLockTable, LockLocation};
 pub use hocl::{HoclManager, HoclOptions, LocalLockTable, MAX_HANDOVER_DEPTH};
 pub use manager::{
-    AcquireOutcome, LockOrder, NodeLockManager, ReleaseOutcome, RemoteLockManager,
+    AcquireOutcome, AcquireStep, Acquisition, LockOrder, NodeLockManager, ReleaseOutcome,
+    RemoteLockManager,
 };
 
 /// Hash a packed global address into a lock-table slot.

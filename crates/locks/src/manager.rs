@@ -3,7 +3,10 @@
 //! steps use.
 
 use crate::global::GlobalLockTable;
-use sherman_sim::{ClientCtx, FabricChannel, GlobalAddress, PendingVerb, SimChannel, SimResult, WriteCmd};
+use sherman_sim::{
+    ClientCtx, Completion, FabricChannel, GlobalAddress, PendingVerb, SimChannel, SimResult,
+    WriteCmd,
+};
 
 /// Result of acquiring a node lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -14,6 +17,105 @@ pub struct AcquireOutcome {
     /// Whether the lock was handed over locally, skipping the remote
     /// acquisition entirely (HOCL only).
     pub handed_over: bool,
+}
+
+/// One lock acquisition in progress: the resumable state of the single
+/// acquisition machine each manager implements
+/// ([`NodeLockManager::step_acquire`]).  Created for a node, stepped until it
+/// reports [`AcquireStep::Done`]; between steps the caller is free to do
+/// anything else on the same context, which is how a pipelined write overlaps
+/// its lock round trip with other operations.
+#[derive(Debug)]
+pub struct Acquisition {
+    pub(crate) node: GlobalAddress,
+    /// `Some(len)`: also fetch `len` bytes of the node under the lock.
+    pub(crate) read_len: Option<usize>,
+    /// Failed global attempts so far.
+    pub(crate) retries: u64,
+    pub(crate) state: AcquireState,
+}
+
+/// Where an [`Acquisition`] stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AcquireState {
+    /// Nothing posted yet.
+    Start,
+    /// Waiting for the compute server's local lock under `ticket` (HOCL):
+    /// parked on a timer or on the holder's wake.
+    Queued { ticket: u64 },
+    /// A global attempt — CAS, or CAS+READ — is in flight.
+    Posted,
+    /// The lock was handed over locally; the plain READ of the node is in
+    /// flight (HOCL).
+    Reading,
+}
+
+impl Acquisition {
+    /// Start acquiring the lock that guards `node`; with `read_len`, also
+    /// read that many bytes of the node under the lock — folded into every
+    /// global attempt's doorbell batch, or a plain READ when the lock is
+    /// handed over locally.
+    pub fn new(node: GlobalAddress, read_len: Option<usize>) -> Self {
+        Acquisition {
+            node,
+            read_len,
+            retries: 0,
+            state: AcquireState::Start,
+        }
+    }
+
+    /// The node whose lock is being acquired.
+    pub fn node(&self) -> GlobalAddress {
+        self.node
+    }
+
+    /// A global attempt on the lock word of rank `lock` completed: on a win
+    /// open the critical section and return the image read under the lock,
+    /// otherwise count the retry and pace the re-post (a no-op on the
+    /// simulator, where every retry already pays a modeled round trip; a
+    /// yield on real threads, where the holder may be descheduled on this
+    /// very core).
+    pub(crate) fn attempt_won<C: FabricChannel>(
+        &mut self,
+        client: &mut ClientCtx<C>,
+        lock: u128,
+        completion: Completion,
+    ) -> Option<Vec<u8>> {
+        let (won, image) = GlobalLockTable::attempt_outcome(completion);
+        if won {
+            client.begin_critical(lock);
+            return Some(image);
+        }
+        self.retries += 1;
+        client.note_retries(1);
+        client.contention_backoff(u32::try_from(self.retries).unwrap_or(u32::MAX));
+        None
+    }
+
+    pub(crate) fn done(&self, handed_over: bool, image: Vec<u8>) -> AcquireStep {
+        AcquireStep::Done {
+            outcome: AcquireOutcome {
+                remote_retries: self.retries,
+                handed_over,
+            },
+            image,
+        }
+    }
+}
+
+/// What one [`NodeLockManager::step_acquire`] call produced.
+#[derive(Debug)]
+pub enum AcquireStep {
+    /// Something was posted — a lock attempt, a read, a local wait; resume
+    /// the acquisition with its completion.
+    Pending(PendingVerb),
+    /// The lock is held.
+    Done {
+        /// How it was obtained.
+        outcome: AcquireOutcome,
+        /// The node as read under the lock (empty when no read was asked).
+        image: Vec<u8>,
+    },
 }
 
 /// Result of releasing a node lock.
@@ -81,26 +183,62 @@ pub trait LockOrder {
 /// manager instance serves every client of a deployment regardless of
 /// backend; it defaults to the virtual-time simulator's channel.
 pub trait NodeLockManager<C: FabricChannel = SimChannel>: LockOrder + Send + Sync {
-    /// Acquire the exclusive lock protecting `node`.
+    /// Advance `acq` as far as it goes without waiting: take the lock, or
+    /// post the next thing it has to wait for.  `completion` is the
+    /// completion of what the previous step posted (`None` on the first).
+    /// Learning that the lock is held opens its critical section on the
+    /// client's trace ([`ClientCtx::begin_critical`], keyed by
+    /// [`LockOrder::lock_rank`]); posting its release closes it.
+    ///
+    /// This is the only acquisition path: a failed global attempt is
+    /// re-posted from here, a local wait resumed here.  An `Err` leaves the
+    /// lock and every queue it was waiting in as if the acquisition had never
+    /// started.
+    fn step_acquire(
+        &self,
+        client: &mut ClientCtx<C>,
+        acq: &mut Acquisition,
+        completion: Option<Completion>,
+    ) -> SimResult<AcquireStep>;
+
+    /// Acquire the exclusive lock protecting `node`, blocking: the
+    /// acquisition machine, each thing it posts polled at once.
     fn acquire(&self, client: &mut ClientCtx<C>, node: GlobalAddress)
-        -> SimResult<AcquireOutcome>;
+        -> SimResult<AcquireOutcome> {
+        Ok(self.drive_acquire(client, Acquisition::new(node, None))?.0)
+    }
 
     /// Acquire the lock protecting `node` and read the node it guards into
-    /// `buf` (`buf.len()` bytes from `node`): on return `buf` holds the image
-    /// as read under the lock.  The default is [`NodeLockManager::acquire`]
-    /// followed by a READ — two dependent round trips; managers whose lock
-    /// words are co-located with the nodes they guard fold the READ into the
-    /// acquiring CAS's doorbell batch (command combination at the head of a
-    /// write, §4.5).
+    /// `buf` (`buf.len()` bytes from `node`), blocking: on return `buf` holds
+    /// the image as read under the lock.  The READ rides every acquiring
+    /// CAS's doorbell batch (command combination at the head of a write,
+    /// §4.5): the lock words are co-located with the nodes they guard.
     fn acquire_and_read(
         &self,
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
         buf: &mut [u8],
     ) -> SimResult<AcquireOutcome> {
-        let outcome = self.acquire(client, node)?;
-        client.read(node, buf)?;
+        let (outcome, image) =
+            self.drive_acquire(client, Acquisition::new(node, Some(buf.len())))?;
+        buf.copy_from_slice(&image);
         Ok(outcome)
+    }
+
+    /// Step `acq` to completion, polling whatever it posts: the blocking
+    /// form of the acquisition machine.
+    fn drive_acquire(
+        &self,
+        client: &mut ClientCtx<C>,
+        mut acq: Acquisition,
+    ) -> SimResult<(AcquireOutcome, Vec<u8>)> {
+        let mut completion = None;
+        loop {
+            match self.step_acquire(client, &mut acq, completion.take())? {
+                AcquireStep::Pending(token) => completion = Some(client.poll_token(token)),
+                AcquireStep::Done { outcome, image } => return Ok((outcome, image)),
+            }
+        }
     }
 
     /// Release the lock protecting `node`, flushing `writes` (node
@@ -167,63 +305,54 @@ impl RemoteLockManager {
 
 /// Post `writes` and the lock release according to the combination policy.
 ///
-/// Shared by [`RemoteLockManager`] and the hierarchical manager.  `release_cmd`
-/// is `None` when the global lock must not be released (handover) or when the
-/// release cannot be expressed as a write (FAA release), in which case
-/// `fallback_release` performs it (posting split-phase and returning the token
-/// when handed `true`, blocking and returning `None` otherwise).
+/// Shared by [`RemoteLockManager`] and the hierarchical manager.  The release
+/// is `release_cmd` when it can be expressed as a write, `fallback_release`
+/// when it cannot (FAA release; it posts split-phase and returns the token
+/// when handed `true`, blocks and returns `None` otherwise), and neither when
+/// the global lock must not be released (handover).
 ///
 /// When `defer` is set, the final remote verb of the sequence is posted
 /// split-phase and its token returned; every earlier verb stays blocking.
-pub(crate) fn flush_writes_and_release<C: FabricChannel>(
+pub(crate) fn flush_writes_and_release<C: FabricChannel, F>(
     client: &mut ClientCtx<C>,
     writes: Vec<WriteCmd>,
     combine: bool,
     release_cmd: Option<WriteCmd>,
-    mut fallback_release: impl FnMut(&mut ClientCtx<C>, bool) -> SimResult<Option<PendingVerb>>,
+    fallback_release: Option<F>,
     lock_ms: u16,
     defer: bool,
-) -> SimResult<Option<PendingVerb>> {
+) -> SimResult<Option<PendingVerb>>
+where
+    F: FnOnce(&mut ClientCtx<C>, bool) -> SimResult<Option<PendingVerb>>,
+{
     // Writes that ended up on a different memory server than the lock can
     // never ride in the lock's doorbell batch; they are posted first, each as
     // its own verb (this is the cross-server sibling case of a node split).
-    let (same_ms, other_ms): (Vec<WriteCmd>, Vec<WriteCmd>) =
+    let (mut cmds, other_ms): (Vec<WriteCmd>, Vec<WriteCmd>) =
         writes.into_iter().partition(|w| w.addr.ms == lock_ms);
     for w in other_ms {
         client.post_writes(&[w])?;
     }
 
-    if combine {
-        let mut batch = same_ms;
-        if let Some(cmd) = release_cmd {
-            batch.push(cmd);
-            if defer {
-                return Ok(Some(client.post_write_batch(&batch)?));
-            }
-            client.post_writes(&batch)?;
-            return Ok(None);
-        }
-        if !batch.is_empty() {
-            client.post_writes(&batch)?;
-        }
-        return fallback_release(client, defer);
-    }
-
-    // No combination: every command is its own round trip, exactly like the
-    // baseline ("issuing the following RDMA command only after receiving the
+    // The commands for the lock's server travel as one doorbell batch, or —
+    // no combination — each as its own round trip, exactly like the baseline
+    // ("issuing the following RDMA command only after receiving the
     // acknowledgement of the preceding one").
-    for w in same_ms {
-        client.post_writes(&[w])?;
-    }
-    match release_cmd {
-        Some(cmd) => {
-            if defer {
-                return Ok(Some(client.post_write_batch(&[cmd])?));
-            }
-            client.post_writes(&[cmd])?;
-            Ok(None)
+    cmds.extend(release_cmd);
+    let batches: Vec<&[WriteCmd]> = if combine {
+        Some(cmds.as_slice()).filter(|b| !b.is_empty()).into_iter().collect()
+    } else {
+        cmds.chunks(1).collect()
+    };
+    for (i, batch) in batches.iter().enumerate() {
+        if defer && fallback_release.is_none() && i + 1 == batches.len() {
+            return Ok(Some(client.post_write_batch(batch)?));
         }
-        None => fallback_release(client, defer),
+        client.post_writes(batch)?;
+    }
+    match fallback_release {
+        Some(release) => release(client, defer),
+        None => Ok(None),
     }
 }
 
@@ -234,35 +363,26 @@ impl LockOrder for RemoteLockManager {
 }
 
 impl<C: FabricChannel> NodeLockManager<C> for RemoteLockManager {
-    fn acquire(
+    fn step_acquire(
         &self,
         client: &mut ClientCtx<C>,
-        node: GlobalAddress,
-    ) -> SimResult<AcquireOutcome> {
-        let loc = self.table.location_of(node);
-        let owner = client.cs_id();
-        let remote_retries = self.table.acquire_at(client, loc, owner)?;
-        Ok(AcquireOutcome {
-            remote_retries,
-            handed_over: false,
-        })
-    }
-
-    fn acquire_and_read(
-        &self,
-        client: &mut ClientCtx<C>,
-        node: GlobalAddress,
-        buf: &mut [u8],
-    ) -> SimResult<AcquireOutcome> {
-        let loc = self.table.location_of(node);
-        let owner = client.cs_id();
-        let remote_retries = self
+        acq: &mut Acquisition,
+        completion: Option<Completion>,
+    ) -> SimResult<AcquireStep> {
+        let loc = self.table.location_of(acq.node);
+        if let Some(completion) = completion {
+            debug_assert_eq!(acq.state, AcquireState::Posted);
+            if let Some(image) = acq.attempt_won(client, loc.rank(), completion) {
+                return Ok(acq.done(false, image));
+            }
+        }
+        // Every conflicting thread spins on the remote word: (re-)post.
+        let read = acq.read_len.map(|len| (acq.node, len));
+        let token = self
             .table
-            .acquire_and_read_at(client, loc, owner, node, buf)?;
-        Ok(AcquireOutcome {
-            remote_retries,
-            handed_over: false,
-        })
+            .post_acquire_at(client, loc, client.cs_id(), read)?;
+        acq.state = AcquireState::Posted;
+        Ok(AcquireStep::Pending(token))
     }
 
     fn release_deferred(
@@ -281,22 +401,24 @@ impl<C: FabricChannel> NodeLockManager<C> for RemoteLockManager {
             None
         };
         let table = &self.table;
+        let standalone = |c: &mut ClientCtx<C>, post_only: bool| {
+            if post_only {
+                Ok(Some(table.post_release_at(c, loc, owner)?))
+            } else {
+                table.release_at(c, loc, owner)?;
+                Ok(None)
+            }
+        };
         let deferred = flush_writes_and_release(
             client,
             writes,
             combine,
             release_cmd,
-            |c, post_only| {
-                if post_only {
-                    Ok(Some(table.post_release_at(c, loc, owner)?))
-                } else {
-                    table.release_at(c, loc, owner)?;
-                    Ok(None)
-                }
-            },
+            (!self.table.kind().release_is_write()).then_some(standalone),
             node.ms,
             defer,
         )?;
+        client.end_critical(loc.rank());
         Ok((
             ReleaseOutcome {
                 released_global: true,
@@ -341,6 +463,41 @@ mod tests {
 
         mgr.release(&mut c0, node, Vec::new(), true).unwrap();
         assert!(mgr.table().try_acquire_at(&mut c1, loc, 1).unwrap());
+    }
+
+    #[test]
+    fn a_lost_attempt_is_reposted_by_the_same_machine() {
+        let (pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let node = GlobalAddress::host(0, 24 << 10);
+        pool.fabric().god_write(node, &[4u8; 32]).unwrap();
+        let mut holder = pool.fabric().client(1);
+        mgr.acquire(&mut holder, node).unwrap();
+
+        // Two attempts lose while the lock is held, the third wins: every
+        // retry is a separately posted verb the caller may park on.
+        let mut client = pool.fabric().client(0);
+        let mut acq = Acquisition::new(node, Some(32));
+        let mut completion = None;
+        for attempt in 0..3 {
+            if attempt == 2 {
+                mgr.release(&mut holder, node, Vec::new(), true).unwrap();
+            }
+            let AcquireStep::Pending(token) =
+                mgr.step_acquire(&mut client, &mut acq, completion.take()).unwrap()
+            else {
+                panic!("attempt {attempt} should still be pending");
+            };
+            completion = Some(client.poll_token(token));
+        }
+        let AcquireStep::Done { outcome, image } =
+            mgr.step_acquire(&mut client, &mut acq, completion).unwrap()
+        else {
+            panic!("the lock was released");
+        };
+        assert_eq!((outcome.remote_retries, outcome.handed_over), (2, false));
+        assert_eq!(image, vec![4u8; 32]);
+        let s = client.stats();
+        assert_eq!((s.round_trips, s.atomics, s.reads, s.retries), (3, 3, 3, 2));
     }
 
     #[test]

@@ -35,6 +35,18 @@
 //! Posting applies the verb's memory effect immediately (at the *post*
 //! instant), just as the blocking path always did; the completion only carries
 //! the time at which the response arrives back at the client.
+//!
+//! ## Waits
+//!
+//! Not everything a pipelined operation parks on is a verb.  A **wait**
+//! ([`ClientCtx::post_wait`]) is a completion-queue entry that costs no round
+//! trip: it fires at a deadline (a timer — the local poll interval of a lock
+//! queue), when another operation of the same context calls
+//! [`ClientCtx::wake`] on it (a lock release resuming its successor), or
+//! whichever comes first.  A wait without a deadline never fires by itself.
+//! Waits are polled like verbs but appear in none of the round-trip or
+//! in-flight counters; the time an operation spent parked on one is charged
+//! to it as CPU time, like the polling it replaces.
 
 use crate::addr::{GlobalAddress, MemSpace};
 use crate::channel::{FabricBackend, FabricChannel, VerbWindow};
@@ -223,10 +235,11 @@ impl OpVerbStats {
 }
 
 /// One entry of the verb trace recorded by [`ClientCtx::enable_trace`]:
-/// every post is tagged with the op id that issued it and whether it fell
-/// inside a lock critical section, so a test (or a reader of the
-/// ARCHITECTURE diagram) can replay exactly how the shared completion queue
-/// routed completions back to in-flight operations.
+/// every post is tagged with the op id that issued it and whether that op
+/// held a lock at the time, and every lock critical section names its lock
+/// word — so a test (or a reader of the ARCHITECTURE diagram) can replay
+/// exactly how the shared completion queue routed completions back to
+/// in-flight operations, and which operation held which lock meanwhile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A verb was posted (blocking wrappers record their post too).
@@ -235,18 +248,22 @@ pub enum TraceEvent {
         op: Option<u64>,
         /// CQ token id; `0` for blocking reads that never park on the CQ.
         token: u64,
-        /// Whether the post happened inside a lock critical section.
+        /// Whether the posting op had a lock critical section open.
         critical: bool,
     },
-    /// A lock critical section opened (outermost acquire only).
+    /// An op learned it holds a lock: its critical section on `lock` opened.
     CriticalBegin {
         /// Op id current when the section opened.
         op: Option<u64>,
+        /// The lock word's rank (see `sherman_locks::LockOrder::lock_rank`).
+        lock: u128,
     },
-    /// A lock critical section closed (outermost release only).
+    /// The release of `lock` was posted: the section closed.
     CriticalEnd {
         /// Op id current when the section closed.
         op: Option<u64>,
+        /// The lock word's rank.
+        lock: u128,
     },
 }
 
@@ -293,11 +310,16 @@ pub enum VerbResult {
     Write,
     /// Outcome of a `post_cas` / `post_masked_cas`.
     Cas(CasResult),
+    /// Outcome of a `post_cas_read`: the swap's result and the bytes the
+    /// batch's READ fetched (speculative when the swap lost).
+    CasRead(CasResult, Vec<u8>),
     /// Previous value returned by a `post_faa`.
     Faa(u64),
     /// A two-sided RPC round trip carrying the server's typed response
     /// (control RPCs complete as [`RpcResponse::Ack`]).
     Rpc(RpcResponse),
+    /// A [`ClientCtx::post_wait`] fired or was woken: no verb, no payload.
+    Wait,
 }
 
 impl VerbResult {
@@ -349,6 +371,13 @@ pub struct Completion {
     pub completed_at: u64,
     /// The verb's result payload.
     pub result: VerbResult,
+}
+
+impl Completion {
+    /// Whether this is a [`ClientCtx::post_wait`] entry rather than a verb.
+    fn is_wait(&self) -> bool {
+        matches!(self.result, VerbResult::Wait)
+    }
 }
 
 // ======================================================================
@@ -634,6 +663,7 @@ impl FabricChannel for SimChannel {
             return Err(SimError::MixedBatch);
         }
         let server = Arc::clone(self.fabric.server(lock.ms)?);
+        check_read_bounds(&server, addr, buf.len())?;
         let cfg = self.fabric.config();
         let posted_at = self.participant.now();
 
@@ -717,6 +747,24 @@ impl FabricChannel for SimChannel {
     }
 }
 
+/// Reject a CAS+READ batch whose READ falls outside its region *before* the
+/// CAS executes: a rejected batch must have no effect, and a lock word swapped
+/// by a batch that then failed would stay held with nobody knowing.
+pub(crate) fn check_read_bounds(
+    server: &crate::server::MemServerSim,
+    addr: GlobalAddress,
+    len: usize,
+) -> SimResult<()> {
+    server
+        .region(addr.space)
+        .check(addr.offset, len)
+        .map_err(|oob| SimError::OutOfBounds {
+            addr,
+            len: oob.len,
+            region_len: oob.region_len,
+        })
+}
+
 // ======================================================================
 // ClientCtx: the backend-independent client
 // ======================================================================
@@ -728,17 +776,21 @@ impl FabricChannel for SimChannel {
 /// backend.
 pub struct ClientCtx<C: FabricChannel = SimChannel> {
     chan: C,
+    /// Process-unique identity of this context (see [`ClientCtx::id`]).
+    id: u64,
     stats: Arc<SharedClientStats>,
     next_token: u64,
-    /// Outstanding completions, unordered; every entry's `completed_at` was
-    /// fixed at post time.
+    /// Outstanding completions, unordered; every verb's `completed_at` was
+    /// fixed at post time, a wait's is its deadline (`u64::MAX`: none) until
+    /// it is woken.
     cq: Vec<Completion>,
     /// Op id stamped onto every post until changed (pipelined drivers).
     current_op: Option<u64>,
     /// Per-op verb accounting, populated only while `current_op` is set.
     op_stats: HashMap<u64, OpVerbStats>,
-    /// Nesting depth of lock critical sections (see `begin_critical`).
-    critical_depth: u32,
+    /// Open lock critical sections: the op that opened each and its lock
+    /// word (see `begin_critical`).
+    sections: Vec<(Option<u64>, u128)>,
     /// Verb/critical-section trace, recorded only when enabled.
     trace: Option<Vec<TraceEvent>>,
 }
@@ -756,16 +808,26 @@ impl<C: FabricChannel> fmt::Debug for ClientCtx<C> {
 impl<C: FabricChannel> ClientCtx<C> {
     /// Wrap a backend channel in a full client context.
     pub fn with_channel(chan: C) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         ClientCtx {
             chan,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             stats: Arc::new(SharedClientStats::default()),
             next_token: 0,
             cq: Vec::new(),
             current_op: None,
             op_stats: HashMap::new(),
-            critical_depth: 0,
+            sections: Vec::new(),
             trace: None,
         }
+    }
+
+    /// An identity no other context of this process shares.  Shared tables
+    /// (a compute server's local lock table) use it to tell the operations
+    /// multiplexed on one context — which can wake each other — from those
+    /// of other threads, which poll.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The backend this client belongs to.
@@ -850,35 +912,37 @@ impl<C: FabricChannel> ClientCtx<C> {
         self.op_stats.remove(&op).unwrap_or_default()
     }
 
-    /// Mark the opening of a lock critical section.  Sections nest (a merge
-    /// holds several node locks); only the outermost transition is traced.
-    pub fn begin_critical(&mut self) {
-        self.critical_depth += 1;
-        if self.critical_depth == 1 {
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push(TraceEvent::CriticalBegin {
-                    op: self.current_op,
-                });
-            }
+    /// Mark the opening of the current op's critical section on `lock`: it
+    /// learned that it holds that lock word.  One context may have several
+    /// sections open at once — a merge holds three node locks, and pipelined
+    /// operations each hold their own.
+    pub fn begin_critical(&mut self, lock: u128) {
+        self.sections.push((self.current_op, lock));
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push(TraceEvent::CriticalBegin {
+                op: self.current_op,
+                lock,
+            });
         }
     }
 
-    /// Mark the closing of a lock critical section (outermost transition is
-    /// traced; unbalanced calls saturate at zero rather than underflow).
-    pub fn end_critical(&mut self) {
-        if self.critical_depth == 1 {
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push(TraceEvent::CriticalEnd {
-                    op: self.current_op,
-                });
-            }
+    /// Mark the closing of the critical section on `lock` (its release was
+    /// posted).  An unbalanced call is ignored rather than panicking.
+    pub fn end_critical(&mut self, lock: u128) {
+        if let Some(i) = self.sections.iter().position(|&(_, l)| l == lock) {
+            self.sections.swap_remove(i);
         }
-        self.critical_depth = self.critical_depth.saturating_sub(1);
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push(TraceEvent::CriticalEnd {
+                op: self.current_op,
+                lock,
+            });
+        }
     }
 
-    /// Whether a lock critical section is currently open on this client.
+    /// Whether the current op has a lock critical section open.
     pub fn in_critical(&self) -> bool {
-        self.critical_depth > 0
+        self.sections.iter().any(|&(op, _)| op == self.current_op)
     }
 
     /// Start recording a [`TraceEvent`] per post and per critical-section
@@ -895,11 +959,12 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// Record one post in the trace; `token` is `0` for blocking reads that
     /// complete inline without ever parking on the CQ.
     fn trace_post(&mut self, token: u64) {
+        let (op, sections) = (self.current_op, &self.sections);
         if let Some(trace) = self.trace.as_mut() {
             trace.push(TraceEvent::Post {
-                op: self.current_op,
+                op,
                 token,
-                critical: self.critical_depth > 0,
+                critical: sections.iter().any(|&(holder, _)| holder == op),
             });
         }
     }
@@ -927,7 +992,10 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// inline.  One call = one network round trip (a doorbell batch or a
     /// parallel read batch posts once).
     fn account_post(&mut self, posted_at: u64, completed_at: u64) {
-        let overlapped = self.cq.iter().any(|e| e.completed_at > posted_at);
+        let overlapped = self
+            .cq
+            .iter()
+            .any(|e| e.completed_at > posted_at && !e.is_wait());
         let m = self.chan.backend().metrics();
         m.round_trips.fetch_add(1, Ordering::Relaxed);
         if overlapped {
@@ -939,7 +1007,7 @@ impl<C: FabricChannel> ClientCtx<C> {
                 .overlapped_round_trips
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let in_flight = self.cq.len() as u64 + 1;
+        let in_flight = self.outstanding() as u64 + 1;
         self.stats.max_in_flight.fetch_max(in_flight, Ordering::Relaxed);
         self.stats.in_flight_posts.fetch_add(in_flight, Ordering::Relaxed);
         self.stats
@@ -977,12 +1045,67 @@ impl<C: FabricChannel> ClientCtx<C> {
     pub fn reset_max_in_flight(&mut self) {
         self.stats
             .max_in_flight
-            .store(self.cq.len() as u64, Ordering::Relaxed);
+            .store(self.outstanding() as u64, Ordering::Relaxed);
     }
 
-    /// Number of verbs currently outstanding (posted, not yet polled).
+    /// Number of verbs currently outstanding (posted, not yet polled);
+    /// waits are not verbs.
     pub fn outstanding(&self) -> usize {
-        self.cq.len()
+        self.cq.iter().filter(|e| !e.is_wait()).count()
+    }
+
+    // ------------------------------------------------------------------
+    // Waits
+    // ------------------------------------------------------------------
+
+    /// Park on something that is not a verb: enqueue a completion that fires
+    /// at `deadline` (never by itself when `None`) or as soon as another
+    /// operation of this context [`wake`](ClientCtx::wake)s it.  Costs no
+    /// round trip and no port time.
+    pub fn post_wait(&mut self, deadline: Option<u64>) -> PendingVerb {
+        self.next_token += 1;
+        let token = PendingVerb(self.next_token, self.current_op);
+        self.cq.push(Completion {
+            token,
+            posted_at: self.chan.now(),
+            completed_at: deadline.unwrap_or(u64::MAX),
+            result: VerbResult::Wait,
+        });
+        token
+    }
+
+    /// Fire the outstanding wait `token` now (no-op when it already fired or
+    /// was polled).
+    pub fn wake(&mut self, token: PendingVerb) {
+        let now = self.chan.now();
+        if let Some(e) = self.cq.iter_mut().find(|e| e.token == token) {
+            debug_assert!(e.is_wait(), "only waits can be woken");
+            e.completed_at = e.completed_at.min(now);
+        }
+    }
+
+    /// When the outstanding completion `token` is due: fixed at post time
+    /// for a verb, `u64::MAX` for a wait that only a wake can fire.
+    ///
+    /// # Panics
+    /// Panics when `token` is not outstanding on this client.
+    pub fn completes_at(&self, token: PendingVerb) -> u64 {
+        self.cq
+            .iter()
+            .find(|e| e.token == token)
+            .unwrap_or_else(|| panic!("verb {token:?} is not outstanding on this client"))
+            .completed_at
+    }
+
+    /// Dequeue entry `idx`; the time an op spent parked on a wait is charged
+    /// to it as CPU time, like the local polling the wait replaces.
+    fn dequeue(&mut self, idx: usize) -> Completion {
+        let c = self.cq.swap_remove(idx);
+        if let (true, Some(op)) = (c.is_wait(), c.token.op()) {
+            self.op_stats.entry(op).or_default().cpu_ns +=
+                c.completed_at.saturating_sub(c.posted_at);
+        }
+        c
     }
 
     /// Wait for the **earliest** outstanding completion and dequeue it.
@@ -991,8 +1114,16 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// completion lies beyond `t` the clock advances to `t` and `None` is
     /// returned with the queue untouched.  Returns `None` immediately when
     /// nothing is outstanding.
+    ///
+    /// # Panics
+    /// Panics when every outstanding completion is a wait that only a wake
+    /// can fire: nothing on this context can make progress any more.
     pub fn poll(&mut self, deadline: Option<u64>) -> Option<Completion> {
         let earliest = self.cq.iter().map(|e| e.completed_at).min()?;
+        assert!(
+            earliest != u64::MAX,
+            "every outstanding completion waits for a wake that cannot come"
+        );
         if let Some(d) = deadline {
             if earliest > d {
                 self.chan.wait_until(d);
@@ -1011,7 +1142,7 @@ impl<C: FabricChannel> ClientCtx<C> {
             .iter()
             .position(|e| e.completed_at == reached)
             .expect("reached time belongs to an outstanding completion");
-        Some(self.cq.swap_remove(idx))
+        Some(self.dequeue(idx))
     }
 
     /// Wait for one specific outstanding verb and dequeue its completion.
@@ -1029,14 +1160,18 @@ impl<C: FabricChannel> ClientCtx<C> {
             .iter()
             .position(|e| e.token == token)
             .unwrap_or_else(|| panic!("verb {token:?} is not outstanding on this client"));
-        self.chan.wait_until(self.cq[idx].completed_at);
-        self.cq.swap_remove(idx)
+        let due = self.cq[idx].completed_at;
+        assert!(due != u64::MAX, "wait {token:?} polled before anything woke it");
+        self.chan.wait_until(due);
+        self.dequeue(idx)
     }
 
     /// Poll every outstanding completion and discard the results (error-path
     /// cleanup for pipelined drivers: leaves the queue empty and the clock at
     /// the latest completion).
     pub fn drain(&mut self) {
+        // A wait nobody will wake any more is simply dropped.
+        self.cq.retain(|e| e.completed_at != u64::MAX);
         while self.poll(None).is_some() {}
     }
 
@@ -1322,12 +1457,37 @@ impl<C: FabricChannel> ClientCtx<C> {
         }
     }
 
-    /// Blocking doorbell batch of one masked `RDMA_CAS` on the word at `lock`
-    /// followed by one `RDMA_READ` from `addr` into `buf`, on one queue pair
-    /// (command combination at the *head* of a write, §4.5): **one** round
-    /// trip, one atomic and one read.  `mask == u64::MAX` is the plain 64-bit
-    /// CAS.  The read executes — and its bytes are accounted — whether or not
-    /// the swap took effect; see [`FabricChannel::cas_read`].
+    /// Post a doorbell batch of one masked `RDMA_CAS` on the word at `lock`
+    /// followed by one `RDMA_READ` of `len` bytes from `addr`, on one queue
+    /// pair (command combination at the *head* of a write, §4.5): **one**
+    /// round trip, one atomic and one read.  `mask == u64::MAX` is the plain
+    /// 64-bit CAS.  The read executes — and its bytes are accounted —
+    /// whether or not the swap took effect; see [`FabricChannel::cas_read`].
+    /// The completion carries both as [`VerbResult::CasRead`].
+    pub fn post_cas_read(
+        &mut self,
+        lock: GlobalAddress,
+        expected: u64,
+        new: u64,
+        mask: u64,
+        addr: GlobalAddress,
+        len: usize,
+    ) -> SimResult<PendingVerb> {
+        let mut buf = vec![0u8; len];
+        let (window, (succeeded, previous)) =
+            self.chan
+                .cas_read(lock, expected, new, mask, addr, &mut buf)?;
+        self.account_atomic(lock.space);
+        self.account_read(1, len as u64);
+        let cas = CasResult {
+            succeeded,
+            previous,
+        };
+        Ok(self.enqueue(window, VerbResult::CasRead(cas, buf)))
+    }
+
+    /// Blocking CAS+READ batch into `buf` (post + poll); see
+    /// [`ClientCtx::post_cas_read`].
     pub fn cas_read(
         &mut self,
         lock: GlobalAddress,
@@ -1337,15 +1497,14 @@ impl<C: FabricChannel> ClientCtx<C> {
         addr: GlobalAddress,
         buf: &mut [u8],
     ) -> SimResult<CasResult> {
-        let (window, (succeeded, previous)) =
-            self.chan.cas_read(lock, expected, new, mask, addr, buf)?;
-        self.account_atomic(lock.space);
-        self.account_read(1, buf.len() as u64);
-        self.complete_inline(window);
-        Ok(CasResult {
-            succeeded,
-            previous,
-        })
+        let token = self.post_cas_read(lock, expected, new, mask, addr, buf.len())?;
+        match self.poll_token(token).result {
+            VerbResult::CasRead(cas, data) => {
+                buf.copy_from_slice(&data);
+                Ok(cas)
+            }
+            other => panic!("expected a CAS+READ completion, got {other:?}"),
+        }
     }
 
     /// `RDMA_READ` of a single aligned 8-byte word.
@@ -1609,14 +1768,14 @@ mod tests {
         let op = client.take_op_stats(3);
         assert_eq!((op.round_trips, op.bytes_read), (1, 1024));
         assert_eq!(op.verb_ns, batch_ns);
-        assert_eq!(
-            client.take_trace(),
+        assert!(matches!(
+            client.take_trace()[..],
             [TraceEvent::Post {
                 op: Some(3),
-                token: 0,
                 critical: false,
+                ..
             }]
-        );
+        ));
     }
 
     #[test]
@@ -1658,6 +1817,14 @@ mod tests {
                 .unwrap_err(),
             SimError::EmptyBatch
         );
+        // So is a batch whose READ leaves its region — before the CAS runs.
+        let end = fabric.config().host_bytes_per_ms as u64;
+        assert!(matches!(
+            client
+                .cas_read(lock, 0, 1, u64::MAX, GlobalAddress::host(0, end - 8), &mut buf)
+                .unwrap_err(),
+            SimError::OutOfBounds { .. }
+        ));
         // A rejected batch has no effect and costs nothing.
         assert_eq!(fabric.god_read_u64(lock).unwrap(), 0);
         assert_eq!(client.stats(), ClientStats::default());
@@ -1916,10 +2083,14 @@ mod tests {
         client.read(GlobalAddress::host(0, 2048), &mut buf).unwrap();
 
         client.set_current_op(Some(9));
-        client.begin_critical();
+        client.begin_critical(77);
         assert!(client.in_critical());
         let c = client.post_read(GlobalAddress::host(0, 4096), 8).unwrap();
-        client.end_critical();
+        // Another op's post is not flagged by op 9's open section.
+        client.set_current_op(Some(7));
+        assert!(!client.in_critical());
+        client.set_current_op(Some(9));
+        client.end_critical(77);
         assert!(!client.in_critical());
         client.set_current_op(None);
 
@@ -1957,15 +2128,85 @@ mod tests {
                 token: 0,
                 critical: false,
             },
-            TraceEvent::CriticalBegin { op: Some(9) },
+            TraceEvent::CriticalBegin {
+                op: Some(9),
+                lock: 77,
+            },
             TraceEvent::Post {
                 op: Some(9),
                 token: c.id(),
                 critical: true,
             },
-            TraceEvent::CriticalEnd { op: Some(9) },
+            TraceEvent::CriticalEnd {
+                op: Some(9),
+                lock: 77,
+            },
         ];
         assert_eq!(trace, expect);
+    }
+
+    #[test]
+    fn split_phase_cas_read_carries_outcome_and_image() {
+        let fabric = test_fabric();
+        let mut client = fabric.client(0);
+        let lock = GlobalAddress::on_chip(0, 64);
+        let node = GlobalAddress::host(0, 8192);
+        let mask = 0xFFFFu64 << 16;
+        fabric.god_write(node, &[5u8; 256]).unwrap();
+        let t0 = client.now();
+        let won = client.post_cas_read(lock, 0, 7 << 16, mask, node, 256).unwrap();
+        // Posting does not block; the swap is already visible.
+        assert_eq!(client.now(), t0);
+        assert_eq!(fabric.god_read_u64(lock).unwrap(), 7 << 16);
+        let lost = client.post_cas_read(lock, 0, 9 << 16, mask, node, 256).unwrap();
+        assert_eq!(client.outstanding(), 2);
+        for (token, expect) in [(won, true), (lost, false)] {
+            match client.poll_token(token).result {
+                VerbResult::CasRead(cas, image) => {
+                    assert_eq!(cas.succeeded, expect);
+                    assert_eq!(image, vec![5u8; 256]);
+                }
+                other => panic!("unexpected completion {other:?}"),
+            }
+        }
+        let s = client.stats();
+        assert_eq!((s.round_trips, s.atomics, s.reads), (2, 2, 2));
+        assert_eq!(s.overlapped_round_trips, 1);
+    }
+
+    #[test]
+    fn waits_fire_at_their_deadline_or_when_woken_and_cost_no_round_trip() {
+        let fabric = test_fabric();
+        let mut client = fabric.client(0);
+        client.set_current_op(Some(4));
+        let t0 = client.now();
+        let timer = client.post_wait(Some(t0 + 200));
+        let parked = client.post_wait(None);
+        let read = client.post_read(GlobalAddress::host(0, 0), 8).unwrap();
+        // Waits are not verbs: no round trip, no in-flight depth.
+        assert_eq!(client.outstanding(), 1);
+        let s = client.stats();
+        assert_eq!((s.round_trips, s.max_in_flight, s.overlapped_round_trips), (1, 1, 0));
+        assert_eq!(client.completes_at(parked), u64::MAX);
+
+        // The timer is the earliest completion; the parked wait never is.
+        let c = client.poll(None).unwrap();
+        assert_eq!((c.token, c.result, client.now()), (timer, VerbResult::Wait, t0 + 200));
+        assert_eq!(client.poll(None).unwrap().token, read);
+        // Woken, it completes at the instant of the wake.
+        let woken_at = client.now();
+        client.wake(parked);
+        assert_eq!(client.poll(None).unwrap().completed_at, woken_at);
+        assert!(client.poll(None).is_none());
+
+        // Parked time is the op's: charged like the polling it replaces.
+        let op = client.take_op_stats(4);
+        assert_eq!(op.round_trips, 1);
+        assert_eq!(op.cpu_ns, 200 + (woken_at - t0));
+        // An abandoned wait does not wedge the error-path drain.
+        client.post_wait(None);
+        client.drain();
+        assert_eq!(client.outstanding(), 0);
     }
 
     #[test]

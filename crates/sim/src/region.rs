@@ -57,7 +57,8 @@ impl Region {
         self.len_bytes == 0
     }
 
-    fn check(&self, offset: u64, len: usize) -> Result<(), RegionOob> {
+    /// Whether `len` bytes at `offset` lie inside the region.
+    pub(crate) fn check(&self, offset: u64, len: usize) -> Result<(), RegionOob> {
         let end = offset as usize + len;
         if end > self.len_bytes {
             Err(RegionOob {

@@ -350,6 +350,7 @@ impl FabricChannel for ThreadedChannel {
         if lock.ms != addr.ms {
             return Err(SimError::MixedBatch);
         }
+        crate::client::check_read_bounds(self.fabric.server(addr.ms)?, addr, buf.len())?;
         // Program order on this thread is the queue pair's in-order delivery:
         // the (SeqCst) CAS lands before the node bytes are read.
         let (window, outcome) = self.exec_atomic(lock, |r| {

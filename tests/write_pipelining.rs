@@ -1,12 +1,15 @@
 //! Write-path pipelining: inserts and deletes through the split-phase
-//! scheduler keep their lock critical sections atomic (no foreign verb ever
-//! posts between a lock acquire and its release on the same fabric context),
-//! reproduce the blocking path verb-for-verb at depth 1, agree with an
-//! in-memory model on mixed workloads at every depth, and attribute every
-//! tagged completion back to the operation that posted it.
+//! scheduler park on their lock acquisition like on any other round trip,
+//! yet a lock word has one holder at a time on the context, operations that
+//! want the same word queue and hand it over in arrival order, commits that
+//! take further locks never meet a sibling inside one — and the run still
+//! reproduces the blocking path verb-for-verb at depth 1, agrees with an
+//! in-memory model at every depth, and attributes every tagged completion
+//! back to the operation that posted it.
 
 use sherman_repro::prelude::*;
-use std::collections::BTreeMap;
+use sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 fn loaded_cluster(n: u64) -> (Arc<Cluster>, BTreeMap<u64, u64>) {
@@ -60,11 +63,51 @@ fn final_model(ops: &[PipelineOp], mut model: BTreeMap<u64, u64>) -> BTreeMap<u6
     model
 }
 
-/// Tentpole invariant: between a `CriticalBegin` for op A and the matching
-/// `CriticalEnd`, every verb posted on the context belongs to op A.  Checked
-/// from the verb trace at depths 1, 4 and 8 on the mixed workload.
+/// Check the lock discipline of one context from its verb trace: per lock
+/// word the sections strictly alternate begin/end and are closed by the op
+/// that opened them, so at most one in-flight operation of the client is
+/// between learning it holds the word and posting its release; and a post is
+/// flagged critical exactly when the posting op has a section open.  Returns
+/// `(sections, posts by other ops while some section was open)`.
+fn check_lock_discipline(trace: &[TraceEvent], context: &str) -> (u64, u64) {
+    let mut open: HashMap<u128, Option<u64>> = HashMap::new();
+    let (mut sections, mut interleaved) = (0u64, 0u64);
+    for event in trace {
+        match *event {
+            TraceEvent::CriticalBegin { op, lock } => {
+                let holder = open.insert(lock, op);
+                assert!(
+                    holder.is_none(),
+                    "{context}: op {op:?} entered lock {lock:#x} while {holder:?} holds it"
+                );
+                sections += 1;
+            }
+            TraceEvent::CriticalEnd { op, lock } => {
+                assert_eq!(
+                    open.remove(&lock),
+                    Some(op),
+                    "{context}: lock {lock:#x} released by an op that does not hold it"
+                );
+            }
+            TraceEvent::Post { op, critical, .. } => {
+                let holds = open.values().any(|&holder| holder == op);
+                assert_eq!(critical, holds, "{context}: critical flag of a post by {op:?}");
+                if !holds && !open.is_empty() {
+                    interleaved += 1;
+                }
+            }
+        }
+    }
+    assert!(open.is_empty(), "{context}: sections left open: {open:?}");
+    (sections, interleaved)
+}
+
+/// Tentpole invariant, from the verb trace of the mixed workload at depths
+/// 1, 4 and 8 — and of a run that hammers one leaf, where sections stay open
+/// across yields (a handed-over lock is held while its READ is in flight)
+/// and other operations' verbs do post in between.
 #[test]
-fn no_foreign_verb_posts_inside_a_critical_section() {
+fn a_lock_word_has_one_holder_at_a_time_on_a_context() {
     for depth in [1usize, 4, 8] {
         let (cluster, _) = loaded_cluster(1_200);
         let mut client = cluster.client(0);
@@ -73,40 +116,30 @@ fn no_foreign_verb_posts_inside_a_critical_section() {
             .run_pipelined(mixed_ops(240, 1_200), depth)
             .unwrap();
         assert_eq!(report.results.len(), 240, "depth {depth}");
-
-        let trace = client.take_verb_trace();
-        let mut sections = 0u64;
-        let mut owner: Option<Option<u64>> = None;
-        for event in &trace {
-            match *event {
-                TraceEvent::CriticalBegin { op } => {
-                    assert!(owner.is_none(), "depth {depth}: nested outermost begin");
-                    owner = Some(op);
-                    sections += 1;
-                }
-                TraceEvent::CriticalEnd { op } => {
-                    let open = owner.take().expect("end without begin");
-                    assert_eq!(open, op, "depth {depth}: section closed by a foreign op");
-                }
-                TraceEvent::Post { op, critical, .. } => {
-                    if let Some(open) = owner {
-                        assert!(critical, "depth {depth}: in-section post not flagged");
-                        assert_eq!(
-                            open, op,
-                            "depth {depth}: foreign verb posted inside op {open:?}'s \
-                             critical section"
-                        );
-                    } else {
-                        assert!(!critical, "depth {depth}: stray critical flag");
-                    }
-                }
-            }
-        }
-        assert!(owner.is_none(), "depth {depth}: critical section left open");
+        let (sections, _) = check_lock_discipline(&client.take_verb_trace(), &format!("depth {depth}"));
         assert!(
             sections >= 120,
             "depth {depth}: expected a critical section per write, saw {sections}"
         );
+
+        let (cluster, _) = loaded_cluster(1_200);
+        let mut client = cluster.client(0);
+        client.enable_verb_trace();
+        let ops = (0..400u64).map(|i| match i % 2 {
+            0 => PipelineOp::Lookup { key: (i * 41 % 1_200) * 3 },
+            _ => PipelineOp::Insert { key: (600 + i % 4) * 3, value: i },
+        });
+        let report = client.run_pipelined(ops, depth).unwrap();
+        let handed_over = report.results.iter().filter(|r| r.handed_over).count();
+        let (sections, interleaved) =
+            check_lock_discipline(&client.take_verb_trace(), &format!("hot leaf, depth {depth}"));
+        assert_eq!(sections, 200, "depth {depth}: one section per write");
+        if depth == 1 {
+            assert_eq!((handed_over, interleaved), (0, 0));
+        } else {
+            assert!(handed_over > 0, "depth {depth}: the hot lock was never handed over");
+            assert!(interleaved > 0, "depth {depth}: nothing overlapped a held lock");
+        }
     }
 }
 
@@ -265,10 +298,10 @@ fn mixed_writes_match_model_at_every_depth() {
 }
 
 /// With command combination the lock CAS carries the node READ, so a
-/// cached-leaf update is exactly two posts: the combined CAS+READ, whose
-/// completion opens the critical section, and the write-back + release batch
-/// that closes it — with no other operation's verb in between, however many
-/// lookups are in flight around it.
+/// cached-leaf update is exactly two posts of its own: the combined CAS+READ,
+/// posted before the lock is held, and the write-back + release batch, the
+/// only verb of its critical section — however many lookups are in flight
+/// around it, and (at depth 8) with their verbs posted in between.
 #[test]
 fn combined_lock_and_read_opens_the_critical_section() {
     for depth in [1usize, 8] {
@@ -286,33 +319,194 @@ fn combined_lock_and_read_opens_the_critical_section() {
                 },
             })
             .collect();
-        client.run_pipelined(ops, depth).unwrap();
+        let report = client.run_pipelined(ops, depth).unwrap();
+        assert!(report.results.iter().all(|r| !r.handed_over), "depth {depth}");
 
         let trace = client.take_verb_trace();
         let mut sections = 0;
         for (i, event) in trace.iter().enumerate() {
-            let TraceEvent::CriticalBegin { op } = *event else {
+            let TraceEvent::CriticalBegin { op, lock } = *event else {
                 continue;
             };
             sections += 1;
-            // Blocking inline verbs carry token 0; the lock is not held while
-            // the combined verb is in flight, so it is not flagged critical.
+            let own_posts_before: Vec<bool> = trace[..i]
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Post { op: o, critical, .. } if o == op => Some(critical),
+                    _ => None,
+                })
+                .collect();
             assert_eq!(
-                trace[i - 1],
-                TraceEvent::Post {
-                    op,
-                    token: 0,
-                    critical: false
-                },
-                "depth {depth}: section not opened by its own CAS+READ"
+                own_posts_before,
+                [false],
+                "depth {depth}: the CAS+READ is the op's only verb before its section"
             );
+            // The body is one step: write-back + release, section closed.
             assert!(
                 matches!(trace[i + 1], TraceEvent::Post { op: o, critical: true, .. } if o == op),
-                "depth {depth}: foreign verb inside the section: {:?}",
+                "depth {depth}: {:?} follows the section begin",
                 trace[i + 1]
             );
-            assert_eq!(trace[i + 2], TraceEvent::CriticalEnd { op }, "depth {depth}");
+            assert_eq!(trace[i + 2], TraceEvent::CriticalEnd { op, lock }, "depth {depth}");
         }
         assert_eq!(sections, 64, "depth {depth}: one section per update");
     }
+}
+
+/// Every operation of the feed writes one of 8 keys of one leaf: the leaf's
+/// lock word is wanted by every in-flight operation at once.  They queue in
+/// arrival order on the local lock table and hand the lock over, so the final
+/// state is the sequential model's at every depth, no attempt on the global
+/// word is ever lost to a sibling, and nothing deadlocks.
+fn hot_leaf_writes_match_the_sequential_model_on<B: FabricBackend>() {
+    let keys: Vec<u64> = (0..8u64).map(|i| (700 + i) * 3).collect();
+    let ops: Vec<PipelineOp> = (0..2_000u64)
+        .map(|i| {
+            let key = keys[(i * 5 % 8) as usize];
+            if i % 7 == 3 {
+                PipelineOp::Delete { key }
+            } else {
+                PipelineOp::Insert { key, value: i + 1 }
+            }
+        })
+        .collect();
+
+    for depth in [1usize, 4, 8, 16] {
+        let cluster = Cluster::<B>::new_on(ClusterConfig::small(), TreeOptions::sherman());
+        let pairs: Vec<(u64, u64)> = (0..1_500u64).map(|k| (k * 3, k * 7 + 1)).collect();
+        cluster.bulkload(pairs.iter().copied()).unwrap();
+        let mut model: BTreeMap<u64, u64> = pairs.into_iter().collect();
+        let mut deletes_found = 0;
+        for op in &ops {
+            match *op {
+                PipelineOp::Insert { key, value } => {
+                    model.insert(key, value);
+                }
+                PipelineOp::Delete { key } => {
+                    deletes_found += u64::from(model.remove(&key).is_some());
+                }
+                _ => unreachable!("write-only feed"),
+            }
+        }
+
+        let mut client = cluster.client(0);
+        let report = client.run_pipelined(ops.iter().copied(), depth).unwrap();
+        assert_eq!(report.results.len(), ops.len(), "depth {depth}");
+        let found = report
+            .results
+            .iter()
+            .filter(|r| r.output == OpOutput::Delete(true))
+            .count() as u64;
+        assert_eq!(found, deletes_found, "depth {depth}: deletes committed out of order");
+        let lock_retries: u32 = report.results.iter().map(|r| r.lock_retries).sum();
+        assert_eq!(lock_retries, 0, "depth {depth}: siblings fought over the global word");
+        assert_eq!(report.stats.retries, 0, "depth {depth}");
+        let handed_over = report.results.iter().filter(|r| r.handed_over).count();
+        if depth == 1 {
+            assert_eq!(handed_over, 0);
+        } else {
+            assert!(handed_over > 0, "depth {depth}: the hot lock was never handed over");
+        }
+        let attributed: u64 = report.results.iter().map(|r| r.round_trips).sum();
+        assert_eq!(attributed, report.stats.round_trips, "depth {depth}");
+
+        let (scan, _) = client.range(0, model.len() + 10).unwrap();
+        let expect: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(scan, expect, "depth {depth}: final state differs from the model");
+    }
+}
+
+#[test]
+fn hot_leaf_writes_match_the_sequential_model_sim() {
+    hot_leaf_writes_match_the_sequential_model_on::<Fabric>();
+}
+
+#[test]
+fn hot_leaf_writes_match_the_sequential_model_threaded() {
+    hot_leaf_writes_match_the_sequential_model_on::<ThreadedFabric>();
+}
+
+/// 256 B nodes and a lock table of 32 words per memory server: the leaves of
+/// most in-flight writes alias each other's lock words, and those of the
+/// parents that splits and merges lock.  Fresh inserts split and a drain
+/// merges while siblings hold — or queue for — leaf locks; every such commit
+/// waits for its siblings to let go first, so the run terminates, and leaves
+/// a tree equal to the model with a clean census and shape.
+fn splits_and_merges_under_aliased_lock_words_on<B: FabricBackend>() {
+    let mut config = ClusterConfig::small();
+    config.fabric.onchip_bytes_per_ms = 64;
+    for depth in [4usize, 8, 16] {
+        let cluster = Cluster::<B>::new_on(config.clone(), TreeOptions::sherman());
+        let pairs: Vec<(u64, u64)> = (0..600u64).map(|k| (k * 8, k + 1)).collect();
+        cluster.bulkload(pairs.iter().copied()).unwrap();
+        let mut model: BTreeMap<u64, u64> = pairs.into_iter().collect();
+        let carved = cluster.pool().nodes_carved();
+
+        // Fresh keys between the loaded ones (splits everywhere), updates,
+        // then a drain of all but every sixteenth loaded key (merges, internal
+        // merges) — deletes and inserts of one key never share a feed.
+        let mut ops: Vec<PipelineOp> = Vec::new();
+        for i in 0..2_400u64 {
+            let slot = (i * 211) % 600;
+            ops.push(match i % 4 {
+                3 => PipelineOp::Insert { key: slot * 8, value: i + 10_000 },
+                r => PipelineOp::Insert { key: slot * 8 + 1 + r + 3 * (i / 600 % 2), value: i },
+            });
+        }
+        let fill: Vec<PipelineOp> = ops.clone();
+        let drain: Vec<PipelineOp> = (0..4_800u64)
+            .filter(|k| k % 128 != 0)
+            .map(|key| PipelineOp::Delete { key })
+            .collect();
+        for op in fill.iter().chain(&drain) {
+            match *op {
+                PipelineOp::Insert { key, value } => {
+                    model.insert(key, value);
+                }
+                PipelineOp::Delete { key } => {
+                    model.remove(&key);
+                }
+                _ => unreachable!("write-only feed"),
+            }
+        }
+
+        let mut client = cluster.client(0);
+        let filled = client.run_pipelined(fill, depth).unwrap();
+        assert!(cluster.pool().nodes_carved() > carved + 20, "depth {depth}: few splits");
+        let drained = client.run_pipelined(drain, depth).unwrap();
+        let space = cluster.space_stats();
+        assert!(space.leaf_merges > 20, "depth {depth}: {space:?}");
+        assert!(space.internal_merges > 0, "depth {depth}: {space:?}");
+        for report in [&filled, &drained] {
+            let lock_retries: u32 = report.results.iter().map(|r| r.lock_retries).sum();
+            assert_eq!(lock_retries, 0, "depth {depth}: one client never loses a CAS");
+        }
+        assert!(
+            filled.results.iter().any(|r| r.handed_over),
+            "depth {depth}: no two in-flight writes ever shared a lock word"
+        );
+
+        client.quiesce_coherence();
+        let (scan, _) = client.range(0, model.len() + 10).unwrap();
+        let expect: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(scan, expect, "depth {depth}: final state differs from the model");
+        let census = cluster.node_census().unwrap();
+        assert_eq!(census.total(), cluster.nodes_outstanding(), "depth {depth}");
+        let audit = cluster.shape_audit().unwrap();
+        assert_eq!(
+            (audit.underfull_rightmost_fixable, audit.underfull_internals_fixable),
+            (0, 0),
+            "depth {depth}: {audit:?}"
+        );
+    }
+}
+
+#[test]
+fn splits_and_merges_under_aliased_lock_words_sim() {
+    splits_and_merges_under_aliased_lock_words_on::<Fabric>();
+}
+
+#[test]
+fn splits_and_merges_under_aliased_lock_words_threaded() {
+    splits_and_merges_under_aliased_lock_words_on::<ThreadedFabric>();
 }

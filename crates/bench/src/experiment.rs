@@ -38,6 +38,7 @@ use sherman_sim::{Fabric, FabricBackend, FabricConfig, ThreadedFabric};
 use sherman_workload::{
     ChurnGenerator, ChurnSpec, Op, ScenarioGenerator, ScenarioSpec, WorkloadGenerator, WorkloadSpec,
 };
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -309,6 +310,10 @@ pub struct RunReport {
     pub read_retries: CountHistogram,
     /// Bytes written per *write* operation (Figure 14(c)).
     pub write_sizes: SizeHistogram,
+    /// Latency of the *write* operations, one histogram per class of
+    /// round-trip count: two is the cached-leaf floor, what a split or a
+    /// merge posts on top shows as classes of their own.
+    pub write_classes: BTreeMap<u64, LatencyHistogram>,
     /// Fraction of operations whose leaf address came from the index cache.
     pub cache_hit_ratio: f64,
     /// Fraction of write operations whose lock was obtained via handover.
@@ -369,6 +374,15 @@ impl RunReport {
     /// measured phase belongs to one).
     pub fn round_trips_per_op(&self) -> f64 {
         self.fabric.round_trips as f64 / self.summary.ops.max(1) as f64
+    }
+
+    /// Latency of every write operation, whatever it posted.
+    pub fn write_latency(&self) -> LatencyHistogram {
+        let mut all = LatencyHistogram::new();
+        for class in self.write_classes.values() {
+            all.merge(class);
+        }
+        all
     }
 
     /// Node addresses carved per node reachable at the end.
@@ -445,6 +459,7 @@ struct ClientOutcome {
     write_round_trips: CountHistogram,
     read_retries: CountHistogram,
     write_sizes: SizeHistogram,
+    write_classes: BTreeMap<u64, LatencyHistogram>,
     cache_hits: u64,
     handovers: u64,
     overlap: OverlapGauges,
@@ -464,6 +479,7 @@ impl ClientOutcome {
         if is_write(op) {
             self.write_round_trips.record(s.round_trips);
             self.write_sizes.record(s.bytes_written);
+            self.write_classes.entry(s.round_trips).or_default().record(s.latency_ns);
             self.handovers += s.handed_over as u64;
         } else {
             self.read_retries.record(s.read_retries);
@@ -692,6 +708,9 @@ pub fn run<B: FabricBackend>(exp: &Experiment) -> RunReport {
         total.write_round_trips.merge(&o.write_round_trips);
         total.read_retries.merge(&o.read_retries);
         total.write_sizes.merge(&o.write_sizes);
+        for (round_trips, class) in &o.write_classes {
+            total.write_classes.entry(*round_trips).or_default().merge(class);
+        }
         total.cache_hits += o.cache_hits;
         total.handovers += o.handovers;
         total.overlap.merge(&o.overlap);
@@ -749,6 +768,7 @@ pub fn run<B: FabricBackend>(exp: &Experiment) -> RunReport {
         write_round_trips: total.write_round_trips,
         read_retries: total.read_retries,
         write_sizes: total.write_sizes,
+        write_classes: total.write_classes,
         overlap: total.overlap,
         turnovers: total.turnovers,
         shape_timeline: total.shape_timeline,

@@ -522,6 +522,16 @@ impl IndexCache {
             })
     }
 
+    /// The cached image of exactly `level` covering `key`, if there is one.
+    /// A pure view like [`IndexCache::search_top`]: a structural commit asks
+    /// it for the parent of the node it is about to merge, which is not a
+    /// lookup the hit ratio or the eviction clock should learn from.
+    pub fn peek(&self, level: u8, key: u64) -> Option<Arc<CachedInternal>> {
+        let inner = self.inner.read();
+        let slot = inner.covering(level, key)?;
+        Some(Arc::clone(&inner.slots[slot].node))
+    }
+
     // ------------------------------------------------------------------
     // Admission
     // ------------------------------------------------------------------
@@ -878,6 +888,12 @@ mod tests {
             (image(2, 0, 500, &[250]).children[0].child, 1)
         );
         assert_eq!(cache.stats().hits() + cache.stats().misses(), 3);
+        // `peek` answers for one level exactly, counting nothing either.
+        assert_eq!(cache.peek(1, 10).unwrap().fence_high, 250);
+        assert_eq!(cache.peek(2, 300).unwrap().fence_high, 500);
+        assert!(cache.peek(1, 300).is_none() && cache.peek(7, 300).is_none());
+        assert_eq!(cache.stats().hits() + cache.stats().misses(), 3);
+        assert_eq!(cache.stats().levels_skipped(), 4 + 3 + 1 + 3 + 2);
 
         // At a full budget a first offer is only remembered; the second one
         // admits over a victim that idled in between — never over an inner

@@ -3,8 +3,8 @@
 use crate::client::TreeClient;
 use crate::config::{LockStrategy, TreeConfig, TreeOptions};
 use crate::error::TreeError;
-use crate::layout::NodeLayout;
-use crate::node::{InternalNode, LeafNode, NodeHeader};
+use crate::layout::{NodeLayout, HEADER_BYTES};
+use crate::node::{InternalNode, LeafEntry, NodeHeader};
 use crate::TreeResult;
 use parking_lot::{Mutex, RwLock};
 use sherman_cache::{CachedInternal, ChildRef, IndexCache, IndexCacheConfig};
@@ -599,6 +599,8 @@ struct LeafWriter<'a, B: FabricBackend> {
     written: Vec<BuiltChild>,
     /// Entries of the leaf at `addrs[written.len()]`.
     filling: Vec<(u64, u64)>,
+    /// The node image every leaf is encoded into, in place.
+    image: Vec<u8>,
 }
 
 impl<'a, B: FabricBackend> LeafWriter<'a, B> {
@@ -626,18 +628,22 @@ impl<'a, B: FabricBackend> LeafWriter<'a, B> {
             true => 0,
             false => self.filling[0].0,
         };
+        let layout = &cluster.layout;
         let mut header = NodeHeader::new(true, 0, fence_low, fence_high);
         header.sibling = sibling;
-        let mut leaf = LeafNode::empty(&cluster.layout, header);
-        for (entry, &(k, v)) in leaf.entries.iter_mut().zip(&self.filling) {
+        header.count = self.filling.len();
+        self.image.fill(0);
+        layout.encode_header(&mut self.image, &header);
+        let slots = self.image[HEADER_BYTES..].chunks_exact_mut(layout.leaf_entry_bytes());
+        for (slot, &(k, v)) in slots.zip(&self.filling) {
+            let mut entry = LeafEntry::empty();
             entry.install(k, v);
+            layout.encode_leaf_entry_into(slot, &entry);
         }
-        leaf.header.count = self.filling.len();
-        let mut bytes = cluster.layout.encode_leaf(&leaf);
         if cluster.options.leaf_format == crate::config::LeafFormat::SortedChecksum {
-            cluster.layout.stamp_checksum(&mut bytes);
+            layout.stamp_checksum(&mut self.image);
         }
-        cluster.fabric.god_write(addr, &bytes)?;
+        cluster.fabric.god_write(addr, &self.image)?;
         self.written.push(BuiltChild {
             addr,
             fence_low,
@@ -699,6 +705,7 @@ impl<B: FabricBackend> Cluster<B> {
             addrs: Vec::new(),
             written: Vec::new(),
             filling: Vec::with_capacity(per_leaf),
+            image: vec![0u8; self.config.node_size],
         };
         let mut pairs = pairs.into_iter();
         let mut last_key = None;

@@ -18,26 +18,51 @@
 //! The write machine (`crate::ops::WriteSM`) acquires the leaf lock itself —
 //! that is the one thing a write yields on while a lock is involved — and
 //! calls [`OpCx::leaf_commit`] with the image read under it.  Nothing here
-//! yields: the leaf lock is released before `leaf_commit` returns, and at
-//! most the final release verb of the fast path is left outstanding for the
-//! machine to park on.  What needs *further* locks — the separator of a
-//! split, a merge — is handed back as a [`Followup`] and run
-//! ([`OpCx::run_followup`]) once the scheduler has driven every other
-//! in-flight operation of this client out of its own lock acquisition, so
-//! the blocking acquisitions below can only ever wait for other clients.
+//! yields: the leaf lock's release is posted before `leaf_commit` returns,
+//! and at most that verb is left outstanding for the machine to park on.
+//! What needs *further* locks — the separator of a split, a merge — is
+//! handed back as a [`Followup`] and run ([`OpCx::run_followup`]) once the
+//! scheduler has driven every other in-flight operation of this client out
+//! of its own lock acquisition, so the acquisitions below can only ever wait
+//! for other clients.
+//!
+//! ## A follow-up waits for what it depends on
+//!
+//! The follow-up is one synchronous step that posts and polls.  With command
+//! combination (`combine_commands`; without it every command waits for the
+//! one before, as the baselines do) it posts independent commands together
+//! and polls a completion only where something depends on it, under three
+//! ordering rules:
+//!
+//! 1. **Queue-pair order.**  Commands to one memory server apply in post
+//!    order, so a write-back + release needs no wait before the next command
+//!    to that server: a split's leaf write-back overlaps the traversal to the
+//!    parent and the parent's lock + read, a delete's overlaps the merge's
+//!    lock round, a merge's three write-back + release batches go out
+//!    together.  Such verbs sit in `OpMeta::in_flight` until observed.
+//! 2. **Right half before separator.**  The separator that makes a new right
+//!    half reachable from its parent is written only after the right half's
+//!    own write completed — it may live on another memory server, where
+//!    queue-pair order says nothing (the B-link invariant: a node is
+//!    reachable through its left sibling before it is through its parent).
+//! 3. **Never wait out of rank.**  A merge first *tries* its three locks at
+//!    once, each with its node read folded in, whatever their rank; a try
+//!    never waits.  If any is lost, every lock won is given back and the
+//!    locks are taken one after the other in the lock manager's rank order —
+//!    the only way a lock is ever waited for while another is held.
 
 use crate::coherence::{self, PublishedCommit, StructuralCommit};
 use crate::config::LeafFormat;
 use crate::error::TreeError;
 use crate::layout::{NodeLayout, FLAG_FREE};
-use crate::node::{InternalEntry, InternalNode, LeafNode, NodeHeader};
+use crate::node::{InternalNode, LeafNode, NodeHeader};
 use crate::ops::{
     cached_from_internal, drive_blocking, next_after_mismatch, LeafSource, OpCx, OpMeta,
     ReadNodeSM, TraverseSM, WriteCommit, WriteKind,
 };
 use crate::TreeResult;
-use sherman_cache::CachedInternal;
-use sherman_locks::{AcquireOutcome, Acquisition};
+use sherman_cache::{CachedInternal, ChildRef};
+use sherman_locks::{AcquireOutcome, AcquireStep, Acquisition};
 use sherman_memserver::ServerLayout;
 use sherman_sim::{FabricBackend, GlobalAddress, PendingVerb, WriteCmd};
 use std::sync::Arc;
@@ -161,12 +186,61 @@ enum MergeDirection {
 }
 
 /// The same-parent neighbourhood of an underfull node, discovered lock-free
-/// by one parent resolution in `find_merge_pair`: the parent plus whichever
-/// adjacent siblings live under it (both `None` for an only child).
+/// from one image of its parent — the index cache's, or one read remotely by
+/// `find_merge_pair`: the parent plus whichever adjacent siblings live under
+/// it (both `None` for an only child).
 struct MergePartners {
     parent: GlobalAddress,
     right_sibling: Option<GlobalAddress>,
     left_sibling: Option<GlobalAddress>,
+}
+
+impl MergePartners {
+    /// Derive both candidate partners of the node at `node_addr` (header
+    /// `hdr`) from `parent`'s image: the child routed right after the node
+    /// (sanity-checked against the node's own B-link pointer and fence — any
+    /// disagreement is a racing split or merge that the under-lock
+    /// revalidation would reject) and the preceding child, or the parent's
+    /// leftmost.  `None` when the image does not list the node.
+    fn under(parent: &CachedInternal, node_addr: GlobalAddress, hdr: &NodeHeader) -> Option<Self> {
+        let right_of = |next: Option<&ChildRef>| {
+            next.filter(|c| c.separator == hdr.fence_high && Some(c.child) == hdr.sibling)
+                .map(|c| c.child)
+        };
+        if parent.leftmost == node_addr {
+            return Some(MergePartners {
+                parent: parent.addr,
+                right_sibling: right_of(parent.children.first()),
+                left_sibling: None,
+            });
+        }
+        let pos = parent
+            .children
+            .iter()
+            .position(|c| c.separator == hdr.fence_low && c.child == node_addr)?;
+        let left = match pos {
+            0 => parent.leftmost,
+            _ => parent.children[pos - 1].child,
+        };
+        Some(MergePartners {
+            parent: parent.addr,
+            right_sibling: right_of(parent.children.get(pos + 1)),
+            left_sibling: (!left.is_null()).then_some(left),
+        })
+    }
+}
+
+/// How one attempt on a `(left, right, parent)` triple ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PairOutcome {
+    /// A merge or a rebalance committed.
+    Committed,
+    /// The triple is what discovery said it was, but the planner had nothing
+    /// to do; the locks were released untouched.
+    Declined,
+    /// Under the locks the triple turned out not to be a pair under that
+    /// parent (discovery was stale, or lost a race); released untouched.
+    Mismatch,
 }
 
 /// What a structural-delete attempt decided to commit: the encoded images of
@@ -299,22 +373,153 @@ impl<B: FabricBackend> OpCx<'_, B> {
         Ok(deferred)
     }
 
-    /// Acquire the locks guarding `nodes` in the manager's deadlock-safe
-    /// order, returning the acquired lock-word representatives.
-    fn acquire_plan(
+    /// Release the lock on `addr` ahead of a follow-up.  With command
+    /// combination the write-back + release is posted and left in
+    /// `meta.in_flight` (ordering rule 1 of the module docs); without it the
+    /// completion is observed here, like that of every other command.
+    fn release_lock_ahead(
         &mut self,
-        nodes: &[GlobalAddress],
+        addr: GlobalAddress,
+        writes: Vec<WriteCmd>,
         meta: &mut OpMeta,
-    ) -> TreeResult<Vec<GlobalAddress>> {
-        let plan = self.cluster.lock_manager().lock_plan(nodes);
-        for &rep in &plan {
-            self.acquire_lock(rep, meta)?;
+    ) -> TreeResult<()> {
+        if !self.combine() {
+            return self.release_lock(addr, writes);
         }
-        Ok(plan)
+        meta.in_flight.extend(self.release_lock_deferred(addr, writes)?);
+        Ok(())
+    }
+
+    /// Wait for every verb the operation's commit left in flight.
+    fn observe(&mut self, meta: &mut OpMeta) {
+        for token in meta.in_flight.drain(..) {
+            self.ctx.poll_token(token);
+        }
+    }
+
+    /// Lock `nodes` — a merge's `(left, right, parent)` — and read them under
+    /// their locks.  Returns the lock plan (the lock-word representatives, in
+    /// the manager's rank order) and the three images.  With command
+    /// combination the plan is first tried in one round trip
+    /// ([`OpCx::try_plan`]); the rank-ordered acquisition is the fallback,
+    /// and the whole of it without.  An `Err` leaves no lock held.
+    fn lock_and_read_plan(
+        &mut self,
+        nodes: [GlobalAddress; 3],
+        meta: &mut OpMeta,
+    ) -> TreeResult<(Vec<GlobalAddress>, [Vec<u8>; 3])> {
+        let plan = self.cluster.lock_manager().lock_plan(&nodes);
+        let tried = match self.combine() {
+            true => self.try_plan(&plan, meta)?,
+            false => None,
+        };
+        let mut read: Vec<(GlobalAddress, Vec<u8>)> = match tried {
+            Some(images) => plan.iter().copied().zip(images).collect(),
+            None => {
+                self.acquire_plan(&plan, meta)?;
+                Vec::new()
+            }
+        };
+        // What the attempt did not read: everything on the fallback, and on a
+        // won attempt the nodes that share a representative's lock word.
+        let unread: Vec<GlobalAddress> = nodes
+            .into_iter()
+            .filter(|node| !read.iter().any(|(rep, _)| rep == node))
+            .collect();
+        match self.read_nodes_locked(&unread) {
+            Ok(images) => read.extend(unread.into_iter().zip(images)),
+            Err(e) => {
+                self.abandon_plan(&plan)?;
+                return Err(e);
+            }
+        }
+        let image_of = |node| {
+            let found = read.iter().find(|(addr, _)| *addr == node);
+            found.expect("every node of the plan was read").1.clone()
+        };
+        Ok((plan, nodes.map(image_of)))
+    }
+
+    /// One optimistic attempt at every lock of `plan` at once: the attempts —
+    /// each a CAS with the READ of its node folded in — are posted together
+    /// and polled together, one round trip for the lot, which whatever the
+    /// commit left in flight overlaps too.  An attempt never queues and is
+    /// never re-posted, so the order of the words does not matter (ordering
+    /// rule 3 of the module docs).  Returns the images in plan order, or
+    /// `None` — every word won given back — if any word was lost; an `Err`
+    /// leaves no lock held either.
+    fn try_plan(
+        &mut self,
+        plan: &[GlobalAddress],
+        meta: &mut OpMeta,
+    ) -> TreeResult<Option<Vec<Vec<u8>>>> {
+        let mgr = self.cluster.lock_manager();
+        let node_size = self.layout().node_size();
+        let counters = self.cluster.space_counters();
+        counters.record_optimistic_plan();
+        let mut attempts: Vec<Acquisition> = plan
+            .iter()
+            .map(|&rep| Acquisition::try_once(rep, Some(node_size)))
+            .collect();
+        // Post: a word that is lost (or rejected) on the spot ends the plan.
+        let mut steps = Vec::with_capacity(plan.len());
+        for attempt in &mut attempts {
+            let step = mgr.step_acquire(self.ctx, attempt, None);
+            let open = matches!(step, Ok(AcquireStep::Pending(_) | AcquireStep::Done { .. }));
+            steps.push(step);
+            if !open {
+                break;
+            }
+        }
+        self.observe(meta);
+        // Poll: learn which words were won.
+        let mut won = Vec::with_capacity(plan.len());
+        let mut failed = None;
+        for ((step, attempt), &rep) in steps.into_iter().zip(&mut attempts).zip(plan) {
+            let step = match step {
+                Ok(AcquireStep::Pending(token)) => {
+                    let completion = self.ctx.poll_token(token);
+                    mgr.step_acquire(self.ctx, attempt, Some(completion))
+                }
+                settled => settled,
+            };
+            match step {
+                Ok(AcquireStep::Done { outcome, image }) => {
+                    Self::note_acquired(outcome, meta);
+                    won.push((rep, image));
+                }
+                Ok(AcquireStep::Lost) => meta.lock_retries += attempt.retries(),
+                Ok(AcquireStep::Pending(_)) => unreachable!("an attempt is never re-posted"),
+                Err(e) => failed = Some(e),
+            }
+        }
+        if won.len() == plan.len() {
+            self.ctx.charge_scan(plan.len() * node_size);
+            return Ok(Some(won.into_iter().map(|(_, image)| image).collect()));
+        }
+        counters.record_plan_fallback();
+        let held: Vec<GlobalAddress> = won.into_iter().map(|(rep, _)| rep).collect();
+        self.abandon_plan(&held)?;
+        failed.map_or(Ok(None), |e| Err(e.into()))
+    }
+
+    /// Acquire the locks of `plan` one after the other, in its (rank) order:
+    /// the only place a lock is waited for while others are held.  An `Err`
+    /// gives back the locks acquired before it.
+    fn acquire_plan(&mut self, plan: &[GlobalAddress], meta: &mut OpMeta) -> TreeResult<()> {
+        for (held, &rep) in plan.iter().enumerate() {
+            if let Err(e) = self.acquire_lock(rep, meta) {
+                self.abandon_plan(&plan[..held])?;
+                return Err(e);
+            }
+        }
+        Ok(())
     }
 
     /// Release every lock of `plan` (in reverse acquisition order), flushing
     /// each node's write-back with the release of the lock word guarding it.
+    /// With command combination the batches are posted together and polled
+    /// once; a release that fails does not keep the others from going out.
     ///
     /// Demands proof that the commit's coherence messages were posted: a
     /// [`PublishedCommit`] only exists after [`coherence::publish`] ran, so a
@@ -327,13 +532,22 @@ impl<B: FabricBackend> OpCx<'_, B> {
         _published: &PublishedCommit,
     ) -> TreeResult<()> {
         let mgr = self.cluster.lock_manager();
+        let combine = self.combine();
+        let mut posted = Vec::with_capacity(plan.len());
+        let mut failed = None;
         for &rep in plan.iter().rev() {
             let (batch, rest) = writes.into_iter().partition(|w| mgr.same_lock(rep, w.addr));
             writes = rest;
-            self.release_lock(rep, batch)?;
+            match mgr.release_deferred(self.ctx, rep, batch, combine, combine) {
+                Ok((_, deferred)) => posted.extend(deferred),
+                Err(e) => failed = failed.or(Some(e)),
+            }
         }
         debug_assert!(writes.is_empty(), "write-back without a guarding lock");
-        Ok(())
+        for token in posted {
+            self.ctx.poll_token(token);
+        }
+        failed.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Release an untouched lock plan: nothing was written, so the commit
@@ -377,28 +591,23 @@ impl<B: FabricBackend> OpCx<'_, B> {
         Ok(buf)
     }
 
-    /// Read three node images whose locks are all held.  The reads are
+    /// Read node images whose locks are all held.  The reads are
     /// independent, so with command combination they are posted together and
     /// share a round trip; without it each waits for the one before, like
     /// every other command of an uncombined preset.
-    fn read_nodes_locked(&mut self, addrs: [GlobalAddress; 3]) -> TreeResult<[Vec<u8>; 3]> {
+    fn read_nodes_locked(&mut self, addrs: &[GlobalAddress]) -> TreeResult<Vec<Vec<u8>>> {
         if !self.combine() {
-            let [a, b, c] = addrs;
-            return Ok([
-                self.read_node_locked(a)?,
-                self.read_node_locked(b)?,
-                self.read_node_locked(c)?,
-            ]);
+            return addrs.iter().map(|&a| self.read_node_locked(a)).collect();
+        }
+        if addrs.is_empty() {
+            return Ok(Vec::new());
         }
         let node_size = self.layout().node_size();
-        let mut bufs = addrs.map(|_| vec![0u8; node_size]);
-        let mut reqs: Vec<(GlobalAddress, &mut [u8])> = addrs
-            .into_iter()
-            .zip(bufs.iter_mut().map(Vec::as_mut_slice))
-            .collect();
-        self.ctx.read_batch(&mut reqs)?;
+        let reqs: Vec<(GlobalAddress, usize)> = addrs.iter().map(|&a| (a, node_size)).collect();
+        let token = self.ctx.post_read_batch(&reqs)?;
+        let images = self.ctx.poll_token(token).result.into_read_batch();
         self.ctx.charge_scan(addrs.len() * node_size);
-        Ok(bufs)
+        Ok(images)
     }
 
     /// Walk down from the root (or the cached top levels) to the node at
@@ -425,9 +634,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// leaf is split here — new right half and both images written with the
     /// release — and a leaf left underfull is written back as is; what either
     /// still owes the tree takes further locks and is returned as a
-    /// [`Followup`], the leaf release observed inline first so that nothing
-    /// stays deferred across it (which also keeps depth-1 pipelining
-    /// verb-for-verb identical to blocking).
+    /// [`Followup`], which finds the leaf's release in `meta.in_flight`
+    /// (posted; observed already without command combination).
     pub(crate) fn leaf_commit(
         &mut self,
         addr: GlobalAddress,
@@ -435,6 +643,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         key: u64,
         kind: WriteKind,
         buf: &[u8],
+        meta: &mut OpMeta,
     ) -> TreeResult<WriteCommit> {
         let mut leaf = self.layout().decode_leaf(buf);
         if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
@@ -458,7 +667,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let Some(slot) = slot else {
             return Ok(match kind {
                 WriteKind::Insert { value } => {
-                    WriteCommit::Structural(self.split_leaf(addr, leaf, key, value)?)
+                    WriteCommit::Structural(self.split_leaf(addr, leaf, key, value, meta)?)
                 }
                 WriteKind::Delete => WriteCommit::Committed {
                     found: false,
@@ -479,7 +688,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             && self.cluster.options().structural_deletes_enabled()
             && leaf.live_count() < self.merge_floor::<LeafNode>()
         {
-            self.release_lock(addr, writes)?;
+            self.release_lock_ahead(addr, writes, meta)?;
             return Ok(WriteCommit::Structural(Followup::Merge {
                 addr,
                 header: leaf.header,
@@ -492,10 +701,11 @@ impl<B: FabricBackend> OpCx<'_, B> {
     }
 
     /// Pay what a committed leaf write still owes the tree.  Takes further
-    /// locks, blocking: the caller has made sure no other operation of this
-    /// client is inside a lock acquisition.
+    /// locks, and waits for them: the caller has made sure no other operation
+    /// of this client is inside a lock acquisition.  Nothing the commit
+    /// posted is left in flight when this returns.
     pub(crate) fn run_followup(&mut self, followup: Followup, meta: &mut OpMeta) -> TreeResult<()> {
-        match followup {
+        let paid = match followup {
             Followup::Separator { split_key, sibling } => {
                 self.insert_separator_at(split_key, sibling, 1, meta)
             }
@@ -508,7 +718,9 @@ impl<B: FabricBackend> OpCx<'_, B> {
                     Err(e) => Err(e),
                 }
             }
-        }
+        };
+        self.observe(meta);
+        paid
     }
 
     /// Build the write-back command for a point modification of `slot`.
@@ -545,6 +757,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         mut leaf: LeafNode,
         key: u64,
         value: u64,
+        meta: &mut OpMeta,
     ) -> TreeResult<Followup> {
         let layout = *self.layout();
         // Sorting the (possibly unsorted) leaf before the split costs local
@@ -566,19 +779,22 @@ impl<B: FabricBackend> OpCx<'_, B> {
             let pairs = target.sorted_pairs();
             target.repack_sorted(&pairs);
         }
-        let sibling = self.install_right_half(addr, &mut leaf, &mut right)?;
+        let sibling = self.install_right_half(addr, &mut leaf, &mut right, meta)?;
         Ok(Followup::Separator { split_key, sibling })
     }
 
     /// The tail of every split, run under the lock on `addr`: allocate the
     /// right half's node, link it behind `left` B-link style, and write both
     /// halves back with the release of the lock.  Returns the new node's
-    /// address.
+    /// address; with command combination the writes are left in
+    /// `meta.in_flight` for the separator insertion to overlap and — the
+    /// right half's — to observe before it writes (ordering rule 2).
     fn install_right_half<N: TreeNode>(
         &mut self,
         addr: GlobalAddress,
         left: &mut N,
         right: &mut N,
+        meta: &mut OpMeta,
     ) -> TreeResult<GlobalAddress> {
         let alloc = match self.allocator.alloc_node(self.ctx) {
             Ok(a) => a,
@@ -594,20 +810,45 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // versions bump across reuse (fresh carves seed at version 1, the
         // same value the pre-reuse code produced).
         right.header_mut().set_versions(alloc.first_version());
-        let right_bytes = self.encode(right);
-        let mut writes = Vec::new();
+        let right_half = WriteCmd::new(alloc.addr, self.encode(right));
+        let mut writes = Vec::with_capacity(2);
         if alloc.addr.ms == addr.ms {
             // Same memory server: the sibling write-back joins the combined
             // batch (write sibling, write node, release lock — one round trip).
-            writes.push(WriteCmd::new(alloc.addr, right_bytes));
+            writes.push(right_half);
         } else {
-            self.ctx.write(alloc.addr, &right_bytes)?;
+            // Another queue pair: posted first, beside the batch.
+            let sent = match self.combine() {
+                true => self.ctx.post_write_batch(&[right_half]).map(|token| meta.in_flight.push(token)),
+                false => self.ctx.post_writes(&[right_half]),
+            };
+            if let Err(e) = sent {
+                // Neither the node lock nor the carved node may leak.
+                self.release_lock(addr, Vec::new())?;
+                self.retire_unlinked(alloc.addr, alloc.version_floor);
+                return Err(e.into());
+            }
         }
         writes.push(WriteCmd::new(addr, self.encode(left)));
-        self.release_lock(addr, writes)?;
+        self.release_lock_ahead(addr, writes, meta)?;
         Ok(alloc.addr)
     }
 
+    /// Retire a node that never became reachable (its image, if one was
+    /// written, has node-level version `version`) — through the same publish
+    /// → retire protocol as every other retirement: a racing reader may have
+    /// cached a stale pointer to the address, and the invariant "every
+    /// retirement posted its invalidations" stays uniform.
+    fn retire_unlinked(&mut self, addr: GlobalAddress, version: u8) {
+        let mut commit = StructuralCommit::new();
+        commit.invalidate(addr, version);
+        let published = self.publish_commit(commit);
+        published.retire_all(self.cluster, self.ctx.now());
+    }
+
+    /// Insert the separator `sep_key → child` at `parent_level`, splitting
+    /// upward as far as it takes.  The traversal and the parent's lock + read
+    /// overlap whatever the split below left in flight.
     fn insert_separator_at(
         &mut self,
         sep_key: u64,
@@ -625,6 +866,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
             }
             let (_, root_level) = self.root()?;
             if root_level < parent_level {
+                // The new root makes `child` reachable from above.
+                self.observe(meta);
                 if self.try_grow_root(sep_key, child, parent_level)? {
                     return Ok(());
                 }
@@ -641,6 +884,12 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 && node.header.level == parent_level
                 && node.header.covers(sep_key);
             if !usable {
+                if node.header.free {
+                    // A cached route led to a retired node whose invalidation
+                    // has not been drained (operations drain at their start
+                    // only): scrub the route here, or every retry follows it.
+                    self.cluster.cache(self.cs_id).invalidate_addr(addr);
+                }
                 self.release_lock(addr, Vec::new())?;
                 if !node.header.free
                     && node.header.level == parent_level
@@ -650,6 +899,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 }
                 continue;
             }
+            // Either branch below makes `child` reachable from this node:
+            // `child`'s own write must have completed first.  (The lock +
+            // read round trip that just ended was its overlap.)
+            self.observe(meta);
 
             if !node.is_full(self.layout()) {
                 node.insert_separator(sep_key, child);
@@ -667,7 +920,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             } else {
                 node.insert_separator(sep_key, child);
             }
-            let right_addr = self.install_right_half(addr, &mut node, &mut right)?;
+            let right_addr = self.install_right_half(addr, &mut node, &mut right, meta)?;
             // The right half first: it adopts the cached children it took
             // along before the narrowed left image stops covering them.
             self.offer_written(&[(right_addr, &right), (addr, &node)], root_level);
@@ -747,14 +1000,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // stumble on it via stale pointers reject it.
         self.ctx.write(alloc.addr.add(1), &[FLAG_FREE])?;
         // The orphan was never reachable, so its address is retired right
-        // away instead of leaking — through the same publish → retire
-        // protocol as every other retirement: a racing reader may have cached
-        // the stale root pointer's target, and the invariant "every
-        // retirement posted its invalidations" stays uniform.
-        let mut commit = StructuralCommit::new();
-        commit.invalidate(alloc.addr, new_root.header.front_version);
-        let published = self.publish_commit(commit);
-        published.retire_all(self.cluster, self.ctx.now());
+        // away instead of leaking.
+        self.retire_unlinked(alloc.addr, new_root.header.front_version);
         Ok(false)
     }
 
@@ -762,14 +1009,11 @@ impl<B: FabricBackend> OpCx<'_, B> {
     // Structural deletes: merge, rebalance, root collapse, reclamation
     // ------------------------------------------------------------------
 
-    /// Resolve the node's parent **once** (lock-free) and derive both
-    /// candidate merge partners from its image: the same-parent right sibling
-    /// (the child routed right after the node, sanity-checked against the
-    /// node's own B-link pointer and fence) and the same-parent left sibling
-    /// (the preceding child, or the parent's leftmost).  Returns
-    /// [`MergePartners`]; the answer is `None` when the node cannot be
-    /// located under the covering parent (a stale header or a lost discovery
-    /// race — the merge is opportunistic either way).
+    /// Resolve the node's parent (lock-free, one remote read of it) and derive
+    /// both candidate merge partners from its image
+    /// ([`MergePartners::under`]).  The answer is `None` when the node cannot
+    /// be located under the covering parent (a stale header or a lost
+    /// discovery race — the merge is opportunistic either way).
     fn find_merge_pair(
         &mut self,
         node_addr: GlobalAddress,
@@ -794,6 +1038,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
             };
             let buf = self.read_node_consistent(addr, meta)?;
             let parent = self.layout().decode_internal(&buf);
+            if parent.header.free {
+                // As in `insert_separator_at`: scrub the route that led here.
+                self.cluster.cache(self.cs_id).invalidate_addr(addr);
+            }
             if parent.header.free || parent.header.is_leaf || parent.header.level != level + 1 {
                 continue;
             }
@@ -803,38 +1051,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 }
                 continue;
             }
-            // The child routed right after the node is its same-parent right
-            // sibling — but only trust it when it agrees with the node's own
-            // B-link pointer and upper fence (any disagreement is a racing
-            // split/merge that the under-lock revalidation would reject).
-            let right_of = |next: Option<&InternalEntry>| {
-                next.filter(|e| e.key == hdr.fence_high && Some(e.child) == hdr.sibling)
-                    .map(|e| e.child)
-            };
-            if parent.header.leftmost == Some(node_addr) {
-                return Ok(Some(MergePartners {
-                    parent: addr,
-                    right_sibling: right_of(parent.entries.first()),
-                    left_sibling: None,
-                }));
-            }
-            let Some(pos) = parent
-                .entries
-                .iter()
-                .position(|e| e.key == hdr.fence_low && e.child == node_addr)
-            else {
-                return Ok(None);
-            };
-            let left = if pos == 0 {
-                parent.header.leftmost
-            } else {
-                Some(parent.entries[pos - 1].child)
-            };
-            return Ok(Some(MergePartners {
-                parent: addr,
-                right_sibling: right_of(parent.entries.get(pos + 1)),
-                left_sibling: left,
-            }));
+            let image = cached_from_internal(addr, &parent);
+            return Ok(MergePartners::under(&image, node_addr, hdr));
         }
         Ok(None)
     }
@@ -852,9 +1070,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// is refreshed from the surviving images.
     ///
     /// Best-effort and all-or-nothing: no remote write happens until the left
-    /// node, the right node and the parent are all locked (in the lock
-    /// manager's global rank order) and re-validated; any mismatch releases
-    /// the locks untouched.
+    /// node, the right node and the parent are all locked and re-validated;
+    /// any mismatch releases the locks untouched.
     ///
     /// `known_hdr` lets the delete path pass the leaf header it already holds
     /// (saving a remote read); the cascade path passes `None`.  Either way the
@@ -866,12 +1083,6 @@ impl<B: FabricBackend> OpCx<'_, B> {
         known_hdr: Option<&NodeHeader>,
         meta: &mut OpMeta,
     ) -> TreeResult<()> {
-        // Phase 1 (lock-free): resolve the parent once and pair the node
-        // with a same-parent sibling.  Prefer the right B-link sibling; fall
-        // through to the parent-guided left pairing when there is none under
-        // this parent *or* when the right attempt declined (e.g. at
-        // aggressive merge thresholds the right pair may neither fit nor
-        // have spare while the left sibling could still absorb or donate).
         let hdr = match known_hdr {
             Some(h) => h.clone(),
             None => {
@@ -882,40 +1093,68 @@ impl<B: FabricBackend> OpCx<'_, B> {
         if hdr.free || hdr.level != level {
             return Ok(());
         }
-        let Some(partners) = self.find_merge_pair(node_addr, &hdr, level, meta)? else {
-            return Ok(());
+        // Phase 1 (lock-free): pair the node with a same-parent sibling.
+        // With command combination the index cache's image of the parent
+        // routes the first pass, when it has one: phase 2 re-validates
+        // everything under the locks anyway, so a stale image costs a
+        // released plan, after which the image is dropped and the parent
+        // read remotely — as it is on a miss, and always without combination.
+        let cache = self.cluster.cache(self.cs_id);
+        let counters = self.cluster.space_counters();
+        let mut cached = match self.combine() {
+            true => cache.peek(level + 1, hdr.fence_low),
+            false => None,
         };
-        let parent = partners.parent;
-        if let Some(right) = partners.right_sibling {
-            if self.try_merge_pair(node_addr, right, parent, MergeDirection::Right, level, meta)? {
-                return Ok(());
+        loop {
+            let partners = match &cached {
+                Some(image) => MergePartners::under(image, node_addr, &hdr),
+                None => self.find_merge_pair(node_addr, &hdr, level, meta)?,
+            };
+            // Discovery that cannot place the node is as stale as a pair
+            // that does not validate.
+            let mut stale = partners.is_none();
+            if let Some(partners) = partners {
+                counters.record_merge_route(cached.is_some());
+                // Prefer the right B-link sibling; fall through to the
+                // parent-guided left pairing when there is none under this
+                // parent *or* when the right attempt did not commit (e.g. at
+                // aggressive merge thresholds the right pair may neither fit
+                // nor have spare while the left sibling could still absorb or
+                // donate).
+                let pairs = [
+                    partners.right_sibling.map(|right| (node_addr, right, MergeDirection::Right)),
+                    partners.left_sibling.map(|left| (left, node_addr, MergeDirection::Left)),
+                ];
+                for pair in pairs.into_iter().flatten() {
+                    match self.try_merge_pair(pair, partners.parent, level, meta)? {
+                        PairOutcome::Committed => return Ok(()),
+                        PairOutcome::Declined => {}
+                        PairOutcome::Mismatch => stale = true,
+                    }
+                }
+            }
+            match cached.take() {
+                Some(image) if stale => cache.invalidate_at(image.level, image.fence_low),
+                _ => return Ok(()),
             }
         }
-        if let Some(left) = partners.left_sibling {
-            self.try_merge_pair(left, node_addr, parent, MergeDirection::Left, level, meta)?;
-        }
-        Ok(())
     }
 
-    /// Lock, re-validate, plan and commit one `(left, right, parent)` merge
-    /// pair (phases 2–5 of the structural delete).  Returns whether a merge
-    /// or rebalance actually committed; `false` means the locks were released
-    /// untouched (revalidation failed, or the planner declined).
+    /// Lock, re-validate, plan and commit one merge pair — `(left, right)` and
+    /// the side of it the underfull node is on — under `parent_addr` (phases
+    /// 2–5 of the structural delete).
     fn try_merge_pair(
         &mut self,
-        left_addr: GlobalAddress,
-        right_addr: GlobalAddress,
+        (left_addr, right_addr, direction): (GlobalAddress, GlobalAddress, MergeDirection),
         parent_addr: GlobalAddress,
-        direction: MergeDirection,
         level: u8,
         meta: &mut OpMeta,
-    ) -> TreeResult<bool> {
+    ) -> TreeResult<PairOutcome> {
         // Phase 2: lock all three nodes, re-read, re-validate.  The same
         // predicate covers both directions: the pair must be fence-adjacent
         // B-link siblings whose separator lives in this parent.
-        let plan = self.acquire_plan(&[left_addr, right_addr, parent_addr], meta)?;
-        let [left_buf, right_buf, parent_buf] =
-            self.read_nodes_locked([left_addr, right_addr, parent_addr])?;
+        let (plan, [left_buf, right_buf, parent_buf]) =
+            self.lock_and_read_plan([left_addr, right_addr, parent_addr], meta)?;
         let lh = self.layout().decode_header(&left_buf);
         let rh = self.layout().decode_header(&right_buf);
         let mut parent = self.layout().decode_internal(&parent_buf);
@@ -949,7 +1188,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
         };
         let Some(merge) = merge else {
             self.abandon_plan(&plan)?;
-            return Ok(false);
+            return Ok(match structure_ok {
+                true => PairOutcome::Declined,
+                false => PairOutcome::Mismatch,
+            });
         };
 
         // Phase 4: commit.  The parent update decides between separator
@@ -971,7 +1213,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 assert!(parent.remove_separator(sep, right_addr));
                 commit.invalidate(right_addr, right_version);
                 parent.header.free = parent.entries.is_empty()
-                    && self.try_collapse_root(parent_addr, &parent, level)?;
+                    && match self.try_collapse_root(parent_addr, &parent, level) {
+                        Ok(collapsed) => collapsed,
+                        Err(e) => {
+                            self.abandon_plan(&plan)?;
+                            return Err(e);
+                        }
+                    };
                 chase = still_underfull;
                 cascade = !parent.header.free
                     && parent.entries.len() < self.merge_floor::<InternalNode>();
@@ -1035,7 +1283,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             // one level up (bounded by the tree height).
             self.try_merge(parent_addr, level + 1, None, meta)?;
         }
-        Ok(true)
+        Ok(PairOutcome::Committed)
     }
 
     /// Build the post-merge (or post-rebalance) images for two adjacent
@@ -1123,5 +1371,66 @@ impl<B: FabricBackend> OpCx<'_, B> {
             self.cluster.space_counters().record_root_collapse();
         }
         Ok(collapsed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{Cluster, ClusterConfig};
+    use crate::config::TreeOptions;
+
+    /// A merge whose third node cannot be read — its image would run past the
+    /// end of the region — fails with every lock of its plan given back: the
+    /// combined attempt is rejected at the post (the words won beside it are
+    /// released), the uncombined read fails with all three locks held.  The
+    /// other compute server then wins each word at its first attempt, and so
+    /// does this one (the local lock table kept nothing either).
+    #[test]
+    fn a_failed_merge_leaves_no_lock_behind() {
+        let uncombined = |options| TreeOptions {
+            combine_commands: false,
+            ..options
+        };
+        for options in [
+            TreeOptions::sherman(),
+            uncombined(TreeOptions::sherman()),
+            TreeOptions::plus_onchip(),
+            TreeOptions::fg_plus(),
+        ] {
+            let cluster = Cluster::new(ClusterConfig::small(), options);
+            cluster.bulkload((0..400u64).map(|k| (k, k))).unwrap();
+            let (left, _) = cluster.cache(0).lookup_leaf(0).unwrap();
+            let (right, _) = cluster.cache(0).lookup_leaf(8).unwrap();
+            assert_ne!(left, right);
+            let end = cluster.fabric().config().host_bytes_per_ms as u64;
+            let beyond = GlobalAddress::host(0, end - 8);
+
+            let mut client = cluster.client(0);
+            let mut meta = OpMeta::default();
+            let pair = (left, right, MergeDirection::Right);
+            let failed = client.op_cx().try_merge_pair(pair, beyond, 0, &mut meta);
+            assert!(matches!(failed, Err(TreeError::Fabric(_))), "{failed:?}");
+            assert_eq!(client.ctx.outstanding(), 0);
+
+            // One attempt each, so that a leaked lock fails the test instead
+            // of hanging it.
+            let mgr = cluster.lock_manager();
+            let mut other = cluster.fabric().client(1);
+            for ctx in [&mut other, &mut client.ctx] {
+                for node in [left, right, beyond] {
+                    let mut attempt = Acquisition::try_once(node, None);
+                    let AcquireStep::Pending(token) =
+                        mgr.step_acquire(ctx, &mut attempt, None).unwrap()
+                    else {
+                        panic!("the local lock on {node:?} is still held");
+                    };
+                    let completion = ctx.poll_token(token);
+                    let won = mgr.step_acquire(ctx, &mut attempt, Some(completion)).unwrap();
+                    assert!(matches!(won, AcquireStep::Done { .. }), "{node:?} is still locked");
+                    mgr.release(ctx, node, Vec::new(), true).unwrap();
+                }
+            }
+        }
     }
 }

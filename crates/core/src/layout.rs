@@ -109,7 +109,7 @@ impl NodeLayout {
     // Header
     // ------------------------------------------------------------------
 
-    fn encode_header(&self, buf: &mut [u8], header: &NodeHeader) {
+    pub(crate) fn encode_header(&self, buf: &mut [u8], header: &NodeHeader) {
         buf[0] = header.front_version;
         let mut flags = 0u8;
         if header.is_leaf {
@@ -167,13 +167,22 @@ impl NodeLayout {
     /// entry-granular write-back sends).
     pub fn encode_leaf_entry(&self, entry: &LeafEntry) -> Vec<u8> {
         let mut buf = vec![0u8; self.leaf_entry_bytes()];
+        self.encode_leaf_entry_into(&mut buf, entry);
+        buf
+    }
+
+    /// Encode one leaf entry in place: `buf` is the entry's
+    /// [`NodeLayout::leaf_entry_bytes`] inside a node image (or on their
+    /// own), zeroed — the padding of keys and values wider than eight bytes
+    /// is not written.
+    pub fn encode_leaf_entry_into(&self, buf: &mut [u8], entry: &LeafEntry) {
+        debug_assert_eq!(buf.len(), self.leaf_entry_bytes());
         buf[0] = entry.front_version;
         buf[1] = entry.present as u8;
         buf[2..10].copy_from_slice(&entry.key.to_le_bytes());
         let value_off = 2 + self.key_size;
         buf[value_off..value_off + 8].copy_from_slice(&entry.value.to_le_bytes());
         buf[self.leaf_entry_bytes() - 1] = entry.rear_version;
-        buf
     }
 
     /// Decode one leaf entry from its wire representation.
@@ -194,10 +203,9 @@ impl NodeLayout {
         assert!(node.entries.len() <= self.leaf_capacity());
         let mut buf = vec![0u8; self.node_size];
         self.encode_header(&mut buf, &node.header);
-        for (i, entry) in node.entries.iter().enumerate() {
-            let off = self.leaf_entry_offset(i);
-            let bytes = self.encode_leaf_entry(entry);
-            buf[off..off + bytes.len()].copy_from_slice(&bytes);
+        let slots = buf[HEADER_BYTES..].chunks_exact_mut(self.leaf_entry_bytes());
+        for (slot, entry) in slots.zip(&node.entries) {
+            self.encode_leaf_entry_into(slot, entry);
         }
         buf
     }
@@ -392,6 +400,30 @@ mod tests {
         // versions).
         assert_eq!(bytes.len(), 19);
         assert_eq!(l.decode_leaf_entry(&bytes), entry);
+    }
+
+    #[test]
+    fn in_place_entry_encoding_is_the_wire_format() {
+        // Wide keys and values: the padding between the fields stays zero.
+        let l = NodeLayout::new(&TreeConfig {
+            key_size: 16,
+            value_size: 24,
+            ..TreeConfig::default()
+        });
+        let mut node = LeafNode::empty(&l, sample_header(true));
+        for (i, entry) in node.entries.iter_mut().enumerate().step_by(3) {
+            entry.install(1_000 + i as u64, 7 * i as u64);
+        }
+        let image = l.encode_leaf(&node);
+        assert_eq!(l.decode_leaf(&image), node);
+        for (i, entry) in node.entries.iter().enumerate() {
+            let off = l.leaf_entry_offset(i);
+            let wire = l.encode_leaf_entry(entry);
+            assert_eq!(image[off..off + l.leaf_entry_bytes()], wire[..], "slot {i}");
+            let mut slot = vec![0u8; l.leaf_entry_bytes()];
+            l.encode_leaf_entry_into(&mut slot, entry);
+            assert_eq!(slot, wire);
+        }
     }
 
     #[test]

@@ -47,8 +47,10 @@
 //!
 //! A commit that needs further locks — the separator of a split, a merge —
 //! gives the step back with [`OpStep::Exclusive`] first, holding nothing, and
-//! takes those locks (blocking) only once the driver has stepped every other
-//! operation of the client out of its lock acquisition.
+//! takes those locks — in one synchronous step that posts and polls, waiting
+//! only for what the commit depends on (`crate::commit`) — once the driver
+//! has stepped every other operation of the client out of its lock
+//! acquisition.
 //!
 //! Rare control-path reads (the remote root pointer refresh on a distrusted
 //! restart) stay blocking inside a step: they occur only after a lost race
@@ -94,6 +96,12 @@ pub(crate) struct OpMeta {
     pub lock_retries: u64,
     pub handed_over: bool,
     pub cache_hit: bool,
+    /// Verbs the operation's commit posted and has not waited for yet: the
+    /// write-back + release of its leaf, a split's cross-server right half.
+    /// The follow-up overlaps them with its own first round trip and
+    /// observes them (`OpCx::observe`) before anything that depends on them,
+    /// and at the latest before the operation ends.
+    pub in_flight: Vec<PendingVerb>,
 }
 
 /// What one `step` call produced: either the token of a freshly posted verb
@@ -111,7 +119,7 @@ pub(crate) enum OpStep<T> {
     /// A verb (or a wait) was posted; feed its [`Completion`] to the next
     /// `step` call.
     Pending(PendingVerb),
-    /// The operation is about to take further locks, blocking.  Step it
+    /// The operation is about to take further locks and wait for them.  Step it
     /// again (without a completion) once no other operation multiplexed on
     /// this context is inside a lock acquisition — see [`OpSM::acquiring`].
     Exclusive,
@@ -151,8 +159,9 @@ pub(crate) enum WriteCommit {
         release: Option<PendingVerb>,
     },
     /// The modification committed (the key was, or now is, present) and the
-    /// leaf lock's release was observed inline, but the tree is still owed a
-    /// separator or a merge.
+    /// leaf lock's release was posted (it is in `OpMeta::in_flight`, or
+    /// already observed without command combination), but the tree is still
+    /// owed a separator or a merge.
     Structural(Followup),
     /// The locked leaf did not cover the key; the lock was released untouched
     /// (`release` as above) and the operation must retry at `next` (re-locate
@@ -1521,10 +1530,11 @@ impl WriteSM {
                     let (outcome, image) = match mgr.step_acquire(cx.ctx, acq, completion.take())? {
                         AcquireStep::Pending(token) => return Ok(OpStep::Pending(token)),
                         AcquireStep::Done { outcome, image } => (outcome, image),
+                        AcquireStep::Lost => unreachable!("a write waits for its leaf lock"),
                     };
                     let (addr, source) = (acq.node(), *source);
                     let buf = cx.lock_and_read_finish(addr, outcome, image, meta)?;
-                    match cx.leaf_commit(addr, source, self.key, self.kind, &buf)? {
+                    match cx.leaf_commit(addr, source, self.key, self.kind, &buf, meta)? {
                         WriteCommit::Committed { found, release } => {
                             let Some(token) = release else {
                                 return Ok(OpStep::Done(found));

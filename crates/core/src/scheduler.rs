@@ -48,12 +48,12 @@
 //! 2. **A commit that needs further locks starts only once no other
 //!    operation of this client is inside a lock acquisition.**  The
 //!    separator of a split and a structural merge lock a parent, or a pair
-//!    and their parent, blocking.  They run with the leaf lock already
-//!    released, in a step of their own that the operation asks for with
+//!    and their parent, and wait for them.  They run with the leaf lock
+//!    already released, in a step of their own that the operation asks for with
 //!    `OpStep::Exclusive`; before granting it the scheduler steps every
 //!    sibling that holds a lock, has an attempt in flight or sits in a queue
 //!    through to its release post (`Run::settle_acquisitions` — nothing new
-//!    is started meanwhile).  Whatever the blocking acquisitions then meet is
+//!    is started meanwhile).  Whatever those acquisitions then meet is
 //!    held by another client, which makes progress on its own: lock-word
 //!    aliasing can never deadlock a thread against itself.  The same
 //!    settling runs before a failed run returns, so an abandoned operation
@@ -271,8 +271,8 @@ impl<B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'_, B, I> {
                     active.waiting_on = Some(token);
                     return Ok(());
                 }
-                // Rule two: further locks are taken (blocking, inside the
-                // next step) only with every sibling out of its acquisition.
+                // Rule two: further locks are taken (and waited for, inside
+                // the next step) only with every sibling out of its acquisition.
                 Ok(OpStep::Exclusive) => self.settle_acquisitions(Some(idx))?,
                 Ok(OpStep::Done(output)) => {
                     let finished = self.slots[idx].take().expect("active slot");

@@ -21,6 +21,13 @@
 //! deadline and is woken by the release that makes it the head; any other
 //! waiter re-checks every `poll_interval_ns`, because a thread cannot wake
 //! another thread's context.
+//!
+//! An *optimistic* acquisition ([`Acquisition::try_once`]) does none of this
+//! waiting: a local lock that is held, or promised to a queued waiter, is lost
+//! on the spot without a verb, and a global attempt that loses gives the
+//! local lock back instead of spinning — so several may be in flight at once,
+//! in any order, and nothing is ever waited for (the structural-delete path
+//! tries its three locks this way before it falls back to rank order).
 
 use crate::global::GlobalLockTable;
 use crate::manager::{
@@ -286,6 +293,11 @@ impl HoclManager {
                 }
             };
         }
+        if acq.once {
+            // Taken, or promised to a queued waiter: an optimistic attempt
+            // leaves no trace in the queue.
+            return Ok(AcquireStep::Lost);
+        }
         // Wait for the lock.  Local waiting posts no fabric verb, which is
         // precisely how the LLT saves RDMA IOPS.  When the holder and every
         // acquisition queued ahead run on this very context, each of their
@@ -326,11 +338,17 @@ impl HoclManager {
                 Ok(AcquireStep::Pending(token))
             }
             Err(e) => {
-                let local = self.local_table(client.cs_id()).lock_for(ms, slot);
-                self.unlock_local(client, ms, slot, local);
+                self.give_up_local(client, acq);
                 Err(e)
             }
         }
+    }
+
+    /// `acq` holds its local lock and nothing else, and is over: release it.
+    fn give_up_local<C: FabricChannel>(&self, client: &mut ClientCtx<C>, acq: &Acquisition) {
+        let (ms, slot) = (acq.node.ms, self.glt.slot_of(acq.node));
+        let local = self.local_table(client.cs_id()).lock_for(ms, slot);
+        self.unlock_local(client, ms, slot, local);
     }
 
     /// Release the local lock of `(ms, slot)`: the next waiter — handed the
@@ -450,6 +468,10 @@ impl<C: FabricChannel> NodeLockManager<C> for HoclManager {
                 let lock = self.glt.location_of(acq.node).rank();
                 match acq.attempt_won(client, lock, completion) {
                     Some(image) => Ok(acq.done(false, image)),
+                    None if acq.once => {
+                        self.give_up_local(client, acq);
+                        Ok(AcquireStep::Lost)
+                    }
                     // Lost to another compute server: spin remotely, still
                     // holding the local lock so no local thread joins in.
                     None => self.post_global(client, acq),
@@ -972,6 +994,7 @@ mod tests {
                     match step(&mgr, &mut client, &mut acq, pending.take()) {
                         AcquireStep::Pending(token) => pending = Some(token),
                         AcquireStep::Done { outcome, .. } => break outcome,
+                        AcquireStep::Lost => panic!("a queued acquisition waits"),
                     }
                 }
             })
@@ -980,6 +1003,52 @@ mod tests {
         mgr.release(&mut holder, node, Vec::new(), true).unwrap();
         drop(holder);
         assert!(waiter.join().unwrap().handed_over);
+    }
+
+    #[test]
+    fn an_optimistic_attempt_never_queues_and_never_reposts() {
+        let (pool, mgr) = setup(HoclOptions::default());
+        let mut client = pool.fabric().client(0);
+        let node = GlobalAddress::host(0, 120 << 10);
+        pool.fabric().god_write(node, &[5u8; 64]).unwrap();
+        let try_once = || Acquisition::try_once(node, Some(64));
+
+        // Free: one CAS+READ round trip, like any other acquisition.
+        let mut acq = try_once();
+        let AcquireStep::Pending(token) = step(&mgr, &mut client, &mut acq, None) else {
+            panic!("the attempt is posted");
+        };
+        let AcquireStep::Done { outcome, image } = step(&mgr, &mut client, &mut acq, Some(token))
+        else {
+            panic!("the lock was free");
+        };
+        assert_eq!((outcome.remote_retries, outcome.handed_over), (0, false));
+        assert_eq!(image, vec![5u8; 64]);
+
+        // Held by a sibling operation of this context: lost on the spot — no
+        // verb, no wait, no place in the queue.
+        let before = client.stats();
+        assert!(matches!(step(&mgr, &mut client, &mut try_once(), None), AcquireStep::Lost));
+        assert_eq!(client.stats(), before);
+        assert_eq!(client.outstanding(), 0);
+        assert_eq!(mgr.queued_waiters(0, node), 0);
+        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        assert_eq!(mgr.local_table(0).materialized_locks(), 0);
+
+        // Held by another compute server: the one global attempt is lost,
+        // counted, and the local lock given back.
+        let mut other = pool.fabric().client(1);
+        mgr.acquire(&mut other, node).unwrap();
+        let mut acq = try_once();
+        let AcquireStep::Pending(token) = step(&mgr, &mut client, &mut acq, None) else {
+            panic!("the local lock is free: the global attempt is posted");
+        };
+        assert!(matches!(step(&mgr, &mut client, &mut acq, Some(token)), AcquireStep::Lost));
+        assert_eq!((acq.retries(), client.stats().retries), (1, 1));
+        assert_eq!(mgr.local_table(0).materialized_locks(), 0);
+        mgr.release(&mut other, node, Vec::new(), true).unwrap();
+        drop(other);
+        assert_eq!(mgr.acquire(&mut client, node).unwrap().remote_retries, 0);
     }
 
     #[test]

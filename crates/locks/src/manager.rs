@@ -32,6 +32,8 @@ pub struct Acquisition {
     pub(crate) read_len: Option<usize>,
     /// Failed global attempts so far.
     pub(crate) retries: u64,
+    /// Give up instead of waiting: see [`Acquisition::try_once`].
+    pub(crate) once: bool,
     pub(crate) state: AcquireState,
 }
 
@@ -60,13 +62,32 @@ impl Acquisition {
             node,
             read_len,
             retries: 0,
+            once: false,
             state: AcquireState::Start,
+        }
+    }
+
+    /// Like [`Acquisition::new`], but one optimistic attempt: the machine
+    /// never queues behind a local holder and never re-posts a lost global
+    /// attempt — it reports [`AcquireStep::Lost`] holding nothing.  Because
+    /// it never waits, a caller may make several such attempts at once, in
+    /// any order, without risking a deadlock; what it does on a loss (give
+    /// back what it won, then wait in rank order) is its business.
+    pub fn try_once(node: GlobalAddress, read_len: Option<usize>) -> Self {
+        Acquisition {
+            once: true,
+            ..Acquisition::new(node, read_len)
         }
     }
 
     /// The node whose lock is being acquired.
     pub fn node(&self) -> GlobalAddress {
         self.node
+    }
+
+    /// Global attempts this acquisition lost so far.
+    pub fn retries(&self) -> u64 {
+        self.retries
     }
 
     /// A global attempt on the lock word of rank `lock` completed: on a win
@@ -116,6 +137,9 @@ pub enum AcquireStep {
         /// The node as read under the lock (empty when no read was asked).
         image: Vec<u8>,
     },
+    /// A [`Acquisition::try_once`] attempt found the lock taken: nothing is
+    /// held, nothing is queued, nothing is in flight.
+    Lost,
 }
 
 /// Result of releasing a node lock.
@@ -237,6 +261,7 @@ pub trait NodeLockManager<C: FabricChannel = SimChannel>: LockOrder + Send + Syn
             match self.step_acquire(client, &mut acq, completion.take())? {
                 AcquireStep::Pending(token) => completion = Some(client.poll_token(token)),
                 AcquireStep::Done { outcome, image } => return Ok((outcome, image)),
+                AcquireStep::Lost => unreachable!("a blocking acquisition waits for its lock"),
             }
         }
     }
@@ -375,6 +400,9 @@ impl<C: FabricChannel> NodeLockManager<C> for RemoteLockManager {
             if let Some(image) = acq.attempt_won(client, loc.rank(), completion) {
                 return Ok(acq.done(false, image));
             }
+            if acq.once {
+                return Ok(AcquireStep::Lost);
+            }
         }
         // Every conflicting thread spins on the remote word: (re-)post.
         let read = acq.read_len.map(|len| (acq.node, len));
@@ -498,6 +526,33 @@ mod tests {
         assert_eq!(image, vec![4u8; 32]);
         let s = client.stats();
         assert_eq!((s.round_trips, s.atomics, s.reads, s.retries), (3, 3, 3, 2));
+    }
+
+    #[test]
+    fn an_optimistic_attempt_is_posted_once() {
+        let (pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let node = GlobalAddress::host(0, 28 << 10);
+        let mut holder = pool.fabric().client(1);
+        mgr.acquire(&mut holder, node).unwrap();
+
+        let mut client = pool.fabric().client(0);
+        let attempt = |client: &mut ClientCtx| {
+            let mut acq = Acquisition::try_once(node, Some(32));
+            let AcquireStep::Pending(token) = mgr.step_acquire(client, &mut acq, None).unwrap()
+            else {
+                panic!("the attempt is posted");
+            };
+            let completion = client.poll_token(token);
+            (mgr.step_acquire(client, &mut acq, Some(completion)).unwrap(), acq.retries())
+        };
+        // Held: lost after its one round trip, nothing re-posted.
+        assert!(matches!(attempt(&mut client), (AcquireStep::Lost, 1)));
+        assert_eq!(client.outstanding(), 0);
+        let s = client.stats();
+        assert_eq!((s.round_trips, s.atomics, s.retries), (1, 1, 1));
+        // Free: won like any other acquisition.
+        mgr.release(&mut holder, node, Vec::new(), true).unwrap();
+        assert!(matches!(attempt(&mut client), (AcquireStep::Done { .. }, 0)));
     }
 
     #[test]

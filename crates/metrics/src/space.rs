@@ -27,6 +27,10 @@ pub struct SpaceCounters {
     rebalances: AtomicU64,
     internal_rebalances: AtomicU64,
     root_collapses: AtomicU64,
+    optimistic_plans: AtomicU64,
+    plan_fallbacks: AtomicU64,
+    merge_routes_cached: AtomicU64,
+    merge_routes_remote: AtomicU64,
 }
 
 impl SpaceCounters {
@@ -70,6 +74,28 @@ impl SpaceCounters {
         self.root_collapses.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record one optimistic attempt at a merge's lock plan (every lock
+    /// tried at once, in one round trip).
+    pub fn record_optimistic_plan(&self) {
+        self.optimistic_plans.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record that an optimistic attempt lost a lock and the plan fell back
+    /// to the rank-ordered acquisition.
+    pub fn record_plan_fallback(&self) {
+        self.plan_fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one merge-partner discovery: routed by the index cache's image
+    /// of the parent (`cached`) or by a remote read of it.
+    pub fn record_merge_route(&self, cached: bool) {
+        let routes = match cached {
+            true => &self.merge_routes_cached,
+            false => &self.merge_routes_remote,
+        };
+        routes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Capture the current values.
     pub fn snapshot(&self) -> SpaceSnapshot {
         SpaceSnapshot {
@@ -79,6 +105,10 @@ impl SpaceCounters {
             rebalances: self.rebalances.load(Ordering::Relaxed),
             internal_rebalances: self.internal_rebalances.load(Ordering::Relaxed),
             root_collapses: self.root_collapses.load(Ordering::Relaxed),
+            optimistic_plans: self.optimistic_plans.load(Ordering::Relaxed),
+            plan_fallbacks: self.plan_fallbacks.load(Ordering::Relaxed),
+            merge_routes_cached: self.merge_routes_cached.load(Ordering::Relaxed),
+            merge_routes_remote: self.merge_routes_remote.load(Ordering::Relaxed),
         }
     }
 }
@@ -101,6 +131,17 @@ pub struct SpaceSnapshot {
     pub internal_rebalances: u64,
     /// Root nodes collapsed into their single remaining child.
     pub root_collapses: u64,
+    /// Merge lock plans tried optimistically: every lock at once, each with
+    /// its node read folded in, one round trip (command combination only).
+    pub optimistic_plans: u64,
+    /// Optimistic plans that lost a lock, gave back what they had won and
+    /// fell back to the rank-ordered acquisition.
+    pub plan_fallbacks: u64,
+    /// Merge-partner discoveries routed by the index cache's image of the
+    /// parent.
+    pub merge_routes_cached: u64,
+    /// Merge-partner discoveries that read the parent remotely.
+    pub merge_routes_remote: u64,
 }
 
 impl SpaceSnapshot {
@@ -112,6 +153,11 @@ impl SpaceSnapshot {
     /// Merges that ran in the right direction (a right sibling was absorbed).
     pub fn right_merges(&self) -> u64 {
         self.merges().saturating_sub(self.left_merges)
+    }
+
+    /// Share of optimistic lock plans that fell back (0 when none was tried).
+    pub fn fallback_share(&self) -> f64 {
+        self.plan_fallbacks as f64 / self.optimistic_plans.max(1) as f64
     }
 }
 
@@ -129,6 +175,11 @@ mod tests {
         c.record_rebalance();
         c.record_internal_rebalance();
         c.record_root_collapse();
+        for cached in [true, true, false] {
+            c.record_optimistic_plan();
+            c.record_merge_route(cached);
+        }
+        c.record_plan_fallback();
         let s = c.snapshot();
         assert_eq!(s.leaf_merges, 2);
         assert_eq!(s.internal_merges, 1);
@@ -138,6 +189,9 @@ mod tests {
         assert_eq!(s.root_collapses, 1);
         assert_eq!(s.merges(), 3);
         assert_eq!(s.right_merges(), 2);
+        assert_eq!((s.optimistic_plans, s.plan_fallbacks), (3, 1));
+        assert_eq!((s.merge_routes_cached, s.merge_routes_remote), (2, 1));
+        assert!((s.fallback_share() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -209,13 +209,19 @@ impl SharedClientStats {
 /// the operation's serial service demand: at depth 1 it equals the op's
 /// wall-clock latency exactly (every clock advance in a blocking op is either
 /// a verb window or a CPU charge), and at depth > 1 it stays the op's own
-/// time — overlapping ops no longer double-count each other's round trips.
+/// time — overlapping ops no longer double-count each other's round trips,
+/// and an op that keeps several verbs of its own in flight is charged the
+/// time it had *any* of them outstanding, not each window separately.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpVerbStats {
     /// Round trips posted while this op was current.
     pub round_trips: u64,
-    /// Sum of this op's verbs' post→completion windows (ns).
+    /// Time this op had a verb of its own in flight: the union of its verbs'
+    /// post→completion windows (ns) — their sum unless it overlapped them.
     pub verb_ns: u64,
+    /// Latest completion among this op's verbs so far: where `verb_ns`'s
+    /// union ends.
+    busy_until: u64,
     /// Client-side CPU time charged while this op was current (ns).
     pub cpu_ns: u64,
     /// Payload bytes read by this op's verbs.
@@ -1019,7 +1025,8 @@ impl<C: FabricChannel> ClientCtx<C> {
         if let Some(op) = self.current_op {
             let e = self.op_stats.entry(op).or_default();
             e.round_trips += 1;
-            e.verb_ns += completed_at.saturating_sub(posted_at);
+            e.verb_ns += completed_at.saturating_sub(posted_at.max(e.busy_until));
+            e.busy_until = e.busy_until.max(completed_at);
         }
     }
 

@@ -130,7 +130,13 @@ fn fitting_cache_costs() -> ([[u64; 5]; 4], u64) {
 /// (b) A cache that fits behaves exactly as the two-set cache did: the same
 /// images, the same routes, hence the same verbs and the same virtual time
 /// for every single operation.  The figures were recorded at the commit
-/// before the caches were unified.
+/// before the caches were unified; the insert and delete rows (and the hash)
+/// were re-captured when structural commits began to overlap what does not
+/// depend on each other — inserts: the same verbs, 3.9 % less virtual time
+/// (splits); deletes: 219 round trips and 110 reads fewer (the 109 merges and
+/// rebalances take their parent from this very cache and read their three
+/// nodes with the lock attempts), the same bytes written, 16 % less time.
+/// Lookups and scans did not move.
 #[test]
 fn a_cache_that_fits_costs_exactly_what_it_did() {
     let (sums, hash) = fitting_cache_costs();
@@ -138,12 +144,12 @@ fn a_cache_that_fits_costs_exactly_what_it_did() {
         sums,
         [
             [1_125, 1_125, 288_000, 0, 1_994_625],
-            [2_420, 1_197, 306_432, 76_709, 4_254_445],
-            [4_624, 2_313, 592_128, 118_858, 8_113_766],
+            [2_420, 1_197, 306_432, 76_709, 4_088_526],
+            [4_405, 2_203, 563_968, 118_858, 6_809_515],
             [949, 2_229, 570_624, 0, 1_789_303],
         ]
     );
-    assert_eq!(hash, 1_156_598_389_090_079_247);
+    assert_eq!(hash, 13_917_043_964_854_220_904);
 }
 
 // ----------------------------------------------------------------------

@@ -187,8 +187,15 @@ fn depth_one_writes_reproduce_blocking_verb_for_verb() {
     assert_eq!(report.stats.round_trips, blocking_stats.round_trips);
     assert_eq!(report.stats.bytes_read, blocking_stats.bytes_read);
     assert_eq!(report.stats.bytes_written, blocking_stats.bytes_written);
-    assert_eq!(report.overlap.max_in_flight, 1);
-    assert_eq!(report.overlap.overlapped_round_trips, 0);
+    // One operation at a time: the only verbs that ever overlap are a
+    // structural commit's own (a split's leaf write-back under its parent's
+    // lock + read, a merge's three attempts), the same on both paths.
+    assert_eq!(report.overlap.max_in_flight, blocking_stats.max_in_flight);
+    assert_eq!(
+        report.overlap.overlapped_round_trips,
+        blocking_stats.overlapped_round_trips
+    );
+    assert!(report.overlap.max_in_flight <= 4);
 
     // Verb-for-verb: the post sequences agree in count and in where the
     // critical sections fall (op ids differ — the blocking drivers do not

@@ -31,7 +31,11 @@
 //! cache hits served after the drain.  On the simulator, where time is
 //! modeled, it also fails when a structural commit waits for more than its
 //! dependencies — the run's p99 write above five modeled round trips — or
-//! when more than a fifth of the optimistic merge lock plans fell back.
+//! when more than a fifth of the optimistic merge lock plans fell back.  On
+//! both backends it fails when the structural commits wrote back more than a
+//! node and a half each: a split writes two nodes, a separator insertion one,
+//! a merge three — two on average when every node travels whole, ≈ 1.1 when
+//! only what changed does.
 
 use sherman::TreeOptions;
 use sherman_bench::presets::CHURN_QUICK;
@@ -206,7 +210,8 @@ fn smoke(args: &Args) {
          rebalances={}+{} underfull_rightmost_fixable={} underfull_internals_fixable={} \
          top_hit={:.0}% refreshes={} inval_posted={} coh_applied={} \
          coh_lag_mean_ns={:.0} stale_after_drain={} plans={} fallbacks={} \
-         routed_cached={} routed_read={} write_p99_ns={write_p99}",
+         routed_cached={} routed_read={} write_p99_ns={write_p99} \
+         structural_commits={} bytes_per_structural_commit={:.0}",
         r.turnovers,
         r.space_amplification(),
         r.space.merges(),
@@ -225,6 +230,8 @@ fn smoke(args: &Args) {
         r.space.plan_fallbacks,
         r.space.merge_routes_cached,
         r.space.merge_routes_remote,
+        r.space.structural_commits,
+        r.space.bytes_per_structural_commit(),
     );
     print_table(
         &["round trips", "writes", "share", "mean(ns)", "p99(ns)"],
@@ -259,6 +266,17 @@ fn smoke(args: &Args) {
         failures.push(format!(
             "{} of {} optimistic merge lock plans fell back to the rank-ordered acquisition",
             r.space.plan_fallbacks, r.space.optimistic_plans
+        ));
+    }
+    // What a structural commit writes back is counted, not timed: the same
+    // ceiling holds on both backends.
+    let byte_ceiling = 1.5 * exp.tree.node_size as f64;
+    if r.space.bytes_per_structural_commit() > byte_ceiling {
+        failures.push(format!(
+            "{} structural commits wrote back {:.0} bytes each, above {byte_ceiling:.0}: \
+             whole nodes are travelling where only what changed should",
+            r.space.structural_commits,
+            r.space.bytes_per_structural_commit()
         ));
     }
     if r.space.left_merges == 0 {

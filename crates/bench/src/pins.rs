@@ -183,7 +183,13 @@ fn one_client_runs_cost_exactly_what_they_did() {
 /// posts 1 070 round trips fewer (merges read their parent from the index
 /// cache and their three nodes with the lock attempts) and its p99 — a
 /// merging delete — halves, the pool-exhaustion run (splits of 256 B leaves)
-/// posts the same round trips and waits for fewer of them.
+/// posts the same round trips and waits for fewer of them.  Both again when
+/// structural commits began to write back what changed: the same operations
+/// and round trips; bytes written 926 133 → 605 565 (churn, 256 B nodes) and
+/// 158 048 → 115 040; 11 497 and 2 520 ns more elapsed (0.05 % and 0.01 %:
+/// the NIC's per-command floor on the extra WRITE commands, which on 256 B
+/// nodes outweighs the shorter payloads), the pool-exhaustion run's p99 one
+/// histogram bucket up (8 960 → 9 088).
 const PINS: [&str; 15] = [
     "ops=300 elapsed_ns=845358 mean_ns=2817.86 p99_ns=3744 round_trips=437 bytes_written=2877",
     "ops=300 elapsed_ns=215416 mean_ns=2828.8933333333334 p99_ns=3840 round_trips=437 bytes_written=2875",
@@ -193,10 +199,10 @@ const PINS: [&str; 15] = [
     "ops=300 elapsed_ns=885240 mean_ns=2950.8 p99_ns=3744 round_trips=460 bytes_written=3360",
     "ops=300 elapsed_ns=885240 mean_ns=2950.8 p99_ns=3744 round_trips=460 bytes_written=3360",
     "ops=300 elapsed_ns=225946 mean_ns=2964.5466666666666 p99_ns=3904 round_trips=460 bytes_written=3356",
-    "ops=5400 elapsed_ns=22291804 mean_ns=4128.1118518518515 p99_ns=16896 round_trips=15510 bytes_written=926133 turnovers=3.445",
+    "ops=5400 elapsed_ns=22303301 mean_ns=4130.240925925926 p99_ns=16896 round_trips=15510 bytes_written=605565 turnovers=3.445",
     "ops=1200 elapsed_ns=3464664 mean_ns=2887.22 p99_ns=3744 round_trips=1796 bytes_written=12516 backpressure_ops=0 pressure_evictions=0",
     "ops=1200 elapsed_ns=961517 mean_ns=2963.0158333333334 p99_ns=5760 round_trips=1796 bytes_written=12398 backpressure_ops=0 pressure_evictions=0",
-    "ops=1727 elapsed_ns=20295272 mean_ns=2943.9461493920094 p99_ns=8960 round_trips=8148 bytes_written=158048 backpressure_ops=1273 pressure_evictions=0",
+    "ops=1727 elapsed_ns=20297792 mean_ns=2945.4053271569196 p99_ns=9088 round_trips=8148 bytes_written=115040 backpressure_ops=1273 pressure_evictions=0",
     "ops=1200 bytes_written=1260 backpressure_ops=0 pressure_evictions=96",
     "ops=200 elapsed_ns=1280576 mean_ns=6402.88 p99_ns=7296 round_trips=200 bytes_written=0",
     "ops=200 elapsed_ns=1055190 mean_ns=5275.95 p99_ns=7296 round_trips=200 bytes_written=0",

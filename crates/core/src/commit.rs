@@ -50,6 +50,28 @@
 //!    never waits.  If any is lost, every lock won is given back and the
 //!    locks are taken one after the other in the lock manager's rank order —
 //!    the only way a lock is ever waited for while another is held.
+//!
+//! ## A structural write-back carries what changed
+//!
+//! Every structural commit holds the image it read under the lock when it
+//! builds the new one, and most of a node survives a split's left half, a
+//! separator's insertion, a merge or a tombstone.  With command combination
+//! the write-back of such a node (`OpCx::write_back`) is planned from the two
+//! images ([`NodeLayout::plan_write_back`]): the changed 8-byte words, runs
+//! fewer than a work-queue entry apart coalesced, as ranges in the lock's one
+//! doorbell batch, so no commit gains a round trip.  They are posted as a
+//! sequence lock ([`NodeLayout::post_order`]): the tail word with the rear
+//! version first, the body, the word with the front version last.  A reader
+//! that sees the pair equal therefore loaded the node wholly before or wholly
+//! after the batch, however the two are paced — which the ascending order of
+//! a single `RDMA_WRITE` (§4.4) promises only to a reader the writer never
+//! catches up with, and a writer that skips unchanged words does catch up.
+//! What an internal node holds past its `count` is never written.  A node without a
+//! pre-image (a new right half, a new root), a node that changed nearly all
+//! over, and every node of an uncombined preset travel whole; so do the
+//! *point* writes of sorted leaves, which "+2-Level Ver" is there to ablate.
+//! A write-back is keyed by its node ([`WriteBack`]): the node's address, not
+//! the address a range starts at, names the lock whose release it rides.
 
 use crate::coherence::{self, PublishedCommit, StructuralCommit};
 use crate::config::LeafFormat;
@@ -243,10 +265,25 @@ enum PairOutcome {
     Mismatch,
 }
 
-/// What a structural-delete attempt decided to commit: the encoded images of
-/// the pair, which ride the lock releases, plus the decoded survivor state
-/// the post-commit bookkeeping needs — carried here so the commit path does
-/// not re-decode bytes the planner just encoded.
+/// The write-back of one node: the commands that turn the image in memory
+/// into the node's new one, in the order they are posted in.  It is the node,
+/// not the address a command happens to start at, that names the lock word
+/// whose release the commands ride.
+struct WriteBack {
+    node: GlobalAddress,
+    cmds: Vec<WriteCmd>,
+}
+
+impl WriteBack {
+    fn bytes(&self) -> u64 {
+        self.cmds.iter().map(|c| c.data.len() as u64).sum()
+    }
+}
+
+/// What a structural-delete attempt decided to commit: the new images of the
+/// pair, whose write-backs ride the lock releases, plus the decoded survivor
+/// state the post-commit bookkeeping needs — carried here so the commit path
+/// does not re-decode bytes the planner just encoded.
 struct MergePlan {
     left_bytes: Vec<u8>,
     right_bytes: Vec<u8>,
@@ -286,6 +323,32 @@ impl<B: FabricBackend> OpCx<'_, B> {
             self.layout().stamp_checksum(&mut bytes);
         }
         bytes
+    }
+
+    /// Plan the write-back of the node at `node`, whose new image is `new`.
+    /// With command combination and `pre`, the image the commit read under
+    /// the node's lock, only what changed travels
+    /// ([`NodeLayout::plan_write_back`]): a multi-range write-back *is*
+    /// command combination, the ranges ride the one doorbell batch that
+    /// releases the lock, rear version first and front version last
+    /// ([`NodeLayout::post_order`]).  The whole node travels without combination, when
+    /// nothing was read (a freshly allocated node), and under the checksum
+    /// format, whose checksum covers bytes no decoder reads.
+    fn write_back(&self, node: GlobalAddress, pre: Option<&[u8]>, new: Vec<u8>) -> WriteBack {
+        let planned = pre
+            .filter(|_| self.combine() && self.leaf_format() != LeafFormat::SortedChecksum)
+            .map(|pre| self.layout().plan_write_back(pre, &new));
+        let cmds = match planned {
+            Some(mut ranges) if ranges.iter().all(|r| r.len() < new.len()) => {
+                NodeLayout::post_order(&mut ranges);
+                let cmd = |r: std::ops::Range<usize>| {
+                    WriteCmd::new(node.add(r.start as u64), new[r].to_vec())
+                };
+                ranges.into_iter().map(cmd).collect()
+            }
+            _ => vec![WriteCmd::new(node, new)],
+        };
+        WriteBack { node, cmds }
     }
 
     /// Occupancy below which a node becomes a merge candidate.
@@ -528,7 +591,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     fn release_plan(
         &mut self,
         plan: &[GlobalAddress],
-        mut writes: Vec<WriteCmd>,
+        mut writes: Vec<WriteBack>,
         _published: &PublishedCommit,
     ) -> TreeResult<()> {
         let mgr = self.cluster.lock_manager();
@@ -536,14 +599,16 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let mut posted = Vec::with_capacity(plan.len());
         let mut failed = None;
         for &rep in plan.iter().rev() {
-            let (batch, rest) = writes.into_iter().partition(|w| mgr.same_lock(rep, w.addr));
+            let (batch, rest): (Vec<_>, Vec<_>) =
+                writes.into_iter().partition(|w| mgr.same_lock(rep, w.node));
             writes = rest;
+            let batch = batch.into_iter().flat_map(|w| w.cmds).collect();
             match mgr.release_deferred(self.ctx, rep, batch, combine, combine) {
                 Ok((_, deferred)) => posted.extend(deferred),
                 Err(e) => failed = failed.or(Some(e)),
             }
         }
-        debug_assert!(writes.is_empty(), "write-back without a guarding lock");
+        assert!(writes.is_empty(), "write-back without a guarding lock");
         for token in posted {
             self.ctx.poll_token(token);
         }
@@ -667,7 +732,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let Some(slot) = slot else {
             return Ok(match kind {
                 WriteKind::Insert { value } => {
-                    WriteCommit::Structural(self.split_leaf(addr, leaf, key, value, meta)?)
+                    WriteCommit::Structural(self.split_leaf(addr, buf, leaf, key, value, meta)?)
                 }
                 WriteKind::Delete => WriteCommit::Committed {
                     found: false,
@@ -748,12 +813,14 @@ impl<B: FabricBackend> OpCx<'_, B> {
     // Splits, separator insertion, root growth
     // ------------------------------------------------------------------
 
-    /// Split the full, locked leaf at `addr` around the new `key`: both
-    /// halves are written back with the release of its lock; the new right
-    /// half still needs its separator in the parent level.
+    /// Split the full, locked leaf at `addr` (`pre` its image, `leaf` that
+    /// image decoded) around the new `key`: both halves are written back with
+    /// the release of its lock; the new right half still needs its separator
+    /// in the parent level.
     fn split_leaf(
         &mut self,
         addr: GlobalAddress,
+        pre: &[u8],
         mut leaf: LeafNode,
         key: u64,
         value: u64,
@@ -779,19 +846,21 @@ impl<B: FabricBackend> OpCx<'_, B> {
             let pairs = target.sorted_pairs();
             target.repack_sorted(&pairs);
         }
-        let sibling = self.install_right_half(addr, &mut leaf, &mut right, meta)?;
+        let sibling = self.install_right_half(addr, pre, &mut leaf, &mut right, meta)?;
         Ok(Followup::Separator { split_key, sibling })
     }
 
-    /// The tail of every split, run under the lock on `addr`: allocate the
-    /// right half's node, link it behind `left` B-link style, and write both
-    /// halves back with the release of the lock.  Returns the new node's
-    /// address; with command combination the writes are left in
-    /// `meta.in_flight` for the separator insertion to overlap and — the
-    /// right half's — to observe before it writes (ordering rule 2).
+    /// The tail of every split, run under the lock on `addr` (`pre` the image
+    /// read under it): allocate the right half's node, link it behind `left`
+    /// B-link style, and write both halves back with the release of the lock
+    /// — the right half whole, of the left half what the split changed.
+    /// Returns the new node's address; with command combination the writes
+    /// are left in `meta.in_flight` for the separator insertion to overlap
+    /// and — the right half's — to observe before it writes (ordering rule 2).
     fn install_right_half<N: TreeNode>(
         &mut self,
         addr: GlobalAddress,
+        pre: &[u8],
         left: &mut N,
         right: &mut N,
         meta: &mut OpMeta,
@@ -810,17 +879,19 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // versions bump across reuse (fresh carves seed at version 1, the
         // same value the pre-reuse code produced).
         right.header_mut().set_versions(alloc.first_version());
-        let right_half = WriteCmd::new(alloc.addr, self.encode(right));
-        let mut writes = Vec::with_capacity(2);
+        let right_half = self.write_back(alloc.addr, None, self.encode(right));
+        let left_half = self.write_back(addr, Some(pre), self.encode(left));
+        let written_back = right_half.bytes() + left_half.bytes();
+        let mut writes = Vec::with_capacity(1 + left_half.cmds.len());
         if alloc.addr.ms == addr.ms {
             // Same memory server: the sibling write-back joins the combined
             // batch (write sibling, write node, release lock — one round trip).
-            writes.push(right_half);
+            writes.extend(right_half.cmds);
         } else {
             // Another queue pair: posted first, beside the batch.
             let sent = match self.combine() {
-                true => self.ctx.post_write_batch(&[right_half]).map(|token| meta.in_flight.push(token)),
-                false => self.ctx.post_writes(&[right_half]),
+                true => self.ctx.post_write_batch(&right_half.cmds).map(|token| meta.in_flight.push(token)),
+                false => self.ctx.post_writes(&right_half.cmds),
             };
             if let Err(e) = sent {
                 // Neither the node lock nor the carved node may leak.
@@ -829,7 +900,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 return Err(e.into());
             }
         }
-        writes.push(WriteCmd::new(addr, self.encode(left)));
+        writes.extend(left_half.cmds);
+        self.cluster.space_counters().record_structural_commit(written_back);
         self.release_lock_ahead(addr, writes, meta)?;
         Ok(alloc.addr)
     }
@@ -907,8 +979,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
             if !node.is_full(self.layout()) {
                 node.insert_separator(sep_key, child);
                 node.header.bump_versions();
-                let bytes = self.encode(&node);
-                self.release_lock(addr, vec![WriteCmd::new(addr, bytes)])?;
+                let write_back = self.write_back(addr, Some(&buf), self.encode(&node));
+                let counters = self.cluster.space_counters();
+                counters.record_structural_commit(write_back.bytes());
+                self.release_lock(addr, write_back.cmds)?;
                 self.offer_written(&[(addr, &node)], root_level);
                 return Ok(());
             }
@@ -920,7 +994,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             } else {
                 node.insert_separator(sep_key, child);
             }
-            let right_addr = self.install_right_half(addr, &mut node, &mut right, meta)?;
+            let right_addr = self.install_right_half(addr, &buf, &mut node, &mut right, meta)?;
             // The right half first: it adopts the cached children it took
             // along before the narrowed left image stops covering them.
             self.offer_written(&[(right_addr, &right), (addr, &node)], root_level);
@@ -991,8 +1065,11 @@ impl<B: FabricBackend> OpCx<'_, B> {
         new_root.header.set_versions(alloc.first_version());
         // The new root is not reachable yet, so no lock is needed for this
         // write; the root-pointer CAS is the linearization point.
-        self.ctx.write(alloc.addr, &self.encode(&new_root))?;
+        let image = self.encode(&new_root);
+        self.ctx.write(alloc.addr, &image)?;
         if self.swing_root(packed, alloc.addr, new_level)? {
+            let counters = self.cluster.space_counters();
+            counters.record_structural_commit(image.len() as u64);
             self.offer_written(&[(alloc.addr, &new_root)], new_level);
             return Ok(true);
         }
@@ -1246,10 +1323,11 @@ impl<B: FabricBackend> OpCx<'_, B> {
             commit.invalidate(parent_addr, parent.header.front_version);
         }
         let writes = vec![
-            WriteCmd::new(left_addr, merge.left_bytes),
-            WriteCmd::new(right_addr, merge.right_bytes),
-            WriteCmd::new(parent_addr, self.encode(&parent)),
+            self.write_back(left_addr, Some(&left_buf), merge.left_bytes),
+            self.write_back(right_addr, Some(&right_buf), merge.right_bytes),
+            self.write_back(parent_addr, Some(&parent_buf), self.encode(&parent)),
         ];
+        counters.record_structural_commit(writes.iter().map(WriteBack::bytes).sum());
         // Phase 4½ (still under the locks): build each surviving image
         // **once** — the same `Arc` fans out to every subscriber's message
         // and the own-cache heal, no per-server deep clones — and publish
@@ -1379,6 +1457,64 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::config::TreeOptions;
+
+    /// A write-back joins the release batch of the lock that guards its
+    /// *node*: ranges that start inside a node hash to some other lock word,
+    /// or to none of the plan.  Parent and children on different memory
+    /// servers, three lock words; every write-back two ranges, the second at
+    /// the node's tail.  Three batches go out — one round trip each, nothing
+    /// beside them — and each carries both ranges and the release.
+    #[test]
+    fn sub_node_ranges_ride_the_release_of_their_nodes_lock() {
+        let mut config = ClusterConfig::small();
+        config.tree.chunk_bytes = 4 << 10;
+        let cluster = Cluster::new(config, TreeOptions::sherman());
+        cluster.bulkload((0..4_000u64).map(|k| (k * 2, k))).unwrap();
+        let cache = cluster.cache(0);
+        let mgr = cluster.lock_manager();
+        let [left, right, parent] = (0..3_900u64)
+            .step_by(16)
+            .find_map(|key| {
+                let (left, _) = cache.lookup_leaf(key)?;
+                let (right, _) = cache.lookup_leaf(key + 16)?;
+                let parent = cache.peek(1, key)?.addr;
+                let distinct = mgr.lock_plan(&[left, right, parent]).len() == 3;
+                (left != right && parent.ms != left.ms && distinct).then_some([left, right, parent])
+            })
+            .expect("a pair of leaves whose parent lives on the other server");
+
+        let mut client = cluster.client(0);
+        let mut meta = OpMeta::default();
+        let mut cx = client.op_cx();
+        let (plan, images) = cx.lock_and_read_plan([left, right, parent], &mut meta).unwrap();
+        let rear = cluster.layout().rear_version_offset();
+        let writes: Vec<WriteBack> = [left, right, parent]
+            .into_iter()
+            .zip(&images)
+            .map(|(node, pre)| {
+                let mut new = pre.clone();
+                new[0] = pre[0].wrapping_add(1);
+                new[rear] = new[0];
+                cx.write_back(node, Some(pre), new)
+            })
+            .collect();
+        for write_back in &writes {
+            let starts: Vec<u64> = write_back.cmds.iter().map(|c| c.addr.offset).collect();
+            let node = write_back.node.offset;
+            assert_eq!(starts, [node + rear as u64, node], "rear version first");
+        }
+        let before = cx.ctx.stats();
+        let published = cx.publish_commit(StructuralCommit::new());
+        cx.release_plan(&plan, writes, &published).unwrap();
+        published.retire_all(&cluster, cx.ctx.now());
+        let spent = cx.ctx.stats().delta_since(&before);
+        assert_eq!((spent.round_trips, spent.writes), (3, 9), "{spent:?}");
+        for (node, pre) in [left, right, parent].into_iter().zip(&images) {
+            let mut now = vec![0u8; pre.len()];
+            cluster.fabric().god_read(node, &mut now).unwrap();
+            assert_eq!((now[0], now[rear]), (pre[0].wrapping_add(1), pre[0].wrapping_add(1)));
+        }
+    }
 
     /// A merge whose third node cannot be read — its image would run past the
     /// end of the region — fails with every lock of its plan given back: the

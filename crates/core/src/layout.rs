@@ -35,6 +35,7 @@
 use crate::config::TreeConfig;
 use crate::node::{InternalEntry, InternalNode, LeafEntry, LeafNode, NodeHeader};
 use sherman_sim::GlobalAddress;
+use std::ops::Range;
 
 /// Size of the fixed node header in bytes.
 pub const HEADER_BYTES: usize = 48;
@@ -42,6 +43,12 @@ pub const HEADER_BYTES: usize = 48;
 pub const TAIL_BYTES: usize = 8;
 /// Size of one internal entry (8-byte separator + 8-byte child pointer).
 pub const INTERNAL_ENTRY_BYTES: usize = 16;
+
+/// Unchanged bytes a write-back plan writes anyway rather than start another
+/// range, and what it prices a further range at when it weighs a plan against
+/// the whole node: a work-queue entry is 64 bytes itself, so skipping fewer
+/// moves more bytes to the NIC than it keeps off the wire.
+pub const COALESCE_GAP_BYTES: usize = 64;
 
 /// Flag bit: the node is a leaf.
 pub const FLAG_LEAF: u8 = 0b01;
@@ -258,6 +265,85 @@ impl NodeLayout {
             })
             .collect();
         InternalNode { header, entries }
+    }
+
+    // ------------------------------------------------------------------
+    // Write-back planning
+    // ------------------------------------------------------------------
+
+    /// Where the bytes a decoder reads of `image` end, the tail word aside:
+    /// every slot of a leaf, the `count` entries of an internal node.  What
+    /// lies between there and the tail word is never read.
+    pub fn decoded_extent(&self, image: &[u8]) -> usize {
+        if image[1] & FLAG_LEAF != 0 {
+            return self.rear_version_offset();
+        }
+        let count = self.decode_header(image).count.min(self.internal_capacity());
+        HEADER_BYTES + count * INTERNAL_ENTRY_BYTES
+    }
+
+    /// Plan the write-back that turns the node image `pre` — as read under
+    /// the node's lock — into `new`: the byte ranges of `new` to write, in
+    /// ascending order and disjoint, after which the node decodes as `new`
+    /// does.  Post them in [`NodeLayout::post_order`].
+    ///
+    /// The images are compared in 8-byte words over what a decoder reads of
+    /// `new` ([`NodeLayout::decoded_extent`]) and the tail word; whatever an
+    /// internal node holds past its `count` is neither compared nor zeroed.
+    /// The word with the front version and the tail word are ranges of their
+    /// own; between them, changed words fewer than [`COALESCE_GAP_BYTES`]
+    /// apart share a range.  When the ranges, each beyond the first priced at
+    /// that many bytes, cost what the whole node does, the plan is the whole
+    /// node.
+    pub fn plan_write_back(&self, pre: &[u8], new: &[u8]) -> Vec<Range<usize>> {
+        assert_eq!((pre.len(), new.len()), (self.node_size, self.node_size));
+        let tail = self.rear_version_offset();
+        let body_end = self.decoded_extent(new).min(tail);
+        let body_words = (0..body_end).step_by(8).map(|at| at..(at + 8).min(body_end));
+        let mut ranges: Vec<Range<usize>> = Vec::new();
+        for word in body_words.chain(std::iter::once(tail..self.node_size)) {
+            if pre[word.clone()] == new[word.clone()] {
+                continue;
+            }
+            match ranges.last_mut() {
+                Some(last)
+                    if last.start > 0
+                        && word.start < tail
+                        && word.start - last.end < COALESCE_GAP_BYTES =>
+                {
+                    last.end = word.end
+                }
+                _ => ranges.push(word),
+            }
+        }
+        let bytes: usize = ranges.iter().map(|r| r.len()).sum();
+        if bytes + ranges.len().saturating_sub(1) * COALESCE_GAP_BYTES >= self.node_size {
+            ranges.clear();
+            ranges.push(0..self.node_size);
+        }
+        ranges
+    }
+
+    /// Put the ranges of a plan in the order their commands are posted in,
+    /// all in the one doorbell batch that releases the node's lock: the tail
+    /// word first, the body ascending, the front-version word last — a
+    /// sequence lock.  A lock-free reader loads a node in ascending order and
+    /// accepts it when front and rear version are equal: if it sees the new
+    /// front version, every store of the batch came before its first load; if
+    /// it sees the old rear version, every one of its loads came before the
+    /// first store; anything else it rejects, however reader and writer are
+    /// paced.
+    ///
+    /// Ascending order — what a single `RDMA_WRITE` does (§4.4) — does not
+    /// give that: its torn-read argument needs a reader that has got ahead of
+    /// the writer inside the node to stay ahead up to the tail, and a writer
+    /// that skips what did not change catches up with it for free.  Measured
+    /// on `ThreadedFabric`, ranges posted in ascending order quadrupled the
+    /// mixed images a reader accepted (CHANGES.md, PR 24).
+    pub fn post_order(ranges: &mut [Range<usize>]) {
+        if let [first, .., last] = ranges {
+            std::mem::swap(first, last);
+        }
     }
 
     // ------------------------------------------------------------------

@@ -269,6 +269,12 @@ pub trait NodeLockManager<C: FabricChannel = SimChannel>: LockOrder + Send + Syn
     /// Release the lock protecting `node`, flushing `writes` (node
     /// write-backs on the same memory server) before or together with the
     /// release according to `combine`.
+    ///
+    /// The batch is keyed by `node`: `writes` are posted in the order given,
+    /// whatever their addresses — whole images or ranges inside the nodes
+    /// this lock word guards.  A caller that holds several locks sorts its
+    /// write-backs by the node they belong to ([`LockOrder::same_lock`] on
+    /// the *node's* address); a range's own address hashes to another word.
     fn release(
         &self,
         client: &mut ClientCtx<C>,

@@ -31,6 +31,8 @@ pub struct SpaceCounters {
     plan_fallbacks: AtomicU64,
     merge_routes_cached: AtomicU64,
     merge_routes_remote: AtomicU64,
+    structural_commits: AtomicU64,
+    structural_bytes: AtomicU64,
 }
 
 impl SpaceCounters {
@@ -96,6 +98,14 @@ impl SpaceCounters {
         routes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record one structural commit — a split, a separator insertion, a root
+    /// growth, a merge or a rebalance — whose node write-backs carried
+    /// `bytes` bytes in all (lock-word releases not counted).
+    pub fn record_structural_commit(&self, bytes: u64) {
+        self.structural_commits.fetch_add(1, Ordering::Relaxed);
+        self.structural_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
     /// Capture the current values.
     pub fn snapshot(&self) -> SpaceSnapshot {
         SpaceSnapshot {
@@ -109,6 +119,8 @@ impl SpaceCounters {
             plan_fallbacks: self.plan_fallbacks.load(Ordering::Relaxed),
             merge_routes_cached: self.merge_routes_cached.load(Ordering::Relaxed),
             merge_routes_remote: self.merge_routes_remote.load(Ordering::Relaxed),
+            structural_commits: self.structural_commits.load(Ordering::Relaxed),
+            structural_bytes: self.structural_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -142,6 +154,11 @@ pub struct SpaceSnapshot {
     pub merge_routes_cached: u64,
     /// Merge-partner discoveries that read the parent remotely.
     pub merge_routes_remote: u64,
+    /// Structural commits: splits (either level), separator insertions, root
+    /// growths, merges and rebalances.
+    pub structural_commits: u64,
+    /// Bytes the node write-backs of those commits carried.
+    pub structural_bytes: u64,
 }
 
 impl SpaceSnapshot {
@@ -153,6 +170,11 @@ impl SpaceSnapshot {
     /// Merges that ran in the right direction (a right sibling was absorbed).
     pub fn right_merges(&self) -> u64 {
         self.merges().saturating_sub(self.left_merges)
+    }
+
+    /// Mean bytes a structural commit wrote back (0 when there was none).
+    pub fn bytes_per_structural_commit(&self) -> f64 {
+        self.structural_bytes as f64 / self.structural_commits.max(1) as f64
     }
 
     /// Share of optimistic lock plans that fell back (0 when none was tried).
@@ -180,6 +202,8 @@ mod tests {
             c.record_merge_route(cached);
         }
         c.record_plan_fallback();
+        c.record_structural_commit(1_040);
+        c.record_structural_commit(32);
         let s = c.snapshot();
         assert_eq!(s.leaf_merges, 2);
         assert_eq!(s.internal_merges, 1);
@@ -192,6 +216,8 @@ mod tests {
         assert_eq!((s.optimistic_plans, s.plan_fallbacks), (3, 1));
         assert_eq!((s.merge_routes_cached, s.merge_routes_remote), (2, 1));
         assert!((s.fallback_share() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!((s.structural_commits, s.structural_bytes), (2, 1_072));
+        assert_eq!(s.bytes_per_structural_commit(), 536.0);
     }
 
     #[test]

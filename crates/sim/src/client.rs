@@ -1660,6 +1660,44 @@ mod tests {
         assert!(elapsed < 2 * fabric.config().base_rtt_ns);
     }
 
+    /// A write-back sent as the ranges that changed is billed for those
+    /// ranges: the bytes are the payloads' sum, each command pays the NIC's
+    /// per-command floor at both ports — a handful of small commands is
+    /// cheaper than the node, a node's worth of 8-byte commands is not — and
+    /// the commands apply in post order.
+    #[test]
+    fn a_batch_of_ranges_is_billed_by_the_range() {
+        let fabric = test_fabric();
+        let node = GlobalAddress::host(1, 8192);
+        let timed = |cmds: &[WriteCmd]| {
+            let mut client = fabric.client(0);
+            let before = (client.now(), client.stats());
+            client.post_writes(cmds).unwrap();
+            let spent = client.stats().delta_since(&before.1);
+            assert_eq!((spent.round_trips, spent.writes), (1, cmds.len() as u64));
+            (spent.bytes_written, client.now() - before.0)
+        };
+        let (whole_bytes, whole_ns) = timed(&[WriteCmd::new(node, vec![1u8; 1024])]);
+        let ranges = [
+            WriteCmd::new(node, vec![2u8; 8]),
+            WriteCmd::new(node.add(688), vec![2u8; 16]),
+            WriteCmd::new(node.add(1016), vec![2u8; 8]),
+            WriteCmd::new(node.add(1016), vec![3u8; 8]),
+        ];
+        let (range_bytes, range_ns) = timed(&ranges);
+        assert_eq!((whole_bytes, range_bytes), (1024, 40));
+        assert!(range_ns < whole_ns, "{range_ns} ns for 40 bytes, {whole_ns} ns for 1024");
+        let mut image = vec![0u8; 1024];
+        fabric.god_read(node, &mut image).unwrap();
+        assert_eq!((image[0], image[8], image[688], image[1016]), (2, 1, 2, 3));
+
+        let words: Vec<WriteCmd> =
+            (0..128).map(|w| WriteCmd::new(node.add(8 * w), vec![4u8; 8])).collect();
+        let (word_bytes, word_ns) = timed(&words);
+        assert_eq!(word_bytes, 1024);
+        assert!(word_ns > whole_ns, "128 commands in {word_ns} ns, one in {whole_ns}");
+    }
+
     #[test]
     fn mixed_server_batch_is_rejected() {
         let fabric = test_fabric();

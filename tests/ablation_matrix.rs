@@ -202,29 +202,34 @@ fn uncombined_presets_keep_their_verbs() {
 /// routed by an image an internal rebalance left stale — the plan is
 /// abandoned under the locks and the parent read remotely — which is where
 /// the six extra atomics and lock-word release writes (8 bytes each in host
-/// memory, 2 on chip) come from.
+/// memory, 2 on chip) come from.  Re-captured a second time when structural
+/// commits began to write back what changed: the same round trips, reads and
+/// atomics; 185 more WRITE commands (175 on unsorted leaves) in the same
+/// doorbell batches; 25 648 bytes fewer on every rung (24 856 on unsorted
+/// leaves — three tenths of all the full Sherman run writes) and about
+/// 700 ns of 3 ms more, the NIC's per-command floor.
 #[test]
 fn combined_rungs_keep_their_verbs() {
     for (label, options, expect) in [
         (
             "+Combine",
             TreeOptions::plus_combine(),
-            (1994, 1000, 1917, 993, 256_000, 244_488, 3_510_239),
+            (1994, 1000, 2102, 993, 256_000, 218_840, 3_510_972),
         ),
         (
             "+On-Chip",
             TreeOptions::plus_onchip(),
-            (1994, 1000, 1917, 993, 256_000, 238_530, 3_074_531),
+            (1994, 1000, 2102, 993, 256_000, 212_882, 3_075_264),
         ),
         (
             "+Hierarchical",
             TreeOptions::plus_hierarchical(),
-            (1994, 1000, 1917, 993, 256_000, 238_530, 3_074_531),
+            (1994, 1000, 2102, 993, 256_000, 212_882, 3_075_264),
         ),
         (
             "+2-Level Ver",
             TreeOptions::sherman(),
-            (1994, 1000, 1917, 993, 256_000, 81_399, 3_017_513),
+            (1994, 1000, 2092, 993, 256_000, 56_543, 3_018_197),
         ),
     ] {
         assert_eq!(write_path_verbs(options), expect, "{label}");

@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
+use sherman_repro::sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -240,18 +241,24 @@ fn pipelined_append_and_churn_preserve_invariants() {
     }
 }
 
-/// Scans racing churn from several threads never observe a torn value: every
-/// `(key, value)` pair a scan returns satisfies the churn write formula of
-/// the thread that owns the key.
-#[test]
-fn concurrent_scans_racing_churn_see_no_torn_values() {
+/// Scans racing churn from several threads, on either backend, are *complete*
+/// and never observe a torn value.  Every `(key, value)` pair a scan returns
+/// satisfies the churn write formula of the thread that owns the key; and
+/// every key the scanning thread itself holds live — nobody else writes its
+/// keys, so they are live for the whole of the scan — within the stretch the
+/// scan covered is in the result.  Afterwards the tree is the union of the
+/// threads' models through a warm cache and a cold one, every node is
+/// accounted for and no fixable shape defect was added.
+fn concurrent_scans_racing_churn_on<B: FabricBackend>() {
     let mut spec = small_spec(ScenarioShape::ScanChurn {
         scan_pct: 20,
         scan_size: 20,
     });
     spec.threads = 3;
     spec.ops_per_thread = 1500;
-    let (cluster, _) = loaded_cluster(&spec);
+    let cluster = Cluster::<B>::new_on(ClusterConfig::small(), TreeOptions::sherman());
+    cluster.bulkload(std::iter::empty()).expect("bulkload");
+    let baseline = cluster.shape_audit().expect("audit");
     let threads = spec.threads;
     let mut handles = Vec::new();
     for t in 0..threads {
@@ -260,13 +267,16 @@ fn concurrent_scans_racing_churn_see_no_torn_values() {
         handles.push(std::thread::spawn(move || {
             let mut client = cluster.client(0);
             let mut gen = spec.generator(t);
+            let mut own = BTreeMap::new();
             for _ in 0..spec.ops_per_thread {
                 match gen.next_op() {
                     Op::Insert { key, value } => {
                         client.insert(key, value).expect("insert");
+                        own.insert(key, value);
                     }
                     Op::Delete { key } => {
                         client.delete(key).expect("delete");
+                        own.remove(&key);
                     }
                     Op::Lookup { key } => {
                         client.lookup(key).expect("lookup");
@@ -275,7 +285,7 @@ fn concurrent_scans_racing_churn_see_no_torn_values() {
                         let (scan, _) =
                             client.range(start_key, count as usize).expect("range");
                         let mut prev = None;
-                        for (k, v) in scan {
+                        for &(k, v) in &scan {
                             assert!(prev < Some(k), "scan out of order at {k}");
                             prev = Some(k);
                             // The churn window writes value_at(i) = 31*i + t
@@ -288,18 +298,58 @@ fn concurrent_scans_racing_churn_see_no_torn_values() {
                                 "torn value at key {k}"
                             );
                         }
+                        // A scan cut short by `count` covered up to its last
+                        // key, any other to the end of the tree.
+                        let covered_to = match scan.len() == count as usize {
+                            true => prev.expect("count > 0"),
+                            false => u64::MAX,
+                        };
+                        for (&k, &v) in own.range(start_key..=covered_to) {
+                            assert!(
+                                scan.binary_search(&(k, v)).is_ok(),
+                                "scan from {start_key} passed over live key {k}"
+                            );
+                        }
                     }
                 }
             }
+            own
         }));
     }
+    let mut model = BTreeMap::new();
     for h in handles {
-        h.join().expect("worker panicked");
+        model.extend(h.join().expect("worker panicked"));
     }
+    let space = cluster.space_stats();
+    assert!(space.leaf_merges > 0 && space.structural_commits > space.leaf_merges, "{space:?}");
+    let expect: Vec<(u64, u64)> = model.into_iter().collect();
+    let mut client = cluster.client(0);
+    client.quiesce_coherence();
+    let (warm, _) = client.range(0, expect.len() + 10).expect("warm scan");
+    assert_eq!(warm, expect, "warm full scan differs from the model");
+    cluster.cache(0).clear();
+    let (cold, _) = client.range(0, expect.len() + 10).expect("cold scan");
+    assert_eq!(cold, expect, "cold full scan differs from the model");
     assert_eq!(
         cluster.node_census().unwrap().total(),
         cluster.nodes_outstanding()
     );
+    let audit = cluster.shape_audit().expect("audit");
+    assert!(
+        audit.underfull_rightmost_fixable <= baseline.underfull_rightmost_fixable
+            && audit.underfull_internals_fixable <= baseline.underfull_internals_fixable,
+        "scans racing churn added fixable defects: {audit:?}"
+    );
+}
+
+#[test]
+fn concurrent_scans_racing_churn_see_no_torn_values() {
+    concurrent_scans_racing_churn_on::<Fabric>();
+}
+
+#[test]
+fn concurrent_scans_racing_churn_are_complete_threaded() {
+    concurrent_scans_racing_churn_on::<ThreadedFabric>();
 }
 
 /// A sequential-append storm from several threads leaves the right edge

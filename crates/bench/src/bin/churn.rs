@@ -33,9 +33,10 @@
 //! dependencies — the run's p99 write above five modeled round trips — or
 //! when more than a fifth of the optimistic merge lock plans fell back.  On
 //! both backends it fails when the structural commits wrote back more than a
-//! node and a half each: a split writes two nodes, a separator insertion one,
-//! a merge three — two on average when every node travels whole, ≈ 1.1 when
-//! only what changed does.
+//! node each: a split writes two nodes, a separator insertion one, a merge
+//! three — two on average when every node travels whole, ≈ 1.1 when only what
+//! changed does and unsorted leaves are re-packed, ≈ 0.85 when they are edited
+//! in place.
 
 use sherman::TreeOptions;
 use sherman_bench::presets::CHURN_QUICK;
@@ -270,7 +271,7 @@ fn smoke(args: &Args) {
     }
     // What a structural commit writes back is counted, not timed: the same
     // ceiling holds on both backends.
-    let byte_ceiling = 1.5 * exp.tree.node_size as f64;
+    let byte_ceiling = exp.tree.node_size as f64;
     if r.space.bytes_per_structural_commit() > byte_ceiling {
         failures.push(format!(
             "{} structural commits wrote back {:.0} bytes each, above {byte_ceiling:.0}: \

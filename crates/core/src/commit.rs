@@ -55,11 +55,14 @@
 //!
 //! Every structural commit holds the image it read under the lock when it
 //! builds the new one, and most of a node survives a split's left half, a
-//! separator's insertion, a merge or a tombstone.  With command combination
-//! the write-back of such a node (`OpCx::write_back`) is planned from the two
-//! images ([`NodeLayout::plan_write_back`]): the changed 8-byte words, runs
-//! fewer than a work-queue entry apart coalesced, as ranges in the lock's one
-//! doorbell batch, so no commit gains a round trip.  They are posted as a
+//! separator's insertion, a merge or a tombstone — of an unsorted leaf every
+//! slot whose key stays, because such a leaf is edited in place, never
+//! re-packed ([`LeafNode::set_pairs`]; the leaf format alone decides).  With
+//! command combination the write-back of such a node (`OpCx::write_back`) is
+//! planned from the two images ([`NodeLayout::plan_write_back`]): the changed
+//! 8-byte words, runs fewer than a work-queue entry apart coalesced, as
+//! ranges in the lock's one doorbell batch, so no commit gains a round trip.
+//! They are posted as a
 //! sequence lock ([`NodeLayout::post_order`]): the tail word with the rear
 //! version first, the body, the word with the front version last.  A reader
 //! that sees the pair equal therefore loaded the node wholly before or wholly
@@ -101,9 +104,12 @@ trait TreeNode: Sized {
     fn capacity(layout: &NodeLayout) -> usize;
     /// Live entries of a leaf, separators of an internal node.
     fn occupancy(&self) -> usize;
-    fn absorb_right(&mut self, right: &Self);
-    fn take_from_right(&mut self, right: &mut Self, count: usize) -> u64;
-    fn take_from_left(&mut self, left: &mut Self, count: usize) -> u64;
+    /// The structural edits.  `dense`: the leaf format keeps leaves sorted
+    /// and densely packed, so a leaf is re-packed; an unsorted leaf is edited
+    /// in place ([`LeafNode::set_pairs`]).  Internal nodes are always sorted.
+    fn absorb_right(&mut self, right: &Self, dense: bool);
+    fn take_from_right(&mut self, right: &mut Self, count: usize, dense: bool) -> u64;
+    fn take_from_left(&mut self, left: &mut Self, count: usize, dense: bool) -> u64;
     /// The image the index cache keeps of this node at `addr` (leaves are
     /// not cached).
     fn cached(&self, addr: GlobalAddress) -> Option<CachedInternal>;
@@ -126,14 +132,14 @@ impl TreeNode for LeafNode {
     fn occupancy(&self) -> usize {
         self.live_count()
     }
-    fn absorb_right(&mut self, right: &Self) {
-        LeafNode::absorb_right(self, right)
+    fn absorb_right(&mut self, right: &Self, dense: bool) {
+        LeafNode::absorb_right(self, right, dense)
     }
-    fn take_from_right(&mut self, right: &mut Self, count: usize) -> u64 {
-        LeafNode::take_from_right(self, right, count)
+    fn take_from_right(&mut self, right: &mut Self, count: usize, dense: bool) -> u64 {
+        LeafNode::take_from_right(self, right, count, dense)
     }
-    fn take_from_left(&mut self, left: &mut Self, count: usize) -> u64 {
-        LeafNode::take_from_left(self, left, count)
+    fn take_from_left(&mut self, left: &mut Self, count: usize, dense: bool) -> u64 {
+        LeafNode::take_from_left(self, left, count, dense)
     }
     fn cached(&self, _addr: GlobalAddress) -> Option<CachedInternal> {
         None
@@ -157,13 +163,13 @@ impl TreeNode for InternalNode {
     fn occupancy(&self) -> usize {
         self.entries.len()
     }
-    fn absorb_right(&mut self, right: &Self) {
+    fn absorb_right(&mut self, right: &Self, _dense: bool) {
         InternalNode::absorb_right(self, right)
     }
-    fn take_from_right(&mut self, right: &mut Self, count: usize) -> u64 {
+    fn take_from_right(&mut self, right: &mut Self, count: usize, _dense: bool) -> u64 {
         InternalNode::take_from_right(self, right, count)
     }
-    fn take_from_left(&mut self, left: &mut Self, count: usize) -> u64 {
+    fn take_from_left(&mut self, left: &mut Self, count: usize, _dense: bool) -> u64 {
         InternalNode::take_from_left(self, left, count)
     }
     fn cached(&self, addr: GlobalAddress) -> Option<CachedInternal> {
@@ -827,10 +833,11 @@ impl<B: FabricBackend> OpCx<'_, B> {
         meta: &mut OpMeta,
     ) -> TreeResult<Followup> {
         let layout = *self.layout();
+        let dense = self.leaf_format().is_sorted();
         // Sorting the (possibly unsorted) leaf before the split costs local
         // CPU time (Figure 7, line 21).
         self.ctx.charge_scan(layout.node_size());
-        let (split_key, mut right) = leaf.split(&layout);
+        let (split_key, mut right) = leaf.split(&layout, dense);
 
         // Place the new key into the correct half.
         let target = if key >= split_key {
@@ -842,7 +849,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             .vacant_slot()
             .expect("post-split halves have vacant slots");
         target.entries[slot].install(key, value);
-        if self.leaf_format().is_sorted() {
+        if dense {
             let pairs = target.sorted_pairs();
             target.repack_sorted(&pairs);
         }
@@ -1390,11 +1397,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
         if underfull >= floor {
             return None;
         }
-        // Local CPU cost of re-packing the nodes (same accounting as splits).
+        // Local CPU cost of sorting the pairs that move (same accounting as
+        // splits).
         self.ctx.charge_scan(layout.node_size());
+        let dense = self.leaf_format().is_sorted();
         let capacity = N::capacity(&layout);
         let change = if underfull + N::JOIN + donor <= capacity {
-            left.absorb_right(&right);
+            left.absorb_right(&right, dense);
             let tombstone = right.header_mut();
             tombstone.free = true;
             tombstone.bump_versions();
@@ -1409,8 +1418,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 return None;
             }
             let new_sep = match direction {
-                MergeDirection::Right => left.take_from_right(&mut right, move_n),
-                MergeDirection::Left => right.take_from_left(&mut left, move_n),
+                MergeDirection::Right => left.take_from_right(&mut right, move_n, dense),
+                MergeDirection::Left => right.take_from_left(&mut left, move_n, dense),
             };
             PairChange::Rebalance { new_sep }
         };

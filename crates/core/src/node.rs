@@ -190,9 +190,9 @@ impl LeafNode {
         pairs
     }
 
-    /// Re-pack the node with `pairs` stored densely in sorted order (used by
-    /// the sorted leaf formats and after splits).  Versions of rewritten slots
-    /// are bumped; surplus slots are cleared.
+    /// Re-pack the node with `pairs` stored densely in sorted order (the
+    /// sorted leaf formats, and a fresh leaf's first image).  Versions of
+    /// rewritten slots are bumped; surplus slots are cleared.
     pub fn repack_sorted(&mut self, pairs: &[(u64, u64)]) {
         assert!(pairs.len() <= self.entries.len());
         for (i, slot) in self.entries.iter_mut().enumerate() {
@@ -208,16 +208,52 @@ impl LeafNode {
         self.header.count = pairs.len();
     }
 
+    /// Make this leaf hold exactly `pairs` (ascending by key; a key it
+    /// already holds keeps its value).  A `dense` leaf — the sorted formats —
+    /// is re-packed ([`LeafNode::repack_sorted`]).  Any other is edited in
+    /// place: the slot of every key not in `pairs` is cleared, every pair it
+    /// does not hold yet is installed into a vacant slot, lowest first, and
+    /// every other slot is left as it was, entry versions included — so a
+    /// write-back planned from the two images carries the slots that moved
+    /// and nothing else.
+    ///
+    /// # Panics
+    /// Panics if `pairs` do not fit.
+    pub fn set_pairs(&mut self, pairs: &[(u64, u64)], dense: bool) {
+        if dense {
+            return self.repack_sorted(pairs);
+        }
+        let wanted = |key: u64| pairs.binary_search_by_key(&key, |&(k, _)| k).is_ok();
+        for slot in self
+            .entries
+            .iter_mut()
+            .filter(|e| e.present && !wanted(e.key))
+        {
+            slot.clear();
+        }
+        let arriving: Vec<(u64, u64)> = pairs
+            .iter()
+            .copied()
+            .filter(|&(k, _)| self.slot_of(k).is_none())
+            .collect();
+        let mut vacant = self.entries.iter_mut().filter(|e| !e.present);
+        for (k, v) in arriving {
+            vacant.next().expect("a slot for every pair").install(k, v);
+        }
+        self.header.count = pairs.len();
+    }
+
     /// Absorb the contents of `right` (this leaf's B-link sibling): every live
-    /// pair of both nodes is re-packed into this node in sorted order, and the
+    /// pair of `right` moves into this node ([`LeafNode::set_pairs`]: re-packed
+    /// in sorted order when `dense`, into vacant slots otherwise), and the
     /// fence / sibling metadata is extended to cover `right`'s interval.
-    /// Versions of both headers and all rewritten entries are bumped; the
+    /// Versions of this header and of every rewritten entry are bumped; the
     /// caller frees `right`'s address.
     ///
     /// # Panics
     /// Panics if the combined live entries exceed this node's slot count or if
     /// the two nodes are not fence-adjacent.
-    pub fn absorb_right(&mut self, right: &LeafNode) {
+    pub fn absorb_right(&mut self, right: &LeafNode, dense: bool) {
         assert_eq!(
             self.header.fence_high, right.header.fence_low,
             "absorb_right requires fence-adjacent leaves"
@@ -225,7 +261,7 @@ impl LeafNode {
         let mut pairs = self.sorted_pairs();
         pairs.extend(right.sorted_pairs());
         assert!(pairs.len() <= self.entries.len(), "merged leaf overflows");
-        self.repack_sorted(&pairs);
+        self.set_pairs(&pairs, dense);
         self.header.fence_high = right.header.fence_high;
         self.header.sibling = right.header.sibling;
         self.header.bump_versions();
@@ -234,14 +270,15 @@ impl LeafNode {
     /// Move the `count` smallest live pairs of `right` into this leaf
     /// (rebalancing two siblings that cannot fully merge).  Returns the new
     /// separator key — the smallest key remaining in `right` — which the
-    /// caller must install in the parent.  Both nodes end up sorted, densely
-    /// packed and version-bumped, with their shared fence moved to the new
-    /// separator.
+    /// caller must install in the parent.  Both nodes are rewritten by
+    /// [`LeafNode::set_pairs`] — sorted and densely packed when `dense`, the
+    /// moved slots alone otherwise — and version-bumped, with their shared
+    /// fence moved to the new separator.
     ///
     /// # Panics
     /// Panics if `right` would be drained completely, if this leaf cannot hold
     /// the moved pairs, or if the nodes are not fence-adjacent.
-    pub fn take_from_right(&mut self, right: &mut LeafNode, count: usize) -> u64 {
+    pub fn take_from_right(&mut self, right: &mut LeafNode, count: usize, dense: bool) -> u64 {
         assert_eq!(
             self.header.fence_high, right.header.fence_low,
             "take_from_right requires fence-adjacent leaves"
@@ -253,11 +290,11 @@ impl LeafNode {
         assert!(pairs.len() <= self.entries.len(), "rebalanced leaf overflows");
         let new_sep = right_pairs[count].0;
 
-        self.repack_sorted(&pairs);
+        self.set_pairs(&pairs, dense);
         self.header.fence_high = new_sep;
         self.header.bump_versions();
 
-        right.repack_sorted(&right_pairs[count..]);
+        right.set_pairs(&right_pairs[count..], dense);
         right.header.fence_low = new_sep;
         right.header.bump_versions();
         new_sep
@@ -268,13 +305,14 @@ impl LeafNode {
     /// node is the rightmost child of its parent and must be topped up from
     /// its left sibling).  Returns the new separator key — the smallest key
     /// now held by this leaf — which the caller must retarget in the parent.
-    /// Both nodes end up sorted, densely packed and version-bumped, with
-    /// their shared fence moved to the new separator.
+    /// Both nodes are rewritten as [`LeafNode::take_from_right`] rewrites
+    /// them and version-bumped, with their shared fence moved to the new
+    /// separator.
     ///
     /// # Panics
     /// Panics if `left` would be drained completely, if this leaf cannot hold
     /// the moved pairs, or if the nodes are not fence-adjacent.
-    pub fn take_from_left(&mut self, left: &mut LeafNode, count: usize) -> u64 {
+    pub fn take_from_left(&mut self, left: &mut LeafNode, count: usize, dense: bool) -> u64 {
         assert_eq!(
             left.header.fence_high, self.header.fence_low,
             "take_from_left requires fence-adjacent leaves"
@@ -287,11 +325,11 @@ impl LeafNode {
         pairs.extend(self.sorted_pairs());
         assert!(pairs.len() <= self.entries.len(), "rebalanced leaf overflows");
 
-        self.repack_sorted(&pairs);
+        self.set_pairs(&pairs, dense);
         self.header.fence_low = new_sep;
         self.header.bump_versions();
 
-        left.repack_sorted(&left_pairs[..split]);
+        left.set_pairs(&left_pairs[..split], dense);
         left.header.fence_high = new_sep;
         left.header.bump_versions();
         new_sep
@@ -302,9 +340,11 @@ impl LeafNode {
     /// contents; the caller allocates its address and links
     /// `self.header.sibling` to it.
     ///
-    /// Both nodes end up sorted and densely packed — the paper sorts unsorted
-    /// leaves before splitting (Figure 7, line 21).
-    pub fn split(&mut self, layout: &NodeLayout) -> (u64, LeafNode) {
+    /// The paper sorts unsorted leaves before splitting (Figure 7, line 21)
+    /// to find the median.  The new leaf is sorted and densely packed; this
+    /// one is rewritten by [`LeafNode::set_pairs`]: re-packed when `dense`,
+    /// otherwise only the slots of the keys that moved are cleared.
+    pub fn split(&mut self, layout: &NodeLayout, dense: bool) -> (u64, LeafNode) {
         let pairs = self.sorted_pairs();
         assert!(pairs.len() >= 2, "cannot split a leaf with fewer than 2 keys");
         let mid = pairs.len() / 2;
@@ -316,7 +356,7 @@ impl LeafNode {
         right.repack_sorted(&pairs[mid..]);
         right.header.bump_versions();
 
-        self.repack_sorted(&pairs[..mid]);
+        self.set_pairs(&pairs[..mid], dense);
         self.header.fence_high = split_key;
         self.header.bump_versions();
         (split_key, right)
@@ -628,7 +668,7 @@ mod tests {
         for (i, k) in [50u64, 10, 90, 30, 70, 20, 80, 40, 60, 100].iter().enumerate() {
             leaf.entries[i].install(*k, k * 2);
         }
-        let (split_key, right) = leaf.split(&l);
+        let (split_key, right) = leaf.split(&l, false);
         assert_eq!(split_key, 60);
         assert_eq!(leaf.header.fence_high, 60);
         assert_eq!(right.header.fence_low, 60);
@@ -724,19 +764,32 @@ mod tests {
         for (i, &k) in keys.iter().enumerate() {
             leaf.entries[i * 2].install(k, k + 1); // every other slot: sparse
         }
-        let (split_key, right) = leaf.split(&l);
-        let left_keys: Vec<u64> = leaf.sorted_pairs().iter().map(|&(k, _)| k).collect();
-        let right_keys: Vec<u64> = right.sorted_pairs().iter().map(|&(k, _)| k).collect();
-        assert!(left_keys.windows(2).all(|w| w[0] < w[1]));
-        assert!(right_keys.windows(2).all(|w| w[0] < w[1]));
-        assert!(left_keys.iter().all(|&k| k < split_key));
-        assert!(right_keys.iter().all(|&k| k >= split_key));
-        assert_eq!(left_keys.len() + right_keys.len(), keys.len());
-        // After a split both halves are densely packed from slot 0 (the paper
-        // sorts unsorted leaves before splitting, Figure 7).
-        assert!(leaf.entries[..left_keys.len()].iter().all(|e| e.present));
-        assert!(right.entries[..right_keys.len()].iter().all(|e| e.present));
-        assert!(right.entries[right_keys.len()..].iter().all(|e| !e.present));
+        for dense in [true, false] {
+            let mut left = leaf.clone();
+            let (split_key, right) = left.split(&l, dense);
+            let left_keys: Vec<u64> = left.sorted_pairs().iter().map(|&(k, _)| k).collect();
+            let right_keys: Vec<u64> = right.sorted_pairs().iter().map(|&(k, _)| k).collect();
+            assert!(left_keys.iter().all(|&k| k < split_key));
+            assert!(right_keys.iter().all(|&k| k >= split_key));
+            assert_eq!(left_keys.len() + right_keys.len(), keys.len());
+            // The new right half is sorted and densely packed from slot 0
+            // (the paper sorts unsorted leaves before splitting, Figure 7).
+            let in_slots = |n: &LeafNode| -> Vec<u64> {
+                n.entries.iter().filter(|e| e.present).map(|e| e.key).collect()
+            };
+            assert_eq!(in_slots(&right), right_keys);
+            assert!(right.entries[..right_keys.len()].iter().all(|e| e.present));
+            // The left half is re-packed too when dense; otherwise its keys
+            // stay in the slots they were in.
+            if dense {
+                assert_eq!(in_slots(&left), left_keys);
+                assert!(left.entries[..left_keys.len()].iter().all(|e| e.present));
+            } else {
+                for (slot, entry) in left.entries.iter().enumerate().filter(|(_, e)| e.present) {
+                    assert_eq!(leaf.entries[slot], *entry, "slot {slot} moved");
+                }
+            }
+        }
     }
 
     #[test]
@@ -753,7 +806,7 @@ mod tests {
             right.entries[i].install(*k, k * 2);
         }
         left.header.sibling = Some(addr(1));
-        left.absorb_right(&right);
+        left.absorb_right(&right, true);
 
         assert_eq!(left.live_count(), 5);
         assert_eq!(
@@ -778,7 +831,7 @@ mod tests {
         for (i, k) in [100u64, 140, 120, 160, 180].iter().enumerate() {
             right.entries[i].install(*k, k + 1);
         }
-        let sep = left.take_from_right(&mut right, 2);
+        let sep = left.take_from_right(&mut right, 2, false);
         assert_eq!(sep, 140, "separator is the smallest key left in the donor");
         assert_eq!(left.header.fence_high, 140);
         assert_eq!(right.header.fence_low, 140);
@@ -802,7 +855,7 @@ mod tests {
             left.entries[i].install(*k, k + 1);
         }
         right.entries[0].install(200, 201);
-        let sep = right.take_from_left(&mut left, 2);
+        let sep = right.take_from_left(&mut left, 2, false);
         assert_eq!(sep, 40, "separator is the smallest key moved");
         assert_eq!(left.header.fence_high, 40);
         assert_eq!(right.header.fence_low, 40);
@@ -913,5 +966,257 @@ mod tests {
             node.insert_separator(i + 1, addr(i));
         }
         assert!(node.is_full(&l));
+    }
+
+    // -----------------------------------------------------------------------
+    // Structural leaf edits: in place on unsorted leaves, repacks on sorted
+    // -----------------------------------------------------------------------
+
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// One generated slot: `(live, key, version)`.  Live if the first byte is
+    /// below the leaf's density; vacant slots keep the versions of whatever
+    /// they held last.
+    type Slot = (u8, u64, u8);
+
+    /// A leaf over `[low, low + 1000)` with the keys of `slots` in the slots
+    /// they were generated for (a key generated twice is held once), its
+    /// sibling at `addr(sibling)`.
+    fn leaf_of(l: &NodeLayout, low: u64, density: u8, slots: &[Slot], sibling: u64) -> LeafNode {
+        let mut header = NodeHeader::new(true, 0, low, low + 1_000);
+        header.sibling = Some(addr(sibling));
+        let mut leaf = LeafNode::empty(l, header);
+        let mut held = BTreeSet::new();
+        for (entry, &(live, key, version)) in leaf.entries.iter_mut().zip(slots) {
+            entry.front_version = version;
+            entry.rear_version = version;
+            let key = low + key % 1_000;
+            if live < density && held.insert(key) {
+                entry.install(key, key ^ u64::from(version));
+            }
+        }
+        leaf.header.count = held.len();
+        leaf
+    }
+
+    fn pairs_of(leaves: &[&LeafNode]) -> BTreeMap<u64, u64> {
+        leaves.iter().flat_map(|n| n.sorted_pairs()).collect()
+    }
+
+    /// Hold `after` against `before`, slot by slot: a slot is untouched and
+    /// encodes byte for byte as it did, or it is the clear of a key in `out`,
+    /// or the install of a pair of `into` into a vacant slot — each with the
+    /// slot's entry versions bumped once.  Every key of `out` the leaf held
+    /// is cleared, every pair of `into` installed.
+    fn moved_slots_only(
+        l: &NodeLayout,
+        before: &LeafNode,
+        after: &LeafNode,
+        out: &BTreeSet<u64>,
+        into: &BTreeMap<u64, u64>,
+    ) {
+        let (mut cleared, mut installed) = (BTreeSet::new(), BTreeMap::new());
+        for (slot, (b, a)) in before.entries.iter().zip(&after.entries).enumerate() {
+            if l.encode_leaf_entry(b) == l.encode_leaf_entry(a) {
+                assert!(
+                    !a.present || !out.contains(&a.key),
+                    "slot {slot}: {a:?} should have moved"
+                );
+                continue;
+            }
+            let bumped = b.front_version.wrapping_add(1);
+            assert_eq!(
+                (a.front_version, a.rear_version),
+                (bumped, bumped),
+                "slot {slot}"
+            );
+            match (b.present, a.present) {
+                (true, false) => {
+                    assert!(out.contains(&b.key), "slot {slot}: {b:?} stays");
+                    cleared.insert(b.key);
+                }
+                (false, true) => {
+                    assert_eq!(into.get(&a.key), Some(&a.value), "slot {slot}");
+                    installed.insert(a.key, a.value);
+                }
+                _ => panic!("slot {slot} rewritten: {b:?} → {a:?}"),
+            }
+        }
+        let held: BTreeSet<u64> = before.sorted_pairs().iter().map(|&(k, _)| k).collect();
+        assert_eq!(cleared, out & &held);
+        assert_eq!(&installed, into);
+    }
+
+    /// What the sorted formats' edits write: the pre-image re-packed with the
+    /// pairs the node ends up holding, the edit's header.
+    fn repacked(l: &NodeLayout, before: &LeafNode, after: &LeafNode) -> Vec<u8> {
+        let mut expect = before.clone();
+        expect.repack_sorted(&after.sorted_pairs());
+        expect.header = after.header.clone();
+        l.encode_leaf(&expect)
+    }
+
+    /// Two leaves after an edit, and the pairs that left and that arrived.
+    type Edited = (LeafNode, LeafNode, [BTreeMap<u64, u64>; 2]);
+
+    /// The four structural edits of a leaf pair, `[0, 1000)` and
+    /// `[1000, 2000)`: split the left leaf, absorb the right into it, move
+    /// `n` pairs right → left, move `n` pairs left → right.  Returns the two
+    /// nodes after the edit (for a split, the left leaf and its new right
+    /// half), the pairs that left `left` and `right` and those that arrived —
+    /// or `None` when the pair does not admit the edit.
+    fn edit(
+        l: &NodeLayout,
+        mut left: LeafNode,
+        mut right: LeafNode,
+        op: u8,
+        n: usize,
+        dense: bool,
+    ) -> Option<Edited> {
+        let (ln, rn) = (left.live_count(), right.live_count());
+        let cap = left.entries.len();
+        let old = (left.header.clone(), right.header.clone());
+        let moved = |pairs: &[(u64, u64)]| pairs.iter().copied().collect::<BTreeMap<_, _>>();
+        match op % 4 {
+            0 if ln >= 2 => {
+                let pairs = left.sorted_pairs();
+                let (split_key, half) = left.split(l, dense);
+                assert_eq!(split_key, pairs[pairs.len() / 2].0);
+                assert_eq!(
+                    (left.header.fence_low, left.header.fence_high),
+                    (old.0.fence_low, split_key)
+                );
+                assert_eq!(
+                    (half.header.fence_low, half.header.fence_high),
+                    (split_key, old.0.fence_high)
+                );
+                // The caller links the new half; it inherits the old sibling.
+                assert_eq!(
+                    (left.header.sibling, half.header.sibling),
+                    (old.0.sibling, old.0.sibling)
+                );
+                let out = moved(&pairs[pairs.len() / 2..]);
+                Some((left, half, [out, BTreeMap::new()]))
+            }
+            1 if ln + rn <= cap => {
+                let arriving = moved(&right.sorted_pairs());
+                left.absorb_right(&right, dense);
+                assert_eq!(left.header.fence_high, old.1.fence_high);
+                assert_eq!(
+                    left.header.sibling, old.1.sibling,
+                    "B-link skips the absorbed leaf"
+                );
+                Some((left, right, [BTreeMap::new(), arriving]))
+            }
+            2 if rn >= 2 && ln < cap => {
+                let count = 1 + n % (rn - 1).min(cap - ln);
+                let arriving = moved(&right.sorted_pairs()[..count]);
+                let sep = left.take_from_right(&mut right, count, dense);
+                assert_eq!(Some(&sep), right.sorted_pairs().first().map(|(k, _)| k));
+                assert_eq!((left.header.fence_high, right.header.fence_low), (sep, sep));
+                assert_eq!(left.header.sibling, old.0.sibling);
+                Some((left, right, [BTreeMap::new(), arriving]))
+            }
+            3 if ln >= 2 && rn < cap => {
+                let count = 1 + n % (ln - 1).min(cap - rn);
+                let pairs = left.sorted_pairs();
+                let leaving = moved(&pairs[pairs.len() - count..]);
+                let sep = right.take_from_left(&mut left, count, dense);
+                assert_eq!(Some(&sep), leaving.keys().next());
+                assert_eq!((left.header.fence_high, right.header.fence_low), (sep, sep));
+                assert_eq!(left.header.sibling, old.0.sibling);
+                Some((left, right, [leaving, BTreeMap::new()]))
+            }
+            _ => None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+
+        /// On an unsorted leaf every structural edit keeps the pairs, sets
+        /// fences and sibling right, and touches the slots that moved and no
+        /// other: each a clear of a key that left or an install of one that
+        /// arrived, every slot that stayed byte-identical, entry versions
+        /// included.
+        #[test]
+        fn unsorted_edits_touch_only_the_slots_that_moved(
+            left in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..64),
+            right in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..64),
+            density in (any::<u8>(), any::<u8>()),
+            op in 0u8..4,
+            n in 0usize..64,
+        ) {
+            let l = layout();
+            let left = leaf_of(&l, 0, density.0, &left, 1);
+            let right = leaf_of(&l, 1_000, density.1, &right, 2);
+            let before = pairs_of(&[&left, &right]);
+            let Some((new_left, new_right, [out, into])) =
+                edit(&l, left.clone(), right.clone(), op, n, false)
+            else {
+                return;
+            };
+            match op % 4 {
+                // Split: the new half is fresh, dense and holds what left.
+                0 => {
+                    moved_slots_only(&l, &left, &new_left, &out.keys().copied().collect(), &BTreeMap::new());
+                    prop_assert_eq!(pairs_of(&[&new_right]), out);
+                    prop_assert_eq!(pairs_of(&[&new_left, &new_right, &right]), before);
+                }
+                // Absorb: the survivor gains the right leaf's pairs; the
+                // right leaf itself becomes the caller's tombstone.
+                1 => {
+                    moved_slots_only(&l, &left, &new_left, &BTreeSet::new(), &into);
+                    prop_assert_eq!(pairs_of(&[&new_left]), before);
+                }
+                // Rebalance: installs in the receiver, clears in the donor.
+                _ => {
+                    let moving = if out.is_empty() { &into } else { &out };
+                    let keys: BTreeSet<u64> = moving.keys().copied().collect();
+                    let (receiver, donor) = match op % 4 {
+                        2 => ((&left, &new_left), (&right, &new_right)),
+                        _ => ((&right, &new_right), (&left, &new_left)),
+                    };
+                    moved_slots_only(&l, receiver.0, receiver.1, &BTreeSet::new(), moving);
+                    moved_slots_only(&l, donor.0, donor.1, &keys, &BTreeMap::new());
+                    prop_assert_eq!(pairs_of(&[&new_left, &new_right]), before);
+                }
+            }
+            for node in [&new_left, &new_right] {
+                prop_assert_eq!(node.header.count, node.live_count());
+                prop_assert!(node.sorted_pairs().iter().all(|&(k, _)| node.header.covers(k)));
+            }
+        }
+
+        /// On a sorted leaf the same edits produce, byte for byte, the images
+        /// the repacking edits did: every node the edit keeps holds its pairs
+        /// re-packed from slot 0 in key order.
+        #[test]
+        fn sorted_edits_repack_as_before(
+            left in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..64),
+            right in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..64),
+            density in (any::<u8>(), any::<u8>()),
+            op in 0u8..4,
+            n in 0usize..64,
+        ) {
+            let l = layout();
+            let left = leaf_of(&l, 0, density.0, &left, 1);
+            let right = leaf_of(&l, 1_000, density.1, &right, 2);
+            let Some((new_left, new_right, _)) = edit(&l, left.clone(), right.clone(), op, n, true)
+            else {
+                return;
+            };
+            prop_assert_eq!(l.encode_leaf(&new_left), repacked(&l, &left, &new_left));
+            // A split's new half starts from vacant slots; an absorbed leaf
+            // is left to the caller's tombstone.
+            let fresh = LeafNode::empty(&l, new_right.header.clone());
+            let right_pre = match op % 4 {
+                0 => &fresh,
+                1 => return,
+                _ => &right,
+            };
+            prop_assert_eq!(l.encode_leaf(&new_right), repacked(&l, right_pre, &new_right));
+        }
     }
 }

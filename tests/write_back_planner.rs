@@ -11,12 +11,14 @@
 //!   This is the test that fails, every time, when a plan is misordered.
 //! * On real threads: readers hammer one internal node and one leaf the way
 //!   the lock-free read path does while a writer makes them change by split,
-//!   separator insertion, merge and tombstone; no reader ever accepts a
-//!   separator set or a key set that never existed.  The window between two
-//!   commands of a batch is a few nanoseconds there, so this one catches a
-//!   misordering only by luck; what it does hold is the whole path — planner,
-//!   release batches, backend — against readers that rely on nothing but the
-//!   order of a write-back (`read_consistent` says why they bracket).
+//!   separator insertion, merge and tombstone — on 1 KB nodes with the leaf
+//!   edited in place, its slots cleared and installed where they are; no
+//!   reader ever accepts a separator set or a key set that never existed.
+//!   The window between two commands of a batch is a few nanoseconds there,
+//!   so this one catches a misordering only by luck; what it does hold is the
+//!   whole path — planner, release batches, backend — against readers that
+//!   rely on nothing but the order of a write-back (`read_consistent` says
+//!   why they bracket).
 
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
@@ -208,10 +210,6 @@ fn a_plan_is_as_small_as_the_change() {
 // Readers against a writer, on real threads
 // ---------------------------------------------------------------------------
 
-/// 256 B nodes: ten slots a leaf, bulkloaded eight full with the even keys,
-/// nine leaves under the first level-1 node.
-const PER_LEAF: u64 = 8;
-
 type Ctx = sherman_repro::sherman_sim::ClientCtx<<ThreadedFabric as FabricBackend>::Channel>;
 
 /// Read the node at `addr` until the version pair matches — and held between
@@ -257,8 +255,13 @@ fn keys_of(l: &NodeLayout, image: &[u8]) -> BTreeSet<u64> {
 /// Readers hammer the first level-1 node and its second leaf while a writer
 /// alternates, on that leaf, fill → split (a separator insert in the parent,
 /// a planned left half) and drain → merge (a separator removal, a planned
-/// survivor, a tombstone).  The writer keeps the history of both nodes; the
-/// readers keep whatever they accepted — version pair equal — and at the end:
+/// survivor, a tombstone), `rounds` times, on `node_size` nodes bulkloaded
+/// to 80 % of their slots with the even keys; the structural commits write
+/// back fewer than `ceiling` nodes' worth of bytes each.  The leaves are
+/// unsorted and edited in place: a split clears the slots of the keys that
+/// moved, a merge installs the absorbed pairs into the survivor's vacant
+/// slots.  The writer keeps the history of both nodes; the readers keep
+/// whatever they accepted — version pair equal — and at the end:
 ///
 /// * every separator set accepted is one the parent held after some
 ///   operation: it changes by structural commits only, one image each;
@@ -268,17 +271,22 @@ fn keys_of(l: &NodeLayout, image: &[u8]) -> BTreeSet<u64> {
 ///   own versions, and that is all two-level versions promise — but an
 ///   accepted image never straddles a structural commit: it contains what
 ///   every state of the era has and nothing no state of it has.
-#[test]
-fn readers_never_accept_an_image_that_never_existed() {
+fn readers_never_accept_an_image_that_never_existed_on(
+    node_size: usize,
+    rounds: u64,
+    ceiling: f64,
+) {
     let mut config = ClusterConfig::small();
     config.fabric.host_bytes_per_ms = 16 << 20;
+    config.tree.node_size = node_size;
     let cluster = Cluster::<ThreadedFabric>::new_on(config, TreeOptions::sherman());
     cluster.bulkload((0..2_000u64).map(|k| (k * 2, k))).unwrap();
     let l = *cluster.layout();
-    let base = 2 * PER_LEAF;
+    let per_leaf = l.leaf_capacity() as u64 * 4 / 5;
+    let base = 2 * per_leaf;
 
-    // The leaf under test — the second of the tree, [16, 32) — and its
-    // parent, the level-1 node on the way to it.
+    // The leaf under test — the second of the tree, [base, 2 * base) — and
+    // its parent, the level-1 node on the way to it.
     let (leaf_addr, _) = cluster.cache(0).lookup_leaf(base).expect("warm cache");
     let mut client = cluster.client(0);
     let mut ctx = cluster.fabric().client(0);
@@ -356,10 +364,10 @@ fn readers_never_accept_an_image_that_never_existed() {
         ));
         (after, structural)
     };
-    for _ in 0..150 {
+    for _ in 0..rounds {
         // Fill with odd keys until the leaf splits and keeps its lower half
-        // (ten slots, eight keys: the third insert).
-        let mut odd = (0..PER_LEAF).map(|i| base + 2 * i + 1);
+        // (the insert after its vacant slots are full).
+        let mut odd = (0..per_leaf).map(|i| base + 2 * i + 1);
         let mut live = loop {
             if let (lower, true) = apply(&mut client, odd.next().unwrap(), true) {
                 break lower;
@@ -373,11 +381,11 @@ fn readers_never_accept_an_image_that_never_existed() {
                 break;
             }
         }
-        // Back to the eight even keys of the bulkload.
+        // Back to the even keys of the bulkload.
         for &key in live.iter().filter(|&k| k % 2 == 1) {
             apply(&mut client, key, false);
         }
-        for key in (0..PER_LEAF)
+        for key in (0..per_leaf)
             .map(|i| base + 2 * i)
             .filter(|k| !live.contains(k))
         {
@@ -415,14 +423,29 @@ fn readers_never_accept_an_image_that_never_existed() {
     }
     let space = cluster.space_stats();
     assert!(
-        space.leaf_merges >= 150 && space.structural_commits >= 450,
+        space.leaf_merges >= rounds && space.structural_commits >= 3 * rounds,
         "{space:?}"
     );
     // A split writes two images, a separator insertion one, a merge three.
     assert!(
-        space.bytes_per_structural_commit() < 2.0 * l.node_size() as f64,
-        "structural commits still write whole nodes: {space:?}"
+        space.bytes_per_structural_commit() < ceiling * l.node_size() as f64,
+        "structural commits write more than they change: {space:?}"
     );
     let census = cluster.node_census().unwrap();
     assert_eq!(census.total(), cluster.nodes_outstanding());
+}
+
+/// 256 B nodes, ten slots a leaf: a split's left half and most merge
+/// survivors change all over and travel whole (432 bytes a commit).
+#[test]
+fn readers_never_accept_an_image_that_never_existed() {
+    readers_never_accept_an_image_that_never_existed_on(256, 150, 2.0);
+}
+
+/// 1 KB nodes, fifty slots a leaf: a split's left half and a merge's
+/// survivor travel as the slots that moved, posted as a sequence lock —
+/// 1 189 bytes a commit, where re-packing them wrote 1 435.
+#[test]
+fn readers_never_accept_an_in_place_edit_that_never_existed() {
+    readers_never_accept_an_image_that_never_existed_on(1 << 10, 100, 1.25);
 }

@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of single tree operations for the full Sherman
 //! configuration and the FG+ baseline (the substrate of Figures 10/11 at
-//! micro scale): point lookups, in-place updates and fresh inserts.
+//! micro scale): point lookups, in-place updates, fresh inserts, deletes of
+//! present keys and short range scans.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sherman::{Cluster, ClusterConfig, TreeClient, TreeOptions};
@@ -41,6 +42,15 @@ fn tree_ops(c: &mut Criterion) {
             b.iter(|| {
                 key += 2; // odd keys are absent from the bulkload
                 client.insert(key, 7).unwrap()
+            });
+        });
+        group.bench_function(format!("{name}/delete_present"), |b| {
+            let (_cluster, mut client) = bulkloaded(options);
+            let mut key = 0u64;
+            b.iter(|| {
+                // Every even key once before any repeats, one per leaf in a row.
+                key = (key + 2_002) % 100_000;
+                client.delete(key).unwrap()
             });
         });
         group.bench_function(format!("{name}/range_100"), |b| {

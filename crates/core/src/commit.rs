@@ -3,11 +3,11 @@
 //! ([`OpCx`]) the state machines share.
 //!
 //! * **leaf commit** ([`OpCx::leaf_commit`]) — acquire the leaf's exclusive
-//!   lock, read and revalidate it, modify it locally, then write back either
-//!   the single affected entry (two-level versions) or the whole node
-//!   (sorted baselines); with command combination the read rides the lock
-//!   acquisition and the lock release rides the write-back, one doorbell
-//!   batch each,
+//!   lock, read and revalidate it, then write back either the single
+//!   affected entry (two-level versions), planned on the image as read with
+//!   no decoded leaf ([`PointWrite`]), or the whole node (sorted baselines);
+//!   with command combination the read rides the lock acquisition and the
+//!   lock release rides the write-back, one doorbell batch each,
 //! * **split** — sort the leaf, move the upper half to a freshly allocated
 //!   sibling, link it B-link style, and insert the separator into the parent
 //!   (growing a new root when the split reaches the top),
@@ -80,7 +80,7 @@ use crate::coherence::{self, PublishedCommit, StructuralCommit};
 use crate::config::LeafFormat;
 use crate::error::TreeError;
 use crate::layout::{NodeLayout, FLAG_FREE};
-use crate::node::{InternalNode, LeafNode, NodeHeader};
+use crate::node::{InternalNode, LeafEntry, LeafNode, NodeHeader};
 use crate::ops::{
     cached_from_internal, drive_blocking, next_after_mismatch, LeafSource, OpCx, OpMeta,
     ReadNodeSM, TraverseSM, WriteCommit, WriteKind,
@@ -283,6 +283,46 @@ struct WriteBack {
 impl WriteBack {
     fn bytes(&self) -> u64 {
         self.cmds.iter().map(|c| c.data.len() as u64).sum()
+    }
+}
+
+/// A point write planned on the image its leaf lock read: the slot it takes,
+/// the entry it writes there, and the live entries it leaves the leaf.
+struct PointWrite {
+    slot: usize,
+    entry: LeafEntry,
+    live: usize,
+}
+
+impl PointWrite {
+    /// Plan `kind` on `key` in the leaf image `image` with one pass over its
+    /// slots ([`NodeLayout::probe_leaf`]): the first slot holding the key,
+    /// else — an insert — the first vacant one, that entry alone decoded and
+    /// installed or cleared, its versions bumped.  `None` for an insert into
+    /// a full leaf, which splits, and for a delete of an absent key.
+    fn plan(layout: &NodeLayout, image: &[u8], key: u64, kind: WriteKind) -> Option<Self> {
+        let probe = layout.probe_leaf(image, key);
+        let (slot, live) = match kind {
+            WriteKind::Insert { .. } => match probe.slot {
+                Some(slot) => (slot, probe.live),
+                None => (probe.vacant?, probe.live + 1),
+            },
+            WriteKind::Delete => (probe.slot?, probe.live - 1),
+        };
+        let at = layout.leaf_entry_offset(slot);
+        let mut entry = layout.decode_leaf_entry(&image[at..at + layout.leaf_entry_bytes()]);
+        match kind {
+            WriteKind::Insert { value } => entry.install(key, value),
+            WriteKind::Delete => entry.clear(),
+        }
+        Some(PointWrite { slot, entry, live })
+    }
+
+    /// The entry-granular write-back (two-level versions, §4.4) on the leaf
+    /// at `leaf`: only the touched entry travels.
+    fn command(&self, layout: &NodeLayout, leaf: GlobalAddress) -> WriteCmd {
+        let at = leaf.add(layout.leaf_entry_offset(self.slot) as u64);
+        WriteCmd::new(at, layout.encode_leaf_entry(&self.entry))
     }
 }
 
@@ -699,14 +739,18 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
     /// The body of the write critical section, run synchronously on the leaf
     /// at `addr` with its lock held and `buf` its image as read under the
-    /// lock: revalidate it, apply `kind` to the key's slot, write back and
-    /// release.  On the fast path the combined write-back + release verb is
-    /// posted split-phase and returned for the caller to park on.  A full
-    /// leaf is split here — new right half and both images written with the
-    /// release — and a leaf left underfull is written back as is; what either
-    /// still owes the tree takes further locks and is returned as a
-    /// [`Followup`], which finds the leaf's release in `meta.in_flight`
-    /// (posted; observed already without command combination).
+    /// lock: revalidate its header, apply `kind` to the key's slot, write
+    /// back and release.  The image is not decoded: one pass over its slots
+    /// finds the key's slot, the first vacant one and the live count
+    /// ([`PointWrite::plan`]), and only a leaf that splits, or one of a sorted
+    /// format whose point write re-packs it, is decoded whole.  On the fast
+    /// path the combined write-back + release verb is posted split-phase and
+    /// returned for the caller to park on.  A full leaf is split here — new
+    /// right half and both images written with the release — and a leaf left
+    /// underfull is written back as is; what either still owes the tree
+    /// takes further locks and is returned as a [`Followup`], which finds the
+    /// leaf's release in `meta.in_flight` (posted; observed already without
+    /// command combination).
     pub(crate) fn leaf_commit(
         &mut self,
         addr: GlobalAddress,
@@ -716,29 +760,25 @@ impl<B: FabricBackend> OpCx<'_, B> {
         buf: &[u8],
         meta: &mut OpMeta,
     ) -> TreeResult<WriteCommit> {
-        let mut leaf = self.layout().decode_leaf(buf);
-        if leaf.header.free || !leaf.header.is_leaf || !leaf.header.covers(key) {
-            if leaf.header.free && matches!(source, LeafSource::Cache { .. }) {
+        let header = self.layout().decode_header(buf);
+        if header.free || !header.is_leaf || !header.covers(key) {
+            if header.free && matches!(source, LeafSource::Cache { .. }) {
                 // The cache routed this write to a retired leaf: its
                 // invalidation is still in flight.
                 self.cluster.coherence_counters().record_stale_hit();
             }
             let release = self.release_lock_deferred(addr, Vec::new())?;
-            let next = next_after_mismatch(self, key, addr, &leaf, source)
+            let next = next_after_mismatch(self, key, addr, &header, source)
                 .map(|a| (a, LeafSource::Sibling));
             return Ok(WriteCommit::Retry { next, release });
         }
 
         // Insert, update and delete differ in the slot they pick, in what
         // they do to it, and in what happens when there is none.
-        let slot = match kind {
-            WriteKind::Insert { .. } => leaf.slot_of(key).or_else(|| leaf.vacant_slot()),
-            WriteKind::Delete => leaf.slot_of(key),
-        };
-        let Some(slot) = slot else {
+        let Some(write) = PointWrite::plan(self.layout(), buf, key, kind) else {
             return Ok(match kind {
                 WriteKind::Insert { value } => {
-                    WriteCommit::Structural(self.split_leaf(addr, buf, leaf, key, value, meta)?)
+                    WriteCommit::Structural(self.split_leaf(addr, buf, key, value, meta)?)
                 }
                 WriteKind::Delete => WriteCommit::Committed {
                     found: false,
@@ -746,24 +786,17 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 },
             });
         };
-        match kind {
-            WriteKind::Insert { value } => leaf.entries[slot].install(key, value),
-            WriteKind::Delete => leaf.entries[slot].clear(),
-        }
-        let writes = self.leaf_writeback(addr, &mut leaf, slot);
+        let writes = self.leaf_writeback(addr, buf, &write);
 
         // Structural deletes (§ beyond the paper): once a delete drops the
         // leaf below the merge threshold, pair it with a sibling and merge or
         // rebalance.
         if kind == WriteKind::Delete
             && self.cluster.options().structural_deletes_enabled()
-            && leaf.live_count() < self.merge_floor::<LeafNode>()
+            && write.live < self.merge_floor::<LeafNode>()
         {
             self.release_lock_ahead(addr, writes, meta)?;
-            return Ok(WriteCommit::Structural(Followup::Merge {
-                addr,
-                header: leaf.header,
-            }));
+            return Ok(WriteCommit::Structural(Followup::Merge { addr, header }));
         }
         Ok(WriteCommit::Committed {
             found: true,
@@ -794,45 +827,44 @@ impl<B: FabricBackend> OpCx<'_, B> {
         paid
     }
 
-    /// Build the write-back command for a point modification of `slot`.
+    /// Build the write-back of `write` on the leaf at `addr`, `pre` its image.
     fn leaf_writeback(
         &mut self,
         addr: GlobalAddress,
-        leaf: &mut LeafNode,
-        slot: usize,
+        pre: &[u8],
+        write: &PointWrite,
     ) -> Vec<WriteCmd> {
+        let layout = *self.layout();
         if !self.leaf_format().is_sorted() {
-            // Entry-granular write-back: only the touched entry travels.
-            let entry_bytes = self.layout().encode_leaf_entry(&leaf.entries[slot]);
-            let entry_addr = addr.add(self.layout().leaf_entry_offset(slot) as u64);
-            return vec![WriteCmd::new(entry_addr, entry_bytes)];
+            return vec![write.command(&layout, addr)];
         }
         // Sorted layouts shift entries and write the whole node back.
+        let mut leaf = layout.decode_leaf(pre);
+        leaf.entries[write.slot] = write.entry;
         let pairs = leaf.sorted_pairs();
         leaf.repack_sorted(&pairs);
         leaf.header.bump_versions();
-        self.ctx.charge_scan(self.layout().node_size());
-        vec![WriteCmd::new(addr, self.encode(leaf))]
+        self.ctx.charge_scan(layout.node_size());
+        vec![WriteCmd::new(addr, self.encode(&leaf))]
     }
 
     // ------------------------------------------------------------------
     // Splits, separator insertion, root growth
     // ------------------------------------------------------------------
 
-    /// Split the full, locked leaf at `addr` (`pre` its image, `leaf` that
-    /// image decoded) around the new `key`: both halves are written back with
-    /// the release of its lock; the new right half still needs its separator
-    /// in the parent level.
+    /// Split the full, locked leaf at `addr` (`pre` its image) around the new
+    /// `key`: both halves are written back with the release of its lock; the
+    /// new right half still needs its separator in the parent level.
     fn split_leaf(
         &mut self,
         addr: GlobalAddress,
         pre: &[u8],
-        mut leaf: LeafNode,
         key: u64,
         value: u64,
         meta: &mut OpMeta,
     ) -> TreeResult<Followup> {
         let layout = *self.layout();
+        let mut leaf = layout.decode_leaf(pre);
         let dense = self.leaf_format().is_sorted();
         // Sorting the (possibly unsorted) leaf before the split costs local
         // CPU time (Figure 7, line 21).
@@ -1465,7 +1497,124 @@ impl<B: FabricBackend> OpCx<'_, B> {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
-    use crate::config::TreeOptions;
+    use crate::config::{TreeConfig, TreeOptions};
+    use proptest::prelude::*;
+
+    /// One generated slot: `(live, key, front version, rear version)`.  Live
+    /// if the first byte is below the leaf's density; vacant slots keep the
+    /// versions of whatever they held last.
+    type Slot = (u8, u64, u8, u8);
+
+    /// An unsorted leaf holding keys of `[0, 64)` in the slots `slots` put
+    /// them in (cycled over the leaf's capacity); every slot is live when
+    /// `full`.
+    fn leaf_of(layout: &NodeLayout, slots: &[Slot], density: u8, full: bool) -> LeafNode {
+        let mut leaf = LeafNode::empty(layout, NodeHeader::new(true, 0, 0, u64::MAX));
+        let slots = slots.iter().cycle();
+        for (entry, &(live, key, front, rear)) in leaf.entries.iter_mut().zip(slots) {
+            *entry = LeafEntry {
+                front_version: front,
+                rear_version: rear,
+                present: full || live < density,
+                key: key % 64,
+                value: key,
+            };
+        }
+        leaf.header.count = leaf.live_count();
+        leaf
+    }
+
+    /// The slot, the command and the live count a point write on the leaf
+    /// at `addr` ends with.
+    type Planned = (usize, (GlobalAddress, Vec<u8>), usize);
+
+    /// What the commit did before it probed the image: decode the leaf, pick
+    /// the slot with `slot_of` / `vacant_slot`, `install` or `clear` it, send
+    /// it as `encode_leaf_entry`, count with `live_count`.
+    fn decoded_reference(
+        layout: &NodeLayout,
+        image: &[u8],
+        addr: GlobalAddress,
+        key: u64,
+        kind: WriteKind,
+    ) -> Option<Planned> {
+        let mut leaf = layout.decode_leaf(image);
+        let slot = match kind {
+            WriteKind::Insert { .. } => leaf.slot_of(key).or_else(|| leaf.vacant_slot()),
+            WriteKind::Delete => leaf.slot_of(key),
+        }?;
+        match kind {
+            WriteKind::Insert { value } => leaf.entries[slot].install(key, value),
+            WriteKind::Delete => leaf.entries[slot].clear(),
+        }
+        let at = addr.add(layout.leaf_entry_offset(slot) as u64);
+        let bytes = layout.encode_leaf_entry(&leaf.entries[slot]);
+        Some((slot, (at, bytes), leaf.live_count()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, .. ProptestConfig::default() })]
+
+        /// A point write planned on the locked image agrees with the decoded
+        /// leaf on the slot, the command's address and bytes and the live
+        /// count — hence on the merge decision — and on whether there is a
+        /// slot at all, "must split" for an insert: on 256 B and 1 KB unsorted
+        /// leaves with holes anywhere and arbitrary entry versions, for an
+        /// insert of a present key, of an absent one into a leaf with a hole
+        /// and into a full leaf, and a delete of a present and of an absent
+        /// key.
+        #[test]
+        fn a_point_write_on_the_image_is_the_decoded_one(
+            slots in prop::collection::vec(
+                (any::<u8>(), any::<u64>(), any::<u8>(), any::<u8>()),
+                1..64,
+            ),
+            density in any::<u8>(),
+            node_size in prop::sample::select(vec![256usize, 1024]),
+            case in 0u8..5,
+            draw in (any::<usize>(), any::<u64>()),
+        ) {
+            let (pick, value) = draw;
+            let layout = NodeLayout::new(&TreeConfig { node_size, ..TreeConfig::default() });
+            let mut leaf = leaf_of(&layout, &slots, density, case == 2);
+            if case == 1 {
+                let hole = pick % leaf.entries.len();
+                leaf.entries[hole].present = false;
+            }
+            let image = layout.encode_leaf(&leaf);
+            let live = leaf.entries.iter().filter(|e| e.present);
+            let held: Vec<u64> = live.map(|e| e.key).collect();
+            let absent = 64 + value % 64;
+            let insert = WriteKind::Insert { value };
+            // 0: insert a present key, 1: an absent one into a leaf with a
+            // hole, 2: into a full leaf; 3: delete a present key, 4: an absent
+            // one.
+            let (key, kind) = match (case, held.is_empty()) {
+                (0, false) => (held[pick % held.len()], insert),
+                (3, false) => (held[pick % held.len()], WriteKind::Delete),
+                (0 | 3, true) => return,
+                (1 | 2, _) => (absent, insert),
+                _ => (absent, WriteKind::Delete),
+            };
+
+            let addr = GlobalAddress::host(1, 1 << 20);
+            let planned = PointWrite::plan(&layout, &image, key, kind).map(|write| {
+                let cmd = write.command(&layout, addr);
+                (write.slot, (cmd.addr, cmd.data), write.live)
+            });
+            let reference = decoded_reference(&layout, &image, addr, key, kind);
+            prop_assert_eq!(&planned, &reference);
+            // A full leaf splits and an absent key is not deleted; every
+            // other case takes a slot.
+            prop_assert_eq!(planned.is_none(), matches!(case, 2 | 4));
+            let capacity = layout.leaf_capacity() as f64;
+            let floor = (capacity * TreeOptions::DEFAULT_MERGE_THRESHOLD) as usize;
+            let merges = |p: &Option<Planned>| {
+                kind == WriteKind::Delete && p.as_ref().is_some_and(|p| p.2 < floor)
+            };
+            prop_assert_eq!(merges(&planned), merges(&reference));
+        }
+    }
 
     /// A write-back joins the release batch of the lock that guards its
     /// *node*: ranges that start inside a node hash to some other lock word,

@@ -55,6 +55,17 @@ pub const FLAG_LEAF: u8 = 0b01;
 /// Flag bit: the node has been freed.
 pub const FLAG_FREE: u8 = 0b10;
 
+/// What a point write needs to know of a leaf image ([`NodeLayout::probe_leaf`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LeafProbe {
+    /// The first slot holding the key.
+    pub(crate) slot: Option<usize>,
+    /// The first vacant slot.
+    pub(crate) vacant: Option<usize>,
+    /// Live entries.
+    pub(crate) live: usize,
+}
+
 /// Byte-level encoder/decoder for a particular tree geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLayout {
@@ -227,6 +238,29 @@ impl NodeLayout {
             })
             .collect();
         LeafNode { header, entries }
+    }
+
+    /// One pass over the slots of the leaf image `buf` for a point write on
+    /// `key`: what [`LeafNode::slot_of`], [`LeafNode::vacant_slot`] and
+    /// [`LeafNode::live_count`] answer of the decoded leaf, without decoding
+    /// it.
+    pub(crate) fn probe_leaf(&self, buf: &[u8], key: u64) -> LeafProbe {
+        let entry_bytes = self.leaf_entry_bytes();
+        let area = &buf[HEADER_BYTES..HEADER_BYTES + self.leaf_capacity() * entry_bytes];
+        let key = key.to_le_bytes();
+        let mut probe = LeafProbe::default();
+        // The present flag and the key, where `decode_leaf_entry` reads them.
+        for (i, entry) in area.chunks_exact(entry_bytes).enumerate() {
+            if entry[1] == 0 {
+                probe.vacant.get_or_insert(i);
+                continue;
+            }
+            probe.live += 1;
+            if entry[2..10] == key && probe.slot.is_none() {
+                probe.slot = Some(i);
+            }
+        }
+        probe
     }
 
     // ------------------------------------------------------------------

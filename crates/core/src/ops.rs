@@ -62,7 +62,7 @@ use crate::cluster::Cluster;
 use crate::commit::Followup;
 use crate::config::{LeafFormat, OffloadPolicy};
 use crate::error::TreeError;
-use crate::node::{InternalNode, LeafNode};
+use crate::node::{InternalNode, LeafNode, NodeHeader};
 use crate::scheduler::PipelineOp;
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
@@ -265,9 +265,10 @@ pub(crate) fn cached_from_internal(addr: GlobalAddress, node: &InternalNode) -> 
     }
 }
 
-/// Handle a leaf that turned out not to cover `key`: invalidate the stale
-/// cache entry and either follow the sibling pointer or ask for a fresh
-/// traversal.  Returns the next address to try, or `None` to re-locate.
+/// Handle a leaf (`header` its header) that turned out not to cover `key`:
+/// invalidate the stale cache entry and either follow the sibling pointer or
+/// ask for a fresh traversal.  Returns the next address to try, or `None` to
+/// re-locate.
 ///
 /// Observing a tombstone always scrubs every local cached route to it
 /// (`invalidate_addr`), whatever routed the operation here: with coherence
@@ -278,19 +279,19 @@ pub(crate) fn next_after_mismatch<B: FabricBackend>(
     cx: &mut OpCx<'_, B>,
     key: u64,
     addr: GlobalAddress,
-    leaf: &LeafNode,
+    header: &NodeHeader,
     source: LeafSource,
 ) -> Option<GlobalAddress> {
     let cache = cx.cluster.cache(cx.cs_id);
     if let LeafSource::Cache { fence_low } = source {
         cache.invalidate(fence_low);
     }
-    if leaf.header.free {
+    if header.free {
         cache.invalidate_addr(addr);
         return None;
     }
-    if key >= leaf.header.fence_high {
-        if let Some(sib) = leaf.header.sibling {
+    if key >= header.fence_high {
+        if let Some(sib) = header.sibling {
             return Some(sib);
         }
     }
@@ -990,8 +991,9 @@ impl LookupSM {
                                 // its invalidation is still in flight.
                                 cx.cluster.coherence_counters().record_stale_hit();
                             }
-                            self.pending = next_after_mismatch(cx, self.key, addr, &leaf, source)
-                                .map(|a| (a, LeafSource::Sibling));
+                            self.pending =
+                                next_after_mismatch(cx, self.key, addr, &leaf.header, source)
+                                    .map(|a| (a, LeafSource::Sibling));
                             self.phase = LookupPhase::Restart;
                             continue;
                         }
@@ -1361,7 +1363,8 @@ impl RangeSM {
                             // left neighbour), rebalanced, or named by a
                             // stale route: drop the route, then hop right or
                             // re-locate the frontier (bounded by `hops`).
-                            match next_after_mismatch(cx, self.frontier, addr, &leaf, source) {
+                            let header = &leaf.header;
+                            match next_after_mismatch(cx, self.frontier, addr, header, source) {
                                 Some(sibling) => {
                                     self.phase = RangePhase::ChainNext {
                                         addr: sibling,

@@ -12,7 +12,7 @@
 //!
 //! Two backends implement the pair of traits:
 //!
-//! * [`Fabric`](crate::fabric::Fabric) + [`SimChannel`](crate::client::SimChannel)
+//! * [`Fabric`](crate::fabric::Fabric) + [`SimChannel`](crate::fabric::SimChannel)
 //!   — the deterministic virtual-time simulator.  Completion times come from
 //!   the queueing model (NIC ports, PCIe atomics, wire time) and the
 //!   conservative virtual clock; two runs over the same schedule are

@@ -1,16 +1,18 @@
 //! The fabric ties together memory servers, compute-server NIC ports, the
 //! virtual clock and global metrics, and hands out per-thread client contexts.
 
-use crate::addr::GlobalAddress;
-use crate::channel::FabricBackend;
-use crate::client::{ClientCtx, SimChannel};
+use crate::addr::{GlobalAddress, MemSpace};
+use crate::channel::{FabricBackend, FabricChannel, VerbWindow};
+use crate::client::{check_read_bounds, ClientCtx, WriteCmd};
+use crate::clock::Participant;
 use crate::coherence::CoherenceHub;
 use crate::config::FabricConfig;
 use crate::metrics::FabricMetrics;
 use crate::nic::NicPort;
-use crate::rpc::{RpcHandler, RpcHandlerSlot};
+use crate::rpc::{RpcHandler, RpcHandlerSlot, RpcWork};
 use crate::server::MemServerSim;
 use crate::{SimError, SimResult};
+use std::fmt;
 use std::sync::Arc;
 
 use crate::clock::VirtualClock;
@@ -233,6 +235,373 @@ impl FabricBackend for Fabric {
 
     fn god_write_u64(&self, addr: GlobalAddress, value: u64) -> SimResult<()> {
         Fabric::god_write_u64(self, addr, value)
+    }
+}
+
+// ======================================================================
+// SimChannel: the virtual-time simulator's verb executor
+// ======================================================================
+
+/// The virtual-time simulator's [`FabricChannel`]: one clock participant plus
+/// the queueing model (CS/MS NIC ports, PCIe vs on-chip atomics, wire time)
+/// that fixes each verb's completion instant at post time.
+pub struct SimChannel {
+    fabric: Arc<Fabric>,
+    cs_id: u16,
+    participant: Arc<Participant>,
+}
+
+impl fmt::Debug for SimChannel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimChannel")
+            .field("cs_id", &self.cs_id)
+            .field("now", &self.participant.now())
+            .finish()
+    }
+}
+
+impl SimChannel {
+    pub(crate) fn new(fabric: Arc<Fabric>, cs_id: u16) -> Self {
+        let participant = fabric.clock().register_for_thread();
+        SimChannel {
+            fabric,
+            cs_id,
+            participant,
+        }
+    }
+
+    fn half_rtt(&self) -> u64 {
+        self.fabric.config().base_rtt_ns / 2
+    }
+
+    /// Issue one verb's worth of request-side timing and return the virtual
+    /// time at which the request arrives at the MS NIC, after the CS port.
+    fn request_path(&self, request_bytes: usize) -> u64 {
+        let cfg = self.fabric.config();
+        let t0 = self.participant.now() + cfg.cs_post_overhead_ns;
+        let cs_done = self
+            .fabric
+            .cs_port(self.cs_id)
+            .serve(t0, cfg.nic_service_ns(request_bytes));
+        cs_done + self.half_rtt()
+    }
+
+    fn atomic_exec_ns(&self, space: MemSpace) -> u64 {
+        let cfg = self.fabric.config();
+        match space {
+            MemSpace::Host => cfg.host_atomic_pcie_ns,
+            MemSpace::OnChip => cfg.onchip_atomic_ns,
+        }
+    }
+
+    fn bucket_key(addr: GlobalAddress) -> u64 {
+        // Host and on-chip offsets share the NIC's bucket array; keep them from
+        // aliasing by folding the space bit above the offset bits used below.
+        let space_bit = match addr.space {
+            MemSpace::Host => 0u64,
+            MemSpace::OnChip => 1u64 << 40,
+        };
+        addr.offset | space_bit
+    }
+
+    /// MS-side half of an atomic verb whose request reaches the MS NIC at
+    /// `arrival`: inbound port, then the address's atomic bucket.  Returns
+    /// the instant the atomic finished executing and its result.
+    fn atomic_at_server<T>(
+        &self,
+        server: &crate::server::MemServerSim,
+        addr: GlobalAddress,
+        arrival: u64,
+        apply: impl FnOnce(&crate::region::Region) -> Result<T, crate::region::RegionAccessError>,
+    ) -> SimResult<(u64, T)> {
+        let ms_done = server
+            .inbound
+            .serve(arrival, self.fabric.config().nic_service_ns(8));
+        let exec_ns = self.atomic_exec_ns(addr.space);
+        let (exec_end, result) =
+            server
+                .atomic_buckets
+                .execute(Self::bucket_key(addr), ms_done, exec_ns, || {
+                    apply(server.region(addr.space))
+                });
+        let value = result.map_err(|e| e.into_sim_error(addr, server.region_len(addr)))?;
+        Ok((exec_end, value))
+    }
+
+    fn exec_atomic<T>(
+        &mut self,
+        addr: GlobalAddress,
+        apply: impl FnOnce(&crate::region::Region) -> Result<T, crate::region::RegionAccessError>,
+    ) -> SimResult<(VerbWindow, T)> {
+        let server = Arc::clone(self.fabric.server(addr.ms)?);
+        let posted_at = self.participant.now();
+        let arrival = self.request_path(8);
+        let (exec_end, value) = self.atomic_at_server(&server, addr, arrival, apply)?;
+        Ok((
+            VerbWindow {
+                posted_at,
+                completed_at: exec_end + self.half_rtt(),
+            },
+            value,
+        ))
+    }
+}
+
+impl FabricChannel for SimChannel {
+    type Backend = Fabric;
+
+    fn backend(&self) -> &Arc<Fabric> {
+        &self.fabric
+    }
+
+    fn cs_id(&self) -> u16 {
+        self.cs_id
+    }
+
+    fn now(&self) -> u64 {
+        self.participant.now()
+    }
+
+    fn wait_until(&self, t: u64) {
+        self.participant.wait_until(t);
+    }
+
+    fn wait_until_earliest(&self, targets: &[u64]) -> Option<u64> {
+        self.participant.wait_until_earliest(targets.iter().copied())
+    }
+
+    fn advance(&self, ns: u64) {
+        self.participant.advance(ns);
+    }
+
+    fn read(&mut self, addr: GlobalAddress, buf: &mut [u8]) -> SimResult<VerbWindow> {
+        if buf.is_empty() {
+            return Err(SimError::EmptyBatch);
+        }
+        let server = Arc::clone(self.fabric.server(addr.ms)?);
+        let cfg = self.fabric.config().clone();
+        let posted_at = self.participant.now();
+        let arrival = self.request_path(0);
+        // Response payload serializes through the MS NIC port.
+        let ms_done = server.inbound.serve(arrival, cfg.nic_service_ns(buf.len()));
+        server
+            .region(addr.space)
+            .read_bytes(addr.offset, buf)
+            .map_err(|oob| SimError::OutOfBounds {
+                addr,
+                len: oob.len,
+                region_len: oob.region_len,
+            })?;
+        let completed_at = ms_done + self.half_rtt();
+        Ok(VerbWindow {
+            posted_at,
+            completed_at,
+        })
+    }
+
+    fn write_batch(&mut self, cmds: &[WriteCmd]) -> SimResult<VerbWindow> {
+        if cmds.is_empty() {
+            return Err(SimError::EmptyBatch);
+        }
+        let ms_id = cmds[0].addr.ms;
+        if cmds.iter().any(|c| c.addr.ms != ms_id) {
+            return Err(SimError::MixedBatch);
+        }
+        let server = Arc::clone(self.fabric.server(ms_id)?);
+        let cfg = self.fabric.config().clone();
+        let posted_at = self.participant.now();
+
+        // Request-side serialization of every command through the CS port.
+        let mut cs_t = posted_at + cfg.cs_post_overhead_ns;
+        for cmd in cmds {
+            cs_t = self
+                .fabric
+                .cs_port(self.cs_id)
+                .serve(cs_t, cfg.nic_service_ns(cmd.data.len()));
+        }
+        // MS-side processing in post order.
+        let mut ms_t = cs_t + self.half_rtt();
+        for cmd in cmds {
+            ms_t = server
+                .inbound
+                .serve(ms_t, cfg.nic_service_ns(cmd.data.len()));
+            server
+                .region(cmd.addr.space)
+                .write_bytes(cmd.addr.offset, &cmd.data)
+                .map_err(|oob| SimError::OutOfBounds {
+                    addr: cmd.addr,
+                    len: oob.len,
+                    region_len: oob.region_len,
+                })?;
+        }
+        let completed_at = ms_t + self.half_rtt();
+        Ok(VerbWindow {
+            posted_at,
+            completed_at,
+        })
+    }
+
+    fn read_batch(
+        &mut self,
+        reqs: &[(GlobalAddress, usize)],
+    ) -> SimResult<(VerbWindow, Vec<Vec<u8>>)> {
+        if reqs.is_empty() {
+            return Err(SimError::EmptyBatch);
+        }
+        let cfg = self.fabric.config().clone();
+        let posted_at = self.participant.now();
+        let mut cs_t = posted_at + cfg.cs_post_overhead_ns;
+        let mut latest = 0u64;
+        let mut bufs = Vec::with_capacity(reqs.len());
+        for &(addr, len) in reqs {
+            let server = Arc::clone(self.fabric.server(addr.ms)?);
+            cs_t = self
+                .fabric
+                .cs_port(self.cs_id)
+                .serve(cs_t, cfg.nic_service_ns(0));
+            let arrival = cs_t + self.half_rtt();
+            let ms_done = server.inbound.serve(arrival, cfg.nic_service_ns(len));
+            let mut buf = vec![0u8; len];
+            server
+                .region(addr.space)
+                .read_bytes(addr.offset, &mut buf)
+                .map_err(|oob| SimError::OutOfBounds {
+                    addr,
+                    len: oob.len,
+                    region_len: oob.region_len,
+                })?;
+            bufs.push(buf);
+            latest = latest.max(ms_done + self.half_rtt());
+        }
+        Ok((
+            VerbWindow {
+                posted_at,
+                completed_at: latest,
+            },
+            bufs,
+        ))
+    }
+
+    fn cas(
+        &mut self,
+        addr: GlobalAddress,
+        expected: u64,
+        new: u64,
+    ) -> SimResult<(VerbWindow, u64)> {
+        self.exec_atomic(addr, |r| r.cas_u64(addr.offset, expected, new))
+    }
+
+    fn faa(&mut self, addr: GlobalAddress, add: u64) -> SimResult<(VerbWindow, u64)> {
+        self.exec_atomic(addr, |r| r.faa_u64(addr.offset, add))
+    }
+
+    fn masked_cas(
+        &mut self,
+        addr: GlobalAddress,
+        expected: u64,
+        new: u64,
+        mask: u64,
+    ) -> SimResult<(VerbWindow, (bool, u64))> {
+        self.exec_atomic(addr, |r| r.masked_cas_u64(addr.offset, expected, new, mask))
+    }
+
+    fn cas_read(
+        &mut self,
+        lock: GlobalAddress,
+        expected: u64,
+        new: u64,
+        mask: u64,
+        addr: GlobalAddress,
+        buf: &mut [u8],
+    ) -> SimResult<(VerbWindow, (bool, u64))> {
+        if buf.is_empty() {
+            return Err(SimError::EmptyBatch);
+        }
+        if lock.ms != addr.ms {
+            return Err(SimError::MixedBatch);
+        }
+        let server = Arc::clone(self.fabric.server(lock.ms)?);
+        check_read_bounds(&server, addr, buf.len())?;
+        let cfg = self.fabric.config();
+        let posted_at = self.participant.now();
+
+        // Both requests serialize through the CS port, the CAS first.
+        let cs_port = self.fabric.cs_port(self.cs_id);
+        let cas_sent = cs_port.serve(
+            posted_at + cfg.cs_post_overhead_ns,
+            cfg.nic_service_ns(8),
+        );
+        let read_sent = cs_port.serve(cas_sent, cfg.nic_service_ns(0));
+
+        let (cas_done, outcome) =
+            self.atomic_at_server(&server, lock, cas_sent + self.half_rtt(), |r| {
+                r.masked_cas_u64(lock.offset, expected, new, mask)
+            })?;
+        // In-order delivery on the queue pair: the READ executes after the
+        // CAS, so its response leaves no earlier than the CAS finished.
+        let read_done = server.inbound.serve(
+            (read_sent + self.half_rtt()).max(cas_done),
+            cfg.nic_service_ns(buf.len()),
+        );
+        server
+            .region(addr.space)
+            .read_bytes(addr.offset, buf)
+            .map_err(|oob| SimError::OutOfBounds {
+                addr,
+                len: oob.len,
+                region_len: oob.region_len,
+            })?;
+        Ok((
+            VerbWindow {
+                posted_at,
+                completed_at: read_done + self.half_rtt(),
+            },
+            outcome,
+        ))
+    }
+
+    fn rpc(
+        &mut self,
+        ms: u16,
+        request_bytes: usize,
+        response_bytes: usize,
+        work: RpcWork,
+    ) -> SimResult<VerbWindow> {
+        let server = Arc::clone(self.fabric.server(ms)?);
+        let cfg = self.fabric.config().clone();
+        let posted_at = self.participant.now();
+        let arrival = self.request_path(request_bytes);
+        // The wimpy core's service time scales with the index work the
+        // interpreter performed: base dispatch + per-level + per-entry.
+        let served = server.inbound.serve(
+            arrival,
+            cfg.nic_service_ns(request_bytes.max(response_bytes)) + cfg.rpc_cost_ns(work),
+        );
+        let completed_at = served + self.half_rtt();
+        Ok(VerbWindow {
+            posted_at,
+            completed_at,
+        })
+    }
+
+    fn coherence_send(&mut self, wire_bytes: usize) -> VerbWindow {
+        let posted_at = self.participant.now();
+        let deliver_at = self.request_path(wire_bytes);
+        VerbWindow {
+            posted_at,
+            completed_at: deliver_at,
+        }
+    }
+
+    fn wait_for_coherence(&self, pending_horizon: Option<u64>) {
+        // Deterministic: wait exactly to the latest known delivery instant,
+        // which is the pre-trait quiesce behaviour.  Delivery is fixed at
+        // post time, so one wait always suffices on this backend.
+        if let Some(horizon) = pending_horizon {
+            if horizon > self.participant.now() {
+                self.participant.wait_until(horizon);
+            }
+        }
     }
 }
 

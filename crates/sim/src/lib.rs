@@ -53,12 +53,12 @@ pub use addr::{GlobalAddress, MemSpace};
 pub use channel::{FabricBackend, FabricChannel, VerbWindow};
 pub use client::{
     CasResult, ClientCtx, ClientStats, Completion, OpVerbStats, PendingVerb, SharedClientStats,
-    SimChannel, TraceEvent, VerbResult, WriteCmd,
+    TraceEvent, VerbResult, WriteCmd,
 };
 pub use clock::{Participant, VirtualClock};
 pub use coherence::{CoherenceHub, CoherenceMsg};
 pub use config::FabricConfig;
-pub use fabric::Fabric;
+pub use fabric::{Fabric, SimChannel};
 pub use metrics::FabricMetrics;
 pub use region::Region;
 pub use rpc::{

@@ -3,7 +3,7 @@
 //! verbs against host versus on-chip memory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sherman_sim::{Fabric, FabricConfig, GlobalAddress};
+use sherman_sim::{Fabric, FabricBackend, FabricConfig, GlobalAddress};
 
 fn write_sizes(c: &mut Criterion) {
     let mut group = c.benchmark_group("rdma_write");

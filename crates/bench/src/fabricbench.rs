@@ -4,7 +4,7 @@
 use crate::experiment::spawn_clients;
 use sherman_metrics::RunSummary;
 use sherman_metrics::{LatencyHistogram, ThreadReport, ThroughputAggregator};
-use sherman_sim::{Fabric, FabricConfig, GlobalAddress, WriteCmd};
+use sherman_sim::{Fabric, FabricBackend, FabricConfig, GlobalAddress, WriteCmd};
 use std::sync::Arc;
 
 /// Number of `RDMA_WRITE` work requests posted per doorbell, modeling the

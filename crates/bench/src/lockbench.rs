@@ -13,7 +13,7 @@ use sherman_locks::{
 };
 use sherman_memserver::MemoryPool;
 use sherman_metrics::{LatencyHistogram, RunSummary, ThreadReport, ThroughputAggregator};
-use sherman_sim::{Fabric, FabricConfig, GlobalAddress};
+use sherman_sim::{Fabric, FabricBackend, FabricConfig, GlobalAddress};
 use sherman_workload::ZipfianGenerator;
 use std::sync::Arc;
 

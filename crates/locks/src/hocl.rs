@@ -501,7 +501,7 @@ impl<C: FabricChannel> NodeLockManager<C> for HoclManager {
 mod tests {
     use super::*;
     use sherman_memserver::MemoryPool;
-    use sherman_sim::{Fabric, FabricConfig};
+    use sherman_sim::{Fabric, FabricBackend, FabricConfig};
     use std::sync::Arc;
     use std::thread;
 

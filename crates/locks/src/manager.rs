@@ -467,7 +467,7 @@ mod tests {
     use super::*;
     use crate::global::GlobalLockKind;
     use sherman_memserver::MemoryPool;
-    use sherman_sim::{Fabric, FabricConfig};
+    use sherman_sim::{Fabric, FabricBackend, FabricConfig};
     use std::sync::Arc;
 
     fn setup(kind: GlobalLockKind) -> (Arc<MemoryPool>, RemoteLockManager) {

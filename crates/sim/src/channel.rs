@@ -4,11 +4,13 @@
 //! the pipelined scheduler, the coherence publish path, the bench runners —
 //! talks to remote memory through a [`ClientCtx`], and a `ClientCtx` talks to
 //! the wire through a [`FabricChannel`].  The channel is the *verb executor*:
-//! it applies a verb's memory effect and answers with the verb's
-//! post→completion window on that backend's clock.  Everything else — the
-//! completion queue, per-op attribution, overlap accounting, tracing, the
+//! it has the target [`MemServerSim`] apply the verb's memory effect — written
+//! once there, for every backend — and only times it, answering with the
+//! verb's post→completion window on that backend's clock.  Everything else —
+//! the completion queue, per-op attribution, overlap accounting, tracing, the
 //! blocking wrappers — is backend-independent and lives in the generic
-//! [`ClientCtx`].
+//! [`ClientCtx`].  The state a backend holds besides its clock is one
+//! [`FabricState`], over which [`FabricBackend`] implements every accessor.
 //!
 //! Two backends implement the pair of traits:
 //!
@@ -30,13 +32,13 @@
 //! each other with associated types so a mismatched pairing cannot compile.
 
 use crate::addr::GlobalAddress;
-use crate::client::{ClientCtx, WriteCmd};
+use crate::client::{CasResult, ClientCtx, WriteCmd};
 use crate::coherence::CoherenceHub;
 use crate::config::FabricConfig;
 use crate::metrics::FabricMetrics;
-use crate::rpc::{RpcHandler, RpcWork};
-use crate::server::MemServerSim;
-use crate::{SimError, SimResult};
+use crate::rpc::{RpcHandler, RpcHandlerSlot, RpcWork};
+use crate::server::{server_of, AtomicOp, MemServerSim};
+use crate::SimResult;
 use std::fmt;
 use std::sync::Arc;
 
@@ -59,10 +61,11 @@ pub struct VerbWindow {
 ///
 /// A channel belongs to exactly one compute server of one backend instance
 /// and is **not** shared: each client thread owns its own channel (wrapped in
-/// a [`ClientCtx`]).  Verb methods apply the memory effect immediately and
-/// return the verb's [`VerbWindow`]; they never block the calling thread —
-/// waiting happens through [`FabricChannel::wait_until`] /
-/// [`FabricChannel::wait_until_earliest`] when the client polls.
+/// a [`ClientCtx`]).  Verb methods apply the memory effect immediately
+/// (through [`MemServerSim`]) and return the verb's [`VerbWindow`]; they
+/// never block the calling thread — waiting happens through
+/// [`FabricChannel::wait_until`] / [`FabricChannel::wait_until_earliest`]
+/// when the client polls.
 pub trait FabricChannel: Send + 'static {
     /// The backend this channel executes verbs against.
     type Backend: FabricBackend<Channel = Self>;
@@ -107,48 +110,27 @@ pub trait FabricChannel: Send + 'static {
         reqs: &[(GlobalAddress, usize)],
     ) -> SimResult<(VerbWindow, Vec<Vec<u8>>)>;
 
-    /// One `RDMA_CAS` on the aligned 8-byte word at `addr`; returns the
-    /// previous value (the swap took effect iff it equals `expected`).
-    fn cas(
-        &mut self,
-        addr: GlobalAddress,
-        expected: u64,
-        new: u64,
-    ) -> SimResult<(VerbWindow, u64)>;
+    /// One atomic verb ([`AtomicOp`]) on the aligned 8-byte word at `addr`.
+    /// Returns whether it took effect (always, for a fetch-and-add) and the
+    /// word's previous value.
+    fn atomic(&mut self, addr: GlobalAddress, op: AtomicOp) -> SimResult<(VerbWindow, CasResult)>;
 
-    /// One `RDMA_FAA` on the aligned 8-byte word at `addr`; returns the
-    /// previous value.
-    fn faa(&mut self, addr: GlobalAddress, add: u64) -> SimResult<(VerbWindow, u64)>;
-
-    /// One masked `RDMA_CAS` (Mellanox "enhanced atomics"): only the bits in
-    /// `mask` participate in comparison and swap.  Returns
-    /// `(succeeded, previous_word)`.
-    fn masked_cas(
-        &mut self,
-        addr: GlobalAddress,
-        expected: u64,
-        new: u64,
-        mask: u64,
-    ) -> SimResult<(VerbWindow, (bool, u64))>;
-
-    /// One doorbell batch of a masked `RDMA_CAS` on the word at `lock`
-    /// followed by an `RDMA_READ` of `buf.len()` bytes from `addr`, both on
-    /// one queue pair (a `mask` of `u64::MAX` is the plain 64-bit CAS).  Both
-    /// must target the same memory server ([`SimError::MixedBatch`]
+    /// One doorbell batch of an atomic on the word at `lock` — Sherman's
+    /// masked `RDMA_CAS` ([`AtomicOp::Cas`]) — followed by an `RDMA_READ` of
+    /// `buf.len()` bytes from `addr`, both on one queue pair.  Both must
+    /// target the same memory server ([`crate::SimError::MixedBatch`]
     /// otherwise): in-order delivery then guarantees the READ executes after
     /// the CAS, so a caller that wins a lock word reads the node it guards in
     /// the same round trip.  The READ executes whether or not the CAS won —
     /// a NIC has no conditional — and the window closes on the READ response.
-    /// Returns `(succeeded, previous_word)` like [`FabricChannel::masked_cas`].
+    /// Returns the CAS's outcome like [`FabricChannel::atomic`].
     fn cas_read(
         &mut self,
         lock: GlobalAddress,
-        expected: u64,
-        new: u64,
-        mask: u64,
+        cas: AtomicOp,
         addr: GlobalAddress,
         buf: &mut [u8],
-    ) -> SimResult<(VerbWindow, (bool, u64))>;
+    ) -> SimResult<(VerbWindow, CasResult)>;
 
     /// The fabric cost of one two-sided RPC to memory server `ms` (the
     /// request handling itself happens synchronously in the caller — see
@@ -194,8 +176,44 @@ pub trait FabricChannel: Send + 'static {
     }
 }
 
-/// One fabric backend instance: the shared memory-server state plus the
-/// factory for per-client channels.
+/// The state every fabric backend holds in common: configuration, memory
+/// servers, coherence inboxes, global metrics and the RPC interpreter slot.
+/// Each backend adds only its notion of time (the simulator's clock and
+/// compute-server ports, the threaded backend's epoch).
+#[derive(Debug)]
+pub struct FabricState {
+    config: FabricConfig,
+    servers: Vec<Arc<MemServerSim>>,
+    coherence: CoherenceHub,
+    metrics: FabricMetrics,
+    rpc_handler: RpcHandlerSlot,
+}
+
+impl FabricState {
+    /// Build the shared state from a configuration.
+    ///
+    /// # Panics
+    /// Panics if the configuration fails [`FabricConfig::validate`]; a fabric
+    /// with an invalid shape would silently mis-simulate, which is worse than
+    /// failing fast at construction.
+    pub(crate) fn new(config: FabricConfig) -> Self {
+        if let Err(msg) = config.validate() {
+            panic!("invalid fabric configuration: {msg}");
+        }
+        FabricState {
+            servers: (0..config.memory_servers)
+                .map(|id| Arc::new(MemServerSim::new(id as u16, &config)))
+                .collect(),
+            coherence: CoherenceHub::new(config.compute_servers),
+            metrics: FabricMetrics::default(),
+            rpc_handler: RpcHandlerSlot::new(),
+            config,
+        }
+    }
+}
+
+/// One fabric backend instance: the shared [`FabricState`] plus the factory
+/// for per-client channels.
 ///
 /// Both backends share the memory-server representation
 /// ([`MemServerSim`]): `Region` is a slab of `AtomicU64` words, so byte
@@ -216,6 +234,10 @@ pub trait FabricBackend: fmt::Debug + Send + Sync + 'static {
     fn channel(self: &Arc<Self>, cs: u16) -> Self::Channel;
 
     /// Create a full client context for a thread on compute server `cs`.
+    ///
+    /// On the simulator the context registers a participant on the virtual
+    /// clock; the calling thread must keep driving it (or drop it) so that
+    /// virtual time can progress for everyone else.
     fn client(self: &Arc<Self>, cs: u16) -> ClientCtx<Self::Channel> {
         ClientCtx::with_channel(self.channel(cs))
     }
@@ -223,33 +245,53 @@ pub trait FabricBackend: fmt::Debug + Send + Sync + 'static {
     /// Short human-readable backend name (`"sim"`, `"threaded"`).
     fn backend_name(&self) -> &'static str;
 
+    /// Current time in nanoseconds on this backend's clock.
+    fn now(&self) -> u64;
+
+    /// The state every backend holds in common.
+    fn state(&self) -> &FabricState;
+
     /// The fabric configuration.
-    fn config(&self) -> &FabricConfig;
+    fn config(&self) -> &FabricConfig {
+        &self.state().config
+    }
 
     /// Global fabric metrics.
-    fn metrics(&self) -> &FabricMetrics;
+    fn metrics(&self) -> &FabricMetrics {
+        &self.state().metrics
+    }
 
-    /// The per-compute-server coherence inboxes.
-    fn coherence(&self) -> &CoherenceHub;
+    /// The per-compute-server coherence inboxes (see [`crate::coherence`]).
+    fn coherence(&self) -> &CoherenceHub {
+        &self.state().coherence
+    }
 
     /// Look up a memory server.
-    fn server(&self, ms: u16) -> SimResult<&Arc<MemServerSim>>;
+    fn server(&self, ms: u16) -> SimResult<&Arc<MemServerSim>> {
+        server_of(self.servers(), ms)
+    }
 
     /// All memory servers, in id order.  The RPC interpreter receives this
     /// slice: node pointers round-robin across servers, so an offloaded
     /// traversal started on one server follows children onto its siblings'
     /// regions (modeling a memory-side compute pool).
-    fn servers(&self) -> &[Arc<MemServerSim>];
+    fn servers(&self) -> &[Arc<MemServerSim>] {
+        &self.state().servers
+    }
 
     /// Register the server-side RPC interpreter (see [`crate::RpcHandler`]).
     /// The index crate installs its bounded traversal interpreter here at
     /// cluster bootstrap; without one, typed RPCs answer
     /// [`crate::RpcResponse::Declined`] with
     /// [`crate::RpcDecline::NoHandler`].
-    fn set_rpc_handler(&self, handler: Arc<dyn RpcHandler>);
+    fn set_rpc_handler(&self, handler: Arc<dyn RpcHandler>) {
+        self.state().rpc_handler.set(handler);
+    }
 
     /// The registered RPC interpreter, if any.
-    fn rpc_handler(&self) -> Option<Arc<dyn RpcHandler>>;
+    fn rpc_handler(&self) -> Option<Arc<dyn RpcHandler>> {
+        self.state().rpc_handler.get()
+    }
 
     /// Number of memory servers.
     fn memory_servers(&self) -> usize {
@@ -261,52 +303,37 @@ pub trait FabricBackend: fmt::Debug + Send + Sync + 'static {
         self.config().compute_servers
     }
 
-    /// Current time in nanoseconds on this backend's clock.
-    fn now(&self) -> u64;
-
     // ----- zero-time ("god mode") accessors used for bulkload and test setup -----
 
     /// Write directly into a memory server without charging any time.
     fn god_write(&self, addr: GlobalAddress, data: &[u8]) -> SimResult<()> {
-        let server = self.server(addr.ms)?;
-        server
-            .region(addr.space)
+        let region = self.server(addr.ms)?.region(addr.space);
+        region
             .write_bytes(addr.offset, data)
-            .map_err(|oob| SimError::OutOfBounds {
-                addr,
-                len: oob.len,
-                region_len: oob.region_len,
-            })
+            .map_err(|oob| oob.into_sim_error(addr))
     }
 
     /// Read directly from a memory server without charging any time.
     fn god_read(&self, addr: GlobalAddress, buf: &mut [u8]) -> SimResult<()> {
-        let server = self.server(addr.ms)?;
-        server
-            .region(addr.space)
+        let region = self.server(addr.ms)?.region(addr.space);
+        region
             .read_bytes(addr.offset, buf)
-            .map_err(|oob| SimError::OutOfBounds {
-                addr,
-                len: oob.len,
-                region_len: oob.region_len,
-            })
+            .map_err(|oob| oob.into_sim_error(addr))
     }
 
     /// Read an aligned 64-bit word without charging any time.
     fn god_read_u64(&self, addr: GlobalAddress) -> SimResult<u64> {
-        let server = self.server(addr.ms)?;
-        server
-            .region(addr.space)
+        let region = self.server(addr.ms)?.region(addr.space);
+        region
             .read_u64(addr.offset)
-            .map_err(|e| e.into_sim_error(addr, server.region_len(addr)))
+            .map_err(|e| e.into_sim_error(addr))
     }
 
     /// Write an aligned 64-bit word without charging any time.
     fn god_write_u64(&self, addr: GlobalAddress, value: u64) -> SimResult<()> {
-        let server = self.server(addr.ms)?;
-        server
-            .region(addr.space)
+        let region = self.server(addr.ms)?.region(addr.space);
+        region
             .write_u64(addr.offset, value)
-            .map_err(|e| e.into_sim_error(addr, server.region_len(addr)))
+            .map_err(|e| e.into_sim_error(addr))
     }
 }

@@ -6,12 +6,14 @@
 //! two-sided RPC used only for chunk allocation (§4.2.4).
 //!
 //! The context is generic over a [`FabricChannel`] — the per-backend verb
-//! executor (see [`crate::channel`]).  The channel applies memory effects and
-//! fixes each verb's post→completion window; everything else here — the
-//! completion queue, overlap accounting, per-op attribution, critical-section
-//! tracking, tracing, the blocking wrappers, the coherence drain/quiesce
-//! surface — is backend-independent and behaves identically on the
-//! virtual-time simulator ([`SimChannel`]) and the real-thread backend
+//! executor (see [`crate::channel`]).  The channel fixes each verb's
+//! post→completion window around the memory effect, which
+//! [`MemServerSim`](crate::server::MemServerSim) applies the same way on
+//! every backend; everything else here — the completion queue, overlap
+//! accounting, per-op attribution, critical-section tracking, tracing, the
+//! blocking wrappers, the coherence drain/quiesce surface — is
+//! backend-independent and behaves identically on the virtual-time simulator
+//! ([`SimChannel`]) and the real-thread backend
 //! ([`ThreadedChannel`](crate::threaded::ThreadedChannel)).
 //!
 //! ## Split-phase post/poll
@@ -29,8 +31,9 @@
 //! latency-hiding lever behind the pipelined tree-operation scheduler.
 //!
 //! The classic blocking verbs ([`ClientCtx::read`], [`ClientCtx::post_writes`],
-//! [`ClientCtx::cas`], …) are thin wrappers — post one verb, poll it — so a
-//! blocking caller gets exactly the pre-split-phase behaviour and timing.
+//! [`ClientCtx::cas`], …) have no body of their own: each is its `post_*`,
+//! [`ClientCtx::poll_token`] and one `VerbResult::into_*`, so a blocking
+//! caller gets exactly the pre-split-phase behaviour and timing.
 //!
 //! Posting applies the verb's memory effect immediately (at the *post*
 //! instant), just as the blocking path always did; the completion only carries
@@ -53,7 +56,8 @@ use crate::channel::{FabricBackend, FabricChannel, VerbWindow};
 use crate::coherence::CoherenceMsg;
 use crate::fabric::SimChannel;
 use crate::rpc::{RpcDecline, RpcRequest, RpcResponse, RpcWork};
-use crate::{SimError, SimResult};
+use crate::server::AtomicOp;
+use crate::SimResult;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -251,7 +255,7 @@ pub enum TraceEvent {
     Post {
         /// Op id current at post time (`None` for untagged/blocking drivers).
         op: Option<u64>,
-        /// CQ token id; `0` for blocking reads that never park on the CQ.
+        /// CQ token id.
         token: u64,
         /// Whether the posting op had a lock critical section open.
         critical: bool,
@@ -362,6 +366,39 @@ impl VerbResult {
             other => panic!("expected an RPC completion, got {other:?}"),
         }
     }
+
+    /// Unwrap a CAS completion's outcome.
+    ///
+    /// # Panics
+    /// Panics when the completion is not a [`VerbResult::Cas`].
+    pub fn into_cas(self) -> CasResult {
+        match self {
+            VerbResult::Cas(cas) => cas,
+            other => panic!("expected a CAS completion, got {other:?}"),
+        }
+    }
+
+    /// Unwrap a fetch-and-add completion's previous value.
+    ///
+    /// # Panics
+    /// Panics when the completion is not a [`VerbResult::Faa`].
+    pub fn into_faa(self) -> u64 {
+        match self {
+            VerbResult::Faa(previous) => previous,
+            other => panic!("expected an FAA completion, got {other:?}"),
+        }
+    }
+
+    /// Unwrap a CAS+READ completion's outcome and image.
+    ///
+    /// # Panics
+    /// Panics when the completion is not a [`VerbResult::CasRead`].
+    pub fn into_cas_read(self) -> (CasResult, Vec<u8>) {
+        match self {
+            VerbResult::CasRead(cas, image) => (cas, image),
+            other => panic!("expected a CAS+READ completion, got {other:?}"),
+        }
+    }
 }
 
 /// One completion-queue entry: the verb's token, its service window on the
@@ -383,24 +420,6 @@ impl Completion {
     fn is_wait(&self) -> bool {
         matches!(self.result, VerbResult::Wait)
     }
-}
-
-/// Reject a CAS+READ batch whose READ falls outside its region *before* the
-/// CAS executes: a rejected batch must have no effect, and a lock word swapped
-/// by a batch that then failed would stay held with nobody knowing.
-pub(crate) fn check_read_bounds(
-    server: &crate::server::MemServerSim,
-    addr: GlobalAddress,
-    len: usize,
-) -> SimResult<()> {
-    server
-        .region(addr.space)
-        .check(addr.offset, len)
-        .map_err(|oob| SimError::OutOfBounds {
-            addr,
-            len: oob.len,
-            region_len: oob.region_len,
-        })
 }
 
 // ======================================================================
@@ -594,19 +613,6 @@ impl<C: FabricChannel> ClientCtx<C> {
         self.trace.take().unwrap_or_default()
     }
 
-    /// Record one post in the trace; `token` is `0` for blocking reads that
-    /// complete inline without ever parking on the CQ.
-    fn trace_post(&mut self, token: u64) {
-        let (op, sections) = (self.current_op, &self.sections);
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceEvent::Post {
-                op,
-                token,
-                critical: sections.iter().any(|&(holder, _)| holder == op),
-            });
-        }
-    }
-
     /// Attribute payload bytes to the current op, if one is set.
     fn attribute_bytes(&mut self, read: u64, written: u64) {
         if let Some(op) = self.current_op {
@@ -625,11 +631,15 @@ impl<C: FabricChannel> ClientCtx<C> {
     // Completion queue
     // ------------------------------------------------------------------
 
-    /// Round-trip and overlap accounting shared by every posted verb — both
-    /// the ones parked on the CQ and the blocking wrappers that complete
-    /// inline.  One call = one network round trip (a doorbell batch or a
-    /// parallel read batch posts once).
-    fn account_post(&mut self, posted_at: u64, completed_at: u64) {
+    /// Enqueue a completed-at-post verb on the CQ, with the round-trip,
+    /// overlap and per-op accounting every posted verb shares, and trace it.
+    /// One call = one network round trip (a doorbell batch or a parallel
+    /// read batch posts once).
+    fn enqueue(&mut self, window: VerbWindow, result: VerbResult) -> PendingVerb {
+        let VerbWindow {
+            posted_at,
+            completed_at,
+        } = window;
         let overlapped = self
             .cq
             .iter()
@@ -660,18 +670,22 @@ impl<C: FabricChannel> ClientCtx<C> {
             e.verb_ns += completed_at.saturating_sub(posted_at.max(e.busy_until));
             e.busy_until = e.busy_until.max(completed_at);
         }
-    }
-
-    /// Enqueue a completed-at-post verb on the CQ (accounting included).
-    fn enqueue(&mut self, window: VerbWindow, result: VerbResult) -> PendingVerb {
-        self.account_post(window.posted_at, window.completed_at);
         self.next_token += 1;
         let token = PendingVerb(self.next_token, self.current_op);
-        self.trace_post(token.id());
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push(TraceEvent::Post {
+                op: token.op(),
+                token: token.id(),
+                critical: self
+                    .sections
+                    .iter()
+                    .any(|&(holder, _)| holder == token.op()),
+            });
+        }
         self.cq.push(Completion {
             token,
-            posted_at: window.posted_at,
-            completed_at: window.completed_at,
+            posted_at,
+            completed_at,
             result,
         });
         token
@@ -942,21 +956,10 @@ impl<C: FabricChannel> ClientCtx<C> {
     }
 
     /// Blocking `RDMA_READ` of `buf.len()` bytes from `addr` into `buf`.
-    /// Equivalent to post + poll, but reads straight into the caller's
-    /// buffer — the blocking hot path pays no allocation or extra copy.
     pub fn read(&mut self, addr: GlobalAddress, buf: &mut [u8]) -> SimResult<()> {
-        let window = self.chan.read(addr, buf)?;
-        self.account_read(1, buf.len() as u64);
-        self.complete_inline(window);
+        let token = self.post_read(addr, buf.len())?;
+        buf.copy_from_slice(&self.poll_token(token).result.into_read());
         Ok(())
-    }
-
-    /// Account, trace and wait out a blocking verb that filled the caller's
-    /// buffer directly and therefore never parks on the CQ.
-    fn complete_inline(&mut self, window: VerbWindow) {
-        self.account_post(window.posted_at, window.completed_at);
-        self.trace_post(0);
-        self.chan.wait_until(window.completed_at);
     }
 
     /// `RDMA_WRITE` of `data` to `addr`.
@@ -998,22 +1001,22 @@ impl<C: FabricChannel> ClientCtx<C> {
         Ok(self.enqueue(window, VerbResult::ReadBatch(bufs)))
     }
 
-    /// Blocking parallel read batch (post + poll); see
-    /// [`ClientCtx::post_read_batch`].
-    pub fn read_batch(&mut self, reqs: &mut [(GlobalAddress, &mut [u8])]) -> SimResult<()> {
-        let lens: Vec<(GlobalAddress, usize)> =
-            reqs.iter().map(|(addr, buf)| (*addr, buf.len())).collect();
-        let token = self.post_read_batch(&lens)?;
-        let bufs = self.poll_token(token).result.into_read_batch();
-        for ((_, dst), src) in reqs.iter_mut().zip(bufs) {
-            dst.copy_from_slice(&src);
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Atomic verbs
     // ------------------------------------------------------------------
+
+    /// Post one atomic verb on the aligned 8-byte word at `addr`; the
+    /// completion carries [`VerbResult::Cas`] for a CAS and
+    /// [`VerbResult::Faa`] for a fetch-and-add.
+    pub fn post_atomic(&mut self, addr: GlobalAddress, op: AtomicOp) -> SimResult<PendingVerb> {
+        let (window, outcome) = self.chan.atomic(addr, op)?;
+        self.account_atomic(addr.space);
+        let result = match op {
+            AtomicOp::Cas { .. } => VerbResult::Cas(outcome),
+            AtomicOp::Faa { .. } => VerbResult::Faa(outcome.previous),
+        };
+        Ok(self.enqueue(window, result))
+    }
 
     /// Post an `RDMA_CAS`; the completion carries [`VerbResult::Cas`].
     pub fn post_cas(
@@ -1022,43 +1025,27 @@ impl<C: FabricChannel> ClientCtx<C> {
         expected: u64,
         new: u64,
     ) -> SimResult<PendingVerb> {
-        let (window, previous) = self.chan.cas(addr, expected, new)?;
-        self.account_atomic(addr.space);
-        Ok(self.enqueue(
-            window,
-            VerbResult::Cas(CasResult {
-                succeeded: previous == expected,
-                previous,
-            }),
-        ))
+        self.post_masked_cas(addr, expected, new, u64::MAX)
     }
 
     /// Blocking `RDMA_CAS`: atomically swap the 8-byte word at `addr` from
     /// `expected` to `new` (post + poll).
     pub fn cas(&mut self, addr: GlobalAddress, expected: u64, new: u64) -> SimResult<CasResult> {
         let token = self.post_cas(addr, expected, new)?;
-        match self.poll_token(token).result {
-            VerbResult::Cas(r) => Ok(r),
-            other => panic!("expected a CAS completion, got {other:?}"),
-        }
+        Ok(self.poll_token(token).result.into_cas())
     }
 
     /// Post an `RDMA_FAA`; the completion carries the previous value as
     /// [`VerbResult::Faa`].
     pub fn post_faa(&mut self, addr: GlobalAddress, add: u64) -> SimResult<PendingVerb> {
-        let (window, previous) = self.chan.faa(addr, add)?;
-        self.account_atomic(addr.space);
-        Ok(self.enqueue(window, VerbResult::Faa(previous)))
+        self.post_atomic(addr, AtomicOp::Faa { add })
     }
 
     /// Blocking `RDMA_FAA`: atomically add `add` to the 8-byte word at `addr`,
     /// returning the previous value (post + poll).
     pub fn faa(&mut self, addr: GlobalAddress, add: u64) -> SimResult<u64> {
         let token = self.post_faa(addr, add)?;
-        match self.poll_token(token).result {
-            VerbResult::Faa(prev) => Ok(prev),
-            other => panic!("expected an FAA completion, got {other:?}"),
-        }
+        Ok(self.poll_token(token).result.into_faa())
     }
 
     /// Post a masked `RDMA_CAS` (Mellanox "enhanced atomics"): only the bits
@@ -1070,15 +1057,14 @@ impl<C: FabricChannel> ClientCtx<C> {
         new: u64,
         mask: u64,
     ) -> SimResult<PendingVerb> {
-        let (window, (succeeded, previous)) = self.chan.masked_cas(addr, expected, new, mask)?;
-        self.account_atomic(addr.space);
-        Ok(self.enqueue(
-            window,
-            VerbResult::Cas(CasResult {
-                succeeded,
-                previous,
-            }),
-        ))
+        self.post_atomic(
+            addr,
+            AtomicOp::Cas {
+                expected,
+                new,
+                mask,
+            },
+        )
     }
 
     /// Blocking masked `RDMA_CAS` (post + poll).
@@ -1090,10 +1076,7 @@ impl<C: FabricChannel> ClientCtx<C> {
         mask: u64,
     ) -> SimResult<CasResult> {
         let token = self.post_masked_cas(addr, expected, new, mask)?;
-        match self.poll_token(token).result {
-            VerbResult::Cas(r) => Ok(r),
-            other => panic!("expected a CAS completion, got {other:?}"),
-        }
+        Ok(self.poll_token(token).result.into_cas())
     }
 
     /// Post a doorbell batch of one masked `RDMA_CAS` on the word at `lock`
@@ -1113,15 +1096,14 @@ impl<C: FabricChannel> ClientCtx<C> {
         len: usize,
     ) -> SimResult<PendingVerb> {
         let mut buf = vec![0u8; len];
-        let (window, (succeeded, previous)) =
-            self.chan
-                .cas_read(lock, expected, new, mask, addr, &mut buf)?;
+        let op = AtomicOp::Cas {
+            expected,
+            new,
+            mask,
+        };
+        let (window, cas) = self.chan.cas_read(lock, op, addr, &mut buf)?;
         self.account_atomic(lock.space);
         self.account_read(1, len as u64);
-        let cas = CasResult {
-            succeeded,
-            previous,
-        };
         Ok(self.enqueue(window, VerbResult::CasRead(cas, buf)))
     }
 
@@ -1137,13 +1119,9 @@ impl<C: FabricChannel> ClientCtx<C> {
         buf: &mut [u8],
     ) -> SimResult<CasResult> {
         let token = self.post_cas_read(lock, expected, new, mask, addr, buf.len())?;
-        match self.poll_token(token).result {
-            VerbResult::CasRead(cas, data) => {
-                buf.copy_from_slice(&data);
-                Ok(cas)
-            }
-            other => panic!("expected a CAS+READ completion, got {other:?}"),
-        }
+        let (cas, image) = self.poll_token(token).result.into_cas_read();
+        buf.copy_from_slice(&image);
+        Ok(cas)
     }
 
     /// `RDMA_READ` of a single aligned 8-byte word.
@@ -1222,13 +1200,6 @@ impl<C: FabricChannel> ClientCtx<C> {
         self.account_rpc(request_bytes as u64, response_bytes as u64);
         Ok(self.enqueue(window, VerbResult::Rpc(response)))
     }
-
-    /// Blocking typed index RPC (post + poll); see
-    /// [`ClientCtx::post_index_rpc`].
-    pub fn index_rpc(&mut self, req: &RpcRequest) -> SimResult<RpcResponse> {
-        let token = self.post_index_rpc(req)?;
-        Ok(self.poll_token(token).result.into_rpc())
-    }
 }
 
 #[cfg(test)]
@@ -1236,6 +1207,7 @@ mod tests {
     use super::*;
     use crate::config::FabricConfig;
     use crate::fabric::Fabric;
+    use crate::SimError;
 
     fn test_fabric() -> Arc<Fabric> {
         Fabric::new(FabricConfig::small_test())
@@ -1517,24 +1489,15 @@ mod tests {
                 .god_write_u64(GlobalAddress::host(0, 8192 + i * 1024), i + 1)
                 .unwrap();
         }
-        let mut bufs = [[0u8; 8]; 4];
+        let reqs: Vec<(GlobalAddress, usize)> = (0..4u64)
+            .map(|i| (GlobalAddress::host(0, 8192 + i * 1024), 8))
+            .collect();
         let before = client.now();
-        {
-            let mut refs: Vec<(GlobalAddress, &mut [u8])> = bufs
-                .iter_mut()
-                .enumerate()
-                .map(|(i, b)| {
-                    (
-                        GlobalAddress::host(0, 8192 + i as u64 * 1024),
-                        b.as_mut_slice(),
-                    )
-                })
-                .collect();
-            client.read_batch(&mut refs).unwrap();
-        }
+        let token = client.post_read_batch(&reqs).unwrap();
+        let bufs = client.poll_token(token).result.into_read_batch();
         let elapsed = client.now() - before;
-        for (i, b) in bufs.iter().enumerate() {
-            assert_eq!(u64::from_le_bytes(*b), i as u64 + 1);
+        for (i, b) in bufs.into_iter().enumerate() {
+            assert_eq!(u64::from_le_bytes(b.try_into().unwrap()), i as u64 + 1);
         }
         // Four reads in parallel cost far less than four sequential RTTs.
         assert!(elapsed < 3 * fabric.config().base_rtt_ns);
@@ -1596,7 +1559,8 @@ mod tests {
         let mut client = fabric.client(0);
         // No handler registered: declined at flat cost.
         let t0 = client.now();
-        let resp = client.index_rpc(&req).unwrap();
+        let token = client.post_index_rpc(&req).unwrap();
+        let resp = client.poll_token(token).result.into_rpc();
         assert_eq!(
             resp,
             RpcResponse::Declined {
@@ -1608,7 +1572,8 @@ mod tests {
 
         fabric.set_rpc_handler(Arc::new(FixedWorkHandler(6)));
         let t1 = client.now();
-        let resp = client.index_rpc(&req).unwrap();
+        let token = client.post_index_rpc(&req).unwrap();
+        let resp = client.poll_token(token).result.into_rpc();
         assert!(matches!(resp, RpcResponse::Declined { work, .. } if work.levels_stepped == 6));
         let worked = client.now() - t1;
         // Six stepped levels must charge visibly more than the flat decline.
@@ -1801,9 +1766,10 @@ mod tests {
                 token: b.id(),
                 critical: false,
             },
+            // A blocking read parks on the CQ like every other verb.
             TraceEvent::Post {
                 op: None,
-                token: 0,
+                token: b.id() + 1,
                 critical: false,
             },
             TraceEvent::CriticalBegin {

@@ -58,9 +58,9 @@ impl fmt::Debug for CoherenceMsg {
 
 /// Per-compute-server coherence inboxes, owned by the fabric.
 ///
-/// Inboxes are addressed modulo the compute-server count, mirroring
-/// [`Fabric::cs_port`](crate::fabric::Fabric::cs_port), so logical thread ids
-/// can be used directly.
+/// Inboxes are addressed modulo the compute-server count, like the
+/// simulator's compute-server NIC ports, so logical thread ids can be used
+/// directly.
 pub struct CoherenceHub {
     seq: AtomicU64,
     inboxes: Vec<Mutex<Vec<CoherenceMsg>>>,

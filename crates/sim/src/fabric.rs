@@ -1,171 +1,46 @@
-//! The fabric ties together memory servers, compute-server NIC ports, the
-//! virtual clock and global metrics, and hands out per-thread client contexts.
+//! The virtual-time simulator: the fabric ties together memory servers,
+//! compute-server NIC ports, the virtual clock and global metrics, and its
+//! [`SimChannel`] times every verb with the queueing model.
 
 use crate::addr::{GlobalAddress, MemSpace};
-use crate::channel::{FabricBackend, FabricChannel, VerbWindow};
-use crate::client::{check_read_bounds, ClientCtx, WriteCmd};
-use crate::clock::Participant;
-use crate::coherence::CoherenceHub;
+use crate::channel::{FabricBackend, FabricChannel, FabricState, VerbWindow};
+use crate::client::{CasResult, WriteCmd};
+use crate::clock::{Participant, VirtualClock};
 use crate::config::FabricConfig;
-use crate::metrics::FabricMetrics;
 use crate::nic::NicPort;
-use crate::rpc::{RpcHandler, RpcHandlerSlot, RpcWork};
-use crate::server::MemServerSim;
+use crate::rpc::RpcWork;
+use crate::server::{AtomicOp, AtomicUnit, MemServerSim};
 use crate::{SimError, SimResult};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::clock::VirtualClock;
-
 /// A simulated disaggregated-memory cluster.
 #[derive(Debug)]
 pub struct Fabric {
-    config: FabricConfig,
+    state: FabricState,
     clock: Arc<VirtualClock>,
-    servers: Vec<Arc<MemServerSim>>,
-    cs_ports: Vec<Arc<NicPort>>,
-    coherence: CoherenceHub,
-    metrics: FabricMetrics,
-    rpc_handler: RpcHandlerSlot,
+    cs_ports: Vec<NicPort>,
 }
 
 impl Fabric {
     /// Build a fabric from a configuration.
     ///
     /// # Panics
-    /// Panics if the configuration fails [`FabricConfig::validate`]; a fabric
-    /// with an invalid shape would silently mis-simulate, which is worse than
-    /// failing fast at construction.
+    /// Panics if the configuration fails [`FabricConfig::validate`].
     pub fn new(config: FabricConfig) -> Arc<Self> {
-        if let Err(msg) = config.validate() {
-            panic!("invalid fabric configuration: {msg}");
-        }
-        let servers = (0..config.memory_servers)
-            .map(|id| Arc::new(MemServerSim::new(id as u16, &config)))
-            .collect();
         let cs_ports = (0..config.compute_servers)
-            .map(|_| Arc::new(NicPort::new()))
+            .map(|_| NicPort::new())
             .collect();
-        let coherence = CoherenceHub::new(config.compute_servers);
         Arc::new(Fabric {
-            config,
+            state: FabricState::new(config),
             clock: Arc::new(VirtualClock::new()),
-            servers,
             cs_ports,
-            coherence,
-            metrics: FabricMetrics::default(),
-            rpc_handler: RpcHandlerSlot::new(),
         })
-    }
-
-    /// The fabric configuration.
-    pub fn config(&self) -> &FabricConfig {
-        &self.config
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &Arc<VirtualClock> {
-        &self.clock
-    }
-
-    /// Global fabric metrics.
-    pub fn metrics(&self) -> &FabricMetrics {
-        &self.metrics
-    }
-
-    /// The per-compute-server coherence inboxes (see [`crate::coherence`]).
-    pub fn coherence(&self) -> &CoherenceHub {
-        &self.coherence
-    }
-
-    /// Number of memory servers.
-    pub fn memory_servers(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Number of compute servers.
-    pub fn compute_servers(&self) -> usize {
-        self.cs_ports.len()
-    }
-
-    /// Current virtual time in nanoseconds.
-    pub fn now(&self) -> u64 {
-        self.clock.now()
-    }
-
-    /// Look up a memory server.
-    pub fn server(&self, ms: u16) -> SimResult<&Arc<MemServerSim>> {
-        self.servers
-            .get(ms as usize)
-            .ok_or(SimError::NoSuchServer { ms })
-    }
-
-    /// Outbound NIC port of compute server `cs` (wraps around if `cs` exceeds
-    /// the configured count, so callers can use logical thread ids directly).
-    pub fn cs_port(&self, cs: u16) -> &Arc<NicPort> {
-        &self.cs_ports[cs as usize % self.cs_ports.len()]
-    }
-
-    /// Create a client context for a thread running on compute server `cs`.
-    ///
-    /// The context registers a participant on the virtual clock; the calling
-    /// thread must keep driving the context (or drop it) so that virtual time
-    /// can progress for everyone else.
-    pub fn client(self: &Arc<Self>, cs: u16) -> ClientCtx {
-        ClientCtx::with_channel(SimChannel::new(Arc::clone(self), cs))
-    }
-
-    // ----- zero-time ("god mode") accessors used for bulkload and test setup -----
-
-    /// Write directly into a memory server without charging virtual time.
-    pub fn god_write(&self, addr: GlobalAddress, data: &[u8]) -> SimResult<()> {
-        let server = self.server(addr.ms)?;
-        server
-            .region(addr.space)
-            .write_bytes(addr.offset, data)
-            .map_err(|oob| SimError::OutOfBounds {
-                addr,
-                len: oob.len,
-                region_len: oob.region_len,
-            })
-    }
-
-    /// Read directly from a memory server without charging virtual time.
-    pub fn god_read(&self, addr: GlobalAddress, buf: &mut [u8]) -> SimResult<()> {
-        let server = self.server(addr.ms)?;
-        server
-            .region(addr.space)
-            .read_bytes(addr.offset, buf)
-            .map_err(|oob| SimError::OutOfBounds {
-                addr,
-                len: oob.len,
-                region_len: oob.region_len,
-            })
-    }
-
-    /// Read an aligned 64-bit word without charging virtual time.
-    pub fn god_read_u64(&self, addr: GlobalAddress) -> SimResult<u64> {
-        let server = self.server(addr.ms)?;
-        server
-            .region(addr.space)
-            .read_u64(addr.offset)
-            .map_err(|e| e.into_sim_error(addr, server.region_len(addr)))
-    }
-
-    /// Write an aligned 64-bit word without charging virtual time.
-    pub fn god_write_u64(&self, addr: GlobalAddress, value: u64) -> SimResult<()> {
-        let server = self.server(addr.ms)?;
-        server
-            .region(addr.space)
-            .write_u64(addr.offset, value)
-            .map_err(|e| e.into_sim_error(addr, server.region_len(addr)))
     }
 }
 
 /// The virtual-time simulator is the first [`FabricBackend`]: the determinism
-/// oracle every other backend is checked against.  The inherent methods above
-/// remain the primary API (existing call sites are monomorphic over `Fabric`);
-/// this impl delegates to them so generic drivers see identical behaviour.
+/// oracle every other backend is checked against.
 impl FabricBackend for Fabric {
     type Channel = SimChannel;
 
@@ -174,77 +49,30 @@ impl FabricBackend for Fabric {
     }
 
     fn channel(self: &Arc<Self>, cs: u16) -> SimChannel {
-        SimChannel::new(Arc::clone(self), cs)
+        SimChannel {
+            participant: self.clock.register_for_thread(),
+            fabric: Arc::clone(self),
+            cs_id: cs,
+        }
     }
 
     fn backend_name(&self) -> &'static str {
         "sim"
     }
 
-    fn config(&self) -> &FabricConfig {
-        Fabric::config(self)
-    }
-
-    fn metrics(&self) -> &FabricMetrics {
-        Fabric::metrics(self)
-    }
-
-    fn coherence(&self) -> &CoherenceHub {
-        Fabric::coherence(self)
-    }
-
-    fn server(&self, ms: u16) -> SimResult<&Arc<MemServerSim>> {
-        Fabric::server(self, ms)
-    }
-
-    fn servers(&self) -> &[Arc<MemServerSim>] {
-        &self.servers
-    }
-
-    fn set_rpc_handler(&self, handler: Arc<dyn RpcHandler>) {
-        self.rpc_handler.set(handler);
-    }
-
-    fn rpc_handler(&self) -> Option<Arc<dyn RpcHandler>> {
-        self.rpc_handler.get()
-    }
-
-    fn memory_servers(&self) -> usize {
-        Fabric::memory_servers(self)
-    }
-
-    fn compute_servers(&self) -> usize {
-        Fabric::compute_servers(self)
-    }
-
     fn now(&self) -> u64 {
-        Fabric::now(self)
+        self.clock.now()
     }
 
-    fn god_write(&self, addr: GlobalAddress, data: &[u8]) -> SimResult<()> {
-        Fabric::god_write(self, addr, data)
-    }
-
-    fn god_read(&self, addr: GlobalAddress, buf: &mut [u8]) -> SimResult<()> {
-        Fabric::god_read(self, addr, buf)
-    }
-
-    fn god_read_u64(&self, addr: GlobalAddress) -> SimResult<u64> {
-        Fabric::god_read_u64(self, addr)
-    }
-
-    fn god_write_u64(&self, addr: GlobalAddress, value: u64) -> SimResult<()> {
-        Fabric::god_write_u64(self, addr, value)
+    fn state(&self) -> &FabricState {
+        &self.state
     }
 }
 
-// ======================================================================
-// SimChannel: the virtual-time simulator's verb executor
-// ======================================================================
-
 /// The virtual-time simulator's [`FabricChannel`]: one clock participant plus
 /// the queueing model (CS/MS NIC ports, PCIe vs on-chip atomics, wire time)
-/// that fixes each verb's completion instant at post time.
+/// that fixes each verb's completion instant at post time.  The memory
+/// effect is [`MemServerSim`]'s; this channel only times it.
 pub struct SimChannel {
     fabric: Arc<Fabric>,
     cs_id: u16,
@@ -261,89 +89,61 @@ impl fmt::Debug for SimChannel {
 }
 
 impl SimChannel {
-    pub(crate) fn new(fabric: Arc<Fabric>, cs_id: u16) -> Self {
-        let participant = fabric.clock().register_for_thread();
-        SimChannel {
-            fabric,
-            cs_id,
-            participant,
-        }
-    }
-
     fn half_rtt(&self) -> u64 {
         self.fabric.config().base_rtt_ns / 2
+    }
+
+    /// Service time of `bytes` at a NIC port.
+    fn nic(&self, bytes: usize) -> u64 {
+        self.fabric.config().nic_service_ns(bytes)
+    }
+
+    /// When a verb posted now can start leaving the client.
+    fn post_start(&self) -> u64 {
+        self.participant.now() + self.fabric.config().cs_post_overhead_ns
+    }
+
+    /// This client's outbound NIC port (`cs_id` wraps around the configured
+    /// count, so callers can use logical thread ids directly).
+    fn cs_port(&self) -> &NicPort {
+        let ports = &self.fabric.cs_ports;
+        &ports[self.cs_id as usize % ports.len()]
     }
 
     /// Issue one verb's worth of request-side timing and return the virtual
     /// time at which the request arrives at the MS NIC, after the CS port.
     fn request_path(&self, request_bytes: usize) -> u64 {
-        let cfg = self.fabric.config();
-        let t0 = self.participant.now() + cfg.cs_post_overhead_ns;
-        let cs_done = self
-            .fabric
-            .cs_port(self.cs_id)
-            .serve(t0, cfg.nic_service_ns(request_bytes));
-        cs_done + self.half_rtt()
+        self.cs_port()
+            .serve(self.post_start(), self.nic(request_bytes))
+            + self.half_rtt()
     }
 
-    fn atomic_exec_ns(&self, space: MemSpace) -> u64 {
+    /// MS-side half of an atomic whose request reaches server `server`'s NIC
+    /// at `arrival`: inbound port, then the address's atomic bucket (PCIe for
+    /// host memory, on-chip otherwise).  Returns the instant it finished.
+    fn atomic_at_server(
+        &self,
+        server: &MemServerSim,
+        space: MemSpace,
+        arrival: u64,
+        execute: &mut AtomicUnit<'_>,
+    ) -> u64 {
         let cfg = self.fabric.config();
-        match space {
+        let exec_ns = match space {
             MemSpace::Host => cfg.host_atomic_pcie_ns,
             MemSpace::OnChip => cfg.onchip_atomic_ns,
-        }
-    }
-
-    fn bucket_key(addr: GlobalAddress) -> u64 {
-        // Host and on-chip offsets share the NIC's bucket array; keep them from
-        // aliasing by folding the space bit above the offset bits used below.
-        let space_bit = match addr.space {
-            MemSpace::Host => 0u64,
-            MemSpace::OnChip => 1u64 << 40,
         };
-        addr.offset | space_bit
+        execute(server.inbound.serve(arrival, self.nic(8)), exec_ns)
     }
 
-    /// MS-side half of an atomic verb whose request reaches the MS NIC at
-    /// `arrival`: inbound port, then the address's atomic bucket.  Returns
-    /// the instant the atomic finished executing and its result.
-    fn atomic_at_server<T>(
-        &self,
-        server: &crate::server::MemServerSim,
-        addr: GlobalAddress,
-        arrival: u64,
-        apply: impl FnOnce(&crate::region::Region) -> Result<T, crate::region::RegionAccessError>,
-    ) -> SimResult<(u64, T)> {
-        let ms_done = server
-            .inbound
-            .serve(arrival, self.fabric.config().nic_service_ns(8));
-        let exec_ns = self.atomic_exec_ns(addr.space);
-        let (exec_end, result) =
-            server
-                .atomic_buckets
-                .execute(Self::bucket_key(addr), ms_done, exec_ns, || {
-                    apply(server.region(addr.space))
-                });
-        let value = result.map_err(|e| e.into_sim_error(addr, server.region_len(addr)))?;
-        Ok((exec_end, value))
-    }
-
-    fn exec_atomic<T>(
-        &mut self,
-        addr: GlobalAddress,
-        apply: impl FnOnce(&crate::region::Region) -> Result<T, crate::region::RegionAccessError>,
-    ) -> SimResult<(VerbWindow, T)> {
-        let server = Arc::clone(self.fabric.server(addr.ms)?);
-        let posted_at = self.participant.now();
-        let arrival = self.request_path(8);
-        let (exec_end, value) = self.atomic_at_server(&server, addr, arrival, apply)?;
-        Ok((
-            VerbWindow {
-                posted_at,
-                completed_at: exec_end + self.half_rtt(),
-            },
-            value,
-        ))
+    /// The window of a verb posted now whose MS-side service ended at
+    /// `ms_done`: the response arrives half a round trip later.  (Posting
+    /// never moves the clock, so "now" is still the post instant.)
+    fn response(&self, ms_done: u64) -> VerbWindow {
+        VerbWindow {
+            posted_at: self.now(),
+            completed_at: ms_done + self.half_rtt(),
+        }
     }
 }
 
@@ -367,7 +167,8 @@ impl FabricChannel for SimChannel {
     }
 
     fn wait_until_earliest(&self, targets: &[u64]) -> Option<u64> {
-        self.participant.wait_until_earliest(targets.iter().copied())
+        self.participant
+            .wait_until_earliest(targets.iter().copied())
     }
 
     fn advance(&self, ns: u64) {
@@ -375,189 +176,81 @@ impl FabricChannel for SimChannel {
     }
 
     fn read(&mut self, addr: GlobalAddress, buf: &mut [u8]) -> SimResult<VerbWindow> {
-        if buf.is_empty() {
-            return Err(SimError::EmptyBatch);
-        }
-        let server = Arc::clone(self.fabric.server(addr.ms)?);
-        let cfg = self.fabric.config().clone();
-        let posted_at = self.participant.now();
-        let arrival = self.request_path(0);
-        // Response payload serializes through the MS NIC port.
-        let ms_done = server.inbound.serve(arrival, cfg.nic_service_ns(buf.len()));
-        server
-            .region(addr.space)
-            .read_bytes(addr.offset, buf)
-            .map_err(|oob| SimError::OutOfBounds {
-                addr,
-                len: oob.len,
-                region_len: oob.region_len,
-            })?;
-        let completed_at = ms_done + self.half_rtt();
-        Ok(VerbWindow {
-            posted_at,
-            completed_at,
-        })
+        let server = self.fabric.server(addr.ms)?;
+        // The response payload serializes through the MS NIC port.
+        let len = buf.len();
+        let ms_done = server.read(addr, buf, || {
+            server.inbound.serve(self.request_path(0), self.nic(len))
+        })?;
+        Ok(self.response(ms_done))
     }
 
     fn write_batch(&mut self, cmds: &[WriteCmd]) -> SimResult<VerbWindow> {
-        if cmds.is_empty() {
-            return Err(SimError::EmptyBatch);
-        }
-        let ms_id = cmds[0].addr.ms;
-        if cmds.iter().any(|c| c.addr.ms != ms_id) {
-            return Err(SimError::MixedBatch);
-        }
-        let server = Arc::clone(self.fabric.server(ms_id)?);
-        let cfg = self.fabric.config().clone();
-        let posted_at = self.participant.now();
-
-        // Request-side serialization of every command through the CS port.
-        let mut cs_t = posted_at + cfg.cs_post_overhead_ns;
-        for cmd in cmds {
-            cs_t = self
-                .fabric
-                .cs_port(self.cs_id)
-                .serve(cs_t, cfg.nic_service_ns(cmd.data.len()));
-        }
-        // MS-side processing in post order.
-        let mut ms_t = cs_t + self.half_rtt();
-        for cmd in cmds {
-            ms_t = server
-                .inbound
-                .serve(ms_t, cfg.nic_service_ns(cmd.data.len()));
-            server
-                .region(cmd.addr.space)
-                .write_bytes(cmd.addr.offset, &cmd.data)
-                .map_err(|oob| SimError::OutOfBounds {
-                    addr: cmd.addr,
-                    len: oob.len,
-                    region_len: oob.region_len,
-                })?;
-        }
-        let completed_at = ms_t + self.half_rtt();
-        Ok(VerbWindow {
-            posted_at,
-            completed_at,
-        })
+        let first = cmds.first().ok_or(SimError::EmptyBatch)?;
+        let server = self.fabric.server(first.addr.ms)?;
+        let ms_done = server.write_batch(cmds, || {
+            // Request-side serialization of every command through the CS
+            // port, then MS-side processing in post order.
+            let mut cs_t = self.post_start();
+            for cmd in cmds {
+                cs_t = self.cs_port().serve(cs_t, self.nic(cmd.data.len()));
+            }
+            let mut ms_t = cs_t + self.half_rtt();
+            for cmd in cmds {
+                ms_t = server.inbound.serve(ms_t, self.nic(cmd.data.len()));
+            }
+            ms_t
+        })?;
+        Ok(self.response(ms_done))
     }
 
     fn read_batch(
         &mut self,
         reqs: &[(GlobalAddress, usize)],
     ) -> SimResult<(VerbWindow, Vec<Vec<u8>>)> {
-        if reqs.is_empty() {
-            return Err(SimError::EmptyBatch);
-        }
-        let cfg = self.fabric.config().clone();
-        let posted_at = self.participant.now();
-        let mut cs_t = posted_at + cfg.cs_post_overhead_ns;
-        let mut latest = 0u64;
-        let mut bufs = Vec::with_capacity(reqs.len());
-        for &(addr, len) in reqs {
-            let server = Arc::clone(self.fabric.server(addr.ms)?);
-            cs_t = self
-                .fabric
-                .cs_port(self.cs_id)
-                .serve(cs_t, cfg.nic_service_ns(0));
-            let arrival = cs_t + self.half_rtt();
-            let ms_done = server.inbound.serve(arrival, cfg.nic_service_ns(len));
-            let mut buf = vec![0u8; len];
-            server
-                .region(addr.space)
-                .read_bytes(addr.offset, &mut buf)
-                .map_err(|oob| SimError::OutOfBounds {
-                    addr,
-                    len: oob.len,
-                    region_len: oob.region_len,
-                })?;
-            bufs.push(buf);
-            latest = latest.max(ms_done + self.half_rtt());
-        }
-        Ok((
-            VerbWindow {
-                posted_at,
-                completed_at: latest,
-            },
-            bufs,
-        ))
+        let mut cs_t = self.post_start();
+        let (ms_done, bufs) =
+            MemServerSim::read_batch(self.fabric.servers(), reqs, |server, len| {
+                cs_t = self.cs_port().serve(cs_t, self.nic(0));
+                server.inbound.serve(cs_t + self.half_rtt(), self.nic(len))
+            })?;
+        // The window closes when the latest response arrives.
+        let latest = ms_done
+            .into_iter()
+            .max()
+            .expect("a read batch is never empty");
+        Ok((self.response(latest), bufs))
     }
 
-    fn cas(
-        &mut self,
-        addr: GlobalAddress,
-        expected: u64,
-        new: u64,
-    ) -> SimResult<(VerbWindow, u64)> {
-        self.exec_atomic(addr, |r| r.cas_u64(addr.offset, expected, new))
-    }
-
-    fn faa(&mut self, addr: GlobalAddress, add: u64) -> SimResult<(VerbWindow, u64)> {
-        self.exec_atomic(addr, |r| r.faa_u64(addr.offset, add))
-    }
-
-    fn masked_cas(
-        &mut self,
-        addr: GlobalAddress,
-        expected: u64,
-        new: u64,
-        mask: u64,
-    ) -> SimResult<(VerbWindow, (bool, u64))> {
-        self.exec_atomic(addr, |r| r.masked_cas_u64(addr.offset, expected, new, mask))
+    fn atomic(&mut self, addr: GlobalAddress, op: AtomicOp) -> SimResult<(VerbWindow, CasResult)> {
+        let server = self.fabric.server(addr.ms)?;
+        let (exec_end, outcome) = server.atomic(addr, op, |execute| {
+            self.atomic_at_server(server, addr.space, self.request_path(8), execute)
+        })?;
+        Ok((self.response(exec_end), outcome))
     }
 
     fn cas_read(
         &mut self,
         lock: GlobalAddress,
-        expected: u64,
-        new: u64,
-        mask: u64,
+        cas: AtomicOp,
         addr: GlobalAddress,
         buf: &mut [u8],
-    ) -> SimResult<(VerbWindow, (bool, u64))> {
-        if buf.is_empty() {
-            return Err(SimError::EmptyBatch);
-        }
-        if lock.ms != addr.ms {
-            return Err(SimError::MixedBatch);
-        }
-        let server = Arc::clone(self.fabric.server(lock.ms)?);
-        check_read_bounds(&server, addr, buf.len())?;
-        let cfg = self.fabric.config();
-        let posted_at = self.participant.now();
-
-        // Both requests serialize through the CS port, the CAS first.
-        let cs_port = self.fabric.cs_port(self.cs_id);
-        let cas_sent = cs_port.serve(
-            posted_at + cfg.cs_post_overhead_ns,
-            cfg.nic_service_ns(8),
-        );
-        let read_sent = cs_port.serve(cas_sent, cfg.nic_service_ns(0));
-
-        let (cas_done, outcome) =
-            self.atomic_at_server(&server, lock, cas_sent + self.half_rtt(), |r| {
-                r.masked_cas_u64(lock.offset, expected, new, mask)
-            })?;
-        // In-order delivery on the queue pair: the READ executes after the
-        // CAS, so its response leaves no earlier than the CAS finished.
-        let read_done = server.inbound.serve(
-            (read_sent + self.half_rtt()).max(cas_done),
-            cfg.nic_service_ns(buf.len()),
-        );
-        server
-            .region(addr.space)
-            .read_bytes(addr.offset, buf)
-            .map_err(|oob| SimError::OutOfBounds {
-                addr,
-                len: oob.len,
-                region_len: oob.region_len,
-            })?;
-        Ok((
-            VerbWindow {
-                posted_at,
-                completed_at: read_done + self.half_rtt(),
-            },
-            outcome,
-        ))
+    ) -> SimResult<(VerbWindow, CasResult)> {
+        let server = self.fabric.server(lock.ms)?;
+        let len = buf.len();
+        let (read_done, outcome) = server.cas_read(lock, cas, addr, buf, |execute| {
+            // Both requests serialize through the CS port, the CAS first.
+            let cas_sent = self.cs_port().serve(self.post_start(), self.nic(8));
+            let read_sent = self.cs_port().serve(cas_sent, self.nic(0));
+            let cas_done =
+                self.atomic_at_server(server, lock.space, cas_sent + self.half_rtt(), execute);
+            // In-order delivery on the queue pair: the READ executes after
+            // the CAS, so its response leaves no earlier than the CAS finished.
+            let read_arrival = (read_sent + self.half_rtt()).max(cas_done);
+            server.inbound.serve(read_arrival, self.nic(len))
+        })?;
+        Ok((self.response(read_done), outcome))
     }
 
     fn rpc(
@@ -567,29 +260,19 @@ impl FabricChannel for SimChannel {
         response_bytes: usize,
         work: RpcWork,
     ) -> SimResult<VerbWindow> {
-        let server = Arc::clone(self.fabric.server(ms)?);
-        let cfg = self.fabric.config().clone();
-        let posted_at = self.participant.now();
+        let server = self.fabric.server(ms)?;
         let arrival = self.request_path(request_bytes);
         // The wimpy core's service time scales with the index work the
         // interpreter performed: base dispatch + per-level + per-entry.
-        let served = server.inbound.serve(
-            arrival,
-            cfg.nic_service_ns(request_bytes.max(response_bytes)) + cfg.rpc_cost_ns(work),
-        );
-        let completed_at = served + self.half_rtt();
-        Ok(VerbWindow {
-            posted_at,
-            completed_at,
-        })
+        let service =
+            self.nic(request_bytes.max(response_bytes)) + self.fabric.config().rpc_cost_ns(work);
+        Ok(self.response(server.inbound.serve(arrival, service)))
     }
 
     fn coherence_send(&mut self, wire_bytes: usize) -> VerbWindow {
-        let posted_at = self.participant.now();
-        let deliver_at = self.request_path(wire_bytes);
         VerbWindow {
-            posted_at,
-            completed_at: deliver_at,
+            posted_at: self.now(),
+            completed_at: self.request_path(wire_bytes),
         }
     }
 

@@ -50,7 +50,7 @@ pub mod server;
 pub mod threaded;
 
 pub use addr::{GlobalAddress, MemSpace};
-pub use channel::{FabricBackend, FabricChannel, VerbWindow};
+pub use channel::{FabricBackend, FabricChannel, FabricState, VerbWindow};
 pub use client::{
     CasResult, ClientCtx, ClientStats, Completion, OpVerbStats, PendingVerb, SharedClientStats,
     TraceEvent, VerbResult, WriteCmd,
@@ -65,7 +65,7 @@ pub use rpc::{
     RpcDecline, RpcHandler, RpcHandlerSlot, RpcLeafReply, RpcLevel1Image, RpcNodeInfo,
     RpcRangeReply, RpcRequest, RpcResponse, RpcWork,
 };
-pub use server::MemServerSim;
+pub use server::{AtomicOp, MemServerSim};
 pub use threaded::{ThreadedChannel, ThreadedFabric};
 
 /// Convenience result alias used throughout the simulator.

@@ -166,20 +166,6 @@ impl Region {
         Ok(())
     }
 
-    /// Compare-and-swap the word at `offset`; returns the previous value.
-    pub fn cas_u64(
-        &self,
-        offset: u64,
-        expected: u64,
-        new: u64,
-    ) -> Result<u64, RegionAccessError> {
-        let slot = self.aligned_slot(offset)?;
-        match slot.compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(prev) => Ok(prev),
-            Err(prev) => Ok(prev),
-        }
-    }
-
     /// Fetch-and-add on the word at `offset`; returns the previous value.
     pub fn faa_u64(&self, offset: u64, add: u64) -> Result<u64, RegionAccessError> {
         Ok(self.aligned_slot(offset)?.fetch_add(add, Ordering::SeqCst))
@@ -220,6 +206,17 @@ pub struct RegionOob {
     pub region_len: usize,
 }
 
+impl RegionOob {
+    /// Convert to a fabric-level [`SimError`] for the access at `addr`.
+    pub fn into_sim_error(self, addr: crate::GlobalAddress) -> SimError {
+        SimError::OutOfBounds {
+            addr,
+            len: self.len,
+            region_len: self.region_len,
+        }
+    }
+}
+
 /// Errors for word-granular (atomic) accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionAccessError {
@@ -231,14 +228,10 @@ pub enum RegionAccessError {
 
 impl RegionAccessError {
     /// Convert to a fabric-level [`SimError`] for the given address.
-    pub fn into_sim_error(self, addr: crate::GlobalAddress, region_len: usize) -> SimError {
+    pub fn into_sim_error(self, addr: crate::GlobalAddress) -> SimError {
         match self {
             RegionAccessError::Misaligned => SimError::Misaligned { addr },
-            RegionAccessError::OutOfBounds(oob) => SimError::OutOfBounds {
-                addr,
-                len: oob.len,
-                region_len,
-            },
+            RegionAccessError::OutOfBounds(oob) => oob.into_sim_error(addr),
         }
     }
 }
@@ -289,11 +282,11 @@ mod tests {
         assert_eq!(r.faa_u64(8, 1).unwrap(), 41);
         assert_eq!(r.read_u64(8).unwrap(), 42);
 
-        // Successful CAS returns the old value.
-        assert_eq!(r.cas_u64(8, 42, 100).unwrap(), 42);
+        // Successful CAS (every bit masked in) returns the old value.
+        assert_eq!(r.masked_cas_u64(8, 42, 100, u64::MAX).unwrap(), (true, 42));
         assert_eq!(r.read_u64(8).unwrap(), 100);
         // Failed CAS leaves the value untouched and reports the actual value.
-        assert_eq!(r.cas_u64(8, 42, 7).unwrap(), 100);
+        assert_eq!(r.masked_cas_u64(8, 42, 7, u64::MAX).unwrap(), (false, 100));
         assert_eq!(r.read_u64(8).unwrap(), 100);
     }
 

@@ -3,7 +3,8 @@
 //! [`ThreadedFabric`] is the second [`FabricBackend`]: client threads are
 //! plain OS threads, timestamps come from a monotonic [`Instant`] epoch, and
 //! every verb executes synchronously against the **same** memory-server state
-//! the simulator uses ([`MemServerSim`]).  That sharing is deliberate:
+//! the simulator uses, through the same verb code ([`MemServerSim`]); the two
+//! backends differ only in time.  That sharing is deliberate:
 //! `Region` is a slab of `AtomicU64` words (byte copies tear at word
 //! granularity, atomic verbs are real hardware atomics) and the NIC atomic
 //! buckets serialize under a `parking_lot` mutex, so the state is safe under
@@ -30,14 +31,12 @@
 //! backend-equivalence suite pins that: same seeded workload, identical final
 //! tree census on simulator and threaded backends.
 
-use crate::addr::{GlobalAddress, MemSpace};
-use crate::channel::{FabricBackend, FabricChannel, VerbWindow};
-use crate::client::WriteCmd;
-use crate::coherence::CoherenceHub;
+use crate::addr::GlobalAddress;
+use crate::channel::{FabricBackend, FabricChannel, FabricState, VerbWindow};
+use crate::client::{CasResult, WriteCmd};
 use crate::config::FabricConfig;
-use crate::metrics::FabricMetrics;
-use crate::rpc::{RpcHandler, RpcHandlerSlot, RpcWork};
-use crate::server::MemServerSim;
+use crate::rpc::RpcWork;
+use crate::server::{AtomicOp, AtomicUnit, MemServerSim};
 use crate::{SimError, SimResult};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,12 +45,8 @@ use std::time::{Duration, Instant};
 /// clock, one [`ThreadedChannel`] per client thread.
 #[derive(Debug)]
 pub struct ThreadedFabric {
-    config: FabricConfig,
+    state: FabricState,
     epoch: Instant,
-    servers: Vec<Arc<MemServerSim>>,
-    coherence: CoherenceHub,
-    metrics: FabricMetrics,
-    rpc_handler: RpcHandlerSlot,
 }
 
 impl ThreadedFabric {
@@ -61,20 +56,9 @@ impl ThreadedFabric {
     /// Panics if the configuration fails [`FabricConfig::validate`], exactly
     /// like [`Fabric::new`](crate::fabric::Fabric::new).
     pub fn new(config: FabricConfig) -> Arc<Self> {
-        if let Err(msg) = config.validate() {
-            panic!("invalid fabric configuration: {msg}");
-        }
-        let servers = (0..config.memory_servers)
-            .map(|id| Arc::new(MemServerSim::new(id as u16, &config)))
-            .collect();
-        let coherence = CoherenceHub::new(config.compute_servers);
         Arc::new(ThreadedFabric {
-            config,
+            state: FabricState::new(config),
             epoch: Instant::now(),
-            servers,
-            coherence,
-            metrics: FabricMetrics::default(),
-            rpc_handler: RpcHandlerSlot::new(),
         })
     }
 
@@ -102,47 +86,21 @@ impl FabricBackend for ThreadedFabric {
         "threaded"
     }
 
-    fn config(&self) -> &FabricConfig {
-        &self.config
-    }
-
-    fn metrics(&self) -> &FabricMetrics {
-        &self.metrics
-    }
-
-    fn coherence(&self) -> &CoherenceHub {
-        &self.coherence
-    }
-
-    fn server(&self, ms: u16) -> SimResult<&Arc<MemServerSim>> {
-        self.servers
-            .get(ms as usize)
-            .ok_or(SimError::NoSuchServer { ms })
-    }
-
-    fn servers(&self) -> &[Arc<MemServerSim>] {
-        &self.servers
-    }
-
-    fn set_rpc_handler(&self, handler: Arc<dyn RpcHandler>) {
-        self.rpc_handler.set(handler);
-    }
-
-    fn rpc_handler(&self) -> Option<Arc<dyn RpcHandler>> {
-        self.rpc_handler.get()
-    }
-
     fn now(&self) -> u64 {
         self.real_now()
+    }
+
+    fn state(&self) -> &FabricState {
+        &self.state
     }
 }
 
 /// Per-client verb executor of the threaded backend.
 ///
-/// Every verb applies its memory effect synchronously on the calling OS
-/// thread; `posted_at`/`completed_at` bracket the real execution.  The
-/// channel holds no state beyond its fabric handle, so creating one per
-/// thread is free.
+/// Every verb's memory effect is [`MemServerSim`]'s, applied synchronously
+/// on the calling OS thread; the channel only brackets it with real
+/// timestamps.  It holds no state beyond its fabric handle, so creating one
+/// per thread is free.
 #[derive(Debug)]
 pub struct ThreadedChannel {
     fabric: Arc<ThreadedFabric>,
@@ -170,48 +128,23 @@ impl ThreadedChannel {
         }
     }
 
-    fn oob(addr: GlobalAddress, oob: crate::region::RegionOob) -> SimError {
-        SimError::OutOfBounds {
-            addr,
-            len: oob.len,
-            region_len: oob.region_len,
+    /// Run a checked atomic now, returning the post instant.  It serializes
+    /// through the same NIC atomic bucket the simulator uses — a real mutex,
+    /// so contended atomics contend for real — with no modeled service time,
+    /// and the bucket's end time is ignored.
+    fn atomic_now(&self, execute: &mut AtomicUnit<'_>) -> u64 {
+        let posted_at = self.now();
+        execute(posted_at, 0);
+        posted_at
+    }
+
+    /// The window of a verb whose checks passed at `posted_at` and whose
+    /// effect has just finished.
+    fn since(&self, posted_at: u64) -> VerbWindow {
+        VerbWindow {
+            posted_at,
+            completed_at: self.fabric.real_now(),
         }
-    }
-
-    /// Same bucket addressing as the simulator: host and on-chip offsets
-    /// share the NIC bucket array, kept from aliasing by a folded space bit.
-    fn bucket_key(addr: GlobalAddress) -> u64 {
-        let space_bit = match addr.space {
-            MemSpace::Host => 0u64,
-            MemSpace::OnChip => 1u64 << 40,
-        };
-        addr.offset | space_bit
-    }
-
-    fn exec_atomic<T>(
-        &mut self,
-        addr: GlobalAddress,
-        apply: impl FnOnce(&crate::region::Region) -> Result<T, crate::region::RegionAccessError>,
-    ) -> SimResult<(VerbWindow, T)> {
-        let server = Arc::clone(self.fabric.server(addr.ms)?);
-        let posted_at = self.fabric.real_now();
-        let region_len = server.region_len(addr);
-        // Serialize through the same NIC atomic bucket the simulator uses —
-        // a real mutex, so contended atomics contend for real.  The modeled
-        // service time is zero; the bucket's returned end time is ignored.
-        let (_, result) = server
-            .atomic_buckets
-            .execute(Self::bucket_key(addr), posted_at, 0, || {
-                apply(server.region(addr.space))
-            });
-        let value = result.map_err(|e| e.into_sim_error(addr, region_len))?;
-        Ok((
-            VerbWindow {
-                posted_at,
-                completed_at: self.fabric.real_now(),
-            },
-            value,
-        ))
     }
 }
 
@@ -248,126 +181,46 @@ impl FabricChannel for ThreadedChannel {
     }
 
     fn read(&mut self, addr: GlobalAddress, buf: &mut [u8]) -> SimResult<VerbWindow> {
-        if buf.is_empty() {
-            return Err(SimError::EmptyBatch);
-        }
-        let server = Arc::clone(self.fabric.server(addr.ms)?);
-        let posted_at = self.fabric.real_now();
-        server
-            .region(addr.space)
-            .read_bytes(addr.offset, buf)
-            .map_err(|e| Self::oob(addr, e))?;
-        Ok(VerbWindow {
-            posted_at,
-            completed_at: self.fabric.real_now(),
-        })
+        let server = self.fabric.server(addr.ms)?;
+        let posted_at = server.read(addr, buf, || self.now())?;
+        Ok(self.since(posted_at))
     }
 
     fn write_batch(&mut self, cmds: &[WriteCmd]) -> SimResult<VerbWindow> {
-        if cmds.is_empty() {
-            return Err(SimError::EmptyBatch);
-        }
-        let ms_id = cmds[0].addr.ms;
-        if cmds.iter().any(|c| c.addr.ms != ms_id) {
-            return Err(SimError::MixedBatch);
-        }
-        let server = Arc::clone(self.fabric.server(ms_id)?);
-        let posted_at = self.fabric.real_now();
-        for cmd in cmds {
-            server
-                .region(cmd.addr.space)
-                .write_bytes(cmd.addr.offset, &cmd.data)
-                .map_err(|e| Self::oob(cmd.addr, e))?;
-        }
-        Ok(VerbWindow {
-            posted_at,
-            completed_at: self.fabric.real_now(),
-        })
+        let first = cmds.first().ok_or(SimError::EmptyBatch)?;
+        let server = self.fabric.server(first.addr.ms)?;
+        let posted_at = server.write_batch(cmds, || self.now())?;
+        Ok(self.since(posted_at))
     }
 
     fn read_batch(
         &mut self,
         reqs: &[(GlobalAddress, usize)],
     ) -> SimResult<(VerbWindow, Vec<Vec<u8>>)> {
-        if reqs.is_empty() {
-            return Err(SimError::EmptyBatch);
-        }
-        let posted_at = self.fabric.real_now();
-        let mut bufs = Vec::with_capacity(reqs.len());
-        for &(addr, len) in reqs {
-            let server = Arc::clone(self.fabric.server(addr.ms)?);
-            let mut buf = vec![0u8; len];
-            server
-                .region(addr.space)
-                .read_bytes(addr.offset, &mut buf)
-                .map_err(|e| Self::oob(addr, e))?;
-            bufs.push(buf);
-        }
-        Ok((
-            VerbWindow {
-                posted_at,
-                completed_at: self.fabric.real_now(),
-            },
-            bufs,
-        ))
+        let (posted, bufs) =
+            MemServerSim::read_batch(self.fabric.servers(), reqs, |_, _| self.now())?;
+        Ok((self.since(posted[0]), bufs))
     }
 
-    fn cas(
-        &mut self,
-        addr: GlobalAddress,
-        expected: u64,
-        new: u64,
-    ) -> SimResult<(VerbWindow, u64)> {
-        self.exec_atomic(addr, |r| r.cas_u64(addr.offset, expected, new))
-    }
-
-    fn faa(&mut self, addr: GlobalAddress, add: u64) -> SimResult<(VerbWindow, u64)> {
-        self.exec_atomic(addr, |r| r.faa_u64(addr.offset, add))
-    }
-
-    fn masked_cas(
-        &mut self,
-        addr: GlobalAddress,
-        expected: u64,
-        new: u64,
-        mask: u64,
-    ) -> SimResult<(VerbWindow, (bool, u64))> {
-        self.exec_atomic(addr, |r| r.masked_cas_u64(addr.offset, expected, new, mask))
+    fn atomic(&mut self, addr: GlobalAddress, op: AtomicOp) -> SimResult<(VerbWindow, CasResult)> {
+        let server = self.fabric.server(addr.ms)?;
+        let (posted_at, outcome) = server.atomic(addr, op, |execute| self.atomic_now(execute))?;
+        Ok((self.since(posted_at), outcome))
     }
 
     fn cas_read(
         &mut self,
         lock: GlobalAddress,
-        expected: u64,
-        new: u64,
-        mask: u64,
+        cas: AtomicOp,
         addr: GlobalAddress,
         buf: &mut [u8],
-    ) -> SimResult<(VerbWindow, (bool, u64))> {
-        if buf.is_empty() {
-            return Err(SimError::EmptyBatch);
-        }
-        if lock.ms != addr.ms {
-            return Err(SimError::MixedBatch);
-        }
-        crate::client::check_read_bounds(self.fabric.server(addr.ms)?, addr, buf.len())?;
+    ) -> SimResult<(VerbWindow, CasResult)> {
         // Program order on this thread is the queue pair's in-order delivery:
         // the (SeqCst) CAS lands before the node bytes are read.
-        let (window, outcome) = self.exec_atomic(lock, |r| {
-            r.masked_cas_u64(lock.offset, expected, new, mask)
-        })?;
-        self.fabric
-            .server(addr.ms)?
-            .region(addr.space)
-            .read_bytes(addr.offset, buf)
-            .map_err(|e| Self::oob(addr, e))?;
-        Ok((
-            VerbWindow {
-                posted_at: window.posted_at,
-                completed_at: self.fabric.real_now(),
-            },
-            outcome,
-        ))
+        let server = self.fabric.server(lock.ms)?;
+        let (posted_at, outcome) =
+            server.cas_read(lock, cas, addr, buf, |execute| self.atomic_now(execute))?;
+        Ok((self.since(posted_at), outcome))
     }
 
     fn rpc(
@@ -383,11 +236,7 @@ impl FabricChannel for ThreadedChannel {
         // elapsed — the window just brackets it with real timestamps.  The
         // modeled per-level/per-entry charge is a simulator concern.
         self.fabric.server(ms)?;
-        let posted_at = self.fabric.real_now();
-        Ok(VerbWindow {
-            posted_at,
-            completed_at: self.fabric.real_now(),
-        })
+        Ok(self.since(self.now()))
     }
 
     fn coherence_send(&mut self, _wire_bytes: usize) -> VerbWindow {

@@ -30,7 +30,7 @@ pub mod prelude {
         BackpressureSnapshot, CoherenceGauges, EpochGauges, LatencyHistogram, OffloadGauges,
         OverlapGauges, RunSummary, ThreadReport, ThroughputAggregator,
     };
-    pub use sherman_sim::{FabricConfig, OpVerbStats, TraceEvent};
+    pub use sherman_sim::{FabricBackend, FabricConfig, OpVerbStats, TraceEvent};
     pub use sherman_workload::{
         ChurnSpec, KeyDistribution, Mix, Op, ScenarioGenerator, ScenarioShape, ScenarioSpec,
         WorkloadSpec,

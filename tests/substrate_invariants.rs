@@ -4,7 +4,10 @@
 
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
-use sherman_sim::{Fabric, FabricBackend, GlobalAddress, Region, ThreadedFabric};
+use sherman_sim::{
+    ClientCtx, ClientStats, Fabric, FabricBackend, FabricChannel, GlobalAddress, Region,
+    RpcRequest, SimError, ThreadedFabric, WriteCmd,
+};
 
 /// Run a fabric property on one backend; the proptest bodies below call this
 /// for both the virtual-time simulator and the real-clock threaded backend so
@@ -32,6 +35,165 @@ fn masked_cas_on<B: FabricBackend>(
     let mut client = fabric.client(0);
     let result = client.masked_cas(addr, expected, new, mask).unwrap();
     (result.succeeded, fabric.god_read_u64(addr).unwrap())
+}
+
+/// The fault a rejected verb reported, without its payload.
+fn fault(e: &SimError) -> &'static str {
+    match e {
+        SimError::OutOfBounds { .. } => "OutOfBounds",
+        SimError::Misaligned { .. } => "Misaligned",
+        SimError::NoSuchServer { .. } => "NoSuchServer",
+        SimError::MixedBatch => "MixedBatch",
+        SimError::EmptyBatch => "EmptyBatch",
+    }
+}
+
+/// A valid read and CAS on each memory server, posted together: how long
+/// each took.  Ports and atomic buckets a rejected verb charged would show
+/// here as a later completion.
+fn probe_windows<C: FabricChannel>(client: &mut ClientCtx<C>) -> Vec<u64> {
+    let mut tokens = Vec::new();
+    for ms in 0..2 {
+        tokens.push(client.post_read(GlobalAddress::host(ms, 64), 64).unwrap());
+        tokens.push(client.post_cas(GlobalAddress::host(ms, 64), 1, 2).unwrap());
+    }
+    tokens
+        .into_iter()
+        .map(|t| {
+            let c = client.poll_token(t);
+            c.completed_at - c.posted_at
+        })
+        .collect()
+}
+
+/// Every verb kind, posted in each malformed shape it can take, is rejected
+/// with the error that names the fault, and leaves no trace: every region
+/// still reads zero, no counter moved, nothing is queued, and on the
+/// simulator the verbs posted next take exactly as long as on a fresh fabric
+/// (a rejected verb charges no port and no atomic bucket).
+fn rejected_verbs_have_no_effect_on<B: FabricBackend>() {
+    let cfg = FabricConfig::small_test();
+    let (end, chip_end) = (cfg.host_bytes_per_ms as u64, cfg.onchip_bytes_per_ms as u64);
+    let (host, chip) = (GlobalAddress::host, GlobalAddress::on_chip);
+    let cmd = |addr| WriteCmd::new(addr, vec![0xAB; 16]);
+    let leaf_search = RpcRequest::LeafSearch {
+        leaf_addr: host(9, 64),
+        key: 1,
+    };
+    let fabric = B::build(cfg.clone());
+    let mut client = fabric.client(0);
+    let c = &mut client;
+    let rejected = [
+        ("read", "EmptyBatch", c.post_read(host(0, 64), 0)),
+        ("read", "OutOfBounds", c.post_read(host(0, end - 8), 16)),
+        ("read", "NoSuchServer", c.post_read(host(9, 64), 8)),
+        ("write", "EmptyBatch", c.post_write_batch(&[])),
+        (
+            "write",
+            "MixedBatch",
+            c.post_write_batch(&[cmd(host(0, 64)), cmd(host(1, 64))]),
+        ),
+        (
+            "write",
+            "OutOfBounds",
+            c.post_write_batch(&[cmd(host(0, 64)), cmd(host(0, end - 8))]),
+        ),
+        (
+            "write",
+            "NoSuchServer",
+            c.post_write_batch(&[cmd(host(9, 64))]),
+        ),
+        ("read batch", "EmptyBatch", c.post_read_batch(&[])),
+        (
+            "read batch",
+            "OutOfBounds",
+            c.post_read_batch(&[(host(0, 64), 8), (host(1, end - 8), 16)]),
+        ),
+        (
+            "read batch",
+            "NoSuchServer",
+            c.post_read_batch(&[(host(0, 64), 8), (host(9, 64), 8)]),
+        ),
+        ("cas", "Misaligned", c.post_cas(host(0, 68), 0, 1)),
+        ("cas", "OutOfBounds", c.post_cas(host(0, end), 0, 1)),
+        ("cas", "NoSuchServer", c.post_cas(host(9, 64), 0, 1)),
+        (
+            "masked cas",
+            "Misaligned",
+            c.post_masked_cas(chip(0, 68), 0, 1, 0xFFFF),
+        ),
+        (
+            "masked cas",
+            "OutOfBounds",
+            c.post_masked_cas(chip(0, chip_end), 0, 1, 0xFFFF),
+        ),
+        (
+            "masked cas",
+            "NoSuchServer",
+            c.post_masked_cas(chip(9, 64), 0, 1, 0xFFFF),
+        ),
+        ("faa", "Misaligned", c.post_faa(host(1, 68), 1)),
+        ("faa", "OutOfBounds", c.post_faa(host(1, end), 1)),
+        ("faa", "NoSuchServer", c.post_faa(host(9, 64), 1)),
+        (
+            "cas+read",
+            "EmptyBatch",
+            c.post_cas_read(chip(0, 64), 0, 1, u64::MAX, host(0, 64), 0),
+        ),
+        (
+            "cas+read",
+            "MixedBatch",
+            c.post_cas_read(chip(0, 64), 0, 1, u64::MAX, host(1, 64), 8),
+        ),
+        (
+            "cas+read",
+            "OutOfBounds",
+            c.post_cas_read(chip(0, 64), 0, 1, u64::MAX, host(0, end - 8), 16),
+        ),
+        (
+            "cas+read",
+            "OutOfBounds",
+            c.post_cas_read(chip(0, chip_end), 0, 1, u64::MAX, host(0, 64), 8),
+        ),
+        (
+            "cas+read",
+            "Misaligned",
+            c.post_cas_read(chip(0, 68), 0, 1, u64::MAX, host(0, 64), 8),
+        ),
+        (
+            "cas+read",
+            "NoSuchServer",
+            c.post_cas_read(chip(9, 64), 0, 1, u64::MAX, host(9, 64), 8),
+        ),
+        ("rpc", "NoSuchServer", c.post_rpc(9, 64, 64)),
+        ("index rpc", "NoSuchServer", c.post_index_rpc(&leaf_search)),
+    ];
+    for (verb, expected, result) in &rejected {
+        let err = result.as_ref().expect_err(verb);
+        assert_eq!(fault(err), *expected, "{verb} rejected as {err:?}");
+    }
+
+    assert_eq!(client.outstanding(), 0);
+    assert_eq!(client.stats(), ClientStats::default());
+    assert_eq!(fabric.metrics().snapshot(), Default::default());
+    for ms in 0..2u16 {
+        for (addr, len) in [(host(ms, 0), end), (chip(ms, 0), chip_end)] {
+            let mut image = vec![0u8; len as usize];
+            fabric.god_read(addr, &mut image).unwrap();
+            let touched = image.iter().position(|&b| b != 0);
+            assert_eq!(touched, None, "a rejected verb wrote to {addr}");
+        }
+    }
+    if fabric.backend_name() == "sim" {
+        let mut fresh = B::build(cfg).client(0);
+        assert_eq!(probe_windows(&mut client), probe_windows(&mut fresh));
+    }
+}
+
+#[test]
+fn rejected_verbs_have_no_effect() {
+    rejected_verbs_have_no_effect_on::<Fabric>();
+    rejected_verbs_have_no_effect_on::<ThreadedFabric>();
 }
 
 /// A region costs memory only where it was written: creating one far larger

@@ -15,7 +15,8 @@
 //!
 //! `--smoke` runs block (d) alone on a small key space and exits non-zero
 //! unless reads per lookup at the 256 KB budget are at most 3.0 and never
-//! rise with the budget.
+//! rise with the budget, and no budget evicts more than 100 times per 1 000
+//! operations.
 
 use sherman::{Cluster, ClusterConfig, TreeConfig, TreeOptions};
 use sherman_bench::{figures, fmt_mops, print_table, run_with_backend, Args, Experiment};
@@ -75,8 +76,9 @@ fn cache_sweep(args: &Args) {
 
 /// Block (d): one blocking client, uniform read-intensive traffic over a
 /// deep tree of 256 B nodes, budgets from 64 KB to 4 MB.  Returns reads per
-/// lookup for each budget, smallest budget first.
-fn deep_sweep(args: &Args, smoke: bool) -> Vec<(usize, f64)> {
+/// lookup and evictions per 1 000 operations for each budget, smallest budget
+/// first.
+fn deep_sweep(args: &Args, smoke: bool) -> Vec<(usize, f64, f64)> {
     println!(
         "\nFigure 15(d): index cache size on a deep tree (256 B nodes, uniform, read-intensive)"
     );
@@ -136,7 +138,8 @@ fn deep_sweep(args: &Args, smoke: bool) -> Vec<(usize, f64)> {
         let [hits, skipped, deferred, evictions] = counters();
         let per_op = |now: u64, then: u64| (now - then) as f64 / measured;
         let reads_per_lookup = reads as f64 / lookups as f64;
-        sweep.push((kb, reads_per_lookup));
+        let evictions_per_kop = per_op(evictions, baseline[3]) * 1e3;
+        sweep.push((kb, reads_per_lookup, evictions_per_kop));
         rows.push(vec![
             kb.to_string(),
             format!("{reads_per_lookup:.2}"),
@@ -144,7 +147,7 @@ fn deep_sweep(args: &Args, smoke: bool) -> Vec<(usize, f64)> {
             format!("{:.1}%", per_op(hits, baseline[0]) * 100.0),
             format!("{:.2}", per_op(skipped, baseline[1])),
             format!("{:.0}", per_op(deferred, baseline[2]) * 1e3),
-            format!("{:.0}", per_op(evictions, baseline[3]) * 1e3),
+            format!("{evictions_per_kop:.0}"),
         ]);
     }
     print_table(
@@ -169,13 +172,14 @@ fn main() {
     ]);
     if args.flag("smoke") {
         let sweep = deep_sweep(&args, true);
-        let at_256kb = sweep.iter().find(|&&(kb, _)| kb == 256).map(|&(_, r)| r);
+        let at_256kb = sweep.iter().find(|s| s.0 == 256).map(|s| s.1);
         let ok = at_256kb.is_some_and(|reads| reads <= 3.0)
-            && sweep.windows(2).all(|w| w[1].1 <= w[0].1);
+            && sweep.windows(2).all(|w| w[1].1 <= w[0].1)
+            && sweep.iter().all(|s| s.2 <= 100.0);
         if !ok {
             eprintln!(
-                "fig15 smoke FAILED: reads per lookup {sweep:?} \
-                 (need <= 3.0 at 256 KB, never rising with the budget)"
+                "fig15 smoke FAILED: (budget KB, reads per lookup, evictions per 1 000 ops) {sweep:?} \
+                 (need <= 3.0 reads at 256 KB, never rising with the budget, <= 100 evictions)"
             );
             std::process::exit(1);
         }

@@ -2,11 +2,10 @@
 
 use crate::stats::CacheStats;
 use parking_lot::RwLock;
-use rand::Rng;
 use sherman_sim::GlobalAddress;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One child pointer inside a cached internal node.
@@ -129,40 +128,98 @@ fn span(lo: u64, hi: u64) -> (Bound<u64>, Bound<u64>) {
 #[derive(Debug)]
 struct Slot {
     node: Arc<CachedInternal>,
-    last_used: AtomicU64,
+    /// Lookups routed through this image while counts move: it starts at
+    /// the image's sketch estimate and halves with every aging.  A count, not
+    /// a ledger: two lookups racing on one image under the read lock may
+    /// count once.
+    uses: AtomicU32,
 }
 
 /// Identity of an offered image: its level and lower fence key.
 type FenceKey = (u8, u64);
 
-/// The reuse filter: a fixed window of the fence keys offered most recently
-/// while the budget was full, each with the cache tick of that offer.  A key
-/// still inside the window when it is offered again has shown reuse.
-#[derive(Debug, Default)]
-struct RecentOffers {
-    ring: VecDeque<(u64, FenceKey)>,
-    seen: HashMap<FenceKey, u64>,
+/// One-byte counters of the frequency sketch per budgeted entry: 8 B per
+/// entry, 3 % of a 256 B image.
+const SKETCH_COUNTERS_PER_ENTRY: usize = 8;
+
+/// Hashes of the sketch, one row of counters each.
+const SKETCH_ROWS: usize = 4;
+
+/// Recordings between two halvings of every count, per budgeted entry.  The
+/// period must be long enough for a level-2 image's tenfold traffic over each
+/// of its level-1 children to show before the counts halve.  On the
+/// benchmark's `lookup_cold_deep` (a 1 024-entry budget of which levels 4 and
+/// 3 take 160, and the 864 left cannot hold level 2), on compute server 0
+/// after 2 M operations, halving every `2 ×` recordings left 114 level-1
+/// images cached and 2.460 round trips per operation, every `4 ×` 21 and
+/// 2.395, every `10 ×` 1 and 2.383; beyond that the figure is flat (`32 ×`:
+/// none, 2.383; `1 000 ×`: none, 2.382).  The counts must still fade for a
+/// hot set that moved to get in, so the period stays a small multiple past
+/// the knee: `32 ×` is about 28 000 offers there, about 20 000 operations.
+const AGING_PERIOD_PER_ENTRY: usize = 32;
+
+/// One step of splitmix64: advance `state`, return a well-mixed word.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-impl RecentOffers {
-    /// Forget `key`, returning the tick of its remembered offer if it is
-    /// still inside the window.
-    fn take(&mut self, key: FenceKey) -> Option<u64> {
-        self.seen.remove(&key)
+/// Candidate counts: a count-min sketch of the offers of images that are not
+/// resident, with conservative update (only the counters at the key's
+/// minimum move) and one-byte saturating counters.
+#[derive(Debug)]
+struct Sketch {
+    /// `SKETCH_ROWS` rows of `width` counters, row after row.
+    counters: Vec<u8>,
+    width: usize,
+    /// The budget, in entries, the sketch was sized for.
+    entries: usize,
+}
+
+impl Sketch {
+    fn new(entries: usize) -> Self {
+        let counters = vec![0; entries * SKETCH_COUNTERS_PER_ENTRY];
+        let width = counters.len() / SKETCH_ROWS;
+        Sketch {
+            counters,
+            width,
+            entries,
+        }
     }
 
-    /// Remember an offer of `key` at `tick`, keeping the last `window`.
-    fn remember(&mut self, key: FenceKey, tick: u64, window: usize) {
-        while self.ring.len() >= window.max(1) {
-            let Some((old_tick, old)) = self.ring.pop_front() else {
-                break;
-            };
-            if self.seen.get(&old) == Some(&old_tick) {
-                self.seen.remove(&old);
+    /// The counter of `key` in each row.
+    fn cells(&self, (level, fence_low): FenceKey) -> [usize; SKETCH_ROWS] {
+        let hash = splitmix(&mut (fence_low ^ u64::from(level) << 56));
+        std::array::from_fn(|row| {
+            let h = hash.rotate_left(16 * row as u32);
+            row * self.width + ((u128::from(h) * self.width as u128) >> 64) as usize
+        })
+    }
+
+    fn min_at(&self, cells: &[usize; SKETCH_ROWS]) -> u8 {
+        cells.iter().map(|&c| self.counters[c]).min().unwrap_or(0)
+    }
+
+    fn estimate(&self, key: FenceKey) -> u8 {
+        self.min_at(&self.cells(key))
+    }
+
+    /// Count one more offer of `key`; returns its new estimate.
+    fn record(&mut self, key: FenceKey) -> u8 {
+        let cells = self.cells(key);
+        let min = self.min_at(&cells);
+        if min == u8::MAX {
+            return min;
+        }
+        for c in cells {
+            if self.counters[c] == min {
+                self.counters[c] = min + 1;
             }
         }
-        self.ring.push_back((tick, key));
-        self.seen.insert(key, tick);
+        min + 1
     }
 }
 
@@ -186,7 +243,14 @@ struct Inner {
     /// *before* the retire re-inserts it *after* the scrub.  A legitimately
     /// recycled address arrives with a newer version and clears its entry.
     tombstones: HashMap<GlobalAddress, u8>,
-    recent: RecentOffers,
+    /// Counts of the offers of images not resident.  Allocated the first
+    /// time the budget is full; until then no count moves.
+    sketch: Option<Sketch>,
+    /// Offers recorded since every count last halved.
+    recorded: usize,
+    /// Splitmix state of the victim draws.  Seeded with zero, so a cache
+    /// (and a cleared one) draws the same victims whatever thread drives it.
+    rng: u64,
 }
 
 impl Inner {
@@ -227,7 +291,7 @@ impl Inner {
         !self.pinned(node.level) && !self.has_child(node.level, node.fence_low, node.fence_high)
     }
 
-    fn insert(&mut self, node: Arc<CachedInternal>, tick: u64) {
+    fn insert(&mut self, node: Arc<CachedInternal>, uses: u32) {
         let level = node.level as usize;
         if self.levels.len() <= level {
             self.levels.resize_with(level + 1, BTreeMap::new);
@@ -238,7 +302,7 @@ impl Inner {
         }
         self.slots.push(Slot {
             node,
-            last_used: AtomicU64::new(tick),
+            uses: AtomicU32::new(uses),
         });
     }
 
@@ -313,18 +377,65 @@ impl Inner {
         }
     }
 
-    fn last_used(&self, slot: usize) -> u64 {
-        self.slots[slot].last_used.load(Ordering::Relaxed)
+    fn uses(&self, slot: usize) -> u32 {
+        self.slots[slot].uses.load(Ordering::Relaxed)
+    }
+
+    /// Count a lookup routed through `slot` (a load and a store, not a
+    /// read-modify-write: the read lock is shared).
+    fn bump(&self, slot: usize) {
+        let uses = &self.slots[slot].uses;
+        let n = uses.load(Ordering::Relaxed).saturating_add(1);
+        uses.store(n, Ordering::Relaxed);
+    }
+
+    /// The sketch for a budget of `max` entries, allocated the first time the
+    /// budget is full (from then on counts move) and again when the budget
+    /// changed.  The sketch's counters and the residents' counts are one
+    /// scale, so a new sketch restarts them all: kept across a 4× shrink, the
+    /// survivors' counts locked a shifting hot spot out of the smaller budget.
+    fn sketch_for(&mut self, max: usize) -> &mut Sketch {
+        if self.sketch.as_ref().is_none_or(|s| s.entries != max) {
+            for slot in &mut self.slots {
+                *slot.uses.get_mut() = 0;
+            }
+            self.recorded = 0;
+            self.sketch = Some(Sketch::new(max));
+        }
+        self.sketch.as_mut().expect("allocated above")
+    }
+
+    /// What the sketch knows of `key` (0 before counts move).
+    fn estimate(&self, key: FenceKey) -> u32 {
+        self.sketch.as_ref().map_or(0, |s| s.estimate(key).into())
+    }
+
+    /// Record an offer of the image `key`, not resident, at a full budget of
+    /// `max` entries; returns its estimate.  Every `AGING_PERIOD_PER_ENTRY ×
+    /// max` recordings every resident count and every sketch counter halves
+    /// first, so what the traffic did long ago fades.
+    fn record_offer(&mut self, key: FenceKey, max: usize) -> u32 {
+        self.recorded += 1;
+        if self.recorded >= AGING_PERIOD_PER_ENTRY * max {
+            self.recorded = 0;
+            for slot in &mut self.slots {
+                *slot.uses.get_mut() /= 2;
+            }
+            if let Some(sketch) = &mut self.sketch {
+                sketch.counters.iter_mut().for_each(|c| *c /= 2);
+            }
+        }
+        self.sketch_for(max).record(key).into()
     }
 
     /// One power-of-two-choices candidate: a uniformly random slot,
     /// re-drawn while the pick is pinned or still has cached children.
-    fn sample_evictable(&self, rng: &mut impl Rng) -> Option<usize> {
+    fn sample_evictable(&mut self) -> Option<usize> {
         // Childless budgeted entries are the large majority of any cache
         // (every parent has several children), so a handful of draws almost
         // always suffices; the scan only backs up a pathological shape.
         for _ in 0..64 {
-            let slot = rng.gen_range(0..self.slots.len());
+            let slot = (splitmix(&mut self.rng) % self.slots.len() as u64) as usize;
             if self.evictable(slot) {
                 return Some(slot);
             }
@@ -332,17 +443,12 @@ impl Inner {
         (0..self.slots.len()).find(|&slot| self.evictable(slot))
     }
 
-    /// Power of two choices: the least recently used of two random
-    /// evictable entries (§4.2.3).
-    fn pick_victim(&self) -> Option<usize> {
-        let mut rng = rand::thread_rng();
-        let a = self.sample_evictable(&mut rng)?;
-        let b = self.sample_evictable(&mut rng)?;
-        Some(if self.last_used(b) < self.last_used(a) {
-            b
-        } else {
-            a
-        })
+    /// Power of two choices (§4.2.3): the less used of two random evictable
+    /// entries.
+    fn pick_victim(&mut self) -> Option<usize> {
+        let a = self.sample_evictable()?;
+        let b = self.sample_evictable()?;
+        Some(if self.uses(b) < self.uses(a) { b } else { a })
     }
 
     fn evict(&mut self, slot: usize) {
@@ -362,15 +468,23 @@ impl Inner {
 ///   parent, and only an image with no cached child is evicted, so the cached
 ///   set is always a top-down prefix of root-to-leaf paths and a miss pays
 ///   only the uncached suffix;
-/// * **admission by reuse** — while the budget has room every offer is
-///   admitted; once full, a first offer is only remembered and the second
-///   offer inside the window admits, so one-touch traffic cannot flush the
-///   budget;
-/// * **eviction** — power-of-two-choices LRU among the evictable entries,
-///   with every cached node on a lookup's path touched.
+/// * **admission by frequency** — while the budget has room every offer is
+///   admitted; once full, an image is admitted only over a victim that
+///   routed strictly fewer lookups, so one-touch traffic cannot flush the
+///   budget and a level-1 image cannot push out a level-2 image, which
+///   routes the traffic of all its children (TinyLFU admission: Einziger,
+///   Friedman and Manes, ACM TOS 2017).  A cached image counts the lookups
+///   it answered or lay above; an image not cached counts its offers in a
+///   count-min sketch of 4 hashes and 8 one-byte counters per budgeted
+///   entry — 8 B per entry, 3 % of a 256 B image.  Every `32 × max_entries`
+///   recorded offers every count halves, and a changed budget restarts them;
+/// * **eviction** — power of two choices: the less used of two random
+///   evictable entries, drawn from a splitmix state of the cache's own, so a
+///   run repeats exactly whatever thread drives it.
 ///
-/// Whenever level 1 fits the budget this is exactly the paper's cache: all of
-/// level 1 (type ❶) plus the top two levels (type ❷).
+/// Nothing is counted until the budget is first full.  Whenever level 1 fits
+/// the budget this is exactly the paper's cache: all of level 1 (type ❶) plus
+/// the top two levels (type ❷), with no sketch allocated.
 #[derive(Debug)]
 pub struct IndexCache {
     /// Per-entry cost used for capacity accounting (fixed at construction).
@@ -380,7 +494,6 @@ pub struct IndexCache {
     /// ([`IndexCache::set_capacity_bytes`]) while lookups proceed.
     capacity_bytes: AtomicUsize,
     inner: RwLock<Inner>,
-    clock: AtomicU64,
     stats: CacheStats,
 }
 
@@ -391,7 +504,6 @@ impl IndexCache {
             entry_bytes: config.entry_bytes,
             capacity_bytes: AtomicUsize::new(config.capacity_bytes),
             inner: RwLock::new(Inner::default()),
-            clock: AtomicU64::new(0),
             stats: CacheStats::default(),
         }
     }
@@ -446,16 +558,12 @@ impl IndexCache {
         inner.slots.len() - inner.budgeted
     }
 
-    /// Drop every cached route, the tombstones and the reuse window,
-    /// returning the cache to its freshly-constructed cold state.
-    /// Benchmarks use this to measure cold-start traversal cost without
-    /// rebuilding the cluster; nothing on the hot path calls it.
+    /// Drop every cached route, the tombstones and the counts, returning the
+    /// cache to its freshly-constructed cold state.  Benchmarks use this to
+    /// measure cold-start traversal cost without rebuilding the cluster;
+    /// nothing on the hot path calls it.
     pub fn clear(&self) {
         *self.inner.write() = Inner::default();
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
     // ------------------------------------------------------------------
@@ -464,10 +572,10 @@ impl IndexCache {
 
     /// The **deepest** cached image at level `min_level` or above whose fence
     /// interval contains `key`: a level-1 answer names the leaf, a level-ℓ
-    /// answer lets the traversal start at level ℓ−1.  Touches every budgeted
-    /// image on the path above the answer as well, so a hot path's inner
-    /// nodes outlive their colder siblings.  A search from level 1 counts as
-    /// a hit when a level-1 image answered and a miss otherwise.
+    /// answer lets the traversal start at level ℓ−1.  Once counts move, the
+    /// answer and every budgeted image on the path above it count the lookup,
+    /// so an image's count is the traffic it routes.  A search from level 1
+    /// counts as a hit when a level-1 image answered and a miss otherwise.
     pub fn deepest(&self, key: u64, min_level: u8) -> Option<Arc<CachedInternal>> {
         let inner = self.inner.read();
         let from = min_level.max(1);
@@ -482,11 +590,12 @@ impl IndexCache {
         let node = Arc::clone(&inner.slots[slot].node);
         self.stats
             .record_levels_skipped((inner.root_level + 1).saturating_sub(node.level) as u64);
-        let tick = self.tick();
-        inner.slots[slot].last_used.store(tick, Ordering::Relaxed);
-        for level in (node.level + 1..).take_while(|&l| inner.needs_parent(l)) {
-            if let Some(ancestor) = inner.covering(level, key) {
-                inner.slots[ancestor].last_used.store(tick, Ordering::Relaxed);
+        if inner.sketch.is_some() {
+            inner.bump(slot);
+            for level in (node.level + 1..).take_while(|&l| inner.needs_parent(l)) {
+                if let Some(ancestor) = inner.covering(level, key) {
+                    inner.bump(ancestor);
+                }
             }
         }
         Some(node)
@@ -525,7 +634,7 @@ impl IndexCache {
     /// The cached image of exactly `level` covering `key`, if there is one.
     /// A pure view like [`IndexCache::search_top`]: a structural commit asks
     /// it for the parent of the node it is about to merge, which is not a
-    /// lookup the hit ratio or the eviction clock should learn from.
+    /// lookup the hit ratio or the counts should learn from.
     pub fn peek(&self, level: u8, key: u64) -> Option<Arc<CachedInternal>> {
         let inner = self.inner.read();
         let slot = inner.covering(level, key)?;
@@ -566,7 +675,8 @@ impl IndexCache {
     /// (it places the pinned window).  An image already cached is replaced in
     /// place — that is how a stale route heals; a new one is admitted if it
     /// lies in the pinned window, or under a cached parent while the budget
-    /// has room, has shown reuse, or already has cached children to route to.
+    /// has room, has been offered more often than the would-be victim routed
+    /// lookups, or already has cached children to route to.
     /// Copies at or below a recorded tombstone version are rejected (the
     /// retire/re-cache race; see [`IndexCache::apply_invalidate`]).  Returns
     /// whether the image is cached now.
@@ -590,7 +700,6 @@ impl IndexCache {
             return false;
         }
         let (level, lo, hi) = (node.level, node.fence_low, node.fence_high);
-        let tick = self.tick();
         if let Some(&slot) = inner.map(level).and_then(|m| m.get(&lo)) {
             let old = Arc::clone(&inner.slots[slot].node);
             if old.addr == node.addr && CachedInternal::version_newer(old.version, node.version) {
@@ -598,7 +707,6 @@ impl IndexCache {
                 return true;
             }
             inner.slots[slot].node = node;
-            inner.slots[slot].last_used.store(tick, Ordering::Relaxed);
             if hi < old.fence_high {
                 // The node split: what its right half took with it needs a
                 // cached parent of its own.
@@ -608,6 +716,7 @@ impl IndexCache {
             }
             return true;
         }
+        let mut uses = inner.estimate((level, lo));
         if !inner.pinned(level) {
             if inner.needs_parent(level) && !inner.has_parent(level, lo) {
                 return false;
@@ -615,19 +724,15 @@ impl IndexCache {
             let max = self.config().max_entries();
             if inner.budgeted >= max && !inner.has_child(level, lo, hi) {
                 // Admitting would evict: the image must have been offered
-                // before inside the window, and the would-be victim must have
-                // idled since — two uses against none.  A victim used in
-                // between is at least as warm and stays; so does the image's
-                // own parent, childless until this admission.
-                let victim = inner.recent.take((level, lo)).and_then(|first_offer| {
-                    inner.pick_victim().filter(|&victim| {
-                        let node = &inner.slots[victim].node;
-                        inner.last_used(victim) < first_offer
-                            && !(node.level == level + 1 && node.covers(lo))
-                    })
+                // more often than the would-be victim routed lookups.  A
+                // victim as busy stays; so does the image's own parent,
+                // childless until this admission.
+                uses = inner.record_offer((level, lo), max);
+                let victim = inner.pick_victim().filter(|&victim| {
+                    let node = &inner.slots[victim].node;
+                    inner.uses(victim) < uses && !(node.level == level + 1 && node.covers(lo))
                 });
                 let Some(victim) = victim else {
-                    inner.recent.remember((level, lo), tick, max);
                     self.stats.record_deferred_admission();
                     return false;
                 };
@@ -635,7 +740,7 @@ impl IndexCache {
                 self.stats.record_eviction();
             }
         }
-        inner.insert(node, tick);
+        inner.insert(node, uses);
         self.stats.record_insert();
         self.evict_to_budget(&mut inner, false);
         true
@@ -689,9 +794,10 @@ impl IndexCache {
 
     /// Evict with the power-of-two-choices rule until the budgeted entry
     /// count fits the live budget (after a shrink, a window shift, or the
-    /// admission of an image that arrived with cached children).  `pressure` marks evictions forced by a
-    /// runtime budget shrink (they are tallied as *both* ordinary evictions
-    /// and [`CacheStats::pressure_evictions`]).
+    /// admission of an image that arrived with cached children), and start
+    /// counting once the budget is full.  `pressure` marks evictions forced
+    /// by a runtime budget shrink (they are tallied as *both* ordinary
+    /// evictions and [`CacheStats::pressure_evictions`]).
     fn evict_to_budget(&self, inner: &mut Inner, pressure: bool) {
         let max = self.config().max_entries();
         while inner.budgeted > max {
@@ -703,6 +809,9 @@ impl IndexCache {
             if pressure {
                 self.stats.record_pressure_eviction();
             }
+        }
+        if inner.budgeted >= max {
+            inner.sketch_for(max);
         }
     }
 
@@ -815,6 +924,24 @@ mod tests {
         ]);
     }
 
+    /// One lookup of `key < 1000` under [`pin_top`], over ten level-2 images
+    /// of ten level-1 children each: the deepest cached image answers and
+    /// the traversal offers every image it reads below it.
+    fn traverse(cache: &IndexCache, key: u64) {
+        let start = cache.deepest(key, 1).expect("the pinned window").level;
+        for level in (1..start).rev() {
+            let width = 10u64.pow(level.into());
+            let lo = key / width * width;
+            cache.offer(Arc::new(image(level, lo, lo + width, &[lo + width / 2])), 4);
+        }
+    }
+
+    /// The lookups the cached image of exactly `level` covering `key` routed.
+    fn uses(cache: &IndexCache, level: u8, key: u64) -> u32 {
+        let inner = cache.inner.read();
+        inner.uses(inner.covering(level, key).expect("cached"))
+    }
+
     #[test]
     fn child_routing_follows_separators() {
         let node = image(1, 100, 200, &[120, 150, 180]);
@@ -895,24 +1022,32 @@ mod tests {
         assert_eq!(cache.stats().hits() + cache.stats().misses(), 3);
         assert_eq!(cache.stats().levels_skipped(), 4 + 3 + 1 + 3 + 2);
 
-        // At a full budget a first offer is only remembered; the second one
-        // admits over a victim that idled in between — never over an inner
-        // node of a cached path, never over the image's own parent, and not
-        // over an entry that was used since.
-        cache.offer(Arc::new(level1(250, 500)), 4);
+        // Nothing counts until the budget is full.  Once it is, a lookup
+        // counts for the image that answered and for every budgeted image
+        // above it — not for the pinned window, not for images beside it.
+        assert_eq!(uses(&cache, 1, 10), 0);
+        assert!(cache.offer(Arc::new(level1(250, 500)), 4));
         assert_eq!(cache.len(), 4);
-        assert!(!cache.offer(Arc::new(level1(500, 750)), 4));
+        for _ in 0..10 {
+            cache.deepest(10, 1);
+        }
+        assert_eq!((uses(&cache, 1, 10), uses(&cache, 2, 10)), (10, 10));
+        assert_eq!((uses(&cache, 1, 300), uses(&cache, 2, 600)), (0, 0));
+        assert_eq!(uses(&cache, 3, 10), 0);
+
+        // At a full budget an offer admits only over a victim that routed
+        // fewer lookups than the image was offered — never over an inner
+        // node of a cached path, never over the image's own parent: the idle
+        // [250, 500) goes, the busy [0, 250) stays.
         while !cache.offer(Arc::new(level1(500, 750)), 4) {}
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.deepest(600, 2).unwrap().level, 2, "its parent stayed");
-        assert_eq!(cache.deepest(10, 2).unwrap().fence_high, 500);
+        assert_eq!(cache.peek(1, 10).unwrap().fence_high, 250, "busy, stayed");
+        assert!(cache.peek(1, 300).is_none());
         assert_eq!(cache.stats().evictions(), 1);
-        // Both surviving level-1 images are touched between the two offers
-        // of a third: neither makes room for it.
-        assert!(!cache.offer(Arc::new(level1(750, 1_000)), 4));
-        for key in [10, 300, 600] {
-            cache.deepest(key, 1);
-        }
+        // The newcomer starts at its offers' count: one offer of a third
+        // image makes room in neither level-1 image.
+        assert!(uses(&cache, 1, 600) >= 1);
         assert!(!cache.offer(Arc::new(level1(750, 1_000)), 4));
         assert_eq!(cache.stats().evictions(), 1);
     }
@@ -940,72 +1075,92 @@ mod tests {
         assert_eq!(cache.top_len(), 2);
     }
 
+    /// Offer `image` until it is admitted; returns the offers it took.
+    fn offers_to_admit(cache: &IndexCache, image: CachedInternal) -> usize {
+        let image = Arc::new(image);
+        (1..=64)
+            .find(|_| cache.offer(Arc::clone(&image), 0))
+            .expect("admitted within 64 offers")
+    }
+
     #[test]
-    fn a_full_budget_admits_on_the_second_offer_only() {
+    fn a_full_budget_admits_only_over_a_less_used_victim() {
         let cache = cache_of(8);
         for i in 0..8u64 {
             cache.insert_level1(level1(i * 100, (i + 1) * 100));
         }
         assert_eq!((cache.len(), cache.stats().deferred_admissions()), (8, 0));
+        // Every resident routes eight lookups.
+        for _ in 0..8 {
+            for i in 0..8u64 {
+                assert!(cache.lookup_leaf(i * 100 + 50).is_some());
+            }
+        }
 
-        // One-touch traffic: 56 more distinct images change nothing.
-        for i in 8..64u64 {
+        // One-touch traffic: 24 more distinct images change nothing.
+        for i in 8..32u64 {
             cache.insert_level1(level1(i * 100, (i + 1) * 100));
         }
         assert_eq!(cache.len(), 8);
         assert_eq!(cache.stats().evictions(), 0);
-        assert_eq!(cache.stats().deferred_admissions(), 56);
-        assert!(cache.lookup_leaf(50).is_some() && cache.lookup_leaf(6_350).is_none());
+        assert_eq!(cache.stats().deferred_admissions(), 24);
+        assert!(cache.lookup_leaf(50).is_some() && cache.lookup_leaf(3_150).is_none());
 
-        // Reuse inside the window (the last 8 offers) admits and evicts;
-        // reuse outside it is a first offer again.
-        cache.insert_level1(level1(6_300, 6_400));
-        assert!(cache.lookup_leaf(6_350).is_some());
+        // An image offered more often than a victim routed lookups gets in —
+        // not on its second offer, by its ninth at the latest (the sketch
+        // may overestimate it, never under).
+        let offers = offers_to_admit(&cache, level1(3_100, 3_200));
+        assert!((3..=9).contains(&offers), "admitted on offer {offers}");
+        assert!(cache.lookup_leaf(3_150).is_some());
         assert_eq!((cache.len(), cache.stats().evictions()), (8, 1));
-        cache.insert_level1(level1(800, 900));
-        assert!(cache.lookup_leaf(850).is_none());
     }
 
     #[test]
     fn capacity_is_enforced_with_two_choice_eviction() {
-        // Room for 8 entries; every image is offered twice, so each one past
-        // the eighth is admitted and evicts.
+        // Room for 8 entries, each routing three lookups, the first a hundred.
         let cache = cache_of(8);
-        for i in 0..64u64 {
-            for _ in 0..2 {
-                cache.insert_level1(level1(i * 100, (i + 1) * 100));
+        for i in 0..8u64 {
+            cache.insert_level1(level1(i * 100, (i + 1) * 100));
+        }
+        for i in 0..8u64 {
+            for _ in 0..if i == 0 { 100 } else { 3 } {
+                cache.lookup_leaf(i * 100 + 50);
             }
         }
-        assert_eq!(cache.len(), 8);
-        assert_eq!(cache.stats().evictions(), 56);
-        // Recently admitted (and therefore recently used) entries are more
-        // likely to survive; at least some lookups still hit.
-        let hits_before = cache.stats().hits();
-        for i in 56..64u64 {
-            let _ = cache.lookup_leaf(i * 100 + 10);
+        // 56 more images, each offered until it is admitted: every admission
+        // evicts one entry, and the budget holds.
+        for i in 8..64u64 {
+            offers_to_admit(&cache, level1(i * 100, (i + 1) * 100));
+            assert_eq!(cache.len(), 8);
         }
-        assert!(cache.stats().hits() > hits_before);
+        assert_eq!(cache.stats().evictions(), 56);
+        // The victim is the less used of two draws, so the busy first image
+        // survived all 56 evictions.
+        assert!(cache.lookup_leaf(50).is_some());
+        assert!(cache.lookup_leaf(6_350).is_some());
     }
 
-    /// Cost of one admitting-and-evicting offer into a full cache of `entries`.
+    /// Cost of one evicting admission into a full cache of `entries`: the
+    /// sketch record, the two victim draws, the eviction and the insertion
+    /// (whether the offer wins is one comparison on top).
     fn evicting_insert_ns(entries: u64) -> f64 {
         let cache = IndexCache::new(IndexCacheConfig::new(entries as usize * 256, 256));
-        let node = |i: u64| level1(i * 100, (i + 1) * 100);
+        let node = |i: u64| Arc::new(level1(i * 100, (i + 1) * 100));
         for i in 0..entries {
-            cache.insert_level1(node(i));
+            cache.offer_at(node(i), None);
         }
         let rounds = 4_000u64;
-        let fresh: Vec<[CachedInternal; 2]> = (entries..entries + rounds)
-            .map(|i| [node(i), node(i)])
-            .collect();
+        let fresh: Vec<_> = (entries..entries + rounds).map(node).collect();
+        let mut inner = cache.inner.write();
         let started = std::time::Instant::now();
-        for pair in fresh {
-            for image in pair {
-                cache.insert_level1(image);
-            }
+        for image in fresh {
+            let uses = inner.record_offer((1, image.fence_low), entries as usize);
+            let victim = inner.pick_victim().expect("a full cache has a victim");
+            inner.evict(victim);
+            inner.insert(image, uses);
         }
         let ns = started.elapsed().as_nanos() as f64 / rounds as f64;
-        assert_eq!(cache.stats().evictions(), rounds);
+        assert_eq!(inner.budgeted, entries as usize);
         ns
     }
 
@@ -1013,8 +1168,8 @@ mod tests {
     fn victim_sampling_does_not_grow_with_the_cache() {
         // The two-choice candidates are drawn by slot, not by walking the
         // index: a full 16 MB cache of 256 B entries evicts at the price of a
-        // 64-entry one (deeper maps and colder memory only).  Best of five,
-        // so a preempted round does not decide it.
+        // 64-entry one (deeper maps, a wider sketch and colder memory only).
+        // Best of five, so a preempted round does not decide it.
         let best = |entries| {
             (0..5)
                 .map(|_| evicting_insert_ns(entries))
@@ -1025,6 +1180,57 @@ mod tests {
             large < 3.0 * small,
             "evicting insert: {small:.0} ns at 64 entries, {large:.0} ns at 16 384"
         );
+    }
+
+    /// Uniform traffic through [`traverse`] under a budget of six entries,
+    /// which cannot even hold level 2.  A level-2 image routes ten times the
+    /// lookups of any level-1 image, so once the first thousand lookups have
+    /// filled the budget no level-1 image is cached, checked every hundred
+    /// lookups to the end.  (Admitted on a second offer inside a window of
+    /// recent ones, one or two of them were.)
+    #[test]
+    fn a_level1_image_never_displaces_a_busier_level2_image() {
+        let cache = cache_of(6);
+        pin_top(&cache);
+        let mut rng = 1u64;
+        for i in 1..=20_000 {
+            traverse(&cache, splitmix(&mut rng) % 1_000);
+            if i >= 1_000 && i % 100 == 0 {
+                let level1 = (0..100u64).filter(|i| cache.peek(1, i * 10).is_some());
+                assert_eq!(level1.count(), 0, "after {i} lookups");
+            }
+        }
+        assert_eq!(cache.len(), 6);
+        assert!(cache.stats().evictions() > 0);
+    }
+
+    /// The victim draws are the cache's own: two caches fed one sequence of
+    /// offers, lookups and a shrink, each from a thread of its own, end with
+    /// the same images and the same counts.
+    #[test]
+    fn victim_draws_repeat_whatever_thread_drives_the_cache() {
+        fn drive() -> (Vec<(u8, u64, u32)>, u64) {
+            let cache = cache_of(12);
+            pin_top(&cache);
+            let mut rng = 7u64;
+            for i in 0..4_000 {
+                if i == 2_000 {
+                    cache.set_capacity_bytes(8 * 1024);
+                }
+                traverse(&cache, splitmix(&mut rng) % 1_000);
+            }
+            let inner = cache.inner.read();
+            let mut contents: Vec<_> = (0..inner.slots.len())
+                .map(|s| (&inner.slots[s].node, inner.uses(s)))
+                .map(|(node, uses)| (node.level, node.fence_low, uses))
+                .collect();
+            contents.sort_unstable();
+            (contents, cache.stats().evictions())
+        }
+        let (a, b) = (std::thread::spawn(drive), std::thread::spawn(drive));
+        let (a, b) = (a.join().unwrap(), b.join().unwrap());
+        assert!(a.1 > 4, "{} evictions", a.1);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1161,10 +1367,16 @@ mod tests {
 
     #[test]
     fn runtime_shrink_evicts_down_to_the_new_budget() {
-        // Room for 16 entries, filled exactly to capacity.
+        // Room for 16 entries, filled exactly to capacity; image i then
+        // routes i + 1 lookups.
         let cache = cache_of(16);
         for i in 0..16u64 {
             cache.insert_level1(level1(i * 100, (i + 1) * 100));
+        }
+        for i in 0..16u64 {
+            for _ in 0..=i {
+                cache.lookup_leaf(i * 100 + 50);
+            }
         }
         assert_eq!(cache.len(), 16);
         assert_eq!(cache.stats().evictions(), 0);
@@ -1180,13 +1392,18 @@ mod tests {
             12,
             "pressure evictions are also ordinary evictions"
         );
+        // A changed budget restarts every count: the survivors count nothing
+        // and a newcomer gets in on its first offer.
+        {
+            let inner = cache.inner.read();
+            assert!((0..inner.slots.len()).all(|slot| inner.uses(slot) == 0));
+        }
+        assert_eq!(offers_to_admit(&cache, level1(1_600, 1_700)), 1);
 
         // Later admissions keep honouring the shrunken budget, and those
         // evictions are *not* pressure evictions.
-        for i in 16..24u64 {
-            for _ in 0..2 {
-                cache.insert_level1(level1(i * 100, (i + 1) * 100));
-            }
+        for i in 17..24u64 {
+            offers_to_admit(&cache, level1(i * 100, (i + 1) * 100));
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().pressure_evictions(), 12);

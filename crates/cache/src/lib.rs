@@ -13,7 +13,8 @@
 //! every level below shares the byte budget, spent top-down along the paths
 //! the traffic uses (an image is admitted only under a cached parent, evicted
 //! only once it has no cached child, and — once the budget is full — admitted
-//! only on its second offer).  A lookup returns the *deepest* cached image
+//! only over a victim that routed fewer lookups than the image was offered).
+//! A lookup returns the *deepest* cached image
 //! covering the key: a level-1 answer turns the operation into a single
 //! leaf-node `RDMA_READ`, a level-ℓ answer lets the traversal start at level
 //! ℓ−1, so a miss pays only the uncached suffix of the path.  Whenever level 1

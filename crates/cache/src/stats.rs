@@ -82,13 +82,15 @@ impl CacheStats {
         self.levels_skipped.load(Ordering::Relaxed)
     }
 
-    /// Record an offer that was only remembered: the budget was full and the
-    /// image had not shown reuse yet.
+    /// Record an offer rejected at a full budget: the image had not been
+    /// offered more often than the would-be victim routed lookups, or the
+    /// victim was the image's own parent.
     pub fn record_deferred_admission(&self) {
         self.deferred_admissions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Offers remembered, not admitted (admission by reuse at a full budget).
+    /// Offers rejected at a full budget (admission by frequency); the sketch
+    /// still counted each one.
     pub fn deferred_admissions(&self) -> u64 {
         self.deferred_admissions.load(Ordering::Relaxed)
     }

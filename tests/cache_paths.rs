@@ -43,7 +43,11 @@ fn deep_cluster(keys: u64, stride: u64, cache_entries: usize) -> Arc<Cluster> {
 /// 93 / 11 / 2 / 1 internal nodes, a budget of 84 entries (a tenth of level
 /// 1), uniform keys, one client.  The two-set cache spent those entries on 84
 /// of the 834 level-1 nodes, read 3.7 nodes per lookup and evicted on nine
-/// lookups in ten; spent top-down they hold level 3 and most of level 2.
+/// lookups in ten.  Spent top-down and admitted on a second offer inside a
+/// window of recent ones, they held level 3 and most of level 2 at 2.348
+/// reads and 184.6 evictions per 1 000 lookups; admitted only over a victim
+/// that routed fewer lookups, level-1 images stop displacing the level-2
+/// images that route ten times their traffic (2.210 reads, 3.7 evictions).
 #[test]
 fn a_deep_cold_lookup_pays_the_uncached_suffix_of_its_path() {
     let keys = 60_000u64;
@@ -69,9 +73,9 @@ fn a_deep_cold_lookup_pays_the_uncached_suffix_of_its_path() {
     let reads = lookups(n) as f64 / n as f64;
     let evictions = (stats.evictions() - evictions) as f64 * 1e3 / n as f64;
     let skipped = (stats.levels_skipped() - skipped) as f64 / n as f64;
-    assert!(reads <= 2.7, "{reads:.3} reads per lookup");
+    assert!(reads <= 2.25, "{reads:.3} reads per lookup");
     assert!(
-        evictions < 200.0,
+        evictions < 50.0,
         "{evictions:.1} evictions per 1 000 lookups"
     );
     // Six levels in all; what a lookup did not skip, it read.

@@ -582,14 +582,15 @@ impl IndexCache {
         let found = (from..inner.levels.len() as u8).find_map(|l| inner.covering(l, key));
         if from == 1 {
             match found {
-                Some(slot) if inner.slots[slot].node.level == 1 => self.stats.record_hit(),
-                _ => self.stats.record_miss(),
+                Some(slot) if inner.slots[slot].node.level == 1 => self.stats.hits.inc(),
+                _ => self.stats.misses.inc(),
             }
         }
         let slot = found?;
         let node = Arc::clone(&inner.slots[slot].node);
         self.stats
-            .record_levels_skipped((inner.root_level + 1).saturating_sub(node.level) as u64);
+            .levels_skipped
+            .add((inner.root_level + 1).saturating_sub(node.level) as u64);
         if inner.sketch.is_some() {
             inner.bump(slot);
             for level in (node.level + 1..).take_while(|&l| inner.needs_parent(l)) {
@@ -664,7 +665,7 @@ impl IndexCache {
                 true
             }
             Some(_) => {
-                self.stats.record_stale_rejection();
+                self.stats.stale_rejections.inc();
                 false
             }
         }
@@ -711,7 +712,7 @@ impl IndexCache {
                 // The node split: what its right half took with it needs a
                 // cached parent of its own.
                 for _ in 0..inner.drop_orphans(level, hi, old.fence_high) {
-                    self.stats.record_invalidation();
+                    self.stats.invalidations.inc();
                 }
             }
             return true;
@@ -733,15 +734,15 @@ impl IndexCache {
                     inner.uses(victim) < uses && !(node.level == level + 1 && node.covers(lo))
                 });
                 let Some(victim) = victim else {
-                    self.stats.record_deferred_admission();
+                    self.stats.deferred_admissions.inc();
                     return false;
                 };
                 inner.evict(victim);
-                self.stats.record_eviction();
+                self.stats.evictions.inc();
             }
         }
         inner.insert(node, uses);
-        self.stats.record_insert();
+        self.stats.inserts.inc();
         self.evict_to_budget(&mut inner, false);
         true
     }
@@ -763,7 +764,7 @@ impl IndexCache {
     /// stores the same allocation.
     pub fn refresh_top(&self, node: Arc<CachedInternal>, root_level: u8) {
         if self.offer(node, root_level) {
-            self.stats.record_refresh();
+            self.stats.refreshes.inc();
         }
     }
 
@@ -805,9 +806,9 @@ impl IndexCache {
                 break;
             };
             inner.evict(victim);
-            self.stats.record_eviction();
+            self.stats.evictions.inc();
             if pressure {
-                self.stats.record_pressure_eviction();
+                self.stats.pressure_evictions.inc();
             }
         }
         if inner.budgeted >= max {
@@ -832,7 +833,7 @@ impl IndexCache {
     pub fn invalidate_at(&self, level: u8, fence_low: u64) {
         let removed = self.inner.write().remove_with_orphans(level, fence_low);
         for _ in 0..removed {
-            self.stats.record_invalidation();
+            self.stats.invalidations.inc();
         }
     }
 
@@ -851,7 +852,7 @@ impl IndexCache {
             .collect();
         for (level, fence_low) in stale {
             for _ in 0..inner.remove_with_orphans(level, fence_low) {
-                self.stats.record_invalidation();
+                self.stats.invalidations.inc();
             }
         }
     }

@@ -140,7 +140,7 @@ impl<B: FabricBackend> Cluster<B> {
             layout,
             caches,
             root_hint: RwLock::new(None),
-            space: SpaceCounters::new(),
+            space: SpaceCounters::default(),
             coherence: CoherenceCounters::default(),
             offload,
             pending_refreshes: Mutex::new(Vec::new()),

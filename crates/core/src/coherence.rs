@@ -203,10 +203,10 @@ pub(crate) fn publish<B: FabricBackend>(
             for cs in 0..servers {
                 if cs == own {
                     cluster.cache(cs as u16).refresh_top(Arc::clone(&node), root_level);
-                    counters.record_local_apply();
+                    counters.local_applies.inc();
                 } else {
                     ctx.post_coherence(cs as u16, node_size, Arc::clone(&payload));
-                    counters.record_refresh_posted();
+                    counters.refreshes_posted.inc();
                 }
             }
         }
@@ -222,10 +222,10 @@ pub(crate) fn publish<B: FabricBackend>(
         for cs in 0..servers {
             if cs == own {
                 cluster.cache(cs as u16).apply_invalidate(addr, tombstone_version);
-                counters.record_local_apply();
+                counters.local_applies.inc();
             } else {
                 ctx.post_coherence(cs as u16, INVALIDATE_WIRE_BYTES, Arc::clone(&payload));
-                counters.record_invalidation_posted();
+                counters.invalidations_posted.inc();
             }
         }
     }

@@ -565,7 +565,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let mgr = self.cluster.lock_manager();
         let node_size = self.layout().node_size();
         let counters = self.cluster.space_counters();
-        counters.record_optimistic_plan();
+        counters.optimistic_plans.inc();
         let mut attempts: Vec<Acquisition> = plan
             .iter()
             .map(|&rep| Acquisition::try_once(rep, Some(node_size)))
@@ -606,7 +606,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             self.ctx.charge_scan(plan.len() * node_size);
             return Ok(Some(won.into_iter().map(|(_, image)| image).collect()));
         }
-        counters.record_plan_fallback();
+        counters.plan_fallbacks.inc();
         let held: Vec<GlobalAddress> = won.into_iter().map(|(rep, _)| rep).collect();
         self.abandon_plan(&held)?;
         failed.map_or(Ok(None), |e| Err(e.into()))
@@ -765,7 +765,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             if header.free && matches!(source, LeafSource::Cache { .. }) {
                 // The cache routed this write to a retired leaf: its
                 // invalidation is still in flight.
-                self.cluster.coherence_counters().record_stale_hit();
+                self.cluster.coherence_counters().stale_hits.inc();
             }
             let release = self.release_lock_deferred(addr, Vec::new())?;
             let next = next_after_mismatch(self, key, addr, &header, source)
@@ -1340,20 +1340,20 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 cascade = !parent.header.free
                     && parent.entries.len() < self.merge_floor::<InternalNode>();
                 if is_leaf {
-                    counters.record_leaf_merge();
+                    counters.leaf_merges.inc();
                 } else {
-                    counters.record_internal_merge();
+                    counters.internal_merges.inc();
                 }
                 if direction == MergeDirection::Left {
-                    counters.record_left_merge();
+                    counters.left_merges.inc();
                 }
             }
             PairChange::Rebalance { new_sep } => {
                 assert!(parent.retarget_separator(sep, new_sep, right_addr));
                 if is_leaf {
-                    counters.record_rebalance();
+                    counters.rebalances.inc();
                 } else {
-                    counters.record_internal_rebalance();
+                    counters.internal_rebalances.inc();
                 }
             }
         }
@@ -1487,7 +1487,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             .expect("internal node has leftmost child");
         let collapsed = self.swing_root(packed, child, child_level)?;
         if collapsed {
-            self.cluster.space_counters().record_root_collapse();
+            self.cluster.space_counters().root_collapses.inc();
         }
         Ok(collapsed)
     }

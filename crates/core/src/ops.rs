@@ -492,7 +492,7 @@ impl OffloadSM {
             if !CachedInternal::version_newer(info.version, floor) {
                 cx.cluster
                     .offload_counters(cx.cs_id)
-                    .record_stale_reject();
+                    .stale_rejects.inc();
                 return false;
             }
         }
@@ -564,7 +564,7 @@ impl OffloadSM {
                 }
             }
             RpcResponse::Declined { .. } => {
-                cx.cluster.offload_counters(cx.cs_id).record_declined();
+                cx.cluster.offload_counters(cx.cs_id).declined.inc();
                 OffloadOutcome::Fallback
             }
             RpcResponse::Ack => OffloadOutcome::Fallback,
@@ -717,9 +717,9 @@ impl TraverseSM {
                 .unwrap_or_else(|| cache.deepest(self.key, min_level))
                 .filter(|image| image.level > self.target_level);
             if start.is_some() {
-                cache.stats().record_top_hit();
+                cache.stats().top_hits.inc();
             } else {
-                cache.stats().record_top_miss();
+                cache.stats().top_misses.inc();
             }
             start
         } else {
@@ -796,7 +796,7 @@ impl TraverseSM {
                             if route.is_some() {
                                 // A cached route led to a retired node
                                 // before its invalidation was drained.
-                                cx.cluster.coherence_counters().record_stale_hit();
+                                cx.cluster.coherence_counters().stale_hits.inc();
                             }
                         } else if let Some((level, fence_low)) = route {
                             // The routing image no longer describes the
@@ -940,24 +940,24 @@ impl LookupSM {
                             if reply.chase_sibling {
                                 // The RPC still collapsed the descent; chase
                                 // the B-link locally like any other reader.
-                                counters.record_win();
+                                counters.wins.inc();
                                 self.pending =
                                     reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
                                 self.phase = LookupPhase::Restart;
                             } else if reply.entry_conflict {
                                 // Entry-granular write mid-flight on the
                                 // server's image: re-read the leaf locally.
-                                counters.record_loss();
+                                counters.losses.inc();
                                 meta.read_retries += 1;
                                 self.phase =
                                     self.leaf_phase(cx, reply.leaf.addr, LeafSource::Traversal);
                             } else {
-                                counters.record_win();
+                                counters.wins.inc();
                                 return Ok(Step::Done(reply.found));
                             }
                         }
                         Step::Done(_) => {
-                            cx.cluster.offload_counters(cx.cs_id).record_loss();
+                            cx.cluster.offload_counters(cx.cs_id).losses.inc();
                             match fallback {
                                 Some((addr, source)) => {
                                     self.phase = self.leaf_phase(cx, addr, source);
@@ -989,7 +989,7 @@ impl LookupSM {
                             if leaf.header.free && matches!(source, LeafSource::Cache { .. }) {
                                 // The index cache routed to a retired leaf:
                                 // its invalidation is still in flight.
-                                cx.cluster.coherence_counters().record_stale_hit();
+                                cx.cluster.coherence_counters().stale_hits.inc();
                             }
                             self.pending =
                                 next_after_mismatch(cx, self.key, addr, &leaf.header, source)
@@ -1211,18 +1211,18 @@ impl RangeSM {
                         let counters = cx.cluster.offload_counters(cx.cs_id);
                         match frontier {
                             Some(frontier) if !reply.leaves.is_empty() => {
-                                counters.record_win();
+                                counters.wins.inc();
                                 self.results.extend(reply.entries.iter().copied());
                                 self.frontier = frontier;
                                 self.next = reply.next;
                                 self.exhausted = reply.next.is_none();
                             }
-                            _ => counters.record_loss(),
+                            _ => counters.losses.inc(),
                         }
                         self.phase = RangePhase::Seek;
                     }
                     Step::Done(_) => {
-                        cx.cluster.offload_counters(cx.cs_id).record_loss();
+                        cx.cluster.offload_counters(cx.cs_id).losses.inc();
                         self.phase = RangePhase::Seek;
                     }
                 },
@@ -1268,7 +1268,7 @@ impl RangeSM {
                             cache.invalidate_addr(addrs[idx]);
                         }
                         cache.invalidate(route);
-                        cache.stats().record_scan_fallback();
+                        cache.stats().scan_fallbacks.inc();
                         false
                     };
                     if let Some(mut sm) = repair.take() {
@@ -1514,7 +1514,7 @@ impl WriteSM {
                 WritePhase::Offload(sm) => match sm.step(cx, completion.take())? {
                     Step::Pending(token) => return Ok(OpStep::Pending(token)),
                     Step::Done(OffloadOutcome::Leaf(reply)) => {
-                        cx.cluster.offload_counters(cx.cs_id).record_win();
+                        cx.cluster.offload_counters(cx.cs_id).wins.inc();
                         if reply.chase_sibling {
                             self.pending = reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
                             self.phase = WritePhase::Restart;
@@ -1524,7 +1524,7 @@ impl WriteSM {
                         }
                     }
                     Step::Done(_) => {
-                        cx.cluster.offload_counters(cx.cs_id).record_loss();
+                        cx.cluster.offload_counters(cx.cs_id).losses.inc();
                         self.phase = WritePhase::Restart;
                     }
                 },

@@ -233,14 +233,9 @@ pub struct NodeFreeList {
     registry: Arc<EpochRegistry>,
     quarantine: VecDeque<Retired>,
     ready: Vec<Retired>,
-    retired: u64,
-    reused: u64,
-    latency_sum_ns: u64,
-    latency_max_ns: u64,
-    latency_min_ns: u64,
-    eligible_sum_ns: u64,
-    eligible_max_ns: u64,
-    eligible_min_ns: u64,
+    /// The running figures; `quarantined` and `ready` stay zero here and are
+    /// filled in by [`NodeFreeList::stats`].
+    stats: FreeListStats,
 }
 
 impl NodeFreeList {
@@ -251,14 +246,7 @@ impl NodeFreeList {
             registry,
             quarantine: VecDeque::new(),
             ready: Vec::new(),
-            retired: 0,
-            reused: 0,
-            latency_sum_ns: 0,
-            latency_max_ns: 0,
-            latency_min_ns: u64::MAX,
-            eligible_sum_ns: 0,
-            eligible_max_ns: 0,
-            eligible_min_ns: u64::MAX,
+            stats: FreeListStats::default(),
         }
     }
 
@@ -266,7 +254,7 @@ impl NodeFreeList {
     /// the node-level version of the tombstone image written at the address.
     /// Returns the retirement epoch the address was quarantined under.
     pub fn retire(&mut self, addr: GlobalAddress, tombstone_version: u8, now: u64) -> u64 {
-        self.retired += 1;
+        self.stats.retired += 1;
         let stamp = self.registry.retire_epoch();
         self.quarantine.push_back(Retired {
             addr,
@@ -300,9 +288,10 @@ impl NodeFreeList {
         while self.quarantine.front().is_some_and(|r| r.stamp < boundary) {
             let r = self.quarantine.pop_front().expect("front exists");
             let eligible_latency = now.saturating_sub(r.retired_at_ns);
-            self.eligible_sum_ns += eligible_latency;
-            self.eligible_max_ns = self.eligible_max_ns.max(eligible_latency);
-            self.eligible_min_ns = self.eligible_min_ns.min(eligible_latency);
+            let s = &mut self.stats;
+            s.eligible_latency_sum_ns += eligible_latency;
+            s.eligible_latency_max_ns = s.eligible_latency_max_ns.max(eligible_latency);
+            s.eligible_latency_min_ns = s.eligible_latency_min_ns.min(eligible_latency);
             self.ready.push(r);
         }
     }
@@ -312,11 +301,12 @@ impl NodeFreeList {
     pub fn reuse(&mut self, now: u64) -> Option<ReusedNode> {
         self.reclaim(now);
         let r = self.ready.pop()?;
-        self.reused += 1;
         let latency = now.saturating_sub(r.retired_at_ns);
-        self.latency_sum_ns += latency;
-        self.latency_max_ns = self.latency_max_ns.max(latency);
-        self.latency_min_ns = self.latency_min_ns.min(latency);
+        let s = &mut self.stats;
+        s.reused += 1;
+        s.reclaim_latency_sum_ns += latency;
+        s.reclaim_latency_max_ns = s.reclaim_latency_max_ns.max(latency);
+        s.reclaim_latency_min_ns = s.reclaim_latency_min_ns.min(latency);
         Some(ReusedNode {
             addr: r.addr,
             tombstone_version: r.tombstone_version,
@@ -333,16 +323,9 @@ impl NodeFreeList {
     /// Current counters.
     pub fn stats(&self) -> FreeListStats {
         FreeListStats {
-            retired: self.retired,
-            reused: self.reused,
             quarantined: self.quarantine.len() as u64,
             ready: self.ready.len() as u64,
-            reclaim_latency_sum_ns: self.latency_sum_ns,
-            reclaim_latency_max_ns: self.latency_max_ns,
-            reclaim_latency_min_ns: self.latency_min_ns,
-            eligible_latency_sum_ns: self.eligible_sum_ns,
-            eligible_latency_max_ns: self.eligible_max_ns,
-            eligible_latency_min_ns: self.eligible_min_ns,
+            ..self.stats
         }
     }
 }

@@ -197,10 +197,10 @@ impl<B: FabricBackend> ClientAllocator<B> {
                 // refill round-trips took virtual time — a retirement may
                 // have cleared quarantine meanwhile.
                 if let Some(node) = self.reuse(client.now()) {
-                    self.pool.backpressure().record_reuse_rescue();
+                    self.pool.backpressure().reuse_rescues.inc();
                     return Ok(node);
                 }
-                self.pool.backpressure().record_exhaustion();
+                self.pool.backpressure().exhaustion_events.inc();
                 Err(PoolError::Exhausted(self.pool.alloc_error()))
             }
             Err(e) => Err(e),

@@ -21,83 +21,49 @@
 //! until it unpins.  Under no contention the quarantine is empty the moment
 //! the retiring operation completes — reuse is immediate — while a stalled
 //! reader defers exactly the addresses retired since it pinned, no more.
+//!
+//! The registry is one flat list of reader slots.  A pin or an unpin is a
+//! store into the reader's own slot and takes no lock; only registering and
+//! deregistering a reader write the list, and a reclaim pass reads it to scan
+//! the slots — which it does only when a free list's quarantine is non-empty.
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel stored in a reader slot that is not currently pinned.
 pub const UNPINNED_EPOCH: u64 = u64::MAX;
 
-/// Default number of reader-group shards in an [`EpochRegistry`].
-pub const DEFAULT_EPOCH_SHARDS: usize = 8;
-
-/// One reader group: a subset of the registered readers plus its own cached
-/// minimum.  Sharding keeps the pin/unpin critical section — a few loads and
-/// stores, but previously serialized across *every* reader on one registry
-/// mutex — contended only among the readers of one group, which is what a
-/// very large client count needs.
-#[derive(Debug, Default)]
-struct ReaderShard {
-    /// The shard's registered readers (`UNPINNED_EPOCH` when a reader is
-    /// between operations).
-    readers: Mutex<Vec<Arc<ReaderSlot>>>,
-    /// Cached result of this shard's reader scan, so that the reclaim path's
-    /// [`EpochRegistry::min_pinned`] is O(shards) instead of O(readers) per
-    /// pass.
-    ///
-    /// Maintenance is event-driven: an outermost **pin** at epoch `e` folds
-    /// `min(cached, e)` into a valid cache (a new pin can only lower the
-    /// minimum, and never below any existing pin, because pins always take
-    /// the current global epoch); an outermost **unpin** or a reader
-    /// deregistration *invalidates* the cache (removing the minimum cannot
-    /// be patched in O(1)), and the next `min_pinned` call rescans the shard
-    /// once and revalidates.  Every slot `pinned` store happens *inside* this
-    /// mutex together with its cache transition, so a shard scan (which also
-    /// holds it) always sees slots and cache in agreement — that is what
-    /// makes the debug cross-check in `min_pinned` sound.
-    min_cache: Mutex<MinPinnedCache>,
-}
-
-/// See [`ReaderShard::min_cache`].
-#[derive(Debug, Default)]
-struct MinPinnedCache {
-    /// Whether `min` reflects the shard's current reader set.
-    valid: bool,
-    /// The shard's oldest pinned epoch, `None` when no reader is pinned.
-    min: Option<u64>,
-}
-
 /// The per-deployment epoch registry: one global epoch counter plus one slot
-/// per registered reader, the readers partitioned into shards.
+/// per registered reader.
 ///
 /// Cheap to share (`Arc`); the memory pool owns one and every tree client
 /// registers a [`ReaderHandle`] with it.
 ///
-/// **Why the cross-shard minimum is safe without a global lock:** the pin
-/// protocol stores the pinned epoch into its slot (under its *own* shard's
-/// mutex, together with that shard's cache fold) and then re-checks that the
-/// global epoch has not moved — retrying the store if it has.  A successful
-/// re-check therefore orders every retirement stamped at or above the pinned
-/// epoch *after* the pin's store.  A reclaim pass only consults the boundary
-/// for an address *after* that address was retired, so its read of the pin's
-/// shard (cached or scanned, under the same shard mutex the store used)
-/// happens after the store and must observe the pin.  The argument is
-/// per-slot and per-shard; no atomicity across shards is needed, so taking
-/// the minimum over shard minima read one at a time is sound.
+/// **Why a scan without a lock on the slots is safe:** every epoch access is
+/// `SeqCst`, so all of them fall into one total order.  The pin protocol
+/// stores the pinned epoch into its slot and then re-checks that the global
+/// epoch has not moved — retrying the store if it has.  A successful re-check
+/// read the global epoch *before* any retirement that stamped an epoch at or
+/// above the pinned one advanced it, so the pin's store precedes every such
+/// retirement.  A reclaim pass consults the boundary for an address only
+/// *after* that address was retired, so its load of the pin's slot comes after
+/// the store and observes the pin (or a later unpin, once the reader is done).
+/// The argument is per slot; no atomicity across slots is needed, so a scan
+/// that loads the slots one at a time is sound.  A reader's slot joins the
+/// list in [`EpochRegistry::register`], before its first pin.
 #[derive(Debug)]
 pub struct EpochRegistry {
     /// The next epoch a retirement will be stamped with.
     global: AtomicU64,
-    /// The reader groups; a reader's shard is fixed at registration
-    /// (round-robin assignment keeps the groups balanced).
-    shards: Box<[ReaderShard]>,
-    /// Round-robin cursor for shard assignment.
-    next_shard: AtomicUsize,
+    /// Every registered reader's slot.  Written only by `register` and by a
+    /// handle's `Drop`; pins and unpins store into their slot without it.
+    readers: RwLock<Vec<Arc<ReaderSlot>>>,
 }
 
 #[derive(Debug)]
 struct ReaderSlot {
+    /// The pinned epoch, `UNPINNED_EPOCH` between operations.
     pinned: AtomicU64,
     /// Nesting depth of live [`EpochPin`] guards on this slot; the slot
     /// unpins only when the count returns to zero, so guards may be dropped
@@ -106,27 +72,13 @@ struct ReaderSlot {
 }
 
 impl EpochRegistry {
-    /// Create a registry with [`DEFAULT_EPOCH_SHARDS`] reader groups.
-    /// Epochs start at 1 so that epoch 0 never appears as a retirement stamp.
+    /// Create an empty registry.  Epochs start at 1 so that epoch 0 never
+    /// appears as a retirement stamp.
     pub fn new() -> Arc<Self> {
-        Self::with_shards(DEFAULT_EPOCH_SHARDS)
-    }
-
-    /// Create a registry with `shards` reader groups (at least 1).
-    pub fn with_shards(shards: usize) -> Arc<Self> {
-        let shards = shards.max(1);
-        let mut groups = Vec::with_capacity(shards);
-        groups.resize_with(shards, ReaderShard::default);
         Arc::new(EpochRegistry {
             global: AtomicU64::new(1),
-            shards: groups.into_boxed_slice(),
-            next_shard: AtomicUsize::new(0),
+            readers: RwLock::new(Vec::new()),
         })
-    }
-
-    /// Number of reader-group shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The epoch the next retirement will be stamped with.
@@ -140,99 +92,28 @@ impl EpochRegistry {
         self.global.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// Register a new reader with an unpinned slot, assigning it to the next
-    /// shard round-robin.
+    /// Register a new reader with an unpinned slot.
     pub fn register(self: &Arc<Self>) -> ReaderHandle {
         let slot = Arc::new(ReaderSlot {
             pinned: AtomicU64::new(UNPINNED_EPOCH),
             depth: AtomicU64::new(0),
         });
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[shard].readers.lock().push(Arc::clone(&slot));
+        self.readers.write().push(Arc::clone(&slot));
         ReaderHandle {
             registry: Arc::clone(self),
             slot,
-            shard,
         }
     }
 
     /// The oldest epoch any registered reader is currently pinned at, or
-    /// `None` when no reader is pinned.
-    ///
-    /// O(shards) between unpins: each shard serves its cached minimum and is
-    /// only rescanned after an invalidation (outermost unpin or
-    /// deregistration in that shard, or a pin that had to retry its epoch).
-    /// Debug builds re-scan each shard on the fast path too and assert that
-    /// the cached and scanned values agree — sound because every slot store
-    /// happens under the same shard mutex the scan holds.
+    /// `None` when no reader is pinned.  A scan of every slot.
     pub fn min_pinned(&self) -> Option<u64> {
-        self.shards
-            .iter()
-            .filter_map(|shard| self.shard_min(shard))
-            .min()
-    }
-
-    /// One shard's oldest pinned epoch (cached, revalidating on demand).
-    fn shard_min(&self, shard: &ReaderShard) -> Option<u64> {
-        let mut cache = shard.min_cache.lock();
-        if cache.valid {
-            let cached = cache.min;
-            #[cfg(debug_assertions)]
-            {
-                let scanned = Self::scan_shard(shard);
-                debug_assert_eq!(
-                    cached, scanned,
-                    "cached min-pinned epoch diverged from the shard's reader scan"
-                );
-            }
-            return cached;
-        }
-        let scanned = Self::scan_shard(shard);
-        cache.min = scanned;
-        cache.valid = true;
-        scanned
-    }
-
-    /// Full O(shard readers) scan of one shard's pinned-epoch slots.
-    fn scan_shard(shard: &ReaderShard) -> Option<u64> {
-        shard
-            .readers
-            .lock()
+        self.readers
+            .read()
             .iter()
             .map(|s| s.pinned.load(Ordering::SeqCst))
             .filter(|&e| e != UNPINNED_EPOCH)
             .min()
-    }
-
-    /// Store `epoch` into `slot` and update its shard's cached minimum in the
-    /// same critical section.  A first (outermost) pin only ever *lowers* the
-    /// minimum, so it folds in O(1); a retry raises this slot's own earlier
-    /// store, which cannot be patched in O(1) — invalidate and let the next
-    /// `min_pinned` rescan the shard (retries only happen when a retirement
-    /// raced the pin, so this stays off the common path).
-    fn store_pin(&self, shard: usize, slot: &ReaderSlot, epoch: u64, first_attempt: bool) {
-        let mut cache = self.shards[shard].min_cache.lock();
-        slot.pinned.store(epoch, Ordering::SeqCst);
-        if cache.valid {
-            if first_attempt {
-                cache.min = Some(cache.min.map_or(epoch, |m| m.min(epoch)));
-            } else {
-                cache.valid = false;
-            }
-        }
-    }
-
-    /// Clear `slot` (outermost unpin) and invalidate its shard's cached
-    /// minimum in the same critical section.
-    fn store_unpin(&self, shard: usize, slot: &ReaderSlot) {
-        let mut cache = self.shards[shard].min_cache.lock();
-        slot.pinned.store(UNPINNED_EPOCH, Ordering::SeqCst);
-        cache.valid = false;
-    }
-
-    /// Invalidate one shard's cached minimum (reader deregistration).
-    fn invalidate_min(&self, shard: usize) {
-        self.shards[shard].min_cache.lock().valid = false;
     }
 
     /// First epoch that is **not** safe to recycle: every address stamped
@@ -243,22 +124,16 @@ impl EpochRegistry {
 
     /// Number of registered readers.
     pub fn registered_readers(&self) -> usize {
-        self.shards.iter().map(|s| s.readers.lock().len()).sum()
+        self.readers.read().len()
     }
 
     /// Number of readers currently inside a pinned section.
     pub fn pinned_readers(&self) -> usize {
-        self.shards
+        self.readers
+            .read()
             .iter()
-            .map(|shard| {
-                shard
-                    .readers
-                    .lock()
-                    .iter()
-                    .filter(|s| s.pinned.load(Ordering::SeqCst) != UNPINNED_EPOCH)
-                    .count()
-            })
-            .sum()
+            .filter(|s| s.pinned.load(Ordering::SeqCst) != UNPINNED_EPOCH)
+            .count()
     }
 }
 
@@ -271,7 +146,6 @@ impl EpochRegistry {
 pub struct ReaderHandle {
     registry: Arc<EpochRegistry>,
     slot: Arc<ReaderSlot>,
-    shard: usize,
 }
 
 impl ReaderHandle {
@@ -283,32 +157,26 @@ impl ReaderHandle {
     /// outer operation's references would lose protection.  The slot unpins
     /// when the last guard drops, in whatever order the guards are dropped.
     ///
-    /// The store-and-recheck loop closes the registration race: once the
-    /// store is visible and the global epoch has not moved past it, every
-    /// later retirement is stamped at or above the pinned epoch and therefore
-    /// cannot be recycled under this pin.  Each store updates the cached
-    /// minimum in the same critical section (`store_pin`), *inside* the loop
-    /// and before the recheck: if a reclaim pass consulted the stale cache
-    /// while a retirement advanced the epoch past our store, the recheck
-    /// fails and the pin re-establishes above everything that pass could
-    /// have recycled — nothing this operation will read was freed under it.
+    /// The store-and-recheck loop closes the race with retirement: once the
+    /// store is made and the global epoch has not moved past it, every later
+    /// retirement is stamped at or above the pinned epoch and a reclaim pass
+    /// that could recycle it sees the pin (see [`EpochRegistry`]).  If a
+    /// retirement moved the epoch between the load and the store, a reclaim
+    /// pass may have scanned the slot before the store and recycled what that
+    /// retirement freed; the recheck fails and the pin re-establishes above
+    /// it — nothing this operation will read was freed under it.
     pub fn pin(&self) -> EpochPin {
         if self.slot.depth.fetch_add(1, Ordering::SeqCst) == 0 {
-            let mut first_attempt = true;
             loop {
                 let e = self.registry.current();
-                self.registry
-                    .store_pin(self.shard, &self.slot, e, first_attempt);
-                first_attempt = false;
+                self.slot.pinned.store(e, Ordering::SeqCst);
                 if self.registry.current() == e {
                     break;
                 }
             }
         }
         EpochPin {
-            registry: Arc::clone(&self.registry),
             slot: Arc::clone(&self.slot),
-            shard: self.shard,
         }
     }
 
@@ -328,15 +196,10 @@ impl ReaderHandle {
 
 impl Drop for ReaderHandle {
     fn drop(&mut self) {
-        {
-            let mut readers = self.registry.shards[self.shard].readers.lock();
-            if let Some(i) = readers.iter().position(|s| Arc::ptr_eq(s, &self.slot)) {
-                readers.swap_remove(i);
-            }
+        let mut readers = self.registry.readers.write();
+        if let Some(i) = readers.iter().position(|s| Arc::ptr_eq(s, &self.slot)) {
+            readers.swap_remove(i);
         }
-        // The departed slot may have carried its shard's cached minimum (its
-        // pin, if any, no longer counts once deregistered); rescan on demand.
-        self.registry.invalidate_min(self.shard);
     }
 }
 
@@ -348,18 +211,13 @@ impl Drop for ReaderHandle {
 /// gone.
 #[derive(Debug)]
 pub struct EpochPin {
-    registry: Arc<EpochRegistry>,
     slot: Arc<ReaderSlot>,
-    shard: usize,
 }
 
 impl Drop for EpochPin {
     fn drop(&mut self) {
         if self.slot.depth.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Clearing the slot and invalidating its shard's cached minimum
-            // happen in one critical section; removing a pin can only *raise*
-            // the true minimum, and the next `min_pinned` rescan catches up.
-            self.registry.store_unpin(self.shard, &self.slot);
+            self.slot.pinned.store(UNPINNED_EPOCH, Ordering::SeqCst);
         }
     }
 }
@@ -493,49 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn readers_spread_across_shards_and_minimum_spans_them() {
-        let reg = EpochRegistry::with_shards(2);
-        assert_eq!(reg.shards(), 2);
-        // Four readers land two per shard (round-robin).
-        let readers: Vec<_> = (0..4).map(|_| reg.register()).collect();
-        assert_eq!(reg.registered_readers(), 4);
-        for shard in reg.shards.iter() {
-            assert_eq!(shard.readers.lock().len(), 2);
-        }
-        // Pins in different shards all feed the cross-shard minimum.
-        let pin_a = readers[0].pin(); // shard 0, epoch 1
-        reg.retire_epoch();
-        let pin_b = readers[1].pin(); // shard 1, epoch 2
-        reg.retire_epoch();
-        let pin_c = readers[2].pin(); // shard 0, epoch 3
-        assert_eq!(reg.min_pinned(), Some(1));
-        assert_eq!(reg.pinned_readers(), 3);
-        // Unpinning the oldest promotes the next-oldest across shards.
-        drop(pin_a);
-        assert_eq!(reg.min_pinned(), Some(2));
-        drop(pin_b);
-        assert_eq!(reg.min_pinned(), Some(3));
-        drop(pin_c);
-        assert_eq!(reg.min_pinned(), None);
-    }
-
-    #[test]
-    fn single_shard_registry_still_works() {
-        let reg = EpochRegistry::with_shards(1);
-        let a = reg.register();
-        let b = reg.register();
-        let pin_a = a.pin();
-        reg.retire_epoch();
-        let pin_b = b.pin();
-        assert_eq!(reg.min_pinned(), Some(1));
-        drop(pin_a);
-        assert_eq!(reg.min_pinned(), Some(2));
-        drop(pin_b);
-        // Zero-shard requests clamp to one.
-        assert_eq!(EpochRegistry::with_shards(0).shards(), 1);
-    }
-
-    #[test]
     fn safe_boundary_is_unbounded_when_idle() {
         let reg = EpochRegistry::new();
         let reader = reg.register();
@@ -544,5 +359,72 @@ mod tests {
         assert_eq!(reg.safe_boundary(), 1);
         drop(pin);
         assert_eq!(reg.safe_boundary(), u64::MAX);
+    }
+
+    #[test]
+    fn pins_on_real_threads_race_retirement_and_reuse() {
+        use crate::alloc::NodeFreeList;
+        use sherman_sim::GlobalAddress;
+        use std::collections::HashMap;
+        use std::sync::atomic::AtomicBool;
+
+        const READERS: usize = 4;
+        const REUSES: u64 = 10_000;
+        let reg = EpochRegistry::new();
+        // The epoch each reader holds a pin at: set after the pin is taken,
+        // cleared before it is dropped, so a value here is a live pin.
+        let held: Vec<AtomicU64> = (0..READERS)
+            .map(|_| AtomicU64::new(UNPINNED_EPOCH))
+            .collect();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for slot in &held {
+                let reader = reg.register();
+                let done = &done;
+                scope.spawn(move || {
+                    while !done.load(Ordering::SeqCst) {
+                        let pin = reader.pin();
+                        slot.store(reader.pinned_epoch().expect("pinned"), Ordering::SeqCst);
+                        for _ in 0..64 {
+                            std::hint::spin_loop();
+                        }
+                        slot.store(UNPINNED_EPOCH, Ordering::SeqCst);
+                        drop(pin);
+                    }
+                });
+            }
+            scope.spawn(|| {
+                let mut free_list = NodeFreeList::new(Arc::clone(&reg));
+                let mut stamps = HashMap::new();
+                let mut violations = Vec::new();
+                let (mut now, mut reused) = (0u64, 0u64);
+                while reused < REUSES {
+                    now += 1;
+                    let addr = GlobalAddress::host(0, (now % 64) << 10);
+                    stamps
+                        .entry(addr)
+                        .or_insert_with(|| free_list.retire(addr, 1, now));
+                    let Some(node) = free_list.reuse(now) else {
+                        continue;
+                    };
+                    reused += 1;
+                    let stamp = stamps.remove(&node.addr).expect("retired before reuse");
+                    // A pin taken after this reuse lands above `stamp`, so a
+                    // held epoch at or below it was pinned before the
+                    // retirement and is still live.
+                    for h in &held {
+                        let e = h.load(Ordering::SeqCst);
+                        if e != UNPINNED_EPOCH && e <= stamp {
+                            violations.push((stamp, e));
+                        }
+                    }
+                }
+                done.store(true, Ordering::SeqCst);
+                assert!(
+                    violations.is_empty(),
+                    "addresses reused under a live pin (stamp, pinned epoch): {violations:?}"
+                );
+            });
+        });
     }
 }

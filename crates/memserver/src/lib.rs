@@ -35,6 +35,6 @@ pub mod pool;
 
 pub use alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReusedNode};
 pub use client_alloc::{AllocatedNode, ClientAllocator};
-pub use epoch::{EpochPin, EpochRegistry, ReaderHandle, DEFAULT_EPOCH_SHARDS, UNPINNED_EPOCH};
+pub use epoch::{EpochPin, EpochRegistry, ReaderHandle, UNPINNED_EPOCH};
 pub use layout::{ServerLayout, ALLOC_START_OFFSET, ROOT_PTR_OFFSET, SUPERBLOCK_MAGIC};
 pub use pool::{AllocError, MemoryPool, PoolError};

@@ -202,7 +202,7 @@ impl<B: FabricBackend> MemoryPool<B> {
             .ok_or(PoolError::NoSuchServer { ms })?;
         client.rpc_round_trip(ms, ALLOC_RPC_REQ_BYTES, ALLOC_RPC_RESP_BYTES)?;
         let offset = allocator.lock().alloc().ok_or_else(|| {
-            self.backpressure.record_chunk_denial();
+            self.backpressure.chunk_denials.inc();
             PoolError::OutOfMemory { ms }
         })?;
         Ok(GlobalAddress::host(ms, offset))
@@ -215,7 +215,7 @@ impl<B: FabricBackend> MemoryPool<B> {
             .get(ms as usize)
             .ok_or(PoolError::NoSuchServer { ms })?;
         let offset = allocator.lock().alloc().ok_or_else(|| {
-            self.backpressure.record_chunk_denial();
+            self.backpressure.chunk_denials.inc();
             PoolError::OutOfMemory { ms }
         })?;
         Ok(GlobalAddress::host(ms, offset))

@@ -7,70 +7,25 @@
 //! typed exhaustion error instead of panicking.  These counters make that
 //! regime visible so the hostile-scenario harness can gate on "the run hit
 //! backpressure and survived" rather than "the run happened not to run out".
+//!
+//! The family is one [`counters!`](crate::counters) declaration; the memory
+//! pool owns it, every client allocator bumps it, and the benchmark and the
+//! hostile suite read its snapshot.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Shared counters for allocation-backpressure events, owned by the memory
-/// pool and bumped by every client allocator.
-#[derive(Debug, Default)]
-pub struct BackpressureCounters {
-    chunk_denials: AtomicU64,
-    exhaustion_events: AtomicU64,
-    reuse_rescues: AtomicU64,
-}
-
-impl BackpressureCounters {
-    /// Record one chunk request denied because a memory server was full.
-    pub fn record_chunk_denial(&self) {
-        self.chunk_denials.fetch_add(1, Ordering::Relaxed);
+crate::counters! {
+    /// Shared counters for allocation-backpressure events, owned by the memory
+    /// pool and bumped by every client allocator.
+    pub struct BackpressureCounters {
+        /// Chunk requests denied by a full memory server.
+        chunk_denials: sum,
+        /// Allocations that failed with a typed exhaustion error: every server
+        /// was out of chunks and no retired address was reusable.
+        exhaustion_events: sum,
+        /// Allocations rescued by free-list reuse after every server was full.
+        reuse_rescues: sum,
     }
-
-    /// Record one allocation that failed outright: every server was out of
-    /// chunks and no retired address was reusable.
-    pub fn record_exhaustion(&self) {
-        self.exhaustion_events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one allocation rescued under pressure: every server was out of
-    /// chunks, but a retired address cleared quarantine and was recycled.
-    pub fn record_reuse_rescue(&self) {
-        self.reuse_rescues.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Chunk requests denied by a full memory server.
-    pub fn chunk_denials(&self) -> u64 {
-        self.chunk_denials.load(Ordering::Relaxed)
-    }
-
-    /// Allocations that failed with a typed exhaustion error.
-    pub fn exhaustion_events(&self) -> u64 {
-        self.exhaustion_events.load(Ordering::Relaxed)
-    }
-
-    /// Allocations rescued by free-list reuse after every server was full.
-    pub fn reuse_rescues(&self) -> u64 {
-        self.reuse_rescues.load(Ordering::Relaxed)
-    }
-
-    /// Copy the counters into a plain snapshot.
-    pub fn snapshot(&self) -> BackpressureSnapshot {
-        BackpressureSnapshot {
-            chunk_denials: self.chunk_denials(),
-            exhaustion_events: self.exhaustion_events(),
-            reuse_rescues: self.reuse_rescues(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`BackpressureCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackpressureSnapshot {
-    /// Chunk requests denied by a full memory server.
-    pub chunk_denials: u64,
-    /// Allocations that failed with a typed exhaustion error.
-    pub exhaustion_events: u64,
-    /// Allocations rescued by free-list reuse after every server was full.
-    pub reuse_rescues: u64,
+    /// A point-in-time copy of [`BackpressureCounters`].
+    pub struct BackpressureSnapshot;
 }
 
 impl BackpressureSnapshot {
@@ -88,14 +43,10 @@ mod tests {
     fn counters_accumulate_and_snapshot() {
         let c = BackpressureCounters::default();
         assert!(!c.snapshot().saw_pressure());
-        c.record_chunk_denial();
-        c.record_chunk_denial();
-        c.record_exhaustion();
-        c.record_reuse_rescue();
-        let s = c.snapshot();
-        assert_eq!(s.chunk_denials, 2);
-        assert_eq!(s.exhaustion_events, 1);
-        assert_eq!(s.reuse_rescues, 1);
-        assert!(s.saw_pressure());
+        for field in [&c.chunk_denials, &c.exhaustion_events, &c.reuse_rescues] {
+            field.inc();
+            assert!(c.snapshot().saw_pressure());
+            field.set(0);
+        }
     }
 }

@@ -11,98 +11,45 @@
 //!   at the subscriber (the stale window's duration),
 //! * **stale hits** — reads that were routed by a cache entry the committer
 //!   had already invalidated but whose message had not yet been applied.
+//!
+//! The family is one [`counters!`](crate::counters) declaration.  The cluster
+//! owns it; the commit path (post), the drain path (apply) and the traversals
+//! (stale hits) bump it, and `Cluster::coherence_stats` reads its snapshot.
 
-use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Shared atomic counters behind [`CoherenceGauges`]; owned by the cluster
-/// and bumped by the commit (post) and drain (apply) paths.
-#[derive(Debug, Default)]
-pub struct CoherenceCounters {
-    invalidations_posted: AtomicU64,
-    refreshes_posted: AtomicU64,
-    applied: AtomicU64,
-    local_applies: AtomicU64,
-    apply_lag_ns_total: AtomicU64,
-    apply_lag_ns_max: AtomicU64,
-    stale_hits: AtomicU64,
+crate::counters! {
+    /// Shared atomic counters behind [`CoherenceGauges`]; owned by the cluster
+    /// and bumped by the commit (post) and drain (apply) paths.
+    pub struct CoherenceCounters {
+        /// `Invalidate` messages posted toward remote inboxes.
+        invalidations_posted: sum,
+        /// `RefreshTop` messages posted toward remote inboxes.
+        refreshes_posted: sum,
+        /// Messages applied at subscribers (drained and acted upon).
+        applied: sum,
+        /// Committer-side synchronous applications to the committer's own cache
+        /// (never lag; not part of posted/applied).
+        local_applies: sum,
+        /// Sum of post→apply lags over applied messages (virtual ns).
+        apply_lag_ns_total: sum,
+        /// Largest single post→apply lag observed (virtual ns).
+        apply_lag_ns_max: max,
+        /// Reads routed by a cache entry that an in-flight (posted, not yet
+        /// applied) coherence message had already invalidated: the traversal
+        /// noticed the freed node and fell back, but the stale route was taken.
+        stale_hits: sum,
+    }
+    /// A plain-old-data summary of the coherence channel's behaviour over a run.
+    pub struct CoherenceGauges;
 }
 
 impl CoherenceCounters {
-    /// Record an `Invalidate` message posted toward a remote inbox.
-    pub fn record_invalidation_posted(&self) {
-        self.invalidations_posted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a `RefreshTop` message posted toward a remote inbox.
-    pub fn record_refresh_posted(&self) {
-        self.refreshes_posted.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record a message applied at a subscriber, `lag_ns` of virtual time
     /// after it was posted.
     pub fn record_applied(&self, lag_ns: u64) {
-        self.applied.fetch_add(1, Ordering::Relaxed);
-        self.apply_lag_ns_total.fetch_add(lag_ns, Ordering::Relaxed);
-        self.apply_lag_ns_max.fetch_max(lag_ns, Ordering::Relaxed);
+        self.applied.inc();
+        self.apply_lag_ns_total.add(lag_ns);
+        self.apply_lag_ns_max.raise(lag_ns);
     }
-
-    /// Record a committer applying a message to its *own* cache, which is
-    /// synchronous and never lags (not counted in posted/applied).
-    pub fn record_local_apply(&self) {
-        self.local_applies.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a read served through a cache entry that a not-yet-applied
-    /// coherence message had already invalidated (the traversal noticed the
-    /// freed node and fell back, but the stale route was taken).
-    pub fn record_stale_hit(&self) {
-        self.stale_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Messages applied at subscribers so far.
-    pub fn applied(&self) -> u64 {
-        self.applied.load(Ordering::Relaxed)
-    }
-
-    /// Stale hits recorded so far.
-    pub fn stale_hits(&self) -> u64 {
-        self.stale_hits.load(Ordering::Relaxed)
-    }
-
-    /// A plain-old-data snapshot of the current counter values.
-    pub fn snapshot(&self) -> CoherenceGauges {
-        CoherenceGauges {
-            invalidations_posted: self.invalidations_posted.load(Ordering::Relaxed),
-            refreshes_posted: self.refreshes_posted.load(Ordering::Relaxed),
-            applied: self.applied.load(Ordering::Relaxed),
-            local_applies: self.local_applies.load(Ordering::Relaxed),
-            apply_lag_ns_total: self.apply_lag_ns_total.load(Ordering::Relaxed),
-            apply_lag_ns_max: self.apply_lag_ns_max.load(Ordering::Relaxed),
-            stale_hits: self.stale_hits.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-old-data summary of the coherence channel's behaviour over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct CoherenceGauges {
-    /// `Invalidate` messages posted toward remote inboxes.
-    pub invalidations_posted: u64,
-    /// `RefreshTop` messages posted toward remote inboxes.
-    pub refreshes_posted: u64,
-    /// Messages applied at subscribers (drained and acted upon).
-    pub applied: u64,
-    /// Committer-side synchronous applications to the committer's own cache
-    /// (never lag; not part of posted/applied).
-    pub local_applies: u64,
-    /// Sum of post→apply lags over applied messages (virtual ns).
-    pub apply_lag_ns_total: u64,
-    /// Largest single post→apply lag observed (virtual ns).
-    pub apply_lag_ns_max: u64,
-    /// Reads routed by a cache entry that an in-flight (posted, not yet
-    /// applied) coherence message had already invalidated.
-    pub stale_hits: u64,
 }
 
 impl CoherenceGauges {
@@ -125,18 +72,6 @@ impl CoherenceGauges {
             self.apply_lag_ns_total as f64 / self.applied as f64
         }
     }
-
-    /// Merge another snapshot into this one: counts add, the lag high-water
-    /// mark takes the max.
-    pub fn merge(&mut self, other: &CoherenceGauges) {
-        self.invalidations_posted += other.invalidations_posted;
-        self.refreshes_posted += other.refreshes_posted;
-        self.applied += other.applied;
-        self.local_applies += other.local_applies;
-        self.apply_lag_ns_total += other.apply_lag_ns_total;
-        self.apply_lag_ns_max = self.apply_lag_ns_max.max(other.apply_lag_ns_max);
-        self.stale_hits += other.stale_hits;
-    }
 }
 
 #[cfg(test)]
@@ -146,23 +81,16 @@ mod tests {
     #[test]
     fn counters_snapshot_round_trips() {
         let c = CoherenceCounters::default();
-        c.record_invalidation_posted();
-        c.record_invalidation_posted();
-        c.record_refresh_posted();
+        c.invalidations_posted.add(2);
+        c.refreshes_posted.inc();
         c.record_applied(1_000);
         c.record_applied(3_000);
-        c.record_local_apply();
-        c.record_stale_hit();
         let g = c.snapshot();
-        assert_eq!(g.invalidations_posted, 2);
-        assert_eq!(g.refreshes_posted, 1);
         assert_eq!(g.posted(), 3);
         assert_eq!(g.applied, 2);
         assert_eq!(g.pending(), 1);
-        assert_eq!(g.local_applies, 1);
         assert_eq!(g.apply_lag_ns_total, 4_000);
         assert_eq!(g.apply_lag_ns_max, 3_000);
-        assert_eq!(g.stale_hits, 1);
         assert!((g.mean_apply_lag_ns() - 2_000.0).abs() < 1e-9);
     }
 

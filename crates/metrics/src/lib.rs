@@ -13,6 +13,9 @@
 //!   CDF-style reporting,
 //! * [`ThroughputAggregator`] and [`RunSummary`] — combine per-thread
 //!   measurements into the rows the paper's tables print,
+//! * [`Counter`] and [`counters!`] — a relaxed atomic counter cell, and the
+//!   macro every counter family of the workspace is declared with (one line
+//!   per field; getters, snapshot, `merge` and `delta_since` generated),
 //! * [`EpochGauges`] — observability for the epoch-based reclamation
 //!   subsystem (epoch lag, pinned readers, pinned buckets),
 //! * [`OverlapGauges`] — observability for the split-phase fabric: in-flight
@@ -33,6 +36,7 @@
 
 pub mod backpressure;
 pub mod coherence;
+pub mod counter;
 pub mod counts;
 pub mod epoch;
 pub mod latency;
@@ -43,6 +47,7 @@ pub mod summary;
 
 pub use backpressure::{BackpressureCounters, BackpressureSnapshot};
 pub use coherence::{CoherenceCounters, CoherenceGauges};
+pub use counter::Counter;
 pub use counts::{CountHistogram, SizeHistogram};
 pub use epoch::EpochGauges;
 pub use latency::LatencyHistogram;

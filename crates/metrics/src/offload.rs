@@ -19,38 +19,57 @@
 //!   unlike the modeled cost it includes queueing at the memory server's
 //!   wimpy core, which is what makes the adaptive policy back off when
 //!   every client piles onto the same home server.
+//!
+//! The family is one [`counters!`](crate::counters) declaration, one instance
+//! per compute server.  The ops state machines bump it, the adaptive policy
+//! reads its two EWMAs, and `Cluster::offload_stats` merges the snapshots.
 
-use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
+crate::counters! {
+    /// Shared atomic counters behind [`OffloadGauges`]; one per compute server,
+    /// owned by the cluster and bumped by the ops state machines.
+    pub struct OffloadCounters {
+        /// Placement decisions taken at cache-miss (and, under `Always`,
+        /// cache-hit) boundaries.
+        decisions: sum,
+        /// Decisions that posted a server-side RPC.
+        offloaded: sum,
+        /// Decisions that stayed on the client-side one-sided path.
+        local: sum,
+        /// Offloaded ops whose reply resolved the traversal (saved the
+        /// dependent read chain).
+        wins: sum,
+        /// Offloaded ops that still had to fall back to the local path (the
+        /// RPC was pure overhead).
+        losses: sum,
+        /// Server-side interpreter declines (torn image, freed node, fence
+        /// miss, or exhausted budget).
+        declined: sum,
+        /// Server replies rejected by the client's tombstone admission floor
+        /// (the returned node image predated a known free/recycle).
+        stale_rejects: sum,
+        /// Dependent-read latency EWMA in ns (0 until the first read is
+        /// observed); max across merged servers.
+        ewma_read_ns: max,
+        /// Offload-RPC round-trip latency EWMA in ns, queueing included (0
+        /// until the first RPC completes); max across merged servers.
+        ewma_rpc_ns: max,
+    }
+    /// Plain-old-data snapshot of one (or a merged set of) compute servers'
+    /// offload counters.
+    pub struct OffloadGauges;
+}
 
-/// Shared atomic counters behind [`OffloadGauges`]; one per compute server,
-/// owned by the cluster and bumped by the ops state machines.
-#[derive(Debug, Default)]
-pub struct OffloadCounters {
-    ewma_read_ns: AtomicU64,
-    ewma_rpc_ns: AtomicU64,
-    decisions: AtomicU64,
-    offloaded: AtomicU64,
-    local: AtomicU64,
-    wins: AtomicU64,
-    losses: AtomicU64,
-    declined: AtomicU64,
-    stale_rejects: AtomicU64,
+/// One α = 1/8 EWMA step; the first sample seeds the average.
+fn observe_ewma(ewma: &crate::Counter, ns: u64) {
+    let cur = ewma.get();
+    ewma.set(if cur == 0 { ns } else { cur - cur / 8 + ns / 8 });
 }
 
 impl OffloadCounters {
     /// Feed one completed dependent read's service time into the EWMA the
     /// adaptive policy thresholds against (α = 1/8).
     pub fn observe_read_ns(&self, ns: u64) {
-        let cur = self.ewma_read_ns.load(Ordering::Relaxed);
-        let next = if cur == 0 { ns } else { cur - cur / 8 + ns / 8 };
-        self.ewma_read_ns.store(next, Ordering::Relaxed);
-    }
-
-    /// Current dependent-read latency estimate in nanoseconds (0 until the
-    /// first read is observed).
-    pub fn ewma_read_ns(&self) -> u64 {
-        self.ewma_read_ns.load(Ordering::Relaxed)
+        observe_ewma(&self.ewma_read_ns, ns);
     }
 
     /// Feed one completed offload RPC's round-trip time into the EWMA
@@ -58,91 +77,18 @@ impl OffloadCounters {
     /// service queueing included — where the config-derived estimate only
     /// models an unloaded server.
     pub fn observe_rpc_ns(&self, ns: u64) {
-        let cur = self.ewma_rpc_ns.load(Ordering::Relaxed);
-        let next = if cur == 0 { ns } else { cur - cur / 8 + ns / 8 };
-        self.ewma_rpc_ns.store(next, Ordering::Relaxed);
-    }
-
-    /// Current offload-RPC latency estimate in nanoseconds (0 until the
-    /// first RPC completes).
-    pub fn ewma_rpc_ns(&self) -> u64 {
-        self.ewma_rpc_ns.load(Ordering::Relaxed)
+        observe_ewma(&self.ewma_rpc_ns, ns);
     }
 
     /// Record one placement decision and which arm it took.
     pub fn record_decision(&self, offloaded: bool) {
-        self.decisions.fetch_add(1, Ordering::Relaxed);
+        self.decisions.inc();
         if offloaded {
-            self.offloaded.fetch_add(1, Ordering::Relaxed);
+            self.offloaded.inc();
         } else {
-            self.local.fetch_add(1, Ordering::Relaxed);
+            self.local.inc();
         }
     }
-
-    /// Record an offloaded op whose reply resolved the traversal (saved the
-    /// dependent read chain).
-    pub fn record_win(&self) {
-        self.wins.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an offloaded op that still had to fall back to the local path
-    /// (the RPC was pure overhead).
-    pub fn record_loss(&self) {
-        self.losses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a server-side decline (torn image, freed node, fence miss, or
-    /// exhausted budget).
-    pub fn record_declined(&self) {
-        self.declined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a server reply rejected by the client's tombstone admission
-    /// floor (the returned node image predated a known free/recycle).
-    pub fn record_stale_reject(&self) {
-        self.stale_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A plain-old-data snapshot of the current counter values.
-    pub fn snapshot(&self) -> OffloadGauges {
-        OffloadGauges {
-            decisions: self.decisions.load(Ordering::Relaxed),
-            offloaded: self.offloaded.load(Ordering::Relaxed),
-            local: self.local.load(Ordering::Relaxed),
-            wins: self.wins.load(Ordering::Relaxed),
-            losses: self.losses.load(Ordering::Relaxed),
-            declined: self.declined.load(Ordering::Relaxed),
-            stale_rejects: self.stale_rejects.load(Ordering::Relaxed),
-            ewma_read_ns: self.ewma_read_ns.load(Ordering::Relaxed),
-            ewma_rpc_ns: self.ewma_rpc_ns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-old-data snapshot of one (or a merged set of) compute servers'
-/// offload counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct OffloadGauges {
-    /// Placement decisions taken at cache-miss (and, under `Always`,
-    /// cache-hit) boundaries.
-    pub decisions: u64,
-    /// Decisions that posted a server-side RPC.
-    pub offloaded: u64,
-    /// Decisions that stayed on the client-side one-sided path.
-    pub local: u64,
-    /// Offloaded ops whose reply resolved the traversal.
-    pub wins: u64,
-    /// Offloaded ops that fell back to the local path anyway.
-    pub losses: u64,
-    /// Server-side interpreter declines.
-    pub declined: u64,
-    /// Replies rejected by the tombstone admission floor.
-    pub stale_rejects: u64,
-    /// Dependent-read latency EWMA (ns); max across merged servers.
-    pub ewma_read_ns: u64,
-    /// Offload-RPC round-trip latency EWMA (ns), queueing included; max
-    /// across merged servers.
-    pub ewma_rpc_ns: u64,
 }
 
 impl OffloadGauges {
@@ -162,20 +108,6 @@ impl OffloadGauges {
         } else {
             self.wins as f64 / self.offloaded as f64
         }
-    }
-
-    /// Merge another server's gauges into this one (sums counters, keeps the
-    /// larger EWMA).
-    pub fn merge(&mut self, other: &OffloadGauges) {
-        self.decisions += other.decisions;
-        self.offloaded += other.offloaded;
-        self.local += other.local;
-        self.wins += other.wins;
-        self.losses += other.losses;
-        self.declined += other.declined;
-        self.stale_rejects += other.stale_rejects;
-        self.ewma_read_ns = self.ewma_read_ns.max(other.ewma_read_ns);
-        self.ewma_rpc_ns = self.ewma_rpc_ns.max(other.ewma_rpc_ns);
     }
 }
 
@@ -207,10 +139,7 @@ mod tests {
         c.record_decision(true);
         c.record_decision(true);
         c.record_decision(false);
-        c.record_win();
-        c.record_loss();
-        c.record_declined();
-        c.record_stale_reject();
+        c.wins.inc();
         let g = c.snapshot();
         assert_eq!(g.decisions, 3);
         assert_eq!(g.offloaded, 2);

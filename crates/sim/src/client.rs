@@ -16,6 +16,11 @@
 //! ([`SimChannel`]) and the real-thread backend
 //! ([`ThreadedChannel`](crate::threaded::ThreadedChannel)).
 //!
+//! The per-client verb counters ([`SharedClientStats`], snapshot
+//! [`ClientStats`]) are one [`sherman_metrics::counters!`] declaration; the
+//! verb accounting here bumps them, and drivers diff their snapshots around
+//! an operation or a run.
+//!
 //! ## Split-phase post/poll
 //!
 //! The fabric is **split-phase**: every verb is *posted* (`post_read`,
@@ -79,132 +84,60 @@ impl WriteCmd {
     }
 }
 
-/// Per-client verb counters; snapshot/diff these around an index operation to
-/// obtain per-operation round trips, byte counts and retries (Figure 14).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// One-sided reads issued.
-    pub reads: u64,
-    /// One-sided writes issued (each entry of a batch counts).
-    pub writes: u64,
-    /// Atomic verbs issued.
-    pub atomics: u64,
-    /// Two-sided RPCs issued.
-    pub rpcs: u64,
-    /// Network round trips (a doorbell batch or parallel read batch counts once).
-    pub round_trips: u64,
-    /// Round trips posted while at least one other verb of this client was
-    /// still in flight — i.e. whose service window overlapped another
-    /// outstanding verb's window on the virtual clock.  Blocking callers
-    /// (post + poll per verb) never overlap; a pipelined caller's overlap
-    /// ratio is the direct measure of how much latency it is hiding.
-    pub overlapped_round_trips: u64,
-    /// High-water mark of simultaneously outstanding verbs.  Not a
-    /// monotonically accumulating counter: [`ClientStats::delta_since`]
-    /// reports the later snapshot's high-water mark verbatim.
-    pub max_in_flight: u64,
-    /// Sum over posted round trips of the in-flight depth right after the
-    /// post (including the new verb): `in_flight_posts / round_trips` is the
-    /// mean in-flight depth seen by this client's verbs.
-    pub in_flight_posts: u64,
-    /// Sum of every verb's post→completion window in nanoseconds: the
-    /// *serial* time the verbs would have cost end-to-end.  Comparing it
-    /// with the elapsed time of a run quantifies the overlap.
-    pub verb_ns: u64,
-    /// Payload bytes written.
-    pub bytes_written: u64,
-    /// Payload bytes read.
-    pub bytes_read: u64,
-    /// Retries recorded by higher layers (failed CAS, version mismatch, …).
-    pub retries: u64,
-    /// Latest `completed_at` over every verb posted so far (ns).
-    /// Like `max_in_flight` this is a high-water mark, not a counter:
-    /// [`ClientStats::delta_since`] carries the later snapshot's value.  A
-    /// pipelined driver uses it to end its overlap window at the moment the
-    /// last verb completed, excluding any post-drain scheduler time.
-    pub last_completion_at: u64,
-}
-
-impl ClientStats {
-    /// Difference between two snapshots (`self` taken after `earlier`).
+sherman_metrics::counters! {
+    /// Lock-free cells behind a client's [`ClientStats`].
     ///
-    /// `max_in_flight` is a high-water mark, not a counter; the delta carries
-    /// the later snapshot's value.
-    pub fn delta_since(&self, earlier: &ClientStats) -> ClientStats {
-        ClientStats {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            atomics: self.atomics - earlier.atomics,
-            rpcs: self.rpcs - earlier.rpcs,
-            round_trips: self.round_trips - earlier.round_trips,
-            overlapped_round_trips: self.overlapped_round_trips - earlier.overlapped_round_trips,
-            max_in_flight: self.max_in_flight,
-            in_flight_posts: self.in_flight_posts - earlier.in_flight_posts,
-            verb_ns: self.verb_ns - earlier.verb_ns,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            retries: self.retries - earlier.retries,
-            last_completion_at: self.last_completion_at,
-        }
+    /// Every counter is a relaxed atomic, so the cells can be shared (`Arc`)
+    /// with a concurrent observer — the threaded backend's poll path reads them
+    /// from other OS threads without taking a lock, and a monitor thread can
+    /// watch a live client's counters mid-run.  [`SharedClientStats::snapshot`]
+    /// materializes the plain [`ClientStats`] view; it is exact whenever the
+    /// owning client is between verbs, which is when drivers read it.
+    pub struct SharedClientStats {
+        /// One-sided reads issued.
+        reads: sum,
+        /// One-sided writes issued (each entry of a batch counts).
+        writes: sum,
+        /// Atomic verbs issued.
+        atomics: sum,
+        /// Two-sided RPCs issued.
+        rpcs: sum,
+        /// Network round trips (a doorbell batch or parallel read batch counts once).
+        round_trips: sum,
+        /// Round trips posted while at least one other verb of this client was
+        /// still in flight — i.e. whose service window overlapped another
+        /// outstanding verb's window on the virtual clock.  Blocking callers
+        /// (post + poll per verb) never overlap; a pipelined caller's overlap
+        /// ratio is the direct measure of how much latency it is hiding.
+        overlapped_round_trips: sum,
+        /// High-water mark of simultaneously outstanding verbs.  Not a
+        /// monotonically accumulating counter: [`ClientStats::delta_since`]
+        /// reports the later snapshot's high-water mark verbatim.
+        max_in_flight: max,
+        /// Sum over posted round trips of the in-flight depth right after the
+        /// post (including the new verb): `in_flight_posts / round_trips` is the
+        /// mean in-flight depth seen by this client's verbs.
+        in_flight_posts: sum,
+        /// Sum of every verb's post→completion window in nanoseconds: the
+        /// *serial* time the verbs would have cost end-to-end.  Comparing it
+        /// with the elapsed time of a run quantifies the overlap.
+        verb_ns: sum,
+        /// Payload bytes written.
+        bytes_written: sum,
+        /// Payload bytes read.
+        bytes_read: sum,
+        /// Retries recorded by higher layers (failed CAS, version mismatch, …).
+        retries: sum,
+        /// Latest `completed_at` over every verb posted so far (ns).
+        /// Like `max_in_flight` this is a high-water mark, not a counter:
+        /// [`ClientStats::delta_since`] carries the later snapshot's value.  A
+        /// pipelined driver uses it to end its overlap window at the moment the
+        /// last verb completed, excluding any post-drain scheduler time.
+        last_completion_at: max,
     }
-}
-
-/// Lock-free cells behind a client's [`ClientStats`].
-///
-/// Every counter is an `AtomicU64` updated with relaxed read-modify-write
-/// operations, so the cells can be shared (`Arc`) with a concurrent observer
-/// — the threaded backend's poll path reads them from other OS threads
-/// without taking a lock, and a monitor thread can watch a live client's
-/// counters mid-run.  [`SharedClientStats::snapshot`] materializes the plain
-/// [`ClientStats`] view.
-#[derive(Debug, Default)]
-pub struct SharedClientStats {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    atomics: AtomicU64,
-    rpcs: AtomicU64,
-    round_trips: AtomicU64,
-    overlapped_round_trips: AtomicU64,
-    max_in_flight: AtomicU64,
-    in_flight_posts: AtomicU64,
-    verb_ns: AtomicU64,
-    bytes_written: AtomicU64,
-    bytes_read: AtomicU64,
-    retries: AtomicU64,
-    last_completion_at: AtomicU64,
-}
-
-impl SharedClientStats {
-    /// A coherent-enough snapshot of every counter (individual loads are
-    /// relaxed; the snapshot is exact whenever the owning client is between
-    /// verbs, which is when drivers read it).
-    pub fn snapshot(&self) -> ClientStats {
-        ClientStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            atomics: self.atomics.load(Ordering::Relaxed),
-            rpcs: self.rpcs.load(Ordering::Relaxed),
-            round_trips: self.round_trips.load(Ordering::Relaxed),
-            overlapped_round_trips: self.overlapped_round_trips.load(Ordering::Relaxed),
-            max_in_flight: self.max_in_flight.load(Ordering::Relaxed),
-            in_flight_posts: self.in_flight_posts.load(Ordering::Relaxed),
-            verb_ns: self.verb_ns.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            last_completion_at: self.last_completion_at.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Current overlap counters `(in_flight_posts, overlapped_round_trips)` —
-    /// the pair the pipelined scheduler's gauges are built from, readable
-    /// without a lock from any thread.
-    pub fn overlap_counters(&self) -> (u64, u64) {
-        (
-            self.in_flight_posts.load(Ordering::Relaxed),
-            self.overlapped_round_trips.load(Ordering::Relaxed),
-        )
-    }
+    /// Per-client verb counters; snapshot/diff these around an index operation to
+    /// obtain per-operation round trips, byte counts and retries (Figure 14).
+    pub struct ClientStats;
 }
 
 /// Per-operation verb accounting, keyed by the op id a pipelined driver set
@@ -521,7 +454,7 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// Record `n` higher-level retries (failed lock acquisitions, version
     /// mismatches) against this client.
     pub fn note_retries(&mut self, n: u64) {
-        self.stats.retries.fetch_add(n, Ordering::Relaxed);
+        self.stats.retries.add(n);
     }
 
     /// Back off before re-posting a verb that observed contention — see
@@ -645,25 +578,17 @@ impl<C: FabricChannel> ClientCtx<C> {
             .iter()
             .any(|e| e.completed_at > posted_at && !e.is_wait());
         let m = self.chan.backend().metrics();
-        m.round_trips.fetch_add(1, Ordering::Relaxed);
+        m.round_trips.inc();
+        self.stats.round_trips.inc();
         if overlapped {
-            m.overlapped_round_trips.fetch_add(1, Ordering::Relaxed);
-        }
-        self.stats.round_trips.fetch_add(1, Ordering::Relaxed);
-        if overlapped {
-            self.stats
-                .overlapped_round_trips
-                .fetch_add(1, Ordering::Relaxed);
+            m.overlapped_round_trips.inc();
+            self.stats.overlapped_round_trips.inc();
         }
         let in_flight = self.outstanding() as u64 + 1;
-        self.stats.max_in_flight.fetch_max(in_flight, Ordering::Relaxed);
-        self.stats.in_flight_posts.fetch_add(in_flight, Ordering::Relaxed);
-        self.stats
-            .verb_ns
-            .fetch_add(completed_at.saturating_sub(posted_at), Ordering::Relaxed);
-        self.stats
-            .last_completion_at
-            .fetch_max(completed_at, Ordering::Relaxed);
+        self.stats.max_in_flight.raise(in_flight);
+        self.stats.in_flight_posts.add(in_flight);
+        self.stats.verb_ns.add(completed_at.saturating_sub(posted_at));
+        self.stats.last_completion_at.raise(completed_at);
         if let Some(op) = self.current_op {
             let e = self.op_stats.entry(op).or_default();
             e.round_trips += 1;
@@ -696,9 +621,7 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// driver that reuses one client across runs calls this at run start to
     /// make the gauge per-run.
     pub fn reset_max_in_flight(&mut self) {
-        self.stats
-            .max_in_flight
-            .store(self.outstanding() as u64, Ordering::Relaxed);
+        self.stats.max_in_flight.set(self.outstanding() as u64);
     }
 
     /// Number of verbs currently outstanding (posted, not yet polled);
@@ -903,36 +826,35 @@ impl<C: FabricChannel> ClientCtx<C> {
     // ------------------------------------------------------------------
 
     fn account_read(&mut self, count: u64, bytes: u64) {
-        self.stats.reads.fetch_add(count, Ordering::Relaxed);
-        self.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        self.stats.reads.add(count);
+        self.stats.bytes_read.add(bytes);
         self.attribute_bytes(bytes, 0);
         let m = self.chan.backend().metrics();
-        m.reads.fetch_add(count, Ordering::Relaxed);
-        m.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        m.reads.add(count);
+        m.bytes_read.add(bytes);
     }
 
     fn account_write(&mut self, count: u64, bytes: u64) {
-        self.stats.writes.fetch_add(count, Ordering::Relaxed);
-        self.stats.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+        self.stats.writes.add(count);
+        self.stats.bytes_written.add(bytes);
         self.attribute_bytes(0, bytes);
         let m = self.chan.backend().metrics();
-        m.writes.fetch_add(count, Ordering::Relaxed);
-        m.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+        m.writes.add(count);
+        m.bytes_written.add(bytes);
     }
 
     fn account_atomic(&mut self, space: MemSpace) {
-        self.stats.atomics.fetch_add(1, Ordering::Relaxed);
+        self.stats.atomics.inc();
         let m = self.chan.backend().metrics();
-        m.atomics.fetch_add(1, Ordering::Relaxed);
+        m.atomics.inc();
         if space == MemSpace::OnChip {
-            m.onchip_atomics.fetch_add(1, Ordering::Relaxed);
+            m.onchip_atomics.inc();
         }
     }
 
     fn account_rpc(&mut self, request_bytes: u64, response_bytes: u64) {
-        self.stats.rpcs.fetch_add(1, Ordering::Relaxed);
-        let m = self.chan.backend().metrics();
-        m.rpcs.fetch_add(1, Ordering::Relaxed);
+        self.stats.rpcs.inc();
+        self.chan.backend().metrics().rpcs.inc();
         // Fold the RPC into the tagged per-op attribution: the request is
         // written to the wire, the response read back, and the op's RPC count
         // keeps offloaded round trips visible at pipeline depth > 1.
@@ -1882,8 +1804,5 @@ mod tests {
         assert_eq!(snap.writes, 1);
         assert_eq!(snap.bytes_written, 16);
         assert_eq!(snap, client.stats());
-        let (in_flight_posts, overlapped) = client.shared_stats().overlap_counters();
-        assert_eq!(in_flight_posts, 1);
-        assert_eq!(overlapped, 0);
     }
 }

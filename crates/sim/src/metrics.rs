@@ -5,91 +5,41 @@
 //! relaxed atomics so that hot paths can update them unconditionally; per-op
 //! distributions (histograms, CDFs) are collected client-side by the index
 //! layer using [`crate::client::ClientStats`] snapshots.
+//!
+//! The family is one [`sherman_metrics::counters!`] declaration, one instance
+//! per fabric.  Every client's verb accounting bumps it; the benchmark, the
+//! bench drivers and the backend-equivalence tests read its snapshot.
 
-use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Global counters for one fabric instance.
-#[derive(Debug, Default)]
-pub struct FabricMetrics {
-    /// Completed one-sided `RDMA_READ` verbs.
-    pub reads: AtomicU64,
-    /// Completed one-sided `RDMA_WRITE` verbs (batched writes count each entry).
-    pub writes: AtomicU64,
-    /// Completed atomic verbs (`CAS`, `FAA`, masked `CAS`).
-    pub atomics: AtomicU64,
-    /// Atomic verbs that targeted on-chip (device) memory.
-    pub onchip_atomics: AtomicU64,
-    /// Completed two-sided RPC round trips.
-    pub rpcs: AtomicU64,
-    /// Network round trips (a doorbell batch counts once).
-    pub round_trips: AtomicU64,
-    /// Round trips posted while another verb of the same client was still in
-    /// flight (split-phase overlap; see `ClientStats::overlapped_round_trips`).
-    pub overlapped_round_trips: AtomicU64,
-    /// Payload bytes written to memory servers.
-    pub bytes_written: AtomicU64,
-    /// Payload bytes read from memory servers.
-    pub bytes_read: AtomicU64,
-}
-
-/// A plain-old-data snapshot of [`FabricMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct MetricsSnapshot {
-    /// Completed one-sided reads.
-    pub reads: u64,
-    /// Completed one-sided writes.
-    pub writes: u64,
-    /// Completed atomics.
-    pub atomics: u64,
-    /// Atomics that targeted on-chip memory.
-    pub onchip_atomics: u64,
-    /// Completed RPC round trips.
-    pub rpcs: u64,
-    /// Network round trips.
-    pub round_trips: u64,
-    /// Round trips whose service window overlapped another in-flight verb of
-    /// the same client.
-    pub overlapped_round_trips: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-}
-
-impl FabricMetrics {
-    /// Capture a snapshot of all counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            atomics: self.atomics.load(Ordering::Relaxed),
-            onchip_atomics: self.onchip_atomics.load(Ordering::Relaxed),
-            rpcs: self.rpcs.load(Ordering::Relaxed),
-            round_trips: self.round_trips.load(Ordering::Relaxed),
-            overlapped_round_trips: self.overlapped_round_trips.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-        }
+sherman_metrics::counters! {
+    /// Global counters for one fabric instance.
+    pub struct FabricMetrics {
+        /// Completed one-sided `RDMA_READ` verbs.
+        reads: sum,
+        /// Completed one-sided `RDMA_WRITE` verbs (batched writes count each
+        /// entry).
+        writes: sum,
+        /// Completed atomic verbs (`CAS`, `FAA`, masked `CAS`).
+        atomics: sum,
+        /// Atomic verbs that targeted on-chip (device) memory.
+        onchip_atomics: sum,
+        /// Completed two-sided RPC round trips.
+        rpcs: sum,
+        /// Network round trips (a doorbell batch counts once).
+        round_trips: sum,
+        /// Round trips posted while another verb of the same client was still
+        /// in flight (split-phase overlap; see
+        /// `ClientStats::overlapped_round_trips`).
+        overlapped_round_trips: sum,
+        /// Payload bytes written to memory servers.
+        bytes_written: sum,
+        /// Payload bytes read from memory servers.
+        bytes_read: sum,
     }
+    /// A plain-old-data snapshot of [`FabricMetrics`].
+    pub struct MetricsSnapshot;
 }
 
 impl MetricsSnapshot {
-    /// Difference between two snapshots (`self` taken after `earlier`).
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            atomics: self.atomics - earlier.atomics,
-            onchip_atomics: self.onchip_atomics - earlier.onchip_atomics,
-            rpcs: self.rpcs - earlier.rpcs,
-            round_trips: self.round_trips - earlier.round_trips,
-            overlapped_round_trips: self.overlapped_round_trips - earlier.overlapped_round_trips,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-        }
-    }
-
     /// Total verbs of any kind.
     pub fn total_verbs(&self) -> u64 {
         self.reads + self.writes + self.atomics + self.rpcs
@@ -103,11 +53,11 @@ mod tests {
     #[test]
     fn snapshot_and_delta() {
         let m = FabricMetrics::default();
-        m.reads.fetch_add(5, Ordering::Relaxed);
-        m.bytes_read.fetch_add(5 * 1024, Ordering::Relaxed);
+        m.reads.add(5);
+        m.bytes_read.add(5 * 1024);
         let first = m.snapshot();
-        m.reads.fetch_add(2, Ordering::Relaxed);
-        m.writes.fetch_add(3, Ordering::Relaxed);
+        m.reads.add(2);
+        m.writes.add(3);
         let second = m.snapshot();
         let d = second.delta_since(&first);
         assert_eq!(d.reads, 2);

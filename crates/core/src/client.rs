@@ -11,16 +11,17 @@
 //!   modify it locally, write back and release, splitting a full leaf and
 //!   merging an underfull one.
 //!
-//! The client itself is a façade.  The operations are the resumable state
-//! machines of `crate::ops`, the code they run under a lock is
-//! `crate::commit`, and both step against the context this handle owns (its
-//! fabric context and node allocator); what is left here is construction, the
-//! blocking entry points — each machine driven one verb at a time — and the
-//! bookkeeping around an operation: the coherence drain, the epoch pin, the
-//! statistics.  `crate::scheduler` adds the pipelined entry point.
+//! The client itself is a façade.  The operations are the `async fn`s of
+//! `crate::ops`, the code they run under a lock is `crate::commit`, and both
+//! run against the context this handle owns (its fabric context and node
+//! allocator, shared through `crate::exec::OpCx`); what is left here is
+//! construction, the blocking entry points — each operation driven one verb
+//! at a time — and the bookkeeping around an operation: the coherence drain,
+//! the epoch pin, the statistics.  `crate::scheduler` adds the pipelined
+//! entry point.
 
 use crate::cluster::Cluster;
-use crate::ops::{drive_blocking, OpCx, OpMeta, OpOutput, OpSM};
+use crate::ops::{self, OpCx, OpOutput};
 use crate::scheduler::PipelineOp;
 use crate::stats::OpStats;
 use crate::TreeResult;
@@ -116,33 +117,39 @@ impl<B: FabricBackend> TreeClient<B> {
         self.ctx.take_trace()
     }
 
-    /// The state-machine stepping context for this client's thread.
+    /// The context this client's operations run against.
     pub(crate) fn op_cx(&mut self) -> OpCx<'_, B> {
-        OpCx {
-            cluster: &self.cluster,
-            ctx: &mut self.ctx,
-            allocator: &mut self.allocator,
-            cs_id: self.cs_id,
-        }
+        self.op_cx_and_reader().0
+    }
+
+    /// [`Self::op_cx`], and the epoch reader handle beside it.
+    pub(crate) fn op_cx_and_reader(&mut self) -> (OpCx<'_, B>, &ReaderHandle) {
+        let cx = OpCx::new(
+            &self.cluster,
+            &mut self.ctx,
+            &mut self.allocator,
+            self.cs_id,
+        );
+        (cx, &self.reader)
     }
 
     // ------------------------------------------------------------------
     // The blocking entry points
     // ------------------------------------------------------------------
 
-    /// Run one operation's state machine to completion with one verb in
-    /// flight at a time — which is exactly what a pipelined run at depth 1
-    /// executes, operation boundary included: drain the coherence inbox, pin
-    /// the reclamation epoch, step until done.
+    /// Run one operation to completion with one verb in flight at a time —
+    /// which is exactly what a pipelined run at depth 1 executes, operation
+    /// boundary included: drain the coherence inbox, pin the reclamation
+    /// epoch, run until done.
     fn run(&mut self, op: PipelineOp) -> TreeResult<(OpOutput, OpStats)> {
         self.drain_coherence();
         let before = self.ctx.stats();
         let t0 = self.ctx.now();
         let _pin = self.reader.pin();
-        let mut meta = OpMeta::default();
-        let mut cx = self.op_cx();
-        let mut sm = OpSM::new(&cx, op);
-        let output = drive_blocking(&mut cx, &mut meta, |cx, meta, c| sm.step(cx, meta, c))?;
+        let (output, meta) = {
+            let cx = self.op_cx();
+            cx.block_on(ops::run(&cx, op))?
+        };
 
         let mut stats = OpStats::from_delta(&before, &self.ctx.stats(), self.ctx.now() - t0);
         stats.lock_retries = meta.lock_retries;
@@ -275,6 +282,19 @@ mod tests {
         // Range starting beyond every key is empty.
         let (empty, _) = client.range(10_000, 5).unwrap();
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn a_long_scan_is_not_cut_short_by_the_restart_budget() {
+        // The budget bounds the leaves a scan reads but cannot consume, not
+        // the leaves it consumes: 2 000 entries span far more than 4 + 1.
+        let mut config = ClusterConfig::small();
+        config.tree.max_restarts = 4;
+        let cluster = Cluster::new(config, TreeOptions::sherman());
+        cluster.bulkload((0..3_000u64).map(|k| (k, k))).unwrap();
+        let mut client = cluster.client(0);
+        let (scan, _) = client.range(0, 2_000).unwrap();
+        assert_eq!(scan, (0..2_000u64).map(|k| (k, k)).collect::<Vec<_>>());
     }
 
     #[test]

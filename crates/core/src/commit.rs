@@ -1,6 +1,6 @@
 //! The write path's commit code: everything a write does between taking a
-//! node lock and releasing it, as functions on the stepping context
-//! ([`OpCx`]) the state machines share.
+//! node lock and releasing it, as functions on the context ([`OpCx`]) the
+//! operations share.
 //!
 //! * **leaf commit** ([`OpCx::leaf_commit`]) — acquire the leaf's exclusive
 //!   lock, read and revalidate it, then write back either the single
@@ -15,24 +15,25 @@
 //!   pair and the parent in the lock manager's rank order, and merge or
 //!   rebalance (collapsing the root when it runs out of separators).
 //!
-//! The write machine (`crate::ops::WriteSM`) acquires the leaf lock itself —
-//! that is the one thing a write yields on while a lock is involved — and
-//! calls [`OpCx::leaf_commit`] with the image read under it.  Nothing here
-//! yields: the leaf lock's release is posted before `leaf_commit` returns,
-//! and at most that verb is left outstanding for the machine to park on.
-//! What needs *further* locks — the separator of a split, a merge — is
+//! A write (`crate::ops`) acquires the leaf lock itself ([`OpCx::acquire`])
+//! — that is the one thing it parks on while a lock is involved — and calls
+//! [`OpCx::leaf_commit`] with the image read under it.  The leaf commit does
+//! not await: the leaf lock's release is posted before `leaf_commit`
+//! returns, and at most that verb is left outstanding for the write to wait
+//! for.  What needs *further* locks — the separator of a split, a merge — is
 //! handed back as a [`Followup`] and run ([`OpCx::run_followup`]) once the
 //! scheduler has driven every other in-flight operation of this client out
-//! of its own lock acquisition, so the acquisitions below can only ever wait
-//! for other clients.
+//! of its own lock acquisition ([`OpCx::exclusive`]), so the acquisitions
+//! below can only ever wait for other clients.
 //!
 //! ## A follow-up waits for what it depends on
 //!
-//! The follow-up is one synchronous step that posts and polls.  With command
-//! combination (`combine_commands`; without it every command waits for the
-//! one before, as the baselines do) it posts independent commands together
-//! and polls a completion only where something depends on it, under three
-//! ordering rules:
+//! The follow-up is an `async fn`, driven alone: every wait in it is an
+//! `.await` its driver answers at once.  With command combination
+//! (`combine_commands`; without it every command waits for the one before,
+//! as the baselines do) it posts independent commands together and awaits a
+//! completion only where something depends on it, under three ordering
+//! rules:
 //!
 //! 1. **Queue-pair order.**  Commands to one memory server apply in post
 //!    order, so a write-back + release needs no wait before the next command
@@ -82,8 +83,8 @@ use crate::error::TreeError;
 use crate::layout::{NodeLayout, FLAG_FREE};
 use crate::node::{InternalNode, LeafEntry, LeafNode, NodeHeader};
 use crate::ops::{
-    cached_from_internal, drive_blocking, next_after_mismatch, LeafSource, OpCx, OpMeta,
-    ReadNodeSM, TraverseSM, WriteCommit, WriteKind,
+    cached_from_internal, next_after_mismatch, read_node, traverse, LeafSource, OpCx, OpMeta,
+    WriteCommit, WriteKind,
 };
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
@@ -407,9 +408,30 @@ impl<B: FabricBackend> OpCx<'_, B> {
     // Locks
     // ------------------------------------------------------------------
 
+    /// Step the acquisition `acq` until it holds its lock, parking on each
+    /// thing it posts as a lock park ([`OpCx::wait_lock`]).  Returns how the
+    /// lock was obtained and the node image read under it.
+    pub(crate) async fn acquire(
+        &self,
+        mut acq: Acquisition,
+    ) -> TreeResult<(AcquireOutcome, Vec<u8>)> {
+        let mgr = self.cluster.lock_manager();
+        let mut step = mgr.step_acquire(&mut self.ctx(), &mut acq, None)?;
+        loop {
+            match step {
+                AcquireStep::Pending(token) => {
+                    let completion = self.wait_lock(token).await;
+                    step = mgr.step_acquire(&mut self.ctx(), &mut acq, Some(completion))?;
+                }
+                AcquireStep::Done { outcome, image } => return Ok((outcome, image)),
+                AcquireStep::Lost => unreachable!("an acquisition that waits is never lost"),
+            }
+        }
+    }
+
     /// Acquire the exclusive lock on `addr`, folding the outcome into `meta`.
-    fn acquire_lock(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<()> {
-        let acq = self.cluster.lock_manager().acquire(self.ctx, addr)?;
+    async fn acquire_lock(&self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<()> {
+        let (acq, _) = self.acquire(Acquisition::new(addr, None)).await?;
         Self::note_acquired(acq, meta);
         Ok(())
     }
@@ -434,7 +456,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// READ of its own, which waits like every other command of an
     /// uncombined preset.
     pub(crate) fn lock_and_read_finish(
-        &mut self,
+        &self,
         addr: GlobalAddress,
         acq: AcquireOutcome,
         image: Vec<u8>,
@@ -444,25 +466,23 @@ impl<B: FabricBackend> OpCx<'_, B> {
         if !self.combine() {
             return self.read_node_locked(addr);
         }
-        self.ctx.charge_scan(image.len());
+        self.ctx().charge_scan(image.len());
         Ok(image)
     }
 
-    /// [`OpCx::lock_and_read_start`] to [`OpCx::lock_and_read_finish`],
-    /// blocking (separator insertion, which runs as a [`Followup`]).
-    fn lock_and_read(&mut self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
-        let start = self.lock_and_read_start(addr);
-        let mgr = self.cluster.lock_manager();
-        let (acq, image) = mgr.drive_acquire(self.ctx, start)?;
+    /// [`OpCx::lock_and_read_start`] to [`OpCx::lock_and_read_finish`] (the
+    /// separator insertion a [`Followup`] runs).
+    async fn lock_and_read(&self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
+        let (acq, image) = self.acquire(self.lock_and_read_start(addr)).await?;
         self.lock_and_read_finish(addr, acq, image, meta)
     }
 
     /// Release the exclusive lock on `addr`, flushing `writes` according to
     /// the command-combination setting.  Blocking: the release completion is
     /// observed before returning.
-    fn release_lock(&mut self, addr: GlobalAddress, writes: Vec<WriteCmd>) -> TreeResult<()> {
+    fn release_lock(&self, addr: GlobalAddress, writes: Vec<WriteCmd>) -> TreeResult<()> {
         let mgr = self.cluster.lock_manager();
-        mgr.release(self.ctx, addr, writes, self.combine())?;
+        mgr.release(&mut self.ctx(), addr, writes, self.combine())?;
         Ok(())
     }
 
@@ -473,12 +493,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// to park on (`None` when a local handover made the release purely
     /// local).
     fn release_lock_deferred(
-        &mut self,
+        &self,
         addr: GlobalAddress,
         writes: Vec<WriteCmd>,
     ) -> TreeResult<Option<PendingVerb>> {
         let mgr = self.cluster.lock_manager();
-        let (_, deferred) = mgr.release_deferred(self.ctx, addr, writes, self.combine(), true)?;
+        let (_, deferred) =
+            mgr.release_deferred(&mut self.ctx(), addr, writes, self.combine(), true)?;
         Ok(deferred)
     }
 
@@ -487,7 +508,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// `meta.in_flight` (ordering rule 1 of the module docs); without it the
     /// completion is observed here, like that of every other command.
     fn release_lock_ahead(
-        &mut self,
+        &self,
         addr: GlobalAddress,
         writes: Vec<WriteCmd>,
         meta: &mut OpMeta,
@@ -500,9 +521,9 @@ impl<B: FabricBackend> OpCx<'_, B> {
     }
 
     /// Wait for every verb the operation's commit left in flight.
-    fn observe(&mut self, meta: &mut OpMeta) {
-        for token in meta.in_flight.drain(..) {
-            self.ctx.poll_token(token);
+    async fn observe(&self, meta: &mut OpMeta) {
+        for token in std::mem::take(&mut meta.in_flight) {
+            self.wait(token).await;
         }
     }
 
@@ -512,20 +533,20 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// combination the plan is first tried in one round trip
     /// ([`OpCx::try_plan`]); the rank-ordered acquisition is the fallback,
     /// and the whole of it without.  An `Err` leaves no lock held.
-    fn lock_and_read_plan(
-        &mut self,
+    async fn lock_and_read_plan(
+        &self,
         nodes: [GlobalAddress; 3],
         meta: &mut OpMeta,
     ) -> TreeResult<(Vec<GlobalAddress>, [Vec<u8>; 3])> {
         let plan = self.cluster.lock_manager().lock_plan(&nodes);
         let tried = match self.combine() {
-            true => self.try_plan(&plan, meta)?,
+            true => self.try_plan(&plan, meta).await?,
             false => None,
         };
         let mut read: Vec<(GlobalAddress, Vec<u8>)> = match tried {
             Some(images) => plan.iter().copied().zip(images).collect(),
             None => {
-                self.acquire_plan(&plan, meta)?;
+                self.acquire_plan(&plan, meta).await?;
                 Vec::new()
             }
         };
@@ -535,10 +556,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
             .into_iter()
             .filter(|node| !read.iter().any(|(rep, _)| rep == node))
             .collect();
-        match self.read_nodes_locked(&unread) {
+        match self.read_nodes_locked(&unread).await {
             Ok(images) => read.extend(unread.into_iter().zip(images)),
             Err(e) => {
-                self.abandon_plan(&plan)?;
+                self.abandon_plan(&plan).await?;
                 return Err(e);
             }
         }
@@ -551,14 +572,14 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
     /// One optimistic attempt at every lock of `plan` at once: the attempts —
     /// each a CAS with the READ of its node folded in — are posted together
-    /// and polled together, one round trip for the lot, which whatever the
+    /// and awaited together, one round trip for the lot, which whatever the
     /// commit left in flight overlaps too.  An attempt never queues and is
     /// never re-posted, so the order of the words does not matter (ordering
     /// rule 3 of the module docs).  Returns the images in plan order, or
     /// `None` — every word won given back — if any word was lost; an `Err`
     /// leaves no lock held either.
-    fn try_plan(
-        &mut self,
+    async fn try_plan(
+        &self,
         plan: &[GlobalAddress],
         meta: &mut OpMeta,
     ) -> TreeResult<Option<Vec<Vec<u8>>>> {
@@ -573,22 +594,22 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // Post: a word that is lost (or rejected) on the spot ends the plan.
         let mut steps = Vec::with_capacity(plan.len());
         for attempt in &mut attempts {
-            let step = mgr.step_acquire(self.ctx, attempt, None);
+            let step = mgr.step_acquire(&mut self.ctx(), attempt, None);
             let open = matches!(step, Ok(AcquireStep::Pending(_) | AcquireStep::Done { .. }));
             steps.push(step);
             if !open {
                 break;
             }
         }
-        self.observe(meta);
+        self.observe(meta).await;
         // Poll: learn which words were won.
         let mut won = Vec::with_capacity(plan.len());
         let mut failed = None;
         for ((step, attempt), &rep) in steps.into_iter().zip(&mut attempts).zip(plan) {
             let step = match step {
                 Ok(AcquireStep::Pending(token)) => {
-                    let completion = self.ctx.poll_token(token);
-                    mgr.step_acquire(self.ctx, attempt, Some(completion))
+                    let completion = self.wait_lock(token).await;
+                    mgr.step_acquire(&mut self.ctx(), attempt, Some(completion))
                 }
                 settled => settled,
             };
@@ -603,22 +624,22 @@ impl<B: FabricBackend> OpCx<'_, B> {
             }
         }
         if won.len() == plan.len() {
-            self.ctx.charge_scan(plan.len() * node_size);
+            self.ctx().charge_scan(plan.len() * node_size);
             return Ok(Some(won.into_iter().map(|(_, image)| image).collect()));
         }
         counters.plan_fallbacks.inc();
         let held: Vec<GlobalAddress> = won.into_iter().map(|(rep, _)| rep).collect();
-        self.abandon_plan(&held)?;
+        self.abandon_plan(&held).await?;
         failed.map_or(Ok(None), |e| Err(e.into()))
     }
 
     /// Acquire the locks of `plan` one after the other, in its (rank) order:
     /// the only place a lock is waited for while others are held.  An `Err`
     /// gives back the locks acquired before it.
-    fn acquire_plan(&mut self, plan: &[GlobalAddress], meta: &mut OpMeta) -> TreeResult<()> {
+    async fn acquire_plan(&self, plan: &[GlobalAddress], meta: &mut OpMeta) -> TreeResult<()> {
         for (held, &rep) in plan.iter().enumerate() {
-            if let Err(e) = self.acquire_lock(rep, meta) {
-                self.abandon_plan(&plan[..held])?;
+            if let Err(e) = self.acquire_lock(rep, meta).await {
+                self.abandon_plan(&plan[..held]).await?;
                 return Err(e);
             }
         }
@@ -627,15 +648,15 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
     /// Release every lock of `plan` (in reverse acquisition order), flushing
     /// each node's write-back with the release of the lock word guarding it.
-    /// With command combination the batches are posted together and polled
+    /// With command combination the batches are posted together and awaited
     /// once; a release that fails does not keep the others from going out.
     ///
     /// Demands proof that the commit's coherence messages were posted: a
     /// [`PublishedCommit`] only exists after [`coherence::publish`] ran, so a
     /// commit path that skips publishing does not compile (see the
     /// `crate::coherence` module docs for the protocol).
-    fn release_plan(
-        &mut self,
+    async fn release_plan(
+        &self,
         plan: &[GlobalAddress],
         mut writes: Vec<WriteBack>,
         _published: &PublishedCommit,
@@ -649,56 +670,46 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 writes.into_iter().partition(|w| mgr.same_lock(rep, w.node));
             writes = rest;
             let batch = batch.into_iter().flat_map(|w| w.cmds).collect();
-            match mgr.release_deferred(self.ctx, rep, batch, combine, combine) {
+            match mgr.release_deferred(&mut self.ctx(), rep, batch, combine, combine) {
                 Ok((_, deferred)) => posted.extend(deferred),
                 Err(e) => failed = failed.or(Some(e)),
             }
         }
         assert!(writes.is_empty(), "write-back without a guarding lock");
         for token in posted {
-            self.ctx.poll_token(token);
+            self.wait(token).await;
         }
         failed.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Release an untouched lock plan: nothing was written, so the commit
     /// published is the empty one.
-    fn abandon_plan(&mut self, plan: &[GlobalAddress]) -> TreeResult<()> {
+    async fn abandon_plan(&self, plan: &[GlobalAddress]) -> TreeResult<()> {
         let published = self.publish_commit(StructuralCommit::new());
-        self.release_plan(plan, Vec::new(), &published)?;
-        published.retire_all(self.cluster, self.ctx.now());
+        self.release_plan(plan, Vec::new(), &published).await?;
+        published.retire_all(self.cluster, self.ctx().now());
         Ok(())
     }
 
     /// Publish a structural commit's coherence messages, trading the
     /// builder for the [`PublishedCommit`] proof that `release_plan` and
     /// retirement demand.  Runs under the commit's locks.
-    fn publish_commit(&mut self, commit: StructuralCommit) -> PublishedCommit {
-        coherence::publish(self.cluster, self.ctx, self.cs_id, commit)
+    fn publish_commit(&self, commit: StructuralCommit) -> PublishedCommit {
+        coherence::publish(self.cluster, &mut self.ctx(), self.cs_id, commit)
     }
 
     // ------------------------------------------------------------------
-    // Node reads and traversal (blocking, for use inside a commit step)
+    // Node reads
     // ------------------------------------------------------------------
-
-    /// Read a node image with the lock-free consistency loop (node-level
-    /// check only).
-    fn read_node_consistent(
-        &mut self,
-        addr: GlobalAddress,
-        meta: &mut OpMeta,
-    ) -> TreeResult<Vec<u8>> {
-        let mut sm = ReadNodeSM::new(self, addr);
-        drive_blocking(self, meta, |cx, meta, c| sm.step(cx, meta, c))
-    }
 
     /// Read a node image while holding its exclusive lock (no retry loop
-    /// needed: writers are excluded, readers never modify).
-    fn read_node_locked(&mut self, addr: GlobalAddress) -> TreeResult<Vec<u8>> {
+    /// needed: writers are excluded, readers never modify).  Blocking: the
+    /// body of a leaf commit does not await.
+    fn read_node_locked(&self, addr: GlobalAddress) -> TreeResult<Vec<u8>> {
         let node_size = self.layout().node_size();
         let mut buf = vec![0u8; node_size];
-        self.ctx.read(addr, &mut buf)?;
-        self.ctx.charge_scan(node_size);
+        self.ctx().read(addr, &mut buf)?;
+        self.ctx().charge_scan(node_size);
         Ok(buf)
     }
 
@@ -706,7 +717,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// independent, so with command combination they are posted together and
     /// share a round trip; without it each waits for the one before, like
     /// every other command of an uncombined preset.
-    fn read_nodes_locked(&mut self, addrs: &[GlobalAddress]) -> TreeResult<Vec<Vec<u8>>> {
+    async fn read_nodes_locked(&self, addrs: &[GlobalAddress]) -> TreeResult<Vec<Vec<u8>>> {
         if !self.combine() {
             return addrs.iter().map(|&a| self.read_node_locked(a)).collect();
         }
@@ -715,22 +726,26 @@ impl<B: FabricBackend> OpCx<'_, B> {
         }
         let node_size = self.layout().node_size();
         let reqs: Vec<(GlobalAddress, usize)> = addrs.iter().map(|&a| (a, node_size)).collect();
-        let token = self.ctx.post_read_batch(&reqs)?;
-        let images = self.ctx.poll_token(token).result.into_read_batch();
-        self.ctx.charge_scan(addrs.len() * node_size);
+        let token = self.ctx().post_read_batch(&reqs)?;
+        let images = self.wait(token).await.result.into_read_batch();
+        self.ctx().charge_scan(addrs.len() * node_size);
         Ok(images)
     }
 
-    /// Walk down from the root (or the cached top levels) to the node at
-    /// `target_level` whose key interval contains `key`.
-    fn traverse_to_level(
-        &mut self,
-        key: u64,
-        target_level: u8,
-        meta: &mut OpMeta,
-    ) -> TreeResult<GlobalAddress> {
-        let mut sm = TraverseSM::new(self, key, target_level);
-        drive_blocking(self, meta, |cx, meta, c| sm.step(cx, meta, c))
+    /// Read the 8-byte word at `addr`.
+    async fn read_word(&self, addr: GlobalAddress) -> TreeResult<u64> {
+        let token = self.ctx().post_read(addr, 8)?;
+        let bytes = self.wait(token).await.result.into_read();
+        Ok(u64::from_le_bytes(
+            bytes.try_into().expect("an 8-byte read"),
+        ))
+    }
+
+    /// Write `data` at `addr`.
+    async fn write_at(&self, addr: GlobalAddress, data: Vec<u8>) -> TreeResult<()> {
+        let token = self.ctx().post_write_batch(&[WriteCmd::new(addr, data)])?;
+        self.wait(token).await;
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -752,7 +767,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// leaf's release in `meta.in_flight` (posted; observed already without
     /// command combination).
     pub(crate) fn leaf_commit(
-        &mut self,
+        &self,
         addr: GlobalAddress,
         source: LeafSource,
         key: u64,
@@ -806,34 +821,33 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
     /// Pay what a committed leaf write still owes the tree.  Takes further
     /// locks, and waits for them: the caller has made sure no other operation
-    /// of this client is inside a lock acquisition.  Nothing the commit
-    /// posted is left in flight when this returns.
-    pub(crate) fn run_followup(&mut self, followup: Followup, meta: &mut OpMeta) -> TreeResult<()> {
+    /// of this client is inside a lock acquisition ([`OpCx::exclusive`]).
+    /// Nothing the commit posted is left in flight when this returns.
+    pub(crate) async fn run_followup(
+        &self,
+        followup: Followup,
+        meta: &mut OpMeta,
+    ) -> TreeResult<()> {
         let paid = match followup {
             Followup::Separator { split_key, sibling } => {
-                self.insert_separator_at(split_key, sibling, 1, meta)
+                self.insert_separator_at(split_key, sibling, 1, meta).await
             }
             // Best-effort — the delete itself has already committed, so a
             // merge that loses its races (retry budgets included) must not
             // fail the operation; a later delete will retry it.
             Followup::Merge { addr, header } => {
-                match self.try_merge(addr, 0, Some(&header), meta) {
+                match self.try_merge(addr, 0, Some(&header), meta).await {
                     Ok(()) | Err(TreeError::RetriesExhausted { .. }) => Ok(()),
                     Err(e) => Err(e),
                 }
             }
         };
-        self.observe(meta);
+        self.observe(meta).await;
         paid
     }
 
     /// Build the write-back of `write` on the leaf at `addr`, `pre` its image.
-    fn leaf_writeback(
-        &mut self,
-        addr: GlobalAddress,
-        pre: &[u8],
-        write: &PointWrite,
-    ) -> Vec<WriteCmd> {
+    fn leaf_writeback(&self, addr: GlobalAddress, pre: &[u8], write: &PointWrite) -> Vec<WriteCmd> {
         let layout = *self.layout();
         if !self.leaf_format().is_sorted() {
             return vec![write.command(&layout, addr)];
@@ -844,7 +858,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let pairs = leaf.sorted_pairs();
         leaf.repack_sorted(&pairs);
         leaf.header.bump_versions();
-        self.ctx.charge_scan(layout.node_size());
+        self.ctx().charge_scan(layout.node_size());
         vec![WriteCmd::new(addr, self.encode(&leaf))]
     }
 
@@ -856,7 +870,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// `key`: both halves are written back with the release of its lock; the
     /// new right half still needs its separator in the parent level.
     fn split_leaf(
-        &mut self,
+        &self,
         addr: GlobalAddress,
         pre: &[u8],
         key: u64,
@@ -868,7 +882,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let dense = self.leaf_format().is_sorted();
         // Sorting the (possibly unsorted) leaf before the split costs local
         // CPU time (Figure 7, line 21).
-        self.ctx.charge_scan(layout.node_size());
+        self.ctx().charge_scan(layout.node_size());
         let (split_key, mut right) = leaf.split(&layout, dense);
 
         // Place the new key into the correct half.
@@ -897,14 +911,15 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// are left in `meta.in_flight` for the separator insertion to overlap
     /// and — the right half's — to observe before it writes (ordering rule 2).
     fn install_right_half<N: TreeNode>(
-        &mut self,
+        &self,
         addr: GlobalAddress,
         pre: &[u8],
         left: &mut N,
         right: &mut N,
         meta: &mut OpMeta,
     ) -> TreeResult<GlobalAddress> {
-        let alloc = match self.allocator.alloc_node(self.ctx) {
+        let allocated = self.allocator().alloc_node(&mut self.ctx());
+        let alloc = match allocated {
             Ok(a) => a,
             Err(e) => {
                 // Do not leak the node lock when the cluster is out of memory.
@@ -929,8 +944,11 @@ impl<B: FabricBackend> OpCx<'_, B> {
         } else {
             // Another queue pair: posted first, beside the batch.
             let sent = match self.combine() {
-                true => self.ctx.post_write_batch(&right_half.cmds).map(|token| meta.in_flight.push(token)),
-                false => self.ctx.post_writes(&right_half.cmds),
+                true => self
+                    .ctx()
+                    .post_write_batch(&right_half.cmds)
+                    .map(|token| meta.in_flight.push(token)),
+                false => self.ctx().post_writes(&right_half.cmds),
             };
             if let Err(e) = sent {
                 // Neither the node lock nor the carved node may leak.
@@ -950,18 +968,18 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// → retire protocol as every other retirement: a racing reader may have
     /// cached a stale pointer to the address, and the invariant "every
     /// retirement posted its invalidations" stays uniform.
-    fn retire_unlinked(&mut self, addr: GlobalAddress, version: u8) {
+    fn retire_unlinked(&self, addr: GlobalAddress, version: u8) {
         let mut commit = StructuralCommit::new();
         commit.invalidate(addr, version);
         let published = self.publish_commit(commit);
-        published.retire_all(self.cluster, self.ctx.now());
+        published.retire_all(self.cluster, self.ctx().now());
     }
 
     /// Insert the separator `sep_key → child` at `parent_level`, splitting
     /// upward as far as it takes.  The traversal and the parent's lock + read
     /// overlap whatever the split below left in flight.
-    fn insert_separator_at(
-        &mut self,
+    async fn insert_separator_at(
+        &self,
         sep_key: u64,
         child: GlobalAddress,
         parent_level: u8,
@@ -973,22 +991,22 @@ impl<B: FabricBackend> OpCx<'_, B> {
             if attempt > 0 {
                 // Lost a race (root growth, a concurrent split moving the
                 // key range): pace the retry so the winner can finish.
-                self.ctx.contention_backoff(attempt);
+                self.ctx().contention_backoff(attempt);
             }
             let (_, root_level) = self.root()?;
             if root_level < parent_level {
                 // The new root makes `child` reachable from above.
-                self.observe(meta);
-                if self.try_grow_root(sep_key, child, parent_level)? {
+                self.observe(meta).await;
+                if self.try_grow_root(sep_key, child, parent_level).await? {
                     return Ok(());
                 }
                 continue;
             }
             let addr = match pending.take() {
                 Some(a) => a,
-                None => self.traverse_to_level(sep_key, parent_level, meta)?,
+                None => traverse(self, meta, sep_key, parent_level, None).await?.0,
             };
-            let buf = self.lock_and_read(addr, meta)?;
+            let buf = self.lock_and_read(addr, meta).await?;
             let mut node = self.layout().decode_internal(&buf);
             let usable = !node.header.free
                 && !node.header.is_leaf
@@ -1013,7 +1031,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             // Either branch below makes `child` reachable from this node:
             // `child`'s own write must have completed first.  (The lock +
             // read round trip that just ended was its overlap.)
-            self.observe(meta);
+            self.observe(meta).await;
 
             if !node.is_full(self.layout()) {
                 node.insert_separator(sep_key, child);
@@ -1037,7 +1055,14 @@ impl<B: FabricBackend> OpCx<'_, B> {
             // The right half first: it adopts the cached children it took
             // along before the narrowed left image stops covering them.
             self.offer_written(&[(right_addr, &right), (addr, &node)], root_level);
-            return self.insert_separator_at(promoted, right_addr, parent_level + 1, meta);
+            // Boxed: a future cannot contain itself.
+            return Box::pin(self.insert_separator_at(
+                promoted,
+                right_addr,
+                parent_level + 1,
+                meta,
+            ))
+            .await;
         }
         Err(TreeError::RetriesExhausted {
             context: "separator insertion",
@@ -1058,18 +1083,20 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Swing the root pointer from `packed` to `new_root` (the linearization
     /// point of root growth and root collapse) and, on success, update the
     /// level hint remotely and locally.  Returns whether the CAS won.
-    fn swing_root(
-        &mut self,
+    async fn swing_root(
+        &self,
         packed: u64,
         new_root: GlobalAddress,
         new_level: u8,
     ) -> TreeResult<bool> {
         let root_ptr = self.cluster.root_ptr_addr();
-        if !self.ctx.cas(root_ptr, packed, new_root.pack())?.succeeded {
+        let token = self.ctx().post_cas(root_ptr, packed, new_root.pack())?;
+        if !self.wait(token).await.result.into_cas().succeeded {
             return Ok(false);
         }
-        self.ctx
-            .write_u64(ServerLayout::level_hint_addr(), new_level as u64)?;
+        let level = (new_level as u64).to_le_bytes().to_vec();
+        self.write_at(ServerLayout::level_hint_addr(), level)
+            .await?;
         self.cluster.set_root_hint(new_root, new_level);
         Ok(true)
     }
@@ -1077,26 +1104,26 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Attempt to install a new root above the current one.  Returns `false`
     /// if another client won the race (the caller then retries the normal
     /// separator insertion).
-    fn try_grow_root(
-        &mut self,
+    async fn try_grow_root(
+        &self,
         sep_key: u64,
         right_child: GlobalAddress,
         new_level: u8,
     ) -> TreeResult<bool> {
-        let packed = self.ctx.read_u64(self.cluster.root_ptr_addr())?;
+        let packed = self.read_word(self.cluster.root_ptr_addr()).await?;
         if packed == 0 {
             return Err(TreeError::NotInitialized);
         }
         let old_root = GlobalAddress::unpack(packed);
         // Verify the old root really is one level below the root we intend to
         // create; otherwise someone else already grew the tree.
-        let buf = self.read_node_consistent(old_root, &mut OpMeta::default())?;
+        let buf = read_node(self, &mut OpMeta::default(), old_root).await?;
         let header = self.layout().decode_header(&buf);
         if header.free || header.level + 1 != new_level {
             return Ok(false);
         }
 
-        let alloc = self.allocator.alloc_node(self.ctx)?;
+        let alloc = self.allocator().alloc_node(&mut self.ctx())?;
         let mut new_root = InternalNode::new(new_level, 0, u64::MAX, old_root);
         new_root.insert_separator(sep_key, right_child);
         // Stamp above any tombstone left at a recycled address (versions bump
@@ -1105,16 +1132,17 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // The new root is not reachable yet, so no lock is needed for this
         // write; the root-pointer CAS is the linearization point.
         let image = self.encode(&new_root);
-        self.ctx.write(alloc.addr, &image)?;
-        if self.swing_root(packed, alloc.addr, new_level)? {
+        let written = image.len() as u64;
+        self.write_at(alloc.addr, image).await?;
+        if self.swing_root(packed, alloc.addr, new_level).await? {
             let counters = self.cluster.space_counters();
-            counters.record_structural_commit(image.len() as u64);
+            counters.record_structural_commit(written);
             self.offer_written(&[(alloc.addr, &new_root)], new_level);
             return Ok(true);
         }
         // Lost the race: mark our orphan node free so later readers that
         // stumble on it via stale pointers reject it.
-        self.ctx.write(alloc.addr.add(1), &[FLAG_FREE])?;
+        self.write_at(alloc.addr.add(1), vec![FLAG_FREE]).await?;
         // The orphan was never reachable, so its address is retired right
         // away instead of leaking.
         self.retire_unlinked(alloc.addr, new_root.header.front_version);
@@ -1130,8 +1158,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// ([`MergePartners::under`]).  The answer is `None` when the node cannot
     /// be located under the covering parent (a stale header or a lost
     /// discovery race — the merge is opportunistic either way).
-    fn find_merge_pair(
-        &mut self,
+    async fn find_merge_pair(
+        &self,
         node_addr: GlobalAddress,
         hdr: &NodeHeader,
         level: u8,
@@ -1146,13 +1174,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
         for _ in 0..restarts {
             let addr = match pending.take() {
                 Some(a) => a,
-                None => match self.traverse_to_level(hdr.fence_low, level + 1, meta) {
-                    Ok(a) => a,
+                None => match traverse(self, meta, hdr.fence_low, level + 1, None).await {
+                    Ok((a, _)) => a,
                     Err(TreeError::RetriesExhausted { .. }) => return Ok(None),
                     Err(e) => return Err(e),
                 },
             };
-            let buf = self.read_node_consistent(addr, meta)?;
+            let buf = read_node(self, meta, addr).await?;
             let parent = self.layout().decode_internal(&buf);
             if parent.header.free {
                 // As in `insert_separator_at`: scrub the route that led here.
@@ -1192,8 +1220,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// `known_hdr` lets the delete path pass the leaf header it already holds
     /// (saving a remote read); the cascade path passes `None`.  Either way the
     /// header only seeds discovery — phase 2 re-validates under the locks.
-    fn try_merge(
-        &mut self,
+    async fn try_merge(
+        &self,
         node_addr: GlobalAddress,
         level: u8,
         known_hdr: Option<&NodeHeader>,
@@ -1202,7 +1230,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let hdr = match known_hdr {
             Some(h) => h.clone(),
             None => {
-                let buf = self.read_node_consistent(node_addr, meta)?;
+                let buf = read_node(self, meta, node_addr).await?;
                 self.layout().decode_header(&buf)
             }
         };
@@ -1224,7 +1252,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         loop {
             let partners = match &cached {
                 Some(image) => MergePartners::under(image, node_addr, &hdr),
-                None => self.find_merge_pair(node_addr, &hdr, level, meta)?,
+                None => self.find_merge_pair(node_addr, &hdr, level, meta).await?,
             };
             // Discovery that cannot place the node is as stale as a pair
             // that does not validate.
@@ -1242,7 +1270,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
                     partners.left_sibling.map(|left| (left, node_addr, MergeDirection::Left)),
                 ];
                 for pair in pairs.into_iter().flatten() {
-                    match self.try_merge_pair(pair, partners.parent, level, meta)? {
+                    match self
+                        .try_merge_pair(pair, partners.parent, level, meta)
+                        .await?
+                    {
                         PairOutcome::Committed => return Ok(()),
                         PairOutcome::Declined => {}
                         PairOutcome::Mismatch => stale = true,
@@ -1259,8 +1290,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Lock, re-validate, plan and commit one merge pair — `(left, right)` and
     /// the side of it the underfull node is on — under `parent_addr` (phases
     /// 2–5 of the structural delete).
-    fn try_merge_pair(
-        &mut self,
+    async fn try_merge_pair(
+        &self,
         (left_addr, right_addr, direction): (GlobalAddress, GlobalAddress, MergeDirection),
         parent_addr: GlobalAddress,
         level: u8,
@@ -1269,8 +1300,9 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // Phase 2: lock all three nodes, re-read, re-validate.  The same
         // predicate covers both directions: the pair must be fence-adjacent
         // B-link siblings whose separator lives in this parent.
-        let (plan, [left_buf, right_buf, parent_buf]) =
-            self.lock_and_read_plan([left_addr, right_addr, parent_addr], meta)?;
+        let (plan, [left_buf, right_buf, parent_buf]) = self
+            .lock_and_read_plan([left_addr, right_addr, parent_addr], meta)
+            .await?;
         let lh = self.layout().decode_header(&left_buf);
         let rh = self.layout().decode_header(&right_buf);
         let mut parent = self.layout().decode_internal(&parent_buf);
@@ -1303,7 +1335,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             self.plan_merge::<InternalNode>(left_addr, &left_buf, &right_buf, direction)
         };
         let Some(merge) = merge else {
-            self.abandon_plan(&plan)?;
+            self.abandon_plan(&plan).await?;
             return Ok(match structure_ok {
                 true => PairOutcome::Declined,
                 false => PairOutcome::Mismatch,
@@ -1329,10 +1361,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 assert!(parent.remove_separator(sep, right_addr));
                 commit.invalidate(right_addr, right_version);
                 parent.header.free = parent.entries.is_empty()
-                    && match self.try_collapse_root(parent_addr, &parent, level) {
+                    && match self.try_collapse_root(parent_addr, &parent, level).await {
                         Ok(collapsed) => collapsed,
                         Err(e) => {
-                            self.abandon_plan(&plan)?;
+                            self.abandon_plan(&plan).await?;
                             return Err(e);
                         }
                     };
@@ -1380,25 +1412,26 @@ impl<B: FabricBackend> OpCx<'_, B> {
             commit.refresh(Arc::new(image));
         }
         let published = self.publish_commit(commit);
-        self.release_plan(&plan, writes, &published)?;
+        self.release_plan(&plan, writes, &published).await?;
 
         // Phase 5: post-commit bookkeeping (no locks held).  Retirement
         // consumes the published commit, so the freed addresses are exactly
         // the invalidations that were posted; remote caches heal when the
         // `RefreshTop` messages are drained, the committer's own cache was
         // healed synchronously at publish (both at the images' own levels).
-        published.retire_all(self.cluster, self.ctx.now());
+        published.retire_all(self.cluster, self.ctx().now());
         // A merge of two tiny nodes can leave the survivor itself below the
         // floor with no delete ever landing on it again; chase it now so no
         // node stays persistently underfull while a partner exists (bounded:
-        // every merge removes one node from the level).
+        // every merge removes one node from the level).  The recursions are
+        // boxed: a future cannot contain itself.
         if chase {
-            self.try_merge(left_addr, level, None, meta)?;
+            Box::pin(self.try_merge(left_addr, level, None, meta)).await?;
         }
         if cascade {
             // The parent itself dropped below the merge threshold: recurse
             // one level up (bounded by the tree height).
-            self.try_merge(parent_addr, level + 1, None, meta)?;
+            Box::pin(self.try_merge(parent_addr, level + 1, None, meta)).await?;
         }
         Ok(PairOutcome::Committed)
     }
@@ -1412,7 +1445,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// children through the pair's boundary); the parent's separator is then
     /// retargeted in the same critical section.
     fn plan_merge<N: TreeNode>(
-        &mut self,
+        &self,
         left_addr: GlobalAddress,
         left_buf: &[u8],
         right_buf: &[u8],
@@ -1431,7 +1464,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         }
         // Local CPU cost of sorting the pairs that move (same accounting as
         // splits).
-        self.ctx.charge_scan(layout.node_size());
+        self.ctx().charge_scan(layout.node_size());
         let dense = self.leaf_format().is_sorted();
         let capacity = N::capacity(&layout);
         let change = if underfull + N::JOIN + donor <= capacity {
@@ -1468,14 +1501,14 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// collapse happened; the caller then frees the old root.  Called with the
     /// parent's lock held, so no separator can be inserted concurrently; a
     /// racing root *growth* is detected by the CAS.
-    fn try_collapse_root(
-        &mut self,
+    async fn try_collapse_root(
+        &self,
         parent_addr: GlobalAddress,
         parent: &InternalNode,
         child_level: u8,
     ) -> TreeResult<bool> {
         debug_assert!(parent.entries.is_empty());
-        let packed = self.ctx.read_u64(self.cluster.root_ptr_addr())?;
+        let packed = self.read_word(self.cluster.root_ptr_addr()).await?;
         if packed != parent_addr.pack() {
             // Not the root (or no longer): an empty internal node with one
             // leftmost child is still a valid router, so just leave it.
@@ -1485,7 +1518,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             .header
             .leftmost
             .expect("internal node has leftmost child");
-        let collapsed = self.swing_root(packed, child, child_level)?;
+        let collapsed = self.swing_root(packed, child, child_level).await?;
         if collapsed {
             self.cluster.space_counters().root_collapses.inc();
         }
@@ -1643,8 +1676,9 @@ mod tests {
 
         let mut client = cluster.client(0);
         let mut meta = OpMeta::default();
-        let mut cx = client.op_cx();
-        let (plan, images) = cx.lock_and_read_plan([left, right, parent], &mut meta).unwrap();
+        let cx = client.op_cx();
+        let planned = cx.block_on(cx.lock_and_read_plan([left, right, parent], &mut meta));
+        let (plan, images) = planned.unwrap();
         let rear = cluster.layout().rear_version_offset();
         let writes: Vec<WriteBack> = [left, right, parent]
             .into_iter()
@@ -1661,11 +1695,12 @@ mod tests {
             let node = write_back.node.offset;
             assert_eq!(starts, [node + rear as u64, node], "rear version first");
         }
-        let before = cx.ctx.stats();
+        let before = cx.ctx().stats();
         let published = cx.publish_commit(StructuralCommit::new());
-        cx.release_plan(&plan, writes, &published).unwrap();
-        published.retire_all(&cluster, cx.ctx.now());
-        let spent = cx.ctx.stats().delta_since(&before);
+        cx.block_on(cx.release_plan(&plan, writes, &published))
+            .unwrap();
+        published.retire_all(&cluster, cx.ctx().now());
+        let spent = cx.ctx().stats().delta_since(&before);
         assert_eq!((spent.round_trips, spent.writes), (3, 9), "{spent:?}");
         for (node, pre) in [left, right, parent].into_iter().zip(&images) {
             let mut now = vec![0u8; pre.len()];
@@ -1703,7 +1738,9 @@ mod tests {
             let mut client = cluster.client(0);
             let mut meta = OpMeta::default();
             let pair = (left, right, MergeDirection::Right);
-            let failed = client.op_cx().try_merge_pair(pair, beyond, 0, &mut meta);
+            let cx = client.op_cx();
+            let failed = cx.block_on(cx.try_merge_pair(pair, beyond, 0, &mut meta));
+            drop(cx);
             assert!(matches!(failed, Err(TreeError::Fabric(_))), "{failed:?}");
             assert_eq!(client.ctx.outstanding(), 0);
 
@@ -1719,7 +1756,8 @@ mod tests {
                     else {
                         panic!("the local lock on {node:?} is still held");
                     };
-                    let completion = ctx.poll_token(token);
+                    let completion = ctx.poll(None).expect("the attempt is outstanding");
+                    assert_eq!(completion.token, token);
                     let won = mgr.step_acquire(ctx, &mut attempt, Some(completion)).unwrap();
                     assert!(matches!(won, AcquireStep::Done { .. }), "{node:?} is still locked");
                     mgr.release(ctx, node, Vec::new(), true).unwrap();

@@ -135,7 +135,6 @@ impl LockStrategy {
             } => HoclOptions {
                 use_wait_queue: *wait_queue,
                 use_handover: *handover,
-                ..HoclOptions::default()
             },
             _ => HoclOptions::default(),
         }

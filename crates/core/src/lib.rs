@@ -70,6 +70,7 @@ mod coherence;
 mod commit;
 pub mod config;
 pub mod error;
+mod exec;
 pub mod layout;
 pub mod node;
 mod offload;

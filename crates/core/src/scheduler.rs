@@ -5,10 +5,10 @@
 //! lets the poster keep going, but a single tree operation is inherently
 //! sequential — it cannot post its next read before the previous one
 //! resolves.  Throughput therefore comes from *operation-level* parallelism:
-//! the scheduler keeps up to `depth` independent operations (each a resumable
-//! state machine from the `ops` module) in flight on one `ClientCtx`, stepping
-//! whichever operation's verb completes first.  One thread then overlaps up
-//! to `depth` network round trips, which is how Sherman's evaluation (and
+//! the scheduler keeps up to `depth` independent operations (each the future
+//! of an `async fn` from the `ops` module, boxed in its slot) in flight on
+//! one `ClientCtx`, polling whichever operation's verb completes first.  One
+//! thread then overlaps up to `depth` network round trips, which is how Sherman's evaluation (and
 //! DEX, more aggressively) hides RDMA latency with multiple coroutines per
 //! client thread.
 //!
@@ -26,8 +26,8 @@
 //! in-flight operation — and so do both round trips of their commit.  The
 //! head of the commit posts the lock acquisition (CAS + READ in one doorbell
 //! batch) and parks on it like on any read; its completion runs the body of
-//! the critical section in one step — validate the locked image, pick the
-//! slot, post write-back + release — and the operation parks once more on
+//! the critical section without an await — validate the locked image, pick
+//! the slot, post write-back + release — and the operation parks once more on
 //! that verb, whose memory effect applied at post time.  Between a write's
 //! two round trips the scheduler steps whatever completes first (HOCL's
 //! "threads *and coroutines*", DEX-style lock-conscious pipelining).
@@ -37,30 +37,32 @@
 //!
 //! 1. **An operation that finds its lock taken waits in the lock's local
 //!    queue, and the release resumes it.**  The lock manager's acquisition
-//!    machine never blocks: a lost global attempt is re-posted as another
-//!    parked verb, and a lock word held by a sibling operation of this very
-//!    client — the same leaf, or a leaf whose lock aliases it in the table —
-//!    is waited for in the compute server's FIFO queue, parked on a
-//!    completion the sibling's release fires.  That release hands the global
-//!    lock over (bounded by `MAX_HANDOVER_DEPTH`), so the successor skips
-//!    the CAS and posts a plain READ.  The holder of a lock needs nothing
-//!    but its own completion to let go of it, so these waits form no cycle.
+//!    machine never blocks (each step of it parks as a `Park::Lock`): a lost
+//!    global attempt is re-posted as another parked verb, and a lock word
+//!    held by a sibling operation of this very client — the same leaf, or a
+//!    leaf whose lock aliases it in the table — is waited for in the compute
+//!    server's FIFO queue, parked on a completion the sibling's release
+//!    fires.  That release hands the global lock over (bounded by
+//!    `MAX_HANDOVER_DEPTH`), so the successor skips the CAS and posts a
+//!    plain READ.  The holder of a lock needs nothing but its own completion
+//!    to let go of it, so these waits form no cycle.
 //! 2. **A commit that needs further locks starts only once no other
 //!    operation of this client is inside a lock acquisition.**  The
 //!    separator of a split and a structural merge lock a parent, or a pair
 //!    and their parent, and wait for them.  They run with the leaf lock
-//!    already released, in a step of their own that the operation asks for with
-//!    `OpStep::Exclusive`; before granting it the scheduler steps every
-//!    sibling that holds a lock, has an attempt in flight or sits in a queue
-//!    through to its release post (`Run::settle_acquisitions` — nothing new
-//!    is started meanwhile).  Whatever those acquisitions then meet is
+//!    already released, after the operation parks on `Park::Exclusive`: the
+//!    scheduler first steps every sibling that holds a lock, has an attempt
+//!    in flight or sits in a queue through to its release post
+//!    (`Run::settle_acquisitions` — nothing new is started meanwhile), then
+//!    drives the follow-up alone, answering each park with its own
+//!    completion (`OpCx::drive`).  Whatever those acquisitions then meet is
 //!    held by another client, which makes progress on its own: lock-word
 //!    aliasing can never deadlock a thread against itself.  The same
 //!    settling runs before a failed run returns, so an abandoned operation
 //!    never leaves a lock behind.
 //!
-//! At depth 1 there is no sibling: both rules are vacuous and the machine
-//! posts and polls exactly the blocking path's verbs.
+//! At depth 1 there is no sibling: both rules are vacuous and the run posts
+//! and polls exactly the blocking path's verbs.
 //!
 //! ## Attributing completions to operations
 //!
@@ -78,11 +80,14 @@
 //! same order and report identical virtual-time totals.
 
 use crate::client::TreeClient;
-use crate::ops::{OpMeta, OpOutput, OpSM, OpStep};
+use crate::exec::{OpCx, Park};
+use crate::ops::{self, OpMeta, OpOutput};
 use crate::TreeResult;
-use sherman_memserver::EpochPin;
+use sherman_memserver::{EpochPin, ReaderHandle};
 use sherman_metrics::OverlapGauges;
-use sherman_sim::{ClientStats, Completion, FabricBackend, PendingVerb};
+use sherman_sim::{ClientStats, Completion, FabricBackend};
+use std::future::Future;
+use std::pin::Pin;
 
 /// One operation for the pipelined driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,35 +186,38 @@ pub fn overlap_from_stats(stats: &ClientStats, elapsed_ns: u64) -> OverlapGauges
     }
 }
 
-/// One in-flight operation: its machine, bookkeeping, and the token of the
-/// verb it is waiting on (`None` only transiently, between steps).
-struct Slot {
+/// One operation's future: it borrows the context it runs against.
+type OpFuture<'f> = Pin<Box<dyn Future<Output = TreeResult<(OpOutput, OpMeta)>> + 'f>>;
+
+/// One in-flight operation: its future and what it is parked on.
+struct Slot<'f> {
     /// Scheduler-assigned operation id; every verb the op posts carries it,
     /// which is how the shared completion queue attributes completions.
     id: u64,
     op: PipelineOp,
-    sm: OpSM,
-    meta: OpMeta,
-    /// Token of the verb (or wait) this operation is parked on (`None` only
-    /// while the slot is being stepped).
-    waiting_on: Option<PendingVerb>,
+    future: OpFuture<'f>,
+    /// What the operation is parked on: the verb (or wait) it posted, or —
+    /// before its first poll and while it is settling the others' lock
+    /// acquisitions — [`Park::Exclusive`].
+    parked: Park,
     /// Pins the reclamation epoch for this operation's whole lifetime, like
     /// the blocking entry points do.  Pins on one reader handle nest, so N
     /// concurrent operations hold the oldest epoch — conservative and safe.
     _pin: EpochPin,
 }
 
-/// One pipelined run in progress: the client it multiplexes, the slots, the
+/// One pipelined run in progress: the context it multiplexes, the slots, the
 /// feed that refills them and the results so far.
-struct Run<'c, B: FabricBackend, I> {
-    client: &'c mut TreeClient<B>,
-    slots: Vec<Option<Slot>>,
+struct Run<'f, 'a, B: FabricBackend, I> {
+    cx: &'f OpCx<'a, B>,
+    reader: &'f ReaderHandle,
+    slots: Vec<Option<Slot<'f>>>,
     feed: I,
     next_id: u64,
     results: Vec<PipelinedResult>,
 }
 
-impl<B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'_, B, I> {
+impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
     /// Pull operations from the feed into slot `idx` until one parks (an
     /// operation that finishes without ever parking frees the slot again).
     fn refill(&mut self, idx: usize) -> TreeResult<()> {
@@ -223,15 +231,15 @@ impl<B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'_, B, I> {
             // before the op routes through the cache — the same drain point
             // the blocking entry points use, so depth 1 stays byte-for-byte
             // identical to blocking.
-            self.client.drain_coherence();
-            let pin = self.client.reader.pin();
+            self.cx.drain_coherence();
+            let _pin = self.reader.pin();
+            let future = Box::pin(ops::run(self.cx, op));
             self.slots[idx] = Some(Slot {
                 id,
                 op,
-                sm: OpSM::new(&self.client.op_cx(), op),
-                meta: OpMeta::default(),
-                waiting_on: None,
-                _pin: pin,
+                future,
+                parked: Park::Exclusive,
+                _pin,
             });
             self.step_slot(idx, None)?;
         }
@@ -239,7 +247,7 @@ impl<B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'_, B, I> {
     }
 
     /// Refill every empty slot.  Starting an operation can run an exclusive
-    /// step, which can finish operations in slots already visited: go round
+    /// drive, which can finish operations in slots already visited: go round
     /// until a pass starts nothing.
     fn refill_all(&mut self) -> TreeResult<()> {
         loop {
@@ -253,49 +261,100 @@ impl<B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'_, B, I> {
         }
     }
 
-    /// Step the operation in slot `idx` until it parks on something it
-    /// posted or finishes (its result is recorded and the slot left empty;
-    /// on an error the slot is emptied too).
-    fn step_slot(&mut self, idx: usize, mut completion: Option<Completion>) -> TreeResult<()> {
-        loop {
-            let active = self.slots[idx].as_mut().expect("stepping an in-flight operation");
-            // Tag every verb (and CPU charge) of this step with the op's id
-            // so the shared completion queue can attribute it.
-            self.client.ctx.set_current_op(Some(active.id));
-            let step = active
-                .sm
-                .step(&mut self.client.op_cx(), &mut active.meta, completion.take());
-            self.client.ctx.set_current_op(None);
-            match step {
-                Ok(OpStep::Pending(token)) => {
-                    active.waiting_on = Some(token);
-                    return Ok(());
-                }
-                // Rule two: further locks are taken (and waited for, inside
-                // the next step) only with every sibling out of its acquisition.
-                Ok(OpStep::Exclusive) => self.settle_acquisitions(Some(idx))?,
-                Ok(OpStep::Done(output)) => {
-                    let finished = self.slots[idx].take().expect("active slot");
-                    let op_stats = self.client.ctx.take_op_stats(finished.id);
-                    self.results.push(PipelinedResult {
-                        op: finished.op,
-                        output,
-                        latency_ns: op_stats.latency_ns(),
-                        round_trips: op_stats.round_trips,
-                        bytes_written: op_stats.bytes_written,
-                        read_retries: finished.meta.read_retries,
-                        lock_retries: u32::try_from(finished.meta.lock_retries).unwrap_or(u32::MAX),
-                        handed_over: finished.meta.handed_over,
-                        cache_hit: finished.meta.cache_hit,
-                    });
-                    return Ok(());
-                }
-                Err(e) => {
-                    self.slots[idx] = None;
-                    return Err(e);
-                }
+    /// Poll the operation in slot `idx`, `completion` answering its park,
+    /// until it parks on something it posted or finishes (its result is
+    /// recorded and the slot left empty; on an error the slot is emptied
+    /// too).
+    fn step_slot(&mut self, idx: usize, completion: Option<Completion>) -> TreeResult<()> {
+        let cx = self.cx;
+        let slot = self.slots[idx]
+            .as_mut()
+            .expect("stepping an in-flight operation");
+        // Tag every verb (and CPU charge) of this operation with its id so
+        // the shared completion queue can attribute it.
+        let id = slot.id;
+        cx.ctx().set_current_op(Some(id));
+        if let Some(completion) = completion {
+            cx.resume(completion);
+        }
+        let mut polled = cx.poll(slot.future.as_mut());
+        if let Err(Park::Exclusive) = polled {
+            // Rule two: further locks are taken (and waited for) only with
+            // every sibling out of its acquisition — and then alone.
+            slot.parked = Park::Exclusive;
+            cx.ctx().set_current_op(None);
+            self.settle_acquisitions(Some(idx))?;
+            let slot = self.slots[idx]
+                .as_mut()
+                .expect("an exclusive operation waits");
+            cx.ctx().set_current_op(Some(id));
+            polled = Ok(cx.drive(slot.future.as_mut()));
+        }
+        cx.ctx().set_current_op(None);
+        match polled {
+            Err(park) => {
+                self.slots[idx].as_mut().expect("a parked operation").parked = park;
+                Ok(())
+            }
+            Ok(Ok((output, meta))) => {
+                let finished = self.slots[idx].take().expect("active slot");
+                let op_stats = cx.ctx().take_op_stats(finished.id);
+                self.results.push(PipelinedResult {
+                    op: finished.op,
+                    output,
+                    latency_ns: op_stats.latency_ns(),
+                    round_trips: op_stats.round_trips,
+                    bytes_written: op_stats.bytes_written,
+                    read_retries: meta.read_retries,
+                    lock_retries: u32::try_from(meta.lock_retries).unwrap_or(u32::MAX),
+                    handed_over: meta.handed_over,
+                    cache_hit: meta.cache_hit,
+                });
+                Ok(())
+            }
+            Ok(Err(e)) => {
+                self.slots[idx] = None;
+                Err(e)
             }
         }
+    }
+
+    /// Run the feed to its end and return every result.  On a failure,
+    /// leave the context — and the locks — clean first: let every operation
+    /// that is acquiring a lock release it again (their own failures no
+    /// longer matter), then observe every outstanding completion.
+    fn finish(mut self) -> TreeResult<Vec<PipelinedResult>> {
+        if let Err(e) = self.run_feed() {
+            while self.settle_acquisitions(None).is_err() {}
+            self.cx.ctx().drain();
+            return Err(e);
+        }
+        Ok(self.results)
+    }
+
+    /// Completion-driven loop: the earliest outstanding completion decides
+    /// which operation advances; a finished operation's slot pulls the next
+    /// one from the feed before anything else runs.
+    fn run_feed(&mut self) -> TreeResult<()> {
+        self.refill_all()?;
+        while self.slots.iter().any(Option::is_some) {
+            let completion = self
+                .cx
+                .ctx()
+                .poll(None)
+                .expect("every in-flight operation has an outstanding verb");
+            let idx = self
+                .slots
+                .iter()
+                .position(|s| {
+                    s.as_ref()
+                        .is_some_and(|slot| slot.parked.token() == Some(completion.token))
+                })
+                .expect("completion token belongs to an in-flight operation");
+            self.step_slot(idx, Some(completion))?;
+            self.refill_all()?;
+        }
+        Ok(())
     }
 
     /// Step every operation other than `except` that is inside a lock
@@ -306,23 +365,21 @@ impl<B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'_, B, I> {
     /// to get there.
     fn settle_acquisitions(&mut self, except: Option<usize>) -> TreeResult<()> {
         loop {
-            let ctx = &self.client.ctx;
             let next = self
                 .slots
                 .iter()
                 .enumerate()
                 .filter(|&(idx, _)| Some(idx) != except)
-                .filter_map(|(idx, slot)| {
-                    let slot = slot.as_ref().filter(|slot| slot.sm.acquiring())?;
-                    let token = slot.waiting_on.expect("a parked operation waits on a token");
-                    Some((ctx.completes_at(token), idx, token))
+                .filter_map(|(idx, slot)| match slot.as_ref()?.parked {
+                    Park::Lock(token) => Some((self.cx.ctx().completes_at(token), idx, token)),
+                    _ => None,
                 })
                 .min_by_key(|&(due, idx, _)| (due, idx));
             let Some((due, idx, token)) = next else {
                 return Ok(());
             };
             assert!(due != u64::MAX, "lock acquisitions of one client wait for each other");
-            let completion = self.client.ctx.poll_token(token);
+            let completion = self.cx.ctx().poll_token(token);
             self.step_slot(idx, Some(completion))?;
         }
     }
@@ -348,50 +405,19 @@ impl<B: FabricBackend> TreeClient<B> {
         self.ctx.reset_max_in_flight();
         let before = self.ctx.stats();
         let t0 = self.ctx.now();
+        let (cx, reader) = self.op_cx_and_reader();
         let mut slots = Vec::new();
         slots.resize_with(depth, || None);
-        let mut run = Run {
-            client: self,
+        let run = Run {
+            cx: &cx,
+            reader,
             slots,
             feed: ops.into_iter(),
             next_id: 0,
             results: Vec::new(),
         };
-
-        let outcome = (|| -> TreeResult<()> {
-            run.refill_all()?;
-            // Completion-driven loop: the earliest outstanding completion
-            // decides which operation advances; a finished operation's slot
-            // pulls the next one from the feed before anything else runs.
-            while run.slots.iter().any(Option::is_some) {
-                let completion = run
-                    .client
-                    .ctx
-                    .poll(None)
-                    .expect("every in-flight operation has an outstanding verb");
-                let idx = run
-                    .slots
-                    .iter()
-                    .position(|s| {
-                        s.as_ref()
-                            .is_some_and(|slot| slot.waiting_on == Some(completion.token))
-                    })
-                    .expect("completion token belongs to an in-flight operation");
-                run.step_slot(idx, Some(completion))?;
-                run.refill_all()?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = outcome {
-            // Leave the context — and the locks — clean: let every operation
-            // that is acquiring a lock release it again (their own failures
-            // no longer matter), then observe every outstanding completion
-            // before surfacing the failure.
-            while run.settle_acquisitions(None).is_err() {}
-            run.client.ctx.drain();
-            return Err(e);
-        }
-        let results = run.results;
+        let results = run.finish()?;
+        drop(cx);
 
         let elapsed_ns = self.ctx.now().saturating_sub(t0);
         let stats = self.ctx.stats().delta_since(&before);

@@ -19,7 +19,7 @@
 //! whose turn can only come through releases of its own context — the holder
 //! and everyone queued ahead are sibling operations — parks without a
 //! deadline and is woken by the release that makes it the head; any other
-//! waiter re-checks every `poll_interval_ns`, because a thread cannot wake
+//! waiter re-checks every `LOCAL_POLL_NS`, because a thread cannot wake
 //! another thread's context.
 //!
 //! An *optimistic* acquisition ([`Acquisition::try_once`]) does none of this
@@ -46,18 +46,19 @@ use std::sync::Arc;
 /// be released so that other compute servers get a chance (the paper uses 4).
 pub const MAX_HANDOVER_DEPTH: u32 = 4;
 
+/// Virtual time between local polls of a waiter that no release of its own
+/// context can wake.
+const LOCAL_POLL_NS: u64 = 200;
+
 /// Tunable behaviour of the hierarchical lock, used to reproduce the Figure 16
 /// ladder (hierarchical structure → wait queue → handover).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HoclOptions {
     /// Queue local waiters FIFO instead of letting them race on the local lock.
     pub use_wait_queue: bool,
-    /// Hand the global lock to the next local waiter on release.
+    /// Hand the global lock to the next local waiter on release, at most
+    /// [`MAX_HANDOVER_DEPTH`] times in a row.
     pub use_handover: bool,
-    /// Maximum number of consecutive handovers.
-    pub max_handover_depth: u32,
-    /// Virtual time between local polls while waiting for the local lock.
-    pub poll_interval_ns: u64,
 }
 
 impl Default for HoclOptions {
@@ -65,8 +66,6 @@ impl Default for HoclOptions {
         HoclOptions {
             use_wait_queue: true,
             use_handover: true,
-            max_handover_depth: MAX_HANDOVER_DEPTH,
-            poll_interval_ns: 200,
         }
     }
 }
@@ -78,7 +77,6 @@ impl HoclOptions {
         HoclOptions {
             use_wait_queue: false,
             use_handover: false,
-            ..HoclOptions::default()
         }
     }
 
@@ -87,7 +85,6 @@ impl HoclOptions {
         HoclOptions {
             use_wait_queue: true,
             use_handover: false,
-            ..HoclOptions::default()
         }
     }
 }
@@ -307,7 +304,7 @@ impl HoclManager {
         let woken_in_turn = self.options.use_wait_queue
             && (!st.held || mine(st.holder))
             && st.queue.iter().take(ahead).all(|w| mine(w.client));
-        let deadline = (!woken_in_turn).then(|| client.now() + self.options.poll_interval_ns);
+        let deadline = (!woken_in_turn).then(|| client.now() + LOCAL_POLL_NS);
         let wait = client.post_wait(deadline);
         match queued_at {
             Some(pos) => st.queue[pos].wait = wait,
@@ -390,8 +387,7 @@ impl HoclManager {
             let mut st = local.state.lock();
             match st.queue.front() {
                 Some(head)
-                    if self.options.use_handover
-                        && st.handover_depth < self.options.max_handover_depth =>
+                    if self.options.use_handover && st.handover_depth < MAX_HANDOVER_DEPTH =>
                 {
                     let (ticket, to_sibling) = (head.ticket, head.client == me);
                     st.handover_depth += 1;
@@ -613,10 +609,7 @@ mod tests {
 
     #[test]
     fn handover_depth_is_bounded() {
-        let (pool, mgr) = setup(HoclOptions {
-            max_handover_depth: 2,
-            ..HoclOptions::default()
-        });
+        let (pool, mgr) = setup(HoclOptions::default());
         let node = GlobalAddress::host(1, 40 << 10);
         let outcomes = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
@@ -638,9 +631,11 @@ mod tests {
             h.join().unwrap();
         }
         let outcomes = outcomes.lock();
-        // With depth 2 the lock must be released remotely at least every third
-        // release; in particular there must be some remote releases.
-        assert!(outcomes.iter().filter(|&&g| g).count() >= outcomes.len() / 4);
+        // At most `MAX_HANDOVER_DEPTH` handovers in a row: at least one remote
+        // release per `MAX_HANDOVER_DEPTH + 2` releases, so in particular
+        // some remote releases.
+        let bound = outcomes.len() / (MAX_HANDOVER_DEPTH as usize + 2);
+        assert!(outcomes.iter().filter(|&&g| g).count() >= bound);
         // And the run must end with the global lock actually free: a fresh
         // client can acquire it remotely.
         let mut client = pool.fabric().client(1);
@@ -988,7 +983,7 @@ mod tests {
                     panic!("the lock is held");
                 };
                 let deadline = client.completes_at(wait);
-                assert_eq!(deadline, client.now() + mgr.options().poll_interval_ns);
+                assert_eq!(deadline, client.now() + LOCAL_POLL_NS);
                 let mut pending = Some(wait);
                 loop {
                     match step(&mgr, &mut client, &mut acq, pending.take()) {

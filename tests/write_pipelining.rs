@@ -9,7 +9,7 @@
 
 use sherman_repro::prelude::*;
 use sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 fn loaded_cluster(n: u64) -> (Arc<Cluster>, BTreeMap<u64, u64>) {
@@ -66,12 +66,24 @@ fn final_model(ops: &[PipelineOp], mut model: BTreeMap<u64, u64>) -> BTreeMap<u6
 /// Check the lock discipline of one context from its verb trace: per lock
 /// word the sections strictly alternate begin/end and are closed by the op
 /// that opened them, so at most one in-flight operation of the client is
-/// between learning it holds the word and posting its release; and a post is
-/// flagged critical exactly when the posting op has a section open.  Returns
-/// `(sections, posts by other ops while some section was open)`.
-fn check_lock_discipline(trace: &[TraceEvent], context: &str) -> (u64, u64) {
+/// between learning it holds the word and posting its release; a post is
+/// flagged critical exactly when the posting op has a section open.  With
+/// `followups_alone`, also: the posts an op makes once its first section
+/// (its leaf's) has closed — its follow-up: a split's separator, a merge —
+/// form one contiguous run, with no other op's post inside it.  (A write
+/// whose leaf moved under it also posts after that section, to re-locate,
+/// and does wait among the others: check only a trace without such
+/// retries.)  Returns `(sections, posts by other ops while some section was
+/// open, ops that posted after their leaf section)`.
+fn check_lock_discipline(
+    trace: &[TraceEvent],
+    context: &str,
+    followups_alone: bool,
+) -> (u64, u64, usize) {
     let mut open: HashMap<u128, Option<u64>> = HashMap::new();
     let (mut sections, mut interleaved) = (0u64, 0u64);
+    let (mut closed, mut followups) = (HashSet::new(), HashSet::new());
+    let mut last_post = None;
     for event in trace {
         match *event {
             TraceEvent::CriticalBegin { op, lock } => {
@@ -88,6 +100,9 @@ fn check_lock_discipline(trace: &[TraceEvent], context: &str) -> (u64, u64) {
                     Some(op),
                     "{context}: lock {lock:#x} released by an op that does not hold it"
                 );
+                if !open.values().any(|&holder| holder == op) {
+                    closed.insert(op);
+                }
             }
             TraceEvent::Post { op, critical, .. } => {
                 let holds = open.values().any(|&holder| holder == op);
@@ -95,11 +110,19 @@ fn check_lock_discipline(trace: &[TraceEvent], context: &str) -> (u64, u64) {
                 if !holds && !open.is_empty() {
                     interleaved += 1;
                 }
+                if closed.contains(&op) && !followups.insert(op) && followups_alone {
+                    assert_eq!(
+                        last_post,
+                        Some(op),
+                        "{context}: another op posted inside the follow-up of {op:?}"
+                    );
+                }
+                last_post = Some(op);
             }
         }
     }
     assert!(open.is_empty(), "{context}: sections left open: {open:?}");
-    (sections, interleaved)
+    (sections, interleaved, followups.len())
 }
 
 /// Tentpole invariant, from the verb trace of the mixed workload at depths
@@ -116,7 +139,8 @@ fn a_lock_word_has_one_holder_at_a_time_on_a_context() {
             .run_pipelined(mixed_ops(240, 1_200), depth)
             .unwrap();
         assert_eq!(report.results.len(), 240, "depth {depth}");
-        let (sections, _) = check_lock_discipline(&client.take_verb_trace(), &format!("depth {depth}"));
+        let (sections, _, _) =
+            check_lock_discipline(&client.take_verb_trace(), &format!("depth {depth}"), false);
         assert!(
             sections >= 120,
             "depth {depth}: expected a critical section per write, saw {sections}"
@@ -131,8 +155,11 @@ fn a_lock_word_has_one_holder_at_a_time_on_a_context() {
         });
         let report = client.run_pipelined(ops, depth).unwrap();
         let handed_over = report.results.iter().filter(|r| r.handed_over).count();
-        let (sections, interleaved) =
-            check_lock_discipline(&client.take_verb_trace(), &format!("hot leaf, depth {depth}"));
+        let (sections, interleaved, _) = check_lock_discipline(
+            &client.take_verb_trace(),
+            &format!("hot leaf, depth {depth}"),
+            false,
+        );
         assert_eq!(sections, 200, "depth {depth}: one section per write");
         if depth == 1 {
             assert_eq!((handed_over, interleaved), (0, 0));
@@ -438,8 +465,10 @@ fn hot_leaf_writes_match_the_sequential_model_threaded() {
 /// parents that splits and merges lock.  Fresh inserts split and a drain
 /// merges while siblings hold — or queue for — leaf locks; every such commit
 /// waits for its siblings to let go first, so the run terminates, and leaves
-/// a tree equal to the model with a clean census and shape.
-fn splits_and_merges_under_aliased_lock_words_on<B: FabricBackend>() {
+/// a tree equal to the model with a clean census and shape.  With
+/// `check_followups`, the depth-4 run's verb trace also shows each follow-up
+/// running alone ([`check_lock_discipline`]).
+fn splits_and_merges_under_aliased_lock_words_on<B: FabricBackend>(check_followups: bool) {
     let mut config = ClusterConfig::small();
     config.fabric.onchip_bytes_per_ms = 64;
     for depth in [4usize, 8, 16] {
@@ -478,9 +507,23 @@ fn splits_and_merges_under_aliased_lock_words_on<B: FabricBackend>() {
         }
 
         let mut client = cluster.client(0);
-        let filled = client.run_pipelined(fill, depth).unwrap();
+        let traced = check_followups && depth == 4;
+        let mut run = |ops: Vec<PipelineOp>, phase: &str| {
+            if traced {
+                client.enable_verb_trace();
+            }
+            let report = client.run_pipelined(ops, depth).unwrap();
+            if traced {
+                let context = format!("{phase}, depth {depth}");
+                let trace = client.take_verb_trace();
+                let (_, _, followups) = check_lock_discipline(&trace, &context, true);
+                assert!(followups > 0, "{context}: no follow-up ran");
+            }
+            report
+        };
+        let filled = run(fill, "fill");
         assert!(cluster.pool().nodes_carved() > carved + 20, "depth {depth}: few splits");
-        let drained = client.run_pipelined(drain, depth).unwrap();
+        let drained = run(drain, "drain");
         let space = cluster.space_stats();
         assert!(space.leaf_merges > 20, "depth {depth}: {space:?}");
         assert!(space.internal_merges > 0, "depth {depth}: {space:?}");
@@ -510,10 +553,10 @@ fn splits_and_merges_under_aliased_lock_words_on<B: FabricBackend>() {
 
 #[test]
 fn splits_and_merges_under_aliased_lock_words_sim() {
-    splits_and_merges_under_aliased_lock_words_on::<Fabric>();
+    splits_and_merges_under_aliased_lock_words_on::<Fabric>(true);
 }
 
 #[test]
 fn splits_and_merges_under_aliased_lock_words_threaded() {
-    splits_and_merges_under_aliased_lock_words_on::<ThreadedFabric>();
+    splits_and_merges_under_aliased_lock_words_on::<ThreadedFabric>(false);
 }

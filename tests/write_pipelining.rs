@@ -387,12 +387,35 @@ fn combined_lock_and_read_opens_the_critical_section() {
     }
 }
 
+/// The six lock designs of the paper's ladder, each over Sherman's other
+/// techniques.
+const DESIGNS: [(&str, LockStrategy); 6] = [
+    ("HostCasFaa", LockStrategy::HostCasFaa),
+    ("HostCasWrite", LockStrategy::HostCasWrite),
+    ("OnChip", LockStrategy::OnChip),
+    ("Hierarchical", LockStrategy::Hocl { wait_queue: false, handover: false }),
+    ("WaitQueue", LockStrategy::Hocl { wait_queue: true, handover: false }),
+    ("Hocl", LockStrategy::Hocl { wait_queue: true, handover: true }),
+];
+
+/// What a depth-8 hot-leaf run cost: `(round_trips, atomics, lock_retries,
+/// handovers, elapsed_ns)`.
+type HotLeafCost = (u64, u64, u64, u64, u64);
+
 /// Every operation of the feed writes one of 8 keys of one leaf: the leaf's
-/// lock word is wanted by every in-flight operation at once.  They queue in
-/// arrival order on the local lock table and hand the lock over, so the final
-/// state is the sequential model's at every depth, no attempt on the global
-/// word is ever lost to a sibling, and nothing deadlocks.
-fn hot_leaf_writes_match_the_sequential_model_on<B: FabricBackend>() {
+/// lock word is wanted by every in-flight operation at once.  With a local
+/// lock table they wait on the compute server's local lock, so no attempt on
+/// the global word is ever lost to a sibling, and full HOCL hands the lock
+/// over; without one, siblings spin on the global word.  Every design
+/// commits the writes of a key in the order they complete, and nothing
+/// deadlocks.  The designs with a wait queue also keep arrival order, so
+/// their final state is the sequential model's at every depth; where waiters
+/// race, two writes of one key in flight together may commit either way
+/// round.  Returns the depth-8 run's cost.
+fn hot_leaf_writes_match_the_sequential_model_on<B: FabricBackend>(
+    design: &str,
+    lock_strategy: LockStrategy,
+) -> HotLeafCost {
     let keys: Vec<u64> = (0..8u64).map(|i| (700 + i) * 3).collect();
     let ops: Vec<PipelineOp> = (0..2_000u64)
         .map(|i| {
@@ -404,60 +427,100 @@ fn hot_leaf_writes_match_the_sequential_model_on<B: FabricBackend>() {
             }
         })
         .collect();
+    let options = TreeOptions {
+        lock_strategy,
+        ..TreeOptions::sherman()
+    };
+    let local_layer = matches!(lock_strategy, LockStrategy::Hocl { .. });
+    let queued = matches!(lock_strategy, LockStrategy::Hocl { wait_queue: true, .. });
+    let hands_over = options == TreeOptions::sherman();
+    // Apply `ops` to `model`; a delete's output is whether it found its key.
+    let apply = |model: &mut BTreeMap<u64, u64>, ops: &mut dyn Iterator<Item = &PipelineOp>| {
+        ops.map(|op| match *op {
+            PipelineOp::Insert { key, value } => {
+                model.insert(key, value);
+                OpOutput::Insert
+            }
+            PipelineOp::Delete { key } => OpOutput::Delete(model.remove(&key).is_some()),
+            _ => unreachable!("write-only feed"),
+        })
+        .collect::<Vec<_>>()
+    };
 
+    let mut cost = None;
     for depth in [1usize, 4, 8, 16] {
-        let cluster = Cluster::<B>::new_on(ClusterConfig::small(), TreeOptions::sherman());
+        let context = format!("{design}, depth {depth}");
+        let cluster = Cluster::<B>::new_on(ClusterConfig::small(), options);
         let pairs: Vec<(u64, u64)> = (0..1_500u64).map(|k| (k * 3, k * 7 + 1)).collect();
         cluster.bulkload(pairs.iter().copied()).unwrap();
-        let mut model: BTreeMap<u64, u64> = pairs.into_iter().collect();
-        let mut deletes_found = 0;
-        for op in &ops {
-            match *op {
-                PipelineOp::Insert { key, value } => {
-                    model.insert(key, value);
-                }
-                PipelineOp::Delete { key } => {
-                    deletes_found += u64::from(model.remove(&key).is_some());
-                }
-                _ => unreachable!("write-only feed"),
-            }
-        }
+        let loaded: BTreeMap<u64, u64> = pairs.into_iter().collect();
 
         let mut client = cluster.client(0);
         let report = client.run_pipelined(ops.iter().copied(), depth).unwrap();
-        assert_eq!(report.results.len(), ops.len(), "depth {depth}");
-        let found = report
-            .results
-            .iter()
-            .filter(|r| r.output == OpOutput::Delete(true))
-            .count() as u64;
-        assert_eq!(found, deletes_found, "depth {depth}: deletes committed out of order");
-        let lock_retries: u32 = report.results.iter().map(|r| r.lock_retries).sum();
-        assert_eq!(lock_retries, 0, "depth {depth}: siblings fought over the global word");
-        assert_eq!(report.stats.retries, 0, "depth {depth}");
-        let handed_over = report.results.iter().filter(|r| r.handed_over).count();
-        if depth == 1 {
-            assert_eq!(handed_over, 0);
+        assert_eq!(report.results.len(), ops.len(), "{context}");
+        // The writes of one key commit in the order they complete.
+        let mut model = loaded.clone();
+        let outputs = apply(&mut model, &mut report.results.iter().map(|r| &r.op));
+        for (result, expect) in report.results.iter().zip(outputs) {
+            assert_eq!(result.output, expect, "{context}: {:?} committed out of order", result.op);
+        }
+        // Queued, they complete in arrival order.
+        if depth == 1 || queued {
+            let mut sequential = loaded.clone();
+            apply(&mut sequential, &mut ops.iter());
+            assert_eq!(model, sequential, "{context}: writes overtook each other in the queue");
+        }
+        let lock_retries: u64 = report.results.iter().map(|r| u64::from(r.lock_retries)).sum();
+        assert_eq!(lock_retries, report.stats.retries, "{context}");
+        if depth == 1 || local_layer {
+            assert_eq!(lock_retries, 0, "{context}: siblings fought over the global word");
         } else {
-            assert!(handed_over > 0, "depth {depth}: the hot lock was never handed over");
+            assert!(lock_retries > 0, "{context}: siblings never met on the global word");
+        }
+        let handed_over = report.results.iter().filter(|r| r.handed_over).count() as u64;
+        if depth == 1 || !hands_over {
+            assert_eq!(handed_over, 0, "{context}");
+        } else {
+            assert!(handed_over > 0, "{context}: the hot lock was never handed over");
         }
         let attributed: u64 = report.results.iter().map(|r| r.round_trips).sum();
-        assert_eq!(attributed, report.stats.round_trips, "depth {depth}");
+        assert_eq!(attributed, report.stats.round_trips, "{context}");
 
         let (scan, _) = client.range(0, model.len() + 10).unwrap();
         let expect: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(scan, expect, "depth {depth}: final state differs from the model");
+        assert_eq!(scan, expect, "{context}: final state differs from the model");
+        if depth == 8 {
+            let s = &report.stats;
+            cost = Some((s.round_trips, s.atomics, lock_retries, handed_over, report.elapsed_ns));
+        }
+    }
+    cost.expect("a depth-8 run")
+}
+
+/// Every design on the simulator, and what its depth-8 run costs: one client
+/// is deterministic, so a change to any design's acquisition, queueing or
+/// release path shows here as a moved verb count or virtual time.
+#[test]
+fn hot_leaf_writes_match_the_sequential_model_sim() {
+    let pins: [HotLeafCost; 6] = [
+        (11_988, 9_988, 5_988, 0, 7_519_040),
+        (9_988, 7_988, 5_988, 0, 3_867_075),
+        (9_988, 7_988, 5_988, 0, 2_172_529),
+        (4_000, 2_000, 0, 0, 1_883_689),
+        (4_000, 2_000, 0, 0, 1_883_689),
+        (4_000, 400, 0, 1_600, 1_854_889),
+    ];
+    for ((design, lock_strategy), pin) in DESIGNS.into_iter().zip(pins) {
+        let cost = hot_leaf_writes_match_the_sequential_model_on::<Fabric>(design, lock_strategy);
+        assert_eq!(cost, pin, "{design}: the depth-8 run's cost moved");
     }
 }
 
 #[test]
-fn hot_leaf_writes_match_the_sequential_model_sim() {
-    hot_leaf_writes_match_the_sequential_model_on::<Fabric>();
-}
-
-#[test]
 fn hot_leaf_writes_match_the_sequential_model_threaded() {
-    hot_leaf_writes_match_the_sequential_model_on::<ThreadedFabric>();
+    for (design, lock_strategy) in DESIGNS {
+        hot_leaf_writes_match_the_sequential_model_on::<ThreadedFabric>(design, lock_strategy);
+    }
 }
 
 /// 256 B nodes and a lock table of 32 words per memory server: the leaves of

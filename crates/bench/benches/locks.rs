@@ -2,12 +2,12 @@
 //! and 16): an uncontended acquire→release cycle for each design.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sherman_bench::{run_lock_experiment, LockExperiment, LockVariant};
+use sherman_bench::{run_lock_experiment, LockExperiment, LOCK_LADDER};
 
 fn lock_ladder(c: &mut Criterion) {
     let mut group = c.benchmark_group("lock_cycle");
     group.sample_size(10);
-    for (label, variant) in LockVariant::ladder() {
+    for (label, strategy) in LOCK_LADDER {
         group.bench_function(label, |b| {
             b.iter(|| {
                 run_lock_experiment(&LockExperiment {
@@ -16,7 +16,7 @@ fn lock_ladder(c: &mut Criterion) {
                     locks: 64,
                     theta: 0.9,
                     ops_per_thread: 30,
-                    ..LockExperiment::default_scaled(variant)
+                    ..LockExperiment::default_scaled(strategy)
                 })
             });
         });

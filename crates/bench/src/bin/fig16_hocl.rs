@@ -5,15 +5,15 @@
 //! cargo run --release -p sherman_bench --bin fig16_hocl [-- --quick --threads N --locks N]
 //! ```
 
-use sherman_bench::{fmt_mops, fmt_us, print_table, run_lock_experiment, Args, LockExperiment, LockVariant};
+use sherman_bench::{fmt_mops, fmt_us, print_table, run_lock_experiment, Args, LockExperiment, LOCK_LADDER};
 
 fn main() {
     let args = Args::from_env();
     args.finish(&["quick", "theta", "threads", "locks", "ops"]);
     println!("Figure 16: performance of HOCL design steps (skewed pattern, theta=0.99)");
     let mut rows = Vec::new();
-    for (label, variant) in LockVariant::ladder() {
-        let mut exp = LockExperiment::default_scaled(variant);
+    for (label, strategy) in LOCK_LADDER {
+        let mut exp = LockExperiment::default_scaled(strategy);
         exp.theta = args.get_or("theta", 0.99);
         let s = run_lock_experiment(&exp.scaled_by(&args));
         rows.push(vec![

@@ -5,7 +5,8 @@
 //! cargo run --release -p sherman_bench --bin fig2_lock_collapse [-- --quick --threads N --locks N]
 //! ```
 
-use sherman_bench::{fmt_mops, fmt_us, print_table, run_lock_experiment, Args, LockExperiment, LockVariant};
+use sherman::LockStrategy;
+use sherman_bench::{fmt_mops, fmt_us, print_table, run_lock_experiment, Args, LockExperiment};
 
 fn main() {
     let args = Args::from_env();
@@ -15,7 +16,7 @@ fn main() {
     println!("Figure 2: RDMA-based exclusive locks vs contention degree (baseline design)");
     let mut rows = Vec::new();
     for theta in thetas {
-        let mut exp = LockExperiment::default_scaled(LockVariant::Baseline);
+        let mut exp = LockExperiment::default_scaled(LockStrategy::HostCasFaa);
         exp.theta = theta;
         let s = run_lock_experiment(&exp.scaled_by(&args));
         rows.push(vec![

@@ -43,7 +43,7 @@ pub use experiment::{
     run, run_with_backend, spawn_clients, DrivePath, Experiment, QuickCaps, RunReport, Source,
 };
 pub use fabricbench::{run_write_size_sweep, WriteSizePoint};
-pub use lockbench::{run_lock_experiment, LockExperiment, LockVariant};
+pub use lockbench::{run_lock_experiment, LockExperiment, LOCK_LADDER};
 pub use presets::{hostile_spec, hostile_suite, MemoryPressure};
 pub use report::{fmt_mops, fmt_us, print_table, smoke_verdict};
 

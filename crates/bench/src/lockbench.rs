@@ -7,45 +7,23 @@
 
 use crate::experiment::spawn_clients;
 use crate::Args;
-use sherman_locks::{
-    GlobalLockKind, GlobalLockTable, HoclManager, HoclOptions, NodeLockManager,
-    RemoteLockManager,
-};
+use sherman_locks::{LockManager, LockStrategy};
 use sherman_memserver::MemoryPool;
 use sherman_metrics::{LatencyHistogram, RunSummary, ThreadReport, ThroughputAggregator};
 use sherman_sim::{Fabric, FabricBackend, FabricConfig, GlobalAddress};
 use sherman_workload::ZipfianGenerator;
 use std::sync::Arc;
 
-/// Which rung of the lock-design ladder to measure (Figure 16's x-axis; the
-/// first rung alone, swept over skew, is Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockVariant {
-    /// Host-memory lock words, CAS acquire / FAA release, every thread remote.
-    Baseline,
-    /// Lock words in NIC on-chip memory, still every thread remote.
-    OnChip,
-    /// On-chip locks plus per-compute-server local lock tables (no queue, no
-    /// handover).
-    Hierarchical,
-    /// Adds FIFO wait queues to the local lock tables.
-    WaitQueue,
-    /// Adds bounded lock handover — the full HOCL.
-    Handover,
-}
-
-impl LockVariant {
-    /// All rungs in presentation order with the paper's labels.
-    pub fn ladder() -> [(&'static str, LockVariant); 5] {
-        [
-            ("BaseLine", LockVariant::Baseline),
-            ("On-Chip", LockVariant::OnChip),
-            ("Hierarchical Structure", LockVariant::Hierarchical),
-            ("Wait Queue", LockVariant::WaitQueue),
-            ("Handover", LockVariant::Handover),
-        ]
-    }
-}
+/// Figure 16's x-axis: the rungs of the lock-design ladder in presentation
+/// order, with the paper's labels (the first rung alone, swept over skew, is
+/// Figure 2).
+pub const LOCK_LADDER: [(&str, LockStrategy); 5] = [
+    ("BaseLine", LockStrategy::HostCasFaa),
+    ("On-Chip", LockStrategy::OnChip),
+    ("Hierarchical Structure", LockStrategy::Hierarchical),
+    ("Wait Queue", LockStrategy::WaitQueue),
+    ("Handover", LockStrategy::Hocl),
+];
 
 /// A lock microbenchmark configuration.
 #[derive(Debug, Clone)]
@@ -53,7 +31,7 @@ pub struct LockExperiment {
     /// Label for result rows.
     pub name: String,
     /// Which lock design to measure.
-    pub variant: LockVariant,
+    pub strategy: LockStrategy,
     /// Total client threads.
     pub threads: usize,
     /// Compute servers the threads are spread over.
@@ -71,10 +49,10 @@ pub struct LockExperiment {
 impl LockExperiment {
     /// Default scaled-down configuration (the paper uses 154–176 threads and
     /// 10240 locks; defaults here are smaller and overridable).
-    pub fn default_scaled(variant: LockVariant) -> Self {
+    pub fn default_scaled(strategy: LockStrategy) -> Self {
         LockExperiment {
-            name: format!("{variant:?}"),
-            variant,
+            name: format!("{strategy:?}"),
+            strategy,
             threads: 16,
             compute_servers: 4,
             locks: 1024,
@@ -98,30 +76,6 @@ impl LockExperiment {
     }
 }
 
-/// The lock service `variant` names, over `pool`'s lock tables.
-fn build_service(
-    variant: LockVariant,
-    pool: &Arc<MemoryPool>,
-    compute_servers: usize,
-) -> Box<dyn NodeLockManager> {
-    let hocl = |options| {
-        let table = GlobalLockTable::new_on_chip(pool);
-        Box::new(HoclManager::new(table, compute_servers, options)) as Box<dyn NodeLockManager>
-    };
-    match variant {
-        LockVariant::Baseline => Box::new(RemoteLockManager::new(GlobalLockTable::new_host(
-            pool,
-            GlobalLockKind::HostCasFaa,
-        ))),
-        LockVariant::OnChip => {
-            Box::new(RemoteLockManager::new(GlobalLockTable::new_on_chip(pool)))
-        }
-        LockVariant::Hierarchical => hocl(HoclOptions::structure_only()),
-        LockVariant::WaitQueue => hocl(HoclOptions::with_wait_queue()),
-        LockVariant::Handover => hocl(HoclOptions::default()),
-    }
-}
-
 /// Synthetic "node" address representing lock slot `slot`: distinct node-sized
 /// addresses on memory server 0 that the lock tables hash onto their slots.
 fn slot_address(slot: u64) -> GlobalAddress {
@@ -137,7 +91,7 @@ pub fn run_lock_experiment(exp: &LockExperiment) -> RunSummary {
         ..FabricConfig::default()
     });
     let pool = MemoryPool::new(Arc::clone(&fabric), 1 << 20);
-    let service = build_service(exp.variant, &pool, exp.compute_servers);
+    let service = LockManager::new(exp.strategy, &pool);
 
     let start = fabric.now();
     let reports = {
@@ -182,21 +136,21 @@ pub fn run_lock_experiment(exp: &LockExperiment) -> RunSummary {
 mod tests {
     use super::*;
 
-    fn tiny(variant: LockVariant, theta: f64) -> LockExperiment {
+    fn tiny(strategy: LockStrategy, theta: f64) -> LockExperiment {
         LockExperiment {
             threads: 4,
             compute_servers: 2,
             locks: 64,
             theta,
             ops_per_thread: 60,
-            ..LockExperiment::default_scaled(variant)
+            ..LockExperiment::default_scaled(strategy)
         }
     }
 
     #[test]
     fn all_variants_complete_and_report() {
-        for (_, variant) in LockVariant::ladder() {
-            let summary = run_lock_experiment(&tiny(variant, 0.9));
+        for (_, strategy) in LOCK_LADDER {
+            let summary = run_lock_experiment(&tiny(strategy, 0.9));
             assert_eq!(summary.ops, 4 * 60);
             assert!(summary.throughput_ops > 0.0);
             assert!(summary.p99_ns >= summary.p50_ns);
@@ -205,8 +159,8 @@ mod tests {
 
     #[test]
     fn onchip_beats_baseline_under_contention() {
-        let baseline = run_lock_experiment(&tiny(LockVariant::Baseline, 0.99));
-        let onchip = run_lock_experiment(&tiny(LockVariant::OnChip, 0.99));
+        let baseline = run_lock_experiment(&tiny(LockStrategy::HostCasFaa, 0.99));
+        let onchip = run_lock_experiment(&tiny(LockStrategy::OnChip, 0.99));
         assert!(
             onchip.throughput_ops > baseline.throughput_ops,
             "on-chip {} vs baseline {}",
@@ -220,17 +174,17 @@ mod tests {
         // HOCL's advantage comes from queueing same-compute-server threads
         // locally, so give each compute server several threads and make the
         // hottest locks genuinely contended.
-        let contended = |variant| LockExperiment {
+        let contended = |strategy| LockExperiment {
             threads: 8,
             compute_servers: 2,
             locks: 16,
             theta: 0.99,
             ops_per_thread: 80,
             hold_ns: 1_000,
-            ..LockExperiment::default_scaled(variant)
+            ..LockExperiment::default_scaled(strategy)
         };
-        let onchip = run_lock_experiment(&contended(LockVariant::OnChip));
-        let hocl = run_lock_experiment(&contended(LockVariant::Handover));
+        let onchip = run_lock_experiment(&contended(LockStrategy::OnChip));
+        let hocl = run_lock_experiment(&contended(LockStrategy::Hocl));
         assert!(
             hocl.throughput_ops > onchip.throughput_ops,
             "HOCL {} vs on-chip {}",

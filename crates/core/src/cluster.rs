@@ -1,16 +1,14 @@
 //! Cluster bootstrap: fabric, memory pool, lock service, caches, bulkload.
 
 use crate::client::TreeClient;
-use crate::config::{LockStrategy, TreeConfig, TreeOptions};
+use crate::config::{TreeConfig, TreeOptions};
 use crate::error::TreeError;
 use crate::layout::{NodeLayout, HEADER_BYTES};
 use crate::node::{InternalNode, LeafEntry, NodeHeader};
 use crate::TreeResult;
 use parking_lot::{Mutex, RwLock};
 use sherman_cache::{CachedInternal, ChildRef, IndexCache, IndexCacheConfig};
-use sherman_locks::{
-    GlobalLockKind, GlobalLockTable, HoclManager, NodeLockManager, RemoteLockManager,
-};
+use sherman_locks::LockManager;
 use sherman_memserver::{EpochRegistry, FreeListStats, MemoryPool, ServerLayout};
 use sherman_metrics::{
     CoherenceCounters, CoherenceGauges, EpochGauges, OffloadCounters, OffloadGauges,
@@ -67,7 +65,7 @@ pub(crate) struct RootHint {
 pub struct Cluster<B: FabricBackend = Fabric> {
     fabric: Arc<B>,
     pool: Arc<MemoryPool<B>>,
-    lock_mgr: Arc<dyn NodeLockManager<B::Channel>>,
+    lock_mgr: Arc<LockManager>,
     config: TreeConfig,
     options: TreeOptions,
     layout: NodeLayout,
@@ -114,7 +112,7 @@ impl<B: FabricBackend> Cluster<B> {
         config.tree.validate().expect("invalid tree configuration");
         let fabric = B::build(config.fabric.clone());
         let pool = MemoryPool::new(Arc::clone(&fabric), config.tree.chunk_bytes);
-        let lock_mgr = Self::build_lock_manager(&pool, &config.fabric, &options);
+        let lock_mgr = Arc::new(LockManager::new(options.lock_strategy, &pool));
         let layout = NodeLayout::new(&config.tree);
         let cache_cfg = IndexCacheConfig::new(config.tree.cache_bytes, config.tree.node_size);
         let caches = (0..config.fabric.compute_servers)
@@ -147,30 +145,6 @@ impl<B: FabricBackend> Cluster<B> {
         })
     }
 
-    fn build_lock_manager(
-        pool: &Arc<MemoryPool<B>>,
-        fabric_cfg: &FabricConfig,
-        options: &TreeOptions,
-    ) -> Arc<dyn NodeLockManager<B::Channel>> {
-        match options.lock_strategy {
-            LockStrategy::HostCasFaa => Arc::new(RemoteLockManager::new(GlobalLockTable::new_host(
-                pool,
-                GlobalLockKind::HostCasFaa,
-            ))),
-            LockStrategy::HostCasWrite => Arc::new(RemoteLockManager::new(
-                GlobalLockTable::new_host(pool, GlobalLockKind::HostCasWrite),
-            )),
-            LockStrategy::OnChip => Arc::new(RemoteLockManager::new(GlobalLockTable::new_on_chip(
-                pool,
-            ))),
-            LockStrategy::Hocl { .. } => Arc::new(HoclManager::new(
-                GlobalLockTable::new_on_chip(pool),
-                fabric_cfg.compute_servers,
-                options.lock_strategy.hocl_options(),
-            )),
-        }
-    }
-
     /// The fabric backend this deployment runs on.
     pub fn fabric(&self) -> &Arc<B> {
         &self.fabric
@@ -182,7 +156,7 @@ impl<B: FabricBackend> Cluster<B> {
     }
 
     /// The exclusive-lock service.
-    pub fn lock_manager(&self) -> &Arc<dyn NodeLockManager<B::Channel>> {
+    pub fn lock_manager(&self) -> &Arc<LockManager> {
         &self.lock_mgr
     }
 
@@ -203,7 +177,7 @@ impl<B: FabricBackend> Cluster<B> {
 
     /// The index cache of compute server `cs`.
     pub fn cache(&self, cs: u16) -> &Arc<IndexCache> {
-        &self.caches[cs as usize % self.caches.len()]
+        &self.caches[cs as usize]
     }
 
     /// Re-budget **every** compute server's index cache to `capacity_bytes`
@@ -303,10 +277,9 @@ impl<B: FabricBackend> Cluster<B> {
         self.coherence.snapshot()
     }
 
-    /// The offload decision/outcome counters of compute server `cs` (wraps
-    /// around like [`Cluster::cache`]).
+    /// The offload decision/outcome counters of compute server `cs`.
     pub(crate) fn offload_counters(&self, cs: u16) -> &OffloadCounters {
-        &self.offload[cs as usize % self.offload.len()]
+        &self.offload[cs as usize]
     }
 
     /// Snapshot of the server-side traversal-offload gauges, merged across

@@ -190,7 +190,7 @@ pub(crate) fn publish<B: FabricBackend>(
 
     let counters = cluster.coherence_counters();
     let servers = cluster.compute_servers();
-    let own = cs_id as usize % servers;
+    let own = cs_id as usize;
     let node_size = cluster.config().node_size;
 
     if let Some(root_level) = root_level {

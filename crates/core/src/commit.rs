@@ -498,8 +498,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         writes: Vec<WriteCmd>,
     ) -> TreeResult<Option<PendingVerb>> {
         let mgr = self.cluster.lock_manager();
-        let (_, deferred) =
-            mgr.release_deferred(&mut self.ctx(), addr, writes, self.combine(), true)?;
+        let (_, deferred) = mgr.post_release(&mut self.ctx(), addr, writes, self.combine())?;
         Ok(deferred)
     }
 
@@ -670,8 +669,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 writes.into_iter().partition(|w| mgr.same_lock(rep, w.node));
             writes = rest;
             let batch = batch.into_iter().flat_map(|w| w.cmds).collect();
-            match mgr.release_deferred(&mut self.ctx(), rep, batch, combine, combine) {
-                Ok((_, deferred)) => posted.extend(deferred),
+            // Uncombined, every command waits for the one before it.
+            let released = match combine {
+                true => mgr.post_release(&mut self.ctx(), rep, batch, true).map(|(_, last)| last),
+                false => mgr.release(&mut self.ctx(), rep, batch, false).map(|_| None),
+            };
+            match released {
+                Ok(last) => posted.extend(last),
                 Err(e) => failed = failed.or(Some(e)),
             }
         }

@@ -1,7 +1,7 @@
 //! Tree geometry ([`TreeConfig`]) and technique selection ([`TreeOptions`]).
 
 use serde::{Deserialize, Serialize};
-use sherman_locks::HoclOptions;
+pub use sherman_locks::LockStrategy;
 
 /// Geometry and sizing of the tree, independent of which techniques are
 /// enabled.
@@ -101,43 +101,6 @@ impl LeafFormat {
     /// on insert/delete and write back whole nodes).
     pub fn is_sorted(&self) -> bool {
         !matches!(self, LeafFormat::UnsortedTwoLevel)
-    }
-}
-
-/// Which exclusive-lock design protects node modifications.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LockStrategy {
-    /// Host-memory lock words, CAS acquire, FAA release (original FG).
-    HostCasFaa,
-    /// Host-memory lock words, CAS acquire, WRITE release (FG+).
-    HostCasWrite,
-    /// On-chip 16-bit lock words, every thread goes remote (the "+On-Chip"
-    /// ablation step).
-    OnChip,
-    /// Full HOCL: on-chip global lock tables plus per-compute-server local
-    /// lock tables (wait queues and handover configurable).
-    Hocl {
-        /// Whether waiters queue FIFO locally.
-        wait_queue: bool,
-        /// Whether the lock is handed over to local waiters on release.
-        handover: bool,
-    },
-}
-
-impl LockStrategy {
-    /// Convert to the lock-crate options (only meaningful for
-    /// [`LockStrategy::Hocl`]).
-    pub fn hocl_options(&self) -> HoclOptions {
-        match self {
-            LockStrategy::Hocl {
-                wait_queue,
-                handover,
-            } => HoclOptions {
-                use_wait_queue: *wait_queue,
-                use_handover: *handover,
-            },
-            _ => HoclOptions::default(),
-        }
     }
 }
 
@@ -266,10 +229,7 @@ impl TreeOptions {
     /// "+Hierarchical": full HOCL (local lock tables, wait queues, handover).
     pub fn plus_hierarchical() -> Self {
         TreeOptions {
-            lock_strategy: LockStrategy::Hocl {
-                wait_queue: true,
-                handover: true,
-            },
+            lock_strategy: LockStrategy::Hocl,
             ..TreeOptions::plus_onchip()
         }
     }
@@ -334,10 +294,7 @@ mod tests {
         assert!(!ladder[0].1.combine_commands);
         assert!(ladder[1].1.combine_commands);
         assert_eq!(ladder[2].1.lock_strategy, LockStrategy::OnChip);
-        assert!(matches!(
-            ladder[3].1.lock_strategy,
-            LockStrategy::Hocl { .. }
-        ));
+        assert_eq!(ladder[3].1.lock_strategy, LockStrategy::Hocl);
         assert_eq!(ladder[4].1.leaf_format, LeafFormat::UnsortedTwoLevel);
         // The last rung is full Sherman.
         assert_eq!(ladder[4].1, TreeOptions::sherman());
@@ -386,10 +343,7 @@ mod tests {
         assert_eq!(
             TreeOptions::plus_hierarchical(),
             TreeOptions {
-                lock_strategy: LockStrategy::Hocl {
-                    wait_queue: true,
-                    handover: true,
-                },
+                lock_strategy: LockStrategy::Hocl,
                 ..TreeOptions::plus_onchip()
             }
         );
@@ -400,18 +354,6 @@ mod tests {
                 ..TreeOptions::plus_hierarchical()
             }
         );
-    }
-
-    #[test]
-    fn hocl_options_follow_lock_strategy() {
-        let opts = LockStrategy::Hocl {
-            wait_queue: true,
-            handover: false,
-        }
-        .hocl_options();
-        assert!(opts.use_wait_queue && !opts.use_handover);
-        // Non-HOCL strategies fall back to the default options.
-        assert_eq!(LockStrategy::OnChip.hocl_options(), HoclOptions::default());
     }
 
     #[test]

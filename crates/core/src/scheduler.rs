@@ -44,8 +44,10 @@
 //!    server's FIFO queue, parked on a completion the sibling's release
 //!    fires.  That release hands the global lock over (bounded by
 //!    `MAX_HANDOVER_DEPTH`), so the successor skips the CAS and posts a
-//!    plain READ.  The holder of a lock needs nothing but its own completion
-//!    to let go of it, so these waits form no cycle.
+//!    plain READ.  (That is Sherman's rung, `LockStrategy::Hocl`; on the
+//!    rungs without a wait queue siblings race for the local lock, or spin on
+//!    the global word, instead.)  The holder of a lock needs nothing but its
+//!    own completion to let go of it, so these waits form no cycle.
 //! 2. **A commit that needs further locks starts only once no other
 //!    operation of this client is inside a lock acquisition.**  The
 //!    separator of a split and a structural merge lock a parent, or a pair

@@ -1,26 +1,29 @@
-//! HOCL — the hierarchical on-chip lock (§4.3, Figure 6).
+//! HOCL — the hierarchical on-chip lock (§4.3, Figure 6): the local layer
+//! of the hierarchical rungs of [`LockManager`].
 //!
 //! HOCL has two layers.  The *global lock tables* (GLT) live in the on-chip
 //! memory of each memory server's NIC and are acquired with masked `RDMA_CAS`.
 //! The *local lock tables* (LLT), one per compute server, coordinate the
 //! threads of that server: a thread must hold the local lock before it may
 //! attempt the remote acquisition, so conflicting threads of the same compute
-//! server queue locally instead of hammering the NIC with failed `RDMA_CAS`
-//! retries.  Each local lock carries a FIFO wait queue (first-come-first-served
-//! fairness) and supports *handover*: on release, if local threads are
-//! waiting, the global lock is passed to the head of the queue without a
+//! server wait locally instead of hammering the NIC with failed `RDMA_CAS`
+//! retries.  The rungs above the bare hierarchy ([`LockStrategy::Hierarchical`],
+//! where waiters race) add a FIFO wait queue per local lock
+//! ([`LockStrategy::WaitQueue`], first-come-first-served fairness) and then
+//! *handover* ([`LockStrategy::Hocl`]): on release, if local acquisitions are
+//! queued, the global lock is passed to the head of the queue without a
 //! remote round trip, bounded by [`MAX_HANDOVER_DEPTH`] consecutive handovers
 //! so that other compute servers are not starved.
 //!
 //! The paper queues conflicting threads *and coroutines*; here the coroutines
 //! are the operations a pipelined client multiplexes on one fabric context.
 //! Nobody ever blocks on a local lock: a waiter posts a *wait* on its
-//! context's completion queue (`ClientCtx::post_wait`) and yields.  A waiter
-//! whose turn can only come through releases of its own context — the holder
-//! and everyone queued ahead are sibling operations — parks without a
+//! context's completion queue (`ClientCtx::post_wait`) and yields.  A queued
+//! waiter whose turn can only come through releases of its own context — the
+//! holder and everyone queued ahead are sibling operations — parks without a
 //! deadline and is woken by the release that makes it the head; any other
-//! waiter re-checks every `LOCAL_POLL_NS`, because a thread cannot wake
-//! another thread's context.
+//! waiter (and every racing one) re-checks every `LOCAL_POLL_NS`, because a
+//! thread cannot wake another thread's context.
 //!
 //! An *optimistic* acquisition ([`Acquisition::try_once`]) does none of this
 //! waiting: a local lock that is held, or promised to a queued waiter, is lost
@@ -29,15 +32,10 @@
 //! in any order, and nothing is ever waited for (the structural-delete path
 //! tries its three locks this way before it falls back to rank order).
 
-use crate::global::GlobalLockTable;
-use crate::manager::{
-    flush_writes_and_release, AcquireState, AcquireStep, Acquisition, LockOrder, NodeLockManager,
-    ReleaseOutcome,
-};
+use crate::manager::{AcquireState, AcquireStep, Acquisition};
+use crate::{LockManager, LockStrategy};
 use parking_lot::Mutex;
-use sherman_sim::{
-    ClientCtx, Completion, FabricChannel, GlobalAddress, PendingVerb, SimResult, WriteCmd,
-};
+use sherman_sim::{ClientCtx, FabricChannel, GlobalAddress, PendingVerb, SimResult};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,45 +47,6 @@ pub const MAX_HANDOVER_DEPTH: u32 = 4;
 /// Virtual time between local polls of a waiter that no release of its own
 /// context can wake.
 const LOCAL_POLL_NS: u64 = 200;
-
-/// Tunable behaviour of the hierarchical lock, used to reproduce the Figure 16
-/// ladder (hierarchical structure → wait queue → handover).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HoclOptions {
-    /// Queue local waiters FIFO instead of letting them race on the local lock.
-    pub use_wait_queue: bool,
-    /// Hand the global lock to the next local waiter on release, at most
-    /// [`MAX_HANDOVER_DEPTH`] times in a row.
-    pub use_handover: bool,
-}
-
-impl Default for HoclOptions {
-    fn default() -> Self {
-        HoclOptions {
-            use_wait_queue: true,
-            use_handover: true,
-        }
-    }
-}
-
-impl HoclOptions {
-    /// Hierarchical structure only: local locks exist but waiters race
-    /// (no FIFO queue) and no handover is performed.
-    pub fn structure_only() -> Self {
-        HoclOptions {
-            use_wait_queue: false,
-            use_handover: false,
-        }
-    }
-
-    /// Hierarchical structure with FIFO wait queues but no handover.
-    pub fn with_wait_queue() -> Self {
-        HoclOptions {
-            use_wait_queue: true,
-            use_handover: false,
-        }
-    }
-}
 
 /// One queued acquisition.
 #[derive(Debug)]
@@ -110,15 +69,6 @@ struct LocalLockState {
     handover_depth: u32,
 }
 
-impl LocalLockState {
-    /// Wake the head of the queue if it runs on `client`'s context.
-    fn wake_head<C: FabricChannel>(&self, client: &mut ClientCtx<C>) {
-        if let Some(head) = self.queue.front().filter(|w| w.client == client.id()) {
-            client.wake(head.wait);
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct LocalLock {
     state: Mutex<LocalLockState>,
@@ -131,25 +81,18 @@ type LockShard = Mutex<HashMap<(u16, u64), Arc<LocalLock>>>;
 ///
 /// One instance is shared by all client threads of a compute server.  The
 /// paper sizes the LLT at 8 bytes per GLT slot (a few MB); here a record
-/// exists only while its lock is in use — created by the first thread that
-/// wants the lock, dropped by the last one that releases it — so the table
-/// is as large as the set of locks held or waited for, not as the set of
-/// nodes ever written.
+/// exists only while its lock is in use — created by the first acquisition
+/// that wants the lock, dropped by the last one that releases it — so the
+/// table is as large as the set of locks held or waited for, not as the set
+/// of nodes ever written.
 #[derive(Debug)]
 pub struct LocalLockTable {
     shards: Vec<LockShard>,
     tickets: AtomicU64,
 }
 
-impl Default for LocalLockTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LocalLockTable {
-    /// Create an empty local lock table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         const SHARDS: usize = 64;
         let mut shards = Vec::with_capacity(SHARDS);
         shards.resize_with(SHARDS, || Mutex::new(HashMap::new()));
@@ -159,22 +102,19 @@ impl LocalLockTable {
         }
     }
 
-    fn new_ticket(&self) -> u64 {
-        self.tickets.fetch_add(1, Ordering::Relaxed)
+    fn shard(&self, ms: u16, slot: u64) -> &LockShard {
+        &self.shards[(slot as usize ^ ms as usize) % self.shards.len()]
     }
 
     fn lock_for(&self, ms: u16, slot: u64) -> Arc<LocalLock> {
-        let shard = &self.shards[(slot as usize ^ ms as usize) % self.shards.len()];
-        let mut map = shard.lock();
-        Arc::clone(map.entry((ms, slot)).or_default())
+        Arc::clone(self.shard(ms, slot).lock().entry((ms, slot)).or_default())
     }
 
     /// Drop the record of `(ms, slot)` if `local`, the caller's handle to it,
     /// is the last one and the lock is idle (an idle record is the default
     /// record, which the next `lock_for` recreates).
     fn retire_if_idle(&self, ms: u16, slot: u64, local: Arc<LocalLock>) {
-        let shard = &self.shards[(slot as usize ^ ms as usize) % self.shards.len()];
-        let mut map = shard.lock();
+        let mut map = self.shard(ms, slot).lock();
         // Handles are only ever cloned under the shard lock: two means the
         // table's and the caller's, so nobody holds or awaits this lock.
         if Arc::strong_count(&local) == 2 {
@@ -191,69 +131,42 @@ impl LocalLockTable {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    /// Number of threads currently queued on the local lock for `(ms, slot)`
+    /// Number of acquisitions — of any thread, sibling operations of one
+    /// context included — queued on the local lock for `(ms, slot)`
     /// (observability/tests).  Does not materialize a lock record.
     pub fn queued_waiters(&self, ms: u16, slot: u64) -> usize {
-        let shard = &self.shards[(slot as usize ^ ms as usize) % self.shards.len()];
-        let map = shard.lock();
+        let map = self.shard(ms, slot).lock();
         map.get(&(ms, slot))
             .map_or(0, |lock| lock.state.lock().queue.len())
     }
 }
 
-/// The hierarchical on-chip lock manager.
-#[derive(Debug)]
-pub struct HoclManager {
-    glt: GlobalLockTable,
-    llts: Vec<LocalLockTable>,
-    options: HoclOptions,
+/// The local lock a release gives back, and what it does with the global one.
+pub(crate) struct Locked {
+    ms: u16,
+    slot: u64,
+    local: Arc<LocalLock>,
+    /// `Some(sibling)`: the global lock stays held and goes to the head of
+    /// the queue — an acquisition of the releasing context or not.
+    pub(crate) handover: Option<bool>,
 }
 
-impl HoclManager {
-    /// Build a HOCL manager over `glt` for a cluster with `compute_servers`
-    /// compute servers.
-    pub fn new(glt: GlobalLockTable, compute_servers: usize, options: HoclOptions) -> Self {
-        let mut llts = Vec::with_capacity(compute_servers);
-        llts.resize_with(compute_servers, LocalLockTable::new);
-        HoclManager { glt, llts, options }
-    }
-
-    /// The underlying global lock table.
-    pub fn table(&self) -> &GlobalLockTable {
-        &self.glt
-    }
-
-    /// The options this manager was built with.
-    pub fn options(&self) -> &HoclOptions {
-        &self.options
-    }
-
-    /// The local lock table of compute server `cs`.
-    pub fn local_table(&self, cs: u16) -> &LocalLockTable {
-        &self.llts[cs as usize % self.llts.len()]
-    }
-
-    /// Number of compute-server-`cs` threads queued locally on the lock that
-    /// guards `node` (observability/tests).
-    pub fn queued_waiters(&self, cs: u16, node: GlobalAddress) -> usize {
-        let slot = self.glt.slot_of(node);
-        self.local_table(cs).queued_waiters(node.ms, slot)
-    }
-
+impl LockManager {
     /// Take the compute server's local lock for `acq`, or wait for it.
-    fn take_local<C: FabricChannel>(
+    pub(crate) fn take_local<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         acq: &mut Acquisition,
     ) -> SimResult<AcquireStep> {
-        let (ms, slot) = (acq.node.ms, self.glt.slot_of(acq.node));
+        let (ms, slot) = (acq.node.ms, self.table().slot_of(acq.node));
         let llt = self.local_table(client.cs_id());
         let local = llt.lock_for(ms, slot);
         let ticket = match acq.state {
             AcquireState::Queued { ticket } => ticket,
-            _ => llt.new_ticket(),
+            _ => llt.tickets.fetch_add(1, Ordering::Relaxed),
         };
         let me = client.id();
+        let wait_queue = self.strategy().wait_queue();
         let mut st = local.state.lock();
         // Where this acquisition stands in the queue, if it is in it; how
         // many are ahead of it either way (none without a wait queue, where
@@ -266,28 +179,14 @@ impl HoclManager {
             if queued_at.is_some() {
                 st.queue.pop_front();
             }
-            let handed_over = self.options.use_handover && st.grant.take() == Some(ticket);
+            // A grant is only ever made to the head of a queue.
+            let handed_over = st.grant.take() == Some(ticket);
             drop(st);
             // A record is retired by the last handle to it: hold none on.
             drop(local);
-            if !handed_over {
-                return self.post_global(client, acq);
-            }
-            // The global lock came with the grant: no CAS, just the READ.
-            client.begin_critical(self.glt.location_of_slot(ms, slot).rank());
-            let Some(len) = acq.read_len else {
-                return Ok(acq.done(true, Vec::new()));
-            };
-            return match client.post_read(acq.node, len) {
-                Ok(token) => {
-                    acq.state = AcquireState::Reading;
-                    Ok(AcquireStep::Pending(token))
-                }
-                Err(e) => {
-                    // Pass the lock on (or free it): this acquisition is over.
-                    let _ = self.release_slot(client, ms, slot, Vec::new(), true, false);
-                    Err(e)
-                }
+            return match handed_over {
+                true => self.post_handed_over(client, acq),
+                false => self.post_global(client, acq),
             };
         }
         if acq.once {
@@ -301,14 +200,14 @@ impl HoclManager {
         // releases wakes its successor, so the turn comes without polling;
         // otherwise some other thread has to act first: look again later.
         let mine = |id: u64| id == me;
-        let woken_in_turn = self.options.use_wait_queue
+        let woken_in_turn = wait_queue
             && (!st.held || mine(st.holder))
             && st.queue.iter().take(ahead).all(|w| mine(w.client));
         let deadline = (!woken_in_turn).then(|| client.now() + LOCAL_POLL_NS);
         let wait = client.post_wait(deadline);
         match queued_at {
             Some(pos) => st.queue[pos].wait = wait,
-            None if self.options.use_wait_queue => st.queue.push_back(Waiter {
+            None if wait_queue => st.queue.push_back(Waiter {
                 ticket,
                 client: me,
                 wait,
@@ -319,177 +218,81 @@ impl HoclManager {
         Ok(AcquireStep::Pending(wait))
     }
 
-    /// Post one global attempt for `acq`, whose local lock this context
-    /// holds; if the post fails the local lock is given up again.
-    fn post_global<C: FabricChannel>(
+    /// `acq` holds its local lock and nothing else, and is over: release it
+    /// (nothing to do on a rung without a local layer).
+    pub(crate) fn give_up_local<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
-        acq: &mut Acquisition,
-    ) -> SimResult<AcquireStep> {
-        let (ms, slot) = (acq.node.ms, self.glt.slot_of(acq.node));
-        let loc = self.glt.location_of_slot(ms, slot);
-        let read = acq.read_len.map(|len| (acq.node, len));
-        match self.glt.post_acquire_at(client, loc, client.cs_id(), read) {
-            Ok(token) => {
-                acq.state = AcquireState::Posted;
-                Ok(AcquireStep::Pending(token))
-            }
-            Err(e) => {
-                self.give_up_local(client, acq);
-                Err(e)
-            }
-        }
-    }
-
-    /// `acq` holds its local lock and nothing else, and is over: release it.
-    fn give_up_local<C: FabricChannel>(&self, client: &mut ClientCtx<C>, acq: &Acquisition) {
-        let (ms, slot) = (acq.node.ms, self.glt.slot_of(acq.node));
-        let local = self.local_table(client.cs_id()).lock_for(ms, slot);
-        self.unlock_local(client, ms, slot, local);
-    }
-
-    /// Release the local lock of `(ms, slot)`: the next waiter — handed the
-    /// global lock or not — takes it when it looks next, which is now if it
-    /// runs on this context.
-    fn unlock_local<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        ms: u16,
-        slot: u64,
-        local: Arc<LocalLock>,
+        acq: &Acquisition,
     ) {
-        {
-            let mut st = local.state.lock();
-            st.held = false;
-            st.wake_head(client);
-        }
-        self.local_table(client.cs_id())
-            .retire_if_idle(ms, slot, local);
-    }
-
-    fn release_slot<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        ms: u16,
-        slot: u64,
-        writes: Vec<WriteCmd>,
-        combine: bool,
-        defer: bool,
-    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
-        let llt = self.local_table(client.cs_id());
-        let local = llt.lock_for(ms, slot);
-
-        // Decide whether to hand the (still-held) global lock to a local
-        // waiter.  The decision is made before flushing writes so that the
-        // release command can be dropped from the combined batch.
-        let me = client.id();
-        let (handover, to_sibling) = {
-            let mut st = local.state.lock();
-            match st.queue.front() {
-                Some(head)
-                    if self.options.use_handover && st.handover_depth < MAX_HANDOVER_DEPTH =>
-                {
-                    let (ticket, to_sibling) = (head.ticket, head.client == me);
-                    st.handover_depth += 1;
-                    st.grant = Some(ticket);
-                    (true, to_sibling)
-                }
-                _ => {
-                    st.handover_depth = 0;
-                    (false, false)
-                }
-            }
-        };
-
-        let loc = self.glt.location_of_slot(ms, slot);
-        let glt = &self.glt;
-        let release_cmd = (!handover && glt.kind().release_is_write())
-            .then(|| glt.release_write_cmd(loc));
-        let owner = client.cs_id();
-        let standalone = |c: &mut ClientCtx<C>, post_only: bool| {
-            if post_only {
-                Ok(Some(glt.post_release_at(c, loc, owner)?))
-            } else {
-                glt.release_at(c, loc, owner)?;
-                Ok(None)
-            }
-        };
-        // A handed-over lock is taken the moment the local lock is free: the
-        // write-back may still be in flight then only if the successor's
-        // READ follows it on the same queue pair — an operation of this very
-        // context.  Another thread is handed the lock once it is acknowledged.
-        let deferred = flush_writes_and_release(
-            client,
-            writes,
-            combine,
-            release_cmd,
-            (!handover && !glt.kind().release_is_write()).then_some(standalone),
-            ms,
-            defer && (!handover || to_sibling),
-        )?;
-
-        // Finally release the local lock; the handed-over waiter (if any) will
-        // find the grant when it takes the local lock.  A deferred release is
-        // safe here: its memory effect (freeing the global word) applied at
-        // the post instant, so the next owner — local or remote — already
-        // observes the lock free.
-        self.unlock_local(client, ms, slot, local);
-        client.end_critical(loc.rank());
-        Ok((
-            ReleaseOutcome {
-                released_global: !handover,
-            },
-            deferred,
-        ))
-    }
-}
-
-impl LockOrder for HoclManager {
-    fn lock_rank(&self, node: GlobalAddress) -> u128 {
-        self.glt.location_of(node).rank()
-    }
-}
-
-impl<C: FabricChannel> NodeLockManager<C> for HoclManager {
-    fn step_acquire(
-        &self,
-        client: &mut ClientCtx<C>,
-        acq: &mut Acquisition,
-        completion: Option<Completion>,
-    ) -> SimResult<AcquireStep> {
-        match acq.state {
-            AcquireState::Start | AcquireState::Queued { .. } => self.take_local(client, acq),
-            AcquireState::Posted => {
-                let completion = completion.expect("an attempt resumes on its completion");
-                let lock = self.glt.location_of(acq.node).rank();
-                match acq.attempt_won(client, lock, completion) {
-                    Some(image) => Ok(acq.done(false, image)),
-                    None if acq.once => {
-                        self.give_up_local(client, acq);
-                        Ok(AcquireStep::Lost)
-                    }
-                    // Lost to another compute server: spin remotely, still
-                    // holding the local lock so no local thread joins in.
-                    None => self.post_global(client, acq),
-                }
-            }
-            AcquireState::Reading => {
-                let completion = completion.expect("a read resumes on its completion");
-                Ok(acq.done(true, completion.result.into_read()))
-            }
+        if let Some(locked) = self.local_lock(client, acq.node) {
+            self.unlock_local(client, locked);
         }
     }
 
-    fn release_deferred(
+    /// The local lock a release of `node` gives back, with the decision
+    /// whether to hand the still-held global lock to the head of its queue
+    /// (full HOCL, at most [`MAX_HANDOVER_DEPTH`] times in a row); `None`
+    /// on a rung without a local layer.
+    pub(crate) fn hand_over<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
-        writes: Vec<WriteCmd>,
-        combine: bool,
-        defer: bool,
-    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
-        let slot = self.glt.slot_of(node);
-        self.release_slot(client, node.ms, slot, writes, combine, defer)
+    ) -> Option<Locked> {
+        let mut locked = self.local_lock(client, node)?;
+        let handover = {
+            let mut st = locked.local.state.lock();
+            match st.queue.front() {
+                Some(head)
+                    if self.strategy() == LockStrategy::Hocl
+                        && st.handover_depth < MAX_HANDOVER_DEPTH =>
+                {
+                    let (ticket, sibling) = (head.ticket, head.client == client.id());
+                    st.handover_depth += 1;
+                    st.grant = Some(ticket);
+                    Some(sibling)
+                }
+                _ => {
+                    st.handover_depth = 0;
+                    None
+                }
+            }
+        };
+        locked.handover = handover;
+        Some(locked)
+    }
+
+    /// This compute server's local lock guarding `node`, on a rung with a
+    /// local layer.
+    fn local_lock<C: FabricChannel>(
+        &self,
+        client: &ClientCtx<C>,
+        node: GlobalAddress,
+    ) -> Option<Locked> {
+        self.strategy().local_layer().then(|| {
+            let (ms, slot) = (node.ms, self.table().slot_of(node));
+            Locked {
+                ms,
+                slot,
+                local: self.local_table(client.cs_id()).lock_for(ms, slot),
+                handover: None,
+            }
+        })
+    }
+
+    /// Release the local lock `locked`: the next waiter — handed the global
+    /// lock or not — takes it when it looks next, which is now if it runs on
+    /// this context.
+    pub(crate) fn unlock_local<C: FabricChannel>(&self, client: &mut ClientCtx<C>, locked: Locked) {
+        {
+            let mut st = locked.local.state.lock();
+            st.held = false;
+            if let Some(head) = st.queue.front().filter(|w| w.client == client.id()) {
+                client.wake(head.wait);
+            }
+        }
+        self.local_table(client.cs_id())
+            .retire_if_idle(locked.ms, locked.slot, locked.local);
     }
 }
 
@@ -497,21 +300,20 @@ impl<C: FabricChannel> NodeLockManager<C> for HoclManager {
 mod tests {
     use super::*;
     use sherman_memserver::MemoryPool;
-    use sherman_sim::{Fabric, FabricBackend, FabricConfig};
+    use sherman_sim::{Fabric, FabricBackend, FabricConfig, WriteCmd};
     use std::sync::Arc;
     use std::thread;
 
-    fn setup(options: HoclOptions) -> (Arc<MemoryPool>, Arc<HoclManager>) {
+    fn setup(strategy: LockStrategy) -> (Arc<MemoryPool>, Arc<LockManager>) {
         let fabric = Fabric::new(FabricConfig::small_test());
         let pool = MemoryPool::new(Arc::clone(&fabric), 64 << 10);
-        let glt = GlobalLockTable::new_on_chip(&pool);
-        let mgr = Arc::new(HoclManager::new(glt, 2, options));
+        let mgr = Arc::new(LockManager::new(strategy, &pool));
         (pool, mgr)
     }
 
     #[test]
     fn single_thread_acquire_release() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
         let node = GlobalAddress::host(0, 10 << 10);
         let a = mgr.acquire(&mut client, node).unwrap();
@@ -526,7 +328,7 @@ mod tests {
 
     #[test]
     fn a_lock_record_lives_only_while_its_lock_is_in_use() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
         let llt = mgr.local_table(0);
         for i in 0..100u64 {
@@ -538,41 +340,53 @@ mod tests {
         }
     }
 
+    /// Every rung of the ladder, local layer or not.
+    const RUNGS: [LockStrategy; 6] = [
+        LockStrategy::HostCasFaa,
+        LockStrategy::HostCasWrite,
+        LockStrategy::OnChip,
+        LockStrategy::Hierarchical,
+        LockStrategy::WaitQueue,
+        LockStrategy::Hocl,
+    ];
+
     #[test]
     fn provides_mutual_exclusion_across_threads() {
-        let (pool, mgr) = setup(HoclOptions::default());
-        let node = GlobalAddress::host(0, 20 << 10);
-        let counter = Arc::new(Mutex::new(0u64));
-        let iterations = 40;
-        let mut handles = Vec::new();
-        for t in 0..4u16 {
-            let pool = Arc::clone(&pool);
-            let mgr = Arc::clone(&mgr);
-            let counter = Arc::clone(&counter);
-            handles.push(thread::spawn(move || {
-                let mut client = pool.fabric().client(t % 2);
-                for _ in 0..iterations {
-                    mgr.acquire(&mut client, node).unwrap();
-                    {
-                        // Check exclusion: nobody else is inside the section.
-                        let mut guard = counter.try_lock().expect("exclusion violated");
-                        *guard += 1;
+        for strategy in RUNGS {
+            let (pool, mgr) = setup(strategy);
+            let node = GlobalAddress::host(0, 20 << 10);
+            let counter = Arc::new(Mutex::new(0u64));
+            let iterations = 40;
+            let mut handles = Vec::new();
+            for t in 0..4u16 {
+                let pool = Arc::clone(&pool);
+                let mgr = Arc::clone(&mgr);
+                let counter = Arc::clone(&counter);
+                handles.push(thread::spawn(move || {
+                    let mut client = pool.fabric().client(t % 2);
+                    for _ in 0..iterations {
+                        mgr.acquire(&mut client, node).unwrap();
+                        {
+                            // Check exclusion: nobody else is inside the section.
+                            let mut guard = counter.try_lock().expect("exclusion violated");
+                            *guard += 1;
+                        }
+                        // Spend some virtual time inside the critical section.
+                        client.charge_cpu(100);
+                        mgr.release(&mut client, node, Vec::new(), true).unwrap();
                     }
-                    // Spend some virtual time inside the critical section.
-                    client.charge_cpu(100);
-                    mgr.release(&mut client, node, Vec::new(), true).unwrap();
-                }
-            }));
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(*counter.lock(), 4 * iterations, "{strategy:?}");
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*counter.lock(), 4 * iterations);
     }
 
     #[test]
     fn handover_skips_remote_acquisition() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 30 << 10);
         let handed = Arc::new(Mutex::new(0u64));
         let barrier = Arc::new(std::sync::Barrier::new(4));
@@ -609,7 +423,7 @@ mod tests {
 
     #[test]
     fn handover_depth_is_bounded() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(1, 40 << 10);
         let outcomes = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
@@ -645,30 +459,34 @@ mod tests {
 
     #[test]
     fn structure_only_options_disable_handover() {
-        let (pool, mgr) = setup(HoclOptions::structure_only());
+        let (pool, mgr) = setup(LockStrategy::Hierarchical);
         let node = GlobalAddress::host(0, 50 << 10);
         let mut client = pool.fabric().client(0);
         mgr.acquire(&mut client, node).unwrap();
         let r = mgr.release(&mut client, node, Vec::new(), true).unwrap();
         assert!(r.released_global, "handover disabled: always release");
-        assert!(!mgr.options().use_wait_queue);
+        assert!(!mgr.strategy().wait_queue());
     }
 
     /// Pump virtual time from `client` until `n` waiters are queued on the
-    /// lock guarding `node`, panicking (rather than hanging) if they never show.
-    fn pump_until_queued(mgr: &HoclManager, client: &mut ClientCtx, node: GlobalAddress, n: usize) {
-        for _ in 0..100_000 {
-            if mgr.queued_waiters(0, node) >= n {
-                return;
-            }
+    /// lock guarding `node`, panicking (rather than hanging) if they never
+    /// show.  The bound is real time: a waiter's thread may not have been
+    /// scheduled yet on a loaded machine, however far virtual time went.
+    fn pump_until_queued(mgr: &LockManager, client: &mut ClientCtx, node: GlobalAddress, n: usize) {
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while mgr.queued_waiters(0, node) < n {
+            assert!(
+                std::time::Instant::now() < give_up,
+                "expected {n} queued waiter(s), they never arrived"
+            );
             client.charge_cpu(100);
+            thread::yield_now();
         }
-        panic!("expected {n} queued waiter(s), they never arrived");
     }
 
     #[test]
     fn queued_waiter_acquires_before_later_arrival() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 70 << 10);
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut main_client = pool.fabric().client(0);
@@ -720,7 +538,7 @@ mod tests {
 
     #[test]
     fn release_wakes_exactly_one_handover_candidate() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 80 << 10);
         let mut main_client = pool.fabric().client(0);
         mgr.acquire(&mut main_client, node).unwrap();
@@ -769,7 +587,7 @@ mod tests {
 
     #[test]
     fn handed_over_acquire_and_read_is_one_plain_read() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 90 << 10);
         let mut main_client = pool.fabric().client(0);
 
@@ -810,56 +628,47 @@ mod tests {
 
     /// Real threads on the real clock, every critical section entered through
     /// the combined CAS+READ: the image read under the lock is always the
-    /// previous holder's write-back, so no increment is ever lost.
-    fn acquire_and_read_excludes_on_real_threads(
-        mgr: Arc<dyn NodeLockManager<sherman_sim::ThreadedChannel>>,
-        fabric: Arc<sherman_sim::ThreadedFabric>,
-    ) {
-        use sherman_sim::FabricBackend;
-        let node = GlobalAddress::host(1, 20 << 10);
-        let start = fabric.god_read_u64(node).unwrap();
-        let (threads, iterations) = (4u16, 200u64);
-        let barrier = Arc::new(std::sync::Barrier::new(threads as usize));
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (mgr, fabric, barrier) =
-                    (Arc::clone(&mgr), Arc::clone(&fabric), Arc::clone(&barrier));
-                thread::spawn(move || {
-                    let mut client = fabric.client(t % 2);
-                    barrier.wait();
-                    for _ in 0..iterations {
-                        let mut buf = [0u8; 8];
-                        mgr.acquire_and_read(&mut client, node, &mut buf).unwrap();
-                        let next = u64::from_le_bytes(buf) + 1;
-                        let write = WriteCmd::new(node, next.to_le_bytes().to_vec());
-                        mgr.release(&mut client, node, vec![write], true).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(
-            fabric.god_read_u64(node).unwrap(),
-            start + threads as u64 * iterations
-        );
-    }
-
+    /// previous holder's write-back, so no increment is ever lost — on every
+    /// rung of the ladder.
     #[test]
     fn acquire_and_read_is_mutually_exclusive_on_threaded_fabric() {
-        use crate::manager::RemoteLockManager;
-        let fabric = sherman_sim::ThreadedFabric::new(FabricConfig::small_test());
-        let pool = MemoryPool::new(Arc::clone(&fabric), 64 << 10);
-        let hocl = HoclManager::new(GlobalLockTable::new_on_chip(&pool), 2, HoclOptions::default());
-        acquire_and_read_excludes_on_real_threads(Arc::new(hocl), Arc::clone(&fabric));
-        let remote = RemoteLockManager::new(GlobalLockTable::new_on_chip(&pool));
-        acquire_and_read_excludes_on_real_threads(Arc::new(remote), fabric);
+        use sherman_sim::FabricBackend;
+        for strategy in RUNGS {
+            let fabric = sherman_sim::ThreadedFabric::new(FabricConfig::small_test());
+            let pool = MemoryPool::new(Arc::clone(&fabric), 64 << 10);
+            let mgr = Arc::new(LockManager::new(strategy, &pool));
+            // Far above the chunk a host lock table claims.
+            let node = GlobalAddress::host(1, 2 << 20);
+            let (threads, iterations) = (4u16, 200u64);
+            let barrier = Arc::new(std::sync::Barrier::new(threads as usize));
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (mgr, fabric, barrier) =
+                        (Arc::clone(&mgr), Arc::clone(&fabric), Arc::clone(&barrier));
+                    thread::spawn(move || {
+                        let mut client = fabric.client(t % 2);
+                        barrier.wait();
+                        for _ in 0..iterations {
+                            let mut buf = [0u8; 8];
+                            mgr.acquire_and_read(&mut client, node, &mut buf).unwrap();
+                            let next = u64::from_le_bytes(buf) + 1;
+                            let write = WriteCmd::new(node, next.to_le_bytes().to_vec());
+                            mgr.release(&mut client, node, vec![write], true).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            let count = fabric.god_read_u64(node).unwrap();
+            assert_eq!(count, threads as u64 * iterations, "{strategy:?}");
+        }
     }
 
     #[test]
     fn a_failed_attempt_leaves_the_local_lock_free() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
         // The READ of the combined attempt leaves the region: the attempt is
         // rejected after the local lock was taken.
@@ -898,7 +707,7 @@ mod tests {
 
     /// Step `acq` once on `client`, feeding it the completion of `pending`.
     fn step(
-        mgr: &HoclManager,
+        mgr: &LockManager,
         client: &mut ClientCtx,
         acq: &mut Acquisition,
         pending: Option<PendingVerb>,
@@ -909,7 +718,7 @@ mod tests {
 
     #[test]
     fn operations_of_one_context_queue_park_and_hand_over() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
         let node = GlobalAddress::host(0, 100 << 10);
         let new = || Acquisition::new(node, Some(64));
@@ -967,7 +776,7 @@ mod tests {
 
     #[test]
     fn a_waiter_behind_another_thread_polls_instead_of_parking() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut holder = pool.fabric().client(0);
         let node = GlobalAddress::host(0, 110 << 10);
         mgr.acquire(&mut holder, node).unwrap();
@@ -1002,7 +811,7 @@ mod tests {
 
     #[test]
     fn an_optimistic_attempt_never_queues_and_never_reposts() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
         let node = GlobalAddress::host(0, 120 << 10);
         pool.fabric().god_write(node, &[5u8; 64]).unwrap();
@@ -1048,7 +857,7 @@ mod tests {
 
     #[test]
     fn local_waiters_do_not_issue_remote_retries() {
-        let (pool, mgr) = setup(HoclOptions::default());
+        let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 60 << 10);
         let barrier = Arc::new(std::sync::Barrier::new(3));
         let mut handles = Vec::new();

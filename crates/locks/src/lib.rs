@@ -1,41 +1,41 @@
 //! # sherman-locks — remote exclusive locks for disaggregated memory
 //!
 //! Sherman resolves write-write conflicts with node-grained exclusive locks.
-//! This crate implements the full ladder of lock designs the paper evaluates
-//! (Figure 2, Figure 16, and the ablation of §5.2):
+//! This crate implements the ladder of lock designs the paper evaluates
+//! (Figure 2, Figure 16 and the ablation of §5.2) as one [`LockManager`]
+//! configured by one [`LockStrategy`], a rung per value:
 //!
 //! * a **baseline RDMA spinlock** — lock words in MS *host* memory, acquired
-//!   with `RDMA_CAS` and released with `RDMA_FAA` (original FG) or
-//!   `RDMA_WRITE` (the strengthened FG+ baseline),
+//!   with `RDMA_CAS` and released with `RDMA_FAA` (original FG,
+//!   [`LockStrategy::HostCasFaa`]) or `RDMA_WRITE` (the strengthened FG+
+//!   baseline, [`LockStrategy::HostCasWrite`]),
 //! * an **on-chip lock** — 16-bit lock words packed into the NIC's device
 //!   memory and acquired with masked `RDMA_CAS`, eliminating PCIe transactions
-//!   on the memory server,
+//!   on the memory server ([`LockStrategy::OnChip`]),
 //! * **HOCL**, the hierarchical on-chip lock — on-chip global lock tables
-//!   (GLT) combined with per-compute-server local lock tables (LLT) that
-//!   queue conflicting threads locally, provide first-come-first-served
-//!   fairness via wait queues, and hand a held lock directly to the next local
-//!   waiter (bounded by `MAX_HANDOVER_DEPTH`), saving the remote acquisition
-//!   round trip (§4.3, Figure 6).
+//!   (GLT) behind per-compute-server local lock tables (LLT) where conflicting
+//!   threads wait locally ([`LockStrategy::Hierarchical`]), in FIFO order
+//!   ([`LockStrategy::WaitQueue`]), and are handed a held lock directly,
+//!   saving the remote acquisition round trip (bounded by
+//!   [`MAX_HANDOVER_DEPTH`]; [`LockStrategy::Hocl`], §4.3, Figure 6).
 //!
-//! The index layer drives all of these through the [`NodeLockManager`] trait,
-//! which also cooperates with command combination: a lock release that is
-//! expressible as an `RDMA_WRITE` can be appended to the node write-back
-//! doorbell batch so that write-back and unlock cost a single round trip, and
-//! the acquiring CAS can carry the read of the node it guards
-//! ([`NodeLockManager::acquire_and_read`]) so that lock and read do too.
+//! The manager also cooperates with command combination: a lock release that
+//! is expressible as an `RDMA_WRITE` is appended to the node write-back
+//! doorbell batch so that write-back and unlock cost a single round trip
+//! ([`LockManager::post_release`]), and the acquiring CAS can carry the read
+//! of the node it guards ([`LockManager::acquire_and_read`]) so that lock and
+//! read do too.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod global;
-pub mod hocl;
-pub mod manager;
+mod global;
+mod hocl;
+mod manager;
 
-pub use global::{GlobalLockKind, GlobalLockTable, LockLocation};
-pub use hocl::{HoclManager, HoclOptions, LocalLockTable, MAX_HANDOVER_DEPTH};
+pub use hocl::{LocalLockTable, MAX_HANDOVER_DEPTH};
 pub use manager::{
-    AcquireOutcome, AcquireStep, Acquisition, LockOrder, NodeLockManager, ReleaseOutcome,
-    RemoteLockManager,
+    AcquireOutcome, AcquireStep, Acquisition, LockManager, LockStrategy, ReleaseOutcome,
 };
 
 /// Hash a packed global address into a lock-table slot.

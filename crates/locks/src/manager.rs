@@ -1,12 +1,68 @@
-//! The [`NodeLockManager`] abstraction used by the index layer, and the
-//! non-hierarchical manager that the FG/FG+ baselines and the early ablation
-//! steps use.
+//! The one lock manager the index layer drives: [`LockManager`], configured
+//! by a [`LockStrategy`] — a rung of the paper's lock ladder.
+//!
+//! Every rung shares the global lock table, the acquisition machine
+//! ([`LockManager::step_acquire`]), the release body
+//! ([`LockManager::post_release`]) and the lock order.  The rungs differ in
+//! where the lock words live (host memory or the NIC's on-chip memory), in
+//! how a lock is given back (`RDMA_FAA` or `RDMA_WRITE`) and in whether a
+//! per-compute-server local layer sits in front of the global word (the
+//! hierarchical rungs; see the `hocl` module).  Without one, every
+//! conflicting thread — even a sibling operation of the same context —
+//! posts its global CAS at once and re-posts it after every loss.
 
-use crate::global::GlobalLockTable;
+use crate::global::{GlobalLockTable, LockLocation};
+use crate::hocl::{LocalLockTable, Locked};
+use serde::{Deserialize, Serialize};
+use sherman_memserver::MemoryPool;
 use sherman_sim::{
-    ClientCtx, Completion, FabricChannel, GlobalAddress, PendingVerb, SimChannel, SimResult,
+    ClientCtx, Completion, FabricBackend, FabricChannel, GlobalAddress, PendingVerb, SimResult,
     WriteCmd,
 };
+
+/// Which exclusive-lock design protects node modifications: the ladder of
+/// Figure 2, Figure 16 and the ablation of §5.2, one rung per value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum LockStrategy {
+    /// Host-memory lock words, CAS acquire, FAA release (original FG, and
+    /// Figure 2's baseline).
+    HostCasFaa,
+    /// Host-memory lock words, CAS acquire, WRITE release (FG+).
+    HostCasWrite,
+    /// On-chip 16-bit lock words, masked-CAS acquire, WRITE release; every
+    /// thread goes remote (the "+On-Chip" step).
+    OnChip,
+    /// On-chip locks behind per-compute-server local lock tables: waiters
+    /// race for the local lock, nothing is handed over.
+    Hierarchical,
+    /// [`LockStrategy::Hierarchical`] with FIFO wait queues on the local
+    /// locks.
+    WaitQueue,
+    /// Full HOCL: wait queues plus bounded handover of the global lock to
+    /// the next local waiter (Sherman).
+    Hocl,
+}
+
+impl LockStrategy {
+    /// Whether the lock words live in the NIC's on-chip memory.
+    pub fn on_chip(self) -> bool {
+        !matches!(self, LockStrategy::HostCasFaa | LockStrategy::HostCasWrite)
+    }
+
+    /// Whether a per-compute-server local lock table sits in front of the
+    /// global one.
+    pub fn local_layer(self) -> bool {
+        matches!(
+            self,
+            LockStrategy::Hierarchical | LockStrategy::WaitQueue | LockStrategy::Hocl
+        )
+    }
+
+    /// Whether local waiters queue FIFO instead of racing.
+    pub fn wait_queue(self) -> bool {
+        matches!(self, LockStrategy::WaitQueue | LockStrategy::Hocl)
+    }
+}
 
 /// Result of acquiring a node lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -15,23 +71,22 @@ pub struct AcquireOutcome {
     /// round trip and a consumed NIC atomic).
     pub remote_retries: u64,
     /// Whether the lock was handed over locally, skipping the remote
-    /// acquisition entirely (HOCL only).
+    /// acquisition entirely ([`LockStrategy::Hocl`] only).
     pub handed_over: bool,
 }
 
-/// One lock acquisition in progress: the resumable state of the single
-/// acquisition machine each manager implements
-/// ([`NodeLockManager::step_acquire`]).  Created for a node, stepped until it
-/// reports [`AcquireStep::Done`]; between steps the caller is free to do
-/// anything else on the same context, which is how a pipelined write overlaps
-/// its lock round trip with other operations.
+/// One lock acquisition in progress: the resumable state of the acquisition
+/// machine ([`LockManager::step_acquire`]).  Created for a node, stepped
+/// until it reports [`AcquireStep::Done`]; between steps the caller is free
+/// to do anything else on the same context, which is how a pipelined write
+/// overlaps its lock round trip with other operations.
 #[derive(Debug)]
 pub struct Acquisition {
     pub(crate) node: GlobalAddress,
     /// `Some(len)`: also fetch `len` bytes of the node under the lock.
-    pub(crate) read_len: Option<usize>,
+    read_len: Option<usize>,
     /// Failed global attempts so far.
-    pub(crate) retries: u64,
+    retries: u64,
     /// Give up instead of waiting: see [`Acquisition::try_once`].
     pub(crate) once: bool,
     pub(crate) state: AcquireState,
@@ -42,13 +97,13 @@ pub struct Acquisition {
 pub(crate) enum AcquireState {
     /// Nothing posted yet.
     Start,
-    /// Waiting for the compute server's local lock under `ticket` (HOCL):
-    /// parked on a timer or on the holder's wake.
+    /// Waiting for the compute server's local lock under `ticket`: parked on
+    /// a timer or on the holder's wake.
     Queued { ticket: u64 },
     /// A global attempt — CAS, or CAS+READ — is in flight.
     Posted,
     /// The lock was handed over locally; the plain READ of the node is in
-    /// flight (HOCL).
+    /// flight.
     Reading,
 }
 
@@ -80,40 +135,12 @@ impl Acquisition {
         }
     }
 
-    /// The node whose lock is being acquired.
-    pub fn node(&self) -> GlobalAddress {
-        self.node
-    }
-
     /// Global attempts this acquisition lost so far.
     pub fn retries(&self) -> u64 {
         self.retries
     }
 
-    /// A global attempt on the lock word of rank `lock` completed: on a win
-    /// open the critical section and return the image read under the lock,
-    /// otherwise count the retry and pace the re-post (a no-op on the
-    /// simulator, where every retry already pays a modeled round trip; a
-    /// yield on real threads, where the holder may be descheduled on this
-    /// very core).
-    pub(crate) fn attempt_won<C: FabricChannel>(
-        &mut self,
-        client: &mut ClientCtx<C>,
-        lock: u128,
-        completion: Completion,
-    ) -> Option<Vec<u8>> {
-        let (won, image) = GlobalLockTable::attempt_outcome(completion);
-        if won {
-            client.begin_critical(lock);
-            return Some(image);
-        }
-        self.retries += 1;
-        client.note_retries(1);
-        client.contention_backoff(u32::try_from(self.retries).unwrap_or(u32::MAX));
-        None
-    }
-
-    pub(crate) fn done(&self, handed_over: bool, image: Vec<u8>) -> AcquireStep {
+    fn done(&self, handed_over: bool, image: Vec<u8>) -> AcquireStep {
         AcquireStep::Done {
             outcome: AcquireOutcome {
                 remote_retries: self.retries,
@@ -124,7 +151,7 @@ impl Acquisition {
     }
 }
 
-/// What one [`NodeLockManager::step_acquire`] call produced.
+/// What one [`LockManager::step_acquire`] call produced.
 #[derive(Debug)]
 pub enum AcquireStep {
     /// Something was posted — a lock attempt, a read, a local wait; resume
@@ -150,85 +177,174 @@ pub struct ReleaseOutcome {
     pub released_global: bool,
 }
 
-/// The order in which a client may hold several node locks at once.
+/// Exclusive per-node locking as seen by the B+Tree: one rung of the lock
+/// ladder ([`LockStrategy`]) over one global lock table and, for the
+/// hierarchical rungs, one local lock table per compute server.
 ///
-/// It depends only on where a node's lock word lives, not on the fabric
-/// channel the clients run on, so it is a trait of its own: callable on a
-/// concrete manager without naming a channel type, and a supertrait of
-/// [`NodeLockManager`] for callers that hold a `dyn` manager.
-pub trait LockOrder {
-    /// A total order on the *lock words* (not the node addresses).  Threads
-    /// that hold several node locks at once — the structural-delete merge path
-    /// — must acquire them in increasing rank, which makes the discipline
-    /// deadlock-free cluster-wide.  Two nodes compare equal iff they share a
-    /// lock word.
-    fn lock_rank(&self, node: GlobalAddress) -> u128;
-
-    /// Whether `a` and `b` are guarded by the same lock word.  Hash-sharded
-    /// lock tables map many nodes onto few lock slots, so two distinct node
-    /// addresses may alias; a caller that acquired `a` must not also acquire
-    /// an aliasing `b` (self-deadlock).
-    fn same_lock(&self, a: GlobalAddress, b: GlobalAddress) -> bool {
-        self.lock_rank(a) == self.lock_rank(b)
-    }
-
-    /// Plan a deadlock-safe multi-node acquisition: deduplicate `nodes` by
-    /// lock word and sort the representatives by [`LockOrder::lock_rank`].
-    /// Acquiring (and later releasing) exactly the returned representatives,
-    /// in order, is safe against every other client using the same plan.
-    ///
-    /// The plan is insensitive to how the caller *discovered* the nodes: the
-    /// structural-delete path hands in `(left, right, parent)` triples that
-    /// may have been found right-to-left (an underfull node absorbing its
-    /// B-link sibling) or left-to-right (a rightmost child folding into the
-    /// left sibling its parent identified), and overlapping triples from
-    /// clients merging in opposite directions still acquire in one global
-    /// rank order.
-    fn lock_plan(&self, nodes: &[GlobalAddress]) -> Vec<GlobalAddress> {
-        let mut plan: Vec<GlobalAddress> = Vec::with_capacity(nodes.len());
-        for &n in nodes {
-            if !plan.iter().any(|&p| self.same_lock(p, n)) {
-                plan.push(n);
-            }
-        }
-        plan.sort_by_key(|&n| self.lock_rank(n));
-        plan
-    }
+/// The methods are generic over the fabric channel, so one manager serves
+/// every client of a deployment whatever its backend.  A release carries the
+/// node write-backs so that, with command combination (§4.5), they and the
+/// release travel as one doorbell batch; the acquiring CAS can likewise
+/// carry the READ of the node it guards.
+#[derive(Debug)]
+pub struct LockManager {
+    strategy: LockStrategy,
+    glt: GlobalLockTable,
+    /// One per compute server on the hierarchical rungs, none otherwise.
+    llts: Vec<LocalLockTable>,
 }
 
-/// Exclusive per-node locking as seen by the B+Tree.
-///
-/// `release` also carries the node write-back commands so that implementations
-/// can combine the release with them in a single doorbell batch when
-/// `combine` is requested (command combination, §4.5).  When `combine` is
-/// `false`, every write-back and the release are posted as separate round
-/// trips, reproducing the baseline behaviour.
-/// The trait is generic over the fabric channel the clients run on, so one
-/// manager instance serves every client of a deployment regardless of
-/// backend; it defaults to the virtual-time simulator's channel.
-pub trait NodeLockManager<C: FabricChannel = SimChannel>: LockOrder + Send + Sync {
+impl LockManager {
+    /// Build the `strategy` rung over `pool`'s memory servers: the on-chip
+    /// table lives in NIC memory, the host table claims one allocator chunk
+    /// per memory server (at bootstrap, outside measured time).
+    pub fn new<B: FabricBackend>(strategy: LockStrategy, pool: &MemoryPool<B>) -> Self {
+        let llts = match strategy.local_layer() {
+            true => (0..pool.fabric().config().compute_servers)
+                .map(|_| LocalLockTable::new())
+                .collect(),
+            false => Vec::new(),
+        };
+        LockManager {
+            strategy,
+            glt: GlobalLockTable::new(pool, strategy),
+            llts,
+        }
+    }
+
+    /// The rung this manager implements.
+    pub(crate) fn strategy(&self) -> LockStrategy {
+        self.strategy
+    }
+
+    pub(crate) fn table(&self) -> &GlobalLockTable {
+        &self.glt
+    }
+
+    /// The local lock table of compute server `cs`.
+    ///
+    /// # Panics
+    /// On a rung without a local layer.
+    pub fn local_table(&self, cs: u16) -> &LocalLockTable {
+        assert!(
+            self.strategy.local_layer(),
+            "{:?} has no local lock tables",
+            self.strategy
+        );
+        &self.llts[cs as usize]
+    }
+
+    /// Number of acquisitions of compute server `cs` queued locally on the
+    /// lock that guards `node` (observability/tests).
+    pub fn queued_waiters(&self, cs: u16, node: GlobalAddress) -> usize {
+        let slot = self.glt.slot_of(node);
+        self.local_table(cs).queued_waiters(node.ms, slot)
+    }
+
     /// Advance `acq` as far as it goes without waiting: take the lock, or
     /// post the next thing it has to wait for.  `completion` is the
     /// completion of what the previous step posted (`None` on the first).
     /// Learning that the lock is held opens its critical section on the
     /// client's trace ([`ClientCtx::begin_critical`], keyed by
-    /// [`LockOrder::lock_rank`]); posting its release closes it.
+    /// [`LockManager::lock_rank`]); posting its release closes it.
     ///
     /// This is the only acquisition path: a failed global attempt is
     /// re-posted from here, a local wait resumed here.  An `Err` leaves the
     /// lock and every queue it was waiting in as if the acquisition had never
     /// started.
-    fn step_acquire(
+    pub fn step_acquire<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         acq: &mut Acquisition,
         completion: Option<Completion>,
-    ) -> SimResult<AcquireStep>;
+    ) -> SimResult<AcquireStep> {
+        match acq.state {
+            AcquireState::Start | AcquireState::Queued { .. } if self.strategy.local_layer() => {
+                self.take_local(client, acq)
+            }
+            AcquireState::Start | AcquireState::Queued { .. } => self.post_global(client, acq),
+            AcquireState::Posted => {
+                let completion = completion.expect("an attempt resumes on its completion");
+                let (won, image) = GlobalLockTable::attempt_outcome(completion);
+                if won {
+                    client.begin_critical(self.lock_rank(acq.node));
+                    return Ok(acq.done(false, image));
+                }
+                // Count the retry and pace the re-post (a no-op on the
+                // simulator, where every retry already pays a modeled round
+                // trip; a yield on real threads, where the holder may be
+                // descheduled on this very core).
+                acq.retries += 1;
+                client.note_retries(1);
+                client.contention_backoff(u32::try_from(acq.retries).unwrap_or(u32::MAX));
+                if acq.once {
+                    self.give_up_local(client, acq);
+                    return Ok(AcquireStep::Lost);
+                }
+                // Lost to another holder: spin remotely — on the
+                // hierarchical rungs still holding the local lock, so no
+                // local thread joins in.
+                self.post_global(client, acq)
+            }
+            AcquireState::Reading => {
+                let completion = completion.expect("a read resumes on its completion");
+                Ok(acq.done(true, completion.result.into_read()))
+            }
+        }
+    }
+
+    /// Post one global attempt for `acq` (whose local lock this context
+    /// holds, on the hierarchical rungs); if the post fails the local lock is
+    /// given up again.
+    pub(crate) fn post_global<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        acq: &mut Acquisition,
+    ) -> SimResult<AcquireStep> {
+        let loc = self.glt.location_of(acq.node);
+        let read = acq.read_len.map(|len| (acq.node, len));
+        match self.glt.post_acquire_at(client, loc, client.cs_id(), read) {
+            Ok(token) => {
+                acq.state = AcquireState::Posted;
+                Ok(AcquireStep::Pending(token))
+            }
+            Err(e) => {
+                self.give_up_local(client, acq);
+                Err(e)
+            }
+        }
+    }
+
+    /// Handed the global lock by its predecessor: no CAS, just the READ.
+    pub(crate) fn post_handed_over<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        acq: &mut Acquisition,
+    ) -> SimResult<AcquireStep> {
+        client.begin_critical(self.lock_rank(acq.node));
+        let Some(len) = acq.read_len else {
+            return Ok(acq.done(true, Vec::new()));
+        };
+        match client.post_read(acq.node, len) {
+            Ok(token) => {
+                acq.state = AcquireState::Reading;
+                Ok(AcquireStep::Pending(token))
+            }
+            Err(e) => {
+                // Pass the lock on (or free it): this acquisition is over.
+                let _ = self.release(client, acq.node, Vec::new(), true);
+                Err(e)
+            }
+        }
+    }
 
     /// Acquire the exclusive lock protecting `node`, blocking: the
     /// acquisition machine, each thing it posts polled at once.
-    fn acquire(&self, client: &mut ClientCtx<C>, node: GlobalAddress)
-        -> SimResult<AcquireOutcome> {
+    pub fn acquire<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+    ) -> SimResult<AcquireOutcome> {
         Ok(self.drive_acquire(client, Acquisition::new(node, None))?.0)
     }
 
@@ -237,7 +353,7 @@ pub trait NodeLockManager<C: FabricChannel = SimChannel>: LockOrder + Send + Syn
     /// the image as read under the lock.  The READ rides every acquiring
     /// CAS's doorbell batch (command combination at the head of a write,
     /// §4.5): the lock words are co-located with the nodes they guard.
-    fn acquire_and_read(
+    pub fn acquire_and_read<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
@@ -249,9 +365,8 @@ pub trait NodeLockManager<C: FabricChannel = SimChannel>: LockOrder + Send + Syn
         Ok(outcome)
     }
 
-    /// Step `acq` to completion, polling whatever it posts: the blocking
-    /// form of the acquisition machine.
-    fn drive_acquire(
+    /// Step `acq` to completion, polling whatever it posts.
+    fn drive_acquire<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         mut acq: Acquisition,
@@ -266,223 +381,211 @@ pub trait NodeLockManager<C: FabricChannel = SimChannel>: LockOrder + Send + Syn
         }
     }
 
-    /// Release the lock protecting `node`, flushing `writes` (node
-    /// write-backs on the same memory server) before or together with the
-    /// release according to `combine`.
-    ///
-    /// The batch is keyed by `node`: `writes` are posted in the order given,
-    /// whatever their addresses — whole images or ranges inside the nodes
-    /// this lock word guards.  A caller that holds several locks sorts its
-    /// write-backs by the node they belong to ([`LockOrder::same_lock`] on
-    /// the *node's* address); a range's own address hashes to another word.
-    fn release(
+    /// Release the lock protecting `node`, blocking: what
+    /// [`LockManager::post_release`] posts, with the final verb acknowledged
+    /// before the local lock is given back.
+    pub fn release<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
         writes: Vec<WriteCmd>,
         combine: bool,
     ) -> SimResult<ReleaseOutcome> {
-        let (outcome, deferred) = self.release_deferred(client, node, writes, combine, false)?;
-        debug_assert!(
-            deferred.is_none(),
-            "non-deferred release must not leave a verb outstanding"
-        );
+        let (outcome, last, local) = self.release_global(client, node, writes, combine)?;
+        if let Some(token) = last {
+            client.poll_token(token);
+        }
+        self.release_local(client, node, local);
         Ok(outcome)
     }
 
-    /// Like [`NodeLockManager::release`], but when `defer` is set the **final**
-    /// remote verb of the release sequence — the combined doorbell batch that
-    /// carries the release command, the standalone release write, or the FAA —
-    /// is posted split-phase and its token returned for the caller to poll.
+    /// Release the lock protecting `node`, flushing `writes` (node
+    /// write-backs) before or together with the release according to
+    /// `combine`: with it, the writes on the lock's memory server and the
+    /// release travel as one doorbell batch; without it, each is a round trip
+    /// of its own, the next posted once the previous is acknowledged.  Writes
+    /// on another memory server go first, each on its own.
     ///
-    /// Every memory effect (including freeing the lock word) still applies at
-    /// the post instant, exactly as in the blocking path; only the wait for
-    /// the acknowledgement moves to the caller.  A pipelined scheduler uses
-    /// this to overlap the release round trip of one operation with other
-    /// operations' traversal verbs.  Earlier verbs of the sequence
-    /// (cross-server write-backs, uncombined write-backs) stay blocking, and a
-    /// local handover that needs no remote release returns `None`.
-    fn release_deferred(
+    /// The **final** verb — the batch carrying the release, the standalone
+    /// release write, or the FAA — is posted split-phase and returned for the
+    /// caller to poll; every memory effect (freeing the lock word included)
+    /// applies at the post instant, so the local lock is given back at once.
+    /// Two exceptions return `None`: a handover with nothing to write, and a
+    /// handover to another thread's acquisition, which may take the lock the
+    /// moment the local lock is free — so the write-back it must read is
+    /// acknowledged here first.  A handover to a sibling operation of this
+    /// context leaves it in flight: the successor's READ follows it on the
+    /// same queue pair.
+    ///
+    /// The batch is keyed by `node`: `writes` are posted in the order given,
+    /// whatever their addresses — whole images or ranges inside the nodes
+    /// this lock word guards.  A caller that holds several locks sorts its
+    /// write-backs by the node they belong to ([`LockManager::same_lock`] on
+    /// the *node's* address); a range's own address hashes to another word.
+    pub fn post_release<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
         writes: Vec<WriteCmd>,
         combine: bool,
-        defer: bool,
-    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)>;
-}
-
-/// A lock manager that goes straight to the global lock table: every
-/// conflicting thread — even two threads on the same compute server — spins on
-/// the remote lock word.  This is the behaviour of FG/FG+ and of Sherman's
-/// "+Combine"/"+On-Chip" ablation steps before the hierarchical structure is
-/// introduced.
-#[derive(Debug)]
-pub struct RemoteLockManager {
-    table: GlobalLockTable,
-}
-
-impl RemoteLockManager {
-    /// Wrap a global lock table.
-    pub fn new(table: GlobalLockTable) -> Self {
-        RemoteLockManager { table }
-    }
-
-    /// Access the underlying global lock table.
-    pub fn table(&self) -> &GlobalLockTable {
-        &self.table
-    }
-}
-
-/// Post `writes` and the lock release according to the combination policy.
-///
-/// Shared by [`RemoteLockManager`] and the hierarchical manager.  The release
-/// is `release_cmd` when it can be expressed as a write, `fallback_release`
-/// when it cannot (FAA release; it posts split-phase and returns the token
-/// when handed `true`, blocks and returns `None` otherwise), and neither when
-/// the global lock must not be released (handover).
-///
-/// When `defer` is set, the final remote verb of the sequence is posted
-/// split-phase and its token returned; every earlier verb stays blocking.
-pub(crate) fn flush_writes_and_release<C: FabricChannel, F>(
-    client: &mut ClientCtx<C>,
-    writes: Vec<WriteCmd>,
-    combine: bool,
-    release_cmd: Option<WriteCmd>,
-    fallback_release: Option<F>,
-    lock_ms: u16,
-    defer: bool,
-) -> SimResult<Option<PendingVerb>>
-where
-    F: FnOnce(&mut ClientCtx<C>, bool) -> SimResult<Option<PendingVerb>>,
-{
-    // Writes that ended up on a different memory server than the lock can
-    // never ride in the lock's doorbell batch; they are posted first, each as
-    // its own verb (this is the cross-server sibling case of a node split).
-    let (mut cmds, other_ms): (Vec<WriteCmd>, Vec<WriteCmd>) =
-        writes.into_iter().partition(|w| w.addr.ms == lock_ms);
-    for w in other_ms {
-        client.post_writes(&[w])?;
-    }
-
-    // The commands for the lock's server travel as one doorbell batch, or —
-    // no combination — each as its own round trip, exactly like the baseline
-    // ("issuing the following RDMA command only after receiving the
-    // acknowledgement of the preceding one").
-    cmds.extend(release_cmd);
-    let batches: Vec<&[WriteCmd]> = if combine {
-        Some(cmds.as_slice()).filter(|b| !b.is_empty()).into_iter().collect()
-    } else {
-        cmds.chunks(1).collect()
-    };
-    for (i, batch) in batches.iter().enumerate() {
-        if defer && fallback_release.is_none() && i + 1 == batches.len() {
-            return Ok(Some(client.post_write_batch(batch)?));
-        }
-        client.post_writes(batch)?;
-    }
-    match fallback_release {
-        Some(release) => release(client, defer),
-        None => Ok(None),
-    }
-}
-
-impl LockOrder for RemoteLockManager {
-    fn lock_rank(&self, node: GlobalAddress) -> u128 {
-        self.table.location_of(node).rank()
-    }
-}
-
-impl<C: FabricChannel> NodeLockManager<C> for RemoteLockManager {
-    fn step_acquire(
-        &self,
-        client: &mut ClientCtx<C>,
-        acq: &mut Acquisition,
-        completion: Option<Completion>,
-    ) -> SimResult<AcquireStep> {
-        let loc = self.table.location_of(acq.node);
-        if let Some(completion) = completion {
-            debug_assert_eq!(acq.state, AcquireState::Posted);
-            if let Some(image) = acq.attempt_won(client, loc.rank(), completion) {
-                return Ok(acq.done(false, image));
-            }
-            if acq.once {
-                return Ok(AcquireStep::Lost);
-            }
-        }
-        // Every conflicting thread spins on the remote word: (re-)post.
-        let read = acq.read_len.map(|len| (acq.node, len));
-        let token = self
-            .table
-            .post_acquire_at(client, loc, client.cs_id(), read)?;
-        acq.state = AcquireState::Posted;
-        Ok(AcquireStep::Pending(token))
-    }
-
-    fn release_deferred(
-        &self,
-        client: &mut ClientCtx<C>,
-        node: GlobalAddress,
-        writes: Vec<WriteCmd>,
-        combine: bool,
-        defer: bool,
     ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
-        let loc = self.table.location_of(node);
-        let owner = client.cs_id();
-        let release_cmd = if self.table.kind().release_is_write() {
-            Some(self.table.release_write_cmd(loc))
-        } else {
-            None
+        let (outcome, last, local) = self.release_global(client, node, writes, combine)?;
+        self.release_local(client, node, local);
+        Ok((outcome, last))
+    }
+
+    /// The body of every release up to the local lock: decide the handover,
+    /// flush the writes, post the release.  Returns the final verb (see
+    /// [`LockManager::post_release`]) and the local lock still to give back.
+    fn release_global<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+        writes: Vec<WriteCmd>,
+        combine: bool,
+    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>, Option<Locked>)> {
+        // Decided before the flush, so that a handover drops the release
+        // from the batch.
+        let local = self.hand_over(client, node);
+        let handover = local.as_ref().and_then(|local| local.handover);
+        let release = handover.is_none().then(|| self.glt.location_of(node));
+        let mut last = self.flush_writes_and_release(client, writes, combine, release, node.ms)?;
+        if let (Some(token), Some(false)) = (last, handover) {
+            client.poll_token(token);
+            last = None;
+        }
+        let outcome = ReleaseOutcome {
+            released_global: handover.is_none(),
         };
-        let table = &self.table;
-        let standalone = |c: &mut ClientCtx<C>, post_only: bool| {
-            if post_only {
-                Ok(Some(table.post_release_at(c, loc, owner)?))
-            } else {
-                table.release_at(c, loc, owner)?;
-                Ok(None)
+        Ok((outcome, last, local))
+    }
+
+    /// Give back the local lock of a release (the next waiter — handed the
+    /// global lock or not — takes it when it looks next; a released global
+    /// word was freed at its post instant, so the next owner, local or
+    /// remote, already observes it free) and close the critical section.
+    fn release_local<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+        local: Option<Locked>,
+    ) {
+        if let Some(local) = local {
+            self.unlock_local(client, local);
+        }
+        client.end_critical(self.lock_rank(node));
+    }
+
+    /// Post `writes` and the release of the lock at `release` (none: a
+    /// handover) according to the combination policy; returns the final
+    /// verb, posted split-phase, and waits for every earlier one.
+    fn flush_writes_and_release<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        writes: Vec<WriteCmd>,
+        combine: bool,
+        release: Option<LockLocation>,
+        lock_ms: u16,
+    ) -> SimResult<Option<PendingVerb>> {
+        // Writes that ended up on a different memory server than the lock can
+        // never ride in the lock's doorbell batch; they are posted first, each
+        // as its own verb (this is the cross-server sibling case of a split).
+        let (mut cmds, other_ms): (Vec<WriteCmd>, Vec<WriteCmd>) =
+            writes.into_iter().partition(|w| w.addr.ms == lock_ms);
+        for w in other_ms {
+            client.post_writes(&[w])?;
+        }
+        // An FAA release is a verb of its own, after every write.
+        let faa = release.filter(|_| self.strategy == LockStrategy::HostCasFaa);
+        if faa.is_none() {
+            cmds.extend(release.map(|loc| self.glt.release_write_cmd(loc)));
+        }
+        // The commands for the lock's server travel as one doorbell batch, or
+        // — no combination — each as its own round trip, exactly like the
+        // baseline ("issuing the following RDMA command only after receiving
+        // the acknowledgement of the preceding one").
+        let mut batches: Vec<&[WriteCmd]> = match combine {
+            true => Some(cmds.as_slice())
+                .filter(|b| !b.is_empty())
+                .into_iter()
+                .collect(),
+            false => cmds.chunks(1).collect(),
+        };
+        let last = match faa {
+            Some(_) => None,
+            None => batches.pop(),
+        };
+        for batch in batches {
+            client.post_writes(batch)?;
+        }
+        match (faa, last) {
+            (Some(loc), _) => Ok(Some(self.glt.post_release_at(
+                client,
+                loc,
+                client.cs_id(),
+            )?)),
+            (None, Some(batch)) => Ok(Some(client.post_write_batch(batch)?)),
+            (None, None) => Ok(None),
+        }
+    }
+
+    /// A total order on the *lock words* (not the node addresses).  Threads
+    /// that hold several node locks at once — the structural-delete merge path
+    /// — must acquire them in increasing rank, which makes the discipline
+    /// deadlock-free cluster-wide.  Two nodes compare equal iff they share a
+    /// lock word.
+    pub fn lock_rank(&self, node: GlobalAddress) -> u128 {
+        self.glt.location_of(node).rank()
+    }
+
+    /// Whether `a` and `b` are guarded by the same lock word.  Hash-sharded
+    /// lock tables map many nodes onto few lock slots, so two distinct node
+    /// addresses may alias; a caller that acquired `a` must not also acquire
+    /// an aliasing `b` (self-deadlock).
+    pub fn same_lock(&self, a: GlobalAddress, b: GlobalAddress) -> bool {
+        self.lock_rank(a) == self.lock_rank(b)
+    }
+
+    /// Plan a deadlock-safe multi-node acquisition: deduplicate `nodes` by
+    /// lock word and sort the representatives by [`LockManager::lock_rank`].
+    /// Acquiring (and later releasing) exactly the returned representatives,
+    /// in order, is safe against every other client using the same plan.
+    ///
+    /// The plan is insensitive to how the caller *discovered* the nodes: the
+    /// structural-delete path hands in `(left, right, parent)` triples that
+    /// may have been found right-to-left (an underfull node absorbing its
+    /// B-link sibling) or left-to-right (a rightmost child folding into the
+    /// left sibling its parent identified), and overlapping triples from
+    /// clients merging in opposite directions still acquire in one global
+    /// rank order.
+    pub fn lock_plan(&self, nodes: &[GlobalAddress]) -> Vec<GlobalAddress> {
+        let mut plan: Vec<GlobalAddress> = Vec::with_capacity(nodes.len());
+        for &n in nodes {
+            if !plan.iter().any(|&p| self.same_lock(p, n)) {
+                plan.push(n);
             }
-        };
-        let deferred = flush_writes_and_release(
-            client,
-            writes,
-            combine,
-            release_cmd,
-            (!self.table.kind().release_is_write()).then_some(standalone),
-            node.ms,
-            defer,
-        )?;
-        client.end_critical(loc.rank());
-        Ok((
-            ReleaseOutcome {
-                released_global: true,
-            },
-            deferred,
-        ))
+        }
+        plan.sort_by_key(|&n| self.lock_rank(n));
+        plan
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::GlobalLockKind;
-    use sherman_memserver::MemoryPool;
-    use sherman_sim::{Fabric, FabricBackend, FabricConfig};
+    use sherman_sim::{Fabric, FabricConfig};
     use std::sync::Arc;
 
-    fn setup(kind: GlobalLockKind) -> (Arc<MemoryPool>, RemoteLockManager) {
+    fn setup(strategy: LockStrategy) -> (Arc<MemoryPool>, LockManager) {
         let fabric = Fabric::new(FabricConfig::small_test());
         let pool = MemoryPool::new(Arc::clone(&fabric), 64 << 10);
-        let table = match kind {
-            GlobalLockKind::OnChipMasked => GlobalLockTable::new_on_chip(&pool),
-            other => GlobalLockTable::new_host(&pool, other),
-        };
-        (pool, RemoteLockManager::new(table))
+        let mgr = LockManager::new(strategy, &pool);
+        (pool, mgr)
     }
 
     #[test]
     fn exclusive_acquire_and_release() {
-        let (pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let (pool, mgr) = setup(LockStrategy::OnChip);
         let mut c0 = pool.fabric().client(0);
         let node = GlobalAddress::host(0, 16 << 10);
 
@@ -493,15 +596,15 @@ mod tests {
         // A second client cannot acquire: verify via the table's try_acquire.
         let loc = mgr.table().location_of(node);
         let mut c1 = pool.fabric().client(1);
-        assert!(!mgr.table().try_acquire_at(&mut c1, loc, 1).unwrap());
+        assert!(!mgr.table().try_acquire_at(&mut c1, loc, 1));
 
         mgr.release(&mut c0, node, Vec::new(), true).unwrap();
-        assert!(mgr.table().try_acquire_at(&mut c1, loc, 1).unwrap());
+        assert!(mgr.table().try_acquire_at(&mut c1, loc, 1));
     }
 
     #[test]
     fn a_lost_attempt_is_reposted_by_the_same_machine() {
-        let (pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let (pool, mgr) = setup(LockStrategy::OnChip);
         let node = GlobalAddress::host(0, 24 << 10);
         pool.fabric().god_write(node, &[4u8; 32]).unwrap();
         let mut holder = pool.fabric().client(1);
@@ -536,7 +639,7 @@ mod tests {
 
     #[test]
     fn an_optimistic_attempt_is_posted_once() {
-        let (pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let (pool, mgr) = setup(LockStrategy::OnChip);
         let node = GlobalAddress::host(0, 28 << 10);
         let mut holder = pool.fabric().client(1);
         mgr.acquire(&mut holder, node).unwrap();
@@ -563,7 +666,7 @@ mod tests {
 
     #[test]
     fn combined_release_saves_a_round_trip() {
-        let (pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let (pool, mgr) = setup(LockStrategy::OnChip);
         let node = GlobalAddress::host(0, 32 << 10);
         let payload = vec![0xAAu8; 128];
 
@@ -595,7 +698,7 @@ mod tests {
 
     #[test]
     fn faa_release_works_without_combination() {
-        let (pool, mgr) = setup(GlobalLockKind::HostCasFaa);
+        let (pool, mgr) = setup(LockStrategy::HostCasFaa);
         let node = GlobalAddress::host(1, 8 << 10);
         let mut c0 = pool.fabric().client(0);
         mgr.acquire(&mut c0, node).unwrap();
@@ -608,39 +711,39 @@ mod tests {
         // Lock is actually free again.
         let loc = mgr.table().location_of(node);
         let mut c1 = pool.fabric().client(1);
-        assert!(mgr.table().try_acquire_at(&mut c1, loc, 1).unwrap());
+        assert!(mgr.table().try_acquire_at(&mut c1, loc, 1));
     }
 
     #[test]
     fn deferred_release_posts_the_final_verb_split_phase() {
         // Combined write-back + release: the whole batch is the final verb,
         // posted without polling; the lock word is already free at post time.
-        let (pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let (pool, mgr) = setup(LockStrategy::OnChip);
         let node = GlobalAddress::host(0, 40 << 10);
         let loc = mgr.table().location_of(node);
         let mut c0 = pool.fabric().client(0);
         mgr.acquire(&mut c0, node).unwrap();
         let (out, token) = mgr
-            .release_deferred(&mut c0, node, vec![WriteCmd::new(node, vec![3u8; 64])], true, true)
+            .post_release(&mut c0, node, vec![WriteCmd::new(node, vec![3u8; 64])], true)
             .unwrap();
         assert!(out.released_global);
         let token = token.expect("combined release defers its batch");
         assert_eq!(c0.outstanding(), 1);
         // Memory effect applied at post: another client can acquire now.
         let mut c1 = pool.fabric().client(1);
-        assert!(mgr.table().try_acquire_at(&mut c1, loc, 1).unwrap());
+        assert!(mgr.table().try_acquire_at(&mut c1, loc, 1));
         c0.poll_token(token);
         assert_eq!(c0.outstanding(), 0);
 
         // FAA release: the atomic itself is the deferred final verb, and the
         // preceding write-back still blocks.
-        let (pool, mgr) = setup(GlobalLockKind::HostCasFaa);
+        let (pool, mgr) = setup(LockStrategy::HostCasFaa);
         let node = GlobalAddress::host(1, 40 << 10);
         let mut c0 = pool.fabric().client(0);
         mgr.acquire(&mut c0, node).unwrap();
         let before = c0.stats();
         let (_, token) = mgr
-            .release_deferred(&mut c0, node, vec![WriteCmd::new(node, vec![4u8; 64])], true, true)
+            .post_release(&mut c0, node, vec![WriteCmd::new(node, vec![4u8; 64])], true)
             .unwrap();
         let token = token.expect("FAA release defers the atomic");
         assert_eq!(c0.stats().round_trips - before.round_trips, 2);
@@ -648,12 +751,12 @@ mod tests {
         c0.poll_token(token);
         let loc = mgr.table().location_of(node);
         let mut c1 = pool.fabric().client(1);
-        assert!(mgr.table().try_acquire_at(&mut c1, loc, 1).unwrap());
+        assert!(mgr.table().try_acquire_at(&mut c1, loc, 1));
     }
 
     #[test]
     fn lock_plan_orders_and_deduplicates_aliased_nodes() {
-        let (_pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let (_pool, mgr) = setup(LockStrategy::OnChip);
         let a = GlobalAddress::host(0, 16 << 10);
         let b = GlobalAddress::host(1, 16 << 10);
         let c = GlobalAddress::host(0, 48 << 10);
@@ -687,7 +790,7 @@ mod tests {
         // each discovered its triple in, the planned acquisition order of the
         // shared lock words must be consistent — otherwise A and B could each
         // hold one of {n2, p} while waiting for the other.
-        let (_pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let (_pool, mgr) = setup(LockStrategy::OnChip);
         let n1 = GlobalAddress::host(0, 16 << 10);
         let n2 = GlobalAddress::host(0, 32 << 10);
         let n3 = GlobalAddress::host(1, 16 << 10);
@@ -718,7 +821,7 @@ mod tests {
 
     #[test]
     fn cross_server_writes_are_flushed_separately() {
-        let (pool, mgr) = setup(GlobalLockKind::OnChipMasked);
+        let (pool, mgr) = setup(LockStrategy::OnChip);
         let node = GlobalAddress::host(0, 48 << 10);
         let other = GlobalAddress::host(1, 48 << 10);
         let mut c0 = pool.fabric().client(0);

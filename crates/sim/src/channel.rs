@@ -238,7 +238,17 @@ pub trait FabricBackend: fmt::Debug + Send + Sync + 'static {
     /// On the simulator the context registers a participant on the virtual
     /// clock; the calling thread must keep driving it (or drop it) so that
     /// virtual time can progress for everyone else.
+    ///
+    /// # Panics
+    /// If `cs` is not below [`FabricConfig::compute_servers`]: every
+    /// per-compute-server table (NIC port, coherence inbox, index cache,
+    /// local lock table) is indexed by it.
     fn client(self: &Arc<Self>, cs: u16) -> ClientCtx<Self::Channel> {
+        let servers = self.config().compute_servers;
+        assert!(
+            usize::from(cs) < servers,
+            "compute server {cs} out of range: the fabric has {servers}"
+        );
         ClientCtx::with_channel(self.channel(cs))
     }
 

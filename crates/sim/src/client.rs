@@ -197,7 +197,7 @@ pub enum TraceEvent {
     CriticalBegin {
         /// Op id current when the section opened.
         op: Option<u64>,
-        /// The lock word's rank (see `sherman_locks::LockOrder::lock_rank`).
+        /// The lock word's rank (see `sherman_locks::LockManager::lock_rank`).
         lock: u128,
     },
     /// The release of `lock` was posted: the section closed.

@@ -96,14 +96,14 @@ impl CoherenceHub {
     }
 
     fn inbox(&self, cs: u16) -> &Mutex<Vec<CoherenceMsg>> {
-        &self.inboxes[cs as usize % self.inboxes.len()]
+        &self.inboxes[cs as usize]
     }
 
     /// Deposit a message into compute server `to_cs`'s inbox.  The message is
     /// physically present immediately (memory effects apply at post time, as
     /// with every verb) but remains invisible to drains until `deliver_at`.
     pub fn deposit(&self, to_cs: u16, msg: CoherenceMsg) {
-        let idx = to_cs as usize % self.inboxes.len();
+        let idx = to_cs as usize;
         // Count under the inbox lock so `posted - acked == pending_len` holds
         // at every instant an observer can acquire the lock.
         let mut inbox = self.inboxes[idx].lock();
@@ -125,7 +125,7 @@ impl CoherenceHub {
             }
         }
         ready.sort_by_key(|m| (m.deliver_at, m.seq));
-        let idx = cs as usize % self.inboxes.len();
+        let idx = cs as usize;
         self.acked[idx].fetch_add(ready.len() as u64, Ordering::Release);
         ready
     }
@@ -150,12 +150,12 @@ impl CoherenceHub {
     /// quiesce-start, everything that was in flight at the start has been
     /// handed to some drain — no virtual-time horizon required.
     pub fn posted_count(&self, cs: u16) -> u64 {
-        self.posted[cs as usize % self.inboxes.len()].load(Ordering::Acquire)
+        self.posted[cs as usize].load(Ordering::Acquire)
     }
 
     /// Lifetime count of messages ever handed to a drain from `cs`'s inbox.
     pub fn acked_count(&self, cs: u16) -> u64 {
-        self.acked[cs as usize % self.inboxes.len()].load(Ordering::Acquire)
+        self.acked[cs as usize].load(Ordering::Acquire)
     }
 }
 
@@ -195,15 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn inboxes_wrap_around_like_nic_ports() {
-        let hub = CoherenceHub::new(2);
-        hub.deposit(3, msg(0, 10)); // 3 % 2 == 1
-        assert_eq!(hub.pending_len(1), 1);
-        assert_eq!(hub.drain_ready(3, 10).len(), 1);
-        assert_eq!(hub.pending_len(1), 0);
-    }
-
-    #[test]
     fn posted_and_acked_counters_track_lifetime_flow() {
         let hub = CoherenceHub::new(2);
         assert_eq!(hub.posted_count(1), 0);
@@ -220,9 +211,8 @@ mod tests {
             hub.posted_count(1) - hub.acked_count(1),
             hub.pending_len(1) as u64
         );
-        // Counters are per-inbox, addressed modulo the inbox count.
+        // Counters are per-inbox.
         assert_eq!(hub.posted_count(0), 0);
-        assert_eq!(hub.posted_count(3), 2);
     }
 
     #[test]

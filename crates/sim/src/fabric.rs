@@ -103,11 +103,9 @@ impl SimChannel {
         self.participant.now() + self.fabric.config().cs_post_overhead_ns
     }
 
-    /// This client's outbound NIC port (`cs_id` wraps around the configured
-    /// count, so callers can use logical thread ids directly).
+    /// This client's outbound NIC port.
     fn cs_port(&self) -> &NicPort {
-        let ports = &self.fabric.cs_ports;
-        &ports[self.cs_id as usize % ports.len()]
+        &self.fabric.cs_ports[self.cs_id as usize]
     }
 
     /// Issue one verb's worth of request-side timing and return the virtual
@@ -318,6 +316,16 @@ mod tests {
             fabric.god_write(addr, &[0u8; 8]).unwrap_err(),
             SimError::NoSuchServer { ms: 9 }
         );
+    }
+
+    /// A client of compute server 5 on a two-server fabric would share
+    /// server 1's NIC port, inbox, cache and local locks while tagging its
+    /// lock words as server 5's: it is refused where it is made.
+    #[test]
+    #[should_panic(expected = "compute server 5 out of range")]
+    fn a_client_of_an_unknown_compute_server_is_refused() {
+        let fabric = Fabric::new(FabricConfig::small_test());
+        let _ = fabric.client(5);
     }
 
     #[test]

@@ -103,10 +103,7 @@ fn sherman_full_is_correct() {
 fn hocl_without_handover_is_correct() {
     exercise(
         TreeOptions {
-            lock_strategy: LockStrategy::Hocl {
-                wait_queue: true,
-                handover: false,
-            },
+            lock_strategy: LockStrategy::WaitQueue,
             ..TreeOptions::sherman()
         },
         "Sherman w/o handover",

@@ -389,13 +389,13 @@ fn combined_lock_and_read_opens_the_critical_section() {
 
 /// The six lock designs of the paper's ladder, each over Sherman's other
 /// techniques.
-const DESIGNS: [(&str, LockStrategy); 6] = [
-    ("HostCasFaa", LockStrategy::HostCasFaa),
-    ("HostCasWrite", LockStrategy::HostCasWrite),
-    ("OnChip", LockStrategy::OnChip),
-    ("Hierarchical", LockStrategy::Hocl { wait_queue: false, handover: false }),
-    ("WaitQueue", LockStrategy::Hocl { wait_queue: true, handover: false }),
-    ("Hocl", LockStrategy::Hocl { wait_queue: true, handover: true }),
+const DESIGNS: [LockStrategy; 6] = [
+    LockStrategy::HostCasFaa,
+    LockStrategy::HostCasWrite,
+    LockStrategy::OnChip,
+    LockStrategy::Hierarchical,
+    LockStrategy::WaitQueue,
+    LockStrategy::Hocl,
 ];
 
 /// What a depth-8 hot-leaf run cost: `(round_trips, atomics, lock_retries,
@@ -413,7 +413,6 @@ type HotLeafCost = (u64, u64, u64, u64, u64);
 /// race, two writes of one key in flight together may commit either way
 /// round.  Returns the depth-8 run's cost.
 fn hot_leaf_writes_match_the_sequential_model_on<B: FabricBackend>(
-    design: &str,
     lock_strategy: LockStrategy,
 ) -> HotLeafCost {
     let keys: Vec<u64> = (0..8u64).map(|i| (700 + i) * 3).collect();
@@ -431,9 +430,9 @@ fn hot_leaf_writes_match_the_sequential_model_on<B: FabricBackend>(
         lock_strategy,
         ..TreeOptions::sherman()
     };
-    let local_layer = matches!(lock_strategy, LockStrategy::Hocl { .. });
-    let queued = matches!(lock_strategy, LockStrategy::Hocl { wait_queue: true, .. });
-    let hands_over = options == TreeOptions::sherman();
+    let local_layer = lock_strategy.local_layer();
+    let queued = lock_strategy.wait_queue();
+    let hands_over = lock_strategy == LockStrategy::Hocl;
     // Apply `ops` to `model`; a delete's output is whether it found its key.
     let apply = |model: &mut BTreeMap<u64, u64>, ops: &mut dyn Iterator<Item = &PipelineOp>| {
         ops.map(|op| match *op {
@@ -449,7 +448,7 @@ fn hot_leaf_writes_match_the_sequential_model_on<B: FabricBackend>(
 
     let mut cost = None;
     for depth in [1usize, 4, 8, 16] {
-        let context = format!("{design}, depth {depth}");
+        let context = format!("{lock_strategy:?}, depth {depth}");
         let cluster = Cluster::<B>::new_on(ClusterConfig::small(), options);
         let pairs: Vec<(u64, u64)> = (0..1_500u64).map(|k| (k * 3, k * 7 + 1)).collect();
         cluster.bulkload(pairs.iter().copied()).unwrap();
@@ -510,16 +509,16 @@ fn hot_leaf_writes_match_the_sequential_model_sim() {
         (4_000, 2_000, 0, 0, 1_883_689),
         (4_000, 400, 0, 1_600, 1_854_889),
     ];
-    for ((design, lock_strategy), pin) in DESIGNS.into_iter().zip(pins) {
-        let cost = hot_leaf_writes_match_the_sequential_model_on::<Fabric>(design, lock_strategy);
-        assert_eq!(cost, pin, "{design}: the depth-8 run's cost moved");
+    for (lock_strategy, pin) in DESIGNS.into_iter().zip(pins) {
+        let cost = hot_leaf_writes_match_the_sequential_model_on::<Fabric>(lock_strategy);
+        assert_eq!(cost, pin, "{lock_strategy:?}: the depth-8 run's cost moved");
     }
 }
 
 #[test]
 fn hot_leaf_writes_match_the_sequential_model_threaded() {
-    for (design, lock_strategy) in DESIGNS {
-        hot_leaf_writes_match_the_sequential_model_on::<ThreadedFabric>(design, lock_strategy);
+    for lock_strategy in DESIGNS {
+        hot_leaf_writes_match_the_sequential_model_on::<ThreadedFabric>(lock_strategy);
     }
 }
 

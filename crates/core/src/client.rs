@@ -558,4 +558,50 @@ mod tests {
             Err(TreeError::NotInitialized)
         ));
     }
+
+    /// The client CPU charged to cached lookups of `keys` on a bulkloaded
+    /// tree of 1 KB nodes (40 keys `2k → k` to a leaf, `2k` in slot `k` of
+    /// the first).
+    fn lookup_cpu_ns(options: TreeOptions, keys: &[u64]) -> Vec<u64> {
+        let mut config = ClusterConfig::small();
+        config.tree.node_size = 1 << 10;
+        let cluster = Cluster::new(config, options);
+        cluster.bulkload((0..400u64).map(|k| (2 * k, k))).unwrap();
+        let mut client = cluster.client(0);
+        client.lookup(0).unwrap();
+        (0..)
+            .zip(keys)
+            .map(|(op, &key)| {
+                client.ctx.set_current_op(Some(op));
+                let (_, stats) = client.lookup(key).unwrap();
+                assert!(stats.cache_hit && stats.reads == 1, "lookup({key})");
+                client.ctx.take_op_stats(op).cpu_ns
+            })
+            .collect()
+    }
+
+    /// A lookup charges the CPU of what it reads of the leaf: the header, the
+    /// tail word and the slots up to its match (56 + 19 (k + 1) bytes for a
+    /// hit at slot k), every slot on a miss — and the whole node when a
+    /// checksum validates the image.
+    #[test]
+    fn a_lookup_charges_the_leaf_slots_it_reads() {
+        let fabric = ClusterConfig::small().fabric;
+        let charged = |bytes| fabric.cpu_scan_ns(bytes);
+        let hits = [0, 1, 7, 25, 39];
+        let keys: Vec<u64> = hits.iter().map(|&k| 2 * k).chain([13]).collect();
+        let mut want: Vec<u64> = hits
+            .iter()
+            .map(|&k| charged(56 + 19 * (k as usize + 1)))
+            .collect();
+        want.push(charged(1_006));
+        assert_eq!(lookup_cpu_ns(TreeOptions::sherman(), &keys), want);
+        // A sorted leaf ends its miss at `count`.
+        want[hits.len()] = charged(56 + 19 * 40);
+        assert_eq!(lookup_cpu_ns(TreeOptions::fg_plus(), &keys), want);
+        assert_eq!(
+            lookup_cpu_ns(TreeOptions::fg(), &keys),
+            [charged(1 << 10); 6]
+        );
+    }
 }

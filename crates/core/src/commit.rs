@@ -1122,6 +1122,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // Verify the old root really is one level below the root we intend to
         // create; otherwise someone else already grew the tree.
         let buf = read_node(self, &mut OpMeta::default(), old_root).await?;
+        self.ctx().charge_scan(buf.len());
         let header = self.layout().decode_header(&buf);
         if header.free || header.level + 1 != new_level {
             return Ok(false);
@@ -1185,6 +1186,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 },
             };
             let buf = read_node(self, meta, addr).await?;
+            self.ctx().charge_scan(buf.len());
             let parent = self.layout().decode_internal(&buf);
             if parent.header.free {
                 // As in `insert_separator_at`: scrub the route that led here.
@@ -1235,6 +1237,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             Some(h) => h.clone(),
             None => {
                 let buf = read_node(self, meta, node_addr).await?;
+                self.ctx().charge_scan(buf.len());
                 self.layout().decode_header(&buf)
             }
         };

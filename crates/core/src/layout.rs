@@ -95,6 +95,12 @@ impl NodeLayout {
         self.key_size + self.value_size + 3
     }
 
+    /// Bytes of a leaf image a point search that examined `scanned` slots
+    /// reads: the header, those slots and the tail word.
+    pub fn leaf_search_bytes(&self, scanned: usize) -> usize {
+        HEADER_BYTES + TAIL_BYTES + scanned * self.leaf_entry_bytes()
+    }
+
     /// Number of entries a leaf can hold.
     pub fn leaf_capacity(&self) -> usize {
         (self.node_size - HEADER_BYTES - TAIL_BYTES) / self.leaf_entry_bytes()

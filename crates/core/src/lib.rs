@@ -83,7 +83,7 @@ pub use cluster::{Cluster, ClusterConfig, NodeCensus, ShapeAudit};
 pub use config::{LeafFormat, LockStrategy, OffloadPolicy, TreeConfig, TreeOptions};
 pub use error::TreeError;
 pub use layout::NodeLayout;
-pub use node::{InternalEntry, InternalNode, LeafEntry, LeafNode, NodeHeader};
+pub use node::{InternalEntry, InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
 pub use ops::OpOutput;
 pub use scheduler::{overlap_from_stats, PipelineOp, PipelineReport, PipelinedResult};
 pub use stats::OpStats;

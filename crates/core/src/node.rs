@@ -5,6 +5,7 @@
 //! property-testable; the client in [`crate::client`] glues it to RDMA verbs,
 //! locks and the cache.
 
+use crate::config::LeafFormat;
 use crate::layout::NodeLayout;
 use sherman_sim::GlobalAddress;
 
@@ -134,6 +135,25 @@ impl LeafEntry {
     }
 }
 
+/// What one point search of a leaf found ([`LeafNode::search`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeafSearch {
+    /// The first present slot holding the key.
+    pub entry: Option<LeafEntry>,
+    /// The matched entry's version pair is torn: an entry-granular write is
+    /// in flight and the reader must read the leaf again.
+    pub torn: bool,
+    /// Slots examined, the matched one included.
+    pub scanned: usize,
+}
+
+impl LeafSearch {
+    /// The key's value, unless the search missed it or found it torn.
+    pub fn value(&self) -> Option<u64> {
+        self.entry.filter(|_| !self.torn).map(|e| e.value)
+    }
+}
+
 /// A decoded leaf node: a fixed array of slots (dense for sorted layouts,
 /// sparse for the unsorted two-level-version layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,12 +190,28 @@ impl LeafNode {
         self.entries.iter().position(|e| !e.present)
     }
 
-    /// Look up `key` (scanning every slot, as unsorted leaves require).
-    pub fn get(&self, key: u64) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| e.present && e.key == key)
-            .map(|e| e.value)
+    /// Search for `key` as a point lookup reads a leaf of `format`: slot by
+    /// slot up to the first present slot holding it — through every slot of
+    /// an unsorted leaf, through the first `count` of a sorted one (what lies
+    /// past them is not the leaf's).  Only two-level versions check the
+    /// matched entry's own version pair.
+    pub fn search(&self, key: u64, format: LeafFormat) -> LeafSearch {
+        let slots = match format.is_sorted() {
+            true => &self.entries[..self.header.count.min(self.entries.len())],
+            false => &self.entries[..],
+        };
+        match slots.iter().position(|e| e.present && e.key == key) {
+            Some(slot) => LeafSearch {
+                entry: Some(slots[slot]),
+                torn: format == LeafFormat::UnsortedTwoLevel && !slots[slot].versions_match(),
+                scanned: slot + 1,
+            },
+            None => LeafSearch {
+                entry: None,
+                torn: false,
+                scanned: slots.len(),
+            },
+        }
     }
 
     /// All live `(key, value)` pairs in ascending key order.
@@ -616,6 +652,8 @@ mod tests {
     use super::*;
     use crate::config::TreeConfig;
 
+    const UNSORTED: LeafFormat = LeafFormat::UnsortedTwoLevel;
+
     fn layout() -> NodeLayout {
         NodeLayout::new(&TreeConfig::default())
     }
@@ -641,23 +679,102 @@ mod tests {
     fn leaf_insert_lookup_delete_via_slots() {
         let l = layout();
         let mut leaf = LeafNode::empty(&l, NodeHeader::new(true, 0, 0, u64::MAX));
-        assert_eq!(leaf.get(5), None);
+        assert_eq!(leaf.search(5, UNSORTED).value(), None);
         let slot = leaf.vacant_slot().unwrap();
         leaf.entries[slot].install(5, 50);
         // Key 0 is storable and distinguishable from empty slots.
         let slot0 = leaf.vacant_slot().unwrap();
         leaf.entries[slot0].install(0, 99);
-        assert_eq!(leaf.get(5), Some(50));
-        assert_eq!(leaf.get(0), Some(99));
+        assert_eq!(leaf.search(5, UNSORTED).value(), Some(50));
+        assert_eq!(leaf.search(0, UNSORTED).value(), Some(99));
         assert_eq!(leaf.live_count(), 2);
         assert_eq!(leaf.slot_of(5), Some(slot));
 
         leaf.entries[slot].clear();
-        assert_eq!(leaf.get(5), None);
+        assert_eq!(leaf.search(5, UNSORTED).value(), None);
         assert_eq!(leaf.live_count(), 1);
         // Entry versions were bumped by install and clear.
         assert_eq!(leaf.entries[slot].front_version, 2);
         assert!(leaf.entries[slot].versions_match());
+    }
+
+    const FORMATS: [LeafFormat; 3] = [
+        LeafFormat::SortedNodeVersion,
+        LeafFormat::SortedChecksum,
+        LeafFormat::UnsortedTwoLevel,
+    ];
+
+    /// Ten pairs `2k → 2k + 1`, densely packed from slot 0 (`count` 10) in a
+    /// 1 KB leaf of 50 slots.
+    fn ten_pair_leaf(l: &NodeLayout) -> LeafNode {
+        let mut leaf = LeafNode::empty(l, NodeHeader::new(true, 0, 0, u64::MAX));
+        let pairs: Vec<(u64, u64)> = (0..10).map(|k| (2 * k, 2 * k + 1)).collect();
+        leaf.repack_sorted(&pairs);
+        leaf
+    }
+
+    #[test]
+    fn a_search_examines_the_slots_up_to_its_match() {
+        let l = layout();
+        for format in FORMATS {
+            let leaf = ten_pair_leaf(&l);
+            for slot in 0..10 {
+                let key = 2 * slot as u64;
+                let hit = leaf.search(key, format);
+                assert_eq!(
+                    (hit.value(), hit.torn, hit.scanned),
+                    (Some(key + 1), false, slot + 1),
+                    "{format:?}: a hit at slot {slot}"
+                );
+            }
+            // A miss reads every slot of an unsorted leaf, the first `count`
+            // of a sorted one.
+            let extent = match format.is_sorted() {
+                true => 10,
+                false => l.leaf_capacity(),
+            };
+            let miss = leaf.search(3, format);
+            assert_eq!((miss.entry, miss.torn, miss.scanned), (None, false, extent));
+        }
+    }
+
+    #[test]
+    fn only_two_level_versions_report_a_torn_match() {
+        let l = layout();
+        for format in FORMATS {
+            let mut leaf = ten_pair_leaf(&l);
+            leaf.entries[4].front_version = leaf.entries[4].front_version.wrapping_add(1);
+            let found = leaf.search(8, format);
+            let torn = format == LeafFormat::UnsortedTwoLevel;
+            assert_eq!((found.torn, found.scanned), (torn, 5), "{format:?}");
+            assert_eq!(found.entry.map(|e| e.key), Some(8), "{format:?}");
+            assert_eq!(found.value(), (!torn).then_some(9), "{format:?}");
+        }
+    }
+
+    #[test]
+    fn a_key_in_two_slots_is_found_in_the_first() {
+        let l = layout();
+        for format in FORMATS {
+            let mut leaf = ten_pair_leaf(&l);
+            leaf.entries[6].install(2, 77);
+            let found = leaf.search(2, format);
+            assert_eq!((found.value(), found.scanned), (Some(3), 2), "{format:?}");
+        }
+    }
+
+    #[test]
+    fn a_sorted_search_ignores_slots_past_count() {
+        let l = layout();
+        let mut leaf = ten_pair_leaf(&l);
+        leaf.entries[12].install(41, 42);
+        for format in FORMATS {
+            let found = leaf.search(41, format);
+            match format.is_sorted() {
+                true => assert_eq!((found.entry, found.scanned), (None, 10), "{format:?}"),
+                false => assert_eq!((found.value(), found.scanned), (Some(42), 13)),
+            }
+        }
     }
 
     #[test]
@@ -678,7 +795,7 @@ mod tests {
         assert_eq!(left_keys, vec![10, 20, 30, 40, 50]);
         assert_eq!(right_keys, vec![60, 70, 80, 90, 100]);
         // Values follow their keys.
-        assert_eq!(right.get(70), Some(140));
+        assert_eq!(right.search(70, UNSORTED).value(), Some(140));
         // Node-level versions were bumped on both halves.
         assert_eq!(leaf.header.front_version, 1);
         assert_eq!(right.header.front_version, 1);
@@ -843,7 +960,11 @@ mod tests {
             right.sorted_pairs().iter().map(|&(k, _)| k).collect::<Vec<_>>(),
             vec![140, 160, 180]
         );
-        assert_eq!(right.get(160), Some(161), "values follow their keys");
+        assert_eq!(
+            right.search(160, UNSORTED).value(),
+            Some(161),
+            "values follow their keys"
+        );
     }
 
     #[test]
@@ -867,7 +988,11 @@ mod tests {
             right.sorted_pairs().iter().map(|&(k, _)| k).collect::<Vec<_>>(),
             vec![40, 50, 200]
         );
-        assert_eq!(right.get(50), Some(51), "values follow their keys");
+        assert_eq!(
+            right.search(50, UNSORTED).value(),
+            Some(51),
+            "values follow their keys"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use crate::config::LeafFormat;
 use crate::layout::NodeLayout;
-use crate::node::{InternalNode, LeafNode, NodeHeader};
+use crate::node::{InternalNode, NodeHeader};
 use crate::config::OffloadPolicy;
 use sherman_sim::{
     GlobalAddress, MemServerSim, RpcDecline, RpcHandler, RpcLeafReply, RpcLevel1Image,
@@ -135,39 +135,6 @@ impl OffloadInterpreter {
                 .leftmost
                 .unwrap_or_else(GlobalAddress::null),
             children: node.entries.iter().map(|e| (e.key, e.child)).collect(),
-        }
-    }
-
-    /// Search a validated leaf image for `key`.  Returns
-    /// `(found, entry_conflict, slots_scanned)`; an entry conflict means the
-    /// matching entry's version pair was torn (entry-granular write in
-    /// flight) and the client must re-read locally.
-    fn search_leaf(&self, leaf: &LeafNode, key: u64) -> (Option<u64>, bool, u32) {
-        match self.leaf_format {
-            LeafFormat::UnsortedTwoLevel => {
-                let mut scanned = 0u32;
-                for e in &leaf.entries {
-                    scanned += 1;
-                    if e.present && e.key == key {
-                        if !e.versions_match() {
-                            return (None, true, scanned);
-                        }
-                        return (Some(e.value), false, scanned);
-                    }
-                }
-                (None, false, scanned)
-            }
-            _ => {
-                let n = leaf.header.count.min(leaf.entries.len());
-                let mut scanned = 0u32;
-                for e in &leaf.entries[..n] {
-                    scanned += 1;
-                    if e.present && e.key == key {
-                        return (Some(e.value), false, scanned);
-                    }
-                }
-                (None, false, scanned)
-            }
         }
     }
 
@@ -297,14 +264,15 @@ impl OffloadInterpreter {
                 work,
             };
         }
-        let leaf = self.layout.decode_leaf(buf);
-        let (found, entry_conflict, scanned) = self.search_leaf(&leaf, key);
-        work.entries_scanned += scanned;
+        // A torn matched entry (an entry-granular write in flight) sends the
+        // client back to read the leaf itself.
+        let search = self.layout.decode_leaf(buf).search(key, self.leaf_format);
+        work.entries_scanned += search.scanned as u32;
         RpcResponse::Leaf(RpcLeafReply {
             leaf: info,
-            found,
+            found: search.value(),
             chase_sibling: false,
-            entry_conflict,
+            entry_conflict: search.torn,
             level1,
             work,
         })

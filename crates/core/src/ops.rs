@@ -491,7 +491,9 @@ async fn offload<B: FabricBackend>(
 
 /// The lock-free node-image read: `RDMA_READ` the node until an image passes
 /// the node-level consistency check (version pair or checksum), bounded by
-/// `max_read_retries`.
+/// `max_read_retries`.  The caller charges the CPU of what it reads of the
+/// image: a lookup the slots its search examined, every other reader the
+/// node.
 pub(crate) async fn read_node<B: FabricBackend>(
     cx: &OpCx<'_, B>,
     meta: &mut OpMeta,
@@ -511,7 +513,6 @@ pub(crate) async fn read_node<B: FabricBackend>(
         }
         let buf = c.result.into_read();
         if cx.node_image_consistent(&buf) {
-            cx.ctx().charge_scan(node_size);
             return Ok(buf);
         }
         meta.read_retries += 1;
@@ -599,6 +600,7 @@ pub(crate) async fn traverse<B: FabricBackend>(
         }
         while expect_level != target_level {
             let buf = read_node(cx, meta, addr).await?;
+            cx.ctx().charge_scan(buf.len());
             let cache = cx.cluster.cache(cx.cs_id);
             let node = cx.cluster.layout().decode_internal(&buf);
             let header = &node.header;
@@ -726,9 +728,18 @@ async fn lookup<B: FabricBackend>(
         let mut reads_left = cx.cluster.config().max_read_retries;
         loop {
             let buf = read_node(cx, meta, addr).await?;
-            let leaf = cx.cluster.layout().decode_leaf(&buf);
+            let layout = cx.cluster.layout();
+            let leaf = layout.decode_leaf(&buf);
             let header = &leaf.header;
-            if header.free || !header.is_leaf || !header.covers(key) {
+            let live = !header.free && header.is_leaf && header.covers(key);
+            let search = live.then(|| leaf.search(key, cx.leaf_format()));
+            // The CPU of what the lookup read: the header and the slots up
+            // to the match, or the whole node a checksum validated.
+            cx.ctx().charge_scan(match cx.leaf_format() {
+                LeafFormat::SortedChecksum => buf.len(),
+                _ => layout.leaf_search_bytes(search.map_or(0, |s| s.scanned)),
+            });
+            let Some(search) = search else {
                 if header.free && matches!(source, LeafSource::Cache { .. }) {
                     // The index cache routed to a retired leaf: its
                     // invalidation is still in flight.
@@ -737,25 +748,18 @@ async fn lookup<B: FabricBackend>(
                 pending = next_after_mismatch(cx, key, addr, header, source)
                     .map(|a| (a, LeafSource::Sibling));
                 continue 'restart;
+            };
+            // A torn match (two-level versions only): read the leaf again.
+            if !search.torn {
+                return Ok(search.value());
             }
-            // Entry-level validation (two-level versions only).
-            let found = leaf
-                .entries
-                .iter()
-                .find(|e| e.present && e.key == key)
-                .copied();
-            match (cx.leaf_format(), found) {
-                (LeafFormat::UnsortedTwoLevel, Some(e)) if !e.versions_match() => {
-                    meta.read_retries += 1;
-                    cx.ctx().note_retries(1);
-                    reads_left -= 1;
-                    if reads_left == 0 {
-                        // The entry-validation budget is spent: restart the
-                        // whole location attempt.
-                        continue 'restart;
-                    }
-                }
-                (_, found) => return Ok(found.map(|e| e.value)),
+            meta.read_retries += 1;
+            cx.ctx().note_retries(1);
+            reads_left -= 1;
+            if reads_left == 0 {
+                // The entry-validation budget is spent: restart the whole
+                // location attempt.
+                continue 'restart;
             }
         }
     }
@@ -832,7 +836,13 @@ impl Scan {
                 false => layout.decode_leaf(&read_node(cx, meta, addr).await?),
             };
             let adjacent = idx == 0 || leaf.header.fence_low == self.frontier;
-            if !(adjacent && self.take_leaf(&leaf)) {
+            let consumed = adjacent && self.take_leaf(&leaf);
+            if consumed || !consistent {
+                // A re-read leaf is charged whether consumed or not; an
+                // image of the batch not consumed is charged nothing.
+                cx.ctx().charge_scan(node_size);
+            }
+            if !consumed {
                 let cache = cx.cluster.cache(cx.cs_id);
                 if leaf.header.free {
                     // The fabric-delivered `Invalidate` may still be in
@@ -842,11 +852,6 @@ impl Scan {
                 cache.invalidate(route);
                 cache.stats().scan_fallbacks.inc();
                 return Ok(());
-            }
-            if consistent {
-                // A re-read leaf was charged by its read; an image not
-                // consumed is charged nothing.
-                cx.ctx().charge_scan(node_size);
             }
         }
         Ok(())
@@ -936,6 +941,7 @@ async fn range<B: FabricBackend>(
         };
         loop {
             let buf = read_node(cx, meta, addr).await?;
+            cx.ctx().charge_scan(buf.len());
             let leaf = layout.decode_leaf(&buf);
             if scan.take_leaf(&leaf) {
                 break;

@@ -57,7 +57,11 @@ pub struct FabricConfig {
     /// search or range RPC.
     pub rpc_scan_ns_per_entry: u64,
     /// Virtual time charged for scanning one byte of a fetched node in client
-    /// CPU (used by the index layer to charge unsorted-leaf scans and sorts).
+    /// CPU.  The index layer charges each image for what its consumer reads of
+    /// it: a point lookup the header, the tail word and the leaf slots its
+    /// search examined (the whole node when a checksum validates it); a
+    /// traversal, a scan and every reader under a lock the whole node, which
+    /// they decode entry by entry; a split or merge the node it sorts.
     pub cpu_ps_per_byte: u64,
 }
 

@@ -7,7 +7,8 @@
 //! floor the client validates replies against) keeps moving underneath.
 
 use sherman_repro::prelude::*;
-use sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
+use sherman_repro::sherman_memserver::ServerLayout;
+use sherman_sim::{Fabric, FabricBackend, GlobalAddress, RpcRequest, RpcResponse, ThreadedFabric};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -25,9 +26,17 @@ fn loaded_cluster<B: FabricBackend>(
     policy: OffloadPolicy,
     n: u64,
 ) -> (Arc<Cluster<B>>, BTreeMap<u64, u64>) {
+    loaded_with(TreeOptions::sherman().with_offload(policy), n)
+}
+
+/// [`loaded_cluster`] under any options.
+fn loaded_with<B: FabricBackend>(
+    options: TreeOptions,
+    n: u64,
+) -> (Arc<Cluster<B>>, BTreeMap<u64, u64>) {
     let mut config = ClusterConfig::paper_scaled(2, 2);
     config.tree.node_size = 256;
-    let cluster = Cluster::<B>::new_on(config, TreeOptions::sherman().with_offload(policy));
+    let cluster = Cluster::<B>::new_on(config, options);
     let pairs: Vec<(u64, u64)> = (0..n).map(|k| (k * 3, k * 7 + 1)).collect();
     cluster.bulkload(pairs.iter().copied()).expect("bulkload");
     (cluster, pairs.into_iter().collect())
@@ -244,4 +253,113 @@ fn adaptive_offload_runs_are_deterministic() {
     assert_eq!(s1, s2, "fabric stats must be identical");
     assert_eq!(r1, r2, "results must be identical");
     assert_eq!(g1, g2, "placement decisions must be identical");
+}
+
+/// The leaf covering `key`, as the interpreter's descent from the root finds
+/// it.
+fn leaf_of(cluster: &Cluster<Fabric>, key: u64) -> GlobalAddress {
+    let fabric = cluster.fabric();
+    let root = GlobalAddress::unpack(fabric.god_read_u64(ServerLayout::root_ptr_addr()).unwrap());
+    let req = RpcRequest::TraverseStep {
+        from_addr: root,
+        key,
+        max_levels: 16,
+    };
+    match fabric
+        .rpc_handler()
+        .unwrap()
+        .handle(fabric.servers(), root.ms, &req)
+    {
+        RpcResponse::Leaf(reply) => reply.leaf.addr,
+        other => panic!("no leaf for {key}: {other:?}"),
+    }
+}
+
+/// The interpreter's point search of the leaf at `addr`: its answer and the
+/// slots it scanned.
+fn rpc_search(cluster: &Cluster<Fabric>, addr: GlobalAddress, key: u64) -> (Option<u64>, u32) {
+    let fabric = cluster.fabric();
+    let req = RpcRequest::LeafSearch {
+        leaf_addr: addr,
+        key,
+    };
+    match fabric
+        .rpc_handler()
+        .unwrap()
+        .handle(fabric.servers(), addr.ms, &req)
+    {
+        RpcResponse::Leaf(reply) => (reply.found, reply.work.entries_scanned),
+        other => panic!("no leaf reply for {key}: {other:?}"),
+    }
+}
+
+/// A cached client lookup of `key` on a warm route: its answer and the
+/// client CPU it was charged — its latency less the time its one READ was in
+/// flight.
+fn client_search(client: &mut TreeClient<Fabric>, key: u64) -> (Option<u64>, u64) {
+    let before = client.fabric_stats().verb_ns;
+    let (value, stats) = client.lookup(key).expect("lookup");
+    assert!(
+        stats.cache_hit && stats.reads == 1,
+        "lookup({key}) read one leaf"
+    );
+    (
+        value,
+        stats.latency_ns - (client.fabric_stats().verb_ns - before),
+    )
+}
+
+/// Each of `keys` is looked up by a client (locally, the route cached) and
+/// by a `LeafSearch` RPC to the interpreter against the same leaf image: the
+/// answers agree, and the client is charged the CPU of the header, the tail
+/// word and exactly the slots the interpreter scanned.
+fn assert_searches_agree(cluster: &Arc<Cluster<Fabric>>, keys: impl IntoIterator<Item = u64>) {
+    let mut client = cluster.client(0);
+    let fabric = FabricConfig::default();
+    for key in keys {
+        let addr = leaf_of(cluster, key);
+        client.lookup(key).expect("warm the route");
+        let (found, scanned) = rpc_search(cluster, addr, key);
+        let (value, cpu_ns) = client_search(&mut client, key);
+        let read = cluster.layout().leaf_search_bytes(scanned as usize);
+        assert_eq!(value, found, "lookup({key})");
+        assert_eq!(
+            cpu_ns,
+            fabric.cpu_scan_ns(read),
+            "lookup({key}) scanned {scanned}"
+        );
+    }
+}
+
+#[test]
+fn client_and_interpreter_search_a_leaf_alike() {
+    for options in [TreeOptions::sherman(), TreeOptions::fg_plus()] {
+        let (cluster, _) = loaded_with::<Fabric>(options, 400);
+        // Hits at every slot of the first leaves and the misses between them.
+        assert_searches_agree(&cluster, 0..60);
+    }
+}
+
+/// A sorted leaf holds its keys in the first `count` slots; a present slot
+/// past them is not the leaf's — both searches stop at `count` and miss.
+#[test]
+fn a_present_slot_past_count_is_no_key_of_a_sorted_leaf() {
+    let (cluster, model) = loaded_with::<Fabric>(TreeOptions::fg_plus(), 400);
+    let layout = *cluster.layout();
+    let key = 301;
+    assert!(!model.contains_key(&key));
+    let addr = leaf_of(&cluster, key);
+    let mut image = vec![0; layout.node_size()];
+    cluster.fabric().god_read(addr, &mut image).unwrap();
+    let mut leaf = layout.decode_leaf(&image);
+    let count = leaf.header.count;
+    assert!(count < leaf.entries.len() && leaf.header.covers(key));
+    leaf.entries[count].install(key, 1);
+    cluster
+        .fabric()
+        .god_write(addr, &layout.encode_leaf(&leaf))
+        .unwrap();
+
+    assert_eq!(rpc_search(&cluster, addr, key), (None, count as u32));
+    assert_searches_agree(&cluster, [key]);
 }

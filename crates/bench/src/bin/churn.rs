@@ -25,7 +25,8 @@
 //! failed or missed a live key (a panic, as in the table run), space
 //! amplification above 2× (simulator only: it is timing-coupled), zero left
 //! merges (the rightmost-child shape leak), a persistently underfull child
-//! that a same-parent partner could fix, or a cache-coherence regression —
+//! that a same-parent partner could fix, a leaf slot whose key tag is not
+//! its key's (a key lookups would pass over), or a cache-coherence regression —
 //! merges that posted zero invalidations (the typestate publish path
 //! bypassed), messages still pending after every server quiesced, or stale
 //! cache hits served after the drain.  On the simulator, where time is
@@ -209,7 +210,7 @@ fn smoke(args: &Args) {
     println!(
         "churn smoke: turnovers={:.1} space_amp={:.2} merges={} left_merges={} \
          rebalances={}+{} underfull_rightmost_fixable={} underfull_internals_fixable={} \
-         top_hit={:.0}% refreshes={} inval_posted={} coh_applied={} \
+         mistagged_slots={} top_hit={:.0}% refreshes={} inval_posted={} coh_applied={} \
          coh_lag_mean_ns={:.0} stale_after_drain={} plans={} fallbacks={} \
          routed_cached={} routed_read={} write_p99_ns={write_p99} \
          structural_commits={} bytes_per_structural_commit={:.0}",
@@ -221,6 +222,7 @@ fn smoke(args: &Args) {
         r.space.internal_rebalances,
         r.audit.underfull_rightmost_fixable,
         r.audit.underfull_internals_fixable,
+        r.audit.mistagged_slots,
         r.top_hit_ratio * 100.0,
         r.cache_refreshes,
         r.coherence.invalidations_posted,
@@ -293,6 +295,12 @@ fn smoke(args: &Args) {
         failures.push(format!(
             "{} internal nodes stayed underfull with a viable rebalance partner",
             r.audit.underfull_internals_fixable
+        ));
+    }
+    if r.audit.mistagged_slots > 0 {
+        failures.push(format!(
+            "{} leaf slots hold a key tag that is not their key's",
+            r.audit.mistagged_slots
         ));
     }
     if r.space.merges() > 0 && r.coherence.invalidations_posted == 0 {

@@ -15,7 +15,8 @@
 //!
 //! `--smoke` runs the whole suite at `--quick` scale on both drive paths and
 //! exits non-zero when a hostile run breaks an invariant: any op error, a
-//! fixable shape-audit defect, a census/outstanding mismatch outside pool
+//! fixable shape-audit defect, a leaf slot whose key tag is not its key's,
+//! a census/outstanding mismatch outside pool
 //! exhaustion, a pool-exhaustion run that never saw backpressure, or a cache
 //! shrink whose hit ratio fell off a cliff (more than 50 points absolute).
 
@@ -104,6 +105,12 @@ fn gate(pressure: MemoryPressure, r: &RunReport, failures: &mut Vec<String>) {
             r.audit.underfull_rightmost_fixable,
             r.audit_baseline.underfull_internals_fixable,
             r.audit.underfull_internals_fixable
+        ));
+    }
+    if r.audit.mistagged_slots > 0 {
+        failures.push(format!(
+            "{tag}: {} leaf slots hold a key tag that is not their key's",
+            r.audit.mistagged_slots
         ));
     }
     match pressure {

@@ -580,24 +580,34 @@ mod tests {
             .collect()
     }
 
-    /// A lookup charges the CPU of what it reads of the leaf: the header, the
-    /// tail word and the slots up to its match (56 + 19 (k + 1) bytes for a
-    /// hit at slot k), every slot on a miss — and the whole node when a
-    /// checksum validates the image.
+    /// A lookup charges the CPU of what it reads of the leaf: the header and
+    /// the tail word (56 bytes), the tag of every slot up to its match, the
+    /// key of every slot whose tag matches and the match's value and version
+    /// pair — 75 + k bytes for a hit at slot k, 8 more for each tag collision
+    /// before it; 56 + 50 on a miss — and the whole node when a checksum
+    /// validates the image.
     #[test]
     fn a_lookup_charges_the_leaf_slots_it_reads() {
+        use crate::layout::key_tag;
         let fabric = ClusterConfig::small().fabric;
         let charged = |bytes| fabric.cpu_scan_ns(bytes);
+        // Keys read in the first `slots` slots of the first leaf besides
+        // `key`'s own: slots whose key `2j` shares its tag.
+        let collisions = |key: u64, slots: u64| {
+            (0..slots)
+                .filter(|&j| 2 * j != key && key_tag(2 * j) == key_tag(key))
+                .count()
+        };
         let hits = [0, 1, 7, 25, 39];
         let keys: Vec<u64> = hits.iter().map(|&k| 2 * k).chain([13]).collect();
         let mut want: Vec<u64> = hits
             .iter()
-            .map(|&k| charged(56 + 19 * (k as usize + 1)))
+            .map(|&k| charged(75 + k as usize + 8 * collisions(2 * k, k)))
             .collect();
-        want.push(charged(1_006));
+        want.push(charged(56 + 50 + 8 * collisions(13, 40)));
         assert_eq!(lookup_cpu_ns(TreeOptions::sherman(), &keys), want);
         // A sorted leaf ends its miss at `count`.
-        want[hits.len()] = charged(56 + 19 * 40);
+        want[hits.len()] = charged(56 + 40 + 8 * collisions(13, 40));
         assert_eq!(lookup_cpu_ns(TreeOptions::fg_plus(), &keys), want);
         assert_eq!(
             lookup_cpu_ns(TreeOptions::fg(), &keys),

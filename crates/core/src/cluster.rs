@@ -3,8 +3,8 @@
 use crate::client::TreeClient;
 use crate::config::{TreeConfig, TreeOptions};
 use crate::error::TreeError;
-use crate::layout::{NodeLayout, HEADER_BYTES};
-use crate::node::{InternalNode, LeafEntry, NodeHeader};
+use crate::layout::{key_tag, NodeLayout, HEADER_BYTES};
+use crate::node::{InternalNode, LeafEntry, LeafNode, NodeHeader};
 use crate::TreeResult;
 use parking_lot::{Mutex, RwLock};
 use sherman_cache::{CachedInternal, ChildRef, IndexCache, IndexCacheConfig};
@@ -360,6 +360,10 @@ impl<B: FabricBackend> Cluster<B> {
     /// not fit.  Children without a viable partner (an only child, or a
     /// neighbour already at the floor with nothing to spare when the pair
     /// does not fit) are excluded — no local operation could help them.
+    ///
+    /// The audit also counts the leaf slots whose stored key tag is not their
+    /// key's ([`ShapeAudit::mistagged_slots`]): every write path encodes the
+    /// tag from the key, so any such slot is a key lookups cannot find.
     pub fn shape_audit(&self) -> TreeResult<ShapeAudit> {
         self.shape_audit_sampled(usize::MAX, 0)
     }
@@ -386,7 +390,16 @@ impl<B: FabricBackend> Cluster<B> {
         let Some(hint) = self.root_hint() else {
             return Ok(audit);
         };
-        if hint.level == 0 || max_parents_per_level == 0 {
+        if max_parents_per_level == 0 {
+            return Ok(audit);
+        }
+        if hint.level == 0 {
+            // A root leaf has no parent to audit, but slots to check.
+            let mut buf = vec![0u8; self.layout.node_size()];
+            self.fabric.god_read(hint.addr, &mut buf)?;
+            if self.node_image_ok(&buf) && self.layout.decode_header(&buf).is_leaf {
+                audit.mistagged_slots = mistagged_slots(&self.layout.decode_leaf(&buf));
+            }
             return Ok(audit);
         }
         let node_size = self.layout.node_size();
@@ -445,7 +458,9 @@ impl<B: FabricBackend> Cluster<B> {
                     }
                     let ch = self.layout.decode_header(&child_buf);
                     let occ = if ch.is_leaf {
-                        self.layout.decode_leaf(&child_buf).live_count()
+                        let leaf = self.layout.decode_leaf(&child_buf);
+                        audit.mistagged_slots += mistagged_slots(&leaf);
+                        leaf.live_count()
                     } else {
                         self.layout.decode_internal(&child_buf).entries.len()
                     };
@@ -512,6 +527,13 @@ impl<B: FabricBackend> Cluster<B> {
     }
 }
 
+/// Present slots of `leaf` whose stored tag is not their key's.  A slot whose
+/// version pair differs is an entry-granular write in flight, not counted.
+fn mistagged_slots(leaf: &LeafNode) -> u64 {
+    let mistagged = |e: &&LeafEntry| e.present() && e.versions_match() && e.tag != key_tag(e.key);
+    leaf.entries.iter().filter(mistagged).count() as u64
+}
+
 /// Reachable-node counts produced by [`Cluster::node_census`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeCensus {
@@ -551,6 +573,10 @@ pub struct ShapeAudit {
     pub underfull_leaves: u64,
     /// All internal nodes below the merge floor (informational).
     pub underfull_internals: u64,
+    /// Present leaf slots, their version pair matching, whose stored key tag
+    /// is not their key's: keys a lookup passes over.  Zero on any tree the
+    /// library wrote.
+    pub mistagged_slots: u64,
 }
 
 /// Writes the leaf level of a bulkload from ascending pairs as they arrive,
@@ -639,7 +665,7 @@ impl<'a, B: FabricBackend> LeafWriter<'a, B> {
             pairs.extend(
                 entries
                     .iter()
-                    .filter(|e| e.present)
+                    .filter(|e| e.present())
                     .map(|e| (e.key, e.value)),
             );
         }

@@ -1553,12 +1553,13 @@ mod tests {
         let slots = slots.iter().cycle();
         for (entry, &(live, key, front, rear)) in leaf.entries.iter_mut().zip(slots) {
             *entry = LeafEntry {
-                front_version: front,
-                rear_version: rear,
-                present: full || live < density,
                 key: key % 64,
-                value: key,
+                ..LeafEntry::empty()
             };
+            if full || live < density {
+                entry.install(key % 64, key);
+            }
+            (entry.front_version, entry.rear_version) = (front, rear);
         }
         leaf.header.count = leaf.live_count();
         leaf
@@ -1619,10 +1620,10 @@ mod tests {
             let mut leaf = leaf_of(&layout, &slots, density, case == 2);
             if case == 1 {
                 let hole = pick % leaf.entries.len();
-                leaf.entries[hole].present = false;
+                leaf.entries[hole].tag = 0;
             }
             let image = layout.encode_leaf(&leaf);
-            let live = leaf.entries.iter().filter(|e| e.present);
+            let live = leaf.entries.iter().filter(|e| e.present());
             let held: Vec<u64> = live.map(|e| e.key).collect();
             let absent = 64 + value % 64;
             let insert = WriteKind::Insert { value };

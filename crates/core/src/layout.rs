@@ -14,8 +14,11 @@
 //!
 //! The paper packs versions into 4 bits; this implementation uses full bytes
 //! so that the layout stays byte-addressable (see `docs/ARCHITECTURE.md`), and
-//! additionally stores a per-entry `present` flag byte so that deleted entries
-//! are distinguishable from live entries holding key 0.
+//! additionally stores a per-entry **key tag** byte: 0 marks a vacant slot
+//! (so deleted entries are distinguishable from live entries holding key 0),
+//! and a live slot holds [`key_tag`] of its key — never 0 — so a point search
+//! reads a slot's key only where the tag matches (FPTree's fingerprints, kept
+//! inside each entry's version bracket).
 //!
 //! ```text
 //! offset  field
@@ -30,10 +33,17 @@
 //! 40..44  checksum (FG's checksum mode only)
 //! 48..    entry area
 //! size-8  RNV (rear node version) in the first byte of the tail word
+//!
+//! leaf entry (key_size + value_size + 3 bytes)
+//! 0       FEV (front entry version)
+//! 1       key tag (0 = vacant)
+//! 2..     key (key_size bytes; the first eight hold the key)
+//! ..      value (value_size bytes; the first eight hold the value)
+//! last    REV (rear entry version)
 //! ```
 
 use crate::config::TreeConfig;
-use crate::node::{InternalEntry, InternalNode, LeafEntry, LeafNode, NodeHeader};
+use crate::node::{InternalEntry, InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
 use sherman_sim::GlobalAddress;
 use std::ops::Range;
 
@@ -54,6 +64,16 @@ pub const COALESCE_GAP_BYTES: usize = 64;
 pub const FLAG_LEAF: u8 = 0b01;
 /// Flag bit: the node has been freed.
 pub const FLAG_FREE: u8 = 0b10;
+
+/// The multiplier [`key_tag`] hashes a key with (Fibonacci hashing: the top
+/// byte of the product depends on every bit of the key).
+const TAG_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The key tag a live leaf slot holding `key` stores in its tag byte: the top
+/// byte of `key × TAG_HASH`, with 0 — the vacant slot's byte — mapped to 1.
+pub fn key_tag(key: u64) -> u8 {
+    ((key.wrapping_mul(TAG_HASH) >> 56) as u8).max(1)
+}
 
 /// What a point write needs to know of a leaf image ([`NodeLayout::probe_leaf`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,16 +109,20 @@ impl NodeLayout {
         self.node_size
     }
 
-    /// Size of one leaf entry: front version, present flag, key, value, rear
+    /// Size of one leaf entry: front version, key tag, key, value, rear
     /// version.
     pub fn leaf_entry_bytes(&self) -> usize {
         self.key_size + self.value_size + 3
     }
 
-    /// Bytes of a leaf image a point search that examined `scanned` slots
-    /// reads: the header, those slots and the tail word.
-    pub fn leaf_search_bytes(&self, scanned: usize) -> usize {
-        HEADER_BYTES + TAIL_BYTES + scanned * self.leaf_entry_bytes()
+    /// Bytes of a leaf image the point search `search` reads: the header and
+    /// the tail word, the tag of every slot it examined, the key of every
+    /// slot whose tag matched, and the value and version pair of its match.
+    /// A search that never reached the slots (a freed node, a fence miss) is
+    /// [`LeafSearch::default`]: the header and the tail word.
+    pub fn leaf_search_bytes(&self, search: &LeafSearch) -> usize {
+        let matched = search.entry.map_or(0, |_| self.value_size + 2);
+        HEADER_BYTES + TAIL_BYTES + search.scanned + search.compared * self.key_size + matched
     }
 
     /// Number of entries a leaf can hold.
@@ -198,24 +222,29 @@ impl NodeLayout {
     /// Encode one leaf entry in place: `buf` is the entry's
     /// [`NodeLayout::leaf_entry_bytes`] inside a node image (or on their
     /// own), zeroed — the padding of keys and values wider than eight bytes
-    /// is not written.
+    /// is not written.  A live entry's tag byte is written from its key
+    /// ([`key_tag`]), a vacant one's is 0.
     pub fn encode_leaf_entry_into(&self, buf: &mut [u8], entry: &LeafEntry) {
         debug_assert_eq!(buf.len(), self.leaf_entry_bytes());
         buf[0] = entry.front_version;
-        buf[1] = entry.present as u8;
+        buf[1] = match entry.present() {
+            true => key_tag(entry.key),
+            false => 0,
+        };
         buf[2..10].copy_from_slice(&entry.key.to_le_bytes());
         let value_off = 2 + self.key_size;
         buf[value_off..value_off + 8].copy_from_slice(&entry.value.to_le_bytes());
         buf[self.leaf_entry_bytes() - 1] = entry.rear_version;
     }
 
-    /// Decode one leaf entry from its wire representation.
+    /// Decode one leaf entry from its wire representation (the tag as
+    /// stored).
     pub fn decode_leaf_entry(&self, buf: &[u8]) -> LeafEntry {
         debug_assert_eq!(buf.len(), self.leaf_entry_bytes());
         let value_off = 2 + self.key_size;
         LeafEntry {
             front_version: buf[0],
-            present: buf[1] != 0,
+            tag: buf[1],
             key: u64::from_le_bytes(buf[2..10].try_into().unwrap()),
             value: u64::from_le_bytes(buf[value_off..value_off + 8].try_into().unwrap()),
             rear_version: buf[self.leaf_entry_bytes() - 1],
@@ -255,7 +284,8 @@ impl NodeLayout {
         let area = &buf[HEADER_BYTES..HEADER_BYTES + self.leaf_capacity() * entry_bytes];
         let key = key.to_le_bytes();
         let mut probe = LeafProbe::default();
-        // The present flag and the key, where `decode_leaf_entry` reads them.
+        // The tag (0 = vacant) and the key, where `decode_leaf_entry` reads
+        // them.
         for (i, entry) in area.chunks_exact(entry_bytes).enumerate() {
             if entry[1] == 0 {
                 probe.vacant.get_or_insert(i);
@@ -489,15 +519,15 @@ mod tests {
         node.entries[0] = LeafEntry {
             front_version: 3,
             rear_version: 3,
-            present: true,
+            tag: key_tag(123),
             key: 123,
             value: 456,
         };
         node.entries[5] = LeafEntry {
             front_version: 1,
             rear_version: 1,
-            present: true,
-            key: 0, // key 0 is a legal key, distinguishable via `present`
+            tag: key_tag(0),
+            key: 0, // key 0 is a legal key, distinguishable by its tag
             value: 9,
         };
         let buf = l.encode_leaf(&node);
@@ -506,7 +536,7 @@ mod tests {
         assert_eq!(decoded.header, node.header);
         assert_eq!(decoded.entries[0], node.entries[0]);
         assert_eq!(decoded.entries[5], node.entries[5]);
-        assert!(!decoded.entries[1].present);
+        assert!(!decoded.entries[1].present());
         assert_eq!(decoded.entries.len(), l.leaf_capacity());
     }
 
@@ -516,7 +546,7 @@ mod tests {
         let entry = LeafEntry {
             front_version: 9,
             rear_version: 9,
-            present: true,
+            tag: key_tag(u64::MAX - 1),
             key: u64::MAX - 1,
             value: 77,
         };
@@ -526,6 +556,11 @@ mod tests {
         // versions).
         assert_eq!(bytes.len(), 19);
         assert_eq!(l.decode_leaf_entry(&bytes), entry);
+        // The second byte is the key's tag; a vacant slot's is 0.
+        assert_eq!(bytes[1], key_tag(u64::MAX - 1));
+        let mut cleared = entry;
+        cleared.clear();
+        assert_eq!(l.encode_leaf_entry(&cleared)[1], 0);
     }
 
     #[test]
@@ -562,7 +597,7 @@ mod tests {
                 let entry = LeafEntry {
                     front_version: fv,
                     rear_version: rv,
-                    present: true,
+                    tag: key_tag(0xDEAD_BEEF),
                     key: 0xDEAD_BEEF,
                     value: 42,
                 };
@@ -576,7 +611,7 @@ mod tests {
         node.entries[2] = LeafEntry {
             front_version: 200,
             rear_version: 199, // torn entry write, must be visible after decode
-            present: true,
+            tag: key_tag(5),
             key: 5,
             value: 6,
         };

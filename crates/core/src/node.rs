@@ -6,7 +6,7 @@
 //! locks and the cache.
 
 use crate::config::LeafFormat;
-use crate::layout::NodeLayout;
+use crate::layout::{key_tag, NodeLayout};
 use sherman_sim::GlobalAddress;
 
 /// Decoded node header (common to leaves and internal nodes).
@@ -92,8 +92,11 @@ pub struct LeafEntry {
     pub front_version: u8,
     /// Rear entry-level version.
     pub rear_version: u8,
-    /// Whether the slot holds a live record.
-    pub present: bool,
+    /// The key tag as stored: 0 for a vacant slot, [`key_tag`] of the key
+    /// for a live one.  Only [`LeafEntry::install`] makes a slot live, so an
+    /// entry built here carries its key's tag; a decoded one carries whatever
+    /// byte the image held.
+    pub(crate) tag: u8,
     /// The key.
     pub key: u64,
     /// The value.
@@ -106,10 +109,15 @@ impl LeafEntry {
         LeafEntry {
             front_version: 0,
             rear_version: 0,
-            present: false,
+            tag: 0,
             key: 0,
             value: 0,
         }
+    }
+
+    /// Whether the slot holds a live record (its tag is not 0).
+    pub fn present(&self) -> bool {
+        self.tag != 0
     }
 
     /// Whether the entry-level version pair is consistent.
@@ -122,29 +130,31 @@ impl LeafEntry {
     pub fn install(&mut self, key: u64, value: u64) {
         self.key = key;
         self.value = value;
-        self.present = true;
+        self.tag = key_tag(key);
         self.front_version = self.front_version.wrapping_add(1);
         self.rear_version = self.front_version;
     }
 
     /// Clear this slot (delete), bumping the entry versions.
     pub fn clear(&mut self) {
-        self.present = false;
+        self.tag = 0;
         self.front_version = self.front_version.wrapping_add(1);
         self.rear_version = self.front_version;
     }
 }
 
 /// What one point search of a leaf found ([`LeafNode::search`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeafSearch {
     /// The first present slot holding the key.
     pub entry: Option<LeafEntry>,
     /// The matched entry's version pair is torn: an entry-granular write is
     /// in flight and the reader must read the leaf again.
     pub torn: bool,
-    /// Slots examined, the matched one included.
+    /// Slots whose tag was examined, the matched one included.
     pub scanned: usize,
+    /// Slots whose key was read: those whose stored tag matched the key's.
+    pub compared: usize,
 }
 
 impl LeafSearch {
@@ -175,42 +185,54 @@ impl LeafNode {
 
     /// Number of live entries.
     pub fn live_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.present).count()
+        self.entries.iter().filter(|e| e.present()).count()
     }
 
     /// Find the slot holding `key`, if any.
     pub fn slot_of(&self, key: u64) -> Option<usize> {
         self.entries
             .iter()
-            .position(|e| e.present && e.key == key)
+            .position(|e| e.present() && e.key == key)
     }
 
     /// Find a vacant slot, if any.
     pub fn vacant_slot(&self) -> Option<usize> {
-        self.entries.iter().position(|e| !e.present)
+        self.entries.iter().position(|e| !e.present())
     }
 
     /// Search for `key` as a point lookup reads a leaf of `format`: slot by
     /// slot up to the first present slot holding it — through every slot of
     /// an unsorted leaf, through the first `count` of a sorted one (what lies
-    /// past them is not the leaf's).  Only two-level versions check the
-    /// matched entry's own version pair.
+    /// past them is not the leaf's).  A slot's key is read only where its
+    /// stored tag is the key's [`key_tag`]; a vacant slot's tag, 0, matches
+    /// no key.  Only two-level versions check the matched entry's own
+    /// version pair.
     pub fn search(&self, key: u64, format: LeafFormat) -> LeafSearch {
         let slots = match format.is_sorted() {
             true => &self.entries[..self.header.count.min(self.entries.len())],
             false => &self.entries[..],
         };
-        match slots.iter().position(|e| e.present && e.key == key) {
-            Some(slot) => LeafSearch {
-                entry: Some(slots[slot]),
-                torn: format == LeafFormat::UnsortedTwoLevel && !slots[slot].versions_match(),
-                scanned: slot + 1,
-            },
-            None => LeafSearch {
-                entry: None,
-                torn: false,
-                scanned: slots.len(),
-            },
+        let tag = key_tag(key);
+        let mut compared = 0;
+        for (slot, entry) in slots.iter().enumerate() {
+            if entry.tag != tag {
+                continue;
+            }
+            compared += 1;
+            if entry.key == key {
+                return LeafSearch {
+                    entry: Some(*entry),
+                    torn: format == LeafFormat::UnsortedTwoLevel && !entry.versions_match(),
+                    scanned: slot + 1,
+                    compared,
+                };
+            }
+        }
+        LeafSearch {
+            entry: None,
+            torn: false,
+            scanned: slots.len(),
+            compared,
         }
     }
 
@@ -219,7 +241,7 @@ impl LeafNode {
         let mut pairs: Vec<(u64, u64)> = self
             .entries
             .iter()
-            .filter(|e| e.present)
+            .filter(|e| e.present())
             .map(|e| (e.key, e.value))
             .collect();
         pairs.sort_unstable_by_key(|&(k, _)| k);
@@ -235,7 +257,7 @@ impl LeafNode {
             match pairs.get(i) {
                 Some(&(k, v)) => slot.install(k, v),
                 None => {
-                    if slot.present {
+                    if slot.present() {
                         slot.clear();
                     }
                 }
@@ -263,7 +285,7 @@ impl LeafNode {
         for slot in self
             .entries
             .iter_mut()
-            .filter(|e| e.present && !wanted(e.key))
+            .filter(|e| e.present() && !wanted(e.key))
         {
             slot.clear();
         }
@@ -272,7 +294,7 @@ impl LeafNode {
             .copied()
             .filter(|&(k, _)| self.slot_of(k).is_none())
             .collect();
-        let mut vacant = self.entries.iter_mut().filter(|e| !e.present);
+        let mut vacant = self.entries.iter_mut().filter(|e| !e.present());
         for (k, v) in arriving {
             vacant.next().expect("a slot for every pair").install(k, v);
         }
@@ -771,9 +793,82 @@ mod tests {
         for format in FORMATS {
             let found = leaf.search(41, format);
             match format.is_sorted() {
-                true => assert_eq!((found.entry, found.scanned), (None, 10), "{format:?}"),
-                false => assert_eq!((found.value(), found.scanned), (Some(42), 13)),
+                true => assert_eq!(
+                    (found.entry, found.scanned, found.compared),
+                    (None, 10, 0),
+                    "{format:?}"
+                ),
+                false => assert_eq!(
+                    (found.value(), found.scanned, found.compared),
+                    (Some(42), 13, 1)
+                ),
             }
+        }
+    }
+
+    /// A key other than `key` with the same tag.
+    fn colliding_key(key: u64) -> u64 {
+        (key + 1..)
+            .find(|&other| key_tag(other) == key_tag(key))
+            .unwrap()
+    }
+
+    #[test]
+    fn a_slot_whose_tag_differs_is_skipped_unread() {
+        let l = layout();
+        for format in FORMATS {
+            let mut leaf = ten_pair_leaf(&l);
+            // Every slot of the ten-pair leaf holds a different tag, so a hit
+            // reads one key: its own.
+            for slot in 0..10 {
+                let hit = leaf.search(2 * slot as u64, format);
+                assert_eq!((hit.scanned, hit.compared), (slot + 1, 1), "{format:?}");
+            }
+            // Key 8 (slot 4) behind a tag that is not its own: its slot is
+            // passed over with its key unread, and the search misses.
+            leaf.entries[4].tag = key_tag(8).wrapping_add(1).max(1);
+            let miss = leaf.search(8, format);
+            assert_eq!((miss.entry, miss.compared), (None, 0), "{format:?}");
+        }
+    }
+
+    #[test]
+    fn a_tag_collision_reads_the_key_and_moves_on() {
+        let l = layout();
+        let other = colliding_key(8);
+        for format in FORMATS {
+            let mut leaf = ten_pair_leaf(&l);
+            leaf.entries[2].install(other, 1);
+            let hit = leaf.search(8, format);
+            assert_eq!(
+                (hit.value(), hit.scanned, hit.compared),
+                (Some(9), 5, 2),
+                "{format:?}"
+            );
+            let hit = leaf.search(other, format);
+            assert_eq!((hit.value(), hit.scanned, hit.compared), (Some(1), 3, 1));
+        }
+    }
+
+    #[test]
+    fn a_vacant_slot_matches_no_key() {
+        // Key 0 hashes to 0 and is mapped to 1, as is every key that does.
+        assert_eq!(key_tag(0), 1);
+        let zeroes = (1..).filter(|&k: &u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56 == 0);
+        assert!(zeroes.take(8).all(|k| key_tag(k) == 1));
+        assert!((0..1 << 16).chain([u64::MAX]).all(|k| key_tag(k) != 0));
+        let l = layout();
+        for format in FORMATS {
+            // A cleared slot keeps its key but not its tag.
+            let mut leaf = ten_pair_leaf(&l);
+            leaf.entries[4].clear();
+            let miss = leaf.search(8, format);
+            assert_eq!((miss.entry, miss.compared), (None, 0), "{format:?}");
+            assert_eq!(leaf.entries[4].key, 8);
+            // An empty leaf holds key 0's bytes in every slot and matches none.
+            let empty = LeafNode::empty(&l, NodeHeader::new(true, 0, 0, u64::MAX));
+            let miss = empty.search(0, format);
+            assert_eq!((miss.entry, miss.compared), (None, 0), "{format:?}");
         }
     }
 
@@ -892,17 +987,17 @@ mod tests {
             // The new right half is sorted and densely packed from slot 0
             // (the paper sorts unsorted leaves before splitting, Figure 7).
             let in_slots = |n: &LeafNode| -> Vec<u64> {
-                n.entries.iter().filter(|e| e.present).map(|e| e.key).collect()
+                n.entries.iter().filter(|e| e.present()).map(|e| e.key).collect()
             };
             assert_eq!(in_slots(&right), right_keys);
-            assert!(right.entries[..right_keys.len()].iter().all(|e| e.present));
+            assert!(right.entries[..right_keys.len()].iter().all(|e| e.present()));
             // The left half is re-packed too when dense; otherwise its keys
             // stay in the slots they were in.
             if dense {
                 assert_eq!(in_slots(&left), left_keys);
-                assert!(left.entries[..left_keys.len()].iter().all(|e| e.present));
+                assert!(left.entries[..left_keys.len()].iter().all(|e| e.present()));
             } else {
-                for (slot, entry) in left.entries.iter().enumerate().filter(|(_, e)| e.present) {
+                for (slot, entry) in left.entries.iter().enumerate().filter(|(_, e)| e.present()) {
                     assert_eq!(leaf.entries[slot], *entry, "slot {slot} moved");
                 }
             }
@@ -935,8 +1030,8 @@ mod tests {
         assert_eq!(left.header.front_version, 1);
         assert!(left.header.versions_match());
         // Dense packing from slot 0.
-        assert!(left.entries[..5].iter().all(|e| e.present));
-        assert!(left.entries[5..].iter().all(|e| !e.present));
+        assert!(left.entries[..5].iter().all(|e| e.present()));
+        assert!(left.entries[5..].iter().all(|e| !e.present()));
     }
 
     #[test]
@@ -1145,7 +1240,7 @@ mod tests {
         for (slot, (b, a)) in before.entries.iter().zip(&after.entries).enumerate() {
             if l.encode_leaf_entry(b) == l.encode_leaf_entry(a) {
                 assert!(
-                    !a.present || !out.contains(&a.key),
+                    !a.present() || !out.contains(&a.key),
                     "slot {slot}: {a:?} should have moved"
                 );
                 continue;
@@ -1156,7 +1251,7 @@ mod tests {
                 (bumped, bumped),
                 "slot {slot}"
             );
-            match (b.present, a.present) {
+            match (b.present(), a.present()) {
                 (true, false) => {
                     assert!(out.contains(&b.key), "slot {slot}: {b:?} stays");
                     cleared.insert(b.key);

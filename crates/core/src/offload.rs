@@ -311,12 +311,19 @@ impl OffloadInterpreter {
         loop {
             // `buf` holds `addr`'s validated image.
             let leaf = self.layout.decode_leaf(&buf);
-            for e in &leaf.entries {
-                work.entries_scanned += 1;
-                if e.present && e.key >= start_key && e.versions_match() {
-                    entries.push((e.key, e.value));
-                }
+            work.entries_scanned += leaf.entries.len() as u32;
+            let needed = leaf
+                .entries
+                .iter()
+                .filter(|e| e.present() && e.key >= start_key);
+            if needed.clone().any(|e| !e.versions_match()) {
+                // An entry-granular write is in flight on a key the walk
+                // needs: end the walk before this leaf, as at a torn
+                // sibling, and let the client read it itself.
+                next = Some(addr);
+                break;
             }
+            entries.extend(needed.map(|e| (e.key, e.value)));
             leaves.push(Self::node_info(addr, &header));
             if entries.len() >= max_entries as usize {
                 next = header.sibling;

@@ -733,11 +733,12 @@ async fn lookup<B: FabricBackend>(
             let header = &leaf.header;
             let live = !header.free && header.is_leaf && header.covers(key);
             let search = live.then(|| leaf.search(key, cx.leaf_format()));
-            // The CPU of what the lookup read: the header and the slots up
-            // to the match, or the whole node a checksum validated.
+            // The CPU of what the lookup read: the header, the tags up to the
+            // match and the keys behind matching tags, or the whole node a
+            // checksum validated.
             cx.ctx().charge_scan(match cx.leaf_format() {
                 LeafFormat::SortedChecksum => buf.len(),
-                _ => layout.leaf_search_bytes(search.map_or(0, |s| s.scanned)),
+                _ => layout.leaf_search_bytes(&search.unwrap_or_default()),
             });
             let Some(search) = search else {
                 if header.free && matches!(source, LeafSource::Cache { .. }) {
@@ -780,6 +781,7 @@ async fn lookup<B: FabricBackend>(
 /// racing the walk shows up as a leaf that does not cover the frontier,
 /// never as a silently skipped key range.  Such a leaf is not consumed: the
 /// scan drops the cached image that named it and re-locates the frontier.
+/// Nor is a leaf with a torn entry the scan needs: it is read again.
 struct Scan {
     results: Vec<(u64, u64)>,
     /// Everything in `[start_key, frontier)` is collected.
@@ -791,23 +793,40 @@ struct Scan {
     exhausted: bool,
 }
 
+/// What [`Scan::take_leaf`] made of a leaf.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Take {
+    /// Collected from the frontier up; the frontier moved to its upper fence.
+    Consumed,
+    /// It covers the frontier, but a present entry at or past the frontier
+    /// is torn (an entry-granular write in flight): read the leaf again.
+    Torn,
+    /// Not the live leaf covering the frontier.
+    Mismatch,
+}
+
 impl Scan {
-    /// Consume `leaf` if it is live and covers the frontier: collect its
-    /// entries from the frontier up and advance to its upper fence.
-    fn take_leaf(&mut self, leaf: &LeafNode) -> bool {
+    /// Consume `leaf` if it is live, covers the frontier and holds no torn
+    /// entry from the frontier up: collect those entries and advance to its
+    /// upper fence.
+    fn take_leaf(&mut self, leaf: &LeafNode) -> Take {
         let header = &leaf.header;
         if header.free || !header.is_leaf || !header.covers(self.frontier) {
-            return false;
+            return Take::Mismatch;
         }
-        for e in &leaf.entries {
-            if e.present && e.key >= self.frontier && e.versions_match() {
-                self.results.push((e.key, e.value));
-            }
+        let frontier = self.frontier;
+        let needed = leaf
+            .entries
+            .iter()
+            .filter(|e| e.present() && e.key >= frontier);
+        if needed.clone().any(|e| !e.versions_match()) {
+            return Take::Torn;
         }
+        self.results.extend(needed.map(|e| (e.key, e.value)));
         self.frontier = header.fence_high;
         self.next = header.sibling;
         self.exhausted = header.sibling.is_none();
-        true
+        Take::Consumed
     }
 
     /// Read the leaves `addrs` a cached level-1 image (lower fence `route`)
@@ -816,7 +835,8 @@ impl Scan {
     /// leaf must cover the frontier and every next one must begin exactly
     /// where its predecessor ended.  Anything else stops the batch (the
     /// sibling chain takes over from the last verified leaf) and drops the
-    /// image.  A torn image is re-read individually.
+    /// image.  A torn image is re-read individually; a leaf with a torn entry
+    /// stops the batch and is read again by the chain walk, the image kept.
     async fn batch<B: FabricBackend>(
         &mut self,
         cx: &OpCx<'_, B>,
@@ -836,13 +856,22 @@ impl Scan {
                 false => layout.decode_leaf(&read_node(cx, meta, addr).await?),
             };
             let adjacent = idx == 0 || leaf.header.fence_low == self.frontier;
-            let consumed = adjacent && self.take_leaf(&leaf);
-            if consumed || !consistent {
+            let taken = match adjacent {
+                true => self.take_leaf(&leaf),
+                false => Take::Mismatch,
+            };
+            if taken == Take::Consumed || !consistent {
                 // A re-read leaf is charged whether consumed or not; an
                 // image of the batch not consumed is charged nothing.
                 cx.ctx().charge_scan(node_size);
             }
-            if !consumed {
+            if taken == Take::Torn {
+                meta.read_retries += 1;
+                cx.ctx().note_retries(1);
+                self.next = Some(addr);
+                return Ok(());
+            }
+            if taken == Take::Mismatch {
                 let cache = cx.cluster.cache(cx.cs_id);
                 if leaf.header.free {
                     // The fabric-delivered `Invalidate` may still be in
@@ -889,9 +918,12 @@ impl Scan {
 /// writers; each leaf is individually validated (see [`Scan`]).  Phase 1
 /// uses the cached level-1 node to read several target leaves with one
 /// parallel batch (§4.4), or offloads a cache-missed start; phase 2
-/// continues along sibling pointers.  A leaf the walk reads but cannot
-/// consume — a mismatch it hops past or re-locates from — spends one of
-/// `max_restarts`; running out fails the scan rather than truncating it.
+/// continues along sibling pointers.  A leaf with a torn entry the scan
+/// needs is read again, up to `max_read_retries` times, as a lookup re-reads
+/// a torn match.  A leaf the walk reads but cannot consume — a mismatch it
+/// hops past or re-locates from, or a leaf still torn after those re-reads —
+/// spends one of `max_restarts`; running out fails the scan rather than
+/// truncating it.
 async fn range<B: FabricBackend>(
     cx: &OpCx<'_, B>,
     meta: &mut OpMeta,
@@ -933,23 +965,33 @@ async fn range<B: FabricBackend>(
         }
     }
     let budget = cx.cluster.config().max_restarts;
+    let rereads = cx.cluster.config().max_read_retries;
     let mut missed = 0;
     while scan.results.len() < count && !scan.exhausted {
         let (mut addr, mut source) = match scan.next.take() {
             Some(sibling) => (sibling, LeafSource::Sibling),
             None => locate(cx, meta, scan.frontier).await?,
         };
+        let mut reads_left = rereads;
         loop {
             let buf = read_node(cx, meta, addr).await?;
             cx.ctx().charge_scan(buf.len());
             let leaf = layout.decode_leaf(&buf);
-            if scan.take_leaf(&leaf) {
-                break;
+            match scan.take_leaf(&leaf) {
+                Take::Consumed => break,
+                Take::Torn if reads_left > 1 => {
+                    reads_left -= 1;
+                    meta.read_retries += 1;
+                    cx.ctx().note_retries(1);
+                    continue;
+                }
+                Take::Torn | Take::Mismatch => reads_left = rereads,
             }
             // Not the leaf covering the frontier — tombstoned by a
             // concurrent merge (its entries moved into a left neighbour),
-            // rebalanced, or named by a stale route: drop the route, then
-            // hop right or re-locate the frontier.
+            // rebalanced, or named by a stale route — or a leaf still torn
+            // after its re-reads: drop the route, then hop right or
+            // re-locate the frontier.
             missed += 1;
             if missed > budget {
                 return Err(TreeError::RetriesExhausted {

@@ -58,10 +58,20 @@ pub struct FabricConfig {
     pub rpc_scan_ns_per_entry: u64,
     /// Virtual time charged for scanning one byte of a fetched node in client
     /// CPU.  The index layer charges each image for what its consumer reads of
-    /// it: a point lookup the header, the tail word and the leaf slots its
-    /// search examined (the whole node when a checksum validates it); a
-    /// traversal, a scan and every reader under a lock the whole node, which
-    /// they decode entry by entry; a split or merge the node it sorts.
+    /// it: a point lookup the header, the tail word, the key-tag byte of each
+    /// leaf slot its search examined, the key of each slot whose tag matched
+    /// and its match's value and versions (the whole node when a checksum
+    /// validates it); a traversal, a scan and every reader under a lock the
+    /// whole node, which they decode entry by entry; a split or merge the
+    /// node it sorts.
+    ///
+    /// The model charges bytes examined, not cache lines touched: a tag
+    /// inside each entry saves key compares, while the lines a search walks
+    /// are those of every slot up to its match.  A contiguous tag array at
+    /// the head of the leaf (FPTree's layout, one 64-byte line) would save
+    /// lines too, but it costs three of a 1 KB leaf's 50 slots (904 / 19 =
+    /// 47) and a second range per insert, outside the entry's version
+    /// bracket.
     pub cpu_ps_per_byte: u64,
 }
 

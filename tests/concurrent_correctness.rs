@@ -342,6 +342,8 @@ fn churn_under_scans<B: FabricBackend>(scan_pause_ns: u64) {
     client.quiesce_coherence();
     let (scan, _) = client.range(0, expect.len() + 10).expect("range");
     assert_eq!(scan, expect, "final state differs from the live windows");
+    // Every slot the churn wrote carries its key's tag.
+    assert_eq!(cluster.shape_audit().unwrap().mistagged_slots, 0);
 }
 
 /// Range scans running against concurrent inserts return sorted, de-duplicated

@@ -2,6 +2,7 @@
 //! and torn images must be handled gracefully, never silently corrupted.
 
 use sherman_repro::prelude::*;
+use sherman_repro::sherman_sim::GlobalAddress;
 use std::sync::Arc;
 use std::thread;
 
@@ -220,5 +221,98 @@ fn torn_node_images_are_never_returned() {
 
     // Repair the image; reads succeed again.
     cluster.fabric().god_write(leaf_addr, &front).unwrap();
+    assert_eq!(client.lookup(250).unwrap().0, Some(259));
+}
+
+/// The slot of `key` in the leaf at `leaf_addr` and the address of its front
+/// entry version.
+fn slot_of(cluster: &Cluster, leaf_addr: GlobalAddress, key: u64) -> (usize, GlobalAddress) {
+    let layout = *cluster.layout();
+    let mut image = vec![0u8; layout.node_size()];
+    cluster.fabric().god_read(leaf_addr, &mut image).unwrap();
+    let slot = layout
+        .decode_leaf(&image)
+        .slot_of(key)
+        .expect("key in leaf");
+    (slot, leaf_addr.add(layout.leaf_entry_offset(slot) as u64))
+}
+
+/// A range scan never passes over a live key whose entry it reads torn (an
+/// entry-granular write in flight; the simulator applies writes whole, so the
+/// entry is torn by hand here): it reads the leaf again, and with the entry
+/// torn for good it runs out of retries rather than return the range without
+/// the key.  Through a warm cache (the batched read) and a cold one (the
+/// chain walk, or the interpreter's walk when the scan is offloaded).
+#[test]
+fn a_range_scan_never_passes_over_a_torn_live_entry() {
+    for offload in [OffloadPolicy::Never, OffloadPolicy::Always] {
+        let mut config = ClusterConfig::small();
+        config.tree.max_read_retries = 4;
+        config.tree.max_restarts = 4;
+        let options = TreeOptions {
+            offload,
+            ..TreeOptions::sherman()
+        };
+        let cluster = Cluster::new(config, options);
+        cluster.bulkload((0..500u64).map(|k| (k, k + 9))).unwrap();
+        let mut client = cluster.client(0);
+        let cached = cluster
+            .cache(0)
+            .lookup_covering(250)
+            .expect("cached level-1");
+        let (_, front_at) = slot_of(&cluster, cached.child_for(250), 250);
+
+        // Tear key 250's entry: bump its front entry version only.
+        let mut front = [0u8; 1];
+        cluster.fabric().god_read(front_at, &mut front).unwrap();
+        let torn = [front[0].wrapping_add(1)];
+        cluster.fabric().god_write(front_at, &torn).unwrap();
+        for cold in [false, true] {
+            if cold {
+                cluster.cache(0).clear();
+            }
+            let result = client.range(245, 10);
+            assert!(
+                matches!(result, Err(TreeError::RetriesExhausted { .. })),
+                "{offload:?}, cold cache {cold}: a torn live entry must not be \
+                 skipped, got {result:?}"
+            );
+        }
+
+        // Repair the entry; the scan holds 250 again.
+        cluster.fabric().god_write(front_at, &front).unwrap();
+        let want: Vec<(u64, u64)> = (245..255).map(|k| (k, k + 9)).collect();
+        assert_eq!(client.range(245, 10).unwrap().0, want, "{offload:?}");
+    }
+}
+
+/// A slot whose stored key tag is not its key's is a key lookups pass over:
+/// the shape audit counts it, and a lookup of the key misses.
+#[test]
+fn the_audit_counts_a_mistagged_slot() {
+    let cluster = Cluster::new(ClusterConfig::small(), TreeOptions::sherman());
+    cluster.bulkload((0..500u64).map(|k| (k, k + 9))).unwrap();
+    assert_eq!(cluster.shape_audit().unwrap().mistagged_slots, 0);
+    let mut client = cluster.client(0);
+    assert_eq!(client.lookup(250).unwrap().0, Some(259));
+
+    let cached = cluster
+        .cache(0)
+        .lookup_covering(250)
+        .expect("cached level-1");
+    let (_, front_at) = slot_of(&cluster, cached.child_for(250), 250);
+    let tag_at = front_at.add(1);
+    let mut tag = [0u8; 1];
+    cluster.fabric().god_read(tag_at, &mut tag).unwrap();
+    // Another nonzero byte: the slot stays present.
+    let wrong = [tag[0] % 255 + 1];
+    cluster.fabric().god_write(tag_at, &wrong).unwrap();
+
+    assert_eq!(cluster.shape_audit().unwrap().mistagged_slots, 1);
+    assert_eq!(client.lookup(250).unwrap().0, None);
+    assert_eq!(client.lookup(251).unwrap().0, Some(260));
+
+    cluster.fabric().god_write(tag_at, &tag).unwrap();
+    assert_eq!(cluster.shape_audit().unwrap().mistagged_slots, 0);
     assert_eq!(client.lookup(250).unwrap().0, Some(259));
 }

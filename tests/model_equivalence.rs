@@ -119,6 +119,8 @@ fn check_churn_against_model(options: TreeOptions, window: u64, waves: u64) {
     let (scan, _) = client.range(0, window as usize + 10).expect("range");
     let expected: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(scan, expected);
+    // Every slot the churn wrote carries its key's tag.
+    assert_eq!(cluster.shape_audit().unwrap().mistagged_slots, 0);
 }
 
 #[test]

@@ -310,23 +310,35 @@ fn client_search(client: &mut TreeClient<Fabric>, key: u64) -> (Option<u64>, u64
 }
 
 /// Each of `keys` is looked up by a client (locally, the route cached) and
-/// by a `LeafSearch` RPC to the interpreter against the same leaf image: the
-/// answers agree, and the client is charged the CPU of the header, the tail
-/// word and exactly the slots the interpreter scanned.
+/// by a `LeafSearch` RPC to the interpreter against the same leaf image: both
+/// answer what the shared search of that image (`LeafNode::search`) finds,
+/// the interpreter is charged the slots it examined, and the client the CPU
+/// of what it read (`NodeLayout::leaf_search_bytes`: the slots' tags, the
+/// keys behind matching tags, the match's value and versions).
 fn assert_searches_agree(cluster: &Arc<Cluster<Fabric>>, keys: impl IntoIterator<Item = u64>) {
     let mut client = cluster.client(0);
     let fabric = FabricConfig::default();
+    let layout = *cluster.layout();
+    let mut image = vec![0; layout.node_size()];
     for key in keys {
         let addr = leaf_of(cluster, key);
         client.lookup(key).expect("warm the route");
+        cluster.fabric().god_read(addr, &mut image).unwrap();
+        let search = layout
+            .decode_leaf(&image)
+            .search(key, cluster.options().leaf_format);
         let (found, scanned) = rpc_search(cluster, addr, key);
         let (value, cpu_ns) = client_search(&mut client, key);
-        let read = cluster.layout().leaf_search_bytes(scanned as usize);
-        assert_eq!(value, found, "lookup({key})");
+        assert_eq!(
+            (value, found),
+            (search.value(), search.value()),
+            "lookup({key})"
+        );
+        assert_eq!(scanned as usize, search.scanned, "lookup({key})");
         assert_eq!(
             cpu_ns,
-            fabric.cpu_scan_ns(read),
-            "lookup({key}) scanned {scanned}"
+            fabric.cpu_scan_ns(layout.leaf_search_bytes(&search)),
+            "lookup({key}): {search:?}"
         );
     }
 }

@@ -375,3 +375,106 @@ fn a_present_slot_past_count_is_no_key_of_a_sorted_leaf() {
     assert_eq!(rpc_search(&cluster, addr, key), (None, count as u32));
     assert_searches_agree(&cluster, [key]);
 }
+
+/// One client on the simulator, 256 B nodes, every cached route dropped
+/// before each of four waves: point lookups, 50-entry scans, inserts of new
+/// keys and a block of deletes dense enough to merge leaves.  Covers what
+/// the bench pins' cold lookups do not: `LeafRange` replies and writes whose
+/// leaf an RPC located, and it counts declines and stale rejects (none: a
+/// lone client on the simulator races no writer).  Returns what the run
+/// cost and what the placement did, as one line.
+fn offload_mix(policy: OffloadPolicy) -> String {
+    let n = 12_000u64;
+    let (cluster, mut model) = loaded_cluster::<Fabric>(policy, n);
+    let mut client = cluster.client(0);
+    let (mut elapsed_ns, mut latency_ns, mut ops) = (0, 0, 0);
+    let mut stats = sherman_sim::ClientStats::default();
+    for wave in 0..4u64 {
+        chill(&cluster);
+        let mut batch = Vec::new();
+        let mut deleted = wave * 600;
+        for i in 0..160u64 {
+            let x = i.wrapping_mul(2_654_435_761) ^ (wave << 20);
+            batch.push(match i % 8 {
+                0 | 3 | 6 => PipelineOp::Lookup { key: x % (n * 3) },
+                1 => PipelineOp::Range {
+                    start_key: x % (n * 3),
+                    count: 50,
+                },
+                4 => PipelineOp::Insert {
+                    key: (x % n) * 3 + 1,
+                    value: wave * 1_000 + i,
+                },
+                // A dense block per wave: enough deletes to empty leaves.
+                _ => {
+                    deleted += 1;
+                    PipelineOp::Delete { key: deleted * 3 }
+                }
+            });
+        }
+        let report = client.run_pipelined(batch, 1).expect("pipelined run");
+        for r in &report.results {
+            match (&r.op, &r.output) {
+                (PipelineOp::Insert { key, value }, _) => {
+                    model.insert(*key, *value);
+                }
+                (PipelineOp::Delete { key }, OpOutput::Delete(found)) => {
+                    assert_eq!(*found, model.remove(key).is_some(), "delete({key})");
+                }
+                (PipelineOp::Lookup { key }, OpOutput::Lookup(v)) => {
+                    assert_eq!(*v, model.get(key).copied(), "lookup({key})");
+                }
+                (PipelineOp::Range { start_key, count }, OpOutput::Range(scan)) => {
+                    let expect: Vec<(u64, u64)> = model
+                        .range(*start_key..)
+                        .take(*count)
+                        .map(|(&k, &v)| (k, v))
+                        .collect();
+                    assert_eq!(*scan, expect, "range({start_key})");
+                }
+                other => panic!("mismatched op/output {other:?}"),
+            }
+            latency_ns += r.latency_ns;
+            ops += 1;
+        }
+        elapsed_ns += report.elapsed_ns;
+        stats.merge(&report.stats);
+    }
+    assert!(
+        cluster.space_stats().leaf_merges > 0,
+        "the deletes must merge leaves"
+    );
+    let g = cluster.offload_stats();
+    format!(
+        "elapsed_ns={elapsed_ns} mean_ns={} round_trips={} rpcs={} bytes_read={} \
+         bytes_written={} offloaded={} wins={} losses={} declined={} stale_rejects={}",
+        latency_ns / ops,
+        stats.round_trips,
+        stats.rpcs,
+        stats.bytes_read,
+        stats.bytes_written,
+        g.offloaded,
+        g.wins,
+        g.losses,
+        g.declined,
+        g.stale_rejects,
+    )
+}
+
+/// What the offload mix cost under each policy that posts index RPCs,
+/// exactly: one simulator client repeats bit for bit, so a change to how
+/// an RPC is carried, served or charged that moves any of these numbers is
+/// a change of behaviour, not of structure.
+#[test]
+fn offload_mix_costs_exactly_what_it_did() {
+    assert_eq!(
+        offload_mix(OffloadPolicy::Always),
+        "elapsed_ns=4385315 mean_ns=6852 round_trips=1257 rpcs=403 bytes_read=119040 \
+         bytes_written=17598 offloaded=403 wins=403 losses=0 declined=0 stale_rejects=0"
+    );
+    assert_eq!(
+        offload_mix(OffloadPolicy::Adaptive),
+        "elapsed_ns=4031452 mean_ns=6299 round_trips=1613 rpcs=227 bytes_read=255488 \
+         bytes_written=17598 offloaded=227 wins=227 losses=0 declined=0 stale_rejects=0"
+    );
+}

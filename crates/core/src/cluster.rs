@@ -121,14 +121,6 @@ impl<B: FabricBackend> Cluster<B> {
         let offload = (0..config.fabric.compute_servers)
             .map(|_| OffloadCounters::default())
             .collect();
-        // The memory-side traversal interpreter is always registered —
-        // whether it runs is a per-client placement decision
-        // (`TreeOptions::offload`); under `Never` no index RPC is ever
-        // posted, so registration alone changes nothing.
-        fabric.set_rpc_handler(Arc::new(crate::offload::OffloadInterpreter::new(
-            layout,
-            options.leaf_format,
-        )));
         Arc::new(Cluster {
             fabric,
             pool,
@@ -517,8 +509,8 @@ impl<B: FabricBackend> Cluster<B> {
     }
 
     /// Node-level consistency check on a node image: version pair, or
-    /// checksum for the FG baseline layout.  The read path's state machines
-    /// and the shape audit share this single dispatch.
+    /// checksum for the FG baseline layout.  The read path, the offload
+    /// interpreter and the shape audit share this single dispatch.
     pub(crate) fn node_image_ok(&self, buf: &[u8]) -> bool {
         match self.options.leaf_format {
             crate::config::LeafFormat::SortedChecksum => self.layout.checksum_matches(buf),

@@ -84,6 +84,7 @@ pub use config::{LeafFormat, LockStrategy, OffloadPolicy, TreeConfig, TreeOption
 pub use error::TreeError;
 pub use layout::NodeLayout;
 pub use node::{InternalEntry, InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
+pub use offload::{RpcDecline, RpcLeafReply, RpcNodeInfo, RpcRangeReply, RpcRequest, RpcResponse};
 pub use ops::OpOutput;
 pub use scheduler::{overlap_from_stats, PipelineOp, PipelineReport, PipelinedResult};
 pub use stats::OpStats;

@@ -236,6 +236,21 @@ impl LeafNode {
         }
     }
 
+    /// What a scan takes from this leaf from `from` up: the present entries
+    /// holding a key at or past `from`, as `(key, value)` in slot order — or
+    /// `None` when any of them is torn (an entry-granular write in flight),
+    /// and the leaf must be read again.
+    pub fn entries_from(&self, from: u64) -> Option<impl Iterator<Item = (u64, u64)> + '_> {
+        let needed = self
+            .entries
+            .iter()
+            .filter(move |e| e.present() && e.key >= from);
+        if needed.clone().any(|e| !e.versions_match()) {
+            return None;
+        }
+        Some(needed.map(|e| (e.key, e.value)))
+    }
+
     /// All live `(key, value)` pairs in ascending key order.
     pub fn sorted_pairs(&self) -> Vec<(u64, u64)> {
         let mut pairs: Vec<(u64, u64)> = self

@@ -54,14 +54,12 @@ use crate::commit::Followup;
 use crate::config::{LeafFormat, OffloadPolicy};
 use crate::error::TreeError;
 use crate::node::{InternalNode, LeafNode, NodeHeader};
+use crate::offload::{RpcLeafReply, RpcNodeInfo, RpcRangeReply, RpcRequest, RpcResponse};
 use crate::scheduler::PipelineOp;
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
 use sherman_memserver::ServerLayout;
-use sherman_sim::{
-    FabricBackend, GlobalAddress, PendingVerb, RpcLeafReply, RpcLevel1Image, RpcNodeInfo,
-    RpcRangeReply, RpcRequest, RpcResponse,
-};
+use sherman_sim::{FabricBackend, GlobalAddress, PendingVerb};
 use std::sync::Arc;
 
 pub(crate) use crate::exec::OpCx;
@@ -411,47 +409,39 @@ fn admit<B: FabricBackend>(cx: &OpCx<'_, B>, info: &RpcNodeInfo) -> bool {
     true
 }
 
-/// Offer the cache a level-1 image the server's walk passed through, as a
-/// local traversal reading that node would have.
-fn warm_level1<B: FabricBackend>(cx: &OpCx<'_, B>, img: &RpcLevel1Image) {
-    if img.info.level != 1 {
-        return;
+/// Offer the cache the level-1 image a server's walk passed through, if
+/// any, as a local traversal reading that node would have.
+fn warm_level1<B: FabricBackend>(cx: &OpCx<'_, B>, level1: &mut Option<CachedInternal>) {
+    if let Some(img) = level1.take() {
+        cx.cluster.cache(cx.cs_id).insert_level1(img);
     }
-    cx.cluster.cache(cx.cs_id).insert_level1(CachedInternal {
-        addr: img.info.addr,
-        fence_low: img.info.fence_low,
-        fence_high: img.info.fence_high,
-        level: img.info.level,
-        version: img.info.version,
-        leftmost: img.leftmost,
-        children: img
-            .children
-            .iter()
-            .map(|&(separator, child)| ChildRef { separator, child })
-            .collect(),
-    });
 }
 
-/// One offloaded traversal step: post the typed RPC, wait, then validate
-/// the reply against the local tombstone admission floor before anyone
-/// trusts it.  The server's answer is a *hint* — a reply carrying a node
-/// image at or below a recorded tombstone version is a freed/recycled node
-/// and is rejected here, exactly the admission rule the index cache applies
-/// to its own fills.  Validated level-1 images are offered to the cache (the
-/// offer re-checks the floor internally).
+/// One offloaded traversal step: post the RPC, with the interpreter
+/// ([`crate::Cluster::serve_rpc`]) as its server-side work, wait, then
+/// validate the reply against the local tombstone admission floor before
+/// anyone trusts it.  The server's answer is a *hint* — a reply carrying a
+/// node image at or below a recorded tombstone version is a freed/recycled
+/// node and is rejected here, exactly the admission rule the index cache
+/// applies to its own fills.  Validated level-1 images are offered to the
+/// cache (the offer re-checks the floor internally).
 async fn offload<B: FabricBackend>(
     cx: &OpCx<'_, B>,
     req: RpcRequest,
 ) -> TreeResult<OffloadOutcome> {
-    let token = cx.ctx().post_index_rpc(&req)?;
+    let (token, response) = cx.ctx().post_rpc(req.home_ms(), req.wire_bytes(), || {
+        let response = cx.cluster.serve_rpc(&req);
+        let served = response.served();
+        (response, served)
+    })?;
     let c = cx.wait(token).await;
     // Feed the observed round trip — queueing at the home server's wimpy
     // core included — back into the placement estimator.
     cx.cluster
         .offload_counters(cx.cs_id)
         .observe_rpc_ns(c.completed_at.saturating_sub(c.posted_at));
-    Ok(match c.result.into_rpc() {
-        RpcResponse::Leaf(reply) => {
+    Ok(match response {
+        RpcResponse::Leaf(mut reply) => {
             if !admit(cx, &reply.leaf) {
                 // Scrub any cached route to the rejected address too: the
                 // server just proved something lives there that our floor
@@ -459,21 +449,17 @@ async fn offload<B: FabricBackend>(
                 cx.cluster.cache(cx.cs_id).invalidate_addr(reply.leaf.addr);
                 OffloadOutcome::Fallback
             } else {
-                if let Some(img) = &reply.level1 {
-                    warm_level1(cx, img);
-                }
+                warm_level1(cx, &mut reply.level1);
                 OffloadOutcome::Leaf(reply)
             }
         }
-        RpcResponse::Range(reply) => {
+        RpcResponse::Range(mut reply) => {
             // Every scanned leaf must pass the floor before any of the
             // collected entries are accepted.
             if reply.leaves.iter().any(|l| !admit(cx, l)) {
                 OffloadOutcome::Fallback
             } else {
-                if let Some(img) = &reply.level1 {
-                    warm_level1(cx, img);
-                }
+                warm_level1(cx, &mut reply.level1);
                 OffloadOutcome::Range(reply)
             }
         }
@@ -481,7 +467,6 @@ async fn offload<B: FabricBackend>(
             cx.cluster.offload_counters(cx.cs_id).declined.inc();
             OffloadOutcome::Fallback
         }
-        RpcResponse::Ack => OffloadOutcome::Fallback,
     })
 }
 
@@ -814,15 +799,10 @@ impl Scan {
         if header.free || !header.is_leaf || !header.covers(self.frontier) {
             return Take::Mismatch;
         }
-        let frontier = self.frontier;
-        let needed = leaf
-            .entries
-            .iter()
-            .filter(|e| e.present() && e.key >= frontier);
-        if needed.clone().any(|e| !e.versions_match()) {
+        let Some(needed) = leaf.entries_from(self.frontier) else {
             return Take::Torn;
-        }
-        self.results.extend(needed.map(|e| (e.key, e.value)));
+        };
+        self.results.extend(needed);
         self.frontier = header.fence_high;
         self.next = header.sibling;
         self.exhausted = header.sibling.is_none();
@@ -893,9 +873,7 @@ impl Scan {
         let mut frontier = Some(self.frontier);
         for info in &reply.leaves {
             frontier = frontier
-                .filter(|&f| {
-                    info.fence_low <= f && (info.fence_high == u64::MAX || f < info.fence_high)
-                })
+                .filter(|&f| info.covers(f))
                 .map(|_| info.fence_high);
         }
         let counters = cx.cluster.offload_counters(cx.cs_id);

@@ -36,7 +36,7 @@ use crate::client::{CasResult, ClientCtx, WriteCmd};
 use crate::coherence::CoherenceHub;
 use crate::config::FabricConfig;
 use crate::metrics::FabricMetrics;
-use crate::rpc::{RpcHandler, RpcHandlerSlot, RpcWork};
+use crate::rpc::RpcServed;
 use crate::server::{server_of, AtomicOp, MemServerSim};
 use crate::SimResult;
 use std::fmt;
@@ -132,19 +132,18 @@ pub trait FabricChannel: Send + 'static {
         buf: &mut [u8],
     ) -> SimResult<(VerbWindow, CasResult)>;
 
-    /// The fabric cost of one two-sided RPC to memory server `ms` (the
-    /// request handling itself happens synchronously in the caller — see
-    /// [`crate::RpcHandler`]).  `work` is the server-side compute the
-    /// interpreter reported; the simulator charges
-    /// [`FabricConfig::rpc_cost_ns`] for it on the server's inbound port,
-    /// the threaded backend pays real elapsed time instead.
-    fn rpc(
+    /// One two-sided RPC of `request_bytes` to memory server `ms`: runs
+    /// `serve`, the caller's server-side work, inside the verb's window and
+    /// charges the exchange from the response size and work it reports.  An
+    /// unknown server rejects the call before `serve` runs.  The simulator
+    /// charges [`FabricConfig::rpc_cost_ns`] on the server's inbound port;
+    /// on the threaded backend the window brackets `serve`'s real time.
+    fn rpc<R>(
         &mut self,
         ms: u16,
         request_bytes: usize,
-        response_bytes: usize,
-        work: RpcWork,
-    ) -> SimResult<VerbWindow>;
+        serve: impl FnOnce() -> (R, RpcServed),
+    ) -> SimResult<(VerbWindow, R, RpcServed)>;
 
     /// The send-side cost of one one-way coherence message of `wire_bytes`.
     /// `completed_at` of the returned window is the message's **delivery**
@@ -177,7 +176,7 @@ pub trait FabricChannel: Send + 'static {
 }
 
 /// The state every fabric backend holds in common: configuration, memory
-/// servers, coherence inboxes, global metrics and the RPC interpreter slot.
+/// servers, coherence inboxes and global metrics.
 /// Each backend adds only its notion of time (the simulator's clock and
 /// compute-server ports, the threaded backend's epoch).
 #[derive(Debug)]
@@ -186,7 +185,6 @@ pub struct FabricState {
     servers: Vec<Arc<MemServerSim>>,
     coherence: CoherenceHub,
     metrics: FabricMetrics,
-    rpc_handler: RpcHandlerSlot,
 }
 
 impl FabricState {
@@ -206,7 +204,6 @@ impl FabricState {
                 .collect(),
             coherence: CoherenceHub::new(config.compute_servers),
             metrics: FabricMetrics::default(),
-            rpc_handler: RpcHandlerSlot::new(),
             config,
         }
     }
@@ -281,26 +278,9 @@ pub trait FabricBackend: fmt::Debug + Send + Sync + 'static {
         server_of(self.servers(), ms)
     }
 
-    /// All memory servers, in id order.  The RPC interpreter receives this
-    /// slice: node pointers round-robin across servers, so an offloaded
-    /// traversal started on one server follows children onto its siblings'
-    /// regions (modeling a memory-side compute pool).
+    /// All memory servers, in id order.
     fn servers(&self) -> &[Arc<MemServerSim>] {
         &self.state().servers
-    }
-
-    /// Register the server-side RPC interpreter (see [`crate::RpcHandler`]).
-    /// The index crate installs its bounded traversal interpreter here at
-    /// cluster bootstrap; without one, typed RPCs answer
-    /// [`crate::RpcResponse::Declined`] with
-    /// [`crate::RpcDecline::NoHandler`].
-    fn set_rpc_handler(&self, handler: Arc<dyn RpcHandler>) {
-        self.state().rpc_handler.set(handler);
-    }
-
-    /// The registered RPC interpreter, if any.
-    fn rpc_handler(&self) -> Option<Arc<dyn RpcHandler>> {
-        self.state().rpc_handler.get()
     }
 
     /// Number of memory servers.

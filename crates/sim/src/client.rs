@@ -2,8 +2,9 @@
 //!
 //! A [`ClientCtx`] exposes the one-sided verb set Sherman relies on, plus the
 //! two doorbell batches used by the command-combination technique (§4.5) —
-//! the write list at the tail of a write, CAS+READ at its head — and a
-//! two-sided RPC used only for chunk allocation (§4.2.4).
+//! the write list at the tail of a write, CAS+READ at its head — and one
+//! two-sided RPC verb, whose server-side work the caller supplies (chunk
+//! allocation, §4.2.4, reports none).
 //!
 //! The context is generic over a [`FabricChannel`] — the per-backend verb
 //! executor (see [`crate::channel`]).  The channel fixes each verb's
@@ -60,7 +61,7 @@ use crate::addr::{GlobalAddress, MemSpace};
 use crate::channel::{FabricBackend, FabricChannel, VerbWindow};
 use crate::coherence::CoherenceMsg;
 use crate::fabric::SimChannel;
-use crate::rpc::{RpcDecline, RpcRequest, RpcResponse, RpcWork};
+use crate::rpc::{RpcServed, RpcWork};
 use crate::server::AtomicOp;
 use crate::SimResult;
 use std::collections::HashMap;
@@ -257,9 +258,9 @@ pub enum VerbResult {
     CasRead(CasResult, Vec<u8>),
     /// Previous value returned by a `post_faa`.
     Faa(u64),
-    /// A two-sided RPC round trip carrying the server's typed response
-    /// (control RPCs complete as [`RpcResponse::Ack`]).
-    Rpc(RpcResponse),
+    /// A two-sided RPC round trip; what the server answered, the poster got
+    /// from [`ClientCtx::post_rpc`].
+    Rpc,
     /// A [`ClientCtx::post_wait`] fired or was woken: no verb, no payload.
     Wait,
 }
@@ -286,17 +287,6 @@ impl VerbResult {
         match self {
             VerbResult::ReadBatch(bufs) => bufs,
             other => panic!("expected a read-batch completion, got {other:?}"),
-        }
-    }
-
-    /// Unwrap an RPC completion's typed response.
-    ///
-    /// # Panics
-    /// Panics when the completion is not a [`VerbResult::Rpc`].
-    pub fn into_rpc(self) -> RpcResponse {
-        match self {
-            VerbResult::Rpc(resp) => resp,
-            other => panic!("expected an RPC completion, got {other:?}"),
         }
     }
 
@@ -1059,68 +1049,47 @@ impl<C: FabricChannel> ClientCtx<C> {
     }
 
     // ------------------------------------------------------------------
-    // Two-sided RPC (control path only)
+    // Two-sided RPC
     // ------------------------------------------------------------------
 
-    /// Post the fabric cost of a two-sided RPC to memory server `ms`.  The
-    /// actual request handling is performed synchronously by the caller (see
-    /// `sherman-memserver`), which keeps the wimpy MS management core off the
-    /// simulated data path.
-    pub fn post_rpc(
+    /// Post a two-sided RPC of `request_bytes` to memory server `ms`.
+    ///
+    /// `serve` is the server's side of the call: it runs at post time,
+    /// inside the verb's window, the way a one-sided verb applies its memory
+    /// effect, and returns its answer with what that answer cost
+    /// ([`RpcServed`]); the fabric charges the exchange from those figures
+    /// ([`crate::FabricConfig::rpc_cost_ns`]).  The answer comes back here,
+    /// with the token; the completion is an op-tagged [`VerbResult::Rpc`],
+    /// so an RPC pipelines and attributes like every other verb.  An unknown
+    /// server rejects the call before `serve` runs.
+    pub fn post_rpc<R>(
         &mut self,
         ms: u16,
         request_bytes: usize,
-        response_bytes: usize,
-    ) -> SimResult<PendingVerb> {
-        let window = self
-            .chan
-            .rpc(ms, request_bytes, response_bytes, RpcWork::NONE)?;
-        self.account_rpc(request_bytes as u64, response_bytes as u64);
-        Ok(self.enqueue(window, VerbResult::Rpc(RpcResponse::Ack)))
+        serve: impl FnOnce() -> (R, RpcServed),
+    ) -> SimResult<(PendingVerb, R)> {
+        let (window, reply, served) = self.chan.rpc(ms, request_bytes, serve)?;
+        self.account_rpc(request_bytes as u64, served.response_bytes as u64);
+        Ok((self.enqueue(window, VerbResult::Rpc), reply))
     }
 
-    /// Blocking two-sided RPC round trip (post + poll).
+    /// Blocking two-sided RPC round trip (post + poll) with no server-side
+    /// work to report: the control path (chunk allocation), whose request
+    /// the caller handles itself, which keeps the wimpy MS management core
+    /// off the simulated data path.
     pub fn rpc_round_trip(
         &mut self,
         ms: u16,
         request_bytes: usize,
         response_bytes: usize,
     ) -> SimResult<()> {
-        let token = self.post_rpc(ms, request_bytes, response_bytes)?;
+        let served = RpcServed {
+            response_bytes,
+            work: RpcWork::NONE,
+        };
+        let (token, ()) = self.post_rpc(ms, request_bytes, || ((), served))?;
         self.poll_token(token);
         Ok(())
-    }
-
-    /// Post a typed index RPC (offloaded traversal / leaf search / leaf
-    /// range, see [`RpcRequest`]) to the request's home memory server.
-    ///
-    /// The backend's registered [`RpcHandler`](crate::RpcHandler) interprets
-    /// the request synchronously against the shared memory-server state —
-    /// under the same word-atomic access rules as one-sided verbs — and the
-    /// fabric charge scales with the work it reports
-    /// ([`crate::FabricConfig::rpc_cost_ns`]).  The completion carries the
-    /// typed [`RpcResponse`] and is op-tagged like every other verb, so
-    /// offloaded steps pipeline and attribute exactly like one-sided reads.
-    /// Without a registered handler the RPC completes as
-    /// [`RpcResponse::Declined`] with [`RpcDecline::NoHandler`] at flat cost.
-    pub fn post_index_rpc(&mut self, req: &RpcRequest) -> SimResult<PendingVerb> {
-        let backend = Arc::clone(self.chan.backend());
-        let ms = req.home_ms();
-        backend.server(ms)?;
-        let response = match backend.rpc_handler() {
-            Some(handler) => handler.handle(backend.servers(), ms, req),
-            None => RpcResponse::Declined {
-                reason: RpcDecline::NoHandler,
-                work: RpcWork::NONE,
-            },
-        };
-        let request_bytes = req.wire_bytes();
-        let response_bytes = response.wire_bytes();
-        let window = self
-            .chan
-            .rpc(ms, request_bytes, response_bytes, response.work())?;
-        self.account_rpc(request_bytes as u64, response_bytes as u64);
-        Ok(self.enqueue(window, VerbResult::Rpc(response)))
     }
 }
 
@@ -1446,59 +1415,34 @@ mod tests {
         assert_eq!(client.stats().rpcs, 1);
     }
 
-    /// Stub interpreter: answers every request as declined after pretending
-    /// to step a fixed number of levels.
-    #[derive(Debug)]
-    struct FixedWorkHandler(u32);
-
-    impl crate::rpc::RpcHandler for FixedWorkHandler {
-        fn handle(
-            &self,
-            servers: &[Arc<crate::server::MemServerSim>],
-            home_ms: u16,
-            _req: &RpcRequest,
-        ) -> RpcResponse {
-            assert!(!servers.is_empty());
-            assert!((home_ms as usize) < servers.len());
-            RpcResponse::Declined {
-                reason: RpcDecline::BudgetExhausted,
-                work: RpcWork {
-                    levels_stepped: self.0,
-                    entries_scanned: 0,
-                },
-            }
-        }
+    /// Post an RPC of a 24-byte request whose server-side work reports
+    /// `levels` stepped levels and a 16-byte response.
+    fn post_worked_rpc<C: FabricChannel>(client: &mut ClientCtx<C>, levels: u32) -> PendingVerb {
+        let served = RpcServed {
+            response_bytes: 16,
+            work: RpcWork {
+                levels_stepped: levels,
+                entries_scanned: 0,
+            },
+        };
+        client.post_rpc(0, 24, || ((), served)).unwrap().0
     }
 
     #[test]
     fn index_rpc_cost_scales_with_reported_server_work() {
         let fabric = test_fabric();
-        let req = RpcRequest::LeafSearch {
-            leaf_addr: GlobalAddress::host(0, 4096),
-            key: 7,
-        };
-
         let mut client = fabric.client(0);
-        // No handler registered: declined at flat cost.
+        // No work reported: the flat cost.
         let t0 = client.now();
-        let token = client.post_index_rpc(&req).unwrap();
-        let resp = client.poll_token(token).result.into_rpc();
-        assert_eq!(
-            resp,
-            RpcResponse::Declined {
-                reason: RpcDecline::NoHandler,
-                work: RpcWork::NONE,
-            }
-        );
+        let token = post_worked_rpc(&mut client, 0);
+        client.poll_token(token);
         let flat = client.now() - t0;
 
-        fabric.set_rpc_handler(Arc::new(FixedWorkHandler(6)));
         let t1 = client.now();
-        let token = client.post_index_rpc(&req).unwrap();
-        let resp = client.poll_token(token).result.into_rpc();
-        assert!(matches!(resp, RpcResponse::Declined { work, .. } if work.levels_stepped == 6));
+        let token = post_worked_rpc(&mut client, 6);
+        client.poll_token(token);
         let worked = client.now() - t1;
-        // Six stepped levels must charge visibly more than the flat decline.
+        // Six stepped levels must charge visibly more than the flat call.
         assert!(
             worked >= flat + 6 * fabric.config().rpc_step_ns,
             "worked={worked} flat={flat}"
@@ -1509,23 +1453,50 @@ mod tests {
     #[test]
     fn index_rpc_completions_are_op_tagged() {
         let fabric = test_fabric();
-        fabric.set_rpc_handler(Arc::new(FixedWorkHandler(2)));
         let mut client = fabric.client(0);
         client.set_current_op(Some(41));
-        let req = RpcRequest::LeafSearch {
-            leaf_addr: GlobalAddress::host(0, 0),
-            key: 1,
-        };
-        let token = client.post_index_rpc(&req).unwrap();
+        let token = post_worked_rpc(&mut client, 2);
         assert_eq!(token.op(), Some(41));
         let completion = client.poll_token(token);
-        assert!(matches!(completion.result, VerbResult::Rpc(_)));
+        assert!(matches!(completion.result, VerbResult::Rpc));
         let ops = client.take_op_stats(41);
         assert_eq!(ops.rpcs, 1);
         assert_eq!(ops.round_trips, 1);
-        assert_eq!(ops.bytes_written, req.wire_bytes() as u64);
+        assert_eq!(ops.bytes_written, 24);
         assert!(ops.bytes_read >= 16);
         assert!(ops.verb_ns > 0);
+    }
+
+    /// The window of an RPC whose server-side work spins for `spin`.
+    fn spinning_rpc_window<B: FabricBackend>(spin: std::time::Duration) -> u64 {
+        let fabric = B::build(FabricConfig::small_test());
+        let mut client = fabric.client(0);
+        let served = RpcServed {
+            response_bytes: 16,
+            work: RpcWork::NONE,
+        };
+        let (token, ()) = client
+            .post_rpc(0, 24, || {
+                let start = std::time::Instant::now();
+                while start.elapsed() < spin {
+                    std::hint::spin_loop();
+                }
+                ((), served)
+            })
+            .unwrap();
+        let c = client.poll_token(token);
+        c.completed_at - c.posted_at
+    }
+
+    #[test]
+    fn an_rpc_window_holds_its_server_side_work() {
+        let spin = std::time::Duration::from_millis(2);
+        // Real time: the window brackets the work.
+        let threaded = spinning_rpc_window::<crate::ThreadedFabric>(spin);
+        assert!(threaded >= 2_000_000, "threaded window {threaded} ns");
+        // Virtual time: the work costs what it reports, not what it took.
+        let modeled = spinning_rpc_window::<Fabric>(std::time::Duration::ZERO);
+        assert_eq!(spinning_rpc_window::<Fabric>(spin), modeled);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::client::{CasResult, WriteCmd};
 use crate::clock::{Participant, VirtualClock};
 use crate::config::FabricConfig;
 use crate::nic::NicPort;
-use crate::rpc::RpcWork;
+use crate::rpc::RpcServed;
 use crate::server::{AtomicOp, AtomicUnit, MemServerSim};
 use crate::{SimError, SimResult};
 use std::fmt;
@@ -251,20 +251,23 @@ impl FabricChannel for SimChannel {
         Ok((self.response(read_done), outcome))
     }
 
-    fn rpc(
+    fn rpc<R>(
         &mut self,
         ms: u16,
         request_bytes: usize,
-        response_bytes: usize,
-        work: RpcWork,
-    ) -> SimResult<VerbWindow> {
+        serve: impl FnOnce() -> (R, RpcServed),
+    ) -> SimResult<(VerbWindow, R, RpcServed)> {
         let server = self.fabric.server(ms)?;
+        // The server-side work takes no virtual time of its own: what it
+        // costs is the service charge it reports.
+        let (reply, served) = serve();
         let arrival = self.request_path(request_bytes);
-        // The wimpy core's service time scales with the index work the
-        // interpreter performed: base dispatch + per-level + per-entry.
-        let service =
-            self.nic(request_bytes.max(response_bytes)) + self.fabric.config().rpc_cost_ns(work);
-        Ok(self.response(server.inbound.serve(arrival, service)))
+        // The wimpy core's service time scales with the work reported:
+        // base dispatch + per-level + per-entry.
+        let service = self.nic(request_bytes.max(served.response_bytes))
+            + self.fabric.config().rpc_cost_ns(served.work);
+        let window = self.response(server.inbound.serve(arrival, service));
+        Ok((window, reply, served))
     }
 
     fn coherence_send(&mut self, wire_bytes: usize) -> VerbWindow {

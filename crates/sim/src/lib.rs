@@ -61,10 +61,7 @@ pub use config::FabricConfig;
 pub use fabric::{Fabric, SimChannel};
 pub use metrics::FabricMetrics;
 pub use region::Region;
-pub use rpc::{
-    RpcDecline, RpcHandler, RpcHandlerSlot, RpcLeafReply, RpcLevel1Image, RpcNodeInfo,
-    RpcRangeReply, RpcRequest, RpcResponse, RpcWork,
-};
+pub use rpc::{RpcServed, RpcWork};
 pub use server::{AtomicOp, MemServerSim};
 pub use threaded::{ThreadedChannel, ThreadedFabric};
 

@@ -1,38 +1,27 @@
-//! Typed two-sided RPCs: server-side compute over the fabric.
+//! The fabric's one two-sided verb: what a call to a memory server's CPU
+//! costs.
 //!
-//! The fabric's original `rpc` verb modeled only the *cost* of a two-sided
-//! round trip (NIC serialization plus a flat CPU service time); the payload
-//! was a black box.  This module gives the verb a real payload: a
-//! [`RpcRequest`] describing a **bounded index traversal step** that the
-//! memory server executes against its own [`MemServerSim`] state, and a
-//! [`RpcResponse`] carrying the result back (FlexKV-style index offloading /
-//! Outback-style RPC indexing — the memory side does O(depth) work locally so
-//! a cold lookup costs O(1) fabric round trips).
-//!
-//! The substrate stays index-agnostic: it does not know how tree nodes are
-//! laid out.  The index crate registers an [`RpcHandler`] — the bounded
-//! interpreter — on the backend ([`crate::FabricBackend::set_rpc_handler`]),
-//! and the client context executes it against the shared server state at post
-//! time, exactly where one-sided verbs apply their memory effects.  Both
-//! backends therefore run the *same* interpreter under the same word-atomic
-//! rules: server images are read through [`crate::Region`]'s relaxed
-//! word-by-word loads, so a handler racing a real writer (threaded backend)
+//! Sherman's memory servers do no index work; the paper's only two-sided
+//! call is chunk allocation (§4.2.4).  The substrate therefore knows nothing
+//! about what a call asks for or answers: [`crate::ClientCtx::post_rpc`]
+//! takes the request's wire size and the caller's server-side work as a
+//! closure, runs that work inside the verb's window — the way a one-sided
+//! verb applies its memory effect at post time — and charges the exchange
+//! from what the work reports back ([`RpcServed`]).  A caller that models
+//! memory-side compute (the index crate's offloaded traversal) reads the
+//! shared server state from that closure through the word-atomic
+//! [`crate::Region`], so a call racing a real writer (threaded backend)
 //! observes torn images and must validate, just like a one-sided reader.
 //!
-//! Timing is charged separately by each backend's channel: the simulator
-//! serializes the request through the server's inbound NIC port and charges
+//! Each backend's channel times the call: the simulator serializes the
+//! request through the server's inbound NIC port and charges
 //! [`crate::FabricConfig::rpc_cost_ns`] — a base dispatch cost plus
 //! per-level-stepped and per-entry-scanned terms reported in [`RpcWork`] —
-//! while the threaded backend pays real elapsed time.
-
-use crate::addr::GlobalAddress;
-use crate::server::MemServerSim;
-use parking_lot::RwLock;
-use std::fmt;
-use std::sync::Arc;
+//! while the threaded backend's window brackets the server-side work's real
+//! elapsed time.
 
 /// Accounting of the server-side work one RPC performed, reported by the
-/// interpreter and charged by the simulator's cost model
+/// caller's server-side work and charged by the simulator's cost model
 /// ([`crate::FabricConfig::rpc_cost_ns`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RpcWork {
@@ -57,279 +46,14 @@ impl RpcWork {
     }
 }
 
-/// A typed request the memory server's interpreter executes.
+/// What serving one call sent back and cost the server's core: the
+/// response's wire size and the work the server-side closure reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RpcRequest {
-    /// Descend from `from_addr` toward the leaf covering `key`, visiting at
-    /// most `max_levels` nodes, and search the leaf if one is reached.  This
-    /// is the cold-lookup collapser: one RPC replaces an O(depth) chain of
-    /// dependent one-sided reads.
-    TraverseStep {
-        /// Node to start from (the root, or a type-❷ routing hint).
-        from_addr: GlobalAddress,
-        /// Key whose leaf the walk descends toward.
-        key: u64,
-        /// Budget on node visits; the interpreter declines past it.
-        max_levels: u8,
-    },
-    /// Search a single known leaf for `key` (the type-❶-hit analogue: the
-    /// client knows the leaf address and trades its one-sided read + local
-    /// search for one RPC).
-    LeafSearch {
-        /// Address of the leaf to search.
-        leaf_addr: GlobalAddress,
-        /// Key to search for.
-        key: u64,
-    },
-    /// Descend from `from_addr` to the leaf covering `start_key`, then scan
-    /// forward along the B-link sibling chain collecting live entries with
-    /// key ≥ `start_key`, visiting at most `max_leaves` leaves and returning
-    /// at most `max_entries` entries.
-    LeafRange {
-        /// Node to start the descent from.
-        from_addr: GlobalAddress,
-        /// Inclusive lower bound of the scan.
-        start_key: u64,
-        /// Cap on entries returned.
-        max_entries: u32,
-        /// Cap on leaves scanned.
-        max_leaves: u8,
-    },
-}
-
-impl RpcRequest {
-    /// Estimated wire size of the request (fixed-size header + operands).
-    pub fn wire_bytes(&self) -> usize {
-        match self {
-            RpcRequest::TraverseStep { .. } => 32,
-            RpcRequest::LeafSearch { .. } => 24,
-            RpcRequest::LeafRange { .. } => 32,
-        }
-    }
-
-    /// The memory server that executes this request (where the starting
-    /// node lives — the interpreter may follow pointers onto sibling
-    /// servers' regions, modeling a memory-side compute pool with
-    /// fabric-local access).
-    pub fn home_ms(&self) -> u16 {
-        match self {
-            RpcRequest::TraverseStep { from_addr, .. } => from_addr.ms,
-            RpcRequest::LeafSearch { leaf_addr, .. } => leaf_addr.ms,
-            RpcRequest::LeafRange { from_addr, .. } => from_addr.ms,
-        }
-    }
-}
-
-/// Header facts about one node the interpreter visited, returned so the
-/// client can run the same fence / B-link / tombstone validation it applies
-/// to its own one-sided reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpcNodeInfo {
-    /// The node's address.
-    pub addr: GlobalAddress,
-    /// Node level (0 = leaf).
-    pub level: u8,
-    /// Node-level `front_version` of the image the interpreter validated.
-    /// The client checks this against its tombstone admission floor: a
-    /// result at or below a recorded tombstone version is a freed/recycled
-    /// image and must be rejected.
-    pub version: u8,
-    /// Lower fence key (inclusive).
-    pub fence_low: u64,
-    /// Upper fence key (exclusive; `u64::MAX` = +∞).
-    pub fence_high: u64,
-    /// Right B-link sibling, if any.
-    pub sibling: Option<GlobalAddress>,
-}
-
-impl RpcNodeInfo {
-    /// Whether `key` falls inside this node's fence interval.
-    pub fn covers(&self, key: u64) -> bool {
-        key >= self.fence_low && (self.fence_high == u64::MAX || key < self.fence_high)
-    }
-}
-
-/// A shared cacheable image of a level-1 internal node the interpreter
-/// passed through, returned so the client can warm its type-❶ cache exactly
-/// as a local traversal would (subject to the same admission gate).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RpcLevel1Image {
-    /// Header facts of the level-1 node.
-    pub info: RpcNodeInfo,
-    /// Child routed to for keys below the first separator.
-    pub leftmost: GlobalAddress,
-    /// `(separator, child)` pairs in key order.
-    pub children: Vec<(u64, GlobalAddress)>,
-}
-
-/// Why the interpreter declined to produce a result; the client falls back
-/// to its local one-sided path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RpcDecline {
-    /// No interpreter is registered on this backend.
-    NoHandler,
-    /// A node image stayed torn (version/checksum mismatch) past the
-    /// interpreter's bounded retry budget — a writer is mid-flight.
-    TornRead {
-        /// The node whose image would not settle.
-        addr: GlobalAddress,
-    },
-    /// The walk reached a node whose free bit is set; the client must
-    /// invalidate any cache entry referencing it and re-locate.
-    FreedNode {
-        /// The freed node.
-        addr: GlobalAddress,
-    },
-    /// An internal node's fences did not cover the key (a concurrent split
-    /// or merge moved it); the client retries with its local B-link logic.
-    FenceMiss {
-        /// The non-covering node.
-        addr: GlobalAddress,
-    },
-    /// The walk ran out of its `max_levels` / `max_leaves` budget.
-    BudgetExhausted,
-}
-
-/// Result of a [`RpcRequest::TraverseStep`] or [`RpcRequest::LeafSearch`]:
-/// the reached leaf plus the search outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RpcLeafReply {
-    /// The reached (or searched) leaf's header facts.
-    pub leaf: RpcNodeInfo,
-    /// Value found for the key, if present with consistent entry versions.
-    pub found: Option<u64>,
-    /// The key lies at/after the leaf's upper fence: the server returns the
-    /// sibling-chase hint ([`RpcNodeInfo::sibling`]) and the client chases
-    /// locally — B-link semantics are preserved, not bypassed.
-    pub chase_sibling: bool,
-    /// The key was present but its entry-version pair mismatched (an
-    /// entry-granular write was mid-flight); the client re-reads locally.
-    pub entry_conflict: bool,
-    /// Level-1 node the walk passed through, for type-❶ cache warming
-    /// (`None` for a direct [`RpcRequest::LeafSearch`] or a one-level tree).
-    pub level1: Option<RpcLevel1Image>,
-    /// Server-side work performed (drives the simulator's cost model).
-    pub work: RpcWork,
-}
-
-/// Result of a [`RpcRequest::LeafRange`]: collected entries plus the scan
-/// frontier.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RpcRangeReply {
-    /// Live `(key, value)` entries with key ≥ `start_key`, in scan order
-    /// (unsorted within a leaf for unsorted layouts; the client sorts).
-    pub entries: Vec<(u64, u64)>,
-    /// Header facts of every leaf scanned, in chain order — the client
-    /// validates **each** against its tombstone floor before accepting any
-    /// of the entries.
-    pub leaves: Vec<RpcNodeInfo>,
-    /// Where the scan stopped: the next sibling to continue from locally,
-    /// or `None` when the chain ended.
-    pub next: Option<GlobalAddress>,
-    /// Level-1 node the descent passed through, for type-❶ cache warming.
-    pub level1: Option<RpcLevel1Image>,
+pub struct RpcServed {
+    /// Wire size of the response.
+    pub response_bytes: usize,
     /// Server-side work performed.
     pub work: RpcWork,
-}
-
-/// The typed payload a completed RPC verb carries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RpcResponse {
-    /// Acknowledgement of a latency-only control RPC (e.g. the allocator's
-    /// chunk-grant round trip) — no server-side index work.
-    Ack,
-    /// Reply to a traverse/leaf-search request.
-    Leaf(RpcLeafReply),
-    /// Reply to a range request.
-    Range(RpcRangeReply),
-    /// The interpreter declined; the client retries on its local one-sided
-    /// path.  Declines carry the work already spent so it is still charged.
-    Declined {
-        /// Why the interpreter gave up.
-        reason: RpcDecline,
-        /// Work spent before declining.
-        work: RpcWork,
-    },
-}
-
-impl RpcResponse {
-    /// The server-side work this response represents (for the cost model).
-    pub fn work(&self) -> RpcWork {
-        match self {
-            RpcResponse::Ack => RpcWork::NONE,
-            RpcResponse::Leaf(r) => r.work,
-            RpcResponse::Range(r) => r.work,
-            RpcResponse::Declined { work, .. } => *work,
-        }
-    }
-
-    /// Estimated wire size of the response.
-    pub fn wire_bytes(&self) -> usize {
-        let level1_bytes = |l: &Option<RpcLevel1Image>| {
-            l.as_ref().map_or(0, |img| 48 + img.children.len() * 16)
-        };
-        match self {
-            RpcResponse::Ack => 8,
-            RpcResponse::Leaf(r) => 64 + level1_bytes(&r.level1),
-            RpcResponse::Range(r) => {
-                32 + r.entries.len() * 16 + r.leaves.len() * 40 + level1_bytes(&r.level1)
-            }
-            RpcResponse::Declined { .. } => 16,
-        }
-    }
-}
-
-/// The bounded server-side interpreter.  The index crate implements this
-/// (it knows the node layout); the substrate only transports requests to it
-/// and charges for the work it reports.
-///
-/// `servers` is the whole memory pool: node pointers round-robin across
-/// memory servers, so a traversal started on `home_ms` follows children onto
-/// sibling servers' regions (a memory-side compute pool with fabric-local
-/// access between memory servers).  All reads must go through
-/// [`crate::Region`] so both backends see identical word-atomic semantics.
-pub trait RpcHandler: Send + Sync + 'static {
-    /// Execute `req` against the server state and produce a response.
-    /// Implementations must be bounded (respect the request's budgets, give
-    /// up on persistent torn reads) and must never block.
-    fn handle(
-        &self,
-        servers: &[Arc<MemServerSim>],
-        home_ms: u16,
-        req: &RpcRequest,
-    ) -> RpcResponse;
-}
-
-/// Registration slot for the backend's [`RpcHandler`] (both backends derive
-/// `Debug`, hence the manual impl hiding the trait object).
-#[derive(Default)]
-pub struct RpcHandlerSlot {
-    handler: RwLock<Option<Arc<dyn RpcHandler>>>,
-}
-
-impl RpcHandlerSlot {
-    /// An empty slot.
-    pub fn new() -> Self {
-        RpcHandlerSlot::default()
-    }
-
-    /// Install (or replace) the interpreter.
-    pub fn set(&self, handler: Arc<dyn RpcHandler>) {
-        *self.handler.write() = Some(handler);
-    }
-
-    /// The currently registered interpreter, if any.
-    pub fn get(&self) -> Option<Arc<dyn RpcHandler>> {
-        self.handler.read().clone()
-    }
-}
-
-impl fmt::Debug for RpcHandlerSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RpcHandlerSlot")
-            .field("registered", &self.handler.read().is_some())
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -349,71 +73,5 @@ mod tests {
         });
         assert_eq!(w.levels_stepped, 4);
         assert_eq!(w.entries_scanned, 15);
-    }
-
-    #[test]
-    fn home_server_follows_the_starting_address() {
-        let req = RpcRequest::TraverseStep {
-            from_addr: GlobalAddress::host(3, 64),
-            key: 7,
-            max_levels: 4,
-        };
-        assert_eq!(req.home_ms(), 3);
-        assert!(req.wire_bytes() > 0);
-    }
-
-    #[test]
-    fn response_wire_bytes_scale_with_payload() {
-        let leaf = RpcNodeInfo {
-            addr: GlobalAddress::host(0, 0),
-            level: 0,
-            version: 1,
-            fence_low: 0,
-            fence_high: u64::MAX,
-            sibling: None,
-        };
-        let small = RpcResponse::Range(RpcRangeReply {
-            entries: vec![],
-            leaves: vec![leaf],
-            next: None,
-            level1: None,
-            work: RpcWork::NONE,
-        });
-        let big = RpcResponse::Range(RpcRangeReply {
-            entries: (0..100).map(|i| (i, i)).collect(),
-            leaves: vec![leaf; 4],
-            next: None,
-            level1: None,
-            work: RpcWork::NONE,
-        });
-        assert!(big.wire_bytes() > small.wire_bytes());
-        assert_eq!(RpcResponse::Ack.wire_bytes(), 8);
-    }
-
-    #[test]
-    fn handler_slot_registers_and_reports() {
-        struct Nop;
-        impl RpcHandler for Nop {
-            fn handle(
-                &self,
-                _servers: &[Arc<MemServerSim>],
-                _home_ms: u16,
-                _req: &RpcRequest,
-            ) -> RpcResponse {
-                RpcResponse::Ack
-            }
-        }
-        let slot = RpcHandlerSlot::new();
-        assert!(slot.get().is_none());
-        assert_eq!(format!("{slot:?}"), "RpcHandlerSlot { registered: false }");
-        slot.set(Arc::new(Nop));
-        assert!(slot.get().is_some());
-        let h = slot.get().unwrap();
-        let resp = h.handle(&[], 0, &RpcRequest::LeafSearch {
-            leaf_addr: GlobalAddress::host(0, 0),
-            key: 1,
-        });
-        assert_eq!(resp, RpcResponse::Ack);
-        assert_eq!(resp.work(), RpcWork::NONE);
     }
 }

@@ -35,7 +35,7 @@ use crate::addr::GlobalAddress;
 use crate::channel::{FabricBackend, FabricChannel, FabricState, VerbWindow};
 use crate::client::{CasResult, WriteCmd};
 use crate::config::FabricConfig;
-use crate::rpc::RpcWork;
+use crate::rpc::RpcServed;
 use crate::server::{AtomicOp, AtomicUnit, MemServerSim};
 use crate::{SimError, SimResult};
 use std::sync::Arc;
@@ -223,20 +223,19 @@ impl FabricChannel for ThreadedChannel {
         Ok((self.since(posted_at), outcome))
     }
 
-    fn rpc(
+    fn rpc<R>(
         &mut self,
         ms: u16,
         _request_bytes: usize,
-        _response_bytes: usize,
-        _work: RpcWork,
-    ) -> SimResult<VerbWindow> {
-        // Validate the target exists; the request handling itself happens
-        // synchronously in the caller on both backends, so by the time this
-        // is called the interpreter's real execution time has already
-        // elapsed — the window just brackets it with real timestamps.  The
-        // modeled per-level/per-entry charge is a simulator concern.
+        serve: impl FnOnce() -> (R, RpcServed),
+    ) -> SimResult<(VerbWindow, R, RpcServed)> {
+        // The window opens before the server-side work and closes after
+        // it, so it brackets that work's real execution time.  The modeled
+        // per-level/per-entry charge is a simulator concern.
         self.fabric.server(ms)?;
-        Ok(self.since(self.now()))
+        let posted_at = self.now();
+        let (reply, served) = serve();
+        Ok((self.since(posted_at), reply, served))
     }
 
     fn coherence_send(&mut self, _wire_bytes: usize) -> VerbWindow {

@@ -7,8 +7,9 @@
 //! floor the client validates replies against) keeps moving underneath.
 
 use sherman_repro::prelude::*;
+use sherman_repro::sherman::{RpcRequest, RpcResponse};
 use sherman_repro::sherman_memserver::ServerLayout;
-use sherman_sim::{Fabric, FabricBackend, GlobalAddress, RpcRequest, RpcResponse, ThreadedFabric};
+use sherman_sim::{Fabric, FabricBackend, GlobalAddress, ThreadedFabric};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -265,11 +266,7 @@ fn leaf_of(cluster: &Cluster<Fabric>, key: u64) -> GlobalAddress {
         key,
         max_levels: 16,
     };
-    match fabric
-        .rpc_handler()
-        .unwrap()
-        .handle(fabric.servers(), root.ms, &req)
-    {
+    match cluster.serve_rpc(&req) {
         RpcResponse::Leaf(reply) => reply.leaf.addr,
         other => panic!("no leaf for {key}: {other:?}"),
     }
@@ -278,16 +275,11 @@ fn leaf_of(cluster: &Cluster<Fabric>, key: u64) -> GlobalAddress {
 /// The interpreter's point search of the leaf at `addr`: its answer and the
 /// slots it scanned.
 fn rpc_search(cluster: &Cluster<Fabric>, addr: GlobalAddress, key: u64) -> (Option<u64>, u32) {
-    let fabric = cluster.fabric();
     let req = RpcRequest::LeafSearch {
         leaf_addr: addr,
         key,
     };
-    match fabric
-        .rpc_handler()
-        .unwrap()
-        .handle(fabric.servers(), addr.ms, &req)
-    {
+    match cluster.serve_rpc(&req) {
         RpcResponse::Leaf(reply) => (reply.found, reply.work.entries_scanned),
         other => panic!("no leaf reply for {key}: {other:?}"),
     }

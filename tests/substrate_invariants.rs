@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
 use sherman_sim::{
-    ClientCtx, ClientStats, Fabric, FabricBackend, FabricChannel, GlobalAddress, Region,
-    RpcRequest, SimError, ThreadedFabric, WriteCmd,
+    ClientCtx, ClientStats, Fabric, FabricBackend, FabricChannel, GlobalAddress, Region, RpcServed,
+    RpcWork, SimError, ThreadedFabric, WriteCmd,
 };
 
 /// Run a fabric property on one backend; the proptest bodies below call this
@@ -76,9 +76,18 @@ fn rejected_verbs_have_no_effect_on<B: FabricBackend>() {
     let (end, chip_end) = (cfg.host_bytes_per_ms as u64, cfg.onchip_bytes_per_ms as u64);
     let (host, chip) = (GlobalAddress::host, GlobalAddress::on_chip);
     let cmd = |addr| WriteCmd::new(addr, vec![0xAB; 16]);
-    let leaf_search = RpcRequest::LeafSearch {
-        leaf_addr: host(9, 64),
-        key: 1,
+    // The server-side work of an RPC, which a rejected call must not run.
+    let mut served = false;
+    let serve = || {
+        served = true;
+        let work = RpcWork::NONE;
+        (
+            (),
+            RpcServed {
+                response_bytes: 64,
+                work,
+            },
+        )
     };
     let fabric = B::build(cfg.clone());
     let mut client = fabric.client(0);
@@ -165,9 +174,13 @@ fn rejected_verbs_have_no_effect_on<B: FabricBackend>() {
             "NoSuchServer",
             c.post_cas_read(chip(9, 64), 0, 1, u64::MAX, host(9, 64), 8),
         ),
-        ("rpc", "NoSuchServer", c.post_rpc(9, 64, 64)),
-        ("index rpc", "NoSuchServer", c.post_index_rpc(&leaf_search)),
+        (
+            "rpc",
+            "NoSuchServer",
+            c.post_rpc(9, 64, serve).map(|(token, ())| token),
+        ),
     ];
+    assert!(!served, "a rejected RPC ran its server-side work");
     for (verb, expected, result) in &rejected {
         let err = result.as_ref().expect_err(verb);
         assert_eq!(fault(err), *expected, "{verb} rejected as {err:?}");

@@ -355,7 +355,8 @@ impl<B: FabricBackend> Cluster<B> {
     ///
     /// The audit also counts the leaf slots whose stored key tag is not their
     /// key's ([`ShapeAudit::mistagged_slots`]): every write path encodes the
-    /// tag from the key, so any such slot is a key lookups cannot find.
+    /// tag from the key, so any such slot is a key lookups and writes cannot
+    /// find.
     pub fn shape_audit(&self) -> TreeResult<ShapeAudit> {
         self.shape_audit_sampled(usize::MAX, 0)
     }
@@ -566,8 +567,9 @@ pub struct ShapeAudit {
     /// All internal nodes below the merge floor (informational).
     pub underfull_internals: u64,
     /// Present leaf slots, their version pair matching, whose stored key tag
-    /// is not their key's: keys a lookup passes over.  Zero on any tree the
-    /// library wrote.
+    /// is not their key's: keys a lookup passes over, and a write too — it
+    /// installs the key in a vacant slot, as if the key were absent.
+    /// Zero on any tree the library wrote.
     pub mistagged_slots: u64,
 }
 

@@ -81,7 +81,7 @@ use crate::coherence::{self, PublishedCommit, StructuralCommit};
 use crate::config::LeafFormat;
 use crate::error::TreeError;
 use crate::layout::{NodeLayout, FLAG_FREE};
-use crate::node::{InternalNode, LeafEntry, LeafNode, NodeHeader};
+use crate::node::{InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
 use crate::ops::{
     cached_from_internal, next_after_mismatch, read_node, traverse, LeafSource, OpCx, OpMeta,
     WriteCommit, WriteKind,
@@ -300,23 +300,45 @@ impl PointWrite {
     /// slots ([`NodeLayout::probe_leaf`]): the first slot holding the key,
     /// else — an insert — the first vacant one, that entry alone decoded and
     /// installed or cleared, its versions bumped.  `None` for an insert into
-    /// a full leaf, which splits, and for a delete of an absent key.
-    fn plan(layout: &NodeLayout, image: &[u8], key: u64, kind: WriteKind) -> Option<Self> {
+    /// a full leaf, which splits, and for a delete of an absent key.  Beside
+    /// the plan, what the probe read, as a lookup's search reports it
+    /// ([`NodeLayout::leaf_search_bytes`] prices both): every slot's tag, the
+    /// keys behind the matching ones, and the chosen slot's entry.
+    fn plan(
+        layout: &NodeLayout,
+        image: &[u8],
+        key: u64,
+        kind: WriteKind,
+    ) -> (Option<Self>, LeafSearch) {
         let probe = layout.probe_leaf(image, key);
-        let (slot, live) = match kind {
-            WriteKind::Insert { .. } => match probe.slot {
-                Some(slot) => (slot, probe.live),
-                None => (probe.vacant?, probe.live + 1),
-            },
-            WriteKind::Delete => (probe.slot?, probe.live - 1),
+        let slot = match kind {
+            WriteKind::Insert { .. } => probe.slot.or(probe.vacant),
+            WriteKind::Delete => probe.slot,
         };
-        let at = layout.leaf_entry_offset(slot);
-        let mut entry = layout.decode_leaf_entry(&image[at..at + layout.leaf_entry_bytes()]);
-        match kind {
-            WriteKind::Insert { value } => entry.install(key, value),
-            WriteKind::Delete => entry.clear(),
-        }
-        Some(PointWrite { slot, entry, live })
+        let read_at = |slot: usize| {
+            let at = layout.leaf_entry_offset(slot);
+            layout.decode_leaf_entry(&image[at..at + layout.leaf_entry_bytes()])
+        };
+        let read = LeafSearch {
+            entry: slot.map(read_at),
+            torn: false,
+            scanned: layout.leaf_capacity(),
+            compared: probe.compared,
+        };
+        let write = slot.zip(read.entry).map(|(slot, mut entry)| {
+            let live = match kind {
+                WriteKind::Insert { value } => {
+                    entry.install(key, value);
+                    probe.live + usize::from(probe.slot.is_none())
+                }
+                WriteKind::Delete => {
+                    entry.clear();
+                    probe.live - 1
+                }
+            };
+            PointWrite { slot, entry, live }
+        });
+        (write, read)
     }
 
     /// The entry-granular write-back (two-level versions, §4.4) on the leaf
@@ -454,7 +476,9 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// The lock on `addr` is held; `image` is what the acquisition read under
     /// it.  Returns the node image — without command combination that is a
     /// READ of its own, which waits like every other command of an
-    /// uncombined preset.
+    /// uncombined preset.  The caller charges the CPU of what it reads of the
+    /// image: a point write what its probe read ([`OpCx::leaf_commit`]), a
+    /// separator insertion the whole node.
     pub(crate) fn lock_and_read_finish(
         &self,
         addr: GlobalAddress,
@@ -466,15 +490,16 @@ impl<B: FabricBackend> OpCx<'_, B> {
         if !self.combine() {
             return self.read_node_locked(addr);
         }
-        self.ctx().charge_scan(image.len());
         Ok(image)
     }
 
     /// [`OpCx::lock_and_read_start`] to [`OpCx::lock_and_read_finish`] (the
-    /// separator insertion a [`Followup`] runs).
+    /// separator insertion a [`Followup`] runs), charged the whole node.
     async fn lock_and_read(&self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
         let (acq, image) = self.acquire(self.lock_and_read_start(addr)).await?;
-        self.lock_and_read_finish(addr, acq, image, meta)
+        let image = self.lock_and_read_finish(addr, acq, image, meta)?;
+        self.ctx().charge_scan(image.len());
+        Ok(image)
     }
 
     /// Release the exclusive lock on `addr`, flushing `writes` according to
@@ -708,12 +733,11 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
     /// Read a node image while holding its exclusive lock (no retry loop
     /// needed: writers are excluded, readers never modify).  Blocking: the
-    /// body of a leaf commit does not await.
+    /// body of a leaf commit does not await.  The caller charges the CPU of
+    /// what it reads of the image.
     fn read_node_locked(&self, addr: GlobalAddress) -> TreeResult<Vec<u8>> {
-        let node_size = self.layout().node_size();
-        let mut buf = vec![0u8; node_size];
+        let mut buf = vec![0u8; self.layout().node_size()];
         self.ctx().read(addr, &mut buf)?;
-        self.ctx().charge_scan(node_size);
         Ok(buf)
     }
 
@@ -722,13 +746,18 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// share a round trip; without it each waits for the one before, like
     /// every other command of an uncombined preset.
     async fn read_nodes_locked(&self, addrs: &[GlobalAddress]) -> TreeResult<Vec<Vec<u8>>> {
+        let node_size = self.layout().node_size();
         if !self.combine() {
-            return addrs.iter().map(|&a| self.read_node_locked(a)).collect();
+            let read = |&a| {
+                let image = self.read_node_locked(a)?;
+                self.ctx().charge_scan(node_size);
+                Ok(image)
+            };
+            return addrs.iter().map(read).collect();
         }
         if addrs.is_empty() {
             return Ok(Vec::new());
         }
-        let node_size = self.layout().node_size();
         let reqs: Vec<(GlobalAddress, usize)> = addrs.iter().map(|&a| (a, node_size)).collect();
         let token = self.ctx().post_read_batch(&reqs)?;
         let images = self.wait(token).await.result.into_read_batch();
@@ -779,8 +808,17 @@ impl<B: FabricBackend> OpCx<'_, B> {
         buf: &[u8],
         meta: &mut OpMeta,
     ) -> TreeResult<WriteCommit> {
-        let header = self.layout().decode_header(buf);
+        let layout = self.layout();
+        // Read whole: a sorted leaf, which a point write re-packs, and any
+        // leaf without command combination, whose presets cost what they did
+        // before a commit was planned on the image.
+        let whole = self.leaf_format().is_sorted() || !self.combine();
+        let header = layout.decode_header(buf);
         if header.free || !header.is_leaf || !header.covers(key) {
+            self.ctx().charge_scan(match whole {
+                true => buf.len(),
+                false => layout.leaf_search_bytes(&LeafSearch::default()),
+            });
             if header.free && matches!(source, LeafSource::Cache { .. }) {
                 // The cache routed this write to a retired leaf: its
                 // invalidation is still in flight.
@@ -794,7 +832,16 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
         // Insert, update and delete differ in the slot they pick, in what
         // they do to it, and in what happens when there is none.
-        let Some(write) = PointWrite::plan(self.layout(), buf, key, kind) else {
+        let (write, read) = PointWrite::plan(layout, buf, key, kind);
+        // The CPU of what the commit read of the image: what the probe read,
+        // unless the leaf is read whole or splits — a split reads the whole
+        // leaf, and sorts it (`split_leaf`).
+        let splits = write.is_none() && kind != WriteKind::Delete;
+        self.ctx().charge_scan(match whole || splits {
+            true => buf.len(),
+            false => layout.leaf_search_bytes(&read),
+        });
+        let Some(write) = write else {
             return Ok(match kind {
                 WriteKind::Insert { value } => {
                     WriteCommit::Structural(self.split_leaf(addr, buf, key, value, meta)?)
@@ -1538,6 +1585,7 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::config::{TreeConfig, TreeOptions};
+    use crate::layout::key_tag;
     use proptest::prelude::*;
 
     /// One generated slot: `(live, key, front version, rear version)`.  Live
@@ -1603,7 +1651,9 @@ mod tests {
         /// leaves with holes anywhere and arbitrary entry versions, for an
         /// insert of a present key, of an absent one into a leaf with a hole
         /// and into a full leaf, and a delete of a present and of an absent
-        /// key.
+        /// key.  Live slots the mask `collide` picks hold other keys built to
+        /// share the written key's tag, and the probe reads the key of every
+        /// present slot it passed whose tag matched, and of no other.
         #[test]
         fn a_point_write_on_the_image_is_the_decoded_one(
             slots in prop::collection::vec(
@@ -1613,16 +1663,15 @@ mod tests {
             density in any::<u8>(),
             node_size in prop::sample::select(vec![256usize, 1024]),
             case in 0u8..5,
-            draw in (any::<usize>(), any::<u64>()),
+            draw in (any::<usize>(), any::<u64>(), any::<u64>()),
         ) {
-            let (pick, value) = draw;
+            let (pick, value, collide) = draw;
             let layout = NodeLayout::new(&TreeConfig { node_size, ..TreeConfig::default() });
             let mut leaf = leaf_of(&layout, &slots, density, case == 2);
             if case == 1 {
                 let hole = pick % leaf.entries.len();
                 leaf.entries[hole].tag = 0;
             }
-            let image = layout.encode_leaf(&leaf);
             let live = leaf.entries.iter().filter(|e| e.present());
             let held: Vec<u64> = live.map(|e| e.key).collect();
             let absent = 64 + value % 64;
@@ -1637,9 +1686,18 @@ mod tests {
                 (1 | 2, _) => (absent, insert),
                 _ => (absent, WriteKind::Delete),
             };
+            let tag = key_tag(key);
+            let mut colliding = (key + 1..).filter(|&k| key_tag(k) == tag);
+            for (i, entry) in leaf.entries.iter_mut().enumerate() {
+                if collide >> (i % 64) & 1 == 1 && entry.present() && entry.key != key {
+                    entry.install(colliding.next().unwrap(), value);
+                }
+            }
+            let image = layout.encode_leaf(&leaf);
 
             let addr = GlobalAddress::host(1, 1 << 20);
-            let planned = PointWrite::plan(&layout, &image, key, kind).map(|write| {
+            let (write, read) = PointWrite::plan(&layout, &image, key, kind);
+            let planned = write.map(|write| {
                 let cmd = write.command(&layout, addr);
                 (write.slot, (cmd.addr, cmd.data), write.live)
             });
@@ -1654,6 +1712,11 @@ mod tests {
                 kind == WriteKind::Delete && p.as_ref().is_some_and(|p| p.2 < floor)
             };
             prop_assert_eq!(merges(&planned), merges(&reference));
+            // The keys read: up to the key's slot, or through the leaf.
+            let passed = leaf.slot_of(key).map_or(leaf.entries.len(), |slot| slot + 1);
+            let matching = leaf.entries[..passed].iter().filter(|e| e.present() && e.tag == tag);
+            prop_assert_eq!(read.compared, matching.count());
+            prop_assert_eq!(read.scanned, leaf.entries.len());
         }
     }
 

@@ -78,12 +78,15 @@ pub fn key_tag(key: u64) -> u8 {
 /// What a point write needs to know of a leaf image ([`NodeLayout::probe_leaf`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LeafProbe {
-    /// The first slot holding the key.
+    /// The first slot whose tag and key are the key's.
     pub(crate) slot: Option<usize>,
     /// The first vacant slot.
     pub(crate) vacant: Option<usize>,
     /// Live entries.
     pub(crate) live: usize,
+    /// Keys read: those of the slots up to `slot` (all of them on a miss)
+    /// whose tag matched the key's.
+    pub(crate) compared: usize,
 }
 
 /// Byte-level encoder/decoder for a particular tree geometry.
@@ -119,7 +122,8 @@ impl NodeLayout {
     /// the tail word, the tag of every slot it examined, the key of every
     /// slot whose tag matched, and the value and version pair of its match.
     /// A search that never reached the slots (a freed node, a fence miss) is
-    /// [`LeafSearch::default`]: the header and the tail word.
+    /// [`LeafSearch::default`]: the header and the tail word.  A point write's
+    /// probe of the image its lock read is priced by the same rule.
     pub fn leaf_search_bytes(&self, search: &LeafSearch) -> usize {
         let matched = search.entry.map_or(0, |_| self.value_size + 2);
         HEADER_BYTES + TAIL_BYTES + search.scanned + search.compared * self.key_size + matched
@@ -278,11 +282,13 @@ impl NodeLayout {
     /// One pass over the slots of the leaf image `buf` for a point write on
     /// `key`: what [`LeafNode::slot_of`], [`LeafNode::vacant_slot`] and
     /// [`LeafNode::live_count`] answer of the decoded leaf, without decoding
-    /// it.
+    /// it.  Every slot's tag is read — the first vacant slot and the live
+    /// count need them all — but a slot's key only where its tag is the
+    /// key's [`key_tag`], and none once the key is found.
     pub(crate) fn probe_leaf(&self, buf: &[u8], key: u64) -> LeafProbe {
         let entry_bytes = self.leaf_entry_bytes();
         let area = &buf[HEADER_BYTES..HEADER_BYTES + self.leaf_capacity() * entry_bytes];
-        let key = key.to_le_bytes();
+        let (tag, key) = (key_tag(key), key.to_le_bytes());
         let mut probe = LeafProbe::default();
         // The tag (0 = vacant) and the key, where `decode_leaf_entry` reads
         // them.
@@ -292,7 +298,11 @@ impl NodeLayout {
                 continue;
             }
             probe.live += 1;
-            if entry[2..10] == key && probe.slot.is_none() {
+            if entry[1] != tag || probe.slot.is_some() {
+                continue;
+            }
+            probe.compared += 1;
+            if entry[2..10] == key {
                 probe.slot = Some(i);
             }
         }

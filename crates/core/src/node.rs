@@ -188,11 +188,11 @@ impl LeafNode {
         self.entries.iter().filter(|e| e.present()).count()
     }
 
-    /// Find the slot holding `key`, if any.
+    /// Find the slot holding `key` behind its [`key_tag`], if any: a slot
+    /// whose stored tag is not its key's is one no point operation finds.
     pub fn slot_of(&self, key: u64) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.present() && e.key == key)
+        let tag = key_tag(key);
+        self.entries.iter().position(|e| e.tag == tag && e.key == key)
     }
 
     /// Find a vacant slot, if any.

@@ -477,7 +477,8 @@ async fn offload<B: FabricBackend>(
 /// The lock-free node-image read: `RDMA_READ` the node until an image passes
 /// the node-level consistency check (version pair or checksum), bounded by
 /// `max_read_retries`.  The caller charges the CPU of what it reads of the
-/// image: a lookup the slots its search examined, every other reader the
+/// image: a lookup the slots its search examined (as a point write does of
+/// the image its lock read, [`OpCx::leaf_commit`]), every other reader the
 /// node.
 pub(crate) async fn read_node<B: FabricBackend>(
     cx: &OpCx<'_, B>,

@@ -61,9 +61,10 @@ pub struct FabricConfig {
     /// it: a point lookup the header, the tail word, the key-tag byte of each
     /// leaf slot its search examined, the key of each slot whose tag matched
     /// and its match's value and versions (the whole node when a checksum
-    /// validates it); a traversal, a scan and every reader under a lock the
-    /// whole node, which they decode entry by entry; a split or merge the
-    /// node it sorts.
+    /// validates it); a combined point write on an unsorted leaf the same,
+    /// with the tag of every slot and its chosen slot's value and versions; a
+    /// traversal, a scan and every other reader under a lock the whole node,
+    /// which they decode entry by entry; a split or merge the node it sorts.
     ///
     /// The model charges bytes examined, not cache lines touched: a tag
     /// inside each entry saves key compares, while the lines a search walks

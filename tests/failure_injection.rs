@@ -286,8 +286,10 @@ fn a_range_scan_never_passes_over_a_torn_live_entry() {
     }
 }
 
-/// A slot whose stored key tag is not its key's is a key lookups pass over:
-/// the shape audit counts it, and a lookup of the key misses.
+/// A slot whose stored key tag is not its key's is a key lookups and writes
+/// pass over: the shape audit counts it, a lookup of the key misses, and an
+/// insert of the key installs it in the leaf's first vacant slot — behind its
+/// own tag, where lookups find it — and leaves the mistagged slot as it was.
 #[test]
 fn the_audit_counts_a_mistagged_slot() {
     let cluster = Cluster::new(ClusterConfig::small(), TreeOptions::sherman());
@@ -300,7 +302,8 @@ fn the_audit_counts_a_mistagged_slot() {
         .cache(0)
         .lookup_covering(250)
         .expect("cached level-1");
-    let (_, front_at) = slot_of(&cluster, cached.child_for(250), 250);
+    let leaf_addr = cached.child_for(250);
+    let (slot, front_at) = slot_of(&cluster, leaf_addr, 250);
     let tag_at = front_at.add(1);
     let mut tag = [0u8; 1];
     cluster.fabric().god_read(tag_at, &mut tag).unwrap();
@@ -315,4 +318,23 @@ fn the_audit_counts_a_mistagged_slot() {
     cluster.fabric().god_write(tag_at, &tag).unwrap();
     assert_eq!(cluster.shape_audit().unwrap().mistagged_slots, 0);
     assert_eq!(client.lookup(250).unwrap().0, Some(259));
+
+    // Mistagged again, the key is written: into the vacant slot.
+    cluster.fabric().god_write(tag_at, &wrong).unwrap();
+    let layout = *cluster.layout();
+    let leaf = |cluster: &Cluster| {
+        let mut image = vec![0u8; layout.node_size()];
+        cluster.fabric().god_read(leaf_addr, &mut image).unwrap();
+        layout.decode_leaf(&image)
+    };
+    let before = leaf(&cluster);
+    let vacant = before.vacant_slot().expect("the leaf has a vacant slot");
+    client.insert(250, 777).unwrap();
+    let after = leaf(&cluster);
+    assert_eq!(after.entries[slot], before.entries[slot], "the mistagged slot is untouched");
+    assert_eq!((after.entries[vacant].key, after.entries[vacant].value), (250, 777));
+    assert_eq!(after.slot_of(250), Some(vacant));
+    assert_eq!(after.live_count(), before.live_count() + 1);
+    assert_eq!(client.lookup(250).unwrap().0, Some(777));
+    assert_eq!(cluster.shape_audit().unwrap().mistagged_slots, 1);
 }

@@ -1,5 +1,6 @@
 //! What a structural commit costs, exactly: one client on the simulator, the
-//! `OpStats` of the one insert that splits and the one delete that merges.
+//! `OpStats` of the one insert that splits and the one delete that merges —
+//! and, beside them, of the point writes that do neither (f).
 //!
 //! * With command combination a structural commit waits only for what it
 //!   depends on: a split overlaps its leaf write-back with the traversal to
@@ -141,26 +142,34 @@ fn split_costs(options: TreeOptions) -> [(Cost, Structural); 4] {
     out.try_into().unwrap()
 }
 
-/// 1 KB nodes: 50 slots a leaf, bulkloaded 40 full with the even keys; the
-/// eleventh odd key inserted into a leaf splits it.  Returns what the
-/// splitting insert into bulkloaded leaf 10 cost (the first split, of leaf 1,
-/// fetches the client's chunk).
-fn kilobyte_split_cost(options: TreeOptions) -> (Cost, Structural) {
-    const PER_KB_LEAF: u64 = 40;
+/// 1 KB nodes: 50 slots a leaf, bulkloaded 40 full with the even keys.
+const PER_KB_LEAF: u64 = 40;
+
+fn kilobyte_cluster(options: TreeOptions) -> Arc<Cluster> {
     let mut config = ClusterConfig::small();
     config.fabric.host_bytes_per_ms = 16 << 20;
     config.tree.node_size = 1 << 10;
     config.tree.chunk_bytes = 16 << 10;
     let cluster = Cluster::new(config, options);
     cluster.bulkload((0..4_000u64).map(|k| (k * 2, k))).unwrap();
+    cluster
+}
+
+/// Insert odd keys into bulkloaded 1 KB leaf `leaf` until one splits it (the
+/// eleventh); returns what that insert cost.
+fn kilobyte_split(client: &mut TreeClient, leaf: u64) -> OpStats {
+    let first = leaf * PER_KB_LEAF * 2;
+    let inserts = (0..11).map(|i| client.insert(first + 2 * i + 1, i).unwrap());
+    inserts.last().expect("eleven inserts")
+}
+
+/// The splitting insert into bulkloaded 1 KB leaf 10 (the first split, of
+/// leaf 1, fetches the client's chunk).
+fn kilobyte_split_cost(options: TreeOptions) -> (Cost, Structural) {
+    let cluster = kilobyte_cluster(options);
     let mut client = cluster.client(0);
-    let mut split = |leaf: u64| {
-        let first = leaf * PER_KB_LEAF * 2;
-        let inserts = (0..11).map(|i| client.insert(first + 2 * i + 1, i).unwrap());
-        inserts.last().expect("eleven inserts")
-    };
-    split(1);
-    measured(&cluster, || split(10))
+    kilobyte_split(&mut client, 1);
+    measured(&cluster, || kilobyte_split(&mut client, 10))
 }
 
 /// The deletes of (b): merge right, merge left (the rightmost child of its
@@ -308,15 +317,19 @@ fn a_split_of_a_kilobyte_leaf_writes_back_the_slots_that_moved() {
 /// pair — one slot, where the repack rewrote nine (288 → 88 bytes); the
 /// rebalance 368 → 192.  Merging right, the drained node absorbs eight pairs
 /// into eight slots and the cost rule still picks the node, as it did.
+///
+/// The merging delete's probe of its leaf is charged what it read, 84 of the
+/// 256 bytes (f): 43 ns less on each row (5 714 → 5 671, 5 730 → 5 687,
+/// 5 721 → 5 678).
 #[test]
 fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
     let measured = merge_costs(TreeOptions::sherman());
     assert_eq!(
         measured,
         [
-            ((8, 4, 11, 4, 395, 5_714), (1, 368)),
-            ((8, 4, 13, 4, 115, 5_730), (1, 88)),
-            ((8, 4, 14, 4, 219, 5_721), (1, 192)),
+            ((8, 4, 11, 4, 395, 5_671), (1, 368)),
+            ((8, 4, 13, 4, 115, 5_687), (1, 88)),
+            ((8, 4, 14, 4, 219, 5_678), (1, 192)),
         ]
     );
     for (what, cost) in ["merge right", "merge left", "rebalance"].into_iter().zip(costs(measured)) {
@@ -329,12 +342,13 @@ fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
 /// separator one level up — five nodes (1 280 bytes), of which the two new
 /// right halves and whatever changed all over travel whole.  A merge that
 /// empties the root: the root pointer swings to the surviving leaf and the
-/// old root's tombstone is 16 bytes, not a node.
+/// old root's tombstone is 16 bytes, not a node; its delete's probe is
+/// charged as (b)'s are (11 231 → 11 188 ns).
 #[test]
 fn an_internal_split_and_a_root_collapse_write_back_what_changed() {
     let sherman = TreeOptions::sherman();
     assert_eq!(internal_split_cost(sherman), ((8, 4, 10, 3, 1_062, 9_080), (3, 1_056)));
-    assert_eq!(root_collapse_cost(sherman), ((11, 5, 11, 5, 323, 11_231), (1, 288)));
+    assert_eq!(root_collapse_cost(sherman), ((11, 5, 11, 5, 323, 11_188), (1, 288)));
 }
 
 /// (d) The planner belongs to command combination, not to a leaf format: the
@@ -442,6 +456,40 @@ fn uncombined_structural_commits_cost_exactly_what_they_did() {
     assert!(split_costs(uncombined()).iter().all(|m| m.1 == (2, 3 * node)));
     assert!(merge_costs(uncombined()).iter().all(|m| m.1 == (1, 3 * node)));
     assert_eq!(internal_split_cost(uncombined()).1, (3, 5 * node));
+}
+
+/// (f) Point writes on a cached 1 KB Sherman leaf: an update, a fresh insert
+/// into a vacant slot, a delete of an absent key, and an insert into a full
+/// leaf, which splits.  A point write reads its leaf with the lock and
+/// writes back one 19-byte entry with the release: two round trips, 21 bytes
+/// with the 2-byte on-chip lock word, none written by an absent delete.  What
+/// the commit's probe read of the image is charged as a lookup's search is —
+/// the header and tail word, a tag per slot, the keys behind matching tags,
+/// the chosen slot's value and versions — not the whole leaf's 256 ns:
+/// latency 3 760 → 3 535 ns (update, one key read), 3 760 → 3 533 ns (insert,
+/// none), 3 742 → 3 512 ns (absent delete, none).  A split reads and sorts
+/// the whole leaf, and costs exactly what it did.
+#[test]
+fn a_point_write_pays_for_what_its_probe_read() {
+    let cluster = kilobyte_cluster(TreeOptions::sherman());
+    let mut client = cluster.client(0);
+    // The first split fetches the client's chunk (an RPC): not measured.
+    kilobyte_split(&mut client, 1);
+    let first = 10 * PER_KB_LEAF * 2;
+    let update = client.insert(first + 10, 7).unwrap();
+    let insert = client.insert(first + 11, 7).unwrap();
+    let (found, absent) = client.delete(first + 13).unwrap();
+    assert!(!found);
+    let split = kilobyte_split(&mut client, 20);
+    assert_eq!(
+        [update, insert, absent, split].map(cost),
+        [
+            (2, 1, 2, 1, 21, 3_535),
+            (2, 1, 2, 1, 21, 3_533),
+            (2, 1, 1, 1, 2, 3_512),
+            (6, 3, 10, 2, 2_004, 8_329),
+        ]
+    );
 }
 
 /// A pipelined run at depth 1 reports the latency the blocking call measures

@@ -498,16 +498,23 @@ fn hot_leaf_writes_match_the_sequential_model_on<B: FabricBackend>(
 
 /// Every design on the simulator, and what its depth-8 run costs: one client
 /// is deterministic, so a change to any design's acquisition, queueing or
-/// release path shows here as a moved verb count or virtual time.
+/// release path shows here as a moved verb count or virtual time.  The
+/// elapsed times were re-captured when a point write began to charge the CPU
+/// of what its probe reads of the locked leaf rather than of the whole leaf
+/// (a shorter critical section): the same verbs, retries and handovers, and
+/// 7 519 040 → 7 475 668, 3 867 075 → 3 867 030, 2 172 529 → 2 161 480,
+/// 1 883 689 → 1 820 680 and 1 776 463, 1 854 889 → 1 747 663 ns.  The two
+/// rungs that coincided part: a `Hierarchical` waiter re-checks the lock
+/// every 200 ns, a `WaitQueue` one is woken by the release it waits for.
 #[test]
 fn hot_leaf_writes_match_the_sequential_model_sim() {
     let pins: [HotLeafCost; 6] = [
-        (11_988, 9_988, 5_988, 0, 7_519_040),
-        (9_988, 7_988, 5_988, 0, 3_867_075),
-        (9_988, 7_988, 5_988, 0, 2_172_529),
-        (4_000, 2_000, 0, 0, 1_883_689),
-        (4_000, 2_000, 0, 0, 1_883_689),
-        (4_000, 400, 0, 1_600, 1_854_889),
+        (11_988, 9_988, 5_988, 0, 7_475_668),
+        (9_988, 7_988, 5_988, 0, 3_867_030),
+        (9_988, 7_988, 5_988, 0, 2_161_480),
+        (4_000, 2_000, 0, 0, 1_820_680),
+        (4_000, 2_000, 0, 0, 1_776_463),
+        (4_000, 400, 0, 1_600, 1_747_663),
     ];
     for (lock_strategy, pin) in DESIGNS.into_iter().zip(pins) {
         let cost = hot_leaf_writes_match_the_sequential_model_on::<Fabric>(lock_strategy);

@@ -24,8 +24,9 @@
 
 use crate::Args;
 use sherman::{
-    overlap_from_stats, Cluster, ClusterConfig, NodeCensus, OpOutput, OpStats, PipelineOp,
-    PipelinedResult, ShapeAudit, TreeClient, TreeConfig, TreeError, TreeOptions, TreeResult,
+    overlap_from_stats, run_clients, Cluster, ClusterConfig, NodeCensus, OpOutput, OpStats,
+    PipelineOp, PipelineReport, PipelinedResult, Session, ShapeAudit, TreeClient, TreeConfig,
+    TreeError, TreeOptions, TreeResult,
 };
 use sherman_memserver::FreeListStats;
 use sherman_metrics::{
@@ -38,8 +39,7 @@ use sherman_sim::{Fabric, FabricBackend, FabricConfig, ThreadedFabric};
 use sherman_workload::{
     ChurnGenerator, ChurnSpec, Op, ScenarioGenerator, ScenarioSpec, WorkloadGenerator, WorkloadSpec,
 };
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -146,10 +146,10 @@ impl Source {
 
     /// Whether this is a hostile scenario, which is driven differently in two
     /// ways.  Its operations are allowed to fail (an exhausted pool refuses
-    /// allocations) and the scheduler aborts a whole `run_pipelined` call on
-    /// its first failure, so it is fed `depth * 8` operations at a time — one
-    /// refusal then costs one small batch — where everything else hands over
-    /// the whole stream.  And it is a schedule its clients walk together (a
+    /// allocations) and the executor fails a whole batch on its first
+    /// failure, so it is fed `depth * 8` operations at a time — one refusal
+    /// then costs one small batch — where everything else hands over the
+    /// whole stream.  And it is a schedule its clients walk together (a
     /// shifting hot spot moves by operation index), so they wait for each
     /// other at the run's midpoint: the before/after split of the hit ratio is
     /// then a split of the run, not of client 0's stream.
@@ -407,7 +407,9 @@ impl RunReport {
 }
 
 /// Run `body(t, start)` on `n` client threads and return what each produced,
-/// in thread order.
+/// in thread order: the lock and fabric microbenchmarks, which drive the
+/// lock manager and the verbs from blocking OS threads on the thread clock
+/// (tree experiments go through [`run`]).
 ///
 /// `start` is the line the clients wait at once they have registered with
 /// the virtual clock, so that no one runs its workload uncontended while the
@@ -500,29 +502,79 @@ impl ClientOutcome {
     }
 }
 
-/// Issue one operation through the blocking entry points.
-fn blocking_op<B: FabricBackend>(
-    client: &mut TreeClient<B>,
-    op: &PipelineOp,
-) -> TreeResult<(bool, OpStats)> {
-    match *op {
-        PipelineOp::Lookup { key } => client.lookup(key).map(|(v, s)| (v.is_some(), s)),
-        PipelineOp::Insert { key, value } => client.insert(key, value).map(|s| (true, s)),
-        PipelineOp::Delete { key } => client.delete(key),
-        PipelineOp::Range { start_key, count } => {
-            client.range(start_key, count).map(|(_, s)| (true, s))
-        }
-    }
+/// One client's stream as the executor runs it ([`Session`]): batch by batch,
+/// each one folded into the client's [`ClientOutcome`].
+struct Feed<B: FabricBackend> {
+    stream: Stream,
+    /// Operations per batch: one for the blocking drive.
+    batch: usize,
+    blocking: bool,
+    must_find: bool,
+    /// Operations left in the current half of the stream, and the halves
+    /// after it.  A run whose clients meet at the midpoint runs each half in
+    /// an executor call of its own and sets `left` between them.
+    left: usize,
+    halves: VecDeque<usize>,
+    /// The operations of the batch in flight, and its one operation when
+    /// driven blocking (to name a failed operation).
+    in_flight: (usize, Option<PipelineOp>),
+    issued: usize,
+    /// Client 0 samples the tree's shape every `sample_every` operations and
+    /// reads the cache counters at its half-way point.
+    sampler: Option<Arc<Cluster<B>>>,
+    sample_every: usize,
+    next_sample: usize,
+    out: ClientOutcome,
 }
 
-/// The midpoint rendezvous of a scenario or a re-budgeted run.  It cannot be an OS barrier
-/// (see [`spawn_clients`]): arrivals are counted in an atomic and everyone
-/// polls with `TreeClient::idle`, which parks on the clock and lets the
-/// others keep running — and works on a real clock too.
-#[derive(Default)]
-struct Midpoint {
-    arrived: AtomicUsize,
-    released: AtomicBool,
+impl<B: FabricBackend> Session for Feed<B> {
+    type Batch = Vec<PipelineOp>;
+
+    fn next_batch(&mut self) -> Option<Vec<PipelineOp>> {
+        while self.left == 0 {
+            self.left = self.halves.pop_front()?;
+            if let Some(cluster) = &self.sampler {
+                self.out.mid_cache_counts = cache_counts(cluster);
+            }
+        }
+        if let Some(cluster) = self.sampler.as_ref().filter(|_| self.issued >= self.next_sample) {
+            self.next_sample += self.sample_every;
+            let skip = self.out.shape_timeline.len() * SHAPE_WINDOW;
+            if let Ok(sample) = cluster.shape_audit_sampled(SHAPE_WINDOW, skip) {
+                self.out.shape_timeline.push(sample);
+            }
+        }
+        let n = self.left.min(self.batch);
+        self.left -= n;
+        self.issued += n;
+        let ops: Vec<PipelineOp> = (0..n).map(|_| self.stream.next_op()).collect();
+        self.in_flight = (n, self.blocking.then(|| ops[0]));
+        Some(ops)
+    }
+
+    fn report(&mut self, report: TreeResult<PipelineReport>) {
+        let report = match (report, self.in_flight) {
+            (Ok(report), _) => report,
+            (Err(e), (n, Some(op))) => return self.out.failed(n, format_args!("{op:?}"), e),
+            (Err(e), (n, None)) => return self.out.failed(n, "pipelined batch", e),
+        };
+        for r in &report.results {
+            let (found, mut stats) = as_blocking(r);
+            if self.blocking {
+                // A batch of one is a blocking call: the batch's latency and
+                // verb counts are the operation's.
+                stats.latency_ns = report.elapsed_ns;
+                stats.round_trips = report.stats.round_trips;
+                stats.bytes_written = report.stats.bytes_written;
+            }
+            self.out.record(&r.op, (found, stats), self.must_find);
+        }
+        // The blocking path's overlap window is the whole call, tail included.
+        self.out.overlap.merge(&match self.blocking {
+            true => overlap_from_stats(&report.stats, report.elapsed_ns),
+            false => report.overlap,
+        });
+    }
 }
 
 /// Sum of level-1 (hits, misses) over every compute server's cache.
@@ -606,86 +658,95 @@ pub fn run<B: FabricBackend>(exp: &Experiment) -> RunReport {
         .rebudget
         .map(|factor| cluster.cache(0).capacity_bytes() / factor.max(1));
 
+    let depth = match drive {
+        DrivePath::Blocking => 1,
+        DrivePath::Pipelined(depth) => depth,
+    };
+    // Clients meet at the midpoint between two executor calls; otherwise the
+    // whole stream is one call, and client 0 reads the cache counters as it
+    // passes its own half-way point.
+    let meet = source.is_scenario() || rebudget_to.is_some();
+    let sample_every = (ops_per_thread / SHAPE_SAMPLES).max(1);
+    let feeds = (0..threads).map(|t| Feed {
+        stream: source.stream(t as u64),
+        batch,
+        blocking: drive == DrivePath::Blocking,
+        must_find: source.must_find(),
+        left: 0,
+        halves: match meet {
+            true => VecDeque::new(),
+            false => halves[1..].iter().copied().collect(),
+        },
+        in_flight: (0, None),
+        issued: 0,
+        sampler: (t == 0).then(|| Arc::clone(&cluster)),
+        sample_every,
+        next_sample: sample_every,
+        out: ClientOutcome::default(),
+    });
+    let calls = match meet {
+        true => halves.clone(),
+        false => vec![halves[0]],
+    };
+    // Each executor call runs one half of every stream (the whole of it when
+    // nobody meets); between two, client 0 takes the midpoint's readings.
+    let run_halves = |mut clients: Vec<TreeClient<B>>,
+                      mut feeds: Vec<Feed<B>>,
+                      meet: &dyn Fn(&mut Feed<B>)| {
+        for (call, &budget) in calls.iter().enumerate() {
+            if call == 1 {
+                meet(&mut feeds[0]);
+            }
+            for feed in &mut feeds {
+                feed.left = budget;
+            }
+            run_clients(&mut clients, &mut feeds, depth);
+        }
+        let finish = |mut feed: Feed<B>| {
+            feed.out.turnovers = feed.stream.turnovers();
+            feed.out
+        };
+        feeds.into_iter().map(finish).collect::<Vec<_>>()
+    };
+    let midpoint = |feed: &mut Feed<B>| {
+        feed.out.mid_cache_counts = cache_counts(&cluster);
+        if let Some(bytes) = rebudget_to {
+            cluster.set_cache_budget(bytes);
+        }
+    };
+    let client = |t: usize| cluster.client((t % compute_servers) as u16);
+
     let fabric_before = cluster.fabric().metrics().snapshot();
     let start_time = cluster.fabric().now();
-    let outcomes = {
-        let cluster = Arc::clone(&cluster);
-        let source = source.clone();
-        let midpoint = Midpoint::default();
-        let sample_every = (ops_per_thread / SHAPE_SAMPLES).max(1);
-        spawn_clients(threads, move |t, start| {
-            let mut client = cluster.client((t % compute_servers) as u16);
-            let mut stream = source.stream(t as u64);
-            let must_find = source.must_find();
-            let meet = source.is_scenario() || rebudget_to.is_some();
-            let mut out = ClientOutcome::default();
-            start.wait();
-            let stats_before = client.fabric_stats();
-            let t0 = client.now();
-            let (mut issued, mut next_sample) = (0, sample_every);
-            for (half, &budget) in halves.iter().enumerate() {
-                if half == 1 && meet {
-                    midpoint.arrived.fetch_add(1, Ordering::SeqCst);
-                    if t == 0 {
-                        while midpoint.arrived.load(Ordering::SeqCst) < threads {
-                            client.idle(1_000);
-                        }
-                        out.mid_cache_counts = cache_counts(&cluster);
-                        if let Some(bytes) = rebudget_to {
-                            cluster.set_cache_budget(bytes);
-                        }
-                        midpoint.released.store(true, Ordering::SeqCst);
-                    } else {
-                        while !midpoint.released.load(Ordering::SeqCst) {
-                            client.idle(1_000);
-                        }
-                    }
-                } else if half == 1 && t == 0 {
-                    out.mid_cache_counts = cache_counts(&cluster);
-                }
-                let mut left = budget;
-                while left > 0 {
-                    if t == 0 && issued >= next_sample {
-                        next_sample += sample_every;
-                        let skip = out.shape_timeline.len() * SHAPE_WINDOW;
-                        if let Ok(sample) = cluster.shape_audit_sampled(SHAPE_WINDOW, skip) {
-                            out.shape_timeline.push(sample);
-                        }
-                    }
-                    let n = left.min(batch);
-                    left -= n;
-                    issued += n;
-                    match drive {
-                        DrivePath::Blocking => {
-                            let op = stream.next_op();
-                            match blocking_op(&mut client, &op) {
-                                Ok(done) => out.record(&op, done, must_find),
-                                Err(e) => out.failed(n, format_args!("{op:?}"), e),
+    let outcomes: Vec<ClientOutcome> = if B::VIRTUAL_CLOCK {
+        // Every client on one executor, on this thread.
+        run_halves((0..threads).map(client).collect(), feeds.collect(), &midpoint)
+    } else {
+        // One OS thread per client, each driving its own executor; they meet
+        // at an OS barrier, which a real clock can afford.
+        let (start, mid) = (Barrier::new(threads), Barrier::new(threads));
+        let (run_halves, midpoint, client) = (&run_halves, &midpoint, &client);
+        thread::scope(|scope| {
+            let threads: Vec<_> = feeds
+                .enumerate()
+                .map(|(t, feed)| {
+                    let (start, mid) = (&start, &mid);
+                    scope.spawn(move || {
+                        let client = client(t);
+                        start.wait();
+                        let meet = |feed: &mut Feed<B>| {
+                            mid.wait();
+                            if t == 0 {
+                                midpoint(feed);
                             }
-                        }
-                        DrivePath::Pipelined(depth) => {
-                            let ops: Vec<_> = (0..n).map(|_| stream.next_op()).collect();
-                            match client.run_pipelined(ops, depth) {
-                                Ok(report) => {
-                                    for r in &report.results {
-                                        out.record(&r.op, as_blocking(r), must_find);
-                                    }
-                                    out.overlap.merge(&report.overlap);
-                                }
-                                Err(e) => out.failed(n, "pipelined batch", e),
-                            }
-                        }
-                    }
-                }
-            }
-            if drive == DrivePath::Blocking {
-                // The scheduler reports its own overlap; the blocking path
-                // derives it from the client's verb counters over the run.
-                let stats = client.fabric_stats().delta_since(&stats_before);
-                out.overlap = overlap_from_stats(&stats, client.now().saturating_sub(t0));
-            }
-            out.turnovers = stream.turnovers();
-            out
+                            mid.wait();
+                        };
+                        run_halves(vec![client], vec![feed], &meet).remove(0)
+                    })
+                })
+                .collect();
+            let joined = threads.into_iter().map(|t| t.join().expect("client thread panicked"));
+            joined.collect()
         })
     };
     let elapsed = cluster.fabric().now().saturating_sub(start_time).max(1);
@@ -858,6 +919,25 @@ mod tests {
             assert_eq!(threaded.summary.ops, sim.summary.ops, "{}", exp.name);
             assert_eq!(threaded.census.total(), threaded.nodes_outstanding);
             assert_eq!(threaded.stale_hits_after_drain, 0, "{}", exp.name);
+        }
+    }
+
+    /// Many clients on the simulator run on one executor, so their run is a
+    /// pure function of the experiment: 22 clients of the paper's mix report
+    /// the same figures twice, and again when run from another thread.
+    #[test]
+    fn a_run_of_many_clients_repeats_exactly() {
+        let report = |options| {
+            let mut exp = Experiment::paper("many", options);
+            exp.threads = 22;
+            exp.ops_per_thread = 100;
+            format!("{:?}", run::<Fabric>(&exp).expect_clean())
+        };
+        for options in [TreeOptions::sherman(), TreeOptions::fg_plus()] {
+            let first = report(options);
+            assert_eq!(report(options), first);
+            let spawned = thread::spawn(move || report(options)).join();
+            assert_eq!(spawned.expect("the run completes"), first);
         }
     }
 

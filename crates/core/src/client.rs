@@ -86,20 +86,6 @@ impl<B: FabricBackend> TreeClient<B> {
         self.ctx.now()
     }
 
-    /// Let `ns` of virtual time pass without issuing any fabric work.
-    ///
-    /// This parks the client on the conservative virtual clock
-    /// (`Participant::wait_until`), so other threads' operations keep
-    /// making progress while this client sits idle.  Harnesses use it to
-    /// build mid-run rendezvous points: blocking on an OS primitive instead
-    /// would freeze the clock for every other participant (see the clock's
-    /// module docs), so polling a shared flag with `idle` between checks is
-    /// the only safe way to wait for another simulated thread.
-    pub fn idle(&mut self, ns: u64) {
-        let target = self.ctx.now().saturating_add(ns);
-        self.ctx.wait_until(target);
-    }
-
     /// Raw fabric counters of this client (cumulative).
     pub fn fabric_stats(&self) -> ClientStats {
         self.ctx.stats()
@@ -117,18 +103,21 @@ impl<B: FabricBackend> TreeClient<B> {
         self.ctx.take_trace()
     }
 
-    /// The context this client's operations run against.
+    /// The context this client's operations run against, driven alone.
     pub(crate) fn op_cx(&mut self) -> OpCx<'_, B> {
-        self.op_cx_and_reader().0
+        self.op_cx_and_reader(true).0
     }
 
-    /// [`Self::op_cx`], and the epoch reader handle beside it.
-    pub(crate) fn op_cx_and_reader(&mut self) -> (OpCx<'_, B>, &ReaderHandle) {
+    /// The context this client's operations run against — `alone` when no
+    /// other client shares its executor — and the epoch reader handle beside
+    /// it.
+    pub(crate) fn op_cx_and_reader(&mut self, alone: bool) -> (OpCx<'_, B>, &ReaderHandle) {
         let cx = OpCx::new(
             &self.cluster,
             &mut self.ctx,
             &mut self.allocator,
             self.cs_id,
+            alone,
         );
         (cx, &self.reader)
     }

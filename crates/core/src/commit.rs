@@ -15,25 +15,26 @@
 //!   pair and the parent in the lock manager's rank order, and merge or
 //!   rebalance (collapsing the root when it runs out of separators).
 //!
-//! A write (`crate::ops`) acquires the leaf lock itself ([`OpCx::acquire`])
+//! A write (`crate::ops`) acquires the leaf lock itself ([`OpCx::lock`])
 //! — that is the one thing it parks on while a lock is involved — and calls
 //! [`OpCx::leaf_commit`] with the image read under it.  The leaf commit does
-//! not await: the leaf lock's release is posted before `leaf_commit`
-//! returns, and at most that verb is left outstanding for the write to wait
-//! for.  What needs *further* locks — the separator of a split, a merge — is
-//! handed back as a [`Followup`] and run ([`OpCx::run_followup`]) once the
-//! scheduler has driven every other in-flight operation of this client out
-//! of its own lock acquisition ([`OpCx::exclusive`]), so the acquisitions
-//! below can only ever wait for other clients.
+//! not yield (it only holds the client, [`OpCx::hold`]): the leaf lock's
+//! release is posted before `leaf_commit` returns, and at most that verb is
+//! left outstanding for the write to wait for.  What needs *further* locks —
+//! the separator of a split, a merge — is handed back as a [`Followup`] and
+//! run ([`OpCx::run_followup`]) once the scheduler has driven every other
+//! in-flight operation of this client out of its own lock acquisition
+//! ([`OpCx::exclusive`]), so the acquisitions below can only ever wait for
+//! other clients.
 //!
 //! ## A follow-up waits for what it depends on
 //!
 //! The follow-up is an `async fn`, driven alone: every wait in it is an
-//! `.await` its driver answers at once.  With command combination
-//! (`combine_commands`; without it every command waits for the one before,
-//! as the baselines do) it posts independent commands together and awaits a
-//! completion only where something depends on it, under three ordering
-//! rules:
+//! `.await` its driver answers with its own completion.  With command
+//! combination (`combine_commands`; without it every command waits for the
+//! one before, as the baselines do) it posts independent commands together
+//! and awaits a completion only where something depends on it, under three
+//! ordering rules:
 //!
 //! 1. **Queue-pair order.**  Commands to one memory server apply in post
 //!    order, so a write-back + release needs no wait before the next command
@@ -88,8 +89,8 @@ use crate::ops::{
 };
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
-use sherman_locks::{AcquireOutcome, AcquireStep, Acquisition};
-use sherman_memserver::ServerLayout;
+use sherman_locks::{AcquireOutcome, AcquireStep, Acquisition, ReleaseStep};
+use sherman_memserver::{AllocStep, AllocatedNode, ServerLayout};
 use sherman_sim::{FabricBackend, GlobalAddress, PendingVerb, WriteCmd};
 use std::sync::Arc;
 
@@ -433,10 +434,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Step the acquisition `acq` until it holds its lock, parking on each
     /// thing it posts as a lock park ([`OpCx::wait_lock`]).  Returns how the
     /// lock was obtained and the node image read under it.
-    pub(crate) async fn acquire(
-        &self,
-        mut acq: Acquisition,
-    ) -> TreeResult<(AcquireOutcome, Vec<u8>)> {
+    pub(crate) async fn lock(&self, mut acq: Acquisition) -> TreeResult<(AcquireOutcome, Vec<u8>)> {
         let mgr = self.cluster.lock_manager();
         let mut step = mgr.step_acquire(&mut self.ctx(), &mut acq, None)?;
         loop {
@@ -453,7 +451,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
     /// Acquire the exclusive lock on `addr`, folding the outcome into `meta`.
     async fn acquire_lock(&self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<()> {
-        let (acq, _) = self.acquire(Acquisition::new(addr, None)).await?;
+        let (acq, _) = self.lock(Acquisition::new(addr, None)).await?;
         Self::note_acquired(acq, meta);
         Ok(())
     }
@@ -479,7 +477,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// uncombined preset.  The caller charges the CPU of what it reads of the
     /// image: a point write what its probe read ([`OpCx::leaf_commit`]), a
     /// separator insertion the whole node.
-    pub(crate) fn lock_and_read_finish(
+    pub(crate) async fn lock_and_read_finish(
         &self,
         addr: GlobalAddress,
         acq: AcquireOutcome,
@@ -488,7 +486,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     ) -> TreeResult<Vec<u8>> {
         Self::note_acquired(acq, meta);
         if !self.combine() {
-            return self.read_node_locked(addr);
+            return self.read_node_locked(addr).await;
         }
         Ok(image)
     }
@@ -496,52 +494,74 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// [`OpCx::lock_and_read_start`] to [`OpCx::lock_and_read_finish`] (the
     /// separator insertion a [`Followup`] runs), charged the whole node.
     async fn lock_and_read(&self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
-        let (acq, image) = self.acquire(self.lock_and_read_start(addr)).await?;
-        let image = self.lock_and_read_finish(addr, acq, image, meta)?;
-        self.ctx().charge_scan(image.len());
+        let (acq, image) = self.lock(self.lock_and_read_start(addr)).await?;
+        let image = self.lock_and_read_finish(addr, acq, image, meta).await?;
+        self.scan_cpu(image.len()).await;
         Ok(image)
     }
 
     /// Release the exclusive lock on `addr`, flushing `writes` according to
-    /// the command-combination setting.  Blocking: the release completion is
-    /// observed before returning.
-    fn release_lock(&self, addr: GlobalAddress, writes: Vec<WriteCmd>) -> TreeResult<()> {
-        let mgr = self.cluster.lock_manager();
-        mgr.release(&mut self.ctx(), addr, writes, self.combine())?;
-        Ok(())
-    }
-
-    /// Release the exclusive lock on `addr` with the *final* release verb
-    /// posted split-phase: its memory effect (lock word cleared, write-backs
-    /// applied) lands at post time, so the critical section ends here even
-    /// though the completion is still outstanding.  Returns the deferred verb
-    /// to park on (`None` when a local handover made the release purely
-    /// local).
-    fn release_lock_deferred(
+    /// the command-combination setting ([`sherman_locks::LockManager::begin_release`]),
+    /// holding the client for every verb the release waits for — the final
+    /// one too when `wait_final`.  Otherwise the final verb is returned, in
+    /// flight: its memory effect (lock word cleared, write-backs applied)
+    /// landed at post time, so the critical section ends here even though the
+    /// completion is still outstanding (`None` when a local handover made the
+    /// release purely local).
+    async fn unlock(
         &self,
         addr: GlobalAddress,
         writes: Vec<WriteCmd>,
+        wait_final: bool,
     ) -> TreeResult<Option<PendingVerb>> {
         let mgr = self.cluster.lock_manager();
-        let (_, deferred) = mgr.post_release(&mut self.ctx(), addr, writes, self.combine())?;
-        Ok(deferred)
+        let mut release =
+            mgr.begin_release(&mut self.ctx(), addr, writes, self.combine(), wait_final);
+        loop {
+            let step = mgr.step_release(&mut self.ctx(), &mut release)?;
+            match step {
+                ReleaseStep::Pending(token) => {
+                    self.hold(token).await;
+                }
+                ReleaseStep::Done { last, .. } => return Ok(last),
+            }
+        }
+    }
+
+    /// Release the exclusive lock on `addr`, its completion observed before
+    /// returning.
+    async fn release_lock(&self, addr: GlobalAddress, writes: Vec<WriteCmd>) -> TreeResult<()> {
+        self.unlock(addr, writes, true).await?;
+        Ok(())
     }
 
     /// Release the lock on `addr` ahead of a follow-up.  With command
     /// combination the write-back + release is posted and left in
     /// `meta.in_flight` (ordering rule 1 of the module docs); without it the
     /// completion is observed here, like that of every other command.
-    fn release_lock_ahead(
+    async fn release_lock_ahead(
         &self,
         addr: GlobalAddress,
         writes: Vec<WriteCmd>,
         meta: &mut OpMeta,
     ) -> TreeResult<()> {
-        if !self.combine() {
-            return self.release_lock(addr, writes);
-        }
-        meta.in_flight.extend(self.release_lock_deferred(addr, writes)?);
+        let last = self.unlock(addr, writes, !self.combine()).await?;
+        meta.in_flight.extend(last);
         Ok(())
+    }
+
+    /// Allocate a node, holding the client while a chunk request is in
+    /// flight.
+    async fn alloc_node(&self) -> TreeResult<AllocatedNode> {
+        loop {
+            let step = self.allocator().step_alloc(&mut self.ctx())?;
+            match step {
+                AllocStep::Done(node) => return Ok(node),
+                AllocStep::Chunk(token) => {
+                    self.hold(token).await;
+                }
+            }
+        }
     }
 
     /// Wait for every verb the operation's commit left in flight.
@@ -648,7 +668,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             }
         }
         if won.len() == plan.len() {
-            self.ctx().charge_scan(plan.len() * node_size);
+            self.scan_cpu(plan.len() * node_size).await;
             return Ok(Some(won.into_iter().map(|(_, image)| image).collect()));
         }
         counters.plan_fallbacks.inc();
@@ -695,11 +715,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             writes = rest;
             let batch = batch.into_iter().flat_map(|w| w.cmds).collect();
             // Uncombined, every command waits for the one before it.
-            let released = match combine {
-                true => mgr.post_release(&mut self.ctx(), rep, batch, true).map(|(_, last)| last),
-                false => mgr.release(&mut self.ctx(), rep, batch, false).map(|_| None),
-            };
-            match released {
+            match self.unlock(rep, batch, !combine).await {
                 Ok(last) => posted.extend(last),
                 Err(e) => failed = failed.or(Some(e)),
             }
@@ -708,7 +724,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         for token in posted {
             self.wait(token).await;
         }
-        failed.map_or(Ok(()), |e| Err(e.into()))
+        failed.map_or(Ok(()), Err)
     }
 
     /// Release an untouched lock plan: nothing was written, so the commit
@@ -732,13 +748,12 @@ impl<B: FabricBackend> OpCx<'_, B> {
     // ------------------------------------------------------------------
 
     /// Read a node image while holding its exclusive lock (no retry loop
-    /// needed: writers are excluded, readers never modify).  Blocking: the
-    /// body of a leaf commit does not await.  The caller charges the CPU of
-    /// what it reads of the image.
-    fn read_node_locked(&self, addr: GlobalAddress) -> TreeResult<Vec<u8>> {
-        let mut buf = vec![0u8; self.layout().node_size()];
-        self.ctx().read(addr, &mut buf)?;
-        Ok(buf)
+    /// needed: writers are excluded, readers never modify), holding the
+    /// client: the body of a leaf commit does not yield.  The caller charges
+    /// the CPU of what it reads of the image.
+    async fn read_node_locked(&self, addr: GlobalAddress) -> TreeResult<Vec<u8>> {
+        let token = self.ctx().post_read(addr, self.layout().node_size())?;
+        Ok(self.hold(token).await.result.into_read())
     }
 
     /// Read node images whose locks are all held.  The reads are
@@ -748,12 +763,12 @@ impl<B: FabricBackend> OpCx<'_, B> {
     async fn read_nodes_locked(&self, addrs: &[GlobalAddress]) -> TreeResult<Vec<Vec<u8>>> {
         let node_size = self.layout().node_size();
         if !self.combine() {
-            let read = |&a| {
-                let image = self.read_node_locked(a)?;
-                self.ctx().charge_scan(node_size);
-                Ok(image)
-            };
-            return addrs.iter().map(read).collect();
+            let mut images = Vec::with_capacity(addrs.len());
+            for &addr in addrs {
+                images.push(self.read_node_locked(addr).await?);
+                self.scan_cpu(node_size).await;
+            }
+            return Ok(images);
         }
         if addrs.is_empty() {
             return Ok(Vec::new());
@@ -761,7 +776,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let reqs: Vec<(GlobalAddress, usize)> = addrs.iter().map(|&a| (a, node_size)).collect();
         let token = self.ctx().post_read_batch(&reqs)?;
         let images = self.wait(token).await.result.into_read_batch();
-        self.ctx().charge_scan(addrs.len() * node_size);
+        self.scan_cpu(addrs.len() * node_size).await;
         Ok(images)
     }
 
@@ -785,8 +800,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
     // Leaf commit
     // ------------------------------------------------------------------
 
-    /// The body of the write critical section, run synchronously on the leaf
-    /// at `addr` with its lock held and `buf` its image as read under the
+    /// The body of the write critical section, run without yielding on the
+    /// leaf at `addr` with its lock held and `buf` its image as read under the
     /// lock: revalidate its header, apply `kind` to the key's slot, write
     /// back and release.  The image is not decoded: one pass over its slots
     /// finds the key's slot, the first vacant one and the live count
@@ -799,7 +814,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// takes further locks and is returned as a [`Followup`], which finds the
     /// leaf's release in `meta.in_flight` (posted; observed already without
     /// command combination).
-    pub(crate) fn leaf_commit(
+    pub(crate) async fn leaf_commit(
         &self,
         addr: GlobalAddress,
         source: LeafSource,
@@ -815,16 +830,17 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let whole = self.leaf_format().is_sorted() || !self.combine();
         let header = layout.decode_header(buf);
         if header.free || !header.is_leaf || !header.covers(key) {
-            self.ctx().charge_scan(match whole {
+            self.scan_cpu(match whole {
                 true => buf.len(),
                 false => layout.leaf_search_bytes(&LeafSearch::default()),
-            });
+            })
+            .await;
             if header.free && matches!(source, LeafSource::Cache { .. }) {
                 // The cache routed this write to a retired leaf: its
                 // invalidation is still in flight.
                 self.cluster.coherence_counters().stale_hits.inc();
             }
-            let release = self.release_lock_deferred(addr, Vec::new())?;
+            let release = self.unlock(addr, Vec::new(), false).await?;
             let next = next_after_mismatch(self, key, addr, &header, source)
                 .map(|a| (a, LeafSource::Sibling));
             return Ok(WriteCommit::Retry { next, release });
@@ -837,22 +853,25 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // unless the leaf is read whole or splits — a split reads the whole
         // leaf, and sorts it (`split_leaf`).
         let splits = write.is_none() && kind != WriteKind::Delete;
-        self.ctx().charge_scan(match whole || splits {
+        self.scan_cpu(match whole || splits {
             true => buf.len(),
             false => layout.leaf_search_bytes(&read),
-        });
+        })
+        .await;
         let Some(write) = write else {
             return Ok(match kind {
-                WriteKind::Insert { value } => {
-                    WriteCommit::Structural(self.split_leaf(addr, buf, key, value, meta)?)
-                }
+                // Boxed, like the follow-ups: splits are rare, and every
+                // operation's future would otherwise be the size of this one.
+                WriteKind::Insert { value } => WriteCommit::Structural(
+                    Box::pin(self.split_leaf(addr, buf, key, value, meta)).await?,
+                ),
                 WriteKind::Delete => WriteCommit::Committed {
                     found: false,
-                    release: self.release_lock_deferred(addr, Vec::new())?,
+                    release: self.unlock(addr, Vec::new(), false).await?,
                 },
             });
         };
-        let writes = self.leaf_writeback(addr, buf, &write);
+        let writes = self.leaf_writeback(addr, buf, &write).await;
 
         // Structural deletes (§ beyond the paper): once a delete drops the
         // leaf below the merge threshold, pair it with a sibling and merge or
@@ -861,12 +880,12 @@ impl<B: FabricBackend> OpCx<'_, B> {
             && self.cluster.options().structural_deletes_enabled()
             && write.live < self.merge_floor::<LeafNode>()
         {
-            self.release_lock_ahead(addr, writes, meta)?;
+            Box::pin(self.release_lock_ahead(addr, writes, meta)).await?;
             return Ok(WriteCommit::Structural(Followup::Merge { addr, header }));
         }
         Ok(WriteCommit::Committed {
             found: true,
-            release: self.release_lock_deferred(addr, writes)?,
+            release: self.unlock(addr, writes, false).await?,
         })
     }
 
@@ -898,7 +917,12 @@ impl<B: FabricBackend> OpCx<'_, B> {
     }
 
     /// Build the write-back of `write` on the leaf at `addr`, `pre` its image.
-    fn leaf_writeback(&self, addr: GlobalAddress, pre: &[u8], write: &PointWrite) -> Vec<WriteCmd> {
+    async fn leaf_writeback(
+        &self,
+        addr: GlobalAddress,
+        pre: &[u8],
+        write: &PointWrite,
+    ) -> Vec<WriteCmd> {
         let layout = *self.layout();
         if !self.leaf_format().is_sorted() {
             return vec![write.command(&layout, addr)];
@@ -909,7 +933,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let pairs = leaf.sorted_pairs();
         leaf.repack_sorted(&pairs);
         leaf.header.bump_versions();
-        self.ctx().charge_scan(layout.node_size());
+        self.scan_cpu(layout.node_size()).await;
         vec![WriteCmd::new(addr, self.encode(&leaf))]
     }
 
@@ -920,7 +944,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Split the full, locked leaf at `addr` (`pre` its image) around the new
     /// `key`: both halves are written back with the release of its lock; the
     /// new right half still needs its separator in the parent level.
-    fn split_leaf(
+    async fn split_leaf(
         &self,
         addr: GlobalAddress,
         pre: &[u8],
@@ -933,7 +957,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let dense = self.leaf_format().is_sorted();
         // Sorting the (possibly unsorted) leaf before the split costs local
         // CPU time (Figure 7, line 21).
-        self.ctx().charge_scan(layout.node_size());
+        self.scan_cpu(layout.node_size()).await;
         let (split_key, mut right) = leaf.split(&layout, dense);
 
         // Place the new key into the correct half.
@@ -950,7 +974,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             let pairs = target.sorted_pairs();
             target.repack_sorted(&pairs);
         }
-        let sibling = self.install_right_half(addr, pre, &mut leaf, &mut right, meta)?;
+        let sibling = self.install_right_half(addr, pre, &mut leaf, &mut right, meta).await?;
         Ok(Followup::Separator { split_key, sibling })
     }
 
@@ -961,7 +985,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Returns the new node's address; with command combination the writes
     /// are left in `meta.in_flight` for the separator insertion to overlap
     /// and — the right half's — to observe before it writes (ordering rule 2).
-    fn install_right_half<N: TreeNode>(
+    async fn install_right_half<N: TreeNode>(
         &self,
         addr: GlobalAddress,
         pre: &[u8],
@@ -969,13 +993,12 @@ impl<B: FabricBackend> OpCx<'_, B> {
         right: &mut N,
         meta: &mut OpMeta,
     ) -> TreeResult<GlobalAddress> {
-        let allocated = self.allocator().alloc_node(&mut self.ctx());
-        let alloc = match allocated {
+        let alloc = match self.alloc_node().await {
             Ok(a) => a,
             Err(e) => {
                 // Do not leak the node lock when the cluster is out of memory.
-                self.release_lock(addr, Vec::new())?;
-                return Err(e.into());
+                self.release_lock(addr, Vec::new()).await?;
+                return Err(e);
             }
         };
         left.header_mut().sibling = Some(alloc.addr);
@@ -994,23 +1017,23 @@ impl<B: FabricBackend> OpCx<'_, B> {
             writes.extend(right_half.cmds);
         } else {
             // Another queue pair: posted first, beside the batch.
-            let sent = match self.combine() {
-                true => self
-                    .ctx()
-                    .post_write_batch(&right_half.cmds)
-                    .map(|token| meta.in_flight.push(token)),
-                false => self.ctx().post_writes(&right_half.cmds),
-            };
-            if let Err(e) = sent {
-                // Neither the node lock nor the carved node may leak.
-                self.release_lock(addr, Vec::new())?;
-                self.retire_unlinked(alloc.addr, alloc.version_floor);
-                return Err(e.into());
+            let sent = self.ctx().post_write_batch(&right_half.cmds);
+            match sent {
+                Ok(token) if self.combine() => meta.in_flight.push(token),
+                Ok(token) => {
+                    self.hold(token).await;
+                }
+                Err(e) => {
+                    // Neither the node lock nor the carved node may leak.
+                    self.release_lock(addr, Vec::new()).await?;
+                    self.retire_unlinked(alloc.addr, alloc.version_floor);
+                    return Err(e.into());
+                }
             }
         }
         writes.extend(left_half.cmds);
         self.cluster.space_counters().record_structural_commit(written_back);
-        self.release_lock_ahead(addr, writes, meta)?;
+        self.release_lock_ahead(addr, writes, meta).await?;
         Ok(alloc.addr)
     }
 
@@ -1044,7 +1067,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 // key range): pace the retry so the winner can finish.
                 self.ctx().contention_backoff(attempt);
             }
-            let (_, root_level) = self.root()?;
+            let (_, root_level) = self.root().await?;
             if root_level < parent_level {
                 // The new root makes `child` reachable from above.
                 self.observe(meta).await;
@@ -1070,7 +1093,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                     // only): scrub the route here, or every retry follows it.
                     self.cluster.cache(self.cs_id).invalidate_addr(addr);
                 }
-                self.release_lock(addr, Vec::new())?;
+                self.release_lock(addr, Vec::new()).await?;
                 if !node.header.free
                     && node.header.level == parent_level
                     && sep_key >= node.header.fence_high
@@ -1090,7 +1113,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 let write_back = self.write_back(addr, Some(&buf), self.encode(&node));
                 let counters = self.cluster.space_counters();
                 counters.record_structural_commit(write_back.bytes());
-                self.release_lock(addr, write_back.cmds)?;
+                self.release_lock(addr, write_back.cmds).await?;
                 self.offer_written(&[(addr, &node)], root_level);
                 return Ok(());
             }
@@ -1102,7 +1125,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
             } else {
                 node.insert_separator(sep_key, child);
             }
-            let right_addr = self.install_right_half(addr, &buf, &mut node, &mut right, meta)?;
+            let installed = self.install_right_half(addr, &buf, &mut node, &mut right, meta);
+            let right_addr = installed.await?;
             // The right half first: it adopts the cached children it took
             // along before the narrowed left image stops covering them.
             self.offer_written(&[(right_addr, &right), (addr, &node)], root_level);
@@ -1169,13 +1193,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // Verify the old root really is one level below the root we intend to
         // create; otherwise someone else already grew the tree.
         let buf = read_node(self, &mut OpMeta::default(), old_root).await?;
-        self.ctx().charge_scan(buf.len());
+        self.scan_cpu(buf.len()).await;
         let header = self.layout().decode_header(&buf);
         if header.free || header.level + 1 != new_level {
             return Ok(false);
         }
 
-        let alloc = self.allocator().alloc_node(&mut self.ctx())?;
+        let alloc = self.alloc_node().await?;
         let mut new_root = InternalNode::new(new_level, 0, u64::MAX, old_root);
         new_root.insert_separator(sep_key, right_child);
         // Stamp above any tombstone left at a recycled address (versions bump
@@ -1217,7 +1241,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         level: u8,
         meta: &mut OpMeta,
     ) -> TreeResult<Option<MergePartners>> {
-        let (_, root_level) = self.root()?;
+        let (_, root_level) = self.root().await?;
         if root_level < level + 1 {
             return Ok(None);
         }
@@ -1233,7 +1257,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 },
             };
             let buf = read_node(self, meta, addr).await?;
-            self.ctx().charge_scan(buf.len());
+            self.scan_cpu(buf.len()).await;
             let parent = self.layout().decode_internal(&buf);
             if parent.header.free {
                 // As in `insert_separator_at`: scrub the route that led here.
@@ -1284,7 +1308,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             Some(h) => h.clone(),
             None => {
                 let buf = read_node(self, meta, node_addr).await?;
-                self.ctx().charge_scan(buf.len());
+                self.scan_cpu(buf.len()).await;
                 self.layout().decode_header(&buf)
             }
         };
@@ -1385,8 +1409,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
             None
         } else if is_leaf {
             self.plan_merge::<LeafNode>(left_addr, &left_buf, &right_buf, direction)
+                .await
         } else {
             self.plan_merge::<InternalNode>(left_addr, &left_buf, &right_buf, direction)
+                .await
         };
         let Some(merge) = merge else {
             self.abandon_plan(&plan).await?;
@@ -1498,7 +1524,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// floor, without draining the donor below it (internal nodes rotate
     /// children through the pair's boundary); the parent's separator is then
     /// retargeted in the same critical section.
-    fn plan_merge<N: TreeNode>(
+    async fn plan_merge<N: TreeNode>(
         &self,
         left_addr: GlobalAddress,
         left_buf: &[u8],
@@ -1518,7 +1544,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         }
         // Local CPU cost of sorting the pairs that move (same accounting as
         // splits).
-        self.ctx().charge_scan(layout.node_size());
+        self.scan_cpu(layout.node_size()).await;
         let dense = self.leaf_format().is_sorted();
         let capacity = N::capacity(&layout);
         let change = if underfull + N::JOIN + donor <= capacity {
@@ -1831,7 +1857,8 @@ mod tests {
                     assert_eq!(completion.token, token);
                     let won = mgr.step_acquire(ctx, &mut attempt, Some(completion)).unwrap();
                     assert!(matches!(won, AcquireStep::Done { .. }), "{node:?} is still locked");
-                    mgr.release(ctx, node, Vec::new(), true).unwrap();
+                    mgr.post_release(ctx, node, Vec::new(), true).unwrap();
+                    ctx.drain();
                 }
             }
         }

@@ -185,9 +185,9 @@ impl NodeLayout {
 
     /// Decode just the header (and rear version) of a node image.
     pub fn decode_header(&self, buf: &[u8]) -> NodeHeader {
-        let read_u64 = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        let sibling_raw = read_u64(24);
-        let leftmost_raw = read_u64(32);
+        let word = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
+        let sibling_raw = word(24);
+        let leftmost_raw = word(32);
         NodeHeader {
             front_version: buf[0],
             rear_version: buf[self.rear_version_offset()],
@@ -195,8 +195,8 @@ impl NodeLayout {
             free: buf[1] & FLAG_FREE != 0,
             level: buf[2],
             count: u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize,
-            fence_low: read_u64(8),
-            fence_high: read_u64(16),
+            fence_low: word(8),
+            fence_high: word(16),
             sibling: if sibling_raw == 0 {
                 None
             } else {

@@ -86,7 +86,9 @@ pub use layout::NodeLayout;
 pub use node::{InternalEntry, InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
 pub use offload::{RpcDecline, RpcLeafReply, RpcNodeInfo, RpcRangeReply, RpcRequest, RpcResponse};
 pub use ops::OpOutput;
-pub use scheduler::{overlap_from_stats, PipelineOp, PipelineReport, PipelinedResult};
+pub use scheduler::{
+    overlap_from_stats, run_clients, PipelineOp, PipelineReport, PipelinedResult, Session,
+};
 pub use stats::OpStats;
 
 /// Result alias for tree operations.

@@ -30,11 +30,13 @@
 //! sibling operation; a [`Park::Lock`](crate::exec::Park::Lock)) and on the
 //! final release verb, whose memory effect applied at post time.  In
 //! between, the body — validate, pick the slot, post write-back + release —
-//! does not await.  So an operation waits *for* a lock while parked, but the
-//! only lock it ever *holds* while parked is the one leaf lock whose
-//! acquisition is completing, and it needs no other lock to let go of it: a
-//! lock word that several in-flight operations of one client want (the same
-//! leaf, or an aliased slot of the lock table) is passed along the local
+//! does not yield: what it waits for (its CPU time, an uncombined read or
+//! release) it waits for holding the client ([`OpCx::hold`]), so no sibling
+//! runs meanwhile.  So an operation waits *for* a lock while parked, but the
+//! only lock it ever *holds* while its siblings run is the one leaf lock
+//! whose acquisition is completing, and it needs no other lock to let go of
+//! it: a lock word that several in-flight operations of one client want (the
+//! same leaf, or an aliased slot of the lock table) is passed along the local
 //! queue, never waited for in a cycle.
 //!
 //! A commit that needs further locks — the separator of a split, a merge —
@@ -45,10 +47,8 @@
 //! (`crate::commit`).
 //!
 //! Rare control-path reads (the remote root pointer refresh on a distrusted
-//! restart) stay blocking: they occur only after a lost race under
-//! structural churn, and a blocking poll merely observes other outstanding
-//! completions later — it never stalls the clock (completion times are fixed
-//! at post time).
+//! restart) hold the client too: they occur only after a lost race under
+//! structural churn.
 
 use crate::commit::Followup;
 use crate::config::{LeafFormat, OffloadPolicy};
@@ -131,26 +131,33 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
     /// Current root address and level, from the local hint or the remote
     /// superblock.
-    pub(crate) fn root(&self) -> TreeResult<(GlobalAddress, u8)> {
+    pub(crate) async fn root(&self) -> TreeResult<(GlobalAddress, u8)> {
         if let Some(hint) = self.cluster.root_hint() {
             return Ok((hint.addr, hint.level));
         }
-        self.root_remote()
+        Box::pin(self.root_remote()).await
     }
 
     /// Re-read the root pointer and level hint from the remote superblock,
     /// refreshing the local hint (used when a restart suggests the hint may be
-    /// stale — e.g. after a racing root growth or root collapse).  Blocking:
-    /// restarts are rare and never on the pipelined hot path.
-    pub(crate) fn root_remote(&self) -> TreeResult<(GlobalAddress, u8)> {
-        let packed = self.ctx().read_u64(self.cluster.root_ptr_addr())?;
+    /// stale — e.g. after a racing root growth or root collapse).  Holds the
+    /// client: restarts are rare and never on the pipelined hot path.
+    pub(crate) async fn root_remote(&self) -> TreeResult<(GlobalAddress, u8)> {
+        let packed = self.hold_word(self.cluster.root_ptr_addr()).await?;
         if packed == 0 {
             return Err(TreeError::NotInitialized);
         }
-        let level = self.ctx().read_u64(ServerLayout::level_hint_addr())? as u8;
+        let level = self.hold_word(ServerLayout::level_hint_addr()).await? as u8;
         let addr = GlobalAddress::unpack(packed);
         self.cluster.set_root_hint(addr, level);
         Ok((addr, level))
+    }
+
+    /// `RDMA_READ` the 8-byte word at `addr`, holding the client.
+    async fn hold_word(&self, addr: GlobalAddress) -> TreeResult<u64> {
+        let token = self.ctx().post_read(addr, 8)?;
+        let bytes = self.hold(token).await.result.into_read();
+        Ok(u64::from_le_bytes(bytes.try_into().expect("an 8-byte read")))
     }
 
     /// Drain this compute server's coherence inbox and apply every message
@@ -342,12 +349,15 @@ pub enum OpOutput {
 /// key, or at the root) and how many dependent reads the local path would
 /// need from there — the uncached suffix of the path, not the tree height.
 /// Records the decision; returns `None` when the op should stay local.
-fn offload_decision<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64) -> Option<(GlobalAddress, u8)> {
+async fn offload_decision<B: FabricBackend>(
+    cx: &OpCx<'_, B>,
+    key: u64,
+) -> Option<(GlobalAddress, u8)> {
     let policy = cx.cluster.options().offload;
     if !policy.may_offload() {
         return None;
     }
-    let (root_addr, root_level) = cx.root().ok()?;
+    let (root_addr, root_level) = cx.root().await.ok()?;
     let (from_addr, remaining) = match cx.cluster.cache(cx.cs_id).search_top(key) {
         Some((child, child_level)) => (child, child_level.saturating_add(1)),
         None => (root_addr, root_level.saturating_add(1)),
@@ -367,7 +377,7 @@ fn offload_decision<B: FabricBackend>(cx: &OpCx<'_, B>, key: u64) -> Option<(Glo
 /// The traverse RPC a cache-missed point op posts, if the placement decision
 /// picks it.  One-shot per operation (`done`), so a declined or stale RPC
 /// can never loop back into another RPC.
-fn offload_descent<B: FabricBackend>(
+async fn offload_descent<B: FabricBackend>(
     cx: &OpCx<'_, B>,
     key: u64,
     done: &mut bool,
@@ -375,7 +385,7 @@ fn offload_descent<B: FabricBackend>(
     if *done {
         return None;
     }
-    let (from_addr, remaining) = offload_decision(cx, key)?;
+    let (from_addr, remaining) = offload_decision(cx, key).await?;
     *done = true;
     Some(RpcRequest::TraverseStep {
         from_addr,
@@ -541,8 +551,8 @@ pub(crate) async fn traverse<B: FabricBackend>(
         let use_shortcuts = first_attempt || !distrust_shortcuts;
         first_attempt = false;
         let (root_addr, root_level) = match use_shortcuts {
-            true => cx.root()?,
-            false => cx.root_remote()?,
+            true => cx.root().await?,
+            false => Box::pin(cx.root_remote()).await?,
         };
         let looked_up = looked_up.take();
         let start = if use_shortcuts {
@@ -586,7 +596,7 @@ pub(crate) async fn traverse<B: FabricBackend>(
         }
         while expect_level != target_level {
             let buf = read_node(cx, meta, addr).await?;
-            cx.ctx().charge_scan(buf.len());
+            cx.scan_cpu(buf.len()).await;
             let cache = cx.cluster.cache(cx.cs_id);
             let node = cx.cluster.layout().decode_internal(&buf);
             let header = &node.header;
@@ -677,10 +687,12 @@ async fn lookup<B: FabricBackend>(
                     )
                 }
                 LocateStart::Cached(addr, source) => break 'located (addr, source),
-                LocateStart::Traverse(start) => match offload_descent(cx, key, &mut offload_done) {
-                    Some(req) => (req, None),
-                    None => break 'located traverse(cx, meta, key, 0, Some(start)).await?,
-                },
+                LocateStart::Traverse(start) => {
+                    match offload_descent(cx, key, &mut offload_done).await {
+                        Some(req) => (req, None),
+                        None => break 'located traverse(cx, meta, key, 0, Some(start)).await?,
+                    }
+                }
             };
             let counters = cx.cluster.offload_counters(cx.cs_id);
             match offload(cx, req).await? {
@@ -722,10 +734,11 @@ async fn lookup<B: FabricBackend>(
             // The CPU of what the lookup read: the header, the tags up to the
             // match and the keys behind matching tags, or the whole node a
             // checksum validated.
-            cx.ctx().charge_scan(match cx.leaf_format() {
+            cx.scan_cpu(match cx.leaf_format() {
                 LeafFormat::SortedChecksum => buf.len(),
                 _ => layout.leaf_search_bytes(&search.unwrap_or_default()),
-            });
+            })
+            .await;
             let Some(search) = search else {
                 if header.free && matches!(source, LeafSource::Cache { .. }) {
                     // The index cache routed to a retired leaf: its
@@ -844,7 +857,7 @@ impl Scan {
             if taken == Take::Consumed || !consistent {
                 // A re-read leaf is charged whether consumed or not; an
                 // image of the batch not consumed is charged nothing.
-                cx.ctx().charge_scan(node_size);
+                cx.scan_cpu(node_size).await;
             }
             if taken == Take::Torn {
                 meta.read_retries += 1;
@@ -930,7 +943,7 @@ async fn range<B: FabricBackend>(
         }
     }
     if !batched {
-        if let Some((from_addr, _)) = offload_decision(cx, start_key) {
+        if let Some((from_addr, _)) = offload_decision(cx, start_key).await {
             let req = RpcRequest::LeafRange {
                 from_addr,
                 start_key,
@@ -954,7 +967,7 @@ async fn range<B: FabricBackend>(
         let mut reads_left = rereads;
         loop {
             let buf = read_node(cx, meta, addr).await?;
-            cx.ctx().charge_scan(buf.len());
+            cx.scan_cpu(buf.len()).await;
             let leaf = layout.decode_leaf(&buf);
             match scan.take_leaf(&leaf) {
                 Take::Consumed => break,
@@ -1036,7 +1049,7 @@ async fn write<B: FabricBackend>(
                 LocateStart::Cached(addr, source) => break 'located (addr, source),
                 LocateStart::Traverse(start) => start,
             };
-            let Some(req) = offload_descent(cx, key, &mut offload_done) else {
+            let Some(req) = offload_descent(cx, key, &mut offload_done).await else {
                 break 'located traverse(cx, meta, key, 0, Some(start)).await?;
             };
             let counters = cx.cluster.offload_counters(cx.cs_id);
@@ -1053,9 +1066,9 @@ async fn write<B: FabricBackend>(
             continue 'restart;
         };
         // The head of the commit: the leaf lock, its read riding it.
-        let (outcome, image) = cx.acquire(cx.lock_and_read_start(addr)).await?;
-        let buf = cx.lock_and_read_finish(addr, outcome, image, meta)?;
-        match cx.leaf_commit(addr, source, key, kind, &buf, meta)? {
+        let (outcome, image) = cx.lock(cx.lock_and_read_start(addr)).await?;
+        let buf = cx.lock_and_read_finish(addr, outcome, image, meta).await?;
+        match cx.leaf_commit(addr, source, key, kind, &buf, meta).await? {
             WriteCommit::Committed { found, release } => {
                 if let Some(token) = release {
                     cx.wait(token).await;

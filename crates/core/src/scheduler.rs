@@ -1,23 +1,36 @@
-//! The pipelined tree-operation scheduler: N logical operations multiplexed
-//! round-robin over **one** fabric context.
+//! The executor: the tree operations of N clients, up to `depth` of them in
+//! flight on each, on one thread.
 //!
 //! The split-phase fabric fixes a verb's completion time at post time and
 //! lets the poster keep going, but a single tree operation is inherently
 //! sequential — it cannot post its next read before the previous one
 //! resolves.  Throughput therefore comes from *operation-level* parallelism:
-//! the scheduler keeps up to `depth` independent operations (each the future
+//! each client keeps up to `depth` independent operations (each the future
 //! of an `async fn` from the `ops` module, boxed in its slot) in flight on
-//! one `ClientCtx`, polling whichever operation's verb completes first.  One
-//! thread then overlaps up to `depth` network round trips, which is how Sherman's evaluation (and
-//! DEX, more aggressively) hides RDMA latency with multiple coroutines per
-//! client thread.
+//! its one `ClientCtx`, resuming whichever operation's verb completes first.
+//! One client then overlaps up to `depth` network round trips, which is how
+//! Sherman's evaluation (and DEX, more aggressively) hides RDMA latency with
+//! multiple coroutines per client thread.
 //!
-//! Scheduling is completion-driven round-robin: the earliest completion on
-//! the shared completion queue decides which operation runs next, a finished
-//! operation's slot immediately pulls the next operation from the feed, and
-//! a `depth` of 1 degenerates to exactly the blocking path (post one verb,
-//! poll it) — the equivalence the `pipelined_equivalence` and
-//! `write_pipelining` suites pin down.
+//! ## One heap across clients
+//!
+//! Each client's scheduling loop is itself an `async fn` (`Run`), and
+//! [`run_clients`] drives every client's loop on one thread: each loop
+//! parks on the instant its next step is due (`OpCx::until`), and a heap
+//! keyed by (that instant, client index) resumes the earliest — the lower
+//! client index on a tie.  Within a client the next step is the one the loop
+//! picks: the earliest completion on its completion queue; a finished
+//! operation's slot immediately pulls the next operation from the feed.  A
+//! client is one CPU, so what an operation waits for *holding* its client —
+//! CPU time, the few waits that block inside an operation (`crate::exec`) —
+//! lets other clients run but none of its siblings.  Run alone — one client,
+//! [`TreeClient::run_pipelined`] — every wait is answered at once, the clock
+//! moved by the poll that follows, and a `depth` of 1 degenerates to exactly
+//! the blocking path (post one verb, poll it): the equivalence the
+//! `pipelined_equivalence` and `write_pipelining` suites pin down.
+//!
+//! Nothing but the heap moves the simulator's clock while the executor runs,
+//! so a run of several clients is a pure function of its inputs.
 //!
 //! ## Writes pipeline too — parked on their lock, under two rules
 //!
@@ -26,10 +39,10 @@
 //! in-flight operation — and so do both round trips of their commit.  The
 //! head of the commit posts the lock acquisition (CAS + READ in one doorbell
 //! batch) and parks on it like on any read; its completion runs the body of
-//! the critical section without an await — validate the locked image, pick
+//! the critical section without yielding — validate the locked image, pick
 //! the slot, post write-back + release — and the operation parks once more on
 //! that verb, whose memory effect applied at post time.  Between a write's
-//! two round trips the scheduler steps whatever completes first (HOCL's
+//! two round trips the client steps whatever completes first (HOCL's
 //! "threads *and coroutines*", DEX-style lock-conscious pipelining).
 //!
 //! Operations of one context that park while a lock is involved could wait
@@ -53,33 +66,30 @@
 //!    separator of a split and a structural merge lock a parent, or a pair
 //!    and their parent, and wait for them.  They run with the leaf lock
 //!    already released, after the operation parks on `Park::Exclusive`: the
-//!    scheduler first steps every sibling that holds a lock, has an attempt
-//!    in flight or sits in a queue through to its release post
+//!    client first steps every sibling that holds a lock, has an attempt in
+//!    flight or sits in a queue through to its release post
 //!    (`Run::settle_acquisitions` — nothing new is started meanwhile), then
 //!    drives the follow-up alone, answering each park with its own
-//!    completion (`OpCx::drive`).  Whatever those acquisitions then meet is
-//!    held by another client, which makes progress on its own: lock-word
-//!    aliasing can never deadlock a thread against itself.  The same
-//!    settling runs before a failed run returns, so an abandoned operation
-//!    never leaves a lock behind.
+//!    completion (`OpCx::drive`).  Both are states of the client on the
+//!    heap: other clients run meanwhile, so a follow-up waiting for a lock
+//!    another client holds sees it released.  Whatever those acquisitions
+//!    meet is held by another client, which makes progress on its own:
+//!    lock-word aliasing can never deadlock a client against itself.  The
+//!    same settling runs before a failed batch returns, so an abandoned
+//!    operation never leaves a lock behind.
 //!
 //! At depth 1 there is no sibling: both rules are vacuous and the run posts
 //! and polls exactly the blocking path's verbs.
 //!
 //! ## Attributing completions to operations
 //!
-//! All in-flight operations share one completion queue.  Every posted verb
-//! is tagged with its operation's id (`ClientCtx::set_current_op`), so the
-//! fabric can attribute each completion's round trip and wait to the op that
-//! posted it.  A [`PipelinedResult::latency_ns`] is the sum of the op's own
-//! verb waits and CPU charges — its serial service demand — which at depth 1
-//! equals wall-clock latency exactly and at depth > 1 excludes time spent
-//! advancing *other* operations (the bug the untagged wall-clock measurement
-//! had).
-//!
-//! The driver is single-threaded and deterministic: two runs over the same
-//! cluster state, operation feed and depth execute the same verbs in the
-//! same order and report identical virtual-time totals.
+//! All in-flight operations of a client share one completion queue.  Every
+//! posted verb is tagged with its operation's id (`ClientCtx::set_current_op`),
+//! so the fabric can attribute each completion's round trip and wait to the
+//! op that posted it.  A [`PipelinedResult::latency_ns`] is the sum of the
+//! op's own verb waits and CPU charges — its serial service demand — which at
+//! depth 1 equals wall-clock latency exactly and at depth > 1 excludes time
+//! spent advancing *other* operations.
 
 use crate::client::TreeClient;
 use crate::exec::{OpCx, Park};
@@ -88,8 +98,11 @@ use crate::TreeResult;
 use sherman_memserver::{EpochPin, ReaderHandle};
 use sherman_metrics::OverlapGauges;
 use sherman_sim::{ClientStats, Completion, FabricBackend};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
+use std::task::{Context, Waker};
 
 /// One operation for the pipelined driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,8 +221,8 @@ struct Slot<'f> {
     _pin: EpochPin,
 }
 
-/// One pipelined run in progress: the context it multiplexes, the slots, the
-/// feed that refills them and the results so far.
+/// One client's batch in progress: the context it multiplexes, the slots,
+/// the feed that refills them and the results so far.
 struct Run<'f, 'a, B: FabricBackend, I> {
     cx: &'f OpCx<'a, B>,
     reader: &'f ReaderHandle,
@@ -222,7 +235,7 @@ struct Run<'f, 'a, B: FabricBackend, I> {
 impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
     /// Pull operations from the feed into slot `idx` until one parks (an
     /// operation that finishes without ever parking frees the slot again).
-    fn refill(&mut self, idx: usize) -> TreeResult<()> {
+    async fn refill(&mut self, idx: usize) -> TreeResult<()> {
         while self.slots[idx].is_none() {
             let Some(op) = self.feed.next() else {
                 return Ok(());
@@ -243,7 +256,7 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
                 parked: Park::Exclusive,
                 _pin,
             });
-            self.step_slot(idx, None)?;
+            self.step_slot(idx, None).await?;
         }
         Ok(())
     }
@@ -251,14 +264,34 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
     /// Refill every empty slot.  Starting an operation can run an exclusive
     /// drive, which can finish operations in slots already visited: go round
     /// until a pass starts nothing.
-    fn refill_all(&mut self) -> TreeResult<()> {
+    async fn refill_all(&mut self) -> TreeResult<()> {
         loop {
             let started = self.next_id;
             for idx in 0..self.slots.len() {
-                self.refill(idx)?;
+                if self.slots[idx].is_none() {
+                    self.refill(idx).await?;
+                }
             }
             if self.next_id == started {
                 return Ok(());
+            }
+        }
+    }
+
+    /// Poll the operation in slot `idx` until it parks on something that
+    /// yields the client, or finishes: a hold is waited out here, its
+    /// siblings parked meanwhile.
+    async fn poll_slot(&mut self, idx: usize) -> Result<TreeResult<(OpOutput, OpMeta)>, Park> {
+        loop {
+            let slot = self.slots[idx]
+                .as_mut()
+                .expect("stepping an in-flight operation");
+            match self.cx.poll(slot.future.as_mut()) {
+                Err(Park::Hold(token)) => {
+                    let completion = self.cx.complete(token).await;
+                    self.cx.resume(completion);
+                }
+                polled => return polled,
             }
         }
     }
@@ -267,30 +300,22 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
     /// until it parks on something it posted or finishes (its result is
     /// recorded and the slot left empty; on an error the slot is emptied
     /// too).
-    fn step_slot(&mut self, idx: usize, completion: Option<Completion>) -> TreeResult<()> {
+    async fn step_slot(&mut self, idx: usize, completion: Option<Completion>) -> TreeResult<()> {
         let cx = self.cx;
-        let slot = self.slots[idx]
-            .as_mut()
-            .expect("stepping an in-flight operation");
         // Tag every verb (and CPU charge) of this operation with its id so
         // the shared completion queue can attribute it.
-        let id = slot.id;
+        let id = self.slots[idx]
+            .as_ref()
+            .expect("stepping an in-flight operation")
+            .id;
         cx.ctx().set_current_op(Some(id));
         if let Some(completion) = completion {
             cx.resume(completion);
         }
-        let mut polled = cx.poll(slot.future.as_mut());
+        let mut polled = self.poll_slot(idx).await;
         if let Err(Park::Exclusive) = polled {
-            // Rule two: further locks are taken (and waited for) only with
-            // every sibling out of its acquisition — and then alone.
-            slot.parked = Park::Exclusive;
-            cx.ctx().set_current_op(None);
-            self.settle_acquisitions(Some(idx))?;
-            let slot = self.slots[idx]
-                .as_mut()
-                .expect("an exclusive operation waits");
-            cx.ctx().set_current_op(Some(id));
-            polled = Ok(cx.drive(slot.future.as_mut()));
+            // Boxed: rare, and every step would otherwise carry its state.
+            polled = Ok(Box::pin(self.drive_alone(idx, id)).await?);
         }
         cx.ctx().set_current_op(None);
         match polled {
@@ -321,13 +346,38 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
         }
     }
 
+    /// Rule two: the operation in slot `idx` (id `id`) takes further locks,
+    /// and waits for them, only with every sibling out of its acquisition —
+    /// and then alone.
+    async fn drive_alone(
+        &mut self,
+        idx: usize,
+        id: u64,
+    ) -> TreeResult<TreeResult<(OpOutput, OpMeta)>> {
+        let slot = self.slots[idx].as_mut().expect("an exclusive operation");
+        slot.parked = Park::Exclusive;
+        self.cx.ctx().set_current_op(None);
+        self.settle_acquisitions(Some(idx)).await?;
+        let slot = self.slots[idx].as_mut().expect("an exclusive operation waits");
+        self.cx.ctx().set_current_op(Some(id));
+        Ok(self.cx.drive(slot.future.as_mut()).await)
+    }
+
     /// Run the feed to its end and return every result.  On a failure,
     /// leave the context — and the locks — clean first: let every operation
     /// that is acquiring a lock release it again (their own failures no
     /// longer matter), then observe every outstanding completion.
-    fn finish(mut self) -> TreeResult<Vec<PipelinedResult>> {
-        if let Err(e) = self.run_feed() {
-            while self.settle_acquisitions(None).is_err() {}
+    async fn finish(mut self) -> TreeResult<Vec<PipelinedResult>> {
+        if let Err(e) = self.run_feed().await {
+            while self.settle_acquisitions(None).await.is_err() {}
+            loop {
+                let Some(due) = self.cx.ctx().next_due() else {
+                    break;
+                };
+                self.cx.until(due).await;
+                self.cx.ctx().poll(None);
+            }
+            // What is left are waits nothing can wake any more.
             self.cx.ctx().drain();
             return Err(e);
         }
@@ -337,14 +387,20 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
     /// Completion-driven loop: the earliest outstanding completion decides
     /// which operation advances; a finished operation's slot pulls the next
     /// one from the feed before anything else runs.
-    fn run_feed(&mut self) -> TreeResult<()> {
-        self.refill_all()?;
+    async fn run_feed(&mut self) -> TreeResult<()> {
+        self.refill_all().await?;
         while self.slots.iter().any(Option::is_some) {
+            let due = self
+                .cx
+                .ctx()
+                .next_due()
+                .expect("every in-flight operation has an outstanding verb");
+            self.cx.until(due).await;
             let completion = self
                 .cx
                 .ctx()
                 .poll(None)
-                .expect("every in-flight operation has an outstanding verb");
+                .expect("the completion that was due is outstanding");
             let idx = self
                 .slots
                 .iter()
@@ -353,8 +409,8 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
                         .is_some_and(|slot| slot.parked.token() == Some(completion.token))
                 })
                 .expect("completion token belongs to an in-flight operation");
-            self.step_slot(idx, Some(completion))?;
-            self.refill_all()?;
+            self.step_slot(idx, Some(completion)).await?;
+            self.refill_all().await?;
         }
         Ok(())
     }
@@ -365,7 +421,7 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
     /// is refilled meanwhile, so this ends: each such operation needs nothing
     /// but its own completions (and releases of the others, which wake it)
     /// to get there.
-    fn settle_acquisitions(&mut self, except: Option<usize>) -> TreeResult<()> {
+    async fn settle_acquisitions(&mut self, except: Option<usize>) -> TreeResult<()> {
         loop {
             let next = self
                 .slots
@@ -381,16 +437,152 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
                 return Ok(());
             };
             assert!(due != u64::MAX, "lock acquisitions of one client wait for each other");
-            let completion = self.cx.ctx().poll_token(token);
-            self.step_slot(idx, Some(completion))?;
+            let completion = self.cx.complete(token).await;
+            self.step_slot(idx, Some(completion)).await?;
         }
+    }
+}
+
+/// Run `ops` with up to `depth` operations in flight on `cx`: one batch of a
+/// client, reported as [`TreeClient::run_pipelined`] reports it.
+async fn run_batch<B: FabricBackend>(
+    cx: &OpCx<'_, B>,
+    reader: &ReaderHandle,
+    ops: impl IntoIterator<Item = PipelineOp>,
+    depth: usize,
+) -> TreeResult<PipelineReport> {
+    let (before, t0) = {
+        let mut ctx = cx.ctx();
+        // The in-flight high-water mark is a lifetime gauge on the client;
+        // make it per-run so a reused client reports this run's depth.
+        ctx.reset_max_in_flight();
+        (ctx.stats(), ctx.now())
+    };
+    let mut slots = Vec::new();
+    slots.resize_with(depth.max(1), || None);
+    let run = Run {
+        cx,
+        reader,
+        slots,
+        feed: ops.into_iter(),
+        next_id: 0,
+        results: Vec::new(),
+    };
+    let results = run.finish().await?;
+
+    let ctx = cx.ctx();
+    let now = ctx.now();
+    let stats = ctx.stats().delta_since(&before);
+    // The overlap window ends at the run's *last completion*, not at the
+    // current clock: the tail between the final completion and the
+    // driver's return (result bookkeeping, trailing CPU charges) has no
+    // verbs in flight by definition and used to dilute the gauges.
+    let window_ns = stats.last_completion_at.clamp(t0, now).saturating_sub(t0);
+    let overlap = overlap_from_stats(&stats, window_ns);
+    Ok(PipelineReport {
+        results,
+        elapsed_ns: now.saturating_sub(t0),
+        stats,
+        overlap,
+    })
+}
+
+/// One client's part in [`run_clients`]: the batches it runs one after the
+/// other, and what it makes of each one's report.
+pub trait Session {
+    /// The operations of one batch.
+    type Batch: IntoIterator<Item = PipelineOp>;
+
+    /// The next batch, or `None` when the client is done.  Called at the
+    /// instant the previous batch ended (the run's start, first).
+    fn next_batch(&mut self) -> Option<Self::Batch>;
+
+    /// What the batch just run produced.  A failed batch fails alone: the
+    /// client goes on with its next one.
+    fn report(&mut self, report: TreeResult<PipelineReport>);
+}
+
+/// Run every client's [`Session`] — `sessions[i]` on `clients[i]`, each batch
+/// with up to `depth` operations in flight — on one executor, and return
+/// when every session is done.
+///
+/// The clients' loops share one heap of the instants they wait for (see the
+/// module docs): a client's next step runs when it is the earliest of all,
+/// and nothing else moves the clock, so the run is a pure function of the
+/// clients and their sessions.  Batches are per client, with no barrier
+/// between clients.  A single client is driven alone, each wait answered in
+/// place; that is the only form for a real-clock backend
+/// ([`FabricBackend::VIRTUAL_CLOCK`] false), whose clients each need an OS
+/// thread of their own.  Create the clients on the thread that calls this
+/// (as [`Cluster::client`](crate::Cluster::client) asks): they share its
+/// participant in the simulator's clock, which the executor's polls move.
+///
+/// # Panics
+/// When `sessions` and `clients` differ in length, or several clients run on
+/// a real-clock backend.
+pub fn run_clients<B: FabricBackend, S: Session>(
+    clients: &mut [TreeClient<B>],
+    sessions: &mut [S],
+    depth: usize,
+) {
+    assert_eq!(clients.len(), sessions.len(), "one session per client");
+    let alone = clients.len() == 1;
+    assert!(
+        alone || B::VIRTUAL_CLOCK,
+        "several clients share one executor only on a virtual clock"
+    );
+    let cxs: Vec<_> = clients.iter_mut().map(|c| c.op_cx_and_reader(alone)).collect();
+    let mut loops: Vec<_> = cxs
+        .iter()
+        .zip(sessions)
+        .map(|((cx, reader), session)| Box::pin(serve(cx, reader, session, depth)))
+        .collect();
+    // The instant each client's loop waits for, earliest first, the lower
+    // client index on a tie; every loop starts now, in client order.
+    let mut heap: BinaryHeap<_> = (0..loops.len()).map(|idx| Reverse((0, idx))).collect();
+    while let Some(Reverse((_, idx))) = heap.pop() {
+        let polled = loops[idx].as_mut().poll(&mut Context::from_waker(Waker::noop()));
+        if polled.is_pending() {
+            assert!(!alone, "a client alone never waits for the executor");
+            heap.push(Reverse((cxs[idx].0.take_due(), idx)));
+        }
+    }
+}
+
+/// One client's part in [`run_clients`]: its session's batches, one after
+/// the other.
+async fn serve<B: FabricBackend, S: Session>(
+    cx: &OpCx<'_, B>,
+    reader: &ReaderHandle,
+    session: &mut S,
+    depth: usize,
+) {
+    while let Some(ops) = session.next_batch() {
+        session.report(run_batch(cx, reader, ops, depth).await);
+    }
+}
+
+/// A session of one batch — its operations, then its report: what
+/// [`TreeClient::run_pipelined`] runs.
+struct OneBatch<I>(Option<I>, Option<TreeResult<PipelineReport>>);
+
+impl<I: IntoIterator<Item = PipelineOp>> Session for OneBatch<I> {
+    type Batch = I;
+
+    fn next_batch(&mut self) -> Option<I> {
+        self.0.take()
+    }
+
+    fn report(&mut self, report: TreeResult<PipelineReport>) {
+        self.1 = Some(report);
     }
 }
 
 impl<B: FabricBackend> TreeClient<B> {
     /// Run `ops` with up to `depth` operations in flight on this client's
     /// single fabric context, returning every result plus the run's overlap
-    /// gauges.  `depth == 1` executes exactly the blocking path.
+    /// gauges: [`run_clients`] with this one client and one batch.  `depth
+    /// == 1` executes exactly the blocking path.
     ///
     /// All four operation kinds pipeline.  Reads are lock-free throughout;
     /// writes overlap their location phase, their lock + read round trip and
@@ -401,43 +593,9 @@ impl<B: FabricBackend> TreeClient<B> {
         ops: impl IntoIterator<Item = PipelineOp>,
         depth: usize,
     ) -> TreeResult<PipelineReport> {
-        let depth = depth.max(1);
-        // The in-flight high-water mark is a lifetime gauge on the client;
-        // make it per-run so a reused client reports this run's depth.
-        self.ctx.reset_max_in_flight();
-        let before = self.ctx.stats();
-        let t0 = self.ctx.now();
-        let (cx, reader) = self.op_cx_and_reader();
-        let mut slots = Vec::new();
-        slots.resize_with(depth, || None);
-        let run = Run {
-            cx: &cx,
-            reader,
-            slots,
-            feed: ops.into_iter(),
-            next_id: 0,
-            results: Vec::new(),
-        };
-        let results = run.finish()?;
-        drop(cx);
-
-        let elapsed_ns = self.ctx.now().saturating_sub(t0);
-        let stats = self.ctx.stats().delta_since(&before);
-        // The overlap window ends at the run's *last completion*, not at the
-        // current clock: the tail between the final completion and the
-        // driver's return (result bookkeeping, trailing CPU charges) has no
-        // verbs in flight by definition and used to dilute the gauges.
-        let window_ns = stats
-            .last_completion_at
-            .clamp(t0, self.ctx.now())
-            .saturating_sub(t0);
-        let overlap = overlap_from_stats(&stats, window_ns);
-        Ok(PipelineReport {
-            results,
-            elapsed_ns,
-            stats,
-            overlap,
-        })
+        let mut batch = OneBatch(Some(ops), None);
+        run_clients(std::slice::from_mut(self), std::slice::from_mut(&mut batch), depth);
+        batch.1.expect("the batch ran")
     }
 }
 

@@ -35,7 +35,8 @@ mod manager;
 
 pub use hocl::{LocalLockTable, MAX_HANDOVER_DEPTH};
 pub use manager::{
-    AcquireOutcome, AcquireStep, Acquisition, LockManager, LockStrategy, ReleaseOutcome,
+    AcquireOutcome, AcquireStep, Acquisition, LockManager, LockStrategy, Release, ReleaseOutcome,
+    ReleaseStep,
 };
 
 /// Hash a packed global address into a lock-table slot.

@@ -2,8 +2,8 @@
 //! by a [`LockStrategy`] — a rung of the paper's lock ladder.
 //!
 //! Every rung shares the global lock table, the acquisition machine
-//! ([`LockManager::step_acquire`]), the release body
-//! ([`LockManager::post_release`]) and the lock order.  The rungs differ in
+//! ([`LockManager::step_acquire`]), the release machine
+//! ([`LockManager::step_release`]) and the lock order.  The rungs differ in
 //! where the lock words live (host memory or the NIC's on-chip memory), in
 //! how a lock is given back (`RDMA_FAA` or `RDMA_WRITE`) and in whether a
 //! per-compute-server local layer sits in front of the global word (the
@@ -19,6 +19,7 @@ use sherman_sim::{
     ClientCtx, Completion, FabricBackend, FabricChannel, GlobalAddress, PendingVerb, SimResult,
     WriteCmd,
 };
+use std::collections::VecDeque;
 
 /// Which exclusive-lock design protects node modifications: the ladder of
 /// Figure 2, Figure 16 and the ablation of §5.2, one rung per value.
@@ -175,6 +176,52 @@ pub struct ReleaseOutcome {
     /// Whether the global (remote) lock was actually released.  `false` means
     /// the lock was handed over to a local waiter instead.
     pub released_global: bool,
+}
+
+/// One lock release in progress: the resumable state of the release machine
+/// ([`LockManager::step_release`]).  Started by
+/// [`LockManager::begin_release`], stepped until it reports
+/// [`ReleaseStep::Done`]; every verb it reports pending is one the release
+/// waits for before it goes on.
+pub struct Release {
+    node: GlobalAddress,
+    /// Verbs to post and wait for, in order: writes on other memory servers,
+    /// then, uncombined, every command but the last.
+    posts: VecDeque<ReleasePost>,
+    /// The final verb, not yet posted.
+    last: Option<ReleasePost>,
+    /// Wait for the final verb before the local lock is given back.
+    wait_final: bool,
+    /// The final verb, posted and left in flight.
+    posted: Option<PendingVerb>,
+    /// The local lock to give back, on a rung with a local layer.
+    local: Option<Locked>,
+    released_global: bool,
+}
+
+/// One verb of a release.
+enum ReleasePost {
+    /// A doorbell batch of writes (the release write among them, if it is
+    /// the batch that carries it).
+    Writes(Vec<WriteCmd>),
+    /// The `RDMA_FAA` that releases a [`LockStrategy::HostCasFaa`] word.
+    Faa(LockLocation),
+}
+
+/// What one [`LockManager::step_release`] call produced.
+#[derive(Debug)]
+pub enum ReleaseStep {
+    /// A verb was posted that the release waits for: step it again once the
+    /// verb completed.
+    Pending(PendingVerb),
+    /// The lock is given back.
+    Done {
+        /// Whether the global lock was released or handed over.
+        outcome: ReleaseOutcome,
+        /// The final verb, posted and not waited for (see
+        /// [`LockManager::begin_release`]).
+        last: Option<PendingVerb>,
+    },
 }
 
 /// Exclusive per-node locking as seen by the B+Tree: one rung of the lock
@@ -381,9 +428,9 @@ impl LockManager {
         }
     }
 
-    /// Release the lock protecting `node`, blocking: what
-    /// [`LockManager::post_release`] posts, with the final verb acknowledged
-    /// before the local lock is given back.
+    /// Release the lock protecting `node`, blocking: the release machine
+    /// ([`LockManager::step_release`]), each verb it posts polled at once, the
+    /// final one acknowledged before the local lock is given back.
     pub fn release<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
@@ -391,29 +438,59 @@ impl LockManager {
         writes: Vec<WriteCmd>,
         combine: bool,
     ) -> SimResult<ReleaseOutcome> {
-        let (outcome, last, local) = self.release_global(client, node, writes, combine)?;
-        if let Some(token) = last {
-            client.poll_token(token);
-        }
-        self.release_local(client, node, local);
-        Ok(outcome)
+        let release = self.begin_release(client, node, writes, combine, true);
+        Ok(self.drive_release(client, release)?.0)
     }
 
-    /// Release the lock protecting `node`, flushing `writes` (node
+    /// Release the lock protecting `node` with the final verb posted
+    /// split-phase (see [`LockManager::begin_release`]), every earlier one
+    /// polled at once.  Returns the final verb for the caller to poll.
+    pub fn post_release<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+        writes: Vec<WriteCmd>,
+        combine: bool,
+    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
+        let release = self.begin_release(client, node, writes, combine, false);
+        self.drive_release(client, release)
+    }
+
+    /// Step `release` to its end, polling whatever it waits for.
+    fn drive_release<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        mut release: Release,
+    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
+        loop {
+            match self.step_release(client, &mut release)? {
+                ReleaseStep::Pending(token) => {
+                    client.poll_token(token);
+                }
+                ReleaseStep::Done { outcome, last } => return Ok((outcome, last)),
+            }
+        }
+    }
+
+    /// Start releasing the lock protecting `node`, flushing `writes` (node
     /// write-backs) before or together with the release according to
     /// `combine`: with it, the writes on the lock's memory server and the
     /// release travel as one doorbell batch; without it, each is a round trip
     /// of its own, the next posted once the previous is acknowledged.  Writes
-    /// on another memory server go first, each on its own.
+    /// on another memory server go first, each on its own.  Whether the
+    /// global lock is handed to the head of the local queue instead of being
+    /// released is decided here, so that a handover drops the release from
+    /// the batch.
     ///
     /// The **final** verb — the batch carrying the release, the standalone
-    /// release write, or the FAA — is posted split-phase and returned for the
-    /// caller to poll; every memory effect (freeing the lock word included)
-    /// applies at the post instant, so the local lock is given back at once.
-    /// Two exceptions return `None`: a handover with nothing to write, and a
-    /// handover to another thread's acquisition, which may take the lock the
-    /// moment the local lock is free — so the write-back it must read is
-    /// acknowledged here first.  A handover to a sibling operation of this
+    /// release write, or the FAA — is left in flight when `wait_final` is
+    /// false: every memory effect (freeing the lock word included) applies
+    /// at the post instant, so the local lock is given back at once, and
+    /// [`ReleaseStep::Done`] hands the verb to the caller.  A handover with
+    /// nothing to write has no final verb, and one to another thread's
+    /// acquisition waits for it anyway: that acquisition may take the lock
+    /// the moment the local lock is free, and must find the write-back it
+    /// reads acknowledged.  A handover to a sibling operation of this
     /// context leaves it in flight: the successor's READ follows it on the
     /// same queue pair.
     ///
@@ -422,79 +499,24 @@ impl LockManager {
     /// this lock word guards.  A caller that holds several locks sorts its
     /// write-backs by the node they belong to ([`LockManager::same_lock`] on
     /// the *node's* address); a range's own address hashes to another word.
-    pub fn post_release<C: FabricChannel>(
+    pub fn begin_release<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
         writes: Vec<WriteCmd>,
         combine: bool,
-    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
-        let (outcome, last, local) = self.release_global(client, node, writes, combine)?;
-        self.release_local(client, node, local);
-        Ok((outcome, last))
-    }
-
-    /// The body of every release up to the local lock: decide the handover,
-    /// flush the writes, post the release.  Returns the final verb (see
-    /// [`LockManager::post_release`]) and the local lock still to give back.
-    fn release_global<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        node: GlobalAddress,
-        writes: Vec<WriteCmd>,
-        combine: bool,
-    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>, Option<Locked>)> {
-        // Decided before the flush, so that a handover drops the release
-        // from the batch.
+        wait_final: bool,
+    ) -> Release {
         let local = self.hand_over(client, node);
         let handover = local.as_ref().and_then(|local| local.handover);
         let release = handover.is_none().then(|| self.glt.location_of(node));
-        let mut last = self.flush_writes_and_release(client, writes, combine, release, node.ms)?;
-        if let (Some(token), Some(false)) = (last, handover) {
-            client.poll_token(token);
-            last = None;
-        }
-        let outcome = ReleaseOutcome {
-            released_global: handover.is_none(),
-        };
-        Ok((outcome, last, local))
-    }
-
-    /// Give back the local lock of a release (the next waiter — handed the
-    /// global lock or not — takes it when it looks next; a released global
-    /// word was freed at its post instant, so the next owner, local or
-    /// remote, already observes it free) and close the critical section.
-    fn release_local<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        node: GlobalAddress,
-        local: Option<Locked>,
-    ) {
-        if let Some(local) = local {
-            self.unlock_local(client, local);
-        }
-        client.end_critical(self.lock_rank(node));
-    }
-
-    /// Post `writes` and the release of the lock at `release` (none: a
-    /// handover) according to the combination policy; returns the final
-    /// verb, posted split-phase, and waits for every earlier one.
-    fn flush_writes_and_release<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        writes: Vec<WriteCmd>,
-        combine: bool,
-        release: Option<LockLocation>,
-        lock_ms: u16,
-    ) -> SimResult<Option<PendingVerb>> {
         // Writes that ended up on a different memory server than the lock can
         // never ride in the lock's doorbell batch; they are posted first, each
         // as its own verb (this is the cross-server sibling case of a split).
         let (mut cmds, other_ms): (Vec<WriteCmd>, Vec<WriteCmd>) =
-            writes.into_iter().partition(|w| w.addr.ms == lock_ms);
-        for w in other_ms {
-            client.post_writes(&[w])?;
-        }
+            writes.into_iter().partition(|w| w.addr.ms == node.ms);
+        let mut posts: VecDeque<ReleasePost> =
+            other_ms.into_iter().map(|w| ReleasePost::Writes(vec![w])).collect();
         // An FAA release is a verb of its own, after every write.
         let faa = release.filter(|_| self.strategy == LockStrategy::HostCasFaa);
         if faa.is_none() {
@@ -504,28 +526,71 @@ impl LockManager {
         // — no combination — each as its own round trip, exactly like the
         // baseline ("issuing the following RDMA command only after receiving
         // the acknowledgement of the preceding one").
-        let mut batches: Vec<&[WriteCmd]> = match combine {
-            true => Some(cmds.as_slice())
-                .filter(|b| !b.is_empty())
-                .into_iter()
-                .collect(),
-            false => cmds.chunks(1).collect(),
+        let mut batches: Vec<Vec<WriteCmd>> = match combine {
+            true if cmds.is_empty() => Vec::new(),
+            true => vec![cmds],
+            false => cmds.into_iter().map(|w| vec![w]).collect(),
         };
         let last = match faa {
-            Some(_) => None,
-            None => batches.pop(),
+            Some(loc) => Some(ReleasePost::Faa(loc)),
+            None => batches.pop().map(ReleasePost::Writes),
         };
-        for batch in batches {
-            client.post_writes(batch)?;
+        posts.extend(batches.into_iter().map(ReleasePost::Writes));
+        Release {
+            node,
+            posts,
+            last,
+            wait_final: wait_final || handover == Some(false),
+            posted: None,
+            local,
+            released_global: handover.is_none(),
         }
-        match (faa, last) {
-            (Some(loc), _) => Ok(Some(self.glt.post_release_at(
-                client,
-                loc,
-                client.cs_id(),
-            )?)),
-            (None, Some(batch)) => Ok(Some(client.post_write_batch(batch)?)),
-            (None, None) => Ok(None),
+    }
+
+    /// Advance `release` as far as it goes without waiting: post the next
+    /// verb it waits for, or — once only the final verb is left — post it,
+    /// give the local lock back and close the critical section.  An `Err`
+    /// leaves the rest of the release unposted and the local lock held.
+    pub fn step_release<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        release: &mut Release,
+    ) -> SimResult<ReleaseStep> {
+        if let Some(post) = release.posts.pop_front() {
+            return Ok(ReleaseStep::Pending(self.post(client, post)?));
+        }
+        if let Some(post) = release.last.take() {
+            let token = self.post(client, post)?;
+            if release.wait_final {
+                return Ok(ReleaseStep::Pending(token));
+            }
+            release.posted = Some(token);
+        }
+        // The next waiter — handed the global lock or not — takes the local
+        // lock when it looks next; a released global word was freed at its
+        // post instant, so the next owner, local or remote, already observes
+        // it free.
+        if let Some(local) = release.local.take() {
+            self.unlock_local(client, local);
+        }
+        client.end_critical(self.lock_rank(release.node));
+        Ok(ReleaseStep::Done {
+            outcome: ReleaseOutcome {
+                released_global: release.released_global,
+            },
+            last: release.posted.take(),
+        })
+    }
+
+    /// Post one verb of a release.
+    fn post<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        post: ReleasePost,
+    ) -> SimResult<PendingVerb> {
+        match post {
+            ReleasePost::Writes(cmds) => client.post_write_batch(&cmds),
+            ReleasePost::Faa(loc) => self.glt.post_release_at(client, loc, client.cs_id()),
         }
     }
 

@@ -11,7 +11,7 @@
 //! footprint to the steady-state tree size under delete-heavy churn.
 
 use crate::pool::{MemoryPool, PoolError};
-use sherman_sim::{ClientCtx, Fabric, FabricBackend, GlobalAddress};
+use sherman_sim::{ClientCtx, Fabric, FabricBackend, GlobalAddress, PendingVerb};
 use std::sync::Arc;
 
 /// One allocated node address plus the version floor the caller must respect
@@ -39,6 +39,16 @@ impl AllocatedNode {
     }
 }
 
+/// What one [`ClientAllocator::step_alloc`] call produced.
+#[derive(Debug)]
+pub enum AllocStep {
+    /// The allocated node.
+    Done(AllocatedNode),
+    /// A chunk request is in flight: step the allocation again once it
+    /// completed.
+    Chunk(PendingVerb),
+}
+
 /// Per-client-thread node allocator, generic over the fabric backend like
 /// the [`MemoryPool`] it draws from.
 #[derive(Debug)]
@@ -48,6 +58,9 @@ pub struct ClientAllocator<B: FabricBackend = Fabric> {
     next_ms: u16,
     current: Option<Chunk>,
     chunks_acquired: u64,
+    /// The chunk request in flight: the server asked and how many servers
+    /// are still to be asked after it.
+    request: Option<(u16, u16)>,
 }
 
 #[derive(Debug)]
@@ -73,6 +86,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
             node_bytes,
             current: None,
             chunks_acquired: 0,
+            request: None,
         }
     }
 
@@ -86,35 +100,22 @@ impl<B: FabricBackend> ClientAllocator<B> {
         self.chunks_acquired
     }
 
-    fn refill(
-        &mut self,
-        client: &mut ClientCtx<B::Channel>,
-        timed: bool,
-    ) -> Result<(), PoolError> {
-        let servers = self.pool.servers() as u16;
-        let mut last_err = None;
-        // Try every server once before giving up: a full server is skipped in
-        // round-robin order, matching the paper's "choose an MS in a
-        // round-robin manner".
-        for _ in 0..servers {
-            let ms = self.next_ms;
-            self.next_ms = (self.next_ms + 1) % servers;
-            let res = if timed {
-                self.pool.alloc_chunk(client, ms)
-            } else {
-                self.pool.alloc_chunk_untimed(ms)
-            };
-            match res {
-                Ok(base) => {
-                    self.current = Some(Chunk { base, used: 0 });
-                    self.chunks_acquired += 1;
-                    return Ok(());
-                }
-                Err(e @ PoolError::OutOfMemory { .. }) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
+    /// The next memory server in round-robin order.
+    fn next_server(&mut self) -> u16 {
+        let ms = self.next_ms;
+        self.next_ms = (self.next_ms + 1) % self.pool.servers() as u16;
+        ms
+    }
+
+    /// Carve from a chunk just obtained.
+    fn install(&mut self, base: GlobalAddress) -> AllocatedNode {
+        self.current = Some(Chunk { base, used: 0 });
+        self.chunks_acquired += 1;
+        let addr = self.carve().expect("fresh chunk must fit at least one node");
+        AllocatedNode {
+            addr,
+            version_floor: 0,
         }
-        Err(last_err.unwrap_or(PoolError::OutOfMemory { ms: 0 }))
     }
 
     fn carve(&mut self) -> Option<GlobalAddress> {
@@ -149,23 +150,83 @@ impl<B: FabricBackend> ClientAllocator<B> {
         None
     }
 
-    /// Allocate one node: recycle a retired address when the reclamation
-    /// policy has cleared one (keeping the remote-memory footprint at the
-    /// steady-state tree size under churn), else carve from the local chunk,
-    /// else request a new chunk (charging the allocation RPC).
-    ///
-    /// When every server denies the chunk request the allocator does **not**
-    /// give up immediately: it rescans the free lists once more — an epoch
-    /// may have advanced (or another client retired a node) since the
-    /// fast-path reuse check at the top, and under pool-near-exhaustion that
-    /// rescue is what keeps a full cluster serving writes at its steady-state
-    /// footprint.  Only when both fall through does the call surface the
-    /// typed [`PoolError::Exhausted`] backpressure error.
+    /// A node without asking any server: a retired address whose quarantine
+    /// has cleared, else one carved from the local chunk.
+    fn take_local(&mut self, now: u64) -> Option<AllocatedNode> {
+        self.reuse(now).or_else(|| {
+            self.carve().map(|addr| AllocatedNode {
+                addr,
+                version_floor: 0,
+            })
+        })
+    }
+
+    /// Every server denied a chunk.  Rescan the free lists once more — an
+    /// epoch may have advanced (or another client retired a node) since the
+    /// fast-path reuse check, and under pool-near-exhaustion that rescue is
+    /// what keeps a full cluster serving writes at its steady-state
+    /// footprint — else surface the typed [`PoolError::Exhausted`]
+    /// backpressure error.
+    fn rescue(&mut self, now: u64) -> Result<AllocatedNode, PoolError> {
+        if let Some(node) = self.reuse(now) {
+            self.pool.backpressure().reuse_rescues.inc();
+            return Ok(node);
+        }
+        self.pool.backpressure().exhaustion_events.inc();
+        Err(PoolError::Exhausted(self.pool.alloc_error()))
+    }
+
+    /// Allocate one node, blocking: the allocation machine
+    /// ([`ClientAllocator::step_alloc`]), each chunk request polled at once.
     pub fn alloc_node(
         &mut self,
         client: &mut ClientCtx<B::Channel>,
     ) -> Result<AllocatedNode, PoolError> {
-        self.alloc_node_inner(client, true)
+        loop {
+            match self.step_alloc(client)? {
+                AllocStep::Done(node) => return Ok(node),
+                AllocStep::Chunk(token) => {
+                    client.poll_token(token);
+                }
+            }
+        }
+    }
+
+    /// Advance the allocation of one node as far as it goes without waiting:
+    /// recycle a retired address when the reclamation policy has cleared one
+    /// (keeping the remote-memory footprint at the steady-state tree size
+    /// under churn), else carve from the local chunk, else request a new
+    /// chunk — the allocation RPC, which the caller waits for before it steps
+    /// again — from each server in round-robin order until one grants it.  A
+    /// server that is full is skipped, matching the paper's "choose an MS in
+    /// a round-robin manner"; when every server denies the request, the
+    /// free lists are rescanned once before the typed
+    /// [`PoolError::Exhausted`] is returned.
+    pub fn step_alloc(
+        &mut self,
+        client: &mut ClientCtx<B::Channel>,
+    ) -> Result<AllocStep, PoolError> {
+        let mut left = match self.request.take() {
+            Some((ms, left)) => match self.pool.alloc_chunk_untimed(ms) {
+                Ok(base) => return Ok(AllocStep::Done(self.install(base))),
+                Err(PoolError::OutOfMemory { .. }) => left,
+                Err(e) => return Err(e),
+            },
+            None => match self.take_local(client.now()) {
+                Some(node) => return Ok(AllocStep::Done(node)),
+                None => self.pool.servers() as u16,
+            },
+        };
+        if left == 0 {
+            // The request round trips took virtual time: a retirement may
+            // have cleared quarantine meanwhile.
+            return self.rescue(client.now()).map(AllocStep::Done);
+        }
+        left -= 1;
+        let ms = self.next_server();
+        let token = self.pool.post_chunk_request(client, ms)?;
+        self.request = Some((ms, left));
+        Ok(AllocStep::Chunk(token))
     }
 
     /// Allocate one node without charging fabric time (bulkload / setup).
@@ -173,38 +234,18 @@ impl<B: FabricBackend> ClientAllocator<B> {
         &mut self,
         client: &mut ClientCtx<B::Channel>,
     ) -> Result<AllocatedNode, PoolError> {
-        self.alloc_node_inner(client, false)
-    }
-
-    fn alloc_node_inner(
-        &mut self,
-        client: &mut ClientCtx<B::Channel>,
-        timed: bool,
-    ) -> Result<AllocatedNode, PoolError> {
-        if let Some(node) = self.reuse(client.now()) {
+        if let Some(node) = self.take_local(client.now()) {
             return Ok(node);
         }
-        if let Some(addr) = self.carve() {
-            return Ok(AllocatedNode { addr, version_floor: 0 });
-        }
-        match self.refill(client, timed) {
-            Ok(()) => {
-                let addr = self.carve().expect("fresh chunk must fit at least one node");
-                Ok(AllocatedNode { addr, version_floor: 0 })
+        for _ in 0..self.pool.servers() {
+            let ms = self.next_server();
+            match self.pool.alloc_chunk_untimed(ms) {
+                Ok(base) => return Ok(self.install(base)),
+                Err(PoolError::OutOfMemory { .. }) => {}
+                Err(e) => return Err(e),
             }
-            Err(PoolError::OutOfMemory { .. }) => {
-                // Pressure retry: every server is out of chunks, but the
-                // refill round-trips took virtual time — a retirement may
-                // have cleared quarantine meanwhile.
-                if let Some(node) = self.reuse(client.now()) {
-                    self.pool.backpressure().reuse_rescues.inc();
-                    return Ok(node);
-                }
-                self.pool.backpressure().exhaustion_events.inc();
-                Err(PoolError::Exhausted(self.pool.alloc_error()))
-            }
-            Err(e) => Err(e),
         }
+        self.rescue(client.now())
     }
 }
 

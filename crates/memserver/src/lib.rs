@@ -34,7 +34,7 @@ pub mod layout;
 pub mod pool;
 
 pub use alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReusedNode};
-pub use client_alloc::{AllocatedNode, ClientAllocator};
+pub use client_alloc::{AllocStep, AllocatedNode, ClientAllocator};
 pub use epoch::{EpochPin, EpochRegistry, ReaderHandle, UNPINNED_EPOCH};
 pub use layout::{ServerLayout, ALLOC_START_OFFSET, ROOT_PTR_OFFSET, SUPERBLOCK_MAGIC};
 pub use pool::{AllocError, MemoryPool, PoolError};

@@ -2,18 +2,19 @@
 //! allocation services.
 //!
 //! The pool owns one [`ChunkAllocator`] per memory server.  A compute-server
-//! thread requests a chunk with [`MemoryPool::alloc_chunk`], which charges the
-//! two-sided RPC round trip on the simulated fabric (the memory thread's work)
-//! and then performs the allocation.  This mirrors §4.2.4: allocation RPCs are
-//! rare (one per 8 MB of new tree nodes), so the wimpy MS cores stay off the
-//! data path.
+//! thread requests a chunk with [`MemoryPool::post_chunk_request`], the
+//! two-sided RPC on the simulated fabric (the memory thread's work), and takes
+//! it once the call completed ([`MemoryPool::alloc_chunk_untimed`]);
+//! [`MemoryPool::alloc_chunk`] does both, waiting in between.  This mirrors
+//! §4.2.4: allocation RPCs are rare (one per 8 MB of new tree nodes), so the
+//! wimpy MS cores stay off the data path.
 
 use crate::alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReusedNode};
 use crate::epoch::EpochRegistry;
 use crate::layout::{ServerLayout, ROOT_PTR_OFFSET, SUPERBLOCK_MAGIC, TREE_LEVEL_HINT_OFFSET};
 use parking_lot::Mutex;
 use sherman_metrics::{BackpressureCounters, EpochGauges};
-use sherman_sim::{ClientCtx, Fabric, FabricBackend, GlobalAddress};
+use sherman_sim::{ClientCtx, Fabric, FabricBackend, GlobalAddress, PendingVerb, RpcServed, RpcWork};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -196,16 +197,27 @@ impl<B: FabricBackend> MemoryPool<B> {
         client: &mut ClientCtx<B::Channel>,
         ms: u16,
     ) -> Result<GlobalAddress, PoolError> {
-        let allocator = self
-            .allocators
-            .get(ms as usize)
-            .ok_or(PoolError::NoSuchServer { ms })?;
-        client.rpc_round_trip(ms, ALLOC_RPC_REQ_BYTES, ALLOC_RPC_RESP_BYTES)?;
-        let offset = allocator.lock().alloc().ok_or_else(|| {
-            self.backpressure.chunk_denials.inc();
-            PoolError::OutOfMemory { ms }
-        })?;
-        Ok(GlobalAddress::host(ms, offset))
+        let token = self.post_chunk_request(client, ms)?;
+        client.poll_token(token);
+        self.alloc_chunk_untimed(ms)
+    }
+
+    /// Post the allocation RPC that asks memory server `ms` for a chunk; once
+    /// it completed, [`MemoryPool::alloc_chunk_untimed`] takes the chunk.
+    pub fn post_chunk_request(
+        &self,
+        client: &mut ClientCtx<B::Channel>,
+        ms: u16,
+    ) -> Result<PendingVerb, PoolError> {
+        if usize::from(ms) >= self.allocators.len() {
+            return Err(PoolError::NoSuchServer { ms });
+        }
+        let served = RpcServed {
+            response_bytes: ALLOC_RPC_RESP_BYTES,
+            work: RpcWork::NONE,
+        };
+        let (token, ()) = client.post_rpc(ms, ALLOC_RPC_REQ_BYTES, || ((), served))?;
+        Ok(token)
     }
 
     /// Allocate a chunk without charging fabric time (bulkload / test setup).

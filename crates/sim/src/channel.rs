@@ -64,8 +64,7 @@ pub struct VerbWindow {
 /// a [`ClientCtx`]).  Verb methods apply the memory effect immediately
 /// (through [`MemServerSim`]) and return the verb's [`VerbWindow`]; they
 /// never block the calling thread — waiting happens through
-/// [`FabricChannel::wait_until`] / [`FabricChannel::wait_until_earliest`]
-/// when the client polls.
+/// [`FabricChannel::wait_until`] when the client polls.
 pub trait FabricChannel: Send + 'static {
     /// The backend this channel executes verbs against.
     type Backend: FabricBackend<Channel = Self>;
@@ -81,15 +80,6 @@ pub trait FabricChannel: Send + 'static {
 
     /// Block the calling thread until time `t` (no-op if already past).
     fn wait_until(&self, t: u64);
-
-    /// Block until the **earliest** of `targets` is reached and return it;
-    /// `None` when `targets` is empty.
-    ///
-    /// On the simulator this is the conservative clock's multi-completion
-    /// rule: every target is registered so other participants can wake this
-    /// thread at the earliest one.  On the threaded backend completions are
-    /// always already in the past, so this reduces to `wait_until(min)`.
-    fn wait_until_earliest(&self, targets: &[u64]) -> Option<u64>;
 
     /// Let `ns` nanoseconds of client-side CPU time pass.
     fn advance(&self, ns: u64);
@@ -220,6 +210,12 @@ impl FabricState {
 pub trait FabricBackend: fmt::Debug + Send + Sync + 'static {
     /// The channel type clients of this backend execute verbs through.
     type Channel: FabricChannel<Backend = Self>;
+
+    /// Whether this backend's time is a virtual clock every client of the
+    /// process shares (the simulator), so that one thread can drive many
+    /// clients on one executor, or the real clock, on which each client
+    /// needs an OS thread of its own.
+    const VIRTUAL_CLOCK: bool;
 
     /// Build a backend instance from a configuration.
     ///

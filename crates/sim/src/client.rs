@@ -29,9 +29,7 @@
 //! request-side port time, applies the memory effect, fixes the verb's
 //! completion time and enqueues a [`Completion`] on the client's completion
 //! queue — without blocking the calling thread.  The caller later *polls*:
-//! [`ClientCtx::poll`] waits for the **earliest** outstanding completion (the
-//! clock's multi-completion rule, see
-//! [`Participant::wait_until_earliest`](crate::clock::Participant::wait_until_earliest)),
+//! [`ClientCtx::poll`] waits for the **earliest** outstanding completion,
 //! while [`ClientCtx::poll_token`] waits for one specific verb.  One thread can
 //! therefore keep many verbs in flight and overlap their round trips — the
 //! latency-hiding lever behind the pipelined tree-operation scheduler.
@@ -663,6 +661,16 @@ impl<C: FabricChannel> ClientCtx<C> {
             .completed_at
     }
 
+    /// When the earliest outstanding completion that needs no wake is due —
+    /// what [`ClientCtx::poll`] would wait for — or `None` when there is none.
+    pub fn next_due(&self) -> Option<u64> {
+        self.cq
+            .iter()
+            .map(|e| e.completed_at)
+            .filter(|&due| due != u64::MAX)
+            .min()
+    }
+
     /// Dequeue entry `idx`; the time an op spent parked on a wait is charged
     /// to it as CPU time, like the local polling the wait replaces.
     fn dequeue(&mut self, idx: usize) -> Completion {
@@ -696,18 +704,12 @@ impl<C: FabricChannel> ClientCtx<C> {
                 return None;
             }
         }
-        // The clock's multi-completion rule: hand *every* outstanding
-        // completion time to the clock and wake at the earliest.
-        let targets: Vec<u64> = self.cq.iter().map(|e| e.completed_at).collect();
-        let reached = self
-            .chan
-            .wait_until_earliest(&targets)
-            .expect("queue checked non-empty above");
+        self.chan.wait_until(earliest);
         let idx = self
             .cq
             .iter()
-            .position(|e| e.completed_at == reached)
-            .expect("reached time belongs to an outstanding completion");
+            .position(|e| e.completed_at == earliest)
+            .expect("the earliest time belongs to an outstanding completion");
         Some(self.dequeue(idx))
     }
 

@@ -1,4 +1,12 @@
-//! Conservative virtual clock shared by all simulated client threads.
+//! Conservative virtual clock for simulated clients that block from OS
+//! threads.
+//!
+//! In-tree multi-client runs do not use it to interleave their clients: the
+//! tree's executor (`sherman::run_clients`) drives every client as a future
+//! on one thread — one participant — and its own heap decides which client
+//! runs next.  This clock is the adapter for the callers that block: the
+//! benchmark, the tests, the examples and the lock and fabric
+//! microbenchmarks, each client on an OS thread of its own.
 //!
 //! Every thread that takes part in the simulation registers a [`Participant`].
 //! Waiting for a network completion (or polling a local condition) is expressed
@@ -306,9 +314,7 @@ impl Participant {
     /// chosen while an earlier one is still outstanding.  Waiting on a later
     /// target is not unsafe (completion times are fixed at post time, so an
     /// earlier completion is simply observed in the past), but it forfeits
-    /// the chance to react at the earlier instant; `ClientCtx::poll` funnels
-    /// every completion wait through this method so callers cannot get the
-    /// rule wrong by accident.
+    /// the chance to react at the earlier instant.
     pub fn wait_until_earliest(&self, targets: impl IntoIterator<Item = u64>) -> Option<u64> {
         let earliest = targets.into_iter().min()?;
         self.wait_until(earliest);

@@ -44,6 +44,8 @@ impl Fabric {
 impl FabricBackend for Fabric {
     type Channel = SimChannel;
 
+    const VIRTUAL_CLOCK: bool = true;
+
     fn build(config: FabricConfig) -> Arc<Self> {
         Fabric::new(config)
     }
@@ -162,11 +164,6 @@ impl FabricChannel for SimChannel {
 
     fn wait_until(&self, t: u64) {
         self.participant.wait_until(t);
-    }
-
-    fn wait_until_earliest(&self, targets: &[u64]) -> Option<u64> {
-        self.participant
-            .wait_until_earliest(targets.iter().copied())
     }
 
     fn advance(&self, ns: u64) {

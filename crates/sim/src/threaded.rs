@@ -71,6 +71,8 @@ impl ThreadedFabric {
 impl FabricBackend for ThreadedFabric {
     type Channel = ThreadedChannel;
 
+    const VIRTUAL_CLOCK: bool = false;
+
     fn build(config: FabricConfig) -> Arc<Self> {
         ThreadedFabric::new(config)
     }
@@ -165,12 +167,6 @@ impl FabricChannel for ThreadedChannel {
 
     fn wait_until(&self, t: u64) {
         self.wait_real(t);
-    }
-
-    fn wait_until_earliest(&self, targets: &[u64]) -> Option<u64> {
-        let earliest = targets.iter().copied().min()?;
-        self.wait_real(earliest);
-        Some(earliest)
     }
 
     fn advance(&self, ns: u64) {

@@ -21,9 +21,9 @@ pub use sherman_workload;
 /// Convenience prelude for examples and integration tests.
 pub mod prelude {
     pub use sherman::{
-        Cluster, ClusterConfig, LeafFormat, LockStrategy, NodeCensus, OffloadPolicy, OpOutput,
-        OpStats, PipelineOp, PipelineReport, PipelinedResult, ShapeAudit, TreeClient, TreeConfig,
-        TreeError, TreeOptions,
+        run_clients, Cluster, ClusterConfig, LeafFormat, LockStrategy, NodeCensus, OffloadPolicy,
+        OpOutput, OpStats, PipelineOp, PipelineReport, PipelinedResult, Session, ShapeAudit,
+        TreeClient, TreeConfig, TreeError, TreeOptions, TreeResult,
     };
     pub use sherman_memserver::{AllocError, EpochRegistry, ReaderHandle};
     pub use sherman_metrics::{

@@ -4,9 +4,10 @@
 //! gates that go beyond it (see `src/bin/`).  Every binary that measures the
 //! tree is an argument table over one driver:
 //!
-//! * [`experiment`] — the [`Experiment`] (cluster, threads, a [`Source`] of
-//!   operations, a [`DrivePath`]), the generic [`run`] that owns the only
-//!   client-thread loop of this crate, and the [`RunReport`] it returns:
+//! * [`experiment`] — the [`Experiment`] (cluster, clients, a [`Source`] of
+//!   operations, a [`DrivePath`]), the generic [`run`] — every simulated
+//!   client on one executor, a thread per client on the real clock — and
+//!   the [`RunReport`] it returns:
 //!   throughput, latency percentiles, the internal distributions of Figure
 //!   14, overlap gauges, and an end-of-run snapshot of the cluster (census,
 //!   audits, reclamation / coherence / epoch / offload / backpressure gauges),

@@ -14,9 +14,11 @@
 //! ```
 //!
 //! `--smoke` runs block (d) alone on a small key space and exits non-zero
-//! unless reads per lookup at the 256 KB budget are at most 3.0 and never
+//! unless reads per lookup at the 256 KB budget are at most 1.92 and never
 //! rise with the budget, and no budget evicts more than 100 times per 1 000
-//! operations.
+//! operations.  The smoke measures 1.8675 reads at 256 KB since an image is
+//! charged the used prefix of its node (1.95 charged a whole node): 256 KB
+//! then holds level 2 whole.
 
 use sherman::{Cluster, ClusterConfig, TreeConfig, TreeOptions};
 use sherman_bench::{figures, fmt_mops, print_table, run_with_backend, Args, Experiment};
@@ -173,17 +175,20 @@ fn main() {
     if args.flag("smoke") {
         let sweep = deep_sweep(&args, true);
         let at_256kb = sweep.iter().find(|s| s.0 == 256).map(|s| s.1);
-        let ok = at_256kb.is_some_and(|reads| reads <= 3.0)
+        let ok = at_256kb.is_some_and(|reads| reads <= 1.92)
             && sweep.windows(2).all(|w| w[1].1 <= w[0].1)
             && sweep.iter().all(|s| s.2 <= 100.0);
         if !ok {
             eprintln!(
                 "fig15 smoke FAILED: (budget KB, reads per lookup, evictions per 1 000 ops) {sweep:?} \
-                 (need <= 3.0 reads at 256 KB, never rising with the budget, <= 100 evictions)"
+                 (need <= 1.92 reads at 256 KB, never rising with the budget, <= 100 evictions)"
             );
             std::process::exit(1);
         }
-        println!("fig15 smoke ok");
+        println!(
+            "fig15 smoke ok: {:.4} reads per lookup at 256 KB",
+            at_256kb.unwrap_or(0.0)
+        );
         return;
     }
     key_size_sweep(

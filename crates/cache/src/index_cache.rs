@@ -83,24 +83,44 @@ impl CachedInternal {
         out
     }
 
+    /// The bytes of node image this copy keeps, what the budget charges it:
+    /// the used prefix of the internal node it copies, the header and one
+    /// entry per separator.  Never more than the node size less its tail
+    /// word.
+    pub fn charge(&self) -> usize {
+        IMAGE_HEADER_BYTES + IMAGE_ENTRY_BYTES * self.children.len()
+    }
+
     /// Whether this image is a copy of `addr` or routes to it as a child.
     fn refers_to(&self, addr: GlobalAddress) -> bool {
         self.addr == addr || self.leftmost == addr || self.children.iter().any(|c| c.child == addr)
     }
 }
 
+/// Bytes of an internal node's header, charged to every cached image.
+const IMAGE_HEADER_BYTES: usize = 48;
+
+/// Bytes of one internal-node entry (separator and child pointer), charged
+/// per separator a cached image keeps.
+const IMAGE_ENTRY_BYTES: usize = 16;
+
 /// Capacity configuration of the index cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexCacheConfig {
-    /// Total budget for the images below the pinned top-two window, in bytes.
+    /// Total budget for the images below the pinned top-two window, in bytes
+    /// of node image: each image is charged what
+    /// [`CachedInternal::charge`] says it keeps, not a whole node.
     pub capacity_bytes: usize,
-    /// Approximate cost of one cached internal node (typically the tree's node
-    /// size); used for capacity accounting.
+    /// Size of a whole node image (the tree's node size).  Not what an image
+    /// is charged: it sizes the frequency sketch and its aging period, one
+    /// budgeted entry per `entry_bytes`, and the budget counts as full once
+    /// it has no room left for an image this large.
     pub entry_bytes: usize,
 }
 
 impl IndexCacheConfig {
-    /// A cache holding roughly `capacity_bytes / entry_bytes` nodes.
+    /// A cache of `capacity_bytes` of node images, sized for whole nodes of
+    /// `entry_bytes`.
     pub fn new(capacity_bytes: usize, entry_bytes: usize) -> Self {
         assert!(entry_bytes > 0);
         IndexCacheConfig {
@@ -109,7 +129,9 @@ impl IndexCacheConfig {
         }
     }
 
-    /// Maximum number of budgeted entries.
+    /// The budget in whole node images: what sizes the sketch and its
+    /// aging period.  Images are charged less than a whole node, so the
+    /// cache may hold more of them.
     pub fn max_entries(&self) -> usize {
         (self.capacity_bytes / self.entry_bytes).max(1)
     }
@@ -148,14 +170,16 @@ const SKETCH_ROWS: usize = 4;
 /// Recordings between two halvings of every count, per budgeted entry.  The
 /// period must be long enough for a level-2 image's tenfold traffic over each
 /// of its level-1 children to show before the counts halve.  On the
-/// benchmark's `lookup_cold_deep` (a 1 024-entry budget of which levels 4 and
-/// 3 take 160, and the 864 left cannot hold level 2), on compute server 0
-/// after 2 M operations, halving every `2 ×` recordings left 114 level-1
-/// images cached and 2.460 round trips per operation, every `4 ×` 21 and
-/// 2.395, every `10 ×` 1 and 2.383; beyond that the figure is flat (`32 ×`:
-/// none, 2.383; `1 000 ×`: none, 2.382).  The counts must still fade for a
-/// hot set that moved to get in, so the period stays a small multiple past
-/// the knee: `32 ×` is about 28 000 offers there, about 20 000 operations.
+/// benchmark's `lookup_cold_deep` (1 024 whole-node entries size the sketch;
+/// warm-up fills the 256 KB with levels 4 to 2, 16 + 144 + 1 295 images, and
+/// 34 level-1 images), on compute server 0 after 2 M operations, halving
+/// every `2 ×` recordings left 360 level-1 images cached over 969 level-2
+/// ones and 2.266 round trips per operation, every `4 ×` 189 over 1 140 and
+/// 2.150, every `10 ×` 101 over 1 228 and 2.052; from `32 ×` on the figure is
+/// flat (`32 ×`: 84 over 1 245, 2.047; `1 000 ×`: the same images, 2.047).
+/// The counts must still fade for a hot set that moved to get in, so the
+/// period stays at the knee: `32 ×` is 32 768 recorded offers there, about
+/// one per lookup.
 const AGING_PERIOD_PER_ENTRY: usize = 32;
 
 /// One step of splitmix64: advance `state`, return a well-mixed word.
@@ -235,8 +259,11 @@ struct Inner {
     /// The tree's root level as last reported by a caller (0 until one did).
     /// Levels `root_level - 1 ..= root_level` are the pinned window.
     root_level: u8,
-    /// Entries below the pinned window, i.e. charged to the byte budget.
+    /// Bytes charged to the budget: the charges of the images below the
+    /// pinned window.
     budgeted: usize,
+    /// Images in the pinned window, outside the budget.
+    top: usize,
     /// Addresses invalidated by a coherence message, with the tombstone's
     /// node-level version.  Admission rejects copies not strictly newer than
     /// the tombstone, closing the race where a traversal that read the node
@@ -297,8 +324,10 @@ impl Inner {
             self.levels.resize_with(level + 1, BTreeMap::new);
         }
         self.levels[level].insert(node.fence_low, self.slots.len());
-        if !self.pinned(node.level) {
-            self.budgeted += 1;
+        if self.pinned(node.level) {
+            self.top += 1;
+        } else {
+            self.budgeted += node.charge();
         }
         self.slots.push(Slot {
             node,
@@ -312,8 +341,10 @@ impl Inner {
         if let Some(moved) = self.slots.get(slot) {
             self.levels[moved.node.level as usize].insert(moved.node.fence_low, slot);
         }
-        if !self.pinned(level) {
-            self.budgeted -= 1;
+        if self.pinned(level) {
+            self.top -= 1;
+        } else {
+            self.budgeted -= removed.node.charge();
         }
         Some(removed.node)
     }
@@ -347,14 +378,22 @@ impl Inner {
             .sum()
     }
 
-    /// Adopt a newly reported root level: images above the root can only
-    /// mis-route and are pruned, the budget is re-counted for the shifted
-    /// window, and images the shift left without a parent are dropped.
+    /// Adopt a newly reported root level: the budget is re-counted for the
+    /// shifted window, images above the root can only mis-route and are
+    /// pruned, and images the shift left without a parent are dropped.
     fn set_root_level(&mut self, root_level: u8) {
         if root_level == self.root_level {
             return;
         }
         self.root_level = root_level;
+        (self.top, self.budgeted) = (0, 0);
+        for slot in &self.slots {
+            if self.pinned(slot.node.level) {
+                self.top += 1;
+            } else {
+                self.budgeted += slot.node.charge();
+            }
+        }
         if root_level >= 1 {
             for level in (root_level as usize + 1)..self.levels.len() {
                 for fence_low in self.levels[level].keys().copied().collect::<Vec<_>>() {
@@ -362,10 +401,6 @@ impl Inner {
                 }
             }
         }
-        self.budgeted = (1..self.levels.len())
-            .filter(|&l| !self.pinned(l as u8))
-            .map(|l| self.levels[l].len())
-            .sum();
         self.sweep_orphans();
     }
 
@@ -429,31 +464,58 @@ impl Inner {
     }
 
     /// One power-of-two-choices candidate: a uniformly random slot,
-    /// re-drawn while the pick is pinned or still has cached children.
-    fn sample_evictable(&mut self) -> Option<usize> {
+    /// re-drawn while the pick is pinned, still has cached children or is
+    /// `taken` already.
+    fn sample_evictable(&mut self, taken: &[usize]) -> Option<usize> {
+        let free = |inner: &Self, slot| inner.evictable(slot) && !taken.contains(&slot);
         // Childless budgeted entries are the large majority of any cache
         // (every parent has several children), so a handful of draws almost
         // always suffices; the scan only backs up a pathological shape.
         for _ in 0..64 {
             let slot = (splitmix(&mut self.rng) % self.slots.len() as u64) as usize;
-            if self.evictable(slot) {
+            if free(self, slot) {
                 return Some(slot);
             }
         }
-        (0..self.slots.len()).find(|&slot| self.evictable(slot))
+        (0..self.slots.len()).find(|&slot| free(self, slot))
     }
 
     /// Power of two choices (§4.2.3): the less used of two random evictable
-    /// entries.
-    fn pick_victim(&mut self) -> Option<usize> {
-        let a = self.sample_evictable()?;
-        let b = self.sample_evictable()?;
+    /// entries not `taken` already.
+    fn pick_victim(&mut self, taken: &[usize]) -> Option<usize> {
+        let a = self.sample_evictable(taken)?;
+        let b = self.sample_evictable(taken)?;
         Some(if self.uses(b) < self.uses(a) { b } else { a })
     }
 
-    fn evict(&mut self, slot: usize) {
+    /// The victims an admission of the level-`level` image at `lo`, offered
+    /// `uses` times, must evict to free `need` bytes: two-choice picks until
+    /// their charges cover `need`.  `None` — evict nothing — when a victim
+    /// routed as many lookups as the image was offered, is the image's own
+    /// parent (childless until this admission), or no evictable image is
+    /// left.
+    fn victims(&mut self, need: usize, uses: u32, (level, lo): FenceKey) -> Option<Vec<FenceKey>> {
+        let (mut taken, mut freed) = (Vec::new(), 0);
+        while freed < need {
+            let victim = self.pick_victim(&taken)?;
+            let node = &self.slots[victim].node;
+            if self.uses(victim) >= uses || (node.level == level + 1 && node.covers(lo)) {
+                return None;
+            }
+            freed += node.charge();
+            taken.push(victim);
+        }
+        Some(taken.iter().map(|&slot| self.key(slot)).collect())
+    }
+
+    fn key(&self, slot: usize) -> FenceKey {
         let node = &self.slots[slot].node;
-        self.remove(node.level, node.fence_low);
+        (node.level, node.fence_low)
+    }
+
+    fn evict(&mut self, slot: usize) {
+        let (level, fence_low) = self.key(slot);
+        self.remove(level, fence_low);
     }
 }
 
@@ -464,13 +526,17 @@ impl Inner {
 /// level below shares one byte budget, spent top-down along the paths the
 /// traffic uses:
 ///
+/// * **charge** — an image costs the bytes of node image it keeps, the used
+///   prefix of the node it copies ([`CachedInternal::charge`]: 176 of 256 B
+///   at the bulkload's 80 % fill), not a whole node;
 /// * **closure** — an image is admitted only under a cached (or pinned)
 ///   parent, and only an image with no cached child is evicted, so the cached
 ///   set is always a top-down prefix of root-to-leaf paths and a miss pays
 ///   only the uncached suffix;
 /// * **admission by frequency** — while the budget has room every offer is
-///   admitted; once full, an image is admitted only over a victim that
-///   routed strictly fewer lookups, so one-touch traffic cannot flush the
+///   admitted; once full, an image is admitted only over victims that each
+///   routed strictly fewer lookups — as many as its charge needs, all or
+///   none evicted — so one-touch traffic cannot flush the
 ///   budget and a level-1 image cannot push out a level-2 image, which
 ///   routes the traffic of all its children (TinyLFU admission: Einziger,
 ///   Friedman and Manes, ACM TOS 2017).  A cached image counts the lookups
@@ -541,9 +607,16 @@ impl IndexCache {
         &self.stats
     }
 
-    /// Number of entries charged to the budget (everything below the pinned
+    /// Number of images charged to the budget (everything below the pinned
     /// top-two window).
     pub fn len(&self) -> usize {
+        let inner = self.inner.read();
+        inner.slots.len() - inner.top
+    }
+
+    /// Bytes charged to the budget: the sum of the budgeted images'
+    /// [`CachedInternal::charge`]s, never above the live capacity.
+    pub fn budgeted_bytes(&self) -> usize {
         self.inner.read().budgeted
     }
 
@@ -554,8 +627,7 @@ impl IndexCache {
 
     /// Number of pinned entries (the top-two window, outside the budget).
     pub fn top_len(&self) -> usize {
-        let inner = self.inner.read();
-        inner.slots.len() - inner.budgeted
+        self.inner.read().top
     }
 
     /// Drop every cached route, the tombstones and the counts, returning the
@@ -676,8 +748,10 @@ impl IndexCache {
     /// (it places the pinned window).  An image already cached is replaced in
     /// place — that is how a stale route heals; a new one is admitted if it
     /// lies in the pinned window, or under a cached parent while the budget
-    /// has room, has been offered more often than the would-be victim routed
-    /// lookups, or already has cached children to route to.
+    /// has room for its charge, has been offered more often than each of the
+    /// victims its charge needs routed lookups, or already has cached
+    /// children to route to.  An image charged more than the whole budget is
+    /// not admitted below the window.
     /// Copies at or below a recorded tombstone version are rejected (the
     /// retire/re-cache race; see [`IndexCache::apply_invalidate`]).  Returns
     /// whether the image is cached now.
@@ -707,6 +781,9 @@ impl IndexCache {
                 // A slower reader's older image of the same node.
                 return true;
             }
+            if !inner.pinned(level) {
+                inner.budgeted = inner.budgeted - old.charge() + node.charge();
+            }
             inner.slots[slot].node = node;
             if hi < old.fence_high {
                 // The node split: what its right half took with it needs a
@@ -715,30 +792,34 @@ impl IndexCache {
                     self.stats.invalidations.inc();
                 }
             }
-            return true;
+            // A copy that grew may have pushed the budget over.
+            self.evict_to_budget(&mut inner, false);
+            return inner.map(level).is_some_and(|m| m.contains_key(&lo));
         }
         let mut uses = inner.estimate((level, lo));
         if !inner.pinned(level) {
             if inner.needs_parent(level) && !inner.has_parent(level, lo) {
                 return false;
             }
-            let max = self.config().max_entries();
-            if inner.budgeted >= max && !inner.has_child(level, lo, hi) {
+            let (capacity, charge) = (self.capacity_bytes(), node.charge());
+            if charge > capacity {
+                self.stats.deferred_admissions.inc();
+                return false;
+            }
+            if inner.budgeted + charge > capacity && !inner.has_child(level, lo, hi) {
                 // Admitting would evict: the image must have been offered
-                // more often than the would-be victim routed lookups.  A
-                // victim as busy stays; so does the image's own parent,
-                // childless until this admission.
-                uses = inner.record_offer((level, lo), max);
-                let victim = inner.pick_victim().filter(|&victim| {
-                    let node = &inner.slots[victim].node;
-                    inner.uses(victim) < uses && !(node.level == level + 1 && node.covers(lo))
-                });
-                let Some(victim) = victim else {
+                // more often than every victim its charge needs routed
+                // lookups.
+                uses = inner.record_offer((level, lo), self.config().max_entries());
+                let need = inner.budgeted + charge - capacity;
+                let Some(victims) = inner.victims(need, uses, (level, lo)) else {
                     self.stats.deferred_admissions.inc();
                     return false;
                 };
-                inner.evict(victim);
-                self.stats.evictions.inc();
+                for (level, fence_low) in victims {
+                    inner.remove(level, fence_low);
+                    self.stats.evictions.inc();
+                }
             }
         }
         inner.insert(node, uses);
@@ -793,16 +874,17 @@ impl IndexCache {
         self.inner.write().sweep_orphans();
     }
 
-    /// Evict with the power-of-two-choices rule until the budgeted entry
-    /// count fits the live budget (after a shrink, a window shift, or the
-    /// admission of an image that arrived with cached children), and start
-    /// counting once the budget is full.  `pressure` marks evictions forced
-    /// by a runtime budget shrink (they are tallied as *both* ordinary
-    /// evictions and [`CacheStats::pressure_evictions`]).
+    /// Evict with the power-of-two-choices rule until the budgeted bytes fit
+    /// the live budget (after a shrink, a window shift, a cached copy that
+    /// grew, or the admission of an image that arrived with cached
+    /// children), and start counting once the budget is full: once it has
+    /// no room left for a whole node's image.  `pressure` marks evictions
+    /// forced by a runtime budget shrink (they are tallied as *both*
+    /// ordinary evictions and [`CacheStats::pressure_evictions`]).
     fn evict_to_budget(&self, inner: &mut Inner, pressure: bool) {
-        let max = self.config().max_entries();
-        while inner.budgeted > max {
-            let Some(victim) = inner.pick_victim() else {
+        let config = self.config();
+        while inner.budgeted > config.capacity_bytes {
+            let Some(victim) = inner.pick_victim(&[]) else {
                 break;
             };
             inner.evict(victim);
@@ -811,8 +893,8 @@ impl IndexCache {
                 self.stats.pressure_evictions.inc();
             }
         }
-        if inner.budgeted >= max {
-            inner.sketch_for(max);
+        if inner.budgeted + config.entry_bytes > config.capacity_bytes {
+            inner.sketch_for(config.max_entries());
         }
     }
 
@@ -912,8 +994,12 @@ mod tests {
         image(1, lo, hi, &[lo + (hi - lo) / 2])
     }
 
+    /// The charge of the one-separator images these tests offer.
+    const ONE: usize = IMAGE_HEADER_BYTES + IMAGE_ENTRY_BYTES;
+
+    /// A cache whose budget holds `entries` one-separator images.
     fn cache_of(entries: usize) -> IndexCache {
-        IndexCache::new(IndexCacheConfig::new(entries * 1024, 1024))
+        IndexCache::new(IndexCacheConfig::new(entries * ONE, ONE))
     }
 
     /// A four-level top (root level 4: levels 4 and 3 pinned) over
@@ -1067,7 +1153,7 @@ mod tests {
 
         // Shrinking evicts the path's leaves first: with one entry left it is
         // the parent, and every removal was a pressure eviction.
-        cache.set_capacity_bytes(1024);
+        cache.set_capacity_bytes(ONE);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.deepest(600, 1).unwrap().level, 2);
         assert_eq!(cache.stats().pressure_evictions(), 2);
@@ -1141,6 +1227,108 @@ mod tests {
         assert!(cache.lookup_leaf(6_350).is_some());
     }
 
+    /// A level-1 image over `[lo, lo + 100)` keeping four separators: 112 B,
+    /// the charge of two one-separator images and then some.
+    fn wide(lo: u64) -> CachedInternal {
+        image(1, lo, lo + 100, &[lo + 20, lo + 40, lo + 60, lo + 80])
+    }
+
+    #[test]
+    fn an_image_that_needs_two_victims_beats_both_or_evicts_neither() {
+        let cache = cache_of(2);
+        cache.insert_level1(level1(0, 100));
+        cache.insert_level1(level1(100, 200));
+        for _ in 0..5 {
+            assert!(cache.lookup_leaf(150).is_some());
+        }
+        assert_eq!((uses(&cache, 1, 50), uses(&cache, 1, 150)), (0, 5));
+        // 112 B needs both residents gone.  The idle one alone is no room:
+        // while the busy one routed as many lookups as the image was
+        // offered, neither goes.
+        for offer in 1..=5 {
+            assert!(!cache.offer_at(Arc::new(wide(200)), None), "offer {offer}");
+            assert_eq!((cache.len(), cache.stats().evictions()), (2, 0));
+        }
+        assert!(cache.offer_at(Arc::new(wide(200)), None));
+        assert_eq!((cache.len(), cache.stats().evictions()), (1, 2));
+        assert_eq!(cache.budgeted_bytes(), wide(200).charge());
+        assert!(cache.lookup_leaf(250).is_some());
+    }
+
+    #[test]
+    fn an_image_charged_more_than_the_budget_stays_out_of_it() {
+        let cache = cache_of(1);
+        assert!(!cache.offer(Arc::new(wide(0)), 0));
+        assert_eq!((cache.len(), cache.stats().deferred_admissions()), (0, 1));
+        // Not even one that arrives with a cached child to route to.
+        cache.insert_level1(level1(0, 100));
+        let parent = image(2, 0, 1_000, &[200, 400, 600, 800]);
+        assert!(!cache.offer(Arc::new(parent), 0));
+        assert_eq!((cache.len(), cache.stats().evictions()), (1, 0));
+        cache.invalidate(0);
+        // The pinned window is outside the budget: there it is cached.
+        cache.set_top_levels(vec![Arc::new(image(2, 0, u64::MAX, &[100]))]);
+        assert!(cache.offer(Arc::new(wide(0)), 2));
+        assert_eq!((cache.len(), cache.top_len()), (0, 2));
+    }
+
+    #[test]
+    fn a_cache_that_never_fills_admits_every_offer_and_counts_nothing() {
+        let cache = cache_of(1_024);
+        for i in 0..200u64 {
+            let seps: Vec<u64> = (1..=i % 8 + 1).map(|j| i * 100 + j * 10).collect();
+            assert!(cache.offer_at(Arc::new(image(1, i * 100, (i + 1) * 100, &seps)), None));
+        }
+        for i in 0..2_000u64 {
+            assert!(cache.lookup_leaf(i * 10).is_some());
+        }
+        assert_eq!(cache.len(), 200);
+        let stats = cache.stats();
+        assert_eq!((stats.evictions(), stats.deferred_admissions()), (0, 0));
+        let inner = cache.inner.read();
+        assert!(inner.sketch.is_none());
+        assert!((0..inner.slots.len()).all(|slot| inner.uses(slot) == 0));
+    }
+
+    /// Seeded random offers of images of one to six separators, lookups,
+    /// invalidations, retirements and re-budgets under [`pin_top`]: after
+    /// every step the budget holds the charges of exactly the images below
+    /// the window, and never more than the live capacity.
+    #[test]
+    fn the_budgeted_bytes_never_exceed_the_capacity() {
+        let cache = cache_of(12);
+        pin_top(&cache);
+        let mut rng = 11u64;
+        for step in 0..20_000 {
+            let r = splitmix(&mut rng);
+            let key = r % 1_000;
+            match r >> 60 {
+                0 => cache.set_capacity_bytes((r >> 32) as usize % (24 * ONE)),
+                1 => cache.invalidate_at(1 + (r >> 40) as u8 % 2, key / 100 * 100),
+                2 => cache.apply_invalidate(image(1, key / 10 * 10, 0, &[]).addr, 1),
+                3..=5 => drop(cache.deepest(key, 1)),
+                _ => {
+                    let level = 1 + (r >> 40) as u8 % 2;
+                    let width = 10u64.pow(level.into());
+                    let lo = key / width * width;
+                    let n = 1 + (r >> 48) % 6;
+                    let seps: Vec<u64> = (1..=n).map(|j| lo + j * width / (n + 1)).collect();
+                    cache.offer(Arc::new(image(level, lo, lo + width, &seps)), 4);
+                }
+            }
+            let inner = cache.inner.read();
+            let charged: usize = (inner.slots.iter())
+                .filter(|s| !inner.pinned(s.node.level))
+                .map(|s| s.node.charge())
+                .sum();
+            assert_eq!(inner.budgeted, charged, "step {step}");
+            assert!(inner.budgeted <= cache.capacity_bytes(), "step {step}");
+            let pinned = inner.slots.iter().filter(|s| inner.pinned(s.node.level));
+            assert_eq!(inner.top, pinned.count(), "step {step}");
+        }
+        assert!(cache.stats().evictions() > 100);
+    }
+
     /// Cost of one evicting admission into a full cache of `entries`: the
     /// sketch record, the two victim draws, the eviction and the insertion
     /// (whether the offer wins is one comparison on top).
@@ -1156,12 +1344,12 @@ mod tests {
         let started = std::time::Instant::now();
         for image in fresh {
             let uses = inner.record_offer((1, image.fence_low), entries as usize);
-            let victim = inner.pick_victim().expect("a full cache has a victim");
+            let victim = inner.pick_victim(&[]).expect("a full cache has a victim");
             inner.evict(victim);
             inner.insert(image, uses);
         }
         let ns = started.elapsed().as_nanos() as f64 / rounds as f64;
-        assert_eq!(inner.budgeted, entries as usize);
+        assert_eq!(inner.slots.len(), entries as usize);
         ns
     }
 
@@ -1216,7 +1404,7 @@ mod tests {
             let mut rng = 7u64;
             for i in 0..4_000 {
                 if i == 2_000 {
-                    cache.set_capacity_bytes(8 * 1024);
+                    cache.set_capacity_bytes(8 * ONE);
                 }
                 traverse(&cache, splitmix(&mut rng) % 1_000);
             }
@@ -1383,8 +1571,8 @@ mod tests {
         assert_eq!(cache.stats().evictions(), 0);
 
         // A 4x budget shrink forces the working set down immediately.
-        cache.set_capacity_bytes(4 * 1024);
-        assert_eq!(cache.capacity_bytes(), 4 * 1024);
+        cache.set_capacity_bytes(4 * ONE);
+        assert_eq!(cache.capacity_bytes(), 4 * ONE);
         assert_eq!(cache.config().max_entries(), 4);
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().pressure_evictions(), 12);
@@ -1417,7 +1605,7 @@ mod tests {
         for i in 0..4u64 {
             cache.insert_level1(level1(i * 100, (i + 1) * 100));
         }
-        cache.set_capacity_bytes(64 * 1024);
+        cache.set_capacity_bytes(64 * ONE);
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().evictions(), 0);
         assert_eq!(cache.stats().pressure_evictions(), 0);

@@ -11,9 +11,10 @@
 //! This crate keeps **one** cache of internal-node images at every level
 //! ([`IndexCache`]): the top two levels stay pinned outside the budget, and
 //! every level below shares the byte budget, spent top-down along the paths
-//! the traffic uses (an image is admitted only under a cached parent, evicted
-//! only once it has no cached child, and — once the budget is full — admitted
-//! only over a victim that routed fewer lookups than the image was offered).
+//! the traffic uses.  An image is charged the used prefix of the node it
+//! copies, admitted only under a cached parent, evicted only once it has no
+//! cached child, and — once the budget is full — admitted only over victims
+//! that each routed fewer lookups than the image was offered.
 //! A lookup returns the *deepest* cached image
 //! covering the key: a level-1 answer turns the operation into a single
 //! leaf-node `RDMA_READ`, a level-ℓ answer lets the traversal start at level

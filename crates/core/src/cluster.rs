@@ -778,14 +778,14 @@ impl<B: FabricBackend> Cluster<B> {
     }
 
     /// Populate every compute server's index cache from the bulkloaded
-    /// internal nodes, spending the budget top-down: the top two levels are
-    /// pinned, then each level below is admitted in key order until the
-    /// budget is full.  When level 1 fits, that is every internal node.
+    /// internal nodes, spending the byte budget top-down: the top two levels
+    /// are pinned, then each level below is admitted in key order while the
+    /// images' charges fit.  When level 1 fits, that is every internal node.
     fn warm_caches(&self, internals: &[BuiltNode], root_level: u8) {
         let budget = self
             .caches
             .first()
-            .map_or(0, |cache| cache.config().max_entries());
+            .map_or(0, |cache| cache.capacity_bytes());
         // Highest level first; the stable sort keeps key order within one.
         let mut nodes: Vec<&BuiltNode> = internals.iter().collect();
         nodes.sort_by_key(|n| std::cmp::Reverse(n.level));
@@ -795,9 +795,9 @@ impl<B: FabricBackend> Cluster<B> {
             .count();
         // One shared image per node: every compute server's cache holds the
         // same `Arc`, not a per-server deep clone.
+        let mut spent = 0;
         let images: Vec<Arc<CachedInternal>> = nodes
             .into_iter()
-            .take(pinned + budget)
             .map(|n| {
                 Arc::new(CachedInternal {
                     addr: n.addr,
@@ -817,6 +817,12 @@ impl<B: FabricBackend> Cluster<B> {
                         .collect(),
                 })
             })
+            .enumerate()
+            .take_while(|(i, image)| {
+                spent += if *i < pinned { 0 } else { image.charge() };
+                spent <= budget
+            })
+            .map(|(_, image)| image)
             .collect();
         for cache in &self.caches {
             cache.set_top_levels(images[..pinned].to_vec());

@@ -17,7 +17,8 @@ pub struct TreeConfig {
     pub value_size: usize,
     /// Target fill factor used by bulkload (the paper bulkloads 80 % full).
     pub leaf_fill: f64,
-    /// Capacity of each compute server's index cache in bytes.
+    /// Capacity of each compute server's index cache in bytes of node image
+    /// (each cached image is charged the used prefix of its node).
     pub cache_bytes: usize,
     /// Chunk size used by the two-stage allocator (8 MB in the paper; tests
     /// use something smaller).

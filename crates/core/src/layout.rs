@@ -653,6 +653,32 @@ mod tests {
         assert_eq!(decoded.header.leftmost, node.header.leftmost);
     }
 
+    /// The index cache charges an image by constants of its own; they must
+    /// be this layout's used prefix of the internal node the image copies.
+    #[test]
+    fn a_cached_image_is_charged_the_used_prefix_of_its_node() {
+        for node_size in [256, 1024] {
+            let l = NodeLayout::new(&TreeConfig {
+                node_size,
+                ..TreeConfig::default()
+            });
+            for separators in [0, 1, l.internal_capacity() / 2, l.internal_capacity()] {
+                let mut node = InternalNode::new(1, 0, u64::MAX, GlobalAddress::host(0, 64));
+                for i in 1..=separators as u64 {
+                    node.insert_separator(i * 10, GlobalAddress::host(0, 64 * (i + 1)));
+                }
+                let addr = GlobalAddress::host(1, 4_096);
+                let charge = crate::ops::cached_from_internal(addr, &node).charge();
+                assert_eq!(charge, HEADER_BYTES + INTERNAL_ENTRY_BYTES * separators);
+                assert_eq!(charge, l.decoded_extent(&l.encode_internal(&node)));
+                assert!(
+                    charge <= node_size - TAIL_BYTES,
+                    "{node_size} B, {separators}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn version_mismatch_is_detected() {
         let l = layout();

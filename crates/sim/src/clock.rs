@@ -304,22 +304,6 @@ impl Participant {
         let target = self.now().saturating_add(dt);
         self.wait_until(target);
     }
-
-    /// Block until the **earliest** of several wake-up targets and return it
-    /// (`None` when `targets` is empty: nothing to wait for).
-    ///
-    /// This is the multi-completion rule of the split-phase fabric: a
-    /// participant with several outstanding completions must wake at the
-    /// earliest one — its wake target *is* the minimum, never a later entry
-    /// chosen while an earlier one is still outstanding.  Waiting on a later
-    /// target is not unsafe (completion times are fixed at post time, so an
-    /// earlier completion is simply observed in the past), but it forfeits
-    /// the chance to react at the earlier instant.
-    pub fn wait_until_earliest(&self, targets: impl IntoIterator<Item = u64>) -> Option<u64> {
-        let earliest = targets.into_iter().min()?;
-        self.wait_until(earliest);
-        Some(earliest)
-    }
 }
 
 impl Drop for Participant {
@@ -406,20 +390,6 @@ mod tests {
             .collect();
         let ends: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(clock.now(), *ends.iter().max().unwrap());
-    }
-
-    #[test]
-    fn wait_until_earliest_wakes_at_the_minimum_target() {
-        let clock = Arc::new(VirtualClock::new());
-        let p = clock.register();
-        assert_eq!(p.wait_until_earliest([300, 100, 200]), Some(100));
-        assert_eq!(p.now(), 100);
-        // Targets in the past return immediately without moving time.
-        assert_eq!(p.wait_until_earliest([50, 400]), Some(50));
-        assert_eq!(p.now(), 100);
-        // An empty target set is a no-op.
-        assert_eq!(p.wait_until_earliest(std::iter::empty()), None);
-        assert_eq!(p.now(), 100);
     }
 
     /// Spin until `n` participants are blocked in the clock.

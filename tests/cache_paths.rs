@@ -14,6 +14,8 @@
 
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
+use sherman_repro::sherman::layout::{HEADER_BYTES, INTERNAL_ENTRY_BYTES};
+use sherman_repro::sherman::NodeLayout;
 use sherman_repro::sherman_cache::{CachedInternal, ChildRef, IndexCache, IndexCacheConfig};
 use sherman_repro::sherman_sim::GlobalAddress;
 use std::sync::Arc;
@@ -26,12 +28,22 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// What the cache charges a bulkloaded internal image of `config`'s tree:
+/// the header and one entry per separator, a full group of children less
+/// the leftmost one.
+fn bulkloaded_charge(config: &ClusterConfig) -> usize {
+    let layout = NodeLayout::new(&config.tree);
+    let children = (layout.internal_capacity() as f64 * config.tree.leaf_fill) as usize;
+    HEADER_BYTES + INTERNAL_ENTRY_BYTES * (children - 1)
+}
+
 /// A bulkloaded tree of `keys` keys (`stride` apart) in 256 B nodes with an
-/// index cache of `cache_entries` nodes per compute server.
-fn deep_cluster(keys: u64, stride: u64, cache_entries: usize) -> Arc<Cluster> {
+/// index cache of `cache_images` bulkloaded images' charge per compute
+/// server.
+fn deep_cluster(keys: u64, stride: u64, cache_images: usize) -> Arc<Cluster> {
     let mut config = ClusterConfig::small();
     config.fabric.host_bytes_per_ms = 16 << 20;
-    config.tree.cache_bytes = cache_entries * config.tree.node_size;
+    config.tree.cache_bytes = cache_images * bulkloaded_charge(&config);
     let cluster = Cluster::new(config, TreeOptions::sherman());
     cluster
         .bulkload((0..keys).map(|k| (k * stride, k)))
@@ -40,14 +52,16 @@ fn deep_cluster(keys: u64, stride: u64, cache_entries: usize) -> Arc<Cluster> {
 }
 
 /// (a) The `lookup_cold_deep` geometry in miniature: 7 500 leaves under 834 /
-/// 93 / 11 / 2 / 1 internal nodes, a budget of 84 entries (a tenth of level
-/// 1), uniform keys, one client.  The two-set cache spent those entries on 84
+/// 93 / 11 / 2 / 1 internal nodes, a budget of 84 images' charge (a tenth of
+/// level 1), uniform keys, one client.  The two-set cache spent those entries on 84
 /// of the 834 level-1 nodes, read 3.7 nodes per lookup and evicted on nine
 /// lookups in ten.  Spent top-down and admitted on a second offer inside a
 /// window of recent ones, they held level 3 and most of level 2 at 2.348
 /// reads and 184.6 evictions per 1 000 lookups; admitted only over a victim
 /// that routed fewer lookups, level-1 images stop displacing the level-2
-/// images that route ten times their traffic (2.210 reads, 3.7 evictions).
+/// images that route ten times their traffic (2.210 reads, 3.7 evictions;
+/// 2.213 and 5.8 since the budget is counted in bytes of image, its sketch
+/// still sized in whole nodes).
 #[test]
 fn a_deep_cold_lookup_pays_the_uncached_suffix_of_its_path() {
     let keys = 60_000u64;
@@ -82,6 +96,42 @@ fn a_deep_cold_lookup_pays_the_uncached_suffix_of_its_path() {
     assert!((reads + skipped - 6.0).abs() < 1e-9, "{reads} + {skipped}");
     assert_eq!(stats.top_hit_ratio(), 1.0);
     assert!(stats.deferred_admissions() > 0);
+}
+
+/// (a') The charge: an image costs the used prefix of the node it copies —
+/// 176 B for a bulkloaded internal node of 8 separators in 256 B — not a
+/// whole node.  On (a)'s tree (root level 5, levels 5 and 4 pinned), a
+/// budget of 104 such images' charge, 18 304 B, holds levels 3 and 2 whole
+/// (11 + 93 images, 18 160 B): at a whole node each it held 71 images, left
+/// the last 33 level-2 nodes out, and a lookup under them read 3 nodes.
+/// After warm-up the traversal of every leaf's key starts at level 1, and
+/// once the counts have seen each level-2 image route the lookups of its 81
+/// leaves, a lookup under every level-1 node reads exactly 2 nodes (its
+/// level-1 node and its leaf) while offering the level-1 image it read.
+#[test]
+fn the_prefix_charge_holds_level_2_and_a_lookup_reads_two_nodes() {
+    let keys = 60_000u64;
+    let cluster = deep_cluster(keys, 2, 104);
+    let cache = cluster.cache(0);
+    assert_eq!((cache.len(), cache.budgeted_bytes()), (104, 18_160));
+    assert_eq!(cache.capacity_bytes(), 18_304);
+    // One key per leaf (8 keys each): the deepest cached image is level 2.
+    for leaf in 0..keys / 8 {
+        assert_eq!(cache.deepest(leaf * 16, 1).unwrap().level, 2, "leaf {leaf}");
+    }
+    // One key per level-1 node (9 leaves each).
+    let mut client = cluster.client(0);
+    for node in 0..keys.div_ceil(72) {
+        let k = node * 72;
+        let (value, stats) = client.lookup(k * 2).unwrap();
+        assert_eq!(value, Some(k));
+        assert_eq!(stats.reads, 2, "lookup under level-1 node {node}");
+    }
+    // Every level-1 offer was deferred but the last node's: three children
+    // charge 80 B, which fit the 144 B left.
+    assert_eq!(cache.stats().evictions(), 0);
+    assert_eq!(cache.stats().deferred_admissions(), 833);
+    assert_eq!(cache.len(), 105);
 }
 
 /// One seeded single-client sequence on a tree whose level 1 fits the cache
@@ -239,7 +289,10 @@ proptest! {
     fn the_cached_set_stays_a_bounded_prefix_of_paths(
         ops in prop::collection::vec(cache_op(), 1..200),
     ) {
-        let cache = IndexCache::new(IndexCacheConfig::new(8 * 256, 256));
+        // Every synthetic image keeps one separator: a budget of `n` of
+        // their charges holds `n` images.
+        let one = synthetic(1, 0, 1).charge();
+        let cache = IndexCache::new(IndexCacheConfig::new(8 * one, one));
         // Versions per (level, index): a retired node comes back one newer.
         let mut versions = [[1u8; 24]; 5];
         cache.set_top_levels(vec![
@@ -275,11 +328,12 @@ proptest! {
                     cache.apply_invalidate(synthetic(level, index, 0).addr, version.wrapping_add(1));
                     *version = version.wrapping_add(2);
                 }
-                CacheOp::Budget { entries } => cache.set_capacity_bytes(entries * 256),
+                CacheOp::Budget { entries } => cache.set_capacity_bytes(entries * one),
             }
 
             let max = cache.config().max_entries();
             prop_assert!(cache.len() <= max, "{} entries over a budget of {max}", cache.len());
+            prop_assert!(cache.budgeted_bytes() <= cache.capacity_bytes());
             let (level1, level2) = (cached_at(&cache, 1), cached_at(&cache, 2));
             // Levels 3 and 4 are the pinned window; levels 1 and 2 are what
             // the budget is charged for.
@@ -416,7 +470,8 @@ fn a_runtime_shrink_evicts_the_paths_bottom_up() {
     // 31 level-2 nodes and 89 of the 278 level-1 nodes fill 120 entries.
     let cluster = deep_cluster(20_000, 16, 120);
     assert_eq!(cluster.cache(0).len(), 120);
-    cluster.set_cache_budget(20 * 256);
+    let charge = cluster.cache(0).capacity_bytes() / 120;
+    cluster.set_cache_budget(20 * charge);
     for cs in 0..2 {
         let cache = cluster.cache(cs);
         assert_eq!(cache.len(), 20);

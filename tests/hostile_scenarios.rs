@@ -503,7 +503,7 @@ fn cache_budget_shrink_evicts_and_keeps_reads_correct() {
     let initial = cluster.cache(0).capacity_bytes();
     cluster.set_cache_budget(initial / 4);
     let cache = cluster.cache(0);
-    assert!(cache.len() <= cache.config().max_entries());
+    assert!(cache.budgeted_bytes() <= cache.capacity_bytes());
     assert!(cache.len() < populated, "the shrink evicted nothing");
     assert!(cache.stats().pressure_evictions() > 0);
 
@@ -513,7 +513,7 @@ fn cache_budget_shrink_evicts_and_keeps_reads_correct() {
             assert_eq!(client.lookup(*k).unwrap().0, Some(*v));
         }
     }
-    assert!(cache.len() <= cache.config().max_entries());
+    assert!(cache.budgeted_bytes() <= cache.capacity_bytes());
 }
 
 proptest! {

@@ -855,6 +855,158 @@ mod tests {
         assert_eq!(mgr.acquire(&mut client, node).unwrap().remote_retries, 0);
     }
 
+    /// Step `acq` until it holds its lock, starting from the wait `pending`.
+    fn step_to_done(
+        mgr: &LockManager,
+        client: &mut ClientCtx,
+        acq: &mut Acquisition,
+        mut pending: Option<PendingVerb>,
+    ) -> crate::AcquireOutcome {
+        loop {
+            match step(mgr, client, acq, pending.take()) {
+                AcquireStep::Pending(token) => pending = Some(token),
+                AcquireStep::Done { outcome, .. } => return outcome,
+                AcquireStep::Lost => panic!("a queued acquisition waits"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_chain_of_handovers_ends_after_max_handover_depth() {
+        let (pool, mgr) = setup(LockStrategy::Hocl);
+        let mut client = pool.fabric().client(0);
+        let node = GlobalAddress::host(0, 130 << 10);
+        let n = MAX_HANDOVER_DEPTH as usize + 2;
+        let mut acqs: Vec<Acquisition> = (0..n).map(|_| Acquisition::new(node, None)).collect();
+        let mut waits: Vec<Option<PendingVerb>> = Vec::new();
+        for acq in &mut acqs {
+            let AcquireStep::Pending(token) = step(&mgr, &mut client, acq, None) else {
+                panic!("the first posts its attempt, the others queue");
+            };
+            waits.push(Some(token));
+        }
+        let mut released = Vec::new();
+        for (acq, wait) in acqs.iter_mut().zip(&mut waits) {
+            let outcome = step_to_done(&mgr, &mut client, acq, wait.take());
+            assert_eq!(outcome.handed_over, released.last() == Some(&false));
+            let r = mgr.release(&mut client, node, Vec::new(), true).unwrap();
+            released.push(r.released_global);
+        }
+        // `MAX_HANDOVER_DEPTH` handovers in a row, then the global lock goes
+        // back; the last release finds nobody queued.
+        let mut expected = vec![false; MAX_HANDOVER_DEPTH as usize];
+        expected.extend([true, true]);
+        assert_eq!(released, expected);
+    }
+
+    #[test]
+    fn a_waiter_that_looks_again_is_woken_on_its_new_wait() {
+        let (pool, mgr) = setup(LockStrategy::Hocl);
+        let node = GlobalAddress::host(0, 160 << 10);
+        let mut other = pool.fabric().client(0);
+        mgr.acquire(&mut other, node).unwrap();
+        // Two operations of one context queue behind another thread's holder:
+        // both poll.
+        let mut client = pool.fabric().client(0);
+        let (mut c, mut b) = (Acquisition::new(node, None), Acquisition::new(node, None));
+        let AcquireStep::Pending(tc) = step(&mgr, &mut client, &mut c, None) else {
+            panic!("the lock is held");
+        };
+        let AcquireStep::Pending(tb) = step(&mgr, &mut client, &mut b, None) else {
+            panic!("the lock is held");
+        };
+        assert_ne!(client.completes_at(tb), u64::MAX);
+        // Handed the lock, C takes it when it looks; B, looking again, now
+        // waits behind its own context only and parks on a new wait.
+        mgr.release(&mut other, node, Vec::new(), true).unwrap();
+        assert!(step_to_done(&mgr, &mut client, &mut c, Some(tc)).handed_over);
+        let AcquireStep::Pending(tb) = step(&mgr, &mut client, &mut b, Some(tb)) else {
+            panic!("C holds the lock");
+        };
+        assert_eq!(client.completes_at(tb), u64::MAX);
+        // C's release wakes that wait.
+        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        assert_eq!(client.completes_at(tb), client.now());
+        assert!(step_to_done(&mgr, &mut client, &mut b, Some(tb)).handed_over);
+        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+    }
+
+    #[test]
+    fn racing_waiters_take_no_place_in_a_queue() {
+        let (pool, mgr) = setup(LockStrategy::Hierarchical);
+        let mut client = pool.fabric().client(0);
+        let node = GlobalAddress::host(0, 140 << 10);
+        mgr.acquire(&mut client, node).unwrap();
+        let mut acq = Acquisition::new(node, None);
+        let AcquireStep::Pending(wait) = step(&mgr, &mut client, &mut acq, None) else {
+            panic!("the lock is held");
+        };
+        // No queue to stand in: the waiter looks again after the interval.
+        assert_eq!(mgr.queued_waiters(0, node), 0);
+        assert_eq!(client.completes_at(wait), client.now() + LOCAL_POLL_NS);
+        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        let outcome = step_to_done(&mgr, &mut client, &mut acq, Some(wait));
+        assert_eq!((outcome.handed_over, outcome.remote_retries), (false, 0));
+        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+    }
+
+    #[test]
+    fn a_handover_to_another_thread_waits_for_the_write_back() {
+        let (pool, mgr) = setup(LockStrategy::Hocl);
+        let node = GlobalAddress::host(0, 150 << 10);
+        let mut holder = pool.fabric().client(0);
+        mgr.acquire(&mut holder, node).unwrap();
+        let waiter = {
+            let (pool, mgr) = (Arc::clone(&pool), Arc::clone(&mgr));
+            thread::spawn(move || {
+                let mut client = pool.fabric().client(0);
+                let mut buf = [0u8; 64];
+                let a = mgr.acquire_and_read(&mut client, node, &mut buf).unwrap();
+                mgr.release(&mut client, node, Vec::new(), true).unwrap();
+                (a, buf)
+            })
+        };
+        pump_until_queued(&mgr, &mut holder, node, 1);
+        // Asked to leave the final verb in flight, the release still waits
+        // for it: the waiter reads the node the moment it has the lock.
+        let write = WriteCmd::new(node, vec![9u8; 64]);
+        let (r, last) = mgr.post_release(&mut holder, node, vec![write], true).unwrap();
+        assert!(!r.released_global);
+        assert!(last.is_none(), "the write-back was acknowledged");
+        assert_eq!(holder.outstanding(), 0);
+        drop(holder);
+        let (a, buf) = waiter.join().unwrap();
+        assert!(a.handed_over);
+        assert_eq!(buf, [9u8; 64]);
+    }
+
+    #[test]
+    fn a_handed_over_acquisition_whose_read_fails_passes_the_lock_on() {
+        let (pool, mgr) = setup(LockStrategy::Hocl);
+        let end = pool.fabric().config().host_bytes_per_ms as u64;
+        let node = GlobalAddress::host(0, end - 8);
+        let mut client = pool.fabric().client(0);
+        mgr.acquire(&mut client, node).unwrap();
+        let waiter = {
+            let (pool, mgr) = (Arc::clone(&pool), Arc::clone(&mgr));
+            thread::spawn(move || {
+                let mut client = pool.fabric().client(0);
+                let mut buf = [0u8; 64];
+                mgr.acquire_and_read(&mut client, node, &mut buf).is_err()
+            })
+        };
+        pump_until_queued(&mgr, &mut client, node, 1);
+        let r = mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        assert!(!r.released_global, "the waiter is handed the lock");
+        drop(client);
+        assert!(waiter.join().unwrap(), "its read is out of bounds");
+        // One attempt from another compute server wins: the lock is free.
+        let loc = mgr.table().location_of(node);
+        let mut other = pool.fabric().client(1);
+        assert!(mgr.table().try_acquire_at(&mut other, loc, 1));
+        assert_eq!(mgr.local_table(0).materialized_locks(), 0);
+    }
+
     #[test]
     fn local_waiters_do_not_issue_remote_retries() {
         let (pool, mgr) = setup(LockStrategy::Hocl);

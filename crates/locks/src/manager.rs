@@ -780,6 +780,20 @@ mod tests {
     }
 
     #[test]
+    fn an_faa_release_is_an_atomic_after_the_write_backs() {
+        let (pool, mgr) = setup(LockStrategy::HostCasFaa);
+        let node = GlobalAddress::host(1, 12 << 10);
+        let mut c0 = pool.fabric().client(0);
+        mgr.acquire(&mut c0, node).unwrap();
+        let before = c0.stats();
+        mgr.release(&mut c0, node, vec![WriteCmd::new(node, vec![2u8; 64])], true)
+            .unwrap();
+        // The write-back, then the FAA: one write command and one atomic.
+        let d = c0.stats().delta_since(&before);
+        assert_eq!((d.round_trips, d.writes, d.atomics), (2, 1, 1));
+    }
+
+    #[test]
     fn deferred_release_posts_the_final_verb_split_phase() {
         // Combined write-back + release: the whole batch is the final verb,
         // posted without polling; the lock word is already free at post time.

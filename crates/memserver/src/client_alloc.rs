@@ -391,6 +391,39 @@ mod tests {
     }
 
     #[test]
+    fn a_node_freed_while_every_server_denies_a_chunk_rescues_the_allocation() {
+        let fabric = Fabric::new(FabricConfig {
+            host_bytes_per_ms: 256 << 10,
+            ..FabricConfig::small_test()
+        });
+        let pool = MemoryPool::new(Arc::clone(&fabric), 64 << 10);
+        let mut client = fabric.client(0);
+        let mut alloc = ClientAllocator::new(Arc::clone(&pool), 32 << 10, 0);
+        let mut got = Vec::new();
+        while let Ok(node) = alloc.alloc_node(&mut client) {
+            got.push(node);
+        }
+        // A pinned reader keeps the retired node in quarantine past the
+        // allocation's first look, and leaves during its chunk requests.
+        let reader = pool.epoch_registry().register();
+        let pin = reader.pin();
+        pool.retire_node(got[1].addr, 6, client.now());
+        let mut pin = Some(pin);
+        let node = loop {
+            match alloc.step_alloc(&mut client).unwrap() {
+                AllocStep::Done(node) => break node,
+                AllocStep::Chunk(token) => {
+                    client.poll_token(token);
+                    drop(pin.take());
+                }
+            }
+        };
+        assert_eq!(node.addr, got[1].addr);
+        assert_eq!(node.first_version(), 7);
+        assert_eq!(pool.backpressure().reuse_rescues(), 1);
+    }
+
+    #[test]
     fn oversized_node_is_rejected_at_construction() {
         let (pool, _client) = setup();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -115,7 +115,7 @@ impl<B: FabricBackend> TreeClient<B> {
         let cx = OpCx::new(
             &self.cluster,
             &mut self.ctx,
-            &mut self.allocator,
+            &self.allocator,
             self.cs_id,
             alone,
         );

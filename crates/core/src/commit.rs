@@ -15,7 +15,8 @@
 //!   pair and the parent in the lock manager's rank order, and merge or
 //!   rebalance (collapsing the root when it runs out of separators).
 //!
-//! A write (`crate::ops`) acquires the leaf lock itself ([`OpCx::lock`])
+//! A write (`crate::ops`) acquires the leaf lock itself
+//! ([`OpCx::lock_and_read_head`], over `sherman_locks::LockManager::lock`)
 //! — that is the one thing it parks on while a lock is involved — and calls
 //! [`OpCx::leaf_commit`] with the image read under it.  The leaf commit does
 //! not yield (it only holds the client, [`OpCx::hold`]): the leaf lock's
@@ -89,8 +90,8 @@ use crate::ops::{
 };
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
-use sherman_locks::{AcquireOutcome, AcquireStep, Acquisition, ReleaseStep};
-use sherman_memserver::{AllocStep, AllocatedNode, ServerLayout};
+use sherman_locks::AcquireOutcome;
+use sherman_memserver::{AllocatedNode, ServerLayout};
 use sherman_sim::{FabricBackend, GlobalAddress, PendingVerb, WriteCmd};
 use std::sync::Arc;
 
@@ -431,27 +432,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
     // Locks
     // ------------------------------------------------------------------
 
-    /// Step the acquisition `acq` until it holds its lock, parking on each
-    /// thing it posts as a lock park ([`OpCx::wait_lock`]).  Returns how the
-    /// lock was obtained and the node image read under it.
-    pub(crate) async fn lock(&self, mut acq: Acquisition) -> TreeResult<(AcquireOutcome, Vec<u8>)> {
-        let mgr = self.cluster.lock_manager();
-        let mut step = mgr.step_acquire(&mut self.ctx(), &mut acq, None)?;
-        loop {
-            match step {
-                AcquireStep::Pending(token) => {
-                    let completion = self.wait_lock(token).await;
-                    step = mgr.step_acquire(&mut self.ctx(), &mut acq, Some(completion))?;
-                }
-                AcquireStep::Done { outcome, image } => return Ok((outcome, image)),
-                AcquireStep::Lost => unreachable!("an acquisition that waits is never lost"),
-            }
-        }
-    }
-
     /// Acquire the exclusive lock on `addr`, folding the outcome into `meta`.
     async fn acquire_lock(&self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<()> {
-        let (acq, _) = self.lock(Acquisition::new(addr, None)).await?;
+        let mgr = self.cluster.lock_manager();
+        let (acq, _) = mgr.lock(self, addr, None).await?;
         Self::note_acquired(acq, meta);
         Ok(())
     }
@@ -462,28 +446,22 @@ impl<B: FabricBackend> OpCx<'_, B> {
         meta.handed_over |= acq.handed_over;
     }
 
-    /// The acquisition at the head of every single-node commit: the lock on
-    /// `addr` and the node under it.  With command combination the READ
-    /// rides the acquiring CAS's doorbell batch (the lock word is co-located
-    /// with its node, hence on the same queue pair), so the head costs one
-    /// round trip; without it, the lock and the read are two dependent ones.
-    pub(crate) fn lock_and_read_start(&self, addr: GlobalAddress) -> Acquisition {
-        Acquisition::new(addr, self.combine().then(|| self.layout().node_size()))
-    }
-
-    /// The lock on `addr` is held; `image` is what the acquisition read under
-    /// it.  Returns the node image — without command combination that is a
-    /// READ of its own, which waits like every other command of an
-    /// uncombined preset.  The caller charges the CPU of what it reads of the
-    /// image: a point write what its probe read ([`OpCx::leaf_commit`]), a
-    /// separator insertion the whole node.
-    pub(crate) async fn lock_and_read_finish(
+    /// The head of every single-node commit: the lock on `addr`, each step
+    /// of its acquisition a lock park, and the node under it.  With command
+    /// combination the READ rides the acquiring CAS's doorbell batch (the
+    /// lock word is co-located with its node, hence on the same queue pair),
+    /// so the head costs one round trip; without it, the lock and the read
+    /// are two dependent ones, the READ waiting like every other command of
+    /// an uncombined preset.  Returns the node image.  The caller charges the
+    /// CPU of what it reads of the image: a point write what its probe read
+    /// ([`OpCx::leaf_commit`]), a separator insertion the whole node.
+    pub(crate) async fn lock_and_read_head(
         &self,
         addr: GlobalAddress,
-        acq: AcquireOutcome,
-        image: Vec<u8>,
         meta: &mut OpMeta,
     ) -> TreeResult<Vec<u8>> {
+        let read = self.combine().then(|| self.layout().node_size());
+        let (acq, image) = self.cluster.lock_manager().lock(self, addr, read).await?;
         Self::note_acquired(acq, meta);
         if !self.combine() {
             return self.read_node_locked(addr).await;
@@ -491,17 +469,16 @@ impl<B: FabricBackend> OpCx<'_, B> {
         Ok(image)
     }
 
-    /// [`OpCx::lock_and_read_start`] to [`OpCx::lock_and_read_finish`] (the
-    /// separator insertion a [`Followup`] runs), charged the whole node.
+    /// [`OpCx::lock_and_read_head`] for the separator insertion a
+    /// [`Followup`] runs, charged the whole node.
     async fn lock_and_read(&self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<Vec<u8>> {
-        let (acq, image) = self.lock(self.lock_and_read_start(addr)).await?;
-        let image = self.lock_and_read_finish(addr, acq, image, meta).await?;
+        let image = self.lock_and_read_head(addr, meta).await?;
         self.scan_cpu(image.len()).await;
         Ok(image)
     }
 
     /// Release the exclusive lock on `addr`, flushing `writes` according to
-    /// the command-combination setting ([`sherman_locks::LockManager::begin_release`]),
+    /// the command-combination setting ([`sherman_locks::LockManager::unlock`]),
     /// holding the client for every verb the release waits for — the final
     /// one too when `wait_final`.  Otherwise the final verb is returned, in
     /// flight: its memory effect (lock word cleared, write-backs applied)
@@ -515,17 +492,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
         wait_final: bool,
     ) -> TreeResult<Option<PendingVerb>> {
         let mgr = self.cluster.lock_manager();
-        let mut release =
-            mgr.begin_release(&mut self.ctx(), addr, writes, self.combine(), wait_final);
-        loop {
-            let step = mgr.step_release(&mut self.ctx(), &mut release)?;
-            match step {
-                ReleaseStep::Pending(token) => {
-                    self.hold(token).await;
-                }
-                ReleaseStep::Done { last, .. } => return Ok(last),
-            }
-        }
+        let (_, last) = mgr
+            .unlock(self, addr, writes, self.combine(), wait_final)
+            .await?;
+        Ok(last)
     }
 
     /// Release the exclusive lock on `addr`, its completion observed before
@@ -553,15 +523,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Allocate a node, holding the client while a chunk request is in
     /// flight.
     async fn alloc_node(&self) -> TreeResult<AllocatedNode> {
-        loop {
-            let step = self.allocator().step_alloc(&mut self.ctx())?;
-            match step {
-                AllocStep::Done(node) => return Ok(node),
-                AllocStep::Chunk(token) => {
-                    self.hold(token).await;
-                }
-            }
-        }
+        Ok(self.allocator.alloc(self).await?)
     }
 
     /// Wait for every verb the operation's commit left in flight.
@@ -631,40 +593,26 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let node_size = self.layout().node_size();
         let counters = self.cluster.space_counters();
         counters.optimistic_plans.inc();
-        let mut attempts: Vec<Acquisition> = plan
-            .iter()
-            .map(|&rep| Acquisition::try_once(rep, Some(node_size)))
-            .collect();
         // Post: a word that is lost (or rejected) on the spot ends the plan.
-        let mut steps = Vec::with_capacity(plan.len());
-        for attempt in &mut attempts {
-            let step = mgr.step_acquire(&mut self.ctx(), attempt, None);
-            let open = matches!(step, Ok(AcquireStep::Pending(_) | AcquireStep::Done { .. }));
-            steps.push(step);
-            if !open {
-                break;
+        let mut attempts = Vec::with_capacity(plan.len());
+        let mut failed = None;
+        for &rep in plan {
+            match mgr.try_lock(self, rep, Some(node_size)) {
+                Ok(Some(attempt)) => attempts.push((rep, attempt)),
+                Ok(None) => break,
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
             }
         }
         self.observe(meta).await;
-        // Poll: learn which words were won.
+        // Await: learn which words were won (a word lost is one retry).
         let mut won = Vec::with_capacity(plan.len());
-        let mut failed = None;
-        for ((step, attempt), &rep) in steps.into_iter().zip(&mut attempts).zip(plan) {
-            let step = match step {
-                Ok(AcquireStep::Pending(token)) => {
-                    let completion = self.wait_lock(token).await;
-                    mgr.step_acquire(&mut self.ctx(), attempt, Some(completion))
-                }
-                settled => settled,
-            };
-            match step {
-                Ok(AcquireStep::Done { outcome, image }) => {
-                    Self::note_acquired(outcome, meta);
-                    won.push((rep, image));
-                }
-                Ok(AcquireStep::Lost) => meta.lock_retries += attempt.retries(),
-                Ok(AcquireStep::Pending(_)) => unreachable!("an attempt is never re-posted"),
-                Err(e) => failed = Some(e),
+        for (rep, attempt) in attempts {
+            match attempt.await {
+                Some(image) => won.push((rep, image)),
+                None => meta.lock_retries += 1,
             }
         }
         if won.len() == plan.len() {
@@ -1613,6 +1561,7 @@ mod tests {
     use crate::config::{TreeConfig, TreeOptions};
     use crate::layout::key_tag;
     use proptest::prelude::*;
+    use sherman_sim::{block_on, InPlace, Waits};
 
     /// One generated slot: `(live, key, front version, rear version)`.  Live
     /// if the first byte is below the leaf's density; vacant slots keep the
@@ -1846,19 +1795,14 @@ mod tests {
             let mgr = cluster.lock_manager();
             let mut other = cluster.fabric().client(1);
             for ctx in [&mut other, &mut client.ctx] {
+                let cx = InPlace::new(ctx);
                 for node in [left, right, beyond] {
-                    let mut attempt = Acquisition::try_once(node, None);
-                    let AcquireStep::Pending(token) =
-                        mgr.step_acquire(ctx, &mut attempt, None).unwrap()
-                    else {
-                        panic!("the local lock on {node:?} is still held");
-                    };
-                    let completion = ctx.poll(None).expect("the attempt is outstanding");
-                    assert_eq!(completion.token, token);
-                    let won = mgr.step_acquire(ctx, &mut attempt, Some(completion)).unwrap();
-                    assert!(matches!(won, AcquireStep::Done { .. }), "{node:?} is still locked");
-                    mgr.post_release(ctx, node, Vec::new(), true).unwrap();
-                    ctx.drain();
+                    let attempt = mgr.try_lock(&cx, node, None).unwrap();
+                    let held = || panic!("the local lock on {node:?} is still held");
+                    let attempt = attempt.unwrap_or_else(held);
+                    assert!(block_on(attempt).is_some(), "{node:?} is still locked");
+                    block_on(mgr.unlock(&cx, node, Vec::new(), true, true)).unwrap();
+                    assert_eq!(cx.ctx().outstanding(), 0);
                 }
             }
         }

@@ -1,11 +1,10 @@
 //! Tree geometry ([`TreeConfig`]) and technique selection ([`TreeOptions`]).
 
-use serde::{Deserialize, Serialize};
 pub use sherman_locks::LockStrategy;
 
 /// Geometry and sizing of the tree, independent of which techniques are
 /// enabled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeConfig {
     /// Size of every tree node in bytes (the paper uses 1 KB).
     pub node_size: usize,
@@ -83,7 +82,7 @@ impl TreeConfig {
 }
 
 /// How leaf nodes are laid out and how lock-free readers validate them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeafFormat {
     /// Sorted leaves, whole-node write-back, node-level version pair
     /// (the FG+ baseline).
@@ -114,7 +113,7 @@ impl LeafFormat {
 /// core — so it wins exactly when the client would otherwise pay several
 /// dependent round trips (cold caches, deep trees, congested fabric) and
 /// loses when the index cache already answers in one read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OffloadPolicy {
     /// Never offload: every traversal runs client-side with one-sided verbs
     /// (the paper's behaviour, and the default).
@@ -139,7 +138,7 @@ impl OffloadPolicy {
 
 /// Which of Sherman's techniques are enabled — the axis of the paper's
 /// ablation study (Figures 10 and 11).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeOptions {
     /// Combine dependent commands on one queue pair into doorbell batches:
     /// at the tail of a write the `RDMA_WRITE`s (write-back + lock release,

@@ -27,7 +27,7 @@
 
 use crate::cluster::Cluster;
 use sherman_memserver::ClientAllocator;
-use sherman_sim::{ClientCtx, Completion, Fabric, FabricBackend, PendingVerb};
+use sherman_sim::{ClientCtx, Completion, Fabric, FabricBackend, PendingVerb, Waits};
 use std::cell::{Cell, RefCell, RefMut};
 use std::future::{poll_fn, Future};
 use std::pin::{pin, Pin};
@@ -66,12 +66,18 @@ impl Park {
 /// The shared-state window every operation runs against: the cluster plus
 /// this client's fabric context and node allocator.  All operations
 /// multiplexed on one client share the *same* `OpCx` (that is the point), so
-/// the context and the allocator sit behind `RefCell`s whose borrows never
-/// span an `.await` (clippy's `await_holding_refcell_ref`).
+/// the context sits behind a `RefCell` whose borrows never span an `.await`
+/// (clippy's `await_holding_refcell_ref`), and the allocator keeps its state
+/// in cells of its own.
+///
+/// It is the tree's [`Waits`]: the lock manager's acquisitions and releases
+/// and the allocator's chunk requests, written once as `async fn`s, park the
+/// operation here — a lock step as [`Park::Lock`], a release verb or a chunk
+/// request as a hold.
 pub(crate) struct OpCx<'a, B: FabricBackend = Fabric> {
     pub cluster: &'a Arc<Cluster<B>>,
     ctx: RefCell<&'a mut ClientCtx<B::Channel>>,
-    allocator: RefCell<&'a mut ClientAllocator<B>>,
+    pub allocator: &'a ClientAllocator<B>,
     pub cs_id: u16,
     /// No other client shares the executor: holds are answered in place.
     alone: bool,
@@ -87,14 +93,14 @@ impl<'a, B: FabricBackend> OpCx<'a, B> {
     pub(crate) fn new(
         cluster: &'a Arc<Cluster<B>>,
         ctx: &'a mut ClientCtx<B::Channel>,
-        allocator: &'a mut ClientAllocator<B>,
+        allocator: &'a ClientAllocator<B>,
         cs_id: u16,
         alone: bool,
     ) -> Self {
         OpCx {
             cluster,
             ctx: RefCell::new(ctx),
-            allocator: RefCell::new(allocator),
+            allocator,
             cs_id,
             alone,
             parked: Cell::new(None),
@@ -108,25 +114,12 @@ impl<'a, B: FabricBackend> OpCx<'a, B> {
         RefMut::map(self.ctx.borrow_mut(), |ctx| &mut **ctx)
     }
 
-    /// This client's node allocator.
-    pub(crate) fn allocator(&self) -> RefMut<'_, ClientAllocator<B>> {
-        RefMut::map(self.allocator.borrow_mut(), |allocator| &mut **allocator)
-    }
-
     /// Wait for the verb behind `token`.
     pub(crate) fn wait(
         &self,
         token: PendingVerb,
     ) -> impl Future<Output = Completion> + use<'_, 'a, B> {
         self.park(Park::Verb(token))
-    }
-
-    /// Wait for the verb behind `token`, a step of a lock acquisition.
-    pub(crate) fn wait_lock(
-        &self,
-        token: PendingVerb,
-    ) -> impl Future<Output = Completion> + use<'_, 'a, B> {
-        self.park(Park::Lock(token))
     }
 
     /// Wait for the verb behind `token` holding the client.
@@ -236,6 +229,22 @@ impl<'a, B: FabricBackend> OpCx<'a, B> {
         let op = pin!(op);
         let driven = pin!(self.drive(op));
         self.poll(driven).expect("a client alone never waits for the executor")
+    }
+}
+
+impl<B: FabricBackend> Waits for OpCx<'_, B> {
+    type Channel = B::Channel;
+
+    fn ctx(&self) -> RefMut<'_, ClientCtx<B::Channel>> {
+        OpCx::ctx(self)
+    }
+
+    fn wait_lock(&self, token: PendingVerb) -> impl Future<Output = Completion> {
+        self.park(Park::Lock(token))
+    }
+
+    fn hold(&self, token: PendingVerb) -> impl Future<Output = Completion> {
+        OpCx::hold(self, token)
     }
 }
 

@@ -25,9 +25,9 @@
 //! ## What a write may and may not wait for
 //!
 //! A write parks twice around its critical section: on the acquisition of
-//! the leaf lock (the lock manager's resumable machine — a CAS+READ round
-//! trip, a re-post after a lost race, a place in the local queue behind a
-//! sibling operation; a [`Park::Lock`](crate::exec::Park::Lock)) and on the
+//! the leaf lock (the lock manager's `async fn` acquisition — a CAS+READ
+//! round trip, a re-post after a lost race, a place in the local queue behind
+//! a sibling operation; each a [`Park::Lock`](crate::exec::Park::Lock)) and on the
 //! final release verb, whose memory effect applied at post time.  In
 //! between, the body — validate, pick the slot, post write-back + release —
 //! does not yield: what it waits for (its CPU time, an uncombined read or
@@ -1066,8 +1066,7 @@ async fn write<B: FabricBackend>(
             continue 'restart;
         };
         // The head of the commit: the leaf lock, its read riding it.
-        let (outcome, image) = cx.lock(cx.lock_and_read_start(addr)).await?;
-        let buf = cx.lock_and_read_finish(addr, outcome, image, meta).await?;
+        let buf = cx.lock_and_read_head(addr, meta).await?;
         match cx.leaf_commit(addr, source, key, kind, &buf, meta).await? {
             WriteCommit::Committed { found, release } => {
                 if let Some(token) = release {

@@ -50,7 +50,7 @@
 //!
 //! 1. **An operation that finds its lock taken waits in the lock's local
 //!    queue, and the release resumes it.**  The lock manager's acquisition
-//!    machine never blocks (each step of it parks as a `Park::Lock`): a lost
+//!    never blocks (each wait in it parks as a `Park::Lock`): a lost
 //!    global attempt is re-posted as another parked verb, and a lock word
 //!    held by a sibling operation of this very client — the same leaf, or a
 //!    leaf whose lock aliases it in the table — is waited for in the compute

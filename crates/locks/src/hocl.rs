@@ -25,17 +25,20 @@
 //! waiter (and every racing one) re-checks every `LOCAL_POLL_NS`, because a
 //! thread cannot wake another thread's context.
 //!
-//! An *optimistic* acquisition ([`Acquisition::try_once`]) does none of this
+//! An acquisition waits for its turn in an `async fn`
+//! ([`LockManager::lock`]), so that each look at the local lock is one step
+//! between two awaits; the look itself (`LockManager::turn`) never waits.
+//!
+//! An *optimistic* acquisition ([`LockManager::try_lock`]) does none of this
 //! waiting: a local lock that is held, or promised to a queued waiter, is lost
 //! on the spot without a verb, and a global attempt that loses gives the
 //! local lock back instead of spinning — so several may be in flight at once,
 //! in any order, and nothing is ever waited for (the structural-delete path
 //! tries its three locks this way before it falls back to rank order).
 
-use crate::manager::{AcquireState, AcquireStep, Acquisition};
 use crate::{LockManager, LockStrategy};
 use parking_lot::Mutex;
-use sherman_sim::{ClientCtx, FabricChannel, GlobalAddress, PendingVerb, SimResult};
+use sherman_sim::{ClientCtx, FabricChannel, GlobalAddress, PendingVerb, Waits};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,6 +129,11 @@ impl LocalLockTable {
         }
     }
 
+    /// A ticket no other acquisition of this compute server holds.
+    pub(crate) fn ticket(&self) -> u64 {
+        self.tickets.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Number of lock records currently materialized (observability/tests).
     pub fn materialized_locks(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
@@ -151,20 +159,50 @@ pub(crate) struct Locked {
     pub(crate) handover: Option<bool>,
 }
 
+/// Where an acquisition stands after one look at its local lock.
+pub(crate) enum Turn {
+    /// It holds the local lock; with `handed_over` the global lock came with
+    /// it.
+    Taken {
+        /// The predecessor's release handed the global lock over.
+        handed_over: bool,
+    },
+    /// An optimistic look found the lock taken or promised: nothing changed.
+    Lost,
+    /// It waits, in the queue on a rung that has one, parked on this wait.
+    Wait(PendingVerb),
+}
+
 impl LockManager {
-    /// Take the compute server's local lock for `acq`, or wait for it.
-    pub(crate) fn take_local<C: FabricChannel>(
+    /// Take the compute server's local lock on `node`, waiting for it as long
+    /// as it takes (each wait a lock step): whether the global lock was
+    /// handed over with it.
+    pub(crate) async fn take_local<W: Waits>(&self, cx: &W, node: GlobalAddress) -> bool {
+        let ticket = self.local_table(cx.ctx().cs_id()).ticket();
+        loop {
+            let turn = self.turn(&mut cx.ctx(), node, ticket, false);
+            match turn {
+                Turn::Taken { handed_over } => return handed_over,
+                Turn::Wait(wait) => {
+                    cx.wait_lock(wait).await;
+                }
+                Turn::Lost => unreachable!("an acquisition that waits is never lost"),
+            }
+        }
+    }
+
+    /// One look at the local lock on `node` for the acquisition holding
+    /// `ticket`: take it, or — unless `once`, an optimistic look — wait for
+    /// it.
+    pub(crate) fn turn<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
-        acq: &mut Acquisition,
-    ) -> SimResult<AcquireStep> {
-        let (ms, slot) = (acq.node.ms, self.table().slot_of(acq.node));
-        let llt = self.local_table(client.cs_id());
-        let local = llt.lock_for(ms, slot);
-        let ticket = match acq.state {
-            AcquireState::Queued { ticket } => ticket,
-            _ => llt.tickets.fetch_add(1, Ordering::Relaxed),
-        };
+        node: GlobalAddress,
+        ticket: u64,
+        once: bool,
+    ) -> Turn {
+        let (ms, slot) = (node.ms, self.table().slot_of(node));
+        let local = self.local_table(client.cs_id()).lock_for(ms, slot);
         let me = client.id();
         let wait_queue = self.strategy().wait_queue();
         let mut st = local.state.lock();
@@ -181,18 +219,12 @@ impl LockManager {
             }
             // A grant is only ever made to the head of a queue.
             let handed_over = st.grant.take() == Some(ticket);
-            drop(st);
-            // A record is retired by the last handle to it: hold none on.
-            drop(local);
-            return match handed_over {
-                true => self.post_handed_over(client, acq),
-                false => self.post_global(client, acq),
-            };
+            return Turn::Taken { handed_over };
         }
-        if acq.once {
+        if once {
             // Taken, or promised to a queued waiter: an optimistic attempt
             // leaves no trace in the queue.
-            return Ok(AcquireStep::Lost);
+            return Turn::Lost;
         }
         // Wait for the lock.  Local waiting posts no fabric verb, which is
         // precisely how the LLT saves RDMA IOPS.  When the holder and every
@@ -214,18 +246,17 @@ impl LockManager {
             }),
             None => {}
         }
-        acq.state = AcquireState::Queued { ticket };
-        Ok(AcquireStep::Pending(wait))
+        Turn::Wait(wait)
     }
 
-    /// `acq` holds its local lock and nothing else, and is over: release it
-    /// (nothing to do on a rung without a local layer).
+    /// An acquisition of `node` holds its local lock and nothing else, and
+    /// is over: release it (nothing to do on a rung without a local layer).
     pub(crate) fn give_up_local<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
-        acq: &Acquisition,
+        node: GlobalAddress,
     ) {
-        if let Some(locked) = self.local_lock(client, acq.node) {
+        if let Some(locked) = self.local_lock(client, node) {
             self.unlock_local(client, locked);
         }
     }
@@ -299,8 +330,10 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepped::{Stepped, RUNGS};
     use sherman_memserver::MemoryPool;
-    use sherman_sim::{Fabric, FabricBackend, FabricConfig, WriteCmd};
+    use sherman_sim::{block_on, Fabric, FabricBackend, FabricConfig, InPlace, WriteCmd};
+    use std::pin::pin;
     use std::sync::Arc;
     use std::thread;
 
@@ -339,16 +372,6 @@ mod tests {
             assert_eq!(llt.materialized_locks(), 0, "an idle lock keeps no record");
         }
     }
-
-    /// Every rung of the ladder, local layer or not.
-    const RUNGS: [LockStrategy; 6] = [
-        LockStrategy::HostCasFaa,
-        LockStrategy::HostCasWrite,
-        LockStrategy::OnChip,
-        LockStrategy::Hierarchical,
-        LockStrategy::WaitQueue,
-        LockStrategy::Hocl,
-    ];
 
     #[test]
     fn provides_mutual_exclusion_across_threads() {
@@ -705,73 +728,58 @@ mod tests {
         assert!(!mgr.acquire(&mut other, node).unwrap().handed_over);
     }
 
-    /// Step `acq` once on `client`, feeding it the completion of `pending`.
-    fn step(
-        mgr: &LockManager,
-        client: &mut ClientCtx,
-        acq: &mut Acquisition,
-        pending: Option<PendingVerb>,
-    ) -> AcquireStep {
-        let completion = pending.map(|token| client.poll_token(token));
-        mgr.step_acquire(client, acq, completion).unwrap()
-    }
-
     #[test]
     fn operations_of_one_context_queue_park_and_hand_over() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
+        let cx = Stepped::new(&mut client);
         let node = GlobalAddress::host(0, 100 << 10);
-        let new = || Acquisition::new(node, Some(64));
-        let (mut a, mut b, mut c) = (new(), new(), new());
+        let lock = || mgr.lock(&cx, node, Some(64));
+        let (mut a, mut b, mut c) = (pin!(lock()), pin!(lock()), pin!(lock()));
 
         // A takes the local lock and posts the global attempt; B and C find
         // it held by their own context and park until woken — no timer.
-        let AcquireStep::Pending(ta) = step(&mgr, &mut client, &mut a, None) else {
-            panic!("the first acquisition posts its attempt");
-        };
-        let AcquireStep::Pending(tb) = step(&mgr, &mut client, &mut b, None) else {
-            panic!("a sibling holds the lock");
-        };
-        let AcquireStep::Pending(tc) = step(&mgr, &mut client, &mut c, None) else {
-            panic!("a sibling holds the lock");
-        };
+        let ta = cx.step(a.as_mut(), None);
+        let ta = ta.expect_err("the first acquisition posts its attempt");
+        let tb = cx
+            .step(b.as_mut(), None)
+            .expect_err("a sibling holds the lock");
+        let tc = cx
+            .step(c.as_mut(), None)
+            .expect_err("a sibling holds the lock");
         assert_eq!(mgr.queued_waiters(0, node), 2);
-        assert_eq!(client.completes_at(tb), u64::MAX);
-        assert_eq!(client.completes_at(tc), u64::MAX);
-        assert_eq!(client.stats().round_trips, 1, "parking posts no verb");
+        assert_eq!(cx.ctx().completes_at(tb), u64::MAX);
+        assert_eq!(cx.ctx().completes_at(tc), u64::MAX);
+        assert_eq!(cx.ctx().stats().round_trips, 1, "parking posts no verb");
 
-        let AcquireStep::Done { outcome, .. } = step(&mgr, &mut client, &mut a, Some(ta)) else {
-            panic!("the lock is free");
-        };
+        let (outcome, _) = cx.step(a, Some(ta)).expect("the lock is free").unwrap();
         assert!(!outcome.handed_over);
 
         // A's release hands the global lock to B and wakes it — and only it.
         let write = WriteCmd::new(node, vec![7u8; 64]);
-        let r = mgr.release(&mut client, node, vec![write], true).unwrap();
+        let r = mgr.release(&mut cx.ctx(), node, vec![write], true).unwrap();
         assert!(!r.released_global);
-        assert_eq!(client.completes_at(tb), client.now());
-        assert_eq!(client.completes_at(tc), u64::MAX);
+        let now = cx.ctx().now();
+        assert_eq!(cx.ctx().completes_at(tb), now);
+        assert_eq!(cx.ctx().completes_at(tc), u64::MAX);
 
         // B skips the CAS: one plain READ of what A wrote back.
-        let before = client.stats();
-        let AcquireStep::Pending(read) = step(&mgr, &mut client, &mut b, Some(tb)) else {
-            panic!("a handed-over acquisition posts its read");
-        };
-        let AcquireStep::Done { outcome, image } = step(&mgr, &mut client, &mut b, Some(read))
-        else {
-            panic!("the read completes the acquisition");
-        };
+        let before = cx.ctx().stats();
+        let read = cx.step(b.as_mut(), Some(tb));
+        let read = read.expect_err("a handed-over acquisition posts its read");
+        let done = cx
+            .step(b, Some(read))
+            .expect("the read completes the acquisition");
+        let (outcome, image) = done.unwrap();
         assert!(outcome.handed_over);
         assert_eq!((outcome.remote_retries, image), (0, vec![7u8; 64]));
-        let d = client.stats().delta_since(&before);
+        let d = cx.ctx().stats().delta_since(&before);
         assert_eq!((d.round_trips, d.atomics, d.reads), (1, 0, 1));
 
-        mgr.release(&mut client, node, Vec::new(), true).unwrap();
-        assert_eq!(client.completes_at(tc), client.now());
-        assert!(matches!(
-            step(&mgr, &mut client, &mut c, Some(tc)),
-            AcquireStep::Pending(_)
-        ));
+        mgr.release(&mut cx.ctx(), node, Vec::new(), true).unwrap();
+        let now = cx.ctx().now();
+        assert_eq!(cx.ctx().completes_at(tc), now);
+        assert!(cx.step(c, Some(tc)).is_err(), "C posts its read");
     }
 
     #[test]
@@ -787,20 +795,12 @@ mod tests {
             let (pool, mgr) = (Arc::clone(&pool), Arc::clone(&mgr));
             thread::spawn(move || {
                 let mut client = pool.fabric().client(0);
-                let mut acq = Acquisition::new(node, None);
-                let AcquireStep::Pending(wait) = step(&mgr, &mut client, &mut acq, None) else {
-                    panic!("the lock is held");
-                };
-                let deadline = client.completes_at(wait);
-                assert_eq!(deadline, client.now() + LOCAL_POLL_NS);
-                let mut pending = Some(wait);
-                loop {
-                    match step(&mgr, &mut client, &mut acq, pending.take()) {
-                        AcquireStep::Pending(token) => pending = Some(token),
-                        AcquireStep::Done { outcome, .. } => break outcome,
-                        AcquireStep::Lost => panic!("a queued acquisition waits"),
-                    }
-                }
+                let cx = Stepped::new(&mut client);
+                let mut acq = pin!(mgr.lock(&cx, node, None));
+                let wait = cx.step(acq.as_mut(), None).expect_err("the lock is held");
+                let deadline = cx.ctx().completes_at(wait);
+                assert_eq!(deadline, cx.ctx().now() + LOCAL_POLL_NS);
+                cx.finish(acq, Some(wait)).unwrap().0
             })
         };
         pump_until_queued(&mgr, &mut holder, node, 1);
@@ -813,83 +813,70 @@ mod tests {
     fn an_optimistic_attempt_never_queues_and_never_reposts() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
+        let cx = Stepped::new(&mut client);
         let node = GlobalAddress::host(0, 120 << 10);
         pool.fabric().god_write(node, &[5u8; 64]).unwrap();
-        let try_once = || Acquisition::try_once(node, Some(64));
+        let try_lock = || mgr.try_lock(&cx, node, Some(64)).unwrap();
 
         // Free: one CAS+READ round trip, like any other acquisition.
-        let mut acq = try_once();
-        let AcquireStep::Pending(token) = step(&mgr, &mut client, &mut acq, None) else {
-            panic!("the attempt is posted");
-        };
-        let AcquireStep::Done { outcome, image } = step(&mgr, &mut client, &mut acq, Some(token))
-        else {
-            panic!("the lock was free");
-        };
-        assert_eq!((outcome.remote_retries, outcome.handed_over), (0, false));
-        assert_eq!(image, vec![5u8; 64]);
+        let mut attempt = pin!(try_lock().expect("the attempt is posted"));
+        let token = cx
+            .step(attempt.as_mut(), None)
+            .expect_err("it waits for its round trip");
+        let image = cx.step(attempt, Some(token)).unwrap();
+        assert_eq!(image, Some(vec![5u8; 64]), "the lock was free");
+        let s = cx.ctx().stats();
+        assert_eq!((s.round_trips, s.retries), (1, 0));
 
         // Held by a sibling operation of this context: lost on the spot — no
         // verb, no wait, no place in the queue.
-        let before = client.stats();
-        assert!(matches!(step(&mgr, &mut client, &mut try_once(), None), AcquireStep::Lost));
-        assert_eq!(client.stats(), before);
-        assert_eq!(client.outstanding(), 0);
+        let before = cx.ctx().stats();
+        assert!(try_lock().is_none());
+        assert_eq!(cx.ctx().stats(), before);
+        assert_eq!(cx.ctx().outstanding(), 0);
         assert_eq!(mgr.queued_waiters(0, node), 0);
-        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        mgr.release(&mut cx.ctx(), node, Vec::new(), true).unwrap();
         assert_eq!(mgr.local_table(0).materialized_locks(), 0);
 
         // Held by another compute server: the one global attempt is lost,
         // counted, and the local lock given back.
         let mut other = pool.fabric().client(1);
         mgr.acquire(&mut other, node).unwrap();
-        let mut acq = try_once();
-        let AcquireStep::Pending(token) = step(&mgr, &mut client, &mut acq, None) else {
-            panic!("the local lock is free: the global attempt is posted");
-        };
-        assert!(matches!(step(&mgr, &mut client, &mut acq, Some(token)), AcquireStep::Lost));
-        assert_eq!((acq.retries(), client.stats().retries), (1, 1));
+        let posted = try_lock().expect("the local lock is free: the global attempt is posted");
+        let mut attempt = pin!(posted);
+        let token = cx
+            .step(attempt.as_mut(), None)
+            .expect_err("it waits for its round trip");
+        assert_eq!(cx.step(attempt, Some(token)), Ok(None));
+        assert_eq!(cx.ctx().stats().retries, 1);
         assert_eq!(mgr.local_table(0).materialized_locks(), 0);
         mgr.release(&mut other, node, Vec::new(), true).unwrap();
         drop(other);
-        assert_eq!(mgr.acquire(&mut client, node).unwrap().remote_retries, 0);
-    }
-
-    /// Step `acq` until it holds its lock, starting from the wait `pending`.
-    fn step_to_done(
-        mgr: &LockManager,
-        client: &mut ClientCtx,
-        acq: &mut Acquisition,
-        mut pending: Option<PendingVerb>,
-    ) -> crate::AcquireOutcome {
-        loop {
-            match step(mgr, client, acq, pending.take()) {
-                AcquireStep::Pending(token) => pending = Some(token),
-                AcquireStep::Done { outcome, .. } => return outcome,
-                AcquireStep::Lost => panic!("a queued acquisition waits"),
-            }
-        }
+        assert_eq!(mgr.acquire(&mut cx.ctx(), node).unwrap().remote_retries, 0);
     }
 
     #[test]
     fn a_chain_of_handovers_ends_after_max_handover_depth() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
+        let cx = Stepped::new(&mut client);
         let node = GlobalAddress::host(0, 130 << 10);
         let n = MAX_HANDOVER_DEPTH as usize + 2;
-        let mut acqs: Vec<Acquisition> = (0..n).map(|_| Acquisition::new(node, None)).collect();
-        let mut waits: Vec<Option<PendingVerb>> = Vec::new();
+        let mut acqs: Vec<_> = (0..n)
+            .map(|_| Box::pin(mgr.lock(&cx, node, None)))
+            .collect();
+        let mut waits = Vec::new();
         for acq in &mut acqs {
-            let AcquireStep::Pending(token) = step(&mgr, &mut client, acq, None) else {
-                panic!("the first posts its attempt, the others queue");
-            };
-            waits.push(Some(token));
+            let posted = cx.step(acq.as_mut(), None);
+            waits.push(Some(
+                posted.expect_err("the first posts its attempt, the others queue"),
+            ));
         }
         let mut released = Vec::new();
         for (acq, wait) in acqs.iter_mut().zip(&mut waits) {
-            let outcome = step_to_done(&mgr, &mut client, acq, wait.take());
+            let (outcome, _) = cx.finish(acq.as_mut(), wait.take()).unwrap();
             assert_eq!(outcome.handed_over, released.last() == Some(&false));
-            let r = mgr.release(&mut client, node, Vec::new(), true).unwrap();
+            let r = mgr.release(&mut cx.ctx(), node, Vec::new(), true).unwrap();
             released.push(r.released_global);
         }
         // `MAX_HANDOVER_DEPTH` handovers in a row, then the global lock goes
@@ -908,46 +895,45 @@ mod tests {
         // Two operations of one context queue behind another thread's holder:
         // both poll.
         let mut client = pool.fabric().client(0);
-        let (mut c, mut b) = (Acquisition::new(node, None), Acquisition::new(node, None));
-        let AcquireStep::Pending(tc) = step(&mgr, &mut client, &mut c, None) else {
-            panic!("the lock is held");
-        };
-        let AcquireStep::Pending(tb) = step(&mgr, &mut client, &mut b, None) else {
-            panic!("the lock is held");
-        };
-        assert_ne!(client.completes_at(tb), u64::MAX);
+        let cx = Stepped::new(&mut client);
+        let (mut c, mut b) = (
+            pin!(mgr.lock(&cx, node, None)),
+            pin!(mgr.lock(&cx, node, None)),
+        );
+        let tc = cx.step(c.as_mut(), None).expect_err("the lock is held");
+        let tb = cx.step(b.as_mut(), None).expect_err("the lock is held");
+        assert_ne!(cx.ctx().completes_at(tb), u64::MAX);
         // Handed the lock, C takes it when it looks; B, looking again, now
         // waits behind its own context only and parks on a new wait.
         mgr.release(&mut other, node, Vec::new(), true).unwrap();
-        assert!(step_to_done(&mgr, &mut client, &mut c, Some(tc)).handed_over);
-        let AcquireStep::Pending(tb) = step(&mgr, &mut client, &mut b, Some(tb)) else {
-            panic!("C holds the lock");
-        };
-        assert_eq!(client.completes_at(tb), u64::MAX);
+        assert!(cx.finish(c, Some(tc)).unwrap().0.handed_over);
+        let tb = cx.step(b.as_mut(), Some(tb)).expect_err("C holds the lock");
+        assert_eq!(cx.ctx().completes_at(tb), u64::MAX);
         // C's release wakes that wait.
-        mgr.release(&mut client, node, Vec::new(), true).unwrap();
-        assert_eq!(client.completes_at(tb), client.now());
-        assert!(step_to_done(&mgr, &mut client, &mut b, Some(tb)).handed_over);
-        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        mgr.release(&mut cx.ctx(), node, Vec::new(), true).unwrap();
+        let now = cx.ctx().now();
+        assert_eq!(cx.ctx().completes_at(tb), now);
+        assert!(cx.finish(b, Some(tb)).unwrap().0.handed_over);
+        mgr.release(&mut cx.ctx(), node, Vec::new(), true).unwrap();
     }
 
     #[test]
     fn racing_waiters_take_no_place_in_a_queue() {
         let (pool, mgr) = setup(LockStrategy::Hierarchical);
         let mut client = pool.fabric().client(0);
+        let cx = Stepped::new(&mut client);
         let node = GlobalAddress::host(0, 140 << 10);
-        mgr.acquire(&mut client, node).unwrap();
-        let mut acq = Acquisition::new(node, None);
-        let AcquireStep::Pending(wait) = step(&mgr, &mut client, &mut acq, None) else {
-            panic!("the lock is held");
-        };
+        mgr.acquire(&mut cx.ctx(), node).unwrap();
+        let mut acq = pin!(mgr.lock(&cx, node, None));
+        let wait = cx.step(acq.as_mut(), None).expect_err("the lock is held");
         // No queue to stand in: the waiter looks again after the interval.
         assert_eq!(mgr.queued_waiters(0, node), 0);
-        assert_eq!(client.completes_at(wait), client.now() + LOCAL_POLL_NS);
-        mgr.release(&mut client, node, Vec::new(), true).unwrap();
-        let outcome = step_to_done(&mgr, &mut client, &mut acq, Some(wait));
+        let now = cx.ctx().now();
+        assert_eq!(cx.ctx().completes_at(wait), now + LOCAL_POLL_NS);
+        mgr.release(&mut cx.ctx(), node, Vec::new(), true).unwrap();
+        let (outcome, _) = cx.finish(acq, Some(wait)).unwrap();
         assert_eq!((outcome.handed_over, outcome.remote_retries), (false, 0));
-        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+        mgr.release(&mut cx.ctx(), node, Vec::new(), true).unwrap();
     }
 
     #[test]
@@ -970,7 +956,10 @@ mod tests {
         // Asked to leave the final verb in flight, the release still waits
         // for it: the waiter reads the node the moment it has the lock.
         let write = WriteCmd::new(node, vec![9u8; 64]);
-        let (r, last) = mgr.post_release(&mut holder, node, vec![write], true).unwrap();
+        let (r, last) = {
+            let cx = InPlace::new(&mut holder);
+            block_on(mgr.unlock(&cx, node, vec![write], true, false)).unwrap()
+        };
         assert!(!r.released_global);
         assert!(last.is_none(), "the write-back was acknowledged");
         assert_eq!(holder.outstanding(), 0);

@@ -22,9 +22,15 @@
 //! The manager also cooperates with command combination: a lock release that
 //! is expressible as an `RDMA_WRITE` is appended to the node write-back
 //! doorbell batch so that write-back and unlock cost a single round trip
-//! ([`LockManager::post_release`]), and the acquiring CAS can carry the read
-//! of the node it guards ([`LockManager::acquire_and_read`]) so that lock and
-//! read do too.
+//! ([`LockManager::unlock`]), and the acquiring CAS can carry the read of the
+//! node it guards ([`LockManager::lock`]) so that lock and read do too.
+//!
+//! Acquisition and release are written once, as `async fn`s over the
+//! simulator's waiting interface ([`sherman_sim::Waits`]): the tree awaits
+//! them from its operations, and the blocking calls
+//! ([`LockManager::acquire`], [`LockManager::acquire_and_read`],
+//! [`LockManager::release`]) are the same `async fn`s run in place
+//! ([`sherman_sim::block_on`] over [`sherman_sim::InPlace`]).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -32,12 +38,10 @@
 mod global;
 mod hocl;
 mod manager;
+mod stepped;
 
 pub use hocl::{LocalLockTable, MAX_HANDOVER_DEPTH};
-pub use manager::{
-    AcquireOutcome, AcquireStep, Acquisition, LockManager, LockStrategy, Release, ReleaseOutcome,
-    ReleaseStep,
-};
+pub use manager::{AcquireOutcome, LockManager, LockStrategy, ReleaseOutcome};
 
 /// Hash a packed global address into a lock-table slot.
 ///

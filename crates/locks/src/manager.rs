@@ -1,29 +1,31 @@
 //! The one lock manager the index layer drives: [`LockManager`], configured
 //! by a [`LockStrategy`] — a rung of the paper's lock ladder.
 //!
-//! Every rung shares the global lock table, the acquisition machine
-//! ([`LockManager::step_acquire`]), the release machine
-//! ([`LockManager::step_release`]) and the lock order.  The rungs differ in
-//! where the lock words live (host memory or the NIC's on-chip memory), in
-//! how a lock is given back (`RDMA_FAA` or `RDMA_WRITE`) and in whether a
+//! Every rung shares the global lock table, the acquisition
+//! ([`LockManager::lock`]), the release ([`LockManager::unlock`]) and the
+//! lock order.  Both are `async fn`s written once over a [`Waits`]: the
+//! tree's operations await them on their executor, and the blocking calls
+//! ([`LockManager::acquire`], [`LockManager::release`]) run them under
+//! [`block_on`] with every wait polled in place.  The rungs differ in where
+//! the lock words live (host memory or the NIC's on-chip memory), in how a
+//! lock is given back (`RDMA_FAA` or `RDMA_WRITE`) and in whether a
 //! per-compute-server local layer sits in front of the global word (the
 //! hierarchical rungs; see the `hocl` module).  Without one, every
 //! conflicting thread — even a sibling operation of the same context —
 //! posts its global CAS at once and re-posts it after every loss.
 
-use crate::global::{GlobalLockTable, LockLocation};
-use crate::hocl::{LocalLockTable, Locked};
-use serde::{Deserialize, Serialize};
+use crate::global::GlobalLockTable;
+use crate::hocl::{LocalLockTable, Turn};
 use sherman_memserver::MemoryPool;
 use sherman_sim::{
-    ClientCtx, Completion, FabricBackend, FabricChannel, GlobalAddress, PendingVerb, SimResult,
-    WriteCmd,
+    block_on, ClientCtx, Completion, FabricBackend, FabricChannel, GlobalAddress, InPlace,
+    PendingVerb, SimResult, Waits, WriteCmd,
 };
-use std::collections::VecDeque;
+use std::future::Future;
 
 /// Which exclusive-lock design protects node modifications: the ladder of
 /// Figure 2, Figure 16 and the ablation of §5.2, one rung per value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockStrategy {
     /// Host-memory lock words, CAS acquire, FAA release (original FG, and
     /// Figure 2's baseline).
@@ -76,152 +78,12 @@ pub struct AcquireOutcome {
     pub handed_over: bool,
 }
 
-/// One lock acquisition in progress: the resumable state of the acquisition
-/// machine ([`LockManager::step_acquire`]).  Created for a node, stepped
-/// until it reports [`AcquireStep::Done`]; between steps the caller is free
-/// to do anything else on the same context, which is how a pipelined write
-/// overlaps its lock round trip with other operations.
-#[derive(Debug)]
-pub struct Acquisition {
-    pub(crate) node: GlobalAddress,
-    /// `Some(len)`: also fetch `len` bytes of the node under the lock.
-    read_len: Option<usize>,
-    /// Failed global attempts so far.
-    retries: u64,
-    /// Give up instead of waiting: see [`Acquisition::try_once`].
-    pub(crate) once: bool,
-    pub(crate) state: AcquireState,
-}
-
-/// Where an [`Acquisition`] stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AcquireState {
-    /// Nothing posted yet.
-    Start,
-    /// Waiting for the compute server's local lock under `ticket`: parked on
-    /// a timer or on the holder's wake.
-    Queued { ticket: u64 },
-    /// A global attempt — CAS, or CAS+READ — is in flight.
-    Posted,
-    /// The lock was handed over locally; the plain READ of the node is in
-    /// flight.
-    Reading,
-}
-
-impl Acquisition {
-    /// Start acquiring the lock that guards `node`; with `read_len`, also
-    /// read that many bytes of the node under the lock — folded into every
-    /// global attempt's doorbell batch, or a plain READ when the lock is
-    /// handed over locally.
-    pub fn new(node: GlobalAddress, read_len: Option<usize>) -> Self {
-        Acquisition {
-            node,
-            read_len,
-            retries: 0,
-            once: false,
-            state: AcquireState::Start,
-        }
-    }
-
-    /// Like [`Acquisition::new`], but one optimistic attempt: the machine
-    /// never queues behind a local holder and never re-posts a lost global
-    /// attempt — it reports [`AcquireStep::Lost`] holding nothing.  Because
-    /// it never waits, a caller may make several such attempts at once, in
-    /// any order, without risking a deadlock; what it does on a loss (give
-    /// back what it won, then wait in rank order) is its business.
-    pub fn try_once(node: GlobalAddress, read_len: Option<usize>) -> Self {
-        Acquisition {
-            once: true,
-            ..Acquisition::new(node, read_len)
-        }
-    }
-
-    /// Global attempts this acquisition lost so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    fn done(&self, handed_over: bool, image: Vec<u8>) -> AcquireStep {
-        AcquireStep::Done {
-            outcome: AcquireOutcome {
-                remote_retries: self.retries,
-                handed_over,
-            },
-            image,
-        }
-    }
-}
-
-/// What one [`LockManager::step_acquire`] call produced.
-#[derive(Debug)]
-pub enum AcquireStep {
-    /// Something was posted — a lock attempt, a read, a local wait; resume
-    /// the acquisition with its completion.
-    Pending(PendingVerb),
-    /// The lock is held.
-    Done {
-        /// How it was obtained.
-        outcome: AcquireOutcome,
-        /// The node as read under the lock (empty when no read was asked).
-        image: Vec<u8>,
-    },
-    /// A [`Acquisition::try_once`] attempt found the lock taken: nothing is
-    /// held, nothing is queued, nothing is in flight.
-    Lost,
-}
-
 /// Result of releasing a node lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReleaseOutcome {
     /// Whether the global (remote) lock was actually released.  `false` means
     /// the lock was handed over to a local waiter instead.
     pub released_global: bool,
-}
-
-/// One lock release in progress: the resumable state of the release machine
-/// ([`LockManager::step_release`]).  Started by
-/// [`LockManager::begin_release`], stepped until it reports
-/// [`ReleaseStep::Done`]; every verb it reports pending is one the release
-/// waits for before it goes on.
-pub struct Release {
-    node: GlobalAddress,
-    /// Verbs to post and wait for, in order: writes on other memory servers,
-    /// then, uncombined, every command but the last.
-    posts: VecDeque<ReleasePost>,
-    /// The final verb, not yet posted.
-    last: Option<ReleasePost>,
-    /// Wait for the final verb before the local lock is given back.
-    wait_final: bool,
-    /// The final verb, posted and left in flight.
-    posted: Option<PendingVerb>,
-    /// The local lock to give back, on a rung with a local layer.
-    local: Option<Locked>,
-    released_global: bool,
-}
-
-/// One verb of a release.
-enum ReleasePost {
-    /// A doorbell batch of writes (the release write among them, if it is
-    /// the batch that carries it).
-    Writes(Vec<WriteCmd>),
-    /// The `RDMA_FAA` that releases a [`LockStrategy::HostCasFaa`] word.
-    Faa(LockLocation),
-}
-
-/// What one [`LockManager::step_release`] call produced.
-#[derive(Debug)]
-pub enum ReleaseStep {
-    /// A verb was posted that the release waits for: step it again once the
-    /// verb completed.
-    Pending(PendingVerb),
-    /// The lock is given back.
-    Done {
-        /// Whether the global lock was released or handed over.
-        outcome: ReleaseOutcome,
-        /// The final verb, posted and not waited for (see
-        /// [`LockManager::begin_release`]).
-        last: Option<PendingVerb>,
-    },
 }
 
 /// Exclusive per-node locking as seen by the B+Tree: one rung of the lock
@@ -288,111 +150,153 @@ impl LockManager {
         self.local_table(cs).queued_waiters(node.ms, slot)
     }
 
-    /// Advance `acq` as far as it goes without waiting: take the lock, or
-    /// post the next thing it has to wait for.  `completion` is the
-    /// completion of what the previous step posted (`None` on the first).
-    /// Learning that the lock is held opens its critical section on the
-    /// client's trace ([`ClientCtx::begin_critical`], keyed by
-    /// [`LockManager::lock_rank`]); posting its release closes it.
+    /// Acquire the exclusive lock that guards `node`, waiting as long as it
+    /// takes; with `read_len`, also read that many bytes of the node under
+    /// the lock — folded into every global attempt's doorbell batch, or a
+    /// plain READ when the lock is handed over locally.  Returns how the
+    /// lock was obtained and the image read under it (empty without
+    /// `read_len`).
     ///
-    /// This is the only acquisition path: a failed global attempt is
-    /// re-posted from here, a local wait resumed here.  An `Err` leaves the
-    /// lock and every queue it was waiting in as if the acquisition had never
-    /// started.
-    pub fn step_acquire<C: FabricChannel>(
+    /// Every wait is a lock step ([`Waits::wait_lock`]), so the caller's
+    /// other operations run meanwhile.  Learning that the lock is held opens
+    /// its critical section on the client's trace
+    /// ([`ClientCtx::begin_critical`], keyed by [`LockManager::lock_rank`]);
+    /// posting its release closes it.  An `Err` leaves the lock and every
+    /// queue it waited in as if the acquisition had never started.
+    pub async fn lock<W: Waits>(
         &self,
-        client: &mut ClientCtx<C>,
-        acq: &mut Acquisition,
-        completion: Option<Completion>,
-    ) -> SimResult<AcquireStep> {
-        match acq.state {
-            AcquireState::Start | AcquireState::Queued { .. } if self.strategy.local_layer() => {
-                self.take_local(client, acq)
-            }
-            AcquireState::Start | AcquireState::Queued { .. } => self.post_global(client, acq),
-            AcquireState::Posted => {
-                let completion = completion.expect("an attempt resumes on its completion");
-                let (won, image) = GlobalLockTable::attempt_outcome(completion);
-                if won {
-                    client.begin_critical(self.lock_rank(acq.node));
-                    return Ok(acq.done(false, image));
-                }
-                // Count the retry and pace the re-post (a no-op on the
-                // simulator, where every retry already pays a modeled round
-                // trip; a yield on real threads, where the holder may be
-                // descheduled on this very core).
-                acq.retries += 1;
-                client.note_retries(1);
-                client.contention_backoff(u32::try_from(acq.retries).unwrap_or(u32::MAX));
-                if acq.once {
-                    self.give_up_local(client, acq);
-                    return Ok(AcquireStep::Lost);
-                }
-                // Lost to another holder: spin remotely — on the
-                // hierarchical rungs still holding the local lock, so no
-                // local thread joins in.
-                self.post_global(client, acq)
-            }
-            AcquireState::Reading => {
-                let completion = completion.expect("a read resumes on its completion");
-                Ok(acq.done(true, completion.result.into_read()))
+        cx: &W,
+        node: GlobalAddress,
+        read_len: Option<usize>,
+    ) -> SimResult<(AcquireOutcome, Vec<u8>)> {
+        if self.strategy.local_layer() && self.take_local(cx, node).await {
+            return self.read_handed_over(cx, node, read_len).await;
+        }
+        let mut retries = 0;
+        loop {
+            // On the hierarchical rungs a lost attempt spins remotely still
+            // holding the local lock, so no local thread joins in.
+            let token = self.post_global(&mut cx.ctx(), node, read_len)?;
+            let completion = cx.wait_lock(token).await;
+            if let Some(image) = self.settle(&mut cx.ctx(), node, completion, &mut retries) {
+                let outcome = AcquireOutcome {
+                    remote_retries: retries,
+                    handed_over: false,
+                };
+                return Ok((outcome, image));
             }
         }
     }
 
-    /// Post one global attempt for `acq` (whose local lock this context
-    /// holds, on the hierarchical rungs); if the post fails the local lock is
-    /// given up again.
-    pub(crate) fn post_global<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        acq: &mut Acquisition,
-    ) -> SimResult<AcquireStep> {
-        let loc = self.glt.location_of(acq.node);
-        let read = acq.read_len.map(|len| (acq.node, len));
-        match self.glt.post_acquire_at(client, loc, client.cs_id(), read) {
-            Ok(token) => {
-                acq.state = AcquireState::Posted;
-                Ok(AcquireStep::Pending(token))
-            }
-            Err(e) => {
-                self.give_up_local(client, acq);
-                Err(e)
+    /// One optimistic attempt at the lock that guards `node` (reading
+    /// `read_len` bytes of it), posted before this returns: `None` when the
+    /// local lock is held or promised to a queued waiter — nothing posted,
+    /// nothing queued — else the attempt in flight.  Awaiting it yields the
+    /// image read under the lock, or `None` when the global attempt lost:
+    /// the loss is counted as a retry and the local lock given back, and
+    /// nothing is re-posted.  Because an attempt never waits for a lock, a
+    /// caller may post several at once, in any order, without risking a
+    /// deadlock; what it does on a loss (give back what it won, then wait in
+    /// rank order) is its business.
+    pub fn try_lock<'a, W: Waits>(
+        &'a self,
+        cx: &'a W,
+        node: GlobalAddress,
+        read_len: Option<usize>,
+    ) -> SimResult<Option<impl Future<Output = Option<Vec<u8>>> + 'a>> {
+        if self.strategy.local_layer() {
+            let mut ctx = cx.ctx();
+            let ticket = self.local_table(ctx.cs_id()).ticket();
+            if let Turn::Lost = self.turn(&mut ctx, node, ticket, true) {
+                return Ok(None);
             }
         }
+        let token = self.post_global(&mut cx.ctx(), node, read_len)?;
+        Ok(Some(async move {
+            let completion = cx.wait_lock(token).await;
+            let image = self.settle(&mut cx.ctx(), node, completion, &mut 0);
+            if image.is_none() {
+                self.give_up_local(&mut cx.ctx(), node);
+            }
+            image
+        }))
+    }
+
+    /// Post one global attempt on `node` (whose local lock this context
+    /// holds, on the hierarchical rungs); if the post fails the local lock is
+    /// given up again.
+    fn post_global<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+        read_len: Option<usize>,
+    ) -> SimResult<PendingVerb> {
+        let loc = self.glt.location_of(node);
+        let read = read_len.map(|len| (node, len));
+        let posted = self.glt.post_acquire_at(client, loc, client.cs_id(), read);
+        if posted.is_err() {
+            self.give_up_local(client, node);
+        }
+        posted
+    }
+
+    /// What a global attempt on `node` completed with: the image when it
+    /// won, its critical section opened; `None` when it lost, the retry
+    /// counted and the re-post paced (a no-op on the simulator, where every
+    /// retry already pays a modeled round trip; a yield on real threads,
+    /// where the holder may be descheduled on this very core).
+    fn settle<C: FabricChannel>(
+        &self,
+        client: &mut ClientCtx<C>,
+        node: GlobalAddress,
+        completion: Completion,
+        retries: &mut u64,
+    ) -> Option<Vec<u8>> {
+        let (won, image) = GlobalLockTable::attempt_outcome(completion);
+        if won {
+            client.begin_critical(self.lock_rank(node));
+            return Some(image);
+        }
+        *retries += 1;
+        client.note_retries(1);
+        client.contention_backoff(u32::try_from(*retries).unwrap_or(u32::MAX));
+        None
     }
 
     /// Handed the global lock by its predecessor: no CAS, just the READ.
-    pub(crate) fn post_handed_over<C: FabricChannel>(
+    async fn read_handed_over<W: Waits>(
         &self,
-        client: &mut ClientCtx<C>,
-        acq: &mut Acquisition,
-    ) -> SimResult<AcquireStep> {
-        client.begin_critical(self.lock_rank(acq.node));
-        let Some(len) = acq.read_len else {
-            return Ok(acq.done(true, Vec::new()));
+        cx: &W,
+        node: GlobalAddress,
+        read_len: Option<usize>,
+    ) -> SimResult<(AcquireOutcome, Vec<u8>)> {
+        cx.ctx().begin_critical(self.lock_rank(node));
+        let outcome = AcquireOutcome {
+            remote_retries: 0,
+            handed_over: true,
         };
-        match client.post_read(acq.node, len) {
-            Ok(token) => {
-                acq.state = AcquireState::Reading;
-                Ok(AcquireStep::Pending(token))
-            }
+        let Some(len) = read_len else {
+            return Ok((outcome, Vec::new()));
+        };
+        let posted = cx.ctx().post_read(node, len);
+        match posted {
+            Ok(token) => Ok((outcome, cx.wait_lock(token).await.result.into_read())),
             Err(e) => {
                 // Pass the lock on (or free it): this acquisition is over.
-                let _ = self.release(client, acq.node, Vec::new(), true);
+                let _ = self.unlock(cx, node, Vec::new(), true, true).await;
                 Err(e)
             }
         }
     }
 
-    /// Acquire the exclusive lock protecting `node`, blocking: the
-    /// acquisition machine, each thing it posts polled at once.
+    /// Acquire the exclusive lock protecting `node`, blocking:
+    /// [`LockManager::lock`] with every wait polled in place.
     pub fn acquire<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
     ) -> SimResult<AcquireOutcome> {
-        Ok(self.drive_acquire(client, Acquisition::new(node, None))?.0)
+        Ok(block_on(self.lock(&InPlace::new(client), node, None))?.0)
     }
 
     /// Acquire the lock protecting `node` and read the node it guards into
@@ -406,31 +310,15 @@ impl LockManager {
         node: GlobalAddress,
         buf: &mut [u8],
     ) -> SimResult<AcquireOutcome> {
-        let (outcome, image) =
-            self.drive_acquire(client, Acquisition::new(node, Some(buf.len())))?;
+        let cx = InPlace::new(client);
+        let (outcome, image) = block_on(self.lock(&cx, node, Some(buf.len())))?;
         buf.copy_from_slice(&image);
         Ok(outcome)
     }
 
-    /// Step `acq` to completion, polling whatever it posts.
-    fn drive_acquire<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        mut acq: Acquisition,
-    ) -> SimResult<(AcquireOutcome, Vec<u8>)> {
-        let mut completion = None;
-        loop {
-            match self.step_acquire(client, &mut acq, completion.take())? {
-                AcquireStep::Pending(token) => completion = Some(client.poll_token(token)),
-                AcquireStep::Done { outcome, image } => return Ok((outcome, image)),
-                AcquireStep::Lost => unreachable!("a blocking acquisition waits for its lock"),
-            }
-        }
-    }
-
-    /// Release the lock protecting `node`, blocking: the release machine
-    /// ([`LockManager::step_release`]), each verb it posts polled at once, the
-    /// final one acknowledged before the local lock is given back.
+    /// Release the lock protecting `node`, blocking: [`LockManager::unlock`]
+    /// with every verb polled in place, the final one acknowledged before the
+    /// local lock is given back.
     pub fn release<C: FabricChannel>(
         &self,
         client: &mut ClientCtx<C>,
@@ -438,76 +326,47 @@ impl LockManager {
         writes: Vec<WriteCmd>,
         combine: bool,
     ) -> SimResult<ReleaseOutcome> {
-        let release = self.begin_release(client, node, writes, combine, true);
-        Ok(self.drive_release(client, release)?.0)
+        let cx = InPlace::new(client);
+        Ok(block_on(self.unlock(&cx, node, writes, combine, true))?.0)
     }
 
-    /// Release the lock protecting `node` with the final verb posted
-    /// split-phase (see [`LockManager::begin_release`]), every earlier one
-    /// polled at once.  Returns the final verb for the caller to poll.
-    pub fn post_release<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        node: GlobalAddress,
-        writes: Vec<WriteCmd>,
-        combine: bool,
-    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
-        let release = self.begin_release(client, node, writes, combine, false);
-        self.drive_release(client, release)
-    }
-
-    /// Step `release` to its end, polling whatever it waits for.
-    fn drive_release<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        mut release: Release,
-    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
-        loop {
-            match self.step_release(client, &mut release)? {
-                ReleaseStep::Pending(token) => {
-                    client.poll_token(token);
-                }
-                ReleaseStep::Done { outcome, last } => return Ok((outcome, last)),
-            }
-        }
-    }
-
-    /// Start releasing the lock protecting `node`, flushing `writes` (node
+    /// Release the lock protecting `node`, flushing `writes` (node
     /// write-backs) before or together with the release according to
     /// `combine`: with it, the writes on the lock's memory server and the
     /// release travel as one doorbell batch; without it, each is a round trip
     /// of its own, the next posted once the previous is acknowledged.  Writes
     /// on another memory server go first, each on its own.  Whether the
     /// global lock is handed to the head of the local queue instead of being
-    /// released is decided here, so that a handover drops the release from
-    /// the batch.
+    /// released is decided before anything is posted, so that a handover
+    /// drops the release from the batch.  Every verb but the final one is
+    /// waited for holding the client ([`Waits::hold`]).
     ///
     /// The **final** verb — the batch carrying the release, the standalone
-    /// release write, or the FAA — is left in flight when `wait_final` is
+    /// release write, or the FAA — is returned in flight when `wait_final` is
     /// false: every memory effect (freeing the lock word included) applies
-    /// at the post instant, so the local lock is given back at once, and
-    /// [`ReleaseStep::Done`] hands the verb to the caller.  A handover with
-    /// nothing to write has no final verb, and one to another thread's
-    /// acquisition waits for it anyway: that acquisition may take the lock
-    /// the moment the local lock is free, and must find the write-back it
-    /// reads acknowledged.  A handover to a sibling operation of this
-    /// context leaves it in flight: the successor's READ follows it on the
-    /// same queue pair.
+    /// at the post instant, so the local lock is given back at once.  A
+    /// handover with nothing to write has no final verb, and one to another
+    /// thread's acquisition waits for it anyway: that acquisition may take
+    /// the lock the moment the local lock is free, and must find the
+    /// write-back it reads acknowledged.  A handover to a sibling operation
+    /// of this context leaves it in flight: the successor's READ follows it
+    /// on the same queue pair.  An `Err` leaves the rest of the release
+    /// unposted and the local lock held.
     ///
     /// The batch is keyed by `node`: `writes` are posted in the order given,
     /// whatever their addresses — whole images or ranges inside the nodes
     /// this lock word guards.  A caller that holds several locks sorts its
     /// write-backs by the node they belong to ([`LockManager::same_lock`] on
     /// the *node's* address); a range's own address hashes to another word.
-    pub fn begin_release<C: FabricChannel>(
+    pub async fn unlock<W: Waits>(
         &self,
-        client: &mut ClientCtx<C>,
+        cx: &W,
         node: GlobalAddress,
         writes: Vec<WriteCmd>,
         combine: bool,
         wait_final: bool,
-    ) -> Release {
-        let local = self.hand_over(client, node);
+    ) -> SimResult<(ReleaseOutcome, Option<PendingVerb>)> {
+        let local = self.hand_over(&mut cx.ctx(), node);
         let handover = local.as_ref().and_then(|local| local.handover);
         let release = handover.is_none().then(|| self.glt.location_of(node));
         // Writes that ended up on a different memory server than the lock can
@@ -515,8 +374,6 @@ impl LockManager {
         // as its own verb (this is the cross-server sibling case of a split).
         let (mut cmds, other_ms): (Vec<WriteCmd>, Vec<WriteCmd>) =
             writes.into_iter().partition(|w| w.addr.ms == node.ms);
-        let mut posts: VecDeque<ReleasePost> =
-            other_ms.into_iter().map(|w| ReleasePost::Writes(vec![w])).collect();
         // An FAA release is a verb of its own, after every write.
         let faa = release.filter(|_| self.strategy == LockStrategy::HostCasFaa);
         if faa.is_none() {
@@ -531,67 +388,40 @@ impl LockManager {
             true => vec![cmds],
             false => cmds.into_iter().map(|w| vec![w]).collect(),
         };
-        let last = match faa {
-            Some(loc) => Some(ReleasePost::Faa(loc)),
-            None => batches.pop().map(ReleasePost::Writes),
-        };
-        posts.extend(batches.into_iter().map(ReleasePost::Writes));
-        Release {
-            node,
-            posts,
-            last,
-            wait_final: wait_final || handover == Some(false),
-            posted: None,
-            local,
-            released_global: handover.is_none(),
+        let last = faa.is_none().then(|| batches.pop()).flatten();
+        for batch in other_ms.into_iter().map(|w| vec![w]).chain(batches) {
+            let token = cx.ctx().post_write_batch(&batch)?;
+            cx.hold(token).await;
         }
-    }
-
-    /// Advance `release` as far as it goes without waiting: post the next
-    /// verb it waits for, or — once only the final verb is left — post it,
-    /// give the local lock back and close the critical section.  An `Err`
-    /// leaves the rest of the release unposted and the local lock held.
-    pub fn step_release<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        release: &mut Release,
-    ) -> SimResult<ReleaseStep> {
-        if let Some(post) = release.posts.pop_front() {
-            return Ok(ReleaseStep::Pending(self.post(client, post)?));
-        }
-        if let Some(post) = release.last.take() {
-            let token = self.post(client, post)?;
-            if release.wait_final {
-                return Ok(ReleaseStep::Pending(token));
+        let posted = match faa {
+            Some(loc) => {
+                let mut ctx = cx.ctx();
+                let cs = ctx.cs_id();
+                Some(self.glt.post_release_at(&mut ctx, loc, cs)?)
             }
-            release.posted = Some(token);
-        }
+            None => last
+                .map(|batch| cx.ctx().post_write_batch(&batch))
+                .transpose()?,
+        };
+        let in_flight = match posted {
+            Some(token) if wait_final || handover == Some(false) => {
+                cx.hold(token).await;
+                None
+            }
+            posted => posted,
+        };
         // The next waiter — handed the global lock or not — takes the local
         // lock when it looks next; a released global word was freed at its
         // post instant, so the next owner, local or remote, already observes
         // it free.
-        if let Some(local) = release.local.take() {
-            self.unlock_local(client, local);
+        if let Some(local) = local {
+            self.unlock_local(&mut cx.ctx(), local);
         }
-        client.end_critical(self.lock_rank(release.node));
-        Ok(ReleaseStep::Done {
-            outcome: ReleaseOutcome {
-                released_global: release.released_global,
-            },
-            last: release.posted.take(),
-        })
-    }
-
-    /// Post one verb of a release.
-    fn post<C: FabricChannel>(
-        &self,
-        client: &mut ClientCtx<C>,
-        post: ReleasePost,
-    ) -> SimResult<PendingVerb> {
-        match post {
-            ReleasePost::Writes(cmds) => client.post_write_batch(&cmds),
-            ReleasePost::Faa(loc) => self.glt.post_release_at(client, loc, client.cs_id()),
-        }
+        cx.ctx().end_critical(self.lock_rank(node));
+        let outcome = ReleaseOutcome {
+            released_global: handover.is_none(),
+        };
+        Ok((outcome, in_flight))
     }
 
     /// A total order on the *lock words* (not the node addresses).  Threads
@@ -638,7 +468,9 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepped::{Stepped, RUNGS};
     use sherman_sim::{Fabric, FabricConfig};
+    use std::pin::pin;
     use std::sync::Arc;
 
     fn setup(strategy: LockStrategy) -> (Arc<MemoryPool>, LockManager) {
@@ -678,27 +510,23 @@ mod tests {
         // Two attempts lose while the lock is held, the third wins: every
         // retry is a separately posted verb the caller may park on.
         let mut client = pool.fabric().client(0);
-        let mut acq = Acquisition::new(node, Some(32));
-        let mut completion = None;
+        let cx = Stepped::new(&mut client);
+        let mut acq = pin!(mgr.lock(&cx, node, Some(32)));
+        let mut pending = None;
         for attempt in 0..3 {
             if attempt == 2 {
                 mgr.release(&mut holder, node, Vec::new(), true).unwrap();
             }
-            let AcquireStep::Pending(token) =
-                mgr.step_acquire(&mut client, &mut acq, completion.take()).unwrap()
-            else {
-                panic!("attempt {attempt} should still be pending");
-            };
-            completion = Some(client.poll_token(token));
+            let step = cx.step(acq.as_mut(), pending.take());
+            pending = Some(step.expect_err("the attempt should still be pending"));
         }
-        let AcquireStep::Done { outcome, image } =
-            mgr.step_acquire(&mut client, &mut acq, completion).unwrap()
-        else {
-            panic!("the lock was released");
-        };
+        let (outcome, image) = cx
+            .step(acq, pending)
+            .expect("the lock was released")
+            .unwrap();
         assert_eq!((outcome.remote_retries, outcome.handed_over), (2, false));
         assert_eq!(image, vec![4u8; 32]);
-        let s = client.stats();
+        let s = cx.ctx().stats();
         assert_eq!((s.round_trips, s.atomics, s.reads, s.retries), (3, 3, 3, 2));
     }
 
@@ -710,23 +538,60 @@ mod tests {
         mgr.acquire(&mut holder, node).unwrap();
 
         let mut client = pool.fabric().client(0);
-        let attempt = |client: &mut ClientCtx| {
-            let mut acq = Acquisition::try_once(node, Some(32));
-            let AcquireStep::Pending(token) = mgr.step_acquire(client, &mut acq, None).unwrap()
-            else {
-                panic!("the attempt is posted");
-            };
-            let completion = client.poll_token(token);
-            (mgr.step_acquire(client, &mut acq, Some(completion)).unwrap(), acq.retries())
+        let cx = Stepped::new(&mut client);
+        let attempt = || {
+            let posted = mgr.try_lock(&cx, node, Some(32)).unwrap();
+            cx.finish(pin!(posted.expect("the attempt is posted")), None)
         };
         // Held: lost after its one round trip, nothing re-posted.
-        assert!(matches!(attempt(&mut client), (AcquireStep::Lost, 1)));
-        assert_eq!(client.outstanding(), 0);
-        let s = client.stats();
+        assert_eq!(attempt(), None);
+        assert_eq!(cx.ctx().outstanding(), 0);
+        let s = cx.ctx().stats();
         assert_eq!((s.round_trips, s.atomics, s.retries), (1, 1, 1));
-        // Free: won like any other acquisition.
+        // Free: won like any other acquisition, with no retry.
         mgr.release(&mut holder, node, Vec::new(), true).unwrap();
-        assert!(matches!(attempt(&mut client), (AcquireStep::Done { .. }, 0)));
+        assert!(attempt().is_some());
+        assert_eq!(cx.ctx().stats().retries, 1);
+    }
+
+    /// The blocking calls are the async ones run in place: on every rung,
+    /// with and without command combination, an acquisition and a release
+    /// post the same verbs, open and close the same critical section, cost
+    /// the same and end at the same instant, blocking or awaited step by
+    /// step.
+    #[test]
+    fn blocking_and_awaited_calls_post_the_same_verbs() {
+        for strategy in RUNGS {
+            for combine in [true, false] {
+                let run = |awaited: bool| {
+                    let (pool, mgr) = setup(strategy);
+                    let node = GlobalAddress::host(0, 56 << 10);
+                    let writes = vec![
+                        WriteCmd::new(GlobalAddress::host(1, 56 << 10), vec![3u8; 32]),
+                        WriteCmd::new(node, vec![5u8; 64]),
+                    ];
+                    let mut client = pool.fabric().client(0);
+                    client.enable_trace();
+                    let before = client.stats();
+                    let outcomes = if awaited {
+                        let cx = Stepped::new(&mut client);
+                        let locked = cx.finish(pin!(mgr.lock(&cx, node, Some(64))), None);
+                        let (acquired, image) = locked.unwrap();
+                        let unlock = mgr.unlock(&cx, node, writes, combine, true);
+                        let (released, _) = cx.finish(pin!(unlock), None).unwrap();
+                        (acquired, image, released)
+                    } else {
+                        let mut buf = vec![0u8; 64];
+                        let acquired = mgr.acquire_and_read(&mut client, node, &mut buf).unwrap();
+                        let released = mgr.release(&mut client, node, writes, combine).unwrap();
+                        (acquired, buf, released)
+                    };
+                    let spent = client.stats().delta_since(&before);
+                    (outcomes, client.take_trace(), spent, client.now())
+                };
+                assert_eq!(run(false), run(true), "{strategy:?}, combine {combine}");
+            }
+        }
     }
 
     #[test]
@@ -786,8 +651,13 @@ mod tests {
         let mut c0 = pool.fabric().client(0);
         mgr.acquire(&mut c0, node).unwrap();
         let before = c0.stats();
-        mgr.release(&mut c0, node, vec![WriteCmd::new(node, vec![2u8; 64])], true)
-            .unwrap();
+        mgr.release(
+            &mut c0,
+            node,
+            vec![WriteCmd::new(node, vec![2u8; 64])],
+            true,
+        )
+        .unwrap();
         // The write-back, then the FAA: one write command and one atomic.
         let d = c0.stats().delta_since(&before);
         assert_eq!((d.round_trips, d.writes, d.atomics), (2, 1, 1));
@@ -795,6 +665,9 @@ mod tests {
 
     #[test]
     fn deferred_release_posts_the_final_verb_split_phase() {
+        let release_in_flight = |mgr: &LockManager, client: &mut ClientCtx, node, writes| {
+            block_on(mgr.unlock(&InPlace::new(client), node, writes, true, false)).unwrap()
+        };
         // Combined write-back + release: the whole batch is the final verb,
         // posted without polling; the lock word is already free at post time.
         let (pool, mgr) = setup(LockStrategy::OnChip);
@@ -802,9 +675,8 @@ mod tests {
         let loc = mgr.table().location_of(node);
         let mut c0 = pool.fabric().client(0);
         mgr.acquire(&mut c0, node).unwrap();
-        let (out, token) = mgr
-            .post_release(&mut c0, node, vec![WriteCmd::new(node, vec![3u8; 64])], true)
-            .unwrap();
+        let write = WriteCmd::new(node, vec![3u8; 64]);
+        let (out, token) = release_in_flight(&mgr, &mut c0, node, vec![write]);
         assert!(out.released_global);
         let token = token.expect("combined release defers its batch");
         assert_eq!(c0.outstanding(), 1);
@@ -821,9 +693,8 @@ mod tests {
         let mut c0 = pool.fabric().client(0);
         mgr.acquire(&mut c0, node).unwrap();
         let before = c0.stats();
-        let (_, token) = mgr
-            .post_release(&mut c0, node, vec![WriteCmd::new(node, vec![4u8; 64])], true)
-            .unwrap();
+        let write = WriteCmd::new(node, vec![4u8; 64]);
+        let (_, token) = release_in_flight(&mgr, &mut c0, node, vec![write]);
         let token = token.expect("FAA release defers the atomic");
         assert_eq!(c0.stats().round_trips - before.round_trips, 2);
         assert_eq!(c0.outstanding(), 1);

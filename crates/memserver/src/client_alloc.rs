@@ -9,9 +9,15 @@
 //! [`crate::NodeFreeList`]s — allocation prefers a quarantine-cleared retired
 //! address over carving fresh chunk space, which pins the remote-memory
 //! footprint to the steady-state tree size under delete-heavy churn.
+//!
+//! An allocation is one `async fn` ([`ClientAllocator::alloc`]) that awaits
+//! its chunk requests through the simulator's waiting interface
+//! ([`sherman_sim::Waits`]): the tree awaits it holding its client, and
+//! [`ClientAllocator::alloc_node`] is the same call run in place.
 
 use crate::pool::{MemoryPool, PoolError};
-use sherman_sim::{ClientCtx, Fabric, FabricBackend, GlobalAddress, PendingVerb};
+use sherman_sim::{block_on, ClientCtx, Fabric, FabricBackend, GlobalAddress, InPlace, Waits};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// One allocated node address plus the version floor the caller must respect
@@ -39,31 +45,20 @@ impl AllocatedNode {
     }
 }
 
-/// What one [`ClientAllocator::step_alloc`] call produced.
-#[derive(Debug)]
-pub enum AllocStep {
-    /// The allocated node.
-    Done(AllocatedNode),
-    /// A chunk request is in flight: step the allocation again once it
-    /// completed.
-    Chunk(PendingVerb),
-}
-
 /// Per-client-thread node allocator, generic over the fabric backend like
-/// the [`MemoryPool`] it draws from.
+/// the [`MemoryPool`] it draws from.  Its state sits in cells, so that an
+/// allocation ([`ClientAllocator::alloc`]) borrows it shared across the
+/// chunk request it awaits.
 #[derive(Debug)]
 pub struct ClientAllocator<B: FabricBackend = Fabric> {
     pool: Arc<MemoryPool<B>>,
     node_bytes: u64,
-    next_ms: u16,
-    current: Option<Chunk>,
-    chunks_acquired: u64,
-    /// The chunk request in flight: the server asked and how many servers
-    /// are still to be asked after it.
-    request: Option<(u16, u16)>,
+    next_ms: Cell<u16>,
+    current: Cell<Option<Chunk>>,
+    chunks_acquired: Cell<u64>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Chunk {
     base: GlobalAddress,
     used: u64,
@@ -81,12 +76,11 @@ impl<B: FabricBackend> ClientAllocator<B> {
             pool.chunk_bytes()
         );
         ClientAllocator {
-            next_ms: first_ms % pool.servers() as u16,
+            next_ms: Cell::new(first_ms % pool.servers() as u16),
             pool,
             node_bytes,
-            current: None,
-            chunks_acquired: 0,
-            request: None,
+            current: Cell::new(None),
+            chunks_acquired: Cell::new(0),
         }
     }
 
@@ -97,20 +91,20 @@ impl<B: FabricBackend> ClientAllocator<B> {
 
     /// Number of chunks this client has acquired so far.
     pub fn chunks_acquired(&self) -> u64 {
-        self.chunks_acquired
+        self.chunks_acquired.get()
     }
 
     /// The next memory server in round-robin order.
-    fn next_server(&mut self) -> u16 {
-        let ms = self.next_ms;
-        self.next_ms = (self.next_ms + 1) % self.pool.servers() as u16;
+    fn next_server(&self) -> u16 {
+        let ms = self.next_ms.get();
+        self.next_ms.set((ms + 1) % self.pool.servers() as u16);
         ms
     }
 
     /// Carve from a chunk just obtained.
-    fn install(&mut self, base: GlobalAddress) -> AllocatedNode {
-        self.current = Some(Chunk { base, used: 0 });
-        self.chunks_acquired += 1;
+    fn install(&self, base: GlobalAddress) -> AllocatedNode {
+        self.current.set(Some(Chunk { base, used: 0 }));
+        self.chunks_acquired.set(self.chunks_acquired.get() + 1);
         let addr = self.carve().expect("fresh chunk must fit at least one node");
         AllocatedNode {
             addr,
@@ -118,13 +112,14 @@ impl<B: FabricBackend> ClientAllocator<B> {
         }
     }
 
-    fn carve(&mut self) -> Option<GlobalAddress> {
-        let chunk = self.current.as_mut()?;
+    fn carve(&self) -> Option<GlobalAddress> {
+        let mut chunk = self.current.get()?;
         if chunk.used + self.node_bytes > self.pool.chunk_bytes() {
             return None;
         }
         let addr = chunk.base.add(chunk.used);
         chunk.used += self.node_bytes;
+        self.current.set(Some(chunk));
         self.pool.note_node_carved();
         Some(addr)
     }
@@ -133,13 +128,13 @@ impl<B: FabricBackend> ClientAllocator<B> {
     /// server in round-robin order starting at this allocator's cursor.  The
     /// lock-free `reusable_nodes` guard keeps allocation scan-free until a
     /// structural delete has actually retired something.
-    fn reuse(&mut self, now: u64) -> Option<AllocatedNode> {
+    fn reuse(&self, now: u64) -> Option<AllocatedNode> {
         if self.pool.reusable_nodes() == 0 {
             return None;
         }
         let servers = self.pool.servers() as u16;
         for i in 0..servers {
-            let ms = (self.next_ms + i) % servers;
+            let ms = (self.next_ms.get() + i) % servers;
             if let Some(reused) = self.pool.reuse_node(ms, now) {
                 return Some(AllocatedNode {
                     addr: reused.addr,
@@ -152,7 +147,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
 
     /// A node without asking any server: a retired address whose quarantine
     /// has cleared, else one carved from the local chunk.
-    fn take_local(&mut self, now: u64) -> Option<AllocatedNode> {
+    fn take_local(&self, now: u64) -> Option<AllocatedNode> {
         self.reuse(now).or_else(|| {
             self.carve().map(|addr| AllocatedNode {
                 addr,
@@ -167,7 +162,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
     /// what keeps a full cluster serving writes at its steady-state
     /// footprint — else surface the typed [`PoolError::Exhausted`]
     /// backpressure error.
-    fn rescue(&mut self, now: u64) -> Result<AllocatedNode, PoolError> {
+    fn rescue(&self, now: u64) -> Result<AllocatedNode, PoolError> {
         if let Some(node) = self.reuse(now) {
             self.pool.backpressure().reuse_rescues.inc();
             return Ok(node);
@@ -176,57 +171,41 @@ impl<B: FabricBackend> ClientAllocator<B> {
         Err(PoolError::Exhausted(self.pool.alloc_error()))
     }
 
-    /// Allocate one node, blocking: the allocation machine
-    /// ([`ClientAllocator::step_alloc`]), each chunk request polled at once.
+    /// Allocate one node: recycle a retired address when the reclamation
+    /// policy has cleared one (keeping the remote-memory footprint at the
+    /// steady-state tree size under churn), else carve from the local chunk,
+    /// else request a new chunk — the allocation RPC, awaited holding the
+    /// client ([`MemoryPool::request_chunk`]) — from each server in
+    /// round-robin order until one grants it.  A server that is full is
+    /// skipped, matching the paper's "choose an MS in a round-robin manner";
+    /// when every server denies the request, the free lists are rescanned
+    /// once before the typed [`PoolError::Exhausted`] is returned.
+    pub async fn alloc<W: Waits<Channel = B::Channel>>(
+        &self,
+        cx: &W,
+    ) -> Result<AllocatedNode, PoolError> {
+        if let Some(node) = self.take_local(cx.ctx().now()) {
+            return Ok(node);
+        }
+        for _ in 0..self.pool.servers() {
+            match self.pool.request_chunk(cx, self.next_server()).await {
+                Ok(base) => return Ok(self.install(base)),
+                Err(PoolError::OutOfMemory { .. }) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        // The request round trips took virtual time: a retirement may have
+        // cleared quarantine meanwhile.
+        self.rescue(cx.ctx().now())
+    }
+
+    /// Allocate one node, blocking: [`ClientAllocator::alloc`] with each
+    /// chunk request polled in place.
     pub fn alloc_node(
         &mut self,
         client: &mut ClientCtx<B::Channel>,
     ) -> Result<AllocatedNode, PoolError> {
-        loop {
-            match self.step_alloc(client)? {
-                AllocStep::Done(node) => return Ok(node),
-                AllocStep::Chunk(token) => {
-                    client.poll_token(token);
-                }
-            }
-        }
-    }
-
-    /// Advance the allocation of one node as far as it goes without waiting:
-    /// recycle a retired address when the reclamation policy has cleared one
-    /// (keeping the remote-memory footprint at the steady-state tree size
-    /// under churn), else carve from the local chunk, else request a new
-    /// chunk — the allocation RPC, which the caller waits for before it steps
-    /// again — from each server in round-robin order until one grants it.  A
-    /// server that is full is skipped, matching the paper's "choose an MS in
-    /// a round-robin manner"; when every server denies the request, the
-    /// free lists are rescanned once before the typed
-    /// [`PoolError::Exhausted`] is returned.
-    pub fn step_alloc(
-        &mut self,
-        client: &mut ClientCtx<B::Channel>,
-    ) -> Result<AllocStep, PoolError> {
-        let mut left = match self.request.take() {
-            Some((ms, left)) => match self.pool.alloc_chunk_untimed(ms) {
-                Ok(base) => return Ok(AllocStep::Done(self.install(base))),
-                Err(PoolError::OutOfMemory { .. }) => left,
-                Err(e) => return Err(e),
-            },
-            None => match self.take_local(client.now()) {
-                Some(node) => return Ok(AllocStep::Done(node)),
-                None => self.pool.servers() as u16,
-            },
-        };
-        if left == 0 {
-            // The request round trips took virtual time: a retirement may
-            // have cleared quarantine meanwhile.
-            return self.rescue(client.now()).map(AllocStep::Done);
-        }
-        left -= 1;
-        let ms = self.next_server();
-        let token = self.pool.post_chunk_request(client, ms)?;
-        self.request = Some((ms, left));
-        Ok(AllocStep::Chunk(token))
+        block_on(self.alloc(&InPlace::new(client)))
     }
 
     /// Allocate one node without charging fabric time (bulkload / setup).
@@ -238,8 +217,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
             return Ok(node);
         }
         for _ in 0..self.pool.servers() {
-            let ms = self.next_server();
-            match self.pool.alloc_chunk_untimed(ms) {
+            match self.pool.alloc_chunk_untimed(self.next_server()) {
                 Ok(base) => return Ok(self.install(base)),
                 Err(PoolError::OutOfMemory { .. }) => {}
                 Err(e) => return Err(e),
@@ -252,7 +230,10 @@ impl<B: FabricBackend> ClientAllocator<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sherman_sim::{Fabric, FabricConfig};
+    use crate::EpochPin;
+    use sherman_sim::{Completion, FabricConfig, PendingVerb, SimChannel};
+    use std::cell::{RefCell, RefMut};
+    use std::future::Future;
 
     fn setup() -> (Arc<MemoryPool>, ClientCtx) {
         let fabric = Fabric::new(FabricConfig::small_test());
@@ -390,6 +371,29 @@ mod tests {
         assert_eq!(node.first_version(), 3);
     }
 
+    /// Waits in place, dropping a reader's epoch pin at its first hold.
+    struct UnpinOnHold<'a> {
+        inner: InPlace<'a, SimChannel>,
+        pin: &'a RefCell<Option<EpochPin>>,
+    }
+
+    impl Waits for UnpinOnHold<'_> {
+        type Channel = SimChannel;
+
+        fn ctx(&self) -> RefMut<'_, ClientCtx> {
+            self.inner.ctx()
+        }
+
+        fn wait_lock(&self, token: PendingVerb) -> impl Future<Output = Completion> {
+            self.inner.wait_lock(token)
+        }
+
+        fn hold(&self, token: PendingVerb) -> impl Future<Output = Completion> {
+            self.pin.borrow_mut().take();
+            self.inner.hold(token)
+        }
+    }
+
     #[test]
     fn a_node_freed_while_every_server_denies_a_chunk_rescues_the_allocation() {
         let fabric = Fabric::new(FabricConfig {
@@ -406,18 +410,13 @@ mod tests {
         // A pinned reader keeps the retired node in quarantine past the
         // allocation's first look, and leaves during its chunk requests.
         let reader = pool.epoch_registry().register();
-        let pin = reader.pin();
+        let pin = RefCell::new(Some(reader.pin()));
         pool.retire_node(got[1].addr, 6, client.now());
-        let mut pin = Some(pin);
-        let node = loop {
-            match alloc.step_alloc(&mut client).unwrap() {
-                AllocStep::Done(node) => break node,
-                AllocStep::Chunk(token) => {
-                    client.poll_token(token);
-                    drop(pin.take());
-                }
-            }
+        let cx = UnpinOnHold {
+            inner: InPlace::new(&mut client),
+            pin: &pin,
         };
+        let node = block_on(alloc.alloc(&cx)).unwrap();
         assert_eq!(node.addr, got[1].addr);
         assert_eq!(node.first_version(), 7);
         assert_eq!(pool.backpressure().reuse_rescues(), 1);

@@ -2,10 +2,10 @@
 //! allocation services.
 //!
 //! The pool owns one [`ChunkAllocator`] per memory server.  A compute-server
-//! thread requests a chunk with [`MemoryPool::post_chunk_request`], the
-//! two-sided RPC on the simulated fabric (the memory thread's work), and takes
-//! it once the call completed ([`MemoryPool::alloc_chunk_untimed`]);
-//! [`MemoryPool::alloc_chunk`] does both, waiting in between.  This mirrors
+//! thread requests a chunk with [`MemoryPool::request_chunk`], which awaits
+//! the two-sided RPC on the simulated fabric (the memory thread's work) and
+//! then takes the chunk ([`MemoryPool::alloc_chunk_untimed`]);
+//! [`MemoryPool::alloc_chunk`] is the same call, blocking.  This mirrors
 //! §4.2.4: allocation RPCs are rare (one per 8 MB of new tree nodes), so the
 //! wimpy MS cores stay off the data path.
 
@@ -14,7 +14,9 @@ use crate::epoch::EpochRegistry;
 use crate::layout::{ServerLayout, ROOT_PTR_OFFSET, SUPERBLOCK_MAGIC, TREE_LEVEL_HINT_OFFSET};
 use parking_lot::Mutex;
 use sherman_metrics::{BackpressureCounters, EpochGauges};
-use sherman_sim::{ClientCtx, Fabric, FabricBackend, GlobalAddress, PendingVerb, RpcServed, RpcWork};
+use sherman_sim::{
+    block_on, ClientCtx, Fabric, FabricBackend, GlobalAddress, InPlace, RpcServed, RpcWork, Waits,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -191,24 +193,25 @@ impl<B: FabricBackend> MemoryPool<B> {
     }
 
     /// Request a chunk from memory server `ms` over the (simulated) allocation
-    /// RPC, returning the chunk's starting address.
+    /// RPC, blocking: [`MemoryPool::request_chunk`] with the call polled in
+    /// place.
     pub fn alloc_chunk(
         &self,
         client: &mut ClientCtx<B::Channel>,
         ms: u16,
     ) -> Result<GlobalAddress, PoolError> {
-        let token = self.post_chunk_request(client, ms)?;
-        client.poll_token(token);
-        self.alloc_chunk_untimed(ms)
+        block_on(self.request_chunk(&InPlace::new(client), ms))
     }
 
-    /// Post the allocation RPC that asks memory server `ms` for a chunk; once
-    /// it completed, [`MemoryPool::alloc_chunk_untimed`] takes the chunk.
-    pub fn post_chunk_request(
+    /// Request a chunk from memory server `ms`: post the allocation RPC, the
+    /// memory thread's work, await it holding the client, then take the
+    /// chunk ([`MemoryPool::alloc_chunk_untimed`]).  Returns the chunk's
+    /// starting address.
+    pub async fn request_chunk<W: Waits<Channel = B::Channel>>(
         &self,
-        client: &mut ClientCtx<B::Channel>,
+        cx: &W,
         ms: u16,
-    ) -> Result<PendingVerb, PoolError> {
+    ) -> Result<GlobalAddress, PoolError> {
         if usize::from(ms) >= self.allocators.len() {
             return Err(PoolError::NoSuchServer { ms });
         }
@@ -216,8 +219,11 @@ impl<B: FabricBackend> MemoryPool<B> {
             response_bytes: ALLOC_RPC_RESP_BYTES,
             work: RpcWork::NONE,
         };
-        let (token, ()) = client.post_rpc(ms, ALLOC_RPC_REQ_BYTES, || ((), served))?;
-        Ok(token)
+        let (token, ()) = cx
+            .ctx()
+            .post_rpc(ms, ALLOC_RPC_REQ_BYTES, || ((), served))?;
+        cx.hold(token).await;
+        self.alloc_chunk_untimed(ms)
     }
 
     /// Allocate a chunk without charging fabric time (bulkload / test setup).

@@ -5,11 +5,10 @@
 //! write operation.  These are exact maps rather than approximations because
 //! the domains are tiny.
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Exact histogram over small unsigned integers.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CountHistogram {
     counts: BTreeMap<u64, u64>,
     total: u64,
@@ -94,7 +93,7 @@ impl CountHistogram {
 
 /// Exact histogram over byte sizes, a thin wrapper that adds size-oriented
 /// reporting helpers.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SizeHistogram {
     inner: CountHistogram,
 }

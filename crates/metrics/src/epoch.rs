@@ -11,13 +11,11 @@
 //! * **pinned buckets** — retired addresses whose recycling is currently
 //!   blocked by a pinned reader (the memory a stall is holding hostage).
 
-use serde::Serialize;
-
 /// A point-in-time snapshot of the epoch-reclamation state.
 ///
 /// Produced by the memory pool (`epoch_gauges()`); this crate only defines
 /// the data shape so benches and tests can report it uniformly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochGauges {
     /// The next epoch a retirement will be stamped with (equivalently: the
     /// number of retirements so far, plus one).

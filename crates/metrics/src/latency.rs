@@ -8,15 +8,13 @@
 //! `1/SUB_BUCKETS` (≈1.6 %) with a few KiB of memory — the same idea as HDR
 //! histograms, implemented here to stay within the allowed dependency set.
 
-use serde::Serialize;
-
 /// Number of linear sub-buckets per power-of-two octave.
 const SUB_BUCKETS: usize = 64;
 /// Number of octaves covered (2^48 ns ≈ 78 hours, far beyond any experiment).
 const OCTAVES: usize = 48;
 
 /// A log-bucketed histogram of non-negative `u64` samples (nanoseconds).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,

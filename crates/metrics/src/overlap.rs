@@ -13,11 +13,9 @@
 //!   divided by the elapsed virtual time: `1.0` means fully serial, `N`
 //!   means `N` round trips were hidden inside each other on average.
 
-use serde::Serialize;
-
 /// A plain-old-data summary of one run's verb overlap, built from the fabric
 /// client's counters (`ClientStats`) plus the run's elapsed virtual time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OverlapGauges {
     /// Round trips posted during the run.
     pub round_trips: u64,

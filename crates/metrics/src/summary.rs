@@ -1,10 +1,9 @@
 //! Aggregation of per-thread measurements into paper-style result rows.
 
 use crate::latency::LatencyHistogram;
-use serde::Serialize;
 
 /// Measurements collected by one client thread during a run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ThreadReport {
     /// Operations completed by this thread.
     pub ops: u64,
@@ -51,7 +50,7 @@ impl ThroughputAggregator {
 }
 
 /// One result row: the numbers the paper reports per configuration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunSummary {
     /// Number of client threads.
     pub threads: usize,
@@ -80,16 +79,6 @@ impl RunSummary {
     /// Median latency in microseconds.
     pub fn p50_us(&self) -> f64 {
         self.p50_ns as f64 / 1e3
-    }
-
-    /// 90th-percentile latency in microseconds.
-    pub fn p90_us(&self) -> f64 {
-        self.p90_ns as f64 / 1e3
-    }
-
-    /// 99th-percentile latency in microseconds.
-    pub fn p99_us(&self) -> f64 {
-        self.p99_ns as f64 / 1e3
     }
 }
 

@@ -8,11 +8,10 @@
 //! packed address still fits in one word and can be stored inside tree nodes
 //! and CAS'ed atomically.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which physical memory on a memory server an address refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
     /// Bulk DRAM behind the PCIe bus (where tree nodes live).
     Host,
@@ -26,7 +25,7 @@ pub const OFFSET_BITS: u32 = 47;
 pub const MAX_OFFSET: u64 = (1 << OFFSET_BITS) - 1;
 
 /// A global address: memory server id + memory space + byte offset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GlobalAddress {
     /// Memory server identifier.
     pub ms: u16,

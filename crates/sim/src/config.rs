@@ -11,10 +11,8 @@
 //! * `RDMA_CAS` against the NIC's on-chip memory sustains roughly 110 Mops
 //!   (§4.3).
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable constants of the fabric model.  All times are virtual nanoseconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FabricConfig {
     /// Number of memory servers in the cluster.
     pub memory_servers: usize,

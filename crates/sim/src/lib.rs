@@ -48,6 +48,7 @@ pub mod region;
 pub mod rpc;
 pub mod server;
 pub mod threaded;
+pub mod wait;
 
 pub use addr::{GlobalAddress, MemSpace};
 pub use channel::{FabricBackend, FabricChannel, FabricState, VerbWindow};
@@ -64,6 +65,7 @@ pub use region::Region;
 pub use rpc::{RpcServed, RpcWork};
 pub use server::{AtomicOp, MemServerSim};
 pub use threaded::{ThreadedChannel, ThreadedFabric};
+pub use wait::{block_on, InPlace, Waits};
 
 /// Convenience result alias used throughout the simulator.
 pub type SimResult<T> = Result<T, SimError>;

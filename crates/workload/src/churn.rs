@@ -26,10 +26,9 @@
 use crate::spec::Op;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A fully-specified sliding-window churn workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnSpec {
     /// Number of live keys across all threads once the window is full.
     pub window: u64,

@@ -1,9 +1,7 @@
 //! The paper's operation mixes (Table 3).
 
-use serde::{Deserialize, Serialize};
-
 /// Kind of index operation issued by the workload driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Point lookup of an existing or non-existing key.
     Lookup,
@@ -17,7 +15,7 @@ pub enum OpKind {
 }
 
 /// A read/write mix expressed as percentages that sum to 100.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mix {
     /// Percentage of insert/update operations.
     pub insert_pct: u8,

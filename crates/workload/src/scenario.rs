@@ -31,10 +31,9 @@ use crate::spec::Op;
 use crate::zipf::{fnv1a_64, ZipfianGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The hostile access shape a scenario exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScenarioShape {
     /// Zipfian skew whose hot spot migrates across the key space: the run is
     /// divided into `phases` equal slices, and each phase centres the skew on
@@ -79,7 +78,7 @@ impl ScenarioShape {
 }
 
 /// A fully-specified hostile scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The access shape under test.
     pub shape: ScenarioShape,

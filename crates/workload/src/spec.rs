@@ -4,10 +4,9 @@ use crate::mix::{Mix, OpKind};
 use crate::zipf::ZipfianGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How keys are drawn from the key space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDistribution {
     /// Every key equally likely.
     Uniform,
@@ -25,7 +24,7 @@ pub enum KeyDistribution {
 }
 
 /// A fully-specified workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of keys in the key space (keys are `0..key_space`).
     pub key_space: u64,

@@ -17,7 +17,6 @@ pub struct ZipfianGenerator {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl ZipfianGenerator {
@@ -42,7 +41,6 @@ impl ZipfianGenerator {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -88,12 +86,6 @@ impl ZipfianGenerator {
     pub fn next_scrambled<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let rank = self.next_rank(rng);
         fnv1a_64(rank) % self.items
-    }
-
-    /// Expose the zeta(2, theta) constant (used by tests to validate the
-    /// constructor against reference values).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

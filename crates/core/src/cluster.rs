@@ -2,14 +2,13 @@
 
 use crate::client::TreeClient;
 use crate::config::{TreeConfig, TreeOptions};
-use crate::error::TreeError;
 use crate::layout::{key_tag, NodeLayout, HEADER_BYTES};
 use crate::node::{InternalNode, LeafEntry, LeafNode, NodeHeader};
 use crate::TreeResult;
 use parking_lot::{Mutex, RwLock};
 use sherman_cache::{CachedInternal, ChildRef, IndexCache, IndexCacheConfig};
 use sherman_locks::LockManager;
-use sherman_memserver::{EpochRegistry, FreeListStats, MemoryPool, ServerLayout};
+use sherman_memserver::{ClientAllocator, EpochRegistry, FreeListStats, MemoryPool, ServerLayout};
 use sherman_metrics::{
     CoherenceCounters, CoherenceGauges, EpochGauges, OffloadCounters, OffloadGauges,
     SpaceCounters, SpaceSnapshot,
@@ -585,7 +584,7 @@ pub struct ShapeAudit {
 /// freeing a hundred thousand small blocks leaves their 15 MB in the heap.
 struct LeafWriter<'a, B: FabricBackend> {
     cluster: &'a Cluster<B>,
-    alloc: BulkAllocator<'a, B>,
+    alloc: ClientAllocator<B>,
     per_leaf: usize,
     /// Address of every leaf begun so far; kept across [`Self::take_back`].
     addrs: Vec<GlobalAddress>,
@@ -599,7 +598,8 @@ struct LeafWriter<'a, B: FabricBackend> {
 impl<'a, B: FabricBackend> LeafWriter<'a, B> {
     fn addr_of(&mut self, leaf: usize) -> TreeResult<GlobalAddress> {
         while self.addrs.len() <= leaf {
-            self.addrs.push(self.alloc.alloc()?);
+            let node = self.alloc.alloc_untimed(self.cluster.fabric.now())?;
+            self.addrs.push(node.addr);
         }
         Ok(self.addrs[leaf])
     }
@@ -669,7 +669,7 @@ impl<'a, B: FabricBackend> LeafWriter<'a, B> {
 
     /// Write the last leaf (an empty one if nothing was pushed) and return
     /// the level with the allocator.
-    fn finish(mut self) -> TreeResult<(Vec<BuiltChild>, BulkAllocator<'a, B>)> {
+    fn finish(mut self) -> TreeResult<(Vec<BuiltChild>, ClientAllocator<B>)> {
         self.write_leaf(u64::MAX, None)?;
         Ok((self.written, self.alloc))
     }
@@ -693,7 +693,7 @@ impl<B: FabricBackend> Cluster<B> {
             .clamp(1, leaf_cap);
         let mut leaves = LeafWriter {
             cluster: self,
-            alloc: BulkAllocator::new(&self.pool, self.config.node_size as u64),
+            alloc: ClientAllocator::new(Arc::clone(&self.pool), self.config.node_size as u64, 0),
             per_leaf,
             addrs: Vec::new(),
             written: Vec::new(),
@@ -717,7 +717,7 @@ impl<B: FabricBackend> Cluster<B> {
             last_key = Some(key);
             leaves.push((key, value))?;
         }
-        let (mut level_nodes, mut alloc) = leaves.finish()?;
+        let (mut level_nodes, alloc) = leaves.finish()?;
 
         // ---- Internal levels ----
         let internal_cap = self.layout.internal_capacity();
@@ -730,8 +730,8 @@ impl<B: FabricBackend> Cluster<B> {
             let child_groups: Vec<&[BuiltChild]> =
                 level_nodes.chunks(per_internal.max(2)).collect();
             let addrs: Vec<GlobalAddress> = (0..child_groups.len())
-                .map(|_| alloc.alloc())
-                .collect::<Result<_, _>>()?;
+                .map(|_| Ok(alloc.alloc_untimed(self.fabric.now())?.addr))
+                .collect::<TreeResult<_>>()?;
             let mut next_level = Vec::with_capacity(child_groups.len());
             for (i, group) in child_groups.iter().enumerate() {
                 let fence_low = group[0].fence_low;
@@ -848,51 +848,6 @@ struct BuiltNode {
     level: u8,
     separators: Vec<(u64, GlobalAddress)>,
     leftmost: GlobalAddress,
-}
-
-/// Minimal bump allocator over untimed pool chunks, used only by bulkload.
-struct BulkAllocator<'a, B: FabricBackend> {
-    pool: &'a Arc<MemoryPool<B>>,
-    node_bytes: u64,
-    next_ms: u16,
-    current: Option<(GlobalAddress, u64)>,
-}
-
-impl<'a, B: FabricBackend> BulkAllocator<'a, B> {
-    fn new(pool: &'a Arc<MemoryPool<B>>, node_bytes: u64) -> Self {
-        BulkAllocator {
-            pool,
-            node_bytes,
-            next_ms: 0,
-            current: None,
-        }
-    }
-
-    fn alloc(&mut self) -> Result<GlobalAddress, TreeError> {
-        if let Some((base, used)) = &mut self.current {
-            if *used + self.node_bytes <= self.pool.chunk_bytes() {
-                let addr = base.add(*used);
-                *used += self.node_bytes;
-                self.pool.note_node_carved();
-                return Ok(addr);
-            }
-        }
-        let servers = self.pool.servers() as u16;
-        let mut last_err: Option<TreeError> = None;
-        for _ in 0..servers {
-            let ms = self.next_ms;
-            self.next_ms = (self.next_ms + 1) % servers;
-            match self.pool.alloc_chunk_untimed(ms) {
-                Ok(base) => {
-                    self.current = Some((base, self.node_bytes));
-                    self.pool.note_node_carved();
-                    return Ok(base);
-                }
-                Err(e) => last_err = Some(e.into()),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| TreeError::Allocation("no memory servers".into())))
-    }
 }
 
 #[cfg(test)]

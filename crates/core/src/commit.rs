@@ -17,21 +17,22 @@
 //!
 //! A write (`crate::ops`) acquires the leaf lock itself
 //! ([`OpCx::lock_and_read_head`], over `sherman_locks::LockManager::lock`)
-//! — that is the one thing it parks on while a lock is involved — and calls
-//! [`OpCx::leaf_commit`] with the image read under it.  The leaf commit does
-//! not yield (it only holds the client, [`OpCx::hold`]): the leaf lock's
-//! release is posted before `leaf_commit` returns, and at most that verb is
-//! left outstanding for the write to wait for.  What needs *further* locks —
-//! the separator of a split, a merge — is handed back as a [`Followup`] and
-//! run ([`OpCx::run_followup`]) once the scheduler has driven every other
-//! in-flight operation of this client out of its own lock acquisition
-//! ([`OpCx::exclusive`]), so the acquisitions below can only ever wait for
-//! other clients.
+//! and calls [`OpCx::leaf_commit`] with the image read under it.  The leaf
+//! commit does not yield (it only holds the client, [`OpCx::hold`]): the
+//! leaf lock's release is posted before `leaf_commit` returns, and at most
+//! that verb is left outstanding for the write to wait for.  What needs
+//! *further* locks — the separator of a split, a merge — is handed back as a
+//! [`Followup`] and run by the same operation ([`OpCx::run_followup`]), its
+//! waits parked among its siblings' like any other: a separator insertion
+//! holds at most one lock while it waits, and a merge waits for a lock only
+//! in rank order (rule 3 below), so the local lock queue the client shares
+//! with its siblings and the other clients of its compute server never
+//! closes a cycle.
 //!
 //! ## A follow-up waits for what it depends on
 //!
-//! The follow-up is an `async fn`, driven alone: every wait in it is an
-//! `.await` its driver answers with its own completion.  With command
+//! The follow-up is an `async fn`: every wait in it is an `.await` the
+//! scheduler answers with its own completion.  With command
 //! combination (`combine_commands`; without it every command waits for the
 //! one before, as the baselines do) it posts independent commands together
 //! and awaits a completion only where something depends on it, under three
@@ -838,9 +839,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
     }
 
     /// Pay what a committed leaf write still owes the tree.  Takes further
-    /// locks, and waits for them: the caller has made sure no other operation
-    /// of this client is inside a lock acquisition ([`OpCx::exclusive`]).
-    /// Nothing the commit posted is left in flight when this returns.
+    /// locks, and waits for them, holding at most one or waiting in rank
+    /// order.  Nothing the commit posted is left in flight when this returns.
     pub(crate) async fn run_followup(
         &self,
         followup: Followup,

@@ -19,11 +19,9 @@
 //! until it is due.
 //!
 //! The pipelined scheduler (`crate::scheduler`) is the driver: it keeps
-//! several operations of a client parked at once, resumes whichever one's
-//! verb completes first, and drives an operation that parks on
-//! [`Park::Exclusive`] alone, as [`OpCx::drive`] does.  The scheduler itself
-//! is an `async fn` too, whose waits ([`OpCx::until`]) the executor answers
-//! across clients.
+//! several operations of a client parked at once and resumes whichever one's
+//! parked completion is due first.  The scheduler itself is an `async fn`
+//! too, whose waits ([`OpCx::until`]) the executor answers across clients.
 
 use crate::cluster::Cluster;
 use sherman_memserver::ClientAllocator;
@@ -47,18 +45,13 @@ pub(crate) enum Park {
     /// the operation waits for holding its client: nothing else of the
     /// client runs until it is due.
     Hold(PendingVerb),
-    /// Nothing posted: it is about to take further locks and wait for them,
-    /// and resumes once no other operation of its context is inside a lock
-    /// acquisition.
-    Exclusive,
 }
 
 impl Park {
-    /// The verb the park is answered with, if any.
-    pub(crate) fn token(self) -> Option<PendingVerb> {
+    /// The verb the park is answered with.
+    pub(crate) fn token(self) -> PendingVerb {
         match self {
-            Park::Verb(token) | Park::Lock(token) | Park::Hold(token) => Some(token),
-            Park::Exclusive => None,
+            Park::Verb(token) | Park::Lock(token) | Park::Hold(token) => token,
         }
     }
 }
@@ -163,12 +156,6 @@ impl<'a, B: FabricBackend> OpCx<'a, B> {
         })
     }
 
-    /// Wait until no other operation of this context is inside a lock
-    /// acquisition.
-    pub(crate) fn exclusive(&self) -> impl Future<Output = ()> + use<'_, 'a, B> {
-        once(Some(|| self.parked.set(Some(Park::Exclusive))))
-    }
-
     /// Answer the last park with `completion`.
     pub(crate) fn resume(&self, completion: Completion) {
         self.resumed.set(Some(completion));
@@ -205,30 +192,21 @@ impl<'a, B: FabricBackend> OpCx<'a, B> {
         self.ctx().poll_token(token)
     }
 
-    /// Drive `op` to completion alone: every park is answered with its own
-    /// completion, and nobody else of this client is acquiring anything.
-    pub(crate) async fn drive<T>(&self, mut op: Pin<&mut (impl Future<Output = T> + ?Sized)>) -> T {
+    /// Run `op` with one verb in flight at a time: post, poll, resume — every
+    /// park answered with its own completion.  This *is* the blocking path —
+    /// and exactly what a pipelined run at depth 1 executes.
+    pub(crate) fn block_on<T>(&self, op: impl Future<Output = T>) -> T {
+        assert!(self.alone, "a blocking call drives its client alone");
+        let mut op = pin!(op);
         loop {
             match self.poll(op.as_mut()) {
                 Ok(output) => return output,
                 Err(park) => {
-                    if let Some(token) = park.token() {
-                        let completion = self.complete(token).await;
-                        self.resume(completion);
-                    }
+                    let completion = self.ctx().poll_token(park.token());
+                    self.resume(completion);
                 }
             }
         }
-    }
-
-    /// Run `op` with one verb in flight at a time: post, poll, resume.  This
-    /// *is* the blocking path — and exactly what a pipelined run at depth 1
-    /// executes.
-    pub(crate) fn block_on<T>(&self, op: impl Future<Output = T>) -> T {
-        assert!(self.alone, "a blocking call drives its client alone");
-        let op = pin!(op);
-        let driven = pin!(self.drive(op));
-        self.poll(driven).expect("a client alone never waits for the executor")
     }
 }
 

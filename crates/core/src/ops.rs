@@ -32,19 +32,15 @@
 //! between, the body — validate, pick the slot, post write-back + release —
 //! does not yield: what it waits for (its CPU time, an uncombined read or
 //! release) it waits for holding the client ([`OpCx::hold`]), so no sibling
-//! runs meanwhile.  So an operation waits *for* a lock while parked, but the
-//! only lock it ever *holds* while its siblings run is the one leaf lock
-//! whose acquisition is completing, and it needs no other lock to let go of
-//! it: a lock word that several in-flight operations of one client want (the
-//! same leaf, or an aliased slot of the lock table) is passed along the local
-//! queue, never waited for in a cycle.
+//! runs meanwhile.
 //!
-//! A commit that needs further locks — the separator of a split, a merge —
-//! parks on [`Park::Exclusive`](crate::exec::Park::Exclusive) first, holding
-//! nothing, and takes those locks once the driver has stepped every other
-//! operation of the client out of its lock acquisition; the driver then
-//! runs it alone, waiting only for what the commit depends on
-//! (`crate::commit`).
+//! A commit that owes the tree more — the separator of a split, a merge —
+//! goes on as a follow-up of the same operation (`crate::commit`), once the
+//! leaf lock is released: its lock steps park as `Park::Lock` and its other
+//! waits as `Park::Verb`, interleaved with its siblings like any operation's.
+//! A separator insertion holds at most one lock while it waits, and a merge
+//! waits for a lock only in the lock manager's rank order, so the local lock
+//! queue the siblings share never closes a cycle.
 //!
 //! Rare control-path reads (the remote root pointer refresh on a distrusted
 //! restart) hold the client too: they occur only after a lost race under
@@ -1021,9 +1017,9 @@ pub(crate) enum WriteKind {
 
 /// A write: locate the leaf (like a lookup; only this lock-free part
 /// offloads) → acquire its lock and read it → the locked commit
-/// ([`OpCx::leaf_commit`]) → wait for the deferred release.  A split's
-/// separator and a structural merge run after [`OpCx::exclusive`].  Returns
-/// whether the key was present (always `true` for an insert).
+/// ([`OpCx::leaf_commit`]) → wait for the deferred release, or run the
+/// follow-up a split or a merge owes the tree.  Returns whether the key was
+/// present (always `true` for an insert).
 async fn write<B: FabricBackend>(
     cx: &OpCx<'_, B>,
     meta: &mut OpMeta,
@@ -1075,7 +1071,6 @@ async fn write<B: FabricBackend>(
                 return Ok(found);
             }
             WriteCommit::Structural(followup) => {
-                cx.exclusive().await;
                 // Boxed: follow-ups are rare, and every operation's future
                 // would otherwise be the size of the largest one.
                 Box::pin(cx.run_followup(followup, meta)).await?;

@@ -32,7 +32,7 @@
 //! Nothing but the heap moves the simulator's clock while the executor runs,
 //! so a run of several clients is a pure function of its inputs.
 //!
-//! ## Writes pipeline too — parked on their lock, under two rules
+//! ## Writes pipeline too — parked on their lock, under one rule
 //!
 //! Inserts and deletes join the pipeline: their *location* phase is the same
 //! lock-free descent a lookup uses and overlaps freely with every other
@@ -43,43 +43,42 @@
 //! the slot, post write-back + release — and the operation parks once more on
 //! that verb, whose memory effect applied at post time.  Between a write's
 //! two round trips the client steps whatever completes first (HOCL's
-//! "threads *and coroutines*", DEX-style lock-conscious pipelining).
+//! "threads *and coroutines*", DEX-style lock-conscious pipelining).  A
+//! split's separator and a merge are more of the same operation: each of
+//! their lock steps parks as a `Park::Lock`, each other wait as a
+//! `Park::Verb`, among the siblings' parks.
 //!
 //! Operations of one context that park while a lock is involved could wait
-//! for each other.  Two rules rule that out:
+//! for each other.  One rule rules that out: **an operation that finds its
+//! lock taken waits in the lock's local queue, and the release resumes
+//! it.**  The lock manager's acquisition never blocks: a lost global attempt
+//! is re-posted as another parked verb, and a lock word held by a sibling
+//! operation of this very client — the same node, or a node whose lock
+//! aliases it in the table — is waited for in the compute server's FIFO
+//! queue, parked on a completion the sibling's release fires.  That release
+//! hands the global lock over (bounded by `MAX_HANDOVER_DEPTH`), so the
+//! successor skips the CAS and posts a plain READ.  (That is Sherman's rung,
+//! `LockStrategy::Hocl`; on the rungs without a wait queue siblings race for
+//! the local lock, or spin on the global word, instead.)  The queue is the
+//! one the other clients of the compute server share, and what it guarantees
+//! them it guarantees siblings: a leaf write holds one lock and needs only
+//! its own completions to let go of it, a separator insertion holds at most
+//! one lock while it waits, and a merge waits for a lock only in the lock
+//! manager's rank order — so no wait closes a cycle.
 //!
-//! 1. **An operation that finds its lock taken waits in the lock's local
-//!    queue, and the release resumes it.**  The lock manager's acquisition
-//!    never blocks (each wait in it parks as a `Park::Lock`): a lost
-//!    global attempt is re-posted as another parked verb, and a lock word
-//!    held by a sibling operation of this very client — the same leaf, or a
-//!    leaf whose lock aliases it in the table — is waited for in the compute
-//!    server's FIFO queue, parked on a completion the sibling's release
-//!    fires.  That release hands the global lock over (bounded by
-//!    `MAX_HANDOVER_DEPTH`), so the successor skips the CAS and posts a
-//!    plain READ.  (That is Sherman's rung, `LockStrategy::Hocl`; on the
-//!    rungs without a wait queue siblings race for the local lock, or spin on
-//!    the global word, instead.)  The holder of a lock needs nothing but its
-//!    own completion to let go of it, so these waits form no cycle.
-//! 2. **A commit that needs further locks starts only once no other
-//!    operation of this client is inside a lock acquisition.**  The
-//!    separator of a split and a structural merge lock a parent, or a pair
-//!    and their parent, and wait for them.  They run with the leaf lock
-//!    already released, after the operation parks on `Park::Exclusive`: the
-//!    client first steps every sibling that holds a lock, has an attempt in
-//!    flight or sits in a queue through to its release post
-//!    (`Run::settle_acquisitions` — nothing new is started meanwhile), then
-//!    drives the follow-up alone, answering each park with its own
-//!    completion (`OpCx::drive`).  Both are states of the client on the
-//!    heap: other clients run meanwhile, so a follow-up waiting for a lock
-//!    another client holds sees it released.  Whatever those acquisitions
-//!    meet is held by another client, which makes progress on its own:
-//!    lock-word aliasing can never deadlock a client against itself.  The
-//!    same settling runs before a failed batch returns, so an abandoned
-//!    operation never leaves a lock behind.
+//! An operation's commit may leave verbs in flight that it is not parked on
+//! (`OpMeta::in_flight`), so the loop resumes the slot whose *parked*
+//! completion is due first (`ClientCtx::next_due`), a tie broken as
+//! `ClientCtx::poll` breaks it.
 //!
-//! At depth 1 there is no sibling: both rules are vacuous and the run posts
-//! and polls exactly the blocking path's verbs.
+//! **A failed batch finishes what has begun a lock acquisition.**  When an
+//! operation fails, every sibling that ever parked on a lock step — it may
+//! hold a lock, wait in a queue, or owe the tree a separator — runs to its
+//! end, its own failure ignored; the others are dropped, every completion
+//! outstanding observed, and the batch returns the first error.
+//!
+//! At depth 1 there is no sibling: the rule is vacuous and the run posts and
+//! polls exactly the blocking path's verbs.
 //!
 //! ## Attributing completions to operations
 //!
@@ -211,10 +210,11 @@ struct Slot<'f> {
     id: u64,
     op: PipelineOp,
     future: OpFuture<'f>,
-    /// What the operation is parked on: the verb (or wait) it posted, or —
-    /// before its first poll and while it is settling the others' lock
-    /// acquisitions — [`Park::Exclusive`].
-    parked: Park,
+    /// What the operation is parked on: the verb (or wait) it posted; `None`
+    /// before its first poll.
+    parked: Option<Park>,
+    /// It has parked on a lock step: a failed batch runs it to its end.
+    locking: bool,
     /// Pins the reclamation epoch for this operation's whole lifetime, like
     /// the blocking entry points do.  Pins on one reader handle nest, so N
     /// concurrent operations hold the oldest epoch — conservative and safe.
@@ -253,7 +253,8 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
                 id,
                 op,
                 future,
-                parked: Park::Exclusive,
+                parked: None,
+                locking: false,
                 _pin,
             });
             self.step_slot(idx, None).await?;
@@ -261,66 +262,36 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
         Ok(())
     }
 
-    /// Refill every empty slot.  Starting an operation can run an exclusive
-    /// drive, which can finish operations in slots already visited: go round
-    /// until a pass starts nothing.
-    async fn refill_all(&mut self) -> TreeResult<()> {
-        loop {
-            let started = self.next_id;
-            for idx in 0..self.slots.len() {
-                if self.slots[idx].is_none() {
-                    self.refill(idx).await?;
-                }
-            }
-            if self.next_id == started {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Poll the operation in slot `idx` until it parks on something that
-    /// yields the client, or finishes: a hold is waited out here, its
-    /// siblings parked meanwhile.
-    async fn poll_slot(&mut self, idx: usize) -> Result<TreeResult<(OpOutput, OpMeta)>, Park> {
-        loop {
-            let slot = self.slots[idx]
-                .as_mut()
-                .expect("stepping an in-flight operation");
-            match self.cx.poll(slot.future.as_mut()) {
-                Err(Park::Hold(token)) => {
-                    let completion = self.cx.complete(token).await;
-                    self.cx.resume(completion);
-                }
-                polled => return polled,
-            }
-        }
-    }
-
     /// Poll the operation in slot `idx`, `completion` answering its park,
-    /// until it parks on something it posted or finishes (its result is
-    /// recorded and the slot left empty; on an error the slot is emptied
-    /// too).
+    /// until it parks on something that yields the client or finishes (its
+    /// result is recorded and the slot left empty; on an error the slot is
+    /// emptied too).  A hold is waited out here, its siblings parked
+    /// meanwhile.
     async fn step_slot(&mut self, idx: usize, completion: Option<Completion>) -> TreeResult<()> {
         let cx = self.cx;
+        let slot = self.slots[idx]
+            .as_mut()
+            .expect("stepping an in-flight operation");
         // Tag every verb (and CPU charge) of this operation with its id so
         // the shared completion queue can attribute it.
-        let id = self.slots[idx]
-            .as_ref()
-            .expect("stepping an in-flight operation")
-            .id;
-        cx.ctx().set_current_op(Some(id));
+        cx.ctx().set_current_op(Some(slot.id));
         if let Some(completion) = completion {
             cx.resume(completion);
         }
-        let mut polled = self.poll_slot(idx).await;
-        if let Err(Park::Exclusive) = polled {
-            // Boxed: rare, and every step would otherwise carry its state.
-            polled = Ok(Box::pin(self.drive_alone(idx, id)).await?);
-        }
+        let polled = loop {
+            match cx.poll(slot.future.as_mut()) {
+                Err(Park::Hold(token)) => {
+                    let completion = cx.complete(token).await;
+                    cx.resume(completion);
+                }
+                polled => break polled,
+            }
+        };
         cx.ctx().set_current_op(None);
         match polled {
             Err(park) => {
-                self.slots[idx].as_mut().expect("a parked operation").parked = park;
+                slot.locking |= matches!(park, Park::Lock(_));
+                slot.parked = Some(park);
                 Ok(())
             }
             Ok(Ok((output, meta))) => {
@@ -346,36 +317,43 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
         }
     }
 
-    /// Rule two: the operation in slot `idx` (id `id`) takes further locks,
-    /// and waits for them, only with every sibling out of its acquisition —
-    /// and then alone.
-    async fn drive_alone(
-        &mut self,
-        idx: usize,
-        id: u64,
-    ) -> TreeResult<TreeResult<(OpOutput, OpMeta)>> {
-        let slot = self.slots[idx].as_mut().expect("an exclusive operation");
-        slot.parked = Park::Exclusive;
-        self.cx.ctx().set_current_op(None);
-        self.settle_acquisitions(Some(idx)).await?;
-        let slot = self.slots[idx].as_mut().expect("an exclusive operation waits");
-        self.cx.ctx().set_current_op(Some(id));
-        Ok(self.cx.drive(slot.future.as_mut()).await)
+    /// Resume the operation, among those `pick` accepts, whose parked
+    /// completion is due first.  `false` when `pick` accepts none.
+    async fn step_next(&mut self, pick: impl Fn(&Slot<'f>) -> bool) -> TreeResult<bool> {
+        if !self.slots.iter().flatten().any(&pick) {
+            return Ok(false);
+        }
+        let parked_on = |token| {
+            let on = |slot: &Slot<'f>| pick(slot) && slot.parked.map(Park::token) == Some(token);
+            self.slots.iter().position(|s| s.as_ref().is_some_and(on))
+        };
+        let (due, token) = self
+            .cx
+            .ctx()
+            .next_due(|token| parked_on(token).is_some())
+            .expect("the operations of one client wait for each other");
+        let idx = parked_on(token).expect("a parked completion");
+        self.cx.until(due).await;
+        let completion = self.cx.ctx().poll_token(token);
+        self.step_slot(idx, Some(completion)).await?;
+        Ok(true)
     }
 
     /// Run the feed to its end and return every result.  On a failure,
-    /// leave the context — and the locks — clean first: let every operation
-    /// that is acquiring a lock release it again (their own failures no
-    /// longer matter), then observe every outstanding completion.
+    /// leave the context — and the locks, and the tree — clean first: run
+    /// every operation that has begun a lock acquisition to its end (their
+    /// own failures no longer matter), then observe every outstanding
+    /// completion.
     async fn finish(mut self) -> TreeResult<Vec<PipelinedResult>> {
         if let Err(e) = self.run_feed().await {
-            while self.settle_acquisitions(None).await.is_err() {}
+            while self.step_next(|slot| slot.locking).await.unwrap_or(true) {}
             loop {
-                let Some(due) = self.cx.ctx().next_due() else {
+                let next = self.cx.ctx().next_due(|_| true);
+                let Some((due, token)) = next else {
                     break;
                 };
                 self.cx.until(due).await;
-                self.cx.ctx().poll(None);
+                self.cx.ctx().poll_token(token);
             }
             // What is left are waits nothing can wake any more.
             self.cx.ctx().drain();
@@ -384,61 +362,17 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
         Ok(self.results)
     }
 
-    /// Completion-driven loop: the earliest outstanding completion decides
-    /// which operation advances; a finished operation's slot pulls the next
-    /// one from the feed before anything else runs.
+    /// Completion-driven loop: the operation whose parked completion is due
+    /// first advances; a finished operation's slot pulls the next one from
+    /// the feed before anything else runs.
     async fn run_feed(&mut self) -> TreeResult<()> {
-        self.refill_all().await?;
-        while self.slots.iter().any(Option::is_some) {
-            let due = self
-                .cx
-                .ctx()
-                .next_due()
-                .expect("every in-flight operation has an outstanding verb");
-            self.cx.until(due).await;
-            let completion = self
-                .cx
-                .ctx()
-                .poll(None)
-                .expect("the completion that was due is outstanding");
-            let idx = self
-                .slots
-                .iter()
-                .position(|s| {
-                    s.as_ref()
-                        .is_some_and(|slot| slot.parked.token() == Some(completion.token))
-                })
-                .expect("completion token belongs to an in-flight operation");
-            self.step_slot(idx, Some(completion)).await?;
-            self.refill_all().await?;
-        }
-        Ok(())
-    }
-
-    /// Step every operation other than `except` that is inside a lock
-    /// acquisition — holding a lock, an attempt in flight, or queued for one
-    /// — until it has posted its release, earliest completion first.  No slot
-    /// is refilled meanwhile, so this ends: each such operation needs nothing
-    /// but its own completions (and releases of the others, which wake it)
-    /// to get there.
-    async fn settle_acquisitions(&mut self, except: Option<usize>) -> TreeResult<()> {
         loop {
-            let next = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|&(idx, _)| Some(idx) != except)
-                .filter_map(|(idx, slot)| match slot.as_ref()?.parked {
-                    Park::Lock(token) => Some((self.cx.ctx().completes_at(token), idx, token)),
-                    _ => None,
-                })
-                .min_by_key(|&(due, idx, _)| (due, idx));
-            let Some((due, idx, token)) = next else {
+            for idx in 0..self.slots.len() {
+                self.refill(idx).await?;
+            }
+            if !self.step_next(|_| true).await? {
                 return Ok(());
-            };
-            assert!(due != u64::MAX, "lock acquisitions of one client wait for each other");
-            let completion = self.cx.complete(token).await;
-            self.step_slot(idx, Some(completion)).await?;
+            }
         }
     }
 }
@@ -587,7 +521,7 @@ impl<B: FabricBackend> TreeClient<B> {
     /// All four operation kinds pipeline.  Reads are lock-free throughout;
     /// writes overlap their location phase, their lock + read round trip and
     /// their write-back + release round trip with the other operations (see
-    /// the module docs for the two rules that make that safe).
+    /// the module docs for the rule that makes that safe).
     pub fn run_pipelined(
         &mut self,
         ops: impl IntoIterator<Item = PipelineOp>,

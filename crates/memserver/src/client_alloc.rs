@@ -208,12 +208,11 @@ impl<B: FabricBackend> ClientAllocator<B> {
         block_on(self.alloc(&InPlace::new(client)))
     }
 
-    /// Allocate one node without charging fabric time (bulkload / setup).
-    pub fn alloc_node_untimed(
-        &mut self,
-        client: &mut ClientCtx<B::Channel>,
-    ) -> Result<AllocatedNode, PoolError> {
-        if let Some(node) = self.take_local(client.now()) {
+    /// Allocate one node without charging fabric time (bulkload / setup) at
+    /// virtual time `now`: [`ClientAllocator::alloc`] with every chunk taken
+    /// from its server directly, no request posted.
+    pub fn alloc_untimed(&self, now: u64) -> Result<AllocatedNode, PoolError> {
+        if let Some(node) = self.take_local(now) {
             return Ok(node);
         }
         for _ in 0..self.pool.servers() {
@@ -223,7 +222,15 @@ impl<B: FabricBackend> ClientAllocator<B> {
                 Err(e) => return Err(e),
             }
         }
-        self.rescue(client.now())
+        self.rescue(now)
+    }
+
+    /// [`ClientAllocator::alloc_untimed`] at `client`'s time.
+    pub fn alloc_node_untimed(
+        &mut self,
+        client: &mut ClientCtx<B::Channel>,
+    ) -> Result<AllocatedNode, PoolError> {
+        self.alloc_untimed(client.now())
     }
 }
 

@@ -661,14 +661,22 @@ impl<C: FabricChannel> ClientCtx<C> {
             .completed_at
     }
 
-    /// When the earliest outstanding completion that needs no wake is due —
-    /// what [`ClientCtx::poll`] would wait for — or `None` when there is none.
-    pub fn next_due(&self) -> Option<u64> {
-        self.cq
-            .iter()
-            .map(|e| e.completed_at)
-            .filter(|&due| due != u64::MAX)
-            .min()
+    /// The earliest outstanding completion that needs no wake among those
+    /// `wanted` picks, with when it is due: the one [`ClientCtx::poll`]
+    /// would dequeue were they all that is outstanding (a tie goes the same
+    /// way), or `None` when there is none.
+    pub fn next_due(
+        &self,
+        mut wanted: impl FnMut(PendingVerb) -> bool,
+    ) -> Option<(u64, PendingVerb)> {
+        let mut next: Option<&Completion> = None;
+        for e in &self.cq {
+            let earlier = next.is_none_or(|n| e.completed_at < n.completed_at);
+            if earlier && e.completed_at != u64::MAX && wanted(e.token) {
+                next = Some(e);
+            }
+        }
+        next.map(|e| (e.completed_at, e.token))
     }
 
     /// Dequeue entry `idx`; the time an op spent parked on a wait is charged

@@ -2,7 +2,7 @@
 //! scheduler park on their lock acquisition like on any other round trip,
 //! yet a lock word has one holder at a time on the context, operations that
 //! want the same word queue and hand it over in arrival order, commits that
-//! take further locks never meet a sibling inside one — and the run still
+//! take further locks interleave with their siblings — and the run still
 //! reproduces the blocking path verb-for-verb at depth 1, agrees with an
 //! in-memory model at every depth, and attributes every tagged completion
 //! back to the operation that posted it.
@@ -63,26 +63,32 @@ fn final_model(ops: &[PipelineOp], mut model: BTreeMap<u64, u64>) -> BTreeMap<u6
     model
 }
 
+/// What [`check_lock_discipline`] counted in a trace.
+struct Discipline {
+    /// Critical sections opened.
+    sections: u64,
+    /// Posts by other ops while some section was open.
+    interleaved: u64,
+    /// Ops that posted after their first section closed: a follow-up (a
+    /// split's separator, a merge), or a write whose leaf moved under it
+    /// re-locating.
+    followups: usize,
+    /// Of those, the ones with another op's post inside their posts after
+    /// that section.
+    shared_followups: usize,
+}
+
 /// Check the lock discipline of one context from its verb trace: per lock
 /// word the sections strictly alternate begin/end and are closed by the op
 /// that opened them, so at most one in-flight operation of the client is
 /// between learning it holds the word and posting its release; a post is
-/// flagged critical exactly when the posting op has a section open.  With
-/// `followups_alone`, also: the posts an op makes once its first section
-/// (its leaf's) has closed — its follow-up: a split's separator, a merge —
-/// form one contiguous run, with no other op's post inside it.  (A write
-/// whose leaf moved under it also posts after that section, to re-locate,
-/// and does wait among the others: check only a trace without such
-/// retries.)  Returns `(sections, posts by other ops while some section was
-/// open, ops that posted after their leaf section)`.
-fn check_lock_discipline(
-    trace: &[TraceEvent],
-    context: &str,
-    followups_alone: bool,
-) -> (u64, u64, usize) {
+/// flagged critical exactly when the posting op has a section open; and
+/// every section is closed at the end.
+fn check_lock_discipline(trace: &[TraceEvent], context: &str) -> Discipline {
     let mut open: HashMap<u128, Option<u64>> = HashMap::new();
     let (mut sections, mut interleaved) = (0u64, 0u64);
-    let (mut closed, mut followups) = (HashSet::new(), HashSet::new());
+    let (mut closed, mut followups, mut shared) =
+        (HashSet::new(), HashSet::new(), HashSet::new());
     let mut last_post = None;
     for event in trace {
         match *event {
@@ -110,19 +116,20 @@ fn check_lock_discipline(
                 if !holds && !open.is_empty() {
                     interleaved += 1;
                 }
-                if closed.contains(&op) && !followups.insert(op) && followups_alone {
-                    assert_eq!(
-                        last_post,
-                        Some(op),
-                        "{context}: another op posted inside the follow-up of {op:?}"
-                    );
+                if closed.contains(&op) && !followups.insert(op) && last_post != Some(op) {
+                    shared.insert(op);
                 }
                 last_post = Some(op);
             }
         }
     }
     assert!(open.is_empty(), "{context}: sections left open: {open:?}");
-    (sections, interleaved, followups.len())
+    Discipline {
+        sections,
+        interleaved,
+        followups: followups.len(),
+        shared_followups: shared.len(),
+    }
 }
 
 /// Tentpole invariant, from the verb trace of the mixed workload at depths
@@ -139,8 +146,8 @@ fn a_lock_word_has_one_holder_at_a_time_on_a_context() {
             .run_pipelined(mixed_ops(240, 1_200), depth)
             .unwrap();
         assert_eq!(report.results.len(), 240, "depth {depth}");
-        let (sections, _, _) =
-            check_lock_discipline(&client.take_verb_trace(), &format!("depth {depth}"), false);
+        let Discipline { sections, .. } =
+            check_lock_discipline(&client.take_verb_trace(), &format!("depth {depth}"));
         assert!(
             sections >= 120,
             "depth {depth}: expected a critical section per write, saw {sections}"
@@ -155,11 +162,11 @@ fn a_lock_word_has_one_holder_at_a_time_on_a_context() {
         });
         let report = client.run_pipelined(ops, depth).unwrap();
         let handed_over = report.results.iter().filter(|r| r.handed_over).count();
-        let (sections, interleaved, _) = check_lock_discipline(
-            &client.take_verb_trace(),
-            &format!("hot leaf, depth {depth}"),
-            false,
-        );
+        let Discipline {
+            sections,
+            interleaved,
+            ..
+        } = check_lock_discipline(&client.take_verb_trace(), &format!("hot leaf, depth {depth}"));
         assert_eq!(sections, 200, "depth {depth}: one section per write");
         if depth == 1 {
             assert_eq!((handed_over, interleaved), (0, 0));
@@ -532,11 +539,12 @@ fn hot_leaf_writes_match_the_sequential_model_threaded() {
 /// 256 B nodes and a lock table of 32 words per memory server: the leaves of
 /// most in-flight writes alias each other's lock words, and those of the
 /// parents that splits and merges lock.  Fresh inserts split and a drain
-/// merges while siblings hold — or queue for — leaf locks; every such commit
-/// waits for its siblings to let go first, so the run terminates, and leaves
-/// a tree equal to the model with a clean census and shape.  With
-/// `check_followups`, the depth-4 run's verb trace also shows each follow-up
-/// running alone ([`check_lock_discipline`]).
+/// merges while siblings hold — or queue for — leaf locks and take further
+/// locks of their own; the run terminates, and leaves a tree equal to the
+/// model with a clean census and shape.  With `check_followups`, the depth-4
+/// run's verb trace also shows the lock discipline held and a follow-up
+/// interleaved with its siblings: another op posts inside it
+/// ([`check_lock_discipline`]).
 fn splits_and_merges_under_aliased_lock_words_on<B: FabricBackend>(check_followups: bool) {
     let mut config = ClusterConfig::small();
     config.fabric.onchip_bytes_per_ms = 64;
@@ -585,8 +593,12 @@ fn splits_and_merges_under_aliased_lock_words_on<B: FabricBackend>(check_followu
             if traced {
                 let context = format!("{phase}, depth {depth}");
                 let trace = client.take_verb_trace();
-                let (_, _, followups) = check_lock_discipline(&trace, &context, true);
-                assert!(followups > 0, "{context}: no follow-up ran");
+                let discipline = check_lock_discipline(&trace, &context);
+                assert!(discipline.followups > 0, "{context}: no follow-up ran");
+                assert!(
+                    discipline.shared_followups > 0,
+                    "{context}: every follow-up ran alone"
+                );
             }
             report
         };
@@ -628,4 +640,158 @@ fn splits_and_merges_under_aliased_lock_words_sim() {
 #[test]
 fn splits_and_merges_under_aliased_lock_words_threaded() {
     splits_and_merges_under_aliased_lock_words_on::<ThreadedFabric>(false);
+}
+
+/// On every level of a quiesced tree, the live nodes of the sibling chain
+/// are exactly the children the level above names, in order: no split is
+/// left without its separator, no merge without its unlink.
+fn assert_levels_linked(cluster: &Cluster, context: &str) {
+    use sherman_repro::sherman_memserver::ServerLayout;
+    use sherman_sim::GlobalAddress;
+    let fabric = cluster.fabric();
+    let layout = *cluster.layout();
+    let read = |addr: GlobalAddress| {
+        let mut buf = vec![0u8; layout.node_size()];
+        fabric.god_read(addr, &mut buf).unwrap();
+        buf
+    };
+    // The live nodes of the chain that starts at `head`, with their images.
+    let chain = |head: GlobalAddress| {
+        let mut nodes = Vec::new();
+        let mut cursor = Some(head);
+        while let Some(addr) = cursor {
+            let buf = read(addr);
+            let header = layout.decode_header(&buf);
+            assert!(!header.free, "{context}: a freed node {addr:?} is still linked");
+            cursor = header.sibling;
+            nodes.push((addr, buf));
+        }
+        nodes
+    };
+    let root = GlobalAddress::unpack(fabric.god_read_u64(ServerLayout::root_ptr_addr()).unwrap());
+    let mut level = chain(root);
+    loop {
+        let header = layout.decode_header(&level[0].1);
+        if header.is_leaf {
+            return;
+        }
+        let named: Vec<GlobalAddress> = level
+            .iter()
+            .flat_map(|(_, buf)| {
+                let node = layout.decode_internal(buf);
+                node.header
+                    .leftmost
+                    .into_iter()
+                    .chain(node.entries.iter().map(|e| e.child))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let below = chain(named[0]);
+        let linked: Vec<GlobalAddress> = below.iter().map(|(addr, _)| *addr).collect();
+        assert_eq!(
+            linked,
+            named,
+            "{context}: level {} links other children than level {} names",
+            header.level - 1,
+            header.level
+        );
+        level = below;
+    }
+}
+
+/// A cluster whose pool runs dry after a few hundred carves, loaded with
+/// 1 024 even keys: one 48 KiB chunk of 256-byte nodes per server past the
+/// 4 KiB superblock, as the hostile suite's pool-exhaustion run has.
+fn tiny_pool_cluster() -> Arc<Cluster> {
+    let config = ClusterConfig {
+        fabric: FabricConfig {
+            host_bytes_per_ms: 52 << 10,
+            memory_servers: 2,
+            compute_servers: 1,
+            ..FabricConfig::small_test()
+        },
+        tree: TreeConfig {
+            node_size: 256,
+            chunk_bytes: 48 << 10,
+            ..TreeConfig::small_test()
+        },
+    };
+    let cluster = Cluster::new(config, TreeOptions::sherman());
+    cluster
+        .bulkload((0..1024u64).map(|k| (k * 2, k)))
+        .expect("bulkload");
+    cluster
+}
+
+/// After a failed batch: a next batch updating every key left takes every
+/// lock at its first attempt (no lock word was left held), every carved node
+/// is reachable, and every level links exactly the children its parents
+/// name.
+fn assert_left_clean(cluster: &Cluster, client: &mut TreeClient, context: &str) {
+    let (present, _) = client.range(0, 8_192).expect("range");
+    let updates: Vec<PipelineOp> = present
+        .iter()
+        .map(|&(key, _)| PipelineOp::Insert { key, value: key + 1 })
+        .collect();
+    let report = client.run_pipelined(updates, 4).expect("updates after the failure");
+    let lock_retries: u32 = report.results.iter().map(|r| r.lock_retries).sum();
+    assert_eq!(lock_retries, 0, "{context}: a lock word was left held");
+    let census = cluster.node_census().unwrap();
+    assert_eq!(census.total(), cluster.nodes_outstanding(), "{context}");
+    assert_levels_linked(cluster, context);
+}
+
+/// Unwrap the allocation error a batch on a dry pool fails with.
+fn assert_exhausted(result: TreeResult<PipelineReport>) {
+    match result {
+        Err(TreeError::Allocation(msg)) => {
+            assert!(msg.contains("memory pool exhausted"), "{msg}");
+        }
+        other => panic!("expected allocation backpressure, got {other:?}"),
+    }
+}
+
+/// A depth-4 batch of appends on a pool that runs dry while splits are in
+/// flight fails with the allocation error — and leaves nothing behind: every
+/// critical section closed, no lock word held, every carved node reachable,
+/// and every split that happened linked into its parent level.
+#[test]
+fn a_failed_batch_finishes_what_began_a_lock_acquisition() {
+    let cluster = tiny_pool_cluster();
+    let mut client = cluster.client(0);
+    client.enable_verb_trace();
+    // Appends at the right edge, a lookup behind every three.
+    let appends = (0..4_000u64).map(|i| match i % 4 {
+        3 => PipelineOp::Lookup { key: 10_000 + i - 3 },
+        _ => PipelineOp::Insert { key: 10_000 + i, value: i },
+    });
+    assert_exhausted(client.run_pipelined(appends, 4));
+    assert!(cluster.pool().backpressure().snapshot().exhaustion_events > 0);
+    let context = "failed appends";
+    let discipline = check_lock_discipline(&client.take_verb_trace(), context);
+    assert!(discipline.followups > 0, "{context}: no split ran");
+    assert_left_clean(&cluster, &mut client, context);
+}
+
+/// On a pool already dry, a depth-4 batch of deletes that merge, with an
+/// insert that must split every eighth op, fails at the first split — while
+/// a sibling's merge holds its three locks.  That merge runs to its end: the
+/// trace shows every section closed and the tree is left clean.
+#[test]
+fn a_failed_batch_runs_its_merges_to_their_end() {
+    let cluster = tiny_pool_cluster();
+    for ms in 0..2u16 {
+        while cluster.pool().alloc_chunk_untimed(ms).is_ok() {}
+    }
+    let mut client = cluster.client(0);
+    client.enable_verb_trace();
+    let ops = (0..400u64).map(|i| match i % 8 {
+        7 => PipelineOp::Insert { key: 1_001 + i / 8 * 2, value: i },
+        _ => PipelineOp::Delete { key: (i - i / 8) * 2 },
+    });
+    assert_exhausted(client.run_pipelined(ops, 4));
+    let context = "failed deletes";
+    check_lock_discipline(&client.take_verb_trace(), context);
+    assert!(cluster.space_stats().leaf_merges > 0, "{context}: no merge ran");
+    assert_left_clean(&cluster, &mut client, context);
 }

@@ -18,6 +18,15 @@ pub struct ChildRef {
 }
 
 /// A compute-server-side copy of an internal tree node.
+///
+/// The separators and their children are kept packed in one buffer, two
+/// columns of fixed-width little-endian integers: each separator as its
+/// offset from the lower fence the image was built with, then each child as
+/// its signed distance from `leftmost` in units of the largest power of two
+/// that divides every distance (the node size or more: nodes are allocated
+/// node-aligned).  Each column is as wide as its widest value needs, 1, 2, 4
+/// or 8 bytes.  An image whose children lie on more than one memory server
+/// (or memory space) keeps them as whole packed addresses, 8 bytes each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedInternal {
     /// Remote address of the internal node this copy was made from.
@@ -29,18 +38,138 @@ pub struct CachedInternal {
     /// Level of the node (leaves are level 0, so a level-1 image routes
     /// straight to a leaf address).
     pub level: u8,
-    /// Child routed to for keys below the first separator.
-    pub leftmost: GlobalAddress,
-    /// Separator keys with their children, sorted by separator.
-    pub children: Vec<ChildRef>,
     /// Node-level version (`front_version`) of the remote image this copy was
     /// made from.  Cache admission compares it against the tombstone version
     /// carried by coherence invalidations: a copy read *before* a retire must
     /// not be re-inserted *after* the invalidation was applied.
     pub version: u8,
+    /// Child routed to for keys below the first separator, and the origin of
+    /// the children's distances.
+    leftmost: GlobalAddress,
+    /// The key the separators are offsets from: the lower fence the image
+    /// was built with (`fence_low` is public and may be moved after).
+    key_base: u64,
+    /// Bytes of one separator offset.
+    key_width: u8,
+    /// Bytes of one child.
+    child_width: u8,
+    /// Each child's distance from `leftmost` is stored shifted right by this
+    /// many bits; `None` when the children span servers and each is stored
+    /// as a whole packed address.
+    child_shift: Option<u8>,
+    /// The separator column, then the child column.
+    packed: Box<[u8]>,
+}
+
+/// The narrowest of 1, 2, 4 and 8 bytes that holds `value`.
+fn width_of(value: u64) -> u8 {
+    match value {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        0x1_0000..=0xFFFF_FFFF => 4,
+        _ => 8,
+    }
+}
+
+/// The narrowest of 1, 2, 4 and 8 bytes that holds `value` as a two's
+/// complement integer.
+fn signed_width_of(value: i64) -> u8 {
+    let magnitude = if value < 0 { !value } else { value } as u64;
+    width_of(magnitude << 1)
+}
+
+/// Fill `column` with the low `width` bytes of each of `values`,
+/// little-endian.
+fn fill(column: &mut [u8], width: usize, values: impl Iterator<Item = u64>) {
+    fn of<const W: usize>(column: &mut [u8], values: impl Iterator<Item = u64>) {
+        for (at, value) in column.chunks_exact_mut(W).zip(values) {
+            at.copy_from_slice(&value.to_le_bytes()[..W]);
+        }
+    }
+    match width {
+        1 => of::<1>(column, values),
+        2 => of::<2>(column, values),
+        4 => of::<4>(column, values),
+        _ => of::<8>(column, values),
+    }
+}
+
+/// The `index`-th `width`-byte little-endian integer of `column`.
+fn read(column: &[u8], width: usize, index: usize) -> u64 {
+    fn word<const N: usize>(bytes: &[u8]) -> [u8; N] {
+        bytes[..N].try_into().expect("N bytes")
+    }
+    let bytes = &column[index * width..];
+    match width {
+        1 => bytes[0].into(),
+        2 => u16::from_le_bytes(word(bytes)).into(),
+        4 => u32::from_le_bytes(word(bytes)).into(),
+        _ => u64::from_le_bytes(word(bytes)),
+    }
 }
 
 impl CachedInternal {
+    /// The image of the level-`level` node at `addr`, stamped `version`,
+    /// over `[fence_low, fence_high)`, routing keys below the first
+    /// separator to `leftmost` and the others by `children`, in separator
+    /// order.
+    pub fn new<I>(
+        addr: GlobalAddress,
+        level: u8,
+        version: u8,
+        fence_low: u64,
+        fence_high: u64,
+        leftmost: GlobalAddress,
+        children: I,
+    ) -> Self
+    where
+        I: IntoIterator<Item = ChildRef>,
+        I::IntoIter: Clone,
+    {
+        let children = children.into_iter();
+        let distance = |c: &ChildRef| c.child.offset.wrapping_sub(leftmost.offset) as i64;
+        let (mut len, mut key_width, mut spans) = (0, 1, false);
+        let (mut bits, mut nearest, mut farthest) = (0u64, 0i64, 0i64);
+        for c in children.clone() {
+            len += 1;
+            key_width = key_width.max(width_of(c.separator.wrapping_sub(fence_low)));
+            spans |= c.child.ms != leftmost.ms || c.child.space != leftmost.space;
+            let d = distance(&c);
+            (bits, nearest, farthest) = (bits | d as u64, nearest.min(d), farthest.max(d));
+        }
+        // Every distance is a multiple of `1 << shift` (0 when all are 0).
+        let child_shift = (!spans).then(|| bits.trailing_zeros() as u8 % 64);
+        let child_width = match child_shift {
+            Some(shift) => {
+                signed_width_of(nearest >> shift).max(signed_width_of(farthest >> shift))
+            }
+            None => 8,
+        };
+        let child_value = |c: &ChildRef| match child_shift {
+            Some(shift) => (distance(c) >> shift) as u64,
+            None => c.child.pack(),
+        };
+        let (kw, cw) = (key_width as usize, child_width as usize);
+        let mut packed = vec![0u8; len * (kw + cw)].into_boxed_slice();
+        let (keys, childs) = packed.split_at_mut(len * kw);
+        let offset = |c: ChildRef| c.separator.wrapping_sub(fence_low);
+        fill(keys, kw, children.clone().map(offset));
+        fill(childs, cw, children.map(|c| child_value(&c)));
+        CachedInternal {
+            addr,
+            fence_low,
+            fence_high,
+            level,
+            version,
+            leftmost,
+            key_base: fence_low,
+            key_width,
+            child_width,
+            child_shift,
+            packed,
+        }
+    }
+
     /// Whether `version` is strictly newer than `floor` under the node
     /// header's wrapping `u8` version arithmetic (serial-number comparison:
     /// newer means `version - floor` lands in `1..=127` mod 256).
@@ -54,66 +183,112 @@ impl CachedInternal {
         key >= self.fence_low && (self.fence_high == u64::MAX || key < self.fence_high)
     }
 
+    /// Child routed to for keys below the first separator.
+    pub fn leftmost(&self) -> GlobalAddress {
+        self.leftmost
+    }
+
+    /// Number of separators (children besides the leftmost one).
+    pub fn len(&self) -> usize {
+        self.packed.len() / (self.key_width + self.child_width) as usize
+    }
+
+    /// Whether the image keeps no separator: every key goes to the leftmost
+    /// child.
+    pub fn is_empty(&self) -> bool {
+        self.packed.is_empty()
+    }
+
+    fn separator(&self, index: usize) -> u64 {
+        let offset = read(&self.packed, self.key_width as usize, index);
+        self.key_base.wrapping_add(offset)
+    }
+
+    fn child(&self, index: usize) -> GlobalAddress {
+        let width = self.child_width as usize;
+        let column = &self.packed[self.len() * self.key_width as usize..];
+        let raw = read(column, width, index);
+        let Some(shift) = self.child_shift else {
+            return GlobalAddress::unpack(raw);
+        };
+        let unused = 64 - 8 * width as u32;
+        let distance = ((raw << unused) as i64 >> unused) << shift;
+        GlobalAddress {
+            offset: self.leftmost.offset.wrapping_add(distance as u64),
+            ..self.leftmost
+        }
+    }
+
+    /// The separators with their children, in key order.
+    pub fn children(&self) -> impl ExactSizeIterator<Item = ChildRef> + Clone + '_ {
+        (0..self.len()).map(|i| ChildRef {
+            separator: self.separator(i),
+            child: self.child(i),
+        })
+    }
+
+    /// The child of the `rank`-th separator, the leftmost one for rank 0.
+    fn child_of_rank(&self, rank: usize) -> GlobalAddress {
+        rank.checked_sub(1).map_or(self.leftmost, |i| self.child(i))
+    }
+
+    /// Number of separators at or below `key`.
+    fn rank(&self, key: u64) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.separator(mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
     /// The child a traversal for `key` descends into.
     pub fn child_for(&self, key: u64) -> GlobalAddress {
         debug_assert!(self.covers(key));
-        match self.children.partition_point(|c| c.separator <= key) {
-            0 => self.leftmost,
-            n => self.children[n - 1].child,
-        }
+        self.child_of_rank(self.rank(key))
     }
 
     /// Children whose key ranges may intersect `[start, end]` (inclusive),
     /// in key order.  Used by range queries to read several leaves in one
     /// parallel batch.
     pub fn children_in_range(&self, start: u64, end: u64) -> Vec<GlobalAddress> {
-        let mut out = Vec::new();
-        let first = self.children.partition_point(|c| c.separator <= start);
-        if first == 0 {
-            out.push(self.leftmost);
-        } else {
-            out.push(self.children[first - 1].child);
-        }
-        for c in &self.children[first..] {
-            if c.separator > end {
-                break;
-            }
-            out.push(c.child);
-        }
-        out
+        let first = self.rank(start);
+        let head = self.child_of_rank(first);
+        let rest = (first..self.len())
+            .take_while(|&i| self.separator(i) <= end)
+            .map(|i| self.child(i));
+        std::iter::once(head).chain(rest).collect()
     }
 
-    /// The bytes of node image this copy keeps, what the budget charges it:
-    /// the used prefix of the internal node it copies, the header and one
-    /// entry per separator.  Never more than the node size less its tail
-    /// word.
+    /// The bytes this copy keeps, what the budget charges it: a node header
+    /// and the packed children.  Never more than the used prefix of the node
+    /// it copies.
     pub fn charge(&self) -> usize {
-        IMAGE_HEADER_BYTES + IMAGE_ENTRY_BYTES * self.children.len()
+        IMAGE_HEADER_BYTES + self.packed.len()
     }
 
     /// Whether this image is a copy of `addr` or routes to it as a child.
     fn refers_to(&self, addr: GlobalAddress) -> bool {
-        self.addr == addr || self.leftmost == addr || self.children.iter().any(|c| c.child == addr)
+        self.addr == addr || self.leftmost == addr || self.children().any(|c| c.child == addr)
     }
 }
 
 /// Bytes of an internal node's header, charged to every cached image.
 const IMAGE_HEADER_BYTES: usize = 48;
 
-/// Bytes of one internal-node entry (separator and child pointer), charged
-/// per separator a cached image keeps.
-const IMAGE_ENTRY_BYTES: usize = 16;
-
 /// Capacity configuration of the index cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexCacheConfig {
-    /// Total budget for the images below the pinned top-two window, in bytes
-    /// of node image: each image is charged what
-    /// [`CachedInternal::charge`] says it keeps, not a whole node.
+    /// Total budget for the images below the pinned top-two window, in
+    /// bytes: each image is charged what [`CachedInternal::charge`] says it
+    /// keeps, not a whole node.
     pub capacity_bytes: usize,
     /// Size of a whole node image (the tree's node size).  Not what an image
-    /// is charged: it sizes the frequency sketch and its aging period, one
-    /// budgeted entry per `entry_bytes`, and the budget counts as full once
+    /// is charged: the budget counts as full, and counts start to move, once
     /// it has no room left for an image this large.
     pub entry_bytes: usize,
 }
@@ -127,13 +302,6 @@ impl IndexCacheConfig {
             capacity_bytes,
             entry_bytes,
         }
-    }
-
-    /// The budget in whole node images: what sizes the sketch and its
-    /// aging period.  Images are charged less than a whole node, so the
-    /// cache may hold more of them.
-    pub fn max_entries(&self) -> usize {
-        (self.capacity_bytes / self.entry_bytes).max(1)
     }
 }
 
@@ -160,26 +328,34 @@ struct Slot {
 /// Identity of an offered image: its level and lower fence key.
 type FenceKey = (u8, u64);
 
-/// One-byte counters of the frequency sketch per budgeted entry: 8 B per
-/// entry, 3 % of a 256 B image.
+/// One-byte counters of the frequency sketch per image the budget held when
+/// it filled: 8 B per image, an eighth of the 64 B a packed level-1 image of
+/// 256 B nodes keeps.  Per image, not per whole node: a sketch a quarter as
+/// wide as the images it tells apart overestimates them, and level-1 images
+/// of equal traffic evict each other (on `tests/cache_paths.rs`'s deep tree,
+/// 248 evictions per 1 000 lookups instead of 3.7).
 const SKETCH_COUNTERS_PER_ENTRY: usize = 8;
 
 /// Hashes of the sketch, one row of counters each.
 const SKETCH_ROWS: usize = 4;
 
-/// Recordings between two halvings of every count, per budgeted entry.  The
-/// period must be long enough for a level-2 image's tenfold traffic over each
-/// of its level-1 children to show before the counts halve.  On the
-/// benchmark's `lookup_cold_deep` (1 024 whole-node entries size the sketch;
-/// warm-up fills the 256 KB with levels 4 to 2, 16 + 144 + 1 295 images, and
-/// 34 level-1 images), on compute server 0 after 2 M operations, halving
-/// every `2 ×` recordings left 360 level-1 images cached over 969 level-2
-/// ones and 2.266 round trips per operation, every `4 ×` 189 over 1 140 and
-/// 2.150, every `10 ×` 101 over 1 228 and 2.052; from `32 ×` on the figure is
-/// flat (`32 ×`: 84 over 1 245, 2.047; `1 000 ×`: the same images, 2.047).
-/// The counts must still fade for a hot set that moved to get in, so the
-/// period stays at the knee: `32 ×` is 32 768 recorded offers there, about
-/// one per lookup.
+/// Recordings between two halvings of every count, per image the sketch was
+/// sized for.  The period must be long enough for a level-2 image's tenfold
+/// traffic over each of its level-1 children to show before the counts
+/// halve.  Where the budget's edge lies in level 2, the round trips fall
+/// until `32 ×` and are flat beyond: on the benchmark's `lookup_cold_deep`
+/// with images charged their node's used prefix, on compute server 0 after
+/// 2 M operations, `2 ×` left 360 level-1 images cached over 969 level-2
+/// ones at 2.266 round trips per operation, `10 ×` 101 over 1 228 at 2.052,
+/// `32 ×` 84 over 1 245 at 2.047, `1 000 ×` the same.  With images packed,
+/// warm-up fills that 256 KB with levels 4 to 2 whole (16 + 144 + 1 295
+/// images) and 2 433 level-1 images, 3 885 images size the sketch, and the
+/// same run ends with all of level 2 and 2 433 – 2 440 level-1 images at
+/// 1.8406 – 1.8411 round trips whatever the period from `2 ×` to `1 000 ×`;
+/// only the level-1 churn falls as the period grows (344 k evictions at
+/// `2 ×`, 134 k at `10 ×`, 65 k at `32 ×`, 24 k at `1 000 ×`).  The knee
+/// did not move, this budget no longer reaches it, so the period stays at
+/// `32 ×`: the counts must still fade for a hot set that moved to get in.
 const AGING_PERIOD_PER_ENTRY: usize = 32;
 
 /// One step of splitmix64: advance `state`, return a well-mixed word.
@@ -199,18 +375,21 @@ struct Sketch {
     /// `SKETCH_ROWS` rows of `width` counters, row after row.
     counters: Vec<u8>,
     width: usize,
-    /// The budget, in entries, the sketch was sized for.
+    /// The images the budget held when the sketch was sized.
     entries: usize,
+    /// The budget, in bytes, the sketch was sized under.
+    capacity: usize,
 }
 
 impl Sketch {
-    fn new(entries: usize) -> Self {
+    fn new(entries: usize, capacity: usize) -> Self {
         let counters = vec![0; entries * SKETCH_COUNTERS_PER_ENTRY];
         let width = counters.len() / SKETCH_ROWS;
         Sketch {
             counters,
             width,
             entries,
+            capacity,
         }
     }
 
@@ -424,18 +603,20 @@ impl Inner {
         uses.store(n, Ordering::Relaxed);
     }
 
-    /// The sketch for a budget of `max` entries, allocated the first time the
-    /// budget is full (from then on counts move) and again when the budget
-    /// changed.  The sketch's counters and the residents' counts are one
-    /// scale, so a new sketch restarts them all: kept across a 4× shrink, the
-    /// survivors' counts locked a shifting hot spot out of the smaller budget.
-    fn sketch_for(&mut self, max: usize) -> &mut Sketch {
-        if self.sketch.as_ref().is_none_or(|s| s.entries != max) {
+    /// The sketch for a budget of `capacity` bytes, allocated the first time
+    /// the budget is full (from then on counts move) and again when the
+    /// budget changed, sized for the images the budget then holds.  The
+    /// sketch's counters and the residents' counts are one scale, so a new
+    /// sketch restarts them all: kept across a 4× shrink, the survivors'
+    /// counts locked a shifting hot spot out of the smaller budget.
+    fn sketch_for(&mut self, capacity: usize) -> &mut Sketch {
+        if self.sketch.as_ref().is_none_or(|s| s.capacity != capacity) {
             for slot in &mut self.slots {
                 *slot.uses.get_mut() = 0;
             }
             self.recorded = 0;
-            self.sketch = Some(Sketch::new(max));
+            let images = self.slots.len() - self.top;
+            self.sketch = Some(Sketch::new(images.max(1), capacity));
         }
         self.sketch.as_mut().expect("allocated above")
     }
@@ -446,21 +627,22 @@ impl Inner {
     }
 
     /// Record an offer of the image `key`, not resident, at a full budget of
-    /// `max` entries; returns its estimate.  Every `AGING_PERIOD_PER_ENTRY ×
-    /// max` recordings every resident count and every sketch counter halves
-    /// first, so what the traffic did long ago fades.
-    fn record_offer(&mut self, key: FenceKey, max: usize) -> u32 {
+    /// `capacity` bytes; returns its estimate.  Every `AGING_PERIOD_PER_ENTRY`
+    /// recordings per image the sketch was sized for, every resident count
+    /// and every sketch counter halves first, so what the traffic did long
+    /// ago fades.
+    fn record_offer(&mut self, key: FenceKey, capacity: usize) -> u32 {
+        let period = AGING_PERIOD_PER_ENTRY * self.sketch_for(capacity).entries;
         self.recorded += 1;
-        if self.recorded >= AGING_PERIOD_PER_ENTRY * max {
+        if self.recorded >= period {
             self.recorded = 0;
             for slot in &mut self.slots {
                 *slot.uses.get_mut() /= 2;
             }
-            if let Some(sketch) = &mut self.sketch {
-                sketch.counters.iter_mut().for_each(|c| *c /= 2);
-            }
+            let sketch = self.sketch_for(capacity);
+            sketch.counters.iter_mut().for_each(|c| *c /= 2);
         }
-        self.sketch_for(max).record(key).into()
+        self.sketch_for(capacity).record(key).into()
     }
 
     /// One power-of-two-choices candidate: a uniformly random slot,
@@ -526,9 +708,10 @@ impl Inner {
 /// level below shares one byte budget, spent top-down along the paths the
 /// traffic uses:
 ///
-/// * **charge** — an image costs the bytes of node image it keeps, the used
-///   prefix of the node it copies ([`CachedInternal::charge`]: 176 of 256 B
-///   at the bulkload's 80 % fill), not a whole node;
+/// * **charge** — an image costs the bytes it keeps, a node header and its
+///   children packed to the widths they need ([`CachedInternal::charge`]:
+///   64 – 72 B for most bulkloaded images of 256 B nodes, whose used prefix
+///   is 176 B), not a whole node;
 /// * **closure** — an image is admitted only under a cached (or pinned)
 ///   parent, and only an image with no cached child is evicted, so the cached
 ///   set is always a top-down prefix of root-to-leaf paths and a miss pays
@@ -541,9 +724,9 @@ impl Inner {
 ///   routes the traffic of all its children (TinyLFU admission: Einziger,
 ///   Friedman and Manes, ACM TOS 2017).  A cached image counts the lookups
 ///   it answered or lay above; an image not cached counts its offers in a
-///   count-min sketch of 4 hashes and 8 one-byte counters per budgeted
-///   entry — 8 B per entry, 3 % of a 256 B image.  Every `32 × max_entries`
-///   recorded offers every count halves, and a changed budget restarts them;
+///   count-min sketch of 4 hashes and 8 one-byte counters per image the
+///   budget held when it filled.  Every 32 recorded offers per such image
+///   every count halves, and a changed budget restarts them;
 /// * **eviction** — power of two choices: the less used of two random
 ///   evictable entries, drawn from a splitmix state of the cache's own, so a
 ///   run repeats exactly whatever thread drives it.
@@ -810,7 +993,7 @@ impl IndexCache {
                 // Admitting would evict: the image must have been offered
                 // more often than every victim its charge needs routed
                 // lookups.
-                uses = inner.record_offer((level, lo), self.config().max_entries());
+                uses = inner.record_offer((level, lo), capacity);
                 let need = inner.budgeted + charge - capacity;
                 let Some(victims) = inner.victims(need, uses, (level, lo)) else {
                     self.stats.deferred_admissions.inc();
@@ -894,7 +1077,7 @@ impl IndexCache {
             }
         }
         if inner.budgeted + config.entry_bytes > config.capacity_bytes {
-            inner.sketch_for(config.max_entries());
+            inner.sketch_for(config.capacity_bytes);
         }
     }
 
@@ -972,30 +1155,25 @@ mod tests {
     /// at `seps` (child addresses are arbitrary but distinct per node).
     fn image(level: u8, lo: u64, hi: u64, seps: &[u64]) -> CachedInternal {
         let base = (level as u64) << 36 | (lo & 0xFF_FFFF) << 8;
-        CachedInternal {
-            addr: addr(base + 255),
-            fence_low: lo,
-            fence_high: hi,
-            level,
-            leftmost: addr(base),
-            children: seps
-                .iter()
-                .enumerate()
-                .map(|(i, &separator)| ChildRef {
-                    separator,
-                    child: addr(base + 1 + i as u64),
-                })
-                .collect(),
-            version: 1,
-        }
+        let children = seps.iter().enumerate().map(|(i, &separator)| ChildRef {
+            separator,
+            child: addr(base + 1 + i as u64),
+        });
+        CachedInternal::new(addr(base + 255), level, 1, lo, hi, addr(base), children)
+    }
+
+    /// The `i`-th separator's child of `node`.
+    fn nth_child(node: &CachedInternal, i: usize) -> GlobalAddress {
+        node.children().nth(i).expect("a separator").child
     }
 
     fn level1(lo: u64, hi: u64) -> CachedInternal {
         image(1, lo, hi, &[lo + (hi - lo) / 2])
     }
 
-    /// The charge of the one-separator images these tests offer.
-    const ONE: usize = IMAGE_HEADER_BYTES + IMAGE_ENTRY_BYTES;
+    /// The charge of the one-separator images these tests offer: the header,
+    /// a one-byte separator offset and a one-byte child distance.
+    const ONE: usize = IMAGE_HEADER_BYTES + 2;
 
     /// A cache whose budget holds `entries` one-separator images.
     fn cache_of(entries: usize) -> IndexCache {
@@ -1033,22 +1211,22 @@ mod tests {
     fn child_routing_follows_separators() {
         let node = image(1, 100, 200, &[120, 150, 180]);
         assert!(node.covers(100) && node.covers(199) && !node.covers(200) && !node.covers(99));
-        assert_eq!(node.child_for(100), node.leftmost);
-        assert_eq!(node.child_for(119), node.leftmost);
-        assert_eq!(node.child_for(120), node.children[0].child);
-        assert_eq!(node.child_for(179), node.children[1].child);
-        assert_eq!(node.child_for(199), node.children[2].child);
+        assert_eq!(node.child_for(100), node.leftmost());
+        assert_eq!(node.child_for(119), node.leftmost());
+        assert_eq!(node.child_for(120), nth_child(&node, 0));
+        assert_eq!(node.child_for(179), nth_child(&node, 1));
+        assert_eq!(node.child_for(199), nth_child(&node, 2));
     }
 
     #[test]
     fn children_in_range_returns_key_ordered_cover() {
         let node = image(1, 0, u64::MAX, &[10, 20, 30]);
-        let child = |i: usize| node.children[i].child;
+        let child = |i: usize| nth_child(&node, i);
         assert_eq!(node.children_in_range(12, 25), vec![child(0), child(1)]);
-        assert_eq!(node.children_in_range(0, 5), vec![node.leftmost]);
+        assert_eq!(node.children_in_range(0, 5), vec![node.leftmost()]);
         assert_eq!(
             node.children_in_range(0, 100),
-            vec![node.leftmost, child(0), child(1), child(2)]
+            vec![node.leftmost(), child(0), child(1), child(2)]
         );
     }
 
@@ -1060,7 +1238,7 @@ mod tests {
         cache.insert_level1(level1(100, 200));
 
         let (leaf, from) = cache.lookup_leaf(60).unwrap();
-        assert_eq!(leaf, a.children[0].child);
+        assert_eq!(leaf, nth_child(&a, 0));
         assert_eq!(from, a.addr);
         assert!(cache.lookup_leaf(120).is_some());
         // A key outside every cached interval misses.
@@ -1097,10 +1275,7 @@ mod tests {
         assert_eq!(cache.stats().levels_skipped(), 4 + 3 + 1 + 3 + 2);
         // `search_top` is the same answer as a route, counting nothing.
         let (child, level) = cache.search_top(300).unwrap();
-        assert_eq!(
-            (child, level),
-            (image(2, 0, 500, &[250]).children[0].child, 1)
-        );
+        assert_eq!((child, level), (nth_child(&image(2, 0, 500, &[250]), 0), 1));
         assert_eq!(cache.stats().hits() + cache.stats().misses(), 3);
         // `peek` answers for one level exactly, counting nothing either.
         assert_eq!(cache.peek(1, 10).unwrap().fence_high, 250);
@@ -1227,8 +1402,8 @@ mod tests {
         assert!(cache.lookup_leaf(6_350).is_some());
     }
 
-    /// A level-1 image over `[lo, lo + 100)` keeping four separators: 112 B,
-    /// the charge of two one-separator images and then some.
+    /// A level-1 image over `[lo, lo + 100)` keeping four separators: 56 B,
+    /// more than one one-separator image frees.
     fn wide(lo: u64) -> CachedInternal {
         image(1, lo, lo + 100, &[lo + 20, lo + 40, lo + 60, lo + 80])
     }
@@ -1242,7 +1417,7 @@ mod tests {
             assert!(cache.lookup_leaf(150).is_some());
         }
         assert_eq!((uses(&cache, 1, 50), uses(&cache, 1, 150)), (0, 5));
-        // 112 B needs both residents gone.  The idle one alone is no room:
+        // 56 B needs both residents gone.  The idle one alone is no room:
         // while the busy one routed as many lookups as the image was
         // offered, neither goes.
         for offer in 1..=5 {
@@ -1288,6 +1463,22 @@ mod tests {
         let inner = cache.inner.read();
         assert!(inner.sketch.is_none());
         assert!((0..inner.slots.len()).all(|slot| inner.uses(slot) == 0));
+    }
+
+    /// The sketch is sized by the images the budget holds once it is full,
+    /// not by whole nodes: 256 B nodes, 50 B images, a budget of ten nodes.
+    #[test]
+    fn the_sketch_is_sized_by_the_images_a_full_budget_holds() {
+        let cache = IndexCache::new(IndexCacheConfig::new(10 * 256, 256));
+        let mut i = 0;
+        while cache.inner.read().sketch.is_none() {
+            cache.insert_level1(level1(i * 100, (i + 1) * 100));
+            i += 1;
+        }
+        let inner = cache.inner.read();
+        // 47 images leave no room for a whole node.
+        assert_eq!(inner.slots.len(), 47);
+        assert_eq!(inner.sketch.as_ref().map(|s| s.entries), Some(47));
     }
 
     /// Seeded random offers of images of one to six separators, lookups,
@@ -1343,7 +1534,7 @@ mod tests {
         let mut inner = cache.inner.write();
         let started = std::time::Instant::now();
         for image in fresh {
-            let uses = inner.record_offer((1, image.fence_low), entries as usize);
+            let uses = inner.record_offer((1, image.fence_low), cache.capacity_bytes());
             let victim = inner.pick_victim(&[]).expect("a full cache has a victim");
             inner.evict(victim);
             inner.insert(image, uses);
@@ -1433,7 +1624,7 @@ mod tests {
 
         let node = level1(200, 300);
         cache.insert_level1(node.clone());
-        cache.invalidate_addr(node.children[0].child);
+        cache.invalidate_addr(nth_child(&node, 0));
         assert!(cache.lookup_leaf(260).is_none());
 
         // Dropping a routing image drops the images only it made reachable.
@@ -1451,9 +1642,11 @@ mod tests {
     fn an_image_cached_already_is_replaced_in_place() {
         let cache = cache_of(1024);
         let old = level1(0, 100);
-        let mut new = old.clone();
-        new.children[0].child = addr(77);
-        new.version = 2;
+        let moved = [ChildRef {
+            separator: 50,
+            child: addr(77),
+        }];
+        let new = CachedInternal::new(old.addr, 1, 2, 0, 100, old.leftmost(), moved);
         cache.insert_level1(old.clone());
         cache.insert_level1(new);
         assert_eq!(cache.len(), 1);
@@ -1573,7 +1766,6 @@ mod tests {
         // A 4x budget shrink forces the working set down immediately.
         cache.set_capacity_bytes(4 * ONE);
         assert_eq!(cache.capacity_bytes(), 4 * ONE);
-        assert_eq!(cache.config().max_entries(), 4);
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.stats().pressure_evictions(), 12);
         assert_eq!(
@@ -1628,5 +1820,235 @@ mod tests {
         assert_eq!((cache.len(), cache.top_len()), (0, 0));
         assert_eq!(cache.search_top(10), None);
         assert_eq!(cache.tombstoned(addr(9)), None);
+    }
+
+    /// Five separators `span / 5` apart above key 1 000, their children
+    /// `step` 256 B nodes apart from a leftmost child on server 1 (the last
+    /// one on server `far` instead).
+    fn five(span: u64, step: u64, far: u16) -> CachedInternal {
+        let node = |i: u64, ms| GlobalAddress::host(ms, (1 << 30) + i * step * 256);
+        let children = (1..=5u64).map(|i| ChildRef {
+            separator: 1_000 + i * span / 5,
+            child: node(i, if i == 5 { far } else { 1 }),
+        });
+        CachedInternal::new(addr(7), 1, 1, 1_000, u64::MAX, node(0, 1), children)
+    }
+
+    #[test]
+    fn an_image_is_charged_its_header_and_its_one_buffer() {
+        // (separator span, child step in nodes, server of the last child):
+        // bytes of one separator offset + one child distance in node units.
+        let cases = [
+            ((200, 1, 1), 1 + 1),
+            // 125 nodes away still fits a byte: distances count nodes.
+            ((200, 25, 1), 1 + 1),
+            ((60_000, 201, 1), 2 + 2),
+            ((3_000_000, 1, 1), 4 + 1),
+            ((1 << 40, 40_001, 1), 8 + 4),
+            ((200, (1 << 34) + 1, 1), 1 + 8),
+            // Children on two servers keep whole packed addresses.
+            ((200, 1, 2), 1 + 8),
+        ];
+        for ((span, step, far), per_entry) in cases {
+            let image = five(span, step, far);
+            assert_eq!(image.charge(), IMAGE_HEADER_BYTES + image.packed.len());
+            assert_eq!(image.charge(), 48 + 5 * per_entry, "{span} {step} {far}");
+            assert_eq!(image.len(), 5);
+        }
+        let empty = image(1, 0, 100, &[]);
+        assert_eq!(
+            (empty.charge(), empty.len(), empty.is_empty()),
+            (48, 0, true)
+        );
+    }
+
+    /// What a packed image must answer, computed over a plain list of its
+    /// children.
+    struct Model {
+        addr: GlobalAddress,
+        leftmost: GlobalAddress,
+        children: Vec<ChildRef>,
+    }
+
+    impl Model {
+        fn child_for(&self, key: u64) -> GlobalAddress {
+            match self.children.partition_point(|c| c.separator <= key) {
+                0 => self.leftmost,
+                n => self.children[n - 1].child,
+            }
+        }
+
+        fn children_in_range(&self, start: u64, end: u64) -> Vec<GlobalAddress> {
+            let first = self.children.partition_point(|c| c.separator <= start);
+            let head = match first {
+                0 => self.leftmost,
+                n => self.children[n - 1].child,
+            };
+            let rest = self.children[first..]
+                .iter()
+                .take_while(|c| c.separator <= end);
+            std::iter::once(head).chain(rest.map(|c| c.child)).collect()
+        }
+
+        fn refers_to(&self, addr: GlobalAddress) -> bool {
+            self.addr == addr
+                || self.leftmost == addr
+                || self.children.iter().any(|c| c.child == addr)
+        }
+    }
+
+    /// Lower bound of each width class: values from one bound up to the next
+    /// need 1, 2, 4 and 8 bytes.
+    const CLASS: [u64; 5] = [0, 1 << 8, 1 << 16, 1 << 32, 1 << 62];
+
+    /// A random image of up to `n` separators whose widest separator offset
+    /// is drawn from width class `key_class` and whose first child's
+    /// distance (in node units; the others' are smaller, of either sign)
+    /// from `child_class`; on two servers when bit 0 of `shape` is set,
+    /// unbounded above when bit 1 is.
+    fn arbitrary_image(
+        (key_class, child_class, n, shape, mut rng): ImageParams,
+    ) -> (CachedInternal, Model) {
+        let (two_servers, unbounded) = (shape & 1 == 1, shape & 2 == 2);
+        let mut draw = |lo: u64, hi: u64| lo + splitmix(&mut rng) % (hi - lo);
+        let fence_low = draw(0, 1 << 62);
+        let widest = draw(CLASS[key_class].max(1), CLASS[key_class + 1]);
+        let mut offsets: Vec<u64> = (1..n)
+            .map(|_| draw(1, widest + 1))
+            .chain([widest])
+            .collect();
+        offsets.truncate(n);
+        offsets.sort_unstable();
+        offsets.dedup();
+        let unit = 64 << draw(0, 6);
+        let leftmost = GlobalAddress::host(3, 1 << 46);
+        let far = CLASS[child_class].max(1) / 2;
+        let children: Vec<ChildRef> = (offsets.iter().enumerate())
+            .map(|(i, &offset)| {
+                let units = draw(0, far.max(1) * 2).max(if i == 0 { far } else { 0 });
+                let sign = if i > 0 && draw(0, 2) == 0 { -1 } else { 1 };
+                let distance = (units * unit) as i64 * sign;
+                let ms = if two_servers && draw(0, 2) == 0 { 4 } else { 3 };
+                ChildRef {
+                    separator: fence_low + offset,
+                    child: GlobalAddress::host(ms, leftmost.offset.wrapping_add(distance as u64)),
+                }
+            })
+            .collect();
+        let last = children.last().map_or(fence_low, |c| c.separator);
+        let fence_high = if unbounded {
+            u64::MAX
+        } else {
+            last + 1 + draw(0, 1_000)
+        };
+        let addr = GlobalAddress::host(5, 1 << 20);
+        let image = CachedInternal::new(
+            addr,
+            1,
+            1,
+            fence_low,
+            fence_high,
+            leftmost,
+            children.clone(),
+        );
+        let model = Model {
+            addr,
+            leftmost,
+            children,
+        };
+        (image, model)
+    }
+
+    /// Key width class, child width class, separators, shape bits, seed.
+    type ImageParams = (usize, usize, usize, u8, u64);
+
+    fn image_params() -> impl proptest::strategy::Strategy<Value = ImageParams> {
+        use proptest::prelude::*;
+        (0usize..4, 0usize..4, 0usize..40, 0u8..4, any::<u64>())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The packed image routes, lists and refers exactly as a plain list
+        /// of its children does.
+        #[test]
+        fn a_packed_image_answers_as_its_plain_children_do(params in image_params()) {
+            let (image, model) = arbitrary_image(params);
+            proptest::prop_assert_eq!(image.children().collect::<Vec<_>>(), model.children.clone());
+            proptest::prop_assert_eq!(image.len(), model.children.len());
+            proptest::prop_assert_eq!(image.leftmost(), model.leftmost);
+            proptest::prop_assert_eq!(image.charge(), IMAGE_HEADER_BYTES + image.packed.len());
+            let mut keys = vec![image.fence_low, image.fence_high - 1];
+            for c in &model.children {
+                keys.extend([c.separator - 1, c.separator, c.separator.saturating_add(1)]);
+            }
+            let mut rng = params.4;
+            let span = image.fence_high - image.fence_low;
+            keys.extend((0..16).map(|_| image.fence_low + splitmix(&mut rng) % span));
+            keys.retain(|&k| image.covers(k));
+            for &key in &keys {
+                proptest::prop_assert_eq!(image.child_for(key), model.child_for(key), "key {}", key);
+                for &end in &keys {
+                    if end >= key {
+                        proptest::prop_assert_eq!(
+                            image.children_in_range(key, end),
+                            model.children_in_range(key, end)
+                        );
+                    }
+                }
+            }
+            let mut probes = vec![model.addr, model.leftmost, GlobalAddress::host(3, 64)];
+            probes.extend(model.children.iter().map(|c| c.child));
+            probes.extend(model.children.iter().map(|c| c.child.add(64)));
+            for addr in probes {
+                proptest::prop_assert_eq!(image.refers_to(addr), model.refers_to(addr));
+            }
+        }
+    }
+
+    /// The random images above reach every width of both columns, both
+    /// signs of child distance, children on two servers, an unbounded upper
+    /// fence, and images of no and of one separator.
+    #[test]
+    fn the_random_images_cover_every_width_and_shape() {
+        let mut rng = 3u64;
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..2_000 {
+            let r = splitmix(&mut rng);
+            let params = (
+                (r % 4) as usize,
+                (r >> 8) as usize % 4,
+                (r >> 16) as usize % 40,
+                (r >> 32) as u8 % 4,
+                r,
+            );
+            let (image, model) = arbitrary_image(params);
+            seen.insert(("key width", image.key_width));
+            seen.insert(("child width", image.child_width));
+            seen.insert(("separators", image.len().min(2) as u8));
+            seen.insert(("spans servers", image.child_shift.is_none() as u8));
+            seen.insert(("unbounded", (image.fence_high == u64::MAX) as u8));
+            for c in &model.children {
+                let below = c.child.offset < model.leftmost.offset;
+                seen.insert(("below leftmost", below as u8));
+            }
+        }
+        for width in [1, 2, 4, 8] {
+            assert!(seen.contains(&("key width", width)), "key width {width}");
+            assert!(
+                seen.contains(&("child width", width)),
+                "child width {width}"
+            );
+        }
+        for shape in ["separators", "spans servers", "unbounded", "below leftmost"] {
+            for flag in 0..2 {
+                assert!(seen.contains(&(shape, flag)), "{shape} {flag}");
+            }
+        }
+        assert!(seen.contains(&("separators", 2)));
     }
 }

@@ -4,9 +4,10 @@ use crate::client::TreeClient;
 use crate::config::{TreeConfig, TreeOptions};
 use crate::layout::{key_tag, NodeLayout, HEADER_BYTES};
 use crate::node::{InternalNode, LeafEntry, LeafNode, NodeHeader};
+use crate::ops::cached_from_internal;
 use crate::TreeResult;
 use parking_lot::{Mutex, RwLock};
-use sherman_cache::{CachedInternal, ChildRef, IndexCache, IndexCacheConfig};
+use sherman_cache::{CachedInternal, IndexCache, IndexCacheConfig};
 use sherman_locks::LockManager;
 use sherman_memserver::{ClientAllocator, EpochRegistry, FreeListStats, MemoryPool, ServerLayout};
 use sherman_metrics::{
@@ -723,7 +724,7 @@ impl<B: FabricBackend> Cluster<B> {
         let internal_cap = self.layout.internal_capacity();
         let per_internal = ((internal_cap as f64 * self.config.leaf_fill).floor() as usize)
             .clamp(2, internal_cap);
-        let mut all_internals: Vec<BuiltNode> = Vec::new();
+        let mut all_internals: Vec<CachedInternal> = Vec::new();
         let mut level: u8 = 0;
         while level_nodes.len() > 1 {
             level += 1;
@@ -751,17 +752,10 @@ impl<B: FabricBackend> Cluster<B> {
                     fence_low,
                     fence_high,
                 });
-                all_internals.push(BuiltNode {
-                    addr: addrs[i],
-                    fence_low,
-                    fence_high,
-                    level,
-                    separators: group[1..]
-                        .iter()
-                        .map(|c| (c.fence_low, c.addr))
-                        .collect(),
-                    leftmost: group[0].addr,
-                });
+                let mut image = cached_from_internal(addrs[i], &node);
+                // Bulkloaded images are cached at the version-pair seed.
+                image.version = 1;
+                all_internals.push(image);
             }
             level_nodes = next_level;
         }
@@ -773,7 +767,7 @@ impl<B: FabricBackend> Cluster<B> {
             .god_write_u64(ServerLayout::level_hint_addr(), level as u64)?;
         self.set_root_hint(root, level);
 
-        self.warm_caches(&all_internals, level);
+        self.warm_caches(all_internals, level);
         Ok(())
     }
 
@@ -781,48 +775,28 @@ impl<B: FabricBackend> Cluster<B> {
     /// internal nodes, spending the byte budget top-down: the top two levels
     /// are pinned, then each level below is admitted in key order while the
     /// images' charges fit.  When level 1 fits, that is every internal node.
-    fn warm_caches(&self, internals: &[BuiltNode], root_level: u8) {
+    fn warm_caches(&self, mut images: Vec<CachedInternal>, root_level: u8) {
         let budget = self
             .caches
             .first()
             .map_or(0, |cache| cache.capacity_bytes());
         // Highest level first; the stable sort keeps key order within one.
-        let mut nodes: Vec<&BuiltNode> = internals.iter().collect();
-        nodes.sort_by_key(|n| std::cmp::Reverse(n.level));
-        let pinned = nodes
+        images.sort_by_key(|image| std::cmp::Reverse(image.level));
+        let pinned = images
             .iter()
-            .take_while(|n| n.level + 1 >= root_level.max(1))
+            .take_while(|image| image.level + 1 >= root_level.max(1))
             .count();
         // One shared image per node: every compute server's cache holds the
         // same `Arc`, not a per-server deep clone.
         let mut spent = 0;
-        let images: Vec<Arc<CachedInternal>> = nodes
+        let images: Vec<Arc<CachedInternal>> = images
             .into_iter()
-            .map(|n| {
-                Arc::new(CachedInternal {
-                    addr: n.addr,
-                    fence_low: n.fence_low,
-                    fence_high: n.fence_high,
-                    level: n.level,
-                    // Bulkloaded images are written at the version-pair seed.
-                    version: 1,
-                    leftmost: n.leftmost,
-                    children: n
-                        .separators
-                        .iter()
-                        .map(|&(k, a)| ChildRef {
-                            separator: k,
-                            child: a,
-                        })
-                        .collect(),
-                })
-            })
             .enumerate()
             .take_while(|(i, image)| {
                 spent += if *i < pinned { 0 } else { image.charge() };
                 spent <= budget
             })
-            .map(|(_, image)| image)
+            .map(|(_, image)| Arc::new(image))
             .collect();
         for cache in &self.caches {
             cache.set_top_levels(images[..pinned].to_vec());
@@ -838,16 +812,6 @@ struct BuiltChild {
     addr: GlobalAddress,
     fence_low: u64,
     fence_high: u64,
-}
-
-/// A bulkloaded internal node, kept to warm the caches from.
-struct BuiltNode {
-    addr: GlobalAddress,
-    fence_low: u64,
-    fence_high: u64,
-    level: u8,
-    separators: Vec<(u64, GlobalAddress)>,
-    leftmost: GlobalAddress,
 }
 
 #[cfg(test)]

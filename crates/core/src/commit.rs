@@ -235,30 +235,30 @@ impl MergePartners {
     /// revalidation would reject) and the preceding child, or the parent's
     /// leftmost.  `None` when the image does not list the node.
     fn under(parent: &CachedInternal, node_addr: GlobalAddress, hdr: &NodeHeader) -> Option<Self> {
-        let right_of = |next: Option<&ChildRef>| {
+        let right_of = |next: Option<ChildRef>| {
             next.filter(|c| c.separator == hdr.fence_high && Some(c.child) == hdr.sibling)
                 .map(|c| c.child)
         };
-        if parent.leftmost == node_addr {
+        let mut children = parent.children();
+        if parent.leftmost() == node_addr {
             return Some(MergePartners {
                 parent: parent.addr,
-                right_sibling: right_of(parent.children.first()),
+                right_sibling: right_of(children.next()),
                 left_sibling: None,
             });
         }
-        let pos = parent
-            .children
-            .iter()
-            .position(|c| c.separator == hdr.fence_low && c.child == node_addr)?;
-        let left = match pos {
-            0 => parent.leftmost,
-            _ => parent.children[pos - 1].child,
-        };
-        Some(MergePartners {
-            parent: parent.addr,
-            right_sibling: right_of(parent.children.get(pos + 1)),
-            left_sibling: (!left.is_null()).then_some(left),
-        })
+        let mut left = parent.leftmost();
+        while let Some(c) = children.next() {
+            if c.separator == hdr.fence_low && c.child == node_addr {
+                return Some(MergePartners {
+                    parent: parent.addr,
+                    right_sibling: right_of(children.next()),
+                    left_sibling: (!left.is_null()).then_some(left),
+                });
+            }
+            left = c.child;
+        }
+        None
     }
 }
 

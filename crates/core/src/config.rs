@@ -16,8 +16,9 @@ pub struct TreeConfig {
     pub value_size: usize,
     /// Target fill factor used by bulkload (the paper bulkloads 80 % full).
     pub leaf_fill: f64,
-    /// Capacity of each compute server's index cache in bytes of node image
-    /// (each cached image is charged the used prefix of its node).
+    /// Capacity of each compute server's index cache in bytes (each cached
+    /// image is charged a node header and its children packed to the widths
+    /// they need).
     pub cache_bytes: usize,
     /// Chunk size used by the two-stage allocator (8 MB in the paper; tests
     /// use something smaller).

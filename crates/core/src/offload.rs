@@ -33,6 +33,7 @@
 
 use crate::cluster::Cluster;
 use crate::config::OffloadPolicy;
+use crate::layout::{HEADER_BYTES, INTERNAL_ENTRY_BYTES};
 use crate::node::NodeHeader;
 use crate::ops::cached_from_internal;
 use sherman_cache::CachedInternal;
@@ -239,10 +240,14 @@ pub enum RpcResponse {
 }
 
 impl RpcResponse {
-    /// Estimated wire size of the response.
+    /// Estimated wire size of the response.  A level-1 image travels as the
+    /// used prefix of the node the server read (its header and one entry per
+    /// separator), whatever the client's cache will charge it once packed.
     pub fn wire_bytes(&self) -> usize {
-        let level1_bytes =
-            |l: &Option<CachedInternal>| l.as_ref().map_or(0, |img| 48 + img.children.len() * 16);
+        let level1_bytes = |l: &Option<CachedInternal>| {
+            l.as_ref()
+                .map_or(0, |img| HEADER_BYTES + img.len() * INTERNAL_ENTRY_BYTES)
+        };
         match self {
             RpcResponse::Leaf(r) => 64 + level1_bytes(&r.level1),
             RpcResponse::Range(r) => {
@@ -637,6 +642,54 @@ mod tests {
             work: RpcWork::NONE,
         };
         assert_eq!(declined.wire_bytes(), 16);
+    }
+
+    /// A reply carries a level-1 image as the node prefix the server read,
+    /// 48 B of header and 16 B per separator, not as its packed charge.
+    #[test]
+    fn a_level1_image_travels_as_its_node_prefix() {
+        let children = (1..=9u64).map(|i| sherman_cache::ChildRef {
+            separator: 100 * i,
+            child: GlobalAddress::host(0, 4_096 + 256 * i),
+        });
+        let image = CachedInternal::new(
+            GlobalAddress::host(0, 1 << 20),
+            1,
+            1,
+            0,
+            1_000,
+            GlobalAddress::host(0, 4_096),
+            children,
+        );
+        assert!(image.charge() < 48 + 9 * 16, "packed: {} B", image.charge());
+        let leaf = RpcNodeInfo {
+            addr: GlobalAddress::host(0, 4_096),
+            level: 0,
+            version: 1,
+            fence_low: 0,
+            fence_high: 100,
+            sibling: None,
+        };
+        let reply = |level1| {
+            RpcResponse::Leaf(RpcLeafReply {
+                leaf,
+                found: None,
+                chase_sibling: false,
+                entry_conflict: false,
+                level1,
+                work: RpcWork::NONE,
+            })
+        };
+        assert_eq!(reply(None).wire_bytes(), 64);
+        assert_eq!(reply(Some(image.clone())).wire_bytes(), 64 + 48 + 9 * 16);
+        let range = RpcResponse::Range(RpcRangeReply {
+            entries: vec![(1, 1)],
+            leaves: vec![leaf],
+            next: None,
+            level1: Some(image),
+            work: RpcWork::NONE,
+        });
+        assert_eq!(range.wire_bytes(), 32 + 16 + 40 + 48 + 9 * 16);
     }
 
     #[test]

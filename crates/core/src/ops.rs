@@ -187,22 +187,19 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
 /// Build the cacheable image of a decoded internal node.
 pub(crate) fn cached_from_internal(addr: GlobalAddress, node: &InternalNode) -> CachedInternal {
-    CachedInternal {
+    let header = &node.header;
+    CachedInternal::new(
         addr,
-        fence_low: node.header.fence_low,
-        fence_high: node.header.fence_high,
-        level: node.header.level,
-        version: node.header.front_version,
-        leftmost: node.header.leftmost.unwrap_or_else(GlobalAddress::null),
-        children: node
-            .entries
-            .iter()
-            .map(|e| ChildRef {
-                separator: e.key,
-                child: e.child,
-            })
-            .collect(),
-    }
+        header.level,
+        header.front_version,
+        header.fence_low,
+        header.fence_high,
+        header.leftmost.unwrap_or_else(GlobalAddress::null),
+        node.entries.iter().map(|e| ChildRef {
+            separator: e.key,
+            child: e.child,
+        }),
+    )
 }
 
 /// Handle a leaf (`header` its header) that turned out not to cover `key`:

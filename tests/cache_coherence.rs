@@ -179,18 +179,12 @@ fn tombstone_gate_rejects_stale_reinsert_at_tree_level() {
 
     // A level-1 image a slow traversal might still be holding.
     let addr = GlobalAddress::host(0, 1 << 20);
-    let stale = CachedInternal {
-        addr,
-        fence_low: 10_000,
-        fence_high: 20_000,
-        level: 1,
-        version: 3,
-        leftmost: GlobalAddress::host(0, 1 << 21),
-        children: vec![ChildRef {
-            separator: 15_000,
-            child: GlobalAddress::host(0, 1 << 22),
-        }],
+    let child = ChildRef {
+        separator: 15_000,
+        child: GlobalAddress::host(0, 1 << 22),
     };
+    let leftmost = GlobalAddress::host(0, 1 << 21);
+    let stale = CachedInternal::new(addr, 1, 3, 10_000, 20_000, leftmost, [child]);
     cache.insert_level1(stale.clone());
     assert!(cache.lookup_covering(15_000).is_some());
 
@@ -213,10 +207,8 @@ fn tombstone_gate_rejects_stale_reinsert_at_tree_level() {
 
     // The address recycles: a strictly newer image is admitted and clears
     // the tombstone.
-    let recycled = CachedInternal {
-        version: 5,
-        ..stale
-    };
+    let mut recycled = stale;
+    recycled.version = 5;
     cache.insert_level1(recycled);
     assert!(cache.lookup_covering(15_000).is_some());
     assert_eq!(cache.tombstoned(addr), None);
@@ -249,15 +241,15 @@ fn stale_top_shortcut_heals_instead_of_livelocking() {
         while let Some(low) = cache.lookup_covering(0) {
             cache.invalidate(low.fence_low);
         }
-        cache.set_top_levels(vec![Arc::new(CachedInternal {
-            addr: high.addr,
-            fence_low: 0,
-            fence_high: 100,
-            level: 1,
-            version: high.version,
-            leftmost: high_leaf,
-            children: vec![],
-        })]);
+        cache.set_top_levels(vec![Arc::new(CachedInternal::new(
+            high.addr,
+            1,
+            high.version,
+            0,
+            100,
+            high_leaf,
+            [],
+        ))]);
     };
 
     // Read path: the first attempt lands on a leaf whose fences exclude key

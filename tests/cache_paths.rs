@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
-use sherman_repro::sherman::layout::{HEADER_BYTES, INTERNAL_ENTRY_BYTES};
+use sherman_repro::sherman::layout::HEADER_BYTES;
 use sherman_repro::sherman::NodeLayout;
 use sherman_repro::sherman_cache::{CachedInternal, ChildRef, IndexCache, IndexCacheConfig};
 use sherman_repro::sherman_sim::GlobalAddress;
@@ -28,13 +28,15 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What the cache charges a bulkloaded internal image of `config`'s tree:
-/// the header and one entry per separator, a full group of children less
-/// the leftmost one.
+/// What the cache charges a bulkloaded internal image of `config`'s tree
+/// above level 1 in these tests: the header and, per separator of a full
+/// group of children less the leftmost one, a 2-byte offset (the separators
+/// span more than 255 keys) and a 1-byte child distance (the children are
+/// consecutive carves of one chunk).
 fn bulkloaded_charge(config: &ClusterConfig) -> usize {
     let layout = NodeLayout::new(&config.tree);
     let children = (layout.internal_capacity() as f64 * config.tree.leaf_fill) as usize;
-    HEADER_BYTES + INTERNAL_ENTRY_BYTES * (children - 1)
+    HEADER_BYTES + (2 + 1) * (children - 1)
 }
 
 /// A bulkloaded tree of `keys` keys (`stride` apart) in 256 B nodes with an
@@ -61,7 +63,9 @@ fn deep_cluster(keys: u64, stride: u64, cache_images: usize) -> Arc<Cluster> {
 /// that routed fewer lookups, level-1 images stop displacing the level-2
 /// images that route ten times their traffic (2.210 reads, 3.7 evictions;
 /// 2.213 and 5.8 since the budget is counted in bytes of image, its sketch
-/// still sized in whole nodes).
+/// still sized in whole nodes; 2.223 and 3.7 since an image keeps its
+/// children packed, the budget 84 packed images' charge, 6 048 B, and the
+/// sketch sized by the images the full budget holds).
 #[test]
 fn a_deep_cold_lookup_pays_the_uncached_suffix_of_its_path() {
     let keys = 60_000u64;
@@ -98,12 +102,16 @@ fn a_deep_cold_lookup_pays_the_uncached_suffix_of_its_path() {
     assert!(stats.deferred_admissions() > 0);
 }
 
-/// (a') The charge: an image costs the used prefix of the node it copies —
-/// 176 B for a bulkloaded internal node of 8 separators in 256 B — not a
-/// whole node.  On (a)'s tree (root level 5, levels 5 and 4 pinned), a
-/// budget of 104 such images' charge, 18 304 B, holds levels 3 and 2 whole
-/// (11 + 93 images, 18 160 B): at a whole node each it held 71 images, left
-/// the last 33 level-2 nodes out, and a lookup under them read 3 nodes.
+/// (a') The charge: an image costs the bytes it keeps — 72 B for a
+/// bulkloaded internal node of 8 separators in 256 B above level 1 (2-byte
+/// separator offsets, 1-byte child distances) — not a whole node.  On (a)'s
+/// tree (root level 5, levels 5 and 4 pinned), a budget of 106 such images'
+/// charge, 7 632 B, holds levels 3 and 2 whole (11 + 93 images, 7 573 B: two
+/// level-2 nodes route to both memory servers and keep whole child
+/// addresses, 128 B).  Charged the used prefix of their nodes, 176 B each,
+/// they were held by 104 such images' charge (18 160 of 18 304 B); at a
+/// whole node each the budget held 71 images, left the last 33 level-2
+/// nodes out, and a lookup under them read 3 nodes.
 /// After warm-up the traversal of every leaf's key starts at level 1, and
 /// once the counts have seen each level-2 image route the lookups of its 81
 /// leaves, a lookup under every level-1 node reads exactly 2 nodes (its
@@ -111,10 +119,11 @@ fn a_deep_cold_lookup_pays_the_uncached_suffix_of_its_path() {
 #[test]
 fn the_prefix_charge_holds_level_2_and_a_lookup_reads_two_nodes() {
     let keys = 60_000u64;
-    let cluster = deep_cluster(keys, 2, 104);
+    let cluster = deep_cluster(keys, 2, 106);
     let cache = cluster.cache(0);
-    assert_eq!((cache.len(), cache.budgeted_bytes()), (104, 18_160));
-    assert_eq!(cache.capacity_bytes(), 18_304);
+    assert_eq!(cache.peek(2, 0).unwrap().charge(), 72);
+    assert_eq!((cache.len(), cache.budgeted_bytes()), (104, 7_573));
+    assert_eq!(cache.capacity_bytes(), 7_632);
     // One key per leaf (8 keys each): the deepest cached image is level 2.
     for leaf in 0..keys / 8 {
         assert_eq!(cache.deepest(leaf * 16, 1).unwrap().level, 2, "leaf {leaf}");
@@ -128,7 +137,7 @@ fn the_prefix_charge_holds_level_2_and_a_lookup_reads_two_nodes() {
         assert_eq!(stats.reads, 2, "lookup under level-1 node {node}");
     }
     // Every level-1 offer was deferred but the last node's: three children
-    // charge 80 B, which fit the 144 B left.
+    // charge 52 B, which fit the 59 B left.
     assert_eq!(cache.stats().evictions(), 0);
     assert_eq!(cache.stats().deferred_admissions(), 833);
     assert_eq!(cache.len(), 105);
@@ -234,18 +243,11 @@ fn synthetic(level: u8, index: u64, version: u8) -> CachedInternal {
     let (lo, hi) = (index * width, (index + 1) * width);
     let fence_high = if hi == KEY_SPAN { u64::MAX } else { hi };
     let addr = |n: u64| GlobalAddress::host(0, ((level as u64) << 32 | lo << 8 | n) * 64);
-    CachedInternal {
-        addr: addr(255),
-        fence_low: lo,
-        fence_high,
-        level,
-        leftmost: addr(0),
-        children: vec![ChildRef {
-            separator: lo + width / 2,
-            child: addr(1),
-        }],
-        version,
-    }
+    let child = ChildRef {
+        separator: lo + width / 2,
+        child: addr(1),
+    };
+    CachedInternal::new(addr(255), level, version, lo, fence_high, addr(0), [child])
 }
 
 #[derive(Debug, Clone)]
@@ -331,7 +333,7 @@ proptest! {
                 CacheOp::Budget { entries } => cache.set_capacity_bytes(entries * one),
             }
 
-            let max = cache.config().max_entries();
+            let max = cache.capacity_bytes() / one;
             prop_assert!(cache.len() <= max, "{} entries over a budget of {max}", cache.len());
             prop_assert!(cache.budgeted_bytes() <= cache.capacity_bytes());
             let (level1, level2) = (cached_at(&cache, 1), cached_at(&cache, 2));
@@ -467,16 +469,18 @@ fn skewed_traffic_still_gets_its_hot_level1_nodes_in() {
 /// number of entries removed.
 #[test]
 fn a_runtime_shrink_evicts_the_paths_bottom_up() {
-    // 31 level-2 nodes and 89 of the 278 level-1 nodes fill 120 entries.
+    // 31 level-2 nodes (2 285 B) and the first 85 of the 278 level-1 nodes
+    // (6 232 B) fill 120 level-2 images' charge (8 640 B); 20 of them
+    // (1 440 B) hold 19 images.
     let cluster = deep_cluster(20_000, 16, 120);
-    assert_eq!(cluster.cache(0).len(), 120);
+    assert_eq!(cluster.cache(0).len(), 116);
     let charge = cluster.cache(0).capacity_bytes() / 120;
     cluster.set_cache_budget(20 * charge);
     for cs in 0..2 {
         let cache = cluster.cache(cs);
-        assert_eq!(cache.len(), 20);
-        assert_eq!(cache.stats().pressure_evictions(), 100);
-        assert_eq!(cache.stats().evictions(), 100);
+        assert_eq!(cache.len(), 19);
+        assert_eq!(cache.stats().pressure_evictions(), 97);
+        assert_eq!(cache.stats().evictions(), 97);
         let mut level1 = 0;
         for k in (0..20_000u64).step_by(8).map(|k| k * 16) {
             if cache.search_top(k).unwrap().1 == 0 {

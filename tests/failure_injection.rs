@@ -2,6 +2,7 @@
 //! and torn images must be handled gracefully, never silently corrupted.
 
 use sherman_repro::prelude::*;
+use sherman_repro::sherman_cache::{CachedInternal, ChildRef};
 use sherman_repro::sherman_sim::GlobalAddress;
 use std::sync::Arc;
 use std::thread;
@@ -21,11 +22,20 @@ fn stale_cache_entries_are_detected_and_invalidated() {
     let cache = cluster.cache(0);
     let victim = cache.lookup_covering(10_000).expect("warm cache");
     let wrong = cache.lookup_covering(0).expect("warm cache");
-    let mut poisoned = victim.clone();
-    poisoned.leftmost = wrong.child_for(0);
-    for child in poisoned.children.iter_mut() {
-        child.child = wrong.child_for(0);
-    }
+    let wrong_leaf = wrong.child_for(0);
+    let poisoned = CachedInternal::new(
+        victim.addr,
+        victim.level,
+        victim.version,
+        victim.fence_low,
+        victim.fence_high,
+        wrong_leaf,
+        victim.children().map(|c| ChildRef {
+            child: wrong_leaf,
+            ..c
+        }),
+    );
+    assert_eq!(poisoned.len(), victim.len());
     cache.insert_level1(poisoned);
 
     let invalidations_before = cache.stats().invalidations();

@@ -406,34 +406,6 @@ impl RunReport {
     }
 }
 
-/// Run `body(t, start)` on `n` client threads and return what each produced,
-/// in thread order: the lock and fabric microbenchmarks, which drive the
-/// lock manager and the verbs from blocking OS threads on the thread clock
-/// (tree experiments go through [`run`]).
-///
-/// `start` is the line the clients wait at once they have registered with
-/// the virtual clock, so that no one runs its workload uncontended while the
-/// others are still being created.  It is an OS barrier and may only be used
-/// there, before any virtual time has passed: a thread parked on an OS
-/// primitive mid-run would freeze the conservative clock for everyone else.
-pub fn spawn_clients<T, F>(n: usize, body: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize, &Barrier) -> T + Send + Sync + 'static,
-{
-    let shared = Arc::new((body, Barrier::new(n)));
-    let clients: Vec<_> = (0..n)
-        .map(|t| {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || (shared.0)(t, &shared.1))
-        })
-        .collect();
-    clients
-        .into_iter()
-        .map(|c| c.join().expect("client thread panicked"))
-        .collect()
-}
-
 fn is_write(op: &PipelineOp) -> bool {
     matches!(op, PipelineOp::Insert { .. } | PipelineOp::Delete { .. })
 }

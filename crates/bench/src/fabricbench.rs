@@ -1,11 +1,12 @@
 //! Raw fabric microbenchmark: `RDMA_WRITE` throughput versus IO size
-//! (Figure 3 of the paper).
+//! (Figure 3 of the paper).  Each writer is an `async fn` on the simulator's
+//! executor.
 
-use crate::experiment::spawn_clients;
 use sherman_metrics::RunSummary;
 use sherman_metrics::{LatencyHistogram, ThreadReport, ThroughputAggregator};
-use sherman_sim::{Fabric, FabricBackend, FabricConfig, GlobalAddress, WriteCmd};
-use std::sync::Arc;
+use sherman_sim::{
+    Fabric, FabricBackend, FabricConfig, GlobalAddress, Parking, SimChannel, WriteCmd,
+};
 
 /// Number of `RDMA_WRITE` work requests posted per doorbell, modeling the
 /// multiple outstanding WQEs a real throughput benchmark keeps in flight
@@ -39,36 +40,16 @@ pub fn run_write_size_sweep(
                 compute_servers,
                 ..FabricConfig::default()
             });
+            let mut clients: Vec<_> = (0..threads)
+                .map(|t| fabric.client((t % compute_servers) as u16))
+                .collect();
+            let cxs: Vec<_> = clients.iter_mut().map(Parking::new).collect();
             let start = fabric.now();
-            let reports = {
-                let fabric = Arc::clone(&fabric);
-                spawn_clients(threads, move |t, start_line| {
-                    let mut client = fabric.client((t % compute_servers) as u16);
-                    start_line.wait();
-                    let payload = vec![0xA5u8; io_bytes];
-                    // Each thread writes to its own disjoint region so that no
-                    // higher-level synchronization is involved.
-                    let base = 1 << 20 | (t as u64) << 16;
-                    let mut latency = LatencyHistogram::new();
-                    let batches = ops_per_thread.div_ceil(WRITES_PER_DOORBELL);
-                    for i in 0..batches {
-                        let cmds: Vec<WriteCmd> = (0..WRITES_PER_DOORBELL)
-                            .map(|j| {
-                                let off =
-                                    base + (((i * WRITES_PER_DOORBELL + j) * io_bytes) % 16_384) as u64;
-                                WriteCmd::new(GlobalAddress::host(0, off), payload.clone())
-                            })
-                            .collect();
-                        let t0 = client.now();
-                        client.post_writes(&cmds).expect("write batch");
-                        latency.record((client.now() - t0) / WRITES_PER_DOORBELL as u64);
-                    }
-                    ThreadReport {
-                        ops: (batches * WRITES_PER_DOORBELL) as u64,
-                        latency,
-                    }
-                })
-            };
+            let reports = sherman_sim::run(
+                cxs.iter()
+                    .enumerate()
+                    .map(|(t, cx)| (cx, writer(cx, t, io_bytes, ops_per_thread))),
+            );
             let mut agg = ThroughputAggregator::new();
             for report in &reports {
                 agg.add(report);
@@ -80,6 +61,37 @@ pub fn run_write_size_sweep(
             }
         })
         .collect()
+}
+
+/// Writer `t`: batches of [`WRITES_PER_DOORBELL`] writes of `io_bytes` each
+/// to a region of its own (no higher-level synchronization is involved),
+/// one batch in flight at a time, until `ops_per_thread` are written.
+async fn writer(
+    cx: &Parking<'_, SimChannel>,
+    t: usize,
+    io_bytes: usize,
+    ops_per_thread: usize,
+) -> ThreadReport {
+    let payload = vec![0xA5u8; io_bytes];
+    let base = 1 << 20 | (t as u64) << 16;
+    let mut latency = LatencyHistogram::new();
+    let batches = ops_per_thread.div_ceil(WRITES_PER_DOORBELL);
+    for i in 0..batches {
+        let cmds: Vec<WriteCmd> = (0..WRITES_PER_DOORBELL)
+            .map(|j| {
+                let off = base + (((i * WRITES_PER_DOORBELL + j) * io_bytes) % 16_384) as u64;
+                WriteCmd::new(GlobalAddress::host(0, off), payload.clone())
+            })
+            .collect();
+        let t0 = cx.ctx().now();
+        let token = cx.ctx().post_write_batch(&cmds).expect("write batch");
+        cx.complete(token).await;
+        latency.record((cx.ctx().now() - t0) / WRITES_PER_DOORBELL as u64);
+    }
+    ThreadReport {
+        ops: (batches * WRITES_PER_DOORBELL) as u64,
+        latency,
+    }
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ pub mod report;
 
 pub use args::Args;
 pub use experiment::{
-    run, run_with_backend, spawn_clients, DrivePath, Experiment, QuickCaps, RunReport, Source,
+    run, run_with_backend, DrivePath, Experiment, QuickCaps, RunReport, Source,
 };
 pub use fabricbench::{run_write_size_sweep, WriteSizePoint};
 pub use lockbench::{run_lock_experiment, LockExperiment, LOCK_LADDER};

@@ -1,16 +1,17 @@
 //! Lock-service microbenchmarks (no tree): Figure 2 and Figure 16.
 //!
-//! A set of client threads acquires and releases locks drawn from a Zipfian
+//! A set of clients acquires and releases locks drawn from a Zipfian
 //! distribution over a fixed lock array on one memory server, exactly like the
 //! paper's experiments (§3.2.2: "154 threads across 7 CSs acquire/release
 //! 10240 locks residing in an MS"; §5.7: "176 threads across 8 CSs ...").
+//! Each client is an `async fn` on the simulator's executor, so a run is a
+//! pure function of its configuration.
 
-use crate::experiment::spawn_clients;
 use crate::Args;
 use sherman_locks::{LockManager, LockStrategy};
 use sherman_memserver::MemoryPool;
 use sherman_metrics::{LatencyHistogram, RunSummary, ThreadReport, ThroughputAggregator};
-use sherman_sim::{Fabric, FabricBackend, FabricConfig, GlobalAddress};
+use sherman_sim::{Fabric, FabricBackend, FabricConfig, GlobalAddress, Parking, SimChannel};
 use sherman_workload::ZipfianGenerator;
 use std::sync::Arc;
 
@@ -93,43 +94,53 @@ pub fn run_lock_experiment(exp: &LockExperiment) -> RunSummary {
     let pool = MemoryPool::new(Arc::clone(&fabric), 1 << 20);
     let service = LockManager::new(exp.strategy, &pool);
 
+    let mut clients: Vec<_> = (0..exp.threads)
+        .map(|t| fabric.client((t % exp.compute_servers) as u16))
+        .collect();
+    let cxs: Vec<_> = clients.iter_mut().map(Parking::new).collect();
     let start = fabric.now();
-    let reports = {
-        let fabric = Arc::clone(&fabric);
-        let exp = exp.clone();
-        spawn_clients(exp.threads, move |t, start| {
-            let cs = (t % exp.compute_servers) as u16;
-            let mut client = fabric.client(cs);
-            start.wait();
-            let zipf = ZipfianGenerator::new(exp.locks, exp.theta);
-            let mut rng = {
-                use rand::SeedableRng;
-                rand::rngs::StdRng::seed_from_u64(0xC0FFEE ^ t as u64)
-            };
-            let mut latency = LatencyHistogram::new();
-            for _ in 0..exp.ops_per_thread {
-                let slot = zipf.next_rank(&mut rng);
-                let node = slot_address(slot);
-                let t0 = client.now();
-                service.acquire(&mut client, node).expect("acquire");
-                client.charge_cpu(exp.hold_ns);
-                service
-                    .release(&mut client, node, Vec::new(), true)
-                    .expect("release");
-                latency.record(client.now() - t0);
-            }
-            ThreadReport {
-                ops: exp.ops_per_thread as u64,
-                latency,
-            }
-        })
-    };
+    let reports = sherman_sim::run(
+        cxs.iter()
+            .enumerate()
+            .map(|(t, cx)| (cx, cx.drive(lock_client(cx, &service, exp, t)))),
+    );
     let mut agg = ThroughputAggregator::new();
     for report in &reports {
         agg.add(report);
     }
     let elapsed = fabric.now().saturating_sub(start).max(1);
     agg.finish(elapsed)
+}
+
+/// Client `t` of a lock microbenchmark: `ops_per_thread` acquire → critical
+/// section (CPU time, holding the client) → release cycles.
+async fn lock_client(
+    cx: &Parking<'_, SimChannel>,
+    service: &LockManager,
+    exp: &LockExperiment,
+    t: usize,
+) -> ThreadReport {
+    let zipf = ZipfianGenerator::new(exp.locks, exp.theta);
+    let mut rng = {
+        use rand::SeedableRng;
+        rand::rngs::StdRng::seed_from_u64(0xC0FFEE ^ t as u64)
+    };
+    let mut latency = LatencyHistogram::new();
+    for _ in 0..exp.ops_per_thread {
+        let node = slot_address(zipf.next_rank(&mut rng));
+        let t0 = cx.ctx().now();
+        service.lock(cx, node, None).await.expect("acquire");
+        cx.cpu(exp.hold_ns).await;
+        service
+            .unlock(cx, node, Vec::new(), true, true)
+            .await
+            .expect("release");
+        latency.record(cx.ctx().now() - t0);
+    }
+    ThreadReport {
+        ops: exp.ops_per_thread as u64,
+        latency,
+    }
 }
 
 #[cfg(test)]
@@ -166,6 +177,28 @@ mod tests {
             "on-chip {} vs baseline {}",
             onchip.throughput_ops,
             baseline.throughput_ops
+        );
+    }
+
+    /// Figure 16's ladder at unit-test scale, twice: every client is a
+    /// future on one executor, so the summaries repeat exactly, and they keep
+    /// the paper's shape — Handover ahead of On-Chip ahead of BaseLine.
+    #[test]
+    fn the_ladder_repeats_and_keeps_its_shape() {
+        let ladder = || {
+            LOCK_LADDER.map(|(_, strategy)| {
+                run_lock_experiment(&LockExperiment {
+                    ops_per_thread: 100,
+                    ..LockExperiment::default_scaled(strategy)
+                })
+            })
+        };
+        let first = ladder();
+        assert_eq!(first, ladder());
+        let [baseline, onchip, _, _, handover] = first.map(|s| s.throughput_ops);
+        assert!(
+            handover > onchip && onchip > baseline,
+            "Handover {handover:.0}, On-Chip {onchip:.0}, BaseLine {baseline:.0} ops/s"
         );
     }
 

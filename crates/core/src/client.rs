@@ -26,7 +26,7 @@ use crate::scheduler::PipelineOp;
 use crate::stats::OpStats;
 use crate::TreeResult;
 use sherman_memserver::{ClientAllocator, ReaderHandle};
-use sherman_sim::{ClientCtx, ClientStats, Fabric, FabricBackend, TraceEvent};
+use sherman_sim::{ClientCtx, ClientStats, Fabric, FabricBackend, Parking, TraceEvent};
 use std::sync::Arc;
 
 /// A per-thread handle to the tree.
@@ -103,22 +103,20 @@ impl<B: FabricBackend> TreeClient<B> {
         self.ctx.take_trace()
     }
 
-    /// The context this client's operations run against, driven alone.
+    /// The context this client's operations run against.
     pub(crate) fn op_cx(&mut self) -> OpCx<'_, B> {
-        self.op_cx_and_reader(true).0
+        self.op_cx_and_reader().0
     }
 
-    /// The context this client's operations run against — `alone` when no
-    /// other client shares its executor — and the epoch reader handle beside
-    /// it.
-    pub(crate) fn op_cx_and_reader(&mut self, alone: bool) -> (OpCx<'_, B>, &ReaderHandle) {
-        let cx = OpCx::new(
-            &self.cluster,
-            &mut self.ctx,
-            &self.allocator,
-            self.cs_id,
-            alone,
-        );
+    /// The context this client's operations run against and the epoch reader
+    /// handle beside it.
+    pub(crate) fn op_cx_and_reader(&mut self) -> (OpCx<'_, B>, &ReaderHandle) {
+        let cx = OpCx {
+            cluster: &self.cluster,
+            allocator: &self.allocator,
+            cs_id: self.cs_id,
+            parking: Parking::new(&mut self.ctx),
+        };
         (cx, &self.reader)
     }
 

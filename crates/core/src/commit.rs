@@ -18,7 +18,7 @@
 //! A write (`crate::ops`) acquires the leaf lock itself
 //! ([`OpCx::lock_and_read_head`], over `sherman_locks::LockManager::lock`)
 //! and calls [`OpCx::leaf_commit`] with the image read under it.  The leaf
-//! commit does not yield (it only holds the client, [`OpCx::hold`]): the
+//! commit does not yield (it only holds the client, `Parking::hold`): the
 //! leaf lock's release is posted before `leaf_commit` returns, and at most
 //! that verb is left outstanding for the write to wait for.  What needs
 //! *further* locks — the separator of a split, a merge — is handed back as a
@@ -436,7 +436,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Acquire the exclusive lock on `addr`, folding the outcome into `meta`.
     async fn acquire_lock(&self, addr: GlobalAddress, meta: &mut OpMeta) -> TreeResult<()> {
         let mgr = self.cluster.lock_manager();
-        let (acq, _) = mgr.lock(self, addr, None).await?;
+        let (acq, _) = mgr.lock(&self.parking, addr, None).await?;
         Self::note_acquired(acq, meta);
         Ok(())
     }
@@ -462,7 +462,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         meta: &mut OpMeta,
     ) -> TreeResult<Vec<u8>> {
         let read = self.combine().then(|| self.layout().node_size());
-        let (acq, image) = self.cluster.lock_manager().lock(self, addr, read).await?;
+        let (acq, image) = self.cluster.lock_manager().lock(&self.parking, addr, read).await?;
         Self::note_acquired(acq, meta);
         if !self.combine() {
             return self.read_node_locked(addr).await;
@@ -494,7 +494,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     ) -> TreeResult<Option<PendingVerb>> {
         let mgr = self.cluster.lock_manager();
         let (_, last) = mgr
-            .unlock(self, addr, writes, self.combine(), wait_final)
+            .unlock(&self.parking, addr, writes, self.combine(), wait_final)
             .await?;
         Ok(last)
     }
@@ -524,7 +524,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Allocate a node, holding the client while a chunk request is in
     /// flight.
     async fn alloc_node(&self) -> TreeResult<AllocatedNode> {
-        Ok(self.allocator.alloc(self).await?)
+        Ok(self.allocator.alloc(&self.parking).await?)
     }
 
     /// Wait for every verb the operation's commit left in flight.
@@ -598,7 +598,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let mut attempts = Vec::with_capacity(plan.len());
         let mut failed = None;
         for &rep in plan {
-            match mgr.try_lock(self, rep, Some(node_size)) {
+            match mgr.try_lock(&self.parking, rep, Some(node_size)) {
                 Ok(Some(attempt)) => attempts.push((rep, attempt)),
                 Ok(None) => break,
                 Err(e) => {
@@ -1561,7 +1561,7 @@ mod tests {
     use crate::config::{TreeConfig, TreeOptions};
     use crate::layout::key_tag;
     use proptest::prelude::*;
-    use sherman_sim::{block_on, InPlace, Waits};
+    use sherman_sim::Parking;
 
     /// One generated slot: `(live, key, front version, rear version)`.  Live
     /// if the first byte is below the leaf's density; vacant slots keep the
@@ -1795,13 +1795,13 @@ mod tests {
             let mgr = cluster.lock_manager();
             let mut other = cluster.fabric().client(1);
             for ctx in [&mut other, &mut client.ctx] {
-                let cx = InPlace::new(ctx);
+                let cx = Parking::new(ctx);
                 for node in [left, right, beyond] {
                     let attempt = mgr.try_lock(&cx, node, None).unwrap();
                     let held = || panic!("the local lock on {node:?} is still held");
                     let attempt = attempt.unwrap_or_else(held);
-                    assert!(block_on(attempt).is_some(), "{node:?} is still locked");
-                    block_on(mgr.unlock(&cx, node, Vec::new(), true, true)).unwrap();
+                    assert!(cx.block_on(attempt).is_some(), "{node:?} is still locked");
+                    cx.block_on(mgr.unlock(&cx, node, Vec::new(), true, true)).unwrap();
                     assert_eq!(cx.ctx().outstanding(), 0);
                 }
             }

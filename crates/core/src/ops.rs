@@ -17,7 +17,7 @@
 //! An operation posts a verb and awaits it (`cx.wait(token).await`); the
 //! driver decides what else runs meanwhile.  The operations are the *only*
 //! implementation: the blocking `TreeClient` entry points drive them one
-//! verb at a time ([`OpCx::block_on`]), so a pipelined run at depth 1 and
+//! verb at a time (`Parking::block_on`), so a pipelined run at depth 1 and
 //! the classic blocking path execute byte-for-byte the same verbs in the
 //! same order.  The code a write runs under a lock — leaf write-back, split,
 //! merge — is `crate::commit`.
@@ -27,11 +27,11 @@
 //! A write parks twice around its critical section: on the acquisition of
 //! the leaf lock (the lock manager's `async fn` acquisition — a CAS+READ
 //! round trip, a re-post after a lost race, a place in the local queue behind
-//! a sibling operation; each a [`Park::Lock`](crate::exec::Park::Lock)) and on the
+//! a sibling operation; each a [`Park::Lock`](sherman_sim::Park::Lock)) and on the
 //! final release verb, whose memory effect applied at post time.  In
 //! between, the body — validate, pick the slot, post write-back + release —
 //! does not yield: what it waits for (its CPU time, an uncombined read or
-//! release) it waits for holding the client ([`OpCx::hold`]), so no sibling
+//! release) it waits for holding the client (`Parking::hold`), so no sibling
 //! runs meanwhile.
 //!
 //! A commit that owes the tree more — the separator of a split, a merge —

@@ -15,14 +15,14 @@
 //! ## One heap across clients
 //!
 //! Each client's scheduling loop is itself an `async fn` (`Run`), and
-//! [`run_clients`] drives every client's loop on one thread: each loop
-//! parks on the instant its next step is due (`OpCx::until`), and a heap
-//! keyed by (that instant, client index) resumes the earliest — the lower
-//! client index on a tie.  Within a client the next step is the one the loop
+//! [`run_clients`] hands every client's loop to the simulator's executor
+//! (`sherman_sim::run`): each loop parks on the instant its next step is due
+//! (`Parking::until`), and a heap keyed by (that instant, client index)
+//! resumes the earliest — the lower client index on a tie.  Within a client the next step is the one the loop
 //! picks: the earliest completion on its completion queue; a finished
 //! operation's slot immediately pulls the next operation from the feed.  A
 //! client is one CPU, so what an operation waits for *holding* its client —
-//! CPU time, the few waits that block inside an operation (`crate::exec`) —
+//! CPU time, the few waits that block inside an operation (`Parking::hold`) —
 //! lets other clients run but none of its siblings.  Run alone — one client,
 //! [`TreeClient::run_pipelined`] — every wait is answered at once, the clock
 //! moved by the poll that follows, and a `depth` of 1 degenerates to exactly
@@ -91,17 +91,14 @@
 //! spent advancing *other* operations.
 
 use crate::client::TreeClient;
-use crate::exec::{OpCx, Park};
+use crate::exec::OpCx;
 use crate::ops::{self, OpMeta, OpOutput};
 use crate::TreeResult;
 use sherman_memserver::{EpochPin, ReaderHandle};
 use sherman_metrics::OverlapGauges;
-use sherman_sim::{ClientStats, Completion, FabricBackend};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use sherman_sim::{ClientStats, Completion, FabricBackend, Park};
 use std::future::Future;
 use std::pin::Pin;
-use std::task::{Context, Waker};
 
 /// One operation for the pipelined driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -460,27 +457,12 @@ pub fn run_clients<B: FabricBackend, S: Session>(
     depth: usize,
 ) {
     assert_eq!(clients.len(), sessions.len(), "one session per client");
-    let alone = clients.len() == 1;
-    assert!(
-        alone || B::VIRTUAL_CLOCK,
-        "several clients share one executor only on a virtual clock"
+    let cxs: Vec<_> = clients.iter_mut().map(TreeClient::op_cx_and_reader).collect();
+    sherman_sim::run(
+        cxs.iter()
+            .zip(sessions)
+            .map(|((cx, reader), session)| (&cx.parking, serve(cx, reader, session, depth))),
     );
-    let cxs: Vec<_> = clients.iter_mut().map(|c| c.op_cx_and_reader(alone)).collect();
-    let mut loops: Vec<_> = cxs
-        .iter()
-        .zip(sessions)
-        .map(|((cx, reader), session)| Box::pin(serve(cx, reader, session, depth)))
-        .collect();
-    // The instant each client's loop waits for, earliest first, the lower
-    // client index on a tie; every loop starts now, in client order.
-    let mut heap: BinaryHeap<_> = (0..loops.len()).map(|idx| Reverse((0, idx))).collect();
-    while let Some(Reverse((_, idx))) = heap.pop() {
-        let polled = loops[idx].as_mut().poll(&mut Context::from_waker(Waker::noop()));
-        if polled.is_pending() {
-            assert!(!alone, "a client alone never waits for the executor");
-            heap.push(Reverse((cxs[idx].0.take_due(), idx)));
-        }
-    }
 }
 
 /// One client's part in [`run_clients`]: its session's batches, one after

@@ -330,9 +330,13 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::{AcquireOutcome, ReleaseOutcome};
     use crate::stepped::{Stepped, RUNGS};
     use sherman_memserver::MemoryPool;
-    use sherman_sim::{block_on, Fabric, FabricBackend, FabricConfig, InPlace, WriteCmd};
+    use sherman_sim::{
+        Fabric, FabricBackend, FabricConfig, Parking, SimChannel, SimResult, WriteCmd,
+    };
+    use std::cell::{Cell, RefCell};
     use std::pin::pin;
     use std::sync::Arc;
     use std::thread;
@@ -342,6 +346,49 @@ mod tests {
         let pool = MemoryPool::new(Arc::clone(&fabric), 64 << 10);
         let mgr = Arc::new(LockManager::new(strategy, &pool));
         (pool, mgr)
+    }
+
+    type Cx<'a> = Parking<'a, SimChannel>;
+
+    /// Acquire `node` from a client on the executor.
+    async fn acquire(mgr: &LockManager, cx: &Cx<'_>, node: GlobalAddress) -> AcquireOutcome {
+        mgr.lock(cx, node, None).await.unwrap().0
+    }
+
+    /// Acquire `node` and read 64 bytes of it under the lock.
+    async fn acquire_and_read(
+        mgr: &LockManager,
+        cx: &Cx<'_>,
+        node: GlobalAddress,
+    ) -> SimResult<(AcquireOutcome, Vec<u8>)> {
+        mgr.lock(cx, node, Some(64)).await
+    }
+
+    /// Release `node`, writing `writes` back, its last verb acknowledged.
+    async fn release(
+        mgr: &LockManager,
+        cx: &Cx<'_>,
+        node: GlobalAddress,
+        writes: Vec<WriteCmd>,
+    ) -> ReleaseOutcome {
+        mgr.unlock(cx, node, writes, true, true).await.unwrap().0
+    }
+
+    /// Spend virtual time on `cx` until `n` acquisitions are queued on the
+    /// lock guarding `node` (of compute server 0).
+    async fn until_queued(mgr: &LockManager, cx: &Cx<'_>, node: GlobalAddress, n: usize) {
+        for _ in 0..1_000 {
+            if mgr.queued_waiters(0, node) >= n {
+                return;
+            }
+            cx.cpu(100).await;
+        }
+        panic!("expected {n} queued waiter(s), they never arrived");
+    }
+
+    /// Clients of compute servers `cs`, one per entry.
+    fn clients(pool: &MemoryPool, cs: impl IntoIterator<Item = u16>) -> Vec<ClientCtx> {
+        cs.into_iter().map(|cs| pool.fabric().client(cs)).collect()
     }
 
     #[test]
@@ -378,32 +425,26 @@ mod tests {
         for strategy in RUNGS {
             let (pool, mgr) = setup(strategy);
             let node = GlobalAddress::host(0, 20 << 10);
-            let counter = Arc::new(Mutex::new(0u64));
+            let (inside, entered) = (Cell::new(false), Cell::new(0u64));
             let iterations = 40;
-            let mut handles = Vec::new();
-            for t in 0..4u16 {
-                let pool = Arc::clone(&pool);
-                let mgr = Arc::clone(&mgr);
-                let counter = Arc::clone(&counter);
-                handles.push(thread::spawn(move || {
-                    let mut client = pool.fabric().client(t % 2);
+            let mut ctxs = clients(&pool, [0, 1, 0, 1]);
+            let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+            sherman_sim::run(cxs.iter().map(|cx| {
+                let (mgr, inside, entered) = (&mgr, &inside, &entered);
+                let client = async move {
                     for _ in 0..iterations {
-                        mgr.acquire(&mut client, node).unwrap();
-                        {
-                            // Check exclusion: nobody else is inside the section.
-                            let mut guard = counter.try_lock().expect("exclusion violated");
-                            *guard += 1;
-                        }
-                        // Spend some virtual time inside the critical section.
-                        client.charge_cpu(100);
-                        mgr.release(&mut client, node, Vec::new(), true).unwrap();
+                        acquire(mgr, cx, node).await;
+                        // Nobody else is inside the section, all through it.
+                        assert!(!inside.replace(true), "exclusion violated");
+                        entered.set(entered.get() + 1);
+                        cx.cpu(100).await;
+                        inside.set(false);
+                        release(mgr, cx, node, Vec::new()).await;
                     }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(*counter.lock(), 4 * iterations, "{strategy:?}");
+                };
+                (cx, cx.drive(client))
+            }));
+            assert_eq!(entered.get(), 4 * iterations, "{strategy:?}");
         }
     }
 
@@ -411,35 +452,25 @@ mod tests {
     fn handover_skips_remote_acquisition() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 30 << 10);
-        let handed = Arc::new(Mutex::new(0u64));
-        let barrier = Arc::new(std::sync::Barrier::new(4));
-        let mut handles = Vec::new();
-        // All threads run on the same compute server, so handover applies.
-        for _ in 0..4u16 {
-            let pool = Arc::clone(&pool);
-            let mgr = Arc::clone(&mgr);
-            let handed = Arc::clone(&handed);
-            let barrier = Arc::clone(&barrier);
-            handles.push(thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
-                // Ensure every worker has registered before contending, so the
-                // critical sections genuinely overlap.
-                barrier.wait();
+        let handed = Cell::new(0u64);
+        // All clients run on the same compute server, so handover applies.
+        let mut ctxs = clients(&pool, [0; 4]);
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        sherman_sim::run(cxs.iter().map(|cx| {
+            let (mgr, handed) = (&mgr, &handed);
+            let client = async move {
                 for _ in 0..25 {
-                    let a = mgr.acquire(&mut client, node).unwrap();
-                    if a.handed_over {
-                        *handed.lock() += 1;
+                    if acquire(mgr, cx, node).await.handed_over {
+                        handed.set(handed.get() + 1);
                     }
-                    client.charge_cpu(500);
-                    mgr.release(&mut client, node, Vec::new(), true).unwrap();
+                    cx.cpu(500).await;
+                    release(mgr, cx, node, Vec::new()).await;
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+            };
+            (cx, cx.drive(client))
+        }));
         assert!(
-            *handed.lock() > 0,
+            handed.get() > 0,
             "contended same-CS workload should trigger handovers"
         );
     }
@@ -448,26 +479,23 @@ mod tests {
     fn handover_depth_is_bounded() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(1, 40 << 10);
-        let outcomes = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for _ in 0..3u16 {
-            let pool = Arc::clone(&pool);
-            let mgr = Arc::clone(&mgr);
-            let outcomes = Arc::clone(&outcomes);
-            handles.push(thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
+        let outcomes = RefCell::new(Vec::new());
+        let mut ctxs = clients(&pool, [0; 3]);
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        sherman_sim::run(cxs.iter().map(|cx| {
+            let (mgr, outcomes) = (&mgr, &outcomes);
+            let client = async move {
                 for _ in 0..30 {
-                    mgr.acquire(&mut client, node).unwrap();
-                    client.charge_cpu(300);
-                    let r = mgr.release(&mut client, node, Vec::new(), true).unwrap();
-                    outcomes.lock().push(r.released_global);
+                    acquire(mgr, cx, node).await;
+                    cx.cpu(300).await;
+                    let r = release(mgr, cx, node, Vec::new()).await;
+                    outcomes.borrow_mut().push(r.released_global);
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let outcomes = outcomes.lock();
+            };
+            (cx, cx.drive(client))
+        }));
+        drop(cxs);
+        let outcomes = outcomes.into_inner();
         // At most `MAX_HANDOVER_DEPTH` handovers in a row: at least one remote
         // release per `MAX_HANDOVER_DEPTH + 2` releases, so in particular
         // some remote releases.
@@ -491,70 +519,39 @@ mod tests {
         assert!(!mgr.strategy().wait_queue());
     }
 
-    /// Pump virtual time from `client` until `n` waiters are queued on the
-    /// lock guarding `node`, panicking (rather than hanging) if they never
-    /// show.  The bound is real time: a waiter's thread may not have been
-    /// scheduled yet on a loaded machine, however far virtual time went.
-    fn pump_until_queued(mgr: &LockManager, client: &mut ClientCtx, node: GlobalAddress, n: usize) {
-        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while mgr.queued_waiters(0, node) < n {
-            assert!(
-                std::time::Instant::now() < give_up,
-                "expected {n} queued waiter(s), they never arrived"
-            );
-            client.charge_cpu(100);
-            thread::yield_now();
-        }
-    }
-
     #[test]
     fn queued_waiter_acquires_before_later_arrival() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 70 << 10);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut main_client = pool.fabric().client(0);
-        mgr.acquire(&mut main_client, node).unwrap();
-
-        // First waiter arrives and queues behind the held lock.
-        let h1 = {
-            let pool = Arc::clone(&pool);
-            let mgr = Arc::clone(&mgr);
-            let order = Arc::clone(&order);
-            thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
-                let a = mgr.acquire(&mut client, node).unwrap();
-                order.lock().push(1u32);
-                client.charge_cpu(500);
-                mgr.release(&mut client, node, Vec::new(), true).unwrap();
-                a
-            })
-        };
-        // Pump virtual time (the waiter polls on the virtual clock) until the
-        // first waiter is visibly queued, so the arrival order is fixed.
-        pump_until_queued(&mgr, &mut main_client, node, 1);
-
-        // Second waiter arrives strictly later.
-        let h2 = {
-            let pool = Arc::clone(&pool);
-            let mgr = Arc::clone(&mgr);
-            let order = Arc::clone(&order);
-            thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
-                let a = mgr.acquire(&mut client, node).unwrap();
-                order.lock().push(2u32);
-                mgr.release(&mut client, node, Vec::new(), true).unwrap();
-                a
-            })
-        };
-        pump_until_queued(&mgr, &mut main_client, node, 2);
-
-        mgr.release(&mut main_client, node, Vec::new(), true).unwrap();
-        drop(main_client); // deregister so the waiters can drive the clock alone
-        let a1 = h1.join().unwrap();
-        let a2 = h2.join().unwrap();
+        let order = RefCell::new(Vec::new());
+        let mut ctxs = clients(&pool, [0; 3]);
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        let (mgr, order) = (&*mgr, &order);
+        // The holder keeps the lock until both waiters are queued; the second
+        // waiter arrives strictly after the first is queued.
+        let outcomes = sherman_sim::run(cxs.iter().enumerate().map(|(id, cx)| {
+            let client = async move {
+                if id == 0 {
+                    acquire(mgr, cx, node).await;
+                    until_queued(mgr, cx, node, 2).await;
+                    release(mgr, cx, node, Vec::new()).await;
+                    return None;
+                }
+                until_queued(mgr, cx, node, id - 1).await;
+                let a = acquire(mgr, cx, node).await;
+                order.borrow_mut().push(id);
+                cx.cpu(500).await;
+                release(mgr, cx, node, Vec::new()).await;
+                Some(a)
+            };
+            (cx, cx.drive(client))
+        }));
         // FIFO fairness: the earlier waiter entered the critical section first.
-        assert_eq!(*order.lock(), vec![1, 2]);
+        assert_eq!(*order.borrow(), vec![1, 2]);
         // Both acquisitions were served by handover (no remote round trip).
+        let [None, Some(a1), Some(a2)] = outcomes[..] else {
+            panic!("{outcomes:?}")
+        };
         assert!(a1.handed_over && a2.handed_over);
         assert_eq!(a1.remote_retries + a2.remote_retries, 0);
     }
@@ -563,44 +560,40 @@ mod tests {
     fn release_wakes_exactly_one_handover_candidate() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 80 << 10);
-        let mut main_client = pool.fabric().client(0);
-        mgr.acquire(&mut main_client, node).unwrap();
-
-        let queued_during_cs = Arc::new(Mutex::new(None));
-        let mut handles = Vec::new();
-        for id in 1..=2u32 {
-            let worker_pool = Arc::clone(&pool);
-            let worker_mgr = Arc::clone(&mgr);
-            let worker_seen = Arc::clone(&queued_during_cs);
-            handles.push(thread::spawn(move || {
-                let mut client = worker_pool.fabric().client(0);
-                let a = worker_mgr.acquire(&mut client, node).unwrap();
+        let queued_during_cs = Cell::new(None);
+        let mut ctxs = clients(&pool, [0; 3]);
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        let (mgr, seen) = (&*mgr, &queued_during_cs);
+        let outcomes = sherman_sim::run(cxs.iter().enumerate().map(|(id, cx)| {
+            let client = async move {
+                if id == 0 {
+                    acquire(mgr, cx, node).await;
+                    until_queued(mgr, cx, node, 2).await;
+                    // One release with two queued waiters: the global lock is
+                    // handed over (not released) ...
+                    let r = release(mgr, cx, node, Vec::new()).await;
+                    assert!(!r.released_global, "release with waiters should hand over");
+                    return true;
+                }
+                // Waiters are admitted one at a time, so both are queued
+                // before the release.
+                until_queued(mgr, cx, node, id - 1).await;
+                let a = acquire(mgr, cx, node).await;
                 // The first waiter to get the lock records how many candidates
                 // are still queued: a correct handover wakes exactly one.
-                let mut seen = worker_seen.lock();
-                if seen.is_none() {
-                    *seen = Some((id, worker_mgr.queued_waiters(0, node)));
+                if seen.get().is_none() {
+                    seen.set(Some((id, mgr.queued_waiters(0, node))));
                 }
-                drop(seen);
-                client.charge_cpu(300);
-                worker_mgr.release(&mut client, node, Vec::new(), true).unwrap();
-                a
-            }));
-            // Admit waiters one at a time so both are queued before release.
-            pump_until_queued(&mgr, &mut main_client, node, id as usize);
-        }
-
-        // One release with two queued waiters: the global lock is handed over
-        // (not released) ...
-        let r = mgr.release(&mut main_client, node, Vec::new(), true).unwrap();
-        assert!(!r.released_global, "release with waiters should hand over");
-        drop(main_client);
-        for h in handles {
-            assert!(h.join().unwrap().handed_over);
-        }
+                cx.cpu(300).await;
+                release(mgr, cx, node, Vec::new()).await;
+                a.handed_over
+            };
+            (cx, cx.drive(client))
+        }));
+        assert_eq!(outcomes, [true; 3]);
         // ... and exactly one candidate woke: the other was still queued while
         // the first ran its critical section.
-        assert_eq!(*queued_during_cs.lock(), Some((1, 1)));
+        assert_eq!(queued_during_cs.get(), Some((1, 1)));
         // After the last release the global lock really is free: a client on
         // another compute server acquires it remotely without handover.
         let mut other_cs = pool.fabric().client(1);
@@ -612,39 +605,39 @@ mod tests {
     fn handed_over_acquire_and_read_is_one_plain_read() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 90 << 10);
-        let mut main_client = pool.fabric().client(0);
+        let mut ctxs = clients(&pool, [0; 2]);
 
         // Not handed over: the READ rides the global CAS's round trip.
         let mut buf = [0u8; 64];
-        let before = main_client.stats();
-        let a = mgr.acquire_and_read(&mut main_client, node, &mut buf).unwrap();
+        let before = ctxs[0].stats();
+        let a = mgr.acquire_and_read(&mut ctxs[0], node, &mut buf).unwrap();
         assert!(!a.handed_over);
-        let d = main_client.stats().delta_since(&before);
+        let d = ctxs[0].stats().delta_since(&before);
         assert_eq!((d.round_trips, d.atomics, d.reads), (1, 1, 1));
 
-        let waiter = {
-            let pool = Arc::clone(&pool);
-            let mgr = Arc::clone(&mgr);
-            thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
-                let mut buf = [0u8; 64];
-                let a = mgr.acquire_and_read(&mut client, node, &mut buf).unwrap();
-                let stats = client.stats();
-                mgr.release(&mut client, node, Vec::new(), true).unwrap();
-                (a, buf, stats)
-            })
-        };
-        pump_until_queued(&mgr, &mut main_client, node, 1);
-        // The write-back lands with the handover; the waiter must read it.
-        let r = mgr
-            .release(&mut main_client, node, vec![WriteCmd::new(node, vec![7u8; 64])], true)
-            .unwrap();
-        assert!(!r.released_global);
-        drop(main_client);
-
-        let (a, buf, stats) = waiter.join().unwrap();
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        let mgr = &*mgr;
+        let mut outcomes = sherman_sim::run(cxs.iter().enumerate().map(|(id, cx)| {
+            let client = async move {
+                if id == 0 {
+                    until_queued(mgr, cx, node, 1).await;
+                    // The write-back lands with the handover; the waiter must
+                    // read it.
+                    let write = WriteCmd::new(node, vec![7u8; 64]);
+                    let r = release(mgr, cx, node, vec![write]).await;
+                    assert!(!r.released_global);
+                    return None;
+                }
+                let (a, image) = acquire_and_read(mgr, cx, node).await.unwrap();
+                let stats = cx.ctx().stats();
+                release(mgr, cx, node, Vec::new()).await;
+                Some((a, image, stats))
+            };
+            (cx, cx.drive(client))
+        }));
+        let (a, image, stats) = outcomes.pop().flatten().expect("the waiter's");
         assert!(a.handed_over);
-        assert_eq!(buf, [7u8; 64]);
+        assert_eq!(image, [7u8; 64]);
         // The global lock came with the handover: no CAS, just the READ.
         assert_eq!((stats.round_trips, stats.atomics, stats.reads), (1, 0, 1));
     }
@@ -707,23 +700,25 @@ mod tests {
         let mut other = pool.fabric().client(1);
         assert_eq!(mgr.acquire(&mut other, node).unwrap().remote_retries, 0);
         mgr.release(&mut other, node, Vec::new(), true).unwrap();
-        drop(other); // only blocked or running participants may stay registered
 
         // A handed-over waiter whose READ is rejected passes the lock on.
         mgr.acquire(&mut client, node).unwrap();
-        let waiter = {
-            let (pool, mgr) = (Arc::clone(&pool), Arc::clone(&mgr));
-            thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
-                let mut buf = [0u8; 64];
-                mgr.acquire_and_read(&mut client, node, &mut buf).is_err()
-            })
-        };
-        pump_until_queued(&mgr, &mut client, node, 1);
-        let r = mgr.release(&mut client, node, Vec::new(), true).unwrap();
-        assert!(!r.released_global, "the waiter is handed the lock");
-        drop(client);
-        assert!(waiter.join().unwrap(), "its read is out of bounds");
+        let mut ctxs = [client, pool.fabric().client(0)];
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        let mgr = &*mgr;
+        let failed = sherman_sim::run(cxs.iter().enumerate().map(|(id, cx)| {
+            let client = async move {
+                if id == 0 {
+                    until_queued(mgr, cx, node, 1).await;
+                    let r = release(mgr, cx, node, Vec::new()).await;
+                    assert!(!r.released_global, "the waiter is handed the lock");
+                    return false;
+                }
+                acquire_and_read(mgr, cx, node).await.is_err()
+            };
+            (cx, cx.drive(client))
+        }));
+        assert_eq!(failed, [false, true], "the waiter's read is out of bounds");
         let mut other = pool.fabric().client(1);
         assert!(!mgr.acquire(&mut other, node).unwrap().handed_over);
     }
@@ -785,28 +780,31 @@ mod tests {
     #[test]
     fn a_waiter_behind_another_thread_polls_instead_of_parking() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
-        let mut holder = pool.fabric().client(0);
         let node = GlobalAddress::host(0, 110 << 10);
-        mgr.acquire(&mut holder, node).unwrap();
-
+        let mut ctxs = clients(&pool, [0; 2]);
+        mgr.acquire(&mut ctxs[0], node).unwrap();
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        let mgr = &*mgr;
         // Another context of the same compute server: nobody on it will ever
         // wake the waiter, so it looks again after the poll interval.
-        let waiter = {
-            let (pool, mgr) = (Arc::clone(&pool), Arc::clone(&mgr));
-            thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
-                let cx = Stepped::new(&mut client);
-                let mut acq = pin!(mgr.lock(&cx, node, None));
-                let wait = cx.step(acq.as_mut(), None).expect_err("the lock is held");
+        let outcomes = sherman_sim::run(cxs.iter().enumerate().map(|(id, cx)| {
+            let client = async move {
+                if id == 0 {
+                    cx.drive(until_queued(mgr, cx, node, 1)).await;
+                    cx.drive(release(mgr, cx, node, Vec::new())).await;
+                    return None;
+                }
+                let mut acq = pin!(acquire(mgr, cx, node));
+                let wait = cx.poll(acq.as_mut()).expect_err("the lock is held").token();
                 let deadline = cx.ctx().completes_at(wait);
                 assert_eq!(deadline, cx.ctx().now() + LOCAL_POLL_NS);
-                cx.finish(acq, Some(wait)).unwrap().0
-            })
-        };
-        pump_until_queued(&mgr, &mut holder, node, 1);
-        mgr.release(&mut holder, node, Vec::new(), true).unwrap();
-        drop(holder);
-        assert!(waiter.join().unwrap().handed_over);
+                let polled = cx.complete(wait).await;
+                cx.resume(polled);
+                Some(cx.drive(acq).await)
+            };
+            (cx, client)
+        }));
+        assert!(outcomes[1].expect("the waiter's").handed_over);
     }
 
     #[test]
@@ -940,33 +938,33 @@ mod tests {
     fn a_handover_to_another_thread_waits_for_the_write_back() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 150 << 10);
-        let mut holder = pool.fabric().client(0);
-        mgr.acquire(&mut holder, node).unwrap();
-        let waiter = {
-            let (pool, mgr) = (Arc::clone(&pool), Arc::clone(&mgr));
-            thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
-                let mut buf = [0u8; 64];
-                let a = mgr.acquire_and_read(&mut client, node, &mut buf).unwrap();
-                mgr.release(&mut client, node, Vec::new(), true).unwrap();
-                (a, buf)
-            })
-        };
-        pump_until_queued(&mgr, &mut holder, node, 1);
-        // Asked to leave the final verb in flight, the release still waits
-        // for it: the waiter reads the node the moment it has the lock.
-        let write = WriteCmd::new(node, vec![9u8; 64]);
-        let (r, last) = {
-            let cx = InPlace::new(&mut holder);
-            block_on(mgr.unlock(&cx, node, vec![write], true, false)).unwrap()
-        };
-        assert!(!r.released_global);
-        assert!(last.is_none(), "the write-back was acknowledged");
-        assert_eq!(holder.outstanding(), 0);
-        drop(holder);
-        let (a, buf) = waiter.join().unwrap();
+        let mut ctxs = clients(&pool, [0; 2]);
+        mgr.acquire(&mut ctxs[0], node).unwrap();
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        let mgr = &*mgr;
+        let mut outcomes = sherman_sim::run(cxs.iter().enumerate().map(|(id, cx)| {
+            let client = async move {
+                if id == 0 {
+                    until_queued(mgr, cx, node, 1).await;
+                    // Asked to leave the final verb in flight, the release
+                    // still waits for it: the waiter reads the node the
+                    // moment it has the lock.
+                    let write = WriteCmd::new(node, vec![9u8; 64]);
+                    let (r, last) = mgr.unlock(cx, node, vec![write], true, false).await.unwrap();
+                    assert!(!r.released_global);
+                    assert!(last.is_none(), "the write-back was acknowledged");
+                    assert_eq!(cx.ctx().outstanding(), 0);
+                    return None;
+                }
+                let acquired = acquire_and_read(mgr, cx, node).await.unwrap();
+                release(mgr, cx, node, Vec::new()).await;
+                Some(acquired)
+            };
+            (cx, cx.drive(client))
+        }));
+        let (a, image) = outcomes.pop().flatten().expect("the waiter's");
         assert!(a.handed_over);
-        assert_eq!(buf, [9u8; 64]);
+        assert_eq!(image, [9u8; 64]);
     }
 
     #[test]
@@ -974,21 +972,23 @@ mod tests {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let end = pool.fabric().config().host_bytes_per_ms as u64;
         let node = GlobalAddress::host(0, end - 8);
-        let mut client = pool.fabric().client(0);
-        mgr.acquire(&mut client, node).unwrap();
-        let waiter = {
-            let (pool, mgr) = (Arc::clone(&pool), Arc::clone(&mgr));
-            thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
-                let mut buf = [0u8; 64];
-                mgr.acquire_and_read(&mut client, node, &mut buf).is_err()
-            })
-        };
-        pump_until_queued(&mgr, &mut client, node, 1);
-        let r = mgr.release(&mut client, node, Vec::new(), true).unwrap();
-        assert!(!r.released_global, "the waiter is handed the lock");
-        drop(client);
-        assert!(waiter.join().unwrap(), "its read is out of bounds");
+        let mut ctxs = clients(&pool, [0; 2]);
+        mgr.acquire(&mut ctxs[0], node).unwrap();
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        let failed = sherman_sim::run(cxs.iter().enumerate().map(|(id, cx)| {
+            let mgr = &*mgr;
+            let client = async move {
+                if id == 0 {
+                    until_queued(mgr, cx, node, 1).await;
+                    let r = release(mgr, cx, node, Vec::new()).await;
+                    assert!(!r.released_global, "the waiter is handed the lock");
+                    return false;
+                }
+                acquire_and_read(mgr, cx, node).await.is_err()
+            };
+            (cx, cx.drive(client))
+        }));
+        assert_eq!(failed, [false, true], "the waiter's read is out of bounds");
         // One attempt from another compute server wins: the lock is free.
         let loc = mgr.table().location_of(node);
         let mut other = pool.fabric().client(1);
@@ -1000,27 +1000,23 @@ mod tests {
     fn local_waiters_do_not_issue_remote_retries() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let node = GlobalAddress::host(0, 60 << 10);
-        let barrier = Arc::new(std::sync::Barrier::new(3));
-        let mut handles = Vec::new();
-        for _ in 0..3u16 {
-            let pool = Arc::clone(&pool);
-            let mgr = Arc::clone(&mgr);
-            let barrier = Arc::clone(&barrier);
-            handles.push(thread::spawn(move || {
-                let mut client = pool.fabric().client(0);
-                barrier.wait();
+        let mut ctxs = clients(&pool, [0; 3]);
+        let cxs: Vec<_> = ctxs.iter_mut().map(Parking::new).collect();
+        let retries = sherman_sim::run(cxs.iter().map(|cx| {
+            let mgr = &*mgr;
+            let client = async move {
                 let mut retries = 0;
                 for _ in 0..20 {
-                    let a = mgr.acquire(&mut client, node).unwrap();
-                    retries += a.remote_retries;
-                    client.charge_cpu(1_000);
-                    mgr.release(&mut client, node, Vec::new(), true).unwrap();
+                    retries += acquire(mgr, cx, node).await.remote_retries;
+                    cx.cpu(1_000).await;
+                    release(mgr, cx, node, Vec::new()).await;
                 }
                 retries
-            }));
-        }
-        let total_retries: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        // Same-CS threads queue locally; the remote lock is observed free (or
+            };
+            (cx, cx.drive(client))
+        }));
+        let total_retries: u64 = retries.into_iter().sum();
+        // Same-CS clients queue locally; the remote lock is observed free (or
         // handed over), so remote CAS retries stay negligible.
         assert!(
             total_retries <= 3,

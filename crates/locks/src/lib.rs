@@ -30,7 +30,7 @@
 //! them from its operations, and the blocking calls
 //! ([`LockManager::acquire`], [`LockManager::acquire_and_read`],
 //! [`LockManager::release`]) are the same `async fn`s run in place
-//! ([`sherman_sim::block_on`] over [`sherman_sim::InPlace`]).
+//! ([`sherman_sim::Parking::block_on`]).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -5,12 +5,12 @@
 //! ([`LockManager::lock`]), the release ([`LockManager::unlock`]) and the
 //! lock order.  Both are `async fn`s written once over a [`Waits`]: the
 //! tree's operations await them on their executor, and the blocking calls
-//! ([`LockManager::acquire`], [`LockManager::release`]) run them under
-//! [`block_on`] with every wait polled in place.  The rungs differ in where
-//! the lock words live (host memory or the NIC's on-chip memory), in how a
-//! lock is given back (`RDMA_FAA` or `RDMA_WRITE`) and in whether a
-//! per-compute-server local layer sits in front of the global word (the
-//! hierarchical rungs; see the `hocl` module).  Without one, every
+//! ([`LockManager::acquire`], [`LockManager::release`]) run them to their end
+//! in place ([`Parking::block_on`]), every wait a blocking poll.  The rungs
+//! differ in where the lock words live (host memory or the NIC's on-chip
+//! memory), in how a lock is given back (`RDMA_FAA` or `RDMA_WRITE`) and in
+//! whether a per-compute-server local layer sits in front of the global word
+//! (the hierarchical rungs; see the `hocl` module).  Without one, every
 //! conflicting thread — even a sibling operation of the same context —
 //! posts its global CAS at once and re-posts it after every loss.
 
@@ -18,8 +18,8 @@ use crate::global::GlobalLockTable;
 use crate::hocl::{LocalLockTable, Turn};
 use sherman_memserver::MemoryPool;
 use sherman_sim::{
-    block_on, ClientCtx, Completion, FabricBackend, FabricChannel, GlobalAddress, InPlace,
-    PendingVerb, SimResult, Waits, WriteCmd,
+    ClientCtx, Completion, FabricBackend, FabricChannel, GlobalAddress, Parking, PendingVerb,
+    SimResult, Waits, WriteCmd,
 };
 use std::future::Future;
 
@@ -296,7 +296,8 @@ impl LockManager {
         client: &mut ClientCtx<C>,
         node: GlobalAddress,
     ) -> SimResult<AcquireOutcome> {
-        Ok(block_on(self.lock(&InPlace::new(client), node, None))?.0)
+        let cx = Parking::new(client);
+        Ok(cx.block_on(self.lock(&cx, node, None))?.0)
     }
 
     /// Acquire the lock protecting `node` and read the node it guards into
@@ -310,8 +311,8 @@ impl LockManager {
         node: GlobalAddress,
         buf: &mut [u8],
     ) -> SimResult<AcquireOutcome> {
-        let cx = InPlace::new(client);
-        let (outcome, image) = block_on(self.lock(&cx, node, Some(buf.len())))?;
+        let cx = Parking::new(client);
+        let (outcome, image) = cx.block_on(self.lock(&cx, node, Some(buf.len())))?;
         buf.copy_from_slice(&image);
         Ok(outcome)
     }
@@ -326,8 +327,8 @@ impl LockManager {
         writes: Vec<WriteCmd>,
         combine: bool,
     ) -> SimResult<ReleaseOutcome> {
-        let cx = InPlace::new(client);
-        Ok(block_on(self.unlock(&cx, node, writes, combine, true))?.0)
+        let cx = Parking::new(client);
+        Ok(cx.block_on(self.unlock(&cx, node, writes, combine, true))?.0)
     }
 
     /// Release the lock protecting `node`, flushing `writes` (node
@@ -666,7 +667,8 @@ mod tests {
     #[test]
     fn deferred_release_posts_the_final_verb_split_phase() {
         let release_in_flight = |mgr: &LockManager, client: &mut ClientCtx, node, writes| {
-            block_on(mgr.unlock(&InPlace::new(client), node, writes, true, false)).unwrap()
+            let cx = Parking::new(client);
+            cx.block_on(mgr.unlock(&cx, node, writes, true, false)).unwrap()
         };
         // Combined write-back + release: the whole batch is the final verb,
         // posted without polling; the lock word is already free at post time.

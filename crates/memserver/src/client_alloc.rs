@@ -16,7 +16,7 @@
 //! [`ClientAllocator::alloc_node`] is the same call run in place.
 
 use crate::pool::{MemoryPool, PoolError};
-use sherman_sim::{block_on, ClientCtx, Fabric, FabricBackend, GlobalAddress, InPlace, Waits};
+use sherman_sim::{ClientCtx, Fabric, FabricBackend, GlobalAddress, Parking, Waits};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -205,7 +205,8 @@ impl<B: FabricBackend> ClientAllocator<B> {
         &mut self,
         client: &mut ClientCtx<B::Channel>,
     ) -> Result<AllocatedNode, PoolError> {
-        block_on(self.alloc(&InPlace::new(client)))
+        let cx = Parking::new(client);
+        cx.block_on(self.alloc(&cx))
     }
 
     /// Allocate one node without charging fabric time (bulkload / setup) at
@@ -380,7 +381,7 @@ mod tests {
 
     /// Waits in place, dropping a reader's epoch pin at its first hold.
     struct UnpinOnHold<'a> {
-        inner: InPlace<'a, SimChannel>,
+        inner: Parking<'a, SimChannel>,
         pin: &'a RefCell<Option<EpochPin>>,
     }
 
@@ -420,10 +421,10 @@ mod tests {
         let pin = RefCell::new(Some(reader.pin()));
         pool.retire_node(got[1].addr, 6, client.now());
         let cx = UnpinOnHold {
-            inner: InPlace::new(&mut client),
+            inner: Parking::new(&mut client),
             pin: &pin,
         };
-        let node = block_on(alloc.alloc(&cx)).unwrap();
+        let node = cx.inner.block_on(alloc.alloc(&cx)).unwrap();
         assert_eq!(node.addr, got[1].addr);
         assert_eq!(node.first_version(), 7);
         assert_eq!(pool.backpressure().reuse_rescues(), 1);

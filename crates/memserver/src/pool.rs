@@ -15,7 +15,7 @@ use crate::layout::{ServerLayout, ROOT_PTR_OFFSET, SUPERBLOCK_MAGIC, TREE_LEVEL_
 use parking_lot::Mutex;
 use sherman_metrics::{BackpressureCounters, EpochGauges};
 use sherman_sim::{
-    block_on, ClientCtx, Fabric, FabricBackend, GlobalAddress, InPlace, RpcServed, RpcWork, Waits,
+    ClientCtx, Fabric, FabricBackend, GlobalAddress, Parking, RpcServed, RpcWork, Waits,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -200,7 +200,8 @@ impl<B: FabricBackend> MemoryPool<B> {
         client: &mut ClientCtx<B::Channel>,
         ms: u16,
     ) -> Result<GlobalAddress, PoolError> {
-        block_on(self.request_chunk(&InPlace::new(client), ms))
+        let cx = Parking::new(client);
+        cx.block_on(self.request_chunk(&cx, ms))
     }
 
     /// Request a chunk from memory server `ms`: post the allocation RPC, the

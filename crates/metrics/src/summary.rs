@@ -50,7 +50,7 @@ impl ThroughputAggregator {
 }
 
 /// One result row: the numbers the paper reports per configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSummary {
     /// Number of client threads.
     pub threads: usize,

@@ -459,14 +459,6 @@ impl<C: FabricChannel> ClientCtx<C> {
         }
     }
 
-    /// Charge CPU time proportional to scanning `bytes` of fetched data.
-    pub fn charge_scan(&mut self, bytes: usize) {
-        let ns = self.chan.backend().config().cpu_scan_ns(bytes);
-        if ns > 0 {
-            self.charge_cpu(ns);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Per-op attribution, critical sections and tracing
     // ------------------------------------------------------------------

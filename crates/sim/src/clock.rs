@@ -1,12 +1,11 @@
 //! Conservative virtual clock for simulated clients that block from OS
 //! threads.
 //!
-//! In-tree multi-client runs do not use it to interleave their clients: the
-//! tree's executor (`sherman::run_clients`) drives every client as a future
-//! on one thread — one participant — and its own heap decides which client
-//! runs next.  This clock is the adapter for the callers that block: the
-//! benchmark, the tests, the examples and the lock and fabric
-//! microbenchmarks, each client on an OS thread of its own.
+//! Every simulated client in this workspace is a future on one executor
+//! ([`crate::exec`]): one thread, one participant, and the executor's heap
+//! decides which client runs next.  The one caller left that blocks clients
+//! on OS threads of their own is the repository benchmark's driver; this
+//! clock is its adapter.
 //!
 //! Every thread that takes part in the simulation registers a [`Participant`].
 //! Waiting for a network completion (or polling a local condition) is expressed
@@ -259,11 +258,6 @@ impl Participant {
     /// Current virtual time in nanoseconds.
     pub fn now(&self) -> u64 {
         self.clock.now()
-    }
-
-    /// The clock this participant is registered with.
-    pub fn clock(&self) -> &Arc<VirtualClock> {
-        &self.clock
     }
 
     /// Block until virtual time reaches `t` nanoseconds.

@@ -10,13 +10,15 @@
 //!
 //! ## Virtual time
 //!
-//! All latency accounting is done on a [`clock::VirtualClock`]: client threads
-//! are real OS threads, but every network wait is expressed as "wake me at
-//! virtual time *t*" and the clock only advances when every registered
-//! participant is blocked.  This yields precise microsecond-scale modeling that
-//! is independent of the number of physical cores (the build machine for this
-//! reproduction has a single core) and supports hundreds of logical client
-//! threads.
+//! All latency accounting is done in virtual time: a verb's completion
+//! instant is fixed by the queueing model when it is posted.  Every simulated
+//! client is a future on one executor ([`exec`]), which resumes the client
+//! whose next completion is due first and moves the [`clock::VirtualClock`]
+//! to it.  A run of many clients is therefore a pure function of its inputs,
+//! independent of the number of physical cores, and hundreds of logical
+//! clients cost no OS thread each.  The one caller that still blocks clients
+//! on OS threads (the repository benchmark's driver) registers each as a
+//! clock participant instead ([`clock`]).
 //!
 //! ## What the model charges
 //!
@@ -41,6 +43,7 @@ pub mod client;
 pub mod clock;
 pub mod coherence;
 pub mod config;
+pub mod exec;
 pub mod fabric;
 pub mod metrics;
 pub mod nic;
@@ -48,7 +51,6 @@ pub mod region;
 pub mod rpc;
 pub mod server;
 pub mod threaded;
-pub mod wait;
 
 pub use addr::{GlobalAddress, MemSpace};
 pub use channel::{FabricBackend, FabricChannel, FabricState, VerbWindow};
@@ -59,13 +61,13 @@ pub use client::{
 pub use clock::{Participant, VirtualClock};
 pub use coherence::{CoherenceHub, CoherenceMsg};
 pub use config::FabricConfig;
+pub use exec::{run, Park, Parking, Waits};
 pub use fabric::{Fabric, SimChannel};
 pub use metrics::FabricMetrics;
 pub use region::Region;
 pub use rpc::{RpcServed, RpcWork};
 pub use server::{AtomicOp, MemServerSim};
 pub use threaded::{ThreadedChannel, ThreadedFabric};
-pub use wait::{block_on, InPlace, Waits};
 
 /// Convenience result alias used throughout the simulator.
 pub type SimResult<T> = Result<T, SimError>;

@@ -8,11 +8,39 @@
 //! ```
 
 use sherman_repro::prelude::*;
-use std::sync::Arc;
-use std::thread;
+use sherman_repro::sherman_workload::WorkloadGenerator;
 
 const THREADS: usize = 6;
 const OPS_PER_THREAD: usize = 250;
+
+/// One client: `OPS_PER_THREAD` operations of the workload, each a batch of
+/// its own — the blocking path — and the latency of each.
+struct Worker {
+    gen: WorkloadGenerator,
+    left: usize,
+    latency: LatencyHistogram,
+}
+
+impl Session for Worker {
+    type Batch = [PipelineOp; 1];
+
+    fn next_batch(&mut self) -> Option<[PipelineOp; 1]> {
+        self.left = self.left.checked_sub(1)?;
+        Some([match self.gen.next_op() {
+            Op::Insert { key, value } => PipelineOp::Insert { key, value },
+            Op::Lookup { key } => PipelineOp::Lookup { key },
+            Op::Delete { key } => PipelineOp::Delete { key },
+            Op::Range { start_key, count } => PipelineOp::Range {
+                start_key,
+                count: count as usize,
+            },
+        }])
+    }
+
+    fn report(&mut self, report: TreeResult<PipelineReport>) {
+        self.latency.record(report.unwrap().elapsed_ns);
+    }
+}
 
 fn run(options: TreeOptions) -> RunSummary {
     let cluster = Cluster::new(ClusterConfig::paper_scaled(4, 3), options);
@@ -28,43 +56,30 @@ fn run(options: TreeOptions) -> RunSummary {
     cluster
         .bulkload(spec.bulkload_iter().map(|k| (k, k)))
         .unwrap();
-    let barrier = Arc::new(std::sync::Barrier::new(THREADS));
-    let mut handles = Vec::new();
-    for t in 0..THREADS {
-        let cluster = Arc::clone(&cluster);
-        let spec = spec.clone();
-        let barrier = Arc::clone(&barrier);
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client((t % 3) as u16);
-            barrier.wait();
-            let mut gen = spec.generator(t as u64);
-            let mut latency = LatencyHistogram::new();
-            for _ in 0..OPS_PER_THREAD {
-                let stats = match gen.next_op() {
-                    Op::Insert { key, value } => client.insert(key, value).unwrap(),
-                    Op::Lookup { key } => client.lookup(key).unwrap().1,
-                    Op::Delete { key } => client.delete(key).unwrap().1,
-                    Op::Range { start_key, count } => {
-                        client.range(start_key, count as usize).unwrap().1
-                    }
-                };
-                latency.record(stats.latency_ns);
-            }
-            ThreadReport {
-                ops: OPS_PER_THREAD as u64,
-                latency,
-            }
-        }));
-    }
+    // Every client is a future on one executor, a pure function of the run.
+    let mut clients: Vec<_> = (0..THREADS)
+        .map(|t| cluster.client((t % 3) as u16))
+        .collect();
+    let mut workers: Vec<_> = (0..THREADS)
+        .map(|t| Worker {
+            gen: spec.generator(t as u64),
+            left: OPS_PER_THREAD,
+            latency: LatencyHistogram::new(),
+        })
+        .collect();
+    run_clients(&mut clients, &mut workers, 1);
     let mut agg = ThroughputAggregator::new();
-    for h in handles {
-        agg.add(&h.join().unwrap());
+    for worker in workers {
+        agg.add(&ThreadReport {
+            ops: OPS_PER_THREAD as u64,
+            latency: worker.latency,
+        });
     }
     agg.finish(cluster.fabric().now())
 }
 
 fn main() {
-    println!("Ablation (write-intensive, Zipfian 0.99, {THREADS} threads)\n");
+    println!("Ablation (write-intensive, Zipfian 0.99, {THREADS} clients)\n");
     println!(
         "{:<16} {:>12} {:>12} {:>12}",
         "configuration", "Mops", "p50 (us)", "p99 (us)"

@@ -2,21 +2,77 @@
 //! case behind Figure 12: leaf nodes are fetched with parallel `RDMA_READ`s
 //! and validated with versions while a writer keeps appending.
 //!
-//! The example bulkloads "orders" keyed by timestamp, spawns one ingest thread
+//! The example bulkloads "orders" keyed by timestamp, runs one ingest client
 //! that appends new orders, and runs windowed scans that compute a running
-//! revenue aggregate per window.
+//! revenue aggregate per window, both clients on one executor.
 //!
 //! ```text
 //! cargo run --release --example range_scan_analytics
 //! ```
 
 use sherman_repro::prelude::*;
-use std::sync::Arc;
-use std::thread;
 
 const ORDERS: u64 = 80_000;
+const APPENDS: u64 = 2_000;
 const WINDOW: usize = 500;
 const SCANS: usize = 40;
+
+/// The two clients, each running one operation at a time (a batch of its
+/// own: the blocking path).
+enum Client {
+    /// Appends fresh orders past the bulkloaded time range.
+    Ingest { appended: u64 },
+    /// Windowed scans with a revenue aggregate.
+    Analytics {
+        scans: usize,
+        entries: usize,
+        revenue: u64,
+        latency: LatencyHistogram,
+    },
+}
+
+impl Session for Client {
+    type Batch = [PipelineOp; 1];
+
+    fn next_batch(&mut self) -> Option<[PipelineOp; 1]> {
+        match self {
+            Client::Ingest { appended } => (*appended < APPENDS).then(|| {
+                [PipelineOp::Insert {
+                    key: (ORDERS + *appended) * 1_000,
+                    value: 250,
+                }]
+            }),
+            Client::Analytics { scans, .. } => (*scans < SCANS).then(|| {
+                [PipelineOp::Range {
+                    start_key: (*scans as u64 * (ORDERS / SCANS as u64)) * 1_000,
+                    count: WINDOW,
+                }]
+            }),
+        }
+    }
+
+    fn report(&mut self, report: TreeResult<PipelineReport>) {
+        let report = report.expect("append or scan");
+        match (self, &report.results[0].output) {
+            (Client::Ingest { appended }, OpOutput::Insert) => *appended += 1,
+            (
+                Client::Analytics {
+                    scans,
+                    entries,
+                    revenue,
+                    latency,
+                },
+                OpOutput::Range(window),
+            ) => {
+                *scans += 1;
+                *entries += window.len();
+                *revenue += window.iter().map(|&(_, amount)| amount).sum::<u64>();
+                latency.record(report.elapsed_ns);
+            }
+            (_, output) => unreachable!("{output:?}"),
+        }
+    }
+}
 
 fn main() {
     let cluster = Cluster::new(ClusterConfig::paper_scaled(4, 2), TreeOptions::sherman());
@@ -26,38 +82,26 @@ fn main() {
         .expect("bulkload");
     println!("bulkloaded {ORDERS} orders");
 
-    // Ingest thread: appends fresh orders past the bulkloaded time range.
-    let ingest_cluster = Arc::clone(&cluster);
-    let ingest = thread::spawn(move || {
-        let mut client = ingest_cluster.client(1);
-        let mut appended = 0u64;
-        for i in 0..2_000u64 {
-            let ts = (ORDERS + i) * 1_000;
-            client.insert(ts, 250).expect("append order");
-            appended += 1;
-        }
-        appended
-    });
-
-    // Analytics thread: windowed scans with a revenue aggregate.
-    let scan_cluster = Arc::clone(&cluster);
-    let analytics = thread::spawn(move || {
-        let mut client = scan_cluster.client(0);
-        let mut total_entries = 0usize;
-        let mut total_revenue = 0u64;
-        let mut scan_latency = LatencyHistogram::new();
-        for w in 0..SCANS {
-            let start_ts = (w as u64 * (ORDERS / SCANS as u64)) * 1_000;
-            let (window, stats) = client.range(start_ts, WINDOW).expect("scan");
-            total_entries += window.len();
-            total_revenue += window.iter().map(|&(_, amount)| amount).sum::<u64>();
-            scan_latency.record(stats.latency_ns);
-        }
-        (total_entries, total_revenue, scan_latency)
-    });
-
-    let appended = ingest.join().unwrap();
-    let (entries, revenue, latency) = analytics.join().unwrap();
+    let mut clients = [cluster.client(1), cluster.client(0)];
+    let mut sessions = [
+        Client::Ingest { appended: 0 },
+        Client::Analytics {
+            scans: 0,
+            entries: 0,
+            revenue: 0,
+            latency: LatencyHistogram::new(),
+        },
+    ];
+    run_clients(&mut clients, &mut sessions, 1);
+    let [Client::Ingest { appended }, Client::Analytics {
+        entries,
+        revenue,
+        latency,
+        ..
+    }] = sessions
+    else {
+        unreachable!("the clients keep their kinds")
+    };
 
     println!("ingested {appended} new orders concurrently with the scans");
     println!(

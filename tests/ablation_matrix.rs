@@ -2,9 +2,9 @@
 //! must be *correct* under concurrent load — the paper's baselines are real
 //! systems, not strawmen.
 
+mod support;
+
 use sherman_repro::prelude::*;
-use std::sync::Arc;
-use std::thread;
 
 fn exercise(options: TreeOptions, label: &str) {
     let cluster = Cluster::new(ClusterConfig::paper_scaled(2, 2), options);
@@ -13,40 +13,36 @@ fn exercise(options: TreeOptions, label: &str) {
         .expect("bulkload");
 
     let threads = 3;
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let cluster = Arc::clone(&cluster);
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client((t % 2) as u16);
+    let mut clients: Vec<_> = (0..threads as u64)
+        .map(|t| {
             // Mixed load: updates of bulkloaded keys, fresh inserts, lookups,
             // deletes and scans — all on overlapping ranges.
-            for i in 0..250u64 {
-                let k = (i * 37 + t as u64 * 13) % 8_000;
+            support::each((0..250u64).map(move |i| {
+                let k = (i * 37 + t * 13) % 8_000;
                 match i % 5 {
-                    0 => {
-                        client.insert(k, k + 100_000).unwrap();
-                    }
-                    1 => {
-                        client.lookup(k).unwrap();
-                    }
-                    2 => {
-                        client.insert(20_000 + t as u64 * 1_000 + i, i).unwrap();
-                    }
-                    3 => {
-                        // Delete keys from a range disjoint from both the
-                        // bulkloaded keys and the fresh-insert region.
-                        client.delete((k | 1) + 40_000).unwrap();
-                    }
-                    _ => {
-                        client.range(k, 30).unwrap();
-                    }
+                    0 => PipelineOp::Insert {
+                        key: k,
+                        value: k + 100_000,
+                    },
+                    1 => PipelineOp::Lookup { key: k },
+                    2 => PipelineOp::Insert {
+                        key: 20_000 + t * 1_000 + i,
+                        value: i,
+                    },
+                    // Delete keys from a range disjoint from both the
+                    // bulkloaded keys and the fresh-insert region.
+                    3 => PipelineOp::Delete {
+                        key: (k | 1) + 40_000,
+                    },
+                    _ => PipelineOp::Range {
+                        start_key: k,
+                        count: 30,
+                    },
                 }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap_or_else(|_| panic!("{label}: worker panicked"));
-    }
+            }))
+        })
+        .collect();
+    support::run_sessions(&cluster, &mut clients, |t| (t % 2) as u16);
 
     // Post-conditions: fresh inserts are all readable.
     let mut client = cluster.client(0);

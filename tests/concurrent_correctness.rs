@@ -2,19 +2,21 @@
 //! clients, parameterized over both fabric backends.
 //!
 //! Every scenario is a generic body over [`FabricBackend`] with one `#[test]`
-//! per backend: the `_sim` variants run on the deterministic virtual-time
-//! simulator, the `_threaded` variants on real OS threads and a real clock —
-//! same assertions, genuinely different interleavings.  The grace-period
-//! reclamation variant stays simulator-only: its safety argument leans on the
-//! conservative virtual clock bounding how far a scanner can trail.
+//! per backend: the `_sim` variants run every client as a future on the
+//! simulator's one executor (a pure function of the body), the `_threaded`
+//! variants on real OS threads and a real clock — same assertions,
+//! genuinely different interleavings.
+
+mod support;
 
 use sherman_repro::prelude::*;
 use sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
+use support::{each, one_by_one, run_sessions};
 
 fn cluster_on<B: FabricBackend>(options: TreeOptions) -> Arc<Cluster<B>> {
     let cluster = Cluster::<B>::new_on(ClusterConfig::paper_scaled(2, 2), options);
@@ -30,20 +32,16 @@ fn disjoint_writers_never_lose_updates_on<B: FabricBackend>() {
     let cluster = cluster_on::<B>(TreeOptions::sherman());
     let threads = 4;
     let per_thread = 400u64;
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let cluster = Arc::clone(&cluster);
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client((t % 2) as u16);
+    let mut writers: Vec<_> = (0..threads)
+        .map(|t| {
             let base = 100_000 + t as u64 * 10_000;
-            for i in 0..per_thread {
-                client.insert(base + i, base + i + 7).expect("insert");
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+            each((0..per_thread).map(|i| PipelineOp::Insert {
+                key: base + i,
+                value: base + i + 7,
+            }))
+        })
+        .collect();
+    run_sessions(&cluster, &mut writers, |t| (t % 2) as u16);
     let mut client = cluster.client(0);
     for t in 0..threads {
         let base = 100_000 + t as u64 * 10_000;
@@ -80,28 +78,18 @@ fn contended_writers_preserve_atomicity_on<B: FabricBackend>() {
     let threads = 4u64;
     let hot_keys: Vec<u64> = (0..32u64).collect();
     let rounds = 60u64;
-    let barrier = Arc::new(std::sync::Barrier::new(threads as usize));
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let cluster = Arc::clone(&cluster);
-        let hot_keys = hot_keys.clone();
-        let barrier = Arc::clone(&barrier);
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client((t % 2) as u16);
-            barrier.wait();
-            for r in 0..rounds {
-                for &k in &hot_keys {
-                    // Values encode the writer and round so that any torn mix
-                    // of two writes would be detectable as an impossible value.
-                    let value = 1_000_000 + t * 100_000 + r * 100 + k;
-                    client.insert(k, value).expect("insert");
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    let mut writers: Vec<_> = (0..threads)
+        .map(|t| {
+            let writes = (0..rounds).flat_map(|r| {
+                // Values encode the writer and round so that any torn mix of
+                // two writes would be detectable as an impossible value.
+                let value = move |k| 1_000_000 + t * 100_000 + r * 100 + k;
+                hot_keys.iter().map(move |&k| PipelineOp::Insert { key: k, value: value(k) })
+            });
+            each(writes)
+        })
+        .collect();
+    run_sessions(&cluster, &mut writers, |t| (t % 2) as u16);
     let mut client = cluster.client(0);
     for &k in &hot_keys {
         let v = client.lookup(k).unwrap().0.expect("hot key must exist");
@@ -127,35 +115,31 @@ fn contended_writers_preserve_atomicity_threaded() {
 fn lock_free_readers_see_consistent_values_on<B: FabricBackend>() {
     let cluster = cluster_on::<B>(TreeOptions::sherman());
     let stop_key = 5_000u64;
-    let writer_cluster = Arc::clone(&cluster);
-    let writer = thread::spawn(move || {
-        let mut client = writer_cluster.client(0);
-        for round in 1..=40u64 {
-            for k in 0..stop_key / 50 {
-                let key = k * 50;
-                client.insert(key, key + round * 1_000_000).expect("insert");
-            }
+    let keys = move || (0..stop_key / 50).map(|k| k * 50);
+    let writer = each((1..=40u64).flat_map(|round| {
+        keys().map(move |key| PipelineOp::Insert {
+            key,
+            value: key + round * 1_000_000,
+        })
+    }));
+    let mut observed = 0u64;
+    let mut lookups = (0..30).flat_map(|_| keys());
+    let reader = one_by_one(|result| {
+        if let Some(PipelinedResult {
+            op: PipelineOp::Lookup { key },
+            output: OpOutput::Lookup(Some(v)),
+            ..
+        }) = result
+        {
+            observed += 1;
+            // Valid values: the bulkloaded `key` or `key + round*1e6`.
+            let ok = v == key || (v > key && (v - key) % 1_000_000 == 0);
+            assert!(ok, "torn value {v} for key {key}");
         }
+        lookups.next().map(|key| PipelineOp::Lookup { key })
     });
-    let reader_cluster = Arc::clone(&cluster);
-    let reader = thread::spawn(move || {
-        let mut client = reader_cluster.client(1);
-        let mut observed = 0u64;
-        for _ in 0..30 {
-            for k in 0..stop_key / 50 {
-                let key = k * 50;
-                if let Some(v) = client.lookup(key).expect("lookup").0 {
-                    observed += 1;
-                    // Valid values: the bulkloaded `key` or `key + round*1e6`.
-                    let ok = v == key || (v > key && (v - key) % 1_000_000 == 0);
-                    assert!(ok, "torn value {v} for key {key}");
-                }
-            }
-        }
-        observed
-    });
-    writer.join().unwrap();
-    assert!(reader.join().unwrap() > 0);
+    run_sessions(&cluster, &mut [writer, reader], |c| c as u16);
+    assert!(observed > 0);
 }
 
 #[test]
@@ -172,27 +156,21 @@ fn lock_free_readers_see_consistent_values_threaded() {
 /// thread stays deleted; a key re-inserted stays present.
 fn delete_insert_interleaving_on<B: FabricBackend>() {
     let cluster = cluster_on::<B>(TreeOptions::sherman());
-    let mut handles = Vec::new();
-    for t in 0..3u64 {
-        let cluster = Arc::clone(&cluster);
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client((t % 2) as u16);
-            // Each thread owns keys with k % 3 == t.
-            let mut deleted = HashSet::new();
-            for k in (0..3_000u64).filter(|k| k % 3 == t) {
-                if k % 2 == 0 {
-                    client.delete(k).expect("delete");
-                    deleted.insert(k);
-                } else {
-                    client.insert(k, k * 9).expect("insert");
-                }
-            }
-            (t, deleted)
-        }));
-    }
-    let results: Vec<(u64, HashSet<u64>)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    // Each client owns keys with k % 3 == t.
+    let owned = |t: u64| (0..3_000u64).filter(move |k| k % 3 == t);
+    let deleted: Vec<HashSet<u64>> =
+        (0..3u64).map(|t| owned(t).filter(|k| k % 2 == 0).collect()).collect();
+    let mut clients: Vec<_> = (0..3u64)
+        .map(|t| {
+            each(owned(t).map(|k| match k % 2 {
+                0 => PipelineOp::Delete { key: k },
+                _ => PipelineOp::Insert { key: k, value: k * 9 },
+            }))
+        })
+        .collect();
+    run_sessions(&cluster, &mut clients, |t| (t % 2) as u16);
     let mut client = cluster.client(0);
-    for (t, deleted) in results {
+    for (t, deleted) in (0..3u64).zip(deleted) {
         for k in (0..3_000u64).filter(|k| k % 3 == t) {
             let value = client.lookup(k).unwrap().0;
             if deleted.contains(&k) {
@@ -251,86 +229,107 @@ fn churn_under_scans<B: FabricBackend>(scan_pause_ns: u64) {
     let key_at = |t: u64, i: u64| i * WRITERS + t;
     // What each writer has done, for the scanner: inserts that returned, and
     // deletes issued (counted before the delete is).
-    let progress: Arc<[(AtomicU64, AtomicU64); WRITERS as usize]> = Arc::default();
-    let mut handles = Vec::new();
-    for t in 0..WRITERS {
-        let (cluster, progress) = (Arc::clone(&cluster), Arc::clone(&progress));
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client((t % 2) as u16);
+    let progress: [(AtomicU64, AtomicU64); WRITERS as usize] = Default::default();
+    let writers_done = AtomicUsize::new(0);
+    let mut tails = [0u64; WRITERS as usize];
+    // The scan in flight: where it starts and the inserts returned before it.
+    let mut in_flight: Option<(u64, Vec<u64>)> = None;
+    let mut clients: Vec<_> = (0..WRITERS)
+        .zip(&mut tails)
+        .map(|(t, tail)| {
             let (inserted, deleting) = &progress[t as usize];
-            let mut tail = 0u64;
-            for i in 0..window * waves {
-                client.insert(key_at(t, i), value_of(key_at(t, i))).expect("insert");
-                inserted.store(i + 1, Ordering::SeqCst);
-                if i >= window {
-                    deleting.store(tail + 1, Ordering::SeqCst);
-                    let (existed, _) = client.delete(key_at(t, tail)).expect("delete");
-                    assert!(existed, "windowed key must exist");
-                    tail += 1;
-                }
-            }
-            tail
-        }));
-    }
-    let writers_done = Arc::new(AtomicBool::new(false));
-    let scanner = {
-        let (cluster, progress) = (Arc::clone(&cluster), Arc::clone(&progress));
-        let writers_done = Arc::clone(&writers_done);
-        thread::spawn(move || {
-            let mut client = cluster.client(1);
-            let (mut scans, mut held) = (0u64, 0u64);
-            while !writers_done.load(Ordering::SeqCst) {
-                let load = |counter: fn(&(AtomicU64, AtomicU64)) -> &AtomicU64| -> Vec<u64> {
-                    progress.iter().map(|p| counter(p).load(Ordering::SeqCst)).collect()
-                };
-                let inserted = load(|p| &p.0);
-                // From just below the oldest key that may still be live.
-                let oldest = (0..WRITERS)
-                    .zip(load(|p| &p.1))
-                    .map(|(t, deleting)| key_at(t, deleting))
-                    .min()
-                    .expect("writers");
-                let start = oldest.saturating_sub(scans % 40);
-                let (scan, _) = client.range(start, 100).expect("range");
-                let deleting = load(|p| &p.1);
-                assert!(
-                    scan.windows(2).all(|w| w[0].0 < w[1].0),
-                    "scan not strictly sorted"
-                );
-                for &(k, v) in &scan {
-                    assert!(k >= start);
-                    assert_eq!(v, value_of(k), "torn value {v} for key {k}");
-                }
-                let covered_to = match scan.len() == 100 {
-                    true => scan[99].0,
-                    false => u64::MAX,
-                };
-                for t in 0..WRITERS {
-                    for i in deleting[t as usize]..inserted[t as usize] {
-                        let k = key_at(t, i);
-                        if (start..=covered_to).contains(&k) {
-                            assert!(
-                                scan.binary_search(&(k, value_of(k))).is_ok(),
-                                "scan from {start} passed over key {k}, live throughout"
-                            );
-                            held += 1;
+            let writers_done = &writers_done;
+            // Inserts returned so far.
+            let mut i = 0u64;
+            one_by_one(move |result| {
+                match result.map(|r| r.output) {
+                    Some(OpOutput::Insert) => {
+                        i += 1;
+                        inserted.store(i, Ordering::SeqCst);
+                        if i > window {
+                            deleting.store(*tail + 1, Ordering::SeqCst);
+                            return Some(PipelineOp::Delete { key: key_at(t, *tail) });
                         }
                     }
+                    Some(OpOutput::Delete(existed)) => {
+                        assert!(existed, "windowed key must exist");
+                        *tail += 1;
+                    }
+                    _ => {}
                 }
-                scans += 1;
-                if scan_pause_ns > 0 {
-                    // Real threads only: a simulated client sleeping on an OS
-                    // primitive would hold up the virtual clock.
-                    thread::sleep(Duration::from_nanos(scan_pause_ns));
+                if i == window * waves {
+                    writers_done.fetch_add(1, Ordering::SeqCst);
+                    return None;
+                }
+                let key = key_at(t, i);
+                Some(PipelineOp::Insert {
+                    key,
+                    value: value_of(key),
+                })
+            })
+        })
+        .collect();
+    let load = |counter: fn(&(AtomicU64, AtomicU64)) -> &AtomicU64| -> Vec<u64> {
+        progress.iter().map(|p| counter(p).load(Ordering::SeqCst)).collect()
+    };
+    let (mut scans, mut held) = (0u64, 0u64);
+    clients.push(one_by_one(|result| {
+        if let Some(PipelinedResult {
+            output: OpOutput::Range(scan),
+            ..
+        }) = result
+        {
+            let (start, inserted) = in_flight.take().expect("a scan in flight");
+            let deleting = load(|p| &p.1);
+            assert!(
+                scan.windows(2).all(|w| w[0].0 < w[1].0),
+                "scan not strictly sorted"
+            );
+            for &(k, v) in &scan {
+                assert!(k >= start);
+                assert_eq!(v, value_of(k), "torn value {v} for key {k}");
+            }
+            let covered_to = match scan.len() == 100 {
+                true => scan[99].0,
+                false => u64::MAX,
+            };
+            for t in 0..WRITERS {
+                for i in deleting[t as usize]..inserted[t as usize] {
+                    let k = key_at(t, i);
+                    if (start..=covered_to).contains(&k) {
+                        assert!(
+                            scan.binary_search(&(k, value_of(k))).is_ok(),
+                            "scan from {start} passed over key {k}, live throughout"
+                        );
+                        held += 1;
+                    }
                 }
             }
-            assert!(held > scans, "{scans} scans were held against {held} keys");
+            scans += 1;
+            if scan_pause_ns > 0 {
+                thread::sleep(Duration::from_nanos(scan_pause_ns));
+            }
+        }
+        if writers_done.load(Ordering::SeqCst) == WRITERS as usize {
+            return None;
+        }
+        let inserted = load(|p| &p.0);
+        // From just below the oldest key that may still be live.
+        let oldest = (0..WRITERS)
+            .zip(load(|p| &p.1))
+            .map(|(t, deleting)| key_at(t, deleting))
+            .min()
+            .expect("writers");
+        let start = oldest.saturating_sub(scans % 40);
+        in_flight = Some((start, inserted));
+        Some(PipelineOp::Range {
+            start_key: start,
+            count: 100,
         })
-    };
-    let tails: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-    writers_done.store(true, Ordering::SeqCst);
-    scanner.join().unwrap();
-    let tails: Vec<u64> = tails.into_iter().map(|tail| tail.expect("writer")).collect();
+    }));
+    run_sessions(&cluster, &mut clients, |c| (c % 2) as u16);
+    drop(clients);
+    assert!(held > scans, "{scans} scans were held against {held} keys");
     // The churn must have merged and reclaimed nodes...
     assert!(
         cluster.space_stats().leaf_merges > 0,
@@ -356,18 +355,15 @@ fn churn_under_scans<B: FabricBackend>(scan_pause_ns: u64) {
 /// results whose values satisfy the writers' invariant.
 fn range_scans_under_concurrent_inserts_on<B: FabricBackend>() {
     let cluster = cluster_on::<B>(TreeOptions::sherman());
-    let writer_cluster = Arc::clone(&cluster);
-    let writer = thread::spawn(move || {
-        let mut client = writer_cluster.client(0);
-        for k in 10_000..12_000u64 {
-            client.insert(k, k).expect("insert");
-        }
-    });
-    let scanner_cluster = Arc::clone(&cluster);
-    let scanner = thread::spawn(move || {
-        let mut client = scanner_cluster.client(1);
-        for start in (0..10_000u64).step_by(500) {
-            let (scan, _) = client.range(start, 200).expect("range");
+    let writer = each((10_000..12_000u64).map(|k| PipelineOp::Insert { key: k, value: k }));
+    let mut starts = (0..10_000u64).step_by(500);
+    let scanner = one_by_one(move |result| {
+        if let Some(PipelinedResult {
+            op: PipelineOp::Range { start_key: start, .. },
+            output: OpOutput::Range(scan),
+            ..
+        }) = result
+        {
             assert!(
                 scan.windows(2).all(|w| w[0].0 < w[1].0),
                 "range result not strictly sorted"
@@ -377,9 +373,12 @@ fn range_scans_under_concurrent_inserts_on<B: FabricBackend>() {
                 assert_eq!(v, k, "unexpected value for key {k}");
             }
         }
+        starts.next().map(|start_key| PipelineOp::Range {
+            start_key,
+            count: 200,
+        })
     });
-    writer.join().unwrap();
-    scanner.join().unwrap();
+    run_sessions(&cluster, &mut [writer, scanner], |c| c as u16);
 }
 
 #[test]

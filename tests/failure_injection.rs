@@ -1,11 +1,11 @@
 //! Failure-injection style tests: stale caches, exhausted memory, split storms
 //! and torn images must be handled gracefully, never silently corrupted.
 
+mod support;
+
 use sherman_repro::prelude::*;
 use sherman_repro::sherman_cache::{CachedInternal, ChildRef};
 use sherman_repro::sherman_sim::GlobalAddress;
-use std::sync::Arc;
-use std::thread;
 
 /// Poisoning the index cache with bogus leaf pointers must not break
 /// operations: fence-key validation detects the mismatch, invalidates the
@@ -98,7 +98,7 @@ fn split_storm_grows_a_deep_tree() {
     assert_eq!(scan.len(), 100);
 }
 
-/// Concurrent split storms from several threads on adjacent key ranges.
+/// Concurrent split storms from several clients on adjacent key ranges.
 #[test]
 fn concurrent_split_storm_is_correct() {
     let mut config = ClusterConfig::paper_scaled(2, 2);
@@ -107,20 +107,16 @@ fn concurrent_split_storm_is_correct() {
     cluster.bulkload((0..100u64).map(|k| (k * 1_000, k))).unwrap();
     let threads = 4u64;
     let per_thread = 600u64;
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let cluster = Arc::clone(&cluster);
-        handles.push(thread::spawn(move || {
-            let mut client = cluster.client((t % 2) as u16);
-            for i in 0..per_thread {
-                let key = t * 1_000_000 + i;
-                client.insert(key, key ^ 0xABCD).unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    let mut writers: Vec<_> = (0..threads)
+        .map(|t| {
+            let keys = (0..per_thread).map(move |i| t * 1_000_000 + i);
+            support::each(keys.map(|key| PipelineOp::Insert {
+                key,
+                value: key ^ 0xABCD,
+            }))
+        })
+        .collect();
+    support::run_sessions(&cluster, &mut writers, |t| (t % 2) as u16);
     let mut client = cluster.client(1);
     for t in 0..threads {
         for i in (0..per_thread).step_by(37) {

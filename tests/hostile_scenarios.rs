@@ -6,11 +6,14 @@
 //! memory-pressure regimes: pool near-exhaustion (typed allocation
 //! backpressure, never a panic) and mid-run index-cache re-budgeting.
 
+mod support;
+
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
 use sherman_repro::sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use support::{one_by_one, pipeline_op, run_sessions};
 
 /// A laptop-friendly single-threaded spec for model checks.
 fn small_spec(shape: ScenarioShape) -> ScenarioSpec {
@@ -260,30 +263,21 @@ fn concurrent_scans_racing_churn_on<B: FabricBackend>() {
     cluster.bulkload(std::iter::empty()).expect("bulkload");
     let baseline = cluster.shape_audit().expect("audit");
     let threads = spec.threads;
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let cluster = Arc::clone(&cluster);
-        let spec = spec.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut client = cluster.client(0);
+    let mut owns = vec![BTreeMap::new(); threads as usize];
+    let mut clients: Vec<_> = (0..threads)
+        .zip(&mut owns)
+        .map(|(t, own)| {
             let mut gen = spec.generator(t);
-            let mut own = BTreeMap::new();
-            for _ in 0..spec.ops_per_thread {
-                match gen.next_op() {
-                    Op::Insert { key, value } => {
-                        client.insert(key, value).expect("insert");
+            let mut left = spec.ops_per_thread;
+            one_by_one(move |result| {
+                match result.map(|r| (r.op, r.output)) {
+                    Some((PipelineOp::Insert { key, value }, _)) => {
                         own.insert(key, value);
                     }
-                    Op::Delete { key } => {
-                        client.delete(key).expect("delete");
+                    Some((PipelineOp::Delete { key }, _)) => {
                         own.remove(&key);
                     }
-                    Op::Lookup { key } => {
-                        client.lookup(key).expect("lookup");
-                    }
-                    Op::Range { start_key, count } => {
-                        let (scan, _) =
-                            client.range(start_key, count as usize).expect("range");
+                    Some((PipelineOp::Range { start_key, count }, OpOutput::Range(scan))) => {
                         let mut prev = None;
                         for &(k, v) in &scan {
                             assert!(prev < Some(k), "scan out of order at {k}");
@@ -300,7 +294,7 @@ fn concurrent_scans_racing_churn_on<B: FabricBackend>() {
                         }
                         // A scan cut short by `count` covered up to its last
                         // key, any other to the end of the tree.
-                        let covered_to = match scan.len() == count as usize {
+                        let covered_to = match scan.len() == count {
                             true => prev.expect("count > 0"),
                             false => u64::MAX,
                         };
@@ -311,15 +305,16 @@ fn concurrent_scans_racing_churn_on<B: FabricBackend>() {
                             );
                         }
                     }
+                    _ => {}
                 }
-            }
-            own
-        }));
-    }
-    let mut model = BTreeMap::new();
-    for h in handles {
-        model.extend(h.join().expect("worker panicked"));
-    }
+                left = left.checked_sub(1)?;
+                Some(pipeline_op(gen.next_op()))
+            })
+        })
+        .collect();
+    run_sessions(&cluster, &mut clients, |_| 0);
+    drop(clients);
+    let model: BTreeMap<u64, u64> = owns.into_iter().flatten().collect();
     let space = cluster.space_stats();
     assert!(space.leaf_merges > 0 && space.structural_commits > space.leaf_merges, "{space:?}");
     let expect: Vec<(u64, u64)> = model.into_iter().collect();
@@ -362,34 +357,13 @@ fn multi_thread_append_storm_keeps_the_right_edge_clean() {
     spec.ops_per_thread = 1500;
     let (cluster, _) = loaded_cluster(&spec);
     let baseline = cluster.shape_audit().unwrap();
-    let mut handles = Vec::new();
-    for t in 0..spec.threads {
-        let cluster = Arc::clone(&cluster);
-        let spec = spec.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut client = cluster.client(0);
+    let mut clients: Vec<_> = (0..spec.threads)
+        .map(|t| {
             let mut gen = spec.generator(t);
-            for _ in 0..spec.ops_per_thread {
-                match gen.next_op() {
-                    Op::Insert { key, value } => {
-                        client.insert(key, value).expect("insert");
-                    }
-                    Op::Delete { key } => {
-                        client.delete(key).expect("delete");
-                    }
-                    Op::Lookup { key } => {
-                        client.lookup(key).expect("lookup");
-                    }
-                    Op::Range { start_key, count } => {
-                        client.range(start_key, count as usize).expect("range");
-                    }
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
+            support::each((0..spec.ops_per_thread).map(move |_| pipeline_op(gen.next_op())))
+        })
+        .collect();
+    run_sessions(&cluster, &mut clients, |_| 0);
     assert_eq!(
         cluster.node_census().unwrap().total(),
         cluster.nodes_outstanding()

@@ -3,11 +3,13 @@
 //! against an in-memory model, and while racing concurrent writers (no torn
 //! reads) — and its virtual-time accounting is deterministic.
 
+mod support;
+
 use sherman_repro::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
+use support::{batches, one_by_one};
 
 fn loaded_cluster(n: u64) -> (Arc<Cluster>, BTreeMap<u64, u64>) {
     let cluster = Cluster::new(ClusterConfig::small(), TreeOptions::sherman());
@@ -290,35 +292,27 @@ fn pipelined_reads_race_writers_without_torn_results() {
         .bulkload((0..n).map(|k| (k, k * 2 + 1)))
         .unwrap();
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut writers = Vec::new();
-    for w in 0..2u64 {
-        let cluster = Arc::clone(&cluster);
-        let stop = Arc::clone(&stop);
-        writers.push(thread::spawn(move || {
-            let mut client = cluster.client(w as u16 % 2);
-            let mut generation = 1u64;
-            while !stop.load(Ordering::Relaxed) {
-                // Each writer owns a disjoint key residue so values never
-                // race each other, only the readers.
-                for k in ((w)..n).step_by(2).step_by(7) {
-                    client
-                        .insert(k, k * 2 + 1 + generation * STRIDE)
-                        .unwrap();
-                }
-                generation += 1;
-            }
-        }));
-    }
-
     let is_valid = |k: u64, v: u64| -> bool {
         // Any generation of this key's value protocol is valid; anything
         // else is a torn or foreign read.
         v % STRIDE == (k * 2 + 1) % STRIDE && (v - (k * 2 + 1)).is_multiple_of(STRIDE)
     };
 
+    // Each writer owns a disjoint key residue so values never race each
+    // other, only the reader's; it sweeps its keys a generation at a time
+    // for as long as the reader reads.
+    let mut sweeps: Vec<_> = (0..2u64)
+        .map(|w| {
+            let keys: Vec<u64> = (w..n).step_by(2).step_by(7).collect();
+            (1u64..).flat_map(move |generation| {
+                keys.clone().into_iter().map(move |k| PipelineOp::Insert {
+                    key: k,
+                    value: k * 2 + 1 + generation * STRIDE,
+                })
+            })
+        })
+        .collect();
     for depth in [1usize, 4, 8] {
-        let mut reader = cluster.client(0);
         let mut ops: Vec<PipelineOp> = Vec::new();
         for i in 0..300u64 {
             if i % 6 == 5 {
@@ -330,9 +324,28 @@ fn pipelined_reads_race_writers_without_torn_results() {
                 ops.push(PipelineOp::Lookup { key: (i * 53) % n });
             }
         }
-        let report = reader.run_pipelined(ops, depth).unwrap();
-        assert_eq!(report.results.len(), 300);
-        for r in &report.results {
+        let reading = AtomicBool::new(true);
+        let mut results = Vec::new();
+        let mut ops = Some(ops);
+        let reader = batches(|read| {
+            if ops.is_none() {
+                results = read;
+                reading.store(false, Ordering::Relaxed);
+            }
+            ops.take()
+        });
+        let mut sessions = vec![reader];
+        for sweep in &mut sweeps {
+            let reading = &reading;
+            sessions.push(one_by_one(move |_| {
+                reading.load(Ordering::Relaxed).then(|| sweep.next().expect("endless"))
+            }));
+        }
+        let mut clients = vec![cluster.client(0), cluster.client(0), cluster.client(1)];
+        run_clients(&mut clients, &mut sessions, depth);
+        drop(sessions);
+        assert_eq!(results.len(), 300);
+        for r in &results {
             match (&r.op, &r.output) {
                 (PipelineOp::Lookup { key }, OpOutput::Lookup(v)) => {
                     let v = v.unwrap_or_else(|| panic!("key {key} must stay present"));
@@ -359,8 +372,4 @@ fn pipelined_reads_race_writers_without_torn_results() {
         }
     }
 
-    stop.store(true, Ordering::Relaxed);
-    for w in writers {
-        w.join().unwrap();
-    }
 }

@@ -22,11 +22,13 @@
 //!   fall back to the rank-ordered acquisition and still terminate with a
 //!   tree equal to the model.
 
+mod support;
+
 use sherman_repro::prelude::*;
 use sherman_repro::sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::thread;
+use support::{one_by_one, run_sessions};
 
 /// The figures of an operation this suite pins: `(round_trips, reads, writes,
 /// atomics, bytes_written, latency_ns)`.
@@ -536,9 +538,11 @@ fn opposite_direction_merges_fall_back_and_terminate_on<B: FabricBackend>() {
     let mut config = ClusterConfig::small();
     config.fabric.host_bytes_per_ms = 16 << 20;
     config.fabric.onchip_bytes_per_ms = 64;
-    // Real threads collide by chance — in about one round in eight on a busy
-    // two-core box, now that a merge holds its locks for a few dozen stores
-    // instead of three nodes' worth: go again on a fresh tree if need be.
+    // On the simulator the plans collide in the first round, every round
+    // being the same pure function of the body.  Real threads collide by
+    // chance — in about one round in eight on a busy two-core box, now that
+    // a merge holds its locks for a few dozen stores instead of three nodes'
+    // worth: go again on a fresh tree if need be.
     for round in 0.. {
         let cluster = Cluster::<B>::new_on(config.clone(), TreeOptions::sherman());
         let keys = 4_000u64;
@@ -562,24 +566,24 @@ fn opposite_direction_merges_fall_back_and_terminate_on<B: FabricBackend>() {
         for key in feeds.iter().flatten() {
             model.remove(key);
         }
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let clients: Vec<_> = feeds
+        let mut clients: Vec<_> = feeds
             .into_iter()
-            .enumerate()
-            .map(|(cs, feed)| {
-                let (cluster, barrier) = (Arc::clone(&cluster), Arc::clone(&barrier));
-                thread::spawn(move || {
-                    let mut client = cluster.client(cs as u16);
-                    barrier.wait();
-                    for key in feed {
-                        assert!(client.delete(key).unwrap().0, "key {key} is live");
+            .map(|feed| {
+                let mut feed = feed.into_iter();
+                one_by_one(move |result| {
+                    if let Some(PipelinedResult {
+                        op: PipelineOp::Delete { key },
+                        output: OpOutput::Delete(existed),
+                        ..
+                    }) = result
+                    {
+                        assert!(existed, "key {key} is live");
                     }
+                    feed.next().map(|key| PipelineOp::Delete { key })
                 })
             })
             .collect();
-        for client in clients {
-            client.join().unwrap();
-        }
+        run_sessions(&cluster, &mut clients, |cs| cs as u16);
 
         let mut client = cluster.client(0);
         client.quiesce_coherence();

@@ -1549,13 +1549,13 @@ mod tests {
         // The two-choice candidates are drawn by slot, not by walking the
         // index: a full 16 MB cache of 256 B entries evicts at the price of a
         // 64-entry one (deeper maps, a wider sketch and colder memory only).
-        // Best of five, so a preempted round does not decide it.
-        let best = |entries| {
-            (0..5)
-                .map(|_| evicting_insert_ns(entries))
-                .fold(f64::MAX, f64::min)
-        };
-        let (small, large) = (best(64), best(16_384));
+        // Best of five each, the two sizes taking turns, so that a preempted
+        // round or a machine state that comes and goes does not decide it.
+        let (mut small, mut large) = (f64::MAX, f64::MAX);
+        for _ in 0..5 {
+            small = small.min(evicting_insert_ns(64));
+            large = large.min(evicting_insert_ns(16_384));
+        }
         assert!(
             large < 3.0 * small,
             "evicting insert: {small:.0} ns at 64 entries, {large:.0} ns at 16 384"

@@ -727,7 +727,7 @@ mod tests {
     fn operations_of_one_context_queue_park_and_hand_over() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
-        let cx = Stepped::new(&mut client);
+        let cx = Parking::new(&mut client);
         let node = GlobalAddress::host(0, 100 << 10);
         let lock = || mgr.lock(&cx, node, Some(64));
         let (mut a, mut b, mut c) = (pin!(lock()), pin!(lock()), pin!(lock()));
@@ -811,7 +811,7 @@ mod tests {
     fn an_optimistic_attempt_never_queues_and_never_reposts() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
-        let cx = Stepped::new(&mut client);
+        let cx = Parking::new(&mut client);
         let node = GlobalAddress::host(0, 120 << 10);
         pool.fabric().god_write(node, &[5u8; 64]).unwrap();
         let try_lock = || mgr.try_lock(&cx, node, Some(64)).unwrap();
@@ -857,7 +857,7 @@ mod tests {
     fn a_chain_of_handovers_ends_after_max_handover_depth() {
         let (pool, mgr) = setup(LockStrategy::Hocl);
         let mut client = pool.fabric().client(0);
-        let cx = Stepped::new(&mut client);
+        let cx = Parking::new(&mut client);
         let node = GlobalAddress::host(0, 130 << 10);
         let n = MAX_HANDOVER_DEPTH as usize + 2;
         let mut acqs: Vec<_> = (0..n)
@@ -893,7 +893,7 @@ mod tests {
         // Two operations of one context queue behind another thread's holder:
         // both poll.
         let mut client = pool.fabric().client(0);
-        let cx = Stepped::new(&mut client);
+        let cx = Parking::new(&mut client);
         let (mut c, mut b) = (
             pin!(mgr.lock(&cx, node, None)),
             pin!(mgr.lock(&cx, node, None)),
@@ -919,7 +919,7 @@ mod tests {
     fn racing_waiters_take_no_place_in_a_queue() {
         let (pool, mgr) = setup(LockStrategy::Hierarchical);
         let mut client = pool.fabric().client(0);
-        let cx = Stepped::new(&mut client);
+        let cx = Parking::new(&mut client);
         let node = GlobalAddress::host(0, 140 << 10);
         mgr.acquire(&mut cx.ctx(), node).unwrap();
         let mut acq = pin!(mgr.lock(&cx, node, None));

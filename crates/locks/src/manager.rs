@@ -511,7 +511,7 @@ mod tests {
         // Two attempts lose while the lock is held, the third wins: every
         // retry is a separately posted verb the caller may park on.
         let mut client = pool.fabric().client(0);
-        let cx = Stepped::new(&mut client);
+        let cx = Parking::new(&mut client);
         let mut acq = pin!(mgr.lock(&cx, node, Some(32)));
         let mut pending = None;
         for attempt in 0..3 {
@@ -539,7 +539,7 @@ mod tests {
         mgr.acquire(&mut holder, node).unwrap();
 
         let mut client = pool.fabric().client(0);
-        let cx = Stepped::new(&mut client);
+        let cx = Parking::new(&mut client);
         let attempt = || {
             let posted = mgr.try_lock(&cx, node, Some(32)).unwrap();
             cx.finish(pin!(posted.expect("the attempt is posted")), None)
@@ -575,7 +575,7 @@ mod tests {
                     client.enable_trace();
                     let before = client.stats();
                     let outcomes = if awaited {
-                        let cx = Stepped::new(&mut client);
+                        let cx = Parking::new(&mut client);
                         let locked = cx.finish(pin!(mgr.lock(&cx, node, Some(64))), None);
                         let (acquired, image) = locked.unwrap();
                         let unlock = mgr.unlock(&cx, node, writes, combine, true);

@@ -18,16 +18,17 @@
 //! [`run_clients`] hands every client's loop to the simulator's executor
 //! (`sherman_sim::run`): each loop parks on the instant its next step is due
 //! (`Parking::until`), and a heap keyed by (that instant, client index)
-//! resumes the earliest — the lower client index on a tie.  Within a client the next step is the one the loop
-//! picks: the earliest completion on its completion queue; a finished
-//! operation's slot immediately pulls the next operation from the feed.  A
-//! client is one CPU, so what an operation waits for *holding* its client —
-//! CPU time, the few waits that block inside an operation (`Parking::hold`) —
-//! lets other clients run but none of its siblings.  Run alone — one client,
-//! [`TreeClient::run_pipelined`] — every wait is answered at once, the clock
-//! moved by the poll that follows, and a `depth` of 1 degenerates to exactly
-//! the blocking path (post one verb, poll it): the equivalence the
-//! `pipelined_equivalence` and `write_pipelining` suites pin down.
+//! resumes the earliest — the lower client index on a tie.  Within a client
+//! the next step is the one the loop picks: the earliest completion on its
+//! completion queue; a finished operation's slot immediately pulls the next
+//! operation from the feed.  A client is one CPU, so what an operation waits
+//! for *holding* its client — CPU time, the few waits that block inside an
+//! operation (`Parking::hold`) — lets other clients run but none of its
+//! siblings.  Run alone — one client, [`TreeClient::run_pipelined`] — every
+//! wait is answered at once, the clock moved by the poll that follows, and a
+//! `depth` of 1 degenerates to exactly the blocking path (post one verb, poll
+//! it): the equivalence the `pipelined_equivalence` and `write_pipelining`
+//! suites pin down.
 //!
 //! Nothing but the heap moves the simulator's clock while the executor runs,
 //! so a run of several clients is a pure function of its inputs.

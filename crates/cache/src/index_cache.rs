@@ -1520,45 +1520,47 @@ mod tests {
         assert!(cache.stats().evictions() > 100);
     }
 
-    /// Cost of one evicting admission into a full cache of `entries`: the
-    /// sketch record, the two victim draws, the eviction and the insertion
-    /// (whether the offer wins is one comparison on top).
-    fn evicting_insert_ns(entries: u64) -> f64 {
+    /// Slots the two-choice sampler draws per victim over evicting
+    /// admissions into a full cache of `entries`: the sketch record, the two
+    /// victim draws, the eviction and the insertion, as an admission that
+    /// wins runs them.  Every draw advances the sampler's splitmix state by
+    /// one gamma, so the draws are the distance the state moved, in gammas.
+    fn draws_per_victim(entries: u64) -> f64 {
+        const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+        // An odd number has an inverse modulo 2^64; each Newton step doubles
+        // its correct low bits, from the 3 the number itself has.
+        let inverse = (0..5).fold(GAMMA, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(GAMMA.wrapping_mul(x)))
+        });
         let cache = IndexCache::new(IndexCacheConfig::new(entries as usize * 256, 256));
         let node = |i: u64| Arc::new(level1(i * 100, (i + 1) * 100));
         for i in 0..entries {
             cache.offer_at(node(i), None);
         }
         let rounds = 4_000u64;
-        let fresh: Vec<_> = (entries..entries + rounds).map(node).collect();
         let mut inner = cache.inner.write();
-        let started = std::time::Instant::now();
-        for image in fresh {
+        let before = inner.rng;
+        for image in (entries..entries + rounds).map(node) {
             let uses = inner.record_offer((1, image.fence_low), cache.capacity_bytes());
             let victim = inner.pick_victim(&[]).expect("a full cache has a victim");
             inner.evict(victim);
             inner.insert(image, uses);
         }
-        let ns = started.elapsed().as_nanos() as f64 / rounds as f64;
         assert_eq!(inner.slots.len(), entries as usize);
-        ns
+        let draws = inner.rng.wrapping_sub(before).wrapping_mul(inverse);
+        draws as f64 / rounds as f64
     }
 
     #[test]
     fn victim_sampling_does_not_grow_with_the_cache() {
         // The two-choice candidates are drawn by slot, not by walking the
-        // index: a full 16 MB cache of 256 B entries evicts at the price of a
-        // 64-entry one (deeper maps, a wider sketch and colder memory only).
-        // Best of five each, the two sizes taking turns, so that a preempted
-        // round or a machine state that comes and goes does not decide it.
-        let (mut small, mut large) = (f64::MAX, f64::MAX);
-        for _ in 0..5 {
-            small = small.min(evicting_insert_ns(64));
-            large = large.min(evicting_insert_ns(16_384));
-        }
+        // index: a full 16 MB cache of 256 B entries draws as few slots per
+        // victim as a 64-entry one.  Counted rather than timed, so that no
+        // preempted round or machine state decides it.
+        let (small, large) = (draws_per_victim(64), draws_per_victim(16_384));
         assert!(
-            large < 3.0 * small,
-            "evicting insert: {small:.0} ns at 64 entries, {large:.0} ns at 16 384"
+            (2.0..64.0).contains(&small) && large < 3.0 * small,
+            "slots drawn per victim: {small} at 64 entries, {large} at 16 384"
         );
     }
 

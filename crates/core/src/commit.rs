@@ -84,10 +84,10 @@ use crate::coherence::{self, PublishedCommit, StructuralCommit};
 use crate::config::LeafFormat;
 use crate::error::TreeError;
 use crate::layout::{NodeLayout, FLAG_FREE};
-use crate::node::{InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
+use crate::node::{InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader, Step};
 use crate::ops::{
-    cached_from_internal, next_after_mismatch, read_node, traverse, LeafSource, OpCx, OpMeta,
-    WriteCommit, WriteKind,
+    cached_from_internal, read_node, traverse, OpCx, OpMeta, RestartBudget, Route, WriteCommit,
+    WriteKind,
 };
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
@@ -766,7 +766,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     pub(crate) async fn leaf_commit(
         &self,
         addr: GlobalAddress,
-        source: LeafSource,
+        route: Route,
         key: u64,
         kind: WriteKind,
         buf: &[u8],
@@ -778,20 +778,14 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // before a commit was planned on the image.
         let whole = self.leaf_format().is_sorted() || !self.combine();
         let header = layout.decode_header(buf);
-        if header.free || !header.is_leaf || !header.covers(key) {
+        if header.step(key, 0) != Step::Here {
             self.scan_cpu(match whole {
                 true => buf.len(),
                 false => layout.leaf_search_bytes(&LeafSearch::default()),
             })
             .await;
-            if header.free && matches!(source, LeafSource::Cache { .. }) {
-                // The cache routed this write to a retired leaf: its
-                // invalidation is still in flight.
-                self.cluster.coherence_counters().stale_hits.inc();
-            }
             let release = self.unlock(addr, Vec::new(), false).await?;
-            let next = next_after_mismatch(self, key, addr, &header, source)
-                .map(|a| (a, LeafSource::Sibling));
+            let next = self.step(key, 0, addr, &header, route).right();
             return Ok(WriteCommit::Retry { next, release });
         }
 
@@ -1007,14 +1001,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
         parent_level: u8,
         meta: &mut OpMeta,
     ) -> TreeResult<()> {
-        let restarts = self.cluster.config().max_restarts;
+        let mut restarts = RestartBudget::new(self);
         let mut pending: Option<GlobalAddress> = None;
-        for attempt in 0..restarts {
-            if attempt > 0 {
-                // Lost a race (root growth, a concurrent split moving the
-                // key range): pace the retry so the winner can finish.
-                self.ctx().contention_backoff(attempt);
-            }
+        loop {
+            restarts.begin(self, "separator insertion")?;
             let (_, root_level) = self.root().await?;
             if root_level < parent_level {
                 // The new root makes `child` reachable from above.
@@ -1024,30 +1014,16 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 }
                 continue;
             }
-            let addr = match pending.take() {
-                Some(a) => a,
-                None => traverse(self, meta, sep_key, parent_level, None).await?.0,
+            let (addr, route) = match pending.take() {
+                Some(sibling) => (sibling, Route::Read),
+                None => traverse(self, meta, sep_key, parent_level, None).await?,
             };
             let buf = self.lock_and_read(addr, meta).await?;
             let mut node = self.layout().decode_internal(&buf);
-            let usable = !node.header.free
-                && !node.header.is_leaf
-                && node.header.level == parent_level
-                && node.header.covers(sep_key);
-            if !usable {
-                if node.header.free {
-                    // A cached route led to a retired node whose invalidation
-                    // has not been drained (operations drain at their start
-                    // only): scrub the route here, or every retry follows it.
-                    self.cluster.cache(self.cs_id).invalidate_addr(addr);
-                }
+            let step = self.step(sep_key, parent_level, addr, &node.header, route);
+            if step != Step::Here {
                 self.release_lock(addr, Vec::new()).await?;
-                if !node.header.free
-                    && node.header.level == parent_level
-                    && sep_key >= node.header.fence_high
-                {
-                    pending = node.header.sibling;
-                }
+                pending = step.right();
                 continue;
             }
             // Either branch below makes `child` reachable from this node:
@@ -1087,10 +1063,6 @@ impl<B: FabricBackend> OpCx<'_, B> {
             ))
             .await;
         }
-        Err(TreeError::RetriesExhausted {
-            context: "separator insertion",
-            attempts: restarts,
-        })
     }
 
     /// Offer the index cache the fresh image of every internal node a commit
@@ -1193,13 +1165,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
         if root_level < level + 1 {
             return Ok(None);
         }
-        let restarts = self.cluster.config().max_restarts;
+        let mut restarts = RestartBudget::new(self);
         let mut pending: Option<GlobalAddress> = None;
-        for _ in 0..restarts {
-            let addr = match pending.take() {
-                Some(a) => a,
+        while restarts.begin(self, "merge discovery").is_ok() {
+            let (addr, route) = match pending.take() {
+                Some(sibling) => (sibling, Route::Read),
                 None => match traverse(self, meta, hdr.fence_low, level + 1, None).await {
-                    Ok((a, _)) => a,
+                    Ok(found) => found,
                     Err(TreeError::RetriesExhausted { .. }) => return Ok(None),
                     Err(e) => return Err(e),
                 },
@@ -1207,21 +1179,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
             let buf = read_node(self, meta, addr).await?;
             self.scan_cpu(buf.len()).await;
             let parent = self.layout().decode_internal(&buf);
-            if parent.header.free {
-                // As in `insert_separator_at`: scrub the route that led here.
-                self.cluster.cache(self.cs_id).invalidate_addr(addr);
-            }
-            if parent.header.free || parent.header.is_leaf || parent.header.level != level + 1 {
-                continue;
-            }
-            if !parent.header.covers(hdr.fence_low) {
-                if hdr.fence_low >= parent.header.fence_high {
-                    pending = parent.header.sibling;
+            match self.step(hdr.fence_low, level + 1, addr, &parent.header, route) {
+                Step::Here => {
+                    let image = cached_from_internal(addr, &parent);
+                    return Ok(MergePartners::under(&image, node_addr, hdr));
                 }
-                continue;
+                step => pending = step.right(),
             }
-            let image = cached_from_internal(addr, &parent);
-            return Ok(MergePartners::under(&image, node_addr, hdr));
         }
         Ok(None)
     }

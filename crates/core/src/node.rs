@@ -60,6 +60,22 @@ impl NodeHeader {
         key >= self.fence_low && (self.fence_high == u64::MAX || key < self.fence_high)
     }
 
+    /// Where a walk toward `key` at `level` goes from this node: the one
+    /// B-link move-right rule (Lehman and Yao), for every walk of the client
+    /// and of the offload interpreter.
+    pub fn step(&self, key: u64, level: u8) -> Step {
+        if self.free || self.level != level || self.is_leaf != (level == 0) {
+            return Step::Lost;
+        }
+        if self.covers(key) {
+            return Step::Here;
+        }
+        match self.sibling {
+            Some(sibling) if key >= self.fence_high => Step::Right(sibling),
+            _ => Step::Lost,
+        }
+    }
+
     /// Whether the node-level version pair is consistent.
     pub fn versions_match(&self) -> bool {
         self.front_version == self.rear_version
@@ -82,6 +98,30 @@ impl NodeHeader {
     pub fn set_versions(&mut self, v: u8) {
         self.front_version = v;
         self.rear_version = v;
+    }
+}
+
+/// What a walk makes of a node it reached ([`NodeHeader::step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// A live node of the walk's level whose interval holds the key.
+    Here,
+    /// The key lies at or past the node's upper fence: a split moved it to
+    /// the right sibling, which the walk reads next.
+    Right(GlobalAddress),
+    /// A tombstone, a node of another level, or a node whose interval lies
+    /// right of the key: the route that led here is stale, and the walk
+    /// starts over from above.
+    Lost,
+}
+
+impl Step {
+    /// The sibling to move to, if the step moves right.
+    pub fn right(self) -> Option<GlobalAddress> {
+        match self {
+            Step::Right(sibling) => Some(sibling),
+            _ => None,
+        }
     }
 }
 
@@ -710,6 +750,23 @@ mod tests {
 
         let inf = NodeHeader::new(true, 0, 0, u64::MAX);
         assert!(inf.covers(u64::MAX - 1));
+    }
+
+    #[test]
+    fn a_walk_stays_moves_right_or_is_lost() {
+        let mut h = NodeHeader::new(false, 2, 10, 20);
+        assert_eq!(h.step(15, 2), Step::Here);
+        assert_eq!(h.step(25, 2), Step::Lost, "no sibling to move to");
+        h.sibling = Some(addr(7));
+        assert_eq!(h.step(20, 2), Step::Right(addr(7)));
+        assert_eq!(h.step(9, 2), Step::Lost, "left of the lower fence");
+        assert_eq!(h.step(15, 1), Step::Lost, "another level");
+        h.free = true;
+        assert_eq!(h.step(15, 2), Step::Lost, "a tombstone");
+        let leaf = NodeHeader::new(true, 0, 10, 20);
+        assert_eq!(leaf.step(15, 0), Step::Here);
+        let mislabelled = NodeHeader::new(false, 0, 10, 20);
+        assert_eq!(mislabelled.step(15, 0), Step::Lost);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::cluster::Cluster;
 use crate::config::OffloadPolicy;
 use crate::layout::{HEADER_BYTES, INTERNAL_ENTRY_BYTES};
-use crate::node::NodeHeader;
+use crate::node::{NodeHeader, Step};
 use crate::ops::cached_from_internal;
 use sherman_cache::CachedInternal;
 use sherman_sim::{FabricBackend, GlobalAddress, RpcServed, RpcWork};
@@ -354,16 +354,16 @@ fn descend<B: FabricBackend>(
         if header.is_leaf {
             return Ok((addr, header, level1));
         }
-        if !header.covers(key) {
-            // B-link: the key moved right past this node's fence; chase the
-            // sibling (it costs a step) or give up to the client.
-            if key >= header.fence_high {
-                if let Some(sib) = header.sibling {
-                    addr = sib;
-                    continue;
-                }
+        // B-link: the key moved right past this node's fence; chase the
+        // sibling (it costs a step) or give up to the client.  The server's
+        // walk has no level to expect: it takes each node's own.
+        match header.step(key, header.level) {
+            Step::Here => {}
+            Step::Right(sibling) => {
+                addr = sibling;
+                continue;
             }
-            return Err(RpcDecline::FenceMiss { addr });
+            Step::Lost => return Err(RpcDecline::FenceMiss { addr }),
         }
         let internal = cluster.layout().decode_internal(buf);
         work.entries_scanned += internal.entries.len() as u32;
@@ -424,10 +424,11 @@ fn leaf_reply<B: FabricBackend>(
     mut work: RpcWork,
 ) -> RpcResponse {
     let info = RpcNodeInfo::of(addr, &header);
-    if !header.covers(key) {
-        if key >= header.fence_high {
-            // The leaf split under us: hand the sibling hint back and let
-            // the client chase with its own B-link logic.
+    match header.step(key, 0) {
+        Step::Here => {}
+        // The leaf split under us: hand the sibling hint back and let the
+        // client chase with its own B-link logic.
+        Step::Right(_) => {
             return RpcResponse::Leaf(RpcLeafReply {
                 leaf: info,
                 found: None,
@@ -437,10 +438,12 @@ fn leaf_reply<B: FabricBackend>(
                 work,
             });
         }
-        return RpcResponse::Declined {
-            reason: RpcDecline::FenceMiss { addr },
-            work,
-        };
+        Step::Lost => {
+            return RpcResponse::Declined {
+                reason: RpcDecline::FenceMiss { addr },
+                work,
+            };
+        }
     }
     // A torn matched entry (an entry-granular write in flight) sends the
     // client back to read the leaf itself.

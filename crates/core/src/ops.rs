@@ -49,7 +49,7 @@
 use crate::commit::Followup;
 use crate::config::{LeafFormat, OffloadPolicy};
 use crate::error::TreeError;
-use crate::node::{InternalNode, LeafNode, NodeHeader};
+use crate::node::{InternalNode, LeafNode, NodeHeader, Step};
 use crate::offload::{RpcLeafReply, RpcNodeInfo, RpcRangeReply, RpcRequest, RpcResponse};
 use crate::scheduler::PipelineOp;
 use crate::TreeResult;
@@ -60,19 +60,18 @@ use std::sync::Arc;
 
 pub(crate) use crate::exec::OpCx;
 
-/// Where a leaf address came from (used for cache invalidation decisions).
+/// How a walk came to an address: what a mismatch there drops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LeafSource {
-    /// Named by a cached level-1 image without reading a node; holds the
-    /// image's lower fence key so it can be invalidated on a mismatch.
-    Cache {
-        /// Lower fence of the cached parent (the cache's invalidation key).
+pub(crate) enum Route {
+    /// Named by a cached image one level up without a node being read;
+    /// holds the image's lower fence, the cache's key for it.
+    Cached {
+        /// Lower fence of the cached image.
         fence_low: u64,
     },
-    /// Found by traversing internal nodes.
-    Traversal,
-    /// Reached by following a sibling pointer.
-    Sibling,
+    /// Named by what the walk read: a parent, a left sibling, the root
+    /// pointer or a server's reply.
+    Read,
 }
 
 /// Book-keeping accumulated while executing one operation.
@@ -111,7 +110,7 @@ pub(crate) enum WriteCommit {
     /// (`release` as above) and the operation must retry at `next` (re-locate
     /// when `None`).
     Retry {
-        next: Option<(GlobalAddress, LeafSource)>,
+        next: Option<GlobalAddress>,
         release: Option<PendingVerb>,
     },
 }
@@ -183,6 +182,40 @@ impl<B: FabricBackend> OpCx<'_, B> {
             self.drain_coherence();
         }
     }
+
+    /// One step of a walk toward `key` at `level`, from the node at `addr`
+    /// (header `header`) that `route` led to: [`NodeHeader::step`], and for
+    /// any outcome but [`Step::Here`] the local self-heal every walk owes.
+    /// The cached image that named the node is dropped, so the next attempt
+    /// reads the level above instead of following it again.  Every cached
+    /// route to a tombstone is scrubbed: the fabric-delivered `Invalidate`
+    /// may still be in flight, and until it lands nothing else stops a stale
+    /// route from being retried.  A cached route that led to a tombstone is
+    /// a stale hit.
+    pub(crate) fn step(
+        &self,
+        key: u64,
+        level: u8,
+        addr: GlobalAddress,
+        header: &NodeHeader,
+        route: Route,
+    ) -> Step {
+        let step = header.step(key, level);
+        if step == Step::Here {
+            return step;
+        }
+        let cache = self.cluster.cache(self.cs_id);
+        if let Route::Cached { fence_low } = route {
+            cache.invalidate_at(level + 1, fence_low);
+            if header.free {
+                self.cluster.coherence_counters().stale_hits.inc();
+            }
+        }
+        if header.free {
+            cache.invalidate_addr(addr);
+        }
+        step
+    }
 }
 
 /// Build the cacheable image of a decoded internal node.
@@ -202,43 +235,10 @@ pub(crate) fn cached_from_internal(addr: GlobalAddress, node: &InternalNode) -> 
     )
 }
 
-/// Handle a leaf (`header` its header) that turned out not to cover `key`:
-/// invalidate the stale cache entry and either follow the sibling pointer or
-/// ask for a fresh traversal.  Returns the next address to try, or `None` to
-/// re-locate.
-///
-/// Observing a tombstone always scrubs every local cached route to it
-/// (`invalidate_addr`), whatever routed the operation here: with coherence
-/// messages in flight rather than applied synchronously, this local
-/// self-heal is what keeps a stale route from being retried forever before
-/// the `Invalidate` message lands.
-pub(crate) fn next_after_mismatch<B: FabricBackend>(
-    cx: &OpCx<'_, B>,
-    key: u64,
-    addr: GlobalAddress,
-    header: &NodeHeader,
-    source: LeafSource,
-) -> Option<GlobalAddress> {
-    let cache = cx.cluster.cache(cx.cs_id);
-    if let LeafSource::Cache { fence_low } = source {
-        cache.invalidate(fence_low);
-    }
-    if header.free {
-        cache.invalidate_addr(addr);
-        return None;
-    }
-    if key >= header.fence_high {
-        if let Some(sib) = header.sibling {
-            return Some(sib);
-        }
-    }
-    None
-}
-
 /// The synchronous half of leaf location: either the index cache answered
 /// immediately, or a traversal must run, seeded with the cache's answer.
 enum LocateStart {
-    Cached(GlobalAddress, LeafSource),
+    Cached(GlobalAddress, Route),
     Traverse(Option<Arc<CachedInternal>>),
 }
 
@@ -250,7 +250,7 @@ fn locate_start<B: FabricBackend>(cx: &OpCx<'_, B>, meta: &mut OpMeta, key: u64)
         Some(cached) if cached.level == 1 => {
             meta.cache_hit = true;
             let fence_low = cached.fence_low;
-            LocateStart::Cached(cached.child_for(key), LeafSource::Cache { fence_low })
+            LocateStart::Cached(cached.child_for(key), Route::Cached { fence_low })
         }
         start => LocateStart::Traverse(start),
     }
@@ -262,26 +262,26 @@ async fn locate<B: FabricBackend>(
     cx: &OpCx<'_, B>,
     meta: &mut OpMeta,
     key: u64,
-) -> TreeResult<(GlobalAddress, LeafSource)> {
+) -> TreeResult<(GlobalAddress, Route)> {
     match locate_start(cx, meta, key) {
-        LocateStart::Cached(addr, source) => Ok((addr, source)),
+        LocateStart::Cached(addr, route) => Ok((addr, route)),
         LocateStart::Traverse(start) => traverse(cx, meta, key, 0, Some(start)).await,
     }
 }
 
 /// How many more times an operation may start over before it is reported as
 /// failed — the ladder every restarting operation climbs the same way.
-struct RestartBudget(u32);
+pub(crate) struct RestartBudget(u32);
 
 impl RestartBudget {
-    fn new<B: FabricBackend>(cx: &OpCx<'_, B>) -> Self {
+    pub(crate) fn new<B: FabricBackend>(cx: &OpCx<'_, B>) -> Self {
         RestartBudget(cx.cluster.config().max_restarts)
     }
 
     /// Spend one attempt.  Every attempt after the first lost a race (root
-    /// growth, a concurrent split or merge moving the key range) and is paced
-    /// so the winner can finish.
-    fn begin<B: FabricBackend>(
+    /// growth, a concurrent split or merge moving the key range) or followed
+    /// a stale cached route, and is paced so the winner can finish.
+    pub(crate) fn begin<B: FabricBackend>(
         &mut self,
         cx: &OpCx<'_, B>,
         context: &'static str,
@@ -521,16 +521,15 @@ pub(crate) async fn read_node<B: FabricBackend>(
 /// `looked_up` is the cache's answer when the caller already asked it (the
 /// first attempt then does not ask again).
 ///
-/// Returns the node's address and where it came from: straight out of a
-/// cached image when the walk ended without reading a node (the caller must
-/// invalidate that image on a mismatch), a freshly read parent otherwise.
+/// Returns the node's address and the route to it, for the caller's own
+/// step there: [`Route::Cached`] when the walk ended without reading a node.
 pub(crate) async fn traverse<B: FabricBackend>(
     cx: &OpCx<'_, B>,
     meta: &mut OpMeta,
     key: u64,
     target_level: u8,
     mut looked_up: Option<Option<Arc<CachedInternal>>>,
-) -> TreeResult<(GlobalAddress, LeafSource)> {
+) -> TreeResult<(GlobalAddress, Route)> {
     let mut restarts = RestartBudget::new(cx);
     // With structural deletes enabled, a restart may mean a cached route
     // went stale (a freed node or a collapsed root): after the first failed
@@ -568,72 +567,41 @@ pub(crate) async fn traverse<B: FabricBackend>(
         } else {
             None
         };
-        // `route`: `(level, fence_low)` of the cached image that routed the
-        // attempt to `addr`, until a freshly read parent supersedes it.  A
-        // cached route is believed only once the node it names validates:
-        // landing on a freed node is a *stale hit* (an in-flight coherence
-        // invalidation had already retired it), landing beside the key drops
-        // the image.
+        // A cached route is believed only once the node it names validates
+        // (`OpCx::step`): a freshly read parent supersedes it.
         let (mut addr, mut expect_level, mut route) = match start {
             Some(image) => (
                 image.child_for(key),
                 image.level - 1,
-                Some((image.level, image.fence_low)),
+                Route::Cached {
+                    fence_low: image.fence_low,
+                },
             ),
-            None => (root_addr, root_level, None),
+            None => (root_addr, root_level, Route::Read),
         };
         if expect_level < target_level {
             // The tree is shallower than the requested level; the caller
             // handles root growth.
-            return Ok((root_addr, LeafSource::Traversal));
+            return Ok((root_addr, Route::Read));
         }
         while expect_level != target_level {
             let buf = read_node(cx, meta, addr).await?;
             cx.scan_cpu(buf.len()).await;
-            let cache = cx.cluster.cache(cx.cs_id);
             let node = cx.cluster.layout().decode_internal(&buf);
-            let header = &node.header;
-            let routed = route.take();
-            if header.free || header.is_leaf || !header.covers(key) {
-                if header.free {
-                    // Local self-heal: drop every cached route to the
-                    // observed tombstone (the fabric-delivered `Invalidate`
-                    // may still be in flight).
-                    cache.invalidate_addr(addr);
-                    if routed.is_some() {
-                        // A cached route led to a retired node before its
-                        // invalidation was drained.
-                        cx.cluster.coherence_counters().stale_hits.inc();
-                    }
-                } else if let Some((level, fence_low)) = routed {
-                    // The routing image no longer describes the tree (its
-                    // child split, or the address was recycled): drop it so
-                    // the next pass re-reads the parent instead of hopping
-                    // again.
-                    cache.invalidate_at(level, fence_low);
+            match cx.step(key, expect_level, addr, &node.header, route) {
+                Step::Here => {}
+                Step::Right(sibling) => {
+                    (addr, route) = (sibling, Route::Read);
+                    continue;
                 }
-                let hop = (!header.free && !header.is_leaf)
-                    .then_some(header.sibling)
-                    .flatten()
-                    .filter(|_| key >= header.fence_high);
-                match hop {
-                    Some(sibling) => addr = sibling,
-                    None => continue 'attempt,
-                }
-                continue;
+                Step::Lost => continue 'attempt,
             }
+            let cache = cx.cluster.cache(cx.cs_id);
             cache.offer(Arc::new(cached_from_internal(addr, &node)), root_level);
-            if header.level == target_level {
-                return Ok((addr, LeafSource::Traversal));
-            }
-            addr = node.child_for(key);
-            expect_level = header.level - 1;
+            (addr, route) = (node.child_for(key), Route::Read);
+            expect_level -= 1;
         }
-        let source = match route {
-            Some((_, fence_low)) => LeafSource::Cache { fence_low },
-            None => LeafSource::Traversal,
-        };
-        return Ok((addr, source));
+        return Ok((addr, route));
     }
 }
 
@@ -649,21 +617,21 @@ async fn lookup<B: FabricBackend>(
     key: u64,
 ) -> TreeResult<Option<u64>> {
     let mut restarts = RestartBudget::new(cx);
-    let mut pending: Option<(GlobalAddress, LeafSource)> = None;
+    let mut pending: Option<GlobalAddress> = None;
     // One-shot: a lookup offloads at most once (see `offload_descent`).
     let mut offload_done = false;
     'restart: loop {
         restarts.begin(cx, "lookup")?;
-        let (addr, source) = 'located: {
+        let (addr, route) = 'located: {
             if let Some(next) = pending.take() {
-                break 'located next;
+                break 'located (next, Route::Read);
             }
             cx.drain_for_placement(offload_done);
             // `fallback`: the cache-served leaf route an RPC replaced
             // (`Always` on a warm cache); on a decline the lookup resumes
             // there instead of re-locating.
             let (req, fallback) = match locate_start(cx, meta, key) {
-                LocateStart::Cached(addr, source)
+                LocateStart::Cached(addr, route)
                     if !offload_done && cx.cluster.options().offload == OffloadPolicy::Always =>
                 {
                     // `Always` trades even the warm single read for an RPC
@@ -676,10 +644,10 @@ async fn lookup<B: FabricBackend>(
                             leaf_addr: addr,
                             key,
                         },
-                        Some((addr, source)),
+                        Some((addr, route)),
                     )
                 }
-                LocateStart::Cached(addr, source) => break 'located (addr, source),
+                LocateStart::Cached(addr, route) => break 'located (addr, route),
                 LocateStart::Traverse(start) => {
                     match offload_descent(cx, key, &mut offload_done).await {
                         Some(req) => (req, None),
@@ -693,7 +661,7 @@ async fn lookup<B: FabricBackend>(
                     // The RPC still collapsed the descent; chase the B-link
                     // locally like any other reader.
                     counters.wins.inc();
-                    pending = reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
+                    pending = reply.leaf.sibling;
                     continue 'restart;
                 }
                 OffloadOutcome::Leaf(reply) if reply.entry_conflict => {
@@ -701,7 +669,7 @@ async fn lookup<B: FabricBackend>(
                     // re-read the leaf locally.
                     counters.losses.inc();
                     meta.read_retries += 1;
-                    (reply.leaf.addr, LeafSource::Traversal)
+                    (reply.leaf.addr, Route::Read)
                 }
                 OffloadOutcome::Leaf(reply) => {
                     counters.wins.inc();
@@ -722,7 +690,7 @@ async fn lookup<B: FabricBackend>(
             let layout = cx.cluster.layout();
             let leaf = layout.decode_leaf(&buf);
             let header = &leaf.header;
-            let live = !header.free && header.is_leaf && header.covers(key);
+            let live = header.step(key, 0) == Step::Here;
             let search = live.then(|| leaf.search(key, cx.leaf_format()));
             // The CPU of what the lookup read: the header, the tags up to the
             // match and the keys behind matching tags, or the whole node a
@@ -733,13 +701,7 @@ async fn lookup<B: FabricBackend>(
             })
             .await;
             let Some(search) = search else {
-                if header.free && matches!(source, LeafSource::Cache { .. }) {
-                    // The index cache routed to a retired leaf: its
-                    // invalidation is still in flight.
-                    cx.cluster.coherence_counters().stale_hits.inc();
-                }
-                pending = next_after_mismatch(cx, key, addr, header, source)
-                    .map(|a| (a, LeafSource::Sibling));
+                pending = cx.step(key, 0, addr, header, route).right();
                 continue 'restart;
             };
             // A torn match (two-level versions only): read the leaf again.
@@ -785,88 +747,65 @@ struct Scan {
     exhausted: bool,
 }
 
-/// What [`Scan::take_leaf`] made of a leaf.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Take {
-    /// Collected from the frontier up; the frontier moved to its upper fence.
-    Consumed,
-    /// It covers the frontier, but a present entry at or past the frontier
-    /// is torn (an entry-granular write in flight): read the leaf again.
-    Torn,
-    /// Not the live leaf covering the frontier.
-    Mismatch,
-}
-
 impl Scan {
-    /// Consume `leaf` if it is live, covers the frontier and holds no torn
-    /// entry from the frontier up: collect those entries and advance to its
-    /// upper fence.
-    fn take_leaf(&mut self, leaf: &LeafNode) -> Take {
-        let header = &leaf.header;
-        if header.free || !header.is_leaf || !header.covers(self.frontier) {
-            return Take::Mismatch;
-        }
+    /// Consume `leaf`, the live leaf covering the frontier, unless a present
+    /// entry from the frontier up is torn (an entry-granular write in
+    /// flight): collect those entries and advance to its upper fence.
+    /// Returns whether it was consumed.
+    fn take_leaf(&mut self, leaf: &LeafNode) -> bool {
         let Some(needed) = leaf.entries_from(self.frontier) else {
-            return Take::Torn;
+            return false;
         };
+        let header = &leaf.header;
         self.results.extend(needed);
         self.frontier = header.fence_high;
         self.next = header.sibling;
         self.exhausted = header.sibling.is_none();
-        Take::Consumed
+        true
     }
 
-    /// Read the leaves `addrs` a cached level-1 image (lower fence `route`)
+    /// Read the leaves `addrs` a cached level-1 image (lower fence `fence_low`)
     /// names with one parallel batch (§4.4) and consume them in order.  The
-    /// batch is adjacent only as far as the child list is current: the first
-    /// leaf must cover the frontier and every next one must begin exactly
-    /// where its predecessor ended.  Anything else stops the batch (the
-    /// sibling chain takes over from the last verified leaf) and drops the
-    /// image.  A torn image is re-read individually; a leaf with a torn entry
-    /// stops the batch and is read again by the chain walk, the image kept.
+    /// batch is adjacent only as far as the child list is current: each leaf
+    /// must cover the frontier its predecessor moved.  Anything else stops
+    /// the batch (the sibling chain takes over from the last verified leaf)
+    /// and drops the image ([`OpCx::step`]).  A torn image is re-read
+    /// individually; a leaf with a torn entry stops the batch and is read
+    /// again by the chain walk, the image kept.
     async fn batch<B: FabricBackend>(
         &mut self,
         cx: &OpCx<'_, B>,
         meta: &mut OpMeta,
         addrs: &[GlobalAddress],
-        route: u64,
+        fence_low: u64,
     ) -> TreeResult<()> {
         let layout = cx.cluster.layout();
         let node_size = layout.node_size();
         let reqs: Vec<(GlobalAddress, usize)> = addrs.iter().map(|&a| (a, node_size)).collect();
         let token = cx.ctx().post_read_batch(&reqs)?;
         let bufs = cx.wait(token).await.result.into_read_batch();
-        for (idx, (&addr, buf)) in addrs.iter().zip(&bufs).enumerate() {
+        let route = Route::Cached { fence_low };
+        for (&addr, buf) in addrs.iter().zip(&bufs) {
             let consistent = cx.node_image_consistent(buf);
             let leaf = match consistent {
                 true => layout.decode_leaf(buf),
                 false => layout.decode_leaf(&read_node(cx, meta, addr).await?),
             };
-            let adjacent = idx == 0 || leaf.header.fence_low == self.frontier;
-            let taken = match adjacent {
-                true => self.take_leaf(&leaf),
-                false => Take::Mismatch,
-            };
-            if taken == Take::Consumed || !consistent {
+            let here = cx.step(self.frontier, 0, addr, &leaf.header, route) == Step::Here;
+            let taken = here && self.take_leaf(&leaf);
+            if taken || !consistent {
                 // A re-read leaf is charged whether consumed or not; an
                 // image of the batch not consumed is charged nothing.
                 cx.scan_cpu(node_size).await;
             }
-            if taken == Take::Torn {
+            if !here {
+                cx.cluster.cache(cx.cs_id).stats().scan_fallbacks.inc();
+                return Ok(());
+            }
+            if !taken {
                 meta.read_retries += 1;
                 cx.ctx().note_retries(1);
                 self.next = Some(addr);
-                return Ok(());
-            }
-            if taken == Take::Mismatch {
-                let cache = cx.cluster.cache(cx.cs_id);
-                if leaf.header.free {
-                    // The fabric-delivered `Invalidate` may still be in
-                    // flight: scrub every route to the tombstone.
-                    cache.invalidate_addr(addr);
-                }
-                cache.invalidate(route);
-                cache.stats().scan_fallbacks.inc();
                 return Ok(());
             }
         }
@@ -953,8 +892,8 @@ async fn range<B: FabricBackend>(
     let rereads = cx.cluster.config().max_read_retries;
     let mut missed = 0;
     while scan.results.len() < count && !scan.exhausted {
-        let (mut addr, mut source) = match scan.next.take() {
-            Some(sibling) => (sibling, LeafSource::Sibling),
+        let (mut addr, mut route) = match scan.next.take() {
+            Some(sibling) => (sibling, Route::Read),
             None => locate(cx, meta, scan.frontier).await?,
         };
         let mut reads_left = rereads;
@@ -962,20 +901,23 @@ async fn range<B: FabricBackend>(
             let buf = read_node(cx, meta, addr).await?;
             cx.scan_cpu(buf.len()).await;
             let leaf = layout.decode_leaf(&buf);
-            match scan.take_leaf(&leaf) {
-                Take::Consumed => break,
-                Take::Torn if reads_left > 1 => {
+            let step = cx.step(scan.frontier, 0, addr, &leaf.header, route);
+            if step == Step::Here {
+                if scan.take_leaf(&leaf) {
+                    break;
+                }
+                if reads_left > 1 {
                     reads_left -= 1;
                     meta.read_retries += 1;
                     cx.ctx().note_retries(1);
                     continue;
                 }
-                Take::Torn | Take::Mismatch => reads_left = rereads,
             }
+            reads_left = rereads;
             // Not the leaf covering the frontier — tombstoned by a
             // concurrent merge (its entries moved into a left neighbour),
-            // rebalanced, or named by a stale route — or a leaf still torn
-            // after its re-reads: drop the route, then hop right or
+            // rebalanced, or named by a stale route, and the route dropped —
+            // or a leaf still torn after its re-reads: hop right or
             // re-locate the frontier.
             missed += 1;
             if missed > budget {
@@ -984,11 +926,10 @@ async fn range<B: FabricBackend>(
                     attempts: budget,
                 });
             }
-            (addr, source) =
-                match next_after_mismatch(cx, scan.frontier, addr, &leaf.header, source) {
-                    Some(sibling) => (sibling, LeafSource::Sibling),
-                    None => locate(cx, meta, scan.frontier).await?,
-                };
+            (addr, route) = match step.right() {
+                Some(sibling) => (sibling, Route::Read),
+                None => locate(cx, meta, scan.frontier).await?,
+            };
         }
     }
     let mut results = scan.results;
@@ -1028,18 +969,18 @@ async fn write<B: FabricBackend>(
         WriteKind::Delete => "delete",
     };
     let mut restarts = RestartBudget::new(cx);
-    let mut pending: Option<(GlobalAddress, LeafSource)> = None;
+    let mut pending: Option<GlobalAddress> = None;
     // One-shot: a write offloads its location at most once.
     let mut offload_done = false;
     'restart: loop {
         restarts.begin(cx, context)?;
-        let (addr, source) = 'located: {
+        let (addr, route) = 'located: {
             if let Some(next) = pending.take() {
-                break 'located next;
+                break 'located (next, Route::Read);
             }
             cx.drain_for_placement(offload_done);
             let start = match locate_start(cx, meta, key) {
-                LocateStart::Cached(addr, source) => break 'located (addr, source),
+                LocateStart::Cached(addr, route) => break 'located (addr, route),
                 LocateStart::Traverse(start) => start,
             };
             let Some(req) = offload_descent(cx, key, &mut offload_done).await else {
@@ -1050,9 +991,9 @@ async fn write<B: FabricBackend>(
                 OffloadOutcome::Leaf(reply) => {
                     counters.wins.inc();
                     if !reply.chase_sibling {
-                        break 'located (reply.leaf.addr, LeafSource::Traversal);
+                        break 'located (reply.leaf.addr, Route::Read);
                     }
-                    pending = reply.leaf.sibling.map(|s| (s, LeafSource::Sibling));
+                    pending = reply.leaf.sibling;
                 }
                 _ => counters.losses.inc(),
             }
@@ -1060,7 +1001,7 @@ async fn write<B: FabricBackend>(
         };
         // The head of the commit: the leaf lock, its read riding it.
         let buf = cx.lock_and_read_head(addr, meta).await?;
-        match cx.leaf_commit(addr, source, key, kind, &buf, meta).await? {
+        match cx.leaf_commit(addr, route, key, kind, &buf, meta).await? {
             WriteCommit::Committed { found, release } => {
                 if let Some(token) = release {
                     cx.wait(token).await;

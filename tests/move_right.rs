@@ -48,7 +48,10 @@ struct Target {
 fn target(cluster: &Cluster) -> Target {
     let cache = cluster.cache(0);
     let root_level = (1..8).filter(|&l| cache.peek(l, 0).is_some()).max();
-    assert!(root_level >= Some(3), "the separator walk starts at level 2");
+    assert!(
+        root_level >= Some(3),
+        "the separator walk starts at level 2"
+    );
     let mut key = 10_000 * STRIDE;
     loop {
         let c = cache.peek(1, key).unwrap();
@@ -72,7 +75,11 @@ fn doctor(cluster: &Cluster, target: &Target, moved: u64) {
     let cache = cluster.cache(0);
     let parent = cache.peek(2, target.c_low).unwrap();
     let children = parent.children().map(|r| ChildRef {
-        separator: if r.separator == target.c_low { moved } else { r.separator },
+        separator: if r.separator == target.c_low {
+            moved
+        } else {
+            r.separator
+        },
         child: r.child,
     });
     let stale = CachedInternal::new(
@@ -84,7 +91,10 @@ fn doctor(cluster: &Cluster, target: &Target, moved: u64) {
         parent.leftmost(),
         children.collect::<Vec<_>>(),
     );
-    let root_level = (1..8).filter(|&l| cache.peek(l, 0).is_some()).max().unwrap();
+    let root_level = (1..8)
+        .filter(|&l| cache.peek(l, 0).is_some())
+        .max()
+        .unwrap();
     assert!(cache.offer(Arc::new(stale), root_level));
     let routed = cache.peek(2, target.c_low).unwrap().child_for(moved);
     assert_ne!(routed, target.left, "the copy routes `moved` into `c`");
@@ -182,5 +192,8 @@ fn a_merge_routed_below_a_nodes_lower_fence_drops_the_route() {
         rts <= control_rts + 2,
         "{rts} round trips against {control_rts} without the stale image"
     );
-    assert_eq!(cluster.shape_audit().unwrap().underfull_rightmost_fixable, 0);
+    assert_eq!(
+        cluster.shape_audit().unwrap().underfull_rightmost_fixable,
+        0
+    );
 }

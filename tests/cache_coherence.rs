@@ -218,7 +218,7 @@ fn tombstone_gate_rejects_stale_reinsert_at_tree_level() {
 /// top entry lets the traversal bottom out on a leaf address without reading
 /// a single node, so when that route is stale the leaf mismatch is the *only*
 /// place the staleness is observable.  The mismatch path must invalidate the
-/// routing entry (`LeafSource::TopCache` → `invalidate_addr`) or every
+/// routing entry (a `Route::Cached` step, `OpCx::step`) or every
 /// restart re-hits the same stale shortcut and the operation exhausts its
 /// retries — reads and writes both.
 #[test]

@@ -126,10 +126,9 @@ fn split_target_leaf(cluster: &Arc<Cluster>, target: &Target) -> u64 {
 
 /// A leaf splits, and the cached level-2 image routes its separator into the
 /// next level-1 node, one that does not cover the separator.  The insertion
-/// drops that image and finds the parent on its second attempt.  (Before the
-/// walks shared one step, it kept the route and spent every restart on it:
-/// the split failed with `RetriesExhausted` and left its right half named by
-/// no parent.)
+/// drops that image and finds the parent on its second attempt.  (A walk
+/// that kept the route would spend every restart on it: the split would fail
+/// with `RetriesExhausted` and leave its right half named by no parent.)
 #[test]
 fn a_separator_routed_below_a_nodes_lower_fence_drops_the_route() {
     let control = tree(TreeOptions::sherman());
@@ -171,8 +170,8 @@ fn merge_target_leaf(cluster: &Arc<Cluster>, target: &Target) -> u64 {
 /// A leaf goes underfull, and a merge without command combination looks
 /// its parent up by the leaf's lower fence.  The cached level-2 image routes
 /// that key into the next level-1 node.  The merge drops the image, finds
-/// the parent on its second attempt and commits.  (Before, it spent every
-/// restart on the route and gave the merge up.)
+/// the parent on its second attempt and commits.  (A walk that kept the
+/// route would spend every restart on it and give the merge up.)
 #[test]
 fn a_merge_routed_below_a_nodes_lower_fence_drops_the_route() {
     let options = TreeOptions {

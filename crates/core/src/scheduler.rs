@@ -571,6 +571,63 @@ mod tests {
         );
         assert_eq!(report.overlap.max_in_flight, 1);
         assert_eq!(report.overlap.overlapped_round_trips, 0);
+
+        // A mix that splits and merges: op by op, depth 1 reports what the
+        // blocking path reports.
+        let mut ops = Vec::new();
+        for i in 0..1_200u64 {
+            let k = (i * 37) % 6_000;
+            ops.push(match i % 6 {
+                0 => PipelineOp::Lookup { key: k },
+                1 | 2 => PipelineOp::Insert { key: k | 1, value: i },
+                3 => PipelineOp::Insert { key: k - k % 3, value: i },
+                4 => PipelineOp::Delete { key: k },
+                _ => PipelineOp::Range { start_key: k, count: 25 },
+            });
+        }
+        ops.extend((0..600u64).map(|k| PipelineOp::Delete { key: k * 3 }));
+        let cost = |s: &crate::OpStats| (s.latency_ns, s.round_trips, s.bytes_written);
+        let every_third = || {
+            let cluster = Cluster::new(ClusterConfig::small(), TreeOptions::sherman());
+            cluster.bulkload((0..2_000u64).map(|k| (k * 3, k * 7 + 1))).unwrap();
+            cluster
+        };
+
+        let cluster = every_third();
+        let carved = cluster.pool().nodes_carved();
+        let mut blocking = cluster.client(0);
+        let want: Vec<_> = ops
+            .iter()
+            .map(|&op| match op {
+                PipelineOp::Lookup { key } => cost(&blocking.lookup(key).unwrap().1),
+                PipelineOp::Insert { key, value } => cost(&blocking.insert(key, value).unwrap()),
+                PipelineOp::Delete { key } => cost(&blocking.delete(key).unwrap().1),
+                PipelineOp::Range { start_key, count } => {
+                    cost(&blocking.range(start_key, count).unwrap().1)
+                }
+            })
+            .collect();
+        assert!(cluster.pool().nodes_carved() > carved, "no split happened");
+        assert!(cluster.space_stats().leaf_merges > 0, "no merge happened");
+        drop(blocking);
+
+        let cluster = every_third();
+        let report = cluster.client(0).run_pipelined(ops, 1).unwrap();
+        assert_eq!(report.results.len(), want.len());
+        let diverged: Vec<_> = report
+            .results
+            .iter()
+            .map(|r| (r.op, (r.latency_ns, r.round_trips, r.bytes_written)))
+            .zip(want)
+            .filter(|((_, got), want)| got != want)
+            .collect();
+        assert!(
+            diverged.is_empty(),
+            "{} ops cost otherwise at depth 1, (latency, round trips, bytes) against \
+             blocking: {:?}",
+            diverged.len(),
+            &diverged[..diverged.len().min(4)]
+        );
     }
 
     #[test]

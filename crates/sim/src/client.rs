@@ -1469,6 +1469,53 @@ mod tests {
         assert!(ops.verb_ns > 0);
     }
 
+    /// Four operations in flight on one completion queue, tagged as a
+    /// pipelined driver tags them, one of them making an RPC: their records
+    /// add up to what the client counted, and the client's counts to the
+    /// fabric's (the client is the fabric's only one).
+    #[test]
+    fn depth_four_op_records_sum_to_the_client_delta() {
+        let fabric = test_fabric();
+        let mut client = fabric.client(0);
+        let (before, fabric_before) = (client.stats(), fabric.metrics().snapshot());
+        let node = GlobalAddress::host(0, 8192);
+        let mut tokens = Vec::new();
+        for op in 0..4u64 {
+            client.set_current_op(Some(op));
+            tokens.push(client.post_read(node, 64 << op).unwrap());
+            let lock = GlobalAddress::on_chip(0, 64 + 8 * op);
+            tokens.push(client.post_cas_read(lock, 0, 1, u64::MAX, node, 128).unwrap());
+            let cmds = [
+                WriteCmd::new(node.add(1024 * op), vec![1u8; 24]),
+                WriteCmd::new(node, vec![2u8; 8]),
+            ];
+            tokens.push(client.post_write_batch(&cmds).unwrap());
+            tokens.push(client.post_faa(GlobalAddress::host(1, 8 * op), 1).unwrap());
+            if op == 2 {
+                tokens.push(post_worked_rpc(&mut client, 1));
+            }
+            client.charge_cpu(10);
+        }
+        client.set_current_op(None);
+        for token in tokens.into_iter().rev() {
+            client.poll_token(token);
+        }
+        let counts = |s: &OpVerbStats| [s.round_trips, s.rpcs, s.bytes_read, s.bytes_written];
+        let mut sum = [0; 4];
+        for op in 0..4 {
+            for (total, n) in sum.iter_mut().zip(counts(&client.take_op_stats(op))) {
+                *total += n;
+            }
+        }
+        let d = client.stats().delta_since(&before);
+        assert_eq!(sum, [d.round_trips, d.rpcs, d.bytes_read, d.bytes_written]);
+        let f = fabric.metrics().snapshot().delta_since(&fabric_before);
+        assert_eq!(
+            [f.round_trips, f.rpcs, f.bytes_read, f.bytes_written, f.reads, f.writes, f.atomics],
+            [d.round_trips, d.rpcs, d.bytes_read, d.bytes_written, d.reads, d.writes, d.atomics]
+        );
+    }
+
     /// The window of an RPC whose server-side work spins for `spin`.
     fn spinning_rpc_window<B: FabricBackend>(spin: std::time::Duration) -> u64 {
         let fabric = B::build(FabricConfig::small_test());

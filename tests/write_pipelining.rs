@@ -773,6 +773,28 @@ fn a_failed_batch_finishes_what_began_a_lock_acquisition() {
     assert_left_clean(&cluster, &mut client, context);
 }
 
+/// A failed batch leaves no operation's cost record behind: the next
+/// batch's operations, which reuse its operation ids, cost exactly what the
+/// client counted for the batch.
+#[test]
+fn a_failed_batch_leaves_no_cost_record_behind() {
+    let cluster = tiny_pool_cluster();
+    for ms in 0..2u16 {
+        while cluster.pool().alloc_chunk_untimed(ms).is_ok() {}
+    }
+    let mut client = cluster.client(0);
+    let appends = (0..4_000u64).map(|i| PipelineOp::Insert { key: 10_000 + i, value: i });
+    assert_exhausted(client.run_pipelined(appends, 4));
+    let lookups = (0..64u64).map(|k| PipelineOp::Lookup { key: k * 2 });
+    let report = client.run_pipelined(lookups, 4).expect("lookups after the failure");
+    let attributed: u64 = report.results.iter().map(|r| r.round_trips).sum();
+    let written: u64 = report.results.iter().map(|r| r.bytes_written).sum();
+    assert_eq!(
+        (attributed, written),
+        (report.stats.round_trips, report.stats.bytes_written)
+    );
+}
+
 /// On a pool already dry, a depth-4 batch of deletes that merge, with an
 /// insert that must split every eighth op, fails at the first split — while
 /// a sibling's merge holds its three locks.  That merge runs to its end: the

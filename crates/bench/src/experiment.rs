@@ -531,15 +531,7 @@ impl<B: FabricBackend> Session for Feed<B> {
             (Err(e), (n, None)) => return self.out.failed(n, "pipelined batch", e),
         };
         for r in &report.results {
-            let (found, mut stats) = as_blocking(r);
-            if self.blocking {
-                // A batch of one is a blocking call: the batch's latency and
-                // verb counts are the operation's.
-                stats.latency_ns = report.elapsed_ns;
-                stats.round_trips = report.stats.round_trips;
-                stats.bytes_written = report.stats.bytes_written;
-            }
-            self.out.record(&r.op, (found, stats), self.must_find);
+            self.out.record(&r.op, as_blocking(r), self.must_find);
         }
         // The blocking path's overlap window is the whole call, tail included.
         self.out.overlap.merge(&match self.blocking {

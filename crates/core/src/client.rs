@@ -126,24 +126,27 @@ impl<B: FabricBackend> TreeClient<B> {
 
     /// Run one operation to completion with one verb in flight at a time —
     /// which is exactly what a pipelined run at depth 1 executes, operation
-    /// boundary included: drain the coherence inbox, pin the reclamation
-    /// epoch, run until done.
+    /// boundary and cost record included: drain the coherence inbox, pin the
+    /// reclamation epoch, tag the operation as a batch's first, run until
+    /// done and report its record.
     fn run(&mut self, op: PipelineOp) -> TreeResult<(OpOutput, OpStats)> {
         self.drain_coherence();
-        let before = self.ctx.stats();
         let t0 = self.ctx.now();
         let _pin = self.reader.pin();
-        let (output, meta) = {
+        self.ctx.set_current_op(Some(0));
+        let ran = {
             let cx = self.op_cx();
-            cx.block_on(ops::run(&cx, op))?
+            cx.block_on(ops::run(&cx, op))
         };
-
-        let mut stats = OpStats::from_delta(&before, &self.ctx.stats(), self.ctx.now() - t0);
-        stats.lock_retries = meta.lock_retries;
-        stats.read_retries = meta.read_retries;
-        stats.handed_over = meta.handed_over;
-        stats.cache_hit = meta.cache_hit;
-        Ok((output, stats))
+        self.ctx.set_current_op(None);
+        let record = self.ctx.take_op_stats(0);
+        let (output, meta) = ran?;
+        // A lone operation's time is the union of its intervals: on a
+        // virtual clock, exactly the time that passed.
+        if B::VIRTUAL_CLOCK {
+            debug_assert_eq!(record.latency_ns(), self.ctx.now() - t0, "{op:?}: {record:?}");
+        }
+        Ok((output, OpStats::new(&record, &meta)))
     }
 
     /// Look up `key`, returning its value if present.
@@ -560,9 +563,14 @@ mod tests {
             .zip(keys)
             .map(|(op, &key)| {
                 client.ctx.set_current_op(Some(op));
-                let (_, stats) = client.lookup(key).unwrap();
-                assert!(stats.cache_hit && stats.reads == 1, "lookup({key})");
-                client.ctx.take_op_stats(op).cpu_ns
+                let (_, meta) = {
+                    let cx = client.op_cx();
+                    cx.block_on(ops::run(&cx, PipelineOp::Lookup { key })).unwrap()
+                };
+                client.ctx.set_current_op(None);
+                let record = client.ctx.take_op_stats(op);
+                assert!(meta.cache_hit && record.reads == 1, "lookup({key})");
+                record.cpu_ns
             })
             .collect()
     }

@@ -84,17 +84,18 @@
 //! ## Attributing completions to operations
 //!
 //! All in-flight operations of a client share one completion queue.  Every
-//! posted verb is tagged with its operation's id (`ClientCtx::set_current_op`),
-//! so the fabric can attribute each completion's round trip and wait to the
-//! op that posted it.  A [`PipelinedResult::latency_ns`] is the sum of the
-//! op's own verb waits and CPU charges — its serial service demand — which at
-//! depth 1 equals wall-clock latency exactly and at depth > 1 excludes time
-//! spent advancing *other* operations.
+//! posted verb and CPU charge is tagged with its operation's id
+//! (`ClientCtx::set_current_op`), so each lands in that operation's one cost
+//! record (`sherman_sim::OpVerbStats`) — the record the blocking entry points
+//! report through too, as a batch's first operation.  A
+//! [`PipelinedResult::latency_ns`] is the union of the op's own verb windows,
+//! CPU charges and waits: at depth 1 exactly its elapsed time, and at depth
+//! > 1 without the time spent advancing *other* operations.
 
 use crate::client::TreeClient;
 use crate::exec::OpCx;
 use crate::ops::{self, OpMeta, OpOutput};
-use crate::TreeResult;
+use crate::{OpStats, TreeResult};
 use sherman_memserver::{EpochPin, ReaderHandle};
 use sherman_metrics::OverlapGauges;
 use sherman_sim::{ClientStats, Completion, FabricBackend, Park};
@@ -137,11 +138,11 @@ pub struct PipelinedResult {
     pub op: PipelineOp,
     /// Its result.
     pub output: OpOutput,
-    /// This operation's own service time: the verb waits and CPU charges
-    /// attributed to it through its op-id-tagged completions.  At depth 1
-    /// this equals the wall-clock latency of the blocking path; at depth > 1
-    /// it deliberately excludes time spent advancing other in-flight
-    /// operations (which the old wall-clock measurement wrongly included).
+    /// This operation's own time: the union of its verb windows, CPU
+    /// charges and waits — each counts only the part past the op's latest
+    /// busy instant (`sherman_sim::OpVerbStats`).  At depth 1 this equals
+    /// the blocking path's latency, the time that passed; at depth > 1 it
+    /// excludes time spent advancing other in-flight operations.
     pub latency_ns: u64,
     /// Round trips this operation's tagged verbs completed.
     pub round_trips: u64,
@@ -292,25 +293,23 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
                 slot.parked = Some(park);
                 Ok(())
             }
-            Ok(Ok((output, meta))) => {
+            Ok(ran) => {
                 let finished = self.slots[idx].take().expect("active slot");
-                let op_stats = cx.ctx().take_op_stats(finished.id);
+                let record = cx.ctx().take_op_stats(finished.id);
+                let (output, meta) = ran?;
+                let stats = OpStats::new(&record, &meta);
                 self.results.push(PipelinedResult {
                     op: finished.op,
                     output,
-                    latency_ns: op_stats.latency_ns(),
-                    round_trips: op_stats.round_trips,
-                    bytes_written: op_stats.bytes_written,
-                    read_retries: meta.read_retries,
-                    lock_retries: u32::try_from(meta.lock_retries).unwrap_or(u32::MAX),
-                    handed_over: meta.handed_over,
-                    cache_hit: meta.cache_hit,
+                    latency_ns: stats.latency_ns,
+                    round_trips: stats.round_trips,
+                    bytes_written: stats.bytes_written,
+                    read_retries: stats.read_retries,
+                    lock_retries: u32::try_from(stats.lock_retries).unwrap_or(u32::MAX),
+                    handed_over: stats.handed_over,
+                    cache_hit: stats.cache_hit,
                 });
                 Ok(())
-            }
-            Ok(Err(e)) => {
-                self.slots[idx] = None;
-                Err(e)
             }
         }
     }
@@ -353,7 +352,9 @@ impl<'f, B: FabricBackend, I: Iterator<Item = PipelineOp>> Run<'f, '_, B, I> {
                 self.cx.until(due).await;
                 self.cx.ctx().poll_token(token);
             }
-            // What is left are waits nothing can wake any more.
+            // What is left are waits nothing can wake any more, and the
+            // cost records of the operations dropped (the next batch reuses
+            // their ids).
             self.cx.ctx().drain();
             return Err(e);
         }

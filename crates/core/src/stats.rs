@@ -6,7 +6,8 @@
 //! that the benchmark harness can build those distributions without touching
 //! the index internals.
 
-use sherman_sim::ClientStats;
+use crate::ops::OpMeta;
+use sherman_sim::OpVerbStats;
 
 /// What one index operation cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,23 +40,24 @@ pub struct OpStats {
 }
 
 impl OpStats {
-    /// Build the fabric-side portion of the stats from a before/after pair of
-    /// client counters and the operation's elapsed virtual time.
-    pub fn from_delta(before: &ClientStats, after: &ClientStats, latency_ns: u64) -> Self {
-        let d = after.delta_since(before);
+    /// What one operation cost: its verb counts and time from its record,
+    /// the retries and the paths it took from what it met on the way.  The
+    /// blocking entry points and the pipelined scheduler both report through
+    /// here.
+    pub(crate) fn new(record: &OpVerbStats, meta: &OpMeta) -> Self {
         OpStats {
-            round_trips: d.round_trips,
-            reads: d.reads,
-            writes: d.writes,
-            atomics: d.atomics,
-            rpcs: d.rpcs,
-            bytes_written: d.bytes_written,
-            bytes_read: d.bytes_read,
-            lock_retries: 0,
-            read_retries: 0,
-            handed_over: false,
-            cache_hit: false,
-            latency_ns,
+            round_trips: record.round_trips,
+            reads: record.reads,
+            writes: record.writes,
+            atomics: record.atomics,
+            rpcs: record.rpcs,
+            bytes_written: record.bytes_written,
+            bytes_read: record.bytes_read,
+            lock_retries: meta.lock_retries,
+            read_retries: meta.read_retries,
+            handed_over: meta.handed_over,
+            cache_hit: meta.cache_hit,
+            latency_ns: record.latency_ns(),
         }
     }
 }
@@ -64,39 +66,38 @@ impl OpStats {
 mod tests {
     use super::*;
 
+    /// An operation's stats are its record's counts and time, and the
+    /// retries and paths its book-keeping noted.
     #[test]
-    fn from_delta_subtracts_counters() {
-        let before = ClientStats {
-            reads: 10,
-            writes: 5,
-            atomics: 2,
-            rpcs: 0,
-            round_trips: 17,
-            bytes_written: 100,
-            bytes_read: 900,
-            retries: 1,
-            ..ClientStats::default()
+    fn an_op_costs_its_record_and_what_it_met() {
+        use sherman_sim::{Fabric, FabricBackend, FabricConfig, GlobalAddress, WriteCmd};
+        let fabric = Fabric::new(FabricConfig::small_test());
+        let mut ctx = fabric.client(0);
+        ctx.set_current_op(Some(0));
+        let t0 = ctx.now();
+        let lock = GlobalAddress::on_chip(0, 64);
+        let node = GlobalAddress::host(0, 4096);
+        let mut image = [0u8; 256];
+        ctx.cas_read(lock, 0, 1, u64::MAX, node, &mut image).unwrap();
+        ctx.charge_cpu(100);
+        ctx.post_writes(&[WriteCmd::new(node, vec![1; 24]), WriteCmd::new(lock, vec![0; 8])])
+            .unwrap();
+        ctx.rpc_round_trip(0, 16, 16).unwrap();
+        let record = ctx.take_op_stats(0);
+        let meta = OpMeta {
+            lock_retries: 2,
+            read_retries: 1,
+            handed_over: true,
+            ..OpMeta::default()
         };
-        let after = ClientStats {
-            reads: 12,
-            writes: 8,
-            atomics: 3,
-            rpcs: 2,
-            round_trips: 21,
-            bytes_written: 190,
-            bytes_read: 1_900,
-            retries: 1,
-            ..ClientStats::default()
-        };
-        let s = OpStats::from_delta(&before, &after, 5_000);
-        assert_eq!(s.reads, 2);
-        assert_eq!(s.writes, 3);
-        assert_eq!(s.atomics, 1);
-        assert_eq!(s.rpcs, 2);
-        assert_eq!(s.round_trips, 4);
-        assert_eq!(s.bytes_written, 90);
-        assert_eq!(s.bytes_read, 1_000);
-        assert_eq!(s.latency_ns, 5_000);
-        assert!(!s.handed_over);
+        let s = OpStats::new(&record, &meta);
+        assert_eq!(
+            (s.round_trips, s.reads, s.writes, s.atomics, s.rpcs),
+            (3, 1, 2, 1, 1)
+        );
+        assert_eq!((s.bytes_read, s.bytes_written), (256, 32));
+        assert_eq!(s.latency_ns, ctx.now() - t0);
+        assert_eq!((s.lock_retries, s.read_retries), (2, 1));
+        assert!(s.handed_over && !s.cache_hit);
     }
 }

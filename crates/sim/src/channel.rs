@@ -133,7 +133,7 @@ pub trait FabricChannel: Send + 'static {
         ms: u16,
         request_bytes: usize,
         serve: impl FnOnce() -> (R, RpcServed),
-    ) -> SimResult<(VerbWindow, R, RpcServed)>;
+    ) -> SimResult<(VerbWindow, R)>;
 
     /// The send-side cost of one one-way coherence message of `wire_bytes`.
     /// `completed_at` of the returned window is the message's **delivery**

@@ -17,10 +17,12 @@
 //! ([`SimChannel`]) and the real-thread backend
 //! ([`ThreadedChannel`](crate::threaded::ThreadedChannel)).
 //!
-//! The per-client verb counters ([`SharedClientStats`], snapshot
-//! [`ClientStats`]) are one [`sherman_metrics::counters!`] declaration; the
-//! verb accounting here bumps them, and drivers diff their snapshots around
-//! an operation or a run.
+//! Each post works out once what it moves — reads, writes, atomics, RPCs,
+//! payload bytes — and one step adds that to three records: the op's
+//! ([`OpVerbStats`], when a driver tagged one), the client's
+//! ([`SharedClientStats`], snapshot [`ClientStats`]) and the fabric's
+//! ([`crate::FabricMetrics`]).  Drivers diff the client's snapshots around a
+//! run; an operation's cost is its own record.
 //!
 //! ## Split-phase post/poll
 //!
@@ -134,44 +136,80 @@ sherman_metrics::counters! {
         /// last verb completed, excluding any post-drain scheduler time.
         last_completion_at: max,
     }
-    /// Per-client verb counters; snapshot/diff these around an index operation to
-    /// obtain per-operation round trips, byte counts and retries (Figure 14).
+    /// Per-client verb counters; snapshot/diff these around a run (an
+    /// operation's own counts are its [`OpVerbStats`]).
     pub struct ClientStats;
 }
 
-/// Per-operation verb accounting, keyed by the op id a pipelined driver set
-/// with [`ClientCtx::set_current_op`] before posting.  `verb_ns + cpu_ns` is
-/// the operation's serial service demand: at depth 1 it equals the op's
-/// wall-clock latency exactly (every clock advance in a blocking op is either
-/// a verb window or a CPU charge), and at depth > 1 it stays the op's own
-/// time — overlapping ops no longer double-count each other's round trips,
-/// and an op that keeps several verbs of its own in flight is charged the
-/// time it had *any* of them outstanding, not each window separately.
+/// One operation's cost record, keyed by the op id its driver set with
+/// [`ClientCtx::set_current_op`] before posting — the scheduler and the
+/// blocking entry points alike.  Each post works out its counts once, as a
+/// record of its own, and one step adds them to the op's record, the
+/// client's counters and the fabric's, so the records of a run's operations
+/// sum to the run's client delta.  Two rules, fixed here:
+///
+/// * **An RPC's request and response are not RDMA payload.**  An RPC counts
+///   a round trip and an RPC, and no bytes, in every record.
+/// * **An operation's time is the union of its intervals.**  A verb's
+///   post→completion window, a CPU charge or a parked wait counts only the
+///   part that lies past the op's latest busy instant so far.  At depth 1
+///   [`OpVerbStats::latency_ns`] therefore equals the op's elapsed time
+///   exactly — every clock advance of a lone op lies in one of its intervals
+///   — and at depth > 1 it is the op's own time: the time spent advancing
+///   other operations is not in it, and neither is an interval twice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpVerbStats {
     /// Round trips posted while this op was current.
     pub round_trips: u64,
-    /// Time this op had a verb of its own in flight: the union of its verbs'
-    /// post→completion windows (ns) — their sum unless it overlapped them.
-    pub verb_ns: u64,
-    /// Latest completion among this op's verbs so far: where `verb_ns`'s
-    /// union ends.
-    busy_until: u64,
-    /// Client-side CPU time charged while this op was current (ns).
-    pub cpu_ns: u64,
+    /// One-sided reads posted while this op was current.
+    pub reads: u64,
+    /// One-sided writes posted while this op was current (each entry of a
+    /// batch counts).
+    pub writes: u64,
+    /// Atomic verbs posted while this op was current.
+    pub atomics: u64,
+    /// Those of them on on-chip memory.
+    pub onchip_atomics: u64,
+    /// Two-sided RPCs posted while this op was current (offloaded traversal
+    /// steps and control RPCs alike).
+    pub rpcs: u64,
     /// Payload bytes read by this op's verbs.
     pub bytes_read: u64,
     /// Payload bytes written by this op's verbs.
     pub bytes_written: u64,
-    /// Two-sided RPCs posted while this op was current (offloaded traversal
-    /// steps and control RPCs alike).
-    pub rpcs: u64,
+    /// This op's time with a verb of its own in flight and nothing of it
+    /// counted yet (ns).
+    pub verb_ns: u64,
+    /// This op's CPU charges and parked waits, past what its verbs already
+    /// counted (ns).
+    pub cpu_ns: u64,
+    /// The op's latest busy instant so far: where its counted time ends.
+    busy_until: u64,
 }
 
 impl OpVerbStats {
-    /// The op's serial service demand: verb time plus CPU time.
+    /// The op's time: the union of its verb windows, CPU charges and waits.
     pub fn latency_ns(&self) -> u64 {
         self.verb_ns + self.cpu_ns
+    }
+
+    /// Take the interval `[from, to)` into the op's time: the nanoseconds
+    /// of it past the op's latest busy instant, which it moves to `to`.
+    fn busy(&mut self, from: u64, to: u64) -> u64 {
+        let past = to.saturating_sub(from.max(self.busy_until));
+        self.busy_until = self.busy_until.max(to);
+        past
+    }
+
+    /// The counts of one post of `reads` one-sided reads of `bytes` in all.
+    fn reads(reads: usize, bytes: u64) -> Self {
+        OpVerbStats { reads: reads as u64, bytes_read: bytes, ..OpVerbStats::default() }
+    }
+
+    /// The counts of one post of an atomic verb on a word in `space`.
+    fn atomic(space: MemSpace) -> Self {
+        let onchip_atomics = (space == MemSpace::OnChip) as u64;
+        OpVerbStats { atomics: 1, onchip_atomics, ..OpVerbStats::default() }
     }
 }
 
@@ -364,7 +402,7 @@ pub struct ClientCtx<C: FabricChannel = SimChannel> {
     cq: Vec<Completion>,
     /// Op id stamped onto every post until changed (pipelined drivers).
     current_op: Option<u64>,
-    /// Per-op verb accounting, populated only while `current_op` is set.
+    /// Per-op cost records, populated only while `current_op` is set.
     op_stats: HashMap<u64, OpVerbStats>,
     /// Open lock critical sections: the op that opened each and its lock
     /// word (see `begin_critical`).
@@ -453,9 +491,11 @@ impl<C: FabricChannel> ClientCtx<C> {
 
     /// Charge `ns` of client-side CPU time.
     pub fn charge_cpu(&mut self, ns: u64) {
+        let now = self.chan.now();
         self.chan.advance(ns);
         if let Some(op) = self.current_op {
-            self.op_stats.entry(op).or_default().cpu_ns += ns;
+            let e = self.op_stats.entry(op).or_default();
+            e.cpu_ns += e.busy(now, now + ns);
         }
     }
 
@@ -463,10 +503,9 @@ impl<C: FabricChannel> ClientCtx<C> {
     // Per-op attribution, critical sections and tracing
     // ------------------------------------------------------------------
 
-    /// Tag every subsequent post (and CPU charge) with `op` until changed.
-    /// Pipelined drivers set this before stepping each in-flight operation so
-    /// the shared completion queue can attribute completions per op; pass
-    /// `None` to stop tagging (the blocking entry points never tag).
+    /// Tag every subsequent post (and CPU charge) with `op` until changed, so
+    /// it lands in that op's cost record: a driver sets this before stepping
+    /// each operation (a blocking call its one); pass `None` to stop tagging.
     pub fn set_current_op(&mut self, op: Option<u64>) {
         self.current_op = op;
     }
@@ -476,8 +515,8 @@ impl<C: FabricChannel> ClientCtx<C> {
         self.current_op
     }
 
-    /// Remove and return the accumulated per-op accounting for `op`
-    /// (zeroes when the op never posted a tagged verb).
+    /// Remove and return `op`'s cost record (zeroes when the op never posted
+    /// or charged anything tagged).
     pub fn take_op_stats(&mut self, op: u64) -> OpVerbStats {
         self.op_stats.remove(&op).unwrap_or_default()
     }
@@ -526,15 +565,6 @@ impl<C: FabricChannel> ClientCtx<C> {
         self.trace.take().unwrap_or_default()
     }
 
-    /// Attribute payload bytes to the current op, if one is set.
-    fn attribute_bytes(&mut self, read: u64, written: u64) {
-        if let Some(op) = self.current_op {
-            let e = self.op_stats.entry(op).or_default();
-            e.bytes_read += read;
-            e.bytes_written += written;
-        }
-    }
-
     /// Block until time `t` on this backend's clock.
     pub fn wait_until(&self, t: u64) {
         self.chan.wait_until(t);
@@ -544,11 +574,17 @@ impl<C: FabricChannel> ClientCtx<C> {
     // Completion queue
     // ------------------------------------------------------------------
 
-    /// Enqueue a completed-at-post verb on the CQ, with the round-trip,
-    /// overlap and per-op accounting every posted verb shares, and trace it.
-    /// One call = one network round trip (a doorbell batch or a parallel
-    /// read batch posts once).
-    fn enqueue(&mut self, window: VerbWindow, result: VerbResult) -> PendingVerb {
+    /// Enqueue a completed-at-post verb on the CQ and trace it, adding its
+    /// `counts` and its round trip to the three records: the current op's
+    /// (none when untagged), the client's and the fabric's.  One call = one
+    /// network round trip (a doorbell batch or a parallel read batch posts
+    /// once).
+    fn enqueue(
+        &mut self,
+        window: VerbWindow,
+        counts: OpVerbStats,
+        result: VerbResult,
+    ) -> PendingVerb {
         let VerbWindow {
             posted_at,
             completed_at,
@@ -557,34 +593,49 @@ impl<C: FabricChannel> ClientCtx<C> {
             .cq
             .iter()
             .any(|e| e.completed_at > posted_at && !e.is_wait());
-        let m = self.chan.backend().metrics();
-        m.round_trips.inc();
-        self.stats.round_trips.inc();
+        let in_flight = self.outstanding() as u64 + 1;
+        let mut untagged = OpVerbStats::default();
+        let op = match self.current_op {
+            Some(op) => self.op_stats.entry(op).or_default(),
+            None => &mut untagged,
+        };
+        op.verb_ns += op.busy(posted_at, completed_at);
+        let (m, c) = (self.chan.backend().metrics(), &self.stats);
+        for (fabric, client, op, n) in [
+            (&m.round_trips, &c.round_trips, &mut op.round_trips, 1),
+            (&m.reads, &c.reads, &mut op.reads, counts.reads),
+            (&m.writes, &c.writes, &mut op.writes, counts.writes),
+            (&m.atomics, &c.atomics, &mut op.atomics, counts.atomics),
+            (&m.rpcs, &c.rpcs, &mut op.rpcs, counts.rpcs),
+            (&m.bytes_read, &c.bytes_read, &mut op.bytes_read, counts.bytes_read),
+            (&m.bytes_written, &c.bytes_written, &mut op.bytes_written, counts.bytes_written),
+        ] {
+            if n != 0 {
+                fabric.add(n);
+                client.add(n);
+                *op += n;
+            }
+        }
+        if counts.onchip_atomics != 0 {
+            m.onchip_atomics.inc();
+            op.onchip_atomics += 1;
+        }
         if overlapped {
             m.overlapped_round_trips.inc();
-            self.stats.overlapped_round_trips.inc();
+            c.overlapped_round_trips.inc();
         }
-        let in_flight = self.outstanding() as u64 + 1;
-        self.stats.max_in_flight.raise(in_flight);
-        self.stats.in_flight_posts.add(in_flight);
-        self.stats.verb_ns.add(completed_at.saturating_sub(posted_at));
-        self.stats.last_completion_at.raise(completed_at);
-        if let Some(op) = self.current_op {
-            let e = self.op_stats.entry(op).or_default();
-            e.round_trips += 1;
-            e.verb_ns += completed_at.saturating_sub(posted_at.max(e.busy_until));
-            e.busy_until = e.busy_until.max(completed_at);
-        }
+        c.max_in_flight.raise(in_flight);
+        c.in_flight_posts.add(in_flight);
+        c.verb_ns.add(completed_at.saturating_sub(posted_at));
+        c.last_completion_at.raise(completed_at);
         self.next_token += 1;
         let token = PendingVerb(self.next_token, self.current_op);
+        let critical = self.trace.is_some() && self.in_critical();
         if let Some(trace) = self.trace.as_mut() {
             trace.push(TraceEvent::Post {
                 op: token.op(),
                 token: token.id(),
-                critical: self
-                    .sections
-                    .iter()
-                    .any(|&(holder, _)| holder == token.op()),
+                critical,
             });
         }
         self.cq.push(Completion {
@@ -676,8 +727,8 @@ impl<C: FabricChannel> ClientCtx<C> {
     fn dequeue(&mut self, idx: usize) -> Completion {
         let c = self.cq.swap_remove(idx);
         if let (true, Some(op)) = (c.is_wait(), c.token.op()) {
-            self.op_stats.entry(op).or_default().cpu_ns +=
-                c.completed_at.saturating_sub(c.posted_at);
+            let e = self.op_stats.entry(op).or_default();
+            e.cpu_ns += e.busy(c.posted_at, c.completed_at);
         }
         c
     }
@@ -734,13 +785,14 @@ impl<C: FabricChannel> ClientCtx<C> {
         self.dequeue(idx)
     }
 
-    /// Poll every outstanding completion and discard the results (error-path
-    /// cleanup for pipelined drivers: leaves the queue empty and the clock at
-    /// the latest completion).
+    /// Poll every outstanding completion and discard the results and every
+    /// op's cost record (error-path cleanup for pipelined drivers: leaves
+    /// the queue empty and the clock at the latest completion).
     pub fn drain(&mut self) {
         // A wait nobody will wake any more is simply dropped.
         self.cq.retain(|e| e.completed_at != u64::MAX);
         while self.poll(None).is_some() {}
+        self.op_stats.clear();
     }
 
     // ------------------------------------------------------------------
@@ -814,49 +866,6 @@ impl<C: FabricChannel> ClientCtx<C> {
     }
 
     // ------------------------------------------------------------------
-    // Accounting helpers shared by post and blocking paths
-    // ------------------------------------------------------------------
-
-    fn account_read(&mut self, count: u64, bytes: u64) {
-        self.stats.reads.add(count);
-        self.stats.bytes_read.add(bytes);
-        self.attribute_bytes(bytes, 0);
-        let m = self.chan.backend().metrics();
-        m.reads.add(count);
-        m.bytes_read.add(bytes);
-    }
-
-    fn account_write(&mut self, count: u64, bytes: u64) {
-        self.stats.writes.add(count);
-        self.stats.bytes_written.add(bytes);
-        self.attribute_bytes(0, bytes);
-        let m = self.chan.backend().metrics();
-        m.writes.add(count);
-        m.bytes_written.add(bytes);
-    }
-
-    fn account_atomic(&mut self, space: MemSpace) {
-        self.stats.atomics.inc();
-        let m = self.chan.backend().metrics();
-        m.atomics.inc();
-        if space == MemSpace::OnChip {
-            m.onchip_atomics.inc();
-        }
-    }
-
-    fn account_rpc(&mut self, request_bytes: u64, response_bytes: u64) {
-        self.stats.rpcs.inc();
-        self.chan.backend().metrics().rpcs.inc();
-        // Fold the RPC into the tagged per-op attribution: the request is
-        // written to the wire, the response read back, and the op's RPC count
-        // keeps offloaded round trips visible at pipeline depth > 1.
-        self.attribute_bytes(response_bytes, request_bytes);
-        if let Some(op) = self.current_op {
-            self.op_stats.entry(op).or_default().rpcs += 1;
-        }
-    }
-
-    // ------------------------------------------------------------------
     // One-sided verbs
     // ------------------------------------------------------------------
 
@@ -865,8 +874,7 @@ impl<C: FabricChannel> ClientCtx<C> {
     pub fn post_read(&mut self, addr: GlobalAddress, len: usize) -> SimResult<PendingVerb> {
         let mut buf = vec![0u8; len];
         let window = self.chan.read(addr, &mut buf)?;
-        self.account_read(1, buf.len() as u64);
-        Ok(self.enqueue(window, VerbResult::Read(buf)))
+        Ok(self.enqueue(window, OpVerbStats::reads(1, len as u64), VerbResult::Read(buf)))
     }
 
     /// Blocking `RDMA_READ` of `buf.len()` bytes from `addr` into `buf`.
@@ -890,10 +898,10 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// whole batch costs a single round trip; only the last command is
     /// signalled, so the batch completes as one [`VerbResult::Write`].
     pub fn post_write_batch(&mut self, cmds: &[WriteCmd]) -> SimResult<PendingVerb> {
-        let total_bytes: u64 = cmds.iter().map(|c| c.data.len() as u64).sum();
         let window = self.chan.write_batch(cmds)?;
-        self.account_write(cmds.len() as u64, total_bytes);
-        Ok(self.enqueue(window, VerbResult::Write))
+        let bytes_written = cmds.iter().map(|c| c.data.len() as u64).sum();
+        let counts = OpVerbStats { writes: cmds.len() as u64, bytes_written, ..Default::default() };
+        Ok(self.enqueue(window, counts, VerbResult::Write))
     }
 
     /// Blocking doorbell batch (post + poll); see
@@ -910,9 +918,9 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// buffer in request order as [`VerbResult::ReadBatch`].
     pub fn post_read_batch(&mut self, reqs: &[(GlobalAddress, usize)]) -> SimResult<PendingVerb> {
         let (window, bufs) = self.chan.read_batch(reqs)?;
-        let total_bytes: u64 = reqs.iter().map(|&(_, len)| len as u64).sum();
-        self.account_read(reqs.len() as u64, total_bytes);
-        Ok(self.enqueue(window, VerbResult::ReadBatch(bufs)))
+        let bytes = reqs.iter().map(|&(_, len)| len as u64).sum();
+        let counts = OpVerbStats::reads(reqs.len(), bytes);
+        Ok(self.enqueue(window, counts, VerbResult::ReadBatch(bufs)))
     }
 
     // ------------------------------------------------------------------
@@ -924,12 +932,11 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// [`VerbResult::Faa`] for a fetch-and-add.
     pub fn post_atomic(&mut self, addr: GlobalAddress, op: AtomicOp) -> SimResult<PendingVerb> {
         let (window, outcome) = self.chan.atomic(addr, op)?;
-        self.account_atomic(addr.space);
         let result = match op {
             AtomicOp::Cas { .. } => VerbResult::Cas(outcome),
             AtomicOp::Faa { .. } => VerbResult::Faa(outcome.previous),
         };
-        Ok(self.enqueue(window, result))
+        Ok(self.enqueue(window, OpVerbStats::atomic(addr.space), result))
     }
 
     /// Post an `RDMA_CAS`; the completion carries [`VerbResult::Cas`].
@@ -1016,9 +1023,9 @@ impl<C: FabricChannel> ClientCtx<C> {
             mask,
         };
         let (window, cas) = self.chan.cas_read(lock, op, addr, &mut buf)?;
-        self.account_atomic(lock.space);
-        self.account_read(1, len as u64);
-        Ok(self.enqueue(window, VerbResult::CasRead(cas, buf)))
+        let atomic = OpVerbStats::atomic(lock.space);
+        let counts = OpVerbStats { reads: 1, bytes_read: len as u64, ..atomic };
+        Ok(self.enqueue(window, counts, VerbResult::CasRead(cas, buf)))
     }
 
     /// Blocking CAS+READ batch into `buf` (post + poll); see
@@ -1070,9 +1077,10 @@ impl<C: FabricChannel> ClientCtx<C> {
         request_bytes: usize,
         serve: impl FnOnce() -> (R, RpcServed),
     ) -> SimResult<(PendingVerb, R)> {
-        let (window, reply, served) = self.chan.rpc(ms, request_bytes, serve)?;
-        self.account_rpc(request_bytes as u64, served.response_bytes as u64);
-        Ok((self.enqueue(window, VerbResult::Rpc), reply))
+        // The request and response are not RDMA payload (see `OpVerbStats`).
+        let (window, reply) = self.chan.rpc(ms, request_bytes, serve)?;
+        let counts = OpVerbStats { rpcs: 1, ..OpVerbStats::default() };
+        Ok((self.enqueue(window, counts, VerbResult::Rpc), reply))
     }
 
     /// Blocking two-sided RPC round trip (post + poll) with no server-side
@@ -1464,8 +1472,9 @@ mod tests {
         let ops = client.take_op_stats(41);
         assert_eq!(ops.rpcs, 1);
         assert_eq!(ops.round_trips, 1);
-        assert_eq!(ops.bytes_written, 24);
-        assert!(ops.bytes_read >= 16);
+        // Its request and response are not payload, here as for the client.
+        let s = client.stats();
+        assert_eq!((ops.bytes_read, ops.bytes_written), (s.bytes_read, s.bytes_written));
         assert!(ops.verb_ns > 0);
     }
 
@@ -1500,20 +1509,27 @@ mod tests {
         for token in tokens.into_iter().rev() {
             client.poll_token(token);
         }
-        let counts = |s: &OpVerbStats| [s.round_trips, s.rpcs, s.bytes_read, s.bytes_written];
-        let mut sum = [0; 4];
+        let counts = |s: &OpVerbStats| {
+            [s.round_trips, s.rpcs, s.bytes_read, s.bytes_written, s.reads, s.writes, s.atomics]
+        };
+        let (mut sum, mut onchip) = ([0; 7], 0);
         for op in 0..4 {
-            for (total, n) in sum.iter_mut().zip(counts(&client.take_op_stats(op))) {
+            let record = client.take_op_stats(op);
+            for (total, n) in sum.iter_mut().zip(counts(&record)) {
                 *total += n;
             }
+            onchip += record.onchip_atomics;
         }
         let d = client.stats().delta_since(&before);
-        assert_eq!(sum, [d.round_trips, d.rpcs, d.bytes_read, d.bytes_written]);
+        let client_counts =
+            [d.round_trips, d.rpcs, d.bytes_read, d.bytes_written, d.reads, d.writes, d.atomics];
+        assert_eq!(sum, client_counts);
         let f = fabric.metrics().snapshot().delta_since(&fabric_before);
         assert_eq!(
             [f.round_trips, f.rpcs, f.bytes_read, f.bytes_written, f.reads, f.writes, f.atomics],
-            [d.round_trips, d.rpcs, d.bytes_read, d.bytes_written, d.reads, d.writes, d.atomics]
+            client_counts
         );
+        assert_eq!((onchip, f.onchip_atomics), (4, 4));
     }
 
     /// The window of an RPC whose server-side work spins for `spin`.
@@ -1689,7 +1705,8 @@ mod tests {
         let s7 = client.take_op_stats(7);
         assert_eq!(s7.round_trips, 2);
         assert_eq!(s7.bytes_read, 24);
-        assert_eq!(s7.cpu_ns, 50);
+        // Its CPU ran while its reads were in flight: time already counted.
+        assert_eq!(s7.cpu_ns, 0);
         assert!(s7.verb_ns > 0);
         let s9 = client.take_op_stats(9);
         assert_eq!(s9.round_trips, 1);
@@ -1785,10 +1802,11 @@ mod tests {
         assert_eq!(client.poll(None).unwrap().completed_at, woken_at);
         assert!(client.poll(None).is_none());
 
-        // Parked time is the op's: charged like the polling it replaces.
+        // Parked time is the op's, charged like the polling it replaces —
+        // but here the read was in flight throughout, and time counts once.
         let op = client.take_op_stats(4);
         assert_eq!(op.round_trips, 1);
-        assert_eq!(op.cpu_ns, 200 + (woken_at - t0));
+        assert_eq!((op.verb_ns, op.cpu_ns), (woken_at - t0, 0));
         // An abandoned wait does not wedge the error-path drain.
         client.post_wait(None);
         client.drain();

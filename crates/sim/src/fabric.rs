@@ -253,7 +253,7 @@ impl FabricChannel for SimChannel {
         ms: u16,
         request_bytes: usize,
         serve: impl FnOnce() -> (R, RpcServed),
-    ) -> SimResult<(VerbWindow, R, RpcServed)> {
+    ) -> SimResult<(VerbWindow, R)> {
         let server = self.fabric.server(ms)?;
         // The server-side work takes no virtual time of its own: what it
         // costs is the service charge it reports.
@@ -264,7 +264,7 @@ impl FabricChannel for SimChannel {
         let service = self.nic(request_bytes.max(served.response_bytes))
             + self.fabric.config().rpc_cost_ns(served.work);
         let window = self.response(server.inbound.serve(arrival, service));
-        Ok((window, reply, served))
+        Ok((window, reply))
     }
 
     fn coherence_send(&mut self, wire_bytes: usize) -> VerbWindow {

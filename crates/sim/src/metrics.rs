@@ -3,12 +3,13 @@
 //! These counters underpin the paper's "in-depth analysis" (Figure 14): number
 //! of round trips, verb mix, bytes moved, and atomic retries.  They are cheap
 //! relaxed atomics so that hot paths can update them unconditionally; per-op
-//! distributions (histograms, CDFs) are collected client-side by the index
-//! layer using [`crate::client::ClientStats`] snapshots.
+//! distributions (histograms, CDFs) are built client-side from each
+//! operation's own record, [`crate::client::OpVerbStats`].
 //!
 //! The family is one [`sherman_metrics::counters!`] declaration, one instance
-//! per fabric.  Every client's verb accounting bumps it; the benchmark, the
-//! bench drivers and the backend-equivalence tests read its snapshot.
+//! per fabric.  Every post adds to it in the step that adds to the op's and
+//! the client's records; the benchmark, the bench drivers and the
+//! backend-equivalence tests read its snapshot.
 
 sherman_metrics::counters! {
     /// Global counters for one fabric instance.

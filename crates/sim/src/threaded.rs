@@ -224,14 +224,14 @@ impl FabricChannel for ThreadedChannel {
         ms: u16,
         _request_bytes: usize,
         serve: impl FnOnce() -> (R, RpcServed),
-    ) -> SimResult<(VerbWindow, R, RpcServed)> {
+    ) -> SimResult<(VerbWindow, R)> {
         // The window opens before the server-side work and closes after
         // it, so it brackets that work's real execution time.  The modeled
         // per-level/per-entry charge is a simulator concern.
         self.fabric.server(ms)?;
         let posted_at = self.now();
-        let (reply, served) = serve();
-        Ok((self.since(posted_at), reply, served))
+        let (reply, _) = serve();
+        Ok((self.since(posted_at), reply))
     }
 
     fn coherence_send(&mut self, _wire_bytes: usize) -> VerbWindow {

@@ -156,7 +156,8 @@ sherman_metrics::counters! {
 ///   [`OpVerbStats::latency_ns`] therefore equals the op's elapsed time
 ///   exactly — every clock advance of a lone op lies in one of its intervals
 ///   — and at depth > 1 it is the op's own time: the time spent advancing
-///   other operations is not in it, and neither is an interval twice.
+///   other operations is not in it, and neither is an interval twice.  On a
+///   real clock it leaves out the host time no interval covers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpVerbStats {
     /// Round trips posted while this op was current.
@@ -177,11 +178,11 @@ pub struct OpVerbStats {
     pub bytes_read: u64,
     /// Payload bytes written by this op's verbs.
     pub bytes_written: u64,
-    /// This op's time with a verb of its own in flight and nothing of it
-    /// counted yet (ns).
+    /// The op's time its verbs' post→completion windows cover, each counted
+    /// past the op's latest busy instant (ns).
     pub verb_ns: u64,
-    /// This op's CPU charges and parked waits, past what its verbs already
-    /// counted (ns).
+    /// The op's time its CPU charges and parked waits cover, each counted
+    /// past the op's latest busy instant (ns).
     pub cpu_ns: u64,
     /// The op's latest busy instant so far: where its counted time ends.
     busy_until: u64,

@@ -531,7 +531,13 @@ impl<B: FabricBackend> Session for Feed<B> {
             (Err(e), (n, None)) => return self.out.failed(n, "pipelined batch", e),
         };
         for r in &report.results {
-            self.out.record(&r.op, as_blocking(r), self.must_find);
+            let (found, mut stats) = as_blocking(r);
+            if self.blocking && !B::VIRTUAL_CLOCK {
+                // On a real clock a blocking call reports the time that
+                // passed, as `TreeClient`'s entry points do.
+                stats.latency_ns = report.elapsed_ns;
+            }
+            self.out.record(&r.op, (found, stats), self.must_find);
         }
         // The blocking path's overlap window is the whole call, tail included.
         self.out.overlap.merge(&match self.blocking {

@@ -141,12 +141,14 @@ impl<B: FabricBackend> TreeClient<B> {
         self.ctx.set_current_op(None);
         let record = self.ctx.take_op_stats(0);
         let (output, meta) = ran?;
-        // A lone operation's time is the union of its intervals: on a
-        // virtual clock, exactly the time that passed.
+        let elapsed = self.ctx.now() - t0;
+        // A lone operation's time, the union of its intervals, is exactly the
+        // time that passed on a virtual clock.  On a real clock that time
+        // also holds host work no interval covers, and is the call's latency.
         if B::VIRTUAL_CLOCK {
-            debug_assert_eq!(record.latency_ns(), self.ctx.now() - t0, "{op:?}: {record:?}");
+            debug_assert_eq!(record.latency_ns(), elapsed, "{op:?}: {record:?}");
         }
-        Ok((output, OpStats::new(&record, &meta)))
+        Ok((output, OpStats { latency_ns: elapsed, ..OpStats::new(&record, &meta) }))
     }
 
     /// Look up `key`, returning its value if present.

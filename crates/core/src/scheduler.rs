@@ -173,17 +173,6 @@ pub struct PipelineReport {
     pub overlap: OverlapGauges,
 }
 
-impl PipelineReport {
-    /// Operations completed per virtual second.
-    pub fn throughput_ops(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.results.len() as f64 * 1e9 / self.elapsed_ns as f64
-        }
-    }
-}
-
 /// Build the overlap gauges for one run from its fabric-stats delta and
 /// elapsed virtual time — the single place the `ClientStats` counters map
 /// onto [`OverlapGauges`], shared by the scheduler and the blocking

@@ -33,13 +33,20 @@
 //! modeled, it also fails when a structural commit waits for more than its
 //! dependencies — the run's p99 write above five modeled round trips — or
 //! when more than a fifth of the optimistic merge lock plans fell back.  On
-//! both backends it fails when the structural commits wrote back more than a
-//! node each: a split writes two nodes, a separator insertion one, a merge
-//! three — two on average when every node travels whole, ≈ 1.1 when only what
-//! changed does and unsorted leaves are re-packed, ≈ 0.85 when they are edited
-//! in place.
+//! both backends it fails when the structural commits wrote back more than
+//! [`STRUCTURAL_BYTES_CEILING`] each — a split writes two nodes, a separator
+//! insertion one, a merge three: two 1 KB nodes on average when every node
+//! travels whole, 906 bytes when only what changed does and leaves are edited
+//! in place, 638 since a separator removal slides its parent's window and a
+//! first leaf merges into its fuller right sibling — and when no merge at the
+//! tree's left edge kept the right leaf (the path switched off).
 
 use sherman::TreeOptions;
+
+/// Bytes a structural commit of the smoke run may write back on average: the
+/// mean measured on the simulator, 638 (578–655 over five threaded runs),
+/// plus 10 %.
+const STRUCTURAL_BYTES_CEILING: f64 = 700.0;
 use sherman_bench::presets::CHURN_QUICK;
 use sherman_bench::{
     fmt_mops, print_table, run_with_backend, smoke_verdict, Args, Experiment, RunReport, Source,
@@ -208,7 +215,7 @@ fn smoke(args: &Args) {
         unreachable!("a churn experiment has a churn source");
     };
     println!(
-        "churn smoke: turnovers={:.1} space_amp={:.2} merges={} left_merges={} \
+        "churn smoke: turnovers={:.1} space_amp={:.2} merges={} left_merges={} edge_merges={} \
          rebalances={}+{} underfull_rightmost_fixable={} underfull_internals_fixable={} \
          mistagged_slots={} top_hit={:.0}% refreshes={} inval_posted={} coh_applied={} \
          coh_lag_mean_ns={:.0} stale_after_drain={} plans={} fallbacks={} \
@@ -218,6 +225,7 @@ fn smoke(args: &Args) {
         r.space_amplification(),
         r.space.merges(),
         r.space.left_merges,
+        r.space.edge_merges,
         r.space.rebalances,
         r.space.internal_rebalances,
         r.audit.underfull_rightmost_fixable,
@@ -273,14 +281,20 @@ fn smoke(args: &Args) {
     }
     // What a structural commit writes back is counted, not timed: the same
     // ceiling holds on both backends.
-    let byte_ceiling = exp.tree.node_size as f64;
-    if r.space.bytes_per_structural_commit() > byte_ceiling {
+    if r.space.bytes_per_structural_commit() > STRUCTURAL_BYTES_CEILING {
         failures.push(format!(
-            "{} structural commits wrote back {:.0} bytes each, above {byte_ceiling:.0}: \
-             whole nodes are travelling where only what changed should",
+            "{} structural commits wrote back {:.0} bytes each, above \
+             {STRUCTURAL_BYTES_CEILING:.0}: more is travelling than what changed",
             r.space.structural_commits,
             r.space.bytes_per_structural_commit()
         ));
+    }
+    if r.space.edge_merges == 0 {
+        failures.push(
+            "no merge at the tree's left edge kept the fuller right leaf: \
+             drained first leaves are absorbing their siblings again"
+                .into(),
+        );
     }
     if r.space.left_merges == 0 {
         failures.push("zero left merges: the rightmost-child shape leak is back".into());

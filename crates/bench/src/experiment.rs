@@ -24,7 +24,7 @@
 
 use crate::Args;
 use sherman::{
-    overlap_from_stats, run_clients, Cluster, ClusterConfig, NodeCensus, OpOutput, OpStats,
+    run_clients, Cluster, ClusterConfig, NodeCensus, OpOutput, OpStats,
     PipelineOp, PipelineReport, PipelinedResult, Session, ShapeAudit, TreeClient, TreeConfig,
     TreeError, TreeOptions, TreeResult,
 };
@@ -539,11 +539,9 @@ impl<B: FabricBackend> Session for Feed<B> {
             }
             self.out.record(&r.op, (found, stats), self.must_find);
         }
-        // The blocking path's overlap window is the whole call, tail included.
-        self.out.overlap.merge(&match self.blocking {
-            true => overlap_from_stats(&report.stats, report.elapsed_ns),
-            false => report.overlap,
-        });
+        // One window for either drive: from the batch's start to its last
+        // completion.
+        self.out.overlap.merge(&report.overlap);
     }
 }
 

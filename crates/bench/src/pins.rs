@@ -209,7 +209,11 @@ fn one_client_runs_cost_exactly_what_they_did() {
 /// frequency sketch to be sized by the images a full budget holds): more
 /// images fit, so it posts 180 round trips fewer (1 540 → 1 360), takes
 /// 11.9 % less time, its p99 falls from 5 248 to 3 488 ns,
-/// and the shrink evicts 84 images instead of 140.
+/// and the shrink evicts 84 images instead of 140.  The churn run (8) was
+/// re-captured when an internal node's separators became a sliding window
+/// and a merge at the tree's left edge began to keep the fuller right leaf:
+/// the same operations and round trips, bytes written 605 565 → 497 549
+/// (−17.8 %), 10 677 ns more elapsed (0.05 %; mean 4 091.52 → 4 093.50 ns).
 const PINS: [&str; 15] = [
     "ops=300 elapsed_ns=776595 mean_ns=2588.65 p99_ns=3520 round_trips=437 bytes_written=2877",
     "ops=300 elapsed_ns=195925 mean_ns=2593.6633333333334 p99_ns=3584 round_trips=437 bytes_written=2875",
@@ -219,7 +223,7 @@ const PINS: [&str; 15] = [
     "ops=300 elapsed_ns=816612 mean_ns=2722.04 p99_ns=3520 round_trips=460 bytes_written=3360",
     "ops=300 elapsed_ns=816612 mean_ns=2722.04 p99_ns=3520 round_trips=460 bytes_written=3360",
     "ops=300 elapsed_ns=206391 mean_ns=2736.17 p99_ns=3680 round_trips=460 bytes_written=3356",
-    "ops=5400 elapsed_ns=22094208 mean_ns=4091.52 p99_ns=16896 round_trips=15510 bytes_written=605565 turnovers=3.445",
+    "ops=5400 elapsed_ns=22104885 mean_ns=4093.4972222222223 p99_ns=16896 round_trips=15510 bytes_written=497549 turnovers=3.445",
     "ops=1200 elapsed_ns=3190402 mean_ns=2658.6683333333335 p99_ns=3520 round_trips=1796 bytes_written=12516 backpressure_ops=0 pressure_evictions=0",
     "ops=1200 elapsed_ns=864680 mean_ns=2724.471666666667 p99_ns=5248 round_trips=1796 bytes_written=12398 backpressure_ops=0 pressure_evictions=0",
     "ops=1727 elapsed_ns=20229422 mean_ns=2905.816444701795 p99_ns=9088 round_trips=8148 bytes_written=115040 backpressure_ops=1273 pressure_evictions=0",

@@ -73,9 +73,12 @@
 //! after the batch, however the two are paced — which the ascending order of
 //! a single `RDMA_WRITE` (§4.4) promises only to a reader the writer never
 //! catches up with, and a writer that skips unchanged words does catch up.
-//! What an internal node holds past its `count` is never written.  A node without a
-//! pre-image (a new right half, a new root), a node that changed nearly all
-//! over, and every node of an uncombined preset travel whole; so do the
+//! Of an internal node the header, the window of slots its separators fill
+//! and the tail word are compared; no decoder reads the other slots.  A new
+//! right half carved from a fresh chunk is planned against an all-zero
+//! pre-image, so it travels as what it holds.  A node without a pre-image (a
+//! right half at a recycled address, a new root), a node that changed nearly
+//! all over, and every node of an uncombined preset travel whole; so do the
 //! *point* writes of sorted leaves, which "+2-Level Ver" is there to ablate.
 //! A write-back is keyed by its node ([`WriteBack`]): the node's address, not
 //! the address a range starts at, names the lock whose release it rides.
@@ -112,6 +115,9 @@ trait TreeNode: Sized {
     /// and densely packed, so a leaf is re-packed; an unsorted leaf is edited
     /// in place ([`LeafNode::set_pairs`]).  Internal nodes are always sorted.
     fn absorb_right(&mut self, right: &Self, dense: bool);
+    /// The mirror of `absorb_right`, for a leaf at its level's left edge
+    /// ([`OpCx::plan_merge`]).
+    fn absorb_left(&mut self, left: &Self, dense: bool);
     fn take_from_right(&mut self, right: &mut Self, count: usize, dense: bool) -> u64;
     fn take_from_left(&mut self, left: &mut Self, count: usize, dense: bool) -> u64;
     /// The image the index cache keeps of this node at `addr` (leaves are
@@ -138,6 +144,9 @@ impl TreeNode for LeafNode {
     }
     fn absorb_right(&mut self, right: &Self, dense: bool) {
         LeafNode::absorb_right(self, right, dense)
+    }
+    fn absorb_left(&mut self, left: &Self, dense: bool) {
+        LeafNode::absorb_left(self, left, dense)
     }
     fn take_from_right(&mut self, right: &mut Self, count: usize, dense: bool) -> u64 {
         LeafNode::take_from_right(self, right, count, dense)
@@ -169,6 +178,9 @@ impl TreeNode for InternalNode {
     }
     fn absorb_right(&mut self, right: &Self, _dense: bool) {
         InternalNode::absorb_right(self, right)
+    }
+    fn absorb_left(&mut self, _left: &Self, _dense: bool) {
+        unreachable!("only a leaf merges into its right sibling")
     }
     fn take_from_right(&mut self, right: &mut Self, count: usize, _dense: bool) -> u64 {
         InternalNode::take_from_right(self, right, count)
@@ -365,13 +377,16 @@ struct MergePlan {
 }
 
 enum PairChange {
-    /// The left node absorbed its right sibling, whose image is now the freed
+    /// One node of the pair absorbed the other, whose image is now the freed
     /// (free-bit set, version-bumped) tombstone with node-level version
-    /// `right_version` (recorded with the retirement so the next writer of
-    /// the address stamps its image above it).  `still_underfull`: the
-    /// survivor itself ended up below the merge floor.
+    /// `tombstone_version` (recorded with the retirement so the next writer
+    /// of the address stamps its image above it).  The left node survives
+    /// unless `kept_right`: at its level's left edge an emptier first leaf
+    /// moved into its right sibling.  `still_underfull`: the survivor itself
+    /// ended up below the merge floor.
     Merge {
-        right_version: u8,
+        tombstone_version: u8,
+        kept_right: bool,
         still_underfull: bool,
     },
     /// Entries moved between the siblings (neither node is freed); the
@@ -403,9 +418,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// ([`NodeLayout::plan_write_back`]): a multi-range write-back *is*
     /// command combination, the ranges ride the one doorbell batch that
     /// releases the lock, rear version first and front version last
-    /// ([`NodeLayout::post_order`]).  The whole node travels without combination, when
-    /// nothing was read (a freshly allocated node), and under the checksum
-    /// format, whose checksum covers bytes no decoder reads.
+    /// ([`NodeLayout::post_order`]).  The whole node travels without
+    /// combination, when there is no pre-image (a recycled address), and
+    /// under the checksum format, whose checksum covers bytes no decoder
+    /// reads.
     fn write_back(&self, node: GlobalAddress, pre: Option<&[u8]>, new: Vec<u8>) -> WriteBack {
         let planned = pre
             .filter(|_| self.combine() && self.leaf_format() != LeafFormat::SortedChecksum)
@@ -923,7 +939,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// The tail of every split, run under the lock on `addr` (`pre` the image
     /// read under it): allocate the right half's node, link it behind `left`
     /// B-link style, and write both halves back with the release of the lock
-    /// — the right half whole, of the left half what the split changed.
+    /// — of the left half what the split changed, of the right half what it
+    /// holds when its memory is fresh (all zero), else the whole node.
     /// Returns the new node's address; with command combination the writes
     /// are left in `meta.in_flight` for the separator insertion to overlap
     /// and — the right half's — to observe before it writes (ordering rule 2).
@@ -949,7 +966,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // versions bump across reuse (fresh carves seed at version 1, the
         // same value the pre-reuse code produced).
         right.header_mut().set_versions(alloc.first_version());
-        let right_half = self.write_back(alloc.addr, None, self.encode(right));
+        let blank = alloc.fresh.then(|| vec![0u8; self.layout().node_size()]);
+        let right_half = self.write_back(alloc.addr, blank.as_deref(), self.encode(right));
         let left_half = self.write_back(addr, Some(pre), self.encode(left));
         let written_back = right_half.bytes() + left_half.bytes();
         let mut writes = Vec::with_capacity(1 + left_half.cmds.len());
@@ -1320,10 +1338,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let merge = if !structure_ok {
             None
         } else if is_leaf {
-            self.plan_merge::<LeafNode>(left_addr, &left_buf, &right_buf, direction)
+            let edge = direction == MergeDirection::Right
+                && lh.fence_low == 0
+                && parent.header.leftmost == Some(left_addr);
+            self.plan_merge::<LeafNode>(left_addr, &left_buf, &right_buf, direction, edge)
                 .await
         } else {
-            self.plan_merge::<InternalNode>(left_addr, &left_buf, &right_buf, direction)
+            self.plan_merge::<InternalNode>(left_addr, &left_buf, &right_buf, direction, false)
                 .await
         };
         let Some(merge) = merge else {
@@ -1343,15 +1364,26 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // first image above it, and subscribers reject any cached copy at or
         // below it).
         let mut commit = StructuralCommit::new();
-        let (mut chase, mut cascade) = (false, false);
+        let (mut chase, mut cascade) = (None, false);
         let counters = self.cluster.space_counters();
         match merge.change {
             PairChange::Merge {
-                right_version,
+                tombstone_version,
+                kept_right,
                 still_underfull,
             } => {
                 assert!(parent.remove_separator(sep, right_addr));
-                commit.invalidate(right_addr, right_version);
+                // The first node's survivor takes its place as the parent's
+                // leftmost child: nothing else points at a level's first node.
+                let (survivor, tombstone) = match kept_right {
+                    true => {
+                        parent.header.leftmost = Some(right_addr);
+                        counters.edge_merges.inc();
+                        (right_addr, left_addr)
+                    }
+                    false => (left_addr, right_addr),
+                };
+                commit.invalidate(tombstone, tombstone_version);
                 parent.header.free = parent.entries.is_empty()
                     && match self.try_collapse_root(parent_addr, &parent, level).await {
                         Ok(collapsed) => collapsed,
@@ -1360,7 +1392,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                             return Err(e);
                         }
                     };
-                chase = still_underfull;
+                chase = still_underfull.then_some(survivor);
                 cascade = !parent.header.free
                     && parent.entries.len() < self.merge_floor::<InternalNode>();
                 if is_leaf {
@@ -1417,8 +1449,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // node stays persistently underfull while a partner exists (bounded:
         // every merge removes one node from the level).  The recursions are
         // boxed: a future cannot contain itself.
-        if chase {
-            Box::pin(self.try_merge(left_addr, level, None, meta)).await?;
+        if let Some(survivor) = chase {
+            Box::pin(self.try_merge(survivor, level, None, meta)).await?;
         }
         if cascade {
             // The parent itself dropped below the merge threshold: recurse
@@ -1431,17 +1463,24 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Build the post-merge (or post-rebalance) images for two adjacent
     /// nodes, or `None` when the initiating node — the left of the pair for
     /// [`MergeDirection::Right`], the right for [`MergeDirection::Left`] — is
-    /// no longer a merge candidate.  When the pair does not fit in one node,
-    /// entries move toward the underfull side until it reaches the merge
-    /// floor, without draining the donor below it (internal nodes rotate
-    /// children through the pair's boundary); the parent's separator is then
-    /// retargeted in the same critical section.
+    /// no longer a merge candidate.  A merge keeps the left node and retires
+    /// the right one, except at the `edge`: when the left node is its level's
+    /// first leaf, holds fewer pairs than its right sibling and is edited in
+    /// place (a sorted leaf is re-packed whichever node survives), its pairs
+    /// move into the sibling's vacant slots and the first leaf is retired —
+    /// the fewer pairs travel, and its parent's `leftmost` is the one pointer
+    /// to repoint.  When the pair does not fit in one node, entries move toward
+    /// the underfull side until it reaches the merge floor, without draining
+    /// the donor below it (internal nodes rotate children through the pair's
+    /// boundary); the parent's separator is then retargeted in the same
+    /// critical section.
     async fn plan_merge<N: TreeNode>(
         &self,
         left_addr: GlobalAddress,
         left_buf: &[u8],
         right_buf: &[u8],
         direction: MergeDirection,
+        edge: bool,
     ) -> Option<MergePlan> {
         let layout = *self.layout();
         let mut left = N::decode(&layout, left_buf);
@@ -1460,13 +1499,23 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let dense = self.leaf_format().is_sorted();
         let capacity = N::capacity(&layout);
         let change = if underfull + N::JOIN + donor <= capacity {
-            left.absorb_right(&right, dense);
-            let tombstone = right.header_mut();
+            let kept_right = edge && !dense && underfull < donor;
+            let (survivor, tombstone) = match kept_right {
+                true => {
+                    right.absorb_left(&left, dense);
+                    (&right, left.header_mut())
+                }
+                false => {
+                    left.absorb_right(&right, dense);
+                    (&left, right.header_mut())
+                }
+            };
             tombstone.free = true;
             tombstone.bump_versions();
             PairChange::Merge {
-                right_version: tombstone.front_version,
-                still_underfull: left.occupancy() < floor,
+                tombstone_version: tombstone.front_version,
+                kept_right,
+                still_underfull: survivor.occupancy() < floor,
             }
         } else {
             let spare = donor.saturating_sub(floor);

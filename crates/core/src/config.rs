@@ -78,6 +78,9 @@ impl TreeConfig {
         if layout.internal_capacity() < 4 {
             return Err("node_size too small for at least 4 internal entries".into());
         }
+        if layout.internal_capacity() > usize::from(u16::MAX) {
+            return Err("node_size too large: internal slots are numbered in 16 bits".into());
+        }
         Ok(())
     }
 }
@@ -282,6 +285,8 @@ mod tests {
             TreeConfig { chunk_bytes: 512, ..TreeConfig::default() },
             // A huge key leaves no room for even 4 entries in a 1 KB node.
             TreeConfig { key_size: 512, ..TreeConfig::default() },
+            // More internal slots than a 16-bit `start` can number.
+            TreeConfig { node_size: 2 << 20, chunk_bytes: 2 << 20, ..TreeConfig::default() },
         ];
         for c in bad {
             assert!(c.validate().is_err(), "{c:?} should be rejected");

@@ -31,6 +31,7 @@
 //! 24..32  sibling pointer (packed GlobalAddress, 0 = none)
 //! 32..40  leftmost child  (internal nodes only)
 //! 40..44  checksum (FG's checksum mode only)
+//! 44..46  start (internal nodes only: the slot of the first separator)
 //! 48..    entry area
 //! size-8  RNV (rear node version) in the first byte of the tail word
 //!
@@ -313,15 +314,25 @@ impl NodeLayout {
     // Internal nodes
     // ------------------------------------------------------------------
 
-    /// Encode a whole internal node.
+    /// Encode a whole internal node: its separators in the slots of its
+    /// window from `start` on — recentered, when they no longer fit behind
+    /// it, with the free slots split evenly around them — every other slot
+    /// zero.
     pub fn encode_internal(&self, node: &InternalNode) -> Vec<u8> {
-        assert!(node.entries.len() <= self.internal_capacity());
+        let (capacity, count) = (self.internal_capacity(), node.entries.len());
+        assert!(count <= capacity);
+        let start = match node.start + count <= capacity {
+            true => node.start,
+            false => (capacity - count) / 2,
+        };
         let mut buf = vec![0u8; self.node_size];
         let mut header = node.header.clone();
-        header.count = node.entries.len();
+        header.count = count;
         header.is_leaf = false;
         self.encode_header(&mut buf, &header);
-        for (i, entry) in node.entries.iter().enumerate() {
+        let start_word = u16::try_from(start).expect("a validated node's slots fit 16 bits");
+        buf[44..46].copy_from_slice(&start_word.to_le_bytes());
+        for (i, entry) in (start..).zip(&node.entries) {
             let off = self.internal_entry_offset(i);
             buf[off..off + 8].copy_from_slice(&entry.key.to_le_bytes());
             buf[off + 8..off + 16].copy_from_slice(&entry.child.pack().to_le_bytes());
@@ -329,11 +340,21 @@ impl NodeLayout {
         buf
     }
 
-    /// Decode a whole internal node.
+    /// The window of an internal node image: its first slot and its number
+    /// of separators, clamped to the node's slots (a torn image may hold
+    /// anything).
+    fn internal_window(&self, buf: &[u8]) -> (usize, usize) {
+        let capacity = self.internal_capacity();
+        let count = self.decode_header(buf).count.min(capacity);
+        let start = u16::from_le_bytes([buf[44], buf[45]]) as usize;
+        (start.min(capacity - count), count)
+    }
+
+    /// Decode a whole internal node: the header and the window.
     pub fn decode_internal(&self, buf: &[u8]) -> InternalNode {
         let header = self.decode_header(buf);
-        let count = header.count.min(self.internal_capacity());
-        let entries = (0..count)
+        let (start, count) = self.internal_window(buf);
+        let entries = (start..start + count)
             .map(|i| {
                 let off = self.internal_entry_offset(i);
                 InternalEntry {
@@ -344,22 +365,28 @@ impl NodeLayout {
                 }
             })
             .collect();
-        InternalNode { header, entries }
+        InternalNode {
+            header,
+            start,
+            entries,
+        }
     }
 
     // ------------------------------------------------------------------
     // Write-back planning
     // ------------------------------------------------------------------
 
-    /// Where the bytes a decoder reads of `image` end, the tail word aside:
-    /// every slot of a leaf, the `count` entries of an internal node.  What
-    /// lies between there and the tail word is never read.
-    pub fn decoded_extent(&self, image: &[u8]) -> usize {
+    /// The bytes of the entry area a decoder reads of `image`: every slot of
+    /// a leaf, the window of an internal node.  Beside them a decoder reads
+    /// the header and the tail word, and nothing else: an internal node's
+    /// slots outside its window are never read.
+    pub fn decoded_extent(&self, image: &[u8]) -> Range<usize> {
         if image[1] & FLAG_LEAF != 0 {
-            return self.rear_version_offset();
+            return HEADER_BYTES..self.rear_version_offset();
         }
-        let count = self.decode_header(image).count.min(self.internal_capacity());
-        HEADER_BYTES + count * INTERNAL_ENTRY_BYTES
+        let (start, count) = self.internal_window(image);
+        let at = HEADER_BYTES + start * INTERNAL_ENTRY_BYTES;
+        at..at + count * INTERNAL_ENTRY_BYTES
     }
 
     /// Plan the write-back that turns the node image `pre` — as read under
@@ -368,18 +395,21 @@ impl NodeLayout {
     /// does.  Post them in [`NodeLayout::post_order`].
     ///
     /// The images are compared in 8-byte words over what a decoder reads of
-    /// `new` ([`NodeLayout::decoded_extent`]) and the tail word; whatever an
-    /// internal node holds past its `count` is neither compared nor zeroed.
-    /// The word with the front version and the tail word are ranges of their
-    /// own; between them, changed words fewer than [`COALESCE_GAP_BYTES`]
-    /// apart share a range.  When the ranges, each beyond the first priced at
-    /// that many bytes, cost what the whole node does, the plan is the whole
-    /// node.
+    /// `new` — the header, [`NodeLayout::decoded_extent`] and the tail word;
+    /// an internal node's slots outside its window are not compared, and what
+    /// they hold after the write is unspecified.  The word with the front
+    /// version and the tail word are ranges of their own; between them,
+    /// changed words fewer than [`COALESCE_GAP_BYTES`] apart share a range.
+    /// When the ranges, each beyond the first priced at that many bytes, cost
+    /// what the whole node does, the plan is the whole node.
     pub fn plan_write_back(&self, pre: &[u8], new: &[u8]) -> Vec<Range<usize>> {
         assert_eq!((pre.len(), new.len()), (self.node_size, self.node_size));
         let tail = self.rear_version_offset();
-        let body_end = self.decoded_extent(new).min(tail);
-        let body_words = (0..body_end).step_by(8).map(|at| at..(at + 8).min(body_end));
+        let words = |area: Range<usize>| {
+            let end = area.end;
+            area.step_by(8).map(move |at| at..(at + 8).min(end))
+        };
+        let body_words = words(0..HEADER_BYTES).chain(words(self.decoded_extent(new)));
         let mut ranges: Vec<Range<usize>> = Vec::new();
         for word in body_words.chain(std::iter::once(tail..self.node_size)) {
             if pre[word.clone()] == new[word.clone()] {
@@ -635,6 +665,7 @@ mod tests {
         let l = layout();
         let node = InternalNode {
             header: sample_header(false),
+            start: 0,
             entries: vec![
                 InternalEntry {
                     key: 200,
@@ -674,7 +705,7 @@ mod tests {
                     }
                     let addr = GlobalAddress::host(1, 4_096);
                     let charge = crate::ops::cached_from_internal(addr, &node).charge();
-                    let prefix = l.decoded_extent(&l.encode_internal(&node));
+                    let prefix = HEADER_BYTES + l.decoded_extent(&l.encode_internal(&node)).len();
                     assert_eq!(prefix, HEADER_BYTES + INTERNAL_ENTRY_BYTES * separators);
                     if far == 1 || separators == 0 {
                         assert_eq!(charge, prefix, "{node_size} B, {separators}");
@@ -686,6 +717,55 @@ mod tests {
                         "{node_size} B, {separators}"
                     );
                 }
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+        /// Separators inserted and removed at random — the first one, one
+        /// anywhere, or a key that may already be there — each on the node as
+        /// decoded from the image before and encoded again, as a commit does,
+        /// keep the window inside the node's slots and decode to a sorted
+        /// model of the separators.
+        #[test]
+        fn a_sliding_window_decodes_as_its_model(
+            node_size in prop::sample::select(vec![256usize, 1024]),
+            edits in prop::collection::vec((0u8..4, 0u64..1_000), 1..300),
+        ) {
+            let l = NodeLayout::new(&TreeConfig { node_size, ..TreeConfig::default() });
+            let child = |key: u64| GlobalAddress::host(0, 64 * (key + 1));
+            let mut image = l.encode_internal(&InternalNode::new(1, 0, u64::MAX, child(0)));
+            let mut model: BTreeMap<u64, GlobalAddress> = BTreeMap::new();
+            for (kind, key) in edits {
+                let mut node = l.decode_internal(&image);
+                let held: Vec<u64> = model.keys().copied().collect();
+                match (kind, held.is_empty()) {
+                    (0 | 1, _) if !node.is_full(&l) => {
+                        let inserted = model.insert(key, child(key)).is_none();
+                        prop_assert_eq!(node.insert_separator(key, child(key)), inserted);
+                    }
+                    (2, false) => {
+                        prop_assert!(node.remove_separator(held[0], child(held[0])));
+                        model.remove(&held[0]);
+                    }
+                    (3, false) => {
+                        let victim = held[key as usize % held.len()];
+                        prop_assert!(node.remove_separator(victim, child(victim)));
+                        model.remove(&victim);
+                    }
+                    _ => {}
+                }
+                image = l.encode_internal(&node);
+                let decoded = l.decode_internal(&image);
+                prop_assert!(decoded.start + decoded.entries.len() <= l.internal_capacity());
+                let expect: Vec<InternalEntry> =
+                    model.iter().map(|(&key, &child)| InternalEntry { key, child }).collect();
+                prop_assert_eq!(decoded.entries, expect);
             }
         }
     }

@@ -380,6 +380,29 @@ impl LeafNode {
         self.header.bump_versions();
     }
 
+    /// Absorb the contents of `left`, the leaf whose B-link sibling this one
+    /// is — the mirror of [`LeafNode::absorb_right`]: every live pair of
+    /// `left` moves into this node, whose interval grows down to `left`'s
+    /// lower fence; its sibling pointer stays.  Versions of this header and
+    /// of every rewritten entry are bumped; the caller frees `left`'s address
+    /// and repoints what routed to it.
+    ///
+    /// # Panics
+    /// Panics if the combined live entries exceed this node's slot count or if
+    /// the two nodes are not fence-adjacent.
+    pub fn absorb_left(&mut self, left: &LeafNode, dense: bool) {
+        assert_eq!(
+            left.header.fence_high, self.header.fence_low,
+            "absorb_left requires fence-adjacent leaves"
+        );
+        let mut pairs = left.sorted_pairs();
+        pairs.extend(self.sorted_pairs());
+        assert!(pairs.len() <= self.entries.len(), "merged leaf overflows");
+        self.set_pairs(&pairs, dense);
+        self.header.fence_low = left.header.fence_low;
+        self.header.bump_versions();
+    }
+
     /// Move the `count` smallest live pairs of `right` into this leaf
     /// (rebalancing two siblings that cannot fully merge).  Returns the new
     /// separator key — the smallest key remaining in `right` — which the
@@ -488,10 +511,19 @@ pub struct InternalEntry {
 
 /// A decoded internal node (sorted separators plus the leftmost child in the
 /// header).
+///
+/// The separators fill a **window** of the node's slots, `start..start +
+/// entries.len()`, that slides: an edit shifts whichever side of the window is
+/// shorter — the front only while there is a slot before it — so removing the
+/// first separator moves `start` and no entry.  A window that no longer fits
+/// behind `start` is recentered when the node is encoded
+/// ([`NodeLayout::encode_internal`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternalNode {
     /// Node header (holds the leftmost child pointer).
     pub header: NodeHeader,
+    /// The slot of the first separator.
+    pub start: usize,
     /// Sorted separator entries.
     pub entries: Vec<InternalEntry>,
 }
@@ -503,6 +535,7 @@ impl InternalNode {
         header.leftmost = Some(leftmost);
         InternalNode {
             header,
+            start: 0,
             entries: Vec::new(),
         }
     }
@@ -515,13 +548,17 @@ impl InternalNode {
         }
     }
 
-    /// Insert a separator (keeping entries sorted).  Returns `false` if the
-    /// separator already exists (idempotent re-insertion after a retried
-    /// split).
+    /// Insert a separator (keeping entries sorted), shifting the shorter side
+    /// of the window — the front only when a slot before it is free.  Returns
+    /// `false` if the separator already exists (idempotent re-insertion after
+    /// a retried split).
     pub fn insert_separator(&mut self, key: u64, child: GlobalAddress) -> bool {
         match self.entries.binary_search_by_key(&key, |e| e.key) {
             Ok(_) => false,
             Err(pos) => {
+                if self.start > 0 && pos < self.entries.len() - pos {
+                    self.start -= 1;
+                }
                 self.entries.insert(pos, InternalEntry { key, child });
                 self.header.count = self.entries.len();
                 true
@@ -560,13 +597,17 @@ impl InternalNode {
         (promoted.key, right)
     }
 
-    /// Remove the separator `key` if (and only if) it routes to `child`.
-    /// Returns whether the entry was removed.  The child check makes the
-    /// operation idempotent under races: a stale retry cannot remove a
-    /// separator that was re-inserted for a different node.
+    /// Remove the separator `key` if (and only if) it routes to `child`,
+    /// shifting the shorter side of the window.  Returns whether the entry
+    /// was removed.  The child check makes the operation idempotent under
+    /// races: a stale retry cannot remove a separator that was re-inserted
+    /// for a different node.
     pub fn remove_separator(&mut self, key: u64, child: GlobalAddress) -> bool {
         match self.entries.binary_search_by_key(&key, |e| e.key) {
             Ok(pos) if self.entries[pos].child == child => {
+                if pos < self.entries.len() - 1 - pos {
+                    self.start += 1;
+                }
                 self.entries.remove(pos);
                 self.header.count = self.entries.len();
                 true
@@ -650,6 +691,7 @@ impl InternalNode {
                 child,
             });
             let first = right.entries.remove(0);
+            right.start += 1;
             right.header.leftmost = Some(first.child);
             right.header.fence_low = first.key;
         }
@@ -699,6 +741,7 @@ impl InternalNode {
                     child: old_leftmost,
                 },
             );
+            self.start = self.start.saturating_sub(1);
             let last = left.entries.pop().expect("donor keeps at least one entry");
             self.header.leftmost = Some(last.child);
             self.header.fence_low = last.key;

@@ -71,9 +71,16 @@ impl ChunkAllocator {
     /// Allocate one chunk, returning its starting offset, or `None` when the
     /// server is out of memory.
     pub fn alloc(&mut self) -> Option<u64> {
+        self.grant().map(|(offset, _)| offset)
+    }
+
+    /// [`ChunkAllocator::alloc`], and whether the chunk is handed out for the
+    /// first time — memory nothing has written, all zero — rather than one
+    /// returned through [`ChunkAllocator::free`].
+    pub fn grant(&mut self) -> Option<(u64, bool)> {
         if let Some(offset) = self.free.pop() {
             self.allocated += 1;
-            return Some(offset);
+            return Some((offset, false));
         }
         if self.next + self.chunk_bytes > self.limit {
             return None;
@@ -81,7 +88,7 @@ impl ChunkAllocator {
         let offset = self.next;
         self.next += self.chunk_bytes;
         self.allocated += 1;
-        Some(offset)
+        Some((offset, true))
     }
 
     /// Return a chunk to the allocator.

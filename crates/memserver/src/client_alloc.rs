@@ -15,7 +15,7 @@
 //! ([`sherman_sim::Waits`]): the tree awaits it holding its client, and
 //! [`ClientAllocator::alloc_node`] is the same call run in place.
 
-use crate::pool::{MemoryPool, PoolError};
+use crate::pool::{GrantedChunk, MemoryPool, PoolError};
 use sherman_sim::{ClientCtx, Fabric, FabricBackend, GlobalAddress, Parking, Waits};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -35,6 +35,12 @@ pub struct AllocatedNode {
     /// Node-level version currently stored at the address (0 for fresh
     /// carves, the tombstone version for recycled addresses).
     pub version_floor: u8,
+    /// The address was carved from a chunk granted for the first time, so
+    /// its memory is all zero: nothing was ever written there.  A tombstone
+    /// version can wrap to 0 and a chunk can come back through
+    /// [`MemoryPool::free_chunk`], so neither a floor of 0 nor a carve alone
+    /// says as much.
+    pub fresh: bool,
 }
 
 impl AllocatedNode {
@@ -62,6 +68,8 @@ pub struct ClientAllocator<B: FabricBackend = Fabric> {
 struct Chunk {
     base: GlobalAddress,
     used: u64,
+    /// Granted for the first time: every node carved from it is fresh.
+    fresh: bool,
 }
 
 impl<B: FabricBackend> ClientAllocator<B> {
@@ -102,17 +110,17 @@ impl<B: FabricBackend> ClientAllocator<B> {
     }
 
     /// Carve from a chunk just obtained.
-    fn install(&self, base: GlobalAddress) -> AllocatedNode {
-        self.current.set(Some(Chunk { base, used: 0 }));
+    fn install(&self, granted: GrantedChunk) -> AllocatedNode {
+        self.current.set(Some(Chunk {
+            base: granted.base,
+            used: 0,
+            fresh: granted.fresh,
+        }));
         self.chunks_acquired.set(self.chunks_acquired.get() + 1);
-        let addr = self.carve().expect("fresh chunk must fit at least one node");
-        AllocatedNode {
-            addr,
-            version_floor: 0,
-        }
+        self.carve().expect("fresh chunk must fit at least one node")
     }
 
-    fn carve(&self) -> Option<GlobalAddress> {
+    fn carve(&self) -> Option<AllocatedNode> {
         let mut chunk = self.current.get()?;
         if chunk.used + self.node_bytes > self.pool.chunk_bytes() {
             return None;
@@ -121,7 +129,11 @@ impl<B: FabricBackend> ClientAllocator<B> {
         chunk.used += self.node_bytes;
         self.current.set(Some(chunk));
         self.pool.note_node_carved();
-        Some(addr)
+        Some(AllocatedNode {
+            addr,
+            version_floor: 0,
+            fresh: chunk.fresh,
+        })
     }
 
     /// Take a retired node address whose quarantine has cleared, trying every
@@ -139,6 +151,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
                 return Some(AllocatedNode {
                     addr: reused.addr,
                     version_floor: reused.tombstone_version,
+                    fresh: false,
                 });
             }
         }
@@ -148,12 +161,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
     /// A node without asking any server: a retired address whose quarantine
     /// has cleared, else one carved from the local chunk.
     fn take_local(&self, now: u64) -> Option<AllocatedNode> {
-        self.reuse(now).or_else(|| {
-            self.carve().map(|addr| AllocatedNode {
-                addr,
-                version_floor: 0,
-            })
-        })
+        self.reuse(now).or_else(|| self.carve())
     }
 
     /// Every server denied a chunk.  Rescan the free lists once more — an
@@ -217,7 +225,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
             return Ok(node);
         }
         for _ in 0..self.pool.servers() {
-            match self.pool.alloc_chunk_untimed(self.next_server()) {
+            match self.pool.grant_chunk_untimed(self.next_server()) {
                 Ok(base) => return Ok(self.install(base)),
                 Err(PoolError::OutOfMemory { .. }) => {}
                 Err(e) => return Err(e),
@@ -316,6 +324,36 @@ mod tests {
         assert_eq!(c.first_version(), 10, "new images must be stamped above it");
         assert_eq!(alloc.chunks_acquired(), 1, "no new chunk was requested");
         assert_eq!(pool.reclaim_stats().reused, 1);
+    }
+
+    /// A node is fresh only when carved from a chunk granted for the first
+    /// time: not a recycled address, even one whose tombstone version wrapped
+    /// to 0, and not one carved from a chunk that came back through
+    /// `free_chunk`.
+    #[test]
+    fn only_a_first_grant_carves_fresh_nodes() {
+        let (pool, mut client) = setup();
+        // Chunks hold exactly two 32 KiB nodes.
+        let mut alloc = ClientAllocator::new(Arc::clone(&pool), 32 << 10, 0);
+        let a = alloc.alloc_node(&mut client).unwrap();
+        let b = alloc.alloc_node(&mut client).unwrap();
+        assert!(a.fresh && b.fresh);
+        pool.retire_node(a.addr, 255, client.now());
+        client.charge_cpu(1);
+        let c = alloc.alloc_node(&mut client).unwrap();
+        assert_eq!((c.addr, c.version_floor, c.fresh), (a.addr, 255, false));
+        assert_eq!(c.first_version(), 0, "the version wraps");
+        // A chunk returned to its server is not fresh when granted again.
+        let returned = GlobalAddress::host(1, crate::ALLOC_START_OFFSET);
+        let chunk = pool.grant_chunk_untimed(1).unwrap();
+        assert_eq!((chunk.base, chunk.fresh), (returned, true));
+        pool.free_chunk(returned).unwrap();
+        let d = alloc.alloc_node(&mut client).unwrap();
+        assert_eq!((d.addr, d.fresh), (returned, false));
+        let e = alloc.alloc_node(&mut client).unwrap();
+        assert_eq!((e.addr.ms, e.fresh), (1, false), "the rest of that chunk");
+        let f = alloc.alloc_node(&mut client).unwrap();
+        assert_eq!((f.addr.ms, f.fresh), (0, true), "a chunk never granted");
     }
 
     #[test]

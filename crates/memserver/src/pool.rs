@@ -94,6 +94,17 @@ impl From<sherman_sim::SimError> for PoolError {
 const ALLOC_RPC_REQ_BYTES: usize = 16;
 const ALLOC_RPC_RESP_BYTES: usize = 16;
 
+/// A chunk a memory server granted: where it starts, and whether it is carved
+/// for the first time — memory nothing has written yet, all zero — rather
+/// than one returned through [`MemoryPool::free_chunk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GrantedChunk {
+    /// The chunk's starting address.
+    pub base: GlobalAddress,
+    /// Never handed out before.
+    pub fresh: bool,
+}
+
 /// The cluster-wide allocation service.
 ///
 /// Generic over the fabric backend: the pool only needs configuration, god
@@ -194,25 +205,24 @@ impl<B: FabricBackend> MemoryPool<B> {
 
     /// Request a chunk from memory server `ms` over the (simulated) allocation
     /// RPC, blocking: [`MemoryPool::request_chunk`] with the call polled in
-    /// place.
+    /// place.  Returns the chunk's starting address.
     pub fn alloc_chunk(
         &self,
         client: &mut ClientCtx<B::Channel>,
         ms: u16,
     ) -> Result<GlobalAddress, PoolError> {
         let cx = Parking::new(client);
-        cx.block_on(self.request_chunk(&cx, ms))
+        Ok(cx.block_on(self.request_chunk(&cx, ms))?.base)
     }
 
     /// Request a chunk from memory server `ms`: post the allocation RPC, the
     /// memory thread's work, await it holding the client, then take the
-    /// chunk ([`MemoryPool::alloc_chunk_untimed`]).  Returns the chunk's
-    /// starting address.
+    /// chunk ([`MemoryPool::grant_chunk_untimed`]).
     pub async fn request_chunk<W: Waits<Channel = B::Channel>>(
         &self,
         cx: &W,
         ms: u16,
-    ) -> Result<GlobalAddress, PoolError> {
+    ) -> Result<GrantedChunk, PoolError> {
         if usize::from(ms) >= self.allocators.len() {
             return Err(PoolError::NoSuchServer { ms });
         }
@@ -224,20 +234,29 @@ impl<B: FabricBackend> MemoryPool<B> {
             .ctx()
             .post_rpc(ms, ALLOC_RPC_REQ_BYTES, || ((), served))?;
         cx.hold(token).await;
-        self.alloc_chunk_untimed(ms)
+        self.grant_chunk_untimed(ms)
     }
 
     /// Allocate a chunk without charging fabric time (bulkload / test setup).
     pub fn alloc_chunk_untimed(&self, ms: u16) -> Result<GlobalAddress, PoolError> {
+        Ok(self.grant_chunk_untimed(ms)?.base)
+    }
+
+    /// [`MemoryPool::alloc_chunk_untimed`], telling a chunk carved for the
+    /// first time from one returned through [`MemoryPool::free_chunk`].
+    pub fn grant_chunk_untimed(&self, ms: u16) -> Result<GrantedChunk, PoolError> {
         let allocator = self
             .allocators
             .get(ms as usize)
             .ok_or(PoolError::NoSuchServer { ms })?;
-        let offset = allocator.lock().alloc().ok_or_else(|| {
+        let (offset, fresh) = allocator.lock().grant().ok_or_else(|| {
             self.backpressure.chunk_denials.inc();
             PoolError::OutOfMemory { ms }
         })?;
-        Ok(GlobalAddress::host(ms, offset))
+        Ok(GrantedChunk {
+            base: GlobalAddress::host(ms, offset),
+            fresh,
+        })
     }
 
     /// Return a chunk to its memory server (no RPC is charged: deallocation is

@@ -11,6 +11,8 @@
 //! rightmost child under its parent and therefore has no right sibling to
 //! absorb).  A long churn run on a direction-complete merge engine shows both
 //! kinds; zero left merges is the signature of the old rightmost-child leak.
+//! A right merge at a level's left edge whose first leaf is the emptier of
+//! the pair keeps the right leaf instead, counted as an **edge merge**.
 //!
 //! The family is one [`counters!`](crate::counters) declaration, shared by
 //! every client of a cluster.  The commit paths bump it, and
@@ -31,6 +33,10 @@ crate::counters! {
         /// underfull rightmost child folded into its left sibling.  Also counted
         /// in `leaf_merges` / `internal_merges`.
         left_merges: sum,
+        /// Leaf merges at a level's left edge that kept the fuller right leaf:
+        /// the first leaf moved into it and was retired.  Also counted in
+        /// `leaf_merges`.
+        edge_merges: sum,
         /// Leaf rebalances that moved entries without freeing a node.
         rebalances: sum,
         /// Internal rebalances that redistributed separators without freeing a

@@ -64,7 +64,6 @@ use crate::fabric::SimChannel;
 use crate::rpc::{RpcServed, RpcWork};
 use crate::server::AtomicOp;
 use crate::SimResult;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -403,8 +402,10 @@ pub struct ClientCtx<C: FabricChannel = SimChannel> {
     cq: Vec<Completion>,
     /// Op id stamped onto every post until changed (pipelined drivers).
     current_op: Option<u64>,
-    /// Per-op cost records, populated only while `current_op` is set.
-    op_stats: HashMap<u64, OpVerbStats>,
+    /// Per-op cost records, populated only while `current_op` is set: a slot
+    /// for each op whose record was not taken yet — at most a pipeline's
+    /// depth of them, found by a scan of those few.
+    op_stats: Vec<(u64, OpVerbStats)>,
     /// Open lock critical sections: the op that opened each and its lock
     /// word (see `begin_critical`).
     sections: Vec<(Option<u64>, u128)>,
@@ -433,7 +434,7 @@ impl<C: FabricChannel> ClientCtx<C> {
             next_token: 0,
             cq: Vec::new(),
             current_op: None,
-            op_stats: HashMap::new(),
+            op_stats: Vec::new(),
             sections: Vec::new(),
             trace: None,
         }
@@ -495,7 +496,7 @@ impl<C: FabricChannel> ClientCtx<C> {
         let now = self.chan.now();
         self.chan.advance(ns);
         if let Some(op) = self.current_op {
-            let e = self.op_stats.entry(op).or_default();
+            let e = Self::record_of(&mut self.op_stats, op);
             e.cpu_ns += e.busy(now, now + ns);
         }
     }
@@ -519,7 +520,22 @@ impl<C: FabricChannel> ClientCtx<C> {
     /// Remove and return `op`'s cost record (zeroes when the op never posted
     /// or charged anything tagged).
     pub fn take_op_stats(&mut self, op: u64) -> OpVerbStats {
-        self.op_stats.remove(&op).unwrap_or_default()
+        match self.op_stats.iter().position(|&(o, _)| o == op) {
+            Some(slot) => self.op_stats.swap_remove(slot).1,
+            None => OpVerbStats::default(),
+        }
+    }
+
+    /// `op`'s record in `records`, opened in a slot of its own if it has none.
+    fn record_of(records: &mut Vec<(u64, OpVerbStats)>, op: u64) -> &mut OpVerbStats {
+        let slot = match records.iter().position(|&(o, _)| o == op) {
+            Some(slot) => slot,
+            None => {
+                records.push((op, OpVerbStats::default()));
+                records.len() - 1
+            }
+        };
+        &mut records[slot].1
     }
 
     /// Mark the opening of the current op's critical section on `lock`: it
@@ -597,7 +613,7 @@ impl<C: FabricChannel> ClientCtx<C> {
         let in_flight = self.outstanding() as u64 + 1;
         let mut untagged = OpVerbStats::default();
         let op = match self.current_op {
-            Some(op) => self.op_stats.entry(op).or_default(),
+            Some(op) => Self::record_of(&mut self.op_stats, op),
             None => &mut untagged,
         };
         op.verb_ns += op.busy(posted_at, completed_at);
@@ -728,7 +744,7 @@ impl<C: FabricChannel> ClientCtx<C> {
     fn dequeue(&mut self, idx: usize) -> Completion {
         let c = self.cq.swap_remove(idx);
         if let (true, Some(op)) = (c.is_wait(), c.token.op()) {
-            let e = self.op_stats.entry(op).or_default();
+            let e = Self::record_of(&mut self.op_stats, op);
             e.cpu_ns += e.busy(c.posted_at, c.completed_at);
         }
         c

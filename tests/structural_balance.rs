@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
 use sherman_repro::sherman::{InternalNode, TreeResult};
-use sherman_repro::sherman_sim::GlobalAddress;
+use sherman_repro::sherman_sim::{Fabric, GlobalAddress, ThreadedFabric};
 use sherman_repro::sherman_workload::{ChurnSpec, Op};
 use std::collections::BTreeSet;
 
@@ -204,6 +204,98 @@ fn type2_cache_hit_rate_survives_churn() {
 // ---------------------------------------------------------------------
 // Internal rebalancing: redistribution preserves the routing function
 // ---------------------------------------------------------------------
+
+/// The image of the node at `addr`, read outside the protocol.
+fn image_of<B: FabricBackend>(cluster: &Cluster<B>, addr: GlobalAddress) -> Vec<u8> {
+    let mut image = vec![0u8; cluster.layout().node_size()];
+    cluster.fabric().god_read(addr, &mut image).unwrap();
+    image
+}
+
+/// A right merge at the tree's left edge whose first leaf is the emptier one
+/// keeps the right leaf: the first leaf's last pair moves into it, it takes
+/// the first leaf's place as its parent's leftmost child with its lower fence
+/// at 0, and the first leaf is the tombstone retired.  Over `keys` bulkloaded
+/// keys (256 B nodes, eight to a leaf) the first leaf is drained to one key.
+/// With two leaves the merge empties the root, and the root pointer swings
+/// to the survivor.  Afterwards every key is where it should be — by lookup,
+/// by a scan on the committer's warm cache, on the other compute server's
+/// cache (which may still route to the tombstone) and on a cleared one — and
+/// census and shape audit are clean.
+fn first_leaf_merge_keeps_its_right_sibling_on<B: FabricBackend>(keys: u64) {
+    let cluster = Cluster::<B>::new_on(ClusterConfig::small(), TreeOptions::sherman());
+    cluster.bulkload((0..keys).map(|k| (k, k + 1))).unwrap();
+    let layout = *cluster.layout();
+    let root_ptr = sherman_repro::sherman_memserver::ServerLayout::root_ptr_addr();
+    let root = || GlobalAddress::unpack(cluster.fabric().god_read_u64(root_ptr).unwrap());
+    // The first level-1 node: down the leftmost children.
+    let mut parent = root();
+    while layout.decode_header(&image_of(&cluster, parent)).level > 1 {
+        parent = layout.decode_internal(&image_of(&cluster, parent)).header.leftmost.unwrap();
+    }
+    let first = layout.decode_internal(&image_of(&cluster, parent)).header.leftmost.unwrap();
+    let first_leaf = layout.decode_leaf(&image_of(&cluster, first));
+    let second = first_leaf.header.sibling.unwrap();
+    let held: Vec<u64> = first_leaf.sorted_pairs().iter().map(|&(k, _)| k).collect();
+    let root_was_parent = root() == parent;
+
+    let mut client = cluster.client(0);
+    for &key in held[1..].iter().rev() {
+        assert!(client.delete(key).unwrap().0, "key {key} is live");
+    }
+    let space = cluster.space_stats();
+    assert_eq!((space.leaf_merges, space.edge_merges, space.rebalances), (1, 1, 0));
+    assert_eq!(cluster.reclaim_stats().retired, 1 + u64::from(root_was_parent));
+
+    let tombstone = layout.decode_header(&image_of(&cluster, first));
+    assert!(tombstone.free, "the first leaf is the tombstone: {tombstone:?}");
+    let survivor = layout.decode_leaf(&image_of(&cluster, second));
+    assert!(!survivor.header.free && survivor.header.fence_low == 0);
+    assert!(survivor.sorted_pairs().contains(&(held[0], held[0] + 1)));
+    if root_was_parent {
+        assert_eq!(space.root_collapses, 1);
+        assert_eq!(root(), second, "the root pointer swings to the survivor");
+    } else {
+        let parent = layout.decode_internal(&image_of(&cluster, parent));
+        assert_eq!(parent.header.leftmost, Some(second), "the survivor is the leftmost child");
+    }
+
+    let live: Vec<(u64, u64)> = std::iter::once(held[0])
+        .chain(held[held.len() - 1] + 1..keys)
+        .map(|k| (k, k + 1))
+        .collect();
+    for &(key, value) in live.iter().step_by(7) {
+        assert_eq!(client.lookup(key).unwrap().0, Some(value), "key {key}");
+    }
+    let count = live.len().min(40);
+    assert_eq!(client.range(0, count).unwrap().0, live[..count], "warm scan");
+    let mut other = cluster.client(1);
+    assert_eq!(other.range(0, count).unwrap().0, live[..count], "the other server's scan");
+    cluster.cache(1).clear();
+    assert_eq!(other.range(0, count).unwrap().0, live[..count], "cold scan");
+
+    let census = cluster.node_census().unwrap();
+    assert_eq!(census.total(), cluster.nodes_outstanding());
+    let audit = cluster.shape_audit().unwrap();
+    let defects = (
+        audit.underfull_rightmost_fixable,
+        audit.underfull_internals_fixable,
+        audit.mistagged_slots,
+    );
+    assert_eq!(defects, (0, 0, 0), "{audit:?}");
+}
+
+#[test]
+fn a_first_leaf_merge_keeps_its_right_sibling() {
+    first_leaf_merge_keeps_its_right_sibling_on::<Fabric>(400);
+    first_leaf_merge_keeps_its_right_sibling_on::<ThreadedFabric>(400);
+}
+
+#[test]
+fn a_first_leaf_merge_that_empties_the_root_keeps_its_right_sibling() {
+    first_leaf_merge_keeps_its_right_sibling_on::<Fabric>(16);
+    first_leaf_merge_keeps_its_right_sibling_on::<ThreadedFabric>(16);
+}
 
 fn addr(n: u64) -> GlobalAddress {
     GlobalAddress::host(0, 4096 + 1024 * n)

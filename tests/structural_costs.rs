@@ -256,7 +256,9 @@ fn assert_depth(what: &str, (posts, reads, .., latency): Cost, depth: u64) {
 /// lock + read of the parent, its write-back + release.  Waited for: the
 /// leaf's lock, [the root,] the parent's lock, the parent's release.
 ///
-/// Written back: the right half whole (it is new), the left half whole, and
+/// Written back: the right half whole (it is new: planned against the zeroes
+/// of its fresh carve, its five pairs still change most of a 256 B node, and
+/// the cost rule picks the node), the left half whole, and
 /// of the parent what the separator moved — the node when it went in among
 /// the first, 48 of its 256 bytes in three commands (tail word, the entries
 /// from the separator on, header word) when it went in near the end.  The
@@ -287,18 +289,21 @@ fn a_split_overlaps_its_leaf_write_back_with_the_way_to_the_parent() {
 /// to pay.  Its left half keeps the slots whose keys stay where they are:
 /// of it travel the header word, the slots of the keys that moved to the
 /// right half — cleared — and the one the new key took, and the tail word,
-/// not the node.  The right half is new and travels whole.  Without command
-/// combination the same in-place edit travels whole, as every node does.
+/// not the node.  The right half is new, carved from a chunk granted for the
+/// first time: planned against that memory's zeroes, it travels as what it
+/// holds — header, pairs, tail word.  Without command combination the same
+/// edits travel whole, as every node does.
 #[test]
 fn a_split_of_a_kilobyte_leaf_writes_back_the_slots_that_moved() {
     let node = 1 << 10;
     let (cost, structural) = kilobyte_split_cost(TreeOptions::sherman());
-    // 2 160 bytes of node write-backs: the right half's 1 024, the left
-    // half's 512, the parent's 624.  Re-packed, the left half was the node:
-    // 7 commands, 2 676 bytes, 8 533 ns, 2 672 of it in node write-backs.
+    // 1 672 bytes of node write-backs: the right half's 536, the left half's
+    // 512, the parent's 624.  Re-packed, the left half was the node: 7
+    // commands, 2 676 bytes, 8 533 ns, 2 672 of it in node write-backs.
+    // Whole, the right half was 1 024: 10 commands, 2 164 bytes, 8 501 ns.
     assert_eq!(
         (cost, structural),
-        ((5, 3, 10, 2, 2_164, 8_501), (2, 2_160))
+        ((5, 3, 12, 2, 1_676, 8_457), (2, 1_672))
     );
     assert_eq!(kilobyte_split_cost(uncombined()).1, (2, 3 * node));
 }
@@ -318,7 +323,9 @@ fn a_split_of_a_kilobyte_leaf_writes_back_the_slots_that_moved() {
 /// rewritten.  Merging left, the survivor is the full sibling and takes one
 /// pair — one slot, where the repack rewrote nine (288 → 88 bytes); the
 /// rebalance 368 → 192.  Merging right, the drained node absorbs eight pairs
-/// into eight slots and the cost rule still picks the node, as it did.
+/// into eight slots and the cost rule still picks the node, as it did; the
+/// parent's separator, third of eight, is removed by shifting the two in
+/// front of it rather than the five behind (the window slides): 368 → 344.
 ///
 /// The merging delete's probe of its leaf is charged what it read, 84 of the
 /// 256 bytes (f): 43 ns less on each row (5 714 → 5 671, 5 730 → 5 687,
@@ -329,7 +336,7 @@ fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
     assert_eq!(
         measured,
         [
-            ((8, 4, 11, 4, 395, 5_671), (1, 368)),
+            ((8, 4, 11, 4, 371, 5_671), (1, 344)),
             ((8, 4, 13, 4, 115, 5_687), (1, 88)),
             ((8, 4, 14, 4, 219, 5_678), (1, 192)),
         ]
@@ -345,26 +352,32 @@ fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
 /// right halves and whatever changed all over travel whole.  A merge that
 /// empties the root: the root pointer swings to the surviving leaf and the
 /// old root's tombstone is 16 bytes, not a node; its delete's probe is
-/// charged as (b)'s are (11 231 → 11 188 ns).
+/// charged as (b)'s are (11 231 → 11 188 ns).  The drained leaf is the
+/// tree's first: its one key moves into its fuller right sibling, which
+/// survives, rather than the sibling's eight into it — 288 → 88 bytes of
+/// node write-backs, 11 → 15 WRITE commands, 11 188 → 11 229 ns.
 #[test]
 fn an_internal_split_and_a_root_collapse_write_back_what_changed() {
     let sherman = TreeOptions::sherman();
     assert_eq!(internal_split_cost(sherman), ((8, 4, 10, 3, 1_062, 9_080), (3, 1_056)));
-    assert_eq!(root_collapse_cost(sherman), ((11, 5, 11, 5, 323, 11_188), (1, 288)));
+    assert_eq!(root_collapse_cost(sherman), ((11, 5, 15, 5, 123, 11_229), (1, 88)));
 }
 
 /// (d) The planner belongs to command combination, not to a leaf format: the
 /// sorted rungs of the ladder write their *point* updates as whole nodes
 /// (that is what "+2-Level Ver" ablates) and their structural commits as what
 /// changed.  `(writes, bytes_written)` of each commit, and what the commit's
-/// node write-backs carried of it.
+/// node write-backs carried of it.  The right merge's parent slides its
+/// window as (b)'s does: 368 → 344 bytes on every rung.  The sorted rungs
+/// re-pack a leaf whichever node of a pair survives, so their root collapse
+/// still keeps the first leaf.
 #[test]
 fn the_combined_ladder_plans_its_structural_write_backs() {
     let figures = |(cost, structural): (Cost, Structural)| (cost.2, cost.4, structural.1);
     // On-chip lock words are 2 bytes, host ones 8: six bytes a lock released.
     let on_chip = [
         (5, 772, 768), (7, 564, 560), (5, 772, 768), (7, 564, 560),
-        (11, 632, 368), (10, 552, 288), (12, 632, 368),
+        (11, 608, 344), (10, 552, 288), (12, 632, 368),
         (10, 1_062, 1_056), (11, 560, 288),
     ];
     for (label, options, expect) in [
@@ -373,7 +386,7 @@ fn the_combined_ladder_plans_its_structural_write_backs() {
             TreeOptions::plus_combine(),
             [
                 (5, 784, 768), (7, 576, 560), (5, 784, 768), (7, 576, 560),
-                (11, 656, 368), (10, 576, 288), (12, 656, 368),
+                (11, 632, 344), (10, 576, 288), (12, 656, 368),
                 (10, 1_080, 1_056), (11, 584, 288),
             ],
         ),
@@ -470,7 +483,8 @@ fn uncombined_structural_commits_cost_exactly_what_they_did() {
 /// the chosen slot's value and versions — not the whole leaf's 256 ns:
 /// latency 3 760 → 3 535 ns (update, one key read), 3 760 → 3 533 ns (insert,
 /// none), 3 742 → 3 512 ns (absent delete, none).  A split reads and sorts
-/// the whole leaf, and costs exactly what it did.
+/// the whole leaf; its fresh right half travels as what it holds (a′):
+/// 2 004 → 1 516 bytes, 10 → 12 WRITE commands, 8 329 → 8 307 ns.
 #[test]
 fn a_point_write_pays_for_what_its_probe_read() {
     let cluster = kilobyte_cluster(TreeOptions::sherman());
@@ -489,7 +503,7 @@ fn a_point_write_pays_for_what_its_probe_read() {
             (2, 1, 2, 1, 21, 3_535),
             (2, 1, 2, 1, 21, 3_533),
             (2, 1, 1, 1, 2, 3_512),
-            (6, 3, 10, 2, 2_004, 8_329),
+            (6, 3, 12, 2, 1_516, 8_307),
         ]
     );
 }

@@ -22,6 +22,7 @@
 
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
+use sherman_repro::sherman::layout::HEADER_BYTES;
 use sherman_repro::sherman::{InternalNode, LeafNode, NodeHeader, NodeLayout};
 use sherman_repro::sherman_sim::{FabricBackend, GlobalAddress, ThreadedFabric};
 use std::collections::BTreeSet;
@@ -43,9 +44,8 @@ fn child(n: u64) -> GlobalAddress {
 /// One edit of a decoded node, applied the way a commit would: `(kind, a, b)`.
 type Edit = (u8, u64, u64);
 
-/// An internal-node image after `edits`; `garbage` fills what lies past its
-/// `count` — what a write-back that leaves the tail of a shrunk node alone
-/// leaves behind.
+/// An internal-node image after `edits`; `garbage` fills the slots outside
+/// its window — what a write-back that leaves them alone leaves behind.
 fn internal_image(l: &NodeLayout, seed: &[(u64, u64)], edits: &[Edit], garbage: u8) -> Vec<u8> {
     let mut node = InternalNode::new(1, 0, u64::MAX, child(0));
     let insert = |node: &mut InternalNode, key: u64, to: u64| {
@@ -71,8 +71,9 @@ fn internal_image(l: &NodeLayout, seed: &[(u64, u64)], edits: &[Edit], garbage: 
     }
     node.header.count = node.entries.len();
     let mut image = l.encode_internal(&node);
-    let (from, to) = (l.decoded_extent(&image), l.rear_version_offset());
-    image[from..to].fill(garbage);
+    let window = l.decoded_extent(&image);
+    image[HEADER_BYTES..window.start].fill(garbage);
+    image[window.end..l.rear_version_offset()].fill(garbage);
     image
 }
 
@@ -135,10 +136,13 @@ proptest! {
             prop_assert!(!bumped || done == 0 || !l.node_versions_match(&memory));
             memory[range.clone()].copy_from_slice(&new[range.clone()]);
         }
-        // What a decoder reads is the new image, bit for bit.
+        // What a decoder reads — the header, the slots of a leaf or the
+        // window of an internal node, the tail word — is the new image, bit
+        // for bit.
         prop_assert_eq!(l.decode_header(&memory), l.decode_header(&new));
         let extent = l.decoded_extent(&new);
-        prop_assert_eq!(&memory[..extent], &new[..extent]);
+        prop_assert_eq!(&memory[..HEADER_BYTES], &new[..HEADER_BYTES]);
+        prop_assert_eq!(&memory[extent.clone()], &new[extent]);
         prop_assert_eq!(&memory[rear..], &new[rear..]);
         match is_leaf {
             true => prop_assert_eq!(l.decode_leaf(&memory), l.decode_leaf(&new)),
@@ -183,15 +187,18 @@ fn a_plan_is_as_small_as_the_change() {
         l.plan_write_back(&pre, &appended),
         [0..8, at..at + 16, 1016..1024]
     );
-    // The first separator removed: everything behind it moves up — but the
-    // fences do not travel, and the slot the last entry left is not zeroed.
+    // The first separator removed: the window's front moves up a slot, no
+    // entry moves — version + count, the `start` word, the rear version.
     let removed = bump(internal_image(&l, &seed, &[(1, 0, 0)], 0));
-    let end = l.internal_entry_offset(39);
-    assert_eq!(l.plan_write_back(&pre, &removed), [0..8, 48..end, 1016..1024]);
+    assert_eq!(l.plan_write_back(&pre, &removed), [0..8, 40..48, 1016..1024]);
     // Posted as a sequence lock: rear version, body, front version.
     let mut posted = l.plan_write_back(&pre, &removed);
     NodeLayout::post_order(&mut posted);
-    assert_eq!(posted, [1016..1024, 48..end, 0..8]);
+    assert_eq!(posted, [1016..1024, 40..48, 0..8]);
+    // A separator in the back half removed: the entries behind it move up.
+    let removed = bump(internal_image(&l, &seed, &[(1, 30, 0)], 0));
+    let (from, end) = (l.internal_entry_offset(30), l.internal_entry_offset(39));
+    assert_eq!(l.plan_write_back(&pre, &removed), [0..8, from..end, 1016..1024]);
     // A tombstone: the flag and the version pair.
     let mut tombstone = bump(pre.clone());
     tombstone[1] |= 0b10;
@@ -204,6 +211,56 @@ fn a_plan_is_as_small_as_the_change() {
         l.plan_write_back(&leaf, &repacked).as_slice(),
         std::slice::from_ref(&(0..1024))
     );
+}
+
+/// An internal node's separators fill a window of its slots that slides: a
+/// separator inserted in front of a window with free slots before it costs
+/// the entry and the `start` word, as an append costs the entry; one that
+/// must grow a window into a full side recenters it, one rewrite of it.
+#[test]
+fn a_window_grows_into_its_free_side() {
+    let l = layout(1024);
+    let seed: Vec<(u64, u64)> = (1..=40).map(|k| (k * 10, k)).collect();
+    let bump = |pre: &[u8], mut image: Vec<u8>| {
+        image[0] = pre[0].wrapping_add(1);
+        image[l.rear_version_offset()] = image[0];
+        image
+    };
+    // The six front separators removed: slots 0..6 are free.
+    let drained = [(1, 0, 0); 6];
+    let pre = internal_image(&l, &seed, &drained, 0);
+    assert_eq!(l.decode_internal(&pre).start, 6);
+    // Key 5 goes in front of the window, into slot 5.
+    let edits = [drained.as_slice(), &[(0, 5, 9)]].concat();
+    let front = bump(&pre, internal_image(&l, &seed, &edits, 0));
+    let at = l.internal_entry_offset(5);
+    assert_eq!(
+        l.plan_write_back(&pre, &front),
+        [0..8, 40..48, at..at + 16, 1016..1024]
+    );
+    // Appended until the back side is full: 54 separators in slots 6..60.
+    let capacity = l.internal_capacity() as u64;
+    let appends: Vec<(u8, u64, u64)> = (0..capacity - 40).map(|i| (0, 1_000 + i, i)).collect();
+    let edits = [drained.as_slice(), &appends].concat();
+    let full = internal_image(&l, &seed, &edits, 0);
+    let node = l.decode_internal(&full);
+    assert_eq!((node.start, node.start + node.entries.len()), (6, capacity as usize));
+    // One more at the back recenters the window: two free slots before it,
+    // three behind, every separator moved.
+    let grown = [edits.as_slice(), &[(0, 5_000, 1)]].concat();
+    let grown = bump(&full, internal_image(&l, &seed, &grown, 0));
+    let node = l.decode_internal(&grown);
+    assert_eq!((node.start, node.entries.len()), (2, capacity as usize - 5));
+    assert_eq!(
+        l.plan_write_back(&full, &grown).as_slice(),
+        std::slice::from_ref(&(0..1024))
+    );
+    // A front insert into it, as read, finds a slot before the window free.
+    let mut node = l.decode_internal(&grown);
+    node.insert_separator(5, child(9));
+    let front = bump(&grown, l.encode_internal(&node));
+    let at = l.internal_entry_offset(1);
+    assert_eq!(l.plan_write_back(&grown, &front), [0..8, 40..at + 16, 1016..1024]);
 }
 
 // ---------------------------------------------------------------------------

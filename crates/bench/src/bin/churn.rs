@@ -42,15 +42,15 @@
 //! tree's left edge kept the right leaf (the path switched off).
 
 use sherman::TreeOptions;
+use sherman_bench::presets::CHURN_QUICK;
+use sherman_bench::{
+    fmt_mops, print_table, run_with_backend, smoke_verdict, Args, Experiment, RunReport, Source,
+};
 
 /// Bytes a structural commit of the smoke run may write back on average: the
 /// mean measured on the simulator, 638 (578–655 over five threaded runs),
 /// plus 10 %.
 const STRUCTURAL_BYTES_CEILING: f64 = 700.0;
-use sherman_bench::presets::CHURN_QUICK;
-use sherman_bench::{
-    fmt_mops, print_table, run_with_backend, smoke_verdict, Args, Experiment, RunReport, Source,
-};
 
 fn main() {
     let args = Args::from_env();

@@ -68,16 +68,11 @@ impl ChunkAllocator {
         fresh + self.free.len() as u64
     }
 
-    /// Allocate one chunk, returning its starting offset, or `None` when the
-    /// server is out of memory.
-    pub fn alloc(&mut self) -> Option<u64> {
-        self.grant().map(|(offset, _)| offset)
-    }
-
-    /// [`ChunkAllocator::alloc`], and whether the chunk is handed out for the
+    /// Allocate one chunk, or `None` when the server is out of memory.
+    /// Returns its starting offset and whether it is handed out for the
     /// first time — memory nothing has written, all zero — rather than one
     /// returned through [`ChunkAllocator::free`].
-    pub fn grant(&mut self) -> Option<(u64, bool)> {
+    pub fn alloc(&mut self) -> Option<(u64, bool)> {
         if let Some(offset) = self.free.pop() {
             self.allocated += 1;
             return Some((offset, false));
@@ -345,8 +340,8 @@ mod tests {
     fn alloc_is_chunk_aligned_and_disjoint() {
         let mut a = ChunkAllocator::new(1 << 20, 64 << 10);
         let mut seen = Vec::new();
-        while let Some(off) = a.alloc() {
-            assert!(off >= ALLOC_START_OFFSET);
+        while let Some((off, fresh)) = a.alloc() {
+            assert!(fresh && off >= ALLOC_START_OFFSET);
             assert_eq!((off - ALLOC_START_OFFSET) % (64 << 10), 0);
             assert!(!seen.contains(&off));
             seen.push(off);
@@ -360,10 +355,10 @@ mod tests {
     #[test]
     fn freed_chunks_are_reused() {
         let mut a = ChunkAllocator::new(1 << 20, 256 << 10);
-        let first = a.alloc().unwrap();
+        let (first, _) = a.alloc().unwrap();
         let _second = a.alloc().unwrap();
         a.free(first);
-        assert_eq!(a.alloc().unwrap(), first);
+        assert_eq!(a.alloc(), Some((first, false)), "a chunk freed is not fresh");
     }
 
     #[test]
@@ -378,7 +373,7 @@ mod tests {
     fn remaining_counts_both_fresh_and_freed() {
         let mut a = ChunkAllocator::new((64 << 10) * 4 + ALLOC_START_OFFSET, 64 << 10);
         assert_eq!(a.remaining_chunks(), 4);
-        let x = a.alloc().unwrap();
+        let (x, _) = a.alloc().unwrap();
         assert_eq!(a.remaining_chunks(), 3);
         a.free(x);
         assert_eq!(a.remaining_chunks(), 4);

@@ -197,7 +197,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
         }
         for _ in 0..self.pool.servers() {
             match self.pool.request_chunk(cx, self.next_server()).await {
-                Ok(base) => return Ok(self.install(base)),
+                Ok(granted) => return Ok(self.install(granted)),
                 Err(PoolError::OutOfMemory { .. }) => {}
                 Err(e) => return Err(e),
             }
@@ -226,7 +226,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
         }
         for _ in 0..self.pool.servers() {
             match self.pool.grant_chunk_untimed(self.next_server()) {
-                Ok(base) => return Ok(self.install(base)),
+                Ok(granted) => return Ok(self.install(granted)),
                 Err(PoolError::OutOfMemory { .. }) => {}
                 Err(e) => return Err(e),
             }

@@ -249,7 +249,7 @@ impl<B: FabricBackend> MemoryPool<B> {
             .allocators
             .get(ms as usize)
             .ok_or(PoolError::NoSuchServer { ms })?;
-        let (offset, fresh) = allocator.lock().grant().ok_or_else(|| {
+        let (offset, fresh) = allocator.lock().alloc().ok_or_else(|| {
             self.backpressure.chunk_denials.inc();
             PoolError::OutOfMemory { ms }
         })?;

@@ -43,6 +43,7 @@
 
 use crate::cluster::Cluster;
 use sherman_cache::CachedInternal;
+use sherman_memserver::Tombstone;
 use sherman_sim::{ClientCtx, CoherenceMsg, FabricBackend, GlobalAddress};
 use std::sync::Arc;
 
@@ -87,9 +88,10 @@ pub(crate) enum CoherencePayload {
 /// way to release a lock plan or retire an address.
 #[derive(Debug, Default)]
 pub(crate) struct StructuralCommit {
-    /// `(addr, tombstone_version)` per freed node — each becomes an
-    /// `Invalidate` message *and* a retirement.
-    invalidations: Vec<(GlobalAddress, u8)>,
+    /// `(addr, tombstone)` per freed node — each becomes an `Invalidate`
+    /// message *and* a retirement (a leaf tombstone's stale slots only go to
+    /// the free list).
+    invalidations: Vec<(GlobalAddress, Tombstone)>,
     /// Surviving images to heal the caches with.
     refreshes: Vec<Arc<CachedInternal>>,
 }
@@ -101,11 +103,11 @@ impl StructuralCommit {
         StructuralCommit::default()
     }
 
-    /// Record a node freed by this commit.  Publishing posts the
-    /// invalidation; the returned [`PublishedCommit`] carries the address
-    /// for retirement.
-    pub(crate) fn invalidate(&mut self, addr: GlobalAddress, tombstone_version: u8) {
-        self.invalidations.push((addr, tombstone_version));
+    /// Record a node freed by this commit, and the tombstone written there.
+    /// Publishing posts the invalidation; the returned [`PublishedCommit`]
+    /// carries the address for retirement.
+    pub(crate) fn invalidate(&mut self, addr: GlobalAddress, tombstone: Tombstone) {
+        self.invalidations.push((addr, tombstone));
     }
 
     /// Record a surviving image for the cache heal.
@@ -125,7 +127,7 @@ impl StructuralCommit {
 pub(crate) struct PublishedCommit {
     /// The invalidations that were posted, now doubling as the retirement
     /// work list.
-    retired: Vec<(GlobalAddress, u8)>,
+    retired: Vec<(GlobalAddress, Tombstone)>,
 }
 
 impl PublishedCommit {
@@ -135,8 +137,8 @@ impl PublishedCommit {
     /// the release writes, and the address must not be reusable before its
     /// tombstone is visible.
     pub(crate) fn retire_all<B: FabricBackend>(self, cluster: &Cluster<B>, now: u64) {
-        for (addr, tombstone_version) in self.retired {
-            cluster.pool().retire_node(addr, tombstone_version, now);
+        for (addr, tombstone) in self.retired {
+            cluster.pool().retire_node(addr, tombstone, now);
         }
     }
 }
@@ -212,7 +214,7 @@ pub(crate) fn publish<B: FabricBackend>(
         }
     }
 
-    for &(addr, tombstone_version) in &invalidations {
+    for &(addr, Tombstone { version: tombstone_version, .. }) in &invalidations {
         // One payload allocation, shared by every remote inbox.
         let payload: Arc<dyn std::any::Any + Send + Sync> =
             Arc::new(CoherencePayload::Invalidate {

@@ -75,11 +75,17 @@
 //! catches up with, and a writer that skips unchanged words does catch up.
 //! Of an internal node the header, the window of slots its separators fill
 //! and the tail word are compared; no decoder reads the other slots.  A new
-//! right half carved from a fresh chunk is planned against an all-zero
-//! pre-image, so it travels as what it holds.  A node without a pre-image (a
-//! right half at a recycled address, a new root), a node that changed nearly
-//! all over, and every node of an uncombined preset travel whole; so do the
-//! *point* writes of sorted leaves, which "+2-Level Ver" is there to ablate.
+//! right half is planned against what its address holds
+//! ([`AllocatedNode::holds`]): a fresh chunk's zeroes, so it travels as what
+//! it holds; or, for an unsorted leaf, a leaf tombstone, whose tags are
+//! zero outside the *stale slots* the merge that retired it left live and
+//! recorded on the free list — so the right half sends its header, its tail,
+//! the slots it fills and the tag word of each stale slot it leaves vacant
+//! ([`NodeLayout::recycled_leaf_pre_image`]): a vacant slot is its tag to a
+//! reader.  A node without a pre-image (a new root, a right half at an
+//! address of unknown contents), a node that changed nearly all over, and
+//! every node of an uncombined preset travel whole; so do the *point* writes
+//! of sorted leaves, which "+2-Level Ver" is there to ablate.
 //! A write-back is keyed by its node ([`WriteBack`]): the node's address, not
 //! the address a range starts at, names the lock whose release it rides.
 
@@ -95,7 +101,7 @@ use crate::ops::{
 use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
 use sherman_locks::AcquireOutcome;
-use sherman_memserver::{AllocatedNode, ServerLayout};
+use sherman_memserver::{AllocatedNode, Holds, ServerLayout, Tombstone};
 use sherman_sim::{FabricBackend, GlobalAddress, PendingVerb, WriteCmd};
 use std::sync::Arc;
 
@@ -214,9 +220,12 @@ pub(crate) enum Followup {
 /// Which sibling a structural delete pairs the underfull node with.
 ///
 /// The commit always operates on an adjacent `(left, right)` pair under one
-/// parent and always retires the *right* node of the pair on a full merge
-/// (B-link safety: the survivor's sibling pointer skips the tombstone).  The
-/// direction records which side the *underfull* node is on:
+/// parent.  A full merge retires the *right* node of the pair (B-link
+/// safety: the survivor's sibling pointer skips the tombstone) — except at
+/// a level's left edge, where an emptier first leaf moves into its right
+/// sibling and is retired itself: nothing but its parent's `leftmost` points
+/// at it ([`OpCx::plan_merge`]).  The direction records which side the
+/// *underfull* node is on:
 ///
 /// * [`MergeDirection::Right`] — the underfull node is the left of the pair
 ///   and absorbs its right B-link sibling (the PR 2 behaviour),
@@ -378,14 +387,14 @@ struct MergePlan {
 
 enum PairChange {
     /// One node of the pair absorbed the other, whose image is now the freed
-    /// (free-bit set, version-bumped) tombstone with node-level version
-    /// `tombstone_version` (recorded with the retirement so the next writer
-    /// of the address stamps its image above it).  The left node survives
-    /// unless `kept_right`: at its level's left edge an emptier first leaf
-    /// moved into its right sibling.  `still_underfull`: the survivor itself
-    /// ended up below the merge floor.
+    /// (free-bit set, version-bumped) `tombstone` (recorded with the
+    /// retirement: the next writer of the address stamps its image above the
+    /// tombstone's version, and clears the tags a leaf tombstone left live).
+    /// The left node survives unless `kept_right`: at its level's left edge
+    /// an emptier first leaf moved into its right sibling.
+    /// `still_underfull`: the survivor itself ended up below the merge floor.
     Merge {
-        tombstone_version: u8,
+        tombstone: Tombstone,
         kept_right: bool,
         still_underfull: bool,
     },
@@ -419,9 +428,9 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// command combination, the ranges ride the one doorbell batch that
     /// releases the lock, rear version first and front version last
     /// ([`NodeLayout::post_order`]).  The whole node travels without
-    /// combination, when there is no pre-image (a recycled address), and
-    /// under the checksum format, whose checksum covers bytes no decoder
-    /// reads.
+    /// combination, when there is no pre-image (an address of unknown
+    /// contents), and under the checksum format, whose checksum covers bytes
+    /// no decoder reads.
     fn write_back(&self, node: GlobalAddress, pre: Option<&[u8]>, new: Vec<u8>) -> WriteBack {
         let planned = pre
             .filter(|_| self.combine() && self.leaf_format() != LeafFormat::SortedChecksum)
@@ -940,7 +949,9 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// read under it): allocate the right half's node, link it behind `left`
     /// B-link style, and write both halves back with the release of the lock
     /// — of the left half what the split changed, of the right half what it
-    /// holds when its memory is fresh (all zero), else the whole node.
+    /// holds when its memory is fresh (all zero) or, for an unsorted leaf, a
+    /// leaf tombstone (what it holds and the tags of the tombstone's stale
+    /// slots), else the whole node.
     /// Returns the new node's address; with command combination the writes
     /// are left in `meta.in_flight` for the separator insertion to overlap
     /// and — the right half's — to observe before it writes (ordering rule 2).
@@ -966,8 +977,16 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // versions bump across reuse (fresh carves seed at version 1, the
         // same value the pre-reuse code produced).
         right.header_mut().set_versions(alloc.first_version());
-        let blank = alloc.fresh.then(|| vec![0u8; self.layout().node_size()]);
-        let right_half = self.write_back(alloc.addr, blank.as_deref(), self.encode(right));
+        let new = self.encode(right);
+        let unsorted_leaf = right.header_mut().is_leaf && !self.leaf_format().is_sorted();
+        let held = match &alloc.holds {
+            Holds::Zeroes => Some(vec![0u8; new.len()]),
+            Holds::LeafTombstone(stale) if unsorted_leaf => {
+                Some(self.layout().recycled_leaf_pre_image(&new, stale))
+            }
+            _ => None,
+        };
+        let right_half = self.write_back(alloc.addr, held.as_deref(), new);
         let left_half = self.write_back(addr, Some(pre), self.encode(left));
         let written_back = right_half.bytes() + left_half.bytes();
         let mut writes = Vec::with_capacity(1 + left_half.cmds.len());
@@ -1004,7 +1023,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// retirement posted its invalidations" stays uniform.
     fn retire_unlinked(&self, addr: GlobalAddress, version: u8) {
         let mut commit = StructuralCommit::new();
-        commit.invalidate(addr, version);
+        commit.invalidate(addr, Tombstone::unknown(version));
         let published = self.publish_commit(commit);
         published.retire_all(self.cluster, self.ctx().now());
     }
@@ -1368,14 +1387,14 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let counters = self.cluster.space_counters();
         match merge.change {
             PairChange::Merge {
-                tombstone_version,
+                tombstone,
                 kept_right,
                 still_underfull,
             } => {
                 assert!(parent.remove_separator(sep, right_addr));
                 // The first node's survivor takes its place as the parent's
                 // leftmost child: nothing else points at a level's first node.
-                let (survivor, tombstone) = match kept_right {
+                let (survivor, retired) = match kept_right {
                     true => {
                         parent.header.leftmost = Some(right_addr);
                         counters.edge_merges.inc();
@@ -1383,7 +1402,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                     }
                     false => (left_addr, right_addr),
                 };
-                commit.invalidate(tombstone, tombstone_version);
+                commit.invalidate(retired, tombstone);
                 parent.header.free = parent.entries.is_empty()
                     && match self.try_collapse_root(parent_addr, &parent, level).await {
                         Ok(collapsed) => collapsed,
@@ -1415,7 +1434,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         }
         parent.header.bump_versions();
         if parent.header.free {
-            commit.invalidate(parent_addr, parent.header.front_version);
+            commit.invalidate(parent_addr, Tombstone::unknown(parent.header.front_version));
         }
         let writes = vec![
             self.write_back(left_addr, Some(&left_buf), merge.left_bytes),
@@ -1500,20 +1519,23 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let capacity = N::capacity(&layout);
         let change = if underfull + N::JOIN + donor <= capacity {
             let kept_right = edge && !dense && underfull < donor;
-            let (survivor, tombstone) = match kept_right {
+            let (survivor, tombstone, image) = match kept_right {
                 true => {
                     right.absorb_left(&left, dense);
-                    (&right, left.header_mut())
+                    (&right, left.header_mut(), left_buf)
                 }
                 false => {
                     left.absorb_right(&right, dense);
-                    (&left, right.header_mut())
+                    (&left, right.header_mut(), right_buf)
                 }
             };
             tombstone.free = true;
             tombstone.bump_versions();
             PairChange::Merge {
-                tombstone_version: tombstone.front_version,
+                tombstone: Tombstone {
+                    version: tombstone.front_version,
+                    stale: tombstone.is_leaf.then(|| layout.live_slots(image)),
+                },
                 kept_right,
                 still_underfull: survivor.occupancy() < floor,
             }

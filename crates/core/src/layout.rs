@@ -45,6 +45,7 @@
 
 use crate::config::TreeConfig;
 use crate::node::{InternalEntry, InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
+use sherman_memserver::StaleSlots;
 use sherman_sim::GlobalAddress;
 use std::ops::Range;
 
@@ -432,6 +433,35 @@ impl NodeLayout {
             ranges.push(0..self.node_size);
         }
         ranges
+    }
+
+    /// The slots of the leaf image `leaf` that hold a tag: its live slots.
+    pub fn live_slots(&self, leaf: &[u8]) -> StaleSlots {
+        let capacity = self.leaf_capacity();
+        (0..capacity).filter(|&slot| leaf[self.leaf_entry_offset(slot) + 1] != 0).collect()
+    }
+
+    /// The image to plan ([`NodeLayout::plan_write_back`]) the first image
+    /// `new` of an unsorted leaf against, at an address whose leaf tombstone
+    /// left the slots `stale` live.  Every other slot there reads as vacant,
+    /// its tag byte 0, and of a vacant slot a reader heeds the tag alone.  So
+    /// the image differs from `new` where memory may: in the header, the tail
+    /// word, each slot `new` fills, and the tag byte of each stale slot `new`
+    /// leaves vacant.
+    pub fn recycled_leaf_pre_image(&self, new: &[u8], stale: &StaleSlots) -> Vec<u8> {
+        let mut pre = new.to_vec();
+        let mut flip = |bytes: Range<usize>| pre[bytes].iter_mut().for_each(|b| *b = !*b);
+        flip(0..HEADER_BYTES);
+        flip(self.rear_version_offset()..self.node_size);
+        for slot in 0..self.leaf_capacity() {
+            let at = self.leaf_entry_offset(slot);
+            match new[at + 1] {
+                0 if stale.contains(slot) => flip(at + 1..at + 2),
+                0 => {}
+                _ => flip(at..at + self.leaf_entry_bytes()),
+            }
+        }
+        pre
     }
 
     /// Put the ranges of a plan in the order their commands are posted in,

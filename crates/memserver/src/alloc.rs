@@ -200,9 +200,53 @@ impl FreeListStats {
     }
 }
 
+/// The slots of a leaf tombstone whose tag byte may be non-zero — those its
+/// last image left live — one bit a slot.  Every other slot of the tombstone
+/// already reads as vacant, so a leaf written at the address later has to
+/// clear the tags of these alone.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StaleSlots(Box<[u64]>);
+
+impl StaleSlots {
+    /// Whether `slot`'s tag byte may be non-zero.
+    pub fn contains(&self, slot: usize) -> bool {
+        self.0.get(slot / 64).is_some_and(|word| word >> (slot % 64) & 1 != 0)
+    }
+}
+
+impl FromIterator<usize> for StaleSlots {
+    fn from_iter<I: IntoIterator<Item = usize>>(slots: I) -> Self {
+        let mut words = Vec::new();
+        for slot in slots {
+            words.resize(words.len().max(slot / 64 + 1), 0u64);
+            words[slot / 64] |= 1 << (slot % 64);
+        }
+        StaleSlots(words.into())
+    }
+}
+
+/// What a retirement knows of the tombstone it leaves at a node address.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tombstone {
+    /// The tombstone's node-level version: an image written at the address
+    /// later must use a version strictly above it, so versions bump across
+    /// reuse.
+    pub version: u8,
+    /// Its stale slots when it is a leaf's; `None` when the retirement did
+    /// not record what the address holds.
+    pub stale: Option<StaleSlots>,
+}
+
+impl Tombstone {
+    /// A tombstone of `version` whose slots nobody recorded.
+    pub fn unknown(version: u8) -> Self {
+        Tombstone { version, stale: None }
+    }
+}
+
 /// One retired node address awaiting reclamation (or, in the ready pool,
 /// awaiting demand).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Retired {
     addr: GlobalAddress,
     /// Retirement epoch.  Monotone within the queue, so the front is always
@@ -210,19 +254,17 @@ struct Retired {
     stamp: u64,
     /// Virtual time of retirement (for the retire→reuse latency figure).
     retired_at_ns: u64,
-    /// Node-level version of the tombstone written at the address; the next
-    /// writer must seed its image above this so versions bump across reuse.
-    tombstone_version: u8,
+    /// What is written at the address.
+    tombstone: Tombstone,
 }
 
 /// A node address cleared for reuse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReusedNode {
     /// The recycled address.
     pub addr: GlobalAddress,
-    /// Node-level version of the tombstone currently stored there; new
-    /// images written at `addr` must use a version strictly above it.
-    pub tombstone_version: u8,
+    /// The tombstone stored there.
+    pub tombstone: Tombstone,
 }
 
 /// A per-memory-server free list of retired node addresses.
@@ -252,17 +294,17 @@ impl NodeFreeList {
         }
     }
 
-    /// Retire a node address at virtual time `now`.  `tombstone_version` is
-    /// the node-level version of the tombstone image written at the address.
-    /// Returns the retirement epoch the address was quarantined under.
-    pub fn retire(&mut self, addr: GlobalAddress, tombstone_version: u8, now: u64) -> u64 {
+    /// Retire a node address, where `tombstone` is written, at virtual time
+    /// `now`.  Returns the retirement epoch the address was quarantined
+    /// under.
+    pub fn retire(&mut self, addr: GlobalAddress, tombstone: Tombstone, now: u64) -> u64 {
         self.stats.retired += 1;
         let stamp = self.registry.retire_epoch();
         self.quarantine.push_back(Retired {
             addr,
             stamp,
             retired_at_ns: now,
-            tombstone_version,
+            tombstone,
         });
         // Sweep the quarantine on retire as well as on reuse, so the
         // retire→eligible figure is stamped close to the moment the last pin
@@ -311,7 +353,7 @@ impl NodeFreeList {
         s.reclaim_latency_min_ns = s.reclaim_latency_min_ns.min(latency);
         Some(ReusedNode {
             addr: r.addr,
-            tombstone_version: r.tombstone_version,
+            tombstone: r.tombstone,
         })
     }
 
@@ -389,8 +431,8 @@ mod tests {
         let mut fl = NodeFreeList::new(Arc::clone(&registry));
         let a = GlobalAddress::host(0, 8 << 10);
         let b = GlobalAddress::host(0, 16 << 10);
-        fl.retire(a, 1, 100);
-        fl.retire(b, 1, 200);
+        fl.retire(a, Tombstone::unknown(1), 100);
+        fl.retire(b, Tombstone::unknown(1), 200);
         // Inside the grace period nothing is reusable.
         assert_eq!(fl.reuse(500), None);
         assert_eq!(fl.stats().quarantined, 2);
@@ -422,7 +464,7 @@ mod tests {
         // Epoch policy, nobody pinned: an address is eligible the moment it
         // retires, however long demand takes to arrive.
         let mut fl = NodeFreeList::new(EpochRegistry::new());
-        fl.retire(GlobalAddress::host(0, 8 << 10), 1, 1_000);
+        fl.retire(GlobalAddress::host(0, 8 << 10), Tombstone::unknown(1), 1_000);
         let s = fl.stats();
         assert_eq!((s.quarantined, s.ready), (0, 1), "eligible at retire time");
         assert_eq!(s.eligible_latency_max_ns, 0);
@@ -440,8 +482,8 @@ mod tests {
         // address may be reused "before" it was retired: order comes from
         // the epochs, and the latency figures saturate at zero.
         let mut fl = NodeFreeList::new(EpochRegistry::new());
-        fl.retire(GlobalAddress::host(0, 8 << 10), 1, 5_000);
-        fl.retire(GlobalAddress::host(0, 16 << 10), 1, 4_000);
+        fl.retire(GlobalAddress::host(0, 8 << 10), Tombstone::unknown(1), 5_000);
+        fl.retire(GlobalAddress::host(0, 16 << 10), Tombstone::unknown(1), 4_000);
         assert!(fl.reuse(4_500).is_some());
         assert!(fl.reuse(4_500).is_some());
         let s = fl.stats();
@@ -453,13 +495,13 @@ mod tests {
     fn epoch_policy_reuses_immediately_when_no_reader_is_pinned() {
         let mut fl = NodeFreeList::new(EpochRegistry::new());
         let a = GlobalAddress::host(0, 8 << 10);
-        let stamp = fl.retire(a, 7, 1_000);
+        let stamp = fl.retire(a, Tombstone::unknown(7), 1_000);
         assert_eq!(stamp, 1, "first retirement is stamped with epoch 1");
         // No pinned reader: the very next reuse attempt succeeds, regardless
         // of how little virtual time has passed.
         let reused = fl.reuse(1_000).expect("idle reclamation is immediate");
         assert_eq!(reused.addr, a);
-        assert_eq!(reused.tombstone_version, 7);
+        assert_eq!(reused.tombstone.version, 7);
         assert_eq!(fl.stats().reclaim_latency_max_ns, 0, "retire→reuse distance is zero");
     }
 
@@ -472,10 +514,10 @@ mod tests {
         let b = GlobalAddress::host(0, 16 << 10);
 
         // `a` retires before the reader pins: recyclable even during the pin.
-        fl.retire(a, 1, 100);
+        fl.retire(a, Tombstone::unknown(1), 100);
         let pin = reader.pin();
         // `b` retires while the reader is pinned: blocked until it unpins.
-        fl.retire(b, 1, 200);
+        fl.retire(b, Tombstone::unknown(1), 200);
         assert_eq!(fl.pinned_buckets(), 1);
         assert_eq!(fl.reuse(10_000).map(|r| r.addr), Some(a));
         assert_eq!(fl.reuse(1 << 40), None, "no amount of virtual time unblocks b");

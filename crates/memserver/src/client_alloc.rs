@@ -15,10 +15,26 @@
 //! ([`sherman_sim::Waits`]): the tree awaits it holding its client, and
 //! [`ClientAllocator::alloc_node`] is the same call run in place.
 
+use crate::alloc::StaleSlots;
 use crate::pool::{GrantedChunk, MemoryPool, PoolError};
 use sherman_sim::{ClientCtx, Fabric, FabricBackend, GlobalAddress, Parking, Waits};
 use std::cell::Cell;
 use std::sync::Arc;
+
+/// What an allocated address holds, as far as its first writer needs to know.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Holds {
+    /// All zero: carved from a chunk granted for the first time, nothing was
+    /// ever written there.  A tombstone version can wrap to 0 and a chunk can
+    /// come back through [`MemoryPool::free_chunk`], so neither a floor of 0
+    /// nor a carve alone says as much.
+    Zeroes,
+    /// A leaf tombstone, whose slots outside these read as vacant.
+    LeafTombstone(StaleSlots),
+    /// Anything: a carve from a chunk returned before, or a retirement that
+    /// recorded nothing.
+    Unknown,
+}
 
 /// One allocated node address plus the version floor the caller must respect
 /// when writing the node's first image.
@@ -28,19 +44,15 @@ use std::sync::Arc;
 /// be stamped **above** it (see [`AllocatedNode::first_version`]) so that
 /// versions always bump across reuse — a reader that raced the recycling can
 /// then never mistake a torn old/new image mix for a consistent node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocatedNode {
     /// The allocated node address.
     pub addr: GlobalAddress,
     /// Node-level version currently stored at the address (0 for fresh
     /// carves, the tombstone version for recycled addresses).
     pub version_floor: u8,
-    /// The address was carved from a chunk granted for the first time, so
-    /// its memory is all zero: nothing was ever written there.  A tombstone
-    /// version can wrap to 0 and a chunk can come back through
-    /// [`MemoryPool::free_chunk`], so neither a floor of 0 nor a carve alone
-    /// says as much.
-    pub fresh: bool,
+    /// What the address holds.
+    pub holds: Holds,
 }
 
 impl AllocatedNode {
@@ -132,7 +144,10 @@ impl<B: FabricBackend> ClientAllocator<B> {
         Some(AllocatedNode {
             addr,
             version_floor: 0,
-            fresh: chunk.fresh,
+            holds: match chunk.fresh {
+                true => Holds::Zeroes,
+                false => Holds::Unknown,
+            },
         })
     }
 
@@ -150,8 +165,8 @@ impl<B: FabricBackend> ClientAllocator<B> {
             if let Some(reused) = self.pool.reuse_node(ms, now) {
                 return Some(AllocatedNode {
                     addr: reused.addr,
-                    version_floor: reused.tombstone_version,
-                    fresh: false,
+                    version_floor: reused.tombstone.version,
+                    holds: reused.tombstone.stale.map_or(Holds::Unknown, Holds::LeafTombstone),
                 });
             }
         }
@@ -246,7 +261,7 @@ impl<B: FabricBackend> ClientAllocator<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EpochPin;
+    use crate::{EpochPin, Tombstone};
     use sherman_sim::{Completion, FabricConfig, PendingVerb, SimChannel};
     use std::cell::{RefCell, RefMut};
     use std::future::Future;
@@ -316,7 +331,7 @@ mod tests {
         // Retire the first node; the next allocation (chunk now full) must
         // recycle it instead of paying another chunk RPC.  No reader is
         // pinned, so under epoch reclamation reuse is immediate.
-        pool.retire_node(a.addr, 9, client.now());
+        pool.retire_node(a.addr, Tombstone::unknown(9), client.now());
         client.charge_cpu(1);
         let c = alloc.alloc_node(&mut client).unwrap();
         assert_eq!(c.addr, a.addr, "retired address is recycled");
@@ -326,9 +341,9 @@ mod tests {
         assert_eq!(pool.reclaim_stats().reused, 1);
     }
 
-    /// A node is fresh only when carved from a chunk granted for the first
-    /// time: not a recycled address, even one whose tombstone version wrapped
-    /// to 0, and not one carved from a chunk that came back through
+    /// A node holds zeroes only when carved from a chunk granted for the
+    /// first time: not a recycled address, even one whose tombstone version
+    /// wrapped to 0, and not one carved from a chunk that came back through
     /// `free_chunk`.
     #[test]
     fn only_a_first_grant_carves_fresh_nodes() {
@@ -337,11 +352,11 @@ mod tests {
         let mut alloc = ClientAllocator::new(Arc::clone(&pool), 32 << 10, 0);
         let a = alloc.alloc_node(&mut client).unwrap();
         let b = alloc.alloc_node(&mut client).unwrap();
-        assert!(a.fresh && b.fresh);
-        pool.retire_node(a.addr, 255, client.now());
+        assert_eq!((&a.holds, &b.holds), (&Holds::Zeroes, &Holds::Zeroes));
+        pool.retire_node(a.addr, Tombstone::unknown(255), client.now());
         client.charge_cpu(1);
         let c = alloc.alloc_node(&mut client).unwrap();
-        assert_eq!((c.addr, c.version_floor, c.fresh), (a.addr, 255, false));
+        assert_eq!((c.addr, c.version_floor, &c.holds), (a.addr, 255, &Holds::Unknown));
         assert_eq!(c.first_version(), 0, "the version wraps");
         // A chunk returned to its server is not fresh when granted again.
         let returned = GlobalAddress::host(1, crate::ALLOC_START_OFFSET);
@@ -349,11 +364,39 @@ mod tests {
         assert_eq!((chunk.base, chunk.fresh), (returned, true));
         pool.free_chunk(returned).unwrap();
         let d = alloc.alloc_node(&mut client).unwrap();
-        assert_eq!((d.addr, d.fresh), (returned, false));
+        assert_eq!((d.addr, d.holds), (returned, Holds::Unknown));
         let e = alloc.alloc_node(&mut client).unwrap();
-        assert_eq!((e.addr.ms, e.fresh), (1, false), "the rest of that chunk");
+        assert_eq!((e.addr.ms, e.holds), (1, Holds::Unknown), "the rest of that chunk");
         let f = alloc.alloc_node(&mut client).unwrap();
-        assert_eq!((f.addr.ms, f.fresh), (0, true), "a chunk never granted");
+        assert_eq!((f.addr.ms, f.holds), (0, Holds::Zeroes), "a chunk never granted");
+    }
+
+    /// A leaf tombstone's stale slots ride its address through quarantine
+    /// to the allocation that reuses it; an address retired without them
+    /// comes back holding something unknown.
+    #[test]
+    fn a_tombstones_stale_slots_survive_quarantine_to_reuse() {
+        let (pool, mut client) = setup();
+        let mut alloc = ClientAllocator::new(Arc::clone(&pool), 32 << 10, 0);
+        let a = alloc.alloc_node(&mut client).unwrap();
+        let b = alloc.alloc_node(&mut client).unwrap();
+        let stale: StaleSlots = [3, 40, 64, 129].into_iter().collect();
+        assert!([3, 40, 64, 129].iter().all(|&slot| stale.contains(slot)));
+        assert!([0, 39, 63, 65, 128, 130, 1_000].iter().all(|&slot| !stale.contains(slot)));
+        let reader = pool.epoch_registry().register();
+        let pin = reader.pin();
+        let tombstone = Tombstone { version: 4, stale: Some(stale.clone()) };
+        pool.retire_node(a.addr, tombstone, client.now());
+        assert_eq!(pool.reuse_node(a.addr.ms, client.now()), None, "quarantined");
+        drop(pin);
+        client.charge_cpu(1);
+        let c = alloc.alloc_node(&mut client).unwrap();
+        assert_eq!((c.addr, c.version_floor), (a.addr, 4));
+        assert_eq!(c.holds, Holds::LeafTombstone(stale));
+        pool.retire_node(b.addr, Tombstone::unknown(7), client.now());
+        client.charge_cpu(1);
+        let d = alloc.alloc_node(&mut client).unwrap();
+        assert_eq!((d.addr, d.holds), (b.addr, Holds::Unknown));
     }
 
     #[test]
@@ -384,7 +427,7 @@ mod tests {
 
         // Free-list reuse rescues allocation under pressure: retire one node
         // and the next request succeeds again (recording the rescue).
-        pool.retire_node(got[0].addr, 5, client.now());
+        pool.retire_node(got[0].addr, Tombstone::unknown(5), client.now());
         client.charge_cpu(1);
         let rescued = alloc.alloc_node(&mut client).unwrap();
         assert_eq!(rescued.addr, got[0].addr);
@@ -410,7 +453,7 @@ mod tests {
         // Simulate a racing retirement that lands *after* the fast-path
         // reuse check would have run: the guard counter says zero until the
         // retire, so exhaust first, then retire and allocate again.
-        pool.retire_node(got[3].addr, 2, client.now());
+        pool.retire_node(got[3].addr, Tombstone::unknown(2), client.now());
         client.charge_cpu(1);
         let node = alloc.alloc_node(&mut client).expect("free list rescues");
         assert_eq!(node.addr, got[3].addr);
@@ -457,7 +500,7 @@ mod tests {
         // allocation's first look, and leaves during its chunk requests.
         let reader = pool.epoch_registry().register();
         let pin = RefCell::new(Some(reader.pin()));
-        pool.retire_node(got[1].addr, 6, client.now());
+        pool.retire_node(got[1].addr, Tombstone::unknown(6), client.now());
         let cx = UnpinOnHold {
             inner: Parking::new(&mut client),
             pin: &pin,

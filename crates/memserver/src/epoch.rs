@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn pins_on_real_threads_race_retirement_and_reuse() {
-        use crate::alloc::NodeFreeList;
+        use crate::alloc::{NodeFreeList, Tombstone};
         use sherman_sim::GlobalAddress;
         use std::collections::HashMap;
         use std::sync::atomic::AtomicBool;
@@ -403,7 +403,7 @@ mod tests {
                     let addr = GlobalAddress::host(0, (now % 64) << 10);
                     stamps
                         .entry(addr)
-                        .or_insert_with(|| free_list.retire(addr, 1, now));
+                        .or_insert_with(|| free_list.retire(addr, Tombstone::unknown(1), now));
                     let Some(node) = free_list.reuse(now) else {
                         continue;
                     };

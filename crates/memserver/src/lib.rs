@@ -33,8 +33,8 @@ pub mod epoch;
 pub mod layout;
 pub mod pool;
 
-pub use alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReusedNode};
-pub use client_alloc::{AllocatedNode, ClientAllocator};
+pub use alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReusedNode, StaleSlots, Tombstone};
+pub use client_alloc::{AllocatedNode, ClientAllocator, Holds};
 pub use epoch::{EpochPin, EpochRegistry, ReaderHandle, UNPINNED_EPOCH};
 pub use layout::{ServerLayout, ALLOC_START_OFFSET, ROOT_PTR_OFFSET, SUPERBLOCK_MAGIC};
 pub use pool::{AllocError, GrantedChunk, MemoryPool, PoolError};

@@ -9,7 +9,7 @@
 //! §4.2.4: allocation RPCs are rare (one per 8 MB of new tree nodes), so the
 //! wimpy MS cores stay off the data path.
 
-use crate::alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReusedNode};
+use crate::alloc::{ChunkAllocator, FreeListStats, NodeFreeList, ReusedNode, Tombstone};
 use crate::epoch::EpochRegistry;
 use crate::layout::{ServerLayout, ROOT_PTR_OFFSET, SUPERBLOCK_MAGIC, TREE_LEVEL_HINT_OFFSET};
 use parking_lot::Mutex;
@@ -290,17 +290,17 @@ impl<B: FabricBackend> MemoryPool<B> {
     }
 
     /// Retire a node address freed by a structural delete at virtual time
-    /// `now`.  `tombstone_version` is the node-level version of the tombstone
-    /// image written at the address; the eventual reuser seeds its image
-    /// above it.  The address stays quarantined until every reader pinned at
-    /// or before its retirement has unpinned, then
-    /// [`MemoryPool::reuse_node`] hands it out again.
+    /// `now`, with what it knows of the `tombstone` written there: the
+    /// eventual reuser seeds its image above the tombstone's version, and
+    /// clears the tags of a leaf tombstone's stale slots.  The address stays
+    /// quarantined until every reader pinned at or before its retirement has
+    /// unpinned, then [`MemoryPool::reuse_node`] hands it out again.
     ///
     /// No fabric time is charged: like the paper's free-bit deallocation, the
     /// free-list bookkeeping is compute-side metadata.
-    pub fn retire_node(&self, addr: GlobalAddress, tombstone_version: u8, now: u64) {
+    pub fn retire_node(&self, addr: GlobalAddress, tombstone: Tombstone, now: u64) {
         if let Some(fl) = self.free_nodes.get(addr.ms as usize) {
-            fl.lock().retire(addr, tombstone_version, now);
+            fl.lock().retire(addr, tombstone, now);
             self.retired_available.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -452,7 +452,7 @@ mod tests {
         let reader = p.epoch_registry().register();
         let pin = reader.pin();
         let addr = GlobalAddress::host(1, 32 << 10);
-        p.retire_node(addr, 1, 1_000);
+        p.retire_node(addr, Tombstone::unknown(1), 1_000);
         assert_eq!(p.reuse_node(1, 5_000), None, "still quarantined");
         drop(pin);
         assert_eq!(p.reuse_node(0, 50_000), None, "wrong server");
@@ -467,9 +467,9 @@ mod tests {
         let reader = p.epoch_registry().register();
         let a = GlobalAddress::host(0, 8 << 10);
         let b = GlobalAddress::host(1, 8 << 10);
-        p.retire_node(a, 3, 100);
+        p.retire_node(a, Tombstone::unknown(3), 100);
         let pin = reader.pin();
-        p.retire_node(b, 5, 200);
+        p.retire_node(b, Tombstone::unknown(5), 200);
 
         let g = p.epoch_gauges();
         assert_eq!(g.pinned_readers, 1);
@@ -481,7 +481,7 @@ mod tests {
 
         // The pre-pin retirement recycles immediately; the post-pin one waits.
         let r = p.reuse_node(0, 300).expect("pre-pin address recycles");
-        assert_eq!((r.addr, r.tombstone_version), (a, 3));
+        assert_eq!((r.addr, r.tombstone.version), (a, 3));
         assert_eq!(p.reuse_node(1, 1 << 40), None);
         drop(pin);
         assert_eq!(p.reuse_node(1, 1 << 40).map(|r| r.addr), Some(b));
@@ -495,7 +495,7 @@ mod tests {
         p.note_node_carved();
         p.note_node_carved();
         assert_eq!(p.nodes_outstanding(), 2);
-        p.retire_node(GlobalAddress::host(0, 8 << 10), 1, 100);
+        p.retire_node(GlobalAddress::host(0, 8 << 10), Tombstone::unknown(1), 100);
         assert_eq!(p.nodes_outstanding(), 1);
         let reused = p.reuse_node(0, 200).unwrap();
         assert_eq!(reused.addr.offset, 8 << 10);

@@ -1346,6 +1346,30 @@ mod tests {
         ));
     }
 
+    /// An operation's record counts every verb posted while it was current
+    /// — a lock's CAS with its read, a CPU charge, a doorbell batch of two
+    /// writes, an RPC — and its time is the time the operation took.
+    #[test]
+    fn an_op_record_is_its_verbs_and_its_time() {
+        let fabric = test_fabric();
+        let mut ctx = fabric.client(0);
+        ctx.set_current_op(Some(0));
+        let t0 = ctx.now();
+        let lock = GlobalAddress::on_chip(0, 64);
+        let node = GlobalAddress::host(0, 4096);
+        let mut image = [0u8; 256];
+        ctx.cas_read(lock, 0, 1, u64::MAX, node, &mut image).unwrap();
+        ctx.charge_cpu(100);
+        ctx.post_writes(&[WriteCmd::new(node, vec![1; 24]), WriteCmd::new(lock, vec![0; 8])])
+            .unwrap();
+        ctx.rpc_round_trip(0, 16, 16).unwrap();
+        let record = ctx.take_op_stats(0);
+        let counts = (record.round_trips, record.reads, record.writes, record.atomics, record.rpcs);
+        assert_eq!(counts, (3, 1, 2, 1, 1));
+        assert_eq!((record.bytes_read, record.bytes_written), (256, 32));
+        assert_eq!(record.latency_ns(), ctx.now() - t0);
+    }
+
     #[test]
     fn lost_cas_read_still_reads_and_leaves_the_word_untouched() {
         let fabric = test_fabric();

@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
-use sherman_repro::sherman_memserver::{EpochPin, NodeFreeList, ALLOC_START_OFFSET};
+use sherman_repro::sherman_memserver::{EpochPin, NodeFreeList, Tombstone, ALLOC_START_OFFSET};
 use sherman_repro::sherman_sim::GlobalAddress;
 use std::collections::HashMap;
 
@@ -85,7 +85,7 @@ proptest! {
                 Ev::Retire => {
                     let addr = GlobalAddress::host(0, ALLOC_START_OFFSET + next_node * 1024);
                     next_node += 1;
-                    let stamp = fl.retire(addr, 1, now);
+                    let stamp = fl.retire(addr, Tombstone::unknown(1), now);
                     stamps.insert(addr.pack(), stamp);
                 }
                 Ev::Reuse => {
@@ -125,7 +125,7 @@ fn tiny_grace_recycles_under_a_live_reader_but_epochs_never() {
     let reader = registry.register();
     let pin = reader.pin();
     let mut ebr = NodeFreeList::new(std::sync::Arc::clone(&registry));
-    ebr.retire(addr, 1, 50);
+    ebr.retire(addr, Tombstone::unknown(1), 50);
     // The pin blocks recycling for any amount of virtual time, and releasing
     // it unblocks immediately.
     assert_eq!(ebr.reuse(500), None);

@@ -23,9 +23,9 @@
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
 use sherman_repro::sherman::layout::HEADER_BYTES;
-use sherman_repro::sherman::{InternalNode, LeafNode, NodeHeader, NodeLayout};
+use sherman_repro::sherman::{InternalNode, LeafEntry, LeafNode, NodeHeader, NodeLayout};
 use sherman_repro::sherman_sim::{FabricBackend, GlobalAddress, ThreadedFabric};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -261,6 +261,129 @@ fn a_window_grows_into_its_free_side() {
     let front = bump(&grown, l.encode_internal(&node));
     let at = l.internal_entry_offset(1);
     assert_eq!(l.plan_write_back(&grown, &front), [0..8, 40..at + 16, 1016..1024]);
+}
+
+// ---------------------------------------------------------------------------
+// A right half at a recycled leaf address
+// ---------------------------------------------------------------------------
+
+/// What a reader makes of a leaf image: its header, and each slot's entry
+/// where the slot is live — of a vacant slot it heeds nothing but the tag.
+fn as_read(leaf: &LeafNode) -> (NodeHeader, Vec<Option<LeafEntry>>) {
+    let slots = leaf.entries.iter().map(|e| e.present().then_some(*e));
+    (leaf.header.clone(), slots.collect())
+}
+
+/// A merge retires a leaf whose live slots — its stale slots — lie above the
+/// slots the next right half at its address fills, and a split then lands
+/// there.  The free list hands the address back with those slots, and the
+/// right half writes its header, its live slots, its tail and the tag word of
+/// each stale slot: the node reads back as the right half, no key of the
+/// tombstone comes back, and the bytes of the vacant slots the tombstone left
+/// vacant are not written.  An empty stale set fails this test.
+#[test]
+fn a_right_half_at_a_recycled_leaf_clears_the_tombstones_tags() {
+    let mut config = ClusterConfig::small();
+    config.fabric.host_bytes_per_ms = 16 << 20;
+    config.tree.node_size = 1 << 10;
+    let cluster = Cluster::new(config, TreeOptions::sherman());
+    let pairs = (0..2_000u64).map(|k| (k * 2, k));
+    let mut model: BTreeMap<u64, u64> = pairs.clone().collect();
+    cluster.bulkload(pairs).unwrap();
+    let l = *cluster.layout();
+    let (capacity, per_leaf) = (l.leaf_capacity(), l.leaf_capacity() as u64 * 4 / 5);
+    let floor = capacity / 4;
+    let mut client = cluster.client(0);
+    let fabric = Arc::clone(cluster.fabric());
+    let image_at = |addr: GlobalAddress| {
+        let mut image = vec![0u8; l.node_size()];
+        fabric.god_read(addr, &mut image).unwrap();
+        image
+    };
+    let live_slots = |image: &[u8]| -> Vec<usize> {
+        let leaf = l.decode_leaf(image);
+        (0..capacity).filter(|&s| leaf.entries[s].present()).collect()
+    };
+    let mut apply = |key: u64, insert: bool| match insert {
+        true => {
+            client.insert(key, key + 1).unwrap();
+            model.insert(key, key + 1);
+        }
+        false => {
+            assert!(client.delete(key).unwrap().0, "key {key} is live");
+            model.remove(&key);
+        }
+    };
+
+    // W and X: the third and fourth leaves, `per_leaf` even keys each.
+    let (w_low, x_low) = (4 * per_leaf, 6 * per_leaf);
+    let (w, _) = cluster.cache(0).lookup_leaf(w_low).expect("warm cache");
+    let (x, _) = cluster.cache(0).lookup_leaf(x_low).expect("warm cache");
+    // X fills up with odd keys, then sheds its lowest even keys down to the
+    // merge floor: its live slots are its last `floor`.
+    let odd: Vec<u64> = (0..capacity as u64 - per_leaf).map(|i| x_low + 2 * i + 1).collect();
+    odd.iter().for_each(|&k| apply(k, true));
+    let shed = per_leaf as usize + odd.len() - floor;
+    (0..shed as u64).for_each(|i| apply(x_low + 2 * i, false));
+    assert_eq!(live_slots(&image_at(x)), (capacity - floor..capacity).collect::<Vec<_>>());
+    // W drains below the floor and absorbs X, which is retired.
+    let merges = cluster.space_stats().leaf_merges;
+    (0..per_leaf - floor as u64 + 1).for_each(|i| apply(w_low + 2 * i, false));
+    assert_eq!(cluster.space_stats().leaf_merges, merges + 1);
+    let tombstone = image_at(x);
+    let header = l.decode_header(&tombstone);
+    assert!(header.free, "X is the tombstone: {header:?}");
+    let stale = live_slots(&tombstone);
+    let gone: Vec<u64> = l.decode_leaf(&tombstone).sorted_pairs().iter().map(|p| p.0).collect();
+    // Every key X held but the last is deleted from W, which keeps the floor.
+    gone[..gone.len() - 1].iter().for_each(|&k| apply(k, false));
+
+    // Whatever the vacant slots of the tombstone hold beside their tags is
+    // not read; fill it with a byte no image of the test writes there.
+    const SENTINEL: u8 = 0xA5;
+    let mut recycled = tombstone.clone();
+    for slot in (0..capacity).filter(|s| !stale.contains(s)) {
+        let at = l.leaf_entry_offset(slot);
+        recycled[at] = SENTINEL;
+        recycled[at + 2..at + l.leaf_entry_bytes()].fill(SENTINEL);
+    }
+    fabric.god_write(x, &recycled).unwrap();
+
+    // W fills with odd keys of its own range until it splits.
+    let mut key = w_low + 1;
+    let (pre, right) = loop {
+        let pre = image_at(w);
+        apply(key, true);
+        if l.decode_header(&image_at(w)).sibling == Some(x) {
+            break (pre, image_at(x));
+        }
+        key += 2;
+    };
+    // The right half W's split meant, stamped above the tombstone.
+    let mut left = l.decode_leaf(&pre);
+    let (split_key, mut intended) = left.split(&l, false);
+    assert!(split_key < x_low, "the right half covers X's keys");
+    let slot = intended.vacant_slot().unwrap();
+    intended.entries[slot].install(key, key + 1);
+    intended.header.set_versions(header.front_version.wrapping_add(1));
+    assert_eq!(as_read(&l.decode_leaf(&right)), as_read(&intended));
+    assert!(stale.iter().all(|&s| s >= intended.live_count()), "{stale:?}");
+    // The tag word of each stale slot is written; the vacant slots the
+    // tombstone left vacant are not.
+    let encoded = l.encode_leaf(&intended);
+    for &slot in &stale {
+        let word = (l.leaf_entry_offset(slot) + 1) / 8 * 8;
+        assert_eq!(right[word..word + 8], encoded[word..word + 8], "slot {slot}");
+    }
+    let untouched = right.iter().filter(|&&b| b == SENTINEL).count();
+    assert!(untouched > l.leaf_entry_bytes(), "{untouched} bytes left alone");
+
+    // No key of the tombstone comes back: by point lookup and by scan.
+    for &k in &gone {
+        assert_eq!(client.lookup(k).unwrap().0, model.get(&k).copied(), "key {k}");
+    }
+    let (scanned, _) = client.range(0, model.len() + 1).unwrap();
+    assert_eq!(scanned, model.into_iter().collect::<Vec<_>>());
 }
 
 // ---------------------------------------------------------------------------

@@ -1395,12 +1395,13 @@ mod tests {
     /// Two leaves after an edit, and the pairs that left and that arrived.
     type Edited = (LeafNode, LeafNode, [BTreeMap<u64, u64>; 2]);
 
-    /// The four structural edits of a leaf pair, `[0, 1000)` and
+    /// The five structural edits of a leaf pair, `[0, 1000)` and
     /// `[1000, 2000)`: split the left leaf, absorb the right into it, move
-    /// `n` pairs right → left, move `n` pairs left → right.  Returns the two
-    /// nodes after the edit (for a split, the left leaf and its new right
-    /// half), the pairs that left `left` and `right` and those that arrived —
-    /// or `None` when the pair does not admit the edit.
+    /// `n` pairs right → left, move `n` pairs left → right, absorb the left
+    /// into the right (a level's first leaf merging at the left edge).
+    /// Returns the two nodes after the edit (for a split, the left leaf and
+    /// its new right half), the pairs that left `left` and `right` and those
+    /// that arrived — or `None` when the pair does not admit the edit.
     fn edit(
         l: &NodeLayout,
         mut left: LeafNode,
@@ -1413,7 +1414,7 @@ mod tests {
         let cap = left.entries.len();
         let old = (left.header.clone(), right.header.clone());
         let moved = |pairs: &[(u64, u64)]| pairs.iter().copied().collect::<BTreeMap<_, _>>();
-        match op % 4 {
+        match op % 5 {
             0 if ln >= 2 => {
                 let pairs = left.sorted_pairs();
                 let (split_key, half) = left.split(l, dense);
@@ -1463,6 +1464,13 @@ mod tests {
                 assert_eq!(left.header.sibling, old.0.sibling);
                 Some((left, right, [leaving, BTreeMap::new()]))
             }
+            4 if ln + rn <= cap => {
+                let arriving = moved(&left.sorted_pairs());
+                right.absorb_left(&left, dense);
+                assert_eq!(right.header.fence_low, old.0.fence_low);
+                assert_eq!(right.header.sibling, old.1.sibling, "the survivor's link stays");
+                Some((left, right, [BTreeMap::new(), arriving]))
+            }
             _ => None,
         }
     }
@@ -1480,7 +1488,7 @@ mod tests {
             left in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..64),
             right in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..64),
             density in (any::<u8>(), any::<u8>()),
-            op in 0u8..4,
+            op in 0u8..5,
             n in 0usize..64,
         ) {
             let l = layout();
@@ -1492,24 +1500,29 @@ mod tests {
             else {
                 return;
             };
-            match op % 4 {
+            match op % 5 {
                 // Split: the new half is fresh, dense and holds what left.
                 0 => {
                     moved_slots_only(&l, &left, &new_left, &out.keys().copied().collect(), &BTreeMap::new());
                     prop_assert_eq!(pairs_of(&[&new_right]), out);
                     prop_assert_eq!(pairs_of(&[&new_left, &new_right, &right]), before);
                 }
-                // Absorb: the survivor gains the right leaf's pairs; the
-                // right leaf itself becomes the caller's tombstone.
-                1 => {
-                    moved_slots_only(&l, &left, &new_left, &BTreeSet::new(), &into);
-                    prop_assert_eq!(pairs_of(&[&new_left]), before);
+                // Absorb: the survivor gains its sibling's pairs; the sibling
+                // itself is left untouched, as the caller's tombstone.
+                1 | 4 => {
+                    let (survivor, retired) = match op % 5 {
+                        1 => ((&left, &new_left), (&right, &new_right)),
+                        _ => ((&right, &new_right), (&left, &new_left)),
+                    };
+                    moved_slots_only(&l, survivor.0, survivor.1, &BTreeSet::new(), &into);
+                    prop_assert_eq!(pairs_of(&[survivor.1]), before);
+                    prop_assert_eq!(retired.0, retired.1);
                 }
                 // Rebalance: installs in the receiver, clears in the donor.
                 _ => {
                     let moving = if out.is_empty() { &into } else { &out };
                     let keys: BTreeSet<u64> = moving.keys().copied().collect();
-                    let (receiver, donor) = match op % 4 {
+                    let (receiver, donor) = match op % 5 {
                         2 => ((&left, &new_left), (&right, &new_right)),
                         _ => ((&right, &new_right), (&left, &new_left)),
                     };
@@ -1532,7 +1545,7 @@ mod tests {
             left in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..64),
             right in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 0..64),
             density in (any::<u8>(), any::<u8>()),
-            op in 0u8..4,
+            op in 0u8..5,
             n in 0usize..64,
         ) {
             let l = layout();
@@ -1542,16 +1555,19 @@ mod tests {
             else {
                 return;
             };
-            prop_assert_eq!(l.encode_leaf(&new_left), repacked(&l, &left, &new_left));
             // A split's new half starts from vacant slots; an absorbed leaf
-            // is left to the caller's tombstone.
+            // is left untouched, as the caller's tombstone.
             let fresh = LeafNode::empty(&l, new_right.header.clone());
-            let right_pre = match op % 4 {
+            let right_pre = match op % 5 {
                 0 => &fresh,
-                1 => return,
                 _ => &right,
             };
-            prop_assert_eq!(l.encode_leaf(&new_right), repacked(&l, right_pre, &new_right));
+            for (side, pre, post) in [(0, &left, &new_left), (1, right_pre, &new_right)] {
+                match (op % 5, side) {
+                    (1, 1) | (4, 0) => prop_assert_eq!(pre, post),
+                    _ => prop_assert_eq!(l.encode_leaf(post), repacked(&l, pre, post)),
+                }
+            }
         }
     }
 }

@@ -117,15 +117,12 @@ trait TreeNode: Sized {
     fn capacity(layout: &NodeLayout) -> usize;
     /// Live entries of a leaf, separators of an internal node.
     fn occupancy(&self) -> usize;
-    /// The structural edits.  `dense`: the leaf format keeps leaves sorted
+    /// The structural edits: take a retired sibling's contents, or re-divide
+    /// a pair at one boundary.  `dense`: the leaf format keeps leaves sorted
     /// and densely packed, so a leaf is re-packed; an unsorted leaf is edited
     /// in place ([`LeafNode::set_pairs`]).  Internal nodes are always sorted.
-    fn absorb_right(&mut self, right: &Self, dense: bool);
-    /// The mirror of `absorb_right`, for a leaf at its level's left edge
-    /// ([`OpCx::plan_merge`]).
-    fn absorb_left(&mut self, left: &Self, dense: bool);
-    fn take_from_right(&mut self, right: &mut Self, count: usize, dense: bool) -> u64;
-    fn take_from_left(&mut self, left: &mut Self, count: usize, dense: bool) -> u64;
+    fn absorb(&mut self, other: &Self, dense: bool);
+    fn rebalance(&mut self, right: &mut Self, left_len: usize, dense: bool) -> u64;
     /// The image the index cache keeps of this node at `addr` (leaves are
     /// not cached).
     fn cached(&self, addr: GlobalAddress) -> Option<CachedInternal>;
@@ -148,17 +145,11 @@ impl TreeNode for LeafNode {
     fn occupancy(&self) -> usize {
         self.live_count()
     }
-    fn absorb_right(&mut self, right: &Self, dense: bool) {
-        LeafNode::absorb_right(self, right, dense)
+    fn absorb(&mut self, other: &Self, dense: bool) {
+        LeafNode::absorb(self, other, dense)
     }
-    fn absorb_left(&mut self, left: &Self, dense: bool) {
-        LeafNode::absorb_left(self, left, dense)
-    }
-    fn take_from_right(&mut self, right: &mut Self, count: usize, dense: bool) -> u64 {
-        LeafNode::take_from_right(self, right, count, dense)
-    }
-    fn take_from_left(&mut self, left: &mut Self, count: usize, dense: bool) -> u64 {
-        LeafNode::take_from_left(self, left, count, dense)
+    fn rebalance(&mut self, right: &mut Self, left_len: usize, dense: bool) -> u64 {
+        LeafNode::rebalance(self, right, left_len, dense)
     }
     fn cached(&self, _addr: GlobalAddress) -> Option<CachedInternal> {
         None
@@ -182,17 +173,11 @@ impl TreeNode for InternalNode {
     fn occupancy(&self) -> usize {
         self.entries.len()
     }
-    fn absorb_right(&mut self, right: &Self, _dense: bool) {
-        InternalNode::absorb_right(self, right)
+    fn absorb(&mut self, other: &Self, _dense: bool) {
+        InternalNode::absorb(self, other)
     }
-    fn absorb_left(&mut self, _left: &Self, _dense: bool) {
-        unreachable!("only a leaf merges into its right sibling")
-    }
-    fn take_from_right(&mut self, right: &mut Self, count: usize, _dense: bool) -> u64 {
-        InternalNode::take_from_right(self, right, count)
-    }
-    fn take_from_left(&mut self, left: &mut Self, count: usize, _dense: bool) -> u64 {
-        InternalNode::take_from_left(self, left, count)
+    fn rebalance(&mut self, right: &mut Self, left_len: usize, _dense: bool) -> u64 {
+        InternalNode::rebalance(self, right, left_len)
     }
     fn cached(&self, addr: GlobalAddress) -> Option<CachedInternal> {
         Some(cached_from_internal(addr, self))
@@ -1488,11 +1473,10 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// place (a sorted leaf is re-packed whichever node survives), its pairs
     /// move into the sibling's vacant slots and the first leaf is retired —
     /// the fewer pairs travel, and its parent's `leftmost` is the one pointer
-    /// to repoint.  When the pair does not fit in one node, entries move toward
-    /// the underfull side until it reaches the merge floor, without draining
-    /// the donor below it (internal nodes rotate children through the pair's
-    /// boundary); the parent's separator is then retargeted in the same
-    /// critical section.
+    /// to repoint.  When the pair does not fit in one node, its boundary
+    /// moves toward the donor until the underfull side reaches the merge
+    /// floor, without draining the donor below it; the parent's separator is
+    /// then retargeted in the same critical section.
     async fn plan_merge<N: TreeNode>(
         &self,
         left_addr: GlobalAddress,
@@ -1519,16 +1503,12 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let capacity = N::capacity(&layout);
         let change = if underfull + N::JOIN + donor <= capacity {
             let kept_right = edge && !dense && underfull < donor;
-            let (survivor, tombstone, image) = match kept_right {
-                true => {
-                    right.absorb_left(&left, dense);
-                    (&right, left.header_mut(), left_buf)
-                }
-                false => {
-                    left.absorb_right(&right, dense);
-                    (&left, right.header_mut(), right_buf)
-                }
+            let (survivor, retired, image) = match kept_right {
+                true => (&mut right, &mut left, left_buf),
+                false => (&mut left, &mut right, right_buf),
             };
+            survivor.absorb(retired, dense);
+            let tombstone = retired.header_mut();
             tombstone.free = true;
             tombstone.bump_versions();
             PairChange::Merge {
@@ -1545,11 +1525,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
             if move_n == 0 {
                 return None;
             }
-            let new_sep = match direction {
-                MergeDirection::Right => left.take_from_right(&mut right, move_n, dense),
-                MergeDirection::Left => right.take_from_left(&mut left, move_n, dense),
+            let left_len = match direction {
+                MergeDirection::Right => left.occupancy() + move_n,
+                MergeDirection::Left => left.occupancy() - move_n,
             };
-            PairChange::Rebalance { new_sep }
+            PairChange::Rebalance {
+                new_sep: left.rebalance(&mut right, left_len, dense),
+            }
         };
         Some(MergePlan {
             left_bytes: self.encode(&left),

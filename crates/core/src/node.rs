@@ -88,6 +88,40 @@ impl NodeHeader {
         self.rear_version = self.front_version;
     }
 
+    /// The header of an empty right half for a split of this node: an empty
+    /// interval at this node's upper fence and its B-link pointer.  A
+    /// rebalance into it sets its lower fence ([`LeafNode::rebalance`],
+    /// [`InternalNode::rebalance`]).
+    pub fn empty_right(&self) -> NodeHeader {
+        NodeHeader {
+            sibling: self.sibling,
+            ..NodeHeader::new(self.is_leaf, self.level, self.fence_high, self.fence_high)
+        }
+    }
+
+    /// Grow this interval over `other`'s, a fence-adjacent sibling's: up to
+    /// its upper fence, taking its B-link pointer, when it lies right; down
+    /// to its lower fence when it lies left.  Both versions are bumped.
+    fn absorb(&mut self, other: &NodeHeader) {
+        if self.fence_high == other.fence_low {
+            self.fence_high = other.fence_high;
+            self.sibling = other.sibling;
+        } else {
+            self.fence_low = other.fence_low;
+        }
+        self.bump_versions();
+    }
+
+    /// Move the shared fence of this node and `right`, its B-link sibling, to
+    /// `sep`, bumping both nodes' versions.  Returns `sep`.
+    fn move_boundary(&mut self, right: &mut NodeHeader, sep: u64) -> u64 {
+        self.fence_high = sep;
+        right.fence_low = sep;
+        self.bump_versions();
+        right.bump_versions();
+        sep
+    }
+
     /// Set both node-level versions to `v`.
     ///
     /// Used when a node image is written to a **recycled** address: the first
@@ -356,119 +390,54 @@ impl LeafNode {
         self.header.count = pairs.len();
     }
 
-    /// Absorb the contents of `right` (this leaf's B-link sibling): every live
-    /// pair of `right` moves into this node ([`LeafNode::set_pairs`]: re-packed
-    /// in sorted order when `dense`, into vacant slots otherwise), and the
-    /// fence / sibling metadata is extended to cover `right`'s interval.
-    /// Versions of this header and of every rewritten entry are bumped; the
-    /// caller frees `right`'s address.
-    ///
-    /// # Panics
-    /// Panics if the combined live entries exceed this node's slot count or if
-    /// the two nodes are not fence-adjacent.
-    pub fn absorb_right(&mut self, right: &LeafNode, dense: bool) {
+    /// The pair's live pairs in key order: this leaf's, then those of
+    /// `right`, its fence-adjacent B-link sibling.
+    fn joined(&self, right: &LeafNode) -> Vec<(u64, u64)> {
         assert_eq!(
             self.header.fence_high, right.header.fence_low,
-            "absorb_right requires fence-adjacent leaves"
+            "siblings must be fence-adjacent"
         );
         let mut pairs = self.sorted_pairs();
         pairs.extend(right.sorted_pairs());
+        pairs
+    }
+
+    /// Take every live pair of `other`, a fence-adjacent sibling this leaf
+    /// survives, by [`LeafNode::set_pairs`] (re-packed in sorted order when
+    /// `dense`, into vacant slots otherwise), and grow over its interval: up
+    /// to its upper fence, taking its B-link pointer, when it lies right;
+    /// down to its lower fence when it lies left.  Versions are bumped.
+    /// `other` is left as it was: the caller's tombstone.
+    ///
+    /// # Panics
+    /// Panics if the pairs do not fit or the leaves are not fence-adjacent.
+    pub fn absorb(&mut self, other: &LeafNode, dense: bool) {
+        let pairs = match self.header.fence_high == other.header.fence_low {
+            true => self.joined(other),
+            false => other.joined(self),
+        };
         assert!(pairs.len() <= self.entries.len(), "merged leaf overflows");
         self.set_pairs(&pairs, dense);
-        self.header.fence_high = right.header.fence_high;
-        self.header.sibling = right.header.sibling;
-        self.header.bump_versions();
+        self.header.absorb(&other.header);
     }
 
-    /// Absorb the contents of `left`, the leaf whose B-link sibling this one
-    /// is — the mirror of [`LeafNode::absorb_right`]: every live pair of
-    /// `left` moves into this node, whose interval grows down to `left`'s
-    /// lower fence; its sibling pointer stays.  Versions of this header and
-    /// of every rewritten entry are bumped; the caller frees `left`'s address
-    /// and repoints what routed to it.
+    /// Re-divide this leaf and `right`, its fence-adjacent B-link sibling, at
+    /// one boundary: of their live pairs in key order the first `left_len`
+    /// stay here, the rest go right, each side rewritten by
+    /// [`LeafNode::set_pairs`] and version-bumped.  Returns the new
+    /// separator, the smallest key `right` holds, at which their shared fence
+    /// now lies.  A split is a rebalance into an empty right half.
     ///
     /// # Panics
-    /// Panics if the combined live entries exceed this node's slot count or if
-    /// the two nodes are not fence-adjacent.
-    pub fn absorb_left(&mut self, left: &LeafNode, dense: bool) {
-        assert_eq!(
-            left.header.fence_high, self.header.fence_low,
-            "absorb_left requires fence-adjacent leaves"
-        );
-        let mut pairs = left.sorted_pairs();
-        pairs.extend(self.sorted_pairs());
-        assert!(pairs.len() <= self.entries.len(), "merged leaf overflows");
-        self.set_pairs(&pairs, dense);
-        self.header.fence_low = left.header.fence_low;
-        self.header.bump_versions();
-    }
-
-    /// Move the `count` smallest live pairs of `right` into this leaf
-    /// (rebalancing two siblings that cannot fully merge).  Returns the new
-    /// separator key — the smallest key remaining in `right` — which the
-    /// caller must install in the parent.  Both nodes are rewritten by
-    /// [`LeafNode::set_pairs`] — sorted and densely packed when `dense`, the
-    /// moved slots alone otherwise — and version-bumped, with their shared
-    /// fence moved to the new separator.
-    ///
-    /// # Panics
-    /// Panics if `right` would be drained completely, if this leaf cannot hold
-    /// the moved pairs, or if the nodes are not fence-adjacent.
-    pub fn take_from_right(&mut self, right: &mut LeafNode, count: usize, dense: bool) -> u64 {
-        assert_eq!(
-            self.header.fence_high, right.header.fence_low,
-            "take_from_right requires fence-adjacent leaves"
-        );
-        let right_pairs = right.sorted_pairs();
-        assert!(count < right_pairs.len(), "rebalance must not drain the donor");
-        let mut pairs = self.sorted_pairs();
-        pairs.extend(&right_pairs[..count]);
-        assert!(pairs.len() <= self.entries.len(), "rebalanced leaf overflows");
-        let new_sep = right_pairs[count].0;
-
-        self.set_pairs(&pairs, dense);
-        self.header.fence_high = new_sep;
-        self.header.bump_versions();
-
-        right.set_pairs(&right_pairs[count..], dense);
-        right.header.fence_low = new_sep;
-        right.header.bump_versions();
-        new_sep
-    }
-
-    /// Move the `count` **largest** live pairs of `left` into this leaf
-    /// (the mirror of [`LeafNode::take_from_right`], used when the underfull
-    /// node is the rightmost child of its parent and must be topped up from
-    /// its left sibling).  Returns the new separator key — the smallest key
-    /// now held by this leaf — which the caller must retarget in the parent.
-    /// Both nodes are rewritten as [`LeafNode::take_from_right`] rewrites
-    /// them and version-bumped, with their shared fence moved to the new
-    /// separator.
-    ///
-    /// # Panics
-    /// Panics if `left` would be drained completely, if this leaf cannot hold
-    /// the moved pairs, or if the nodes are not fence-adjacent.
-    pub fn take_from_left(&mut self, left: &mut LeafNode, count: usize, dense: bool) -> u64 {
-        assert_eq!(
-            left.header.fence_high, self.header.fence_low,
-            "take_from_left requires fence-adjacent leaves"
-        );
-        let left_pairs = left.sorted_pairs();
-        assert!(count < left_pairs.len(), "rebalance must not drain the donor");
-        let split = left_pairs.len() - count;
-        let new_sep = left_pairs[split].0;
-        let mut pairs: Vec<(u64, u64)> = left_pairs[split..].to_vec();
-        pairs.extend(self.sorted_pairs());
-        assert!(pairs.len() <= self.entries.len(), "rebalanced leaf overflows");
-
-        self.set_pairs(&pairs, dense);
-        self.header.fence_low = new_sep;
-        self.header.bump_versions();
-
-        left.set_pairs(&left_pairs[..split], dense);
-        left.header.fence_high = new_sep;
-        left.header.bump_versions();
-        new_sep
+    /// Panics if either side would be left empty or overflows, or if the
+    /// leaves are not fence-adjacent.
+    pub fn rebalance(&mut self, right: &mut LeafNode, left_len: usize, dense: bool) -> u64 {
+        let pairs = self.joined(right);
+        assert!(0 < left_len && left_len < pairs.len(), "both sides keep a pair");
+        let (low, high) = pairs.split_at(left_len);
+        self.set_pairs(low, dense);
+        right.set_pairs(high, dense);
+        self.header.move_boundary(&mut right.header, high[0].0)
     }
 
     /// Split this (full) leaf: the upper half of its keys move to a new leaf
@@ -477,24 +446,12 @@ impl LeafNode {
     /// `self.header.sibling` to it.
     ///
     /// The paper sorts unsorted leaves before splitting (Figure 7, line 21)
-    /// to find the median.  The new leaf is sorted and densely packed; this
+    /// to find the median.  The new leaf fills from slot 0 in key order; this
     /// one is rewritten by [`LeafNode::set_pairs`]: re-packed when `dense`,
     /// otherwise only the slots of the keys that moved are cleared.
     pub fn split(&mut self, layout: &NodeLayout, dense: bool) -> (u64, LeafNode) {
-        let pairs = self.sorted_pairs();
-        assert!(pairs.len() >= 2, "cannot split a leaf with fewer than 2 keys");
-        let mid = pairs.len() / 2;
-        let split_key = pairs[mid].0;
-
-        let mut right_header = NodeHeader::new(true, 0, split_key, self.header.fence_high);
-        right_header.sibling = self.header.sibling;
-        let mut right = LeafNode::empty(layout, right_header);
-        right.repack_sorted(&pairs[mid..]);
-        right.header.bump_versions();
-
-        self.set_pairs(&pairs[..mid], dense);
-        self.header.fence_high = split_key;
-        self.header.bump_versions();
+        let mut right = LeafNode::empty(layout, self.header.empty_right());
+        let split_key = self.rebalance(&mut right, self.live_count() / 2, dense);
         (split_key, right)
     }
 }
@@ -576,25 +533,13 @@ impl InternalNode {
     /// right_node)`.
     pub fn split(&mut self) -> (u64, InternalNode) {
         assert!(self.entries.len() >= 3, "internal split needs >= 3 separators");
-        let mid = self.entries.len() / 2;
-        let promoted = self.entries[mid];
-
-        let mut right = InternalNode::new(
-            self.header.level,
-            promoted.key,
-            self.header.fence_high,
-            promoted.child,
-        );
-        right.entries = self.entries.split_off(mid + 1);
-        right.header.count = right.entries.len();
-        right.header.sibling = self.header.sibling;
-        right.header.bump_versions();
-
-        self.entries.truncate(mid);
-        self.header.count = self.entries.len();
-        self.header.fence_high = promoted.key;
-        self.header.bump_versions();
-        (promoted.key, right)
+        let mut right = InternalNode {
+            header: self.header.empty_right(),
+            start: 0,
+            entries: Vec::new(),
+        };
+        let promoted = self.rebalance(&mut right, self.entries.len() / 2);
+        (promoted, right)
     }
 
     /// Remove the separator `key` if (and only if) it routes to `child`,
@@ -626,134 +571,69 @@ impl InternalNode {
         self.insert_separator(new_key, child)
     }
 
-    /// Absorb the contents of `right` (this node's B-link sibling): `right`'s
-    /// leftmost child re-enters as a separator at `right`'s lower fence, and
-    /// the fence / sibling metadata is extended.  Versions are bumped; the
-    /// caller frees `right`'s address.
-    ///
-    /// # Panics
-    /// Panics if the combined separators do not fit (check with
-    /// [`InternalNode::is_full`]-style capacity math first) or if the nodes
-    /// are not fence-adjacent.
-    pub fn absorb_right(&mut self, right: &InternalNode) {
+    /// The pair's children in key order, each behind the key it starts at:
+    /// this node's separators, then `right`'s leftmost child at its lower
+    /// fence (a fresh right half has none) and `right`'s separators.  `right`
+    /// is this node's fence-adjacent B-link sibling.
+    fn joined(&self, right: &InternalNode) -> Vec<InternalEntry> {
         assert_eq!(
             self.header.fence_high, right.header.fence_low,
-            "absorb_right requires fence-adjacent nodes"
+            "siblings must be fence-adjacent"
         );
-        let right_leftmost = right
-            .header
-            .leftmost
-            .expect("internal node has leftmost child");
-        self.entries.push(InternalEntry {
+        let leftmost = right.header.leftmost.map(|child| InternalEntry {
             key: right.header.fence_low,
-            child: right_leftmost,
+            child,
         });
-        self.entries.extend(right.entries.iter().copied());
-        debug_assert!(self.entries.windows(2).all(|w| w[0].key < w[1].key));
-        self.header.count = self.entries.len();
-        self.header.fence_high = right.header.fence_high;
-        self.header.sibling = right.header.sibling;
-        self.header.bump_versions();
+        let mut entries = self.entries.clone();
+        entries.extend(leftmost.into_iter().chain(right.entries.iter().copied()));
+        debug_assert!(entries.windows(2).all(|w| w[0].key < w[1].key));
+        entries
     }
 
-    /// Move the `count` **smallest** children of `right` (this node's B-link
-    /// sibling) into this node, rotating each child's routing key through the
-    /// shared boundary: `right`'s leftmost child re-enters here as a separator
-    /// at `right`'s lower fence, and `right`'s first separator becomes its new
-    /// leftmost child.  Returns the new separator key — `right`'s new lower
-    /// fence — which the caller must retarget in the parent.  Versions of both
-    /// headers are bumped.
-    ///
-    /// The donor always keeps at least one child — its (rotated) leftmost —
-    /// so `count` may equal its separator count, leaving a separator-less but
-    /// still-valid router; callers that must respect an occupancy floor cap
-    /// `count` themselves.
+    /// Take every child of `other`, a fence-adjacent sibling this node
+    /// survives, and grow over its interval as [`LeafNode::absorb`] does.  A
+    /// node that gains entries at its front slides its window back over
+    /// them.  `other` is left as it was: the caller's tombstone.
+    pub fn absorb(&mut self, other: &InternalNode) {
+        let kept = self.entries.len();
+        if self.header.fence_high == other.header.fence_low {
+            self.entries = self.joined(other);
+        } else {
+            self.entries = other.joined(self);
+            self.header.leftmost = other.header.leftmost;
+            self.start = self.start.saturating_sub(self.entries.len() - kept);
+        }
+        self.header.count = self.entries.len();
+        self.header.absorb(&other.header);
+    }
+
+    /// Re-divide this node and `right`, its fence-adjacent B-link sibling, at
+    /// one boundary.  Of the pair's children in key order — this node's
+    /// separators, `right`'s leftmost child at its lower fence, `right`'s
+    /// separators — the first `left_len` separators stay here, the next
+    /// one's child becomes `right`'s leftmost and its key the new separator,
+    /// which is returned and at which their shared fence now lies.  `right`'s
+    /// window front advances by the entries it loses, or slides back over
+    /// those it gains.  A split is a rebalance into a fresh right half.
     ///
     /// # Panics
-    /// Panics if `count` is zero or exceeds `right`'s separator count, or if
-    /// the nodes are not fence-adjacent.
-    pub fn take_from_right(&mut self, right: &mut InternalNode, count: usize) -> u64 {
-        assert_eq!(
-            self.header.fence_high, right.header.fence_low,
-            "take_from_right requires fence-adjacent nodes"
-        );
-        assert!(
-            count > 0 && count <= right.entries.len(),
-            "rotation count must leave the donor its leftmost child"
-        );
-        for _ in 0..count {
-            let child = right
-                .header
-                .leftmost
-                .expect("internal node has leftmost child");
-            self.entries.push(InternalEntry {
-                key: right.header.fence_low,
-                child,
-            });
-            let first = right.entries.remove(0);
-            right.start += 1;
-            right.header.leftmost = Some(first.child);
-            right.header.fence_low = first.key;
-        }
-        debug_assert!(self.entries.windows(2).all(|w| w[0].key < w[1].key));
-        let new_sep = right.header.fence_low;
-        self.header.fence_high = new_sep;
+    /// Panics if no child is left for `right`, or if the nodes are not
+    /// fence-adjacent.
+    pub fn rebalance(&mut self, right: &mut InternalNode, left_len: usize) -> u64 {
+        let mut entries = self.joined(right);
+        assert!(left_len < entries.len(), "the right node keeps a leftmost child");
+        let kept = right.entries.len();
+        right.entries = entries.split_off(left_len + 1);
+        let promoted = entries.pop().expect("the entry at the cut");
+        self.entries = entries;
+        right.header.leftmost = Some(promoted.child);
+        right.start = match right.entries.len().checked_sub(kept) {
+            Some(gained) => right.start.saturating_sub(gained),
+            None => right.start + kept - right.entries.len(),
+        };
         self.header.count = self.entries.len();
-        self.header.bump_versions();
         right.header.count = right.entries.len();
-        right.header.bump_versions();
-        new_sep
-    }
-
-    /// Move the `count` **largest** children of `left` (whose B-link sibling
-    /// is this node) into this node — the mirror of
-    /// [`InternalNode::take_from_right`], used when the underfull node is the
-    /// rightmost child of its parent.  Each rotation demotes this node's
-    /// leftmost child to an ordinary separator at the old lower fence and
-    /// promotes `left`'s last child to the new leftmost.  Returns the new
-    /// separator key — this node's new lower fence — for the parent retarget.
-    ///
-    /// The donor always keeps at least one child — its leftmost — so `count`
-    /// may equal its separator count; callers that must respect an occupancy
-    /// floor cap `count` themselves.
-    ///
-    /// # Panics
-    /// Panics if `count` is zero or exceeds `left`'s separator count, or if
-    /// the nodes are not fence-adjacent.
-    pub fn take_from_left(&mut self, left: &mut InternalNode, count: usize) -> u64 {
-        assert_eq!(
-            left.header.fence_high, self.header.fence_low,
-            "take_from_left requires fence-adjacent nodes"
-        );
-        assert!(
-            count > 0 && count <= left.entries.len(),
-            "rotation count must leave the donor its leftmost child"
-        );
-        for _ in 0..count {
-            let old_leftmost = self
-                .header
-                .leftmost
-                .expect("internal node has leftmost child");
-            self.entries.insert(
-                0,
-                InternalEntry {
-                    key: self.header.fence_low,
-                    child: old_leftmost,
-                },
-            );
-            self.start = self.start.saturating_sub(1);
-            let last = left.entries.pop().expect("donor keeps at least one entry");
-            self.header.leftmost = Some(last.child);
-            self.header.fence_low = last.key;
-        }
-        debug_assert!(self.entries.windows(2).all(|w| w[0].key < w[1].key));
-        let new_sep = self.header.fence_low;
-        left.header.fence_high = new_sep;
-        left.header.count = left.entries.len();
-        left.header.bump_versions();
-        self.header.count = self.entries.len();
-        self.header.bump_versions();
-        new_sep
+        self.header.move_boundary(&mut right.header, promoted.key)
     }
 
     /// All children of this node in key order (leftmost first).
@@ -1133,7 +1013,7 @@ mod tests {
             right.entries[i].install(*k, k * 2);
         }
         left.header.sibling = Some(addr(1));
-        left.absorb_right(&right, true);
+        left.absorb(&right, true);
 
         assert_eq!(left.live_count(), 5);
         assert_eq!(
@@ -1158,7 +1038,7 @@ mod tests {
         for (i, k) in [100u64, 140, 120, 160, 180].iter().enumerate() {
             right.entries[i].install(*k, k + 1);
         }
-        let sep = left.take_from_right(&mut right, 2, false);
+        let sep = left.rebalance(&mut right, 3, false);
         assert_eq!(sep, 140, "separator is the smallest key left in the donor");
         assert_eq!(left.header.fence_high, 140);
         assert_eq!(right.header.fence_low, 140);
@@ -1186,7 +1066,7 @@ mod tests {
             left.entries[i].install(*k, k + 1);
         }
         right.entries[0].install(200, 201);
-        let sep = right.take_from_left(&mut left, 2, false);
+        let sep = left.rebalance(&mut right, 3, false);
         assert_eq!(sep, 40, "separator is the smallest key moved");
         assert_eq!(left.header.fence_high, 40);
         assert_eq!(right.header.fence_low, 40);
@@ -1214,7 +1094,7 @@ mod tests {
         right.insert_separator(200, addr(4));
         right.insert_separator(250, addr(5));
 
-        let sep = left.take_from_right(&mut right, 2);
+        let sep = left.rebalance(&mut right, 3);
         assert_eq!(sep, 200, "separator is the donor's new lower fence");
         assert_eq!(left.header.fence_high, 200);
         assert_eq!(right.header.fence_low, 200);
@@ -1238,7 +1118,7 @@ mod tests {
         let mut right = InternalNode::new(1, 300, u64::MAX, addr(3));
         right.insert_separator(400, addr(4));
 
-        let sep = right.take_from_left(&mut left, 2);
+        let sep = left.rebalance(&mut right, 0);
         assert_eq!(sep, 100, "separator is the recipient's new lower fence");
         assert_eq!(left.header.fence_high, 100);
         assert_eq!(right.header.fence_low, 100);
@@ -1278,7 +1158,17 @@ mod tests {
         right.insert_separator(150, addr(3));
         right.header.sibling = Some(addr(7));
 
-        left.absorb_right(&right);
+        // The mirror: the right node survives and grows down, its window
+        // sliding back over the entries it gains at its front.
+        let mut survivor = right.clone();
+        survivor.start = 5;
+        survivor.absorb(&left);
+        assert_eq!(survivor.children(), vec![addr(0), addr(1), addr(2), addr(3)]);
+        assert_eq!((survivor.start, survivor.header.count), (3, 3));
+        assert_eq!(survivor.header.fence_low, 0);
+        assert_eq!(survivor.header.sibling, Some(addr(7)), "its own link stays");
+
+        left.absorb(&right);
         assert_eq!(left.entries.len(), 3);
         assert_eq!(left.header.count, 3);
         assert_eq!(left.header.fence_high, u64::MAX);
@@ -1437,7 +1327,7 @@ mod tests {
             }
             1 if ln + rn <= cap => {
                 let arriving = moved(&right.sorted_pairs());
-                left.absorb_right(&right, dense);
+                left.absorb(&right, dense);
                 assert_eq!(left.header.fence_high, old.1.fence_high);
                 assert_eq!(
                     left.header.sibling, old.1.sibling,
@@ -1448,7 +1338,7 @@ mod tests {
             2 if rn >= 2 && ln < cap => {
                 let count = 1 + n % (rn - 1).min(cap - ln);
                 let arriving = moved(&right.sorted_pairs()[..count]);
-                let sep = left.take_from_right(&mut right, count, dense);
+                let sep = left.rebalance(&mut right, ln + count, dense);
                 assert_eq!(Some(&sep), right.sorted_pairs().first().map(|(k, _)| k));
                 assert_eq!((left.header.fence_high, right.header.fence_low), (sep, sep));
                 assert_eq!(left.header.sibling, old.0.sibling);
@@ -1458,7 +1348,7 @@ mod tests {
                 let count = 1 + n % (ln - 1).min(cap - rn);
                 let pairs = left.sorted_pairs();
                 let leaving = moved(&pairs[pairs.len() - count..]);
-                let sep = right.take_from_left(&mut left, count, dense);
+                let sep = left.rebalance(&mut right, ln - count, dense);
                 assert_eq!(Some(&sep), leaving.keys().next());
                 assert_eq!((left.header.fence_high, right.header.fence_low), (sep, sep));
                 assert_eq!(left.header.sibling, old.0.sibling);
@@ -1466,7 +1356,7 @@ mod tests {
             }
             4 if ln + rn <= cap => {
                 let arriving = moved(&left.sorted_pairs());
-                right.absorb_left(&left, dense);
+                right.absorb(&left, dense);
                 assert_eq!(right.header.fence_low, old.0.fence_low);
                 assert_eq!(right.header.sibling, old.1.sibling, "the survivor's link stays");
                 Some((left, right, [BTreeMap::new(), arriving]))

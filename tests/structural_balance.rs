@@ -329,27 +329,42 @@ fn pair_route(left: &InternalNode, right: &InternalNode, key: u64) -> GlobalAddr
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, .. ProptestConfig::default() })]
 
-    /// Redistributing separators between underfull internal siblings — in
-    /// either direction — must preserve the pair's routing function exactly:
-    /// every key reaches the same child before and after, fences stay
-    /// adjacent at the returned separator, no child is lost or duplicated,
-    /// and both nodes stay sorted with authoritative counts.
+    /// Re-dividing internal siblings at one boundary — moving separators in
+    /// either direction, or splitting a node into a fresh right half — must
+    /// preserve the pair's routing function exactly: every key reaches the
+    /// same child before and after, fences stay adjacent at the returned
+    /// separator, no child is lost or duplicated, and both nodes stay sorted
+    /// with authoritative counts.
     #[test]
     fn internal_redistribution_preserves_routing(
         left_n in 0usize..18,
         right_n in 0usize..18,
         take_seed in 0usize..1024,
-        from_right in 0u8..2,
+        mode in 0u8..3,
     ) {
-        let from_right = from_right == 1;
-        let donor_n = if from_right { right_n } else { left_n };
+        // Mode 0 moves children right → left, mode 1 left → right, mode 2
+        // splits the left node into an empty right half.
+        let (mut left, mut right, max_key) = match mode {
+            2 => {
+                let (left, _, _) = sibling_pair(left_n, 0);
+                let right = InternalNode {
+                    header: left.header.empty_right(),
+                    start: 0,
+                    entries: Vec::new(),
+                };
+                let max_key = left.header.fence_high;
+                (left, right, max_key)
+            }
+            _ => sibling_pair(left_n, right_n),
+        };
+        let donor_n = if mode == 0 { right_n } else { left_n };
         if donor_n == 0 {
             // Nothing to redistribute from an empty donor.
             return;
         }
         let take = 1 + take_seed % donor_n;
+        let left_len = if mode == 0 { left_n + take } else { left_n - take };
 
-        let (mut left, mut right, max_key) = sibling_pair(left_n, right_n);
         let before: Vec<GlobalAddress> = left
             .children()
             .into_iter()
@@ -360,17 +375,13 @@ proptest! {
             .map(|k| (k, pair_route(&left, &right, k)))
             .collect();
 
-        let new_sep = if from_right {
-            left.take_from_right(&mut right, take)
-        } else {
-            right.take_from_left(&mut left, take)
-        };
+        let new_sep = left.rebalance(&mut right, left_len);
 
         // Fences meet exactly at the returned separator.
         prop_assert_eq!(left.header.fence_high, new_sep);
         prop_assert_eq!(right.header.fence_low, new_sep);
         // The requested number of children moved.
-        prop_assert_eq!(left.entries.len(), if from_right { left_n + take } else { left_n - take });
+        prop_assert_eq!(left.entries.len(), left_len);
         // No child lost or duplicated, order preserved.
         let after: Vec<GlobalAddress> = left
             .children()

@@ -58,8 +58,8 @@ fn main() {
         ],
         vec![
             "<= 64 B".to_string(),
-            format!("{:.1}%", fg.write_sizes.fraction_at_most(64) * 100.0),
-            format!("{:.1}%", sherman.write_sizes.fraction_at_most(64) * 100.0),
+            format!("{:.1}%", fg.write_sizes.cdf(64) * 100.0),
+            format!("{:.1}%", sherman.write_sizes.cdf(64) * 100.0),
         ],
         vec![
             ">= 1 KiB".to_string(),

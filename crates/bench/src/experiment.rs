@@ -31,8 +31,7 @@ use sherman::{
 use sherman_memserver::FreeListStats;
 use sherman_metrics::{
     BackpressureSnapshot, CoherenceGauges, CountHistogram, EpochGauges, LatencyHistogram,
-    OffloadGauges, OverlapGauges, RunSummary, SizeHistogram, SpaceSnapshot, ThreadReport,
-    ThroughputAggregator,
+    OffloadGauges, OverlapGauges, RunSummary, SpaceSnapshot, ThreadReport, ThroughputAggregator,
 };
 use sherman_sim::metrics::MetricsSnapshot;
 use sherman_sim::{Fabric, FabricBackend, FabricConfig, ThreadedFabric};
@@ -309,7 +308,7 @@ pub struct RunReport {
     /// Consistency-check retries per *read* operation (Figure 14(a)).
     pub read_retries: CountHistogram,
     /// Bytes written per *write* operation (Figure 14(c)).
-    pub write_sizes: SizeHistogram,
+    pub write_sizes: CountHistogram,
     /// Latency of the *write* operations, one histogram per class of
     /// round-trip count: two is the cached-leaf floor, what a split or a
     /// merge posts on top shows as classes of their own.
@@ -432,7 +431,7 @@ struct ClientOutcome {
     latency: LatencyHistogram,
     write_round_trips: CountHistogram,
     read_retries: CountHistogram,
-    write_sizes: SizeHistogram,
+    write_sizes: CountHistogram,
     write_classes: BTreeMap<u64, LatencyHistogram>,
     cache_hits: u64,
     handovers: u64,

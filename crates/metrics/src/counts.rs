@@ -1,4 +1,4 @@
-//! Exact histograms for small counts (round trips, retries) and byte sizes.
+//! An exact histogram for small counts (round trips, retries) and byte sizes.
 //!
 //! Figure 14 of the paper reports the distribution of read retries, the CDF of
 //! round trips per write operation, and the distribution of written bytes per
@@ -52,6 +52,16 @@ impl CountHistogram {
         cum as f64 / self.total as f64
     }
 
+    /// Fraction of observations greater than or equal to `value` (0 when
+    /// empty).
+    pub fn fraction_at_least(&self, value: u64) -> f64 {
+        match (self.total, value) {
+            (0, _) => 0.0,
+            (_, 0) => 1.0,
+            (_, v) => 1.0 - self.cdf(v - 1),
+        }
+    }
+
     /// Smallest value whose CDF reaches `q`.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
@@ -91,69 +101,6 @@ impl CountHistogram {
     }
 }
 
-/// Exact histogram over byte sizes, a thin wrapper that adds size-oriented
-/// reporting helpers.
-#[derive(Debug, Clone, Default)]
-pub struct SizeHistogram {
-    inner: CountHistogram,
-}
-
-impl SizeHistogram {
-    /// Create an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an observation of `bytes`.
-    pub fn record(&mut self, bytes: u64) {
-        self.inner.record(bytes);
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.inner.total()
-    }
-
-    /// Total bytes across all observations.
-    pub fn total_bytes(&self) -> u128 {
-        self.inner
-            .iter()
-            .map(|(v, c)| v as u128 * c as u128)
-            .sum()
-    }
-
-    /// Mean size in bytes.
-    pub fn mean(&self) -> f64 {
-        self.inner.mean()
-    }
-
-    /// Fraction of observations whose size is at most `bytes`.
-    pub fn fraction_at_most(&self, bytes: u64) -> f64 {
-        self.inner.cdf(bytes)
-    }
-
-    /// Fraction of observations whose size is at least `bytes`.
-    pub fn fraction_at_least(&self, bytes: u64) -> f64 {
-        if self.inner.total() == 0 {
-            return 0.0;
-        }
-        if bytes == 0 {
-            return 1.0;
-        }
-        1.0 - self.inner.cdf(bytes - 1)
-    }
-
-    /// Iterate over `(size, count)` pairs in increasing size order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.inner.iter()
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &SizeHistogram) {
-        self.inner.merge(&other.inner);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +135,7 @@ mod tests {
     #[test]
     fn size_histogram_reports_write_amplification_shape() {
         // Mimics Figure 14(c): most writes are entry-sized, a few are node-sized.
-        let mut h = SizeHistogram::new();
+        let mut h = CountHistogram::new();
         for _ in 0..996 {
             h.record(18);
         }
@@ -196,10 +143,11 @@ mod tests {
             h.record(1024);
         }
         assert_eq!(h.total(), 1000);
-        assert!(h.fraction_at_most(64) > 0.99);
+        assert!(h.cdf(64) > 0.99);
         assert!((h.fraction_at_least(1024) - 0.004).abs() < 1e-9);
-        assert!(h.mean() < 25.0);
-        assert_eq!(h.total_bytes(), 996 * 18 + 4 * 1024);
+        assert!((h.fraction_at_least(19) - 0.004).abs() < 1e-9);
+        assert_eq!(h.fraction_at_least(0), 1.0);
+        assert!((h.mean() - (996.0 * 18.0 + 4.0 * 1024.0) / 1000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -207,8 +155,7 @@ mod tests {
         let h = CountHistogram::new();
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.cdf(10), 0.0);
-        let s = SizeHistogram::new();
-        assert_eq!(s.fraction_at_least(1), 0.0);
-        assert_eq!(s.fraction_at_most(1), 0.0);
+        assert_eq!(h.fraction_at_least(0), 0.0);
+        assert_eq!(h.fraction_at_least(1), 0.0);
     }
 }

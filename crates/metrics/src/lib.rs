@@ -8,9 +8,7 @@
 //! * [`LatencyHistogram`] — a log-bucketed histogram with small relative
 //!   error, suitable for virtual-nanosecond latencies spanning `1 ns ..= ~1 h`,
 //! * [`CountHistogram`] — an exact histogram over small integer values
-//!   (round trips, retries),
-//! * [`SizeHistogram`] — an exact histogram over byte sizes with helpers for
-//!   CDF-style reporting,
+//!   (round trips, retries, bytes written),
 //! * [`ThroughputAggregator`] and [`RunSummary`] — combine per-thread
 //!   measurements into the rows the paper's tables print,
 //! * [`Counter`] and [`counters!`] — a relaxed atomic counter cell, and the
@@ -48,7 +46,7 @@ pub mod summary;
 pub use backpressure::{BackpressureCounters, BackpressureSnapshot};
 pub use coherence::{CoherenceCounters, CoherenceGauges};
 pub use counter::Counter;
-pub use counts::{CountHistogram, SizeHistogram};
+pub use counts::CountHistogram;
 pub use epoch::EpochGauges;
 pub use latency::LatencyHistogram;
 pub use offload::{OffloadCounters, OffloadGauges};

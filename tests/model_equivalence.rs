@@ -133,6 +133,23 @@ fn fg_plus_churn_matches_btreemap() {
     check_churn_against_model(TreeOptions::fg_plus(), 400, 12);
 }
 
+/// The ladder's middle rungs: sorted leaves with combined write-back, whose
+/// write-backs are planned from two images, under each lock strategy.
+fn middle_rungs() -> [TreeOptions; 3] {
+    [
+        TreeOptions::plus_combine(),
+        TreeOptions::plus_onchip(),
+        TreeOptions::plus_hierarchical(),
+    ]
+}
+
+#[test]
+fn middle_rungs_churn_matches_btreemap() {
+    for options in middle_rungs() {
+        check_churn_against_model(options, 400, 12);
+    }
+}
+
 #[test]
 fn grow_only_churn_matches_btreemap() {
     check_churn_against_model(
@@ -159,6 +176,14 @@ proptest! {
     #[test]
     fn fg_plus_matches_btreemap(ops in prop::collection::vec(op_strategy(600), 1..120)) {
         check_against_model(TreeOptions::fg_plus(), 256, &ops);
+    }
+
+    /// +Combine, +On-Chip and +Hierarchical match the model.
+    #[test]
+    fn middle_rungs_match_btreemap(ops in prop::collection::vec(op_strategy(600), 1..120)) {
+        for options in middle_rungs() {
+            check_against_model(options, 256, &ops);
+        }
     }
 
     /// The checksum-validated FG layout matches the model.

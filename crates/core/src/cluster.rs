@@ -390,7 +390,7 @@ impl<B: FabricBackend> Cluster<B> {
             // A root leaf has no parent to audit, but slots to check.
             let mut buf = vec![0u8; self.layout.node_size()];
             self.fabric.god_read(hint.addr, &mut buf)?;
-            if self.node_image_ok(&buf) && self.layout.decode_header(&buf).is_leaf {
+            if self.layout.node_versions_match(&buf) && self.layout.decode_header(&buf).is_leaf {
                 audit.mistagged_slots = mistagged_slots(&self.layout.decode_leaf(&buf));
             }
             return Ok(audit);
@@ -412,7 +412,7 @@ impl<B: FabricBackend> Cluster<B> {
             let mut child_buf = vec![0u8; node_size];
             while let Some(addr) = cursor {
                 self.fabric.god_read(addr, &mut buf)?;
-                if !self.node_image_ok(&buf) {
+                if !self.layout.node_versions_match(&buf) {
                     // A concurrent write is mid-flight: end this level's walk
                     // rather than decode a torn image.
                     break;
@@ -445,7 +445,7 @@ impl<B: FabricBackend> Cluster<B> {
                 let mut torn_child = false;
                 for child in &children {
                     self.fabric.god_read(*child, &mut child_buf)?;
-                    if !self.node_image_ok(&child_buf) {
+                    if !self.layout.node_versions_match(&child_buf) {
                         torn_child = true;
                         break;
                     }
@@ -507,16 +507,6 @@ impl<B: FabricBackend> Cluster<B> {
             }
         }
         Ok(audit)
-    }
-
-    /// Node-level consistency check on a node image: version pair, or
-    /// checksum for the FG baseline layout.  The read path, the offload
-    /// interpreter and the shape audit share this single dispatch.
-    pub(crate) fn node_image_ok(&self, buf: &[u8]) -> bool {
-        match self.options.leaf_format {
-            crate::config::LeafFormat::SortedChecksum => self.layout.checksum_matches(buf),
-            _ => self.layout.node_versions_match(buf),
-        }
     }
 }
 
@@ -634,9 +624,6 @@ impl<'a, B: FabricBackend> LeafWriter<'a, B> {
             entry.install(k, v);
             layout.encode_leaf_entry_into(slot, &entry);
         }
-        if cluster.options.leaf_format == crate::config::LeafFormat::SortedChecksum {
-            layout.stamp_checksum(&mut self.image);
-        }
         cluster.fabric.god_write(addr, &self.image)?;
         self.written.push(BuiltChild {
             addr,
@@ -742,11 +729,7 @@ impl<B: FabricBackend> Cluster<B> {
                     node.insert_separator(child.fence_low, child.addr);
                 }
                 node.header.sibling = addrs.get(i + 1).copied();
-                let mut bytes = self.layout.encode_internal(&node);
-                if self.options.leaf_format == crate::config::LeafFormat::SortedChecksum {
-                    self.layout.stamp_checksum(&mut bytes);
-                }
-                self.fabric.god_write(addrs[i], &bytes)?;
+                self.fabric.god_write(addrs[i], &self.layout.encode_internal(&node))?;
                 next_level.push(BuiltChild {
                     addr: addrs[i],
                     fence_low,
@@ -951,7 +934,6 @@ mod tests {
     #[test]
     fn lock_strategies_construct() {
         for options in [
-            TreeOptions::fg(),
             TreeOptions::fg_plus(),
             TreeOptions::plus_combine(),
             TreeOptions::plus_onchip(),

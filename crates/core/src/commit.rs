@@ -90,7 +90,6 @@
 //! the address a range starts at, names the lock whose release it rides.
 
 use crate::coherence::{self, PublishedCommit, StructuralCommit};
-use crate::config::LeafFormat;
 use crate::error::TreeError;
 use crate::layout::{NodeLayout, FLAG_FREE};
 use crate::node::{InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader, Step};
@@ -397,15 +396,6 @@ impl<B: FabricBackend> OpCx<'_, B> {
         self.cluster.options().combine_commands
     }
 
-    /// Encode a node for write-back (checksummed under the FG format).
-    fn encode<N: TreeNode>(&self, node: &N) -> Vec<u8> {
-        let mut bytes = node.encode(self.layout());
-        if self.leaf_format() == LeafFormat::SortedChecksum {
-            self.layout().stamp_checksum(&mut bytes);
-        }
-        bytes
-    }
-
     /// Plan the write-back of the node at `node`, whose new image is `new`.
     /// With command combination and `pre`, the image the commit read under
     /// the node's lock, only what changed travels
@@ -413,12 +403,11 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// command combination, the ranges ride the one doorbell batch that
     /// releases the lock, rear version first and front version last
     /// ([`NodeLayout::post_order`]).  The whole node travels without
-    /// combination, when there is no pre-image (an address of unknown
-    /// contents), and under the checksum format, whose checksum covers bytes
-    /// no decoder reads.
+    /// combination and when there is no pre-image (an address of unknown
+    /// contents).
     fn write_back(&self, node: GlobalAddress, pre: Option<&[u8]>, new: Vec<u8>) -> WriteBack {
         let planned = pre
-            .filter(|_| self.combine() && self.leaf_format() != LeafFormat::SortedChecksum)
+            .filter(|_| self.combine())
             .map(|pre| self.layout().plan_write_back(pre, &new));
         let cmds = match planned {
             Some(mut ranges) if ranges.iter().all(|r| r.len() < new.len()) => {
@@ -886,7 +875,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         leaf.repack_sorted(&pairs);
         leaf.header.bump_versions();
         self.scan_cpu(layout.node_size()).await;
-        vec![WriteCmd::new(addr, self.encode(&leaf))]
+        vec![WriteCmd::new(addr, leaf.encode(self.layout()))]
     }
 
     // ------------------------------------------------------------------
@@ -962,7 +951,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // versions bump across reuse (fresh carves seed at version 1, the
         // same value the pre-reuse code produced).
         right.header_mut().set_versions(alloc.first_version());
-        let new = self.encode(right);
+        let new = right.encode(self.layout());
         let unsorted_leaf = right.header_mut().is_leaf && !self.leaf_format().is_sorted();
         let held = match &alloc.holds {
             Holds::Zeroes => Some(vec![0u8; new.len()]),
@@ -972,7 +961,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             _ => None,
         };
         let right_half = self.write_back(alloc.addr, held.as_deref(), new);
-        let left_half = self.write_back(addr, Some(pre), self.encode(left));
+        let left_half = self.write_back(addr, Some(pre), left.encode(self.layout()));
         let written_back = right_half.bytes() + left_half.bytes();
         let mut writes = Vec::with_capacity(1 + left_half.cmds.len());
         if alloc.addr.ms == addr.ms {
@@ -1056,7 +1045,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             if !node.is_full(self.layout()) {
                 node.insert_separator(sep_key, child);
                 node.header.bump_versions();
-                let write_back = self.write_back(addr, Some(&buf), self.encode(&node));
+                let write_back = self.write_back(addr, Some(&buf), node.encode(self.layout()));
                 let counters = self.cluster.space_counters();
                 counters.record_structural_commit(write_back.bytes());
                 self.release_lock(addr, write_back.cmds).await?;
@@ -1149,7 +1138,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         new_root.header.set_versions(alloc.first_version());
         // The new root is not reachable yet, so no lock is needed for this
         // write; the root-pointer CAS is the linearization point.
-        let image = self.encode(&new_root);
+        let image = new_root.encode(self.layout());
         let written = image.len() as u64;
         self.write_at(alloc.addr, image).await?;
         if self.swing_root(packed, alloc.addr, new_level).await? {
@@ -1424,7 +1413,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let writes = vec![
             self.write_back(left_addr, Some(&left_buf), merge.left_bytes),
             self.write_back(right_addr, Some(&right_buf), merge.right_bytes),
-            self.write_back(parent_addr, Some(&parent_buf), self.encode(&parent)),
+            self.write_back(parent_addr, Some(&parent_buf), parent.encode(self.layout())),
         ];
         counters.record_structural_commit(writes.iter().map(WriteBack::bytes).sum());
         // Phase 4½ (still under the locks): build each surviving image
@@ -1534,8 +1523,8 @@ impl<B: FabricBackend> OpCx<'_, B> {
             }
         };
         Some(MergePlan {
-            left_bytes: self.encode(&left),
-            right_bytes: self.encode(&right),
+            left_bytes: left.encode(self.layout()),
+            right_bytes: right.encode(self.layout()),
             left_image: left.cached(left_addr),
             change,
         })

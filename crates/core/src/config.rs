@@ -91,9 +91,6 @@ pub enum LeafFormat {
     /// Sorted leaves, whole-node write-back, node-level version pair
     /// (the FG+ baseline).
     SortedNodeVersion,
-    /// Sorted leaves, whole-node write-back, node-level checksum
-    /// (the original FG design).
-    SortedChecksum,
     /// Unsorted leaves with per-entry version pairs in addition to the
     /// node-level pair: entry-granular write-back (Sherman's two-level
     /// versions, §4.4).
@@ -170,19 +167,6 @@ impl TreeOptions {
     /// Default [`TreeOptions::merge_threshold`]: merge a node once it drops
     /// below a quarter of its capacity.
     pub const DEFAULT_MERGE_THRESHOLD: f64 = 0.25;
-
-    /// Original FG: checksummed sorted leaves, host-memory CAS/FAA locks, no
-    /// command combination, (the index cache is always present in this
-    /// implementation, as in FG+).
-    pub fn fg() -> Self {
-        TreeOptions {
-            combine_commands: false,
-            lock_strategy: LockStrategy::HostCasFaa,
-            leaf_format: LeafFormat::SortedChecksum,
-            merge_threshold: Self::DEFAULT_MERGE_THRESHOLD,
-            offload: OffloadPolicy::Never,
-        }
-    }
 
     /// FG+ — the paper's strengthened baseline: index cache and WRITE-based
     /// lock release (§5.1.2).
@@ -308,18 +292,8 @@ mod tests {
 
     #[test]
     fn presets_toggle_exactly_the_documented_flags() {
-        // FG: no combining, host CAS/FAA locks, checksummed sorted leaves.
-        assert_eq!(
-            TreeOptions::fg(),
-            TreeOptions {
-                combine_commands: false,
-                lock_strategy: LockStrategy::HostCasFaa,
-                leaf_format: LeafFormat::SortedChecksum,
-                merge_threshold: TreeOptions::DEFAULT_MERGE_THRESHOLD,
-                offload: OffloadPolicy::Never,
-            }
-        );
-        // FG+: only the lock release verb and the leaf consistency check change.
+        // FG+: no combining, host CAS locks released by a WRITE, sorted
+        // leaves validated by the node-level version pair.
         assert_eq!(
             TreeOptions::fg_plus(),
             TreeOptions {
@@ -365,7 +339,6 @@ mod tests {
     #[test]
     fn leaf_format_sortedness() {
         assert!(LeafFormat::SortedNodeVersion.is_sorted());
-        assert!(LeafFormat::SortedChecksum.is_sorted());
         assert!(!LeafFormat::UnsortedTwoLevel.is_sorted());
     }
 

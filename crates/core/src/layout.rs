@@ -9,8 +9,7 @@
 //!   detect a torn read of the whole node,
 //! * for Sherman's unsorted leaves, a pair of **entry-level versions**
 //!   (`FEV`/`REV`) bracketing every leaf entry, so that an entry-granular
-//!   write-back can be detected without touching the node-level pair,
-//! * alternatively (original FG) a **checksum** over the node.
+//!   write-back can be detected without touching the node-level pair.
 //!
 //! The paper packs versions into 4 bits; this implementation uses full bytes
 //! so that the layout stays byte-addressable (see `docs/ARCHITECTURE.md`), and
@@ -30,7 +29,7 @@
 //! 16..24  fence_high (exclusive; u64::MAX = +inf)
 //! 24..32  sibling pointer (packed GlobalAddress, 0 = none)
 //! 32..40  leftmost child  (internal nodes only)
-//! 40..44  checksum (FG's checksum mode only)
+//! 40..44  reserved (zero)
 //! 44..46  start (internal nodes only: the slot of the first separator)
 //! 48..    entry area
 //! size-8  RNV (rear node version) in the first byte of the tail word
@@ -180,8 +179,7 @@ impl NodeLayout {
         buf[16..24].copy_from_slice(&header.fence_high.to_le_bytes());
         buf[24..32].copy_from_slice(&header.sibling.map_or(0, |a| a.pack()).to_le_bytes());
         buf[32..40].copy_from_slice(&header.leftmost.map_or(0, |a| a.pack()).to_le_bytes());
-        buf[40..44].copy_from_slice(&header.checksum.to_le_bytes());
-        buf[44..48].copy_from_slice(&[0u8; 4]);
+        buf[40..48].fill(0);
         buf[self.rear_version_offset()] = header.rear_version;
     }
 
@@ -209,7 +207,6 @@ impl NodeLayout {
             } else {
                 Some(GlobalAddress::unpack(leftmost_raw))
             },
-            checksum: u32::from_le_bytes(buf[40..44].try_into().unwrap()),
         }
     }
 
@@ -495,34 +492,6 @@ impl NodeLayout {
     pub fn node_versions_match(&self, buf: &[u8]) -> bool {
         buf[0] == buf[self.rear_version_offset()]
     }
-
-    /// FNV-1a checksum over the node image, excluding the checksum field
-    /// itself (FG's consistency mechanism).
-    pub fn compute_checksum(&self, buf: &[u8]) -> u32 {
-        const OFFSET: u32 = 0x811c_9dc5;
-        const PRIME: u32 = 0x0100_0193;
-        let mut hash = OFFSET;
-        for (i, &byte) in buf.iter().enumerate().take(self.node_size) {
-            if (40..44).contains(&i) {
-                continue;
-            }
-            hash ^= byte as u32;
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash
-    }
-
-    /// Whether the stored checksum matches the node contents.
-    pub fn checksum_matches(&self, buf: &[u8]) -> bool {
-        let stored = u32::from_le_bytes(buf[40..44].try_into().unwrap());
-        stored == self.compute_checksum(buf)
-    }
-
-    /// Stamp the checksum field of an encoded node.
-    pub fn stamp_checksum(&self, buf: &mut [u8]) {
-        let sum = self.compute_checksum(buf);
-        buf[40..44].copy_from_slice(&sum.to_le_bytes());
-    }
 }
 
 #[cfg(test)]
@@ -550,7 +519,6 @@ mod tests {
             } else {
                 Some(GlobalAddress::host(2, 8192))
             },
-            checksum: 0,
         }
     }
 
@@ -809,16 +777,5 @@ mod tests {
         // A torn write: front version bumped, rear not yet visible.
         buf[0] = buf[0].wrapping_add(1);
         assert!(!l.node_versions_match(&buf));
-    }
-
-    #[test]
-    fn checksum_detects_corruption() {
-        let l = layout();
-        let node = LeafNode::empty(&l, sample_header(true));
-        let mut buf = l.encode_leaf(&node);
-        l.stamp_checksum(&mut buf);
-        assert!(l.checksum_matches(&buf));
-        buf[HEADER_BYTES + 4] ^= 0xFF;
-        assert!(!l.checksum_matches(&buf));
     }
 }

@@ -25,8 +25,8 @@
 //!
 //! The same engine also implements the paper's baselines: [`TreeOptions`]
 //! switches each technique off independently, and the presets
-//! [`TreeOptions::fg`], [`TreeOptions::fg_plus`], …, [`TreeOptions::sherman`]
-//! reproduce the ablation ladder of Figures 10 and 11.
+//! [`TreeOptions::fg_plus`], …, [`TreeOptions::sherman`] reproduce the
+//! ablation ladder of Figures 10 and 11.
 //!
 //! Beyond the paper, deletes are **structural**: a leaf that drops below
 //! [`TreeOptions::merge_threshold`] merges with a sibling under the same

@@ -33,8 +33,6 @@ pub struct NodeHeader {
     pub sibling: Option<GlobalAddress>,
     /// Leftmost child (internal nodes only).
     pub leftmost: Option<GlobalAddress>,
-    /// Whole-node checksum (only used by the FG checksum format).
-    pub checksum: u32,
 }
 
 impl NodeHeader {
@@ -51,7 +49,6 @@ impl NodeHeader {
             fence_high,
             sibling: None,
             leftmost: None,
-            checksum: 0,
         }
     }
 
@@ -715,11 +712,7 @@ mod tests {
         assert!(leaf.entries[slot].versions_match());
     }
 
-    const FORMATS: [LeafFormat; 3] = [
-        LeafFormat::SortedNodeVersion,
-        LeafFormat::SortedChecksum,
-        LeafFormat::UnsortedTwoLevel,
-    ];
+    const FORMATS: [LeafFormat; 2] = [LeafFormat::SortedNodeVersion, LeafFormat::UnsortedTwoLevel];
 
     /// Ten pairs `2k → 2k + 1`, densely packed from slot 0 (`count` 10) in a
     /// 1 KB leaf of 50 slots.

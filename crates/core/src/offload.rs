@@ -14,8 +14,8 @@
 //! ([`sherman_sim::ClientCtx::post_rpc`]), inside the verb's window.  It
 //! runs under exactly the one-sided rules: node images are read through the
 //! word-atomic [`sherman_sim::Region`], so a walk racing a writer can
-//! observe torn images and must validate every node (version pair or
-//! checksum, free bit, fences) just as a client-side traversal would.  It
+//! observe torn images and must validate every node (version pair, free
+//! bit, fences) just as a client-side traversal would.  It
 //! is **bounded** — a fixed torn-read retry budget per node and the
 //! request's `max_levels` / `max_leaves` caps — and it never takes locks;
 //! anything it cannot resolve becomes an [`RpcDecline`] and the client
@@ -156,7 +156,7 @@ impl RpcNodeInfo {
 /// to its local one-sided path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RpcDecline {
-    /// A node image stayed torn (version/checksum mismatch) past the
+    /// A node image stayed torn (version mismatch) past the
     /// interpreter's bounded retry budget — a writer is mid-flight.
     TornRead {
         /// The node whose image would not settle.
@@ -318,7 +318,7 @@ fn read_node<B: FabricBackend>(
         {
             return Err(RpcDecline::TornRead { addr });
         }
-        if cluster.node_image_ok(buf) {
+        if cluster.layout().node_versions_match(buf) {
             let header = cluster.layout().decode_header(buf);
             if header.free {
                 return Err(RpcDecline::FreedNode { addr });

@@ -2,7 +2,7 @@
 //! ([`OpCx`], `crate::exec`):
 //!
 //! * [`read_node`] — the node-image consistency loop (read the node,
-//!   validate versions/checksum, re-read a torn image),
+//!   validate the version pair, re-read a torn image),
 //! * [`traverse`] — the root/cache-seeded descent to a target level,
 //! * [`lookup`] — point lookup: locate the leaf, validate, chase siblings,
 //! * [`range`] — range scan: the cached parallel leaf batch plus the
@@ -118,10 +118,6 @@ pub(crate) enum WriteCommit {
 impl<B: FabricBackend> OpCx<'_, B> {
     pub(crate) fn leaf_format(&self) -> LeafFormat {
         self.cluster.options().leaf_format
-    }
-
-    pub(crate) fn node_image_consistent(&self, buf: &[u8]) -> bool {
-        self.cluster.node_image_ok(buf)
     }
 
     /// Current root address and level, from the local hint or the remote
@@ -478,7 +474,7 @@ async fn offload<B: FabricBackend>(
 // ----------------------------------------------------------------------
 
 /// The lock-free node-image read: `RDMA_READ` the node until an image passes
-/// the node-level consistency check (version pair or checksum), bounded by
+/// the node-level consistency check (the version pair), bounded by
 /// `max_read_retries`.  The caller charges the CPU of what it reads of the
 /// image: a lookup the slots its search examined (as a point write does of
 /// the image its lock read, [`OpCx::leaf_commit`]), every other reader the
@@ -501,7 +497,7 @@ pub(crate) async fn read_node<B: FabricBackend>(
                 .observe_read_ns(c.completed_at.saturating_sub(c.posted_at));
         }
         let buf = c.result.into_read();
-        if cx.node_image_consistent(&buf) {
+        if cx.cluster.layout().node_versions_match(&buf) {
             return Ok(buf);
         }
         meta.read_retries += 1;
@@ -693,13 +689,8 @@ async fn lookup<B: FabricBackend>(
             let live = header.step(key, 0) == Step::Here;
             let search = live.then(|| leaf.search(key, cx.leaf_format()));
             // The CPU of what the lookup read: the header, the tags up to the
-            // match and the keys behind matching tags, or the whole node a
-            // checksum validated.
-            cx.scan_cpu(match cx.leaf_format() {
-                LeafFormat::SortedChecksum => buf.len(),
-                _ => layout.leaf_search_bytes(&search.unwrap_or_default()),
-            })
-            .await;
+            // match and the keys behind matching tags.
+            cx.scan_cpu(layout.leaf_search_bytes(&search.unwrap_or_default())).await;
             let Some(search) = search else {
                 pending = cx.step(key, 0, addr, header, route).right();
                 continue 'restart;
@@ -786,7 +777,7 @@ impl Scan {
         let bufs = cx.wait(token).await.result.into_read_batch();
         let route = Route::Cached { fence_low };
         for (&addr, buf) in addrs.iter().zip(&bufs) {
-            let consistent = cx.node_image_consistent(buf);
+            let consistent = layout.node_versions_match(buf);
             let leaf = match consistent {
                 true => layout.decode_leaf(buf),
                 false => layout.decode_leaf(&read_node(cx, meta, addr).await?),

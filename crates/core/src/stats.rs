@@ -29,7 +29,7 @@ pub struct OpStats {
     pub bytes_read: u64,
     /// Failed remote lock acquisitions.
     pub lock_retries: u64,
-    /// Re-reads forced by version / checksum mismatches.
+    /// Re-reads forced by version mismatches.
     pub read_retries: u64,
     /// Whether the node lock was obtained through a local handover.
     pub handed_over: bool,

@@ -58,11 +58,11 @@ pub struct FabricConfig {
     /// CPU.  The index layer charges each image for what its consumer reads of
     /// it: a point lookup the header, the tail word, the key-tag byte of each
     /// leaf slot its search examined, the key of each slot whose tag matched
-    /// and its match's value and versions (the whole node when a checksum
-    /// validates it); a combined point write on an unsorted leaf the same,
-    /// with the tag of every slot and its chosen slot's value and versions; a
-    /// traversal, a scan and every other reader under a lock the whole node,
-    /// which they decode entry by entry; a split or merge the node it sorts.
+    /// and its match's value and versions; a combined point write on an
+    /// unsorted leaf the same, with the tag of every slot and its chosen
+    /// slot's value and versions; a traversal, a scan and every other reader
+    /// under a lock the whole node, which they decode entry by entry; a split
+    /// or merge the node it sorts.
     ///
     /// The model charges bytes examined, not cache lines touched: a tag
     /// inside each entry saves key compares, while the lines a search walks

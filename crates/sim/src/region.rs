@@ -74,7 +74,7 @@ impl Region {
     ///
     /// The copy proceeds word by word in increasing address order; concurrent
     /// writers may therefore produce a torn image, which callers detect with
-    /// version or checksum validation.
+    /// version validation.
     pub fn read_bytes(&self, offset: u64, buf: &mut [u8]) -> Result<(), RegionOob> {
         self.check(offset, buf.len())?;
         let pos = offset as usize;

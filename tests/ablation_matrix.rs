@@ -1,6 +1,5 @@
-//! Every configuration of the ablation ladder (and the original FG preset)
-//! must be *correct* under concurrent load — the paper's baselines are real
-//! systems, not strawmen.
+//! Every configuration of the ablation ladder must be *correct* under
+//! concurrent load — the paper's baselines are real systems, not strawmen.
 
 mod support;
 
@@ -63,11 +62,6 @@ fn exercise(options: TreeOptions, label: &str) {
             assert_eq!(client.lookup(key).unwrap().0, Some(k), "{label}: key {key}");
         }
     }
-}
-
-#[test]
-fn fg_original_is_correct() {
-    exercise(TreeOptions::fg(), "FG");
 }
 
 #[test]
@@ -164,11 +158,6 @@ fn uncombined_presets_keep_their_verbs() {
         ..TreeOptions::sherman()
     };
     for (label, options, expect) in [
-        (
-            "FG",
-            TreeOptions::fg(),
-            (3946, 1047, 924, 1974, 268_032, 236_544, 7_739_466),
-        ),
         (
             "FG+",
             TreeOptions::fg_plus(),

@@ -186,12 +186,6 @@ proptest! {
         }
     }
 
-    /// The checksum-validated FG layout matches the model.
-    #[test]
-    fn fg_checksum_matches_btreemap(ops in prop::collection::vec(op_strategy(600), 1..100)) {
-        check_against_model(TreeOptions::fg(), 256, &ops);
-    }
-
     /// Unusual node geometries (including ones that force frequent splits)
     /// still match the model.
     #[test]

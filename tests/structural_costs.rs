@@ -443,23 +443,6 @@ fn uncombined_structural_commits_cost_exactly_what_they_did() {
             (15, 4, 8, 3, 1_304, 27_294),
             (20, 6, 9, 5, 1_064, 36_819),
         ),
-        (
-            "FG",
-            TreeOptions::fg(),
-            [
-                (10, 3, 3, 4, 768, 19_135),
-                (10, 3, 3, 4, 768, 19_135),
-                (9, 2, 3, 4, 768, 17_362),
-                (9, 2, 3, 4, 768, 17_362),
-            ],
-            [
-                (17, 5, 4, 8, 1_024, 33_086),
-                (17, 5, 4, 8, 1_024, 33_086),
-                (17, 5, 4, 8, 1_024, 33_077),
-            ],
-            (15, 4, 5, 6, 1_280, 28_644),
-            (20, 6, 5, 9, 1_032, 38_619),
-        ),
     ] {
         assert_eq!(costs(split_costs(options)), splits, "{label}");
         assert_eq!(costs(merge_costs(options)), merges, "{label}");

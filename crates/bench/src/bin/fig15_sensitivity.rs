@@ -21,9 +21,9 @@
 //! level 2 whole and over half of level 1 (1.8675 charged the used prefix of
 //! its node, which held level 2 alone; 1.95 charged a whole node).
 
-use sherman::{Cluster, ClusterConfig, TreeConfig, TreeOptions};
+use sherman::{TreeConfig, TreeOptions};
 use sherman_bench::{figures, fmt_mops, print_table, run_with_backend, Args, Experiment};
-use sherman_workload::{KeyDistribution, Mix, Op, WorkloadSpec};
+use sherman_workload::KeyDistribution;
 
 /// Node size that keeps 32 entries per leaf for a given key size (the paper
 /// fixes the entry count and grows the node).
@@ -77,104 +77,16 @@ fn cache_sweep(args: &Args) {
     print_table(&["cache size (KB)", "throughput (Mops)", "hit ratio"], &rows);
 }
 
-/// Block (d): one blocking client, uniform read-intensive traffic over a
-/// deep tree of 256 B nodes, budgets from 64 KB to 4 MB.  Returns reads per
-/// lookup and evictions per 1 000 operations for each budget, smallest budget
-/// first.
-fn deep_sweep(args: &Args, smoke: bool) -> Vec<(usize, f64, f64)> {
-    println!(
-        "\nFigure 15(d): index cache size on a deep tree (256 B nodes, uniform, read-intensive)"
-    );
-    let small = smoke || args.quick();
-    let key_space = args.get_or("deep-keys", if small { 1 << 19 } else { 1 << 20 });
-    let spec = WorkloadSpec {
-        key_space,
-        bulkload_keys: key_space / 5 * 4,
-        mix: Mix::READ_INTENSIVE,
-        distribution: KeyDistribution::Uniform,
-        ..WorkloadSpec::default_scaled()
-    };
-    let ops = args.get_or("deep-ops", if small { 40_000 } else { 200_000 });
-    let mut rows = Vec::new();
-    let mut sweep = Vec::new();
-    for kb in [64usize, 128, 256, 512, 1024, 4096] {
-        let mut config = ClusterConfig::paper_scaled(2, 2);
-        config.tree.node_size = 256;
-        config.tree.chunk_bytes = 256 << 10;
-        config.tree.cache_bytes = kb << 10;
-        let cluster = Cluster::new(config, TreeOptions::sherman());
-        cluster
-            .bulkload(spec.bulkload_iter().map(|k| (k, k)))
-            .expect("bulkload");
-        let mut client = cluster.client(0);
-        let mut gen = spec.generator(0);
-        // The first half warms the online policy; the second is measured.
-        let stats = cluster.cache(0).stats();
-        let counters = || {
-            [
-                stats.hits(),
-                stats.levels_skipped(),
-                stats.deferred_admissions(),
-                stats.evictions(),
-            ]
-        };
-        let (mut lookups, mut reads, mut ns) = (0u64, 0u64, 0u64);
-        let mut baseline = counters();
-        for i in 0..ops {
-            if i == ops / 2 {
-                baseline = counters();
-            }
-            match gen.next_op() {
-                Op::Lookup { key } => {
-                    let (_, s) = client.lookup(key).expect("lookup");
-                    if i >= ops / 2 {
-                        lookups += 1;
-                        reads += s.reads;
-                        ns += s.latency_ns;
-                    }
-                }
-                Op::Insert { key, value } => drop(client.insert(key, value).expect("insert")),
-                op => unreachable!("{op:?} in a read-intensive mix"),
-            }
-        }
-        let measured = (ops - ops / 2) as f64;
-        let [hits, skipped, deferred, evictions] = counters();
-        let per_op = |now: u64, then: u64| (now - then) as f64 / measured;
-        let reads_per_lookup = reads as f64 / lookups as f64;
-        let evictions_per_kop = per_op(evictions, baseline[3]) * 1e3;
-        sweep.push((kb, reads_per_lookup, evictions_per_kop));
-        rows.push(vec![
-            kb.to_string(),
-            format!("{reads_per_lookup:.2}"),
-            format!("{:.2}", ns as f64 / lookups as f64 / 1e3),
-            format!("{:.1}%", per_op(hits, baseline[0]) * 100.0),
-            format!("{:.2}", per_op(skipped, baseline[1])),
-            format!("{:.0}", per_op(deferred, baseline[2]) * 1e3),
-            format!("{evictions_per_kop:.0}"),
-        ]);
-    }
-    print_table(
-        &[
-            "cache size (KB)",
-            "reads / lookup",
-            "lookup (us)",
-            "level-1 answers",
-            "levels skipped / op",
-            "deferred / kop",
-            "evictions / kop",
-        ],
-        &rows,
-    );
-    sweep
-}
-
 fn main() {
     let args = Args::from_env();
     args.finish(&[
         "quick", "smoke", "threads", "keys", "ops", "deep-keys", "deep-ops", "backend",
     ]);
     if args.flag("smoke") {
-        let sweep = deep_sweep(&args, true);
+        let sweep = figures::deep_cache_sweep(
+            args.get_or("deep-keys", 1 << 19),
+            args.get_or("deep-ops", 40_000),
+        );
         let at_256kb = sweep.iter().find(|s| s.0 == 256).map(|s| s.1);
         let ok = at_256kb.is_some_and(|reads| reads <= 1.49)
             && sweep.windows(2).all(|w| w[1].1 <= w[0].1)
@@ -204,5 +116,9 @@ fn main() {
         "Figure 15(b): impact of key size (skewed, 32 entries per leaf)",
     );
     cache_sweep(&args);
-    deep_sweep(&args, false);
+    let quick = args.quick();
+    figures::deep_cache_sweep(
+        args.get_or("deep-keys", if quick { 1 << 19 } else { 1 << 20 }),
+        args.get_or("deep-ops", if quick { 40_000 } else { 200_000 }),
+    );
 }

@@ -40,11 +40,6 @@ const POLICIES: [OffloadPolicy; 3] = [
     OffloadPolicy::Adaptive,
 ];
 
-/// Unloaded round-trip time of the far-fabric regime (cross-rack, far memory
-/// tier): offload trades dependent client RTTs for one RPC plus server work,
-/// so this is its home.
-const FAR_RTT_NS: u64 = 5_000;
-
 fn main() {
     let args = Args::from_env();
     args.finish(&["quick", "smoke", "threads", "ops", "backend"]);
@@ -68,7 +63,7 @@ fn main() {
                 let results: Vec<RunReport> = POLICIES
                     .iter()
                     .map(|&policy| {
-                        let mut exp = regime(policy, cold, far);
+                        let mut exp = Experiment::offload_regime(policy, cold, far);
                         exp.tree.node_size = node_size;
                         exp.source.set_key_space(key_space);
                         exp.source.workload_mut().distribution = dist;
@@ -114,21 +109,6 @@ fn main() {
     println!("ad-rt/op   = adaptive mean fabric round trips per lookup (1.0 = offload ideal)");
 }
 
-/// One (policy, cache, distance) point at the default deep-tree scale.
-fn regime(policy: OffloadPolicy, cold: bool, far: bool) -> Experiment {
-    let mut exp = Experiment::offload(format!("{policy:?}"), policy);
-    exp.cold_start = cold;
-    if cold {
-        // The cold regime also starves the type-1 cache so it cannot rewarm
-        // past a handful of routes during the measured phase.
-        exp.tree.cache_bytes = 4 << 10;
-    }
-    if far {
-        exp.fabric.base_rtt_ns = FAR_RTT_NS;
-    }
-    exp
-}
-
 /// CI gate: the adaptive crossover and the O(1) cold lookup, at quick scale.
 fn smoke(args: &Args) {
     let mut failures = Vec::new();
@@ -143,7 +123,7 @@ fn smoke_adaptive_crossover(args: &Args, failures: &mut Vec<String>) {
     let run = |policy| {
         // Not capped like a `--quick` run: the gate needs the full-depth
         // tree, just fewer operations, on the far fabric.
-        let mut exp = regime(policy, true, true);
+        let mut exp = Experiment::offload_regime(policy, true, true);
         exp.threads = args.get_or("threads", 2);
         exp.ops_per_thread = args.get_or("ops", 400);
         run_with_backend(args, &exp).expect_clean()

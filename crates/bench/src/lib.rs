@@ -57,7 +57,7 @@ mod pins;
 #[cfg(test)]
 mod runner {
     mod tests {
-        use crate::presets::PAPER_QUICK;
+        use crate::presets::{PAPER_QUICK, PIPELINE_QUICK};
         use crate::{run, DrivePath, Experiment, RunReport};
         use sherman::{TreeConfig, TreeOptions};
         use sherman_sim::{Fabric, FabricConfig};
@@ -89,6 +89,13 @@ mod runner {
             tiny(Experiment::pipeline("pipe", drive, range_pct, insert_pct), 150)
         }
 
+        /// The pipeline gate's scale: the depth sweep's uniform workload,
+        /// `insert_pct` percent inserts, under `PIPELINE_QUICK`.
+        fn quick_pipeline(drive: DrivePath, insert_pct: u8) -> RunReport {
+            let exp = Experiment::pipeline("pipe", drive, 0, insert_pct).capped(&PIPELINE_QUICK);
+            run::<Fabric>(&exp).expect_clean()
+        }
+
         #[test]
         fn sherman_experiment_produces_sane_numbers() {
             let result = tiny_paper(TreeOptions::sherman(), DrivePath::Blocking);
@@ -118,8 +125,8 @@ mod runner {
 
         #[test]
         fn depth_one_pipeline_matches_the_blocking_reference() {
-            let blocking = tiny_pipeline(DrivePath::Blocking, 0, 0);
-            let depth1 = tiny_pipeline(DrivePath::Pipelined(1), 0, 0);
+            let blocking = quick_pipeline(DrivePath::Blocking, 0);
+            let depth1 = quick_pipeline(DrivePath::Pipelined(1), 0);
             let ratio = depth1.summary.throughput_ops / blocking.summary.throughput_ops;
             assert!(
                 (0.95..=1.05).contains(&ratio),
@@ -131,8 +138,8 @@ mod runner {
 
         #[test]
         fn depth_four_pipeline_overlaps_and_outperforms() {
-            let depth1 = tiny_pipeline(DrivePath::Pipelined(1), 0, 0);
-            let depth4 = tiny_pipeline(DrivePath::Pipelined(4), 0, 0);
+            let depth1 = quick_pipeline(DrivePath::Pipelined(1), 0);
+            let depth4 = quick_pipeline(DrivePath::Pipelined(4), 0);
             let speedup = depth4.summary.throughput_ops / depth1.summary.throughput_ops;
             assert!(
                 speedup >= 1.5,
@@ -161,22 +168,36 @@ mod runner {
             assert!(piped.write_round_trips.total() > 0);
         }
 
+        /// A pipelined write parks on its lock round trip like any other
+        /// verb: on 50 % inserts depth 4 overlaps more than on reads, and
+        /// depth 8 at least quadruples the blocking loop.
         #[test]
         fn mixed_depth_one_matches_blocking_and_depth_four_overlaps() {
-            let blocking = tiny_pipeline(DrivePath::Blocking, 0, 50);
-            let depth1 = tiny_pipeline(DrivePath::Pipelined(1), 0, 50);
+            let blocking = quick_pipeline(DrivePath::Blocking, 50);
+            let depth1 = quick_pipeline(DrivePath::Pipelined(1), 50);
             let ratio = depth1.summary.throughput_ops / blocking.summary.throughput_ops;
             assert!(
                 (0.95..=1.05).contains(&ratio),
                 "depth-1 mixed must reproduce the blocking path within 5%, ratio {ratio:.3}"
             );
-            let depth4 = tiny_pipeline(DrivePath::Pipelined(4), 0, 50);
+            let depth4 = quick_pipeline(DrivePath::Pipelined(4), 50);
             let speedup = depth4.summary.throughput_ops / depth1.summary.throughput_ops;
             assert!(
                 speedup >= 2.5,
                 "depth 4 should beat depth 1 by 2.5x on 50% inserts, got {speedup:.2}x"
             );
             assert!(depth4.overlap.overlapped_round_trips > 0);
+            assert!(
+                depth4.overlap.mean_in_flight() > 1.5,
+                "mean in-flight {:.2}",
+                depth4.overlap.mean_in_flight()
+            );
+            let depth8 = quick_pipeline(DrivePath::Pipelined(8), 50);
+            let speedup = depth8.summary.throughput_ops / blocking.summary.throughput_ops;
+            assert!(
+                speedup >= 4.0,
+                "depth 8 should beat blocking by 4x on 50% inserts, got {speedup:.2}x"
+            );
         }
 
         #[test]
@@ -208,7 +229,140 @@ mod churnbench {
         use crate::presets::CHURN_QUICK;
         use crate::{run, Experiment, RunReport, Source};
         use sherman::{TreeConfig, TreeOptions};
-        use sherman_sim::Fabric;
+        use sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
+
+        /// Bytes a structural commit of the churn gate may write back on
+        /// average: the mean measured on the simulator, 562 (490–553 on
+        /// threads), plus 10 %.  A split writes two nodes, a separator
+        /// insertion one, a merge three: two 1 KB nodes on average when every
+        /// node travels whole, 906 bytes when only what changed does and
+        /// leaves are edited in place, 638 since a separator removal slides
+        /// its parent's window and a first leaf merges into its fuller right
+        /// sibling, 562 since a right half at a recycled leaf address clears
+        /// no more of its tombstone than the tags left live.
+        const STRUCTURAL_BYTES_CEILING: f64 = 618.0;
+
+        /// What one dependent step of an operation costs on `exp`'s fabric
+        /// when nothing queues: a round trip for a node — the post, the wire
+        /// both ways, the node through a NIC port — and the CPU to scan it (a
+        /// cached lookup, in other words).  The unit in which a latency reads
+        /// as a dependency depth.
+        fn modeled_round_trip_ns(exp: &Experiment) -> u64 {
+            let (fabric, node) = (&exp.fabric, exp.tree.node_size);
+            fabric.cs_post_overhead_ns
+                + fabric.base_rtt_ns
+                + fabric.nic_service_ns(0)
+                + fabric.nic_service_ns(node)
+                + fabric.cpu_scan_ns(node)
+        }
+
+        /// The merges-on churn at `CHURN_QUICK` scale keeps its shape, its
+        /// cache coherence and its structural costs.  Space amplification,
+        /// the write p99 and the plan fallback share are timing-coupled: the
+        /// OS scheduler perturbs them on real threads, and there another
+        /// client holds a lock for as long as the OS keeps it off the CPU.
+        /// Only the simulator, where time is modeled, is held to them.  What
+        /// a structural commit writes back is counted, not timed, so its
+        /// ceiling holds on both backends.
+        fn churn_gate<B: FabricBackend>() {
+            let exp = Experiment::churn("gate", TreeOptions::sherman()).capped(&CHURN_QUICK);
+            let r = run::<B>(&exp).expect_clean();
+            let Source::Churn { turnover, .. } = exp.source else {
+                unreachable!("a churn experiment has a churn source");
+            };
+            let bytes = r.space.bytes_per_structural_commit();
+            println!(
+                "churn gate: turnovers={:.1} space_amp={:.2} merges={} left_merges={} \
+                 edge_merges={} plans={} fallbacks={} write_p99_ns={} \
+                 structural_commits={} bytes_per_structural_commit={bytes:.0}",
+                r.turnovers,
+                r.space_amplification(),
+                r.space.merges(),
+                r.space.left_merges,
+                r.space.edge_merges,
+                r.space.optimistic_plans,
+                r.space.plan_fallbacks,
+                r.write_latency().p99(),
+                r.space.structural_commits,
+            );
+            assert!(
+                r.turnovers >= turnover,
+                "turnover {:.1} below the {turnover:.1} target",
+                r.turnovers
+            );
+            assert!(
+                r.space.edge_merges > 0,
+                "no merge at the tree's left edge kept the fuller right leaf: \
+                 drained first leaves are absorbing their siblings again"
+            );
+            assert!(
+                r.space.left_merges > 0,
+                "zero left merges: the rightmost-child shape leak is back"
+            );
+            assert_eq!(
+                r.audit.underfull_rightmost_fixable, 0,
+                "rightmost children stayed underfull with a viable left sibling"
+            );
+            assert_eq!(
+                r.audit.underfull_internals_fixable, 0,
+                "internal nodes stayed underfull with a viable rebalance partner"
+            );
+            assert_eq!(
+                r.audit.mistagged_slots, 0,
+                "leaf slots hold a key tag that is not their key's"
+            );
+            assert!(
+                r.space.merges() == 0 || r.coherence.invalidations_posted > 0,
+                "merges retired nodes but posted zero coherence invalidations: \
+                 the typestate publish path is being bypassed"
+            );
+            assert_eq!(
+                r.coherence.pending(),
+                0,
+                "coherence messages still pending after every server quiesced"
+            );
+            assert_eq!(
+                r.stale_hits_after_drain, 0,
+                "stale cache hits served after all coherence inboxes drained"
+            );
+            assert!(
+                bytes <= STRUCTURAL_BYTES_CEILING,
+                "{} structural commits wrote back {bytes:.0} bytes each, above \
+                 {STRUCTURAL_BYTES_CEILING:.0}: more is travelling than what changed",
+                r.space.structural_commits
+            );
+            if !B::VIRTUAL_CLOCK {
+                return;
+            }
+            assert!(
+                r.space_amplification() <= 2.0,
+                "space amplification {:.2} exceeds 2x",
+                r.space_amplification()
+            );
+            let (write_p99, depth_bound) =
+                (r.write_latency().p99(), 5 * modeled_round_trip_ns(&exp));
+            assert!(
+                write_p99 <= depth_bound,
+                "p99 write {write_p99} ns exceeds five modeled round trips ({depth_bound} ns): \
+                 a structural commit waits for more than it depends on"
+            );
+            assert!(
+                r.space.fallback_share() <= 0.2,
+                "{} of {} optimistic merge lock plans fell back to the rank-ordered acquisition",
+                r.space.plan_fallbacks,
+                r.space.optimistic_plans
+            );
+        }
+
+        #[test]
+        fn churn_gate_holds_on_the_simulator() {
+            churn_gate::<Fabric>();
+        }
+
+        #[test]
+        fn churn_gate_holds_on_threads() {
+            churn_gate::<ThreadedFabric>();
+        }
 
         fn tiny(options: TreeOptions) -> RunReport {
             let mut exp = Experiment::churn("tiny-churn", options);
@@ -312,8 +466,74 @@ mod scenariobench {
             Source,
         };
         use sherman::TreeConfig;
-        use sherman_sim::Fabric;
+        use sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
         use sherman_workload::ScenarioShape;
+
+        /// The hostile suite's gate: every member at `SCENARIO_QUICK` scale,
+        /// blocking and at depth 4, runs without an op error, adds no fixable
+        /// shape defect over its bulkload baseline (tiny-node bulkloads leave a
+        /// few underfull rightmost tails of their own) and leaves no mistagged
+        /// leaf slot.  The tiny pool backpressures; everywhere else the
+        /// census reaches exactly what the allocator holds outstanding.  The
+        /// cache shrink evicts, and its hit ratio falls by at most 50 points.
+        fn hostile_suite_gate<B: FabricBackend>() {
+            for drive in [DrivePath::Blocking, DrivePath::Pipelined(4)] {
+                let suite = hostile_suite(drive);
+                assert_eq!(suite.len(), 6);
+                for (pressure, exp) in suite {
+                    let r = run::<B>(&exp.capped(&SCENARIO_QUICK));
+                    let tag = format!("{} [{}]", r.name, r.drive);
+                    println!(
+                        "scenario gate: {tag} ops={} backpr={} press_evict={} hit={:.2}->{:.2}",
+                        r.summary.ops,
+                        r.backpressure_ops,
+                        r.pressure_evictions,
+                        r.hit_before,
+                        r.hit_after
+                    );
+                    assert!(r.errors.is_empty(), "{tag}: op errors {:?}", r.errors);
+                    let (before, after) = (&r.audit_baseline, &r.audit);
+                    assert!(
+                        after.underfull_rightmost_fixable <= before.underfull_rightmost_fixable
+                            && after.underfull_internals_fixable
+                                <= before.underfull_internals_fixable,
+                        "{tag}: the run added fixable shape defects: {before:?} -> {after:?}"
+                    );
+                    assert_eq!(after.mistagged_slots, 0, "{tag}: mistagged leaf slots");
+                    if pressure == MemoryPressure::PoolExhaustion {
+                        assert!(
+                            r.backpressure_ops > 0 && r.backpressure.saw_pressure(),
+                            "{tag}: the tiny pool never backpressured (carved {} nodes)",
+                            r.nodes_carved
+                        );
+                    } else {
+                        assert_eq!(r.census.total(), r.nodes_outstanding, "{tag}: census");
+                    }
+                    if let MemoryPressure::CacheShrink { .. } = pressure {
+                        assert!(
+                            r.pressure_evictions > 0,
+                            "{tag}: the shrink evicted nothing"
+                        );
+                        assert!(
+                            r.hit_before - r.hit_after <= 0.5,
+                            "{tag}: hit ratio fell off a cliff: {:.2} -> {:.2}",
+                            r.hit_before,
+                            r.hit_after
+                        );
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn hostile_suite_gate_holds_on_the_simulator() {
+            hostile_suite_gate::<Fabric>();
+        }
+
+        #[test]
+        fn hostile_suite_gate_holds_on_threads() {
+            hostile_suite_gate::<ThreadedFabric>();
+        }
 
         fn tiny_hotspot(drive: DrivePath) -> RunReport {
             let shape = ScenarioShape::ShiftingHotspot {
@@ -424,8 +644,57 @@ mod offloadbench {
     mod tests {
         use crate::presets::OFFLOAD_QUICK;
         use crate::{run, Experiment, RunReport};
-        use sherman::OffloadPolicy;
+        use sherman::{Cluster, ClusterConfig, OffloadPolicy};
         use sherman_sim::Fabric;
+
+        /// At the regime map's cold-cache deep-tree far-fabric point — the
+        /// full-depth tree, two clients of 400 lookups — the adaptive policy
+        /// holds at least 95 % of whichever fixed placement wins.
+        #[test]
+        fn adaptive_holds_the_best_fixed_policy_at_the_deep_cold_far_point() {
+            let mops = |policy| {
+                let mut exp = Experiment::offload_regime(policy, true, true);
+                exp.threads = 2;
+                exp.ops_per_thread = 400;
+                run::<Fabric>(&exp).expect_clean().summary.throughput_ops
+            };
+            let never = mops(OffloadPolicy::Never);
+            let always = mops(OffloadPolicy::Always);
+            let adaptive = mops(OffloadPolicy::Adaptive);
+            let ratio = adaptive / never.max(always).max(f64::MIN_POSITIVE);
+            assert!(
+                ratio >= 0.95,
+                "adaptive holds only {ratio:.3} of the best fixed policy \
+                 (never {never:.0}, always {always:.0}, adaptive {adaptive:.0} ops/s)"
+            );
+        }
+
+        /// With every cached route dropped, an `Always` lookup collapses the
+        /// whole descent (256-byte nodes over a 12k-key bulkload) into
+        /// exactly one fabric round trip: one typed RPC, no one-sided READ.
+        #[test]
+        fn a_cold_always_lookup_is_one_rpc_round_trip() {
+            let mut exp = Experiment::offload("cold-lookup", OffloadPolicy::Always);
+            exp.fabric.memory_servers = 2;
+            let config = ClusterConfig {
+                fabric: exp.fabric,
+                tree: exp.tree,
+            };
+            let cluster = Cluster::new(config, exp.options);
+            cluster
+                .bulkload((0..12_000u64).map(|k| (k, k.wrapping_mul(7) + 1)))
+                .expect("bulkload");
+            for cs in 0..2 {
+                cluster.cache(cs).clear();
+            }
+            let (value, stats) = cluster.client(0).lookup(6_000).expect("lookup");
+            assert_eq!(value, Some(6_000u64.wrapping_mul(7) + 1));
+            assert_eq!(
+                (stats.round_trips, stats.rpcs, stats.reads),
+                (1, 1, 0),
+                "round trips, RPCs and READs of a cold lookup"
+            );
+        }
 
         fn tiny(policy: OffloadPolicy, cold: bool) -> RunReport {
             let mut exp = Experiment::offload(format!("{policy:?}"), policy).capped(&OFFLOAD_QUICK);

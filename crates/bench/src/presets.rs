@@ -220,7 +220,29 @@ impl Experiment {
             ..Experiment::paper(name, TreeOptions::sherman().with_offload(policy))
         }
     }
+
+    /// One (policy, cache, distance) point of the offload regime map at the
+    /// default deep-tree scale, named after `policy`.  A `cold` point starts
+    /// with no cached route and a type-1 cache too small to rewarm past a
+    /// handful of routes; a `far` one runs on a fabric whose unloaded round
+    /// trip is [`FAR_RTT_NS`].
+    pub fn offload_regime(policy: OffloadPolicy, cold: bool, far: bool) -> Self {
+        let mut exp = Experiment::offload(format!("{policy:?}"), policy);
+        exp.cold_start = cold;
+        if cold {
+            exp.tree.cache_bytes = 4 << 10;
+        }
+        if far {
+            exp.fabric.base_rtt_ns = FAR_RTT_NS;
+        }
+        exp
+    }
 }
+
+/// Unloaded round-trip time of the offload regime map's far fabric
+/// (cross-rack, far memory tier): offload trades dependent client round
+/// trips for one RPC plus server work, so this is its home.
+pub const FAR_RTT_NS: u64 = 5_000;
 
 /// The scale every hostile scenario starts from: 32 k keys bulkloaded 80 %
 /// full under the write-intensive mix.  (`threads` and `ops_per_thread` are

@@ -15,54 +15,24 @@
 //! the writes by round trips posted.
 //!
 //! ```text
-//! cargo run --release -p sherman_bench --bin churn [-- --quick] [--smoke]
+//! cargo run --release -p sherman_bench --bin churn [-- --quick]
 //!     [--window N] [--turnover X] [--threads N] [--lookup-pct P] [--range-pct P]
 //!     [--backend sim|threaded]
 //! ```
 //!
-//! `--smoke` runs only the merges-on system at `--quick` scale and exits
-//! non-zero when a structural regression is detected: an operation that
-//! failed or missed a live key (a panic, as in the table run), space
-//! amplification above 2× (simulator only: it is timing-coupled), zero left
-//! merges (the rightmost-child shape leak), a persistently underfull child
-//! that a same-parent partner could fix, a leaf slot whose key tag is not
-//! its key's (a key lookups would pass over), or a cache-coherence regression —
-//! merges that posted zero invalidations (the typestate publish path
-//! bypassed), messages still pending after every server quiesced, or stale
-//! cache hits served after the drain.  On the simulator, where time is
-//! modeled, it also fails when a structural commit waits for more than its
-//! dependencies — the run's p99 write above five modeled round trips — or
-//! when more than a fifth of the optimistic merge lock plans fell back.  On
-//! both backends it fails when the structural commits wrote back more than
-//! [`STRUCTURAL_BYTES_CEILING`] each — a split writes two nodes, a separator
-//! insertion one, a merge three: two 1 KB nodes on average when every node
-//! travels whole, 906 bytes when only what changed does and leaves are edited
-//! in place, 638 since a separator removal slides its parent's window and a
-//! first leaf merges into its fuller right sibling, 562 since a right half at
-//! a recycled leaf address clears no more of its tombstone than the tags left
-//! live — and when no merge at the tree's left edge kept the right leaf (the
-//! path switched off).
+//! The merges-on system at `--quick` scale is gated in tier-1, on both
+//! backends: `churnbench::tests::churn_gate_holds_on_the_simulator` and
+//! `churn_gate_holds_on_threads` (`crates/bench/src/lib.rs`).
 
 use sherman::TreeOptions;
 use sherman_bench::presets::CHURN_QUICK;
-use sherman_bench::{
-    fmt_mops, print_table, run_with_backend, smoke_verdict, Args, Experiment, RunReport, Source,
-};
-
-/// Bytes a structural commit of the smoke run may write back on average: the
-/// mean measured on the simulator, 562 (490–542 over five threaded runs),
-/// plus 10 %.
-const STRUCTURAL_BYTES_CEILING: f64 = 618.0;
+use sherman_bench::{fmt_mops, print_table, run_with_backend, Args, Experiment, RunReport, Source};
 
 fn main() {
     let args = Args::from_env();
     args.finish(&[
-        "quick", "smoke", "window", "turnover", "threads", "lookup-pct", "range-pct", "backend",
+        "quick", "window", "turnover", "threads", "lookup-pct", "range-pct", "backend",
     ]);
-    if args.flag("smoke") {
-        smoke(&args);
-        return;
-    }
     let systems = [
         ("merges-on", TreeOptions::sherman()),
         (
@@ -176,19 +146,6 @@ fn configure(args: &Args, name: &str, options: TreeOptions) -> Experiment {
     exp.scaled_by(args, "window", &CHURN_QUICK)
 }
 
-/// What one dependent step of an operation costs on `exp`'s fabric when
-/// nothing queues: a round trip for a node — the post, the wire both ways, the
-/// node through a NIC port — and the CPU to scan it (a cached lookup, in other
-/// words).  The unit in which a latency reads as a dependency depth.
-fn modeled_round_trip_ns(exp: &Experiment) -> u64 {
-    let (fabric, node) = (&exp.fabric, exp.tree.node_size);
-    fabric.cs_post_overhead_ns
-        + fabric.base_rtt_ns
-        + fabric.nic_service_ns(0)
-        + fabric.nic_service_ns(node)
-        + fabric.cpu_scan_ns(node)
-}
-
 /// One row per class of write: how many round trips it posted, how many such
 /// writes there were, and what they took.
 fn write_class_rows(r: &RunReport) -> Vec<Vec<String>> {
@@ -205,138 +162,4 @@ fn write_class_rows(r: &RunReport) -> Vec<Vec<String>> {
             ]
         })
         .collect()
-}
-
-/// CI gate: one quick merges-on run; non-zero exit on structural regression.
-fn smoke(args: &Args) {
-    let exp = configure(args, "smoke", TreeOptions::sherman());
-    let r = run_with_backend(args, &exp).expect_clean();
-    let simulated = args.get_or("backend", "sim".to_string()) == "sim";
-    let write_p99 = r.write_latency().p99();
-    let Source::Churn { turnover, .. } = exp.source else {
-        unreachable!("a churn experiment has a churn source");
-    };
-    println!(
-        "churn smoke: turnovers={:.1} space_amp={:.2} merges={} left_merges={} edge_merges={} \
-         rebalances={}+{} underfull_rightmost_fixable={} underfull_internals_fixable={} \
-         mistagged_slots={} top_hit={:.0}% refreshes={} inval_posted={} coh_applied={} \
-         coh_lag_mean_ns={:.0} stale_after_drain={} plans={} fallbacks={} \
-         routed_cached={} routed_read={} write_p99_ns={write_p99} \
-         structural_commits={} bytes_per_structural_commit={:.0}",
-        r.turnovers,
-        r.space_amplification(),
-        r.space.merges(),
-        r.space.left_merges,
-        r.space.edge_merges,
-        r.space.rebalances,
-        r.space.internal_rebalances,
-        r.audit.underfull_rightmost_fixable,
-        r.audit.underfull_internals_fixable,
-        r.audit.mistagged_slots,
-        r.top_hit_ratio * 100.0,
-        r.cache_refreshes,
-        r.coherence.invalidations_posted,
-        r.coherence.applied,
-        r.coherence.mean_apply_lag_ns(),
-        r.stale_hits_after_drain,
-        r.space.optimistic_plans,
-        r.space.plan_fallbacks,
-        r.space.merge_routes_cached,
-        r.space.merge_routes_remote,
-        r.space.structural_commits,
-        r.space.bytes_per_structural_commit(),
-    );
-    print_table(
-        &["round trips", "writes", "share", "mean(ns)", "p99(ns)"],
-        &write_class_rows(&r),
-    );
-    let mut failures = Vec::new();
-    if r.turnovers < turnover {
-        failures.push(format!(
-            "turnover {:.1} below the {turnover:.1} target",
-            r.turnovers
-        ));
-    }
-    // Space amplification is timing-coupled: it gates how promptly merges and
-    // reclamation keep up with the churn, which the OS scheduler perturbs on
-    // the threaded backend.  Enforce it only where timing is modeled; on the
-    // threaded backend it is advisory and only the structural/coherence
-    // invariants below stay strict.
-    if simulated && r.space_amplification() > 2.0 {
-        failures.push(format!("space amplification {:.2} exceeds 2x", r.space_amplification()));
-    }
-    // So are the costs of a structural commit: only modeled time says how
-    // deep its dependency chain is, and on real threads another client holds
-    // a lock for as long as the OS keeps it off the CPU.
-    let depth_bound = 5 * modeled_round_trip_ns(&exp);
-    if simulated && write_p99 > depth_bound {
-        failures.push(format!(
-            "p99 write {write_p99} ns exceeds five modeled round trips ({depth_bound} ns): \
-             a structural commit waits for more than it depends on"
-        ));
-    }
-    if simulated && r.space.fallback_share() > 0.2 {
-        failures.push(format!(
-            "{} of {} optimistic merge lock plans fell back to the rank-ordered acquisition",
-            r.space.plan_fallbacks, r.space.optimistic_plans
-        ));
-    }
-    // What a structural commit writes back is counted, not timed: the same
-    // ceiling holds on both backends.
-    if r.space.bytes_per_structural_commit() > STRUCTURAL_BYTES_CEILING {
-        failures.push(format!(
-            "{} structural commits wrote back {:.0} bytes each, above \
-             {STRUCTURAL_BYTES_CEILING:.0}: more is travelling than what changed",
-            r.space.structural_commits,
-            r.space.bytes_per_structural_commit()
-        ));
-    }
-    if r.space.edge_merges == 0 {
-        failures.push(
-            "no merge at the tree's left edge kept the fuller right leaf: \
-             drained first leaves are absorbing their siblings again"
-                .into(),
-        );
-    }
-    if r.space.left_merges == 0 {
-        failures.push("zero left merges: the rightmost-child shape leak is back".into());
-    }
-    if r.audit.underfull_rightmost_fixable > 0 {
-        failures.push(format!(
-            "{} rightmost children stayed underfull with a viable left sibling",
-            r.audit.underfull_rightmost_fixable
-        ));
-    }
-    if r.audit.underfull_internals_fixable > 0 {
-        failures.push(format!(
-            "{} internal nodes stayed underfull with a viable rebalance partner",
-            r.audit.underfull_internals_fixable
-        ));
-    }
-    if r.audit.mistagged_slots > 0 {
-        failures.push(format!(
-            "{} leaf slots hold a key tag that is not their key's",
-            r.audit.mistagged_slots
-        ));
-    }
-    if r.space.merges() > 0 && r.coherence.invalidations_posted == 0 {
-        failures.push(
-            "merges retired nodes but posted zero coherence invalidations: \
-             the typestate publish path is being bypassed"
-                .into(),
-        );
-    }
-    if r.coherence.pending() > 0 {
-        failures.push(format!(
-            "{} coherence messages still pending after every server quiesced",
-            r.coherence.pending()
-        ));
-    }
-    if r.stale_hits_after_drain > 0 {
-        failures.push(format!(
-            "{} stale cache hits served after all coherence inboxes drained",
-            r.stale_hits_after_drain
-        ));
-    }
-    smoke_verdict("churn", &failures);
 }

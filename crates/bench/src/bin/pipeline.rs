@@ -11,36 +11,29 @@
 //! overlap factor).
 //!
 //! ```text
-//! cargo run --release -p sherman_bench --bin pipeline [-- --quick] [--smoke]
+//! cargo run --release -p sherman_bench --bin pipeline [-- --quick]
 //!     [--threads N] [--keys N] [--ops N] [--range-pct P] [--insert-pct P]
 //!     [--range-size N] [--depths 1,2,4,8] [--backend sim|threaded]
 //! ```
 //!
-//! `--smoke` runs the CI gate at `--quick` scale and exits non-zero when
-//! depth 1 deviates from the blocking path by more than 5%, when depth 4
-//! fails to beat depth 1 by at least 1.5× on uniform lookups, or when the
-//! overlap gauges show the pipeline never went concurrent (mean in-flight
-//! ≤ 1.5 at depth 4).  The gate then repeats the sweep on a 50%-insert
-//! uniform workload — a pipelined write parks on its lock round trip like on
-//! any other — requiring depth-1 equivalence within 5%, a depth-4 speedup of
-//! at least 2.5× and depth 8 at least 4× the blocking loop.
+//! At `--quick` scale the sweep is gated in tier-1 (`runner::tests` in
+//! `crates/bench/src/lib.rs`): depth 1 within 5 % of the blocking loop, and
+//! depth 4 at least 1.5× depth 1 on uniform lookups with a mean in-flight
+//! above 1.5; on a 50 %-insert mix — a pipelined write parks on its lock
+//! round trip like on any other — depth 4 at least 2.5× depth 1 and depth 8
+//! at least 4× the blocking loop.
 
 use sherman_bench::presets::PIPELINE_QUICK;
 use sherman_bench::{
-    fmt_mops, fmt_us, print_table, run_with_backend, smoke_verdict, Args, DrivePath, Experiment,
-    RunReport,
+    fmt_mops, fmt_us, print_table, run_with_backend, Args, DrivePath, Experiment, RunReport,
 };
 
 fn main() {
     let args = Args::from_env();
     args.finish(&[
-        "quick", "smoke", "threads", "keys", "ops", "range-pct", "range-size", "insert-pct",
+        "quick", "threads", "keys", "ops", "range-pct", "range-size", "insert-pct",
         "depths", "backend",
     ]);
-    if args.flag("smoke") {
-        smoke(&args);
-        return;
-    }
     let depths: Vec<usize> = args
         .get_or("depths", "1,2,4,8".to_string())
         .split(',')
@@ -97,73 +90,4 @@ fn row(result: &RunReport, base: f64) -> Vec<String> {
         format!("{:.0}%", result.overlap.overlapped_fraction() * 100.0),
         format!("{:.2}", result.overlap.overlap_factor()),
     ]
-}
-
-/// CI gate: depth-1 equivalence and the depth-4 speedup, at quick scale —
-/// once on uniform lookups (≥ 1.5×) and once on a 50%-insert mixed workload
-/// (≥ 2.5×, and depth 8 ≥ 4× blocking: a write's two round trips overlap
-/// with everything else in flight).
-fn smoke(args: &Args) {
-    let mut failures = Vec::new();
-    smoke_case(args, "reads", 0, 1.5, &mut failures);
-    let blocking = smoke_case(args, "mixed-50i", 50, 2.5, &mut failures);
-    let depth8 = measure(args, "depth-8", DrivePath::Pipelined(8), 50);
-    let speedup = depth8.summary.throughput_ops / blocking;
-    println!(
-        "pipeline smoke [mixed-50i]: depth8={} vs blocking {speedup:.2}x",
-        fmt_mops(depth8.summary.throughput_ops)
-    );
-    if speedup < 4.0 {
-        failures.push(format!(
-            "[mixed-50i] depth-8 throughput only {speedup:.2}x blocking (needs >= 4x)"
-        ));
-    }
-    smoke_verdict("pipeline", &failures);
-}
-
-/// One workload's depth-1 and depth-4 checks; returns the blocking loop's
-/// throughput.
-fn smoke_case(
-    args: &Args,
-    case: &str,
-    insert_pct: u8,
-    min_speedup: f64,
-    failures: &mut Vec<String>,
-) -> f64 {
-    let blocking = measure(args, "blocking", DrivePath::Blocking, insert_pct);
-    let depth1 = measure(args, "depth-1", DrivePath::Pipelined(1), insert_pct);
-    let depth4 = measure(args, "depth-4", DrivePath::Pipelined(4), insert_pct);
-
-    let equivalence = depth1.summary.throughput_ops / blocking.summary.throughput_ops;
-    let speedup = depth4.summary.throughput_ops / depth1.summary.throughput_ops;
-    println!(
-        "pipeline smoke [{case}]: blocking={} depth1={} depth4={} equivalence={:.3} \
-         speedup={:.2}x mean_inflight(d4)={:.2} max_inflight(d4)={} overlapped(d4)={:.0}%",
-        fmt_mops(blocking.summary.throughput_ops),
-        fmt_mops(depth1.summary.throughput_ops),
-        fmt_mops(depth4.summary.throughput_ops),
-        equivalence,
-        speedup,
-        depth4.overlap.mean_in_flight(),
-        depth4.overlap.max_in_flight,
-        depth4.overlap.overlapped_fraction() * 100.0,
-    );
-    if !(0.95..=1.05).contains(&equivalence) {
-        failures.push(format!(
-            "[{case}] depth-1 deviates from the blocking path by more than 5% \
-             (ratio {equivalence:.3})"
-        ));
-    }
-    if speedup < min_speedup {
-        failures.push(format!(
-            "[{case}] depth-4 throughput only {speedup:.2}x depth-1 (needs >= {min_speedup}x)"
-        ));
-    }
-    if depth4.overlap.mean_in_flight() <= 1.5 {
-        failures.push(format!(
-            "[{case}] depth-4 mean in-flight {:.2} shows no real overlap (needs > 1.5)",
-            depth4.overlap.mean_in_flight()
-        ));
-    }
-    blocking.summary.throughput_ops
 }

@@ -1,17 +1,17 @@
 //! Run every figure/table binary in quick mode — a one-command regeneration of
-//! the whole evaluation at smoke-test scale — or, with `--smoke`, every CI
-//! gate the binaries carry.
+//! the whole evaluation at smoke-test scale — or, with `--full`, at full
+//! scale.
 //!
 //! ```text
 //! cargo build --release -p sherman_bench --bins
-//! cargo run --release -p sherman_bench --bin run_all [-- --full | --smoke]
+//! cargo run --release -p sherman_bench --bin run_all [-- --full]
 //! ```
 //!
 //! The siblings are executed from this binary's own directory, so they must
 //! have been built first (`cargo run --bin run_all` alone builds only
-//! `run_all`).  `--smoke` runs each binary that has a `--smoke` gate, then
-//! the `churn` and `scenario` gates again on the threaded backend.  Exits
-//! non-zero when any child fails or cannot be launched.
+//! `run_all`).  Exits non-zero when any child fails or cannot be launched.
+//! The binaries' gates are unit tests of this crate (`cargo test -p
+//! sherman_bench --lib`).
 
 use sherman_bench::Args;
 use std::process::Command;
@@ -33,30 +33,15 @@ const FIGURES: [&str; 14] = [
     "offload",
 ];
 
-const GATES: [(&str, &[&str]); 7] = [
-    ("churn", &["--smoke"]),
-    ("pipeline", &["--smoke"]),
-    ("scenario", &["--smoke"]),
-    ("offload", &["--smoke"]),
-    ("fig15_sensitivity", &["--smoke"]),
-    ("churn", &["--smoke", "--backend", "threaded"]),
-    ("scenario", &["--smoke", "--backend", "threaded"]),
-];
-
 fn main() {
     let args = Args::from_env();
-    args.finish(&["full", "smoke", "quick"]);
-    let quick: &[&str] = if args.flag("full") { &[] } else { &["--quick"] };
-    let runs: Vec<(&str, &[&str])> = if args.flag("smoke") {
-        GATES.to_vec()
-    } else {
-        FIGURES.iter().map(|&bin| (bin, quick)).collect()
-    };
+    args.finish(&["full", "quick"]);
+    let bin_args: &[&str] = if args.flag("full") { &[] } else { &["--quick"] };
 
     let exe_dir = std::env::current_exe().expect("current exe");
     let exe_dir = exe_dir.parent().expect("exe dir");
     let mut failed = Vec::new();
-    for (bin, bin_args) in runs {
+    for bin in FIGURES {
         let label = [&[bin], bin_args].concat().join(" ");
         println!("\n================ {label} ================");
         let path = exe_dir.join(bin);

@@ -273,7 +273,7 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Shrink to at most `caps` (what `--quick` and `--smoke` do).
+    /// Shrink to at most `caps` (what `--quick` does, and the gates).
     pub fn capped(mut self, caps: &QuickCaps) -> Self {
         self.threads = self.threads.min(caps.threads);
         self.ops_per_thread = self.ops_per_thread.min(caps.ops_per_thread);

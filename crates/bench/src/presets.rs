@@ -106,15 +106,15 @@ impl Experiment {
 
     /// This experiment at the scale the command line asks for: `--threads`,
     /// `--ops`, the key-space flag under the name this binary gives it
-    /// (`--keys`, `--key-space`, `--window`), then `caps` under `--quick` or
-    /// `--smoke`.  (A flag a binary does not accept never gets this far.)
+    /// (`--keys`, `--key-space`, `--window`), then `caps` under `--quick`.
+    /// (A flag a binary does not accept never gets this far.)
     pub fn scaled_by(mut self, args: &Args, key_space_flag: &str, caps: &QuickCaps) -> Self {
         self.threads = args.get_or("threads", self.threads);
         self.ops_per_thread = args.get_or("ops", self.ops_per_thread);
         if let Some(key_space) = args.value(key_space_flag) {
             self.source.set_key_space(key_space);
         }
-        if args.quick() || args.flag("smoke") {
+        if args.quick() {
             self = self.capped(caps);
         }
         self
@@ -225,7 +225,8 @@ impl Experiment {
     /// default deep-tree scale, named after `policy`.  A `cold` point starts
     /// with no cached route and a type-1 cache too small to rewarm past a
     /// handful of routes; a `far` one runs on a fabric whose unloaded round
-    /// trip is [`FAR_RTT_NS`].
+    /// trip is 5 µs (cross-rack, a far memory tier), where offload's trade of
+    /// dependent client round trips for one RPC plus server work pays most.
     pub fn offload_regime(policy: OffloadPolicy, cold: bool, far: bool) -> Self {
         let mut exp = Experiment::offload(format!("{policy:?}"), policy);
         exp.cold_start = cold;
@@ -233,16 +234,11 @@ impl Experiment {
             exp.tree.cache_bytes = 4 << 10;
         }
         if far {
-            exp.fabric.base_rtt_ns = FAR_RTT_NS;
+            exp.fabric.base_rtt_ns = 5_000;
         }
         exp
     }
 }
-
-/// Unloaded round-trip time of the offload regime map's far fabric
-/// (cross-rack, far memory tier): offload trades dependent client round
-/// trips for one RPC plus server work, so this is its home.
-pub const FAR_RTT_NS: u64 = 5_000;
 
 /// The scale every hostile scenario starts from: 32 k keys bulkloaded 80 %
 /// full under the write-intensive mix.  (`threads` and `ops_per_thread` are

@@ -120,7 +120,11 @@ pub enum OffloadPolicy {
     /// (the paper's behaviour, and the default).
     #[default]
     Never,
-    /// Offload every cache-missing traversal step unconditionally.
+    /// Offload unconditionally: every cache-missed descent of a point
+    /// operation ships as a traverse RPC, and a lookup whose cache already
+    /// names its leaf still trades that one read for a `LeafSearch` RPC (the
+    /// loss region [`OffloadPolicy::Adaptive`] exists to avoid).  Scans never
+    /// offload.
     Always,
     /// Offload only when it is likely to win: the uncached suffix of the
     /// path below the deepest cached image would leave multiple dependent

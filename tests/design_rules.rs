@@ -19,7 +19,7 @@ use std::process::{Command, Output};
 /// Code lines per crate as CI's census counts them: no crate may rise above
 /// its line.
 const CEILINGS: &[(&str, usize)] = &[
-    ("crates/bench/", 2400),
+    ("crates/bench/", 2001),
     ("crates/cache/", 764),
     ("crates/core/", 4140),
     ("crates/locks/", 621),

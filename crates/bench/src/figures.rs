@@ -165,10 +165,9 @@ mod tests {
     /// an image its header and its children packed to the widths they need,
     /// and admits it only over victims that routed fewer lookups.  On the
     /// deep tree (2^19 keys, 40 000 operations) a lookup then reads at most
-    /// 1.49 nodes at 256 KB (1.4370 measured; 1.8675 when an image was
-    /// charged the used prefix of its node, 1.95 when it was charged a whole
-    /// node), reads never rise as the budget grows, and no budget evicts more
-    /// than 100 times per 1 000 operations (28–49 since images are packed).
+    /// 1.49 nodes at 256 KB (1.4370 measured), reads never rise as the budget
+    /// grows, and no budget evicts more than 100 times per 1 000 operations
+    /// (28–49 measured).
     #[test]
     fn a_deep_tree_reads_fewer_nodes_as_the_cache_grows() {
         let sweep = super::deep_cache_sweep(1 << 19, 40_000);

@@ -86,10 +86,6 @@ mod runner {
             tiny(exp, 40)
         }
 
-        fn tiny_pipeline(drive: DrivePath, range_pct: u8, insert_pct: u8) -> RunReport {
-            tiny(Experiment::pipeline("pipe", drive, range_pct, insert_pct), 150)
-        }
-
         /// The pipeline gate's scale: the depth sweep's uniform workload,
         /// `insert_pct` percent inserts, under `PIPELINE_QUICK`.
         fn quick_pipeline(drive: DrivePath, insert_pct: u8) -> RunReport {
@@ -203,7 +199,7 @@ mod runner {
 
         #[test]
         fn pipeline_experiment_supports_scans() {
-            let result = tiny_pipeline(DrivePath::Pipelined(4), 20, 0);
+            let result = tiny(Experiment::pipeline("pipe", DrivePath::Pipelined(4), 20, 0), 150);
             assert_eq!(result.summary.ops, 300);
             assert!(result.summary.throughput_ops > 0.0);
             assert!(result.cache_hit_ratio > 0.5, "bulkload warms the cache");
@@ -234,13 +230,9 @@ mod churnbench {
 
         /// Bytes a structural commit of the churn gate may write back on
         /// average: the mean measured on the simulator, 562 (479–580 over
-        /// twenty runs on threads, debug and release), plus 10 %.  A split writes two nodes, a separator
-        /// insertion one, a merge three: two 1 KB nodes on average when every
-        /// node travels whole, 906 bytes when only what changed does and
-        /// leaves are edited in place, 638 since a separator removal slides
-        /// its parent's window and a first leaf merges into its fuller right
-        /// sibling, 562 since a right half at a recycled leaf address clears
-        /// no more of its tombstone than the tags left live.
+        /// twenty runs on threads, debug and release), plus 10 %.  A split
+        /// writes two nodes, a separator insertion one, a merge three, so
+        /// whole 1 KB nodes would average two of them.
         const STRUCTURAL_BYTES_CEILING: f64 = 618.0;
 
         /// What one dependent step of an operation costs on `exp`'s fabric

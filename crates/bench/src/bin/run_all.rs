@@ -35,7 +35,7 @@ const FIGURES: [&str; 14] = [
 
 fn main() {
     let args = Args::from_env();
-    args.finish(&["full", "quick"]);
+    args.finish(&["full"]);
     let bin_args: &[&str] = if args.flag("full") { &[] } else { &["--quick"] };
 
     let exe_dir = std::env::current_exe().expect("current exe");

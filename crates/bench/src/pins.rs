@@ -214,6 +214,12 @@ fn one_client_runs_cost_exactly_what_they_did() {
 /// and a merge at the tree's left edge began to keep the fuller right leaf:
 /// the same operations and round trips, bytes written 605 565 → 497 549
 /// (−17.8 %), 10 677 ns more elapsed (0.05 %; mean 4 091.52 → 4 093.50 ns).
+/// Both structural runs (8, 11) were re-captured when a separator right
+/// under the root began to route from the cached root image: 145 and 23
+/// round trips fewer, 1.2 % and 0.2 % less elapsed time (the
+/// pool-exhaustion p99 9 088 → 7 360); and the churn run's bytes 497 549 →
+/// 488 061 when internal windows began to recenter at either edge and a
+/// recycled right half to land on its tombstone's stale slots.
 const PINS: [&str; 15] = [
     "ops=300 elapsed_ns=776595 mean_ns=2588.65 p99_ns=3520 round_trips=437 bytes_written=2877",
     "ops=300 elapsed_ns=195925 mean_ns=2593.6633333333334 p99_ns=3584 round_trips=437 bytes_written=2875",
@@ -223,10 +229,10 @@ const PINS: [&str; 15] = [
     "ops=300 elapsed_ns=816612 mean_ns=2722.04 p99_ns=3520 round_trips=460 bytes_written=3360",
     "ops=300 elapsed_ns=816612 mean_ns=2722.04 p99_ns=3520 round_trips=460 bytes_written=3360",
     "ops=300 elapsed_ns=206391 mean_ns=2736.17 p99_ns=3680 round_trips=460 bytes_written=3356",
-    "ops=5400 elapsed_ns=22104885 mean_ns=4093.4972222222223 p99_ns=16896 round_trips=15510 bytes_written=497549 turnovers=3.445",
+    "ops=5400 elapsed_ns=21845798 mean_ns=4045.518148148148 p99_ns=16896 round_trips=15365 bytes_written=488061 turnovers=3.445",
     "ops=1200 elapsed_ns=3190402 mean_ns=2658.6683333333335 p99_ns=3520 round_trips=1796 bytes_written=12516 backpressure_ops=0 pressure_evictions=0",
     "ops=1200 elapsed_ns=864680 mean_ns=2724.471666666667 p99_ns=5248 round_trips=1796 bytes_written=12398 backpressure_ops=0 pressure_evictions=0",
-    "ops=1727 elapsed_ns=20229422 mean_ns=2905.816444701795 p99_ns=9088 round_trips=8148 bytes_written=115040 backpressure_ops=1273 pressure_evictions=0",
+    "ops=1727 elapsed_ns=20189348 mean_ns=2882.6120440069485 p99_ns=7360 round_trips=8125 bytes_written=115040 backpressure_ops=1273 pressure_evictions=0",
     "ops=1200 elapsed_ns=2354577 mean_ns=1962.1475 p99_ns=3488 round_trips=1360 bytes_written=1260 backpressure_ops=0 pressure_evictions=84",
     "ops=200 elapsed_ns=1280576 mean_ns=6402.88 p99_ns=7296 round_trips=200 bytes_written=0",
     "ops=200 elapsed_ns=1051838 mean_ns=5259.19 p99_ns=7296 round_trips=200 bytes_written=0",

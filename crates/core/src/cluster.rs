@@ -726,7 +726,7 @@ impl<B: FabricBackend> Cluster<B> {
                 let fence_high = group.last().unwrap().fence_high;
                 let mut node = InternalNode::new(level, fence_low, fence_high, group[0].addr);
                 for child in &group[1..] {
-                    node.insert_separator(child.fence_low, child.addr);
+                    node.insert_separator(child.fence_low, child.addr, &self.layout);
                 }
                 node.header.sibling = addrs.get(i + 1).copied();
                 self.fabric.god_write(addrs[i], &self.layout.encode_internal(&node))?;

@@ -82,8 +82,11 @@
 //! recorded on the free list — so the right half sends its header, its tail,
 //! the slots it fills and the tag word of each stale slot it leaves vacant
 //! ([`NodeLayout::recycled_leaf_pre_image`]): a vacant slot is its tag to a
-//! reader.  A node without a pre-image (a new root, a right half at an
-//! address of unknown contents), a node that changed nearly all over, and
+//! reader.  Its pairs land in key order on the stale slots, and the slots
+//! nearest them, when that sends fewer bytes
+//! ([`NodeLayout::place_recycled_leaf`]): a pair overwrites a stale tag.  A
+//! node without a pre-image (a new root, a right half at an address of
+//! unknown contents), a node that changed nearly all over, and
 //! every node of an uncombined preset travel whole; so do the *point* writes
 //! of sorted leaves, which "+2-Level Ver" is there to ablate.
 //! A write-back is keyed by its node ([`WriteBack`]): the node's address, not
@@ -924,8 +927,9 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// B-link style, and write both halves back with the release of the lock
     /// — of the left half what the split changed, of the right half what it
     /// holds when its memory is fresh (all zero) or, for an unsorted leaf, a
-    /// leaf tombstone (what it holds and the tags of the tombstone's stale
-    /// slots), else the whole node.
+    /// leaf tombstone (what it holds, on the tombstone's stale slots when
+    /// that sends fewer bytes, and the tags of the stale slots it leaves
+    /// vacant: [`NodeLayout::place_recycled_leaf`]), else the whole node.
     /// Returns the new node's address; with command combination the writes
     /// are left in `meta.in_flight` for the separator insertion to overlap
     /// and — the right half's — to observe before it writes (ordering rule 2).
@@ -953,12 +957,13 @@ impl<B: FabricBackend> OpCx<'_, B> {
         right.header_mut().set_versions(alloc.first_version());
         let new = right.encode(self.layout());
         let unsorted_leaf = right.header_mut().is_leaf && !self.leaf_format().is_sorted();
-        let held = match &alloc.holds {
-            Holds::Zeroes => Some(vec![0u8; new.len()]),
-            Holds::LeafTombstone(stale) if unsorted_leaf => {
-                Some(self.layout().recycled_leaf_pre_image(&new, stale))
+        let (held, new) = match &alloc.holds {
+            Holds::Zeroes => (Some(vec![0u8; new.len()]), new),
+            Holds::LeafTombstone(stale) if unsorted_leaf && self.combine() => {
+                let (placed, pre) = self.layout().place_recycled_leaf(new, stale);
+                (Some(pre), placed)
             }
-            _ => None,
+            _ => (None, new),
         };
         let right_half = self.write_back(alloc.addr, held.as_deref(), new);
         let left_half = self.write_back(addr, Some(pre), left.encode(self.layout()));
@@ -1043,7 +1048,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             self.observe(meta).await;
 
             if !node.is_full(self.layout()) {
-                node.insert_separator(sep_key, child);
+                node.insert_separator(sep_key, child, self.layout());
                 node.header.bump_versions();
                 let write_back = self.write_back(addr, Some(&buf), node.encode(self.layout()));
                 let counters = self.cluster.space_counters();
@@ -1056,9 +1061,9 @@ impl<B: FabricBackend> OpCx<'_, B> {
             // Split the internal node and propagate upward.
             let (promoted, mut right) = node.split();
             if sep_key >= promoted {
-                right.insert_separator(sep_key, child);
+                right.insert_separator(sep_key, child, self.layout());
             } else {
-                node.insert_separator(sep_key, child);
+                node.insert_separator(sep_key, child, self.layout());
             }
             let installed = self.install_right_half(addr, &buf, &mut node, &mut right, meta);
             let right_addr = installed.await?;
@@ -1132,7 +1137,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
         let alloc = self.alloc_node().await?;
         let mut new_root = InternalNode::new(new_level, 0, u64::MAX, old_root);
-        new_root.insert_separator(sep_key, right_child);
+        new_root.insert_separator(sep_key, right_child, self.layout());
         // Stamp above any tombstone left at a recycled address (versions bump
         // across reuse).
         new_root.header.set_versions(alloc.first_version());
@@ -1398,7 +1403,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 }
             }
             PairChange::Rebalance { new_sep } => {
-                assert!(parent.retarget_separator(sep, new_sep, right_addr));
+                assert!(parent.retarget_separator(sep, new_sep, right_addr, self.layout()));
                 if is_leaf {
                     counters.rebalances.inc();
                 } else {

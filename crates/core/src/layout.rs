@@ -312,16 +312,24 @@ impl NodeLayout {
     // Internal nodes
     // ------------------------------------------------------------------
 
+    /// The first slot of a window of `count` separators recentered in an
+    /// internal node: the free slots split evenly around it.  A window goes
+    /// there when an insert finds no slot on the side it shifts
+    /// ([`InternalNode::insert_separator`]) or a merge grew it past the last
+    /// slot ([`NodeLayout::encode_internal`]).
+    pub fn centered_start(&self, count: usize) -> usize {
+        (self.internal_capacity() - count) / 2
+    }
+
     /// Encode a whole internal node: its separators in the slots of its
-    /// window from `start` on — recentered, when they no longer fit behind
-    /// it, with the free slots split evenly around them — every other slot
-    /// zero.
+    /// window from `start` on — recentered ([`NodeLayout::centered_start`])
+    /// when they no longer fit behind it — every other slot zero.
     pub fn encode_internal(&self, node: &InternalNode) -> Vec<u8> {
         let (capacity, count) = (self.internal_capacity(), node.entries.len());
         assert!(count <= capacity);
         let start = match node.start + count <= capacity {
             true => node.start,
-            false => (capacity - count) / 2,
+            false => self.centered_start(count),
         };
         let mut buf = vec![0u8; self.node_size];
         let mut header = node.header.clone();
@@ -459,6 +467,51 @@ impl NodeLayout {
             }
         }
         pre
+    }
+
+    /// Where the first image of an unsorted leaf lands at an address whose
+    /// leaf tombstone left the slots `stale` live: `new` as encoded, or its
+    /// pairs moved in key order onto the slots the tombstone tags — its
+    /// stale slots, then the vacant slots between them, then those above
+    /// the last, then those below the first, nearest first — whichever
+    /// write-back sends fewer bytes.  A pair on a stale slot overwrites the
+    /// tag there; a pair elsewhere leaves that tag to be cleared apart.
+    /// Returns the image and the pre-image to plan it against
+    /// ([`NodeLayout::recycled_leaf_pre_image`]).
+    pub fn place_recycled_leaf(&self, new: Vec<u8>, stale: &StaleSlots) -> (Vec<u8>, Vec<u8>) {
+        let (capacity, entry) = (self.leaf_capacity(), self.leaf_entry_bytes());
+        let planned = |image: Vec<u8>| {
+            let pre = self.recycled_leaf_pre_image(&image, stale);
+            let ranges = self.plan_write_back(&pre, &image);
+            ((ranges.iter().map(Range::len).sum::<usize>(), ranges.len()), image, pre)
+        };
+        let unplaced = planned(new);
+        let tagged = || (0..capacity).filter(|&slot| stale.contains(slot));
+        let (Some(first), Some(last)) = (tagged().next(), tagged().next_back()) else {
+            return (unplaced.1, unplaced.2);
+        };
+        let mut slots: Vec<usize> = (0..capacity).collect();
+        slots.sort_unstable_by_key(|&slot| match slot {
+            _ if stale.contains(slot) => (0, slot),
+            _ if slot < first => (3, first - slot),
+            _ if slot < last => (1, slot),
+            _ => (2, slot),
+        });
+        let area = HEADER_BYTES..HEADER_BYTES + capacity * entry;
+        let mut pairs: Vec<&[u8]> =
+            unplaced.1[area.clone()].chunks_exact(entry).filter(|e| e[1] != 0).collect();
+        pairs.sort_unstable_by_key(|e| u64::from_le_bytes(e[2..10].try_into().unwrap()));
+        slots.truncate(pairs.len());
+        slots.sort_unstable();
+        let mut placed = unplaced.1.clone();
+        placed[area].fill(0);
+        for (slot, pair) in slots.into_iter().zip(pairs) {
+            let at = self.leaf_entry_offset(slot);
+            placed[at..at + entry].copy_from_slice(pair);
+        }
+        let placed = planned(placed);
+        let (_, image, pre) = if placed.0 <= unplaced.0 { placed } else { unplaced };
+        (image, pre)
     }
 
     /// Put the ranges of a plan in the order their commands are posted in,
@@ -699,7 +752,7 @@ mod tests {
                     let mut node = InternalNode::new(1, 0, u64::MAX, GlobalAddress::host(0, 64));
                     for i in 1..=separators as u64 {
                         let child = GlobalAddress::host((i % 2) as u16 * far, 64 * (i + 1));
-                        node.insert_separator(i * step, child);
+                        node.insert_separator(i * step, child, &l);
                     }
                     let addr = GlobalAddress::host(1, 4_096);
                     let charge = crate::ops::cached_from_internal(addr, &node).charge();
@@ -717,6 +770,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The bytes the write-back planned from `pre` to `image` sends.
+    fn planned_bytes(l: &NodeLayout, pre: &[u8], image: &[u8]) -> usize {
+        l.plan_write_back(pre, image).iter().map(Range::len).sum()
+    }
+
+    /// A run of front inserts and a run of back inserts, each into a window
+    /// with no free slot on its side: the first insert of each recenters the
+    /// window and rewrites the node, every later one writes the count word,
+    /// its slot and — at the front — the start word: at most 32 bytes (the
+    /// version words a commit bumps besides are not counted here).  The node
+    /// is the image it encodes to throughout.
+    #[test]
+    fn a_run_of_inserts_at_either_edge_rewrites_the_node_once() {
+        let l = layout();
+        let capacity = l.internal_capacity();
+        let child = |key: u64| GlobalAddress::host(0, 64 * (key + 1));
+        let ten = || (0..10).map(|i| InternalEntry { key: 1_000 + 10 * i, child: child(i) });
+        let header = NodeHeader::new(false, 1, 0, u64::MAX);
+        let at_front = InternalNode { header: header.clone(), start: 0, entries: ten().collect() };
+        let at_back = InternalNode { header, start: capacity - 10, entries: ten().collect() };
+        let front_run: Vec<u64> = (0..20).map(|i| 999 - i).collect();
+        let back_run: Vec<u64> = (0..20).map(|i| 2_000 + i).collect();
+        for (edge, mut node, run) in [("front", at_front, front_run), ("back", at_back, back_run)] {
+            let mut rewrites = 0;
+            for key in run {
+                let before = l.encode_internal(&node);
+                assert!(node.insert_separator(key, child(key), &l));
+                let after = l.encode_internal(&node);
+                assert_eq!(l.decode_internal(&after), node, "{edge}: key {key}");
+                if planned_bytes(&l, &before, &after) > 32 {
+                    rewrites += 1;
+                }
+            }
+            assert_eq!(rewrites, 1, "{edge}");
+        }
+    }
+
+    /// A 25-pair right half, its pairs out of key order in its first slots,
+    /// at a 1 KB leaf tombstone that left its top twelve slots live: it lands
+    /// on those twelve and the thirteen just below them, in key order, and
+    /// sends fewer bytes than in its own slots, beside which the twelve
+    /// stale tags would have to be cleared.
+    #[test]
+    fn a_right_half_lands_on_its_tombstones_stale_slots() {
+        let l = layout();
+        let capacity = l.leaf_capacity();
+        let stale: StaleSlots = (capacity - 12..capacity).collect();
+        let mut right = LeafNode::empty(&l, sample_header(true));
+        for (slot, key) in (0..25u64).rev().enumerate() {
+            right.entries[slot].install(2 * key, key);
+        }
+        let new = l.encode_leaf(&right);
+        let (image, pre) = l.place_recycled_leaf(new.clone(), &stale);
+        let placed = l.decode_leaf(&image);
+        let slots: Vec<usize> = (0..capacity).filter(|&s| placed.entries[s].present()).collect();
+        assert_eq!(slots, (capacity - 25..capacity).collect::<Vec<_>>());
+        let keys: Vec<u64> = slots.iter().map(|&s| placed.entries[s].key).collect();
+        assert_eq!(keys, (0..25).map(|k| 2 * k).collect::<Vec<_>>());
+        assert_eq!(placed.sorted_pairs(), right.sorted_pairs());
+        let own = planned_bytes(&l, &l.recycled_leaf_pre_image(&new, &stale), &new);
+        let landed = planned_bytes(&l, &pre, &image);
+        assert!(landed < own, "{landed} B on the stale slots, {own} B in its own");
     }
 
     use proptest::prelude::*;
@@ -745,7 +862,7 @@ mod tests {
                 match (kind, held.is_empty()) {
                     (0 | 1, _) if !node.is_full(&l) => {
                         let inserted = model.insert(key, child(key)).is_none();
-                        prop_assert_eq!(node.insert_separator(key, child(key)), inserted);
+                        prop_assert_eq!(node.insert_separator(key, child(key), &l), inserted);
                     }
                     (2, false) => {
                         prop_assert!(node.remove_separator(held[0], child(held[0])));
@@ -765,6 +882,63 @@ mod tests {
                     model.iter().map(|(&key, &child)| InternalEntry { key, child }).collect();
                 prop_assert_eq!(decoded.entries, expect);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+        /// A right half at a recycled leaf address, its pairs in its first
+        /// slots in any order, over memory that holds the tombstone — any
+        /// header and tail, any non-zero tag and bytes in each stale slot, any
+        /// bytes behind a zero tag in every other slot: the write-back planned
+        /// for the image [`NodeLayout::place_recycled_leaf`] chooses reads
+        /// back as the right half's pairs, fences and sibling, and sends no
+        /// more bytes than the right half in its own slots would.
+        #[test]
+        fn a_placed_right_half_reads_back_over_any_tombstone(
+            node_size in prop::sample::select(vec![256usize, 1024]),
+            density in 0u8..5,
+            draws in prop::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 50..51),
+            pairs in 1usize..51,
+            garbage in prop::collection::vec(any::<u8>(), 1024..1025),
+        ) {
+            let l = NodeLayout::new(&TreeConfig { node_size, ..TreeConfig::default() });
+            let capacity = l.leaf_capacity();
+            let stale: StaleSlots = (0..capacity).filter(|&s| draws[s].0 < density).collect();
+            let mut keys: Vec<u64> = draws.iter().map(|d| d.1).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.truncate(1 + (pairs - 1) % capacity);
+            let (low, high) = (keys[0], keys[keys.len() - 1].saturating_add(1));
+            // The first slots in any order: sorted by a second draw.
+            let mut order: Vec<(u64, u64)> = keys.iter().zip(&draws).map(|(&k, d)| (d.2, k)).collect();
+            order.sort_unstable();
+            let mut header = NodeHeader::new(true, 0, low, high);
+            header.sibling = Some(GlobalAddress::host(1, 64 * (draws[0].2 % 1_000 + 1)));
+            header.set_versions(draws[1].2 as u8);
+            let mut right = LeafNode::empty(&l, header);
+            for (slot, &(_, key)) in order.iter().enumerate() {
+                right.entries[slot].install(key, !key);
+            }
+            let new = l.encode_leaf(&right);
+
+            let mut memory = garbage[..node_size].to_vec();
+            for slot in 0..capacity {
+                let tag = &mut memory[l.leaf_entry_offset(slot) + 1];
+                *tag = if stale.contains(slot) { (*tag).max(1) } else { 0 };
+            }
+            let (image, pre) = l.place_recycled_leaf(new.clone(), &stale);
+            for range in l.plan_write_back(&pre, &image) {
+                memory[range.clone()].copy_from_slice(&image[range]);
+            }
+            let read = l.decode_leaf(&memory);
+            prop_assert!(l.node_versions_match(&memory));
+            prop_assert_eq!(&read.header, &right.header);
+            prop_assert_eq!(read.sorted_pairs(), right.sorted_pairs());
+            prop_assert!(read.entries.iter().all(|e| !e.present() || e.versions_match()));
+            let own = planned_bytes(&l, &l.recycled_leaf_pre_image(&new, &stale), &new);
+            prop_assert!(planned_bytes(&l, &pre, &image) <= own);
         }
     }
 

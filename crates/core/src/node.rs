@@ -468,10 +468,10 @@ pub struct InternalEntry {
 ///
 /// The separators fill a **window** of the node's slots, `start..start +
 /// entries.len()`, that slides: an edit shifts whichever side of the window is
-/// shorter — the front only while there is a slot before it — so removing the
-/// first separator moves `start` and no entry.  A window that no longer fits
-/// behind `start` is recentered when the node is encoded
-/// ([`NodeLayout::encode_internal`]).
+/// shorter, so removing the first separator moves `start` and no entry.  An
+/// insert whose side has run out of slots recenters the window; a window that
+/// a merge grew past the last slot is recentered when the node is encoded
+/// ([`NodeLayout::encode_internal`]) — both by [`NodeLayout::centered_start`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternalNode {
     /// Node header (holds the leftmost child pointer).
@@ -503,21 +503,25 @@ impl InternalNode {
     }
 
     /// Insert a separator (keeping entries sorted), shifting the shorter side
-    /// of the window — the front only when a slot before it is free.  Returns
+    /// of the window.  When that side has no slot left — the front at the
+    /// node's first slot, the back at its last — the window is recentered
+    /// ([`NodeLayout::centered_start`]) instead, so a run of inserts at either
+    /// edge rewrites the node once and then one slot an insert.  Returns
     /// `false` if the separator already exists (idempotent re-insertion after
     /// a retried split).
-    pub fn insert_separator(&mut self, key: u64, child: GlobalAddress) -> bool {
-        match self.entries.binary_search_by_key(&key, |e| e.key) {
-            Ok(_) => false,
-            Err(pos) => {
-                if self.start > 0 && pos < self.entries.len() - pos {
-                    self.start -= 1;
-                }
-                self.entries.insert(pos, InternalEntry { key, child });
-                self.header.count = self.entries.len();
-                true
-            }
+    pub fn insert_separator(&mut self, key: u64, child: GlobalAddress, layout: &NodeLayout) -> bool {
+        let Err(pos) = self.entries.binary_search_by_key(&key, |e| e.key) else {
+            return false;
+        };
+        let front = pos < self.entries.len() - pos;
+        self.entries.insert(pos, InternalEntry { key, child });
+        self.header.count = self.entries.len();
+        match front {
+            true if self.start > 0 => self.start -= 1,
+            false if self.start + self.entries.len() <= layout.internal_capacity() => {}
+            _ => self.start = layout.centered_start(self.entries.len()),
         }
+        true
     }
 
     /// Whether another separator still fits.
@@ -561,11 +565,17 @@ impl InternalNode {
     /// Replace the separator `old_key → child` with `new_key → child`
     /// (sibling rebalance: the boundary between two children moved).  Returns
     /// whether the entry was found and retargeted.
-    pub fn retarget_separator(&mut self, old_key: u64, new_key: u64, child: GlobalAddress) -> bool {
+    pub fn retarget_separator(
+        &mut self,
+        old_key: u64,
+        new_key: u64,
+        child: GlobalAddress,
+        layout: &NodeLayout,
+    ) -> bool {
         if !self.remove_separator(old_key, child) {
             return false;
         }
-        self.insert_separator(new_key, child)
+        self.insert_separator(new_key, child, layout)
     }
 
     /// The pair's children in key order, each behind the key it starts at:
@@ -887,10 +897,10 @@ mod tests {
     #[test]
     fn internal_routing_and_insert() {
         let mut node = InternalNode::new(1, 0, u64::MAX, addr(0));
-        assert!(node.insert_separator(100, addr(1)));
-        assert!(node.insert_separator(50, addr(2)));
-        assert!(node.insert_separator(200, addr(3)));
-        assert!(!node.insert_separator(100, addr(9)), "duplicate separator");
+        assert!(node.insert_separator(100, addr(1), &layout()));
+        assert!(node.insert_separator(50, addr(2), &layout()));
+        assert!(node.insert_separator(200, addr(3), &layout()));
+        assert!(!node.insert_separator(100, addr(9), &layout()), "duplicate separator");
         assert_eq!(node.entries.len(), 3);
         assert!(node.entries.windows(2).all(|w| w[0].key < w[1].key));
 
@@ -906,7 +916,7 @@ mod tests {
     fn internal_split_promotes_median() {
         let mut node = InternalNode::new(1, 0, u64::MAX, addr(0));
         for i in 1..=7u64 {
-            node.insert_separator(i * 10, addr(i));
+            node.insert_separator(i * 10, addr(i), &layout());
         }
         let (promoted, right) = node.split();
         assert_eq!(promoted, 40);
@@ -932,10 +942,10 @@ mod tests {
         // partitioned around the promoted key.
         let mut node = InternalNode::new(1, 0, u64::MAX, addr(0));
         for i in (1..=20u64).rev() {
-            node.insert_separator(i * 7, addr(i));
+            node.insert_separator(i * 7, addr(i), &layout());
         }
         for i in 21..=25u64 {
-            node.insert_separator(i * 7 - 3, addr(i));
+            node.insert_separator(i * 7 - 3, addr(i), &layout());
         }
         let total = node.entries.len();
         let (promoted, right) = node.split();
@@ -1081,11 +1091,11 @@ mod tests {
     #[test]
     fn internal_take_from_right_rotates_children_through_the_boundary() {
         let mut left = InternalNode::new(1, 0, 100, addr(0));
-        left.insert_separator(50, addr(1));
+        left.insert_separator(50, addr(1), &layout());
         let mut right = InternalNode::new(1, 100, u64::MAX, addr(2));
-        right.insert_separator(150, addr(3));
-        right.insert_separator(200, addr(4));
-        right.insert_separator(250, addr(5));
+        right.insert_separator(150, addr(3), &layout());
+        right.insert_separator(200, addr(4), &layout());
+        right.insert_separator(250, addr(5), &layout());
 
         let sep = left.rebalance(&mut right, 3);
         assert_eq!(sep, 200, "separator is the donor's new lower fence");
@@ -1106,10 +1116,10 @@ mod tests {
     #[test]
     fn internal_take_from_left_mirrors_the_rotation() {
         let mut left = InternalNode::new(1, 0, 300, addr(0));
-        left.insert_separator(100, addr(1));
-        left.insert_separator(200, addr(2));
+        left.insert_separator(100, addr(1), &layout());
+        left.insert_separator(200, addr(2), &layout());
         let mut right = InternalNode::new(1, 300, u64::MAX, addr(3));
-        right.insert_separator(400, addr(4));
+        right.insert_separator(400, addr(4), &layout());
 
         let sep = left.rebalance(&mut right, 0);
         assert_eq!(sep, 100, "separator is the recipient's new lower fence");
@@ -1128,8 +1138,8 @@ mod tests {
     #[test]
     fn internal_remove_and_retarget_separator() {
         let mut node = InternalNode::new(1, 0, u64::MAX, addr(0));
-        node.insert_separator(50, addr(1));
-        node.insert_separator(100, addr(2));
+        node.insert_separator(50, addr(1), &layout());
+        node.insert_separator(100, addr(2), &layout());
         // Wrong child: refused (idempotence under races).
         assert!(!node.remove_separator(50, addr(9)));
         assert!(node.remove_separator(50, addr(1)));
@@ -1137,18 +1147,18 @@ mod tests {
         assert_eq!(node.header.count, 1);
         assert_eq!(node.child_for(60), addr(0), "keys re-route to the left child");
 
-        assert!(node.retarget_separator(100, 120, addr(2)));
+        assert!(node.retarget_separator(100, 120, addr(2), &layout()));
         assert_eq!(node.child_for(110), addr(0));
         assert_eq!(node.child_for(120), addr(2));
-        assert!(!node.retarget_separator(100, 130, addr(2)), "stale retarget is a no-op");
+        assert!(!node.retarget_separator(100, 130, addr(2), &layout()), "stale retarget is a no-op");
     }
 
     #[test]
     fn internal_absorb_right_reattaches_leftmost() {
         let mut left = InternalNode::new(1, 0, 100, addr(0));
-        left.insert_separator(50, addr(1));
+        left.insert_separator(50, addr(1), &layout());
         let mut right = InternalNode::new(1, 100, u64::MAX, addr(2));
-        right.insert_separator(150, addr(3));
+        right.insert_separator(150, addr(3), &layout());
         right.header.sibling = Some(addr(7));
 
         // The mirror: the right node survives and grows down, its window
@@ -1181,7 +1191,7 @@ mod tests {
         let cap = l.internal_capacity();
         for i in 0..cap as u64 {
             assert!(!node.is_full(&l));
-            node.insert_separator(i + 1, addr(i));
+            node.insert_separator(i + 1, addr(i), &l);
         }
         assert!(node.is_full(&l));
     }

@@ -548,12 +548,16 @@ pub(crate) async fn traverse<B: FabricBackend>(
             // Only an image above `target_level` can route this traversal.
             // Inside the pinned window the cache answers with its deepest
             // image, as the paper's always-cached set does: a target right
-            // under the root finds that image too deep and walks from the
-            // root pointer (the verbs `tests/ablation_matrix.rs` pins).
+            // under the root finds that image too deep.  With command
+            // combination it routes from the image one level up, as a merge
+            // finds its parent (`try_merge`); without, it walks from the root
+            // pointer (the verbs `tests/ablation_matrix.rs` pins).
             let min_level = (target_level + 1).min(root_level.saturating_sub(1));
+            let combine = cx.cluster.options().combine_commands;
             let start = looked_up
                 .unwrap_or_else(|| cache.deepest(key, min_level))
-                .filter(|image| image.level > target_level);
+                .filter(|image| image.level > target_level)
+                .or_else(|| combine.then(|| cache.peek(target_level + 1, key)).flatten());
             if start.is_some() {
                 cache.stats().top_hits.inc();
             } else {

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
-use sherman_repro::sherman::{InternalNode, TreeResult};
+use sherman_repro::sherman::{InternalNode, NodeLayout, TreeResult};
 use sherman_repro::sherman_sim::{Fabric, GlobalAddress, ThreadedFabric};
 use sherman_repro::sherman_workload::{ChurnSpec, Op};
 use std::collections::BTreeSet;
@@ -304,14 +304,15 @@ fn addr(n: u64) -> GlobalAddress {
 /// Build a fence-adjacent internal sibling pair: `left` covers
 /// `[0, (left_n+1)*10)`, `right` covers on to `+inf`, with distinct children.
 fn sibling_pair(left_n: usize, right_n: usize) -> (InternalNode, InternalNode, u64) {
+    let layout = NodeLayout::new(&TreeConfig::default());
     let boundary = (left_n as u64 + 1) * 10;
     let mut left = InternalNode::new(1, 0, boundary, addr(0));
     for i in 1..=left_n as u64 {
-        left.insert_separator(i * 10, addr(i));
+        left.insert_separator(i * 10, addr(i), &layout);
     }
     let mut right = InternalNode::new(1, boundary, u64::MAX, addr(100));
     for i in 1..=right_n as u64 {
-        right.insert_separator(boundary + i * 10, addr(100 + i));
+        right.insert_separator(boundary + i * 10, addr(100 + i), &layout);
     }
     let max_key = boundary + right_n as u64 * 10 + 50;
     (left, right, max_key)

@@ -120,8 +120,9 @@ fn drain(client: &mut TreeClient, leaf: u64, keep: u64) -> OpStats {
 }
 
 
-/// The splits of (a): under the root's child (the separator's traversal reads
-/// the root), deeper (it does not), same-server and cross-server right half.
+/// The splits of (a): under the root's child (the separator's traversal
+/// starts at the cached root image), deeper (at a cached level-2 image),
+/// same-server and cross-server right half.
 fn split_costs(options: TreeOptions) -> [(Cost, Structural); 4] {
     let mut out = Vec::new();
     for keys in [500u64, 4_000] {
@@ -252,9 +253,14 @@ fn assert_depth(what: &str, (posts, reads, .., latency): Cost, depth: u64) {
 
 /// (a) An insert that splits under a non-full parent.  Posts: lock + read of
 /// the leaf, its write-back + release (right half in the batch, or beside it
-/// on its own server), the root's read when the parent is the root's child,
-/// lock + read of the parent, its write-back + release.  Waited for: the
-/// leaf's lock, [the root,] the parent's lock, the parent's release.
+/// on its own server), lock + read of the parent, its write-back + release.
+/// Waited for: the leaf's lock, the parent's lock, the parent's release.  The
+/// parent is found in the index cache at every depth: under the root's child
+/// the separator's traversal starts at the cached image one level up — the
+/// root's — as a merge finds its parent.  It used to walk from the root
+/// pointer and read the root before it locked the parent: one post, one read
+/// and 1 773 ns more (7 246 and 7 220 ns), a dependent round trip that made
+/// the split four deep.  Without command combination it still does (e).
 ///
 /// Written back: the right half whole (it is new: planned against the zeroes
 /// of its fresh carve, its five pairs still change most of a 256 B node, and
@@ -272,15 +278,15 @@ fn a_split_overlaps_its_leaf_write_back_with_the_way_to_the_parent() {
     assert_eq!(
         measured,
         [
-            ((5, 3, 5, 2, 772, 7_246), (2, 768)),
-            ((6, 3, 7, 2, 564, 7_220), (2, 560)),
+            ((4, 2, 5, 2, 772, 5_473), (2, 768)),
+            ((5, 2, 7, 2, 564, 5_447), (2, 560)),
             ((4, 2, 5, 2, 772, 5_433), (2, 768)),
             ((5, 2, 7, 2, 564, 5_467), (2, 560)),
         ]
     );
     let [under_root, under_root_cross, deeper, deeper_cross] = costs(measured);
-    assert_depth("split under the root's child", under_root, 4);
-    assert_depth("… with a cross-server right half", under_root_cross, 4);
+    assert_depth("split under the root's child", under_root, 3);
+    assert_depth("… with a cross-server right half", under_root_cross, 3);
     assert_depth("split deeper down", deeper, 3);
     assert_depth("… with a cross-server right half", deeper_cross, 3);
 }
@@ -291,19 +297,27 @@ fn a_split_overlaps_its_leaf_write_back_with_the_way_to_the_parent() {
 /// right half — cleared — and the one the new key took, and the tail word,
 /// not the node.  The right half is new, carved from a chunk granted for the
 /// first time: planned against that memory's zeroes, it travels as what it
-/// holds — header, pairs, tail word.  Without command combination the same
-/// edits travel whole, as every node does.
+/// holds — header, pairs, tail word.  The parent's window was recentered by
+/// the first split's separator, which went in at its front with no slot
+/// before it, so this one slides the front: the twelve entries before it
+/// move one slot, not the thirty-eight behind it.  The separator's traversal
+/// starts at the cached root image (a).  Without command combination the
+/// same edits travel whole, as every node does.
 #[test]
 fn a_split_of_a_kilobyte_leaf_writes_back_the_slots_that_moved() {
     let node = 1 << 10;
     let (cost, structural) = kilobyte_split_cost(TreeOptions::sherman());
-    // 1 672 bytes of node write-backs: the right half's 536, the left half's
-    // 512, the parent's 624.  Re-packed, the left half was the node: 7
-    // commands, 2 676 bytes, 8 533 ns, 2 672 of it in node write-backs.
-    // Whole, the right half was 1 024: 10 commands, 2 164 bytes, 8 501 ns.
+    // 1 264 bytes of node write-backs: the right half's 536, the left half's
+    // 512, the parent's 216 in four commands (the header word, the start
+    // word, twelve entries, the tail word).  The parent shifting the back of
+    // its window wrote 624 in three; with the root read first, that was 5
+    // posts, 12 commands, 1 676 bytes, 8 457 ns.  Re-packed, the left half
+    // was the node: 7 commands, 2 676 bytes, 8 533 ns, 2 672 of it in node
+    // write-backs.  Whole, the right half was 1 024: 10 commands, 2 164
+    // bytes, 8 501 ns.
     assert_eq!(
         (cost, structural),
-        ((5, 3, 12, 2, 1_676, 8_457), (2, 1_672))
+        ((4, 2, 13, 2, 1_268, 6_383), (2, 1_264))
     );
     assert_eq!(kilobyte_split_cost(uncombined()).1, (2, 3 * node));
 }
@@ -355,11 +369,14 @@ fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
 /// charged as (b)'s are (11 231 → 11 188 ns).  The drained leaf is the
 /// tree's first: its one key moves into its fuller right sibling, which
 /// survives, rather than the sibling's eight into it — 288 → 88 bytes of
-/// node write-backs, 11 → 15 WRITE commands, 11 188 → 11 229 ns.
+/// node write-backs, 11 → 15 WRITE commands, 11 188 → 11 229 ns.  The
+/// promoted separator goes in right under the root, and its traversal starts
+/// at the cached root image rather than a read of the root (a): 8 → 7
+/// posts, 4 → 3 reads, 9 080 → 7 280 ns.
 #[test]
 fn an_internal_split_and_a_root_collapse_write_back_what_changed() {
     let sherman = TreeOptions::sherman();
-    assert_eq!(internal_split_cost(sherman), ((8, 4, 10, 3, 1_062, 9_080), (3, 1_056)));
+    assert_eq!(internal_split_cost(sherman), ((7, 3, 10, 3, 1_062, 7_280), (3, 1_056)));
     assert_eq!(root_collapse_cost(sherman), ((11, 5, 15, 5, 123, 11_229), (1, 88)));
 }
 
@@ -467,7 +484,10 @@ fn uncombined_structural_commits_cost_exactly_what_they_did() {
 /// latency 3 760 → 3 535 ns (update, one key read), 3 760 → 3 533 ns (insert,
 /// none), 3 742 → 3 512 ns (absent delete, none).  A split reads and sorts
 /// the whole leaf; its fresh right half travels as what it holds (a′):
-/// 2 004 → 1 516 bytes, 10 → 12 WRITE commands, 8 329 → 8 307 ns.
+/// 2 004 → 1 516 bytes, 10 → 12 WRITE commands, 8 329 → 8 307 ns.  Its
+/// separator is routed from the cached root image and slides the front of
+/// its parent's recentered window (a′): 6 → 5 posts, 3 → 2 reads, 1 516 →
+/// 1 428 bytes, 12 → 13 WRITE commands, 8 307 → 6 285 ns.
 #[test]
 fn a_point_write_pays_for_what_its_probe_read() {
     let cluster = kilobyte_cluster(TreeOptions::sherman());
@@ -486,7 +506,7 @@ fn a_point_write_pays_for_what_its_probe_read() {
             (2, 1, 2, 1, 21, 3_535),
             (2, 1, 2, 1, 21, 3_533),
             (2, 1, 1, 1, 2, 3_512),
-            (6, 3, 12, 2, 1_516, 8_307),
+            (5, 2, 13, 2, 1_428, 6_285),
         ]
     );
 }

@@ -50,7 +50,7 @@ fn internal_image(l: &NodeLayout, seed: &[(u64, u64)], edits: &[Edit], garbage: 
     let mut node = InternalNode::new(1, 0, u64::MAX, child(0));
     let insert = |node: &mut InternalNode, key: u64, to: u64| {
         if !node.is_full(l) {
-            node.insert_separator(key, child(to));
+            node.insert_separator(key, child(to), l);
         }
     };
     for &(key, to) in seed {
@@ -257,7 +257,7 @@ fn a_window_grows_into_its_free_side() {
     );
     // A front insert into it, as read, finds a slot before the window free.
     let mut node = l.decode_internal(&grown);
-    node.insert_separator(5, child(9));
+    node.insert_separator(5, child(9), &l);
     let front = bump(&grown, l.encode_internal(&node));
     let at = l.internal_entry_offset(1);
     assert_eq!(l.plan_write_back(&grown, &front), [0..8, 40..at + 16, 1016..1024]);
@@ -267,20 +267,14 @@ fn a_window_grows_into_its_free_side() {
 // A right half at a recycled leaf address
 // ---------------------------------------------------------------------------
 
-/// What a reader makes of a leaf image: its header, and each slot's entry
-/// where the slot is live — of a vacant slot it heeds nothing but the tag.
-fn as_read(leaf: &LeafNode) -> (NodeHeader, Vec<Option<LeafEntry>>) {
-    let slots = leaf.entries.iter().map(|e| e.present().then_some(*e));
-    (leaf.header.clone(), slots.collect())
-}
-
 /// A merge retires a leaf whose live slots — its stale slots — lie above the
-/// slots the next right half at its address fills, and a split then lands
-/// there.  The free list hands the address back with those slots, and the
-/// right half writes its header, its live slots, its tail and the tag word of
-/// each stale slot: the node reads back as the right half, no key of the
-/// tombstone comes back, and the bytes of the vacant slots the tombstone left
-/// vacant are not written.  An empty stale set fails this test.
+/// slots the next right half at its address would fill from slot 0, and a
+/// split then lands there.  The free list hands the address back with those
+/// slots, and the right half's pairs land on them and on the slots just below,
+/// in key order, overwriting every stale tag: the node reads back as the
+/// right half, no key of the tombstone comes back, and the bytes of the
+/// slots the tombstone left vacant and the right half does not fill are not
+/// written.  An empty stale set fails this test.
 #[test]
 fn a_right_half_at_a_recycled_leaf_clears_the_tombstones_tags() {
     let mut config = ClusterConfig::small();
@@ -366,15 +360,23 @@ fn a_right_half_at_a_recycled_leaf_clears_the_tombstones_tags() {
     let slot = intended.vacant_slot().unwrap();
     intended.entries[slot].install(key, key + 1);
     intended.header.set_versions(header.front_version.wrapping_add(1));
-    assert_eq!(as_read(&l.decode_leaf(&right)), as_read(&intended));
+    // What a reader makes of it: the header, and the live entries — their
+    // keys, values, tags and versions — wherever they lie.
+    let live_entries = |leaf: &LeafNode| {
+        let mut live: Vec<LeafEntry> = leaf.entries.iter().filter(|e| e.present()).copied().collect();
+        live.sort_by_key(|e| e.key);
+        live
+    };
+    let landed = l.decode_leaf(&right);
+    assert_eq!(landed.header, intended.header);
+    assert_eq!(live_entries(&landed), live_entries(&intended));
     assert!(stale.iter().all(|&s| s >= intended.live_count()), "{stale:?}");
-    // The tag word of each stale slot is written; the vacant slots the
-    // tombstone left vacant are not.
-    let encoded = l.encode_leaf(&intended);
-    for &slot in &stale {
-        let word = (l.leaf_entry_offset(slot) + 1) / 8 * 8;
-        assert_eq!(right[word..word + 8], encoded[word..word + 8], "slot {slot}");
-    }
+    // The pairs fill the slots from the last stale one down, in key order;
+    // the slots the tombstone left vacant below them are not written.
+    let filled = live_slots(&right);
+    assert_eq!(filled, (capacity - filled.len()..capacity).collect::<Vec<_>>());
+    let keys: Vec<u64> = filled.iter().map(|&s| landed.entries[s].key).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
     let untouched = right.iter().filter(|&&b| b == SENTINEL).count();
     assert!(untouched > l.leaf_entry_bytes(), "{untouched} bytes left alone");
 

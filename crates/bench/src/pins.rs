@@ -219,7 +219,13 @@ fn one_client_runs_cost_exactly_what_they_did() {
 /// round trips fewer, 1.2 % and 0.2 % less elapsed time (the
 /// pool-exhaustion p99 9 088 → 7 360); and the churn run's bytes 497 549 →
 /// 488 061 when internal windows began to recenter at either edge and a
-/// recycled right half to land on its tombstone's stale slots.
+/// recycled right half to land on its tombstone's stale slots.  The churn
+/// run's bytes again, 488 061 → 450 855, when a point delete began to write
+/// its slot's tag byte alone (18 bytes fewer for each of its deletes), and
+/// → 449 303 when an internal node's tombstone began to record its stale
+/// slots too, so that a leaf right half at such an address is planned
+/// rather than sent whole: 153 ns more elapsed (21 845 798 → 21 845 951),
+/// the per-command floor of the extra WRITE commands.
 const PINS: [&str; 15] = [
     "ops=300 elapsed_ns=776595 mean_ns=2588.65 p99_ns=3520 round_trips=437 bytes_written=2877",
     "ops=300 elapsed_ns=195925 mean_ns=2593.6633333333334 p99_ns=3584 round_trips=437 bytes_written=2875",
@@ -229,7 +235,7 @@ const PINS: [&str; 15] = [
     "ops=300 elapsed_ns=816612 mean_ns=2722.04 p99_ns=3520 round_trips=460 bytes_written=3360",
     "ops=300 elapsed_ns=816612 mean_ns=2722.04 p99_ns=3520 round_trips=460 bytes_written=3360",
     "ops=300 elapsed_ns=206391 mean_ns=2736.17 p99_ns=3680 round_trips=460 bytes_written=3356",
-    "ops=5400 elapsed_ns=21845798 mean_ns=4045.518148148148 p99_ns=16896 round_trips=15365 bytes_written=488061 turnovers=3.445",
+    "ops=5400 elapsed_ns=21845951 mean_ns=4045.5464814814814 p99_ns=16896 round_trips=15365 bytes_written=449303 turnovers=3.445",
     "ops=1200 elapsed_ns=3190402 mean_ns=2658.6683333333335 p99_ns=3520 round_trips=1796 bytes_written=12516 backpressure_ops=0 pressure_evictions=0",
     "ops=1200 elapsed_ns=864680 mean_ns=2724.471666666667 p99_ns=5248 round_trips=1796 bytes_written=12398 backpressure_ops=0 pressure_evictions=0",
     "ops=1727 elapsed_ns=20189348 mean_ns=2882.6120440069485 p99_ns=7360 round_trips=8125 bytes_written=115040 backpressure_ops=1273 pressure_evictions=0",

@@ -89,8 +89,8 @@ pub(crate) enum CoherencePayload {
 #[derive(Debug, Default)]
 pub(crate) struct StructuralCommit {
     /// `(addr, tombstone)` per freed node — each becomes an `Invalidate`
-    /// message *and* a retirement (a leaf tombstone's stale slots only go to
-    /// the free list).
+    /// message *and* a retirement (a tombstone's stale slots only go to the
+    /// free list).
     invalidations: Vec<(GlobalAddress, Tombstone)>,
     /// Surviving images to heal the caches with.
     refreshes: Vec<Arc<CachedInternal>>,

@@ -3,9 +3,11 @@
 //! operations share.
 //!
 //! * **leaf commit** ([`OpCx::leaf_commit`]) — acquire the leaf's exclusive
-//!   lock, read and revalidate it, then write back either the single
-//!   affected entry (two-level versions), planned on the image as read with
-//!   no decoded leaf ([`PointWrite`]), or the whole node (sorted baselines);
+//!   lock, read and revalidate it, then write back either what changed of
+//!   the single affected entry (two-level versions: all of it for an insert
+//!   or update, its tag byte for a delete), planned on the image as read
+//!   with no decoded leaf ([`PointWrite`]), or the whole node (sorted
+//!   baselines);
 //!   with command combination the read rides the lock acquisition and the
 //!   lock release rides the write-back, one doorbell batch each,
 //! * **split** — sort the leaf, move the upper half to a freshly allocated
@@ -77,10 +79,12 @@
 //! and the tail word are compared; no decoder reads the other slots.  A new
 //! right half is planned against what its address holds
 //! ([`AllocatedNode::holds`]): a fresh chunk's zeroes, so it travels as what
-//! it holds; or, for an unsorted leaf, a leaf tombstone, whose tags are
-//! zero outside the *stale slots* the merge that retired it left live and
-//! recorded on the free list — so the right half sends its header, its tail,
-//! the slots it fills and the tag word of each stale slot it leaves vacant
+//! it holds; or, for an unsorted leaf, a tombstone a merge retired, whose
+//! tag bytes are zero outside the *stale slots* recorded on the free list
+//! ([`NodeLayout::tagged_slots`]: of a leaf the slots it left live, of an
+//! internal node the leaf slots whose tag offset its bytes fill) — so the
+//! right half sends its header, its tail, the slots it fills and the tag
+//! word of each stale slot it leaves vacant
 //! ([`NodeLayout::recycled_leaf_pre_image`]): a vacant slot is its tag to a
 //! reader.  Its pairs land in key order on the stale slots, and the slots
 //! nearest them, when that sends fewer bytes
@@ -310,9 +314,10 @@ impl PointWrite {
     /// Plan `kind` on `key` in the leaf image `image` with one pass over its
     /// slots ([`NodeLayout::probe_leaf`]): the first slot holding the key,
     /// else — an insert — the first vacant one, that entry alone decoded and
-    /// installed or cleared, its versions bumped.  `None` for an insert into
-    /// a full leaf, which splits, and for a delete of an absent key.  Beside
-    /// the plan, what the probe read, as a lookup's search reports it
+    /// installed, its versions bumped, or — a delete — vacated, its tag alone
+    /// set to 0 ([`LeafEntry::vacate`]).  `None` for an insert into a full
+    /// leaf, which splits, and for a delete of an absent key.  Beside the
+    /// plan, what the probe read, as a lookup's search reports it
     /// ([`NodeLayout::leaf_search_bytes`] prices both): every slot's tag, the
     /// keys behind the matching ones, and the chosen slot's entry.
     fn plan(
@@ -326,10 +331,7 @@ impl PointWrite {
             WriteKind::Insert { .. } => probe.slot.or(probe.vacant),
             WriteKind::Delete => probe.slot,
         };
-        let read_at = |slot: usize| {
-            let at = layout.leaf_entry_offset(slot);
-            layout.decode_leaf_entry(&image[at..at + layout.leaf_entry_bytes()])
-        };
+        let read_at = |slot: usize| layout.decode_leaf_entry(&image[layout.leaf_entry_range(slot)]);
         let read = LeafSearch {
             entry: slot.map(read_at),
             torn: false,
@@ -343,7 +345,7 @@ impl PointWrite {
                     probe.live + usize::from(probe.slot.is_none())
                 }
                 WriteKind::Delete => {
-                    entry.clear();
+                    entry.vacate();
                     probe.live - 1
                 }
             };
@@ -353,10 +355,16 @@ impl PointWrite {
     }
 
     /// The entry-granular write-back (two-level versions, §4.4) on the leaf
-    /// at `leaf`: only the touched entry travels.
-    fn command(&self, layout: &NodeLayout, leaf: GlobalAddress) -> WriteCmd {
-        let at = leaf.add(layout.leaf_entry_offset(self.slot) as u64);
-        WriteCmd::new(at, layout.encode_leaf_entry(&self.entry))
+    /// at `leaf`, `image` its bytes: the span of the entry's bytes that
+    /// changed travels — the whole entry of an insert or an update, whose
+    /// versions bump, the tag byte alone of a delete.
+    fn command(&self, layout: &NodeLayout, leaf: GlobalAddress, image: &[u8]) -> WriteCmd {
+        let at = layout.leaf_entry_offset(self.slot);
+        let new = layout.encode_leaf_entry(&self.entry);
+        let mut changed = (0..new.len()).filter(|&i| new[i] != image[at + i]);
+        let start = changed.next().unwrap_or(0);
+        let end = changed.next_back().unwrap_or(start) + 1;
+        WriteCmd::new(leaf.add((at + start) as u64), new[start..end].to_vec())
     }
 }
 
@@ -376,7 +384,7 @@ enum PairChange {
     /// One node of the pair absorbed the other, whose image is now the freed
     /// (free-bit set, version-bumped) `tombstone` (recorded with the
     /// retirement: the next writer of the address stamps its image above the
-    /// tombstone's version, and clears the tags a leaf tombstone left live).
+    /// tombstone's version, and clears the tags the tombstone left non-zero).
     /// The left node survives unless `kept_right`: at its level's left edge
     /// an emptier first leaf moved into its right sibling.
     /// `still_underfull`: the survivor itself ended up below the merge floor.
@@ -867,17 +875,16 @@ impl<B: FabricBackend> OpCx<'_, B> {
         pre: &[u8],
         write: &PointWrite,
     ) -> Vec<WriteCmd> {
-        let layout = *self.layout();
         if !self.leaf_format().is_sorted() {
-            return vec![write.command(&layout, addr)];
+            return vec![write.command(self.layout(), addr, pre)];
         }
         // Sorted layouts shift entries and write the whole node back.
-        let mut leaf = layout.decode_leaf(pre);
+        let mut leaf = self.layout().decode_leaf(pre);
         leaf.entries[write.slot] = write.entry;
         let pairs = leaf.sorted_pairs();
         leaf.repack_sorted(&pairs);
         leaf.header.bump_versions();
-        self.scan_cpu(layout.node_size()).await;
+        self.scan_cpu(self.layout().node_size()).await;
         vec![WriteCmd::new(addr, leaf.encode(self.layout()))]
     }
 
@@ -927,7 +934,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// B-link style, and write both halves back with the release of the lock
     /// — of the left half what the split changed, of the right half what it
     /// holds when its memory is fresh (all zero) or, for an unsorted leaf, a
-    /// leaf tombstone (what it holds, on the tombstone's stale slots when
+    /// merge's tombstone (what it holds, on the tombstone's stale slots when
     /// that sends fewer bytes, and the tags of the stale slots it leaves
     /// vacant: [`NodeLayout::place_recycled_leaf`]), else the whole node.
     /// Returns the new node's address; with command combination the writes
@@ -1508,7 +1515,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             PairChange::Merge {
                 tombstone: Tombstone {
                     version: tombstone.front_version,
-                    stale: tombstone.is_leaf.then(|| layout.live_slots(image)),
+                    stale: Some(layout.tagged_slots(image)),
                 },
                 kept_right,
                 still_underfull: survivor.occupancy() < floor,
@@ -1569,7 +1576,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
-    use crate::config::{TreeConfig, TreeOptions};
+    use crate::config::{LeafFormat, TreeConfig, TreeOptions};
     use crate::layout::key_tag;
     use proptest::prelude::*;
     use sherman_sim::Parking;
@@ -1599,17 +1606,15 @@ mod tests {
         leaf
     }
 
-    /// The slot, the command and the live count a point write on the leaf
-    /// at `addr` ends with.
-    type Planned = (usize, (GlobalAddress, Vec<u8>), usize);
+    /// The slot a point write takes, the leaf it leaves, and its live count.
+    type Planned = (usize, LeafNode, usize);
 
     /// What the commit did before it probed the image: decode the leaf, pick
-    /// the slot with `slot_of` / `vacant_slot`, `install` or `clear` it, send
-    /// it as `encode_leaf_entry`, count with `live_count`.
+    /// the slot with `slot_of` / `vacant_slot`, `install` or `clear` it, count
+    /// with `live_count`.
     fn decoded_reference(
         layout: &NodeLayout,
         image: &[u8],
-        addr: GlobalAddress,
         key: u64,
         kind: WriteKind,
     ) -> Option<Planned> {
@@ -1622,18 +1627,97 @@ mod tests {
             WriteKind::Insert { value } => leaf.entries[slot].install(key, value),
             WriteKind::Delete => leaf.entries[slot].clear(),
         }
-        let at = addr.add(layout.leaf_entry_offset(slot) as u64);
-        let bytes = layout.encode_leaf_entry(&leaf.entries[slot]);
-        Some((slot, (at, bytes), leaf.live_count()))
+        let live = leaf.live_count();
+        Some((slot, leaf, live))
+    }
+
+    /// A leaf's slots as a reader takes them: a live entry whole, a vacant
+    /// one by its tag alone.
+    fn as_read(leaf: &LeafNode) -> Vec<Option<LeafEntry>> {
+        leaf.entries
+            .iter()
+            .map(|e| e.present().then_some(*e))
+            .collect()
+    }
+
+    /// Apply the point write of `kind` on `key` to the leaf image `image` at
+    /// `addr` as memory would: the command's bytes at its offset.  Returns
+    /// the slot and the byte range written.
+    fn apply_point_write(
+        layout: &NodeLayout,
+        image: &mut [u8],
+        addr: GlobalAddress,
+        key: u64,
+        kind: WriteKind,
+    ) -> (usize, std::ops::Range<usize>) {
+        let (write, _) = PointWrite::plan(layout, image, key, kind);
+        let write = write.expect("a slot");
+        let cmd = write.command(layout, addr, image);
+        let at = (cmd.addr.offset - addr.offset) as usize;
+        image[at..at + cmd.data.len()].copy_from_slice(&cmd.data);
+        (write.slot, at..at + cmd.data.len())
+    }
+
+    /// A point delete writes its slot's tag byte and nothing else: the key,
+    /// the value and the version pair stay in memory, yet the slot reads as
+    /// vacant to a lookup's search, to a scan and to a write's probe.  The
+    /// insert that takes the slot next writes the whole entry, its pair
+    /// bumped from what memory holds, and a reader that catches it half
+    /// written — front version bumped, rear not yet — finds it torn.
+    #[test]
+    fn a_deleted_slot_is_its_tag_and_a_reinsert_bumps_from_memory() {
+        let layout = NodeLayout::new(&TreeConfig::default());
+        let mut leaf = LeafNode::empty(&layout, NodeHeader::new(true, 0, 0, u64::MAX));
+        for (slot, key) in [10u64, 20, 30].into_iter().enumerate() {
+            leaf.entries[slot].front_version = 6 * slot as u8;
+            leaf.entries[slot].install(key, key * 100);
+        }
+        let mut image = layout.encode_leaf(&leaf);
+        let addr = GlobalAddress::host(1, 1 << 20);
+        let entry = layout.leaf_entry_range(1);
+
+        let before = image.clone();
+        let written = apply_point_write(&layout, &mut image, addr, 20, WriteKind::Delete);
+        assert_eq!(written, (1, entry.start + 1..entry.start + 2));
+        let changed: Vec<usize> = (0..image.len())
+            .filter(|&i| image[i] != before[i])
+            .collect();
+        assert_eq!(changed, [entry.start + 1]);
+        let held = layout.decode_leaf_entry(&image[entry.clone()]);
+        let pair = (held.front_version, held.rear_version);
+        assert_eq!((pair, held.key), ((7, 7), 20));
+        let decoded = layout.decode_leaf(&image);
+        let search = decoded.search(20, LeafFormat::UnsortedTwoLevel);
+        assert_eq!(search.entry, None);
+        assert_eq!((search.torn, search.compared), (false, 0));
+        let scanned: Vec<_> = decoded.entries_from(0).expect("no torn entry").collect();
+        assert_eq!(scanned, [(10, 1_000), (30, 3_000)]);
+        let probe = layout.probe_leaf(&image, 20);
+        assert_eq!((probe.slot, probe.vacant, probe.live), (None, Some(1), 2));
+
+        let insert = WriteKind::Insert { value: 2_500 };
+        let written = apply_point_write(&layout, &mut image, addr, 25, insert);
+        assert_eq!(written, (1, entry.clone()));
+        let held = layout.decode_leaf_entry(&image[entry.clone()]);
+        let pair = (held.front_version, held.rear_version);
+        assert_eq!((pair, held.key), ((8, 8), 25));
+        let mut torn = image.clone();
+        torn[entry.end - 1] = 7;
+        let torn = layout.decode_leaf(&torn);
+        let search = torn.search(25, LeafFormat::UnsortedTwoLevel);
+        assert!(search.torn && search.value().is_none(), "{search:?}");
+        assert!(torn.entries_from(0).is_none());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 1024, .. ProptestConfig::default() })]
 
         /// A point write planned on the locked image agrees with the decoded
-        /// leaf on the slot, the command's address and bytes and the live
-        /// count — hence on the merge decision — and on whether there is a
-        /// slot at all, "must split" for an insert: on 256 B and 1 KB unsorted
+        /// leaf on the slot, on the live count — hence on the merge decision —
+        /// on whether there is a slot at all, "must split" for an insert, and
+        /// on the leaf a reader takes from the image once the command is
+        /// applied; the command writes the whole entry of an insert and the
+        /// tag byte alone of a delete: on 256 B and 1 KB unsorted
         /// leaves with holes anywhere and arbitrary entry versions, for an
         /// insert of a present key, of an absent one into a leaf with a hole
         /// and into a full leaf, and a delete of a present and of an absent
@@ -1684,11 +1768,21 @@ mod tests {
             let addr = GlobalAddress::host(1, 1 << 20);
             let (write, read) = PointWrite::plan(&layout, &image, key, kind);
             let planned = write.map(|write| {
-                let cmd = write.command(&layout, addr);
-                (write.slot, (cmd.addr, cmd.data), write.live)
+                let mut after = image.clone();
+                let (slot, span) = apply_point_write(&layout, &mut after, addr, key, kind);
+                let entry = layout.leaf_entry_range(slot);
+                let wanted = match kind {
+                    WriteKind::Insert { .. } => entry,
+                    WriteKind::Delete => entry.start + 1..entry.start + 2,
+                };
+                assert_eq!(span, wanted, "{kind:?}");
+                (write.slot, layout.decode_leaf(&after), write.live)
             });
-            let reference = decoded_reference(&layout, &image, addr, key, kind);
-            prop_assert_eq!(&planned, &reference);
+            let reference = decoded_reference(&layout, &image, key, kind);
+            let seen = |p: &Option<Planned>| {
+                p.as_ref().map(|(slot, leaf, live)| (*slot, as_read(leaf), *live))
+            };
+            prop_assert_eq!(seen(&planned), seen(&reference));
             // A full leaf splits and an absent key is not deleted; every
             // other case takes a slot.
             prop_assert_eq!(planned.is_none(), matches!(case, 2 | 4));

@@ -41,6 +41,12 @@
 //! ..      value (value_size bytes; the first eight hold the value)
 //! last    REV (rear entry version)
 //! ```
+//!
+//! A point insert or update writes back the whole entry (19 bytes for 8-byte
+//! keys and values), its version pair bumped; a point delete writes the tag
+//! byte alone, set to 0.  Of a vacant slot a reader heeds the tag alone: the
+//! key, value and version pair a delete leaves behind are never read, and the
+//! next insert there bumps the pair from what memory holds.
 
 use crate::config::TreeConfig;
 use crate::node::{InternalEntry, InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
@@ -147,6 +153,12 @@ impl NodeLayout {
         HEADER_BYTES + idx * self.leaf_entry_bytes()
     }
 
+    /// Bytes of leaf entry `idx` within the node.
+    pub fn leaf_entry_range(&self, idx: usize) -> Range<usize> {
+        let at = self.leaf_entry_offset(idx);
+        at..at + self.leaf_entry_bytes()
+    }
+
     /// Byte offset of internal entry `idx` within the node.
     pub fn internal_entry_offset(&self, idx: usize) -> usize {
         debug_assert!(idx < self.internal_capacity());
@@ -215,7 +227,8 @@ impl NodeLayout {
     // ------------------------------------------------------------------
 
     /// Encode one leaf entry into its wire representation (what an
-    /// entry-granular write-back sends).
+    /// entry-granular write-back sends of it: all of an insert's, the tag
+    /// byte of a delete's).
     pub fn encode_leaf_entry(&self, entry: &LeafEntry) -> Vec<u8> {
         let mut buf = vec![0u8; self.leaf_entry_bytes()];
         self.encode_leaf_entry_into(&mut buf, entry);
@@ -270,10 +283,7 @@ impl NodeLayout {
     pub fn decode_leaf(&self, buf: &[u8]) -> LeafNode {
         let header = self.decode_header(buf);
         let entries = (0..self.leaf_capacity())
-            .map(|i| {
-                let off = self.leaf_entry_offset(i);
-                self.decode_leaf_entry(&buf[off..off + self.leaf_entry_bytes()])
-            })
+            .map(|i| self.decode_leaf_entry(&buf[self.leaf_entry_range(i)]))
             .collect();
         LeafNode { header, entries }
     }
@@ -440,19 +450,22 @@ impl NodeLayout {
         ranges
     }
 
-    /// The slots of the leaf image `leaf` that hold a tag: its live slots.
-    pub fn live_slots(&self, leaf: &[u8]) -> StaleSlots {
+    /// The leaf slots whose tag byte is not 0 in the node image `image`: of
+    /// a leaf its live slots; of an internal node the leaf slots a leaf
+    /// written at its address would read as live until their tags are
+    /// cleared.  Only the tag offsets are read, so either kind will do.
+    pub fn tagged_slots(&self, image: &[u8]) -> StaleSlots {
         let capacity = self.leaf_capacity();
-        (0..capacity).filter(|&slot| leaf[self.leaf_entry_offset(slot) + 1] != 0).collect()
+        (0..capacity).filter(|&slot| image[self.leaf_entry_offset(slot) + 1] != 0).collect()
     }
 
     /// The image to plan ([`NodeLayout::plan_write_back`]) the first image
-    /// `new` of an unsorted leaf against, at an address whose leaf tombstone
-    /// left the slots `stale` live.  Every other slot there reads as vacant,
-    /// its tag byte 0, and of a vacant slot a reader heeds the tag alone.  So
-    /// the image differs from `new` where memory may: in the header, the tail
-    /// word, each slot `new` fills, and the tag byte of each stale slot `new`
-    /// leaves vacant.
+    /// `new` of an unsorted leaf against, at an address whose tombstone left
+    /// a tag in the slots `stale` alone.  Every other slot there reads as
+    /// vacant, its tag byte 0, and of a vacant slot a reader heeds the tag
+    /// alone.  So the image differs from `new` where memory may: in the
+    /// header, the tail word, each slot `new` fills, and the tag byte of each
+    /// stale slot `new` leaves vacant.
     pub fn recycled_leaf_pre_image(&self, new: &[u8], stale: &StaleSlots) -> Vec<u8> {
         let mut pre = new.to_vec();
         let mut flip = |bytes: Range<usize>| pre[bytes].iter_mut().for_each(|b| *b = !*b);
@@ -470,8 +483,8 @@ impl NodeLayout {
     }
 
     /// Where the first image of an unsorted leaf lands at an address whose
-    /// leaf tombstone left the slots `stale` live: `new` as encoded, or its
-    /// pairs moved in key order onto the slots the tombstone tags — its
+    /// tombstone left a tag in the slots `stale` alone: `new` as encoded, or
+    /// its pairs moved in key order onto the slots the tombstone tags — its
     /// stale slots, then the vacant slots between them, then those above
     /// the last, then those below the first, nearest first — whichever
     /// write-back sends fewer bytes.  A pair on a stale slot overwrites the
@@ -888,24 +901,30 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
 
-        /// A right half at a recycled leaf address, its pairs in its first
-        /// slots in any order, over memory that holds the tombstone — any
+        /// A right half at a recycled address, its pairs in its first slots in
+        /// any order, over memory that holds the tombstone — of a leaf: any
         /// header and tail, any non-zero tag and bytes in each stale slot, any
-        /// bytes behind a zero tag in every other slot: the write-back planned
+        /// bytes behind a zero tag in every other slot; of an internal node:
+        /// a window of separators anywhere, its stale slots the leaf slots
+        /// whose tag offset it fills ([`NodeLayout::tagged_slots`]), any bytes
+        /// outside the window where a merge's write-back left them (here
+        /// zero, as the encoder leaves them) — the write-back planned
         /// for the image [`NodeLayout::place_recycled_leaf`] chooses reads
         /// back as the right half's pairs, fences and sibling, and sends no
         /// more bytes than the right half in its own slots would.
         #[test]
         fn a_placed_right_half_reads_back_over_any_tombstone(
             node_size in prop::sample::select(vec![256usize, 1024]),
-            density in 0u8..5,
+            density in 0u8..10,
             draws in prop::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 50..51),
             pairs in 1usize..51,
             garbage in prop::collection::vec(any::<u8>(), 1024..1025),
         ) {
+            // Half the cases over an internal node's tombstone.
+            let (density, internal) = (density % 5, density >= 5);
             let l = NodeLayout::new(&TreeConfig { node_size, ..TreeConfig::default() });
             let capacity = l.leaf_capacity();
-            let stale: StaleSlots = (0..capacity).filter(|&s| draws[s].0 < density).collect();
+            let mut stale: StaleSlots = (0..capacity).filter(|&s| draws[s].0 < density).collect();
             let mut keys: Vec<u64> = draws.iter().map(|d| d.1).collect();
             keys.sort_unstable();
             keys.dedup();
@@ -927,6 +946,16 @@ mod tests {
             for slot in 0..capacity {
                 let tag = &mut memory[l.leaf_entry_offset(slot) + 1];
                 *tag = if stale.contains(slot) { (*tag).max(1) } else { 0 };
+            }
+            if internal {
+                let child = |word: u64| GlobalAddress::host(1, 64 * (word % 100_000 + 1));
+                let mut node = InternalNode::new(1, 0, u64::MAX, child(draws[2].1));
+                for d in &draws[..pairs % l.internal_capacity()] {
+                    node.insert_separator(d.1, child(d.2), &l);
+                }
+                node.header.free = true;
+                memory = l.encode_internal(&node);
+                stale = l.tagged_slots(&memory);
             }
             let (image, pre) = l.place_recycled_leaf(new.clone(), &stale);
             for range in l.plan_write_back(&pre, &image) {

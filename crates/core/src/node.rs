@@ -157,7 +157,7 @@ impl Step {
 }
 
 /// One leaf entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeafEntry {
     /// Front entry-level version.
     pub front_version: u8,
@@ -175,15 +175,9 @@ pub struct LeafEntry {
 }
 
 impl LeafEntry {
-    /// An empty slot.
+    /// An empty slot: every byte 0.
     pub fn empty() -> Self {
-        LeafEntry {
-            front_version: 0,
-            rear_version: 0,
-            tag: 0,
-            key: 0,
-            value: 0,
-        }
+        LeafEntry::default()
     }
 
     /// Whether the slot holds a live record (its tag is not 0).
@@ -206,7 +200,19 @@ impl LeafEntry {
         self.rear_version = self.front_version;
     }
 
-    /// Clear this slot (delete), bumping the entry versions.
+    /// Vacate this slot for a point delete: its tag becomes 0 and nothing
+    /// else changes, so the write-back is that one byte.  A reader of a
+    /// vacant slot heeds the tag alone — its key, value and version pair are
+    /// never read — and the next [`LeafEntry::install`] bumps the pair from
+    /// what the slot holds, so a torn re-insert is still caught.
+    pub fn vacate(&mut self) {
+        self.tag = 0;
+    }
+
+    /// Clear this slot in a structural edit ([`LeafNode::set_pairs`],
+    /// [`LeafNode::repack_sorted`]), bumping the entry versions: the image
+    /// travels as planned from the whole node, where a point delete sends
+    /// its tag byte alone ([`LeafEntry::vacate`]).
     pub fn clear(&mut self) {
         self.tag = 0;
         self.front_version = self.front_version.wrapping_add(1);

@@ -200,8 +200,9 @@ impl FreeListStats {
     }
 }
 
-/// The slots of a leaf tombstone whose tag byte may be non-zero — those its
-/// last image left live — one bit a slot.  Every other slot of the tombstone
+/// The leaf slots of a tombstone whose tag byte may be non-zero — of a leaf's
+/// those its last image left live, of an internal node's those whose tag
+/// offset its bytes fill — one bit a slot.  Every other slot of the tombstone
 /// already reads as vacant, so a leaf written at the address later has to
 /// clear the tags of these alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -232,8 +233,8 @@ pub struct Tombstone {
     /// later must use a version strictly above it, so versions bump across
     /// reuse.
     pub version: u8,
-    /// Its stale slots when it is a leaf's; `None` when the retirement did
-    /// not record what the address holds.
+    /// Its stale slots; `None` when the retirement did not record what the
+    /// address holds.
     pub stale: Option<StaleSlots>,
 }
 

@@ -29,7 +29,8 @@ pub enum Holds {
     /// come back through [`MemoryPool::free_chunk`], so neither a floor of 0
     /// nor a carve alone says as much.
     Zeroes,
-    /// A leaf tombstone, whose slots outside these read as vacant.
+    /// A tombstone — a leaf's or an internal node's — that reads as a leaf
+    /// whose slots outside these are vacant.
     LeafTombstone(StaleSlots),
     /// Anything: a carve from a chunk returned before, or a retirement that
     /// recorded nothing.

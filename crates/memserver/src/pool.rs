@@ -292,7 +292,7 @@ impl<B: FabricBackend> MemoryPool<B> {
     /// Retire a node address freed by a structural delete at virtual time
     /// `now`, with what it knows of the `tombstone` written there: the
     /// eventual reuser seeds its image above the tombstone's version, and
-    /// clears the tags of a leaf tombstone's stale slots.  The address stays
+    /// clears the tags of the tombstone's stale slots.  The address stays
     /// quarantined until every reader pinned at or before its retirement has
     /// unpinned, then [`MemoryPool::reuse_node`] hands it out again.
     ///

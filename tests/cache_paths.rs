@@ -220,6 +220,9 @@ fn fitting_cache_costs() -> ([[u64; 5]; 4], u64) {
 /// began to recenter at either edge and a separator right under the root
 /// to route from the cached root image: inserts one round trip and one read
 /// fewer, 440 bytes fewer, 1 759 ns less; deletes 224 bytes and 13 ns more.
+/// The delete row (and the hash) again when a point delete began to send its
+/// slot's tag byte alone: the same verbs and time, 43.8 % fewer bytes
+/// written (66 546 → 37 422).
 #[test]
 fn a_cache_that_fits_costs_exactly_what_it_did() {
     let (sums, hash) = fitting_cache_costs();
@@ -228,11 +231,11 @@ fn a_cache_that_fits_costs_exactly_what_it_did() {
         [
             [1_125, 1_125, 288_000, 0, 1_942_584],
             [2_419, 1_196, 306_176, 69_101, 4_040_726],
-            [4_405, 2_203, 563_968, 66_546, 6_728_511],
+            [4_405, 2_203, 563_968, 37_422, 6_728_511],
             [949, 2_229, 570_624, 0, 1_789_303],
         ]
     );
-    assert_eq!(hash, 9_889_936_344_998_179_427);
+    assert_eq!(hash, 4_829_832_377_269_366_811);
 }
 
 // ----------------------------------------------------------------------

@@ -201,6 +201,8 @@ fn same_depth_runs_are_deterministic() {
 /// trips, 69 522 → 67 458 bytes (both hashes), 2 444 528 → 2 444 588 ns.
 /// Again when a window began to recenter at either edge: the same round
 /// trips, 67 458 → 66 538 bytes (both hashes), 2 444 588 → 2 444 630 ns.
+/// Again when a point delete began to send its slot's tag byte alone: the
+/// same round trips and time, 66 538 → 55 738 bytes (the costs hash).
 #[test]
 fn a_mixed_depth_four_run_costs_exactly_what_it_did() {
     let (cluster, _) = loaded_cluster(2_000);
@@ -241,7 +243,7 @@ fn a_mixed_depth_four_run_costs_exactly_what_it_did() {
     assert_eq!(report.results.len(), 1_800);
     assert_eq!(
         (report.stats.round_trips, report.stats.bytes_written, costs),
-        (4_692, 66_538, 11_123_638_546_637_869_251)
+        (4_692, 55_738, 3_328_134_062_889_754_851)
     );
     assert_eq!(
         (timing, report.elapsed_ns),

@@ -343,16 +343,17 @@ fn a_split_of_a_kilobyte_leaf_writes_back_the_slots_that_moved() {
 ///
 /// The merging delete's probe of its leaf is charged what it read, 84 of the
 /// 256 bytes (f): 43 ns less on each row (5 714 → 5 671, 5 730 → 5 687,
-/// 5 721 → 5 678).
+/// 5 721 → 5 678) — and writes its slot's tag byte alone (f): 18 bytes
+/// fewer on each row (371 → 353, 115 → 97, 219 → 201) in the same time.
 #[test]
 fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
     let measured = merge_costs(TreeOptions::sherman());
     assert_eq!(
         measured,
         [
-            ((8, 4, 11, 4, 371, 5_671), (1, 344)),
-            ((8, 4, 13, 4, 115, 5_687), (1, 88)),
-            ((8, 4, 14, 4, 219, 5_678), (1, 192)),
+            ((8, 4, 11, 4, 353, 5_671), (1, 344)),
+            ((8, 4, 13, 4, 97, 5_687), (1, 88)),
+            ((8, 4, 14, 4, 201, 5_678), (1, 192)),
         ]
     );
     for (what, cost) in ["merge right", "merge left", "rebalance"].into_iter().zip(costs(measured)) {
@@ -372,12 +373,13 @@ fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
 /// node write-backs, 11 → 15 WRITE commands, 11 188 → 11 229 ns.  The
 /// promoted separator goes in right under the root, and its traversal starts
 /// at the cached root image rather than a read of the root (a): 8 → 7
-/// posts, 4 → 3 reads, 9 080 → 7 280 ns.
+/// posts, 4 → 3 reads, 9 080 → 7 280 ns.  The collapsing delete writes its
+/// slot's tag byte alone (f): 123 → 105 bytes in the same time.
 #[test]
 fn an_internal_split_and_a_root_collapse_write_back_what_changed() {
     let sherman = TreeOptions::sherman();
     assert_eq!(internal_split_cost(sherman), ((7, 3, 10, 3, 1_062, 7_280), (3, 1_056)));
-    assert_eq!(root_collapse_cost(sherman), ((11, 5, 15, 5, 123, 11_229), (1, 88)));
+    assert_eq!(root_collapse_cost(sherman), ((11, 5, 15, 5, 105, 11_229), (1, 88)));
 }
 
 /// (d) The planner belongs to command combination, not to a leaf format: the
@@ -422,7 +424,10 @@ fn the_combined_ladder_plans_its_structural_write_backs() {
 /// (e) Without command combination nothing moved: the same operations cost
 /// what they cost before structural commits overlapped anything or planned
 /// their write-backs (figures recorded at those commits), every post a round
-/// trip waited for, every node written whole.
+/// trip waited for, every node written whole — but for the merging delete's
+/// own point write on an unsorted leaf, which since sends its slot's tag
+/// byte and not the entry: 18 bytes fewer in the same time (795 → 777, and
+/// the root collapse's 803 → 785).
 #[test]
 fn uncombined_structural_commits_cost_exactly_what_they_did() {
     for (label, options, splits, merges, internal_split, root_collapse) in [
@@ -436,12 +441,12 @@ fn uncombined_structural_commits_cost_exactly_what_they_did() {
                 (9, 2, 5, 2, 772, 15_580),
             ],
             [
-                (17, 5, 8, 4, 795, 29_436),
-                (17, 5, 8, 4, 795, 29_436),
-                (17, 5, 8, 4, 795, 29_427),
+                (17, 5, 8, 4, 777, 29_436),
+                (17, 5, 8, 4, 777, 29_436),
+                (17, 5, 8, 4, 777, 29_427),
             ],
             (15, 4, 8, 3, 1_286, 25_971),
-            (20, 6, 9, 5, 803, 34_969),
+            (20, 6, 9, 5, 785, 34_969),
         ),
         (
             "FG+",
@@ -474,13 +479,17 @@ fn uncombined_structural_commits_cost_exactly_what_they_did() {
 }
 
 /// (f) Point writes on a cached 1 KB Sherman leaf: an update, a fresh insert
-/// into a vacant slot, a delete of an absent key, and an insert into a full
-/// leaf, which splits.  A point write reads its leaf with the lock and
-/// writes back one 19-byte entry with the release: two round trips, 21 bytes
-/// with the 2-byte on-chip lock word, none written by an absent delete.  What
-/// the commit's probe read of the image is charged as a lookup's search is —
-/// the header and tail word, a tag per slot, the keys behind matching tags,
-/// the chosen slot's value and versions — not the whole leaf's 256 ns:
+/// into a vacant slot, a delete of an absent key, a delete of a present one,
+/// and an insert into a full leaf, which splits.  A point write reads its
+/// leaf with the lock and writes back with the release what of its entry
+/// changed: an insert or an update its 19 bytes, whose versions bump —
+/// 21 bytes with the 2-byte on-chip lock word — a delete its tag byte alone
+/// (3 bytes in 3 535 ns; it sent the whole entry, 21 bytes in the same time,
+/// before a vacant slot was written as its tag), an absent delete nothing but
+/// the lock word.  What the commit's probe read of the image is charged as a
+/// lookup's search is — the header and tail word, a tag per slot, the keys
+/// behind matching tags, the chosen slot's value and versions — not the
+/// whole leaf's 256 ns:
 /// latency 3 760 → 3 535 ns (update, one key read), 3 760 → 3 533 ns (insert,
 /// none), 3 742 → 3 512 ns (absent delete, none).  A split reads and sorts
 /// the whole leaf; its fresh right half travels as what it holds (a′):
@@ -499,13 +508,37 @@ fn a_point_write_pays_for_what_its_probe_read() {
     let insert = client.insert(first + 11, 7).unwrap();
     let (found, absent) = client.delete(first + 13).unwrap();
     assert!(!found);
+    // The present delete changes its slot's tag byte and no other byte.
+    let (leaf, _) = cluster
+        .cache(0)
+        .lookup_leaf(first + 12)
+        .expect("warm cache");
+    let layout = *cluster.layout();
+    let image = || {
+        let mut image = vec![0u8; layout.node_size()];
+        cluster.fabric().god_read(leaf, &mut image).unwrap();
+        image
+    };
+    let before = image();
+    let (found, present) = client.delete(first + 12).unwrap();
+    assert!(found);
+    let after = image();
+    let changed: Vec<usize> = (0..after.len())
+        .filter(|&i| after[i] != before[i])
+        .collect();
+    let slot = (0..layout.leaf_capacity())
+        .find(|&slot| layout.leaf_entry_offset(slot) + 1 == changed[0])
+        .expect("a tag byte");
+    assert_eq!(changed, [layout.leaf_entry_offset(slot) + 1]);
+    assert_eq!(layout.decode_leaf(&before).entries[slot].key, first + 12);
     let split = kilobyte_split(&mut client, 20);
     assert_eq!(
-        [update, insert, absent, split].map(cost),
+        [update, insert, absent, present, split].map(cost),
         [
             (2, 1, 2, 1, 21, 3_535),
             (2, 1, 2, 1, 21, 3_533),
             (2, 1, 1, 1, 2, 3_512),
+            (2, 1, 2, 1, 3, 3_535),
             (5, 2, 13, 2, 1_428, 6_285),
         ]
     );

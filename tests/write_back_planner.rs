@@ -11,9 +11,11 @@
 //!   This is the test that fails, every time, when a plan is misordered.
 //! * On real threads: readers hammer one internal node and one leaf the way
 //!   the lock-free read path does while a writer makes them change by split,
-//!   separator insertion, merge and tombstone — on 1 KB nodes with the leaf
-//!   edited in place, its slots cleared and installed where they are; no
-//!   reader ever accepts a separator set or a key set that never existed.
+//!   separator insertion, merge and tombstone, and deletes and re-inserts its
+//!   keys in between — on 1 KB nodes with the leaf edited in place, its slots
+//!   cleared and installed where they are; no reader ever accepts a
+//!   separator set or a key set that never existed, or a value its key was
+//!   never given.
 //!   The window between two commands of a batch is a few nanoseconds there,
 //!   so this one catches a misordering only by luck; what it does hold is the
 //!   whole path — planner, release batches, backend — against readers that
@@ -418,6 +420,13 @@ fn read_consistent(l: &NodeLayout, ctx: &mut Ctx, addr: GlobalAddress) -> Vec<u8
     }
 }
 
+/// The value the hammer's writer stores under `key` at its `seq`-th insert:
+/// `seq` in the high half, a hash of both in the low half — so a value read
+/// back names its key, and one pieced together from two writes names none.
+fn value_of(key: u64, seq: u64) -> u64 {
+    seq << 32 | (key ^ seq.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
+}
+
 fn separators_of(l: &NodeLayout, image: &[u8]) -> Vec<u64> {
     l.decode_internal(image)
         .entries
@@ -439,11 +448,15 @@ fn keys_of(l: &NodeLayout, image: &[u8]) -> BTreeSet<u64> {
 /// a planned left half) and drain → merge (a separator removal, a planned
 /// survivor, a tombstone), `rounds` times, on `node_size` nodes bulkloaded
 /// to 80 % of their slots with the even keys; the structural commits write
-/// back fewer than `ceiling` nodes' worth of bytes each.  The leaves are
+/// back fewer than `ceiling` nodes' worth of bytes each.  Between them the
+/// writer deletes and re-inserts keys of the leaf with no structural commit:
+/// an even key goes — its slot's tag byte alone is written — and its odd
+/// neighbour takes a vacant slot, then the other way round.  The leaves are
 /// unsorted and edited in place: a split clears the slots of the keys that
 /// moved, a merge installs the absorbed pairs into the survivor's vacant
-/// slots.  The writer keeps the history of both nodes; the readers keep
-/// whatever they accepted — version pair equal — and at the end:
+/// slots.  Every value written names its key ([`value_of`]).  The writer
+/// keeps the history of both nodes; the readers keep whatever they accepted
+/// — version pair equal — and at the end:
 ///
 /// * every separator set accepted is one the parent held after some
 ///   operation: it changes by structural commits only, one image each;
@@ -452,7 +465,10 @@ fn keys_of(l: &NodeLayout, image: &[u8]) -> BTreeSet<u64> {
 ///   writes may pick each slot from a different state — entries have their
 ///   own versions, and that is all two-level versions promise — but an
 ///   accepted image never straddles a structural commit: it contains what
-///   every state of the era has and nothing no state of it has.
+///   every state of the era has and nothing no state of it has;
+/// * every live entry a reader accepted — its own version pair equal, as a
+///   lookup or a scan takes it, and its bytes the same in a second read —
+///   holds a value written under its key, whole.
 fn readers_never_accept_an_image_that_never_existed_on(
     node_size: usize,
     rounds: u64,
@@ -462,7 +478,9 @@ fn readers_never_accept_an_image_that_never_existed_on(
     config.fabric.host_bytes_per_ms = 16 << 20;
     config.tree.node_size = node_size;
     let cluster = Cluster::<ThreadedFabric>::new_on(config, TreeOptions::sherman());
-    cluster.bulkload((0..2_000u64).map(|k| (k * 2, k))).unwrap();
+    cluster
+        .bulkload((0..2_000u64).map(|k| (k * 2, value_of(k * 2, 0))))
+        .unwrap();
     let l = *cluster.layout();
     let per_leaf = l.leaf_capacity() as u64 * 4 / 5;
     let base = 2 * per_leaf;
@@ -490,6 +508,7 @@ fn readers_never_accept_an_image_that_never_existed_on(
             thread::spawn(move || {
                 let mut ctx = cluster.fabric().client(r);
                 let (mut parents, mut leaves) = (BTreeSet::new(), BTreeSet::new());
+                let mut values = 0u64;
                 while !done.load(Ordering::Acquire) {
                     let image = read_consistent(&l, &mut ctx, parent_addr);
                     let header = l.decode_header(&image);
@@ -506,8 +525,22 @@ fn readers_never_accept_an_image_that_never_existed_on(
                     if leaf.entries.iter().all(|e| e.versions_match()) {
                         leaves.insert(keys_of(&l, &image));
                     }
+                    // An entry is checked where a second read agrees with
+                    // the first on its bytes: a point write is one ascending
+                    // write of the entry, not a sequence lock, and a reader
+                    // it overtakes and that overtakes it back (a preempted
+                    // thread) can pair old versions with new bytes.
+                    let again = read_consistent(&l, &mut ctx, leaf_addr);
+                    for (slot, e) in leaf.entries.iter().enumerate() {
+                        let at = l.leaf_entry_range(slot);
+                        if e.present() && e.versions_match() && image[at.clone()] == again[at] {
+                            let whole = e.value == value_of(e.key, e.value >> 32);
+                            assert!(whole, "key {} read with value {:#x}", e.key, e.value);
+                            values += 1;
+                        }
+                    }
                 }
-                (parents, leaves)
+                (parents, leaves, values)
             })
         })
         .collect();
@@ -520,10 +553,12 @@ fn readers_never_accept_an_image_that_never_existed_on(
     )]);
     let mut eras = vec![vec![keys_of(&l, &read_consistent(&l, &mut ctx, leaf_addr))]];
     let mut commits = cluster.space_stats().structural_commits;
+    let mut seq = 0;
     let mut apply = |client: &mut TreeClient<ThreadedFabric>, key: u64, insert: bool| {
         let mut between = eras.last().unwrap().last().unwrap().clone();
+        seq += 1;
         match insert {
-            true => drop(client.insert(key, key).unwrap()),
+            true => drop(client.insert(key, value_of(key, seq)).unwrap()),
             false => assert!(client.delete(key).unwrap().0, "key {key} is live"),
         }
         if !insert {
@@ -573,6 +608,14 @@ fn readers_never_accept_an_image_that_never_existed_on(
         {
             apply(&mut client, key, true);
         }
+        // Delete and re-insert without a structural commit.
+        for even in (0..per_leaf).step_by(3).map(|i| base + 2 * i) {
+            let odd = even + 1;
+            for (key, insert) in [(even, false), (odd, true), (odd, false), (even, true)] {
+                let (_, structural) = apply(&mut client, key, insert);
+                assert!(!structural, "key {key}: a structural commit");
+            }
+        }
     }
     done.store(true, Ordering::Release);
 
@@ -588,7 +631,8 @@ fn readers_never_accept_an_image_that_never_existed_on(
         })
     };
     for reader in readers {
-        let (parents, leaves) = reader.join().unwrap();
+        let (parents, leaves, values) = reader.join().unwrap();
+        assert!(values > 0);
         for seps in &parents {
             assert!(
                 parent_states.contains(seps),

@@ -63,7 +63,10 @@
 //! builds the new one, and most of a node survives a split's left half, a
 //! separator's insertion, a merge or a tombstone — of an unsorted leaf every
 //! slot whose key stays, because such a leaf is edited in place, never
-//! re-packed ([`LeafNode::set_pairs`]; the leaf format alone decides).  With
+//! re-packed ([`LeafNode::set_pairs`]; the leaf format alone decides), and
+//! with command combination every slot whose key leaves too: a leaf owns the
+//! keys between its fences alone, so such a slot stays as it was, stale, and
+//! the tail word's bit for it is all that travels ([`LeafEdit::Lazy`]).  With
 //! command combination the write-back of such a node (`OpCx::write_back`) is
 //! planned from the two images ([`NodeLayout::plan_write_back`]): the changed
 //! 8-byte words, runs fewer than a work-queue entry apart coalesced, as
@@ -88,9 +91,11 @@
 //! ([`NodeLayout::recycled_leaf_pre_image`]): a vacant slot is its tag to a
 //! reader.  Its pairs land in key order on the stale slots, and the slots
 //! nearest them, when that sends fewer bytes
-//! ([`NodeLayout::place_recycled_leaf`]): a pair overwrites a stale tag.  A
-//! node without a pre-image (a new root, a right half at an address of
-//! unknown contents), a node that changed nearly all over, and
+//! ([`NodeLayout::place_recycled_leaf`]): a pair overwrites a stale tag.  An
+//! internal right half sends its header, window and tail whatever its
+//! address held ([`NodeLayout::internal_pre_image`]).  A node without a
+//! pre-image (a new root, a leaf right half at an address of unknown
+//! contents), a node that changed nearly all over, and
 //! every node of an uncombined preset travel whole; so do the *point* writes
 //! of sorted leaves, which "+2-Level Ver" is there to ablate.
 //! A write-back is keyed by its node ([`WriteBack`]): the node's address, not
@@ -99,7 +104,7 @@
 use crate::coherence::{self, PublishedCommit, StructuralCommit};
 use crate::error::TreeError;
 use crate::layout::{NodeLayout, FLAG_FREE};
-use crate::node::{InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader, Step};
+use crate::node::{InternalNode, LeafEdit, LeafEntry, LeafNode, LeafSearch, NodeHeader, Step};
 use crate::ops::{
     cached_from_internal, read_node, traverse, OpCx, OpMeta, RestartBudget, Route, WriteCommit,
     WriteKind,
@@ -124,11 +129,10 @@ trait TreeNode: Sized {
     /// Live entries of a leaf, separators of an internal node.
     fn occupancy(&self) -> usize;
     /// The structural edits: take a retired sibling's contents, or re-divide
-    /// a pair at one boundary.  `dense`: the leaf format keeps leaves sorted
-    /// and densely packed, so a leaf is re-packed; an unsorted leaf is edited
-    /// in place ([`LeafNode::set_pairs`]).  Internal nodes are always sorted.
-    fn absorb(&mut self, other: &Self, dense: bool);
-    fn rebalance(&mut self, right: &mut Self, left_len: usize, dense: bool) -> u64;
+    /// a pair at one boundary, a leaf's slots rewritten as `edit` says
+    /// ([`LeafNode::set_pairs`]).  Internal nodes are always sorted.
+    fn absorb(&mut self, other: &Self, edit: LeafEdit);
+    fn rebalance(&mut self, right: &mut Self, left_len: usize, edit: LeafEdit) -> u64;
     /// The image the index cache keeps of this node at `addr` (leaves are
     /// not cached).
     fn cached(&self, addr: GlobalAddress) -> Option<CachedInternal>;
@@ -151,11 +155,11 @@ impl TreeNode for LeafNode {
     fn occupancy(&self) -> usize {
         self.live_count()
     }
-    fn absorb(&mut self, other: &Self, dense: bool) {
-        LeafNode::absorb(self, other, dense)
+    fn absorb(&mut self, other: &Self, edit: LeafEdit) {
+        LeafNode::absorb(self, other, edit)
     }
-    fn rebalance(&mut self, right: &mut Self, left_len: usize, dense: bool) -> u64 {
-        LeafNode::rebalance(self, right, left_len, dense)
+    fn rebalance(&mut self, right: &mut Self, left_len: usize, edit: LeafEdit) -> u64 {
+        LeafNode::rebalance(self, right, left_len, edit)
     }
     fn cached(&self, _addr: GlobalAddress) -> Option<CachedInternal> {
         None
@@ -179,10 +183,10 @@ impl TreeNode for InternalNode {
     fn occupancy(&self) -> usize {
         self.entries.len()
     }
-    fn absorb(&mut self, other: &Self, _dense: bool) {
+    fn absorb(&mut self, other: &Self, _edit: LeafEdit) {
         InternalNode::absorb(self, other)
     }
-    fn rebalance(&mut self, right: &mut Self, left_len: usize, _dense: bool) -> u64 {
+    fn rebalance(&mut self, right: &mut Self, left_len: usize, _edit: LeafEdit) -> u64 {
         InternalNode::rebalance(self, right, left_len)
     }
     fn cached(&self, addr: GlobalAddress) -> Option<CachedInternal> {
@@ -357,14 +361,21 @@ impl PointWrite {
     /// The entry-granular write-back (two-level versions, §4.4) on the leaf
     /// at `leaf`, `image` its bytes: the span of the entry's bytes that
     /// changed travels — the whole entry of an insert or an update, whose
-    /// versions bump, the tag byte alone of a delete.
-    fn command(&self, layout: &NodeLayout, leaf: GlobalAddress, image: &[u8]) -> WriteCmd {
+    /// versions bump, the tag byte alone of a delete.  An insert over a stale
+    /// slot then clears its stale bit: the tail byte that holds it, a second
+    /// command of the same batch.
+    fn commands(&self, layout: &NodeLayout, leaf: GlobalAddress, image: &[u8]) -> Vec<WriteCmd> {
         let at = layout.leaf_entry_offset(self.slot);
         let new = layout.encode_leaf_entry(&self.entry);
         let mut changed = (0..new.len()).filter(|&i| new[i] != image[at + i]);
         let start = changed.next().unwrap_or(0);
         let end = changed.next_back().unwrap_or(start) + 1;
-        WriteCmd::new(leaf.add((at + start) as u64), new[start..end].to_vec())
+        let mut cmds = vec![WriteCmd::new(leaf.add((at + start) as u64), new[start..end].to_vec())];
+        if layout.marked_stale(image, self.slot) {
+            let (at, bit) = layout.stale_bit(self.slot);
+            cmds.push(WriteCmd::new(leaf.add(at as u64), vec![image[at] & !bit]));
+        }
+        cmds
     }
 }
 
@@ -405,6 +416,18 @@ impl<B: FabricBackend> OpCx<'_, B> {
 
     fn combine(&self) -> bool {
         self.cluster.options().combine_commands
+    }
+
+    /// How a structural edit rewrites a leaf's slots: re-packed in a sorted
+    /// format; in place otherwise, the slots of the keys that leave left
+    /// stale where the write-back is planned, and cleared where it travels
+    /// whole and a cleared slot costs nothing.
+    fn leaf_edit(&self) -> LeafEdit {
+        match (self.leaf_format().is_sorted(), self.combine()) {
+            (true, _) => LeafEdit::Repack,
+            (false, false) => LeafEdit::Clear,
+            (false, true) => LeafEdit::Lazy,
+        }
     }
 
     /// Plan the write-back of the node at `node`, whose new image is `new`.
@@ -876,7 +899,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         write: &PointWrite,
     ) -> Vec<WriteCmd> {
         if !self.leaf_format().is_sorted() {
-            return vec![write.command(self.layout(), addr, pre)];
+            return write.commands(self.layout(), addr, pre);
         }
         // Sorted layouts shift entries and write the whole node back.
         let mut leaf = self.layout().decode_leaf(pre);
@@ -905,11 +928,11 @@ impl<B: FabricBackend> OpCx<'_, B> {
     ) -> TreeResult<Followup> {
         let layout = *self.layout();
         let mut leaf = layout.decode_leaf(pre);
-        let dense = self.leaf_format().is_sorted();
+        let edit = self.leaf_edit();
         // Sorting the (possibly unsorted) leaf before the split costs local
         // CPU time (Figure 7, line 21).
         self.scan_cpu(layout.node_size()).await;
-        let (split_key, mut right) = leaf.split(&layout, dense);
+        let (split_key, mut right) = leaf.split(&layout, edit);
 
         // Place the new key into the correct half.
         let target = if key >= split_key {
@@ -921,7 +944,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             .vacant_slot()
             .expect("post-split halves have vacant slots");
         target.entries[slot].install(key, value);
-        if dense {
+        if edit == LeafEdit::Repack {
             let pairs = target.sorted_pairs();
             target.repack_sorted(&pairs);
         }
@@ -936,7 +959,9 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// holds when its memory is fresh (all zero) or, for an unsorted leaf, a
     /// merge's tombstone (what it holds, on the tombstone's stale slots when
     /// that sends fewer bytes, and the tags of the stale slots it leaves
-    /// vacant: [`NodeLayout::place_recycled_leaf`]), else the whole node.
+    /// vacant: [`NodeLayout::place_recycled_leaf`]); of an internal node its
+    /// header, window and tail whatever its address held
+    /// ([`NodeLayout::internal_pre_image`]); else the whole node.
     /// Returns the new node's address; with command combination the writes
     /// are left in `meta.in_flight` for the separator insertion to overlap
     /// and — the right half's — to observe before it writes (ordering rule 2).
@@ -963,13 +988,17 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // same value the pre-reuse code produced).
         right.header_mut().set_versions(alloc.first_version());
         let new = right.encode(self.layout());
-        let unsorted_leaf = right.header_mut().is_leaf && !self.leaf_format().is_sorted();
+        let is_leaf = right.header_mut().is_leaf;
+        let unsorted_leaf = is_leaf && !self.leaf_format().is_sorted();
         let (held, new) = match &alloc.holds {
             Holds::Zeroes => (Some(vec![0u8; new.len()]), new),
             Holds::LeafTombstone(stale) if unsorted_leaf && self.combine() => {
                 let (placed, pre) = self.layout().place_recycled_leaf(new, stale);
                 (Some(pre), placed)
             }
+            // A decoder reads an internal node's header, window and tail
+            // alone, whatever the rest of its address holds.
+            _ if !is_leaf => (Some(self.layout().internal_pre_image(&new)), new),
             _ => (None, new),
         };
         let right_half = self.write_back(alloc.addr, held.as_deref(), new);
@@ -1500,15 +1529,15 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // Local CPU cost of sorting the pairs that move (same accounting as
         // splits).
         self.scan_cpu(layout.node_size()).await;
-        let dense = self.leaf_format().is_sorted();
+        let edit = self.leaf_edit();
         let capacity = N::capacity(&layout);
         let change = if underfull + N::JOIN + donor <= capacity {
-            let kept_right = edge && !dense && underfull < donor;
+            let kept_right = edge && edit != LeafEdit::Repack && underfull < donor;
             let (survivor, retired, image) = match kept_right {
                 true => (&mut right, &mut left, left_buf),
                 false => (&mut left, &mut right, right_buf),
             };
-            survivor.absorb(retired, dense);
+            survivor.absorb(retired, edit);
             let tombstone = retired.header_mut();
             tombstone.free = true;
             tombstone.bump_versions();
@@ -1531,7 +1560,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 MergeDirection::Left => left.occupancy() - move_n,
             };
             PairChange::Rebalance {
-                new_sep: left.rebalance(&mut right, left_len, dense),
+                new_sep: left.rebalance(&mut right, left_len, edit),
             }
         };
         Some(MergePlan {
@@ -1586,11 +1615,11 @@ mod tests {
     /// versions of whatever they held last.
     type Slot = (u8, u64, u8, u8);
 
-    /// An unsorted leaf holding keys of `[0, 64)` in the slots `slots` put
-    /// them in (cycled over the leaf's capacity); every slot is live when
-    /// `full`.
-    fn leaf_of(layout: &NodeLayout, slots: &[Slot], density: u8, full: bool) -> LeafNode {
-        let mut leaf = LeafNode::empty(layout, NodeHeader::new(true, 0, 0, u64::MAX));
+    /// An unsorted leaf over `[low, ∞)` holding keys of `[0, 64)` in the
+    /// slots `slots` put them in (cycled over the leaf's capacity) — stale
+    /// where they lie below `low`; every slot is tagged when `full`.
+    fn leaf_of(layout: &NodeLayout, slots: &[Slot], density: u8, full: bool, low: u64) -> LeafNode {
+        let mut leaf = LeafNode::empty(layout, NodeHeader::new(true, 0, low, u64::MAX));
         let slots = slots.iter().cycle();
         for (entry, &(live, key, front, rear)) in leaf.entries.iter_mut().zip(slots) {
             *entry = LeafEntry {
@@ -1632,30 +1661,33 @@ mod tests {
     }
 
     /// A leaf's slots as a reader takes them: a live entry whole, a vacant
-    /// one by its tag alone.
+    /// or stale one not at all.
     fn as_read(leaf: &LeafNode) -> Vec<Option<LeafEntry>> {
         leaf.entries
             .iter()
-            .map(|e| e.present().then_some(*e))
+            .map(|e| leaf.owns(e).then_some(*e))
             .collect()
     }
 
     /// Apply the point write of `kind` on `key` to the leaf image `image` at
-    /// `addr` as memory would: the command's bytes at its offset.  Returns
-    /// the slot and the byte range written.
+    /// `addr` as memory would: each command's bytes at its offset, in order.
+    /// Returns the slot and the byte ranges written.
     fn apply_point_write(
         layout: &NodeLayout,
         image: &mut [u8],
         addr: GlobalAddress,
         key: u64,
         kind: WriteKind,
-    ) -> (usize, std::ops::Range<usize>) {
+    ) -> (usize, Vec<std::ops::Range<usize>>) {
         let (write, _) = PointWrite::plan(layout, image, key, kind);
         let write = write.expect("a slot");
-        let cmd = write.command(layout, addr, image);
-        let at = (cmd.addr.offset - addr.offset) as usize;
-        image[at..at + cmd.data.len()].copy_from_slice(&cmd.data);
-        (write.slot, at..at + cmd.data.len())
+        let cmds = write.commands(layout, addr, image);
+        let spans = cmds.iter().map(|cmd| {
+            let at = (cmd.addr.offset - addr.offset) as usize;
+            image[at..at + cmd.data.len()].copy_from_slice(&cmd.data);
+            at..at + cmd.data.len()
+        });
+        (write.slot, spans.collect())
     }
 
     /// A point delete writes its slot's tag byte and nothing else: the key,
@@ -1678,7 +1710,8 @@ mod tests {
 
         let before = image.clone();
         let written = apply_point_write(&layout, &mut image, addr, 20, WriteKind::Delete);
-        assert_eq!(written, (1, entry.start + 1..entry.start + 2));
+        let tag_byte = entry.start + 1..entry.start + 2;
+        assert_eq!(written, (1, vec![tag_byte]));
         let changed: Vec<usize> = (0..image.len())
             .filter(|&i| image[i] != before[i])
             .collect();
@@ -1697,7 +1730,7 @@ mod tests {
 
         let insert = WriteKind::Insert { value: 2_500 };
         let written = apply_point_write(&layout, &mut image, addr, 25, insert);
-        assert_eq!(written, (1, entry.clone()));
+        assert_eq!(written, (1, vec![entry.clone()]));
         let held = layout.decode_leaf_entry(&image[entry.clone()]);
         let pair = (held.front_version, held.rear_version);
         assert_eq!((pair, held.key), ((8, 8), 25));
@@ -1715,15 +1748,17 @@ mod tests {
         /// A point write planned on the locked image agrees with the decoded
         /// leaf on the slot, on the live count — hence on the merge decision —
         /// on whether there is a slot at all, "must split" for an insert, and
-        /// on the leaf a reader takes from the image once the command is
-        /// applied; the command writes the whole entry of an insert and the
-        /// tag byte alone of a delete: on 256 B and 1 KB unsorted
-        /// leaves with holes anywhere and arbitrary entry versions, for an
-        /// insert of a present key, of an absent one into a leaf with a hole
-        /// and into a full leaf, and a delete of a present and of an absent
-        /// key.  Live slots the mask `collide` picks hold other keys built to
-        /// share the written key's tag, and the probe reads the key of every
-        /// present slot it passed whose tag matched, and of no other.
+        /// on the leaf a reader takes from the image once the commands are
+        /// applied, stale bits included; the commands write the whole entry
+        /// of an insert — and the byte of its stale bit, cleared, when it
+        /// takes a stale slot — and the tag byte alone of a delete: on 256 B
+        /// and 1 KB unsorted leaves with holes and stale slots anywhere and
+        /// arbitrary entry versions, for an insert of a present key, of an
+        /// absent one into a leaf with a hole and into a full leaf, and a
+        /// delete of a present and of an absent key.  Live slots the mask
+        /// `collide` picks hold other keys built to share the written key's
+        /// tag, and the probe reads the key of every live slot it passed
+        /// whose tag matched, and of no other.
         #[test]
         fn a_point_write_on_the_image_is_the_decoded_one(
             slots in prop::collection::vec(
@@ -1733,16 +1768,18 @@ mod tests {
             density in any::<u8>(),
             node_size in prop::sample::select(vec![256usize, 1024]),
             case in 0u8..5,
-            draw in (any::<usize>(), any::<u64>(), any::<u64>()),
+            draw in (any::<usize>(), any::<u64>(), any::<u64>(), 0u64..24),
         ) {
-            let (pick, value, collide) = draw;
+            let (pick, value, collide, low) = draw;
             let layout = NodeLayout::new(&TreeConfig { node_size, ..TreeConfig::default() });
-            let mut leaf = leaf_of(&layout, &slots, density, case == 2);
+            // A full leaf has no stale slot either.
+            let low = if case == 2 { 0 } else { low };
+            let mut leaf = leaf_of(&layout, &slots, density, case == 2, low);
             if case == 1 {
                 let hole = pick % leaf.entries.len();
                 leaf.entries[hole].tag = 0;
             }
-            let live = leaf.entries.iter().filter(|e| e.present());
+            let live = leaf.entries.iter().filter(|e| leaf.owns(e));
             let held: Vec<u64> = live.map(|e| e.key).collect();
             let absent = 64 + value % 64;
             let insert = WriteKind::Insert { value };
@@ -1759,7 +1796,8 @@ mod tests {
             let tag = key_tag(key);
             let mut colliding = (key + 1..).filter(|&k| key_tag(k) == tag);
             for (i, entry) in leaf.entries.iter_mut().enumerate() {
-                if collide >> (i % 64) & 1 == 1 && entry.present() && entry.key != key {
+                let owned = entry.present() && entry.key >= low;
+                if collide >> (i % 64) & 1 == 1 && owned && entry.key != key {
                     entry.install(colliding.next().unwrap(), value);
                 }
             }
@@ -1769,14 +1807,30 @@ mod tests {
             let (write, read) = PointWrite::plan(&layout, &image, key, kind);
             let planned = write.map(|write| {
                 let mut after = image.clone();
-                let (slot, span) = apply_point_write(&layout, &mut after, addr, key, kind);
+                let (slot, spans) = apply_point_write(&layout, &mut after, addr, key, kind);
                 let entry = layout.leaf_entry_range(slot);
+                let (bit_at, _) = layout.stale_bit(slot);
+                // An insert's entry from its front version, which always
+                // bumps, to the last byte that changed: all of it unless a
+                // generated rear version already held the bumped front one.
+                let last = entry.clone().rev().find(|&i| after[i] != image[i]);
+                let installed = entry.start..last.map_or(entry.start, |i| i + 1);
                 let wanted = match kind {
-                    WriteKind::Insert { .. } => entry,
-                    WriteKind::Delete => entry.start + 1..entry.start + 2,
+                    WriteKind::Insert { .. } if layout.marked_stale(&image, slot) => {
+                        vec![installed, bit_at..bit_at + 1]
+                    }
+                    WriteKind::Insert { .. } => vec![installed],
+                    WriteKind::Delete => {
+                        let tag_byte = entry.start + 1..entry.start + 2;
+                        vec![tag_byte]
+                    }
                 };
-                assert_eq!(span, wanted, "{kind:?}");
-                (write.slot, layout.decode_leaf(&after), write.live)
+                assert_eq!(spans, wanted, "{kind:?}");
+                // The tail marks what the fences make stale, and nothing else.
+                let decoded = layout.decode_leaf(&after);
+                let tail = layout.rear_version_offset()..node_size;
+                assert_eq!(after[tail.clone()], layout.encode_leaf(&decoded)[tail]);
+                (write.slot, decoded, write.live)
             });
             let reference = decoded_reference(&layout, &image, key, kind);
             let seen = |p: &Option<Planned>| {
@@ -1794,7 +1848,7 @@ mod tests {
             prop_assert_eq!(merges(&planned), merges(&reference));
             // The keys read: up to the key's slot, or through the leaf.
             let passed = leaf.slot_of(key).map_or(leaf.entries.len(), |slot| slot + 1);
-            let matching = leaf.entries[..passed].iter().filter(|e| e.present() && e.tag == tag);
+            let matching = leaf.entries[..passed].iter().filter(|e| leaf.owns(e) && e.tag == tag);
             prop_assert_eq!(read.compared, matching.count());
             prop_assert_eq!(read.scanned, leaf.entries.len());
         }

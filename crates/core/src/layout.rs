@@ -5,7 +5,7 @@
 //! mechanisms:
 //!
 //! * a pair of **node-level versions** — `FNV` in the first header byte and
-//!   `RNV` in the last eight-byte tail — that a lock-free reader compares to
+//!   `RNV` in the first byte of the tail — that a lock-free reader compares to
 //!   detect a torn read of the whole node,
 //! * for Sherman's unsorted leaves, a pair of **entry-level versions**
 //!   (`FEV`/`REV`) bracketing every leaf entry, so that an entry-granular
@@ -32,7 +32,8 @@
 //! 40..44  reserved (zero)
 //! 44..46  start (internal nodes only: the slot of the first separator)
 //! 48..    entry area
-//! size-8  RNV (rear node version) in the first byte of the tail word
+//! size-t  tail: RNV (rear node version) in its first byte, then one stale
+//!         bit per leaf slot (t = 8 unless a leaf has more than 56 slots)
 //!
 //! leaf entry (key_size + value_size + 3 bytes)
 //! 0       FEV (front entry version)
@@ -47,6 +48,14 @@
 //! byte alone, set to 0.  Of a vacant slot a reader heeds the tag alone: the
 //! key, value and version pair a delete leaves behind are never read, and the
 //! next insert there bumps the pair from what memory holds.
+//!
+//! A leaf owns the keys between its fences alone (Lehman and Yao), so a
+//! tagged slot whose key lies outside them is *stale*: every reader takes it
+//! for vacant.  A split or rebalance with a planned write-back leaves the
+//! slots of the keys it moves out as they are, and [`NodeLayout::encode_leaf`]
+//! sets their stale bits in the tail, derived from the fences; a write probe
+//! reads the bits and no key (`NodeLayout::probe_leaf`).  An insert that
+//! takes a stale slot writes its entry, then the bit's byte, cleared.
 
 use crate::config::TreeConfig;
 use crate::node::{InternalEntry, InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
@@ -56,8 +65,6 @@ use std::ops::Range;
 
 /// Size of the fixed node header in bytes.
 pub const HEADER_BYTES: usize = 48;
-/// Size of the tail (rear node version word) in bytes.
-pub const TAIL_BYTES: usize = 8;
 /// Size of one internal entry (8-byte separator + 8-byte child pointer).
 pub const INTERNAL_ENTRY_BYTES: usize = 16;
 
@@ -102,16 +109,24 @@ pub struct NodeLayout {
     node_size: usize,
     key_size: usize,
     value_size: usize,
+    tail_bytes: usize,
 }
 
 impl NodeLayout {
-    /// Build the layout from a tree configuration.
+    /// Build the layout from a tree configuration.  The tail is one 8-byte
+    /// word — the rear version and 56 stale bits — unless a leaf has more
+    /// slots than that, when it grows by words until every slot has a bit.
     pub fn new(config: &TreeConfig) -> Self {
-        NodeLayout {
+        let mut layout = NodeLayout {
             node_size: config.node_size,
             key_size: config.key_size,
             value_size: config.value_size,
+            tail_bytes: 8,
+        };
+        while 1 + layout.leaf_capacity().div_ceil(8) > layout.tail_bytes {
+            layout.tail_bytes = (1 + layout.leaf_capacity().div_ceil(8)).next_multiple_of(8);
         }
+        layout
     }
 
     /// Node size in bytes.
@@ -133,18 +148,18 @@ impl NodeLayout {
     /// probe of the image its lock read is priced by the same rule.
     pub fn leaf_search_bytes(&self, search: &LeafSearch) -> usize {
         let matched = search.entry.map_or(0, |_| self.value_size + 2);
-        HEADER_BYTES + TAIL_BYTES + search.scanned + search.compared * self.key_size + matched
+        HEADER_BYTES + self.tail_bytes + search.scanned + search.compared * self.key_size + matched
     }
 
     /// Number of entries a leaf can hold.
     pub fn leaf_capacity(&self) -> usize {
-        (self.node_size - HEADER_BYTES - TAIL_BYTES) / self.leaf_entry_bytes()
+        (self.node_size - HEADER_BYTES - self.tail_bytes) / self.leaf_entry_bytes()
     }
 
     /// Number of separator/child pairs an internal node can hold (excluding
     /// the leftmost child stored in the header).
     pub fn internal_capacity(&self) -> usize {
-        (self.node_size - HEADER_BYTES - TAIL_BYTES) / INTERNAL_ENTRY_BYTES
+        (self.node_size - HEADER_BYTES - self.tail_bytes) / INTERNAL_ENTRY_BYTES
     }
 
     /// Byte offset of leaf entry `idx` within the node.
@@ -165,9 +180,21 @@ impl NodeLayout {
         HEADER_BYTES + idx * INTERNAL_ENTRY_BYTES
     }
 
-    /// Offset of the rear node version byte.
+    /// Offset of the rear node version byte, the tail's first.
     pub fn rear_version_offset(&self) -> usize {
-        self.node_size - TAIL_BYTES
+        self.node_size - self.tail_bytes
+    }
+
+    /// The byte of the tail that holds leaf slot `slot`'s stale bit, and the
+    /// bit.
+    pub fn stale_bit(&self, slot: usize) -> (usize, u8) {
+        (self.rear_version_offset() + 1 + slot / 8, 1 << (slot % 8))
+    }
+
+    /// Whether the leaf image `image` marks slot `slot` stale.
+    pub fn marked_stale(&self, image: &[u8], slot: usize) -> bool {
+        let (at, bit) = self.stale_bit(slot);
+        image[at] & bit != 0
     }
 
     // ------------------------------------------------------------------
@@ -267,7 +294,8 @@ impl NodeLayout {
         }
     }
 
-    /// Encode a whole leaf node.
+    /// Encode a whole leaf node, the stale bit of every tagged slot whose key
+    /// lies outside its fences set.
     pub fn encode_leaf(&self, node: &LeafNode) -> Vec<u8> {
         assert!(node.entries.len() <= self.leaf_capacity());
         let mut buf = vec![0u8; self.node_size];
@@ -276,10 +304,17 @@ impl NodeLayout {
         for (slot, entry) in slots.zip(&node.entries) {
             self.encode_leaf_entry_into(slot, entry);
         }
+        for (slot, entry) in node.entries.iter().enumerate() {
+            if entry.present() && !node.owns(entry) {
+                let (at, bit) = self.stale_bit(slot);
+                buf[at] |= bit;
+            }
+        }
         buf
     }
 
-    /// Decode a whole leaf node (all slots, including empty ones).
+    /// Decode a whole leaf node (all slots, including empty ones; the stale
+    /// bits are not read — a decoded leaf judges a slot by its fences).
     pub fn decode_leaf(&self, buf: &[u8]) -> LeafNode {
         let header = self.decode_header(buf);
         let entries = (0..self.leaf_capacity())
@@ -292,8 +327,9 @@ impl NodeLayout {
     /// `key`: what [`LeafNode::slot_of`], [`LeafNode::vacant_slot`] and
     /// [`LeafNode::live_count`] answer of the decoded leaf, without decoding
     /// it.  Every slot's tag is read — the first vacant slot and the live
-    /// count need them all — but a slot's key only where its tag is the
-    /// key's [`key_tag`], and none once the key is found.
+    /// count need them all — and its stale bit, which makes a tagged slot
+    /// vacant; a slot's key only where its tag is the key's [`key_tag`], and
+    /// none once the key is found.
     pub(crate) fn probe_leaf(&self, buf: &[u8], key: u64) -> LeafProbe {
         let entry_bytes = self.leaf_entry_bytes();
         let area = &buf[HEADER_BYTES..HEADER_BYTES + self.leaf_capacity() * entry_bytes];
@@ -302,7 +338,7 @@ impl NodeLayout {
         // The tag (0 = vacant) and the key, where `decode_leaf_entry` reads
         // them.
         for (i, entry) in area.chunks_exact(entry_bytes).enumerate() {
-            if entry[1] == 0 {
+            if entry[1] == 0 || self.marked_stale(buf, i) {
                 probe.vacant.get_or_insert(i);
                 continue;
             }
@@ -482,6 +518,20 @@ impl NodeLayout {
         pre
     }
 
+    /// The image to plan ([`NodeLayout::plan_write_back`]) the first image
+    /// `new` of an internal node against, at an address of any contents:
+    /// `new` with every byte a decoder reads of it flipped — its header, its
+    /// window ([`NodeLayout::decoded_extent`]) and its tail — so the plan
+    /// writes those and leaves the rest of the address as it was.
+    pub fn internal_pre_image(&self, new: &[u8]) -> Vec<u8> {
+        let mut pre = new.to_vec();
+        let read = [0..HEADER_BYTES, self.decoded_extent(new), self.rear_version_offset()..self.node_size];
+        for bytes in read {
+            pre[bytes].iter_mut().for_each(|b| *b = !*b);
+        }
+        pre
+    }
+
     /// Where the first image of an unsorted leaf lands at an address whose
     /// tombstone left a tag in the slots `stale` alone: `new` as encoded, or
     /// its pairs moved in key order onto the slots the tombstone tags — its
@@ -602,6 +652,27 @@ mod tests {
             ..TreeConfig::default()
         });
         assert!(big_keys.leaf_capacity() < 10);
+    }
+
+    /// A leaf with more slots than the tail word has spare bits gets a
+    /// longer tail, a bit for every slot: a 2 KB leaf has 104 slots and a
+    /// 16-byte tail; every geometry of 56 slots or fewer keeps the 8-byte
+    /// word.
+    #[test]
+    fn a_larger_leaf_gets_a_longer_tail() {
+        assert_eq!(layout().rear_version_offset(), 1024 - 8);
+        let l = NodeLayout::new(&TreeConfig { node_size: 2048, ..TreeConfig::default() });
+        let capacity = l.leaf_capacity();
+        assert_eq!((capacity, l.rear_version_offset()), (104, 2048 - 16));
+        let mut leaf = LeafNode::empty(&l, NodeHeader::new(true, 0, 100, 200));
+        leaf.entries[0].install(150, 1);
+        leaf.entries[capacity - 1].install(7, 7);
+        let image = l.encode_leaf(&leaf);
+        let marked: Vec<usize> = (0..capacity).filter(|&s| l.marked_stale(&image, s)).collect();
+        assert_eq!(marked, [capacity - 1]);
+        assert_eq!(l.decode_header(&image), leaf.header);
+        let probe = l.probe_leaf(&image, 150);
+        assert_eq!((probe.slot, probe.vacant, probe.live), (Some(0), Some(1), 1));
     }
 
     #[test]
@@ -777,7 +848,7 @@ mod tests {
                         assert_eq!(charge, HEADER_BYTES + 2 * separators);
                     }
                     assert!(
-                        prefix <= node_size - TAIL_BYTES,
+                        prefix <= l.rear_version_offset(),
                         "{node_size} B, {separators}"
                     );
                 }

@@ -83,7 +83,7 @@ pub use cluster::{Cluster, ClusterConfig, NodeCensus, ShapeAudit};
 pub use config::{LeafFormat, LockStrategy, OffloadPolicy, TreeConfig, TreeOptions};
 pub use error::TreeError;
 pub use layout::NodeLayout;
-pub use node::{InternalEntry, InternalNode, LeafEntry, LeafNode, LeafSearch, NodeHeader};
+pub use node::{InternalEntry, InternalNode, LeafEdit, LeafEntry, LeafNode, LeafSearch, NodeHeader};
 pub use offload::{RpcDecline, RpcLeafReply, RpcNodeInfo, RpcRangeReply, RpcRequest, RpcResponse};
 pub use ops::OpOutput;
 pub use scheduler::{

@@ -241,8 +241,27 @@ impl LeafSearch {
     }
 }
 
+/// How a structural edit rewrites a leaf's slots ([`LeafNode::set_pairs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafEdit {
+    /// Re-pack the pairs densely from slot 0 in key order: the sorted
+    /// formats.
+    Repack,
+    /// Edit in place and clear the slot of every key that leaves: an unsorted
+    /// leaf whose write-back travels whole, where a cleared slot costs
+    /// nothing more and spares later inserts a second command.
+    Clear,
+    /// Edit in place and leave the slot of a key that leaves beyond the new
+    /// fences as it is, stale: an unsorted leaf whose write-back is planned,
+    /// where the slot then costs no byte.
+    Lazy,
+}
+
 /// A decoded leaf node: a fixed array of slots (dense for sorted layouts,
-/// sparse for the unsorted two-level-version layout).
+/// sparse for the unsorted two-level-version layout).  A slot holds one of
+/// the leaf's pairs when its tag is set and its key lies within the fences
+/// ([`LeafNode::owns`]); a tagged slot outside them is stale and reads as
+/// vacant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeafNode {
     /// Node header.
@@ -260,21 +279,29 @@ impl LeafNode {
         }
     }
 
+    /// Whether `entry`, one of this leaf's slots, holds one of its pairs: its
+    /// tag is set and its key lies within the fences.
+    pub fn owns(&self, entry: &LeafEntry) -> bool {
+        entry.present() && self.header.covers(entry.key)
+    }
+
     /// Number of live entries.
     pub fn live_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.present()).count()
+        self.entries.iter().filter(|e| self.owns(e)).count()
     }
 
     /// Find the slot holding `key` behind its [`key_tag`], if any: a slot
-    /// whose stored tag is not its key's is one no point operation finds.
+    /// whose stored tag is not its key's is one no point operation finds, and
+    /// a key outside the fences is in no slot of this leaf.
     pub fn slot_of(&self, key: u64) -> Option<usize> {
         let tag = key_tag(key);
-        self.entries.iter().position(|e| e.tag == tag && e.key == key)
+        let held = |e: &LeafEntry| e.tag == tag && e.key == key;
+        self.entries.iter().position(held).filter(|_| self.header.covers(key))
     }
 
-    /// Find a vacant slot, if any.
+    /// Find a vacant slot — its tag 0, or stale — if any.
     pub fn vacant_slot(&self) -> Option<usize> {
-        self.entries.iter().position(|e| !e.present())
+        self.entries.iter().position(|e| !self.owns(e))
     }
 
     /// Search for `key` as a point lookup reads a leaf of `format`: slot by
@@ -283,8 +310,12 @@ impl LeafNode {
     /// past them is not the leaf's).  A slot's key is read only where its
     /// stored tag is the key's [`key_tag`]; a vacant slot's tag, 0, matches
     /// no key.  Only two-level versions check the matched entry's own
-    /// version pair.
+    /// version pair.  A key outside the fences is not searched for: no slot
+    /// of this leaf holds it, and a stale one may.
     pub fn search(&self, key: u64, format: LeafFormat) -> LeafSearch {
+        if !self.header.covers(key) {
+            return LeafSearch::default();
+        }
         let slots = match format.is_sorted() {
             true => &self.entries[..self.header.count.min(self.entries.len())],
             false => &self.entries[..],
@@ -313,7 +344,7 @@ impl LeafNode {
         }
     }
 
-    /// What a scan takes from this leaf from `from` up: the present entries
+    /// What a scan takes from this leaf from `from` up: the live entries
     /// holding a key at or past `from`, as `(key, value)` in slot order — or
     /// `None` when any of them is torn (an entry-granular write in flight),
     /// and the leaf must be read again.
@@ -321,7 +352,7 @@ impl LeafNode {
         let needed = self
             .entries
             .iter()
-            .filter(move |e| e.present() && e.key >= from);
+            .filter(move |e| self.owns(e) && e.key >= from);
         if needed.clone().any(|e| !e.versions_match()) {
             return None;
         }
@@ -333,7 +364,7 @@ impl LeafNode {
         let mut pairs: Vec<(u64, u64)> = self
             .entries
             .iter()
-            .filter(|e| e.present())
+            .filter(|e| self.owns(e))
             .map(|e| (e.key, e.value))
             .collect();
         pairs.sort_unstable_by_key(|&(k, _)| k);
@@ -358,39 +389,48 @@ impl LeafNode {
         self.header.count = pairs.len();
     }
 
-    /// Make this leaf hold exactly `pairs` (ascending by key; a key it
-    /// already holds keeps its value).  A `dense` leaf — the sorted formats —
-    /// is re-packed ([`LeafNode::repack_sorted`]).  Any other is edited in
-    /// place: the slot of every key not in `pairs` is cleared, every pair it
-    /// does not hold yet is installed into a vacant slot, lowest first, and
-    /// every other slot is left as it was, entry versions included — so a
-    /// write-back planned from the two images carries the slots that moved
-    /// and nothing else.
+    /// Make this leaf hold exactly `pairs` (ascending by key, inside the
+    /// fences of `header`; a key it already holds keeps its value) under
+    /// `header`.  [`LeafEdit::Repack`] re-packs it
+    /// ([`LeafNode::repack_sorted`]).  Otherwise it is edited in place: every
+    /// slot that keeps its pair — owned under the old fences, still wanted —
+    /// is left as it was, entry versions included.  Of the other slots, one
+    /// still tagged must be cleared, unless the edit is [`LeafEdit::Lazy`]
+    /// and its key lies outside the new fences: it stays, stale.  The pairs
+    /// the leaf does not hold yet are installed over the slots that must be
+    /// cleared, then into the rest, lowest first.  So a write-back planned
+    /// from the two images carries the slots that changed, and a stale slot
+    /// the new fences take back in is overwritten or cleared — never read as
+    /// live again.
     ///
     /// # Panics
     /// Panics if `pairs` do not fit.
-    pub fn set_pairs(&mut self, pairs: &[(u64, u64)], dense: bool) {
-        if dense {
+    pub fn set_pairs(&mut self, pairs: &[(u64, u64)], header: NodeHeader, edit: LeafEdit) {
+        let old = std::mem::replace(&mut self.header, header);
+        self.header.count = pairs.len();
+        if edit == LeafEdit::Repack {
             return self.repack_sorted(pairs);
         }
         let wanted = |key: u64| pairs.binary_search_by_key(&key, |&(k, _)| k).is_ok();
-        for slot in self
+        let kept = |e: &LeafEntry| e.present() && old.covers(e.key) && wanted(e.key);
+        let held: Vec<u64> = self.entries.iter().filter(|e| kept(e)).map(|e| e.key).collect();
+        let mut arriving = pairs.iter().filter(|(k, _)| !held.contains(k));
+        let new = &self.header;
+        let (clear, spare): (Vec<_>, Vec<_>) = self
             .entries
             .iter_mut()
-            .filter(|e| e.present() && !wanted(e.key))
-        {
-            slot.clear();
+            .filter(|e| !kept(e))
+            .partition(|e| e.present() && (edit == LeafEdit::Clear || new.covers(e.key)));
+        for slot in clear {
+            match arriving.next() {
+                Some(&(k, v)) => slot.install(k, v),
+                None => slot.clear(),
+            }
         }
-        let arriving: Vec<(u64, u64)> = pairs
-            .iter()
-            .copied()
-            .filter(|&(k, _)| self.slot_of(k).is_none())
-            .collect();
-        let mut vacant = self.entries.iter_mut().filter(|e| !e.present());
-        for (k, v) in arriving {
-            vacant.next().expect("a slot for every pair").install(k, v);
+        for (slot, &(k, v)) in spare.into_iter().zip(&mut arriving) {
+            slot.install(k, v);
         }
-        self.header.count = pairs.len();
+        assert!(arriving.next().is_none(), "a slot for every pair");
     }
 
     /// The pair's live pairs in key order: this leaf's, then those of
@@ -406,41 +446,45 @@ impl LeafNode {
     }
 
     /// Take every live pair of `other`, a fence-adjacent sibling this leaf
-    /// survives, by [`LeafNode::set_pairs`] (re-packed in sorted order when
-    /// `dense`, into vacant slots otherwise), and grow over its interval: up
-    /// to its upper fence, taking its B-link pointer, when it lies right;
-    /// down to its lower fence when it lies left.  Versions are bumped.
-    /// `other` is left as it was: the caller's tombstone.
+    /// survives, by [`LeafNode::set_pairs`] (re-packed in sorted order or
+    /// into vacant slots, as `edit` says), and grow over its interval: up to
+    /// its upper fence, taking its B-link pointer, when it lies right; down
+    /// to its lower fence when it lies left.  Versions are bumped.  `other`
+    /// is left as it was: the caller's tombstone.
     ///
     /// # Panics
     /// Panics if the pairs do not fit or the leaves are not fence-adjacent.
-    pub fn absorb(&mut self, other: &LeafNode, dense: bool) {
+    pub fn absorb(&mut self, other: &LeafNode, edit: LeafEdit) {
         let pairs = match self.header.fence_high == other.header.fence_low {
             true => self.joined(other),
             false => other.joined(self),
         };
         assert!(pairs.len() <= self.entries.len(), "merged leaf overflows");
-        self.set_pairs(&pairs, dense);
-        self.header.absorb(&other.header);
+        let mut header = self.header.clone();
+        header.absorb(&other.header);
+        self.set_pairs(&pairs, header, edit);
     }
 
     /// Re-divide this leaf and `right`, its fence-adjacent B-link sibling, at
     /// one boundary: of their live pairs in key order the first `left_len`
     /// stay here, the rest go right, each side rewritten by
-    /// [`LeafNode::set_pairs`] and version-bumped.  Returns the new
-    /// separator, the smallest key `right` holds, at which their shared fence
-    /// now lies.  A split is a rebalance into an empty right half.
+    /// [`LeafNode::set_pairs`] as `edit` says and version-bumped.  Returns
+    /// the new separator, the smallest key `right` holds, at which their
+    /// shared fence now lies.  A split is a rebalance into an empty right
+    /// half.
     ///
     /// # Panics
     /// Panics if either side would be left empty or overflows, or if the
     /// leaves are not fence-adjacent.
-    pub fn rebalance(&mut self, right: &mut LeafNode, left_len: usize, dense: bool) -> u64 {
+    pub fn rebalance(&mut self, right: &mut LeafNode, left_len: usize, edit: LeafEdit) -> u64 {
         let pairs = self.joined(right);
         assert!(0 < left_len && left_len < pairs.len(), "both sides keep a pair");
         let (low, high) = pairs.split_at(left_len);
-        self.set_pairs(low, dense);
-        right.set_pairs(high, dense);
-        self.header.move_boundary(&mut right.header, high[0].0)
+        let (mut left_header, mut right_header) = (self.header.clone(), right.header.clone());
+        let sep = left_header.move_boundary(&mut right_header, high[0].0);
+        self.set_pairs(low, left_header, edit);
+        right.set_pairs(high, right_header, edit);
+        sep
     }
 
     /// Split this (full) leaf: the upper half of its keys move to a new leaf
@@ -450,11 +494,11 @@ impl LeafNode {
     ///
     /// The paper sorts unsorted leaves before splitting (Figure 7, line 21)
     /// to find the median.  The new leaf fills from slot 0 in key order; this
-    /// one is rewritten by [`LeafNode::set_pairs`]: re-packed when `dense`,
-    /// otherwise only the slots of the keys that moved are cleared.
-    pub fn split(&mut self, layout: &NodeLayout, dense: bool) -> (u64, LeafNode) {
+    /// one is rewritten by [`LeafNode::set_pairs`] as `edit` says: re-packed,
+    /// or the slots of the keys that moved cleared, or — lazily — left stale.
+    pub fn split(&mut self, layout: &NodeLayout, edit: LeafEdit) -> (u64, LeafNode) {
         let mut right = LeafNode::empty(layout, self.header.empty_right());
-        let split_key = self.rebalance(&mut right, self.live_count() / 2, dense);
+        let split_key = self.rebalance(&mut right, self.live_count() / 2, edit);
         (split_key, right)
     }
 }
@@ -884,7 +928,7 @@ mod tests {
         for (i, k) in [50u64, 10, 90, 30, 70, 20, 80, 40, 60, 100].iter().enumerate() {
             leaf.entries[i].install(*k, k * 2);
         }
-        let (split_key, right) = leaf.split(&l, false);
+        let (split_key, right) = leaf.split(&l, LeafEdit::Clear);
         assert_eq!(split_key, 60);
         assert_eq!(leaf.header.fence_high, 60);
         assert_eq!(right.header.fence_low, 60);
@@ -980,9 +1024,9 @@ mod tests {
         for (i, &k) in keys.iter().enumerate() {
             leaf.entries[i * 2].install(k, k + 1); // every other slot: sparse
         }
-        for dense in [true, false] {
+        for edit in [LeafEdit::Repack, LeafEdit::Clear, LeafEdit::Lazy] {
             let mut left = leaf.clone();
-            let (split_key, right) = left.split(&l, dense);
+            let (split_key, right) = left.split(&l, edit);
             let left_keys: Vec<u64> = left.sorted_pairs().iter().map(|&(k, _)| k).collect();
             let right_keys: Vec<u64> = right.sorted_pairs().iter().map(|&(k, _)| k).collect();
             assert!(left_keys.iter().all(|&k| k < split_key));
@@ -997,7 +1041,7 @@ mod tests {
             assert!(right.entries[..right_keys.len()].iter().all(|e| e.present()));
             // The left half is re-packed too when dense; otherwise its keys
             // stay in the slots they were in.
-            if dense {
+            if edit == LeafEdit::Repack {
                 assert_eq!(in_slots(&left), left_keys);
                 assert!(left.entries[..left_keys.len()].iter().all(|e| e.present()));
             } else {
@@ -1022,7 +1066,7 @@ mod tests {
             right.entries[i].install(*k, k * 2);
         }
         left.header.sibling = Some(addr(1));
-        left.absorb(&right, true);
+        left.absorb(&right, LeafEdit::Repack);
 
         assert_eq!(left.live_count(), 5);
         assert_eq!(
@@ -1047,7 +1091,7 @@ mod tests {
         for (i, k) in [100u64, 140, 120, 160, 180].iter().enumerate() {
             right.entries[i].install(*k, k + 1);
         }
-        let sep = left.rebalance(&mut right, 3, false);
+        let sep = left.rebalance(&mut right, 3, LeafEdit::Clear);
         assert_eq!(sep, 140, "separator is the smallest key left in the donor");
         assert_eq!(left.header.fence_high, 140);
         assert_eq!(right.header.fence_low, 140);
@@ -1075,7 +1119,7 @@ mod tests {
             left.entries[i].install(*k, k + 1);
         }
         right.entries[0].install(200, 201);
-        let sep = left.rebalance(&mut right, 3, false);
+        let sep = left.rebalance(&mut right, 3, LeafEdit::Clear);
         assert_eq!(sep, 40, "separator is the smallest key moved");
         assert_eq!(left.header.fence_high, 40);
         assert_eq!(right.header.fence_low, 40);
@@ -1307,7 +1351,7 @@ mod tests {
         mut right: LeafNode,
         op: u8,
         n: usize,
-        dense: bool,
+        edit: LeafEdit,
     ) -> Option<Edited> {
         let (ln, rn) = (left.live_count(), right.live_count());
         let cap = left.entries.len();
@@ -1316,7 +1360,7 @@ mod tests {
         match op % 5 {
             0 if ln >= 2 => {
                 let pairs = left.sorted_pairs();
-                let (split_key, half) = left.split(l, dense);
+                let (split_key, half) = left.split(l, edit);
                 assert_eq!(split_key, pairs[pairs.len() / 2].0);
                 assert_eq!(
                     (left.header.fence_low, left.header.fence_high),
@@ -1336,7 +1380,7 @@ mod tests {
             }
             1 if ln + rn <= cap => {
                 let arriving = moved(&right.sorted_pairs());
-                left.absorb(&right, dense);
+                left.absorb(&right, edit);
                 assert_eq!(left.header.fence_high, old.1.fence_high);
                 assert_eq!(
                     left.header.sibling, old.1.sibling,
@@ -1347,7 +1391,7 @@ mod tests {
             2 if rn >= 2 && ln < cap => {
                 let count = 1 + n % (rn - 1).min(cap - ln);
                 let arriving = moved(&right.sorted_pairs()[..count]);
-                let sep = left.rebalance(&mut right, ln + count, dense);
+                let sep = left.rebalance(&mut right, ln + count, edit);
                 assert_eq!(Some(&sep), right.sorted_pairs().first().map(|(k, _)| k));
                 assert_eq!((left.header.fence_high, right.header.fence_low), (sep, sep));
                 assert_eq!(left.header.sibling, old.0.sibling);
@@ -1357,7 +1401,7 @@ mod tests {
                 let count = 1 + n % (ln - 1).min(cap - rn);
                 let pairs = left.sorted_pairs();
                 let leaving = moved(&pairs[pairs.len() - count..]);
-                let sep = left.rebalance(&mut right, ln - count, dense);
+                let sep = left.rebalance(&mut right, ln - count, edit);
                 assert_eq!(Some(&sep), leaving.keys().next());
                 assert_eq!((left.header.fence_high, right.header.fence_low), (sep, sep));
                 assert_eq!(left.header.sibling, old.0.sibling);
@@ -1365,7 +1409,7 @@ mod tests {
             }
             4 if ln + rn <= cap => {
                 let arriving = moved(&left.sorted_pairs());
-                right.absorb(&left, dense);
+                right.absorb(&left, edit);
                 assert_eq!(right.header.fence_low, old.0.fence_low);
                 assert_eq!(right.header.sibling, old.1.sibling, "the survivor's link stays");
                 Some((left, right, [BTreeMap::new(), arriving]))
@@ -1395,7 +1439,7 @@ mod tests {
             let right = leaf_of(&l, 1_000, density.1, &right, 2);
             let before = pairs_of(&[&left, &right]);
             let Some((new_left, new_right, [out, into])) =
-                edit(&l, left.clone(), right.clone(), op, n, false)
+                edit(&l, left.clone(), right.clone(), op, n, LeafEdit::Clear)
             else {
                 return;
             };
@@ -1450,8 +1494,8 @@ mod tests {
             let l = layout();
             let left = leaf_of(&l, 0, density.0, &left, 1);
             let right = leaf_of(&l, 1_000, density.1, &right, 2);
-            let Some((new_left, new_right, _)) = edit(&l, left.clone(), right.clone(), op, n, true)
-            else {
+            let edited = edit(&l, left.clone(), right.clone(), op, n, LeafEdit::Repack);
+            let Some((new_left, new_right, _)) = edited else {
                 return;
             };
             // A split's new half starts from vacant slots; an absorbed leaf
@@ -1467,6 +1511,117 @@ mod tests {
                     _ => prop_assert_eq!(l.encode_leaf(post), repacked(&l, pre, post)),
                 }
             }
+        }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+        /// A row of unsorted leaves edited lazily through their images, as
+        /// the commits edit them — point inserts and deletes on the slot the
+        /// write probe picks, splits (a full leaf's, and any leaf's), merges
+        /// either way and rebalances — keeps, after every step and on every
+        /// leaf, the stale bits of its image exactly the tagged slots whose
+        /// keys lie outside its fences, and agrees with a `BTreeMap` model:
+        /// its search, its scan from its lower fence, its live count and the
+        /// write probe of its image see the model's pairs in its fences and
+        /// nothing else.  With [`LeafEdit::Clear`] no slot is ever stale.
+        #[test]
+        fn stale_bits_mark_the_tagged_slots_outside_the_fences(
+            node_size in prop::sample::select(vec![256usize, 1024]),
+            lazy in any::<bool>(),
+            steps in prop::collection::vec((0u8..8, 0u64..300, any::<u64>()), 1..150),
+        ) {
+            let l = NodeLayout::new(&TreeConfig { node_size, ..TreeConfig::default() });
+            let edit = if lazy { LeafEdit::Lazy } else { LeafEdit::Clear };
+            let cap = l.leaf_capacity();
+            let mut leaves = vec![LeafNode::empty(&l, NodeHeader::new(true, 0, 0, u64::MAX))];
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            for (kind, key, draw) in steps {
+                // Every leaf goes through its image, as a commit reads it.
+                for leaf in leaves.iter_mut() {
+                    *leaf = l.decode_leaf(&l.encode_leaf(leaf));
+                }
+                let i = leaves.iter().position(|n| n.header.covers(key)).unwrap();
+                let j = draw as usize % leaves.len();
+                let live = |n: &LeafNode| n.live_count();
+                match kind {
+                    0..=2 => {
+                        let probe = l.probe_leaf(&l.encode_leaf(&leaves[i]), key);
+                        let slot = probe.slot.or(probe.vacant);
+                        let at = match slot {
+                            Some(slot) => (i, slot),
+                            None => {
+                                let (sep, right) = leaves[i].split(&l, edit);
+                                leaves.insert(i + 1, right);
+                                let half = i + usize::from(key >= sep);
+                                (half, leaves[half].vacant_slot().unwrap())
+                            }
+                        };
+                        leaves[at.0].entries[at.1].install(key, draw);
+                        model.insert(key, draw);
+                    }
+                    3 => {
+                        if let Some(slot) = leaves[i].slot_of(key) {
+                            leaves[i].entries[slot].vacate();
+                            model.remove(&key);
+                        }
+                    }
+                    4 if live(&leaves[j]) >= 2 => {
+                        let (_, right) = leaves[j].split(&l, edit);
+                        leaves.insert(j + 1, right);
+                    }
+                    5 if j + 1 < leaves.len() && live(&leaves[j]) + live(&leaves[j + 1]) <= cap => {
+                        let mut right = leaves.remove(j + 1);
+                        match draw % 2 {
+                            0 => leaves[j].absorb(&right, edit),
+                            _ => {
+                                right.absorb(&leaves[j], edit);
+                                leaves[j] = right;
+                            }
+                        }
+                    }
+                    6 | 7 if j + 1 < leaves.len() => {
+                        let total = live(&leaves[j]) + live(&leaves[j + 1]);
+                        let left_len = 1 + (draw >> 1) as usize % total.max(2).saturating_sub(1);
+                        if total >= 2 && left_len <= cap && total - left_len <= cap {
+                            let (head, tail) = leaves.split_at_mut(j + 1);
+                            head[j].rebalance(&mut tail[0], left_len, edit);
+                        }
+                    }
+                    _ => {}
+                }
+                for leaf in &leaves {
+                    let image = l.encode_leaf(leaf);
+                    let h = &leaf.header;
+                    let marked: Vec<usize> =
+                        (0..cap).filter(|&s| l.marked_stale(&image, s)).collect();
+                    let stale: Vec<usize> = (0..cap)
+                        .filter(|&s| leaf.entries[s].present() && !h.covers(leaf.entries[s].key))
+                        .collect();
+                    prop_assert_eq!(&marked, &stale);
+                    prop_assert!(lazy || stale.is_empty());
+                    let upper = if h.fence_high == u64::MAX { u64::MAX } else { h.fence_high };
+                    let want: Vec<(u64, u64)> =
+                        model.range(h.fence_low..upper).map(|(&k, &v)| (k, v)).collect();
+                    let read = l.decode_leaf(&image);
+                    prop_assert_eq!(read.sorted_pairs(), want.clone());
+                    prop_assert_eq!(read.live_count(), want.len());
+                    let mut scanned: Vec<(u64, u64)> = read.entries_from(h.fence_low).unwrap().collect();
+                    scanned.sort_unstable();
+                    prop_assert_eq!(&scanned, &want);
+                    for k in (h.fence_low..upper.min(300)).step_by(11).chain(want.iter().map(|p| p.0)) {
+                        let value = model.get(&k).copied();
+                        prop_assert_eq!(read.search(k, LeafFormat::UnsortedTwoLevel).value(), value);
+                        let probe = l.probe_leaf(&image, k);
+                        prop_assert_eq!(probe.slot.map(|s| read.entries[s].key), value.map(|_| k));
+                        prop_assert_eq!(probe.vacant, read.vacant_slot());
+                        prop_assert_eq!(probe.live, want.len());
+                    }
+                }
+            }
+            prop_assert_eq!(leaves.iter().map(|n| n.live_count()).sum::<usize>(), model.len());
         }
     }
 }

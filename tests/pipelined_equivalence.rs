@@ -203,6 +203,9 @@ fn same_depth_runs_are_deterministic() {
 /// trips, 67 458 → 66 538 bytes (both hashes), 2 444 588 → 2 444 630 ns.
 /// Again when a point delete began to send its slot's tag byte alone: the
 /// same round trips and time, 66 538 → 55 738 bytes (the costs hash).
+/// Again when a split or rebalance began to leave the slots of the keys it
+/// moves out stale, marked in the tail word: the same round trips,
+/// 55 738 → 54 880 bytes, 2 444 630 → 2 444 760 ns (both hashes).
 #[test]
 fn a_mixed_depth_four_run_costs_exactly_what_it_did() {
     let (cluster, _) = loaded_cluster(2_000);
@@ -243,11 +246,11 @@ fn a_mixed_depth_four_run_costs_exactly_what_it_did() {
     assert_eq!(report.results.len(), 1_800);
     assert_eq!(
         (report.stats.round_trips, report.stats.bytes_written, costs),
-        (4_692, 55_738, 3_328_134_062_889_754_851)
+        (4_692, 54_880, 7_564_835_398_315_753_267)
     );
     assert_eq!(
         (timing, report.elapsed_ns),
-        (3_543_982_664_840_589_420, 2_444_630)
+        (4_432_532_794_878_976_000, 2_444_760)
     );
 }
 

@@ -264,24 +264,28 @@ fn assert_depth(what: &str, (posts, reads, .., latency): Cost, depth: u64) {
 ///
 /// Written back: the right half whole (it is new: planned against the zeroes
 /// of its fresh carve, its five pairs still change most of a 256 B node, and
-/// the cost rule picks the node), the left half whole, and
+/// the cost rule picks the node), of the left half its header, its tail and
+/// the slot the new key took, and
 /// of the parent what the separator moved — the node when it went in among
 /// the first, 48 of its 256 bytes in three commands (tail word, the entries
 /// from the separator on, header word) when it went in near the end.  The
-/// left half is edited in place — the slots of the keys that moved are
-/// cleared, the new key takes a vacant one — but a 256 B leaf has ten slots,
-/// and clearing five of them changes words all over it: the cost rule picks
-/// the node.  On 1 KB nodes it does not (`a_split_of_a_kilobyte_leaf_…`).
+/// left half is edited in place and lazily: the slots of the keys that moved
+/// stay as they were, stale, their bits set in the tail word, and the new
+/// key takes the lowest of them — 56 bytes in four commands where clearing
+/// the five slots changed words all over the 256 B leaf and the cost rule
+/// picked the node: 772 → 572 and 564 → 364 bytes, 5 → 8 and 7 → 10 WRITE
+/// commands, 16 to 32 ns more (5 473 → 5 505, 5 447 → 5 463, 5 433 →
+/// 5 449, 5 467 → 5 499), the NIC's per-command floor.
 #[test]
 fn a_split_overlaps_its_leaf_write_back_with_the_way_to_the_parent() {
     let measured = split_costs(TreeOptions::sherman());
     assert_eq!(
         measured,
         [
-            ((4, 2, 5, 2, 772, 5_473), (2, 768)),
-            ((5, 2, 7, 2, 564, 5_447), (2, 560)),
-            ((4, 2, 5, 2, 772, 5_433), (2, 768)),
-            ((5, 2, 7, 2, 564, 5_467), (2, 560)),
+            ((4, 2, 8, 2, 572, 5_505), (2, 568)),
+            ((5, 2, 10, 2, 364, 5_463), (2, 360)),
+            ((4, 2, 8, 2, 572, 5_449), (2, 568)),
+            ((5, 2, 10, 2, 364, 5_499), (2, 360)),
         ]
     );
     let [under_root, under_root_cross, deeper, deeper_cross] = costs(measured);
@@ -292,10 +296,10 @@ fn a_split_overlaps_its_leaf_write_back_with_the_way_to_the_parent() {
 }
 
 /// (a′) The split of (a) on 1 KB nodes, where a leaf has room for the plan
-/// to pay.  Its left half keeps the slots whose keys stay where they are:
-/// of it travel the header word, the slots of the keys that moved to the
-/// right half — cleared — and the one the new key took, and the tail word,
-/// not the node.  The right half is new, carved from a chunk granted for the
+/// to pay.  Its left half keeps every slot where it is: of it travel the
+/// header words, the slot the new key took and the tail word, whose stale
+/// bits mark the slots of the keys that moved to the right half (a″), not
+/// the node.  The right half is new, carved from a chunk granted for the
 /// first time: planned against that memory's zeroes, it travels as what it
 /// holds — header, pairs, tail word.  The parent's window was recentered by
 /// the first split's separator, which went in at its front with no slot
@@ -307,19 +311,70 @@ fn a_split_overlaps_its_leaf_write_back_with_the_way_to_the_parent() {
 fn a_split_of_a_kilobyte_leaf_writes_back_the_slots_that_moved() {
     let node = 1 << 10;
     let (cost, structural) = kilobyte_split_cost(TreeOptions::sherman());
-    // 1 264 bytes of node write-backs: the right half's 536, the left half's
-    // 512, the parent's 216 in four commands (the header word, the start
-    // word, twelve entries, the tail word).  The parent shifting the back of
-    // its window wrote 624 in three; with the root read first, that was 5
-    // posts, 12 commands, 1 676 bytes, 8 457 ns.  Re-packed, the left half
-    // was the node: 7 commands, 2 676 bytes, 8 533 ns, 2 672 of it in node
-    // write-backs.  Whole, the right half was 1 024: 10 commands, 2 164
-    // bytes, 8 501 ns.
+    // 808 bytes of node write-backs: the right half's 536, the left half's
+    // 56, the parent's 216 in four commands (the header word, the start
+    // word, twelve entries, the tail word).  With the moved slots cleared
+    // the left half wrote 512: 1 268 bytes, 6 383 ns.  The parent shifting
+    // the back of its window wrote 624 in three; with the root read first,
+    // that was 5 posts, 12 commands, 1 676 bytes, 8 457 ns.  Re-packed, the
+    // left half was the node: 7 commands, 2 676 bytes, 8 533 ns, 2 672 of it
+    // in node write-backs.  Whole, the right half was 1 024: 10 commands,
+    // 2 164 bytes, 8 501 ns.
     assert_eq!(
         (cost, structural),
-        ((4, 2, 13, 2, 1_268, 6_383), (2, 1_264))
+        ((4, 2, 13, 2, 812, 6_325), (2, 808))
     );
     assert_eq!(kilobyte_split_cost(uncombined()).1, (2, 3 * node));
+}
+
+/// (a″) The left half of that split sends its header and its tail — and
+/// the slot the new key took, the lowest of the 25 the moved keys left — not
+/// the slots of the keys that moved: the other 24 stay as they were, stale,
+/// their bits set in the tail word, which every reader takes for vacant.  At
+/// most 64 of the leaf's 1 024 bytes (512 when the moved slots were
+/// cleared).  The moved keys are found in the right half, and a scan returns
+/// each key once.
+#[test]
+fn a_kilobyte_split_writes_its_left_half_as_header_and_tail() {
+    let cluster = kilobyte_cluster(TreeOptions::sherman());
+    let layout = *cluster.layout();
+    let mut client = cluster.client(0);
+    kilobyte_split(&mut client, 1);
+    let first = 10 * PER_KB_LEAF * 2;
+    let (leaf, _) = cluster.cache(0).lookup_leaf(first).expect("warm cache");
+    let image = || {
+        let mut image = vec![0u8; layout.node_size()];
+        cluster.fabric().god_read(leaf, &mut image).unwrap();
+        image
+    };
+    for i in 0..10 {
+        client.insert(first + 2 * i + 1, i).unwrap();
+    }
+    let pre = image();
+    client.insert(first + 21, 10).unwrap();
+    let post = image();
+    let header = layout.decode_header(&post);
+    assert!(header.sibling.is_some() && header.fence_high < first + 2 * PER_KB_LEAF);
+    let sent: usize = layout.plan_write_back(&pre, &post).iter().map(|r| r.len()).sum();
+    assert!(sent <= 64, "the left half sent {sent} bytes");
+    let moved: Vec<usize> = (0..layout.leaf_capacity())
+        .filter(|&slot| {
+            let entry = layout.decode_leaf_entry(&post[layout.leaf_entry_range(slot)]);
+            entry.present() && !header.covers(entry.key)
+        })
+        .collect();
+    assert_eq!(moved.len(), 24);
+    assert!(moved.iter().all(|&slot| layout.marked_stale(&post, slot)));
+    let stale = (0..layout.leaf_capacity()).filter(|&slot| layout.marked_stale(&post, slot));
+    assert_eq!(stale.count(), 24);
+    let evens = (first..first + 2 * PER_KB_LEAF).step_by(2);
+    let mut keys: Vec<u64> = evens.chain((1..22).step_by(2).map(|i| first + i)).collect();
+    keys.sort_unstable();
+    for &key in &keys {
+        assert!(client.lookup(key).unwrap().0.is_some(), "key {key}");
+    }
+    let (scanned, _) = client.range(first, keys.len()).unwrap();
+    assert_eq!(scanned.iter().map(|&(k, _)| k).collect::<Vec<_>>(), keys);
 }
 
 /// (b) A delete that merges right, merges left, rebalances.  Posts: lock +
@@ -345,6 +400,9 @@ fn a_split_of_a_kilobyte_leaf_writes_back_the_slots_that_moved() {
 /// 256 bytes (f): 43 ns less on each row (5 714 → 5 671, 5 730 → 5 687,
 /// 5 721 → 5 678) — and writes its slot's tag byte alone (f): 18 bytes
 /// fewer on each row (371 → 353, 115 → 97, 219 → 201) in the same time.
+/// The rebalance's donor leaves the slots of the pairs it gives away stale,
+/// marked in its tail word, rather than clearing them: 201 → 145 bytes in
+/// the same commands and time.
 #[test]
 fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
     let measured = merge_costs(TreeOptions::sherman());
@@ -353,7 +411,7 @@ fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
         [
             ((8, 4, 11, 4, 353, 5_671), (1, 344)),
             ((8, 4, 13, 4, 97, 5_687), (1, 88)),
-            ((8, 4, 14, 4, 201, 5_678), (1, 192)),
+            ((8, 4, 14, 4, 145, 5_678), (1, 136)),
         ]
     );
     for (what, cost) in ["merge right", "merge left", "rebalance"].into_iter().zip(costs(measured)) {
@@ -374,11 +432,13 @@ fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
 /// promoted separator goes in right under the root, and its traversal starts
 /// at the cached root image rather than a read of the root (a): 8 → 7
 /// posts, 4 → 3 reads, 9 080 → 7 280 ns.  The collapsing delete writes its
-/// slot's tag byte alone (f): 123 → 105 bytes in the same time.
+/// slot's tag byte alone (f): 123 → 105 bytes in the same time.  The leaf
+/// split's left half leaves the moved slots stale (a): 1 062 → 862 bytes,
+/// 10 → 13 WRITE commands, 7 280 → 7 296 ns.
 #[test]
 fn an_internal_split_and_a_root_collapse_write_back_what_changed() {
     let sherman = TreeOptions::sherman();
-    assert_eq!(internal_split_cost(sherman), ((7, 3, 10, 3, 1_062, 7_280), (3, 1_056)));
+    assert_eq!(internal_split_cost(sherman), ((7, 3, 13, 3, 862, 7_296), (3, 856)));
     assert_eq!(root_collapse_cost(sherman), ((11, 5, 15, 5, 105, 11_229), (1, 88)));
 }
 
@@ -496,7 +556,8 @@ fn uncombined_structural_commits_cost_exactly_what_they_did() {
 /// 2 004 → 1 516 bytes, 10 → 12 WRITE commands, 8 329 → 8 307 ns.  Its
 /// separator is routed from the cached root image and slides the front of
 /// its parent's recentered window (a′): 6 → 5 posts, 3 → 2 reads, 1 516 →
-/// 1 428 bytes, 12 → 13 WRITE commands, 8 307 → 6 285 ns.
+/// 1 428 bytes, 12 → 13 WRITE commands, 8 307 → 6 285 ns.  Its left half
+/// leaves the moved slots stale (a″): 1 428 → 972 bytes, 6 285 → 6 261 ns.
 #[test]
 fn a_point_write_pays_for_what_its_probe_read() {
     let cluster = kilobyte_cluster(TreeOptions::sherman());
@@ -539,7 +600,7 @@ fn a_point_write_pays_for_what_its_probe_read() {
             (2, 1, 2, 1, 21, 3_533),
             (2, 1, 1, 1, 2, 3_512),
             (2, 1, 2, 1, 3, 3_535),
-            (5, 2, 13, 2, 1_428, 6_285),
+            (5, 2, 13, 2, 972, 6_261),
         ]
     );
 }

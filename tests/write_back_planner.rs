@@ -13,9 +13,10 @@
 //!   the lock-free read path does while a writer makes them change by split,
 //!   separator insertion, merge and tombstone, and deletes and re-inserts its
 //!   keys in between — on 1 KB nodes with the leaf edited in place, its slots
-//!   cleared and installed where they are; no reader ever accepts a
-//!   separator set or a key set that never existed, or a value its key was
-//!   never given.
+//!   installed where they are and the slots of the keys a split moves out
+//!   left stale, some of them taken again by inserts; no reader ever accepts
+//!   a separator set or a key set that never existed, a value its key was
+//!   never given, or a key outside the leaf's fences.
 //!   The window between two commands of a batch is a few nanoseconds there,
 //!   so this one catches a misordering only by luck; what it does hold is the
 //!   whole path — planner, release batches, backend — against readers that
@@ -25,7 +26,9 @@
 use proptest::prelude::*;
 use sherman_repro::prelude::*;
 use sherman_repro::sherman::layout::HEADER_BYTES;
-use sherman_repro::sherman::{InternalNode, LeafEntry, LeafNode, NodeHeader, NodeLayout};
+use sherman_repro::sherman::{
+    InternalNode, LeafEdit, LeafEntry, LeafFormat, LeafNode, NodeHeader, NodeLayout,
+};
 use sherman_repro::sherman_sim::{FabricBackend, GlobalAddress, ThreadedFabric};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -357,7 +360,7 @@ fn a_right_half_at_a_recycled_leaf_clears_the_tombstones_tags() {
     };
     // The right half W's split meant, stamped above the tombstone.
     let mut left = l.decode_leaf(&pre);
-    let (split_key, mut intended) = left.split(&l, false);
+    let (split_key, mut intended) = left.split(&l, LeafEdit::Lazy);
     assert!(split_key < x_low, "the right half covers X's keys");
     let slot = intended.vacant_slot().unwrap();
     intended.entries[slot].install(key, key + 1);
@@ -452,11 +455,14 @@ fn keys_of(l: &NodeLayout, image: &[u8]) -> BTreeSet<u64> {
 /// writer deletes and re-inserts keys of the leaf with no structural commit:
 /// an even key goes — its slot's tag byte alone is written — and its odd
 /// neighbour takes a vacant slot, then the other way round.  The leaves are
-/// unsorted and edited in place: a split clears the slots of the keys that
-/// moved, a merge installs the absorbed pairs into the survivor's vacant
-/// slots.  Every value written names its key ([`value_of`]).  The writer
-/// keeps the history of both nodes; the readers keep whatever they accepted
-/// — version pair equal — and at the end:
+/// unsorted and edited in place: a split leaves the slots of the keys that
+/// moved stale, marked in the tail, and right after it the writer deletes
+/// and re-inserts the lower half's top odd keys, which take stale slots
+/// (an entry and a tail byte each); a merge installs the absorbed pairs over
+/// the survivor's stale slots and into its vacant ones.  Every value written
+/// names its key ([`value_of`]).  The writer keeps the history of both
+/// nodes; the readers keep whatever they accepted — version pair equal — and
+/// at the end:
 ///
 /// * every separator set accepted is one the parent held after some
 ///   operation: it changes by structural commits only, one image each;
@@ -468,7 +474,10 @@ fn keys_of(l: &NodeLayout, image: &[u8]) -> BTreeSet<u64> {
 ///   every state of the era has and nothing no state of it has;
 /// * every live entry a reader accepted — its own version pair equal, as a
 ///   lookup or a scan takes it, and its bytes the same in a second read —
-///   holds a value written under its key, whole.
+///   holds a value written under its key, whole;
+/// * no lookup or scan of an accepted image returns a key outside its
+///   fences: a stale slot's key is not found, and the readers did see stale
+///   slots.
 fn readers_never_accept_an_image_that_never_existed_on(
     node_size: usize,
     rounds: u64,
@@ -508,7 +517,7 @@ fn readers_never_accept_an_image_that_never_existed_on(
             thread::spawn(move || {
                 let mut ctx = cluster.fabric().client(r);
                 let (mut parents, mut leaves) = (BTreeSet::new(), BTreeSet::new());
-                let mut values = 0u64;
+                let (mut values, mut stale) = (0u64, 0u64);
                 while !done.load(Ordering::Acquire) {
                     let image = read_consistent(&l, &mut ctx, parent_addr);
                     let header = l.decode_header(&image);
@@ -525,6 +534,18 @@ fn readers_never_accept_an_image_that_never_existed_on(
                     if leaf.entries.iter().all(|e| e.versions_match()) {
                         leaves.insert(keys_of(&l, &image));
                     }
+                    // What a lookup or a scan takes of the image lies inside
+                    // its fences; a stale slot's key is not found.
+                    let inside = |key: u64| leaf.header.covers(key);
+                    assert!(leaf.sorted_pairs().iter().all(|&(k, _)| inside(k)));
+                    if let Some(mut scanned) = leaf.entries_from(base) {
+                        assert!(scanned.all(|(k, _)| inside(k)), "{:?}", leaf.header);
+                    }
+                    for e in leaf.entries.iter().filter(|e| e.present() && !inside(e.key)) {
+                        let found = leaf.search(e.key, LeafFormat::UnsortedTwoLevel).entry;
+                        assert_eq!(found, None, "stale key {} found", e.key);
+                        stale += 1;
+                    }
                     // An entry is checked where a second read agrees with
                     // the first on its bytes: a point write is one ascending
                     // write of the entry, not a sequence lock, and a reader
@@ -540,7 +561,7 @@ fn readers_never_accept_an_image_that_never_existed_on(
                         }
                     }
                 }
-                (parents, leaves, values)
+                (parents, leaves, values, stale)
             })
         })
         .collect();
@@ -553,10 +574,11 @@ fn readers_never_accept_an_image_that_never_existed_on(
     )]);
     let mut eras = vec![vec![keys_of(&l, &read_consistent(&l, &mut ctx, leaf_addr))]];
     let mut commits = cluster.space_stats().structural_commits;
-    let mut seq = 0;
+    let (mut seq, mut onto_stale) = (0, 0);
     let mut apply = |client: &mut TreeClient<ThreadedFabric>, key: u64, insert: bool| {
         let mut between = eras.last().unwrap().last().unwrap().clone();
         seq += 1;
+        let before = read_consistent(&l, &mut ctx, leaf_addr);
         match insert {
             true => drop(client.insert(key, value_of(key, seq)).unwrap()),
             false => assert!(client.delete(key).unwrap().0, "key {key} is live"),
@@ -573,7 +595,11 @@ fn readers_never_accept_an_image_that_never_existed_on(
             commits = now;
             eras.push(Vec::new());
         }
-        let after = keys_of(&l, &read_consistent(&l, &mut ctx, leaf_addr));
+        let image = read_consistent(&l, &mut ctx, leaf_addr);
+        if let Some(slot) = l.decode_leaf(&image).slot_of(key).filter(|_| insert && !structural) {
+            onto_stale += u64::from(l.marked_stale(&before, slot));
+        }
+        let after = keys_of(&l, &image);
         eras.last_mut().unwrap().push(after.clone());
         parent_states.insert(separators_of(
             &l,
@@ -585,11 +611,21 @@ fn readers_never_accept_an_image_that_never_existed_on(
         // Fill with odd keys until the leaf splits and keeps its lower half
         // (the insert after its vacant slots are full).
         let mut odd = (0..per_leaf).map(|i| base + 2 * i + 1);
-        let mut live = loop {
+        let live = loop {
             if let (lower, true) = apply(&mut client, odd.next().unwrap(), true) {
                 break lower;
             }
         };
+        // The split left the slots of the keys it moved stale: the lower
+        // half's top odd keys go and come back, onto the lowest of them.
+        let top: Vec<u64> = live.iter().rev().filter(|&k| k % 2 == 1).take(2).copied().collect();
+        for &key in &top {
+            for insert in [false, true] {
+                let (_, structural) = apply(&mut client, key, insert);
+                assert!(!structural, "key {key}: a structural commit");
+            }
+        }
+        let mut live = live;
         // Drain it, from the top, until it merges with the half it shed.
         loop {
             let (after, merged) = apply(&mut client, *live.iter().next_back().unwrap(), false);
@@ -618,6 +654,7 @@ fn readers_never_accept_an_image_that_never_existed_on(
         }
     }
     done.store(true, Ordering::Release);
+    assert!(onto_stale > 0, "no insert took a stale slot");
 
     let explained = |keys: &BTreeSet<u64>| {
         eras.iter().any(|era| {
@@ -630,9 +667,11 @@ fn readers_never_accept_an_image_that_never_existed_on(
                     .all(|k| keys.contains(k))
         })
     };
+    let mut stale = 0;
     for reader in readers {
-        let (parents, leaves, values) = reader.join().unwrap();
+        let (parents, leaves, values, seen) = reader.join().unwrap();
         assert!(values > 0);
+        stale += seen;
         for seps in &parents {
             assert!(
                 parent_states.contains(seps),
@@ -647,6 +686,7 @@ fn readers_never_accept_an_image_that_never_existed_on(
         }
         assert!(!parents.is_empty() && !leaves.is_empty());
     }
+    assert!(stale > 0, "no reader saw a stale slot");
     let space = cluster.space_stats();
     assert!(
         space.leaf_merges >= rounds && space.structural_commits >= 3 * rounds,
@@ -661,16 +701,18 @@ fn readers_never_accept_an_image_that_never_existed_on(
     assert_eq!(census.total(), cluster.nodes_outstanding());
 }
 
-/// 256 B nodes, ten slots a leaf: a split's left half and most merge
-/// survivors change all over and travel whole (432 bytes a commit).
+/// 256 B nodes, ten slots a leaf: most merge survivors change all over and
+/// travel whole; a split's left half sends its header and tail, where
+/// clearing the moved slots sent the node (254 bytes a commit, 432 then).
 #[test]
 fn readers_never_accept_an_image_that_never_existed() {
     readers_never_accept_an_image_that_never_existed_on(256, 150, 2.0);
 }
 
-/// 1 KB nodes, fifty slots a leaf: a split's left half and a merge's
-/// survivor travel as the slots that moved, posted as a sequence lock —
-/// 1 189 bytes a commit, where re-packing them wrote 1 435.
+/// 1 KB nodes, fifty slots a leaf: a split's left half travels as its header
+/// and tail, a merge's survivor as the slots that changed, posted as a
+/// sequence lock — 403 bytes a commit, where clearing the moved slots wrote
+/// 1 189 and re-packing them 1 435.
 #[test]
 fn readers_never_accept_an_in_place_edit_that_never_existed() {
     readers_never_accept_an_image_that_never_existed_on(1 << 10, 100, 1.25);

@@ -11,8 +11,10 @@
 //! allocation demand), the type-❷ cache hit ratio with the self-healing
 //! refresh count, and what the structural commits cost: how many merge lock
 //! plans were tried optimistically and how many fell back to the rank-ordered
-//! acquisition, how many merges the cached parent routed, and the latency of
-//! the writes by round trips posted.
+//! acquisition, how many merges the cached parent routed, the latency of the
+//! writes by round trips posted, and the bytes the structural commits wrote
+//! back by kind of commit (split, separator, root growth, merge, edge merge,
+//! rebalance).
 //!
 //! ```text
 //! cargo run --release -p sherman_bench --bin churn [-- --quick]
@@ -27,6 +29,7 @@
 use sherman::TreeOptions;
 use sherman_bench::presets::CHURN_QUICK;
 use sherman_bench::{fmt_mops, print_table, run_with_backend, Args, Experiment, RunReport, Source};
+use sherman_metrics::StructuralKind;
 
 fn main() {
     let args = Args::from_env();
@@ -46,7 +49,7 @@ fn main() {
     for (name, options) in systems {
         let exp = configure(&args, name, options);
         let r = run_with_backend(&args, &exp).expect_clean();
-        write_classes.push((r.name.clone(), write_class_rows(&r)));
+        write_classes.push((r.name.clone(), write_class_rows(&r), structural_rows(&r)));
         rows.push(vec![
             r.name.clone(),
             fmt_mops(r.summary.throughput_ops),
@@ -96,9 +99,11 @@ fn main() {
         ],
         &rows,
     );
-    for (name, rows) in &write_classes {
+    for (name, rows, structural) in &write_classes {
         println!("\n{name}: writes by round trips posted");
         print_table(&["round trips", "writes", "share", "mean(ns)", "p99(ns)"], rows);
+        println!("\n{name}: structural write-backs by kind (lock words not counted)");
+        print_table(&["kind", "bytes", "share", "bytes/write"], structural);
     }
     println!("\nshape health while running (incremental per-level samples, rotating windows):");
     for (name, timeline) in &timelines {
@@ -144,6 +149,22 @@ fn configure(args: &Args, name: &str, options: TreeOptions) -> Experiment {
         *turnover = args.get_or("turnover", *turnover);
     }
     exp.scaled_by(args, "window", &CHURN_QUICK)
+}
+
+/// One row per kind of structural commit: the bytes its node write-backs
+/// carried, their share of all structural bytes, and per write of the run.
+fn structural_rows(r: &RunReport) -> Vec<Vec<String>> {
+    let writes = r.write_latency().count().max(1) as f64;
+    let total = r.space.structural_bytes.max(1) as f64;
+    let row = |&(kind, bytes): &(StructuralKind, u64)| {
+        vec![
+            format!("{kind:?}"),
+            bytes.to_string(),
+            format!("{:.1}%", bytes as f64 * 100.0 / total),
+            format!("{:.2}", bytes as f64 / writes),
+        ]
+    };
+    r.space.structural_bytes_by_kind().iter().map(row).collect()
 }
 
 /// One row per class of write: how many round trips it posted, how many such

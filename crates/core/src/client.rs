@@ -472,9 +472,9 @@ mod tests {
 
     #[test]
     fn underfull_leaf_next_to_full_sibling_rebalances() {
-        // Bulkload 100% full so the right sibling cannot absorb a merge;
-        // draining the left leaf must *rebalance* (move entries, keep both
-        // nodes) instead.
+        // Bulkload 100% full so the siblings cannot absorb a merge; draining
+        // the second leaf (the first merges only once empty) must *rebalance*
+        // (move entries, keep both nodes) instead.
         let mut config = ClusterConfig::small();
         config.tree.leaf_fill = 1.0;
         let cluster = Cluster::new(config, TreeOptions::sherman());
@@ -483,8 +483,8 @@ mod tests {
         cluster.bulkload((0..n).map(|k| (k, k + 7))).unwrap();
         let mut client = cluster.client(0);
 
-        // Drain the first leaf down to a single key.
-        for k in 1..leaf_cap {
+        // Drain the second leaf down to a single key.
+        for k in leaf_cap + 1..2 * leaf_cap {
             client.delete(k).unwrap();
         }
         let space = cluster.space_stats();
@@ -493,15 +493,15 @@ mod tests {
         assert_eq!(cluster.reclaim_stats().retired, 0);
 
         // Every surviving key is still reachable with its value.
-        assert_eq!(client.lookup(0).unwrap().0, Some(7));
-        for k in leaf_cap..n {
+        assert_eq!(client.lookup(leaf_cap).unwrap().0, Some(leaf_cap + 7));
+        for k in (0..leaf_cap).chain(2 * leaf_cap..n) {
             if k % 7 == 0 {
                 assert_eq!(client.lookup(k).unwrap().0, Some(k + 7), "key {k}");
             }
         }
-        let (scan, _) = client.range(0, leaf_cap as usize * 2).unwrap();
+        let (scan, _) = client.range(leaf_cap, leaf_cap as usize * 2).unwrap();
         assert!(scan.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(scan[0], (0, 7));
+        assert_eq!(scan[0], (leaf_cap, leaf_cap + 7));
     }
 
     #[test]

@@ -552,7 +552,8 @@ pub struct ShapeAudit {
     /// wherever a rebalance partner exists.
     pub underfull_internals_fixable: u64,
     /// All leaves below the merge floor (informational; an underfull leaf
-    /// without a viable partner is legitimate).
+    /// without a viable partner is legitimate, and so is the leaf level's
+    /// first leaf, which merges only once empty — at most one leaf more).
     pub underfull_leaves: u64,
     /// All internal nodes below the merge floor (informational).
     pub underfull_internals: u64,

@@ -15,7 +15,11 @@
 //!   (growing a new root when the split reaches the top),
 //! * **merge** — pair an underfull node with a same-parent sibling, lock the
 //!   pair and the parent in the lock manager's rank order, and merge or
-//!   rebalance (collapsing the root when it runs out of separators).
+//!   rebalance (collapsing the root when it runs out of separators).  A node
+//!   is underfull below `merge_threshold` of its capacity, a level's first
+//!   leaf only once empty (`OpCx::merge_floor`): a draining window deletes
+//!   the pairs left there next, so they are not moved, and at most that one
+//!   leaf of a tree sits below the threshold.
 //!
 //! A write (`crate::ops`) acquires the leaf lock itself
 //! ([`OpCx::lock_and_read_head`], over `sherman_locks::LockManager::lock`)
@@ -113,6 +117,7 @@ use crate::TreeResult;
 use sherman_cache::{CachedInternal, ChildRef};
 use sherman_locks::AcquireOutcome;
 use sherman_memserver::{AllocatedNode, Holds, ServerLayout, Tombstone};
+use sherman_metrics::StructuralKind;
 use sherman_sim::{FabricBackend, GlobalAddress, PendingVerb, WriteCmd};
 use std::sync::Arc;
 
@@ -217,9 +222,9 @@ pub(crate) enum Followup {
 /// The commit always operates on an adjacent `(left, right)` pair under one
 /// parent.  A full merge retires the *right* node of the pair (B-link
 /// safety: the survivor's sibling pointer skips the tombstone) — except at
-/// a level's left edge, where an emptier first leaf moves into its right
-/// sibling and is retired itself: nothing but its parent's `leftmost` points
-/// at it ([`OpCx::plan_merge`]).  The direction records which side the
+/// a level's left edge, where an empty first leaf is retired in favour of its
+/// right sibling: nothing but its parent's `leftmost` points at it
+/// ([`OpCx::plan_merge`]).  The direction records which side the
 /// *underfull* node is on:
 ///
 /// * [`MergeDirection::Right`] — the underfull node is the left of the pair
@@ -397,7 +402,7 @@ enum PairChange {
     /// retirement: the next writer of the address stamps its image above the
     /// tombstone's version, and clears the tags the tombstone left non-zero).
     /// The left node survives unless `kept_right`: at its level's left edge
-    /// an emptier first leaf moved into its right sibling.
+    /// an empty first leaf was retired in favour of its right sibling.
     /// `still_underfull`: the survivor itself ended up below the merge floor.
     Merge {
         tombstone: Tombstone,
@@ -456,10 +461,22 @@ impl<B: FabricBackend> OpCx<'_, B> {
         WriteBack { node, cmds }
     }
 
-    /// Occupancy below which a node becomes a merge candidate.
-    fn merge_floor<N: TreeNode>(&self) -> usize {
-        let cap = N::capacity(self.layout()) as f64;
-        (cap * self.cluster.options().merge_threshold).floor() as usize
+    /// Occupancy below which the node `header` heads becomes a merge
+    /// candidate: `merge_threshold` of its capacity, except that its level's
+    /// first leaf (lower fence 0) merges only once empty.  A draining window
+    /// deletes the pairs left in that leaf next, so freed at empty it moves
+    /// none of them (Johnson and Shasha's free-at-empty); being one leaf, it
+    /// is the one node of a tree below the floor by this rule.
+    fn merge_floor(&self, header: &NodeHeader) -> usize {
+        let cap = match header.is_leaf {
+            true => self.layout().leaf_capacity(),
+            false => self.layout().internal_capacity(),
+        };
+        let floor = (cap as f64 * self.cluster.options().merge_threshold).floor() as usize;
+        match header.is_leaf && header.fence_low == 0 {
+            true => floor.min(1),
+            false => floor,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -854,7 +871,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // rebalance.
         if kind == WriteKind::Delete
             && self.cluster.options().structural_deletes_enabled()
-            && write.live < self.merge_floor::<LeafNode>()
+            && write.live < self.merge_floor(&header)
         {
             Box::pin(self.release_lock_ahead(addr, writes, meta)).await?;
             return Ok(WriteCommit::Structural(Followup::Merge { addr, header }));
@@ -1026,7 +1043,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             }
         }
         writes.extend(left_half.cmds);
-        self.cluster.space_counters().record_structural_commit(written_back);
+        self.cluster.space_counters().record_structural_commit(StructuralKind::Split, written_back);
         self.release_lock_ahead(addr, writes, meta).await?;
         Ok(alloc.addr)
     }
@@ -1088,7 +1105,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                 node.header.bump_versions();
                 let write_back = self.write_back(addr, Some(&buf), node.encode(self.layout()));
                 let counters = self.cluster.space_counters();
-                counters.record_structural_commit(write_back.bytes());
+                counters.record_structural_commit(StructuralKind::Separator, write_back.bytes());
                 self.release_lock(addr, write_back.cmds).await?;
                 self.offer_written(&[(addr, &node)], root_level);
                 return Ok(());
@@ -1184,7 +1201,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         self.write_at(alloc.addr, image).await?;
         if self.swing_root(packed, alloc.addr, new_level).await? {
             let counters = self.cluster.space_counters();
-            counters.record_structural_commit(written);
+            counters.record_structural_commit(StructuralKind::RootGrowth, written);
             self.offer_written(&[(alloc.addr, &new_root)], new_level);
             return Ok(true);
         }
@@ -1398,7 +1415,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         // first image above it, and subscribers reject any cached copy at or
         // below it).
         let mut commit = StructuralCommit::new();
-        let (mut chase, mut cascade) = (None, false);
+        let (mut chase, mut cascade, mut kind) = (None, false, StructuralKind::Merge);
         let counters = self.cluster.space_counters();
         match merge.change {
             PairChange::Merge {
@@ -1413,6 +1430,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                     true => {
                         parent.header.leftmost = Some(right_addr);
                         counters.edge_merges.inc();
+                        kind = StructuralKind::EdgeMerge;
                         (right_addr, left_addr)
                     }
                     false => (left_addr, right_addr),
@@ -1428,7 +1446,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                     };
                 chase = still_underfull.then_some(survivor);
                 cascade = !parent.header.free
-                    && parent.entries.len() < self.merge_floor::<InternalNode>();
+                    && parent.entries.len() < self.merge_floor(&parent.header);
                 if is_leaf {
                     counters.leaf_merges.inc();
                 } else {
@@ -1440,6 +1458,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             }
             PairChange::Rebalance { new_sep } => {
                 assert!(parent.retarget_separator(sep, new_sep, right_addr, self.layout()));
+                kind = StructuralKind::Rebalance;
                 if is_leaf {
                     counters.rebalances.inc();
                 } else {
@@ -1456,7 +1475,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
             self.write_back(right_addr, Some(&right_buf), merge.right_bytes),
             self.write_back(parent_addr, Some(&parent_buf), parent.encode(self.layout())),
         ];
-        counters.record_structural_commit(writes.iter().map(WriteBack::bytes).sum());
+        counters.record_structural_commit(kind, writes.iter().map(WriteBack::bytes).sum());
         // Phase 4½ (still under the locks): build each surviving image
         // **once** — the same `Arc` fans out to every subscriber's message
         // and the own-cache heal, no per-server deep clones — and publish
@@ -1497,16 +1516,20 @@ impl<B: FabricBackend> OpCx<'_, B> {
     /// Build the post-merge (or post-rebalance) images for two adjacent
     /// nodes, or `None` when the initiating node — the left of the pair for
     /// [`MergeDirection::Right`], the right for [`MergeDirection::Left`] — is
-    /// no longer a merge candidate.  A merge keeps the left node and retires
-    /// the right one, except at the `edge`: when the left node is its level's
-    /// first leaf, holds fewer pairs than its right sibling and is edited in
-    /// place (a sorted leaf is re-packed whichever node survives), its pairs
-    /// move into the sibling's vacant slots and the first leaf is retired —
-    /// the fewer pairs travel, and its parent's `leftmost` is the one pointer
-    /// to repoint.  When the pair does not fit in one node, its boundary
-    /// moves toward the donor until the underfull side reaches the merge
-    /// floor, without draining the donor below it; the parent's separator is
-    /// then retargeted in the same critical section.
+    /// no longer a merge candidate: no longer below its merge floor, which
+    /// for a level's first leaf is empty ([`OpCx::merge_floor`]).  A merge
+    /// keeps the left node and retires the right one, except at the `edge`:
+    /// when the left node is its level's first leaf (empty, or it would not
+    /// be merging) and is edited in place (a sorted leaf is re-packed
+    /// whichever node survives), the first leaf is retired and its sibling
+    /// kept.  No pair moves, the survivor writes back its header and tail,
+    /// and its parent's `leftmost` is the one pointer to repoint.  A survivor
+    /// left below its own floor is chased (`still_underfull`); a kept-right
+    /// one is the new first leaf, held to the first leaf's floor.  When the
+    /// pair does not fit in one node, its boundary moves toward the donor
+    /// until the underfull side reaches the merge floor, without draining the
+    /// donor below it; the parent's separator is then retargeted in the same
+    /// critical section.
     async fn plan_merge<N: TreeNode>(
         &self,
         left_addr: GlobalAddress,
@@ -1518,11 +1541,12 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let layout = *self.layout();
         let mut left = N::decode(&layout, left_buf);
         let mut right = N::decode(&layout, right_buf);
-        let floor = self.merge_floor::<N>();
         let (underfull, donor) = match direction {
-            MergeDirection::Right => (left.occupancy(), right.occupancy()),
-            MergeDirection::Left => (right.occupancy(), left.occupancy()),
+            MergeDirection::Right => (&mut left, &right),
+            MergeDirection::Left => (&mut right, &left),
         };
+        let floor = self.merge_floor(underfull.header_mut());
+        let (underfull, donor) = (underfull.occupancy(), donor.occupancy());
         if underfull >= floor {
             return None;
         }
@@ -1532,7 +1556,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
         let edit = self.leaf_edit();
         let capacity = N::capacity(&layout);
         let change = if underfull + N::JOIN + donor <= capacity {
-            let kept_right = edge && edit != LeafEdit::Repack && underfull < donor;
+            let kept_right = edge && edit != LeafEdit::Repack;
             let (survivor, retired, image) = match kept_right {
                 true => (&mut right, &mut left, left_buf),
                 false => (&mut left, &mut right, right_buf),
@@ -1547,7 +1571,7 @@ impl<B: FabricBackend> OpCx<'_, B> {
                     stale: Some(layout.tagged_slots(image)),
                 },
                 kept_right,
-                still_underfull: survivor.occupancy() < floor,
+                still_underfull: survivor.occupancy() < self.merge_floor(survivor.header_mut()),
             }
         } else {
             let spare = donor.saturating_sub(floor);

@@ -158,8 +158,11 @@ pub struct TreeOptions {
     /// with a sibling (structural deletes, beyond the paper: Sherman itself
     /// never shrinks the tree).  Merges are direction-complete: the right
     /// B-link sibling is absorbed when one exists under the same parent, and
-    /// a rightmost child folds into its left sibling instead.  `0.0` disables
-    /// merging and reproduces the paper's grow-only behaviour.
+    /// a rightmost child folds into its left sibling instead.  A level's
+    /// first leaf (lower fence 0) is held to no threshold: it merges once
+    /// empty, so at most that one leaf of a tree sits below the threshold by
+    /// this rule.  `0.0` disables merging and reproduces the paper's
+    /// grow-only behaviour.
     pub merge_threshold: f64,
     /// When to offload cache-missing traversals to the memory server
     /// (server-side typed RPCs).  [`OffloadPolicy::Never`] — the default and
@@ -169,7 +172,7 @@ pub struct TreeOptions {
 
 impl TreeOptions {
     /// Default [`TreeOptions::merge_threshold`]: merge a node once it drops
-    /// below a quarter of its capacity.
+    /// below a quarter of its capacity (a level's first leaf once empty).
     pub const DEFAULT_MERGE_THRESHOLD: f64 = 0.25;
 
     /// FG+ — the paper's strengthened baseline: index cache and WRITE-based

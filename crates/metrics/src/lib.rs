@@ -51,5 +51,5 @@ pub use epoch::EpochGauges;
 pub use latency::LatencyHistogram;
 pub use offload::{OffloadCounters, OffloadGauges};
 pub use overlap::OverlapGauges;
-pub use space::{SpaceCounters, SpaceSnapshot};
+pub use space::{SpaceCounters, SpaceSnapshot, StructuralKind};
 pub use summary::{RunSummary, ThreadReport, ThroughputAggregator};

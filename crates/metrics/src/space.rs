@@ -11,8 +11,11 @@
 //! rightmost child under its parent and therefore has no right sibling to
 //! absorb).  A long churn run on a direction-complete merge engine shows both
 //! kinds; zero left merges is the signature of the old rightmost-child leak.
-//! A right merge at a level's left edge whose first leaf is the emptier of
-//! the pair keeps the right leaf instead, counted as an **edge merge**.
+//! A right merge at a level's left edge, which the first leaf starts only
+//! once empty, keeps the right leaf instead, counted as an **edge merge**.
+//!
+//! What the structural commits wrote back is split by [`StructuralKind`], so
+//! a change that claims to cut those bytes can say which commits it cut.
 //!
 //! The family is one [`counters!`](crate::counters) declaration, shared by
 //! every client of a cluster.  The commit paths bump it, and
@@ -33,8 +36,8 @@ crate::counters! {
         /// underfull rightmost child folded into its left sibling.  Also counted
         /// in `leaf_merges` / `internal_merges`.
         left_merges: sum,
-        /// Leaf merges at a level's left edge that kept the fuller right leaf:
-        /// the first leaf moved into it and was retired.  Also counted in
+        /// Leaf merges at a level's left edge that kept the right leaf: the
+        /// first leaf, empty, was retired in its favour.  Also counted in
         /// `leaf_merges`.
         edge_merges: sum,
         /// Leaf rebalances that moved entries without freeing a node.
@@ -61,9 +64,42 @@ crate::counters! {
         /// Bytes the node write-backs of those commits carried (lock-word
         /// releases not counted).
         structural_bytes: sum,
+        /// Of `structural_bytes`, what splits wrote back (both halves).
+        split_bytes: sum,
+        /// Of `structural_bytes`, what separator insertions wrote back.
+        separator_bytes: sum,
+        /// Of `structural_bytes`, what root growths wrote back.
+        root_growth_bytes: sum,
+        /// Of `structural_bytes`, what merges other than edge merges wrote
+        /// back (root collapses included).
+        merge_bytes: sum,
+        /// Of `structural_bytes`, what edge merges wrote back.
+        edge_merge_bytes: sum,
+        /// Of `structural_bytes`, what rebalances wrote back.
+        rebalance_bytes: sum,
     }
     /// A point-in-time copy of [`SpaceCounters`].
     pub struct SpaceSnapshot;
+}
+
+/// What a structural commit did: the split of `structural_bytes`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StructuralKind {
+    /// A node (either level) split into two: its left half and the new right
+    /// half.
+    Split,
+    /// A separator inserted into a parent with room for it.
+    Separator,
+    /// A new root installed above the old one.
+    RootGrowth,
+    /// Two siblings (either level) folded into one, the pair's parent
+    /// written back with them; a root collapse is one.
+    Merge,
+    /// A merge at a level's left edge that kept the right leaf and retired
+    /// the first.
+    EdgeMerge,
+    /// Entries moved between two siblings (either level), neither freed.
+    Rebalance,
 }
 
 impl SpaceCounters {
@@ -76,10 +112,18 @@ impl SpaceCounters {
         }
     }
 
-    /// Record one structural commit — a split, a separator insertion, a root
-    /// growth, a merge or a rebalance — whose node write-backs carried
+    /// Record one structural commit of `kind` whose node write-backs carried
     /// `bytes` bytes in all (lock-word releases not counted).
-    pub fn record_structural_commit(&self, bytes: u64) {
+    pub fn record_structural_commit(&self, kind: StructuralKind, bytes: u64) {
+        let by_kind = match kind {
+            StructuralKind::Split => &self.split_bytes,
+            StructuralKind::Separator => &self.separator_bytes,
+            StructuralKind::RootGrowth => &self.root_growth_bytes,
+            StructuralKind::Merge => &self.merge_bytes,
+            StructuralKind::EdgeMerge => &self.edge_merge_bytes,
+            StructuralKind::Rebalance => &self.rebalance_bytes,
+        };
+        by_kind.add(bytes);
         self.structural_commits.inc();
         self.structural_bytes.add(bytes);
     }
@@ -99,6 +143,18 @@ impl SpaceSnapshot {
     /// Mean bytes a structural commit wrote back (0 when there was none).
     pub fn bytes_per_structural_commit(&self) -> f64 {
         self.structural_bytes as f64 / self.structural_commits.max(1) as f64
+    }
+
+    /// `structural_bytes` by the kind of commit that wrote them back.
+    pub fn structural_bytes_by_kind(&self) -> [(StructuralKind, u64); 6] {
+        [
+            (StructuralKind::Split, self.split_bytes),
+            (StructuralKind::Separator, self.separator_bytes),
+            (StructuralKind::RootGrowth, self.root_growth_bytes),
+            (StructuralKind::Merge, self.merge_bytes),
+            (StructuralKind::EdgeMerge, self.edge_merge_bytes),
+            (StructuralKind::Rebalance, self.rebalance_bytes),
+        ]
     }
 
     /// Share of optimistic lock plans that fell back (0 when none was tried).
@@ -122,8 +178,8 @@ mod tests {
             c.record_merge_route(cached);
         }
         c.plan_fallbacks.inc();
-        c.record_structural_commit(1_040);
-        c.record_structural_commit(32);
+        c.record_structural_commit(StructuralKind::Split, 1_040);
+        c.record_structural_commit(StructuralKind::Separator, 32);
         let s = c.snapshot();
         assert_eq!(s.merges(), 3);
         assert_eq!(s.right_merges(), 2);
@@ -131,5 +187,41 @@ mod tests {
         assert!((s.fallback_share() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!((s.structural_commits, s.structural_bytes), (2, 1_072));
         assert_eq!(s.bytes_per_structural_commit(), 536.0);
+    }
+
+    /// Every structural commit's bytes land in its kind's counter and in the
+    /// total, so the kinds sum to `structural_bytes`.
+    #[test]
+    fn structural_bytes_split_by_kind_sum_to_the_total() {
+        use StructuralKind::*;
+        let c = SpaceCounters::default();
+        let commits = [
+            (Split, 568),
+            (Separator, 48),
+            (RootGrowth, 256),
+            (Merge, 344),
+            (EdgeMerge, 72),
+            (Rebalance, 136),
+            (Split, 360),
+            (EdgeMerge, 88),
+        ];
+        for (kind, bytes) in commits {
+            c.record_structural_commit(kind, bytes);
+        }
+        let s = c.snapshot();
+        let by_kind = s.structural_bytes_by_kind();
+        assert_eq!(by_kind.iter().map(|&(_, b)| b).sum::<u64>(), s.structural_bytes);
+        assert_eq!(
+            by_kind,
+            [
+                (Split, 928),
+                (Separator, 48),
+                (RootGrowth, 256),
+                (Merge, 344),
+                (EdgeMerge, 160),
+                (Rebalance, 136),
+            ]
+        );
+        assert_eq!(s.structural_commits, commits.len() as u64);
     }
 }

@@ -153,7 +153,12 @@ fn write_path_verbs(options: TreeOptions) -> (u64, u64, u64, u64, u64, u64, u64)
 /// began to pay for its repack as an insert does (400 found deletes × 64 ns).
 /// "Sherman w/o combine" writes 7 200 bytes fewer (81 387 → 74 187) since a
 /// delete on an unsorted leaf sends its slot's tag byte, not the entry: 18
-/// bytes less for each of the 400 found deletes, in the same time.
+/// bytes less for each of the 400 found deletes, in the same time.  Both
+/// presets were re-captured when a level's first leaf began to merge only
+/// once empty: the drained stretch starts at the first leaf, and the run
+/// makes one three-lock structural commit fewer — 13 round trips, 4 reads,
+/// 6 WRITE commands and 3 atomics fewer, 1 024 bytes read and 792 (FG+) or
+/// 774 bytes written fewer, 23 874 or 22 551 ns less.
 #[test]
 fn uncombined_presets_keep_their_verbs() {
     let sherman_uncombined = TreeOptions {
@@ -164,12 +169,12 @@ fn uncombined_presets_keep_their_verbs() {
         (
             "FG+",
             TreeOptions::fg_plus(),
-            (3946, 1047, 1911, 987, 268_032, 244_440, 7_295_316),
+            (3933, 1043, 1905, 984, 267_008, 243_648, 7_271_442),
         ),
         (
             "Sherman w/o combine",
             sherman_uncombined,
-            (3946, 1047, 1911, 987, 268_032, 74_187, 6_803_031),
+            (3933, 1043, 1905, 984, 267_008, 73_413, 6_780_480),
         ),
     ] {
         assert_eq!(write_path_verbs(options), expect, "{label}");
@@ -212,29 +217,34 @@ fn uncombined_presets_keep_their_verbs() {
 /// split or rebalance began to leave the slots of the keys it moves out
 /// stale, marked in the tail word, rather than clearing them: 52 more WRITE
 /// commands (an insert over a stale slot sends the bit's byte too), 2 958
-/// bytes fewer (44 863 → 41 905), 468 ns more.
+/// bytes fewer (44 863 → 41 905), 468 ns more.  Every rung when a level's
+/// first leaf began to merge only once empty: the stretch drained from the
+/// first leaf makes one three-lock structural commit fewer — 6 round trips,
+/// 3 reads and 3 atomics fewer, 10 WRITE commands fewer (12 on "+2-Level
+/// Ver"), 768 bytes read fewer, 392 bytes written fewer (374 on the on-chip
+/// rungs, 182 on "+2-Level Ver"), 2 207 to 3 530 ns less.
 #[test]
 fn combined_rungs_keep_their_verbs() {
     for (label, options, expect) in [
         (
             "+Combine",
             TreeOptions::plus_combine(),
-            (1994, 1000, 2122, 993, 256_000, 216_864, 3_511_135),
+            (1988, 997, 2112, 990, 255_232, 216_472, 3_507_605),
         ),
         (
             "+On-Chip",
             TreeOptions::plus_onchip(),
-            (1994, 1000, 2122, 993, 256_000, 210_906, 3_075_427),
+            (1988, 997, 2112, 990, 255_232, 210_532, 3_073_220),
         ),
         (
             "+Hierarchical",
             TreeOptions::plus_hierarchical(),
-            (1994, 1000, 2122, 993, 256_000, 210_906, 3_075_427),
+            (1988, 997, 2112, 990, 255_232, 210_532, 3_073_220),
         ),
         (
             "+2-Level Ver",
             TreeOptions::sherman(),
-            (1994, 1000, 2192, 993, 256_000, 41_905, 2_985_340),
+            (1988, 997, 2180, 990, 255_232, 41_723, 2_983_126),
         ),
     ] {
         assert_eq!(write_path_verbs(options), expect, "{label}");

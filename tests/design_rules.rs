@@ -19,12 +19,12 @@ use std::process::{Command, Output};
 /// Code lines per crate as CI's census counts them: no crate may rise above
 /// its line.
 const CEILINGS: &[(&str, usize)] = &[
-    ("crates/bench/", 2001),
+    ("crates/bench/", 2017),
     ("crates/cache/", 764),
-    ("crates/core/", 4246),
+    ("crates/core/", 4257),
     ("crates/locks/", 621),
     ("crates/memserver/", 802),
-    ("crates/metrics/", 548),
+    ("crates/metrics/", 582),
     ("crates/sim/", 2256),
     ("crates/workload/", 738),
     ("vendor/parking_lot/", 89),

@@ -466,17 +466,25 @@ fn offload_mix(policy: OffloadPolicy) -> String {
 /// → 13 806 under both policies, 273 ns more elapsed (`Always` 4 371 395 →
 /// 4 371 668, `Adaptive` 4 017 532 → 4 017 805).  Re-captured when a point
 /// delete began to send its slot's tag byte alone: the same verbs and time,
-/// bytes written 13 806 → 9 486 under both policies.
+/// bytes written 13 806 → 9 486 under both policies.  Re-captured when a
+/// level's first leaf began to merge only once empty: this mix's inserts
+/// keep the first leaf from emptying, so its seven edge merges, which moved
+/// its last pair into its right sibling, give way to merges of the second
+/// leaf that take in its right sibling's pairs, one merge fewer in all —
+/// bytes written 9 486 → 10 768, 768 bytes read and 7 round trips (one an
+/// RPC) fewer under `Always`, 768 bytes read and 6 round trips fewer under
+/// `Adaptive`, and less elapsed time (4 371 668 → 4 367 464 and 4 017 805 →
+/// 4 015 471 ns).
 #[test]
 fn offload_mix_costs_exactly_what_it_did() {
     assert_eq!(
         offload_mix(OffloadPolicy::Always),
-        "elapsed_ns=4371668 mean_ns=6830 round_trips=1257 rpcs=403 bytes_read=119040 \
-         bytes_written=9486 offloaded=403 wins=403 losses=0 declined=0 stale_rejects=0"
+        "elapsed_ns=4367464 mean_ns=6824 round_trips=1250 rpcs=402 bytes_read=118272 \
+         bytes_written=10768 offloaded=402 wins=402 losses=0 declined=0 stale_rejects=0"
     );
     assert_eq!(
         offload_mix(OffloadPolicy::Adaptive),
-        "elapsed_ns=4017805 mean_ns=6277 round_trips=1613 rpcs=227 bytes_read=255488 \
-         bytes_written=9486 offloaded=227 wins=227 losses=0 declined=0 stale_rejects=0"
+        "elapsed_ns=4015471 mean_ns=6274 round_trips=1607 rpcs=227 bytes_read=254720 \
+         bytes_written=10768 offloaded=227 wins=227 losses=0 declined=0 stale_rejects=0"
     );
 }

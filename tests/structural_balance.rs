@@ -153,6 +153,60 @@ fn churn_census_has_no_persistently_underfull_rightmost_children() {
     }
 }
 
+/// The first-leaf rule leaves at most one leaf below the merge floor that a
+/// same-parent sibling could fix: the level's first, which merges only once
+/// empty.  After an ascending sliding window — which drains the tree from its
+/// first leaf — every level-1 node's children are read outside the protocol,
+/// and each leaf below the floor of `merge_threshold` with a sibling under
+/// the same parent (with 256 B nodes the pair then merges or rebalances) has
+/// lower fence 0.
+#[test]
+fn a_sliding_window_leaves_only_its_first_leaf_below_the_floor() {
+    let cluster = small_cluster(TreeOptions::sherman());
+    cluster.bulkload(std::iter::empty()).unwrap();
+    let spec = ChurnSpec {
+        window: 1_500,
+        threads: 1,
+        lookup_pct: 10,
+        range_pct: 5,
+        range_size: 20,
+        bidirectional: false,
+        seed: 0xF1A7,
+    };
+    let (live, _) = run_churn(&cluster, &spec, 4.0).unwrap();
+    assert!(cluster.space_stats().edge_merges > 0, "no first leaf retired");
+
+    let layout = *cluster.layout();
+    let floor = (layout.leaf_capacity() as f64 * TreeOptions::sherman().merge_threshold) as usize;
+    let root_ptr = sherman_repro::sherman_memserver::ServerLayout::root_ptr_addr();
+    let mut parent = Some(GlobalAddress::unpack(cluster.fabric().god_read_u64(root_ptr).unwrap()));
+    while let Some(addr) = parent.filter(|&a| layout.decode_header(&image_of(&cluster, a)).level > 1) {
+        parent = layout.decode_internal(&image_of(&cluster, addr)).header.leftmost;
+    }
+    let (mut below, mut leaves) = (Vec::new(), 0);
+    while let Some(addr) = parent {
+        let node = layout.decode_internal(&image_of(&cluster, addr));
+        let children = node.children();
+        for &child in &children {
+            let leaf = layout.decode_leaf(&image_of(&cluster, child));
+            leaves += 1;
+            if children.len() > 1 && leaf.live_count() < floor {
+                below.push(leaf.header.fence_low);
+            }
+        }
+        parent = node.header.sibling;
+    }
+    assert!(leaves > 100, "{leaves} leaves");
+    assert!(below.len() <= 1 && below.iter().all(|&low| low == 0), "{below:?}");
+    let audit = cluster.shape_audit().unwrap();
+    assert_eq!(audit.underfull_leaves, below.len() as u64, "{audit:?}");
+
+    let mut client = cluster.client(0);
+    for &k in live.iter().step_by(37) {
+        assert!(client.lookup(k).unwrap().0.is_some(), "live key {k}");
+    }
+}
+
 /// Type-❷ self-healing: churn that continuously retires top-level nodes must
 /// not erode the always-cached top set.  The hit rate after ≥10× window
 /// turnover stays within 10% of its pre-churn value, because every structural
@@ -212,11 +266,12 @@ fn image_of<B: FabricBackend>(cluster: &Cluster<B>, addr: GlobalAddress) -> Vec<
     image
 }
 
-/// A right merge at the tree's left edge whose first leaf is the emptier one
-/// keeps the right leaf: the first leaf's last pair moves into it, it takes
-/// the first leaf's place as its parent's leftmost child with its lower fence
-/// at 0, and the first leaf is the tombstone retired.  Over `keys` bulkloaded
-/// keys (256 B nodes, eight to a leaf) the first leaf is drained to one key.
+/// A level's first leaf merges only once empty, and that right merge at the
+/// tree's left edge keeps the right leaf: no pair moves, it takes the first
+/// leaf's place as its parent's leftmost child with its lower fence at 0,
+/// and the first leaf is the tombstone retired.  Over `keys` bulkloaded keys
+/// (256 B nodes, eight to a leaf) the first leaf is drained to one key —
+/// below the floor of the leaves after it, and no merge yet — then to none.
 /// With two leaves the merge empties the root, and the root pointer swings
 /// to the survivor.  Afterwards every key is where it should be — by lookup,
 /// by a scan on the committer's warm cache, on the other compute server's
@@ -239,10 +294,15 @@ fn first_leaf_merge_keeps_its_right_sibling_on<B: FabricBackend>(keys: u64) {
     let held: Vec<u64> = first_leaf.sorted_pairs().iter().map(|&(k, _)| k).collect();
     let root_was_parent = root() == parent;
 
+    let second_held = layout.decode_leaf(&image_of(&cluster, second)).sorted_pairs();
+
     let mut client = cluster.client(0);
     for &key in held[1..].iter().rev() {
         assert!(client.delete(key).unwrap().0, "key {key} is live");
     }
+    let space = cluster.space_stats();
+    assert_eq!((space.merges(), space.rebalances), (0, 0), "a merge at one pair");
+    assert!(client.delete(held[0]).unwrap().0, "key {} is live", held[0]);
     let space = cluster.space_stats();
     assert_eq!((space.leaf_merges, space.edge_merges, space.rebalances), (1, 1, 0));
     assert_eq!(cluster.reclaim_stats().retired, 1 + u64::from(root_was_parent));
@@ -251,7 +311,7 @@ fn first_leaf_merge_keeps_its_right_sibling_on<B: FabricBackend>(keys: u64) {
     assert!(tombstone.free, "the first leaf is the tombstone: {tombstone:?}");
     let survivor = layout.decode_leaf(&image_of(&cluster, second));
     assert!(!survivor.header.free && survivor.header.fence_low == 0);
-    assert!(survivor.sorted_pairs().contains(&(held[0], held[0] + 1)));
+    assert_eq!(survivor.sorted_pairs(), second_held, "no pair moves");
     if root_was_parent {
         assert_eq!(space.root_collapses, 1);
         assert_eq!(root(), second, "the root pointer swings to the survivor");
@@ -260,10 +320,7 @@ fn first_leaf_merge_keeps_its_right_sibling_on<B: FabricBackend>(keys: u64) {
         assert_eq!(parent.header.leftmost, Some(second), "the survivor is the leftmost child");
     }
 
-    let live: Vec<(u64, u64)> = std::iter::once(held[0])
-        .chain(held[held.len() - 1] + 1..keys)
-        .map(|k| (k, k + 1))
-        .collect();
+    let live: Vec<(u64, u64)> = (held[held.len() - 1] + 1..keys).map(|k| (k, k + 1)).collect();
     for &(key, value) in live.iter().step_by(7) {
         assert_eq!(client.lookup(key).unwrap().0, Some(value), "key {key}");
     }

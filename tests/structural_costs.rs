@@ -25,7 +25,7 @@
 mod support;
 
 use sherman_repro::prelude::*;
-use sherman_repro::sherman_sim::{Fabric, FabricBackend, ThreadedFabric};
+use sherman_repro::sherman_sim::{Fabric, FabricBackend, GlobalAddress, ThreadedFabric};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use support::{one_by_one, run_sessions};
@@ -214,11 +214,12 @@ fn internal_split_cost(options: TreeOptions) -> (Cost, Structural) {
 
 /// The delete that folds the last two leaves of a tree into one: a merge whose
 /// parent, left without a separator, is the root — the root pointer swings to
-/// the surviving leaf and the old root is written back as a tombstone.
+/// the surviving leaf and the old root is written back as a tombstone.  The
+/// drained leaf is the tree's first, which merges only once empty.
 fn root_collapse_cost(options: TreeOptions) -> (Cost, Structural) {
     let cluster = cluster(2 * PER_LEAF, options);
     let mut client = cluster.client(0);
-    let collapse = measured(&cluster, || drain(&mut client, 0, 1));
+    let collapse = measured(&cluster, || drain(&mut client, 0, 0));
     let space = cluster.space_stats();
     assert_eq!((space.leaf_merges, space.root_collapses), (1, 1));
     collapse
@@ -434,12 +435,82 @@ fn a_merge_locks_and_releases_its_three_nodes_in_a_round_trip_each() {
 /// posts, 4 → 3 reads, 9 080 → 7 280 ns.  The collapsing delete writes its
 /// slot's tag byte alone (f): 123 → 105 bytes in the same time.  The leaf
 /// split's left half leaves the moved slots stale (a): 1 062 → 862 bytes,
-/// 10 → 13 WRITE commands, 7 280 → 7 296 ns.
+/// 10 → 13 WRITE commands, 7 280 → 7 296 ns.  The first leaf merges only
+/// once empty (c′): the delete measured is its last, not its seventh, and no
+/// pair moves — of the survivor travel its header and tail: 88 → 64 bytes
+/// of node write-backs, 15 → 14 WRITE commands, 105 → 81 bytes, 11 229 →
+/// 11 211 ns.
 #[test]
 fn an_internal_split_and_a_root_collapse_write_back_what_changed() {
     let sherman = TreeOptions::sherman();
     assert_eq!(internal_split_cost(sherman), ((7, 3, 13, 3, 862, 7_296), (3, 856)));
-    assert_eq!(root_collapse_cost(sherman), ((11, 5, 15, 5, 105, 11_229), (1, 88)));
+    assert_eq!(root_collapse_cost(sherman), ((11, 5, 14, 5, 81, 11_211), (1, 64)));
+}
+
+/// The first level-1 node of `cluster`, down the leftmost children from the
+/// root.
+fn first_parent(cluster: &Cluster) -> GlobalAddress {
+    let layout = cluster.layout();
+    let root_ptr = sherman_repro::sherman_memserver::ServerLayout::root_ptr_addr();
+    let mut node = GlobalAddress::unpack(cluster.fabric().god_read_u64(root_ptr).unwrap());
+    loop {
+        let internal = layout.decode_internal(&image_of(cluster, node));
+        if internal.header.level == 1 {
+            return node;
+        }
+        node = internal.header.leftmost.unwrap();
+    }
+}
+
+fn image_of(cluster: &Cluster, addr: GlobalAddress) -> Vec<u8> {
+    let mut image = vec![0u8; cluster.layout().node_size()];
+    cluster.fabric().god_read(addr, &mut image).unwrap();
+    image
+}
+
+/// (c′) A level's first leaf merges only once empty (free-at-empty): a
+/// sliding window drains a tree from its first leaf and deletes the pairs
+/// left in it next, so moving them into the right sibling at the merge floor
+/// was waste.  Drained to one pair, the first leaf has not merged; the
+/// second leaf, drained to the floor, still merges with the third.  The
+/// first leaf's last delete retires it: no pair moves, the survivor takes
+/// its place as the parent's leftmost child with lower fence 0, and the
+/// commit writes the survivor's header and tail, the tombstone and what the
+/// parent's first separator's removal moved — 72 bytes where the merge at
+/// the floor wrote 344.
+#[test]
+fn a_draining_first_leaf_retires_empty() {
+    let cluster = cluster(4_000, TreeOptions::sherman());
+    let layout = *cluster.layout();
+    let mut client = cluster.client(0);
+    let parent = first_parent(&cluster);
+    let first = layout.decode_internal(&image_of(&cluster, parent)).header.leftmost.unwrap();
+    let merges = |c: &Cluster| {
+        let s = c.space_stats();
+        (s.leaf_merges, s.edge_merges, s.rebalances)
+    };
+
+    drain(&mut client, 0, 1);
+    assert_eq!(merges(&cluster), (0, 0, 0), "the first leaf merged at one pair");
+    drain(&mut client, 1, 1);
+    assert_eq!(merges(&cluster), (1, 0, 0), "the second leaf merges at the floor");
+
+    let second = layout.decode_header(&image_of(&cluster, first)).sibling.unwrap();
+    let held = layout.decode_leaf(&image_of(&cluster, second)).sorted_pairs();
+    let (_, (commits, bytes)) = measured(&cluster, || client.delete(first_key(0)).unwrap().1);
+    assert_eq!(merges(&cluster), (2, 1, 0));
+    assert!(layout.decode_header(&image_of(&cluster, first)).free, "the first leaf is retired");
+    let survivor = layout.decode_leaf(&image_of(&cluster, second));
+    assert_eq!(survivor.sorted_pairs(), held, "a pair moved");
+    assert_eq!(survivor.header.fence_low, 0);
+    let parent = layout.decode_internal(&image_of(&cluster, parent));
+    assert_eq!(parent.header.leftmost, Some(second));
+    // The survivor's header and tail (24 bytes), the tombstone's flag,
+    // version and tail (16), and of the parent what the removal of its first
+    // separator and the new leftmost child changed (32).
+    assert_eq!((commits, bytes), (1, 24 + 16 + 32));
+    assert_eq!(client.lookup(first_key(0)).unwrap().0, None);
+    assert_eq!(client.lookup(first_key(1)).unwrap().0, Some(first_key(1) / 2));
 }
 
 /// (d) The planner belongs to command combination, not to a leaf format: the
